@@ -10,7 +10,7 @@
 //	dynobench -exp optbench -optbenchout BENCH_optbench.json
 //	dynobench -exp load -load-clients 1,16,256 -load-shards 1,4
 //	dynobench -parbench BENCH_parallel.json
-//	dynobench -hotpath BENCH_hotpath.json -batchbench BENCH_batch.json
+//	dynobench -batchbench BENCH_batch.json
 //	dynobench -exp fig7 -cpuprofile cpu.prof -memprofile mem.prof
 package main
 
@@ -33,7 +33,7 @@ func main() {
 
 func run() int {
 	var (
-		exp         = flag.String("exp", "all", "experiments to run: table1, fig2, fig3, fig4, fig5, fig6, fig7, fig8, faults, ablations, service, optbench, procbench, load, all (comma-separated; load is not part of all)")
+		exp         = flag.String("exp", "all", "experiments to run: table1, fig2, fig3, fig4, fig5, fig6, fig7, fig8, faults, ablations, service, optbench, load, all (comma-separated; load is not part of all)")
 		scale       = flag.Float64("scale", 0.25, "row-count multiplier (virtual data volume stays at SF x 1 GB)")
 		seed        = flag.Int64("seed", 2014, "data generation seed")
 		faultsOut   = flag.String("faultsout", "BENCH_faults.json", "file for the faults experiment's raw sweep points (JSON)")
@@ -47,13 +47,11 @@ func run() int {
 		loadZipf    = flag.Float64("load-zipf", 1.3, "Zipf skew (>1) of the load experiment's query mix")
 
 		optOut     = flag.String("optbenchout", "BENCH_optbench.json", "file for the optbench experiment's report (JSON)")
-		procOut    = flag.String("procbenchout", "BENCH_proc.json", "file for the procbench experiment's report (JSON)")
 		optRepeats = flag.Int("optbench-repeats", 3, "runs per arm for optbench; the best wall time is kept")
 		parbench   = flag.String("parbench", "", "measure serial vs parallel wall-clock time and write a JSON report to this file (skips -exp)")
 		repeats    = flag.Int("parbench-repeats", 3, "runs per mode for -parbench; the best time is kept")
-		hotpath    = flag.String("hotpath", "", "measure batch vs compiled fast path vs legacy wall-clock time and write a JSON report to this file (skips -exp)")
-		hotRepeats = flag.Int("hotpath-repeats", 3, "runs per arm for -hotpath/-batchbench; the best time is kept")
-		batchbench = flag.String("batchbench", "", "write the three-arm hotpath report to this file as well (with -hotpath) or alone (skips -exp)")
+		hotRepeats = flag.Int("hotpath-repeats", 3, "runs per arm for -batchbench; the best time is kept")
+		batchbench = flag.String("batchbench", "", "measure batch vs compiled fast path vs legacy wall-clock time and write a JSON report to this file (skips -exp)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -93,22 +91,17 @@ func run() int {
 	cfg.Scale = *scale
 	cfg.Seed = *seed
 
-	if *hotpath != "" || *batchbench != "" {
+	if *batchbench != "" {
 		rep, err := experiments.HotpathBench(cfg, *hotRepeats)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "dynobench: hotpath: %v\n", err)
+			fmt.Fprintf(os.Stderr, "dynobench: batchbench: %v\n", err)
 			return 1
 		}
-		for _, out := range []string{*hotpath, *batchbench} {
-			if out == "" {
-				continue
-			}
-			if err := writeJSON(out, rep); err != nil {
-				fmt.Fprintf(os.Stderr, "dynobench: hotpath: %v\n", err)
-				return 1
-			}
-			fmt.Printf("hotpath bench (GOMAXPROCS=%d) written to %s\n", rep.GOMAXPROCS, out)
+		if err := writeJSON(*batchbench, rep); err != nil {
+			fmt.Fprintf(os.Stderr, "dynobench: batchbench: %v\n", err)
+			return 1
 		}
+		fmt.Printf("batch bench (GOMAXPROCS=%d) written to %s\n", rep.GOMAXPROCS, *batchbench)
 		for _, e := range rep.Entries {
 			fmt.Printf("  %-18s batch %.3fs  fast %.3fs  legacy %.3fs  fast-vs-legacy %.2fx  batch-vs-fast %.2fx\n",
 				e.Name, e.BatchSec, e.FastSec, e.LegacySec, e.Speedup, e.BatchSpeedup)
@@ -186,31 +179,6 @@ func run() int {
 				return 1
 			}
 			fmt.Printf("optbench report written to %s\n\n", *optOut)
-		}
-		ran++
-	}
-	if all || want["procbench"] {
-		rep, err := experiments.ProcBench(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dynobench: procbench: %v\n", err)
-			return 1
-		}
-		fmt.Printf("proc dispatch bench (GOMAXPROCS=%d, %d workers, parallelism %d, queries %v)\n",
-			rep.GOMAXPROCS, rep.Workers, rep.Parallelism, rep.Queries)
-		for _, arm := range rep.Arms {
-			fmt.Printf("  %-12s codec=%-4s batched=%-5v peer=%-5v  %6d rpcs  %6d tasks  %9d B out  %9d B in  %7.0f B/task  %9d B ctl-shuf  %9d B peer-shuf  wall %.2fs\n",
-				arm.Name, arm.Codec, arm.Batched, arm.PeerShuffle, arm.RPCs, arm.Tasks, arm.BytesOut, arm.BytesIn, arm.BytesPerTask, arm.CtlShuffleBytes, arm.PeerShuffleBytes, arm.WallSec)
-		}
-		fmt.Printf("  binary batched vs json per-task: %.1fx fewer dispatch bytes, %.1fx fewer RPCs\n",
-			rep.ByteReduction, rep.RPCReduction)
-		fmt.Printf("  peer shuffle vs controller shuffle: %.1fx fewer controller-side shuffle bytes\n",
-			rep.CtlShuffleReduction)
-		if *procOut != "" {
-			if err := writeJSON(*procOut, rep); err != nil {
-				fmt.Fprintf(os.Stderr, "dynobench: procbench: %v\n", err)
-				return 1
-			}
-			fmt.Printf("procbench report written to %s\n\n", *procOut)
 		}
 		ran++
 	}

@@ -53,9 +53,6 @@ func main() {
 		ctrlAddr    = flag.String("controller-addr", "127.0.0.1:0", "proc backend: controller listen address for worker registration")
 		minWorkers  = flag.Int("min-workers", 1, "proc backend: workers to wait for before serving")
 		workerWait  = flag.Duration("worker-wait", 60*time.Second, "proc backend: how long to wait for -min-workers")
-		procCodec   = flag.String("proc-codec", "", "proc backend: wire codec kill-switch (json forces the PR 8 JSON plane; empty negotiates binary)")
-		procNoBatch = flag.Bool("proc-no-batch", false, "proc backend: disable wave-batched dispatch (one RPC per task)")
-		procNoPeer  = flag.Bool("proc-no-peer", false, "proc backend: disable worker-to-worker shuffle (map outputs round-trip through the controller)")
 		pprofAddr   = flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = off)")
 	)
 	flag.Parse()
@@ -85,11 +82,8 @@ func main() {
 	case "proc":
 		var err error
 		fleet, err = procruntime.NewFleet(procruntime.Config{
-			Addr:               *ctrlAddr,
-			Codec:              *procCodec,
-			DisableBatch:       *procNoBatch,
-			DisablePeerShuffle: *procNoPeer,
-			Logf:               func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) },
+			Addr: *ctrlAddr,
+			Logf: func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) },
 		})
 		if err != nil {
 			fail(err)

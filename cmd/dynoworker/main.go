@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	_ "net/http/pprof"
@@ -40,7 +41,6 @@ func main() {
 		blockMB    = flag.Int("block-cache-mb", 256, "mirrored-block cache bound in MB")
 		tableN     = flag.Int("table-cache", 64, "built broadcast-table cache bound in entries")
 		shuffleMB  = flag.Int("shuffle-cache-mb", 256, "retained shuffle registry bound in MB")
-		noPeer     = flag.Bool("no-peer", false, "do not announce peer-shuffle capability (map outputs round-trip through the controller)")
 		pprofAddr  = flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = off)")
 	)
 	flag.Parse()
@@ -63,7 +63,7 @@ func main() {
 	// Register (with retry: the controller may still be coming up),
 	// then build the expression registry from the controller's UDF
 	// parameters so both sides evaluate identically.
-	resp, err := register(*controller, selfURL, *regTimeout, !*noPeer)
+	resp, err := register(*controller, selfURL, *regTimeout)
 	if err != nil {
 		fail(err)
 	}
@@ -93,18 +93,13 @@ func main() {
 	httpSrv := &http.Server{Handler: w.Handler()}
 	done := make(chan error, 1)
 	go func() { done <- httpSrv.Serve(ln) }()
-	codec := resp.Codec
-	if codec == "" {
-		codec = wire.CodecJSON // pre-negotiation controller
-	}
-	fmt.Printf("dynoworker: id=%d listening on %s (controller %s, codec=%s batch=%v peer=%v)\n",
-		resp.ID, ln.Addr(), *controller, codec, resp.Batch, resp.Peer)
+	fmt.Printf("dynoworker: id=%d listening on %s (controller %s)\n", resp.ID, ln.Addr(), *controller)
 
 	hb := time.Duration(resp.HeartbeatMillis) * time.Millisecond
 	if hb <= 0 {
 		hb = time.Second
 	}
-	go heartbeat(ctx, *controller, selfURL, resp.ID, hb, !*noPeer)
+	go heartbeat(ctx, *controller, selfURL, resp.ID, hb)
 
 	select {
 	case <-ctx.Done():
@@ -129,15 +124,13 @@ var ctlClient = &http.Client{Timeout: 10 * time.Second}
 
 // register announces the worker to the controller, retrying until the
 // deadline (the controller may start after its workers). The worker
-// advertises the binary codec, batched dispatch, and (unless -no-peer)
-// peer shuffle; the controller answers with its pick (its
-// kill-switches may force JSON, per-task POSTs, or controller-side
-// shuffle), and each request is answered in the codec it arrived in,
-// so no further negotiation state is needed here.
-func register(controller, selfURL string, timeout time.Duration, peer bool) (*wire.RegisterResponse, error) {
+// announces the binary codec, batched dispatch and peer shuffle — the
+// one data plane the controller accepts; a 4xx answer is a refusal and
+// ends the retries.
+func register(controller, selfURL string, timeout time.Duration) (*wire.RegisterResponse, error) {
 	payload, err := json.Marshal(wire.RegisterRequest{
 		URL:  selfURL,
-		Caps: wire.Caps{Codecs: []string{wire.CodecBinary, wire.CodecJSON}, Batch: true, PeerShuffle: peer},
+		Caps: wire.Caps{Codecs: []string{wire.CodecBinary, wire.CodecJSON}, Batch: true, PeerShuffle: true},
 	})
 	if err != nil {
 		return nil, err
@@ -156,8 +149,12 @@ func register(controller, selfURL string, timeout time.Duration, peer bool) (*wi
 				}
 				return &rr, nil
 			}
+			msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512)) // best-effort diagnostic
 			resp.Body.Close()
-			err = fmt.Errorf("register: HTTP %d", resp.StatusCode)
+			err = fmt.Errorf("register: HTTP %d: %s", resp.StatusCode, bytes.TrimSpace(msg))
+			if resp.StatusCode >= 400 && resp.StatusCode < 500 {
+				return nil, fmt.Errorf("registration refused by %s: %w", controller, err)
+			}
 		}
 		lastErr = err
 		if time.Now().After(deadline) {
@@ -169,7 +166,7 @@ func register(controller, selfURL string, timeout time.Duration, peer bool) (*wi
 
 // heartbeat reports liveness until the context ends. A Gone response
 // means the controller no longer knows us (restart); re-register.
-func heartbeat(ctx context.Context, controller, selfURL string, id int, every time.Duration, peer bool) {
+func heartbeat(ctx context.Context, controller, selfURL string, id int, every time.Duration) {
 	tick := time.NewTicker(every)
 	defer tick.Stop()
 	payload, _ := json.Marshal(wire.HeartbeatRequest{ID: id})
@@ -187,7 +184,7 @@ func heartbeat(ctx context.Context, controller, selfURL string, id int, every ti
 		if resp.StatusCode == http.StatusGone {
 			// Controller restarted: re-register under the same URL (it
 			// re-keys workers by URL, so the id stays stable).
-			register(controller, selfURL, 2*time.Second, peer)
+			register(controller, selfURL, 2*time.Second)
 		}
 	}
 }

@@ -30,8 +30,7 @@ type HotpathBenchEntry struct {
 }
 
 // HotpathBenchReport is the machine-readable output of HotpathBench
-// (written to BENCH_hotpath.json and BENCH_batch.json by
-// cmd/dynobench).
+// (written to BENCH_batch.json by cmd/dynobench -batchbench).
 type HotpathBenchReport struct {
 	GOMAXPROCS int                 `json:"gomaxprocs"`
 	Scale      float64             `json:"scale"`

@@ -267,12 +267,10 @@ func TestPilotOnDemandSplits(t *testing.T) {
 	for s := 2; s < total; s++ {
 		reserve = append(reserve, s)
 	}
-	emitted := 0
 	res, err := Run(env, Spec{
 		Name: "pilot-mt",
 		Inputs: []Input{{File: f, Splits: []int{0, 1}, Map: func(mc *MapCtx, rec data.Value) {
 			if rec.FieldOr("a").FieldOr("id").Int()%10 == 0 {
-				emitted++
 				mc.Emit(rec)
 			}
 		}}},

@@ -29,13 +29,6 @@ type JobRetirer interface {
 	RetireJob(jobName string)
 }
 
-// RemoteKV is one shuffled pair returned by a remote map task.
-type RemoteKV struct {
-	Key data.Value
-	Tag string
-	Rec data.Value
-}
-
 // ShufflePart digests one shuffle partition retained away from the
 // controller: its pair count and its virtual shuffle bytes, computed
 // by the executor with the controller's exact per-record arithmetic
@@ -46,12 +39,10 @@ type ShufflePart struct {
 }
 
 // ShuffleInput is one segment of a reduce task's input, in map
-// completion order: either a handle to a peer-retained map output
-// (Handle, opaque to this package) or controller-held pairs shipped
-// inline.
+// completion order: the executor's handle to one map task's retained
+// output (opaque to this package).
 type ShuffleInput struct {
 	Handle any
-	Pairs  []RemoteKV
 }
 
 // MapExec describes one map task for a TaskExecutor.
@@ -83,27 +74,23 @@ type MapExec struct {
 // the local path's accrual pattern.
 type MapExecOut struct {
 	Rows     []data.Value // map-only jobs
-	Pairs    [][]RemoteKV // shuffle jobs: one slice per partition
 	CPUMap   float64
 	CPUTotal float64
-	// Shuffle, when non-nil, says the map output was retained away
-	// from the controller (on the producing worker); ShuffleParts
-	// carries the per-partition digests the accounting replays in
-	// place of materialized buckets. Pairs is nil in that case.
+	// Shuffle jobs: the map output stays with the executor (on the
+	// producing worker). Shuffle is the handle reduce tasks pass back;
+	// ShuffleParts carries the per-partition digests the accounting
+	// replays in place of materialized buckets.
 	Shuffle      any
 	ShuffleParts []ShufflePart
 }
 
-// ReduceExec describes one reduce task. Exactly one input form is
-// populated: Pairs, already gathered and sorted into reduce key order
-// by the controller (the classic path), or Inputs, an ordered segment
-// list mixing peer-retained handles with inline pairs that the
-// executor assembles and sorts worker-side.
+// ReduceExec describes one reduce task: Inputs lists every map
+// output's handle in map order, and the executor assembles and sorts
+// the partition worker-side.
 type ReduceExec struct {
 	JobName   string
 	TaskName  string
 	Partition int
-	Pairs     []RemoteKV
 	Inputs    []ShuffleInput
 	Op        any
 }
@@ -149,41 +136,17 @@ func (j *Job) runMapRemote(st *mapTaskState, input Input, u cluster.Usage) (clus
 	if st.collector != nil {
 		st.collector.ObserveInputs(n)
 	}
-	fast := j.fastPath()
 	if j.spec.Reduce == nil {
 		st.outRows = append(st.outRows, out.Rows...)
-	} else if out.Shuffle != nil {
+	} else {
 		// The map output was retained on the producing worker; hold the
 		// handle and replay the shuffle accounting from the digests.
-		if len(out.ShuffleParts) != j.numReducers {
-			return u, fmt.Errorf("mapreduce: executor returned %d shuffle parts for %s, want %d",
+		if out.Shuffle == nil || len(out.ShuffleParts) != j.numReducers {
+			return u, fmt.Errorf("mapreduce: executor returned %d shuffle parts for %s, want %d retained",
 				len(out.ShuffleParts), j.spec.Name, j.numReducers)
 		}
 		st.shuffle = out.Shuffle
 		st.shuffleParts = out.ShuffleParts
-	} else {
-		if len(out.Pairs) != j.numReducers {
-			return u, fmt.Errorf("mapreduce: executor returned %d partitions for %s, want %d",
-				len(out.Pairs), j.spec.Name, j.numReducers)
-		}
-		// Rebuild the shuffle buckets; the normalized key is recomputed
-		// here so downstream sort/group order is identical to a locally
-		// produced bucket.
-		var nkBuf []byte
-		for p, pairs := range out.Pairs {
-			for _, rkv := range pairs {
-				kv := kvPair{key: rkv.Key, tag: rkv.Tag, rec: rkv.Rec}
-				if fast {
-					if b, ok := data.AppendNormKey(nkBuf[:0], rkv.Key); ok {
-						kv.nk = string(b)
-						nkBuf = b
-					} else {
-						nkBuf = b[:0]
-					}
-				}
-				st.buckets[p] = append(st.buckets[p], kv)
-			}
-		}
 	}
 	u.Records += int64(n)
 	u.CPUSeconds += out.CPUMap
@@ -203,17 +166,10 @@ func (j *Job) runMapRemote(st *mapTaskState, input Input, u cluster.Usage) (clus
 			}
 		}
 		emitted = int64(len(st.outRows))
-	} else if st.shuffle != nil {
+	} else {
 		for _, part := range st.shuffleParts {
 			u.BytesShuffled += part.Bytes
 			emitted += int64(part.Count)
-		}
-	} else {
-		for _, bucket := range st.buckets {
-			for _, kv := range bucket {
-				u.BytesShuffled += j.env.VirtualSize(kv.rec)
-			}
-			emitted += int64(len(bucket))
 		}
 	}
 	if emitted > 0 {
@@ -222,94 +178,24 @@ func (j *Job) runMapRemote(st *mapTaskState, input Input, u cluster.Usage) (clus
 	return u, nil
 }
 
-// runReduceRemote gathers and sorts the partition's pairs exactly like
-// the local path, delegates the group loop to the executor, and
-// replays the output accounting.
+// runReduceRemote ships the ordered list of retained map-output
+// handles to the executor and replays the shuffle accounting from the
+// digests. The worker-side stable sort of the concatenated segments
+// reproduces the local path's gather-then-sort order exactly, so rows
+// and virtual timelines match it byte for byte.
 func (j *Job) runReduceRemote(st *reduceTaskState, partition int) (cluster.Usage, error) {
 	var u cluster.Usage
 	if j.spec.RemoteOp == nil {
 		return u, j.errNoRemoteOp()
 	}
-	for _, ms := range j.mapStates {
-		if ms.shuffle != nil {
-			return j.runReduceRemotePeer(st, partition)
-		}
-	}
-	var pairs []kvPair
-	for _, ms := range j.mapStates {
-		if partition < len(ms.buckets) {
-			bucket := ms.buckets[partition]
-			pairs = append(pairs, bucket...)
-			for _, kv := range bucket {
-				u.BytesShuffled += j.env.VirtualSize(kv.rec)
-			}
-		}
-	}
-	sortPairsByKey(pairs)
-	remote := make([]RemoteKV, len(pairs))
-	for i, kv := range pairs {
-		remote[i] = RemoteKV{Key: kv.key, Tag: kv.tag, Rec: kv.rec}
-	}
-	out, err := j.env.Exec.ExecReduce(ReduceExec{
-		JobName:   j.spec.Name,
-		TaskName:  fmt.Sprintf("%s-r%d", j.spec.Name, partition),
-		Partition: partition,
-		Pairs:     remote,
-		Op:        j.spec.RemoteOp,
-	})
-	if err != nil {
-		return u, err
-	}
-	st.outRows = append(st.outRows, out.Rows...)
-	u.Records += int64(len(pairs))
-	u.CPUSeconds += out.CPUSeconds
-	for _, rec := range st.outRows {
-		sz := j.env.VirtualSize(rec)
-		u.BytesWritten += sz
-		if st.collector != nil {
-			st.collector.ObserveOutput(rec, sz)
-		}
-	}
-	return u, nil
-}
-
-// runReduceRemotePeer is the direct-fetch variant: instead of
-// gathering and sorting the partition controller-side, it ships an
-// ordered segment list — peer-retained handles where map outputs
-// stayed on their producers, inline pairs for controller-held buckets
-// (maps that ran on capability-less workers) — and replays the same
-// shuffle accounting from the retained digests. The worker-side
-// stable sort of the concatenated segments reproduces the
-// controller's gather-then-sort order exactly, so rows and virtual
-// timelines match the classic path byte for byte.
-func (j *Job) runReduceRemotePeer(st *reduceTaskState, partition int) (cluster.Usage, error) {
-	var u cluster.Usage
 	var inputs []ShuffleInput
 	var count int64
 	for _, ms := range j.mapStates {
-		if ms.shuffle != nil {
-			if partition < len(ms.shuffleParts) {
-				part := ms.shuffleParts[partition]
-				u.BytesShuffled += part.Bytes
-				count += int64(part.Count)
-				inputs = append(inputs, ShuffleInput{Handle: ms.shuffle})
-			}
-			continue
-		}
-		if partition < len(ms.buckets) {
-			bucket := ms.buckets[partition]
-			if len(bucket) == 0 {
-				continue
-			}
-			for _, kv := range bucket {
-				u.BytesShuffled += j.env.VirtualSize(kv.rec)
-			}
-			count += int64(len(bucket))
-			remote := make([]RemoteKV, len(bucket))
-			for i, kv := range bucket {
-				remote[i] = RemoteKV{Key: kv.key, Tag: kv.tag, Rec: kv.rec}
-			}
-			inputs = append(inputs, ShuffleInput{Pairs: remote})
+		if partition < len(ms.shuffleParts) {
+			part := ms.shuffleParts[partition]
+			u.BytesShuffled += part.Bytes
+			count += int64(part.Count)
+			inputs = append(inputs, ShuffleInput{Handle: ms.shuffle})
 		}
 	}
 	out, err := j.env.Exec.ExecReduce(ReduceExec{

@@ -3,9 +3,7 @@ package procruntime
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -132,46 +130,24 @@ func (b *batcher) flush(items []*batchItem) {
 	}
 }
 
-// postBatch runs one batched RPC against one worker in its negotiated
-// codec and returns per-task results in request order. The attempt
-// deadline scales with batch size because the worker executes the
-// tasks sequentially: each task keeps its TaskTimeout budget.
+// postBatch runs one batched RPC against one worker and returns
+// per-task results in request order. The attempt deadline scales with
+// batch size because the worker executes the tasks sequentially: each
+// task keeps its TaskTimeout budget.
 func (f *Fleet) postBatch(w *workerState, tasks []*wire.Task) ([]*wire.TaskResult, error) {
-	if !w.peer {
-		adapted := make([]*wire.Task, len(tasks))
-		for i, t := range tasks {
-			adapted[i] = taskFor(w, t)
-		}
-		tasks = adapted
+	frame, err := wire.EncodeTaskBatch(tasks)
+	if err != nil {
+		return nil, err
 	}
-	var payload []byte
-	contentType := "application/json"
-	if w.codec == wire.CodecBinary {
-		frame, err := wire.EncodeTaskBatch(tasks)
-		if err != nil {
-			return nil, err
-		}
-		defer frame.Close()
-		payload = frame.Bytes()
-		contentType = wire.ContentTypeBinary
-	} else {
-		batch := wire.TaskBatchRequest{Tasks: make([]*wire.TaskRequest, len(tasks))}
-		for i, t := range tasks {
-			batch.Tasks[i] = t.Request()
-		}
-		b, err := json.Marshal(batch)
-		if err != nil {
-			return nil, err
-		}
-		payload = b
-	}
+	defer frame.Close()
+	payload := frame.Bytes()
 	ctx, cancel := context.WithTimeout(context.Background(), f.cfg.TaskTimeout*time.Duration(len(tasks)))
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.url+"/tasks", bytes.NewReader(payload))
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set("Content-Type", contentType)
+	req.Header.Set("Content-Type", wire.ContentTypeBinary)
 	f.statRPCs.Add(1)
 	f.statTasks.Add(int64(len(tasks)))
 	f.statBytesOut.Add(int64(len(payload)))
@@ -180,9 +156,9 @@ func (f *Fleet) postBatch(w *workerState, tasks []*wire.Task) ([]*wire.TaskResul
 		return nil, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	body, err := wire.ReadBody(resp.Body, resp.ContentLength)
 	if err != nil {
-		return nil, fmt.Errorf("worker %s: read batch response: %v", w.url, err)
+		return nil, fmt.Errorf("worker %s: read batch response: %w", w.url, err)
 	}
 	f.statBytesIn.Add(int64(len(body)))
 	if resp.StatusCode != http.StatusOK {
@@ -191,25 +167,9 @@ func (f *Fleet) postBatch(w *workerState, tasks []*wire.Task) ([]*wire.TaskResul
 		}
 		return nil, fmt.Errorf("worker %s: HTTP %d: %s", w.url, resp.StatusCode, bytes.TrimSpace(body))
 	}
-	var results []*wire.TaskResult
-	if resp.Header.Get("Content-Type") == wire.ContentTypeBinary {
-		results, err = wire.DecodeResultBatch(body)
-		if err != nil {
-			return nil, fmt.Errorf("worker %s: bad binary batch response: %v", w.url, err)
-		}
-	} else {
-		var out wire.TaskBatchResponse
-		if err := json.Unmarshal(body, &out); err != nil {
-			return nil, fmt.Errorf("worker %s: bad batch response: %v", w.url, err)
-		}
-		results = make([]*wire.TaskResult, len(out.Results))
-		for i, r := range out.Results {
-			res, err := wire.ResultFromResponse(r)
-			if err != nil {
-				return nil, fmt.Errorf("worker %s: bad batch response: %v", w.url, err)
-			}
-			results[i] = res
-		}
+	results, err := wire.DecodeResultBatch(body)
+	if err != nil {
+		return nil, fmt.Errorf("worker %s: bad batch response: %v", w.url, err)
 	}
 	if len(results) != len(tasks) {
 		return nil, fmt.Errorf("worker %s: batch answered %d of %d tasks", w.url, len(results), len(tasks))

@@ -1,11 +1,8 @@
 package procruntime
 
 import (
-	"encoding/json"
-	"io"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,10 +11,14 @@ import (
 	"dyno/internal/runtime/wire"
 )
 
-var binCaps = wire.Caps{Codecs: []string{wire.CodecBinary, wire.CodecJSON}, Batch: true}
+// fullCaps is what cmd/dynoworker announces.
+var fullCaps = wire.Caps{Codecs: []string{wire.CodecBinary, wire.CodecJSON}, Batch: true, PeerShuffle: true}
 
-// batchStub serves /tasks in both codecs, delegating per-task results
-// to fn (called with each decoded task); rpcs counts the RPCs seen.
+// batchStub is the stub worker every dispatch test uses: it serves
+// /tasks in binary frames, delegating per-task results to fn (called
+// with each decoded task); rpcs counts the RPCs seen. A nil result
+// from fn fails the whole RPC with HTTP 500 — a transport-level
+// failure, as opposed to a TaskResult.Err operator failure.
 type batchStub struct {
 	srv  *httptest.Server
 	rpcs atomic.Int32
@@ -29,47 +30,53 @@ func newBatchStub(t *testing.T, fn func(task *wire.Task) *wire.TaskResult) *batc
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /tasks", func(w http.ResponseWriter, r *http.Request) {
 		s.rpcs.Add(1)
-		body, err := io.ReadAll(r.Body)
+		body, err := wire.ReadBody(r.Body, r.ContentLength)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		if r.Header.Get("Content-Type") == wire.ContentTypeBinary {
-			tasks, err := wire.DecodeTaskBatch(body)
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			results := make([]*wire.TaskResult, len(tasks))
-			for i, task := range tasks {
-				results[i] = fn(task)
-			}
-			frame := wire.EncodeResultBatch(results)
-			defer frame.Close()
-			w.Header().Set("Content-Type", wire.ContentTypeBinary)
-			w.Write(frame.Bytes())
-			return
-		}
-		var batch wire.TaskBatchRequest
-		if err := json.Unmarshal(body, &batch); err != nil {
+		tasks, err := wire.DecodeTaskBatch(body)
+		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		out := wire.TaskBatchResponse{Results: make([]*wire.TaskResponse, len(batch.Tasks))}
-		for i, req := range batch.Tasks {
-			task, err := wire.TaskFromRequest(req)
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
+		results := make([]*wire.TaskResult, len(tasks))
+		for i, task := range tasks {
+			if results[i] = fn(task); results[i] == nil {
+				http.Error(w, "synthetic transport failure", http.StatusInternalServerError)
 				return
 			}
-			out.Results[i] = fn(task).Response()
 		}
-		json.NewEncoder(w).Encode(out)
+		frame := wire.EncodeResultBatch(results)
+		defer frame.Close()
+		w.Header().Set("Content-Type", wire.ContentTypeBinary)
+		w.Write(frame.Bytes())
 	})
+	// Fleet.Close drains workers; accept it quietly.
 	mux.HandleFunc("POST /drain", func(w http.ResponseWriter, r *http.Request) {})
 	s.srv = httptest.NewServer(mux)
 	t.Cleanup(s.srv.Close)
 	return s
+}
+
+// okStub answers every task with an empty success.
+func okStub(t *testing.T) *batchStub {
+	return newBatchStub(t, func(*wire.Task) *wire.TaskResult { return &wire.TaskResult{} })
+}
+
+// failStub fails every RPC in transport.
+func failStub(t *testing.T) *batchStub {
+	return newBatchStub(t, func(*wire.Task) *wire.TaskResult { return nil })
+}
+
+// register adds a fully capable worker and returns its id.
+func register(t *testing.T, f *Fleet, url string) int {
+	t.Helper()
+	id, err := f.RegisterWorkerCaps(url, fullCaps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return id
 }
 
 // dispatchWave fires n concurrent dispatches (the shape the sim's wave
@@ -90,8 +97,8 @@ func dispatchWave(f *Fleet, n int, mk func(i int) *wire.Task) ([]*wire.TaskResul
 }
 
 // TestBatchedDispatchCoalesces: a wave of concurrent dispatches to one
-// binary worker conflates into far fewer RPCs than tasks, and the
-// wire counters see every task exactly once.
+// worker conflates into far fewer RPCs than tasks, and the wire
+// counters see every task exactly once.
 func TestBatchedDispatchCoalesces(t *testing.T) {
 	const n = 16
 	stub := newBatchStub(t, func(task *wire.Task) *wire.TaskResult {
@@ -99,7 +106,7 @@ func TestBatchedDispatchCoalesces(t *testing.T) {
 		return &wire.TaskResult{CPUSeconds: 1}
 	})
 	f := newBareFleet(t, Config{BatchLinger: 20 * time.Millisecond})
-	f.RegisterWorkerCaps(stub.srv.URL, binCaps)
+	register(t, f, stub.srv.URL)
 
 	_, errs := dispatchWave(f, n, func(i int) *wire.Task {
 		return &wire.Task{Task: "t-m" + string(rune('0'+i%10)), Kind: "map"}
@@ -124,174 +131,6 @@ func TestBatchedDispatchCoalesces(t *testing.T) {
 	}
 }
 
-// TestBatchedFailFastPerItem: a deterministic operator error inside a
-// batch fails only its own task — batchmates complete, nothing is
-// retried, and the worker's standing is untouched.
-func TestBatchedFailFastPerItem(t *testing.T) {
-	stub := newBatchStub(t, func(task *wire.Task) *wire.TaskResult {
-		if task.Task == "bad" {
-			return &wire.TaskResult{Err: "unknown function frob"}
-		}
-		time.Sleep(5 * time.Millisecond)
-		return &wire.TaskResult{CPUSeconds: 1}
-	})
-	f := newBareFleet(t, Config{BatchLinger: 20 * time.Millisecond})
-	f.RegisterWorkerCaps(stub.srv.URL, binCaps)
-
-	names := []string{"a", "bad", "c", "d"}
-	results, errs := dispatchWave(f, len(names), func(i int) *wire.Task {
-		return &wire.Task{Task: names[i], Kind: "map"}
-	})
-	for i, name := range names {
-		if name == "bad" {
-			if errs[i] == nil || !strings.Contains(errs[i].Error(), "unknown function frob") {
-				t.Fatalf("bad task error = %v, want the operator error surfaced", errs[i])
-			}
-			continue
-		}
-		if errs[i] != nil {
-			t.Fatalf("task %s failed alongside its bad batchmate: %v", name, errs[i])
-		}
-		if results[i].CPUSeconds != 1 {
-			t.Fatalf("task %s result %+v", name, results[i])
-		}
-	}
-	if got := f.Workers(); got != 1 {
-		t.Fatalf("live workers = %d after operator error, want 1", got)
-	}
-}
-
-// TestBatchedRetryOnDistinctWorker: when a batched RPC fails in
-// transport, every task it carried retries on a different worker —
-// and the failed RPC counts as ONE failure against the worker, not
-// one per task it carried.
-func TestBatchedRetryOnDistinctWorker(t *testing.T) {
-	good := newBatchStub(t, func(task *wire.Task) *wire.TaskResult {
-		time.Sleep(5 * time.Millisecond)
-		return &wire.TaskResult{CPUSeconds: 1}
-	})
-	mux := http.NewServeMux()
-	var badRPCs atomic.Int32
-	mux.HandleFunc("POST /tasks", func(w http.ResponseWriter, r *http.Request) {
-		badRPCs.Add(1)
-		http.Error(w, "synthetic transport failure", http.StatusInternalServerError)
-	})
-	mux.HandleFunc("POST /drain", func(w http.ResponseWriter, r *http.Request) {})
-	bad := httptest.NewServer(mux)
-	t.Cleanup(bad.Close)
-
-	// BlacklistAfter 2 is the tripwire: a 4-task wave splits 2/2 across
-	// the workers, so per-item failure counting would blacklist the bad
-	// worker from its single lost RPC; per-RPC counting must not.
-	f := newBareFleet(t, Config{BatchLinger: 50 * time.Millisecond, BlacklistAfter: 2, MaxAttempts: 2})
-	f.RegisterWorkerCaps(good.srv.URL, binCaps)
-	f.RegisterWorkerCaps(bad.URL, binCaps)
-
-	results, errs := dispatchWave(f, 4, func(i int) *wire.Task {
-		return &wire.Task{Task: "t-m" + string(rune('0'+i)), Kind: "map"}
-	})
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("task %d: %v (should have retried on the good worker)", i, err)
-		}
-		if results[i].CPUSeconds != 1 {
-			t.Fatalf("task %d result %+v", i, results[i])
-		}
-	}
-	if badRPCs.Load() == 0 {
-		t.Fatal("bad worker was never tried: round-robin broken")
-	}
-	if got := f.Workers(); got != 2 {
-		t.Fatalf("live workers = %d, want 2: one failed batch RPC must count as one failure, not one per task", got)
-	}
-}
-
-// TestBatchedHedgeStragglers: the straggler hedge still works when the
-// slow attempt is stuck inside a batched RPC — the hedge runs on the
-// other worker and its answer wins.
-func TestBatchedHedgeStragglers(t *testing.T) {
-	var order atomic.Int32
-	handler := func(task *wire.Task) *wire.TaskResult {
-		if order.Add(1) == 1 {
-			time.Sleep(1 * time.Second)
-		}
-		return &wire.TaskResult{CPUSeconds: float64(order.Load())}
-	}
-	f := newBareFleet(t, Config{MaxAttempts: 3, HedgeMin: 50 * time.Millisecond})
-	f.RegisterWorkerCaps(newBatchStub(t, handler).srv.URL, binCaps)
-	f.RegisterWorkerCaps(newBatchStub(t, handler).srv.URL, binCaps)
-
-	start := time.Now()
-	res, err := f.dispatch(&wire.Task{Task: "t-m0", Kind: "map"})
-	if err != nil {
-		t.Fatalf("dispatch: %v", err)
-	}
-	if res.CPUSeconds == 1 {
-		t.Fatalf("winning response %+v, want the hedged attempt's", res)
-	}
-	if d := time.Since(start); d > 800*time.Millisecond {
-		t.Fatalf("dispatch took %v: waited out the straggler instead of hedging", d)
-	}
-}
-
-// TestCodecNegotiation pins the kill-switch matrix: what each
-// worker/fleet capability combination negotiates to.
-func TestCodecNegotiation(t *testing.T) {
-	cases := []struct {
-		name      string
-		cfg       Config
-		caps      wire.Caps
-		wantCodec string
-		wantBatch bool
-	}{
-		{"default", Config{}, binCaps, wire.CodecBinary, true},
-		{"legacyWorker", Config{}, wire.Caps{}, wire.CodecJSON, false},
-		{"jsonKillSwitch", Config{Codec: wire.CodecJSON}, binCaps, wire.CodecJSON, true},
-		{"batchKillSwitch", Config{DisableBatch: true}, binCaps, wire.CodecBinary, false},
-		{"bothKillSwitches", Config{Codec: wire.CodecJSON, DisableBatch: true}, binCaps, wire.CodecJSON, false},
-		{"batchOnlyWorker", Config{}, wire.Caps{Batch: true}, wire.CodecJSON, true},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			f := newBareFleet(t, tc.cfg)
-			id := f.RegisterWorkerCaps("http://127.0.0.1:1", tc.caps)
-			f.mu.Lock()
-			w := f.workers[id]
-			codec, batch, batcher := w.codec, w.batch, w.batcher
-			f.mu.Unlock()
-			if codec != tc.wantCodec || batch != tc.wantBatch {
-				t.Fatalf("negotiated codec=%s batch=%v, want codec=%s batch=%v", codec, batch, tc.wantCodec, tc.wantBatch)
-			}
-			if batch != (batcher != nil) {
-				t.Fatalf("batch=%v but batcher=%v", batch, batcher)
-			}
-		})
-	}
-}
-
-// TestJSONBatchArm: batching also works on the JSON codec (binary off,
-// batch on), so the two kill-switches are independent.
-func TestJSONBatchArm(t *testing.T) {
-	stub := newBatchStub(t, func(task *wire.Task) *wire.TaskResult {
-		time.Sleep(5 * time.Millisecond)
-		return &wire.TaskResult{CPUSeconds: 1}
-	})
-	f := newBareFleet(t, Config{Codec: wire.CodecJSON, BatchLinger: 20 * time.Millisecond})
-	f.RegisterWorkerCaps(stub.srv.URL, binCaps)
-
-	_, errs := dispatchWave(f, 8, func(i int) *wire.Task {
-		return &wire.Task{Task: "t-m0", Kind: "map"}
-	})
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("task %d: %v", i, err)
-		}
-	}
-	if st := f.WireStats(); st.RPCs >= 8 || st.Tasks != 8 {
-		t.Fatalf("JSON batching stats %+v, want conflation with 8 tasks", st)
-	}
-}
-
 // TestBatcherPriorityLane: the acceptance property for the second
 // dispatch lane — an urgent task (how dispatch marks retries and
 // hedges) enqueued while a full wave batch sits queued behind an
@@ -312,16 +151,10 @@ func TestBatcherPriorityLane(t *testing.T) {
 	// MaxBatch 1 gives a total order over sends; linger disabled so the
 	// sender grabs t1 immediately.
 	f := newBareFleet(t, Config{MaxBatch: 1, BatchLinger: -1})
-	f.RegisterWorkerCaps(stub.srv.URL, binCaps)
+	id := register(t, f, stub.srv.URL)
 	f.mu.Lock()
-	var b *batcher
-	for _, w := range f.workers {
-		b = w.batcher
-	}
+	b := f.workers[id].batcher
 	f.mu.Unlock()
-	if b == nil {
-		t.Fatal("worker negotiated no batcher")
-	}
 
 	var wg sync.WaitGroup
 	enqueue := func(name string, urgent bool) {

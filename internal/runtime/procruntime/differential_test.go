@@ -43,29 +43,14 @@ type engineTweaks struct {
 	parallelism int
 }
 
-// procArms are the proc-backend data planes the differential matrix
-// exercises against the sim: the PR 8 JSON per-task plane (every
-// kill-switch thrown), the binary batched controller-shuffle plane
-// (peer shuffle disabled), and the negotiated default with
-// worker-to-worker shuffle.
-var procArms = []struct {
-	name string
-	cfg  procruntime.Config
-}{
-	{"procJSON", procruntime.Config{Codec: "json", DisableBatch: true, DisablePeerShuffle: true}},
-	{"procBinCtl", procruntime.Config{DisablePeerShuffle: true}},
-	{"procBinPeer", procruntime.Config{}},
-}
-
 // fullCaps is what cmd/dynoworker announces.
 var fullCaps = wire.Caps{Codecs: []string{wire.CodecBinary, wire.CodecJSON}, Batch: true, PeerShuffle: true}
 
 // newProcRuntime builds a fleet with n in-process workers plus the
 // runtime over it. Worker registries are built exactly like
 // cmd/dynoworker builds them: fresh registry + the controller's UDF
-// params; workers announce full capabilities and the fleet config
-// decides what gets negotiated.
-func newProcRuntime(t *testing.T, n int, ccfg cluster.Config, pcfg procruntime.Config) runtime.Runtime {
+// params.
+func newProcRuntime(t *testing.T, n int, ccfg cluster.Config, pcfg procruntime.Config) *procruntime.Runtime {
 	t.Helper()
 	// In-process test workers do not heartbeat; keep them fresh for
 	// the whole test run.
@@ -80,7 +65,9 @@ func newProcRuntime(t *testing.T, n int, ccfg cluster.Config, pcfg procruntime.C
 		tpch.RegisterUDFs(reg, tpch.DefaultUDFParams())
 		ts := httptest.NewServer(procruntime.NewWorker(reg).Handler())
 		t.Cleanup(ts.Close)
-		fleet.RegisterWorkerCaps(ts.URL, fullCaps)
+		if _, err := fleet.RegisterWorkerCaps(ts.URL, fullCaps); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if got := fleet.Workers(); got != n {
 		t.Fatalf("fleet has %d live workers, want %d", got, n)
@@ -168,75 +155,77 @@ func TestProcStrictNoFallback(t *testing.T) {
 	}
 }
 
-func diffOutcomes(t *testing.T, query, arm string, sim, proc queryOutcome) {
+func diffOutcomes(t *testing.T, query string, sim, proc queryOutcome) {
 	t.Helper()
 	if sim.rows != proc.rows {
-		t.Errorf("%s[%s]: rows differ between backends\nsim:\n%s\nproc:\n%s", query, arm, sim.rows, proc.rows)
+		t.Errorf("%s: rows differ between backends\nsim:\n%s\nproc:\n%s", query, sim.rows, proc.rows)
 	}
 	if sim.jobs != proc.jobs || sim.mapOnly != proc.mapOnly || sim.mapReduce != proc.mapReduce || sim.switched != proc.switched {
-		t.Errorf("%s[%s]: job counts differ: sim %d (%dm/%dmr/%dsw) proc %d (%dm/%dmr/%dsw)",
-			query, arm, sim.jobs, sim.mapOnly, sim.mapReduce, sim.switched,
+		t.Errorf("%s: job counts differ: sim %d (%dm/%dmr/%dsw) proc %d (%dm/%dmr/%dsw)",
+			query, sim.jobs, sim.mapOnly, sim.mapReduce, sim.switched,
 			proc.jobs, proc.mapOnly, proc.mapReduce, proc.switched)
 	}
 	if sim.pilotJobs != proc.pilotJobs || sim.iterations != proc.iterations {
-		t.Errorf("%s[%s]: pilot/iteration counts differ: sim %d/%d proc %d/%d",
-			query, arm, sim.pilotJobs, sim.iterations, proc.pilotJobs, proc.iterations)
+		t.Errorf("%s: pilot/iteration counts differ: sim %d/%d proc %d/%d",
+			query, sim.pilotJobs, sim.iterations, proc.pilotJobs, proc.iterations)
 	}
 	if sim.totalSec != proc.totalSec || sim.pilotSec != proc.pilotSec {
-		t.Errorf("%s[%s]: virtual timelines differ: sim total=%v pilot=%v proc total=%v pilot=%v",
-			query, arm, sim.totalSec, sim.pilotSec, proc.totalSec, proc.pilotSec)
+		t.Errorf("%s: virtual timelines differ: sim total=%v pilot=%v proc total=%v pilot=%v",
+			query, sim.totalSec, sim.pilotSec, proc.totalSec, proc.pilotSec)
 	}
 }
 
-// TestDifferentialTPCH runs the full evaluation suite as a three-arm
-// matrix — sim, proc over JSON per-task dispatch, proc over binary
-// batched dispatch (two workers each) — and requires byte-identical
-// outcomes: same rows, job counts, and virtual timelines.
+// TestDifferentialTPCH runs the full evaluation suite on both
+// backends — sim, and proc over two workers — and requires
+// byte-identical outcomes: same rows, job counts, and virtual
+// timelines.
 func TestDifferentialTPCH(t *testing.T) {
 	if testing.Short() {
-		t.Skip("differential suite executes every TPC-H query three times")
+		t.Skip("differential suite executes every TPC-H query twice")
 	}
 	for _, query := range tpch.QueryNames {
 		query := query
 		t.Run(query, func(t *testing.T) {
 			ccfg := cluster.DefaultConfig()
 			sim := runQuery(t, simruntime.New(ccfg), query, engineTweaks{})
-			for _, arm := range procArms {
-				proc := runQuery(t, newProcRuntime(t, 2, ccfg, arm.cfg), query, engineTweaks{})
-				diffOutcomes(t, query, arm.name, sim, proc)
-			}
+			proc := runQuery(t, newProcRuntime(t, 2, ccfg, procruntime.Config{}), query, engineTweaks{})
+			diffOutcomes(t, query, sim, proc)
 		})
 	}
 }
 
-// TestMixedCapabilityFleet serves one job from a fleet mixing a
-// capability-less PR 8 worker (JSON, per-task, no peer shuffle) with
-// a fully capable peer worker: map tasks landing on the old worker
-// return their pairs through the controller, tasks landing on the new
-// one retain them, and reduces stitch inline and fetched segments
-// into the same rows the sim produces.
-func TestMixedCapabilityFleet(t *testing.T) {
+// TestProcWireStats pins what one fixed query puts on the wire, with
+// serial task execution so every RPC carries exactly one task and the
+// counts are deterministic: the exact number of task attempts (no
+// retries, no hedges), ceilings on RPCs and dispatch bytes (a task
+// costs what its references cost — no block or shuffle payload rides
+// the dispatch plane), and a shuffle that moves worker-to-worker only.
+func TestProcWireStats(t *testing.T) {
 	ccfg := cluster.DefaultConfig()
-	sim := runQuery(t, simruntime.New(ccfg), "Q10", engineTweaks{})
-
-	pcfg := procruntime.Config{}
-	pcfg.StaleAfter = time.Hour
-	fleet, err := procruntime.NewFleet(pcfg)
-	if err != nil {
-		t.Fatal(err)
+	ccfg.Parallelism = 0
+	rt := newProcRuntime(t, 2, ccfg, procruntime.Config{HedgeMin: time.Hour})
+	runQuery(t, rt, "Q10", engineTweaks{})
+	st := rt.Fleet().WireStats()
+	const wantTasks = 120
+	if st.Tasks != wantTasks {
+		t.Errorf("Tasks = %d, want exactly %d", st.Tasks, wantTasks)
 	}
-	t.Cleanup(func() { fleet.Close() })
-	for i, caps := range []wire.Caps{{}, fullCaps} {
-		reg := expr.NewRegistry()
-		tpch.RegisterUDFs(reg, tpch.DefaultUDFParams())
-		ts := httptest.NewServer(procruntime.NewWorker(reg).Handler())
-		t.Cleanup(ts.Close)
-		if id := fleet.RegisterWorkerCaps(ts.URL, caps); id != i+1 {
-			t.Fatalf("worker %d registered as id %d", i, id)
-		}
+	if st.RPCs > st.Tasks {
+		t.Errorf("RPCs = %d exceeds Tasks = %d: an RPC went out empty or a task went out twice", st.RPCs, st.Tasks)
 	}
-	proc := runQuery(t, procruntime.New(fleet, ccfg), "Q10", engineTweaks{})
-	diffOutcomes(t, "Q10", "mixed", sim, proc)
+	// Measured 231 B/task; the headroom absorbs the spill directory's
+	// random name length, not a payload.
+	const maxBytesOut = 300 * wantTasks
+	if st.BytesOut > maxBytesOut {
+		t.Errorf("BytesOut = %d (%d B/task), ceiling %d", st.BytesOut, st.BytesOut/st.Tasks, maxBytesOut)
+	}
+	t.Logf("wire stats: %+v", st)
+	if st.CtlShuffleBytes != 0 {
+		t.Errorf("CtlShuffleBytes = %d, want 0: shuffle pairs crossed the controller", st.CtlShuffleBytes)
+	}
+	if st.PeerShuffleBytes <= 0 {
+		t.Errorf("PeerShuffleBytes = %d, want > 0: no shuffle pairs moved worker-to-worker", st.PeerShuffleBytes)
+	}
 }
 
 // TestDifferentialFeatureMatrix exercises the remote encodings the
@@ -244,10 +233,10 @@ func TestMixedCapabilityFleet(t *testing.T) {
 // maps), the dynamic join switch (chain ops created at submit time),
 // the map-side combiner (partial-aggregate tasks with the CPU
 // double-add), and concurrent dispatch (parallel wave execution,
-// which is what actually fills batches on the batched arm).
+// which is what actually fills batches).
 func TestDifferentialFeatureMatrix(t *testing.T) {
 	if testing.Short() {
-		t.Skip("differential suite executes queries three times")
+		t.Skip("differential suite executes queries twice")
 	}
 	tw := engineTweaks{pushdown: true, dynamicJoin: true, combiner: true, parallelism: 4}
 	for _, query := range []string{"Q9p", "Q10"} {
@@ -256,10 +245,8 @@ func TestDifferentialFeatureMatrix(t *testing.T) {
 			ccfg := cluster.DefaultConfig()
 			ccfg.Parallelism = tw.parallelism
 			sim := runQuery(t, simruntime.New(ccfg), query, tw)
-			for _, arm := range procArms {
-				proc := runQuery(t, newProcRuntime(t, 2, ccfg, arm.cfg), query, tw)
-				diffOutcomes(t, query, arm.name, sim, proc)
-			}
+			proc := runQuery(t, newProcRuntime(t, 2, ccfg, procruntime.Config{}), query, tw)
+			diffOutcomes(t, query, sim, proc)
 		})
 	}
 }

@@ -12,15 +12,14 @@ import (
 
 // executor adapts the mapreduce task seam to the fleet's wire
 // protocol: it resolves DFS blocks to mirrored files and dispatches
-// codec-neutral tasks — values stay native data.Values here, and the
-// dispatch layer encodes them in the codec each worker negotiated.
+// tasks.
 //
-// When peer shuffle is enabled, map tasks retain their partitioned
-// output on the producing worker and return per-partition digests;
-// reduce tasks then carry a fetch list instead of materialized pairs,
-// and the fallback ladder below keeps every failure recoverable
-// through the controller mirror (a deterministic re-run of the
-// producing map), so correctness never depends on a peer staying up.
+// Shuffle map tasks retain their partitioned output on the producing
+// worker and return per-partition digests; reduce tasks carry a fetch
+// list instead of materialized pairs. A fetch that fails is recovered
+// by re-running the deterministic map through normal dispatch and
+// inlining that one segment, so correctness never depends on a peer
+// staying up.
 type executor struct {
 	f  *Fleet
 	fs *dfs.FS
@@ -37,14 +36,14 @@ func (e executor) RetireJob(jobName string) { e.f.RetireJob(jobName) }
 
 // peerOutput is the controller's handle to one map task's shuffle
 // output retained on the producing worker. recover re-materializes
-// the full output through the controller mirror path — a re-run of
-// the deterministic map task with the retain fields stripped — when
-// the peer is gone or has evicted the block.
+// the full output — a re-run of the deterministic map task with the
+// retain fields cleared, so the pairs come back — when the peer is
+// gone or has evicted the block.
 type peerOutput struct {
 	f     *Fleet
 	url   string     // producing worker (the dispatch winner)
 	id    string     // shuffle id in the producer's registry
-	task  *wire.Task // retain-stripped clone for mirror recovery
+	task  *wire.Task // retain-cleared clone for recovery
 	parts []wire.ShufflePart
 
 	mu        sync.Mutex
@@ -58,7 +57,7 @@ func (p *peerOutput) recover(part int) ([]wire.KV, error) {
 	if !p.recovered {
 		res, err := p.f.dispatch(p.task)
 		if err != nil {
-			return nil, fmt.Errorf("procruntime: mirror recovery of shuffle %s: %w", p.id, err)
+			return nil, fmt.Errorf("procruntime: recovery of shuffle %s: %w", p.id, err)
 		}
 		p.pairs = res.Pairs
 		p.recovered = true
@@ -74,20 +73,17 @@ func (e executor) ExecMap(m mapreduce.MapExec) (*mapreduce.MapExecOut, error) {
 	if !ok {
 		return nil, fmt.Errorf("procruntime: job %s: remote op is %T, want *wire.OpSpec", m.JobName, m.Op)
 	}
-	block, err := e.f.blockPath(m.File, m.Split)
+	block, err := e.f.blockPath(e.fs, m.File, m.Split)
 	if err != nil {
 		return nil, err
 	}
 	builds := make([]wire.BuildRef, 0, len(m.Broadcasts))
 	for _, b := range m.Broadcasts {
-		var filter *wire.ExprSpec
-		if b.Filter != nil {
-			filter, err = wire.EncodeExpr(b.Filter)
-			if err != nil {
-				return nil, fmt.Errorf("procruntime: job %s build %s: %w", m.JobName, b.Name, err)
-			}
+		filter, err := wire.EncodeExpr(b.Filter)
+		if err != nil {
+			return nil, fmt.Errorf("procruntime: job %s build %s: %w", m.JobName, b.Name, err)
 		}
-		blocks, version, err := e.f.filePaths(b.File)
+		blocks, version, err := e.f.filePaths(e.fs, b.File)
 		if err != nil {
 			return nil, err
 		}
@@ -112,58 +108,37 @@ func (e executor) ExecMap(m mapreduce.MapExec) (*mapreduce.MapExecOut, error) {
 		RunCombine:  m.RunCombine,
 		Builds:      builds,
 	}
-	if m.HasReduce && !e.f.cfg.DisablePeerShuffle {
-		// Ask the winning worker to retain its output; capability-less
-		// workers get these fields stripped at dispatch and answer with
-		// legacy pairs, which the branch below passes through.
-		task.RetainShuffle = true
-		task.ShuffleID = e.f.nextShuffleID(m.JobName, m.TaskName)
-		task.ByteScale = e.fs.ByteScale()
+	if !m.HasReduce {
+		res, err := e.f.dispatch(task)
+		if err != nil {
+			return nil, err
+		}
+		return &mapreduce.MapExecOut{Rows: res.Rows, CPUMap: res.CPUMap, CPUTotal: res.CPUTotal}, nil
 	}
+	plain := *task
+	task.RetainShuffle = true
+	task.ShuffleID = e.f.nextShuffleID(m.JobName, m.TaskName)
+	task.ByteScale = e.fs.ByteScale()
 	res, err := e.f.dispatch(task)
 	if err != nil {
 		return nil, err
 	}
-	out := &mapreduce.MapExecOut{CPUMap: res.CPUMap, CPUTotal: res.CPUTotal}
-	if !m.HasReduce {
-		out.Rows = res.Rows
-		return out, nil
-	}
-	if res.Parts != nil {
-		stripped := *task
-		stripped.RetainShuffle = false
-		stripped.ShuffleID = ""
-		stripped.ByteScale = 0
-		out.Shuffle = &peerOutput{
+	out := &mapreduce.MapExecOut{
+		CPUMap:   res.CPUMap,
+		CPUTotal: res.CPUTotal,
+		Shuffle: &peerOutput{
 			f:     e.f,
 			url:   res.Worker,
 			id:    task.ShuffleID,
-			task:  &stripped,
+			task:  &plain,
 			parts: res.Parts,
-		}
-		out.ShuffleParts = make([]mapreduce.ShufflePart, len(res.Parts))
-		for i, p := range res.Parts {
-			out.ShuffleParts[i] = mapreduce.ShufflePart{Count: p.Count, Bytes: p.Bytes}
-		}
-		return out, nil
+		},
+		ShuffleParts: make([]mapreduce.ShufflePart, len(res.Parts)),
 	}
-	out.Pairs = make([][]mapreduce.RemoteKV, len(res.Pairs))
-	for p, kvs := range res.Pairs {
-		pairs := make([]mapreduce.RemoteKV, len(kvs))
-		for i, kv := range kvs {
-			pairs[i] = mapreduce.RemoteKV{Key: kv.Key, Tag: kv.Tag, Rec: kv.Rec}
-		}
-		out.Pairs[p] = pairs
+	for i, p := range res.Parts {
+		out.ShuffleParts[i] = mapreduce.ShufflePart{Count: p.Count, Bytes: p.Bytes}
 	}
 	return out, nil
-}
-
-func toWireKVs(pairs []mapreduce.RemoteKV) []wire.KV {
-	kvs := make([]wire.KV, len(pairs))
-	for i, kv := range pairs {
-		kvs[i] = wire.KV{Key: kv.Key, Tag: kv.Tag, Rec: kv.Rec}
-	}
-	return kvs
 }
 
 func (e executor) ExecReduce(r mapreduce.ReduceExec) (*mapreduce.ReduceExecOut, error) {
@@ -171,45 +146,21 @@ func (e executor) ExecReduce(r mapreduce.ReduceExec) (*mapreduce.ReduceExecOut, 
 	if !ok {
 		return nil, fmt.Errorf("procruntime: job %s: remote op is %T, want *wire.OpSpec", r.JobName, r.Op)
 	}
-	if len(r.Inputs) == 0 {
-		// Classic path: the controller gathered and sorted the pairs.
-		res, err := e.f.dispatch(&wire.Task{
-			Job:       r.JobName,
-			Task:      r.TaskName,
-			Kind:      "reduce",
-			Op:        op,
-			Partition: r.Partition,
-			Pairs:     toWireKVs(r.Pairs),
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &mapreduce.ReduceExecOut{Rows: res.Rows, CPUSeconds: res.CPUSeconds}, nil
-	}
-
-	// Peer path: ship the segment list; the worker pulls handle
-	// segments from their producers and sorts the assembly. Empty
-	// segments carry no pairs and are elided up front.
+	// Ship the segment list; the worker pulls each segment from its
+	// producer and sorts the assembly. Empty segments carry no pairs
+	// and are elided up front.
 	fetches := make([]wire.ShuffleRef, 0, len(r.Inputs))
 	handles := make([]*peerOutput, 0, len(r.Inputs))
 	for _, in := range r.Inputs {
-		if in.Handle != nil {
-			po, ok := in.Handle.(*peerOutput)
-			if !ok {
-				return nil, fmt.Errorf("procruntime: job %s: shuffle handle is %T, want *peerOutput", r.JobName, in.Handle)
-			}
-			if r.Partition < 0 || r.Partition >= len(po.parts) || po.parts[r.Partition].Count == 0 {
-				continue
-			}
-			fetches = append(fetches, wire.ShuffleRef{URL: po.url, ID: po.id, Part: r.Partition})
-			handles = append(handles, po)
+		po, ok := in.Handle.(*peerOutput)
+		if !ok {
+			return nil, fmt.Errorf("procruntime: job %s: shuffle handle is %T, want *peerOutput", r.JobName, in.Handle)
+		}
+		if r.Partition < 0 || r.Partition >= len(po.parts) || po.parts[r.Partition].Count == 0 {
 			continue
 		}
-		if len(in.Pairs) == 0 {
-			continue
-		}
-		fetches = append(fetches, wire.ShuffleRef{Pairs: toWireKVs(in.Pairs)})
-		handles = append(handles, nil)
+		fetches = append(fetches, wire.ShuffleRef{URL: po.url, ID: po.id, Part: r.Partition})
+		handles = append(handles, po)
 	}
 	task := &wire.Task{
 		Job:       r.JobName,
@@ -219,59 +170,26 @@ func (e executor) ExecReduce(r mapreduce.ReduceExec) (*mapreduce.ReduceExecOut, 
 		Partition: r.Partition,
 		Fetches:   fetches,
 	}
-	// Fallback ladder: a failed peer fetch inlines that one segment
-	// through the mirror and retries; transport exhaustion (or a fleet
-	// with no live peer-capable worker left) inlines everything and
-	// runs the reduce as a classic task any worker can serve.
+	// A failed peer fetch inlines that one segment from a re-run of its
+	// map and dispatches again; every other failure is final.
 	for {
 		res, err := e.f.dispatch(task)
 		if err == nil {
 			return &mapreduce.ReduceExecOut{Rows: res.Rows, CPUSeconds: res.CPUSeconds}, nil
 		}
 		var tfe *taskFailedError
-		if errors.As(err, &tfe) {
-			idx, isFetch := wire.ParsePeerFetchErr(tfe.msg)
-			if !isFetch || idx < 0 || idx >= len(fetches) || handles[idx] == nil {
-				return nil, err // deterministic operator error: fail fast
-			}
-			pairs, rerr := handles[idx].recover(r.Partition)
-			if rerr != nil {
-				return nil, rerr
-			}
-			fetches[idx] = wire.ShuffleRef{Pairs: pairs}
-			handles[idx] = nil
-			task.Fetches = fetches
-			continue
+		if !errors.As(err, &tfe) {
+			return nil, err
 		}
-		return e.reduceInline(task, fetches, handles, r.Partition, err)
-	}
-}
-
-// reduceInline is the bottom rung of the fallback ladder: recover
-// every remaining peer segment through the controller mirror,
-// assemble and sort the partition controller-side (exactly the
-// classic gather), and dispatch it as a plain pairs-carrying reduce
-// that any worker — peer-capable or not — can run.
-func (e executor) reduceInline(task *wire.Task, fetches []wire.ShuffleRef, handles []*peerOutput, partition int, cause error) (*mapreduce.ReduceExecOut, error) {
-	var pairs []wire.KV
-	for i := range fetches {
-		if handles[i] == nil {
-			pairs = append(pairs, fetches[i].Pairs...)
-			continue
+		idx, isFetch := wire.ParsePeerFetchErr(tfe.msg)
+		if !isFetch || idx < 0 || idx >= len(fetches) || handles[idx] == nil {
+			return nil, err // deterministic operator error: fail fast
 		}
-		seg, err := handles[i].recover(partition)
-		if err != nil {
-			return nil, fmt.Errorf("%w (falling back from: %v)", err, cause)
+		pairs, rerr := handles[idx].recover(r.Partition)
+		if rerr != nil {
+			return nil, rerr
 		}
-		pairs = append(pairs, seg...)
+		fetches[idx] = wire.ShuffleRef{Pairs: pairs}
+		handles[idx] = nil
 	}
-	wire.SortKVs(pairs)
-	legacy := *task
-	legacy.Fetches = nil
-	legacy.Pairs = pairs
-	res, err := e.f.dispatch(&legacy)
-	if err != nil {
-		return nil, err
-	}
-	return &mapreduce.ReduceExecOut{Rows: res.Rows, CPUSeconds: res.CPUSeconds}, nil
 }

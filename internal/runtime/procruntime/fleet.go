@@ -1,9 +1,11 @@
 // Package procruntime is the real multi-process execution backend: a
 // controller embedded in the client process (dynoql/dynod) plus
-// dynoworker processes speaking HTTP/JSON. Workers register with the
-// controller and heartbeat; every map/reduce task body is dispatched
-// to a worker, which executes the job's serialized operator against
-// file-backed DFS blocks mirrored to local disk. The discrete-event
+// dynoworker processes speaking HTTP. Workers register with the
+// controller and heartbeat (JSON); every map/reduce task body is
+// dispatched to a worker in batched binary frames, and the worker
+// executes the job's serialized operator against file-backed DFS
+// blocks mirrored to local disk, keeping shuffle output for its peers
+// to fetch directly. The discrete-event
 // simulator keeps running controller-side as the scheduler and
 // virtual-time accountant, so plans, rows, and job counts match the
 // sim backend exactly (the differential contract) while task bodies
@@ -18,21 +20,21 @@ package procruntime
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"dyno/internal/data"
 	"dyno/internal/dfs"
 	"dyno/internal/runtime/wire"
 	"dyno/internal/tpch"
@@ -64,19 +66,6 @@ type Config struct {
 	// 1s / 10s.
 	Heartbeat  time.Duration
 	StaleAfter time.Duration
-	// Codec picks the task payload codec for workers that support it:
-	// "" or "bin" negotiates the binary frame codec at registration,
-	// "json" is the kill-switch back to the PR 8 JSON data plane
-	// (tagged-array images, JSONL block mirrors).
-	Codec string
-	// DisableBatch turns off wave-batched dispatch: every task goes
-	// out as its own POST (the PR 8 behavior), regardless of worker
-	// capability.
-	DisableBatch bool
-	// DisablePeerShuffle turns off worker-to-worker shuffle: map
-	// outputs round-trip through the controller (the PR 8/9 data
-	// plane), regardless of worker capability.
-	DisablePeerShuffle bool
 	// BatchLinger is how long a worker's batcher waits after the first
 	// task of an idle period for wave co-arrivals before sending;
 	// tasks arriving while an RPC is in flight ride the next batch for
@@ -117,9 +106,6 @@ func (c Config) withDefaults() Config {
 	if c.StaleAfter <= 0 {
 		c.StaleAfter = 10 * time.Second
 	}
-	if c.Codec == "" {
-		c.Codec = wire.CodecBinary
-	}
 	if c.BatchLinger == 0 {
 		c.BatchLinger = 500 * time.Microsecond
 	}
@@ -138,14 +124,7 @@ type workerState struct {
 	fails    int
 	black    bool
 	lastSeen time.Time
-	// codec, batch, and peer are fixed at registration (negotiated
-	// from the worker's announced capabilities and the fleet's
-	// kill-switches).
-	codec string
-	batch bool
-	peer  bool
-	// batcher conflates concurrent dispatches into one RPC; nil for
-	// per-task workers.
+	// batcher conflates concurrent dispatches into one RPC.
 	batcher *batcher
 }
 
@@ -168,9 +147,12 @@ type Fleet struct {
 	mirrors   map[*dfs.File]*mirror
 	mirrorSeq int
 	closed    bool
+	// sweeps tracks the goroutines deleting retired mirror directories;
+	// Close waits for them.
+	sweeps sync.WaitGroup
 
 	durMu     sync.Mutex
-	durations map[string][]float64 // task kind -> completed seconds, sorted on read
+	durations map[string]*durRing // task kind -> recent completed seconds
 
 	// shufSeq allocates fleet-global shuffle ids; jobShuffles tracks
 	// the ids each job produced so RetireJob can broadcast GC.
@@ -178,9 +160,8 @@ type Fleet struct {
 	shufMu      sync.Mutex
 	jobShuffles map[string][]string
 
-	// Wire-level counters for the procbench experiment and the
-	// bytes-per-task regression guard (task dispatch only; register,
-	// heartbeat, drain, and shuffle-GC traffic is not counted).
+	// Wire-level counters (task dispatch only; register, heartbeat,
+	// drain, and shuffle-GC traffic is not counted).
 	statRPCs      atomic.Int64
 	statTasks     atomic.Int64
 	statBytesOut  atomic.Int64
@@ -192,19 +173,18 @@ type Fleet struct {
 
 // WireStats is a snapshot of the fleet's dispatch-plane counters.
 type WireStats struct {
-	// RPCs is the number of task-carrying HTTP round-trips (batched or
-	// single); Tasks counts task attempts carried by them.
+	// RPCs is the number of task-carrying HTTP round-trips; Tasks
+	// counts task attempts carried by them.
 	RPCs  int64 `json:"rpcs"`
 	Tasks int64 `json:"tasks"`
 	// BytesOut/BytesIn are request/response payload bytes.
 	BytesOut int64 `json:"bytesOut"`
 	BytesIn  int64 `json:"bytesIn"`
 	// CtlShuffleBytes is shuffle payload carried on the controller's
-	// dispatch plane (map-output pairs returned to the controller,
-	// reduce-input pairs shipped back out, inline fallback segments),
-	// measured in the worker's negotiated codec. PeerShuffleBytes is
-	// shuffle payload fetched worker-to-worker, bypassing the
-	// controller; PeerFetches counts those fetch RPCs.
+	// dispatch plane — zero unless a lost peer segment was recovered
+	// (the re-run map's pairs coming back, then going out inline).
+	// PeerShuffleBytes is shuffle payload fetched worker-to-worker,
+	// bypassing the controller; PeerFetches counts those fetch RPCs.
 	CtlShuffleBytes  int64 `json:"ctlShuffleBytes"`
 	PeerShuffleBytes int64 `json:"peerShuffleBytes"`
 	PeerFetches      int64 `json:"peerFetches"`
@@ -223,11 +203,27 @@ func (f *Fleet) WireStats() WireStats {
 	}
 }
 
+// mirror is one DFS file's blocks written to local disk for workers to
+// read. fs and name say which file it mirrors, so RetireJob can tell
+// when that file is gone.
 type mirror struct {
+	fs    *dfs.FS
+	name  string
 	once  sync.Once
 	err   error
 	dir   string
 	paths []string
+}
+
+// hedgeWindow is how many of a task kind's most recent completions
+// the straggler threshold is computed over.
+const hedgeWindow = 128
+
+// durRing holds the last hedgeWindow completed durations of one task
+// kind, in seconds.
+type durRing struct {
+	buf [hedgeWindow]float64
+	n   int // completions recorded so far
 }
 
 // NewFleet starts the controller listener and returns the fleet.
@@ -247,7 +243,7 @@ func NewFleet(cfg Config) (*Fleet, error) {
 		done:        make(chan struct{}),
 		workers:     map[int]*workerState{},
 		mirrors:     map[*dfs.File]*mirror{},
-		durations:   map[string][]float64{},
+		durations:   map[string]*durRing{},
 		jobShuffles: map[string][]string{},
 	}
 	if cfg.SpillDir == "" {
@@ -287,51 +283,31 @@ func (f *Fleet) logf(format string, args ...any) {
 	}
 }
 
-// RegisterWorker adds a worker by base URL with the zero capability
-// set (JSON, one task per POST — the PR 8 data plane) and returns its
-// id. In-process tests and old workers land here.
-func (f *Fleet) RegisterWorker(url string) int {
-	return f.RegisterWorkerCaps(url, wire.Caps{})
-}
-
-// RegisterWorkerCaps adds a worker, negotiating the wire codec,
-// batching, and peer shuffle from its announced capabilities and the
-// fleet's kill-switches: binary frames when the worker speaks them
-// and Config.Codec is not "json", batched /tasks dispatch when the
-// worker supports it and batching is not disabled, peer shuffle when
-// the worker serves /shuffle and DisablePeerShuffle is off.
-func (f *Fleet) RegisterWorkerCaps(url string, caps wire.Caps) int {
-	codec := wire.CodecJSON
-	if f.cfg.Codec != wire.CodecJSON && caps.Supports(f.cfg.Codec) {
-		codec = f.cfg.Codec
+// RegisterWorkerCaps adds a worker by base URL and returns its id. A
+// worker that does not announce binary frames, batched dispatch and
+// peer shuffle is refused with a *wire.CapsError naming what is
+// missing: there is no other data plane to put it on.
+func (f *Fleet) RegisterWorkerCaps(url string, caps wire.Caps) (int, error) {
+	if err := caps.Check(); err != nil {
+		err = fmt.Errorf("procruntime: refused worker at %s: %w", url, err)
+		f.logf("%v", err)
+		return 0, err
 	}
-	batch := caps.Batch && !f.cfg.DisableBatch
-	peer := caps.PeerShuffle && !f.cfg.DisablePeerShuffle
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for _, w := range f.workers {
 		if w.url == url {
-			// Re-registration (worker restart): reset its standing and
-			// renegotiate (a redeployed worker may have new caps).
+			// Re-registration (worker restart): reset its standing.
 			w.fails, w.black, w.lastSeen = 0, false, time.Now()
-			w.codec = codec
-			if batch && w.batcher == nil {
-				w.batcher = newBatcher(f, w)
-			}
-			w.batch = batch
-			w.peer = peer
-			return w.id
+			return w.id, nil
 		}
 	}
 	f.nextID++
-	id := f.nextID
-	w := &workerState{id: id, url: url, lastSeen: time.Now(), codec: codec, batch: batch, peer: peer}
-	if batch {
-		w.batcher = newBatcher(f, w)
-	}
-	f.workers[id] = w
-	f.logf("procruntime: worker %d registered at %s (codec=%s batch=%v peer=%v)", id, url, codec, batch, peer)
-	return id
+	w := &workerState{id: f.nextID, url: url, lastSeen: time.Now()}
+	w.batcher = newBatcher(f, w)
+	f.workers[w.id] = w
+	f.logf("procruntime: worker %d registered at %s", w.id, url)
+	return w.id, nil
 }
 
 // Workers returns the number of live (non-blacklisted, fresh)
@@ -401,42 +377,72 @@ func (f *Fleet) Close() error {
 		f.logf("procruntime: worker %d drained", w.id)
 	}
 	err := f.srv.Close()
+	f.sweeps.Wait()
 	if f.ownSpill {
 		os.RemoveAll(f.cfg.SpillDir)
 	}
 	return err
 }
 
+// readBody reads a request body under wire.MaxBodyBytes, answering
+// 413 (oversize) or 400 itself on failure.
+func readBody(rw http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	body, err := wire.ReadBody(r.Body, r.ContentLength)
+	if err != nil {
+		status := http.StatusBadRequest
+		var tooBig *wire.BodyTooLargeError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(rw, "read "+r.URL.Path+" body: "+err.Error(), status)
+		return nil, false
+	}
+	return body, true
+}
+
+// decodeJSON reads a control-plane request body into v, answering the
+// error itself on failure.
+func decodeJSON(rw http.ResponseWriter, r *http.Request, v any) bool {
+	body, ok := readBody(rw, r)
+	if !ok {
+		return false
+	}
+	if err := json.Unmarshal(body, v); err != nil {
+		http.Error(rw, "bad "+r.URL.Path+" payload: "+err.Error(), http.StatusBadRequest)
+		return false
+	}
+	return true
+}
+
 func (f *Fleet) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req wire.RegisterRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.URL == "" {
-		http.Error(w, "bad register payload", http.StatusBadRequest)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
-	id := f.RegisterWorkerCaps(req.URL, req.Caps)
+	if req.URL == "" {
+		http.Error(w, "bad register payload: no url", http.StatusBadRequest)
+		return
+	}
+	id, err := f.RegisterWorkerCaps(req.URL, req.Caps)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
 	udf, err := json.Marshal(f.cfg.UDF)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	f.mu.Lock()
-	ws := f.workers[id]
-	codec, batch, peer := ws.codec, ws.batch, ws.peer
-	f.mu.Unlock()
 	json.NewEncoder(w).Encode(wire.RegisterResponse{
 		ID:              id,
 		HeartbeatMillis: int(f.cfg.Heartbeat / time.Millisecond),
 		UDF:             udf,
-		Codec:           codec,
-		Batch:           batch,
-		Peer:            peer,
 	})
 }
 
 func (f *Fleet) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req wire.HeartbeatRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad heartbeat payload", http.StatusBadRequest)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	f.mu.Lock()
@@ -477,13 +483,14 @@ func (f *Fleet) handleStatus(w http.ResponseWriter, r *http.Request) {
 
 // filePaths mirrors a DFS file's blocks to local disk once (files are
 // immutable: Create always makes a new *dfs.File, so pointer identity
-// is version identity) and returns the per-block file paths.
-func (f *Fleet) filePaths(file *dfs.File) ([]string, string, error) {
+// is version identity) and returns the per-block file paths. fs is the
+// file system the file was opened from.
+func (f *Fleet) filePaths(fs *dfs.FS, file *dfs.File) ([]string, string, error) {
 	f.mu.Lock()
 	m, ok := f.mirrors[file]
 	if !ok {
 		f.mirrorSeq++
-		m = &mirror{dir: filepath.Join(f.cfg.SpillDir, fmt.Sprintf("f%06d", f.mirrorSeq))}
+		m = &mirror{fs: fs, name: file.Name(), dir: filepath.Join(f.cfg.SpillDir, fmt.Sprintf("f%06d", f.mirrorSeq))}
 		f.mirrors[file] = m
 	}
 	f.mu.Unlock()
@@ -492,26 +499,13 @@ func (f *Fleet) filePaths(file *dfs.File) ([]string, string, error) {
 			m.err = err
 			return
 		}
-		n := file.NumBlocks()
-		paths := make([]string, n)
-		binary := f.cfg.Codec != wire.CodecJSON
-		ext := ".jsonl"
-		if binary {
-			ext = ".blk"
-		}
-		for i := 0; i < n; i++ {
-			p := filepath.Join(m.dir, "b"+strconv.Itoa(i)+ext)
-			var err error
-			if binary {
-				err = wire.WriteBlockFileBin(p, file.Block(i).Records())
-			} else {
-				err = writeBlockFile(p, file.Block(i).Records())
-			}
-			if err != nil {
+		paths := make([]string, file.NumBlocks())
+		for i := range paths {
+			paths[i] = filepath.Join(m.dir, "b"+strconv.Itoa(i)+".blk")
+			if err := wire.WriteBlockFile(paths[i], file.Block(i).Records()); err != nil {
 				m.err = err
 				return
 			}
-			paths[i] = p
 		}
 		m.paths = paths
 	})
@@ -521,9 +515,36 @@ func (f *Fleet) filePaths(file *dfs.File) ([]string, string, error) {
 	return m.paths, m.dir, nil
 }
 
+// sweepMirrors forgets every mirror whose file its file system no
+// longer serves under that name (removed, or replaced by a newer
+// version) and deletes the directories in the background: a long-lived
+// fleet holds mirrors for the live file set, not for every file it
+// ever read.
+func (f *Fleet) sweepMirrors() {
+	var dirs []string
+	f.mu.Lock()
+	for file, m := range f.mirrors {
+		if cur, err := m.fs.Open(m.name); err != nil || cur != file {
+			delete(f.mirrors, file)
+			dirs = append(dirs, m.dir)
+		}
+	}
+	f.mu.Unlock()
+	if len(dirs) == 0 {
+		return
+	}
+	f.sweeps.Add(1)
+	go func() {
+		defer f.sweeps.Done()
+		for _, dir := range dirs {
+			os.RemoveAll(dir)
+		}
+	}()
+}
+
 // blockPath mirrors the file and returns one block's path.
-func (f *Fleet) blockPath(file *dfs.File, split int) (string, error) {
-	paths, _, err := f.filePaths(file)
+func (f *Fleet) blockPath(fs *dfs.FS, file *dfs.File, split int) (string, error) {
+	paths, _, err := f.filePaths(fs, file)
 	if err != nil {
 		return "", err
 	}
@@ -533,23 +554,9 @@ func (f *Fleet) blockPath(file *dfs.File, split int) (string, error) {
 	return paths[split], nil
 }
 
-// writeBlockFile writes one DFS block as wire-encoded JSON lines.
-func writeBlockFile(path string, recs []data.Value) error {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	for _, rec := range recs {
-		if err := enc.Encode(wire.EncodeValue(rec)); err != nil {
-			return err
-		}
-	}
-	return os.WriteFile(path, buf.Bytes(), 0o644)
-}
-
 // pickWorker returns the next live worker not in tried, round-robin;
-// callers get nil when none remain. needPeer restricts the pick to
-// peer-shuffle workers — tasks carrying a fetch list are only
-// intelligible to them.
-func (f *Fleet) pickWorker(tried map[int]bool, needPeer bool) *workerState {
+// callers get nil when none remain.
+func (f *Fleet) pickWorker(tried map[int]bool) *workerState {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	ids := make([]int, 0, len(f.workers))
@@ -560,28 +567,11 @@ func (f *Fleet) pickWorker(tried map[int]bool, needPeer bool) *workerState {
 	for range ids {
 		f.rr++
 		w := f.workers[ids[f.rr%len(ids)]]
-		if f.alive(w) && !tried[w.id] && (!needPeer || w.peer) {
+		if f.alive(w) && !tried[w.id] {
 			return w
 		}
 	}
 	return nil
-}
-
-// taskFor adapts a task to one worker's negotiated protocol: peer
-// workers get it verbatim; for capability-less workers the
-// peer-shuffle fields are stripped (a shallow copy) so the task runs
-// as a plain PR 8 map whose output returns through the controller.
-// Fetch-carrying tasks never reach non-peer workers (pickWorker
-// guards), so only the map-side retain fields need stripping.
-func taskFor(w *workerState, task *wire.Task) *wire.Task {
-	if w.peer || (!task.RetainShuffle && task.ShuffleID == "") {
-		return task
-	}
-	t := *task
-	t.RetainShuffle = false
-	t.ShuffleID = ""
-	t.ByteScale = 0
-	return &t
 }
 
 func (f *Fleet) noteSuccess(w *workerState, kind string, d time.Duration) {
@@ -589,7 +579,13 @@ func (f *Fleet) noteSuccess(w *workerState, kind string, d time.Duration) {
 	w.fails = 0
 	f.mu.Unlock()
 	f.durMu.Lock()
-	f.durations[kind] = append(f.durations[kind], d.Seconds())
+	r := f.durations[kind]
+	if r == nil {
+		r = &durRing{}
+		f.durations[kind] = r
+	}
+	r.buf[r.n%hedgeWindow] = d.Seconds()
+	r.n++
 	f.durMu.Unlock()
 }
 
@@ -604,85 +600,26 @@ func (f *Fleet) noteFailure(w *workerState) {
 }
 
 // hedgeDelay is the straggler threshold for a task kind: a multiple of
-// the median completed duration, floored at HedgeMin.
+// the median of its recent completed durations, floored at HedgeMin.
 func (f *Fleet) hedgeDelay(kind string) time.Duration {
+	var recent [hedgeWindow]float64
+	n := 0
 	f.durMu.Lock()
-	ds := append([]float64(nil), f.durations[kind]...)
+	if r := f.durations[kind]; r != nil {
+		n = min(r.n, hedgeWindow)
+		recent = r.buf
+	}
 	f.durMu.Unlock()
-	if len(ds) == 0 {
+	if n == 0 {
 		return f.cfg.HedgeMin
 	}
-	sort.Float64s(ds)
-	med := ds[len(ds)/2]
-	d := time.Duration(f.cfg.HedgeFactor * med * float64(time.Second))
+	ds := recent[:n]
+	slices.Sort(ds)
+	d := time.Duration(f.cfg.HedgeFactor * ds[n/2] * float64(time.Second))
 	if d < f.cfg.HedgeMin {
 		d = f.cfg.HedgeMin
 	}
 	return d
-}
-
-// post runs one single-task dispatch attempt against one worker: the
-// legacy per-task JSON POST, used for workers that did not negotiate
-// batching. The fleet's keep-alive client carries it; the per-attempt
-// deadline rides the request context, so one attempt never tears down
-// the pooled connection state the way a throwaway per-call client
-// would.
-func (f *Fleet) post(w *workerState, task *wire.Task) (*wire.TaskResult, error) {
-	payload, err := json.Marshal(taskFor(w, task).Request())
-	if err != nil {
-		return nil, err
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), f.cfg.TaskTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.url+"/task", bytes.NewReader(payload))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	f.statRPCs.Add(1)
-	f.statTasks.Add(1)
-	f.statBytesOut.Add(int64(len(payload)))
-	resp, err := f.client.Do(req)
-	if err != nil {
-		f.noteFailure(w)
-		return nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		f.noteFailure(w)
-		return nil, fmt.Errorf("worker %s: read response: %v", w.url, err)
-	}
-	f.statBytesIn.Add(int64(len(body)))
-	if resp.StatusCode != http.StatusOK {
-		f.noteFailure(w)
-		if len(body) > 4096 {
-			body = body[:4096]
-		}
-		return nil, fmt.Errorf("worker %s: HTTP %d: %s", w.url, resp.StatusCode, bytes.TrimSpace(body))
-	}
-	var tr wire.TaskResponse
-	if err := json.Unmarshal(body, &tr); err != nil {
-		f.noteFailure(w)
-		return nil, fmt.Errorf("worker %s: bad response: %v", w.url, err)
-	}
-	return wire.ResultFromResponse(&tr)
-}
-
-// send runs one attempt of a task on one worker, routing through the
-// worker's batcher when batching was negotiated at registration.
-// urgent attempts (retries, hedges) ride the batcher's priority lane
-// ahead of queued wave batches. RPC transport failures are recorded
-// against the worker by the RPC layer (post / the batcher), once per
-// failed RPC — not once per task a failed batch happened to carry.
-func (f *Fleet) send(w *workerState, task *wire.Task, urgent bool) (*wire.TaskResult, error) {
-	f.mu.Lock()
-	b := w.batcher
-	f.mu.Unlock()
-	if b != nil {
-		return b.do(task, urgent)
-	}
-	return f.post(w, task)
 }
 
 // taskFailedError is a deterministic task failure: the worker ran the
@@ -712,12 +649,15 @@ func (f *Fleet) nextShuffleID(jobName, taskName string) string {
 	return id
 }
 
-// RetireJob broadcasts a shuffle-GC request for the job's retained
-// map outputs to every registered worker (every worker, not just
-// known producers: hedged losers may hold orphan copies the
-// controller never saw win). Fire-and-forget — a missed GC only
-// costs cache space the worker's own byte bound reclaims.
+// RetireJob reclaims what the fleet held for a finished job: mirrors of
+// files that no longer exist are dropped, and a shuffle-GC request for
+// the job's retained map outputs goes to every registered worker
+// (every worker, not just known producers: hedged losers may hold
+// orphan copies the controller never saw win). Fire-and-forget — a
+// missed GC only costs cache space the worker's own byte bound
+// reclaims.
 func (f *Fleet) RetireJob(jobName string) {
+	f.sweepMirrors()
 	f.shufMu.Lock()
 	ids := f.jobShuffles[jobName]
 	delete(f.jobShuffles, jobName)
@@ -732,9 +672,7 @@ func (f *Fleet) RetireJob(jobName string) {
 	f.mu.Lock()
 	urls := make([]string, 0, len(f.workers))
 	for _, w := range f.workers {
-		if w.peer {
-			urls = append(urls, w.url)
-		}
+		urls = append(urls, w.url)
 	}
 	f.mu.Unlock()
 	for _, u := range urls {
@@ -755,18 +693,15 @@ func (f *Fleet) RetireJob(jobName string) {
 }
 
 // countShuffle attributes one successful attempt's shuffle traffic:
-// pairs that crossed the controller's dispatch plane (in the worker's
-// negotiated codec) versus bytes the worker pulled from peers.
-func (f *Fleet) countShuffle(w *workerState, task *wire.Task, res *wire.TaskResult) {
+// pairs that crossed the controller's dispatch plane versus bytes the
+// worker pulled from peers.
+func (f *Fleet) countShuffle(task *wire.Task, res *wire.TaskResult) {
 	var ctl int64
-	ctl += wire.ShuffleWireBytes(w.codec, task.Pairs)
 	for i := range task.Fetches {
-		if task.Fetches[i].ID == "" {
-			ctl += wire.ShuffleWireBytes(w.codec, task.Fetches[i].Pairs)
-		}
+		ctl += wire.ShuffleWireBytes(task.Fetches[i].Pairs)
 	}
 	for _, part := range res.Pairs {
-		ctl += wire.ShuffleWireBytes(w.codec, part)
+		ctl += wire.ShuffleWireBytes(part)
 	}
 	if ctl != 0 {
 		f.statCtlShufB.Add(ctl)
@@ -782,9 +717,9 @@ func (f *Fleet) countShuffle(w *workerState, task *wire.Task, res *wire.TaskResu
 // dispatch runs a task to completion across the fleet: retry on
 // transport failures (distinct workers), hedge on stragglers, fail
 // fast on deterministic operator errors (retrying those elsewhere
-// would fail identically and mask bugs). Batching changes only how
-// attempts travel — each task still retries, hedges, and fails
-// independently of its batchmates.
+// would fail identically and mask bugs). Attempts travel in batches,
+// but each task retries, hedges, and fails independently of its
+// batchmates.
 func (f *Fleet) dispatch(task *wire.Task) (*wire.TaskResult, error) {
 	type attempt struct {
 		res     *wire.TaskResult
@@ -794,16 +729,17 @@ func (f *Fleet) dispatch(task *wire.Task) (*wire.TaskResult, error) {
 	}
 	results := make(chan attempt, f.cfg.MaxAttempts+1)
 	tried := map[int]bool{}
-	needPeer := len(task.Fetches) > 0
+	// Urgent attempts (retries, hedges) ride the batcher's priority
+	// lane ahead of queued wave batches.
 	launch := func(urgent bool) bool {
-		w := f.pickWorker(tried, needPeer)
+		w := f.pickWorker(tried)
 		if w == nil {
 			return false
 		}
 		tried[w.id] = true
 		go func() {
 			start := time.Now()
-			res, err := f.send(w, task, urgent)
+			res, err := w.batcher.do(task, urgent)
 			results <- attempt{res: res, err: err, w: w, elapsed: time.Since(start)}
 		}()
 		return true
@@ -822,7 +758,7 @@ func (f *Fleet) dispatch(task *wire.Task) (*wire.TaskResult, error) {
 			inflight--
 			if a.err == nil && a.res.Err == "" {
 				a.res.Worker = a.w.url
-				f.countShuffle(a.w, task, a.res)
+				f.countShuffle(task, a.res)
 				f.noteSuccess(a.w, task.Kind, a.elapsed)
 				return a.res, nil
 			}

@@ -1,11 +1,16 @@
 package procruntime
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -16,16 +21,11 @@ import (
 	"dyno/internal/runtime/wire"
 )
 
-// rowsJSON renders rows as canonical wire images for comparison.
-func rowsJSON(t *testing.T, rows []data.Value) []string {
-	t.Helper()
+// rowStrings renders rows for comparison.
+func rowStrings(rows []data.Value) []string {
 	out := make([]string, len(rows))
 	for i, r := range rows {
-		b, err := json.Marshal(wire.EncodeValue(r))
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[i] = string(b)
+		out[i] = r.String()
 	}
 	return out
 }
@@ -48,9 +48,7 @@ func workerStatus(t *testing.T, base string) WorkerStatus {
 // These tests drive the executor's peer-shuffle data plane end to end
 // against real workers (the same handler cmd/dynoworker serves):
 // retained map outputs, direct reduce-side fetches, and the fallback
-// ladder down to the controller mirror when a producer dies.
-
-var peerCaps = wire.Caps{Codecs: []string{wire.CodecBinary, wire.CodecJSON}, Batch: true, PeerShuffle: true}
+// recovery re-run when a producer dies.
 
 // sumOp groups records {k, v} by k and sums v — the smallest op that
 // exercises the full map/shuffle/reduce path.
@@ -65,7 +63,7 @@ func sumOp() *wire.OpSpec {
 	}
 }
 
-// newPeerHarness builds a fleet with n real peer-capable workers, a
+// newPeerHarness builds a fleet with n real workers, a
 // DFS file of {k, v} records (one record per block, so each record is
 // its own map task), and the executor over them. It returns the
 // executor, the file, and the workers' servers by registration order.
@@ -77,7 +75,7 @@ func newPeerHarness(t *testing.T, n, records int) (executor, *dfs.File, []*httpt
 		ts := httptest.NewServer(NewWorker(expr.NewRegistry()).Handler())
 		t.Cleanup(ts.Close)
 		servers[i] = ts
-		f.RegisterWorkerCaps(ts.URL, peerCaps)
+		register(t, f, ts.URL)
 	}
 	fs := dfs.New(dfs.WithBlockSize(1))
 	w := fs.Create("in")
@@ -116,11 +114,7 @@ func runPeerJob(t *testing.T, ex executor, file *dfs.File, numReducers int) ([][
 	for p := 0; p < numReducers; p++ {
 		inputs := make([]mapreduce.ShuffleInput, 0, len(outs))
 		for _, out := range outs {
-			if out.Shuffle != nil {
-				inputs = append(inputs, mapreduce.ShuffleInput{Handle: out.Shuffle})
-				continue
-			}
-			inputs = append(inputs, mapreduce.ShuffleInput{Pairs: out.Pairs[p]})
+			inputs = append(inputs, mapreduce.ShuffleInput{Handle: out.Shuffle})
 		}
 		res, err := ex.ExecReduce(mapreduce.ReduceExec{
 			JobName:   "peerjob",
@@ -137,10 +131,9 @@ func runPeerJob(t *testing.T, ex executor, file *dfs.File, numReducers int) ([][
 	return rows, outs
 }
 
-// TestPeerShuffleKeepsBytesOffController: with every worker
-// peer-capable, map outputs are retained on their producers and
-// reduce inputs travel worker-to-worker — the controller's dispatch
-// plane carries zero shuffle pairs.
+// TestPeerShuffleKeepsBytesOffController: map outputs are retained on
+// their producers and reduce inputs travel worker-to-worker — the
+// controller's dispatch plane carries zero shuffle pairs.
 func TestPeerShuffleKeepsBytesOffController(t *testing.T) {
 	ex, file, _ := newPeerHarness(t, 2, 8)
 	rows, outs := runPeerJob(t, ex, file, 2)
@@ -166,7 +159,7 @@ func TestPeerShuffleKeepsBytesOffController(t *testing.T) {
 	}
 	st := ex.f.WireStats()
 	if st.CtlShuffleBytes != 0 {
-		t.Errorf("controller carried %d shuffle bytes, want 0 with an all-peer fleet", st.CtlShuffleBytes)
+		t.Errorf("controller carried %d shuffle bytes, want 0", st.CtlShuffleBytes)
 	}
 	// With one record per block spread over two workers, at least one
 	// reduce input segment lives on the other worker.
@@ -180,8 +173,8 @@ func TestPeerShuffleKeepsBytesOffController(t *testing.T) {
 
 // TestPeerDeathFallsBackToMirror: killing a producing worker after
 // its maps complete must not fail the job — the reduce's failed peer
-// fetch is recovered by re-running the deterministic map through the
-// controller mirror and inlining the segment.
+// fetch is recovered by re-running the deterministic map and inlining
+// the segment.
 func TestPeerDeathFallsBackToMirror(t *testing.T) {
 	ex, file, servers := newPeerHarness(t, 2, 8)
 	want, outs := runPeerJob(t, ex, file, 2)
@@ -216,13 +209,13 @@ func TestPeerDeathFallsBackToMirror(t *testing.T) {
 		if err != nil {
 			t.Fatalf("reduce %d after peer death: %v", p, err)
 		}
-		if !reflect.DeepEqual(rowsJSON(t, res.Rows), rowsJSON(t, want[p])) {
-			t.Errorf("partition %d rows changed after mirror fallback:\ngot  %v\nwant %v",
-				p, rowsJSON(t, res.Rows), rowsJSON(t, want[p]))
+		if !reflect.DeepEqual(rowStrings(res.Rows), rowStrings(want[p])) {
+			t.Errorf("partition %d rows changed after recovery:\ngot  %v\nwant %v",
+				p, rowStrings(res.Rows), rowStrings(want[p]))
 		}
 	}
 	if st := ex.f.WireStats(); st.CtlShuffleBytes == 0 {
-		t.Error("mirror fallback shipped no controller-side shuffle bytes")
+		t.Error("recovery shipped no controller-side shuffle bytes")
 	}
 }
 
@@ -249,4 +242,81 @@ func TestShuffleGCOnJobRetirement(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// TestWorkerRefusesHostileInput: the worker's socket- and disk-facing
+// readers fail closed — an oversize body is 413 before it is buffered,
+// a non-frame Content-Type is 415, and a block file that is not a DYB1
+// frame is a task error rather than a guess at another format.
+func TestWorkerRefusesHostileInput(t *testing.T) {
+	ts := httptest.NewServer(NewWorker(expr.NewRegistry()).Handler())
+	t.Cleanup(ts.Close)
+	notABlock := filepath.Join(t.TempDir(), "b0.blk")
+	if err := os.WriteFile(notABlock, []byte(`["i","1"]`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	frame, err := wire.EncodeTaskBatch([]*wire.Task{{Task: "t-m0", Kind: "map", Op: &wire.OpSpec{Kind: "scan"}, Block: notABlock}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer frame.Close()
+
+	cases := []struct {
+		name        string
+		contentType string
+		body        io.Reader
+		length      int64
+		wantStatus  int
+		wantTaskErr string
+	}{
+		// The body is declared, never sent: the worker must answer from
+		// the header alone (Expect: 100-continue keeps the client from
+		// streaming half a gigabyte at it).
+		{"oversize", wire.ContentTypeBinary, zeroReader{}, wire.MaxBodyBytes + 1, http.StatusRequestEntityTooLarge, ""},
+		{"jsonBatch", "application/json", strings.NewReader(`{"tasks":[]}`), -1, http.StatusUnsupportedMediaType, ""},
+		{"unknownBlockMagic", wire.ContentTypeBinary, bytes.NewReader(frame.Bytes()), -1, http.StatusOK, "not a block frame"},
+	}
+	client := &http.Client{Transport: &http.Transport{ExpectContinueTimeout: time.Minute}}
+	defer client.CloseIdleConnections()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			req, err := http.NewRequest(http.MethodPost, ts.URL+"/tasks", tc.body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Header.Set("Content-Type", tc.contentType)
+			if tc.length >= 0 {
+				req.ContentLength = tc.length
+				req.Header.Set("Expect", "100-continue")
+			}
+			resp, err := client.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != tc.wantStatus {
+				t.Fatalf("HTTP %d (%s), want %d", resp.StatusCode, bytes.TrimSpace(body), tc.wantStatus)
+			}
+			if tc.wantTaskErr == "" {
+				return
+			}
+			results, err := wire.DecodeResultBatch(body)
+			if err != nil || len(results) != 1 {
+				t.Fatalf("decode result batch: %v (%d results)", err, len(results))
+			}
+			if !strings.Contains(results[0].Err, tc.wantTaskErr) {
+				t.Fatalf("task error = %q, want it to contain %q", results[0].Err, tc.wantTaskErr)
+			}
+		})
+	}
+}
+
+// zeroReader is an endless body; the oversize case must be refused
+// without reading it.
+type zeroReader struct{}
+
+func (zeroReader) Read(p []byte) (int, error) {
+	clear(p)
+	return len(p), nil
 }

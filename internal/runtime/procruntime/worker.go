@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"os"
@@ -144,14 +143,12 @@ func NewWorkerCfg(reg *expr.Registry, cfg WorkerConfig) *Worker {
 // acknowledged (cmd/dynoworker exits from it).
 func (w *Worker) OnDrain(fn func()) { w.drainNotify = fn }
 
-// Handler returns the worker's HTTP surface: /task (single, JSON —
-// the PR 8 endpoint, kept for rollback), /tasks (batched; JSON or
-// binary frames, answered in the codec the request arrived in),
-// /shuffle (peer block serving: binary DYS1 frames, JSON fallback),
-// /shuffle/gc, /status, /healthz, and /drain.
+// Handler returns the worker's HTTP surface: /tasks (batched DYT1
+// frames in, DYR1 frames out), /shuffle (peer segment serving, DYS1
+// frames), and the JSON control plane: /shuffle/gc, /status, /healthz,
+// and /drain.
 func (w *Worker) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /task", w.handleTask)
 	mux.HandleFunc("POST /tasks", w.handleTaskBatch)
 	mux.HandleFunc("GET /shuffle", w.handleShuffle)
 	mux.HandleFunc("POST /shuffle/gc", w.handleShuffleGC)
@@ -175,12 +172,10 @@ func (w *Worker) handleDrain(rw http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleShuffle serves one retained shuffle partition to a peer. The
-// response codec follows the Accept header: binary DYS1 frames for
-// peer-capable fetchers, a JSON KV-image array otherwise. Draining
-// workers keep serving — retained data stays valid until the process
-// exits, and a vanished process surfaces as a fetch error the
-// controller recovers from.
+// handleShuffle serves one retained shuffle partition to a peer as a
+// DYS1 frame. Draining workers keep serving — retained data stays
+// valid until the process exits, and a vanished process surfaces as a
+// fetch error the controller recovers from.
 func (w *Worker) handleShuffle(rw http.ResponseWriter, r *http.Request) {
 	id := r.URL.Query().Get("id")
 	part, err := strconv.Atoi(r.URL.Query().Get("part"))
@@ -194,21 +189,15 @@ func (w *Worker) handleShuffle(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.statShufServed.Add(1)
-	if r.Header.Get("Accept") == wire.ContentTypeBinary {
-		frame := wire.EncodeShuffle(pairs)
-		defer frame.Close()
-		rw.Header().Set("Content-Type", wire.ContentTypeBinary)
-		rw.Write(frame.Bytes())
-		return
-	}
-	rw.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(rw).Encode(wire.EncodeKVs(pairs))
+	frame := wire.EncodeShuffle(pairs)
+	defer frame.Close()
+	rw.Header().Set("Content-Type", wire.ContentTypeBinary)
+	rw.Write(frame.Bytes())
 }
 
 func (w *Worker) handleShuffleGC(rw http.ResponseWriter, r *http.Request) {
 	var req wire.ShuffleGCRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(rw, "bad gc payload: "+err.Error(), http.StatusBadRequest)
+	if !decodeJSON(rw, r, &req) {
 		return
 	}
 	if len(req.IDs) > 0 {
@@ -259,67 +248,31 @@ func (w *Worker) handleStatus(rw http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(rw).Encode(st)
 }
 
-func (w *Worker) handleTask(rw http.ResponseWriter, r *http.Request) {
-	var req wire.TaskRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(rw, "bad task payload: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	task, err := wire.TaskFromRequest(&req)
-	var resp *wire.TaskResponse
-	if err != nil {
-		resp = &wire.TaskResponse{Err: "decode task: " + err.Error()}
-	} else {
-		resp = w.runTask(task).Response()
-	}
-	rw.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(rw).Encode(resp)
-}
-
-// handleTaskBatch serves one wave-batch of tasks. The request codec —
-// sniffed from the binary frame magic, with the Content-Type as a
-// cross-check — picks the response codec, so no negotiation state
-// lives on the worker. Tasks run sequentially and fail independently:
-// a deterministic operator error lands in that task's slot while its
-// batchmates complete normally.
+// handleTaskBatch serves one wave-batch of tasks. Tasks run
+// sequentially and fail independently: a deterministic operator error
+// lands in that task's slot while its batchmates complete normally.
 func (w *Worker) handleTaskBatch(rw http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(r.Body)
+	if r.Header.Get("Content-Type") != wire.ContentTypeBinary {
+		http.Error(rw, "task batches must be "+wire.ContentTypeBinary, http.StatusUnsupportedMediaType)
+		return
+	}
+	body, ok := readBody(rw, r)
+	if !ok {
+		return
+	}
+	tasks, err := wire.DecodeTaskBatch(body)
 	if err != nil {
-		http.Error(rw, "read batch: "+err.Error(), http.StatusBadRequest)
+		http.Error(rw, "bad batch: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	if r.Header.Get("Content-Type") == wire.ContentTypeBinary {
-		tasks, err := wire.DecodeTaskBatch(body)
-		if err != nil {
-			http.Error(rw, "bad binary batch: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		results := make([]*wire.TaskResult, len(tasks))
-		for i, t := range tasks {
-			results[i] = w.runTask(t)
-		}
-		frame := wire.EncodeResultBatch(results)
-		defer frame.Close()
-		rw.Header().Set("Content-Type", wire.ContentTypeBinary)
-		rw.Write(frame.Bytes())
-		return
+	results := make([]*wire.TaskResult, len(tasks))
+	for i, t := range tasks {
+		results[i] = w.runTask(t)
 	}
-	var batch wire.TaskBatchRequest
-	if err := json.Unmarshal(body, &batch); err != nil {
-		http.Error(rw, "bad batch payload: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	out := wire.TaskBatchResponse{Results: make([]*wire.TaskResponse, len(batch.Tasks))}
-	for i, req := range batch.Tasks {
-		task, err := wire.TaskFromRequest(req)
-		if err != nil {
-			out.Results[i] = &wire.TaskResponse{Err: "decode task: " + err.Error()}
-			continue
-		}
-		out.Results[i] = w.runTask(task).Response()
-	}
-	rw.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(rw).Encode(out)
+	frame := wire.EncodeResultBatch(results)
+	defer frame.Close()
+	rw.Header().Set("Content-Type", wire.ContentTypeBinary)
+	rw.Write(frame.Bytes())
 }
 
 // runTask executes one task; operator and decode errors come back in
@@ -365,6 +318,8 @@ func (w *Worker) runMap(task *wire.Task) *wire.TaskResult {
 		res.Parts = w.retainShuffle(task.ShuffleID, out.Pairs, task.ByteScale)
 		return res
 	}
+	// The recovery re-run of a lost output: the pairs go back to the
+	// controller, which inlines the missing segment.
 	res.Pairs = out.Pairs
 	return res
 }
@@ -373,8 +328,8 @@ func (w *Worker) runMap(task *wire.Task) *wire.TaskResult {
 // shuffle registry and returns the per-partition digests the
 // controller accounts with. The virtual size replicates the
 // controller's per-record arithmetic exactly — int64 conversion per
-// record, then int64 summation — so peer-shuffled and
-// controller-shuffled runs charge identical virtual bytes.
+// record, then int64 summation — so proc and sim runs charge identical
+// virtual bytes.
 func (w *Worker) retainShuffle(id string, parts [][]wire.KV, scale float64) []wire.ShufflePart {
 	digests := make([]wire.ShufflePart, len(parts))
 	var raw int64
@@ -432,13 +387,12 @@ func (w *Worker) fetchShuffle(base, id string, part int) ([]wire.KV, int64, erro
 		if err != nil {
 			return nil, 0, err
 		}
-		req.Header.Set("Accept", wire.ContentTypeBinary)
 		resp, err := w.peers.Do(req)
 		if err != nil {
 			lastErr = err
 			continue
 		}
-		body, err := io.ReadAll(resp.Body)
+		body, err := wire.ReadBody(resp.Body, resp.ContentLength)
 		resp.Body.Close()
 		if err != nil {
 			lastErr = err
@@ -450,15 +404,7 @@ func (w *Worker) fetchShuffle(base, id string, part int) ([]wire.KV, int64, erro
 			}
 			return nil, 0, fmt.Errorf("HTTP %d: %s", resp.StatusCode, bytes.TrimSpace(body))
 		}
-		var kvs []wire.KV
-		if wire.IsShuffleFrame(body) {
-			kvs, err = wire.DecodeShuffle(body)
-		} else {
-			var imgs []wire.KVImage
-			if err = json.Unmarshal(body, &imgs); err == nil {
-				kvs, err = wire.DecodeKVs(imgs)
-			}
-		}
+		kvs, err := wire.DecodeShuffle(body)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -469,37 +415,32 @@ func (w *Worker) fetchShuffle(base, id string, part int) ([]wire.KV, int64, erro
 	return nil, 0, lastErr
 }
 
+// runReduce assembles the reduce input from the segment list in order
+// — inline pairs, the local registry, then the producing peer — and
+// sorts it before running the operator.
 func (w *Worker) runReduce(task *wire.Task) *wire.TaskResult {
-	pairs := task.Pairs
+	var pairs []wire.KV
 	var peerBytes int64
 	var peerFetches int
-	if len(task.Fetches) > 0 {
-		// Assemble the reduce input from the segment list in order —
-		// local registry first, then the producing peer — and sort
-		// worker-side (inline segments from the legacy Pairs path arrive
-		// pre-sorted; fetched assemblies do not).
-		var assembled []wire.KV
-		for i := range task.Fetches {
-			ref := &task.Fetches[i]
-			if ref.ID == "" {
-				assembled = append(assembled, ref.Pairs...)
-				continue
-			}
-			if local, ok := w.shuffleLookup(ref.ID, ref.Part); ok {
-				assembled = append(assembled, local...)
-				continue
-			}
-			kvs, n, err := w.fetchShuffle(ref.URL, ref.ID, ref.Part)
-			if err != nil {
-				return &wire.TaskResult{Err: wire.PeerFetchErr(i, ref.URL, err)}
-			}
-			peerFetches++
-			peerBytes += n
-			assembled = append(assembled, kvs...)
+	for i := range task.Fetches {
+		ref := &task.Fetches[i]
+		if ref.ID == "" {
+			pairs = append(pairs, ref.Pairs...)
+			continue
 		}
-		wire.SortKVs(assembled)
-		pairs = assembled
+		if local, ok := w.shuffleLookup(ref.ID, ref.Part); ok {
+			pairs = append(pairs, local...)
+			continue
+		}
+		kvs, n, err := w.fetchShuffle(ref.URL, ref.ID, ref.Part)
+		if err != nil {
+			return &wire.TaskResult{Err: wire.PeerFetchErr(i, ref.URL, err)}
+		}
+		peerFetches++
+		peerBytes += n
+		pairs = append(pairs, kvs...)
 	}
+	wire.SortKVs(pairs)
 	rows, cpu, err := task.Op.RunReduce(w.reg, pairs)
 	if err != nil {
 		return &wire.TaskResult{Err: err.Error()}
@@ -543,50 +484,28 @@ func (w *Worker) blockRecords(path string) ([]data.Value, error) {
 	return recs, nil
 }
 
-// readBlockFile decodes one mirrored block, sniffing the format: a
-// binary frame (the negotiated fast path) or wire-image JSONL (the
-// PR 8 format, kept as the kill-switch arm). The on-disk size feeds
-// the block cache's byte accounting.
+// readBlockFile decodes one mirrored block (a DYB1 frame; anything
+// else is an error). The on-disk size feeds the block cache's byte
+// accounting.
 func readBlockFile(path string) ([]data.Value, int64, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, 0, fmt.Errorf("open block: %w", err)
 	}
-	size := int64(len(b))
-	if wire.IsBlockFrame(b) {
-		recs, err := wire.DecodeBlock(b)
-		if err != nil {
-			return nil, 0, fmt.Errorf("decode block %s: %w", path, err)
-		}
-		return recs, size, nil
+	recs, err := wire.DecodeBlock(b)
+	if err != nil {
+		return nil, 0, fmt.Errorf("decode block %s: %w", path, err)
 	}
-	dec := json.NewDecoder(bytes.NewReader(b))
-	var recs []data.Value
-	for dec.More() {
-		var img any
-		if err := dec.Decode(&img); err != nil {
-			return nil, 0, fmt.Errorf("decode block %s: %w", path, err)
-		}
-		v, err := wire.DecodeValue(img)
-		if err != nil {
-			return nil, 0, fmt.Errorf("decode block %s: %w", path, err)
-		}
-		recs = append(recs, v)
-	}
-	return recs, size, nil
+	return recs, int64(len(b)), nil
 }
 
 // table returns the built hash table for a broadcast ref, memoized by
 // the ref's full semantic identity (file version + build parameters),
 // so rebuilds of the same file with different filters never collide.
 func (w *Worker) table(ref wire.BuildRef) (*wire.Table, error) {
-	var filterKey string
-	if ref.Filter != nil {
-		b, err := json.Marshal(ref.Filter)
-		if err != nil {
-			return nil, err
-		}
-		filterKey = string(b)
+	filterKey, err := ref.Filter.Key()
+	if err != nil {
+		return nil, fmt.Errorf("build %s: %w", ref.Name, err)
 	}
 	key := ref.Version + "|" + ref.Name + "|" + ref.Wrap + "|" + filterKey + "|" + strings.Join(ref.Keys, ",")
 	w.mu.Lock()
@@ -597,13 +516,9 @@ func (w *Worker) table(ref wire.BuildRef) (*wire.Table, error) {
 		return t, nil
 	}
 	w.statTableMisses.Add(1)
-	var filter expr.Expr
-	if ref.Filter != nil {
-		var err error
-		filter, err = wire.DecodeExpr(ref.Filter)
-		if err != nil {
-			return nil, fmt.Errorf("build %s: %w", ref.Name, err)
-		}
+	filter, err := wire.DecodeExpr(ref.Filter)
+	if err != nil {
+		return nil, fmt.Errorf("build %s: %w", ref.Name, err)
 	}
 	keys, err := wire.DecodePaths(ref.Keys)
 	if err != nil {

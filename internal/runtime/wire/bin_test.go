@@ -1,10 +1,11 @@
 package wire
 
 import (
-	"encoding/json"
+	"bytes"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -34,6 +35,9 @@ func assertSameValue(t *testing.T, want, got data.Value) {
 	}
 	if got.String() != want.String() {
 		t.Fatalf("round trip changed rendering: %q -> %q", want.String(), got.String())
+	}
+	if got.EncodedSize() != want.EncodedSize() {
+		t.Fatalf("round trip changed encoded size for %s: %d -> %d", want, want.EncodedSize(), got.EncodedSize())
 	}
 }
 
@@ -149,15 +153,15 @@ func TestBinObjectColumnAbsentVsNull(t *testing.T) {
 	}
 }
 
-func sampleTasks(t *testing.T) []*Task {
+func sampleTasks(t testing.TB) []*Task {
 	t.Helper()
 	filter := &ExprSpec{T: "cmp", Op: "<=",
 		L: &ExprSpec{T: "col", P: "l.l_quantity"},
-		R: &ExprSpec{T: "lit", V: EncodeValue(data.Double(24))}}
+		R: &ExprSpec{T: "lit", V: data.Double(24)}}
 	residual := &ExprSpec{T: "and", Xs: []*ExprSpec{
 		{T: "not", X: &ExprSpec{T: "cmp", Op: "=",
 			L: &ExprSpec{T: "col", P: "o.o_orderstatus"},
-			R: &ExprSpec{T: "lit", V: EncodeValue(data.String("F"))}}},
+			R: &ExprSpec{T: "lit", V: data.String("F")}}},
 		{T: "call", Name: "q9_keep_part", Args: []*ExprSpec{{T: "col", P: "p.p_name"}}},
 	}}
 	op := &OpSpec{
@@ -181,7 +185,7 @@ func sampleTasks(t *testing.T) []*Task {
 			{Expr: &ExprSpec{T: "col", P: "n.n_name"}, As: "nation"},
 			{Agg: "sum", Expr: &ExprSpec{T: "arith", Op: "*",
 				L: &ExprSpec{T: "col", P: "l.l_extendedprice"},
-				R: &ExprSpec{T: "lit", V: EncodeValue(data.Int(1))}}, As: "amount"},
+				R: &ExprSpec{T: "lit", V: data.Int(1)}}, As: "amount"},
 			{Star: true},
 		},
 		Combine: true,
@@ -199,18 +203,20 @@ func sampleTasks(t *testing.T) []*Task {
 		},
 		{
 			Job: "j1", Task: "j1-r3", Kind: "reduce", Op: op, Partition: 3,
-			Pairs: []KV{
-				{Key: data.Int(1 << 53), Tag: "L", Rec: data.Object(data.Field{Name: "x", Value: data.Double(-0.0)})},
-				{Key: data.String("k\x00"), Rec: data.Null()},
+			Fetches: []ShuffleRef{
+				{URL: "http://127.0.0.1:9001", ID: "j1-m0#1", Part: 3},
+				{Pairs: []KV{
+					{Key: data.Int(1 << 53), Tag: "L", Rec: data.Object(data.Field{Name: "x", Value: data.Double(-0.0)})},
+					{Key: data.String("k\x00"), Rec: data.Null()},
+				}},
 			},
 		},
 		{Job: "j2", Task: "j2-m0", Kind: "map", Op: &OpSpec{Kind: "scan", Source: &SourceSpec{Wrap: "r"}}},
 	}
 }
 
-// TestBinTaskBatchRoundTrip proves the binary task codec carries the
-// exact payload the JSON protocol does: both tasks re-encode to the
-// same canonical JSON wire image.
+// TestBinTaskBatchRoundTrip: a decoded batch carries the fields the
+// encoder was given, and re-encodes to the identical frame.
 func TestBinTaskBatchRoundTrip(t *testing.T) {
 	tasks := sampleTasks(t)
 	frame, err := EncodeTaskBatch(tasks)
@@ -226,22 +232,22 @@ func TestBinTaskBatchRoundTrip(t *testing.T) {
 		t.Fatalf("batch count %d -> %d", len(tasks), len(got))
 	}
 	for i := range tasks {
-		want, err := json.Marshal(tasks[i].Request())
-		if err != nil {
-			t.Fatal(err)
+		if !reflect.DeepEqual(tasks[i], got[i]) {
+			t.Fatalf("task %d changed across round trip:\n  %+v\n  %+v", i, tasks[i], got[i])
 		}
-		have, err := json.Marshal(got[i].Request())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(want) != string(have) {
-			t.Fatalf("task %d changed across binary round trip:\n  %s\n  %s", i, want, have)
-		}
+	}
+	again, err := EncodeTaskBatch(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	if !bytes.Equal(again.Bytes(), frame.Bytes()) {
+		t.Fatal("decoded batch re-encodes to a different frame")
 	}
 }
 
-func TestBinResultBatchRoundTrip(t *testing.T) {
-	results := []*TaskResult{
+func sampleResults() []*TaskResult {
+	return []*TaskResult{
 		{Rows: adversarialValues(), CPUSeconds: 0.25},
 		{
 			Pairs: [][]KV{
@@ -251,9 +257,14 @@ func TestBinResultBatchRoundTrip(t *testing.T) {
 			},
 			CPUMap: 1.5, CPUTotal: 2.25,
 		},
+		{Parts: []ShufflePart{{Count: 3, Bytes: 1 << 40}, {}}, PeerBytes: 77, PeerFetches: 2},
 		{Err: "boom: operator failed"},
 		{},
 	}
+}
+
+func TestBinResultBatchRoundTrip(t *testing.T) {
+	results := sampleResults()
 	frame := EncodeResultBatch(results)
 	defer frame.Close()
 	got, err := DecodeResultBatch(frame.Bytes())
@@ -263,12 +274,33 @@ func TestBinResultBatchRoundTrip(t *testing.T) {
 	if len(got) != len(results) {
 		t.Fatalf("batch count %d -> %d", len(results), len(got))
 	}
-	for i := range results {
-		want, _ := json.Marshal(results[i].Response())
-		have, _ := json.Marshal(got[i].Response())
-		if string(want) != string(have) {
-			t.Fatalf("result %d changed across binary round trip:\n  %s\n  %s", i, want, have)
+	for i, want := range results {
+		have := got[i]
+		if have.Err != want.Err || have.CPUMap != want.CPUMap || have.CPUTotal != want.CPUTotal || have.CPUSeconds != want.CPUSeconds ||
+			have.PeerBytes != want.PeerBytes || have.PeerFetches != want.PeerFetches || !reflect.DeepEqual(have.Parts, want.Parts) ||
+			len(have.Rows) != len(want.Rows) || len(have.Pairs) != len(want.Pairs) {
+			t.Fatalf("result %d changed across round trip:\n  %+v\n  %+v", i, want, have)
 		}
+		for k := range want.Rows {
+			assertSameValue(t, want.Rows[k], have.Rows[k])
+		}
+		for p, part := range want.Pairs {
+			if len(have.Pairs[p]) != len(part) {
+				t.Fatalf("result %d partition %d: %d pairs -> %d", i, p, len(part), len(have.Pairs[p]))
+			}
+			for n, kv := range part {
+				if have.Pairs[p][n].Tag != kv.Tag {
+					t.Fatalf("result %d partition %d pair %d: tag %q -> %q", i, p, n, kv.Tag, have.Pairs[p][n].Tag)
+				}
+				assertSameValue(t, kv.Key, have.Pairs[p][n].Key)
+				assertSameValue(t, kv.Rec, have.Pairs[p][n].Rec)
+			}
+		}
+	}
+	again := EncodeResultBatch(got)
+	defer again.Close()
+	if !bytes.Equal(again.Bytes(), frame.Bytes()) {
+		t.Fatal("decoded batch re-encodes to a different frame")
 	}
 }
 
@@ -295,21 +327,18 @@ func TestBinDecodeRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestBlockFileSniff pins the mixed-mirror contract: workers detect
-// the block file format by magic, so binary and JSONL mirrors coexist
-// during a codec rollback.
-func TestBlockFileSniff(t *testing.T) {
+// TestBlockFileRoundTrip: a mirrored block file is a DYB1 frame, and
+// bytes with any other magic are refused rather than parsed as some
+// other format.
+func TestBlockFileRoundTrip(t *testing.T) {
 	recs := adversarialValues()
 	path := filepath.Join(t.TempDir(), "b0.blk")
-	if err := WriteBlockFileBin(path, recs); err != nil {
+	if err := WriteBlockFile(path, recs); err != nil {
 		t.Fatal(err)
 	}
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !IsBlockFrame(b) {
-		t.Fatal("binary block file not recognized by magic")
 	}
 	got, err := DecodeBlock(b)
 	if err != nil {
@@ -318,8 +347,8 @@ func TestBlockFileSniff(t *testing.T) {
 	for i := range recs {
 		assertSameValue(t, recs[i], got[i])
 	}
-	if IsBlockFrame([]byte(`["i","1"]` + "\n")) {
-		t.Fatal("JSONL misdetected as a binary frame")
+	if _, err := DecodeBlock([]byte(`["i","1"]` + "\n")); err == nil {
+		t.Fatal("DecodeBlock accepted a JSON-lines block")
 	}
 }
 

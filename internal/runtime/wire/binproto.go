@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 
@@ -13,21 +12,15 @@ import (
 // one frame: magic, task count, then the tasks back to back sharing
 // the frame's string dictionary (job names, aliases, column names, and
 // repeated data strings are carried once per frame, not once per
-// task). The response frame mirrors it. Block mirror files use the
-// same codec with their own magic; readers sniff the first bytes, so
-// JSON-era block files keep working during a codec rollback.
+// task). The response frame mirrors it. Block mirror files and peer
+// shuffle segments use the same codec with their own magics; a body
+// with any other leading bytes is an error.
 
 var (
 	magicTaskBatch = []byte("DYT1")
 	magicRespBatch = []byte("DYR1")
 	magicBlock     = []byte("DYB1")
 	magicShuffle   = []byte("DYS1")
-)
-
-// Codec names negotiated at worker registration.
-const (
-	CodecJSON   = "json"
-	CodecBinary = "bin"
 )
 
 // Frame is an encoded binary frame backed by a pooled buffer. Call
@@ -75,11 +68,7 @@ func (e *benc) writeExpr(s *ExprSpec) error {
 	case "col":
 		e.str(s.P)
 	case "lit":
-		v, err := DecodeValue(s.V)
-		if err != nil {
-			return err
-		}
-		e.writeValue(v)
+		e.writeValue(s.V)
 	case "cmp", "arith":
 		e.str(s.Op)
 		if err := e.writeExpr(s.L); err != nil {
@@ -129,11 +118,9 @@ func (d *bdec) readExpr(depth int) (*ExprSpec, error) {
 			return nil, err
 		}
 	case "lit":
-		v, err := d.readValue(depth)
-		if err != nil {
+		if s.V, err = d.readValue(depth); err != nil {
 			return nil, err
 		}
-		s.V = EncodeValue(v)
 	case "cmp", "arith":
 		if s.Op, err = d.str(); err != nil {
 			return nil, err
@@ -473,7 +460,6 @@ func (e *benc) writeTask(t *Task) error {
 		}
 	}
 	e.varint(int64(t.Partition))
-	e.writeKVs(t.Pairs)
 	e.bool(t.RetainShuffle)
 	e.str(t.ShuffleID)
 	e.f64(t.ByteScale)
@@ -549,9 +535,6 @@ func (d *bdec) readTask() (*Task, error) {
 		return nil, err
 	}
 	t.Partition = int(idx)
-	if t.Pairs, err = d.readKVs(); err != nil {
-		return nil, err
-	}
 	if t.RetainShuffle, err = d.bool(); err != nil {
 		return nil, err
 	}
@@ -762,13 +745,8 @@ func DecodeBlock(b []byte) ([]data.Value, error) {
 	return d.readValueList()
 }
 
-// IsBlockFrame sniffs a block file's leading bytes for the binary
-// magic; anything else is treated as wire-image JSONL (the PR 8
-// format), so mixed mirror directories decode fine during rollbacks.
-func IsBlockFrame(b []byte) bool { return bytes.HasPrefix(b, magicBlock) }
-
-// WriteBlockFileBin writes a block file in the binary frame format.
-func WriteBlockFileBin(path string, recs []data.Value) error {
+// WriteBlockFile writes one block's records to path as a DYB1 frame.
+func WriteBlockFile(path string, recs []data.Value) error {
 	f := EncodeBlock(recs)
 	defer f.Close()
 	return os.WriteFile(path, f.Bytes(), 0o644)
@@ -793,30 +771,17 @@ func DecodeShuffle(b []byte) ([]KV, error) {
 	return d.readKVs()
 }
 
-// IsShuffleFrame sniffs a fetched shuffle body for the binary magic;
-// anything else is the JSONL fallback served to capability-less
-// requesters.
-func IsShuffleFrame(b []byte) bool { return bytes.HasPrefix(b, magicShuffle) }
-
-// ShuffleWireBytes is the encoded size of a pair set in the given
-// codec: the bytes those pairs occupy when they cross the controller
-// (a standalone frame for bin, a KV-image array for json). It feeds
-// the controller-vs-peer shuffle byte split in the fleet's WireStats.
-func ShuffleWireBytes(codec string, pairs []KV) int64 {
+// ShuffleWireBytes is the size of a pair set as a standalone DYS1
+// frame: the bytes those pairs cost when they cross the controller. It
+// feeds the controller-vs-peer shuffle byte split in the fleet's
+// WireStats.
+func ShuffleWireBytes(pairs []KV) int64 {
 	if len(pairs) == 0 {
 		return 0
 	}
-	if codec == CodecBinary {
-		f := EncodeShuffle(pairs)
-		n := int64(len(f.Bytes()))
-		f.Close()
-		return n
-	}
-	b, err := json.Marshal(EncodeKVs(pairs))
-	if err != nil {
-		return 0
-	}
-	return int64(len(b))
+	f := EncodeShuffle(pairs)
+	defer f.Close()
+	return int64(len(f.Bytes()))
 }
 
 // PeerFetchErr formats the deterministic error a reduce worker

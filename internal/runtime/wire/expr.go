@@ -14,16 +14,31 @@ import (
 // to change neither results nor UDF CPU accrual, so both sides
 // evaluate identically.
 type ExprSpec struct {
-	T    string      `json:"t"`              // col lit cmp and or not arith call
-	P    string      `json:"p,omitempty"`    // col: path
-	V    any         `json:"v,omitempty"`    // lit: EncodeValue image
-	Op   string      `json:"op,omitempty"`   // cmp: = <> < <= > >=; arith: + - * /
-	L    *ExprSpec   `json:"l,omitempty"`    // cmp, arith
-	R    *ExprSpec   `json:"r,omitempty"`    // cmp, arith
-	Xs   []*ExprSpec `json:"xs,omitempty"`   // and, or
-	X    *ExprSpec   `json:"x,omitempty"`    // not
-	Name string      `json:"name,omitempty"` // call
-	Args []*ExprSpec `json:"args,omitempty"` // call
+	T    string      // col lit cmp and or not arith call
+	P    string      // col: path
+	V    data.Value  // lit
+	Op   string      // cmp: = <> < <= > >=; arith: + - * /
+	L    *ExprSpec   // cmp, arith
+	R    *ExprSpec   // cmp, arith
+	Xs   []*ExprSpec // and, or
+	X    *ExprSpec   // not
+	Name string      // call
+	Args []*ExprSpec // call
+}
+
+// Key returns a string that is equal for two specs exactly when they
+// describe the same expression (the empty string for nil): the spec's
+// frame encoding under a fresh dictionary.
+func (s *ExprSpec) Key() (string, error) {
+	if s == nil {
+		return "", nil
+	}
+	e := newBenc()
+	defer e.release()
+	if err := e.writeExpr(s); err != nil {
+		return "", err
+	}
+	return string(e.buf), nil
 }
 
 // EncodeExpr serializes an uncompiled expression; nil encodes as nil.
@@ -35,7 +50,7 @@ func EncodeExpr(e expr.Expr) (*ExprSpec, error) {
 	case *expr.Col:
 		return &ExprSpec{T: "col", P: n.Path.String()}, nil
 	case *expr.Lit:
-		return &ExprSpec{T: "lit", V: EncodeValue(n.V)}, nil
+		return &ExprSpec{T: "lit", V: n.V}, nil
 	case *expr.Cmp:
 		l, err := EncodeExpr(n.L)
 		if err != nil {
@@ -110,11 +125,7 @@ func DecodeExpr(s *ExprSpec) (expr.Expr, error) {
 		}
 		return &expr.Col{Path: p}, nil
 	case "lit":
-		v, err := DecodeValue(s.V)
-		if err != nil {
-			return nil, err
-		}
-		return &expr.Lit{V: v}, nil
+		return &expr.Lit{V: s.V}, nil
 	case "cmp":
 		op, err := parseCmpOp(s.Op)
 		if err != nil {

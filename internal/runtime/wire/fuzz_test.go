@@ -1,8 +1,8 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -37,9 +37,8 @@ func (g *gen) u64() uint64 {
 	return binary.LittleEndian.Uint64(raw[:])
 }
 
-// str yields a valid-UTF-8 string (the JSON arm replaces invalid
-// sequences, which would be a codec difference the engine never sees:
-// engine strings are decoded JSON, always valid). NUL bytes survive.
+// str yields a valid-UTF-8 string (engine strings are decoded JSON,
+// always valid). NUL bytes survive.
 func (g *gen) str() string {
 	n := int(g.next()) % 40
 	raw := make([]byte, n)
@@ -149,10 +148,9 @@ func (g *gen) expr(depth int) expr.Expr {
 	}
 }
 
-// FuzzValueRoundTrip drives one generated value through both codecs —
-// the binary block frame and the JSON tagged-array image — and
-// requires each to hand back a data.Compare-equal value with the
-// identical rendering.
+// FuzzValueRoundTrip drives generated values through the binary block
+// frame and requires a data.Compare-equal value with the identical
+// rendering back.
 func FuzzValueRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{2, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x3f, 0x00})          // large int
@@ -170,27 +168,12 @@ func FuzzValueRoundTrip(f *testing.F) {
 		for i := range vals {
 			assertSameValue(t, vals[i], got[i])
 		}
-		for _, v := range vals {
-			b, err := json.Marshal(EncodeValue(v))
-			if err != nil {
-				t.Fatalf("json marshal %s: %v", v, err)
-			}
-			var img any
-			if err := json.Unmarshal(b, &img); err != nil {
-				t.Fatal(err)
-			}
-			jv, err := DecodeValue(img)
-			if err != nil {
-				t.Fatalf("json decode %s: %v", v, err)
-			}
-			assertSameValue(t, v, jv)
-		}
 	})
 }
 
-// FuzzExprRoundTrip drives one generated expression through the
-// binary task codec (as an OpSpec residual) and the JSON ExprSpec
-// image, requiring both decodes to rebuild the identical tree.
+// FuzzExprRoundTrip drives one generated expression through a full
+// task frame (as an OpSpec residual), requiring the decode to rebuild
+// the identical tree.
 func FuzzExprRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{2, 3, 0, 1, 1, 3, 0, 0, 0, 0, 0, 0, 0, 0x80})
@@ -203,41 +186,100 @@ func FuzzExprRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("encode %s: %v", e, err)
 		}
-
-		// JSON arm.
-		b, err := json.Marshal(spec)
+		be, err := DecodeExpr(frameRoundTrip(t, spec))
 		if err != nil {
-			t.Fatal(err)
-		}
-		var back ExprSpec
-		if err := json.Unmarshal(b, &back); err != nil {
-			t.Fatal(err)
-		}
-		je, err := DecodeExpr(&back)
-		if err != nil {
-			t.Fatalf("json decode: %v", err)
-		}
-		if je.String() != e.String() {
-			t.Fatalf("json round trip changed tree:\n  %s\n  %s", e, je)
-		}
-
-		// Binary arm, through a full task frame.
-		task := &Task{Task: "fz", Kind: "map", Op: &OpSpec{Kind: "scan", Residual: spec}}
-		frame, err := EncodeTaskBatch([]*Task{task})
-		if err != nil {
-			t.Fatalf("encode batch: %v", err)
-		}
-		defer frame.Close()
-		got, err := DecodeTaskBatch(frame.Bytes())
-		if err != nil {
-			t.Fatalf("decode batch: %v", err)
-		}
-		be, err := DecodeExpr(got[0].Op.Residual)
-		if err != nil {
-			t.Fatalf("binary decode: %v", err)
+			t.Fatalf("decode: %v", err)
 		}
 		if be.String() != e.String() {
-			t.Fatalf("binary round trip changed tree:\n  %s\n  %s", e, be)
+			t.Fatalf("round trip changed tree:\n  %s\n  %s", e, be)
+		}
+	})
+}
+
+// The three fuzzers below feed arbitrary bytes to the decoders that
+// face the socket. A decoder may refuse the input but never panic, and
+// whatever it accepts must survive encode -> decode -> encode
+// unchanged: the first encode canonicalizes (hostile input may spell a
+// varint or a dictionary reference the long way), after which the
+// frame is a fixed point.
+
+func FuzzTaskBatchDecode(f *testing.F) {
+	f.Add([]byte("DYT1"))
+	seed, err := EncodeTaskBatch(sampleTasks(f))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(bytes.Clone(seed.Bytes()))
+	seed.Close()
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		tasks, err := DecodeTaskBatch(raw)
+		if err != nil {
+			return
+		}
+		first, err := EncodeTaskBatch(tasks)
+		if err != nil {
+			t.Fatalf("re-encode of an accepted batch: %v", err)
+		}
+		defer first.Close()
+		again, err := DecodeTaskBatch(first.Bytes())
+		if err != nil {
+			t.Fatalf("decode of a re-encoded batch: %v", err)
+		}
+		second, err := EncodeTaskBatch(again)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer second.Close()
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("task batch is not a fixed point:\n  %x\n  %x", first.Bytes(), second.Bytes())
+		}
+	})
+}
+
+func FuzzResultBatchDecode(f *testing.F) {
+	f.Add([]byte("DYR1"))
+	seed := EncodeResultBatch(sampleResults())
+	f.Add(bytes.Clone(seed.Bytes()))
+	seed.Close()
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		results, err := DecodeResultBatch(raw)
+		if err != nil {
+			return
+		}
+		first := EncodeResultBatch(results)
+		defer first.Close()
+		again, err := DecodeResultBatch(first.Bytes())
+		if err != nil {
+			t.Fatalf("decode of a re-encoded batch: %v", err)
+		}
+		second := EncodeResultBatch(again)
+		defer second.Close()
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("result batch is not a fixed point:\n  %x\n  %x", first.Bytes(), second.Bytes())
+		}
+	})
+}
+
+func FuzzShuffleDecode(f *testing.F) {
+	f.Add([]byte("DYS1"))
+	seed := EncodeShuffle(sampleResults()[1].Pairs[0])
+	f.Add(bytes.Clone(seed.Bytes()))
+	seed.Close()
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		pairs, err := DecodeShuffle(raw)
+		if err != nil {
+			return
+		}
+		first := EncodeShuffle(pairs)
+		defer first.Close()
+		again, err := DecodeShuffle(first.Bytes())
+		if err != nil {
+			t.Fatalf("decode of a re-encoded segment: %v", err)
+		}
+		second := EncodeShuffle(again)
+		defer second.Close()
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("shuffle segment is not a fixed point:\n  %x\n  %x", first.Bytes(), second.Bytes())
 		}
 	})
 }

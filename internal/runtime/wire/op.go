@@ -14,8 +14,8 @@ import (
 // filter. It mirrors jaql.Source minus the file reference, which
 // travels separately as a block path list.
 type SourceSpec struct {
-	Wrap   string    `json:"wrap,omitempty"`
-	Filter *ExprSpec `json:"filter,omitempty"`
+	Wrap   string
+	Filter *ExprSpec
 }
 
 // PruneEntry is one alias of the projection-pushdown live-column map.
@@ -23,26 +23,26 @@ type SourceSpec struct {
 // pruner keeps unknown aliases untouched), so entries only list
 // aliases with a concrete field set.
 type PruneEntry struct {
-	Alias  string   `json:"alias"`
-	Fields []string `json:"fields"`
+	Alias  string
+	Fields []string
 }
 
 // ChainStep is one link of a broadcast probe chain: which build table
 // to probe, the probe-side key columns, and the join's residual.
 type ChainStep struct {
-	Build    string    `json:"build"`
-	Keys     []string  `json:"keys"`
-	Residual *ExprSpec `json:"residual,omitempty"`
+	Build    string
+	Keys     []string
+	Residual *ExprSpec
 }
 
 // SelectItem serializes one sqlparse.SelectItem with its output name
 // frozen (Name() is derived from the raw column node, which decoding
 // must not depend on).
 type SelectItem struct {
-	Expr *ExprSpec `json:"expr,omitempty"`
-	Agg  string    `json:"agg,omitempty"`
-	Star bool      `json:"star,omitempty"`
-	As   string    `json:"as,omitempty"`
+	Expr *ExprSpec
+	Agg  string
+	Star bool
+	As   string
 }
 
 // OpSpec declares what a job's tasks compute, covering the four job
@@ -51,31 +51,31 @@ type SelectItem struct {
 // identical closures for accounting, so an OpSpec must describe the
 // exact same transformation.
 type OpSpec struct {
-	Kind string `json:"kind"` // scan | repartition | chain | aggregate
+	Kind string // scan | repartition | chain | aggregate
 
 	// Source is the scanned/probed input (scan and chain kinds).
-	Source *SourceSpec `json:"source,omitempty"`
+	Source *SourceSpec
 
 	// Repartition: the two shuffled sides (input 0 = Left, tag "L";
 	// input 1 = Right, tag "R"), their key columns, and the reduce-side
 	// residual over merged rows.
-	Left      *SourceSpec `json:"left,omitempty"`
-	Right     *SourceSpec `json:"right,omitempty"`
-	LeftKeys  []string    `json:"leftKeys,omitempty"`
-	RightKeys []string    `json:"rightKeys,omitempty"`
-	Residual  *ExprSpec   `json:"residual,omitempty"`
+	Left      *SourceSpec
+	Right     *SourceSpec
+	LeftKeys  []string
+	RightKeys []string
+	Residual  *ExprSpec
 
 	// Steps is the broadcast probe chain (chain kind).
-	Steps []ChainStep `json:"steps,omitempty"`
+	Steps []ChainStep
 
 	// Prune is the projection-pushdown live map; nil disables pruning.
-	Prune []PruneEntry `json:"prune,omitempty"`
+	Prune []PruneEntry
 
 	// Aggregate: grouping keys, select list, and whether tasks run the
 	// map-side combiner (partial aggregation).
-	GroupBy []*ExprSpec  `json:"groupBy,omitempty"`
-	Select  []SelectItem `json:"select,omitempty"`
-	Combine bool         `json:"combine,omitempty"`
+	GroupBy []*ExprSpec
+	Select  []SelectItem
+	Combine bool
 }
 
 // EncodePaths serializes column paths through their canonical string

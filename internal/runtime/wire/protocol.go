@@ -1,58 +1,128 @@
+// Package wire is the serialization layer of the multi-process
+// execution backend: the binary frame codec for data values, tasks and
+// results, a declarative operator spec covering every job shape the
+// compiler emits, and the worker-side interpreter that executes those
+// specs over decoded DFS blocks.
+//
+// The codec is lossless where the engine's JSON reader is deliberately
+// not (integral doubles decode as ints, 64-bit ints lose precision
+// through float64): a value shipped to a worker and back compares
+// data.Equal to the original and renders the identical String() image
+// — the property the differential contract (same rows on both
+// backends) rests on.
 package wire
 
 import (
 	"encoding/json"
+	"fmt"
+	"io"
+	"slices"
+	"strings"
 
 	"dyno/internal/data"
 )
 
-// The controller/worker HTTP protocol. Workers register with the
-// controller and heartbeat; the controller dispatches tasks either as
-// single JSON TaskRequests to /task (the PR 8 data plane, kept as the
-// fallback arm) or as per-worker batches to /tasks, where the payload
-// is the codec negotiated at registration: the binary frame codec
-// (Content-Type ContentTypeBinary) or JSON (TaskBatchRequest). Values
-// and expressions travel in wire images on the JSON arm and in binary
-// frames on the binary arm; both decode to data.Compare-equal values.
+// The controller/worker HTTP protocol has one data plane: tasks travel
+// as per-worker batches to POST /tasks in DYT1 frames and are answered
+// in DYR1 frames, map output stays on the producing worker and reduce
+// inputs are pulled peer-to-peer from GET /shuffle as DYS1 frames.
+// JSON carries the control plane only: register, heartbeat, status,
+// drain and shuffle GC.
 
 // ContentTypeBinary marks a binary-frame request or response body.
 const ContentTypeBinary = "application/x-dyno-frame"
 
+// MaxBodyBytes bounds every HTTP body either side of the protocol
+// reads into memory. It sits above the largest legitimate frame (a
+// shuffle partition or block is capped by the worker caches' 256 MB
+// defaults) so a hostile or corrupt peer costs a refused request, not
+// the process.
+const MaxBodyBytes = 512 << 20
+
+// BodyTooLargeError reports an HTTP body over MaxBodyBytes; servers
+// answer it with 413.
+type BodyTooLargeError struct {
+	Limit int64
+}
+
+func (e *BodyTooLargeError) Error() string {
+	return fmt.Sprintf("wire: body exceeds the %d-byte limit", e.Limit)
+}
+
+// ReadBody reads an HTTP body to EOF under MaxBodyBytes. declared is
+// the message's Content-Length (-1 when unknown): a body announcing
+// itself oversize is refused before a byte of it is buffered.
+func ReadBody(r io.Reader, declared int64) ([]byte, error) {
+	if declared > MaxBodyBytes {
+		return nil, &BodyTooLargeError{Limit: MaxBodyBytes}
+	}
+	b, err := io.ReadAll(io.LimitReader(r, MaxBodyBytes+1))
+	if err != nil {
+		return nil, err
+	}
+	if len(b) > MaxBodyBytes {
+		return nil, &BodyTooLargeError{Limit: MaxBodyBytes}
+	}
+	return b, nil
+}
+
+// Codec names a worker lists in Caps.Codecs. CodecBinary is the data
+// plane and required; CodecJSON names the control-plane encoding every
+// worker speaks and selects nothing.
+const (
+	CodecJSON   = "json"
+	CodecBinary = "bin"
+)
+
 // Caps is what a worker can speak, announced at registration. The
-// zero value means the PR 8 data plane: JSON, one task per POST.
+// controller requires all three capabilities (see Check).
 type Caps struct {
-	// Codecs lists supported payload codecs in preference order
-	// ("bin", "json"). Empty means JSON only.
+	// Codecs lists supported payload codecs ("bin", "json").
 	Codecs []string `json:"codecs,omitempty"`
 	// Batch reports support for the batched /tasks endpoint.
 	Batch bool `json:"batch,omitempty"`
 	// PeerShuffle reports support for worker-to-worker shuffle: the
-	// worker can retain map outputs in its shuffle registry, serve
-	// them to peers from GET /shuffle, and assemble reduce inputs from
+	// worker retains map outputs in its shuffle registry, serves them
+	// to peers from GET /shuffle, and assembles reduce inputs from
 	// Fetches refs (local registry first, then HTTP from the producing
 	// peer).
 	PeerShuffle bool `json:"peerShuffle,omitempty"`
 }
 
-// Supports reports whether the capability set includes a codec.
-func (c Caps) Supports(codec string) bool {
-	if codec == CodecJSON {
-		return true // every worker speaks JSON
+// CapsError refuses a worker that cannot speak the data plane; Missing
+// names what it failed to announce.
+type CapsError struct {
+	Missing []string
+}
+
+func (e *CapsError) Error() string {
+	return "wire: worker lacks required capabilities: " + strings.Join(e.Missing, ", ")
+}
+
+// Check returns a *CapsError unless the set announces binary frames,
+// batched dispatch and peer shuffle.
+func (c Caps) Check() error {
+	var missing []string
+	if !slices.Contains(c.Codecs, CodecBinary) {
+		missing = append(missing, "bin codec")
 	}
-	for _, s := range c.Codecs {
-		if s == codec {
-			return true
-		}
+	if !c.Batch {
+		missing = append(missing, "batch")
 	}
-	return false
+	if !c.PeerShuffle {
+		missing = append(missing, "peerShuffle")
+	}
+	if missing != nil {
+		return &CapsError{Missing: missing}
+	}
+	return nil
 }
 
 // RegisterRequest announces a worker to the controller.
 type RegisterRequest struct {
 	// URL is the worker's base URL (e.g. http://127.0.0.1:9001).
 	URL string `json:"url"`
-	// Caps advertises the worker's codec and batching support; the
-	// controller picks and answers with its choice.
+	// Caps advertises what the worker speaks.
 	Caps Caps `json:"caps,omitempty"`
 }
 
@@ -63,15 +133,6 @@ type RegisterResponse struct {
 	ID              int             `json:"id"`
 	HeartbeatMillis int             `json:"heartbeatMillis"`
 	UDF             json.RawMessage `json:"udf,omitempty"`
-	// Codec is the controller's pick for this worker ("json" when
-	// absent). Workers answer each request in the codec it arrived
-	// in, so this is informational.
-	Codec string `json:"codec,omitempty"`
-	// Batch reports whether the controller will use /tasks.
-	Batch bool `json:"batch,omitempty"`
-	// Peer reports whether the controller negotiated worker-to-worker
-	// shuffle for this worker.
-	Peer bool `json:"peer,omitempty"`
 }
 
 // HeartbeatRequest keeps a registration alive.
@@ -86,39 +147,6 @@ type ShuffleGCRequest struct {
 	IDs []string `json:"ids"`
 }
 
-// KVImage is one shuffled pair in wire form.
-type KVImage struct {
-	K any    `json:"k"`
-	T string `json:"t,omitempty"`
-	R any    `json:"r"`
-}
-
-// EncodeKVs converts interpreter pairs to wire form.
-func EncodeKVs(pairs []KV) []KVImage {
-	out := make([]KVImage, len(pairs))
-	for i, kv := range pairs {
-		out[i] = KVImage{K: EncodeValue(kv.Key), T: kv.Tag, R: EncodeValue(kv.Rec)}
-	}
-	return out
-}
-
-// DecodeKVs converts wire pairs back.
-func DecodeKVs(imgs []KVImage) ([]KV, error) {
-	out := make([]KV, len(imgs))
-	for i, img := range imgs {
-		k, err := DecodeValue(img.K)
-		if err != nil {
-			return nil, err
-		}
-		r, err := DecodeValue(img.R)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = KV{Key: k, Tag: img.T, Rec: r}
-	}
-	return out, nil
-}
-
 // ShufflePart is a per-partition digest of retained map output: the
 // pair count and the summed virtual size of the partition's records.
 // The worker computes the virtual size with the controller's exact
@@ -126,15 +154,15 @@ func DecodeKVs(imgs []KVImage) ([]KV, error) {
 // summed as int64s), so the controller can account shuffle volume
 // without ever seeing the pairs.
 type ShufflePart struct {
-	Count int   `json:"count"`
-	Bytes int64 `json:"bytes"`
+	Count int
+	Bytes int64
 }
 
 // ShuffleRef is one reduce-input segment, in map-output order. Either
 // ID is set — the segment lives in the registry of the worker at URL
 // under that shuffle ID (fetch partition Part) — or ID is empty and
-// the pairs travel inline (outputs of non-peer map workers, or
-// segments recovered through the controller after a peer died).
+// the pairs travel inline (a segment recovered through the controller
+// after its peer died or evicted it).
 type ShuffleRef struct {
 	URL   string
 	ID    string
@@ -142,90 +170,21 @@ type ShuffleRef struct {
 	Pairs []KV
 }
 
-// ShuffleRefImage is the JSON wire form of a ShuffleRef.
-type ShuffleRefImage struct {
-	URL   string    `json:"url,omitempty"`
-	ID    string    `json:"id,omitempty"`
-	Part  int       `json:"part,omitempty"`
-	Pairs []KVImage `json:"pairs,omitempty"`
-}
-
 // BuildRef describes one broadcast build side for a task: rebuild
 // parameters plus the on-disk block files holding the (unfiltered)
 // build input.
 type BuildRef struct {
-	Name   string    `json:"name"`
-	Wrap   string    `json:"wrap,omitempty"`
-	Filter *ExprSpec `json:"filter,omitempty"`
-	Keys   []string  `json:"keys"`
-	Blocks []string  `json:"blocks"`
+	Name   string
+	Wrap   string
+	Filter *ExprSpec
+	Keys   []string
+	Blocks []string
 	// Version distinguishes rebuilds of the same logical name across
 	// job generations (workers cache built tables keyed by it).
-	Version string `json:"version"`
+	Version string
 }
 
-// TaskRequest is one map or reduce task dispatch.
-type TaskRequest struct {
-	Job  string  `json:"job"`
-	Task string  `json:"task"`
-	Kind string  `json:"kind"` // "map" | "reduce"
-	Op   *OpSpec `json:"op"`
-
-	// Map tasks.
-	InputIdx    int        `json:"inputIdx,omitempty"`
-	Block       string     `json:"block,omitempty"` // path to the input block file
-	NumReducers int        `json:"numReducers,omitempty"`
-	HasReduce   bool       `json:"hasReduce,omitempty"`
-	RunCombine  bool       `json:"runCombine,omitempty"`
-	Builds      []BuildRef `json:"builds,omitempty"`
-
-	// Peer shuffle (map tasks): retain the shuffle output worker-side
-	// under ShuffleID and answer with per-partition digests computed
-	// at ByteScale instead of shipping the pairs back.
-	RetainShuffle bool    `json:"retainShuffle,omitempty"`
-	ShuffleID     string  `json:"shuffleId,omitempty"`
-	ByteScale     float64 `json:"byteScale,omitempty"`
-
-	// Reduce tasks.
-	Partition int       `json:"partition,omitempty"`
-	Pairs     []KVImage `json:"pairs,omitempty"`
-	// Fetches, when present, replaces Pairs: the reduce input is the
-	// concatenation of the segments in order (peer fetches resolved
-	// first), sorted worker-side.
-	Fetches []ShuffleRefImage `json:"fetches,omitempty"`
-}
-
-// TaskResponse carries a task's output back to the controller.
-type TaskResponse struct {
-	Rows       []any       `json:"rows,omitempty"`
-	Pairs      [][]KVImage `json:"pairs,omitempty"`
-	CPUMap     float64     `json:"cpuMap,omitempty"`
-	CPUTotal   float64     `json:"cpuTotal,omitempty"`
-	CPUSeconds float64     `json:"cpuSeconds,omitempty"`
-	Err        string      `json:"err,omitempty"`
-	// Parts answers a RetainShuffle map task: per-partition digests of
-	// the retained output.
-	Parts []ShufflePart `json:"parts,omitempty"`
-	// PeerBytes/PeerFetches report a reduce task's worker-to-worker
-	// traffic (local registry hits are free and not counted).
-	PeerBytes   int64 `json:"peerBytes,omitempty"`
-	PeerFetches int   `json:"peerFetches,omitempty"`
-}
-
-// TaskBatchRequest is the JSON form of a batched /tasks dispatch.
-type TaskBatchRequest struct {
-	Tasks []*TaskRequest `json:"tasks"`
-}
-
-// TaskBatchResponse answers a JSON batch, one result per task in
-// order.
-type TaskBatchResponse struct {
-	Results []*TaskResponse `json:"results"`
-}
-
-// Task is the codec-neutral form of one dispatched task: values stay
-// native data.Values, and the codec layer (JSON images or binary
-// frames) converts at the wire boundary only.
+// Task is one dispatched map or reduce task.
 type Task struct {
 	Job  string
 	Task string
@@ -234,163 +193,45 @@ type Task struct {
 
 	// Map tasks.
 	InputIdx    int
-	Block       string
+	Block       string // path to the input block file
 	NumReducers int
 	HasReduce   bool
 	RunCombine  bool
 	Builds      []BuildRef
 
-	// Peer shuffle (map tasks).
+	// Shuffle map tasks retain their partitioned output worker-side
+	// under ShuffleID and answer with per-partition digests computed at
+	// ByteScale. The recovery re-run of a lost output clears
+	// RetainShuffle and gets the pairs back instead.
 	RetainShuffle bool
 	ShuffleID     string
 	ByteScale     float64
 
-	// Reduce tasks.
+	// Reduce tasks: the input is the concatenation of the Fetches
+	// segments in order, sorted worker-side.
 	Partition int
-	Pairs     []KV
 	Fetches   []ShuffleRef
 }
 
-// TaskResult is the codec-neutral form of a task's output.
+// TaskResult is a task's output.
 type TaskResult struct {
-	Rows        []data.Value
-	Pairs       [][]KV
-	CPUMap      float64
-	CPUTotal    float64
-	CPUSeconds  float64
-	Err         string
-	Parts       []ShufflePart
+	Rows []data.Value
+	// Pairs answers a shuffle map task run without RetainShuffle: one
+	// slice per partition.
+	Pairs      [][]KV
+	CPUMap     float64
+	CPUTotal   float64
+	CPUSeconds float64
+	Err        string
+	// Parts answers a RetainShuffle map task: per-partition digests of
+	// the retained output.
+	Parts []ShufflePart
+	// PeerBytes/PeerFetches report a reduce task's worker-to-worker
+	// traffic (local registry hits are free and not counted).
 	PeerBytes   int64
 	PeerFetches int
 	// Worker is stamped by the controller's dispatch loop with the URL
 	// of the worker that answered (the peer holding any retained
 	// shuffle output); it never travels on the wire.
-	Worker string `json:"-"`
-}
-
-// Request converts to the JSON wire form (byte-identical to the PR 8
-// protocol).
-func (t *Task) Request() *TaskRequest {
-	return &TaskRequest{
-		Job:         t.Job,
-		Task:        t.Task,
-		Kind:        t.Kind,
-		Op:          t.Op,
-		InputIdx:    t.InputIdx,
-		Block:       t.Block,
-		NumReducers: t.NumReducers,
-		HasReduce:   t.HasReduce,
-		RunCombine:  t.RunCombine,
-		Builds:      t.Builds,
-		Partition:   t.Partition,
-		Pairs:       EncodeKVs(t.Pairs),
-
-		RetainShuffle: t.RetainShuffle,
-		ShuffleID:     t.ShuffleID,
-		ByteScale:     t.ByteScale,
-		Fetches:       encodeRefs(t.Fetches),
-	}
-}
-
-func encodeRefs(refs []ShuffleRef) []ShuffleRefImage {
-	if len(refs) == 0 {
-		return nil
-	}
-	out := make([]ShuffleRefImage, len(refs))
-	for i, r := range refs {
-		out[i] = ShuffleRefImage{URL: r.URL, ID: r.ID, Part: r.Part, Pairs: EncodeKVs(r.Pairs)}
-	}
-	return out
-}
-
-func decodeRefs(imgs []ShuffleRefImage) ([]ShuffleRef, error) {
-	if len(imgs) == 0 {
-		return nil, nil
-	}
-	out := make([]ShuffleRef, len(imgs))
-	for i, img := range imgs {
-		pairs, err := DecodeKVs(img.Pairs)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = ShuffleRef{URL: img.URL, ID: img.ID, Part: img.Part, Pairs: pairs}
-	}
-	return out, nil
-}
-
-// TaskFromRequest decodes the JSON wire form back to the neutral one.
-func TaskFromRequest(req *TaskRequest) (*Task, error) {
-	pairs, err := DecodeKVs(req.Pairs)
-	if err != nil {
-		return nil, err
-	}
-	fetches, err := decodeRefs(req.Fetches)
-	if err != nil {
-		return nil, err
-	}
-	return &Task{
-		Job:         req.Job,
-		Task:        req.Task,
-		Kind:        req.Kind,
-		Op:          req.Op,
-		InputIdx:    req.InputIdx,
-		Block:       req.Block,
-		NumReducers: req.NumReducers,
-		HasReduce:   req.HasReduce,
-		RunCombine:  req.RunCombine,
-		Builds:      req.Builds,
-		Partition:   req.Partition,
-		Pairs:       pairs,
-
-		RetainShuffle: req.RetainShuffle,
-		ShuffleID:     req.ShuffleID,
-		ByteScale:     req.ByteScale,
-		Fetches:       fetches,
-	}, nil
-}
-
-// Response converts to the JSON wire form.
-func (r *TaskResult) Response() *TaskResponse {
-	resp := &TaskResponse{CPUMap: r.CPUMap, CPUTotal: r.CPUTotal, CPUSeconds: r.CPUSeconds, Err: r.Err,
-		Parts: r.Parts, PeerBytes: r.PeerBytes, PeerFetches: r.PeerFetches}
-	if len(r.Rows) > 0 {
-		resp.Rows = make([]any, len(r.Rows))
-		for i, row := range r.Rows {
-			resp.Rows[i] = EncodeValue(row)
-		}
-	}
-	if len(r.Pairs) > 0 {
-		resp.Pairs = make([][]KVImage, len(r.Pairs))
-		for p, pairs := range r.Pairs {
-			resp.Pairs[p] = EncodeKVs(pairs)
-		}
-	}
-	return resp
-}
-
-// ResultFromResponse decodes the JSON wire form back.
-func ResultFromResponse(resp *TaskResponse) (*TaskResult, error) {
-	r := &TaskResult{CPUMap: resp.CPUMap, CPUTotal: resp.CPUTotal, CPUSeconds: resp.CPUSeconds, Err: resp.Err,
-		Parts: resp.Parts, PeerBytes: resp.PeerBytes, PeerFetches: resp.PeerFetches}
-	if len(resp.Rows) > 0 {
-		r.Rows = make([]data.Value, len(resp.Rows))
-		for i, img := range resp.Rows {
-			v, err := DecodeValue(img)
-			if err != nil {
-				return nil, err
-			}
-			r.Rows[i] = v
-		}
-	}
-	if len(resp.Pairs) > 0 {
-		r.Pairs = make([][]KV, len(resp.Pairs))
-		for p, imgs := range resp.Pairs {
-			kvs, err := DecodeKVs(imgs)
-			if err != nil {
-				return nil, err
-			}
-			r.Pairs[p] = kvs
-		}
-	}
-	return r, nil
+	Worker string
 }

@@ -1,86 +1,26 @@
 package wire
 
 import (
-	"encoding/json"
-	"math"
 	"testing"
 
 	"dyno/internal/data"
 	"dyno/internal/expr"
 )
 
-// jsonRoundTrip pushes an encoded image through encoding/json the way
-// the controller/worker HTTP hop does.
-func jsonRoundTrip(t *testing.T, img any) any {
+// frameRoundTrip pushes an expression spec through a task frame the
+// way the controller/worker HTTP hop does.
+func frameRoundTrip(t *testing.T, spec *ExprSpec) *ExprSpec {
 	t.Helper()
-	b, err := json.Marshal(img)
+	frame, err := EncodeTaskBatch([]*Task{{Task: "t", Kind: "map", Op: &OpSpec{Kind: "scan", Residual: spec}}})
 	if err != nil {
-		t.Fatalf("marshal: %v", err)
+		t.Fatalf("encode: %v", err)
 	}
-	var out any
-	if err := json.Unmarshal(b, &out); err != nil {
-		t.Fatalf("unmarshal: %v", err)
-	}
-	return out
-}
-
-func TestValueCodecLossless(t *testing.T) {
-	vals := []data.Value{
-		data.Null(),
-		data.Bool(true),
-		data.Bool(false),
-		data.Int(0),
-		data.Int(-7),
-		data.Int(1<<62 + 3), // beyond float64's exact integer range
-		data.Double(0.1),
-		data.Double(3), // integral double must stay a double
-		data.Double(math.MaxFloat64),
-		data.String(""),
-		data.String("hello \"world\"\nline"),
-		data.Array(),
-		data.Array(data.Int(1), data.String("x"), data.Null()),
-		data.Object(
-			data.Field{Name: "b", Value: data.Double(2.5)},
-			data.Field{Name: "a", Value: data.Object(data.Field{Name: "n", Value: data.Int(42)})},
-		),
-	}
-	for _, v := range vals {
-		img := jsonRoundTrip(t, EncodeValue(v))
-		got, err := DecodeValue(img)
-		if err != nil {
-			t.Fatalf("decode %s: %v", v, err)
-		}
-		if !data.Equal(got, v) || got.Kind() != v.Kind() {
-			t.Fatalf("round trip changed value: %s (%v) -> %s (%v)", v, v.Kind(), got, got.Kind())
-		}
-		if got.String() != v.String() {
-			t.Fatalf("round trip changed rendering: %q -> %q", v.String(), got.String())
-		}
-		if got.EncodedSize() != v.EncodedSize() {
-			t.Fatalf("round trip changed encoded size for %s: %d -> %d", v, v.EncodedSize(), got.EncodedSize())
-		}
-	}
-}
-
-func TestValueCodecPreservesFieldOrder(t *testing.T) {
-	v := data.Object(
-		data.Field{Name: "z", Value: data.Int(1)},
-		data.Field{Name: "a", Value: data.Int(2)},
-	)
-	img := jsonRoundTrip(t, EncodeValue(v))
-	got, err := DecodeValue(img)
+	defer frame.Close()
+	got, err := DecodeTaskBatch(frame.Bytes())
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("decode: %v", err)
 	}
-	gf, vf := got.Fields(), v.Fields()
-	if len(gf) != len(vf) {
-		t.Fatalf("field count %d != %d", len(gf), len(vf))
-	}
-	for i := range gf {
-		if gf[i].Name != vf[i].Name {
-			t.Fatalf("field %d: %q != %q", i, gf[i].Name, vf[i].Name)
-		}
-	}
+	return got[0].Op.Residual
 }
 
 func TestExprCodecRoundTrip(t *testing.T) {
@@ -98,15 +38,7 @@ func TestExprCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := json.Marshal(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back ExprSpec
-	if err := json.Unmarshal(b, &back); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeExpr(&back)
+	got, err := DecodeExpr(frameRoundTrip(t, spec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,16 +61,7 @@ func TestPruneCodecMatchesPruner(t *testing.T) {
 		"l": {"l_orderkey": true, "l_discount": true},
 		"o": nil, // fully live: must be omitted, pruner keeps it whole
 	}
-	entries := EncodePrune(live)
-	b, err := json.Marshal(entries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back []PruneEntry
-	if err := json.Unmarshal(b, &back); err != nil {
-		t.Fatal(err)
-	}
-	prune := DecodePrune(back)
+	prune := DecodePrune(EncodePrune(live))
 	row := data.Object(
 		data.Field{Name: "l", Value: data.Object(
 			data.Field{Name: "l_orderkey", Value: data.Int(1)},
