@@ -1,0 +1,167 @@
+package wire
+
+import (
+	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"dyno/internal/data"
+	"dyno/internal/expr"
+	"dyno/internal/sqlparse"
+)
+
+// The DYT1 fixtures under testdata pin the task frame layout across
+// commits: one committed batch per operator kind, built from engine
+// values (expressions, paths, select items, a live-column map) the way
+// the compiler builds them. A frame encoded by an older build must
+// decode here and re-encode to the same bytes, and the same tasks
+// built today must encode to the committed bytes.
+//
+// Regenerate with: go test ./internal/runtime/wire -run TestTaskFrameFixtures -update-fixtures
+var updateFixtures = flag.Bool("update-fixtures", false, "rewrite testdata/*.dyt1 from the current encoder")
+
+func fixturePath(s string) data.Path { return data.MustParsePath(s) }
+
+func fixtureCol(s string) expr.Expr { return &expr.Col{Path: fixturePath(s)} }
+
+// fixtureTasks builds the task batch for one operator kind.
+func fixtureTasks(t *testing.T, kind string) []*Task {
+	t.Helper()
+	filter := &expr.And{Terms: []expr.Expr{
+		&expr.Cmp{Op: expr.LE, L: fixtureCol("l.l_quantity"), R: &expr.Lit{V: data.Double(24)}},
+		&expr.Call{Name: "q9_keep_part", Args: []expr.Expr{fixtureCol("l.l_comment"), &expr.Lit{V: data.Int(1 << 53)}}},
+	}}
+	residual := &expr.Or{Terms: []expr.Expr{
+		&expr.Not{E: &expr.Cmp{Op: expr.EQ, L: fixtureCol("o.o_orderstatus"), R: &expr.Lit{V: data.String("F\x00")}}},
+		&expr.Cmp{Op: expr.GT,
+			L: &expr.Arith{Op: expr.Mul, L: fixtureCol("l.l_extendedprice"),
+				R: &expr.Arith{Op: expr.Sub, L: &expr.Lit{V: data.Int(1)}, R: fixtureCol("l.l_discount")}},
+			R: &expr.Lit{V: data.Double(-0.0)}},
+	}}
+	live := map[string]map[string]bool{
+		"l": {"l_orderkey": true, "l_discount": true, "l_extendedprice": true},
+		"o": nil, // fully live: omitted from the frame
+		"n": {},
+	}
+	enc := func(e expr.Expr) *ExprSpec {
+		s, err := EncodeExpr(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	switch kind {
+	case "scan":
+		op := &OpSpec{Kind: "scan", Source: &SourceSpec{Wrap: "l", Filter: enc(filter)}, Prune: EncodePrune(live)}
+		return []*Task{
+			{Job: "scan/q1", Task: "scan/q1-m0", Kind: "map", Op: op, Block: "/spill/f000001/b0.blk"},
+			{Job: "scan/q1", Task: "scan/q1-m1", Kind: "map", Op: &OpSpec{Kind: "scan", Source: &SourceSpec{}}, Block: "/spill/f000001/b1.blk"},
+		}
+	case "repartition":
+		op := &OpSpec{
+			Kind:      "repartition",
+			Left:      &SourceSpec{Wrap: "o"},
+			Right:     &SourceSpec{Wrap: "l", Filter: enc(filter)},
+			LeftKeys:  EncodePaths([]data.Path{fixturePath("o.o_orderkey")}),
+			RightKeys: EncodePaths([]data.Path{fixturePath("l.l_orderkey")}),
+			Residual:  enc(residual),
+			Prune:     EncodePrune(live),
+		}
+		return []*Task{
+			{Job: "j1", Task: "j1-m0", Kind: "map", Op: op, InputIdx: 1, Block: "/spill/f000002/b3.blk",
+				NumReducers: 6, HasReduce: true, RetainShuffle: true, ShuffleID: "j1-m0#7", ByteScale: 1234.5},
+			{Job: "j1", Task: "j1-r3", Kind: "reduce", Op: op, Partition: 3, Fetches: []ShuffleRef{
+				{URL: "http://127.0.0.1:9001", ID: "j1-m0#7", Part: 3},
+				{Pairs: []KV{
+					{Key: data.Int(1 << 53), Tag: "L", Rec: data.Object(data.Field{Name: "x", Value: data.Double(-0.0)})},
+					{Key: data.String("k\x00"), Tag: "R", Rec: data.Null()},
+				}},
+			}},
+		}
+	case "chain":
+		op := &OpSpec{
+			Kind:   "chain",
+			Source: &SourceSpec{Wrap: "l", Filter: enc(filter)},
+			Steps: []ChainStep{
+				{Build: "b0", Keys: EncodePaths([]data.Path{fixturePath("l.l_partkey"), fixturePath("l.l_suppkey")}), Residual: enc(residual)},
+				{Build: "b1", Keys: EncodePaths([]data.Path{fixturePath("ps.ps_suppkey")})},
+			},
+			Prune: EncodePrune(live),
+		}
+		return []*Task{{
+			Job: "j2", Task: "j2-m4", Kind: "map", Op: op, Block: "/spill/f000003/b4.blk",
+			Builds: []BuildRef{
+				{Name: "b0", Wrap: "ps", Filter: enc(&expr.Cmp{Op: expr.NE, L: fixtureCol("ps.ps_availqty"), R: &expr.Lit{V: data.Null()}}),
+					Keys:   EncodePaths([]data.Path{fixturePath("ps.ps_partkey"), fixturePath("ps.ps_suppkey")}),
+					Blocks: []string{"/spill/f000004/b0.blk", "/spill/f000004/b1.blk"}, Version: "/spill/f000004"},
+				{Name: "b1", Keys: EncodePaths([]data.Path{fixturePath("s.s_suppkey")}),
+					Blocks: []string{"/spill/f000005/b0.blk"}, Version: "/spill/f000005"},
+			},
+		}}
+	case "aggregate":
+		groupBy, err := EncodeExprs([]expr.Expr{fixtureCol("n.n_name"), &expr.Arith{Op: expr.Div, L: fixtureCol("o.o_year"), R: &expr.Lit{V: data.Int(10)}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sel, err := EncodeSelect([]sqlparse.SelectItem{
+			{E: fixtureCol("n.n_name")}, // output name frozen to "n_name"
+			{E: &expr.Arith{Op: expr.Mul, L: fixtureCol("l.l_extendedprice"), R: &expr.Lit{V: data.Int(1)}}, Agg: "sum", As: "amount"},
+			{Agg: "count", Star: true},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		op := &OpSpec{Kind: "aggregate", GroupBy: groupBy, Select: sel, Combine: true}
+		return []*Task{
+			{Job: "agg", Task: "agg-m0", Kind: "map", Op: op, Block: "/spill/f000006/b0.blk",
+				NumReducers: 2, HasReduce: true, RunCombine: true, RetainShuffle: true, ShuffleID: "agg-m0#9", ByteScale: 0.5},
+			{Job: "agg", Task: "agg-r1", Kind: "reduce", Op: op, Partition: 1,
+				Fetches: []ShuffleRef{{URL: "http://127.0.0.1:9002", ID: "agg-m0#9", Part: 1}}},
+		}
+	}
+	t.Fatalf("no fixture for op kind %q", kind)
+	return nil
+}
+
+func TestTaskFrameFixtures(t *testing.T) {
+	for _, kind := range []string{"scan", "repartition", "chain", "aggregate"} {
+		kind := kind
+		t.Run(kind, func(t *testing.T) {
+			path := filepath.Join("testdata", "task_"+kind+".dyt1")
+			frame, err := EncodeTaskBatch(fixtureTasks(t, kind))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer frame.Close()
+			if *updateFixtures {
+				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, frame.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("%v (generate with -update-fixtures)", err)
+			}
+			if !bytes.Equal(frame.Bytes(), want) {
+				t.Errorf("today's encoder writes a different %s frame than the committed fixture:\n  got  %x\n  want %x", kind, frame.Bytes(), want)
+			}
+			tasks, err := DecodeTaskBatch(want)
+			if err != nil {
+				t.Fatalf("committed %s fixture no longer decodes: %v", kind, err)
+			}
+			again, err := EncodeTaskBatch(tasks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer again.Close()
+			if !bytes.Equal(again.Bytes(), want) {
+				t.Errorf("decoded %s fixture re-encodes to a different frame", kind)
+			}
+		})
+	}
+}
