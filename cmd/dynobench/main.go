@@ -10,7 +10,6 @@
 //	dynobench -exp optbench -optbenchout BENCH_optbench.json
 //	dynobench -exp load -load-clients 1,16,256 -load-shards 1,4
 //	dynobench -parbench BENCH_parallel.json
-//	dynobench -batchbench BENCH_batch.json
 //	dynobench -exp fig7 -cpuprofile cpu.prof -memprofile mem.prof
 package main
 
@@ -50,8 +49,6 @@ func run() int {
 		optRepeats = flag.Int("optbench-repeats", 3, "runs per arm for optbench; the best wall time is kept")
 		parbench   = flag.String("parbench", "", "measure serial vs parallel wall-clock time and write a JSON report to this file (skips -exp)")
 		repeats    = flag.Int("parbench-repeats", 3, "runs per mode for -parbench; the best time is kept")
-		hotRepeats = flag.Int("hotpath-repeats", 3, "runs per arm for -batchbench; the best time is kept")
-		batchbench = flag.String("batchbench", "", "measure batch vs compiled fast path vs legacy wall-clock time and write a JSON report to this file (skips -exp)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -90,24 +87,6 @@ func run() int {
 	cfg := experiments.DefaultConfig()
 	cfg.Scale = *scale
 	cfg.Seed = *seed
-
-	if *batchbench != "" {
-		rep, err := experiments.HotpathBench(cfg, *hotRepeats)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dynobench: batchbench: %v\n", err)
-			return 1
-		}
-		if err := writeJSON(*batchbench, rep); err != nil {
-			fmt.Fprintf(os.Stderr, "dynobench: batchbench: %v\n", err)
-			return 1
-		}
-		fmt.Printf("batch bench (GOMAXPROCS=%d) written to %s\n", rep.GOMAXPROCS, *batchbench)
-		for _, e := range rep.Entries {
-			fmt.Printf("  %-18s batch %.3fs  fast %.3fs  legacy %.3fs  fast-vs-legacy %.2fx  batch-vs-fast %.2fx\n",
-				e.Name, e.BatchSec, e.FastSec, e.LegacySec, e.Speedup, e.BatchSpeedup)
-		}
-		return 0
-	}
 
 	if *parbench != "" {
 		if runtime.GOMAXPROCS(0) == 1 {

@@ -1,11 +1,12 @@
 // Package batch implements the columnar batch layer of the execution
-// fast path: per-split column vectors, cached selection vectors for
-// compiled predicates, pre-wrapped row images, and vectorized join-key
-// columns (values, normalized keys, hashes). The layer is a pure
-// host-side accelerator — every batch operator emits exactly the
-// records the per-record path would emit, in the same order, so
-// results, traces, and statistics stay bit-identical (see the
-// differential suites in internal/mapreduce and internal/experiments).
+// engine: per-split column vectors, cached selection vectors for
+// predicates, pre-wrapped row images, and vectorized join-key columns
+// (values, normalized keys, hashes). The layer is a pure host-side
+// accelerator — every columnar kernel built on it (internal/physop)
+// emits exactly the records its per-record kernel would emit, in the
+// same order, so results, traces, and statistics stay bit-identical
+// (see the differential suites in internal/physop and
+// internal/experiments).
 package batch
 
 import "sync"

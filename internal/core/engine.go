@@ -127,8 +127,7 @@ type Engine struct {
 
 	rng       *rand.Rand
 	queries   int
-	pruner    func(data.Value) data.Value
-	pruneLive map[string]map[string]bool // raw live map pruner was built from
+	pruneLive map[string]map[string]bool // projection-pushdown live columns; nil = off
 	ctx       context.Context            // per-call cancellation, set by ExecuteContext
 }
 
@@ -273,12 +272,9 @@ func (e *Engine) ExecuteContext(ctx context.Context, q *sqlparse.Query) (*Result
 
 	res := &Result{}
 	start := e.Env.Now()
+	e.pruneLive = nil
 	if e.Options.ProjectionPushdown {
 		e.pruneLive = rewrite.LiveColumns(q)
-		e.pruner = jaql.NewPruner(e.pruneLive)
-	} else {
-		e.pruner = nil
-		e.pruneLive = nil
 	}
 
 	// Step 3 (Figure 1): pilot runs.
@@ -504,7 +500,6 @@ func (e *Engine) executeWave(block *plan.JoinBlock, graph *jaql.Graph, toRun []*
 		if e.Options.DynamicJoin {
 			opts.SwitchMmax = e.Opt.Mmax
 		}
-		opts.Prune = e.pruner
 		opts.PruneLive = e.pruneLive
 		run, err := jaql.SubmitUnit(e.Env, u, opts)
 		if err != nil {
@@ -749,7 +744,7 @@ func (e *Engine) countJob(u *jaql.Unit, res *Result) {
 // staticExecOpts builds the per-unit options for non-reoptimizing
 // execution.
 func (e *Engine) staticExecOpts() jaql.ExecOpts {
-	opts := jaql.ExecOpts{KMVSize: e.Options.KMVSize, Prune: e.pruner, PruneLive: e.pruneLive}
+	opts := jaql.ExecOpts{KMVSize: e.Options.KMVSize, PruneLive: e.pruneLive}
 	if e.Options.DynamicJoin {
 		opts.SwitchMmax = e.Opt.Mmax
 	}

@@ -10,8 +10,8 @@ import (
 	"dyno/internal/dfs"
 	"dyno/internal/expr"
 	"dyno/internal/mapreduce"
+	"dyno/internal/physop"
 	"dyno/internal/plan"
-	"dyno/internal/runtime/wire"
 	"dyno/internal/stats"
 )
 
@@ -197,93 +197,30 @@ type pilotRun struct {
 func (e *Engine) submitPilot(rel *plan.Rel, queryName string, block *plan.JoinBlock, sample *sampleSpec) (*pilotRun, error) {
 	leaf := rel.Leaf
 	statsPaths := joinColumnsFor(block, leaf.Alias)
-	spec := mapreduce.Spec{
-		Name:   fmt.Sprintf("pilot/%s/%s", queryName, leaf.Alias),
-		Output: fmt.Sprintf("pilot/%s/%s", queryName, leaf.Alias),
-		Inputs: []mapreduce.Input{{
-			File:     rel.File,
-			Map:      pilotMap(leaf, rel.File, !e.Env.DisableFastPath),
-			BatchMap: pilotBatchMap(leaf),
-		}},
+	// A pilot job is a plain scan of the leaf expression lexp_R — the
+	// very operator the query's own scan of the leaf compiles to, which
+	// is what makes a fully consumed pilot's output reusable (§4.1).
+	op := &physop.OpSpec{Kind: physop.Scan, Source: &physop.Source{Wrap: leaf.Alias, Filter: leaf.Pred}}
+	spec, err := op.Bind(mapreduce.Spec{
+		Name:                 fmt.Sprintf("pilot/%s/%s", queryName, leaf.Alias),
+		Output:               fmt.Sprintf("pilot/%s/%s", queryName, leaf.Alias),
 		CollectStats:         statsPaths,
 		KMVSize:              e.Options.KMVSize,
 		StopAfter:            e.Options.K,
 		FinishIfFractionDone: e.Options.FinishFraction,
+	}, rel.File)
+	if err != nil {
+		return nil, err
 	}
 	if sample != nil {
 		spec.Inputs[0].Splits = sample.initial
 		spec.MoreSplits = [][]int{sample.reserve}
-	}
-	if e.Env.Exec != nil {
-		// Proc backend: a pilot job is a plain scan of the leaf
-		// expression (uncompiled; compilation only changes speed).
-		filter, err := wire.EncodeExpr(leaf.Pred)
-		if err != nil {
-			return nil, fmt.Errorf("core: pilot %s: %w", leaf.Alias, err)
-		}
-		spec.RemoteOp = &wire.OpSpec{Kind: "scan", Source: &wire.SourceSpec{Wrap: leaf.Alias, Filter: filter}}
 	}
 	job, sub, err := mapreduce.Submit(e.Env, spec)
 	if err != nil {
 		return nil, err
 	}
 	return &pilotRun{rel: rel, job: job, sub: sub}, nil
-}
-
-// pilotMap wraps and filters base records: the leaf expression lexp_R.
-// With the fast path on, the predicate is compiled once per job; when
-// all its columns are rooted at the leaf alias it is additionally
-// alias-stripped and evaluated on the raw record first, so filtered-out
-// records never allocate the alias-wrap object (emitted rows are
-// identical either way — see expr.StripAlias).
-func pilotMap(leaf *plan.Leaf, f *dfs.File, fast bool) mapreduce.MapFunc {
-	alias := leaf.Alias
-	pred := leaf.Pred
-	if fast && pred != nil {
-		if stripped, ok := expr.StripAlias(pred, alias); ok {
-			if rec, okr := f.FirstRecord(); okr {
-				stripped = expr.Compile(stripped, rec)
-			}
-			return func(mc *mapreduce.MapCtx, rec data.Value) {
-				if !stripped.Eval(mc.ExprCtx(), rec).Truthy() {
-					return
-				}
-				mc.Emit(data.ObjectFromSorted([]data.Field{{Name: alias, Value: rec}}))
-			}
-		}
-		if rec, okr := f.FirstRecord(); okr {
-			pred = expr.Compile(pred, data.Object(data.Field{Name: alias, Value: rec}))
-		}
-	}
-	return func(mc *mapreduce.MapCtx, rec data.Value) {
-		row := data.ObjectFromSorted([]data.Field{{Name: alias, Value: rec}})
-		if pred != nil && !pred.Eval(mc.ExprCtx(), row).Truthy() {
-			return
-		}
-		mc.Emit(row)
-	}
-}
-
-// pilotBatchMap builds the columnar batch arm of the pilot scan: the
-// alias-stripped leaf predicate evaluated column-wise over the split,
-// survivors emitted from the split's cached wrapped-row slab. Pilots
-// and the final execution scan the same immutable base splits, so the
-// extraction is paid once and shared. Returns nil (no batch arm) when
-// the predicate mentions columns outside the leaf alias or is not
-// batch-evaluable; the per-record pilotMap then runs as before. Early
-// termination (StopAfter) is unaffected — it cancels whole queued
-// tasks, and batch handling still processes exactly one split per
-// task.
-func pilotBatchMap(leaf *plan.Leaf) mapreduce.BatchFunc {
-	pred := leaf.Pred
-	if pred != nil {
-		stripped, ok := expr.StripAlias(pred, leaf.Alias)
-		if !ok {
-			return nil
-		}
-		pred = stripped
-	}
-	return mapreduce.ScanBatch(leaf.Alias, pred)
 }
 
 // finish extracts extrapolated statistics from a completed pilot run.

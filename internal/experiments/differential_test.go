@@ -12,17 +12,17 @@ import (
 	"dyno/internal/tpch"
 )
 
-// TestFastPathDifferentialWorkload runs the full TPC-H query set
-// through the DYNOPT engine three ways — columnar batch arm (the
-// default), compiled fast path with batching disabled, and the legacy
-// per-record path — and asserts all arms are indistinguishable: same
-// result rows bit for bit, same virtual-time trace, same job counts,
-// same plan evolution. The batch arm is additionally checked against
-// the naive relational-algebra oracle so "identical" can never mean
-// "identically wrong". CI runs this under -race, which also guards the
-// batch layer's shared per-split caches and the fast path's pooled
-// buffers against cross-task sharing bugs.
-func TestFastPathDifferentialWorkload(t *testing.T) {
+// TestBatchDifferentialWorkload runs the full TPC-H query set through
+// the DYNOPT engine both ways — columnar kernels offered every split
+// (the default), and the per-record kernels alone (DisableBatch) — and
+// asserts the arms are indistinguishable: same result rows bit for
+// bit, same virtual-time trace, same job counts, same plan evolution.
+// The default arm is additionally checked against the naive
+// relational-algebra oracle so "identical" can never mean "identically
+// wrong". CI runs this under -race, which also guards the batch
+// layer's shared per-split caches and the shuffle's pooled buffers
+// against cross-task sharing bugs.
+func TestBatchDifferentialWorkload(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full differential workload is slow")
 	}
@@ -35,29 +35,22 @@ func TestFastPathDifferentialWorkload(t *testing.T) {
 		query := query
 		t.Run(query, func(t *testing.T) {
 			batchCfg := testConfig()
-			fastCfg := batchCfg
-			fastCfg.DisableBatch = true
-			legacyCfg := batchCfg
-			legacyCfg.DisableFastPath = true
+			rowCfg := batchCfg
+			rowCfg.DisableBatch = true
 
 			for _, a := range arms {
 				batchRes, err := runVariant(baselines.VariantDynOpt, 100, batchCfg, query, false, a.tweak)
 				if err != nil {
 					t.Fatalf("%s batch: %v", a.name, err)
 				}
-				fast, err := runVariant(baselines.VariantDynOpt, 100, fastCfg, query, false, a.tweak)
+				row, err := runVariant(baselines.VariantDynOpt, 100, rowCfg, query, false, a.tweak)
 				if err != nil {
-					t.Fatalf("%s fast: %v", a.name, err)
+					t.Fatalf("%s per-record: %v", a.name, err)
 				}
-				legacy, err := runVariant(baselines.VariantDynOpt, 100, legacyCfg, query, false, a.tweak)
-				if err != nil {
-					t.Fatalf("%s legacy: %v", a.name, err)
-				}
-				assertSameResult(t, batchRes.res, fast.res)
-				assertSameResult(t, batchRes.res, legacy.res)
+				assertSameResult(t, batchRes.res, row.res)
 
-				// Oracle check on the batch arm (the other arms are
-				// transitively covered by the bit-identical assertions).
+				// Oracle check on the batch arm (the other arm is
+				// transitively covered by the bit-identical assertion).
 				l, err := getLab(100, batchCfg)
 				if err != nil {
 					t.Fatal(err)
@@ -84,11 +77,11 @@ func TestFastPathDifferentialWorkload(t *testing.T) {
 	}
 }
 
-// TestFastPathDifferentialPilotMT repeats the differential check under
+// TestBatchDifferentialPilotMT repeats the differential check under
 // the PILR_MT pilot mode with the UNC-2 re-optimization strategy — the
 // configuration with the most concurrent jobs in flight, and therefore
 // the most pooled-buffer traffic.
-func TestFastPathDifferentialPilotMT(t *testing.T) {
+func TestBatchDifferentialPilotMT(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
@@ -97,25 +90,18 @@ func TestFastPathDifferentialPilotMT(t *testing.T) {
 		o.Strategy = core.Uncertain{N: 2}
 	}
 	batchCfg := testConfig()
-	fastCfg := batchCfg
-	fastCfg.DisableBatch = true
-	legacyCfg := batchCfg
-	legacyCfg.DisableFastPath = true
+	rowCfg := batchCfg
+	rowCfg.DisableBatch = true
 	for _, query := range []string{"Q8p", "Q10"} {
 		batchRes, err := runVariant(baselines.VariantDynOpt, 100, batchCfg, query, false, tweak)
 		if err != nil {
 			t.Fatalf("%s batch: %v", query, err)
 		}
-		fast, err := runVariant(baselines.VariantDynOpt, 100, fastCfg, query, false, tweak)
+		row, err := runVariant(baselines.VariantDynOpt, 100, rowCfg, query, false, tweak)
 		if err != nil {
-			t.Fatalf("%s fast: %v", query, err)
+			t.Fatalf("%s per-record: %v", query, err)
 		}
-		legacy, err := runVariant(baselines.VariantDynOpt, 100, legacyCfg, query, false, tweak)
-		if err != nil {
-			t.Fatalf("%s legacy: %v", query, err)
-		}
-		assertSameResult(t, batchRes.res, fast.res)
-		assertSameResult(t, batchRes.res, legacy.res)
+		assertSameResult(t, batchRes.res, row.res)
 	}
 }
 

@@ -38,16 +38,9 @@ type Config struct {
 	// serial legacy executor, positive values are passed through.
 	// Virtual-time results are identical either way.
 	Parallelism int
-	// DisableFastPath forces the legacy per-record execution path
-	// (interpreted column lookups, Compare-based shuffle sorting,
-	// unpooled buffers — see mapreduce.Env.DisableFastPath). Results
-	// are bit-identical either way; used by differential tests and the
-	// hotpath benchmark's baseline arm.
-	DisableFastPath bool
-	// DisableBatch turns off the columnar batch arm while keeping the
-	// rest of the fast path on (see mapreduce.Env.DisableBatch).
-	// Results are bit-identical either way; used by differential tests
-	// and the batch benchmark's middle arm.
+	// DisableBatch makes every map task run the per-record kernels
+	// (see mapreduce.Env.DisableBatch). Results are bit-identical
+	// either way; the differential tests use it as their reference arm.
 	DisableBatch bool
 
 	// Fault-injection knobs for the faults experiment, passed through
@@ -151,7 +144,6 @@ func (l *lab) newEnv(hiveProfile bool, cfg Config) *mapreduce.Env {
 		Reg:   reg,
 	}
 	env.DistributedCache = hiveProfile
-	env.DisableFastPath = cfg.DisableFastPath
 	env.DisableBatch = cfg.DisableBatch
 	return env
 }

@@ -26,10 +26,12 @@ import (
 // The golden files under testdata/golden freeze the differential
 // contract: for every case, the result rows, the job counters, the
 // plan evolution and the virtual timeline, floats written bit-exactly.
-// Every execution arm — the sim runtime's batch arm, its per-record
-// arm (DisableBatch), its legacy arm (DisableFastPath) and the proc
-// runtime over two workers — must reproduce the same file, so an arm
-// can be deleted without the contract going with it.
+// Every execution arm — the sim runtime's columnar arm, its per-record
+// arm (DisableBatch) and the proc runtime over two workers — must
+// reproduce the same file. The files were generated while the legacy
+// arm (uncompiled lookups, Compare-sorted shuffle, unpooled buffers)
+// and the workers' own row interpreter still existed and agreed with
+// them; they are what lets the contract outlive those arms.
 //
 // Regenerate with: go test ./internal/experiments -run TestGolden -update
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden from the sim runtime's batch arm")
@@ -154,7 +156,11 @@ func goldenArms(t *testing.T) []goldenArm {
 		reg := expr.NewRegistry()
 		tpch.RegisterUDFs(reg, cfg.UDF)
 		env := rt.NewEnv(reg)
-		env.Sim = cluster.New(cfg.clusterConfig())
+		// A wide executor pool overlaps the task round trips; the
+		// virtual timeline does not depend on it.
+		ccfg := cfg.clusterConfig()
+		ccfg.Parallelism = 16
+		env.Sim = cluster.New(ccfg)
 		env.Coord = coord.NewService()
 		return env, procCat
 	}}
@@ -162,7 +168,6 @@ func goldenArms(t *testing.T) []goldenArm {
 	return []goldenArm{
 		simArm("batch", func(*Config) {}),
 		simArm("nobatch", func(c *Config) { c.DisableBatch = true }),
-		simArm("legacy", func(c *Config) { c.DisableFastPath = true }),
 		proc,
 	}
 }

@@ -6,9 +6,9 @@ import (
 	"dyno/internal/data"
 	"dyno/internal/expr"
 	"dyno/internal/mapreduce"
+	"dyno/internal/physop"
 	"dyno/internal/plan"
 	"dyno/internal/rowops"
-	"dyno/internal/runtime/wire"
 	"dyno/internal/sqlparse"
 )
 
@@ -36,8 +36,8 @@ func FinishQuery(env *mapreduce.Env, q *sqlparse.Query, final *plan.Rel, outPath
 		res.AggregateJob = true
 	} else {
 		sel := q.Select
-		if !env.DisableFastPath && len(rows) > 0 {
-			sel = compileSelect(q.Select, rows[0])
+		if len(rows) > 0 {
+			sel = physop.CompileSelect(q.Select, rows[0])
 		}
 		projected := make([]data.Value, 0, len(rows))
 		ectx := &expr.Ctx{Reg: env.Reg}
@@ -65,89 +65,16 @@ func runAggregateJob(env *mapreduce.Env, q *sqlparse.Query, final *plan.Rel, out
 	if outPath == "" {
 		outPath = "tmp/aggregate"
 	}
-	// Compile the grouping and select expressions once per job against
-	// the input's first record; reducers see the same record layout the
-	// map phase reads.
-	groupBy := q.GroupBy
-	sel := q.Select
-	if !env.DisableFastPath {
-		if sample, ok := firstRecord(final.File); ok {
-			groupBy = compileExprs(q.GroupBy, sample)
-			sel = compileSelect(q.Select, sample)
-		}
-	}
-	spec := mapreduce.Spec{
-		Name:   outPath,
-		Output: outPath,
-		Inputs: []mapreduce.Input{{File: final.File, Map: func(mc *mapreduce.MapCtx, rec data.Value) {
-			mc.EmitKV(rowops.GroupKey(mc.ExprCtx(), groupBy, rec), "", rec)
-		}}},
-	}
-	if err := attachRemoteOp(env, &spec, func() (*wire.OpSpec, error) {
-		return aggregateOp(q, env.UseCombiner)
-	}); err != nil {
+	op := &physop.OpSpec{Kind: physop.Aggregate, GroupBy: q.GroupBy, Select: q.Select, Combine: env.UseCombiner}
+	spec, err := op.Bind(mapreduce.Spec{Name: outPath, Output: outPath}, final.File)
+	if err != nil {
 		return nil, err
-	}
-	if env.UseCombiner {
-		// Map-side partial aggregation: the combiner folds each map
-		// task's rows per group into one mergeable partial, and the
-		// reducer merges partials.
-		spec.Combine = func(rc *mapreduce.ReduceCtx, key data.Value, group []mapreduce.Tagged) {
-			rows := make([]data.Value, len(group))
-			for i, g := range group {
-				rows[i] = g.Rec
-			}
-			rc.Emit(rowops.PartialAggregate(rc.ExprCtx(), sel, rows))
-		}
-		spec.Reduce = func(rc *mapreduce.ReduceCtx, key data.Value, group []mapreduce.Tagged) {
-			partials := make([]data.Value, len(group))
-			for i, g := range group {
-				partials[i] = g.Rec
-			}
-			rc.Emit(rowops.MergeAggregates(sel, partials))
-		}
-	} else {
-		spec.Reduce = func(rc *mapreduce.ReduceCtx, key data.Value, group []mapreduce.Tagged) {
-			rows := make([]data.Value, len(group))
-			for i, g := range group {
-				rows[i] = g.Rec
-			}
-			rc.Emit(rowops.AggregateGroup(rc.ExprCtx(), sel, rows))
-		}
 	}
 	result, err := mapreduce.Run(env, spec)
 	if err != nil {
 		return nil, err
 	}
 	return result.Output.AllRecords(), nil
-}
-
-// compileSelect returns a copy of the select list with each item's
-// expression compiled against a sample row (schema-resolved column
-// access; see expr.Compile). Output names and semantics are unchanged.
-func compileSelect(items []sqlparse.SelectItem, sample data.Value) []sqlparse.SelectItem {
-	out := make([]sqlparse.SelectItem, len(items))
-	for i, it := range items {
-		if it.E != nil {
-			// Name() derives the output column from the *expr.Col type,
-			// which the compiled wrapper hides; freeze the name first.
-			if it.As == "" && !it.Star {
-				it.As = it.Name()
-			}
-			it.E = expr.Compile(it.E, sample)
-		}
-		out[i] = it
-	}
-	return out
-}
-
-// compileExprs compiles a list of expressions against a sample row.
-func compileExprs(es []expr.Expr, sample data.Value) []expr.Expr {
-	out := make([]expr.Expr, len(es))
-	for i, e := range es {
-		out[i] = expr.Compile(e, sample)
-	}
-	return out
 }
 
 // FormatRows renders result rows for display.

@@ -79,20 +79,6 @@ func TestFinishQueryAggregateDefaultOutPath(t *testing.T) {
 	}
 }
 
-func TestReducersForBounds(t *testing.T) {
-	env := testEnv() // 4 reduce slots → cap 8
-	if got := reducersFor(env, 0); got != 1 {
-		t.Errorf("zero shuffle reducers = %d", got)
-	}
-	env.BytesPerReducer = 100
-	if got := reducersFor(env, 350); got != 3 {
-		t.Errorf("350B/100B = %d, want 3", got)
-	}
-	if got := reducersFor(env, 1e9); got != env.Sim.Config().ReduceSlots()*2 {
-		t.Errorf("huge shuffle should cap at 2x slots: %d", got)
-	}
-}
-
 func TestUnitKindString(t *testing.T) {
 	if UnitScan.String() != "scan" || UnitRepartition.String() != "repartition" ||
 		UnitBroadcastChain.String() != "broadcast-chain" {

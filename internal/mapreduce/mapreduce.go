@@ -74,7 +74,7 @@ type Env struct {
 	// Exec, when non-nil, delegates the per-record work of every map
 	// and reduce task to an external executor (the multi-process
 	// runtime backend). Jobs submitted to such an environment must
-	// carry a serialized operator in Spec.RemoteOp; there is no silent
+	// carry their operator in Spec.RemoteOp; there is no silent
 	// in-process fallback. The simulator keeps driving scheduling and
 	// accounting either way, so results and virtual traces match the
 	// in-process path exactly.
@@ -90,13 +90,6 @@ type Env struct {
 	// grouping job the compiler schedules after the join block. Off by
 	// default to keep the evaluation's published numbers stable.
 	UseCombiner bool
-	// DisableFastPath turns off the compiled shuffle fast path
-	// (normalized sort/group keys, pooled shuffle buffers, the
-	// normalized-key hash-table index — see fastpath.go), forcing the
-	// legacy Compare/Hash64-based implementations everywhere. Results,
-	// traces, and statistics are bit-identical either way; the switch
-	// exists for differential testing and as an escape hatch.
-	DisableFastPath bool
 	// OnCreateFile, when non-nil, is invoked with the name of every
 	// output file a job in this environment creates. A query service
 	// installs a per-session callback to track the session's scratch
@@ -105,14 +98,13 @@ type Env struct {
 	// a shared simulator, so the callback must be safe for concurrent
 	// use and must not block.
 	OnCreateFile func(name string)
-	// DisableBatch turns off the columnar batch arm layered on top of
-	// the fast path (per-split column vectors, cached selection vectors,
-	// vectorized shuffle/probe keys — see batchexec.go and
-	// internal/batch), forcing record-at-a-time map functions while
-	// keeping the rest of the fast path on. Mirrors DisableFastPath:
-	// results, traces, and statistics are bit-identical either way.
-	// Disabling the fast path disables the batch arm too — batching is
-	// built on the fast path's compiled substrate.
+	// DisableBatch makes every map task take the per-record kernel
+	// instead of offering its split to the columnar one (per-split
+	// column vectors, cached selection vectors, vectorized shuffle and
+	// probe keys — see internal/batch). The per-record kernel exists
+	// regardless: it runs whenever a columnar kernel declines a split.
+	// Results, traces, and statistics are bit-identical either way; the
+	// differential tests use this arm as their reference.
 	DisableBatch bool
 }
 
@@ -169,105 +161,17 @@ func (e *Env) RunUntil(pred func() bool) error {
 	return e.Sim.Run()
 }
 
-// MapCtx is handed to map functions for emitting output.
-type MapCtx struct {
-	job    *Job
-	task   *mapTaskState
-	ectx   *expr.Ctx
-	builds map[string]*HashTable
-	fast   bool   // normalize shuffle keys at emit time
-	nkBuf  []byte // scratch for key normalization, reused across emits
-}
-
-// ExprCtx returns the expression evaluation context (UDF registry plus
-// accumulated CPU cost).
-func (mc *MapCtx) ExprCtx() *expr.Ctx { return mc.ectx }
-
-// Build returns the broadcast hash table registered under the given
-// name, or nil.
-func (mc *MapCtx) Build(name string) *HashTable { return mc.builds[name] }
-
-// Emit writes a record to the job's (map-only) output.
-func (mc *MapCtx) Emit(rec data.Value) {
-	mc.task.outRows = append(mc.task.outRows, rec)
-}
-
-// EmitKV routes a record through the shuffle, keyed for the reduce
-// phase. Partition assignment is data.Hash64(key) % numReducers in both
-// fast and legacy modes — it decides which reduce task (and therefore
-// which output position) a record lands in, so it must never vary with
-// the fast-path switch. The fast path additionally normalizes the key
-// once here so downstream sorting and grouping compare strings instead
-// of walking the key tree per comparison.
-func (mc *MapCtx) EmitKV(key data.Value, tag string, rec data.Value) {
-	p := int(data.Hash64(key) % uint64(mc.job.numReducers))
-	kv := kvPair{key: key, tag: tag, rec: rec}
-	if mc.fast {
-		if b, ok := data.AppendNormKey(mc.nkBuf[:0], key); ok {
-			kv.nk = string(b)
-			mc.nkBuf = b
-		} else {
-			mc.nkBuf = b[:0]
-		}
-	}
-	mc.task.buckets[p] = append(mc.task.buckets[p], kv)
-}
-
-// emitPair is EmitKV with the key's partition hash and normalized
-// encoding already computed — the batch arm evaluates keys column-wise
-// once per split and routes rows through here, skipping the per-record
-// Hash64 and AppendNormKey work. nk must be the key's normalized
-// encoding ("" when unencodable or the fast path is off) and hash its
-// data.Hash64, so the pair is indistinguishable from one built by
-// EmitKV.
-func (mc *MapCtx) emitPair(key data.Value, nk string, tag string, rec data.Value, hash uint64) {
-	p := int(hash % uint64(mc.job.numReducers))
-	kv := kvPair{key: key, tag: tag, rec: rec}
-	if mc.fast {
-		kv.nk = nk
-	}
-	mc.task.buckets[p] = append(mc.task.buckets[p], kv)
-}
-
-// MapFunc processes one input record.
-type MapFunc func(mc *MapCtx, rec data.Value)
-
-// ReduceCtx is handed to reduce functions for emitting output.
-type ReduceCtx struct {
-	task *reduceTaskState
-	ectx *expr.Ctx
-}
-
-// ExprCtx returns the expression evaluation context.
-func (rc *ReduceCtx) ExprCtx() *expr.Ctx { return rc.ectx }
-
-// Emit writes a record to the job's output.
-func (rc *ReduceCtx) Emit(rec data.Value) {
-	rc.task.outRows = append(rc.task.outRows, rec)
-}
-
-// Tagged is one shuffled record with its input tag (repartition joins
-// tag records with the side they came from).
-type Tagged struct {
-	Tag string
-	Rec data.Value
-}
-
-// ReduceFunc processes all records sharing a key.
-type ReduceFunc func(rc *ReduceCtx, key data.Value, group []Tagged)
-
 // Input is one mapped input of a job.
 type Input struct {
 	File *dfs.File
 	// Splits selects block indexes to process; nil means all.
 	Splits []int
 	Map    MapFunc
-	// BatchMap, when set and the batch arm is on, is offered each split
-	// before the per-record loop. If it returns true it has fully
+	// BatchMap, when set and Env.DisableBatch is off, is offered each
+	// split before the per-record loop. If it returns true it has fully
 	// processed the split (emitting exactly what Map would have emitted,
-	// in the same order); if it returns false — an unsupported predicate,
-	// a demoted hash table — the per-record Map runs instead. See
-	// BatchFunc in batchexec.go for the contract.
+	// in the same order); if it returns false the per-record Map runs
+	// instead. See BatchFunc for the contract.
 	BatchMap BatchFunc
 }
 
@@ -292,47 +196,50 @@ type Broadcast struct {
 	Filter   expr.Expr   // optional predicate applied during the build
 }
 
-// HashTable is an in-memory build side indexed by join key. The fast
-// path keys buckets by the normalized key encoding (exact equality, no
-// collision re-checks on probe); the legacy path, and any build side
-// containing an unencodable key, keys them by data.Hash64 with
-// per-candidate equality checks. Both return identical probe results:
-// the rows whose key equals the probe key, in build scan order.
+// HashTable is an in-memory build side indexed by join key. Buckets are
+// keyed by the normalized key encoding (exact equality, no collision
+// re-checks on probe); a build side containing an unencodable key is
+// demoted to data.Hash64 buckets with per-candidate equality checks.
+// Both return identical probe results: the rows whose key equals the
+// probe key, in build scan order.
 type HashTable struct {
-	nkBuckets  map[string][]data.Value // fast: normalized key -> rows (scan order)
-	scanRows   []data.Value            // fast: all rows in scan order, for unencodable probes
-	buckets    map[uint64][]data.Value // legacy: key hash -> candidate rows
+	nkBuckets  map[string][]data.Value // normalized key -> rows (scan order)
+	scanRows   []data.Value            // all rows in scan order, for unencodable probes
+	buckets    map[uint64][]data.Value // demoted: key hash -> candidate rows
 	keyPaths   []data.Path
-	keyAccs    []*data.Accessor
 	rows       int
 	builtBytes int64   // virtual size of the retained (filtered) rows
-	prepBytes  int64   // one-time scan volume to produce the build
-	prepCPU    float64 // one-time UDF cost to produce the build
+	prepCPU    float64 // one-time UDF cost to produce the (filtered) build
 }
 
-// buildHashTable indexes a broadcast side, wrapping and filtering as
-// declared.
-func buildHashTable(env *Env, b Broadcast) (*HashTable, error) {
-	ht := &HashTable{keyPaths: b.KeyPaths}
-	ectx := &expr.Ctx{Reg: env.Reg}
-	fast := !env.DisableFastPath
+// BuildHashTable indexes a broadcast side from its blocks' records,
+// wrapping and filtering as declared (b.File is not read — a worker
+// passes decoded mirror blocks). vsize, when non-nil, prices each
+// retained row for the controller's memory check and load charge.
+func BuildHashTable(reg *expr.Registry, b Broadcast, blocks [][]data.Value, vsize func(data.Value) int64) (*HashTable, error) {
+	ht := &HashTable{keyPaths: b.KeyPaths, nkBuckets: make(map[string][]data.Value)}
+	ectx := &expr.Ctx{Reg: reg}
 	filter := b.Filter
 	// When every filter column is rooted at the wrap alias, evaluate the
 	// filter on the raw record before wrapping (identical semantics, see
 	// expr.StripAlias) so dropped records never allocate the wrap object.
 	var stripped expr.Expr
-	if fast && filter != nil && b.Wrap != "" {
+	if filter != nil && b.Wrap != "" {
 		if s, ok := expr.StripAlias(filter, b.Wrap); ok {
-			if rec, okr := b.File.FirstRecord(); okr {
-				s = expr.Compile(s, rec)
+			for _, recs := range blocks {
+				if len(recs) > 0 {
+					s = expr.Compile(s, recs[0])
+					break
+				}
 			}
 			stripped = s
 			filter = nil
 		}
 	}
 	var nkBuf []byte
-	for _, blk := range b.File.Blocks() {
-		for _, rec := range blk.Records() {
+	var keyAccs []*data.Accessor
+	for _, recs := range blocks {
+		for _, rec := range recs {
 			if stripped != nil && !stripped.Eval(ectx, rec).Truthy() {
 				continue
 			}
@@ -340,11 +247,11 @@ func buildHashTable(env *Env, b Broadcast) (*HashTable, error) {
 			if b.Wrap != "" {
 				row = data.ObjectFromSorted([]data.Field{{Name: b.Wrap, Value: rec}})
 			}
-			if fast && ht.keyAccs == nil {
+			if keyAccs == nil {
 				// Compile key paths (and the build filter) against the
 				// first row; accessors verify positions per record, so
 				// heterogeneous rows still resolve correctly.
-				ht.keyAccs = data.CompileAccessors(b.KeyPaths, row)
+				keyAccs = data.CompileAccessors(b.KeyPaths, row)
 				if filter != nil {
 					filter = expr.Compile(filter, row)
 				}
@@ -353,27 +260,22 @@ func buildHashTable(env *Env, b Broadcast) (*HashTable, error) {
 				continue
 			}
 			ht.rows++
-			ht.builtBytes += env.VirtualSize(row)
-			if fast && ht.nkBuckets == nil && ht.buckets == nil {
-				ht.nkBuckets = make(map[string][]data.Value)
+			if vsize != nil {
+				ht.builtBytes += vsize(row)
 			}
+			k := CompositeKeyCompiled(row, keyAccs)
 			if ht.nkBuckets != nil {
-				k := ht.compositeKeyFast(row)
-				b, ok := data.AppendNormKey(nkBuf[:0], k)
-				nkBuf = b
+				nk, ok := data.AppendNormKey(nkBuf[:0], k)
+				nkBuf = nk
 				if ok {
-					ht.nkBuckets[string(b)] = append(ht.nkBuckets[string(b)], row)
+					ht.nkBuckets[string(nk)] = append(ht.nkBuckets[string(nk)], row)
 					ht.scanRows = append(ht.scanRows, row)
 					continue
 				}
 				// Unencodable build key: demote the whole table to the
-				// legacy hash index so probe semantics stay uniform.
+				// hash index so probe semantics stay uniform.
 				ht.demote()
 			}
-			if ht.buckets == nil {
-				ht.buckets = make(map[uint64][]data.Value)
-			}
-			k := CompositeKey(row, b.KeyPaths)
 			h := data.Hash64(k)
 			ht.buckets[h] = append(ht.buckets[h], row)
 		}
@@ -381,29 +283,20 @@ func buildHashTable(env *Env, b Broadcast) (*HashTable, error) {
 	if ectx.Err != nil {
 		return nil, ectx.Err
 	}
-	if b.Filter != nil {
-		ht.prepBytes = b.File.Size()
-		ht.prepCPU = ectx.CPUSeconds
-	}
+	ht.prepCPU = ectx.CPUSeconds
 	return ht, nil
 }
 
-// demote converts a partially built fast index into the legacy hash
+// demote converts a partially built normalized-key index into the hash
 // index, preserving scan order within each hash bucket.
 func (h *HashTable) demote() {
 	h.buckets = make(map[uint64][]data.Value)
 	for _, row := range h.scanRows {
-		k := CompositeKey(row, h.keyPaths)
-		hh := data.Hash64(k)
+		hh := data.Hash64(CompositeKey(row, h.keyPaths))
 		h.buckets[hh] = append(h.buckets[hh], row)
 	}
 	h.nkBuckets = nil
 	h.scanRows = nil
-}
-
-// compositeKeyFast is CompositeKey through the compiled key accessors.
-func (h *HashTable) compositeKeyFast(row data.Value) data.Value {
-	return CompositeKeyCompiled(row, h.keyAccs)
 }
 
 // Probe returns the build rows whose key equals k, in build scan order.
@@ -417,7 +310,7 @@ func (h *HashTable) Probe(k data.Value) []data.Value {
 			return h.nkBuckets[string(nk)]
 		}
 		// Unencodable probe key (never produced by TPC-H): exhaustive
-		// scan in build order, matching legacy probe results exactly.
+		// scan in build order, matching the hash index's results exactly.
 		var out []data.Value
 		for _, r := range h.scanRows {
 			if data.Equal(CompositeKey(r, h.keyPaths), k) {
@@ -447,8 +340,8 @@ func (h *HashTable) Probe(k data.Value) []data.Value {
 }
 
 // FastIndexed reports whether the table is indexed by normalized key,
-// i.e. ProbeNK answers probes for encodable keys. False for legacy
-// builds and tables demoted by an unencodable build key.
+// i.e. ProbeNK answers probes for encodable keys. False for tables
+// demoted by an unencodable build key.
 func (h *HashTable) FastIndexed() bool { return h.nkBuckets != nil }
 
 // ProbeNK returns the build rows whose key normalizes to nk, in build
@@ -523,19 +416,11 @@ type Spec struct {
 	// disables.
 	FinishIfFractionDone float64
 
-	// RemoteOp is the serialized operator (*wire.OpSpec) a task
-	// executor interprets in place of the Go closures above. Required
-	// when the environment has Env.Exec set; ignored otherwise. The
-	// closures stay authoritative for the in-process path and must
-	// describe the identical transformation.
+	// RemoteOp is the operator description (*physop.OpSpec) the kernels
+	// above were compiled from; a task executor ships it to workers,
+	// which compile the same kernels from it. Required when the
+	// environment has Env.Exec set; ignored otherwise.
 	RemoteOp any
-}
-
-type kvPair struct {
-	key data.Value
-	nk  string // normalized key (fast path); "" when disabled or unencodable
-	tag string
-	rec data.Value
 }
 
 type mapTaskState struct {
@@ -543,10 +428,10 @@ type mapTaskState struct {
 	splitIdx int
 	seq      int // submission order, for deterministic output assembly
 	outRows  []data.Value
-	buckets  [][]kvPair
-	// shuffle, when non-nil, is the executor's handle to this task's
-	// output retained away from the controller; shuffleParts carries
-	// the per-partition digests that stand in for buckets.
+	buckets  [][]Pair
+	// shuffleParts digests the task's shuffle output per partition —
+	// computed from buckets in-process, reported by the executor when
+	// the output stays on a worker (shuffle is then its handle).
 	shuffle      any
 	shuffleParts []ShufflePart
 	collector    *stats.Collector
@@ -619,7 +504,11 @@ func NewJob(env *Env, spec Spec) (*Job, error) {
 	j := &Job{env: env, spec: spec, counterName: "job/" + spec.Name + "/out"}
 	j.numReducers = spec.NumReducers
 	if j.numReducers <= 0 {
-		j.numReducers = j.defaultReducers()
+		var in int64
+		for _, input := range spec.Inputs {
+			in += input.File.Size()
+		}
+		j.numReducers = ReducersFor(env, float64(in))
 	}
 	if len(spec.MoreSplits) > 0 {
 		j.reserve = make([][]int, len(spec.MoreSplits))
@@ -630,20 +519,20 @@ func NewJob(env *Env, spec Spec) (*Job, error) {
 	return j, nil
 }
 
-func (j *Job) defaultReducers() int {
-	per := j.env.BytesPerReducer
+// ReducersFor converts a shuffle volume (estimated, or the job's raw
+// input bytes when nothing better is known) to a reduce-task count in
+// the spirit of Hive's bytes-per-reducer rule, bounded by twice the
+// cluster's reduce slots.
+func ReducersFor(env *Env, shuffleBytes float64) int {
+	per := float64(env.BytesPerReducer)
 	if per <= 0 {
 		per = DefaultBytesPerReducer
 	}
-	var in int64
-	for _, input := range j.spec.Inputs {
-		in += input.File.Size()
-	}
-	n := int(in / per)
+	n := int(shuffleBytes / per)
 	if n < 1 {
 		n = 1
 	}
-	if max := j.env.ClusterConfig().ReduceSlots() * 2; n > max && max > 0 {
+	if max := env.ClusterConfig().ReduceSlots() * 2; n > max && max > 0 {
 		n = max
 	}
 	return n
@@ -661,7 +550,11 @@ func (j *Job) Start(sub *cluster.Submission) []*cluster.Task {
 	// the one-time filtered-build preparation on the first task.
 	j.builds = make(map[string]*HashTable, len(j.spec.Broadcasts))
 	for _, b := range j.spec.Broadcasts {
-		ht, err := buildHashTable(j.env, b)
+		blocks := make([][]data.Value, 0, b.File.NumBlocks())
+		for _, blk := range b.File.Blocks() {
+			blocks = append(blocks, blk.Records())
+		}
+		ht, err := BuildHashTable(j.env.Reg, b, blocks, j.env.VirtualSize)
 		if err != nil {
 			j.buildErr = err
 			break
@@ -671,13 +564,13 @@ func (j *Job) Start(sub *cluster.Submission) []*cluster.Task {
 		// Producing a filtered build is a parallel map-only stage of
 		// its own: one extra job startup plus a cluster-wide scan of
 		// the unfiltered input.
-		if ht.prepBytes > 0 {
+		if prepBytes := b.File.Size(); b.Filter != nil && prepBytes > 0 {
 			slots := float64(j.env.ClusterConfig().MapSlots())
 			if slots < 1 {
 				slots = 1
 			}
 			j.prepLatency += j.env.ClusterConfig().JobStartup +
-				float64(ht.prepBytes)/(scanBps(j.env)*slots) + ht.prepCPU/slots
+				float64(prepBytes)/(scanBps(j.env)*slots) + ht.prepCPU/slots
 		}
 	}
 	var tasks []*cluster.Task
@@ -712,9 +605,6 @@ func (j *Job) Start(sub *cluster.Submission) []*cluster.Task {
 func (j *Job) newMapTask(inputIdx, splitIdx int) *cluster.Task {
 	st := &mapTaskState{inputIdx: inputIdx, splitIdx: splitIdx, seq: j.seq}
 	j.seq++
-	if j.spec.Reduce != nil {
-		st.buckets = make([][]kvPair, j.numReducers)
-	}
 	if j.spec.CollectStats != nil {
 		st.collector = stats.NewCollector(j.spec.CollectStats, j.spec.KMVSize)
 	}
@@ -771,79 +661,64 @@ func (j *Job) runMap(st *mapTaskState, input Input, tc cluster.TaskContext) (clu
 	}
 	block := input.File.Block(st.splitIdx)
 	u.BytesRead += input.File.BlockSizeBytes(st.splitIdx)
+	n := block.NumRecords()
+	var cpuMap, cpuTotal float64
+	var err error
 	if j.env.Exec != nil {
-		return j.runMapRemote(st, input, u)
-	}
-	// Size output buffers from the split: most maps emit at most one
-	// row per input record, so this avoids the append growth ladder in
-	// the shuffle hot path.
-	fast := j.fastPath()
-	if n := block.NumRecords(); n > 0 {
-		if j.spec.Reduce == nil {
-			if st.outRows == nil {
-				if fast {
-					st.outRows = getRowSlice(n)
-				} else {
-					st.outRows = make([]data.Value, 0, n)
-				}
-			}
-		} else {
-			per := n/j.numReducers + 1
-			for p := range st.buckets {
-				if st.buckets[p] == nil {
-					if fast {
-						st.buckets[p] = getKVSlice(per)
-					} else {
-						st.buckets[p] = make([]kvPair, 0, per)
-					}
-				}
-			}
+		out, xerr := j.execMap(st, input)
+		if xerr != nil {
+			return u, xerr
 		}
-	}
-	ectx := &expr.Ctx{Reg: j.env.Reg}
-	mc := &MapCtx{job: j, task: st, ectx: ectx, builds: j.builds,
-		fast: fast && j.spec.Reduce != nil}
-	if j.batchOn() && input.BatchMap != nil && input.BatchMap(mc, block) {
-		if st.collector != nil {
-			st.collector.ObserveInputs(block.NumRecords())
-		}
+		// Copy the executor's rows: outRows is pooled at job end, and
+		// only a slice this package allocated is provably unshared.
+		st.outRows = append(st.outRows, out.Rows...)
+		st.shuffle, st.shuffleParts = out.Shuffle, out.ShuffleParts
+		cpuMap, cpuTotal = out.CPUMap, out.CPUTotal
 	} else {
-		for _, rec := range block.Records() {
-			if st.collector != nil {
-				st.collector.ObserveInput()
+		t := &MapTask{Reg: j.env.Reg, Recs: block.Records(), Aux: block.Aux(), Map: input.Map, Builds: j.builds}
+		if !j.env.DisableBatch {
+			t.BatchMap = input.BatchMap
+		}
+		if j.spec.Reduce != nil {
+			t.NumReducers, t.Combine = j.numReducers, j.spec.Combine
+		}
+		var out *MapOutput
+		out, err = RunMapTask(t)
+		st.outRows, st.buckets = out.Rows, out.Parts
+		st.shuffleParts = make([]ShufflePart, len(out.Parts))
+		for p, bucket := range out.Parts {
+			for i := range bucket {
+				st.shuffleParts[p].Bytes += j.env.VirtualSize(bucket[i].Rec)
 			}
-			input.Map(mc, rec)
+			st.shuffleParts[p].Count = len(bucket)
 		}
+		cpuMap, cpuTotal = out.CPUMap, out.CPUTotal
 	}
-	u.Records += int64(block.NumRecords())
-	u.CPUSeconds += ectx.CPUSeconds
-	if ectx.Err != nil {
-		return u, ectx.Err
+	// One accounting for both sources: input statistics, CPU accrual,
+	// output volume, and the shared output counter. A failed record
+	// loop is still charged the records and map-phase CPU it consumed.
+	u.Records += int64(n)
+	u.CPUSeconds += cpuMap
+	if err != nil {
+		return u, err
 	}
-	// Map-side combining before the shuffle.
+	if st.collector != nil {
+		st.collector.ObserveInputs(n)
+	}
 	if j.spec.Combine != nil && j.spec.Reduce != nil {
-		if cerr := j.combineBuckets(st, ectx); cerr != nil {
-			return u, cerr
-		}
-		u.CPUSeconds += ectx.CPUSeconds
+		// A combining task is charged its map-phase CPU and then the
+		// accumulated map+combine total on top (the accrual the
+		// published timelines were measured with).
+		u.CPUSeconds += cpuTotal
 	}
-	// Charge output volume and update the shared output counter.
 	var emitted int64
 	if j.spec.Reduce == nil {
-		for _, rec := range st.outRows {
-			sz := j.env.VirtualSize(rec)
-			u.BytesWritten += sz
-			if st.collector != nil {
-				st.collector.ObserveOutput(rec, sz)
-			}
-		}
+		j.chargeOutput(&u, st.outRows, st.collector)
 		emitted = int64(len(st.outRows))
 	} else {
-		for _, bucket := range st.buckets {
-			for _, kv := range bucket {
-				u.BytesShuffled += j.env.VirtualSize(kv.rec)
-			}
-			emitted += int64(len(bucket))
+		for _, part := range st.shuffleParts {
+			u.BytesShuffled += part.Bytes
+			emitted += int64(part.Count)
 		}
 	}
 	if emitted > 0 {
@@ -852,57 +727,16 @@ func (j *Job) runMap(st *mapTaskState, input Input, tc cluster.TaskContext) (clu
 	return u, nil
 }
 
-// combineBuckets folds each map bucket's rows per key through the
-// combiner. Groups handed to the combiner are valid only for the
-// duration of the call (the fast path carves them out of a pooled
-// slab); combiners must copy anything they keep, as all in-repo
-// combiners do.
-func (j *Job) combineBuckets(st *mapTaskState, ectx *expr.Ctx) error {
-	fast := j.fastPath()
-	for p, bucket := range st.buckets {
-		if len(bucket) == 0 {
-			continue
+// chargeOutput prices a task's output rows and feeds them to its
+// statistics collector.
+func (j *Job) chargeOutput(u *cluster.Usage, rows []data.Value, c *stats.Collector) {
+	for _, rec := range rows {
+		sz := j.env.VirtualSize(rec)
+		u.BytesWritten += sz
+		if c != nil {
+			c.ObserveOutput(rec, sz)
 		}
-		sortPairsByKey(bucket)
-		cst := &reduceTaskState{partition: p}
-		rc := &ReduceCtx{task: cst, ectx: ectx}
-		var combined []kvPair
-		var slab []Tagged
-		if fast {
-			slab = getTaggedSlab(len(bucket))
-		}
-		for lo := 0; lo < len(bucket); {
-			hi := lo + 1
-			for hi < len(bucket) && samePairKey(&bucket[hi], &bucket[lo]) {
-				hi++
-			}
-			var group []Tagged
-			if fast {
-				start := len(slab)
-				for i := lo; i < hi; i++ {
-					slab = append(slab, Tagged{Tag: bucket[i].tag, Rec: bucket[i].rec})
-				}
-				group = slab[start:len(slab):len(slab)]
-			} else {
-				group = make([]Tagged, hi-lo)
-				for i := lo; i < hi; i++ {
-					group[i-lo] = Tagged{Tag: bucket[i].tag, Rec: bucket[i].rec}
-				}
-			}
-			cst.outRows = cst.outRows[:0]
-			j.spec.Combine(rc, bucket[lo].key, group)
-			for _, rec := range cst.outRows {
-				combined = append(combined, kvPair{key: bucket[lo].key, nk: bucket[lo].nk, rec: rec})
-			}
-			lo = hi
-		}
-		if fast {
-			putTaggedSlab(slab)
-			putKVSlice(bucket)
-		}
-		st.buckets[p] = combined
 	}
-	return ectx.Err
 }
 
 // TaskDone implements cluster.Job.
@@ -992,85 +826,44 @@ func (j *Job) makeReduceTasks() []*cluster.Task {
 	return tasks
 }
 
+// runReduce gathers the partition in map submission order, sorts it
+// and runs the reduce record loop — in-process over the buckets, or on
+// a worker over the retained outputs the handles name (its stable sort
+// of the concatenated segments reproduces the same order exactly).
 func (j *Job) runReduce(st *reduceTaskState, partition int) (cluster.Usage, error) {
-	if j.env.Exec != nil {
-		return j.runReduceRemote(st, partition)
-	}
 	var u cluster.Usage
-	fast := j.fastPath()
-	// Gather this partition's pairs from all map tasks in submission
-	// order, then sort by key for grouping.
-	total := 0
+	var count int
 	for _, ms := range j.mapStates {
-		if partition < len(ms.buckets) {
-			total += len(ms.buckets[partition])
+		if partition < len(ms.shuffleParts) {
+			u.BytesShuffled += ms.shuffleParts[partition].Bytes
+			count += ms.shuffleParts[partition].Count
 		}
 	}
-	var pairs []kvPair
-	if fast {
-		pairs = getKVSlice(total)
+	var cpu float64
+	var err error
+	if j.env.Exec != nil {
+		out, xerr := j.execReduce(partition)
+		if xerr != nil {
+			return u, xerr
+		}
+		st.outRows, cpu = append(st.outRows, out.Rows...), out.CPUSeconds
 	} else {
-		pairs = make([]kvPair, 0, total)
-	}
-	for _, ms := range j.mapStates {
-		if partition < len(ms.buckets) {
-			bucket := ms.buckets[partition]
-			pairs = append(pairs, bucket...)
-			for _, kv := range bucket {
-				u.BytesShuffled += j.env.VirtualSize(kv.rec)
+		pairs := getPairSlice(count)
+		for _, ms := range j.mapStates {
+			if partition < len(ms.buckets) {
+				pairs = append(pairs, ms.buckets[partition]...)
 			}
 		}
+		sortPairsByKey(pairs)
+		st.outRows, cpu, err = RunReduceTask(j.env.Reg, j.spec.Reduce, pairs)
+		putPairSlice(pairs)
 	}
-	sortPairsByKey(pairs)
-	if fast && st.outRows == nil {
-		st.outRows = getRowSlice(0)
+	u.Records += int64(count)
+	u.CPUSeconds += cpu
+	if err != nil {
+		return u, err
 	}
-	ectx := &expr.Ctx{Reg: j.env.Reg}
-	rc := &ReduceCtx{task: st, ectx: ectx}
-	// Groups handed to the reducer are valid only for the duration of
-	// the call (the fast path carves them out of a pooled slab);
-	// reducers must copy anything they keep, as all in-repo reducers do.
-	var slab []Tagged
-	if fast {
-		slab = getTaggedSlab(total)
-	}
-	for lo := 0; lo < len(pairs); {
-		hi := lo + 1
-		for hi < len(pairs) && samePairKey(&pairs[hi], &pairs[lo]) {
-			hi++
-		}
-		var group []Tagged
-		if fast {
-			start := len(slab)
-			for i := lo; i < hi; i++ {
-				slab = append(slab, Tagged{Tag: pairs[i].tag, Rec: pairs[i].rec})
-			}
-			group = slab[start:len(slab):len(slab)]
-		} else {
-			group = make([]Tagged, hi-lo)
-			for i := lo; i < hi; i++ {
-				group[i-lo] = Tagged{Tag: pairs[i].tag, Rec: pairs[i].rec}
-			}
-		}
-		j.spec.Reduce(rc, pairs[lo].key, group)
-		lo = hi
-	}
-	u.Records += int64(len(pairs))
-	u.CPUSeconds += ectx.CPUSeconds
-	if fast {
-		putTaggedSlab(slab)
-		putKVSlice(pairs)
-	}
-	if ectx.Err != nil {
-		return u, ectx.Err
-	}
-	for _, rec := range st.outRows {
-		sz := j.env.VirtualSize(rec)
-		u.BytesWritten += sz
-		if st.collector != nil {
-			st.collector.ObserveOutput(rec, sz)
-		}
-	}
+	j.chargeOutput(&u, st.outRows, st.collector)
 	return u, nil
 }
 
@@ -1107,11 +900,6 @@ func (j *Job) finish(sub *cluster.Submission) {
 			}
 		}
 	} else {
-		for _, st := range j.mapStates {
-			if st.collector != nil {
-				res.InRecords += st.collector.Partial().InRecords
-			}
-		}
 		for _, st := range j.reduceStates {
 			w.AppendAll(st.outRows)
 			res.OutRecords += int64(len(st.outRows))
@@ -1121,11 +909,9 @@ func (j *Job) finish(sub *cluster.Submission) {
 			}
 		}
 	}
-	if j.spec.Reduce == nil {
-		for _, st := range j.mapStates {
-			if st.collector != nil {
-				res.InRecords += st.collector.Partial().InRecords
-			}
+	for _, st := range j.mapStates {
+		if st.collector != nil {
+			res.InRecords += st.collector.Partial().InRecords
 		}
 	}
 	res.Output = w.Close()
@@ -1144,19 +930,17 @@ func (j *Job) finish(sub *cluster.Submission) {
 	// them for later tasks and jobs. Every Run closure executes at most
 	// once (injected failures skip execution, backups replay the
 	// primary's usage), so no retry can observe a recycled buffer.
-	if j.fastPath() {
-		for _, ms := range j.mapStates {
-			for p := range ms.buckets {
-				putKVSlice(ms.buckets[p])
-				ms.buckets[p] = nil
-			}
-			putRowSlice(ms.outRows)
-			ms.outRows = nil
+	for _, ms := range j.mapStates {
+		for p := range ms.buckets {
+			putPairSlice(ms.buckets[p])
+			ms.buckets[p] = nil
 		}
-		for _, st := range j.reduceStates {
-			putRowSlice(st.outRows)
-			st.outRows = nil
-		}
+		putRowSlice(ms.outRows)
+		ms.outRows = nil
+	}
+	for _, st := range j.reduceStates {
+		putRowSlice(st.outRows)
+		st.outRows = nil
 	}
 	j.result = res
 }

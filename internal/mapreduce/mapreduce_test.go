@@ -441,6 +441,20 @@ func TestDefaultReducersScaleWithInput(t *testing.T) {
 	}
 }
 
+func TestReducersForBounds(t *testing.T) {
+	env := testEnv(t)
+	if got := ReducersFor(env, 0); got != 1 {
+		t.Errorf("zero shuffle reducers = %d", got)
+	}
+	env.BytesPerReducer = 100
+	if got := ReducersFor(env, 350); got != 3 {
+		t.Errorf("350B/100B = %d, want 3", got)
+	}
+	if got := ReducersFor(env, 1e9); got != env.Sim.Config().ReduceSlots()*2 {
+		t.Errorf("huge shuffle should cap at 2x slots: %d", got)
+	}
+}
+
 func TestJobsChainViaOnDone(t *testing.T) {
 	env := testEnv(t)
 	f := writeTable(env, "t", "a", 50)
@@ -503,7 +517,8 @@ func TestHashTableProbeCollisionSafety(t *testing.T) {
 		)}))
 	}
 	f := w.Close()
-	ht, err := buildHashTable(env, Broadcast{Name: "s", File: f, KeyPaths: []data.Path{data.MustParsePath("s.k")}})
+	ht, err := BuildHashTable(env.Reg, Broadcast{Name: "s", KeyPaths: []data.Path{data.MustParsePath("s.k")}},
+		[][]data.Value{f.AllRecords()}, env.VirtualSize)
 	if err != nil {
 		t.Fatal(err)
 	}

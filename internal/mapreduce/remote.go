@@ -3,7 +3,6 @@ package mapreduce
 import (
 	"fmt"
 
-	"dyno/internal/cluster"
 	"dyno/internal/data"
 	"dyno/internal/dfs"
 )
@@ -63,8 +62,8 @@ type MapExec struct {
 	// Broadcasts are the job's build sides (workers rebuild the hash
 	// tables from the referenced files).
 	Broadcasts []Broadcast
-	// Op is the serialized operator (a *wire.OpSpec); the seam keeps it
-	// opaque so this package does not depend on the wire layer.
+	// Op is the job's operator (a *physop.OpSpec); the seam keeps it
+	// opaque because the kernel package sits above this one.
 	Op any
 }
 
@@ -101,21 +100,19 @@ type ReduceExecOut struct {
 	CPUSeconds float64
 }
 
-// errNoRemoteOp rejects jobs submitted without a serialized operator
-// while a task executor is installed. Failing loudly here is what
-// makes the differential contract trustworthy: the proc backend can
-// never silently fall back to in-process execution.
+// errNoRemoteOp rejects jobs submitted without an operator while a
+// task executor is installed. Failing loudly here is what makes the
+// differential contract trustworthy: the proc backend can never
+// silently fall back to in-process execution.
 func (j *Job) errNoRemoteOp() error {
 	return fmt.Errorf("mapreduce: job %s has no remote op for the task executor", j.spec.Name)
 }
 
-// runMapRemote delegates the record loop of one map task to the
-// executor and replays its outputs through the exact accounting the
-// local path performs (input stats, CPU accrual including the
-// combiner's double-add, output volume, shared counter).
-func (j *Job) runMapRemote(st *mapTaskState, input Input, u cluster.Usage) (cluster.Usage, error) {
+// execMap delegates the record loop of one map task to the executor;
+// runMap replays its reply through the same accounting as a local run.
+func (j *Job) execMap(st *mapTaskState, input Input) (*MapExecOut, error) {
 	if j.spec.RemoteOp == nil {
-		return u, j.errNoRemoteOp()
+		return nil, j.errNoRemoteOp()
 	}
 	out, err := j.env.Exec.ExecMap(MapExec{
 		JobName:     j.spec.Name,
@@ -130,93 +127,34 @@ func (j *Job) runMapRemote(st *mapTaskState, input Input, u cluster.Usage) (clus
 		Op:          j.spec.RemoteOp,
 	})
 	if err != nil {
-		return u, err
+		return nil, err
 	}
-	n := input.File.Block(st.splitIdx).NumRecords()
-	if st.collector != nil {
-		st.collector.ObserveInputs(n)
+	// A shuffle task's output was retained on the producing worker; the
+	// digests stand in for the buckets in every later accounting step.
+	if j.spec.Reduce != nil && (out.Shuffle == nil || len(out.ShuffleParts) != j.numReducers) {
+		return nil, fmt.Errorf("mapreduce: executor returned %d shuffle parts for %s, want %d retained",
+			len(out.ShuffleParts), j.spec.Name, j.numReducers)
 	}
-	if j.spec.Reduce == nil {
-		st.outRows = append(st.outRows, out.Rows...)
-	} else {
-		// The map output was retained on the producing worker; hold the
-		// handle and replay the shuffle accounting from the digests.
-		if out.Shuffle == nil || len(out.ShuffleParts) != j.numReducers {
-			return u, fmt.Errorf("mapreduce: executor returned %d shuffle parts for %s, want %d retained",
-				len(out.ShuffleParts), j.spec.Name, j.numReducers)
-		}
-		st.shuffle = out.Shuffle
-		st.shuffleParts = out.ShuffleParts
-	}
-	u.Records += int64(n)
-	u.CPUSeconds += out.CPUMap
-	if j.spec.Combine != nil && j.spec.Reduce != nil {
-		// The local path charges the map-phase CPU once and then the
-		// accumulated map+combine total again after combining; replay
-		// the same double-add so virtual timelines agree.
-		u.CPUSeconds += out.CPUTotal
-	}
-	var emitted int64
-	if j.spec.Reduce == nil {
-		for _, rec := range st.outRows {
-			sz := j.env.VirtualSize(rec)
-			u.BytesWritten += sz
-			if st.collector != nil {
-				st.collector.ObserveOutput(rec, sz)
-			}
-		}
-		emitted = int64(len(st.outRows))
-	} else {
-		for _, part := range st.shuffleParts {
-			u.BytesShuffled += part.Bytes
-			emitted += int64(part.Count)
-		}
-	}
-	if emitted > 0 {
-		j.env.Coord.Add(j.counterName, emitted)
-	}
-	return u, nil
+	return out, nil
 }
 
-// runReduceRemote ships the ordered list of retained map-output
-// handles to the executor and replays the shuffle accounting from the
-// digests. The worker-side stable sort of the concatenated segments
-// reproduces the local path's gather-then-sort order exactly, so rows
-// and virtual timelines match it byte for byte.
-func (j *Job) runReduceRemote(st *reduceTaskState, partition int) (cluster.Usage, error) {
-	var u cluster.Usage
+// execReduce ships the ordered list of retained map-output handles to
+// the executor, which assembles and sorts the partition worker-side.
+func (j *Job) execReduce(partition int) (*ReduceExecOut, error) {
 	if j.spec.RemoteOp == nil {
-		return u, j.errNoRemoteOp()
+		return nil, j.errNoRemoteOp()
 	}
 	var inputs []ShuffleInput
-	var count int64
 	for _, ms := range j.mapStates {
 		if partition < len(ms.shuffleParts) {
-			part := ms.shuffleParts[partition]
-			u.BytesShuffled += part.Bytes
-			count += int64(part.Count)
 			inputs = append(inputs, ShuffleInput{Handle: ms.shuffle})
 		}
 	}
-	out, err := j.env.Exec.ExecReduce(ReduceExec{
+	return j.env.Exec.ExecReduce(ReduceExec{
 		JobName:   j.spec.Name,
 		TaskName:  fmt.Sprintf("%s-r%d", j.spec.Name, partition),
 		Partition: partition,
 		Inputs:    inputs,
 		Op:        j.spec.RemoteOp,
 	})
-	if err != nil {
-		return u, err
-	}
-	st.outRows = append(st.outRows, out.Rows...)
-	u.Records += count
-	u.CPUSeconds += out.CPUSeconds
-	for _, rec := range st.outRows {
-		sz := j.env.VirtualSize(rec)
-		u.BytesWritten += sz
-		if st.collector != nil {
-			st.collector.ObserveOutput(rec, sz)
-		}
-	}
-	return u, nil
 }

@@ -7,16 +7,15 @@ import (
 	"dyno/internal/data"
 )
 
-// The shuffle fast path (Env.DisableFastPath = false, the default)
-// eliminates the dominant per-record costs of the shuffle without
+// The shuffle keeps its per-record costs off the hot path without
 // changing a single output bit:
 //
 //   - EmitKV normalizes each shuffle key once into an order-preserving
 //     byte string (data.AppendNormKey), so combine/reduce sorting and
 //     grouping become memcmp string compares instead of recursive
-//     data.Compare calls per comparison. Reduce partition assignment
-//     stays data.Hash64(key) % numReducers in both modes — partitioning
-//     decides output row placement, so it must not change.
+//     data.Compare calls per comparison. Reduce partition assignment is
+//     data.Hash64(key) % numReducers — partitioning decides output row
+//     placement, so it never depends on the encoding.
 //   - Shuffle buckets, gathered reduce inputs, and per-group Tagged
 //     slabs are recycled through sync.Pools across tasks and jobs
 //     instead of being reallocated per group.
@@ -28,33 +27,24 @@ import (
 // carry an empty nk, and any batch containing one falls back to
 // Compare-based sorting wholesale, so ordering is correct for every
 // input, not just the common domain.
-//
-// Sorting uses slices.SortStableFunc under both comparators. A stable sort
-// is a pure function of the comparator's verdicts, and the normalized
-// ordering equals data.Compare's on every encodable key, so the fast
-// and legacy permutations are identical — the differential tests in
-// shuffle_fastpath_test.go and the engine-level suite assert this
-// bit-for-bit.
-
-// fastPath reports whether the job runs the compiled shuffle path.
-func (j *Job) fastPath() bool { return !j.env.DisableFastPath }
 
 // sortPairsByKey stably sorts shuffle pairs into reduce key order:
 // by normalized key when every pair has one, otherwise by data.Compare.
-// Both arms use a stable sort, and a stable sort's output permutation
-// is a pure function of the comparator's verdicts, so the fast arm's
-// ordering is identical to the legacy sort.SliceStable over
-// data.Compare on every encodable batch.
-func sortPairsByKey(pairs []kvPair) {
+// Both arms use a stable sort, a stable sort's output permutation is a
+// pure function of the comparator's verdicts, and the normalized
+// ordering equals data.Compare's on every encodable key — so the two
+// arms (and any other stable sort by data.Compare, such as a worker's
+// sort of fetched segments) produce the identical permutation.
+func sortPairsByKey(pairs []Pair) {
 	for i := range pairs {
 		if pairs[i].nk == "" {
-			slices.SortStableFunc(pairs, func(a, b kvPair) int {
-				return data.Compare(a.key, b.key)
+			slices.SortStableFunc(pairs, func(a, b Pair) int {
+				return data.Compare(a.Key, b.Key)
 			})
 			return
 		}
 	}
-	slices.SortStableFunc(pairs, func(a, b kvPair) int {
+	slices.SortStableFunc(pairs, func(a, b Pair) int {
 		if a.nk < b.nk {
 			return -1
 		}
@@ -66,11 +56,11 @@ func sortPairsByKey(pairs []kvPair) {
 }
 
 // samePairKey reports whether two adjacent sorted pairs share a key.
-func samePairKey(a, b *kvPair) bool {
+func samePairKey(a, b *Pair) bool {
 	if a.nk != "" && b.nk != "" {
 		return a.nk == b.nk
 	}
-	return data.Equal(a.key, b.key)
+	return data.Equal(a.Key, b.Key)
 }
 
 // Pools recycle the shuffle's large transient buffers across tasks and
@@ -79,26 +69,26 @@ func samePairKey(a, b *kvPair) bool {
 // (every Run closure executes at most once, so no retry can observe a
 // recycled buffer).
 var (
-	kvSlicePool sync.Pool // *[]kvPair
-	taggedPool  sync.Pool // *[]Tagged
-	rowPool     sync.Pool // *[]data.Value
+	pairSlicePool sync.Pool // *[]Pair
+	taggedPool    sync.Pool // *[]Tagged
+	rowPool       sync.Pool // *[]data.Value
 )
 
-func getKVSlice(capacity int) []kvPair {
-	if p, _ := kvSlicePool.Get().(*[]kvPair); p != nil && cap(*p) >= capacity {
+func getPairSlice(capacity int) []Pair {
+	if p, _ := pairSlicePool.Get().(*[]Pair); p != nil && cap(*p) >= capacity {
 		return (*p)[:0]
 	}
-	return make([]kvPair, 0, capacity)
+	return make([]Pair, 0, capacity)
 }
 
-func putKVSlice(s []kvPair) {
+func putPairSlice(s []Pair) {
 	if cap(s) == 0 {
 		return
 	}
 	s = s[:cap(s)]
 	clear(s)
 	s = s[:0]
-	kvSlicePool.Put(&s)
+	pairSlicePool.Put(&s)
 }
 
 func getRowSlice(capacity int) []data.Value {

@@ -1,0 +1,315 @@
+package mapreduce
+
+import (
+	"fmt"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"dyno/internal/data"
+	"dyno/internal/dfs"
+)
+
+// The tests in this file drive the shuffle and the broadcast hash
+// table with adversarial keys and check the outputs against oracles
+// written directly over data.Hash64, data.Compare and data.Equal — the
+// definitions the normalized-key machinery (sorting and grouping by
+// encoded strings, the normalized-key table index, pooled buffers)
+// must be indistinguishable from.
+
+// mixedKeyTable writes records whose shuffle keys cycle through every
+// scalar kind the normalized encoding supports — including negative
+// doubles, the empty string, strings containing 0x00 (the terminator
+// byte that must be escaped), and nulls — so sorting and grouping are
+// exercised across kind boundaries.
+func mixedKeyTable(env *Env, name string, n int) *dfs.File {
+	w := env.FS.Create(name)
+	for i := 0; i < n; i++ {
+		var key data.Value
+		switch i % 7 {
+		case 0:
+			key = data.Int(int64(i%13 - 6))
+		case 1:
+			key = data.Double(float64(i%11) - 5.5)
+		case 2:
+			key = data.String(fmt.Sprintf("k%02d", i%9))
+		case 3:
+			key = data.Bool(i%2 == 0)
+		case 4:
+			key = data.Null()
+		case 5:
+			key = data.String("a\x00" + string(rune('a'+i%3))) // embedded terminator byte
+		case 6:
+			key = data.Double(-0.0)
+		}
+		w.Append(data.Object(
+			data.Field{Name: "k", Value: key},
+			data.Field{Name: "seq", Value: data.Int(int64(i))},
+		))
+	}
+	return w.Close()
+}
+
+// hugeKeyTable mixes encodable keys with integers beyond ±2^53, which
+// the normalized encoding refuses — forcing the Compare-based fallback
+// arm of sortPairsByKey on every batch containing one.
+func hugeKeyTable(env *Env, name string, n int) *dfs.File {
+	w := env.FS.Create(name)
+	for i := 0; i < n; i++ {
+		var key data.Value
+		if i%5 == 0 {
+			key = data.Int(int64(1)<<60 + int64(i%7))
+		} else {
+			key = data.Int(int64(i % 17))
+		}
+		w.Append(data.Object(
+			data.Field{Name: "k", Value: key},
+			data.Field{Name: "seq", Value: data.Int(int64(i))},
+		))
+	}
+	return w.Close()
+}
+
+// runShuffle executes the canonical identity shuffle (key by .k, emit
+// group members in order) with statistics collection on .k.
+func runShuffle(t *testing.T, env *Env, f *dfs.File) *Result {
+	t.Helper()
+	key := data.MustParsePath("k")
+	res, err := Run(env, Spec{
+		Name: "diff-shuffle",
+		Inputs: []Input{{File: f, Map: func(mc *MapCtx, rec data.Value) {
+			mc.EmitKV(key.Eval(rec), "L", rec)
+		}}},
+		Reduce: func(rc *ReduceCtx, key data.Value, group []Tagged) {
+			for _, g := range group {
+				rc.Emit(g.Rec)
+			}
+		},
+		NumReducers:  shuffleReducers,
+		Output:       "diff-shuffled",
+		CollectStats: []data.Path{data.MustParsePath("k")},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+const shuffleReducers = 4
+
+// shuffleOracle is the identity shuffle by definition: each record
+// goes to partition data.Hash64(k) % reducers, a partition holds its
+// records in input order stably sorted by data.Compare on k, and the
+// output is the partitions in order.
+func shuffleOracle(f *dfs.File) []data.Value {
+	key := data.MustParsePath("k")
+	parts := make([][]data.Value, shuffleReducers)
+	for _, rec := range f.AllRecords() {
+		p := data.Hash64(key.Eval(rec)) % shuffleReducers
+		parts[p] = append(parts[p], rec)
+	}
+	var out []data.Value
+	for _, part := range parts {
+		sort.SliceStable(part, func(i, j int) bool {
+			return data.Compare(key.Eval(part[i]), key.Eval(part[j])) < 0
+		})
+		out = append(out, part...)
+	}
+	return out
+}
+
+func assertSameRecords(t *testing.T, got, want []data.Value) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("record count diverged: got %d, oracle %d", len(got), len(want))
+	}
+	for i := range got {
+		if !data.Equal(got[i], want[i]) {
+			t.Fatalf("record %d diverged:\n  got:    %v\n  oracle: %v", i, got[i], want[i])
+		}
+	}
+}
+
+// assertKeyStats checks the job's statistics on .k against the input:
+// every record in and out, and the column's extremes under
+// data.Compare over the non-null keys.
+func assertKeyStats(t *testing.T, res *Result, f *dfs.File) {
+	t.Helper()
+	key := data.MustParsePath("k")
+	recs := f.AllRecords()
+	n := int64(len(recs))
+	got := res.Stats
+	if res.InRecords != n || got.OutRecords != n {
+		t.Fatalf("counters: in=%d out=%d, want %d each", res.InRecords, got.OutRecords, n)
+	}
+	var lo, hi data.Value
+	for _, rec := range recs {
+		k := key.Eval(rec)
+		if k.IsNull() {
+			continue
+		}
+		if lo.IsNull() || data.Compare(k, lo) < 0 {
+			lo = k
+		}
+		if hi.IsNull() || data.Compare(k, hi) > 0 {
+			hi = k
+		}
+	}
+	col, ok := got.Exact().Cols["k"]
+	if !ok {
+		t.Fatal("no statistics collected for column k")
+	}
+	if data.Compare(col.Min, lo) != 0 || data.Compare(col.Max, hi) != 0 {
+		t.Fatalf("column k extremes: min=%v max=%v, oracle min=%v max=%v", col.Min, col.Max, lo, hi)
+	}
+}
+
+// TestShuffleMatchesCompareOracle: over keys of every encodable kind,
+// the shuffle's normalized-key sort and grouping reproduce the
+// Hash64/Compare definition record for record.
+func TestShuffleMatchesCompareOracle(t *testing.T) {
+	env := benchEnv()
+	f := mixedKeyTable(env, "t", 1500)
+	res := runShuffle(t, env, f)
+	assertSameRecords(t, res.Output.AllRecords(), shuffleOracle(f))
+	assertKeyStats(t, res, f)
+}
+
+// TestShuffleFallbackKeysMatchOracle covers the wholesale fallback to
+// Compare-based sorting: batches containing a key the normalized
+// encoding cannot represent (|int| > 2^53) must still match the
+// definition exactly.
+func TestShuffleFallbackKeysMatchOracle(t *testing.T) {
+	env := benchEnv()
+	f := hugeKeyTable(env, "t", 900)
+	res := runShuffle(t, env, f)
+	assertSameRecords(t, res.Output.AllRecords(), shuffleOracle(f))
+	assertKeyStats(t, res, f)
+}
+
+// TestBroadcastJoinMatchesEqualOracle asserts the hash table probes to
+// exactly the matches data.Equal defines, in build scan order — through
+// the normalized-key index (mixed keys) and through the hash index a
+// build side with an unencodable key is demoted to (huge keys).
+func TestBroadcastJoinMatchesEqualOracle(t *testing.T) {
+	key := data.MustParsePath("k")
+	for name, table := range map[string]func(*Env, string, int) *dfs.File{"indexed": mixedKeyTable, "demoted": hugeKeyTable} {
+		t.Run(name, func(t *testing.T) {
+			env := benchEnv()
+			probe, build := table(env, "probe", 800), table(env, "build", 120)
+			res, err := Run(env, Spec{
+				Name: "diff-bjoin",
+				Inputs: []Input{{File: probe, Map: func(mc *MapCtx, rec data.Value) {
+					if mc.Build("b").FastIndexed() != (name == "indexed") {
+						t.Errorf("table FastIndexed = %v in the %s case", mc.Build("b").FastIndexed(), name)
+					}
+					for _, m := range mc.Build("b").Probe(key.Eval(rec)) {
+						mc.Emit(data.MergeObjects(rec, m))
+					}
+				}}},
+				Broadcasts: []Broadcast{{Name: "b", File: build, KeyPaths: []data.Path{key}}},
+				Output:     "diff-bjoined",
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []data.Value
+			for _, p := range probe.AllRecords() {
+				for _, b := range build.AllRecords() {
+					if data.Equal(key.Eval(p), key.Eval(b)) {
+						want = append(want, data.MergeObjects(p, b))
+					}
+				}
+			}
+			if len(want) == 0 {
+				t.Fatal("join produced no rows; test is vacuous")
+			}
+			assertSameRecords(t, res.Output.AllRecords(), want)
+		})
+	}
+}
+
+// TestSortPairsByKeyMatchesCompareOrder asserts the two comparator
+// arms of sortPairsByKey produce the identical permutation: the same
+// random batch is sorted once with normalized keys attached and once
+// with them stripped (forcing the data.Compare arm), and the resulting
+// orders must agree element for element — including among equal keys,
+// by stability.
+func TestSortPairsByKeyMatchesCompareOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	mkKey := func() data.Value {
+		switch rng.Intn(6) {
+		case 0:
+			return data.Int(int64(rng.Intn(21) - 10))
+		case 1:
+			return data.Double(rng.NormFloat64())
+		case 2:
+			return data.String(fmt.Sprintf("s%d", rng.Intn(8)))
+		case 3:
+			return data.Bool(rng.Intn(2) == 0)
+		case 4:
+			return data.Null()
+		default:
+			return data.Array(data.Int(int64(rng.Intn(4))), data.String("x"))
+		}
+	}
+	const n = 2000
+	withNK := make([]Pair, 0, n)
+	withoutNK := make([]Pair, 0, n)
+	for i := 0; i < n; i++ {
+		key := mkKey()
+		rec := data.Object(data.Field{Name: "seq", Value: data.Int(int64(i))})
+		nk, ok := data.NormKey(key)
+		if !ok {
+			t.Fatalf("key %v unexpectedly unencodable", key)
+		}
+		withNK = append(withNK, Pair{Key: key, nk: nk, Tag: "T", Rec: rec})
+		withoutNK = append(withoutNK, Pair{Key: key, Tag: "T", Rec: rec})
+	}
+	sortPairsByKey(withNK)
+	sortPairsByKey(withoutNK)
+	for i := range withNK {
+		if !data.Equal(withNK[i].Rec, withoutNK[i].Rec) {
+			t.Fatalf("permutation diverged at %d: normalized key %v rec %v, Compare key %v rec %v",
+				i, withNK[i].Key, withNK[i].Rec, withoutNK[i].Key, withoutNK[i].Rec)
+		}
+	}
+}
+
+// BenchmarkSortPairsByKey measures the normalized-key sort arm — the
+// comparator on the shuffle's critical path (CI tracks its allocs/op).
+func BenchmarkSortPairsByKey(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	const n = 4096
+	base := make([]Pair, n)
+	for i := range base {
+		key := data.Int(int64(rng.Intn(1 << 20)))
+		nk, _ := data.NormKey(key)
+		base[i] = Pair{Key: key, nk: nk, Tag: "T"}
+	}
+	scratch := make([]Pair, n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(scratch, base)
+		sortPairsByKey(scratch)
+	}
+}
+
+// BenchmarkSortPairsByKeyCompare measures the data.Compare fallback
+// arm over the same batch, for the comparator ratio.
+func BenchmarkSortPairsByKeyCompare(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	const n = 4096
+	base := make([]Pair, n)
+	for i := range base {
+		base[i] = Pair{Key: data.Int(int64(rng.Intn(1 << 20))), Tag: "T"}
+	}
+	scratch := make([]Pair, n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(scratch, base)
+		sortPairsByKey(scratch)
+	}
+}

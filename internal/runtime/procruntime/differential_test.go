@@ -10,21 +10,30 @@ import (
 	"dyno/internal/baselines"
 	"dyno/internal/cluster"
 	"dyno/internal/core"
+	"dyno/internal/data"
 	"dyno/internal/expr"
+	"dyno/internal/naive"
 	"dyno/internal/optimizer"
 	"dyno/internal/runtime"
 	"dyno/internal/runtime/procruntime"
 	"dyno/internal/runtime/simruntime"
 	"dyno/internal/runtime/wire"
+	"dyno/internal/sqlparse"
 	"dyno/internal/tpch"
 )
 
 // The differential contract: a query executed on the sim backend and
 // on the proc backend (real worker processes; here in-process via
 // httptest, same handler cmd/dynoworker serves) must produce the same
-// rows, the same job counts, and the same virtual timeline.
+// rows, the same job counts, and the same virtual timeline. Controller
+// and workers run the same kernels, so agreement between the backends
+// alone could be agreement in error: the proc rows are also checked
+// against the naive relational-algebra oracle, which shares no code
+// with either.
 
 type queryOutcome struct {
+	vals       []data.Value
+	oracle     []data.Value // naive.Evaluate over the same catalog
 	rows       string
 	jobs       int
 	mapOnly    int
@@ -41,6 +50,21 @@ type engineTweaks struct {
 	dynamicJoin bool
 	combiner    bool
 	parallelism int
+	// oracleScale generates the dataset at which every TPC-H query
+	// returns rows (so the oracle comparison is not vacuous) instead of
+	// the small default the wire-stats constants were measured on.
+	oracleScale bool
+}
+
+// dataset returns the generator and UDF parameters a run uses; workers
+// must register the same UDF parameters as the controller.
+func (tw engineTweaks) dataset() (tpch.Config, tpch.UDFParams) {
+	udf := tpch.DefaultUDFParams()
+	if !tw.oracleScale {
+		return tpch.Config{SF: 10, Scale: 0.05, Seed: 2014}, udf
+	}
+	udf.Q9DimSel = 0.1
+	return tpch.Config{SF: 100, Scale: 0.1, Seed: 7}, udf
 }
 
 // fullCaps is what cmd/dynoworker announces.
@@ -50,7 +74,7 @@ var fullCaps = wire.Caps{Codecs: []string{wire.CodecBinary, wire.CodecJSON}, Bat
 // runtime over it. Worker registries are built exactly like
 // cmd/dynoworker builds them: fresh registry + the controller's UDF
 // params.
-func newProcRuntime(t *testing.T, n int, ccfg cluster.Config, pcfg procruntime.Config) *procruntime.Runtime {
+func newProcRuntime(t *testing.T, n int, ccfg cluster.Config, pcfg procruntime.Config, tw engineTweaks) *procruntime.Runtime {
 	t.Helper()
 	// In-process test workers do not heartbeat; keep them fresh for
 	// the whole test run.
@@ -62,7 +86,8 @@ func newProcRuntime(t *testing.T, n int, ccfg cluster.Config, pcfg procruntime.C
 	t.Cleanup(func() { fleet.Close() })
 	for i := 0; i < n; i++ {
 		reg := expr.NewRegistry()
-		tpch.RegisterUDFs(reg, tpch.DefaultUDFParams())
+		_, udf := tw.dataset()
+		tpch.RegisterUDFs(reg, udf)
 		ts := httptest.NewServer(procruntime.NewWorker(reg).Handler())
 		t.Cleanup(ts.Close)
 		if _, err := fleet.RegisterWorkerCaps(ts.URL, fullCaps); err != nil {
@@ -88,12 +113,13 @@ func runQuery(t *testing.T, rt runtime.Runtime, query string, tw engineTweaks) q
 
 func runQueryErr(t *testing.T, rt runtime.Runtime, query string, tw engineTweaks) (queryOutcome, error) {
 	t.Helper()
-	cat, err := tpch.Generate(rt.FS(), tpch.Config{SF: 10, Scale: 0.05, Seed: 2014})
+	gen, udf := tw.dataset()
+	cat, err := tpch.Generate(rt.FS(), gen)
 	if err != nil {
 		return queryOutcome{}, err
 	}
 	reg := expr.NewRegistry()
-	tpch.RegisterUDFs(reg, tpch.DefaultUDFParams())
+	tpch.RegisterUDFs(reg, udf)
 	env := rt.NewEnv(reg)
 	env.UseCombiner = tw.combiner
 
@@ -116,6 +142,10 @@ func runQueryErr(t *testing.T, rt runtime.Runtime, query string, tw engineTweaks
 	if err != nil {
 		return queryOutcome{}, err
 	}
+	oracle, err := naive.Evaluate(sqlparse.MustParse(sql), cat, reg)
+	if err != nil {
+		return queryOutcome{}, err
+	}
 	var sb strings.Builder
 	for _, r := range res.Rows {
 		b, err := json.Marshal(r)
@@ -126,6 +156,8 @@ func runQueryErr(t *testing.T, rt runtime.Runtime, query string, tw engineTweaks
 		sb.WriteByte('\n')
 	}
 	out := queryOutcome{
+		vals:       res.Rows,
+		oracle:     oracle,
 		rows:       sb.String(),
 		jobs:       res.Jobs,
 		mapOnly:    res.MapOnlyJobs,
@@ -146,7 +178,7 @@ func runQueryErr(t *testing.T, rt runtime.Runtime, query string, tw engineTweaks
 // This is what makes the differential results above trustworthy.
 func TestProcStrictNoFallback(t *testing.T) {
 	ccfg := cluster.DefaultConfig()
-	_, err := runQueryErr(t, newProcRuntime(t, 0, ccfg, procruntime.Config{}), "Q10", engineTweaks{})
+	_, err := runQueryErr(t, newProcRuntime(t, 0, ccfg, procruntime.Config{}, engineTweaks{}), "Q10", engineTweaks{})
 	if err == nil {
 		t.Fatal("query succeeded on the proc backend with zero workers")
 	}
@@ -173,6 +205,17 @@ func diffOutcomes(t *testing.T, query string, sim, proc queryOutcome) {
 		t.Errorf("%s: virtual timelines differ: sim total=%v pilot=%v proc total=%v pilot=%v",
 			query, sim.totalSec, sim.pilotSec, proc.totalSec, proc.pilotSec)
 	}
+	if len(proc.oracle) == 0 {
+		t.Fatalf("%s yields no rows at test scale; oracle check vacuous", query)
+	}
+	if len(proc.vals) != len(proc.oracle) {
+		t.Fatalf("%s: proc returned %d rows, oracle %d", query, len(proc.vals), len(proc.oracle))
+	}
+	for i := range proc.oracle {
+		if !naive.ApproxEqual(proc.vals[i], proc.oracle[i], 1e-9) {
+			t.Fatalf("%s row %d:\nproc   %v\noracle %v", query, i, proc.vals[i], proc.oracle[i])
+		}
+	}
 }
 
 // TestDifferentialTPCH runs the full evaluation suite on both
@@ -187,8 +230,9 @@ func TestDifferentialTPCH(t *testing.T) {
 		query := query
 		t.Run(query, func(t *testing.T) {
 			ccfg := cluster.DefaultConfig()
-			sim := runQuery(t, simruntime.New(ccfg), query, engineTweaks{})
-			proc := runQuery(t, newProcRuntime(t, 2, ccfg, procruntime.Config{}), query, engineTweaks{})
+			tw := engineTweaks{oracleScale: true}
+			sim := runQuery(t, simruntime.New(ccfg), query, tw)
+			proc := runQuery(t, newProcRuntime(t, 2, ccfg, procruntime.Config{}, tw), query, tw)
 			diffOutcomes(t, query, sim, proc)
 		})
 	}
@@ -203,7 +247,7 @@ func TestDifferentialTPCH(t *testing.T) {
 func TestProcWireStats(t *testing.T) {
 	ccfg := cluster.DefaultConfig()
 	ccfg.Parallelism = 0
-	rt := newProcRuntime(t, 2, ccfg, procruntime.Config{HedgeMin: time.Hour})
+	rt := newProcRuntime(t, 2, ccfg, procruntime.Config{HedgeMin: time.Hour}, engineTweaks{})
 	runQuery(t, rt, "Q10", engineTweaks{})
 	st := rt.Fleet().WireStats()
 	const wantTasks = 120
@@ -238,14 +282,14 @@ func TestDifferentialFeatureMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential suite executes queries twice")
 	}
-	tw := engineTweaks{pushdown: true, dynamicJoin: true, combiner: true, parallelism: 4}
+	tw := engineTweaks{pushdown: true, dynamicJoin: true, combiner: true, parallelism: 4, oracleScale: true}
 	for _, query := range []string{"Q9p", "Q10"} {
 		query := query
 		t.Run(query, func(t *testing.T) {
 			ccfg := cluster.DefaultConfig()
 			ccfg.Parallelism = tw.parallelism
 			sim := runQuery(t, simruntime.New(ccfg), query, tw)
-			proc := runQuery(t, newProcRuntime(t, 2, ccfg, procruntime.Config{}), query, tw)
+			proc := runQuery(t, newProcRuntime(t, 2, ccfg, procruntime.Config{}, tw), query, tw)
 			diffOutcomes(t, query, sim, proc)
 		})
 	}

@@ -7,6 +7,7 @@ import (
 
 	"dyno/internal/dfs"
 	"dyno/internal/mapreduce"
+	"dyno/internal/physop"
 	"dyno/internal/runtime/wire"
 )
 
@@ -69,9 +70,9 @@ func (p *peerOutput) recover(part int) ([]wire.KV, error) {
 }
 
 func (e executor) ExecMap(m mapreduce.MapExec) (*mapreduce.MapExecOut, error) {
-	op, ok := m.Op.(*wire.OpSpec)
+	op, ok := m.Op.(*physop.OpSpec)
 	if !ok {
-		return nil, fmt.Errorf("procruntime: job %s: remote op is %T, want *wire.OpSpec", m.JobName, m.Op)
+		return nil, fmt.Errorf("procruntime: job %s: remote op is %T, want *physop.OpSpec", m.JobName, m.Op)
 	}
 	block, err := e.f.blockPath(e.fs, m.File, m.Split)
 	if err != nil {
@@ -79,10 +80,6 @@ func (e executor) ExecMap(m mapreduce.MapExec) (*mapreduce.MapExecOut, error) {
 	}
 	builds := make([]wire.BuildRef, 0, len(m.Broadcasts))
 	for _, b := range m.Broadcasts {
-		filter, err := wire.EncodeExpr(b.Filter)
-		if err != nil {
-			return nil, fmt.Errorf("procruntime: job %s build %s: %w", m.JobName, b.Name, err)
-		}
 		blocks, version, err := e.f.filePaths(e.fs, b.File)
 		if err != nil {
 			return nil, err
@@ -90,8 +87,8 @@ func (e executor) ExecMap(m mapreduce.MapExec) (*mapreduce.MapExecOut, error) {
 		builds = append(builds, wire.BuildRef{
 			Name:    b.Name,
 			Wrap:    b.Wrap,
-			Filter:  filter,
-			Keys:    wire.EncodePaths(b.KeyPaths),
+			Filter:  b.Filter,
+			Keys:    b.KeyPaths,
 			Blocks:  blocks,
 			Version: version,
 		})
@@ -142,9 +139,9 @@ func (e executor) ExecMap(m mapreduce.MapExec) (*mapreduce.MapExecOut, error) {
 }
 
 func (e executor) ExecReduce(r mapreduce.ReduceExec) (*mapreduce.ReduceExecOut, error) {
-	op, ok := r.Op.(*wire.OpSpec)
+	op, ok := r.Op.(*physop.OpSpec)
 	if !ok {
-		return nil, fmt.Errorf("procruntime: job %s: remote op is %T, want *wire.OpSpec", r.JobName, r.Op)
+		return nil, fmt.Errorf("procruntime: job %s: remote op is %T, want *physop.OpSpec", r.JobName, r.Op)
 	}
 	// Ship the segment list; the worker pulls each segment from its
 	// producer and sorts the assembly. Empty segments carry no pairs

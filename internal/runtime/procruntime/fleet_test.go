@@ -17,6 +17,7 @@ import (
 	"dyno/internal/data"
 	"dyno/internal/dfs"
 	"dyno/internal/mapreduce"
+	"dyno/internal/physop"
 	"dyno/internal/runtime/wire"
 )
 
@@ -310,7 +311,7 @@ func TestMirrorsFollowLiveFiles(t *testing.T) {
 	}
 	run := func(job string, file *dfs.File) {
 		t.Helper()
-		_, err := ex.ExecMap(mapreduce.MapExec{JobName: job, TaskName: job + "-m0", File: file, Op: &wire.OpSpec{Kind: "scan"}})
+		_, err := ex.ExecMap(mapreduce.MapExec{JobName: job, TaskName: job + "-m0", File: file, Op: &physop.OpSpec{Kind: physop.Scan}})
 		if err != nil {
 			t.Fatal(err)
 		}

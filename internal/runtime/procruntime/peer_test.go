@@ -18,7 +18,9 @@ import (
 	"dyno/internal/dfs"
 	"dyno/internal/expr"
 	"dyno/internal/mapreduce"
+	"dyno/internal/physop"
 	"dyno/internal/runtime/wire"
+	"dyno/internal/sqlparse"
 )
 
 // rowStrings renders rows for comparison.
@@ -52,13 +54,13 @@ func workerStatus(t *testing.T, base string) WorkerStatus {
 
 // sumOp groups records {k, v} by k and sums v — the smallest op that
 // exercises the full map/shuffle/reduce path.
-func sumOp() *wire.OpSpec {
-	return &wire.OpSpec{
-		Kind:    "aggregate",
-		GroupBy: []*wire.ExprSpec{{T: "col", P: "k"}},
-		Select: []wire.SelectItem{
-			{Expr: &wire.ExprSpec{T: "col", P: "k"}, As: "k"},
-			{Agg: "sum", Expr: &wire.ExprSpec{T: "col", P: "v"}, As: "s"},
+func sumOp() *physop.OpSpec {
+	return &physop.OpSpec{
+		Kind:    physop.Aggregate,
+		GroupBy: []expr.Expr{expr.NewCol("k")},
+		Select: []sqlparse.SelectItem{
+			{E: expr.NewCol("k"), As: "k"},
+			{Agg: "sum", E: expr.NewCol("v"), As: "s"},
 		},
 	}
 }
@@ -246,20 +248,38 @@ func TestShuffleGCOnJobRetirement(t *testing.T) {
 
 // TestWorkerRefusesHostileInput: the worker's socket- and disk-facing
 // readers fail closed — an oversize body is 413 before it is buffered,
-// a non-frame Content-Type is 415, and a block file that is not a DYB1
-// frame is a task error rather than a guess at another format.
+// a non-frame Content-Type is 415, a task frame whose counts no
+// controller emits is 400 before anything is sized from them, a block
+// file that is not a DYB1 frame is a task error rather than a guess at
+// another format, and a panicking operator is a task error too — and
+// after each of them the worker still serves the next request.
 func TestWorkerRefusesHostileInput(t *testing.T) {
-	ts := httptest.NewServer(NewWorker(expr.NewRegistry()).Handler())
+	reg := expr.NewRegistry()
+	reg.Register(expr.UDF{Name: "boom", Fn: func([]data.Value) data.Value { panic("udf exploded") }})
+	ts := httptest.NewServer(NewWorker(reg).Handler())
 	t.Cleanup(ts.Close)
-	notABlock := filepath.Join(t.TempDir(), "b0.blk")
+	dir := t.TempDir()
+	notABlock := filepath.Join(dir, "b0.blk")
 	if err := os.WriteFile(notABlock, []byte(`["i","1"]`+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	frame, err := wire.EncodeTaskBatch([]*wire.Task{{Task: "t-m0", Kind: "map", Op: &wire.OpSpec{Kind: "scan"}, Block: notABlock}})
-	if err != nil {
+	block := filepath.Join(dir, "b1.blk")
+	if err := wire.WriteBlockFile(block, []data.Value{data.Object(data.Field{Name: "v", Value: data.Int(1)})}); err != nil {
 		t.Fatal(err)
 	}
-	defer frame.Close()
+	frameOf := func(task *wire.Task) io.Reader {
+		t.Helper()
+		frame, err := wire.EncodeTaskBatch([]*wire.Task{task})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer frame.Close()
+		return bytes.NewReader(bytes.Clone(frame.Bytes()))
+	}
+	scan := &physop.OpSpec{Kind: physop.Scan}
+	shuffle := &physop.OpSpec{Kind: physop.Repartition}
+	panicky := &physop.OpSpec{Kind: physop.Scan, Source: &physop.Source{Wrap: "t",
+		Filter: &expr.Call{Name: "boom", Args: []expr.Expr{expr.NewCol("t.v")}}}}
 
 	cases := []struct {
 		name        string
@@ -274,7 +294,22 @@ func TestWorkerRefusesHostileInput(t *testing.T) {
 		// streaming half a gigabyte at it).
 		{"oversize", wire.ContentTypeBinary, zeroReader{}, wire.MaxBodyBytes + 1, http.StatusRequestEntityTooLarge, ""},
 		{"jsonBatch", "application/json", strings.NewReader(`{"tasks":[]}`), -1, http.StatusUnsupportedMediaType, ""},
-		{"unknownBlockMagic", wire.ContentTypeBinary, bytes.NewReader(frame.Bytes()), -1, http.StatusOK, "not a block frame"},
+		{"unknownBlockMagic", wire.ContentTypeBinary,
+			frameOf(&wire.Task{Task: "t-m0", Kind: "map", Op: scan, Block: notABlock}), -1, http.StatusOK, "not a block frame"},
+		// A 40-byte frame must not size a bucket array or take a modulus.
+		{"hugeNumReducers", wire.ContentTypeBinary,
+			frameOf(&wire.Task{Task: "t-m0", Kind: "map", Op: shuffle, Block: block, HasReduce: true, NumReducers: 1 << 40}), -1, http.StatusBadRequest, ""},
+		{"zeroNumReducers", wire.ContentTypeBinary,
+			frameOf(&wire.Task{Task: "t-m0", Kind: "map", Op: shuffle, Block: block, HasReduce: true}), -1, http.StatusBadRequest, ""},
+		{"negativeInputIdx", wire.ContentTypeBinary,
+			frameOf(&wire.Task{Task: "t-m0", Kind: "map", Op: shuffle, Block: block, InputIdx: -1}), -1, http.StatusBadRequest, ""},
+		// Deterministic: a task error the controller fails fast on, not a
+		// dropped connection it retries on three workers.
+		{"panickingUDF", wire.ContentTypeBinary,
+			frameOf(&wire.Task{Task: "t-m0", Kind: "map", Op: panicky, Block: block}), -1, http.StatusOK, "panicked: udf exploded"},
+		// The worker is still serving.
+		{"stillServing", wire.ContentTypeBinary,
+			frameOf(&wire.Task{Task: "t-m0", Kind: "map", Op: scan, Block: block}), -1, http.StatusOK, ""},
 	}
 	client := &http.Client{Transport: &http.Transport{ExpectContinueTimeout: time.Minute}}
 	defer client.CloseIdleConnections()
@@ -298,12 +333,15 @@ func TestWorkerRefusesHostileInput(t *testing.T) {
 			if resp.StatusCode != tc.wantStatus {
 				t.Fatalf("HTTP %d (%s), want %d", resp.StatusCode, bytes.TrimSpace(body), tc.wantStatus)
 			}
-			if tc.wantTaskErr == "" {
+			if resp.StatusCode != http.StatusOK {
 				return
 			}
 			results, err := wire.DecodeResultBatch(body)
 			if err != nil || len(results) != 1 {
 				t.Fatalf("decode result batch: %v (%d results)", err, len(results))
+			}
+			if tc.wantTaskErr == "" && results[0].Err != "" {
+				t.Fatalf("task error = %q, want success", results[0].Err)
 			}
 			if !strings.Contains(results[0].Err, tc.wantTaskErr) {
 				t.Fatalf("task error = %q, want it to contain %q", results[0].Err, tc.wantTaskErr)

@@ -8,13 +8,14 @@ import (
 	"net/url"
 	"os"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"dyno/internal/data"
 	"dyno/internal/expr"
+	"dyno/internal/mapreduce"
+	"dyno/internal/physop"
 	"dyno/internal/runtime/wire"
 )
 
@@ -77,6 +78,9 @@ type WorkerStatus struct {
 type blockEntry struct {
 	recs  []data.Value
 	bytes int64 // on-disk size, the cache accounting unit
+	// aux caches the block's columnar image (batch.For) for the columnar
+	// kernels; it lives and is evicted with the entry.
+	aux atomic.Value
 }
 
 type shuffleEntry struct {
@@ -96,10 +100,10 @@ type Worker struct {
 	peers *http.Client
 
 	mu          sync.Mutex
-	blocks      map[string]blockEntry
+	blocks      map[string]*blockEntry
 	blockOrder  []string
 	blockBytes  int64
-	tables      map[string]*wire.Table
+	tables      map[string]*mapreduce.HashTable
 	tableOrder  []string
 	shuffles    map[string]*shuffleEntry
 	shufOrder   []string
@@ -133,8 +137,8 @@ func NewWorkerCfg(reg *expr.Registry, cfg WorkerConfig) *Worker {
 		reg:      reg,
 		cfg:      cfg.withDefaults(),
 		peers:    &http.Client{Timeout: 30 * time.Second},
-		blocks:   map[string]blockEntry{},
-		tables:   map[string]*wire.Table{},
+		blocks:   map[string]*blockEntry{},
+		tables:   map[string]*mapreduce.HashTable{},
 		shuffles: map[string]*shuffleEntry{},
 	}
 }
@@ -277,51 +281,86 @@ func (w *Worker) handleTaskBatch(rw http.ResponseWriter, r *http.Request) {
 
 // runTask executes one task; operator and decode errors come back in
 // the result body (deterministic failures the controller must not
-// retry), transport-level errors never originate here.
-func (w *Worker) runTask(task *wire.Task) *wire.TaskResult {
+// retry), transport-level errors never originate here. A panicking
+// operator is such a failure too: it would panic identically on every
+// worker, so it must not surface as a dropped connection that is
+// retried elsewhere and strikes each worker toward the blacklist.
+func (w *Worker) runTask(task *wire.Task) (res *wire.TaskResult) {
+	defer func() {
+		if r := recover(); r != nil {
+			res = &wire.TaskResult{Err: fmt.Sprintf("task %s panicked: %v", task.Task, r)}
+		}
+	}()
 	if task.Op == nil {
 		return &wire.TaskResult{Err: "task has no operator"}
 	}
+	var err error
 	switch task.Kind {
 	case "map":
-		return w.runMap(task)
+		res, err = w.runMap(task)
 	case "reduce":
-		return w.runReduce(task)
+		res, err = w.runReduce(task)
 	default:
-		return &wire.TaskResult{Err: fmt.Sprintf("unknown task kind %q", task.Kind)}
+		err = fmt.Errorf("unknown task kind %q", task.Kind)
 	}
+	if err != nil {
+		return &wire.TaskResult{Err: err.Error()}
+	}
+	return res
 }
 
-func (w *Worker) runMap(task *wire.Task) *wire.TaskResult {
-	recs, err := w.blockRecords(task.Block)
+// runMap compiles the task's operator against the block's first
+// record and runs the engine's own map task body over the block.
+func (w *Worker) runMap(task *wire.Task) (*wire.TaskResult, error) {
+	blk, err := w.block(task.Block)
 	if err != nil {
-		return &wire.TaskResult{Err: err.Error()}
+		return nil, err
 	}
-	builds := map[string]*wire.Table{}
+	builds := make(map[string]*mapreduce.HashTable, len(task.Builds))
 	for _, ref := range task.Builds {
-		t, err := w.table(ref)
-		if err != nil {
-			return &wire.TaskResult{Err: err.Error()}
+		if builds[ref.Name], err = w.table(ref); err != nil {
+			return nil, err
 		}
-		builds[ref.Name] = t
 	}
-	out, err := task.Op.RunMap(w.reg, recs, task.InputIdx, task.NumReducers, task.HasReduce, task.RunCombine, builds)
+	for _, st := range task.Op.Steps {
+		if builds[st.Build] == nil {
+			return nil, fmt.Errorf("chain step references unknown build %q", st.Build)
+		}
+	}
+	var sample data.Value
+	if len(blk.recs) > 0 {
+		sample = blk.recs[0]
+	}
+	k, err := physop.Compile(task.Op, task.InputIdx, sample)
 	if err != nil {
-		return &wire.TaskResult{Err: err.Error()}
+		return nil, err
+	}
+	mt := &mapreduce.MapTask{Reg: w.reg, Recs: blk.recs, Aux: &blk.aux, Map: k.Map, BatchMap: k.BatchMap, Builds: builds}
+	if task.HasReduce {
+		mt.NumReducers = task.NumReducers
+	}
+	if task.RunCombine {
+		if k.Combine == nil {
+			return nil, fmt.Errorf("combiner requested for %s op", task.Op.Kind)
+		}
+		mt.Combine = k.Combine
+	}
+	out, err := mapreduce.RunMapTask(mt)
+	if err != nil {
+		return nil, err
 	}
 	res := &wire.TaskResult{CPUMap: out.CPUMap, CPUTotal: out.CPUTotal}
-	if !task.HasReduce {
+	switch {
+	case !task.HasReduce:
 		res.Rows = out.Rows
-		return res
+	case task.RetainShuffle && task.ShuffleID != "":
+		res.Parts = w.retainShuffle(task.ShuffleID, out.Parts, task.ByteScale)
+	default:
+		// The recovery re-run of a lost output: the pairs go back to the
+		// controller, which inlines the missing segment.
+		res.Pairs = out.Parts
 	}
-	if task.RetainShuffle && task.ShuffleID != "" {
-		res.Parts = w.retainShuffle(task.ShuffleID, out.Pairs, task.ByteScale)
-		return res
-	}
-	// The recovery re-run of a lost output: the pairs go back to the
-	// controller, which inlines the missing segment.
-	res.Pairs = out.Pairs
-	return res
+	return res, nil
 }
 
 // retainShuffle registers a map task's partitioned output in the
@@ -416,12 +455,18 @@ func (w *Worker) fetchShuffle(base, id string, part int) ([]wire.KV, int64, erro
 }
 
 // runReduce assembles the reduce input from the segment list in order
-// — inline pairs, the local registry, then the producing peer — and
-// sorts it before running the operator.
-func (w *Worker) runReduce(task *wire.Task) *wire.TaskResult {
+// — inline pairs, the local registry, then the producing peer — sorts
+// it, and runs the engine's own reduce task body.
+func (w *Worker) runReduce(task *wire.Task) (*wire.TaskResult, error) {
+	k, err := physop.Compile(task.Op, 0, data.Null())
+	if err != nil {
+		return nil, err
+	}
+	if k.Reduce == nil {
+		return nil, fmt.Errorf("op kind %q has no reduce phase", task.Op.Kind)
+	}
 	var pairs []wire.KV
-	var peerBytes int64
-	var peerFetches int
+	res := &wire.TaskResult{}
 	for i := range task.Fetches {
 		ref := &task.Fetches[i]
 		if ref.ID == "" {
@@ -434,23 +479,22 @@ func (w *Worker) runReduce(task *wire.Task) *wire.TaskResult {
 		}
 		kvs, n, err := w.fetchShuffle(ref.URL, ref.ID, ref.Part)
 		if err != nil {
-			return &wire.TaskResult{Err: wire.PeerFetchErr(i, ref.URL, err)}
+			return &wire.TaskResult{Err: wire.PeerFetchErr(i, ref.URL, err)}, nil
 		}
-		peerFetches++
-		peerBytes += n
+		res.PeerFetches++
+		res.PeerBytes += n
 		pairs = append(pairs, kvs...)
 	}
 	wire.SortKVs(pairs)
-	rows, cpu, err := task.Op.RunReduce(w.reg, pairs)
-	if err != nil {
-		return &wire.TaskResult{Err: err.Error()}
+	if res.Rows, res.CPUSeconds, err = mapreduce.RunReduceTask(w.reg, k.Reduce, pairs); err != nil {
+		return nil, err
 	}
-	return &wire.TaskResult{Rows: rows, CPUSeconds: cpu, PeerBytes: peerBytes, PeerFetches: peerFetches}
+	return res, nil
 }
 
-// blockRecords loads one mirrored block file, memoizing by path under
-// the byte-bounded FIFO block cache.
-func (w *Worker) blockRecords(path string) ([]data.Value, error) {
+// block loads one mirrored block file, memoizing by path under the
+// byte-bounded FIFO block cache.
+func (w *Worker) block(path string) (*blockEntry, error) {
 	if path == "" {
 		return nil, fmt.Errorf("map task has no input block")
 	}
@@ -459,15 +503,18 @@ func (w *Worker) blockRecords(path string) ([]data.Value, error) {
 	w.mu.Unlock()
 	if ok {
 		w.statBlockHits.Add(1)
-		return ent.recs, nil
+		return ent, nil
 	}
 	w.statBlockMisses.Add(1)
 	recs, size, err := readBlockFile(path)
 	if err != nil {
 		return nil, err
 	}
+	ent = &blockEntry{recs: recs, bytes: size}
 	w.mu.Lock()
-	if _, dup := w.blocks[path]; !dup {
+	if cached, dup := w.blocks[path]; dup {
+		ent = cached // keep one entry, so one columnar image, per block
+	} else {
 		max := int64(w.cfg.BlockCacheMB) << 20
 		for w.blockBytes+size > max && len(w.blockOrder) > 0 {
 			evict := w.blockOrder[0]
@@ -476,12 +523,12 @@ func (w *Worker) blockRecords(path string) ([]data.Value, error) {
 			delete(w.blocks, evict)
 			w.statBlockEvicts.Add(1)
 		}
-		w.blocks[path] = blockEntry{recs: recs, bytes: size}
+		w.blocks[path] = ent
 		w.blockOrder = append(w.blockOrder, path)
 		w.blockBytes += size
 	}
 	w.mu.Unlock()
-	return recs, nil
+	return ent, nil
 }
 
 // readBlockFile decodes one mirrored block (a DYB1 frame; anything
@@ -502,12 +549,18 @@ func readBlockFile(path string) ([]data.Value, int64, error) {
 // table returns the built hash table for a broadcast ref, memoized by
 // the ref's full semantic identity (file version + build parameters),
 // so rebuilds of the same file with different filters never collide.
-func (w *Worker) table(ref wire.BuildRef) (*wire.Table, error) {
-	filterKey, err := ref.Filter.Key()
+// The build's UDF cost is discarded: the controller charges the
+// one-time filtered-build preparation to the virtual clock itself, so a
+// worker rebuilding the table must not double-charge it.
+func (w *Worker) table(ref wire.BuildRef) (*mapreduce.HashTable, error) {
+	filterKey, err := wire.ExprKey(ref.Filter)
 	if err != nil {
 		return nil, fmt.Errorf("build %s: %w", ref.Name, err)
 	}
-	key := ref.Version + "|" + ref.Name + "|" + ref.Wrap + "|" + filterKey + "|" + strings.Join(ref.Keys, ",")
+	key := ref.Version + "|" + ref.Name + "|" + ref.Wrap + "|" + filterKey
+	for _, p := range ref.Keys {
+		key += "|" + p.String()
+	}
 	w.mu.Lock()
 	t, ok := w.tables[key]
 	w.mu.Unlock()
@@ -516,23 +569,17 @@ func (w *Worker) table(ref wire.BuildRef) (*wire.Table, error) {
 		return t, nil
 	}
 	w.statTableMisses.Add(1)
-	filter, err := wire.DecodeExpr(ref.Filter)
-	if err != nil {
-		return nil, fmt.Errorf("build %s: %w", ref.Name, err)
-	}
-	keys, err := wire.DecodePaths(ref.Keys)
-	if err != nil {
-		return nil, fmt.Errorf("build %s: %w", ref.Name, err)
-	}
-	var recs []data.Value
-	for _, block := range ref.Blocks {
-		rs, err := w.blockRecords(block)
+	blocks := make([][]data.Value, len(ref.Blocks))
+	for i, path := range ref.Blocks {
+		blk, err := w.block(path)
 		if err != nil {
 			return nil, fmt.Errorf("build %s: %w", ref.Name, err)
 		}
-		recs = append(recs, rs...)
+		blocks[i] = blk.recs
 	}
-	t, err = wire.BuildTable(w.reg, ref.Wrap, filter, keys, recs)
+	t, err = mapreduce.BuildHashTable(w.reg, mapreduce.Broadcast{
+		Name: ref.Name, KeyPaths: ref.Keys, Wrap: ref.Wrap, Filter: ref.Filter,
+	}, blocks, nil)
 	if err != nil {
 		return nil, fmt.Errorf("build %s: %w", ref.Name, err)
 	}

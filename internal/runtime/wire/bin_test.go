@@ -10,6 +10,9 @@ import (
 	"testing"
 
 	"dyno/internal/data"
+	"dyno/internal/expr"
+	"dyno/internal/physop"
+	"dyno/internal/sqlparse"
 )
 
 // binValueRoundTrip pushes values through the binary block codec (the
@@ -155,37 +158,39 @@ func TestBinObjectColumnAbsentVsNull(t *testing.T) {
 
 func sampleTasks(t testing.TB) []*Task {
 	t.Helper()
-	filter := &ExprSpec{T: "cmp", Op: "<=",
-		L: &ExprSpec{T: "col", P: "l.l_quantity"},
-		R: &ExprSpec{T: "lit", V: data.Double(24)}}
-	residual := &ExprSpec{T: "and", Xs: []*ExprSpec{
-		{T: "not", X: &ExprSpec{T: "cmp", Op: "=",
-			L: &ExprSpec{T: "col", P: "o.o_orderstatus"},
-			R: &ExprSpec{T: "lit", V: data.String("F")}}},
-		{T: "call", Name: "q9_keep_part", Args: []*ExprSpec{{T: "col", P: "p.p_name"}}},
+	col := func(p string) expr.Expr { return &expr.Col{Path: data.MustParsePath(p)} }
+	paths := func(ps ...string) []data.Path {
+		out := make([]data.Path, len(ps))
+		for i, p := range ps {
+			out[i] = data.MustParsePath(p)
+		}
+		return out
+	}
+	filter := &expr.Cmp{Op: expr.LE, L: col("l.l_quantity"), R: &expr.Lit{V: data.Double(24)}}
+	residual := &expr.And{Terms: []expr.Expr{
+		&expr.Not{E: &expr.Cmp{Op: expr.EQ, L: col("o.o_orderstatus"), R: &expr.Lit{V: data.String("F")}}},
+		&expr.Call{Name: "q9_keep_part", Args: []expr.Expr{col("p.p_name")}},
 	}}
-	op := &OpSpec{
-		Kind:      "chain",
-		Source:    &SourceSpec{Wrap: "l", Filter: filter},
-		Left:      &SourceSpec{Wrap: "o"},
-		Right:     &SourceSpec{Wrap: "l", Filter: filter},
-		LeftKeys:  []string{"o.o_orderkey"},
-		RightKeys: []string{"l.l_orderkey"},
+	op := &physop.OpSpec{
+		Kind:      physop.Chain,
+		Source:    &physop.Source{Wrap: "l", Filter: filter},
+		Left:      &physop.Source{Wrap: "o"},
+		Right:     &physop.Source{Wrap: "l", Filter: filter},
+		LeftKeys:  paths("o.o_orderkey"),
+		RightKeys: paths("l.l_orderkey"),
 		Residual:  residual,
-		Steps: []ChainStep{
-			{Build: "part", Keys: []string{"l.l_partkey"}, Residual: residual},
-			{Build: "supplier", Keys: []string{"l.l_suppkey"}},
+		Steps: []physop.ChainStep{
+			{Build: "part", Keys: paths("l.l_partkey"), Residual: residual},
+			{Build: "supplier", Keys: paths("l.l_suppkey")},
 		},
-		Prune: []PruneEntry{
-			{Alias: "l", Fields: []string{"l_orderkey", "l_discount"}},
-			{Alias: "o", Fields: nil},
+		Prune: map[string]map[string]bool{
+			"l": {"l_orderkey": true, "l_discount": true},
+			"o": {},
 		},
-		GroupBy: []*ExprSpec{{T: "col", P: "n.n_name"}, nil},
-		Select: []SelectItem{
-			{Expr: &ExprSpec{T: "col", P: "n.n_name"}, As: "nation"},
-			{Agg: "sum", Expr: &ExprSpec{T: "arith", Op: "*",
-				L: &ExprSpec{T: "col", P: "l.l_extendedprice"},
-				R: &ExprSpec{T: "lit", V: data.Int(1)}}, As: "amount"},
+		GroupBy: []expr.Expr{col("n.n_name"), nil},
+		Select: []sqlparse.SelectItem{
+			{E: col("n.n_name"), As: "nation"},
+			{Agg: "sum", E: &expr.Arith{Op: expr.Mul, L: col("l.l_extendedprice"), R: &expr.Lit{V: data.Int(1)}}, As: "amount"},
 			{Star: true},
 		},
 		Combine: true,
@@ -197,7 +202,7 @@ func sampleTasks(t testing.TB) []*Task {
 			HasReduce: true, RunCombine: true,
 			Builds: []BuildRef{{
 				Name: "part", Wrap: "p", Filter: filter,
-				Keys: []string{"p.p_partkey"}, Blocks: []string{"/tmp/b0.blk", "/tmp/b1.blk"},
+				Keys: paths("p.p_partkey"), Blocks: []string{"/tmp/b0.blk", "/tmp/b1.blk"},
 				Version: "/tmp/spill/f000002",
 			}},
 		},
@@ -211,7 +216,7 @@ func sampleTasks(t testing.TB) []*Task {
 				}},
 			},
 		},
-		{Job: "j2", Task: "j2-m0", Kind: "map", Op: &OpSpec{Kind: "scan", Source: &SourceSpec{Wrap: "r"}}},
+		{Job: "j2", Task: "j2-m0", Kind: "map", Op: &physop.OpSpec{Kind: physop.Scan, Source: &physop.Source{Wrap: "r"}}},
 	}
 }
 
@@ -305,8 +310,35 @@ func TestBinResultBatchRoundTrip(t *testing.T) {
 }
 
 func TestBinTaskBatchRejectsUnknownKind(t *testing.T) {
-	if _, err := EncodeTaskBatch([]*Task{{Task: "t", Kind: "exotic", Op: &OpSpec{Kind: "scan"}}}); err == nil {
+	if _, err := EncodeTaskBatch([]*Task{{Task: "t", Kind: "exotic", Op: &physop.OpSpec{Kind: physop.Scan}}}); err == nil {
 		t.Fatal("expected EncodeTaskBatch to reject an unknown task kind")
+	}
+}
+
+// hostileTasks are frames no controller emits: a worker sizes buffers
+// and takes moduli from these fields, so the decoder must refuse them.
+func hostileTasks() map[string]*Task {
+	op := &physop.OpSpec{Kind: physop.Repartition}
+	return map[string]*Task{
+		"hugeReducers":      {Task: "t", Kind: "map", Op: op, HasReduce: true, NumReducers: 1 << 40},
+		"zeroReducers":      {Task: "t", Kind: "map", Op: op, HasReduce: true},
+		"negativeReducers":  {Task: "t", Kind: "map", Op: op, NumReducers: -1},
+		"negativeInput":     {Task: "t", Kind: "map", Op: op, InputIdx: -1},
+		"negativePartition": {Task: "t", Kind: "reduce", Op: op, Partition: -1},
+		"hugePartition":     {Task: "t", Kind: "reduce", Op: op, Partition: MaxReducers},
+	}
+}
+
+func TestBinTaskBatchRejectsOutOfRange(t *testing.T) {
+	for name, task := range hostileTasks() {
+		frame, err := EncodeTaskBatch([]*Task{task})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := DecodeTaskBatch(frame.Bytes()); err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("%s: decode error = %v, want an out-of-range refusal", name, err)
+		}
+		frame.Close()
 	}
 }
 
@@ -359,7 +391,7 @@ func TestBinStringInterning(t *testing.T) {
 	mk := func(i int) *Task {
 		return &Task{
 			Job: "job-with-a-reasonably-long-name", Task: "t", Kind: "map",
-			Op:    &OpSpec{Kind: "scan", Source: &SourceSpec{Wrap: "lineitem"}},
+			Op:    &physop.OpSpec{Kind: physop.Scan, Source: &physop.Source{Wrap: "lineitem"}},
 			Block: "/tmp/dyno-spill/f000001/b0.blk",
 		}
 	}

@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"sort"
 
 	"dyno/internal/data"
+	"dyno/internal/expr"
+	"dyno/internal/physop"
+	"dyno/internal/sqlparse"
 )
 
 // Binary frames for the controller/worker protocol. A task batch is
@@ -40,63 +44,77 @@ func (f *Frame) Close() {
 	}
 }
 
-// Expression tags (binary form of ExprSpec.T).
-var exprTags = map[string]byte{
-	"col": 1, "lit": 2, "cmp": 3, "and": 4, "or": 5, "not": 6, "arith": 7, "call": 8,
+// Expression node tags. Only the uncompiled node types have one:
+// compiled nodes (accessor-bound columns, see expr.Compile) are refused
+// at encode time — operators carry the uncompiled originals, and
+// expr.Compile is documented to change neither results nor UDF CPU
+// accrual, so both sides evaluate identically after compiling their
+// own copies.
+const (
+	exprNil byte = iota
+	exprCol
+	exprLit
+	exprCmp
+	exprAnd
+	exprOr
+	exprNot
+	exprArith
+	exprCall
+)
+
+// writeExpr writes a nilable expression.
+func (e *benc) writeExpr(x expr.Expr) error {
+	switch n := x.(type) {
+	case nil:
+		e.byte(exprNil)
+	case *expr.Col:
+		e.byte(exprCol)
+		e.str(n.Path.String())
+	case *expr.Lit:
+		e.byte(exprLit)
+		e.writeValue(n.V)
+	case *expr.Cmp:
+		e.byte(exprCmp)
+		e.str(n.Op.String())
+		return e.writeExprs(false, n.L, n.R)
+	case *expr.And:
+		e.byte(exprAnd)
+		return e.writeExprs(true, n.Terms...)
+	case *expr.Or:
+		e.byte(exprOr)
+		return e.writeExprs(true, n.Terms...)
+	case *expr.Not:
+		e.byte(exprNot)
+		return e.writeExpr(n.E)
+	case *expr.Arith:
+		e.byte(exprArith)
+		e.str(n.Op.String())
+		return e.writeExprs(false, n.L, n.R)
+	case *expr.Call:
+		e.byte(exprCall)
+		e.str(n.Name)
+		return e.writeExprs(true, n.Args...)
+	default:
+		return fmt.Errorf("wire: unsupported expression node %T (serialize uncompiled expressions)", x)
+	}
+	return nil
 }
 
-var exprNames = func() map[byte]string {
-	m := make(map[byte]string, len(exprTags))
-	for n, t := range exprTags {
-		m[t] = n
+// writeExprs writes expressions back to back, after their count when
+// counted is set.
+func (e *benc) writeExprs(counted bool, xs ...expr.Expr) error {
+	if counted {
+		e.uvarint(uint64(len(xs)))
 	}
-	return m
-}()
-
-// writeExpr writes a nilable expression spec.
-func (e *benc) writeExpr(s *ExprSpec) error {
-	if s == nil {
-		e.byte(0)
-		return nil
-	}
-	tag, ok := exprTags[s.T]
-	if !ok {
-		return fmt.Errorf("wire: unknown expression tag %q", s.T)
-	}
-	e.byte(tag)
-	switch s.T {
-	case "col":
-		e.str(s.P)
-	case "lit":
-		e.writeValue(s.V)
-	case "cmp", "arith":
-		e.str(s.Op)
-		if err := e.writeExpr(s.L); err != nil {
+	for _, x := range xs {
+		if err := e.writeExpr(x); err != nil {
 			return err
-		}
-		return e.writeExpr(s.R)
-	case "and", "or":
-		e.uvarint(uint64(len(s.Xs)))
-		for _, x := range s.Xs {
-			if err := e.writeExpr(x); err != nil {
-				return err
-			}
-		}
-	case "not":
-		return e.writeExpr(s.X)
-	case "call":
-		e.str(s.Name)
-		e.uvarint(uint64(len(s.Args)))
-		for _, a := range s.Args {
-			if err := e.writeExpr(a); err != nil {
-				return err
-			}
 		}
 	}
 	return nil
 }
 
-func (d *bdec) readExpr(depth int) (*ExprSpec, error) {
+func (d *bdec) readExpr(depth int) (expr.Expr, error) {
 	if depth > maxValueDepth {
 		return nil, fmt.Errorf("wire: expression nesting exceeds %d", maxValueDepth)
 	}
@@ -104,70 +122,94 @@ func (d *bdec) readExpr(depth int) (*ExprSpec, error) {
 	if err != nil {
 		return nil, err
 	}
-	if tag == 0 {
+	switch tag {
+	case exprNil:
 		return nil, nil
-	}
-	name, ok := exprNames[tag]
-	if !ok {
-		return nil, fmt.Errorf("wire: unknown expression tag byte %d", tag)
-	}
-	s := &ExprSpec{T: name}
-	switch name {
-	case "col":
-		if s.P, err = d.str(); err != nil {
-			return nil, err
-		}
-	case "lit":
-		if s.V, err = d.readValue(depth); err != nil {
-			return nil, err
-		}
-	case "cmp", "arith":
-		if s.Op, err = d.str(); err != nil {
-			return nil, err
-		}
-		if s.L, err = d.readExpr(depth + 1); err != nil {
-			return nil, err
-		}
-		if s.R, err = d.readExpr(depth + 1); err != nil {
-			return nil, err
-		}
-	case "and", "or":
-		n, err := d.uvarint()
+	case exprCol:
+		p, err := d.readPath()
 		if err != nil {
 			return nil, err
 		}
-		if n > uint64(d.rem()) {
-			return nil, errShortFrame
-		}
-		s.Xs = make([]*ExprSpec, n)
-		for i := range s.Xs {
-			if s.Xs[i], err = d.readExpr(depth + 1); err != nil {
-				return nil, err
-			}
-		}
-	case "not":
-		if s.X, err = d.readExpr(depth + 1); err != nil {
-			return nil, err
-		}
-	case "call":
-		if s.Name, err = d.str(); err != nil {
-			return nil, err
-		}
-		n, err := d.uvarint()
+		return &expr.Col{Path: p}, nil
+	case exprLit:
+		v, err := d.readValue(depth)
 		if err != nil {
 			return nil, err
 		}
-		if n > uint64(d.rem()) {
-			return nil, errShortFrame
+		return &expr.Lit{V: v}, nil
+	case exprCmp, exprArith:
+		sym, err := d.str()
+		if err != nil {
+			return nil, err
 		}
-		s.Args = make([]*ExprSpec, n)
-		for i := range s.Args {
-			if s.Args[i], err = d.readExpr(depth + 1); err != nil {
-				return nil, err
+		l, err := d.readExpr(depth + 1)
+		if err != nil {
+			return nil, err
+		}
+		r, err := d.readExpr(depth + 1)
+		if err != nil {
+			return nil, err
+		}
+		if tag == exprCmp {
+			for op := expr.EQ; op <= expr.GE; op++ {
+				if op.String() == sym {
+					return &expr.Cmp{Op: op, L: l, R: r}, nil
+				}
+			}
+			return nil, fmt.Errorf("wire: unknown comparison operator %q", sym)
+		}
+		for op := expr.Add; op <= expr.Div; op++ {
+			if op.String() == sym {
+				return &expr.Arith{Op: op, L: l, R: r}, nil
 			}
 		}
+		return nil, fmt.Errorf("wire: unknown arithmetic operator %q", sym)
+	case exprAnd:
+		xs, err := d.readExprs(depth + 1)
+		return &expr.And{Terms: xs}, err
+	case exprOr:
+		xs, err := d.readExprs(depth + 1)
+		return &expr.Or{Terms: xs}, err
+	case exprNot:
+		x, err := d.readExpr(depth + 1)
+		return &expr.Not{E: x}, err
+	case exprCall:
+		name, err := d.str()
+		if err != nil {
+			return nil, err
+		}
+		args, err := d.readExprs(depth + 1)
+		return &expr.Call{Name: name, Args: args}, err
 	}
-	return s, nil
+	return nil, fmt.Errorf("wire: unknown expression tag byte %d", tag)
+}
+
+// readExprs reads a counted expression list.
+func (d *bdec) readExprs(depth int) ([]expr.Expr, error) {
+	n, err := d.count()
+	if err != nil || n == 0 {
+		return nil, err
+	}
+	xs := make([]expr.Expr, n)
+	for i := range xs {
+		if xs[i], err = d.readExpr(depth); err != nil {
+			return nil, err
+		}
+	}
+	return xs, nil
+}
+
+// count reads a list length, refusing one the rest of the frame could
+// not hold at a byte per element.
+func (d *bdec) count() (uint64, error) {
+	n, err := d.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if n > uint64(d.rem())+1 {
+		return 0, errShortFrame
+	}
+	return n, nil
 }
 
 func (e *benc) writeStrs(ss []string) {
@@ -178,15 +220,9 @@ func (e *benc) writeStrs(ss []string) {
 }
 
 func (d *bdec) readStrs() ([]string, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil // nil/empty distinction is not observable for string lists
-	}
-	if n > uint64(d.rem())+1 {
-		return nil, errShortFrame
+	n, err := d.count()
+	if err != nil || n == 0 {
+		return nil, err // nil/empty distinction is not observable for string lists
 	}
 	out := make([]string, n)
 	for i := range out {
@@ -197,7 +233,42 @@ func (d *bdec) readStrs() ([]string, error) {
 	return out, nil
 }
 
-func (e *benc) writeSource(s *SourceSpec) error {
+// Column paths travel in their canonical string form (Path.String
+// round-trips through ParsePath for every parser-produced path).
+func (d *bdec) readPath() (data.Path, error) {
+	s, err := d.str()
+	if err != nil {
+		return nil, err
+	}
+	p, err := data.ParsePath(s)
+	if err != nil {
+		return nil, fmt.Errorf("wire: bad column path %q: %v", s, err)
+	}
+	return p, nil
+}
+
+func (e *benc) writePaths(paths []data.Path) {
+	e.uvarint(uint64(len(paths)))
+	for _, p := range paths {
+		e.str(p.String())
+	}
+}
+
+func (d *bdec) readPaths() ([]data.Path, error) {
+	n, err := d.count()
+	if err != nil || n == 0 {
+		return nil, err
+	}
+	out := make([]data.Path, n)
+	for i := range out {
+		if out[i], err = d.readPath(); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+func (e *benc) writeSource(s *physop.Source) error {
 	if s == nil {
 		e.byte(0)
 		return nil
@@ -207,7 +278,7 @@ func (e *benc) writeSource(s *SourceSpec) error {
 	return e.writeExpr(s.Filter)
 }
 
-func (d *bdec) readSource() (*SourceSpec, error) {
+func (d *bdec) readSource() (*physop.Source, error) {
 	present, err := d.byte()
 	if err != nil {
 		return nil, err
@@ -215,7 +286,7 @@ func (d *bdec) readSource() (*SourceSpec, error) {
 	if present == 0 {
 		return nil, nil
 	}
-	s := &SourceSpec{}
+	s := &physop.Source{}
 	if s.Wrap, err = d.str(); err != nil {
 		return nil, err
 	}
@@ -224,7 +295,7 @@ func (d *bdec) readSource() (*SourceSpec, error) {
 }
 
 // writeOp writes a nilable operator spec.
-func (e *benc) writeOp(op *OpSpec) error {
+func (e *benc) writeOp(op *physop.OpSpec) error {
 	if op == nil {
 		e.byte(0)
 		return nil
@@ -240,44 +311,56 @@ func (e *benc) writeOp(op *OpSpec) error {
 	if err := e.writeSource(op.Right); err != nil {
 		return err
 	}
-	e.writeStrs(op.LeftKeys)
-	e.writeStrs(op.RightKeys)
+	e.writePaths(op.LeftKeys)
+	e.writePaths(op.RightKeys)
 	if err := e.writeExpr(op.Residual); err != nil {
 		return err
 	}
 	e.uvarint(uint64(len(op.Steps)))
 	for _, st := range op.Steps {
 		e.str(st.Build)
-		e.writeStrs(st.Keys)
+		e.writePaths(st.Keys)
 		if err := e.writeExpr(st.Residual); err != nil {
 			return err
 		}
 	}
-	e.uvarint(uint64(len(op.Prune)))
-	for _, p := range op.Prune {
-		e.str(p.Alias)
-		e.writeStrs(p.Fields)
-	}
-	e.uvarint(uint64(len(op.GroupBy)))
-	for _, g := range op.GroupBy {
-		if err := e.writeExpr(g); err != nil {
-			return err
+	// The live-column map travels as (alias, kept fields) entries in
+	// sorted order. A fully live alias (nil set) is omitted: the pruner
+	// keeps unknown aliases whole.
+	var aliases []string
+	for alias, set := range op.Prune {
+		if set != nil {
+			aliases = append(aliases, alias)
 		}
+	}
+	sort.Strings(aliases)
+	e.uvarint(uint64(len(aliases)))
+	for _, alias := range aliases {
+		fields := make([]string, 0, len(op.Prune[alias]))
+		for f := range op.Prune[alias] {
+			fields = append(fields, f)
+		}
+		sort.Strings(fields)
+		e.str(alias)
+		e.writeStrs(fields)
+	}
+	if err := e.writeExprs(true, op.GroupBy...); err != nil {
+		return err
 	}
 	e.uvarint(uint64(len(op.Select)))
 	for _, it := range op.Select {
-		if err := e.writeExpr(it.Expr); err != nil {
+		if err := e.writeExpr(it.E); err != nil {
 			return err
 		}
 		e.str(it.Agg)
 		e.bool(it.Star)
-		e.str(it.As)
+		e.str(physop.OutputName(it))
 	}
 	e.bool(op.Combine)
 	return nil
 }
 
-func (d *bdec) readOp() (*OpSpec, error) {
+func (d *bdec) readOp() (*physop.OpSpec, error) {
 	present, err := d.byte()
 	if err != nil {
 		return nil, err
@@ -285,7 +368,7 @@ func (d *bdec) readOp() (*OpSpec, error) {
 	if present == 0 {
 		return nil, nil
 	}
-	op := &OpSpec{}
+	op := &physop.OpSpec{}
 	if op.Kind, err = d.str(); err != nil {
 		return nil, err
 	}
@@ -298,29 +381,26 @@ func (d *bdec) readOp() (*OpSpec, error) {
 	if op.Right, err = d.readSource(); err != nil {
 		return nil, err
 	}
-	if op.LeftKeys, err = d.readStrs(); err != nil {
+	if op.LeftKeys, err = d.readPaths(); err != nil {
 		return nil, err
 	}
-	if op.RightKeys, err = d.readStrs(); err != nil {
+	if op.RightKeys, err = d.readPaths(); err != nil {
 		return nil, err
 	}
 	if op.Residual, err = d.readExpr(0); err != nil {
 		return nil, err
 	}
-	n, err := d.uvarint()
+	n, err := d.count()
 	if err != nil {
 		return nil, err
 	}
-	if n > uint64(d.rem())+1 {
-		return nil, errShortFrame
-	}
 	if n > 0 {
-		op.Steps = make([]ChainStep, n)
+		op.Steps = make([]physop.ChainStep, n)
 		for i := range op.Steps {
 			if op.Steps[i].Build, err = d.str(); err != nil {
 				return nil, err
 			}
-			if op.Steps[i].Keys, err = d.readStrs(); err != nil {
+			if op.Steps[i].Keys, err = d.readPaths(); err != nil {
 				return nil, err
 			}
 			if op.Steps[i].Residual, err = d.readExpr(0); err != nil {
@@ -328,56 +408,47 @@ func (d *bdec) readOp() (*OpSpec, error) {
 			}
 		}
 	}
-	if n, err = d.uvarint(); err != nil {
+	if n, err = d.count(); err != nil {
 		return nil, err
 	}
-	if n > uint64(d.rem())+1 {
-		return nil, errShortFrame
-	}
 	if n > 0 {
-		op.Prune = make([]PruneEntry, n)
-		for i := range op.Prune {
-			if op.Prune[i].Alias, err = d.str(); err != nil {
+		op.Prune = make(map[string]map[string]bool, n)
+		for ; n > 0; n-- {
+			alias, err := d.str()
+			if err != nil {
 				return nil, err
 			}
-			if op.Prune[i].Fields, err = d.readStrs(); err != nil {
+			fields, err := d.readStrs()
+			if err != nil {
 				return nil, err
 			}
+			set := make(map[string]bool, len(fields))
+			for _, f := range fields {
+				set[f] = true
+			}
+			op.Prune[alias] = set
 		}
 	}
-	if n, err = d.uvarint(); err != nil {
+	if op.GroupBy, err = d.readExprs(0); err != nil {
 		return nil, err
 	}
-	if n > uint64(d.rem())+1 {
-		return nil, errShortFrame
-	}
-	if n > 0 {
-		op.GroupBy = make([]*ExprSpec, n)
-		for i := range op.GroupBy {
-			if op.GroupBy[i], err = d.readExpr(0); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if n, err = d.uvarint(); err != nil {
+	if n, err = d.count(); err != nil {
 		return nil, err
 	}
-	if n > uint64(d.rem())+1 {
-		return nil, errShortFrame
-	}
 	if n > 0 {
-		op.Select = make([]SelectItem, n)
+		op.Select = make([]sqlparse.SelectItem, n)
 		for i := range op.Select {
-			if op.Select[i].Expr, err = d.readExpr(0); err != nil {
+			it := &op.Select[i]
+			if it.E, err = d.readExpr(0); err != nil {
 				return nil, err
 			}
-			if op.Select[i].Agg, err = d.str(); err != nil {
+			if it.Agg, err = d.str(); err != nil {
 				return nil, err
 			}
-			if op.Select[i].Star, err = d.bool(); err != nil {
+			if it.Star, err = d.bool(); err != nil {
 				return nil, err
 			}
-			if op.Select[i].As, err = d.str(); err != nil {
+			if it.As, err = d.str(); err != nil {
 				return nil, err
 			}
 		}
@@ -386,13 +457,29 @@ func (d *bdec) readOp() (*OpSpec, error) {
 	return op, err
 }
 
+// ExprKey returns a string that is equal for two expressions exactly
+// when they are the same tree (the empty string for nil): the
+// expression's frame encoding under a fresh dictionary. Workers key
+// their built-table cache with it.
+func ExprKey(x expr.Expr) (string, error) {
+	if x == nil {
+		return "", nil
+	}
+	e := newBenc()
+	defer e.release()
+	if err := e.writeExpr(x); err != nil {
+		return "", err
+	}
+	return string(e.buf), nil
+}
+
 func (e *benc) writeBuild(b *BuildRef) error {
 	e.str(b.Name)
 	e.str(b.Wrap)
 	if err := e.writeExpr(b.Filter); err != nil {
 		return err
 	}
-	e.writeStrs(b.Keys)
+	e.writePaths(b.Keys)
 	e.writeStrs(b.Blocks)
 	e.str(b.Version)
 	return nil
@@ -410,7 +497,7 @@ func (d *bdec) readBuild() (BuildRef, error) {
 	if b.Filter, err = d.readExpr(0); err != nil {
 		return b, err
 	}
-	if b.Keys, err = d.readStrs(); err != nil {
+	if b.Keys, err = d.readPaths(); err != nil {
 		return b, err
 	}
 	if b.Blocks, err = d.readStrs(); err != nil {
@@ -506,22 +593,25 @@ func (d *bdec) readTask() (*Task, error) {
 	if t.Block, err = d.str(); err != nil {
 		return nil, err
 	}
-	if idx, err = d.varint(); err != nil {
+	reducers, err := d.varint()
+	if err != nil {
 		return nil, err
 	}
-	t.NumReducers = int(idx)
 	flags, err := d.byte()
 	if err != nil {
 		return nil, err
 	}
 	t.HasReduce = flags&1 != 0
 	t.RunCombine = flags&2 != 0
-	n, err := d.uvarint()
+	// Workers size buffers and take moduli from these; a value no
+	// controller emits is refused here, before it is used.
+	if idx < 0 || reducers < 0 || reducers > MaxReducers || (t.HasReduce && reducers == 0) {
+		return nil, fmt.Errorf("wire: task %s: input %d with %d reducers is out of range", t.Task, idx, reducers)
+	}
+	t.NumReducers = int(reducers)
+	n, err := d.count()
 	if err != nil {
 		return nil, err
-	}
-	if n > uint64(d.rem())+1 {
-		return nil, errShortFrame
 	}
 	if n > 0 {
 		t.Builds = make([]BuildRef, n)
@@ -534,6 +624,9 @@ func (d *bdec) readTask() (*Task, error) {
 	if idx, err = d.varint(); err != nil {
 		return nil, err
 	}
+	if idx < 0 || idx >= MaxReducers {
+		return nil, fmt.Errorf("wire: task %s: partition %d is out of range", t.Task, idx)
+	}
 	t.Partition = int(idx)
 	if t.RetainShuffle, err = d.bool(); err != nil {
 		return nil, err
@@ -544,12 +637,8 @@ func (d *bdec) readTask() (*Task, error) {
 	if t.ByteScale, err = d.f64(); err != nil {
 		return nil, err
 	}
-	n, err = d.uvarint()
-	if err != nil {
+	if n, err = d.count(); err != nil {
 		return nil, err
-	}
-	if n > uint64(d.rem())+1 {
-		return nil, errShortFrame
 	}
 	if n > 0 {
 		t.Fetches = make([]ShuffleRef, n)
@@ -610,12 +699,9 @@ func (d *bdec) readResult() (*TaskResult, error) {
 	if r.Rows, err = d.readValueList(); err != nil {
 		return nil, err
 	}
-	n, err := d.uvarint()
+	n, err := d.count()
 	if err != nil {
 		return nil, err
-	}
-	if n > uint64(d.rem())+1 {
-		return nil, errShortFrame
 	}
 	if n > 0 {
 		r.Pairs = make([][]KV, n)
@@ -625,11 +711,8 @@ func (d *bdec) readResult() (*TaskResult, error) {
 			}
 		}
 	}
-	if n, err = d.uvarint(); err != nil {
+	if n, err = d.count(); err != nil {
 		return nil, err
-	}
-	if n > uint64(d.rem())+1 {
-		return nil, errShortFrame
 	}
 	if n > 0 {
 		r.Parts = make([]ShufflePart, n)
@@ -677,12 +760,9 @@ func DecodeTaskBatch(b []byte) ([]*Task, error) {
 	}
 	d := newBdec(b[len(magicTaskBatch):])
 	defer d.release()
-	n, err := d.uvarint()
+	n, err := d.count()
 	if err != nil {
 		return nil, err
-	}
-	if n > uint64(d.rem())+1 {
-		return nil, errShortFrame
 	}
 	out := make([]*Task, n)
 	for i := range out {
@@ -711,12 +791,9 @@ func DecodeResultBatch(b []byte) ([]*TaskResult, error) {
 	}
 	d := newBdec(b[len(magicRespBatch):])
 	defer d.release()
-	n, err := d.uvarint()
+	n, err := d.count()
 	if err != nil {
 		return nil, err
-	}
-	if n > uint64(d.rem())+1 {
-		return nil, errShortFrame
 	}
 	out := make([]*TaskResult, n)
 	for i := range out {

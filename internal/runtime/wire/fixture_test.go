@@ -9,15 +9,17 @@ import (
 
 	"dyno/internal/data"
 	"dyno/internal/expr"
+	"dyno/internal/physop"
 	"dyno/internal/sqlparse"
 )
 
 // The DYT1 fixtures under testdata pin the task frame layout across
 // commits: one committed batch per operator kind, built from engine
 // values (expressions, paths, select items, a live-column map) the way
-// the compiler builds them. A frame encoded by an older build must
-// decode here and re-encode to the same bytes, and the same tasks
-// built today must encode to the committed bytes.
+// the compiler builds them. They were written by the build that still
+// converted those values through a mirror layer of wire-only types; a
+// frame it encoded must decode here and re-encode to the same bytes,
+// and the same tasks built today must encode to the committed bytes.
 //
 // Regenerate with: go test ./internal/runtime/wire -run TestTaskFrameFixtures -update-fixtures
 var updateFixtures = flag.Bool("update-fixtures", false, "rewrite testdata/*.dyt1 from the current encoder")
@@ -45,29 +47,29 @@ func fixtureTasks(t *testing.T, kind string) []*Task {
 		"o": nil, // fully live: omitted from the frame
 		"n": {},
 	}
-	enc := func(e expr.Expr) *ExprSpec {
-		s, err := EncodeExpr(e)
-		if err != nil {
-			t.Fatal(err)
+	paths := func(ps ...string) []data.Path {
+		out := make([]data.Path, len(ps))
+		for i, p := range ps {
+			out[i] = fixturePath(p)
 		}
-		return s
+		return out
 	}
 	switch kind {
 	case "scan":
-		op := &OpSpec{Kind: "scan", Source: &SourceSpec{Wrap: "l", Filter: enc(filter)}, Prune: EncodePrune(live)}
+		op := &physop.OpSpec{Kind: physop.Scan, Source: &physop.Source{Wrap: "l", Filter: filter}, Prune: live}
 		return []*Task{
 			{Job: "scan/q1", Task: "scan/q1-m0", Kind: "map", Op: op, Block: "/spill/f000001/b0.blk"},
-			{Job: "scan/q1", Task: "scan/q1-m1", Kind: "map", Op: &OpSpec{Kind: "scan", Source: &SourceSpec{}}, Block: "/spill/f000001/b1.blk"},
+			{Job: "scan/q1", Task: "scan/q1-m1", Kind: "map", Op: &physop.OpSpec{Kind: physop.Scan, Source: &physop.Source{}}, Block: "/spill/f000001/b1.blk"},
 		}
 	case "repartition":
-		op := &OpSpec{
-			Kind:      "repartition",
-			Left:      &SourceSpec{Wrap: "o"},
-			Right:     &SourceSpec{Wrap: "l", Filter: enc(filter)},
-			LeftKeys:  EncodePaths([]data.Path{fixturePath("o.o_orderkey")}),
-			RightKeys: EncodePaths([]data.Path{fixturePath("l.l_orderkey")}),
-			Residual:  enc(residual),
-			Prune:     EncodePrune(live),
+		op := &physop.OpSpec{
+			Kind:      physop.Repartition,
+			Left:      &physop.Source{Wrap: "o"},
+			Right:     &physop.Source{Wrap: "l", Filter: filter},
+			LeftKeys:  paths("o.o_orderkey"),
+			RightKeys: paths("l.l_orderkey"),
+			Residual:  residual,
+			Prune:     live,
 		}
 		return []*Task{
 			{Job: "j1", Task: "j1-m0", Kind: "map", Op: op, InputIdx: 1, Block: "/spill/f000002/b3.blk",
@@ -81,39 +83,36 @@ func fixtureTasks(t *testing.T, kind string) []*Task {
 			}},
 		}
 	case "chain":
-		op := &OpSpec{
-			Kind:   "chain",
-			Source: &SourceSpec{Wrap: "l", Filter: enc(filter)},
-			Steps: []ChainStep{
-				{Build: "b0", Keys: EncodePaths([]data.Path{fixturePath("l.l_partkey"), fixturePath("l.l_suppkey")}), Residual: enc(residual)},
-				{Build: "b1", Keys: EncodePaths([]data.Path{fixturePath("ps.ps_suppkey")})},
+		op := &physop.OpSpec{
+			Kind:   physop.Chain,
+			Source: &physop.Source{Wrap: "l", Filter: filter},
+			Steps: []physop.ChainStep{
+				{Build: "b0", Keys: paths("l.l_partkey", "l.l_suppkey"), Residual: residual},
+				{Build: "b1", Keys: paths("ps.ps_suppkey")},
 			},
-			Prune: EncodePrune(live),
+			Prune: live,
 		}
 		return []*Task{{
 			Job: "j2", Task: "j2-m4", Kind: "map", Op: op, Block: "/spill/f000003/b4.blk",
 			Builds: []BuildRef{
-				{Name: "b0", Wrap: "ps", Filter: enc(&expr.Cmp{Op: expr.NE, L: fixtureCol("ps.ps_availqty"), R: &expr.Lit{V: data.Null()}}),
-					Keys:   EncodePaths([]data.Path{fixturePath("ps.ps_partkey"), fixturePath("ps.ps_suppkey")}),
+				{Name: "b0", Wrap: "ps", Filter: &expr.Cmp{Op: expr.NE, L: fixtureCol("ps.ps_availqty"), R: &expr.Lit{V: data.Null()}},
+					Keys:   paths("ps.ps_partkey", "ps.ps_suppkey"),
 					Blocks: []string{"/spill/f000004/b0.blk", "/spill/f000004/b1.blk"}, Version: "/spill/f000004"},
-				{Name: "b1", Keys: EncodePaths([]data.Path{fixturePath("s.s_suppkey")}),
+				{Name: "b1", Keys: paths("s.s_suppkey"),
 					Blocks: []string{"/spill/f000005/b0.blk"}, Version: "/spill/f000005"},
 			},
 		}}
 	case "aggregate":
-		groupBy, err := EncodeExprs([]expr.Expr{fixtureCol("n.n_name"), &expr.Arith{Op: expr.Div, L: fixtureCol("o.o_year"), R: &expr.Lit{V: data.Int(10)}}})
-		if err != nil {
-			t.Fatal(err)
+		op := &physop.OpSpec{
+			Kind:    physop.Aggregate,
+			GroupBy: []expr.Expr{fixtureCol("n.n_name"), &expr.Arith{Op: expr.Div, L: fixtureCol("o.o_year"), R: &expr.Lit{V: data.Int(10)}}},
+			Select: []sqlparse.SelectItem{
+				{E: fixtureCol("n.n_name")}, // travels under its frozen output name "n_name"
+				{E: &expr.Arith{Op: expr.Mul, L: fixtureCol("l.l_extendedprice"), R: &expr.Lit{V: data.Int(1)}}, Agg: "sum", As: "amount"},
+				{Agg: "count", Star: true},
+			},
+			Combine: true,
 		}
-		sel, err := EncodeSelect([]sqlparse.SelectItem{
-			{E: fixtureCol("n.n_name")}, // output name frozen to "n_name"
-			{E: &expr.Arith{Op: expr.Mul, L: fixtureCol("l.l_extendedprice"), R: &expr.Lit{V: data.Int(1)}}, Agg: "sum", As: "amount"},
-			{Agg: "count", Star: true},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		op := &OpSpec{Kind: "aggregate", GroupBy: groupBy, Select: sel, Combine: true}
 		return []*Task{
 			{Job: "agg", Task: "agg-m0", Kind: "map", Op: op, Block: "/spill/f000006/b0.blk",
 				NumReducers: 2, HasReduce: true, RunCombine: true, RetainShuffle: true, ShuffleID: "agg-m0#9", ByteScale: 0.5},

@@ -182,13 +182,9 @@ func FuzzExprRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		g := &gen{b: raw}
 		e := g.expr(5)
-		spec, err := EncodeExpr(e)
+		be, err := frameRoundTrip(e)
 		if err != nil {
-			t.Fatalf("encode %s: %v", e, err)
-		}
-		be, err := DecodeExpr(frameRoundTrip(t, spec))
-		if err != nil {
-			t.Fatalf("decode: %v", err)
+			t.Fatalf("round trip of %s: %v", e, err)
 		}
 		if be.String() != e.String() {
 			t.Fatalf("round trip changed tree:\n  %s\n  %s", e, be)
@@ -211,6 +207,14 @@ func FuzzTaskBatchDecode(f *testing.F) {
 	}
 	f.Add(bytes.Clone(seed.Bytes()))
 	seed.Close()
+	for _, task := range hostileTasks() {
+		bad, err := EncodeTaskBatch([]*Task{task})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(bytes.Clone(bad.Bytes()))
+		bad.Close()
+	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		tasks, err := DecodeTaskBatch(raw)
 		if err != nil {

@@ -1,8 +1,9 @@
 // Package wire is the serialization layer of the multi-process
-// execution backend: the binary frame codec for data values, tasks and
-// results, a declarative operator spec covering every job shape the
-// compiler emits, and the worker-side interpreter that executes those
-// specs over decoded DFS blocks.
+// execution backend: the binary frame codec for data values, operator
+// specs (physop.OpSpec, carried as the engine's own expression, path
+// and select-item values), tasks and results, and the controller/worker
+// protocol messages. It holds no operator semantics: workers compile
+// the decoded spec with physop.Compile like the in-process runtime.
 //
 // The codec is lossless where the engine's JSON reader is deliberately
 // not (integral doubles decode as ints, 64-bit ints lose precision
@@ -17,9 +18,13 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"sort"
 	"strings"
 
 	"dyno/internal/data"
+	"dyno/internal/expr"
+	"dyno/internal/mapreduce"
+	"dyno/internal/physop"
 )
 
 // The controller/worker HTTP protocol has one data plane: tasks travel
@@ -158,6 +163,26 @@ type ShufflePart struct {
 	Bytes int64
 }
 
+// MaxReducers bounds a task's reduce partition count at decode. The
+// controller emits at most 2 × the cluster's reduce slots (see
+// mapreduce.ReducersFor), orders of magnitude below this; a frame
+// claiming more is hostile or corrupt.
+const MaxReducers = 1 << 16
+
+// KV is one shuffled record — join/group key, input tag, record — the
+// engine's own pair type, so a worker's map output is retained, served
+// and reduced without conversion.
+type KV = mapreduce.Pair
+
+// SortKVs stably sorts pairs into reduce key order. data.Compare order
+// equals the engine's normalized-key order, so a worker sorting its
+// fetched segments groups exactly like the controller's own shuffle.
+func SortKVs(pairs []KV) {
+	sort.SliceStable(pairs, func(i, k int) bool {
+		return data.Compare(pairs[i].Key, pairs[k].Key) < 0
+	})
+}
+
 // ShuffleRef is one reduce-input segment, in map-output order. Either
 // ID is set — the segment lives in the registry of the worker at URL
 // under that shuffle ID (fetch partition Part) — or ID is empty and
@@ -176,8 +201,8 @@ type ShuffleRef struct {
 type BuildRef struct {
 	Name   string
 	Wrap   string
-	Filter *ExprSpec
-	Keys   []string
+	Filter expr.Expr
+	Keys   []data.Path
 	Blocks []string
 	// Version distinguishes rebuilds of the same logical name across
 	// job generations (workers cache built tables keyed by it).
@@ -189,7 +214,7 @@ type Task struct {
 	Job  string
 	Task string
 	Kind string // "map" | "reduce"
-	Op   *OpSpec
+	Op   *physop.OpSpec
 
 	// Map tasks.
 	InputIdx    int
