@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -13,7 +14,11 @@ import (
 // full trace, for differential serial-vs-parallel comparisons.
 func runWorkload(t *testing.T, cfg Config) ([]float64, []TraceEvent) {
 	t.Helper()
-	s := New(cfg)
+	return runWorkloadOn(t, New(cfg))
+}
+
+func runWorkloadOn(t *testing.T, s *Sim) ([]float64, []TraceEvent) {
+	t.Helper()
 	var trace []TraceEvent
 	s.SetTrace(func(ev TraceEvent) { trace = append(trace, ev) })
 	var finishes []float64
@@ -83,6 +88,60 @@ func TestParallelFailureInjectionMatchesSerial(t *testing.T) {
 		if trace[i] != serialTrace[i] {
 			t.Errorf("trace[%d] = %+v, serial %+v", i, trace[i], serialTrace[i])
 		}
+	}
+}
+
+// TestWaveRunnerMatchesSerial: an installed wave runner replaces the
+// pool, not the schedule. It is handed every closure of a wave at once
+// — the attempts that actually run, never an injected failure's — and,
+// however it runs them, the virtual timeline stays the serial one.
+func TestWaveRunnerMatchesSerial(t *testing.T) {
+	base := smallConfig()
+	base.FailEveryN = 3
+	base.FailurePenalty = 5
+	serialFinish, serialTrace := runWorkload(t, base)
+
+	cfg := base
+	cfg.Parallelism = 2
+	s := New(cfg)
+	var waves, closures, widest int
+	s.SetWaveRunner(func(run []func()) {
+		waves++
+		closures += len(run)
+		widest = max(widest, len(run))
+		var wg sync.WaitGroup
+		for _, fn := range run {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				fn()
+			}()
+		}
+		wg.Wait()
+	})
+	finish, trace := runWorkloadOn(t, s)
+	if fmt.Sprint(finish) != fmt.Sprint(serialFinish) {
+		t.Errorf("finishes differ: runner %v, serial %v", finish, serialFinish)
+	}
+	if len(trace) != len(serialTrace) {
+		t.Fatalf("%d trace events, serial %d", len(trace), len(serialTrace))
+	}
+	starts := 0
+	for i := range trace {
+		if trace[i] != serialTrace[i] {
+			t.Errorf("trace[%d] = %+v, serial %+v", i, trace[i], serialTrace[i])
+		}
+		if trace[i].Kind == "start" {
+			starts++
+		}
+	}
+	if closures != starts {
+		t.Errorf("runner was handed %d closures for %d started attempts", closures, starts)
+	}
+	// smallConfig has 4 map slots; a runner sees the whole wave, not
+	// Parallelism-sized pieces of it.
+	if waves == 0 || widest <= cfg.Parallelism {
+		t.Errorf("runner saw %d waves, widest %d: want whole waves wider than Parallelism=%d", waves, widest, cfg.Parallelism)
 	}
 }
 

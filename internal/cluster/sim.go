@@ -15,10 +15,12 @@
 // Real computation is decoupled from virtual time: all tasks dispatched
 // at the same virtual instant (every free slot across nodes) form a
 // wave whose Run closures execute on a pool of Config.Parallelism
-// worker goroutines, mirroring how the modeled cluster genuinely runs
-// one task per slot in parallel. Scheduling decisions, trace events,
-// failure injection, and the application of reported usage all stay on
-// the single scheduler goroutine, in dispatch order, so the virtual
+// worker goroutines — or are handed, all at once, to the wave runner
+// the simulator's owner installed (SetWaveRunner) — mirroring how the
+// modeled cluster genuinely runs one task per slot in parallel.
+// Scheduling decisions, trace events, failure injection, and the
+// application of reported usage all stay on the single scheduler
+// goroutine, in dispatch order, so the virtual
 // timeline — timestamps, event ordering, tie-breaking sequence numbers
 // — is bit-identical to the serial legacy path (Parallelism == 0),
 // which is retained for differential testing. Run closures of one wave
@@ -140,7 +142,9 @@ type Config struct {
 	// closures in real (wall-clock) time. 0 selects the serial legacy
 	// path that runs each closure inline at its dispatch point; any
 	// N >= 1 uses the batched wave executor, which produces an
-	// identical virtual timeline. DefaultConfig sets GOMAXPROCS.
+	// identical virtual timeline (and hands whole waves to a runner
+	// installed with SetWaveRunner instead of pooling them).
+	// DefaultConfig sets GOMAXPROCS.
 	Parallelism int
 
 	// Scheduler selects how free slots are shared among concurrent
@@ -434,6 +438,9 @@ type Sim struct {
 	executedAttempts int64
 	wasted           float64   // slot-seconds burned on failures and losing backups
 	wave             []*launch // tasks of the current virtual instant, in dispatch order
+	// runner, when installed, executes a wave's closures in place of the
+	// worker pool (SetWaveRunner).
+	runner func(closures []func())
 }
 
 // launch is one dispatched task attempt of the current wave. The worker
@@ -503,6 +510,16 @@ func (s *Sim) Advance(d float64) {
 
 // SetTrace installs a callback receiving scheduling events.
 func (s *Sim) SetTrace(f func(TraceEvent)) { s.trace = f }
+
+// SetWaveRunner hands wave execution to the simulator's owner: instead
+// of feeding the closures of one dispatch wave through the Parallelism
+// goroutine pool, runWave passes them all to run, which may execute them
+// however it likes (the proc runtime starts every one at once, so its
+// fleet sees the whole wave) but must return only after each has
+// returned. The closures do not panic and carry their own results;
+// scheduling, result application and the virtual timeline are untouched.
+// It takes effect only when waves are collected at all (Parallelism > 0).
+func (s *Sim) SetWaveRunner(run func(closures []func())) { s.runner = run }
 
 func (s *Sim) emit(ev TraceEvent) {
 	if s.trace != nil {
@@ -596,22 +613,22 @@ func (s *Sim) Step() (bool, error) {
 }
 
 // retireDone compacts completed submissions out of the scheduler's
-// scan list once they dominate it, keeping dispatch proportional to
+// scan list once they are half of it, keeping dispatch proportional to
 // the number of live jobs instead of every job ever submitted — a
 // long-running query service submits jobs indefinitely. Retired
 // submissions remain valid handles for their owners; they simply stop
-// appearing in Jobs().
+// appearing in Jobs(). There is no minimum list length: a completed
+// submission pins its job's output file, so letting dozens collect
+// before the first compaction held every result of the last several
+// queries live and made the heap a sawtooth.
 func (s *Sim) retireDone() {
-	if len(s.subs) < 64 {
-		return
-	}
 	done := 0
 	for _, sub := range s.subs {
 		if sub.done {
 			done++
 		}
 	}
-	if done*2 < len(s.subs) {
+	if done == 0 || done*2 < len(s.subs) {
 		return
 	}
 	kept := s.subs[:0]
@@ -1051,10 +1068,11 @@ func (s *Sim) launchSpeculative(sub *Submission, t *Task, node int) {
 }
 
 // runWave executes the Run closures collected at the current virtual
-// instant on the worker pool, then applies their results in dispatch
-// order on the scheduler goroutine. Because application order equals
-// the serial path's execution order, virtual timestamps, event
-// tie-breaking, and Finish-hook ordering are bit-identical to
+// instant on the worker pool (or the installed wave runner), then
+// applies their results in dispatch order on the scheduler goroutine.
+// Because application order equals the serial path's execution order,
+// virtual timestamps, event tie-breaking, and Finish-hook ordering are
+// bit-identical to
 // Parallelism == 0. The one observable difference is failure handling:
 // a wave is assigned in full before any closure runs, so when a task
 // errors, same-wave tasks of that job have already started (and finish
@@ -1070,7 +1088,17 @@ func (s *Sim) runWave() {
 	if workers > len(wave) {
 		workers = len(wave)
 	}
-	if workers <= 1 {
+	if s.runner != nil {
+		closures := make([]func(), 0, len(wave))
+		for _, l := range wave {
+			if !l.injected {
+				closures = append(closures, l.exec)
+			}
+		}
+		if len(closures) > 0 {
+			s.runner(closures)
+		}
+	} else if workers <= 1 {
 		for _, l := range wave {
 			if !l.injected {
 				l.exec()

@@ -238,37 +238,54 @@ func TestDifferentialTPCH(t *testing.T) {
 	}
 }
 
-// TestProcWireStats pins what one fixed query puts on the wire, with
-// serial task execution so every RPC carries exactly one task and the
-// counts are deterministic: the exact number of task attempts (no
-// retries, no hedges), ceilings on RPCs and dispatch bytes (a task
+// TestProcWireStats pins what one fixed query puts on the wire: the
+// exact number of task attempts (no retries, no hedges), the exact
+// number of RPCs that carried them, ceilings on dispatch bytes (a task
 // costs what its references cost — no block or shuffle payload rides
 // the dispatch plane), and a shuffle that moves worker-to-worker only.
+// The serial arm executes tasks one at a time, outside any wave, so
+// every RPC carries exactly one task; the parallel arm dispatches by
+// wave, one frame per worker per wave.
 func TestProcWireStats(t *testing.T) {
-	ccfg := cluster.DefaultConfig()
-	ccfg.Parallelism = 0
-	rt := newProcRuntime(t, 2, ccfg, procruntime.Config{HedgeMin: time.Hour}, engineTweaks{})
-	runQuery(t, rt, "Q10", engineTweaks{})
-	st := rt.Fleet().WireStats()
 	const wantTasks = 120
-	if st.Tasks != wantTasks {
-		t.Errorf("Tasks = %d, want exactly %d", st.Tasks, wantTasks)
-	}
-	if st.RPCs > st.Tasks {
-		t.Errorf("RPCs = %d exceeds Tasks = %d: an RPC went out empty or a task went out twice", st.RPCs, st.Tasks)
-	}
-	// Measured 231 B/task; the headroom absorbs the spill directory's
-	// random name length, not a payload.
-	const maxBytesOut = 300 * wantTasks
-	if st.BytesOut > maxBytesOut {
-		t.Errorf("BytesOut = %d (%d B/task), ceiling %d", st.BytesOut, st.BytesOut/st.Tasks, maxBytesOut)
-	}
-	t.Logf("wire stats: %+v", st)
-	if st.CtlShuffleBytes != 0 {
-		t.Errorf("CtlShuffleBytes = %d, want 0: shuffle pairs crossed the controller", st.CtlShuffleBytes)
-	}
-	if st.PeerShuffleBytes <= 0 {
-		t.Errorf("PeerShuffleBytes = %d, want > 0: no shuffle pairs moved worker-to-worker", st.PeerShuffleBytes)
+	// Q10 on this dataset schedules its 120 tasks as 8 dispatch waves of
+	// 1, 2, 2, 2, 13, 25, 35 and 40 tasks. Over 2 workers a wave is
+	// min(size, 2) frames: 1 + 7×2 = 15 (wave, worker) pairs.
+	const wantWaveRPCs = 15
+	for _, arm := range []struct {
+		name        string
+		parallelism int
+		wantRPCs    int64
+	}{
+		{"serial", 0, wantTasks},
+		{"parallel", 2, wantWaveRPCs},
+	} {
+		t.Run(arm.name, func(t *testing.T) {
+			ccfg := cluster.DefaultConfig()
+			ccfg.Parallelism = arm.parallelism
+			rt := newProcRuntime(t, 2, ccfg, procruntime.Config{HedgeMin: time.Hour}, engineTweaks{})
+			runQuery(t, rt, "Q10", engineTweaks{})
+			st := rt.Fleet().WireStats()
+			if st.Tasks != wantTasks {
+				t.Errorf("Tasks = %d, want exactly %d", st.Tasks, wantTasks)
+			}
+			if st.RPCs != arm.wantRPCs {
+				t.Errorf("RPCs = %d, want exactly %d", st.RPCs, arm.wantRPCs)
+			}
+			// Measured 231 B/task; the headroom absorbs the spill directory's
+			// random name length, not a payload.
+			const maxBytesOut = 300 * wantTasks
+			if st.BytesOut > maxBytesOut {
+				t.Errorf("BytesOut = %d (%d B/task), ceiling %d", st.BytesOut, st.BytesOut/st.Tasks, maxBytesOut)
+			}
+			t.Logf("wire stats: %+v", st)
+			if st.CtlShuffleBytes != 0 {
+				t.Errorf("CtlShuffleBytes = %d, want 0: shuffle pairs crossed the controller", st.CtlShuffleBytes)
+			}
+			if st.PeerShuffleBytes <= 0 {
+				t.Errorf("PeerShuffleBytes = %d, want > 0: no shuffle pairs moved worker-to-worker", st.PeerShuffleBytes)
+			}
+		})
 	}
 }
 

@@ -24,6 +24,8 @@ import (
 type executor struct {
 	f  *Fleet
 	fs *dfs.FS
+	// waves is the owning Runtime's wave runner; nil outside one.
+	waves *waveRunner
 }
 
 var (
@@ -44,7 +46,7 @@ type peerOutput struct {
 	f     *Fleet
 	url   string     // producing worker (the dispatch winner)
 	id    string     // shuffle id in the producer's registry
-	task  *wire.Task // retain-cleared clone for recovery
+	task  *wire.Task // the map task; recovery re-runs it retain-cleared
 	parts []wire.ShufflePart
 
 	mu        sync.Mutex
@@ -56,7 +58,9 @@ func (p *peerOutput) recover(part int) ([]wire.KV, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if !p.recovered {
-		res, err := p.f.dispatch(p.task)
+		plain := *p.task
+		plain.RetainShuffle, plain.ShuffleID, plain.ByteScale = false, "", 0
+		res, err := p.f.dispatch(&plain, nil)
 		if err != nil {
 			return nil, fmt.Errorf("procruntime: recovery of shuffle %s: %w", p.id, err)
 		}
@@ -105,35 +109,22 @@ func (e executor) ExecMap(m mapreduce.MapExec) (*mapreduce.MapExecOut, error) {
 		RunCombine:  m.RunCombine,
 		Builds:      builds,
 	}
-	if !m.HasReduce {
-		res, err := e.f.dispatch(task)
-		if err != nil {
-			return nil, err
-		}
-		return &mapreduce.MapExecOut{Rows: res.Rows, CPUMap: res.CPUMap, CPUTotal: res.CPUTotal}, nil
+	if m.HasReduce {
+		task.RetainShuffle = true
+		task.ShuffleID = e.f.nextShuffleID(m.JobName, m.TaskName)
+		task.ByteScale = e.fs.ByteScale()
 	}
-	plain := *task
-	task.RetainShuffle = true
-	task.ShuffleID = e.f.nextShuffleID(m.JobName, m.TaskName)
-	task.ByteScale = e.fs.ByteScale()
-	res, err := e.f.dispatch(task)
+	res, err := e.f.dispatch(task, e.waves.current())
 	if err != nil {
 		return nil, err
 	}
-	out := &mapreduce.MapExecOut{
-		CPUMap:   res.CPUMap,
-		CPUTotal: res.CPUTotal,
-		Shuffle: &peerOutput{
-			f:     e.f,
-			url:   res.Worker,
-			id:    task.ShuffleID,
-			task:  &plain,
-			parts: res.Parts,
-		},
-		ShuffleParts: make([]mapreduce.ShufflePart, len(res.Parts)),
-	}
-	for i, p := range res.Parts {
-		out.ShuffleParts[i] = mapreduce.ShufflePart{Count: p.Count, Bytes: p.Bytes}
+	out := &mapreduce.MapExecOut{Rows: res.Rows, CPUMap: res.CPUMap, CPUTotal: res.CPUTotal}
+	if m.HasReduce {
+		out.Shuffle = &peerOutput{f: e.f, url: res.Worker, id: task.ShuffleID, task: task, parts: res.Parts}
+		out.ShuffleParts = make([]mapreduce.ShufflePart, len(res.Parts))
+		for i, p := range res.Parts {
+			out.ShuffleParts[i] = mapreduce.ShufflePart{Count: p.Count, Bytes: p.Bytes}
+		}
 	}
 	return out, nil
 }
@@ -170,7 +161,7 @@ func (e executor) ExecReduce(r mapreduce.ReduceExec) (*mapreduce.ReduceExecOut, 
 	// A failed peer fetch inlines that one segment from a re-run of its
 	// map and dispatches again; every other failure is final.
 	for {
-		res, err := e.f.dispatch(task)
+		res, err := e.f.dispatch(task, e.waves.current())
 		if err == nil {
 			return &mapreduce.ReduceExecOut{Rows: res.Rows, CPUSeconds: res.CPUSeconds}, nil
 		}

@@ -29,7 +29,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -66,13 +65,6 @@ type Config struct {
 	// 1s / 10s.
 	Heartbeat  time.Duration
 	StaleAfter time.Duration
-	// BatchLinger is how long a worker's batcher waits after the first
-	// task of an idle period for wave co-arrivals before sending;
-	// tasks arriving while an RPC is in flight ride the next batch for
-	// free. Default 500µs; <0 disables the linger.
-	BatchLinger time.Duration
-	// MaxBatch caps tasks per batched RPC; default 128.
-	MaxBatch int
 	// UDF is shipped to workers at registration so their registries
 	// evaluate the TPC-H UDFs with the controller's parameters.
 	UDF tpch.UDFParams
@@ -106,12 +98,6 @@ func (c Config) withDefaults() Config {
 	if c.StaleAfter <= 0 {
 		c.StaleAfter = 10 * time.Second
 	}
-	if c.BatchLinger == 0 {
-		c.BatchLinger = 500 * time.Microsecond
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 128
-	}
 	if c.UDF == (tpch.UDFParams{}) {
 		c.UDF = tpch.DefaultUDFParams()
 	}
@@ -124,8 +110,6 @@ type workerState struct {
 	fails    int
 	black    bool
 	lastSeen time.Time
-	// batcher conflates concurrent dispatches into one RPC.
-	batcher *batcher
 }
 
 // Fleet is the controller side of the proc backend: the worker
@@ -138,11 +122,12 @@ type Fleet struct {
 	ln       net.Listener
 	client   *http.Client
 	ownSpill bool
-	done     chan struct{} // closed by Close; wakes batchers
+	done     chan struct{} // closed by Close; fails tasks still in dispatch
 
-	mu        sync.Mutex
-	workers   map[int]*workerState
-	nextID    int
+	mu sync.Mutex
+	// workers is in id order: ids are handed out 1, 2, ... and a worker
+	// leaves only when Close drops them all, so id == index+1.
+	workers   []*workerState
 	rr        int
 	mirrors   map[*dfs.File]*mirror
 	mirrorSeq int
@@ -241,7 +226,6 @@ func NewFleet(cfg Config) (*Fleet, error) {
 			IdleConnTimeout:     90 * time.Second,
 		}},
 		done:        make(chan struct{}),
-		workers:     map[int]*workerState{},
 		mirrors:     map[*dfs.File]*mirror{},
 		durations:   map[string]*durRing{},
 		jobShuffles: map[string][]string{},
@@ -302,27 +286,14 @@ func (f *Fleet) RegisterWorkerCaps(url string, caps wire.Caps) (int, error) {
 			return w.id, nil
 		}
 	}
-	f.nextID++
-	w := &workerState{id: f.nextID, url: url, lastSeen: time.Now()}
-	w.batcher = newBatcher(f, w)
-	f.workers[w.id] = w
+	w := &workerState{id: len(f.workers) + 1, url: url, lastSeen: time.Now()}
+	f.workers = append(f.workers, w)
 	f.logf("procruntime: worker %d registered at %s", w.id, url)
 	return w.id, nil
 }
 
-// Workers returns the number of live (non-blacklisted, fresh)
-// workers.
-func (f *Fleet) Workers() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	n := 0
-	for _, w := range f.workers {
-		if f.alive(w) {
-			n++
-		}
-	}
-	return n
-}
+// Workers returns the number of live (non-blacklisted, fresh) workers.
+func (f *Fleet) Workers() int { return len(f.live(0)) }
 
 // alive reports dispatch eligibility; callers hold f.mu.
 func (f *Fleet) alive(w *workerState) bool {
@@ -354,12 +325,9 @@ func (f *Fleet) Close() error {
 		return nil
 	}
 	f.closed = true
-	close(f.done) // batchers fail their pending items and exit
-	workers := make([]*workerState, 0, len(f.workers))
-	for _, w := range f.workers {
-		workers = append(workers, w)
-	}
-	f.workers = map[int]*workerState{}
+	close(f.done) // dispatch loops fail their tasks, sent or not
+	workers := f.workers
+	f.workers = nil
 	f.mu.Unlock()
 
 	for _, w := range workers {
@@ -446,9 +414,9 @@ func (f *Fleet) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	f.mu.Lock()
-	ws, ok := f.workers[req.ID]
+	ok := req.ID >= 1 && req.ID <= len(f.workers)
 	if ok {
-		ws.lastSeen = time.Now()
+		f.workers[req.ID-1].lastSeen = time.Now()
 	}
 	f.mu.Unlock()
 	if !ok {
@@ -477,7 +445,6 @@ func (f *Fleet) handleStatus(w http.ResponseWriter, r *http.Request) {
 			AgoMilli: float64(time.Since(s.lastSeen).Microseconds()) / 1000})
 	}
 	f.mu.Unlock()
-	sort.Slice(out.Workers, func(i, k int) bool { return out.Workers[i].ID < out.Workers[k].ID })
 	json.NewEncoder(w).Encode(out)
 }
 
@@ -517,11 +484,10 @@ func (f *Fleet) filePaths(fs *dfs.FS, file *dfs.File) ([]string, string, error) 
 
 // sweepMirrors forgets every mirror whose file its file system no
 // longer serves under that name (removed, or replaced by a newer
-// version) and deletes the directories in the background: a long-lived
-// fleet holds mirrors for the live file set, not for every file it
-// ever read.
-func (f *Fleet) sweepMirrors() {
-	var dirs []string
+// version), deletes the directories in the background and returns
+// them: a long-lived fleet holds mirrors for the live file set, not for
+// every file it ever read.
+func (f *Fleet) sweepMirrors() (dirs []string) {
 	f.mu.Lock()
 	for file, m := range f.mirrors {
 		if cur, err := m.fs.Open(m.name); err != nil || cur != file {
@@ -530,16 +496,16 @@ func (f *Fleet) sweepMirrors() {
 		}
 	}
 	f.mu.Unlock()
-	if len(dirs) == 0 {
-		return
+	if len(dirs) > 0 {
+		f.sweeps.Add(1)
+		go func() {
+			defer f.sweeps.Done()
+			for _, dir := range dirs {
+				os.RemoveAll(dir)
+			}
+		}()
 	}
-	f.sweeps.Add(1)
-	go func() {
-		defer f.sweeps.Done()
-		for _, dir := range dirs {
-			os.RemoveAll(dir)
-		}
-	}()
+	return dirs
 }
 
 // blockPath mirrors the file and returns one block's path.
@@ -554,20 +520,27 @@ func (f *Fleet) blockPath(fs *dfs.FS, file *dfs.File, split int) (string, error)
 	return paths[split], nil
 }
 
-// pickWorker returns the next live worker not in tried, round-robin;
-// callers get nil when none remain.
-func (f *Fleet) pickWorker(tried map[int]bool) *workerState {
+// live returns the live workers in round-robin order — starting after
+// the last turn taken — and takes n turns, so picks and waves spread
+// over the fleet instead of piling on its first worker.
+func (f *Fleet) live(n int) []*workerState {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	ids := make([]int, 0, len(f.workers))
-	for id := range f.workers {
-		ids = append(ids, id)
+	live := make([]*workerState, 0, len(f.workers))
+	for i := range f.workers {
+		if w := f.workers[(f.rr+1+i)%len(f.workers)]; f.alive(w) {
+			live = append(live, w)
+		}
 	}
-	sort.Ints(ids)
-	for range ids {
-		f.rr++
-		w := f.workers[ids[f.rr%len(ids)]]
-		if f.alive(w) && !tried[w.id] {
+	f.rr += n
+	return live
+}
+
+// pickWorker returns the next live worker not in tried; callers get nil
+// when none remain.
+func (f *Fleet) pickWorker(tried []*workerState) *workerState {
+	for _, w := range f.live(1) {
+		if !slices.Contains(tried, w) {
 			return w
 		}
 	}
@@ -650,22 +623,22 @@ func (f *Fleet) nextShuffleID(jobName, taskName string) string {
 }
 
 // RetireJob reclaims what the fleet held for a finished job: mirrors of
-// files that no longer exist are dropped, and a shuffle-GC request for
-// the job's retained map outputs goes to every registered worker
-// (every worker, not just known producers: hedged losers may hold
-// orphan copies the controller never saw win). Fire-and-forget — a
-// missed GC only costs cache space the worker's own byte bound
-// reclaims.
+// files that no longer exist are dropped, and a GC request for the
+// job's retained map outputs and those mirrors' cached blocks goes to
+// every registered worker (every worker, not just known producers:
+// hedged losers may hold orphan copies the controller never saw win).
+// Fire-and-forget — a missed GC only costs cache space the worker's own
+// byte bounds reclaim.
 func (f *Fleet) RetireJob(jobName string) {
-	f.sweepMirrors()
+	dirs := f.sweepMirrors()
 	f.shufMu.Lock()
 	ids := f.jobShuffles[jobName]
 	delete(f.jobShuffles, jobName)
 	f.shufMu.Unlock()
-	if len(ids) == 0 {
+	if len(ids) == 0 && len(dirs) == 0 {
 		return
 	}
-	payload, err := json.Marshal(wire.ShuffleGCRequest{IDs: ids})
+	payload, err := json.Marshal(wire.ShuffleGCRequest{IDs: ids, Dirs: dirs})
 	if err != nil {
 		return
 	}
@@ -714,37 +687,37 @@ func (f *Fleet) countShuffle(task *wire.Task, res *wire.TaskResult) {
 	}
 }
 
+var errFleetClosed = errors.New("procruntime: fleet closed with tasks in dispatch")
+
 // dispatch runs a task to completion across the fleet: retry on
 // transport failures (distinct workers), hedge on stragglers, fail
 // fast on deterministic operator errors (retrying those elsewhere
-// would fail identically and mask bugs). Attempts travel in batches,
-// but each task retries, hedges, and fails independently of its
-// batchmates.
-func (f *Fleet) dispatch(task *wire.Task) (*wire.TaskResult, error) {
-	type attempt struct {
-		res     *wire.TaskResult
-		err     error
-		w       *workerState
-		elapsed time.Duration
-	}
+// would fail identically and mask bugs). The first attempt rides wv's
+// frame when wv is open (see wave); every other attempt, and every
+// dispatch outside a wave, is its own frame, sent at once. Tasks
+// sharing a frame still retry, hedge, and fail independently.
+func (f *Fleet) dispatch(task *wire.Task, wv *wave) (*wire.TaskResult, error) {
 	results := make(chan attempt, f.cfg.MaxAttempts+1)
-	tried := map[int]bool{}
-	// Urgent attempts (retries, hedges) ride the batcher's priority
-	// lane ahead of queued wave batches.
-	launch := func(urgent bool) bool {
+	var tried []*workerState
+	launch := func() bool {
 		w := f.pickWorker(tried)
 		if w == nil {
 			return false
 		}
-		tried[w.id] = true
-		go func() {
-			start := time.Now()
-			res, err := w.batcher.do(task, urgent)
-			results <- attempt{res: res, err: err, w: w, elapsed: time.Since(start)}
-		}()
+		tried = append(tried, w)
+		go f.flush(w, []*wire.Task{task}, []chan<- attempt{results})
 		return true
 	}
-	if !launch(false) {
+	if w := wv.join(task, results); w != nil {
+		tried = append(tried, w)
+		// The attempt starts when the wave is sent; time spent at the
+		// barrier is not straggling.
+		select {
+		case <-wv.sent:
+		case <-f.done:
+			return nil, errFleetClosed
+		}
+	} else if !launch() {
 		return nil, fmt.Errorf("procruntime: no live workers for task %s", task.Task)
 	}
 	attempts, inflight := 1, 1
@@ -767,19 +740,21 @@ func (f *Fleet) dispatch(task *wire.Task) (*wire.TaskResult, error) {
 			}
 			lastErr = a.err
 			f.logf("procruntime: task %s attempt on worker %d failed: %v", task.Task, a.w.id, a.err)
-			if attempts < f.cfg.MaxAttempts && launch(true) {
+			if attempts < f.cfg.MaxAttempts && launch() {
 				attempts++
 				inflight++
 			} else if inflight == 0 {
 				return nil, fmt.Errorf("procruntime: task %s failed after %d attempts: %w", task.Task, attempts, lastErr)
 			}
 		case <-hedge.C:
-			if !hedged && attempts < f.cfg.MaxAttempts && launch(true) {
+			if !hedged && attempts < f.cfg.MaxAttempts && launch() {
 				hedged = true
 				attempts++
 				inflight++
 				f.logf("procruntime: task %s hedged after straggler threshold", task.Task)
 			}
+		case <-f.done:
+			return nil, errFleetClosed
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -22,7 +23,7 @@ import (
 )
 
 // These tests exercise the dispatch engine directly with stub HTTP
-// workers (batch_test.go's batchStub): retry on transport failure (on
+// workers (wave_test.go's batchStub): retry on transport failure (on
 // distinct workers), fail-fast on deterministic operator errors,
 // blacklisting after consecutive failed RPCs, staleness, the straggler
 // hedge, and the registration capability check.
@@ -61,7 +62,7 @@ func TestDispatchRetriesOnDistinctWorkers(t *testing.T) {
 		register(t, f, bad1.srv.URL)
 		register(t, f, bad2.srv.URL)
 
-		res, err := f.dispatch(&wire.Task{Task: "t-m0", Kind: "map"})
+		res, err := f.dispatch(&wire.Task{Task: "t-m0", Kind: "map"}, nil)
 		if err != nil {
 			t.Fatalf("dispatch: %v", err)
 		}
@@ -80,14 +81,13 @@ func TestDispatchRetriesOnDistinctWorkers(t *testing.T) {
 
 	// BlacklistAfter 2 is the tripwire: a 4-task wave splits 2/2 across
 	// the workers, so per-item failure counting would blacklist the bad
-	// worker from its single lost RPC; per-RPC counting must not.
+	// worker from its single lost RPC; per-RPC counting must not. Each
+	// task the lost frame carried retries on the other worker as its own
+	// frame, at once — there is no later wave for it to ride.
 	t.Run("wave", func(t *testing.T) {
-		good := newBatchStub(t, func(*wire.Task) *wire.TaskResult {
-			time.Sleep(5 * time.Millisecond)
-			return &wire.TaskResult{CPUSeconds: 1}
-		})
+		good := newBatchStub(t, func(*wire.Task) *wire.TaskResult { return &wire.TaskResult{CPUSeconds: 1} })
 		bad := failStub(t)
-		f := newBareFleet(t, Config{BatchLinger: 50 * time.Millisecond, BlacklistAfter: 2, MaxAttempts: 2})
+		f := newBareFleet(t, Config{BlacklistAfter: 2, MaxAttempts: 2})
 		register(t, f, good.srv.URL)
 		register(t, f, bad.srv.URL)
 
@@ -102,8 +102,11 @@ func TestDispatchRetriesOnDistinctWorkers(t *testing.T) {
 				t.Fatalf("task %d result %+v", i, results[i])
 			}
 		}
-		if bad.rpcs.Load() == 0 {
-			t.Fatal("bad worker was never tried: round-robin broken")
+		if got := bad.frameSizes(); !slices.Equal(got, []int{2}) {
+			t.Fatalf("bad worker frames %v, want its one wave frame of 2", got)
+		}
+		if got := good.frameSizes(); !slices.Equal(got, []int{1, 1, 2}) {
+			t.Fatalf("good worker frames %v, want its wave frame of 2 and two single-task retries", got)
 		}
 		if got := f.Workers(); got != 2 {
 			t.Fatalf("live workers = %d, want 2: one failed batch RPC must count as one failure, not one per task", got)
@@ -120,7 +123,7 @@ func TestDispatchExhaustsAttempts(t *testing.T) {
 		register(t, f, s.srv.URL)
 	}
 
-	_, err := f.dispatch(&wire.Task{Task: "t-m0", Kind: "map"})
+	_, err := f.dispatch(&wire.Task{Task: "t-m0", Kind: "map"}, nil)
 	if err == nil {
 		t.Fatal("dispatch succeeded with only failing workers")
 	}
@@ -151,7 +154,7 @@ func TestDispatchFailFastOnOperatorError(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 		return &wire.TaskResult{CPUSeconds: 1}
 	}
-	f := newBareFleet(t, Config{MaxAttempts: 3, BatchLinger: 20 * time.Millisecond})
+	f := newBareFleet(t, Config{MaxAttempts: 3})
 	register(t, f, newBatchStub(t, fn).srv.URL)
 	register(t, f, newBatchStub(t, fn).srv.URL)
 
@@ -191,14 +194,14 @@ func TestDispatchBlacklist(t *testing.T) {
 	register(t, f, bad.srv.URL)
 
 	for i := 0; i < 3; i++ {
-		if _, err := f.dispatch(&wire.Task{Task: "t-m0", Kind: "map"}); err == nil {
+		if _, err := f.dispatch(&wire.Task{Task: "t-m0", Kind: "map"}, nil); err == nil {
 			t.Fatalf("dispatch %d succeeded against a failing worker", i)
 		}
 	}
 	if got := f.Workers(); got != 0 {
 		t.Fatalf("live workers = %d after 3 consecutive failures, want 0 (blacklisted)", got)
 	}
-	_, err := f.dispatch(&wire.Task{Task: "t-m1", Kind: "map"})
+	_, err := f.dispatch(&wire.Task{Task: "t-m1", Kind: "map"}, nil)
 	if err == nil || !strings.Contains(err.Error(), "no live workers") {
 		t.Fatalf("error = %v, want no-live-workers", err)
 	}
@@ -225,7 +228,7 @@ func TestDispatchSuccessResetsFailures(t *testing.T) {
 	register(t, f, flaky.srv.URL)
 
 	for i := 0; i < 6; i++ {
-		f.dispatch(&wire.Task{Task: "t-m0", Kind: "map"})
+		f.dispatch(&wire.Task{Task: "t-m0", Kind: "map"}, nil)
 	}
 	if got := f.Workers(); got != 1 {
 		t.Fatalf("live workers = %d, want 1 (alternating failures never blacklist)", got)
@@ -251,7 +254,7 @@ func TestDispatchHedgesStragglers(t *testing.T) {
 	register(t, f, newBatchStub(t, fn).srv.URL)
 
 	start := time.Now()
-	res, err := f.dispatch(&wire.Task{Task: "t-m0", Kind: "map"})
+	res, err := f.dispatch(&wire.Task{Task: "t-m0", Kind: "map"}, nil)
 	if err != nil {
 		t.Fatalf("dispatch: %v", err)
 	}
@@ -407,7 +410,7 @@ func TestRegistrationRefusesPartialCaps(t *testing.T) {
 			if got := f.Workers(); got != 0 {
 				t.Fatalf("live workers = %d after refused registrations, want 0", got)
 			}
-			if _, err := f.dispatch(&wire.Task{Task: "t-m0", Kind: "map"}); err == nil || !strings.Contains(err.Error(), "no live workers") {
+			if _, err := f.dispatch(&wire.Task{Task: "t-m0", Kind: "map"}, nil); err == nil || !strings.Contains(err.Error(), "no live workers") {
 				t.Fatalf("dispatch error = %v, want no-live-workers", err)
 			}
 			if got := stub.rpcs.Load(); got != 0 {
@@ -429,7 +432,7 @@ func TestWorkersGoStaleWithoutHeartbeat(t *testing.T) {
 	if got := f.Workers(); got != 0 {
 		t.Fatalf("live workers = %d after silence, want 0 (stale)", got)
 	}
-	if _, err := f.dispatch(&wire.Task{Task: "t-m0", Kind: "map"}); err == nil || !strings.Contains(err.Error(), "no live workers") {
+	if _, err := f.dispatch(&wire.Task{Task: "t-m0", Kind: "map"}, nil); err == nil || !strings.Contains(err.Error(), "no live workers") {
 		t.Fatalf("error = %v, want no-live-workers (stale workers are skipped)", err)
 	}
 

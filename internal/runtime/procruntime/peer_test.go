@@ -246,6 +246,49 @@ func TestShuffleGCOnJobRetirement(t *testing.T) {
 	}
 }
 
+// TestRetirementDropsDeadBlocksFromWorkers: every pass maps a temp
+// file, removes it and retires the job. The GC broadcast names the
+// swept mirror directories, so the workers' block caches follow the
+// live file set too — not every block they ever decoded, which would
+// grow the heap pass after pass until the byte bound cycled it.
+func TestRetirementDropsDeadBlocksFromWorkers(t *testing.T) {
+	ex, base, servers := newPeerHarness(t, 2, 6)
+	scan := func(job string, file *dfs.File) {
+		t.Helper()
+		for i := 0; i < file.NumBlocks(); i++ {
+			_, err := ex.ExecMap(mapreduce.MapExec{JobName: job, TaskName: fmt.Sprintf("%s-m%d", job, i),
+				File: file, Split: i, Op: &physop.OpSpec{Kind: physop.Scan}})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cached := func() (blocks int) {
+		for _, ts := range servers {
+			blocks += workerStatus(t, ts.URL).Blocks
+		}
+		return blocks
+	}
+	scan("warm", base)
+	live := cached()
+	if live != base.NumBlocks() {
+		t.Fatalf("%d blocks cached after one scan of %d", live, base.NumBlocks())
+	}
+	for pass := 0; pass < 5; pass++ {
+		w := ex.fs.Create("tmp")
+		for i := 0; i < 4; i++ {
+			w.Append(data.Object(data.Field{Name: "v", Value: data.Int(int64(i))}))
+		}
+		job := fmt.Sprintf("pass%d", pass)
+		scan(job, w.Close())
+		if err := ex.fs.Remove("tmp"); err != nil {
+			t.Fatal(err)
+		}
+		ex.RetireJob(job)
+	}
+	waitFor(t, "the workers to drop the dead mirrors' blocks", func() bool { return cached() == live })
+}
+
 // TestWorkerRefusesHostileInput: the worker's socket- and disk-facing
 // readers fail closed — an oversize body is 413 before it is buffered,
 // a non-frame Content-Type is 415, a task frame whose counts no

@@ -21,18 +21,23 @@ type Runtime struct {
 	fs    *dfs.FS
 	sim   *cluster.Sim
 	coord *coord.Service
+	waves *waveRunner
 }
 
 var _ runtime.Runtime = (*Runtime)(nil)
 
-// New builds a proc runtime over an existing fleet.
+// New builds a proc runtime over an existing fleet; its simulator hands
+// each dispatch wave to the fleet whole.
 func New(fleet *Fleet, ccfg cluster.Config) *Runtime {
-	return &Runtime{
+	r := &Runtime{
 		fleet: fleet,
 		fs:    dfs.New(dfs.WithNodes(ccfg.Workers)),
 		sim:   cluster.New(ccfg),
 		coord: coord.NewService(),
+		waves: &waveRunner{f: fleet},
 	}
+	r.sim.SetWaveRunner(r.waves.run)
+	return r
 }
 
 // Name implements runtime.Runtime.
@@ -58,7 +63,7 @@ func (r *Runtime) NewEnv(reg *expr.Registry) *mapreduce.Env {
 		Sim:   r.sim,
 		Coord: r.coord,
 		Reg:   reg,
-		Exec:  executor{f: r.fleet, fs: r.fs},
+		Exec:  executor{f: r.fleet, fs: r.fs, waves: r.waves},
 	}
 }
 

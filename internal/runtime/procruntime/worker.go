@@ -7,7 +7,11 @@ import (
 	"net/http"
 	"net/url"
 	"os"
+	"path/filepath"
+	"runtime"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,11 +25,11 @@ import (
 
 // WorkerConfig bounds the worker's caches. Blocks and built tables
 // are immutable (new file version = new mirror directory), so plain
-// FIFO eviction is safe; the shuffle registry holds retained map
-// outputs that the controller garbage-collects on job retirement, and
-// the byte cap here is the backstop for jobs that never retire
-// cleanly — an evicted-but-needed shuffle block degrades to a 404,
-// which the controller recovers through the mirror path.
+// FIFO eviction is safe; the controller names what job retirement made
+// garbage — retained map outputs, the blocks and tables of mirrors
+// whose files are gone — and the bounds here are the backstop for what
+// it never names. An evicted-but-needed shuffle block degrades to a
+// 404, which the controller recovers through the mirror path.
 type WorkerConfig struct {
 	// BlockCacheMB bounds the mirrored-block record cache; default 256.
 	BlockCacheMB int
@@ -76,16 +80,107 @@ type WorkerStatus struct {
 }
 
 type blockEntry struct {
-	recs  []data.Value
-	bytes int64 // on-disk size, the cache accounting unit
+	recs []data.Value
 	// aux caches the block's columnar image (batch.For) for the columnar
 	// kernels; it lives and is evicted with the entry.
 	aux atomic.Value
 }
 
-type shuffleEntry struct {
-	parts [][]wire.KV
-	bytes int64 // approximate resident size (encoded sizes of the pairs)
+// onceCache is a FIFO cache bounded by total cost whose entries are
+// built once: a frame's tasks run in parallel and can all miss one key
+// at the same instant, so late arrivals wait for the first caller's
+// build instead of repeating it. A failed build is not cached.
+type onceCache[V any] struct {
+	max int64 // total cost bound
+
+	mu    sync.Mutex
+	m     map[string]*onceEntry[V]
+	order []string // built keys, oldest first
+	cost  int64
+
+	hits, misses, evicts int64
+}
+
+type onceEntry[V any] struct {
+	once  sync.Once
+	v     V
+	cost  int64
+	err   error
+	built bool // v is set and the entry is in order; guarded by the cache's mu
+}
+
+func newOnceCache[V any](max int64) *onceCache[V] {
+	return &onceCache[V]{max: max, m: map[string]*onceEntry[V]{}}
+}
+
+// get returns key's value; the first caller to ask runs build, which
+// also reports the value's cost.
+func (c *onceCache[V]) get(key string, build func() (V, int64, error)) (V, error) {
+	c.mu.Lock()
+	e, ok := c.m[key]
+	if ok {
+		c.hits++
+	} else {
+		c.misses++
+		e = &onceEntry[V]{}
+		c.m[key] = e
+	}
+	c.mu.Unlock()
+	e.once.Do(func() {
+		e.v, e.cost, e.err = build()
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if c.m[key] != e {
+			return // dropped while it was being built
+		}
+		if e.err != nil {
+			delete(c.m, key)
+			return
+		}
+		for c.cost+e.cost > c.max && len(c.order) > 0 {
+			c.cost -= c.m[c.order[0]].cost
+			delete(c.m, c.order[0])
+			c.order = c.order[1:]
+			c.evicts++
+		}
+		c.order = append(c.order, key)
+		c.cost += e.cost
+		e.built = true
+	})
+	return e.v, e.err
+}
+
+// peek returns key's value if it has been built; it builds nothing.
+func (c *onceCache[V]) peek(key string) (v V, ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e := c.m[key]; e != nil && e.built {
+		return e.v, true
+	}
+	return v, false
+}
+
+// drop forgets every entry whose key dead reports true. It is not an
+// eviction: the caller knows those keys will not be asked for again.
+func (c *onceCache[V]) drop(dead func(key string) bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for key, e := range c.m {
+		if dead(key) {
+			if e.built {
+				c.cost -= e.cost
+			}
+			delete(c.m, key)
+		}
+	}
+	c.order = slices.DeleteFunc(c.order, func(key string) bool { return c.m[key] == nil })
+}
+
+// stats returns the entry count, total cost, and the counters.
+func (c *onceCache[V]) stats() (n int, cost, hits, misses, evicts int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.order), c.cost, c.hits, c.misses, c.evicts
 }
 
 // Worker executes dispatched map/reduce task bodies. It serves the
@@ -99,26 +194,15 @@ type Worker struct {
 	// a reduce wave's fetches reuse connections.
 	peers *http.Client
 
+	blocks   *onceCache[*blockEntry]          // bounded by on-disk bytes
+	tables   *onceCache[*mapreduce.HashTable] // bounded by entry count
+	shuffles *onceCache[[][]wire.KV]          // retained map outputs by shuffle id, bounded by encoded bytes
+
 	mu          sync.Mutex
-	blocks      map[string]*blockEntry
-	blockOrder  []string
-	blockBytes  int64
-	tables      map[string]*mapreduce.HashTable
-	tableOrder  []string
-	shuffles    map[string]*shuffleEntry
-	shufOrder   []string
-	shufBytes   int64
 	draining    bool
 	drainNotify func()
 
-	statBlockHits   atomic.Int64
-	statBlockMisses atomic.Int64
-	statBlockEvicts atomic.Int64
-	statTableHits   atomic.Int64
-	statTableMisses atomic.Int64
-	statTableEvicts atomic.Int64
 	statShufServed  atomic.Int64
-	statShufEvicts  atomic.Int64
 	statPeerFetches atomic.Int64
 	statPeerBytes   atomic.Int64
 }
@@ -133,13 +217,19 @@ func NewWorker(reg *expr.Registry) *Worker {
 
 // NewWorkerCfg builds a worker with explicit cache bounds.
 func NewWorkerCfg(reg *expr.Registry, cfg WorkerConfig) *Worker {
+	cfg = cfg.withDefaults()
 	return &Worker{
-		reg:      reg,
-		cfg:      cfg.withDefaults(),
-		peers:    &http.Client{Timeout: 30 * time.Second},
-		blocks:   map[string]*blockEntry{},
-		tables:   map[string]*mapreduce.HashTable{},
-		shuffles: map[string]*shuffleEntry{},
+		reg: reg,
+		cfg: cfg,
+		// A frame's reduce tasks fetch from one producer concurrently; the
+		// default transport's 2 idle connections per host would churn.
+		peers: &http.Client{Timeout: 30 * time.Second, Transport: &http.Transport{
+			MaxIdleConnsPerHost: runtime.GOMAXPROCS(0), // the frame parallelism
+			IdleConnTimeout:     90 * time.Second,
+		}},
+		blocks:   newOnceCache[*blockEntry](int64(cfg.BlockCacheMB) << 20),
+		tables:   newOnceCache[*mapreduce.HashTable](int64(cfg.TableCacheSize)),
+		shuffles: newOnceCache[[][]wire.KV](int64(cfg.ShuffleCacheMB) << 20),
 	}
 }
 
@@ -204,57 +294,36 @@ func (w *Worker) handleShuffleGC(rw http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(rw, r, &req) {
 		return
 	}
-	if len(req.IDs) > 0 {
-		drop := make(map[string]bool, len(req.IDs))
-		for _, id := range req.IDs {
-			drop[id] = true
-		}
-		w.mu.Lock()
-		kept := w.shufOrder[:0]
-		for _, id := range w.shufOrder {
-			if drop[id] {
-				if e, ok := w.shuffles[id]; ok {
-					w.shufBytes -= e.bytes
-					delete(w.shuffles, id)
-				}
-				continue
-			}
-			kept = append(kept, id)
-		}
-		w.shufOrder = kept
-		w.mu.Unlock()
-	}
+	slices.Sort(req.IDs) // a big job retires thousands of ids at once
+	w.shuffles.drop(func(id string) bool { _, dead := slices.BinarySearch(req.IDs, id); return dead })
+	// Block keys are paths inside a mirror directory; table keys start
+	// with the build file's directory (BuildRef.Version).
+	w.blocks.drop(func(path string) bool { return slices.Contains(req.Dirs, filepath.Dir(path)) })
+	w.tables.drop(func(key string) bool {
+		dir, _, _ := strings.Cut(key, "|")
+		return slices.Contains(req.Dirs, dir)
+	})
 	rw.WriteHeader(http.StatusOK)
 }
 
 func (w *Worker) handleStatus(rw http.ResponseWriter, r *http.Request) {
 	w.mu.Lock()
-	st := WorkerStatus{
-		Draining:      w.draining,
-		Blocks:        len(w.blocks),
-		BlockBytes:    w.blockBytes,
-		Tables:        len(w.tables),
-		ShuffleBlocks: len(w.shuffles),
-		ShuffleBytes:  w.shufBytes,
-	}
+	st := WorkerStatus{Draining: w.draining}
 	w.mu.Unlock()
-	st.BlockHits = w.statBlockHits.Load()
-	st.BlockMisses = w.statBlockMisses.Load()
-	st.BlockEvictions = w.statBlockEvicts.Load()
-	st.TableHits = w.statTableHits.Load()
-	st.TableMisses = w.statTableMisses.Load()
-	st.TableEvictions = w.statTableEvicts.Load()
+	st.ShuffleBlocks, st.ShuffleBytes, _, _, st.ShuffleEvictions = w.shuffles.stats()
+	st.Blocks, st.BlockBytes, st.BlockHits, st.BlockMisses, st.BlockEvictions = w.blocks.stats()
+	st.Tables, _, st.TableHits, st.TableMisses, st.TableEvictions = w.tables.stats()
 	st.ShuffleServed = w.statShufServed.Load()
-	st.ShuffleEvictions = w.statShufEvicts.Load()
 	st.PeerFetches = w.statPeerFetches.Load()
 	st.PeerBytes = w.statPeerBytes.Load()
 	rw.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(rw).Encode(st)
 }
 
-// handleTaskBatch serves one wave-batch of tasks. Tasks run
-// sequentially and fail independently: a deterministic operator error
-// lands in that task's slot while its batchmates complete normally.
+// handleTaskBatch serves one frame of tasks — a worker's share of a
+// dispatch wave — on up to GOMAXPROCS goroutines, answering in request
+// order. Tasks fail independently: a deterministic operator error lands
+// in that task's slot while its frame-mates complete normally.
 func (w *Worker) handleTaskBatch(rw http.ResponseWriter, r *http.Request) {
 	if r.Header.Get("Content-Type") != wire.ContentTypeBinary {
 		http.Error(rw, "task batches must be "+wire.ContentTypeBinary, http.StatusUnsupportedMediaType)
@@ -270,9 +339,18 @@ func (w *Worker) handleTaskBatch(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	results := make([]*wire.TaskResult, len(tasks))
-	for i, t := range tasks {
-		results[i] = w.runTask(t)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(tasks)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(tasks); i = int(next.Add(1)) - 1 {
+				results[i] = w.runTask(tasks[i])
+			}
+		}()
 	}
+	wg.Wait()
 	frame := wire.EncodeResultBatch(results)
 	defer frame.Close()
 	rw.Header().Set("Content-Type", wire.ContentTypeBinary)
@@ -380,38 +458,18 @@ func (w *Worker) retainShuffle(id string, parts [][]wire.KV, scale float64) []wi
 		}
 		digests[p] = wire.ShufflePart{Count: len(pairs), Bytes: vb}
 	}
-	w.mu.Lock()
-	if old, ok := w.shuffles[id]; ok {
-		// Hedged duplicate or re-run of a deterministic map: the output
-		// is byte-identical, so replacing is safe.
-		w.shufBytes -= old.bytes
-	} else {
-		w.shufOrder = append(w.shufOrder, id)
-	}
-	w.shuffles[id] = &shuffleEntry{parts: parts, bytes: raw}
-	w.shufBytes += raw
-	max := int64(w.cfg.ShuffleCacheMB) << 20
-	for w.shufBytes > max && len(w.shufOrder) > 0 {
-		evict := w.shufOrder[0]
-		w.shufOrder = w.shufOrder[1:]
-		if e, ok := w.shuffles[evict]; ok {
-			w.shufBytes -= e.bytes
-			delete(w.shuffles, evict)
-			w.statShufEvicts.Add(1)
-		}
-	}
-	w.mu.Unlock()
+	// A hedged duplicate or re-run of a deterministic map finds the id
+	// taken: its output is byte-identical, so the first copy serves.
+	w.shuffles.get(id, func() ([][]wire.KV, int64, error) { return parts, raw, nil })
 	return digests
 }
 
 func (w *Worker) shuffleLookup(id string, part int) ([]wire.KV, bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	e, ok := w.shuffles[id]
-	if !ok || part < 0 || part >= len(e.parts) {
+	parts, ok := w.shuffles.peek(id)
+	if !ok || part < 0 || part >= len(parts) {
 		return nil, false
 	}
-	return e.parts[part], true
+	return parts[part], true
 }
 
 // fetchShuffle pulls one shuffle segment from the producing peer,
@@ -438,10 +496,7 @@ func (w *Worker) fetchShuffle(base, id string, part int) ([]wire.KV, int64, erro
 			continue
 		}
 		if resp.StatusCode != http.StatusOK {
-			if len(body) > 512 {
-				body = body[:512]
-			}
-			return nil, 0, fmt.Errorf("HTTP %d: %s", resp.StatusCode, bytes.TrimSpace(body))
+			return nil, 0, fmt.Errorf("HTTP %d: %s", resp.StatusCode, bytes.TrimSpace(body[:min(len(body), 512)]))
 		}
 		kvs, err := wire.DecodeShuffle(body)
 		if err != nil {
@@ -492,58 +547,24 @@ func (w *Worker) runReduce(task *wire.Task) (*wire.TaskResult, error) {
 	return res, nil
 }
 
-// block loads one mirrored block file, memoizing by path under the
-// byte-bounded FIFO block cache.
+// block loads one mirrored block file (a DYB1 frame; anything else is
+// an error), memoizing by path under the FIFO block cache bounded by
+// on-disk bytes: one decode, so one columnar image, per block.
 func (w *Worker) block(path string) (*blockEntry, error) {
 	if path == "" {
 		return nil, fmt.Errorf("map task has no input block")
 	}
-	w.mu.Lock()
-	ent, ok := w.blocks[path]
-	w.mu.Unlock()
-	if ok {
-		w.statBlockHits.Add(1)
-		return ent, nil
-	}
-	w.statBlockMisses.Add(1)
-	recs, size, err := readBlockFile(path)
-	if err != nil {
-		return nil, err
-	}
-	ent = &blockEntry{recs: recs, bytes: size}
-	w.mu.Lock()
-	if cached, dup := w.blocks[path]; dup {
-		ent = cached // keep one entry, so one columnar image, per block
-	} else {
-		max := int64(w.cfg.BlockCacheMB) << 20
-		for w.blockBytes+size > max && len(w.blockOrder) > 0 {
-			evict := w.blockOrder[0]
-			w.blockOrder = w.blockOrder[1:]
-			w.blockBytes -= w.blocks[evict].bytes
-			delete(w.blocks, evict)
-			w.statBlockEvicts.Add(1)
+	return w.blocks.get(path, func() (*blockEntry, int64, error) {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return nil, 0, fmt.Errorf("open block: %w", err)
 		}
-		w.blocks[path] = ent
-		w.blockOrder = append(w.blockOrder, path)
-		w.blockBytes += size
-	}
-	w.mu.Unlock()
-	return ent, nil
-}
-
-// readBlockFile decodes one mirrored block (a DYB1 frame; anything
-// else is an error). The on-disk size feeds the block cache's byte
-// accounting.
-func readBlockFile(path string) ([]data.Value, int64, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, 0, fmt.Errorf("open block: %w", err)
-	}
-	recs, err := wire.DecodeBlock(b)
-	if err != nil {
-		return nil, 0, fmt.Errorf("decode block %s: %w", path, err)
-	}
-	return recs, int64(len(b)), nil
+		recs, err := wire.DecodeBlock(b)
+		if err != nil {
+			return nil, 0, fmt.Errorf("decode block %s: %w", path, err)
+		}
+		return &blockEntry{recs: recs}, int64(len(b)), nil
+	})
 }
 
 // table returns the built hash table for a broadcast ref, memoized by
@@ -561,40 +582,21 @@ func (w *Worker) table(ref wire.BuildRef) (*mapreduce.HashTable, error) {
 	for _, p := range ref.Keys {
 		key += "|" + p.String()
 	}
-	w.mu.Lock()
-	t, ok := w.tables[key]
-	w.mu.Unlock()
-	if ok {
-		w.statTableHits.Add(1)
-		return t, nil
-	}
-	w.statTableMisses.Add(1)
-	blocks := make([][]data.Value, len(ref.Blocks))
-	for i, path := range ref.Blocks {
-		blk, err := w.block(path)
+	return w.tables.get(key, func() (*mapreduce.HashTable, int64, error) {
+		blocks := make([][]data.Value, len(ref.Blocks))
+		for i, path := range ref.Blocks {
+			blk, err := w.block(path)
+			if err != nil {
+				return nil, 0, fmt.Errorf("build %s: %w", ref.Name, err)
+			}
+			blocks[i] = blk.recs
+		}
+		t, err := mapreduce.BuildHashTable(w.reg, mapreduce.Broadcast{
+			Name: ref.Name, KeyPaths: ref.Keys, Wrap: ref.Wrap, Filter: ref.Filter,
+		}, blocks, nil)
 		if err != nil {
-			return nil, fmt.Errorf("build %s: %w", ref.Name, err)
+			return nil, 0, fmt.Errorf("build %s: %w", ref.Name, err)
 		}
-		blocks[i] = blk.recs
-	}
-	t, err = mapreduce.BuildHashTable(w.reg, mapreduce.Broadcast{
-		Name: ref.Name, KeyPaths: ref.Keys, Wrap: ref.Wrap, Filter: ref.Filter,
-	}, blocks, nil)
-	if err != nil {
-		return nil, fmt.Errorf("build %s: %w", ref.Name, err)
-	}
-	w.mu.Lock()
-	if cached, dup := w.tables[key]; dup {
-		t = cached
-	} else {
-		if len(w.tableOrder) >= w.cfg.TableCacheSize {
-			delete(w.tables, w.tableOrder[0])
-			w.tableOrder = w.tableOrder[1:]
-			w.statTableEvicts.Add(1)
-		}
-		w.tables[key] = t
-		w.tableOrder = append(w.tableOrder, key)
-	}
-	w.mu.Unlock()
-	return t, nil
+		return t, 1, nil
+	})
 }

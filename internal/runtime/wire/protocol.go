@@ -147,9 +147,12 @@ type HeartbeatRequest struct {
 
 // ShuffleGCRequest asks a worker to drop retained shuffle outputs by
 // ID (the controller broadcasts one per retired job, to every worker,
-// so hedged losers' orphaned registrations are collected too).
+// so hedged losers' orphaned registrations are collected too), and
+// whatever it cached of the mirror directories in Dirs: their files are
+// gone from the DFS, so no task will name those blocks again.
 type ShuffleGCRequest struct {
-	IDs []string `json:"ids"`
+	IDs  []string `json:"ids"`
+	Dirs []string `json:"dirs,omitempty"`
 }
 
 // ShufflePart is a per-partition digest of retained map output: the
