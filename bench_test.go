@@ -168,11 +168,11 @@ func BenchmarkDynOptEndToEnd(b *testing.B) {
 // benchOptimize runs one exhaustive enumeration of a synthetic join
 // graph per iteration; allocs/op gates memo-table allocation churn.
 func benchOptimize(b *testing.B, kind string, n int) {
-	block, err := experiments.SyntheticJoinBlock(kind, n, 2014)
+	block, err := optimizer.SyntheticJoinBlock(kind, n, 2014)
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := optimizer.DefaultConfig(experiments.OptBenchSlotMemory)
+	cfg := optimizer.DefaultConfig(optimizer.SyntheticSlotMemory)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

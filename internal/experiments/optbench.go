@@ -17,91 +17,10 @@ import (
 	"runtime"
 	"time"
 
-	"dyno/internal/expr"
 	"dyno/internal/optimizer"
 	"dyno/internal/plan"
 	"dyno/internal/stats"
 )
-
-// eqPred builds the equi-join predicate lcol = rcol.
-func eqPred(l, r string) expr.Expr {
-	return &expr.Cmp{Op: expr.EQ, L: expr.NewCol(l), R: expr.NewCol(r)}
-}
-
-// OptBenchSlotMemory is the simulated slot memory sizing Mmax for the
-// optbench cost model: large enough that dimension tables broadcast,
-// small enough that fact-sized builds cannot.
-const OptBenchSlotMemory = 1 << 30
-
-// SyntheticJoinBlock generates a seeded synthetic join graph for
-// optimizer benchmarks: chain (r0–r1–…–rN linear), star (fact joined
-// to N−1 dimensions), or clique (every pair joined). Cardinalities are
-// log-uniform over several orders of magnitude and every column gets a
-// seeded NDV, so plans are non-trivial and cost bounds have spread to
-// prune against. n is capped only by the optimizer's own
-// MaxRelations.
-func SyntheticJoinBlock(kind string, n int, seed int64) (*plan.JoinBlock, error) {
-	if n < 2 {
-		return nil, fmt.Errorf("optbench: need at least 2 relations, got %d", n)
-	}
-	r := rand.New(rand.NewSource(seed))
-	logUniform := func(lo, hi float64) float64 {
-		return math.Round(math.Exp(math.Log(lo) + r.Float64()*(math.Log(hi)-math.Log(lo))))
-	}
-	mk := func(alias string, card, avg float64) *plan.Rel {
-		return &plan.Rel{
-			Name:    alias,
-			Aliases: []string{alias},
-			Leaf:    &plan.Leaf{Table: alias, Alias: alias},
-			Stats:   stats.TableStats{Card: card, AvgRecSize: avg, Cols: map[string]stats.ColStats{}},
-		}
-	}
-	col := func(rel *plan.Rel, name string, ndv float64) string {
-		path := rel.Name + "." + name
-		rel.Stats.Cols[path] = stats.ColStats{NDV: math.Min(ndv, rel.Stats.Card)}
-		return path
-	}
-	b := &plan.JoinBlock{}
-	join := func(l, r *plan.Rel, lc, rc string) {
-		b.JoinPreds = append(b.JoinPreds, eqPred(lc, rc))
-	}
-	switch kind {
-	case "chain":
-		for i := 0; i < n; i++ {
-			b.Rels = append(b.Rels, mk(fmt.Sprintf("r%d", i), logUniform(1e3, 2e7), 20+r.Float64()*180))
-		}
-		for i := 0; i+1 < n; i++ {
-			domain := logUniform(10, 1e6)
-			join(b.Rels[i], b.Rels[i+1],
-				col(b.Rels[i], "b", domain), col(b.Rels[i+1], "a", domain))
-		}
-	case "star":
-		fact := mk("f", logUniform(1e6, 3e7), 40+r.Float64()*120)
-		b.Rels = append(b.Rels, fact)
-		for i := 1; i < n; i++ {
-			dim := mk(fmt.Sprintf("d%d", i), logUniform(50, 1e6), 20+r.Float64()*100)
-			b.Rels = append(b.Rels, dim)
-			domain := math.Min(dim.Stats.Card, logUniform(10, 1e5))
-			join(fact, dim,
-				col(fact, fmt.Sprintf("k%d", i), domain), col(dim, "k", domain))
-		}
-	case "clique":
-		for i := 0; i < n; i++ {
-			b.Rels = append(b.Rels, mk(fmt.Sprintf("r%d", i), logUniform(1e3, 5e6), 20+r.Float64()*120))
-		}
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				domain := logUniform(10, 1e5)
-				join(b.Rels[i], b.Rels[j],
-					col(b.Rels[i], fmt.Sprintf("c%d", j), domain),
-					col(b.Rels[j], fmt.Sprintf("c%d", i), domain))
-			}
-		}
-	default:
-		return nil, fmt.Errorf("optbench: unknown graph kind %q (chain, star, clique)", kind)
-	}
-	return b, nil
-}
 
 // OptBenchEntry is one graph's three-arm measurement.
 type OptBenchEntry struct {
@@ -163,11 +82,11 @@ type optRound struct {
 // runOptArm drives one arm's DYNOPT simulation to completion.
 func runOptArm(kind string, n int, seed int64, reuse, prune bool) (optArmTotals, []optRound, error) {
 	var tot optArmTotals
-	block, err := SyntheticJoinBlock(kind, n, seed)
+	block, err := optimizer.SyntheticJoinBlock(kind, n, seed)
 	if err != nil {
 		return tot, nil, err
 	}
-	cfg := optimizer.DefaultConfig(OptBenchSlotMemory)
+	cfg := optimizer.DefaultConfig(optimizer.SyntheticSlotMemory)
 	cfg.DisableIncremental = !reuse
 	cfg.DisablePruning = !prune
 	inc := optimizer.NewIncremental(cfg)

@@ -8,48 +8,6 @@ import (
 	"dyno/internal/optimizer"
 )
 
-func TestSyntheticJoinBlockShapes(t *testing.T) {
-	cases := []struct {
-		kind  string
-		n     int
-		preds int
-	}{
-		{"chain", 5, 4},
-		{"chain", 20, 19},
-		{"star", 8, 7},
-		{"clique", 6, 15},
-	}
-	for _, c := range cases {
-		b, err := SyntheticJoinBlock(c.kind, c.n, 7)
-		if err != nil {
-			t.Fatalf("%s-%d: %v", c.kind, c.n, err)
-		}
-		if len(b.Rels) != c.n || len(b.JoinPreds) != c.preds {
-			t.Errorf("%s-%d: got %d rels, %d preds, want %d, %d",
-				c.kind, c.n, len(b.Rels), len(b.JoinPreds), c.n, c.preds)
-		}
-		for _, r := range b.Rels {
-			if r.Stats.Card < 1 || r.Stats.AvgRecSize <= 0 || len(r.Stats.Cols) == 0 {
-				t.Errorf("%s-%d: relation %s has degenerate stats %+v", c.kind, c.n, r.Name, r.Stats)
-			}
-		}
-		// Seeded: the same seed must regenerate the same graph.
-		b2, _ := SyntheticJoinBlock(c.kind, c.n, 7)
-		for i := range b.Rels {
-			if b.Rels[i].Stats.Card != b2.Rels[i].Stats.Card {
-				t.Errorf("%s-%d: generation is not deterministic", c.kind, c.n)
-				break
-			}
-		}
-	}
-	if _, err := SyntheticJoinBlock("ring", 5, 7); err == nil {
-		t.Error("unknown kind should error")
-	}
-	if _, err := SyntheticJoinBlock("chain", 1, 7); err == nil {
-		t.Error("n=1 should error")
-	}
-}
-
 // TestOptBenchReductionAndIdentity is the PR's acceptance gate: every
 // graph's three arms must choose byte-identical plans with identical
 // costs every round, and the 12+-relation graphs must show at least a

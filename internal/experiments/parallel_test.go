@@ -11,8 +11,9 @@ import (
 )
 
 // runWithParallelism executes one query under DYNOPT with an explicit
-// executor setting and returns the result plus the full trace.
-func runWithParallelism(t *testing.T, cfg Config, query string, parallelism int) (*core.Result, []cluster.TraceEvent) {
+// executor setting (and optional engine-option tweak) and returns the
+// result plus the full trace.
+func runWithParallelism(t *testing.T, cfg Config, query string, parallelism int, tweak func(*core.Options)) (*core.Result, []cluster.TraceEvent) {
 	t.Helper()
 	cfg.Parallelism = parallelism
 	l, err := getLab(100, cfg)
@@ -22,7 +23,11 @@ func runWithParallelism(t *testing.T, cfg Config, query string, parallelism int)
 	env := l.newEnv(false, cfg)
 	var trace []cluster.TraceEvent
 	env.Sim.SetTrace(func(ev cluster.TraceEvent) { trace = append(trace, ev) })
-	eng, err := baselines.NewEngine(baselines.VariantDynOpt, env, l.cat, optCfgFor(env, false), experimentOptions())
+	opts := experimentOptions()
+	if tweak != nil {
+		tweak(&opts)
+	}
+	eng, err := baselines.NewEngine(baselines.VariantDynOpt, env, l.cat, optCfgFor(env, false), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,8 +38,10 @@ func runWithParallelism(t *testing.T, cfg Config, query string, parallelism int)
 	return res, trace
 }
 
-// TestParallelExecutorMatchesSerial is the tentpole's differential
-// acceptance test: on Q8', Q9', and Q10 at SF 100, the serial legacy
+// TestParallelExecutorMatchesSerial is the executor differential: on
+// Q8', Q9', and Q10 at SF 100, and on Q8' under PILR_MT with UNC-2
+// (concurrent pilot leaf jobs plus two join jobs in flight — the
+// workload with the most simultaneous tasks), the serial legacy
 // executor (Parallelism -1 → cluster 0) and the pooled executor must
 // produce identical rows, identical virtual timings, and an identical
 // trace-event sequence.
@@ -43,9 +50,22 @@ func TestParallelExecutorMatchesSerial(t *testing.T) {
 		t.Skip("slow")
 	}
 	cfg := testConfig()
-	for _, query := range []string{"Q8p", "Q9p", "Q10"} {
-		serial, serialTrace := runWithParallelism(t, cfg, query, -1)
-		par, parTrace := runWithParallelism(t, cfg, query, 4)
+	cases := []struct {
+		name, query string
+		tweak       func(*core.Options)
+	}{
+		{"Q8p", "Q8p", nil},
+		{"Q9p", "Q9p", nil},
+		{"Q10", "Q10", nil},
+		{"Q8p/PILR_MT/UNC-2", "Q8p", func(o *core.Options) {
+			o.PilotMode = core.PilotMT
+			o.Strategy = core.Uncertain{N: 2}
+		}},
+	}
+	for _, c := range cases {
+		query := c.name
+		serial, serialTrace := runWithParallelism(t, cfg, c.query, -1, c.tweak)
+		par, parTrace := runWithParallelism(t, cfg, c.query, 4, c.tweak)
 
 		if len(par.Rows) != len(serial.Rows) {
 			t.Fatalf("%s: %d rows parallel, %d serial", query, len(par.Rows), len(serial.Rows))

@@ -141,9 +141,7 @@ func TestConcurrentServiceMatchesSequentialCLI(t *testing.T) {
 	}
 
 	m := s.Metrics()
-	if m.Queries != rounds*int64(len(workload)) {
-		t.Errorf("queries = %d, want %d", m.Queries, rounds*len(workload))
-	}
+	checkTierPartition(t, m, rounds*len(workload))
 	// Repeats are served from some reuse tier: the result cache, the
 	// in-flight dedup, or (with both racing) the plan cache.
 	if m.ResultCacheHits+m.Deduped+m.PlanCacheHits == 0 {
@@ -197,5 +195,21 @@ func TestShardedServiceMatchesReference(t *testing.T) {
 		if out.rows != want[out.query] {
 			t.Errorf("%s: sharded rows differ from sequential reference", out.query)
 		}
+	}
+	checkTierPartition(t, s.Metrics(), rounds*len(queries))
+}
+
+// checkTierPartition asserts the serving tiers partition the answered
+// requests: each lands in exactly one of result-cache hit, dedup
+// follower, plan-cache hit, or full run (a plan-cache miss), whatever
+// the shard count, and none failed.
+func checkTierPartition(t *testing.T, m MetricsSnapshot, want int) {
+	t.Helper()
+	if m.Queries != int64(want) || m.Errors != 0 {
+		t.Errorf("queries = %d, errors = %d, want %d and 0", m.Queries, m.Errors, want)
+	}
+	if got := m.ResultCacheHits + m.Deduped + m.PlanCacheHits + m.PlanCacheMisses; got != m.Queries {
+		t.Errorf("tiers sum to %d (result %d + dedup %d + plan hit %d + full %d), want %d queries",
+			got, m.ResultCacheHits, m.Deduped, m.PlanCacheHits, m.PlanCacheMisses, m.Queries)
 	}
 }
