@@ -7,10 +7,11 @@
 //	dynobench -exp all
 //	dynobench -exp fig7 -scale 0.25
 //	dynobench -exp table1,fig6 -seed 2014
-//	dynobench -exp optbench -optbenchout BENCH_optbench.json
-//	dynobench -exp load -load-clients 1,16,256 -load-shards 1,4
-//	dynobench -parbench BENCH_parallel.json
 //	dynobench -exp fig7 -cpuprofile cpu.prof -memprofile mem.prof
+//
+// Every number it prints is virtual time from the cluster simulator;
+// host wall-clock is measured by the benchmark in bench/ and nowhere
+// else.
 package main
 
 import (
@@ -20,7 +21,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 
 	"dyno/internal/experiments"
@@ -30,29 +30,30 @@ func main() {
 	os.Exit(run())
 }
 
-func run() int {
-	var (
-		exp         = flag.String("exp", "all", "experiments to run: table1, fig2, fig3, fig4, fig5, fig6, fig7, fig8, faults, ablations, service, optbench, load, all (comma-separated; load is not part of all)")
-		scale       = flag.Float64("scale", 0.25, "row-count multiplier (virtual data volume stays at SF x 1 GB)")
-		seed        = flag.Int64("seed", 2014, "data generation seed")
-		faultsOut   = flag.String("faultsout", "BENCH_faults.json", "file for the faults experiment's raw sweep points (JSON)")
-		serviceOut  = flag.String("serviceout", "BENCH_service.json", "file for the service experiment's report (JSON)")
-		svcClients  = flag.Int("service-clients", 4, "concurrent clients for the service experiment")
-		svcQueries  = flag.Int("service-queries", 3, "queries per client for the service experiment")
-		loadOut     = flag.String("loadout", "BENCH_load.json", "file for the load experiment's saturation curves (JSON)")
-		loadClients = flag.String("load-clients", "1,4,16,64,256,1024", "comma-separated client-count sweep for the load experiment")
-		loadShards  = flag.String("load-shards", "1,4", "comma-separated shard counts to compare in the load experiment")
-		loadQueries = flag.Int("load-queries", 20, "queries per client at each load sweep point")
-		loadZipf    = flag.Float64("load-zipf", 1.3, "Zipf skew (>1) of the load experiment's query mix")
+var (
+	exp        = flag.String("exp", "all", "experiments to run, comma-separated: "+strings.Join(experimentNames(), ", ")+", or all")
+	scale      = flag.Float64("scale", 0.25, "row-count multiplier (virtual data volume stays at SF x 1 GB)")
+	seed       = flag.Int64("seed", 2014, "data generation seed")
+	faultsOut  = flag.String("faultsout", "BENCH_faults.json", "file for the faults experiment's raw sweep points (JSON)")
+	cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
+	memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
+)
 
-		optOut     = flag.String("optbenchout", "BENCH_optbench.json", "file for the optbench experiment's report (JSON)")
-		optRepeats = flag.Int("optbench-repeats", 3, "runs per arm for optbench; the best wall time is kept")
-		parbench   = flag.String("parbench", "", "measure serial vs parallel wall-clock time and write a JSON report to this file (skips -exp)")
-		repeats    = flag.Int("parbench-repeats", 3, "runs per mode for -parbench; the best time is kept")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
-	)
+func run() int {
 	flag.Parse()
+
+	// Validate before any profile starts: a misspelt or retired name
+	// must fail the whole invocation, not quietly run less.
+	want := map[string]bool{}
+	for _, name := range strings.Split(*exp, ",") {
+		name = strings.TrimSpace(strings.ToLower(name))
+		if name != "all" && !knownExperiment(name) {
+			fmt.Fprintf(os.Stderr, "dynobench: unknown experiment %q in -exp=%s (valid: %s, all)\n",
+				name, *exp, strings.Join(experimentNames(), ", "))
+			return 2
+		}
+		want[name] = true
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -88,228 +89,107 @@ func run() int {
 	cfg.Scale = *scale
 	cfg.Seed = *seed
 
-	if *parbench != "" {
-		if runtime.GOMAXPROCS(0) == 1 {
-			fmt.Fprintln(os.Stderr, "dynobench: warning: GOMAXPROCS=1 — the parallel arm has no extra cores; entries will be marked single_core and speedups are noise")
-		}
-		rep, err := experiments.ParallelBench(cfg, *repeats)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dynobench: parbench: %v\n", err)
-			return 1
-		}
-		if err := writeJSON(*parbench, rep); err != nil {
-			fmt.Fprintf(os.Stderr, "dynobench: parbench: %v\n", err)
-			return 1
-		}
-		fmt.Printf("parallel bench (GOMAXPROCS=%d) written to %s\n", rep.GOMAXPROCS, *parbench)
-		for _, e := range rep.Entries {
-			note := ""
-			if e.SingleCore {
-				note = "  [single-core: speedup is noise]"
-			}
-			fmt.Printf("  %-18s serial %.3fs  parallel %.3fs  speedup %.2fx%s\n",
-				e.Name, e.SerialSec, e.ParallelSec, e.Speedup, note)
-		}
-		return 0
-	}
-
-	type tableExp struct {
-		name string
-		run  func(experiments.Config) (*experiments.Table, error)
-	}
-	tables := []tableExp{
-		{"table1", experiments.Table1},
-		{"fig4", experiments.Figure4},
-		{"fig5", experiments.Figure5},
-		{"fig6", experiments.Figure6},
-		{"fig7", experiments.Figure7},
-		{"fig8", experiments.Figure8},
-	}
-	plans := map[string]func(experiments.Config) (*experiments.PlanEvolution, error){
-		"fig2": experiments.Figure2Plans,
-		"fig3": experiments.Figure3Plans,
-	}
-
-	want := map[string]bool{}
-	for _, e := range strings.Split(*exp, ",") {
-		want[strings.TrimSpace(strings.ToLower(e))] = true
-	}
-	all := want["all"]
-
-	ran := 0
-	if all || want["optbench"] {
-		rep, err := experiments.OptBench(*seed, *optRepeats)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dynobench: optbench: %v\n", err)
-			return 1
-		}
-		fmt.Printf("optimizer bench (GOMAXPROCS=%d, seed %d)\n", rep.GOMAXPROCS, rep.Seed)
-		for _, e := range rep.Entries {
-			ok := "plans identical"
-			if !e.CostsIdentical || !e.PlansIdentical {
-				ok = "PLANS DIVERGED"
-			}
-			fmt.Printf("  %-10s expanded scratch %5d  incremental %5d  pruned %5d  reopt reduction %5.1fx  [%s]\n",
-				e.Graph, e.ScratchExpanded, e.IncrementalExpanded, e.PrunedExpanded, e.ReoptReduction, ok)
-		}
-		if *optOut != "" {
-			if err := writeJSON(*optOut, rep); err != nil {
-				fmt.Fprintf(os.Stderr, "dynobench: optbench: %v\n", err)
-				return 1
-			}
-			fmt.Printf("optbench report written to %s\n\n", *optOut)
-		}
-		ran++
-	}
-	if want["load"] { // deliberately not part of "all": the full sweep is long
-		if runtime.GOMAXPROCS(0) == 1 {
-			fmt.Fprintln(os.Stderr, "dynobench: warning: GOMAXPROCS=1 — concurrent clients and shards share one core; the report will carry single_core and cross-arm throughput is noise")
-		}
-		clientSweep, err := parseIntList(*loadClients)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dynobench: load: -load-clients: %v\n", err)
-			return 1
-		}
-		shardArms, err := parseIntList(*loadShards)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dynobench: load: -load-shards: %v\n", err)
-			return 1
-		}
-		rep, err := experiments.LoadBench(cfg, experiments.LoadOptions{
-			Shards:    shardArms,
-			Clients:   clientSweep,
-			PerClient: *loadQueries,
-			ZipfS:     *loadZipf,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dynobench: load: %v\n", err)
-			return 1
-		}
-		fmt.Printf("load sweep (GOMAXPROCS=%d, zipf s=%.2f over %v, %d queries/client)\n",
-			rep.GOMAXPROCS, rep.ZipfS, rep.Mix, rep.PerClient)
-		for _, arm := range rep.Arms {
-			fmt.Printf("  shards=%d\n", arm.Shards)
-			for _, pt := range arm.Points {
-				fmt.Printf("    %5d clients  %8.0f q/s  p50 %6.2fms  p95 %6.2fms  p99 %6.2fms  result %3.0f%%  dedup %3.0f%%  plan %3.0f%%  full %d\n",
-					pt.Clients, pt.QPS, pt.P50Millis, pt.P95Millis, pt.P99Millis,
-					100*pt.ResultHitRate, 100*pt.DedupRate, 100*pt.PlanHitRate, pt.FullRuns)
-			}
-		}
-		if *loadOut != "" {
-			if err := writeJSON(*loadOut, rep); err != nil {
-				fmt.Fprintf(os.Stderr, "dynobench: load: %v\n", err)
-				return 1
-			}
-			fmt.Printf("load report written to %s\n\n", *loadOut)
-		}
-		ran++
-	}
-	if all || want["service"] {
-		rep, err := experiments.ServiceBench(cfg, *svcClients, *svcQueries)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dynobench: service: %v\n", err)
-			return 1
-		}
-		fmt.Printf("query service: %d clients x %d queries in %.2fs wall (%.1f q/s)\n",
-			rep.Clients, rep.QueriesPerClient, rep.WallSec, rep.QPS)
-		fmt.Printf("  latency p50 %.1fms  p95 %.1fms  mean %.1fms\n",
-			rep.P50Millis, rep.P95Millis, rep.MeanMillis)
-		fmt.Printf("  plan cache %d hits / %d misses (%.0f%%)  stats reuse %d leaves, %d pilot jobs (%.0f%%)\n",
-			rep.PlanCacheHits, rep.PlanCacheMisses, 100*rep.PlanHitRate,
-			rep.StatsReusedLeaves, rep.PilotJobs, 100*rep.StatsReuseRate)
-		if *serviceOut != "" {
-			if err := writeJSON(*serviceOut, rep); err != nil {
-				fmt.Fprintf(os.Stderr, "dynobench: service: %v\n", err)
-				return 1
-			}
-			fmt.Printf("service report written to %s\n\n", *serviceOut)
-		}
-		ran++
-	}
-	if all || want["ablations"] {
-		ts, err := experiments.Ablations(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dynobench: ablations: %v\n", err)
-			return 1
-		}
-		for _, t := range ts {
-			fmt.Println(t)
-		}
-		ran++
-	}
-	if all || want["faults"] {
-		points, err := experiments.MeasureFaults(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dynobench: faults: %v\n", err)
-			return 1
-		}
-		fmt.Println(experiments.FaultsTable(points))
-		if *faultsOut != "" {
-			if err := writeJSON(*faultsOut, points); err != nil {
-				fmt.Fprintf(os.Stderr, "dynobench: faults: %v\n", err)
-				return 1
-			}
-			fmt.Printf("faults sweep points written to %s\n\n", *faultsOut)
-		}
-		ran++
-	}
-	for _, te := range tables {
-		if !all && !want[te.name] {
+	for _, e := range experimentList {
+		if !want["all"] && !want[e.name] {
 			continue
 		}
-		t, err := te.run(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dynobench: %s: %v\n", te.name, err)
+		if err := e.run(cfg); err != nil {
+			fmt.Fprintf(os.Stderr, "dynobench: %s: %v\n", e.name, err)
 			return 1
 		}
-		fmt.Println(t)
-		ran++
-	}
-	for name, run := range plans {
-		if !all && !want[name] {
-			continue
-		}
-		ev, err := run(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dynobench: %s: %v\n", name, err)
-			return 1
-		}
-		fmt.Printf("%s (%s plan evolution)\n%s\n", strings.ToUpper(name), ev.Query, ev)
-		ran++
-	}
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "dynobench: nothing matched -exp=%s\n", *exp)
-		return 2
 	}
 	return 0
 }
 
-// parseIntList parses a comma-separated list of positive integers.
-func parseIntList(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		n, err := strconv.Atoi(part)
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("%q is not a positive integer", part)
-		}
-		out = append(out, n)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty list")
-	}
-	return out, nil
+// experiment is one -exp value: run prints its tables to stdout.
+type experiment struct {
+	name string
+	run  func(experiments.Config) error
 }
 
-// writeJSON marshals v with indentation and writes it to path with a
-// trailing newline.
-func writeJSON(path string, v any) error {
-	blob, err := json.MarshalIndent(v, "", "  ")
+// experimentList is the one ordered list of experiments: -exp is
+// validated against it, the flag's help text is generated from it,
+// and -exp all prints in this order.
+var experimentList = []experiment{
+	{"table1", table(experiments.Table1)},
+	{"fig2", planEvolution("FIG2", experiments.Figure2Plans)},
+	{"fig3", planEvolution("FIG3", experiments.Figure3Plans)},
+	{"fig4", table(experiments.Figure4)},
+	{"fig5", table(experiments.Figure5)},
+	{"fig6", table(experiments.Figure6)},
+	{"fig7", table(experiments.Figure7)},
+	{"fig8", table(experiments.Figure8)},
+	{"faults", faults},
+	{"ablations", ablations},
+}
+
+func experimentNames() []string {
+	names := make([]string, len(experimentList))
+	for i, e := range experimentList {
+		names[i] = e.name
+	}
+	return names
+}
+
+func knownExperiment(name string) bool {
+	for _, e := range experimentList {
+		if e.name == name {
+			return true
+		}
+	}
+	return false
+}
+
+func table(f func(experiments.Config) (*experiments.Table, error)) func(experiments.Config) error {
+	return func(cfg experiments.Config) error {
+		t, err := f(cfg)
+		if err != nil {
+			return err
+		}
+		fmt.Println(t)
+		return nil
+	}
+}
+
+func planEvolution(label string, f func(experiments.Config) (*experiments.PlanEvolution, error)) func(experiments.Config) error {
+	return func(cfg experiments.Config) error {
+		ev, err := f(cfg)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("%s (%s plan evolution)\n%s\n", label, ev.Query, ev)
+		return nil
+	}
+}
+
+// faults also writes the raw sweep points to -faultsout.
+func faults(cfg experiments.Config) error {
+	points, err := experiments.MeasureFaults(cfg)
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(blob, '\n'), 0o644)
+	fmt.Println(experiments.FaultsTable(points))
+	if *faultsOut == "" {
+		return nil
+	}
+	blob, err := json.MarshalIndent(points, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(*faultsOut, append(blob, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("faults sweep points written to %s\n\n", *faultsOut)
+	return nil
+}
+
+func ablations(cfg experiments.Config) error {
+	ts, err := experiments.Ablations(cfg)
+	if err != nil {
+		return err
+	}
+	for _, t := range ts {
+		fmt.Println(t)
+	}
+	return nil
 }

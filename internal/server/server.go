@@ -69,7 +69,6 @@ type Config struct {
 	// winners across structurally overlapping queries within one
 	// statistics epoch; POST /invalidate discards it with the rest.
 	DisablePlanCache   bool
-	DisableStatsCache  bool
 	DisableMemoCache   bool
 	DisableResultCache bool
 	DisableDedup       bool
@@ -475,17 +474,15 @@ func (s *Server) execute(ctx context.Context, sh *shard, sql string, variant bas
 		}
 		eng = core.NewEngine(env, sh.cat, s.optCfg, opts)
 	} else {
-		opts.ReuseStats = !s.cfg.DisableStatsCache
+		opts.ReuseStats = true
 		eng, err = baselines.NewEngine(variant, env, sh.cat, s.optCfg, opts)
 		if err != nil {
 			return nil, err
 		}
-		if !s.cfg.DisableStatsCache {
-			// Share the shard's cross-query statistics store: pilot
-			// results land in it and later queries over the same leaf
-			// expressions skip their pilots.
-			eng.Store = store
-		}
+		// Share the shard's cross-query statistics store: pilot results
+		// land in it and later queries over the same leaf expressions
+		// skip their pilots.
+		eng.Store = store
 		if !s.cfg.DisableMemoCache {
 			// Share proven group winners: queries with overlapping join
 			// sub-graphs over this epoch start their searches warm.
