@@ -34,9 +34,9 @@ func CompileAccessor(p Path, sample Value) *Accessor {
 		}
 		if st.IsIndex {
 			cur = cur.Index(st.Index)
-		} else if j := cur.fieldIndex(st.Name); j >= 0 {
+		} else if j := fieldIndexIn(cur.Fields(), st.Name); j >= 0 {
 			a.steps[i].hint = j
-			cur = cur.fields[j].Value
+			cur = cur.Fields()[j].Value
 		} else {
 			valid = false
 			continue
@@ -53,34 +53,27 @@ func (a *Accessor) Path() Path { return a.path }
 
 // Eval resolves the compiled path against a value with the same
 // missing-data semantics as Path.Eval: absent fields and out-of-range
-// indexes yield null. The walk follows pointers into the value tree and
-// copies only the final result, so intermediate objects are never
-// copied (Value is a large struct; per-step copies dominate the
-// interpreted Path.Eval cost).
+// indexes yield null. A field step on a non-object sees no fields.
 func (a *Accessor) Eval(v Value) Value {
-	cur := &v
 	for i := range a.steps {
 		st := &a.steps[i]
 		if st.step.IsIndex {
-			if cur.kind != KindArray || st.step.Index < 0 || st.step.Index >= len(cur.arr) {
-				return Value{}
-			}
-			cur = &cur.arr[st.step.Index]
+			v = v.Index(st.step.Index)
 		} else {
-			fs := cur.fields
+			fs := v.Fields()
 			if h := st.hint; h >= 0 && h < len(fs) && fs[h].Name == st.step.Name {
-				cur = &fs[h].Value
+				v = fs[h].Value
 			} else if j := fieldIndexIn(fs, st.step.Name); j >= 0 {
-				cur = &fs[j].Value
+				v = fs[j].Value
 			} else {
 				return Value{}
 			}
 		}
-		if cur.kind == KindNull {
+		if v.IsNull() {
 			return Value{}
 		}
 	}
-	return *cur
+	return v
 }
 
 // CompileAccessors compiles a set of paths against one sample record.

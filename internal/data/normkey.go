@@ -59,35 +59,36 @@ const maxExactInt = int64(1) << 53
 // whether v is encodable (see package comment above). On ok=false dst
 // may hold a partial encoding and must be discarded.
 func AppendNormKey(dst []byte, v Value) ([]byte, bool) {
-	switch v.kind {
+	switch v.Kind() {
 	case KindNull:
 		return append(dst, nkNull), true
 	case KindBool:
-		if v.b {
+		if v.Bool() {
 			return append(dst, nkBool, 1), true
 		}
 		return append(dst, nkBool, 0), true
 	case KindInt:
-		if v.i > maxExactInt || v.i < -maxExactInt {
+		i := v.Int()
+		if i > maxExactInt || i < -maxExactInt {
 			return dst, false
 		}
-		return appendNormFloat(dst, float64(v.i)), true
+		return appendNormFloat(dst, float64(i)), true
 	case KindDouble:
-		if math.IsNaN(v.f) {
+		f := v.Float()
+		if math.IsNaN(f) {
 			return dst, false
 		}
-		f := v.f
 		if f == 0 {
 			f = 0 // canonicalize -0.0, which Compare treats as equal to +0.0
 		}
 		return appendNormFloat(dst, f), true
 	case KindString:
-		return appendNormString(append(dst, nkString), v.s), true
+		return appendNormString(append(dst, nkString), v.Str()), true
 	case KindArray:
 		dst = append(dst, nkArray)
 		var ok bool
-		for i := range v.arr {
-			if dst, ok = AppendNormKey(dst, v.arr[i]); !ok {
+		for _, e := range v.Elems() {
+			if dst, ok = AppendNormKey(dst, e); !ok {
 				return dst, false
 			}
 		}
@@ -95,9 +96,9 @@ func AppendNormKey(dst []byte, v Value) ([]byte, bool) {
 	case KindObject:
 		dst = append(dst, nkObject)
 		var ok bool
-		for i := range v.fields {
-			dst = appendNormString(dst, v.fields[i].Name)
-			if dst, ok = AppendNormKey(dst, v.fields[i].Value); !ok {
+		for _, f := range v.Fields() {
+			dst = appendNormString(dst, f.Name)
+			if dst, ok = AppendNormKey(dst, f.Value); !ok {
 				return dst, false
 			}
 		}

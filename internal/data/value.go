@@ -15,6 +15,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Kind identifies the dynamic type of a Value.
@@ -62,18 +63,31 @@ type Field struct {
 
 // Value is an immutable semistructured datum. The zero Value is null.
 //
-// enc caches the JSON-lines EncodedSize, computed once at construction
-// from the (already cached) sizes of the children, so size accounting on
-// the engine's hot paths is O(1) instead of re-walking the value tree.
+// It is a three-word tagged union (see DESIGN.md, "Value layout"):
+//
+//   - p points at the string's bytes, or at the first element of the
+//     array's []Value / the object's []Field backing array (an interior
+//     pointer keeps the whole array alive); nil for scalars.
+//   - n holds the int's bits, the double's IEEE bits, the bool (0/1), or
+//     the length of the string / array / object.
+//   - meta holds the kind in its low byte and, above it, the JSON-lines
+//     EncodedSize — computed once at construction from the children's
+//     cached sizes, so size accounting on the engine's hot paths is O(1).
+//     56 bits of size is 64 PiB, beyond any value that fits in memory.
+//
+// What p points at depends on the kind, so nothing reads it except the
+// typed views Str, Elems and Fields, which check the kind first. The
+// zero-size func array keeps Value (and everything embedding it) not
+// comparable: == would compare p by address.
 type Value struct {
-	kind   Kind
-	b      bool
-	i      int64
-	f      float64
-	enc    int64
-	s      string
-	arr    []Value
-	fields []Field // sorted by Name
+	_    [0]func()
+	p    unsafe.Pointer
+	n    uint64
+	meta uint64
+}
+
+func mkValue(k Kind, p unsafe.Pointer, n uint64, enc int64) Value {
+	return Value{p: p, n: n, meta: uint64(k) | uint64(enc)<<8}
 }
 
 // Null returns the null value.
@@ -82,22 +96,24 @@ func Null() Value { return Value{} }
 // Bool returns a boolean value.
 func Bool(b bool) Value {
 	if b {
-		return Value{kind: KindBool, b: true, enc: 4}
+		return mkValue(KindBool, nil, 1, 4)
 	}
-	return Value{kind: KindBool, enc: 5}
+	return mkValue(KindBool, nil, 0, 5)
 }
 
 // Int returns an integer value.
-func Int(i int64) Value { return Value{kind: KindInt, i: i, enc: intEncLen(i)} }
+func Int(i int64) Value { return mkValue(KindInt, nil, uint64(i), intEncLen(i)) }
 
 // Double returns a floating-point value.
 func Double(f float64) Value {
 	var buf [32]byte
-	return Value{kind: KindDouble, f: f, enc: int64(len(strconv.AppendFloat(buf[:0], f, 'g', -1, 64)))}
+	return mkValue(KindDouble, nil, math.Float64bits(f), int64(len(strconv.AppendFloat(buf[:0], f, 'g', -1, 64))))
 }
 
 // String returns a string value.
-func String(s string) Value { return Value{kind: KindString, s: s, enc: int64(len(s)) + 2} }
+func String(s string) Value {
+	return mkValue(KindString, unsafe.Pointer(unsafe.StringData(s)), uint64(len(s)), int64(len(s))+2)
+}
 
 // Array returns an array value holding the given elements. The slice is
 // retained; callers must not mutate it afterwards.
@@ -109,7 +125,7 @@ func Array(elems ...Value) Value {
 		}
 		n += elems[i].EncodedSize()
 	}
-	return Value{kind: KindArray, arr: elems, enc: n}
+	return mkValue(KindArray, unsafe.Pointer(unsafe.SliceData(elems)), uint64(len(elems)), n)
 }
 
 // intEncLen returns the decimal encoding length of an integer without
@@ -140,7 +156,7 @@ func objectFromSorted(fs []Field) Value {
 		}
 		n += int64(len(fs[i].Name)) + 3 + fs[i].Value.EncodedSize()
 	}
-	return Value{kind: KindObject, fields: fs, enc: n}
+	return mkValue(KindObject, unsafe.Pointer(unsafe.SliceData(fs)), uint64(len(fs)), n)
 }
 
 // Object returns an object value from the given fields. Fields are sorted
@@ -193,22 +209,22 @@ func ObjectFromMap(m map[string]Value) Value {
 }
 
 // Kind reports the value's dynamic kind.
-func (v Value) Kind() Kind { return v.kind }
+func (v Value) Kind() Kind { return Kind(v.meta) }
 
 // IsNull reports whether the value is null.
-func (v Value) IsNull() bool { return v.kind == KindNull }
+func (v Value) IsNull() bool { return v.Kind() == KindNull }
 
 // Bool returns the boolean payload. It is false for non-bool values.
-func (v Value) Bool() bool { return v.kind == KindBool && v.b }
+func (v Value) Bool() bool { return v.Kind() == KindBool && v.n != 0 }
 
 // Int returns the integer payload, converting doubles by truncation.
 // It is 0 for non-numeric values.
 func (v Value) Int() int64 {
-	switch v.kind {
+	switch v.Kind() {
 	case KindInt:
-		return v.i
+		return int64(v.n)
 	case KindDouble:
-		return int64(v.f)
+		return int64(math.Float64frombits(v.n))
 	default:
 		return 0
 	}
@@ -217,11 +233,11 @@ func (v Value) Int() int64 {
 // Float returns the numeric payload as float64. It is 0 for non-numeric
 // values.
 func (v Value) Float() float64 {
-	switch v.kind {
+	switch v.Kind() {
 	case KindInt:
-		return float64(v.i)
+		return float64(int64(v.n))
 	case KindDouble:
-		return v.f
+		return math.Float64frombits(v.n)
 	default:
 		return 0
 	}
@@ -229,23 +245,21 @@ func (v Value) Float() float64 {
 
 // Str returns the string payload. It is "" for non-string values.
 func (v Value) Str() string {
-	if v.kind == KindString {
-		return v.s
+	if v.Kind() != KindString {
+		return ""
 	}
-	return ""
+	return unsafe.String((*byte)(v.p), int(v.n))
 }
 
 // IsNumeric reports whether the value is an int or a double.
-func (v Value) IsNumeric() bool { return v.kind == KindInt || v.kind == KindDouble }
+func (v Value) IsNumeric() bool { return v.Kind() == KindInt || v.Kind() == KindDouble }
 
 // Len returns the number of elements (arrays) or fields (objects),
 // and 0 for everything else.
 func (v Value) Len() int {
-	switch v.kind {
-	case KindArray:
-		return len(v.arr)
-	case KindObject:
-		return len(v.fields)
+	switch v.Kind() {
+	case KindArray, KindObject:
+		return int(v.n)
 	default:
 		return 0
 	}
@@ -254,28 +268,26 @@ func (v Value) Len() int {
 // Index returns the i-th array element. Out-of-range indexes and
 // non-arrays yield null.
 func (v Value) Index(i int) Value {
-	if v.kind != KindArray || i < 0 || i >= len(v.arr) {
-		return Null()
+	if a := v.Elems(); i >= 0 && i < len(a) {
+		return a[i]
 	}
-	return v.arr[i]
+	return Null()
 }
 
 // Elems returns the array elements. Callers must not mutate the slice.
 func (v Value) Elems() []Value {
-	if v.kind != KindArray {
+	if v.Kind() != KindArray {
 		return nil
 	}
-	return v.arr
+	return unsafe.Slice((*Value)(v.p), int(v.n))
 }
 
-// fieldIndex returns the position of the named field, or -1. Rows are
+// fieldIndexIn returns the position of the named field, or -1. Rows are
 // shallow objects (a handful of aliases, each wrapping a table-width
 // record), so a linear scan with sorted-order early exit beats binary
 // search up to a few dozen fields; wider objects use an inlined binary
 // search, avoiding the closure calls of sort.Search on the Eval hot
 // path.
-func (v Value) fieldIndex(name string) int { return fieldIndexIn(v.fields, name) }
-
 func fieldIndexIn(fs []Field, name string) int {
 	if len(fs) <= 24 {
 		for i := range fs {
@@ -305,11 +317,9 @@ func fieldIndexIn(fs []Field, name string) int {
 
 // Field returns the named object field and whether it exists.
 func (v Value) Field(name string) (Value, bool) {
-	if v.kind != KindObject {
-		return Null(), false
-	}
-	if i := v.fieldIndex(name); i >= 0 {
-		return v.fields[i].Value, true
+	fs := v.Fields()
+	if i := fieldIndexIn(fs, name); i >= 0 {
+		return fs[i].Value, true
 	}
 	return Null(), false
 }
@@ -323,20 +333,18 @@ func (v Value) FieldOr(name string) Value {
 // Fields returns the object's fields in name order. Callers must not
 // mutate the slice.
 func (v Value) Fields() []Field {
-	if v.kind != KindObject {
+	if v.Kind() != KindObject {
 		return nil
 	}
-	return v.fields
+	return unsafe.Slice((*Field)(v.p), int(v.n))
 }
 
 // With returns a copy of an object value with the named field set.
 // Calling With on a non-object returns a fresh single-field object.
 func (v Value) With(name string, val Value) Value {
-	if v.kind != KindObject {
-		return Object(Field{Name: name, Value: val})
-	}
-	fs := make([]Field, 0, len(v.fields)+1)
-	fs = append(fs, v.fields...)
+	old := v.Fields() // nil for a non-object
+	fs := make([]Field, 0, len(old)+1)
+	fs = append(fs, old...)
 	fs = append(fs, Field{Name: name, Value: val})
 	return Object(fs...)
 }
@@ -374,30 +382,23 @@ func MergeObjects(a, b Value) Value {
 // Compare totally orders two values: first by kind class (numbers compare
 // across int/double), then by payload. It returns -1, 0, or +1.
 func Compare(a, b Value) int {
-	ca, cb := kindClass(a.kind), kindClass(b.kind)
+	ca, cb := kindClass(a.Kind()), kindClass(b.Kind())
 	if ca != cb {
 		if ca < cb {
 			return -1
 		}
 		return 1
 	}
-	switch a.kind {
-	case KindNull:
-		return 0
+	switch a.Kind() {
 	case KindBool:
-		if a.b == b.b {
-			return 0
-		}
-		if !a.b {
-			return -1
-		}
-		return 1
+		return int(a.n) - int(b.n)
 	case KindInt, KindDouble:
-		if a.kind == KindInt && b.kind == KindInt {
+		if a.Kind() == KindInt && b.Kind() == KindInt {
+			ai, bi := int64(a.n), int64(b.n)
 			switch {
-			case a.i < b.i:
+			case ai < bi:
 				return -1
-			case a.i > b.i:
+			case ai > bi:
 				return 1
 			default:
 				return 0
@@ -413,26 +414,28 @@ func Compare(a, b Value) int {
 			return 0
 		}
 	case KindString:
-		return strings.Compare(a.s, b.s)
+		return strings.Compare(a.Str(), b.Str())
 	case KindArray:
-		n := min(len(a.arr), len(b.arr))
+		ae, be := a.Elems(), b.Elems()
+		n := min(len(ae), len(be))
 		for i := 0; i < n; i++ {
-			if c := Compare(a.arr[i], b.arr[i]); c != 0 {
+			if c := Compare(ae[i], be[i]); c != 0 {
 				return c
 			}
 		}
-		return len(a.arr) - len(b.arr)
+		return len(ae) - len(be)
 	case KindObject:
-		n := min(len(a.fields), len(b.fields))
+		af, bf := a.Fields(), b.Fields()
+		n := min(len(af), len(bf))
 		for i := 0; i < n; i++ {
-			if c := strings.Compare(a.fields[i].Name, b.fields[i].Name); c != 0 {
+			if c := strings.Compare(af[i].Name, bf[i].Name); c != 0 {
 				return c
 			}
-			if c := Compare(a.fields[i].Value, b.fields[i].Value); c != 0 {
+			if c := Compare(af[i].Value, bf[i].Value); c != 0 {
 				return c
 			}
 		}
-		return len(a.fields) - len(b.fields)
+		return len(af) - len(bf)
 	}
 	return 0
 }
@@ -486,15 +489,11 @@ func hashString(h uint64, s string) uint64 {
 }
 
 func hashValue(h uint64, v Value) uint64 {
-	switch v.kind {
+	switch v.Kind() {
 	case KindNull:
 		return hashByte(h, 0)
 	case KindBool:
-		h = hashByte(h, 1)
-		if v.b {
-			return hashByte(h, 1)
-		}
-		return hashByte(h, 0)
+		return hashByte(hashByte(h, 1), byte(v.n))
 	case KindInt, KindDouble:
 		// Hash numbers by their float64 image so 2 and 2.0 collide,
 		// matching Compare's cross-kind equality.
@@ -505,18 +504,18 @@ func hashValue(h uint64, v Value) uint64 {
 		}
 		return h
 	case KindString:
-		return hashString(hashByte(h, 3), v.s)
+		return hashString(hashByte(h, 3), v.Str())
 	case KindArray:
 		h = hashByte(h, 4)
-		for i := range v.arr {
-			h = hashValue(h, v.arr[i])
+		for _, e := range v.Elems() {
+			h = hashValue(h, e)
 		}
 		return h
 	case KindObject:
 		h = hashByte(h, 5)
-		for i := range v.fields {
-			h = hashString(h, v.fields[i].Name)
-			h = hashValue(h, v.fields[i].Value)
+		for _, f := range v.Fields() {
+			h = hashString(h, f.Name)
+			h = hashValue(h, f.Value)
 		}
 		return h
 	}
@@ -525,51 +524,14 @@ func hashValue(h uint64, v Value) uint64 {
 
 // EncodedSize estimates the on-disk size of the value in bytes, matching
 // the JSON-lines encoding used by the simulated DFS. The simulator and
-// the optimizer's cost model both consume this estimate. The size is
-// cached at construction, so calls are O(1); the walk below only runs
-// for null (the zero Value carries no cache).
+// the optimizer's cost model both consume this estimate. Every
+// constructor caches the size, so calls are O(1); only the zero Value
+// (null, 4 bytes) carries none.
 func (v Value) EncodedSize() int64 {
-	if v.enc > 0 {
-		return v.enc
+	if enc := v.meta >> 8; enc != 0 {
+		return int64(enc)
 	}
-	return v.encodedSizeSlow()
-}
-
-func (v Value) encodedSizeSlow() int64 {
-	switch v.kind {
-	case KindNull:
-		return 4
-	case KindBool:
-		if v.b {
-			return 4
-		}
-		return 5
-	case KindInt:
-		return int64(len(strconv.FormatInt(v.i, 10)))
-	case KindDouble:
-		return int64(len(strconv.FormatFloat(v.f, 'g', -1, 64)))
-	case KindString:
-		return int64(len(v.s)) + 2
-	case KindArray:
-		var n int64 = 2
-		for i := range v.arr {
-			if i > 0 {
-				n++
-			}
-			n += v.arr[i].EncodedSize()
-		}
-		return n
-	case KindObject:
-		var n int64 = 2
-		for i := range v.fields {
-			if i > 0 {
-				n++
-			}
-			n += int64(len(v.fields[i].Name)) + 3 + v.fields[i].Value.EncodedSize()
-		}
-		return n
-	}
-	return 0
+	return 4
 }
 
 // String renders the value as compact JSON-ish text.
@@ -580,20 +542,20 @@ func (v Value) String() string {
 }
 
 func (v Value) writeTo(sb *strings.Builder) {
-	switch v.kind {
+	switch v.Kind() {
 	case KindNull:
 		sb.WriteString("null")
 	case KindBool:
-		sb.WriteString(strconv.FormatBool(v.b))
+		sb.WriteString(strconv.FormatBool(v.Bool()))
 	case KindInt:
-		sb.WriteString(strconv.FormatInt(v.i, 10))
+		sb.WriteString(strconv.FormatInt(v.Int(), 10))
 	case KindDouble:
-		sb.WriteString(strconv.FormatFloat(v.f, 'g', -1, 64))
+		sb.WriteString(strconv.FormatFloat(v.Float(), 'g', -1, 64))
 	case KindString:
-		sb.WriteString(strconv.Quote(v.s))
+		sb.WriteString(strconv.Quote(v.Str()))
 	case KindArray:
 		sb.WriteByte('[')
-		for i, e := range v.arr {
+		for i, e := range v.Elems() {
 			if i > 0 {
 				sb.WriteByte(',')
 			}
@@ -602,7 +564,7 @@ func (v Value) writeTo(sb *strings.Builder) {
 		sb.WriteByte(']')
 	case KindObject:
 		sb.WriteByte('{')
-		for i, f := range v.fields {
+		for i, f := range v.Fields() {
 			if i > 0 {
 				sb.WriteByte(',')
 			}
@@ -618,4 +580,4 @@ func (v Value) writeTo(sb *strings.Builder) {
 // position: boolean true, or any non-null non-false value is falsy except
 // booleans; only Bool(true) is truthy, matching SQL-ish predicate
 // semantics where predicates evaluate to booleans.
-func (v Value) Truthy() bool { return v.kind == KindBool && v.b }
+func (v Value) Truthy() bool { return v.Bool() }

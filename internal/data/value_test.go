@@ -4,6 +4,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -25,6 +26,49 @@ func TestZeroValueIsNull(t *testing.T) {
 	var v Value
 	if !v.IsNull() || v.Kind() != KindNull {
 		t.Fatalf("zero Value is %v, want null", v.Kind())
+	}
+}
+
+// TestValueLayout pins the three-word layout and what guards it: the
+// sizes every per-row structure is a multiple of, non-comparability
+// (== would compare the pointer word by address), the uncached zero
+// Value, and the zero answer of every typed view on every wrong kind —
+// the pointer word means something different per kind, so a view that
+// forgot to check would reinterpret string bytes as fields.
+func TestValueLayout(t *testing.T) {
+	if sz := reflect.TypeOf(Value{}).Size(); sz != 24 {
+		t.Errorf("Sizeof(Value) = %d, want 24", sz)
+	}
+	if sz := reflect.TypeOf(Field{}).Size(); sz != 40 {
+		t.Errorf("Sizeof(Field) = %d, want 40", sz)
+	}
+	if reflect.TypeOf(Value{}).Comparable() {
+		t.Error("Value is comparable")
+	}
+	if got := (Value{}).EncodedSize(); got != 4 {
+		t.Errorf("zero Value EncodedSize() = %d, want 4", got)
+	}
+	long := "a string long enough to be mistaken for several fields' worth of bytes ............"
+	for _, v := range []Value{
+		{}, Bool(true), Int(1 << 40), Double(-2.5), String(long), String(""),
+		Array(String(long), Int(1)), Array(), Object(Field{"a", String(long)}), Object(),
+	} {
+		k := v.Kind()
+		if k != KindString && v.Str() != "" {
+			t.Errorf("%v %s: Str() = %q", k, v, v.Str())
+		}
+		if k != KindArray && (v.Elems() != nil || !v.Index(0).IsNull()) {
+			t.Errorf("%v %s: Elems() = %v, Index(0) = %s", k, v, v.Elems(), v.Index(0))
+		}
+		if _, ok := v.Field("a"); k != KindObject && (v.Fields() != nil || ok || !v.FieldOr("a").IsNull()) {
+			t.Errorf("%v %s: Fields() = %v, Field(a) found = %v", k, v, v.Fields(), ok)
+		}
+		if k != KindArray && k != KindObject && v.Len() != 0 {
+			t.Errorf("%v %s: Len() = %d", k, v, v.Len())
+		}
+		if acc := CompileAccessor(MustParsePath("a[0].b"), v); !acc.Eval(v).IsNull() {
+			t.Errorf("%v %s: a[0].b resolves to %s", k, v, acc.Eval(v))
+		}
 	}
 }
 

@@ -1,10 +1,11 @@
 package experiments
 
 import (
-	"reflect"
+	"slices"
 	"testing"
 
 	"dyno/internal/baselines"
+	"dyno/internal/data"
 	"dyno/internal/optimizer"
 )
 
@@ -46,7 +47,7 @@ func TestIncrementalTPCHByteIdentical(t *testing.T) {
 						i+1, on.res.Evolution[i].Plan, off.res.Evolution[i].Plan)
 				}
 			}
-			if !reflect.DeepEqual(on.res.Rows, off.res.Rows) {
+			if !slices.EqualFunc(on.res.Rows, off.res.Rows, data.Equal) {
 				t.Error("result rows differ")
 			}
 			if on.res.Jobs != off.res.Jobs || on.res.PlanChanges != off.res.PlanChanges {

@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -16,6 +17,19 @@ import (
 // definitions the normalized-key machinery (sorting and grouping by
 // encoded strings, the normalized-key table index, pooled buffers)
 // must be indistinguishable from.
+
+// TestPairLayout: shuffle buckets, gathered reduce inputs and group
+// slabs are arrays of these two structs, so their size is the unit of
+// the shuffle's allocation and copy cost. Both are two strings' worth
+// of headers plus data.Value's three words each.
+func TestPairLayout(t *testing.T) {
+	if sz := reflect.TypeOf(Pair{}).Size(); sz > 80 {
+		t.Errorf("Sizeof(Pair) = %d, want <= 80", sz)
+	}
+	if sz := reflect.TypeOf(Tagged{}).Size(); sz > 40 {
+		t.Errorf("Sizeof(Tagged) = %d, want <= 40", sz)
+	}
+}
 
 // mixedKeyTable writes records whose shuffle keys cycle through every
 // scalar kind the normalized encoding supports — including negative

@@ -71,8 +71,7 @@ func columnKind(vals []data.Value) byte {
 	kind := colGeneric
 	sawNonNull := false
 	var names []data.Field
-	for i := range vals {
-		v := &vals[i]
+	for _, v := range vals {
 		var k byte
 		switch v.Kind() {
 		case data.KindNull:
