@@ -3,9 +3,9 @@
 // normalized SQL onto independent shards (each owning its own
 // simulated cluster, DFS, and TPC-H catalog); repeats are served from
 // the result cache without executing, concurrent identical queries
-// coalesce onto one in-flight execution, plan-cache hits skip
-// optimization and pilot runs, and queries sharing leaf expressions
-// reuse each other's pilot-run statistics.
+// coalesce onto one in-flight execution, and everything else runs full
+// DYNOPT, reusing the pilot-run statistics of earlier queries that
+// share its leaf expressions.
 //
 // Usage:
 //
@@ -42,12 +42,8 @@ func main() {
 		maxQueue    = flag.Int("max-queue", 16, "queries waiting for admission")
 		timeout     = flag.Duration("timeout", 2*time.Minute, "per-query wall-clock budget (0 disables)")
 		shards      = flag.Int("shards", 1, "independent shards queries are routed across by normalized SQL")
-		noPlanCache = flag.Bool("no-plan-cache", false, "disable the plan cache")
-		noResults   = flag.Bool("no-result-cache", false, "disable the normalized-SQL result cache")
-		noDedup     = flag.Bool("no-dedup", false, "disable in-flight deduplication of identical queries")
 		resultSize  = flag.Int("result-cache-size", 0, "result cache entries per shard (0 = default)")
 		workers     = flag.Int("workers", 0, "cluster workers (0 = paper default)")
-		parallelism = flag.Int("parallelism", 0, "simulated task waves executed per step (0 = serial)")
 		runtimeName = flag.String("runtime", "sim", "execution backend: sim (in-process simulator) | proc (dynoworker processes)")
 		ctrlAddr    = flag.String("controller-addr", "127.0.0.1:0", "proc backend: controller listen address for worker registration")
 		minWorkers  = flag.Int("min-workers", 1, "proc backend: workers to wait for before serving")
@@ -67,12 +63,8 @@ func main() {
 	cfg.MaxQueue = *maxQueue
 	cfg.QueryTimeout = *timeout
 	cfg.Shards = *shards
-	cfg.DisablePlanCache = *noPlanCache
-	cfg.DisableResultCache = *noResults
-	cfg.DisableDedup = *noDedup
 	cfg.ResultCacheSize = *resultSize
 	cfg.Workers = *workers
-	cfg.Parallelism = *parallelism
 
 	var fleet *procruntime.Fleet
 	switch *runtimeName {

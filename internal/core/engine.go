@@ -118,13 +118,6 @@ type Engine struct {
 	Opt      optimizer.Config
 	Options  Options
 
-	// MemoCache, when set, shares proven optimizer group winners across
-	// queries (and across engines pointing at the same cache). The
-	// owner is responsible for epoch invalidation: swap in a fresh
-	// cache whenever catalog statistics change. Ignored when
-	// Opt.DisableIncremental is set or a Planner override is in use.
-	MemoCache *optimizer.SharedCache
-
 	rng       *rand.Rand
 	queries   int
 	pruneLive map[string]map[string]bool // projection-pushdown live columns; nil = off
@@ -191,15 +184,6 @@ type Result struct {
 	// statistics, resubmitted leaf jobs) instead of aborting.
 	ResubmittedJobs int
 	Warnings        []string
-
-	// PlanRoot is the physical plan chosen at the first optimization
-	// point, with the pilot statistics already attached to its leaves.
-	// The tree is never mutated afterwards (re-optimization builds
-	// fresh trees), so a query service can cache it and re-execute it
-	// statically — skipping pilot runs and the optimizer — when the
-	// same normalized query arrives again under the same statistics
-	// epoch.
-	PlanRoot plan.Node
 }
 
 // queryName allocates the next query's name, under the session tag
@@ -324,10 +308,8 @@ func (e *Engine) runBlock(block *plan.JoinBlock, name string, res *Result) (*pla
 	executed := map[string]*plan.Rel{} // alias-set key → materialized rel
 	skipReopt := false
 	// One memo session per query: rounds reuse every group the
-	// substitutions left intact, and the shared cache (when the service
-	// attached one) warms the first round from overlapping queries.
+	// substitutions left intact.
 	inc := optimizer.NewIncremental(e.Opt)
-	inc.Shared = e.MemoCache
 	for iter := 1; ; iter++ {
 		if err := e.ctxErr(); err != nil {
 			return nil, err
@@ -377,10 +359,6 @@ func (e *Engine) runBlock(block *plan.JoinBlock, name string, res *Result) (*pla
 			e.Env.Advance(optSec)
 			res.OptimizeSec += optSec
 		}
-		if iter == 1 {
-			res.PlanRoot = root
-		}
-
 		info := IterationInfo{Plan: plan.Format(root), OptimizeSec: optSec}
 		if prevRoot != nil && planSig(root, executed) != planSig(prevRoot, executed) {
 			info.PlanChanged = true

@@ -7,22 +7,15 @@
 // invalidating only groups whose bitmask intersects the affected
 // leaves, and re-costs the previous winner to seed the
 // branch-and-bound upper bound for the groups it must re-enumerate.
-// A SharedCache extends the same reuse across queries that share join
-// sub-graphs over one catalog epoch.
 package optimizer
 
 import (
 	"encoding/binary"
-	"fmt"
 	"hash/fnv"
 	"math"
 	"math/bits"
 	"sort"
-	"strconv"
-	"strings"
-	"sync"
 
-	"dyno/internal/expr"
 	"dyno/internal/plan"
 	"dyno/internal/stats"
 )
@@ -35,10 +28,9 @@ import (
 // fresh relations appended at the end — and is verified structurally:
 // when a block cannot be mapped onto the previous one the session
 // silently falls back to a from-scratch search. Not safe for
-// concurrent use; Shared may be a SharedCache used by many sessions.
+// concurrent use.
 type Incremental struct {
-	Cfg    Config
-	Shared *SharedCache
+	Cfg Config
 
 	prev     *memo
 	prevRels []*plan.Rel
@@ -53,21 +45,15 @@ func NewIncremental(cfg Config) *Incremental {
 
 // Optimize behaves exactly like the package-level Optimize — same plan,
 // same errors — but reuses unaffected memo groups from the previous
-// round and, when a SharedCache is attached, from other queries.
-// Cfg.DisableIncremental turns both off.
+// round. Cfg.DisableIncremental turns the reuse off.
 func (inc *Incremental) Optimize(block *plan.JoinBlock) (*Result, error) {
 	m, err := newMemoChecked(block, inc.Cfg)
 	if err != nil {
 		return nil, err
 	}
 	seed := math.Inf(1)
-	if !inc.Cfg.DisableIncremental {
-		if inc.prev != nil {
-			seed = inc.adopt(m, block)
-		}
-		if inc.Shared != nil {
-			m.importShared(inc.Shared)
-		}
+	if !inc.Cfg.DisableIncremental && inc.prev != nil {
+		seed = inc.adopt(m, block)
 	}
 	res, err := m.run(seed)
 	if err != nil {
@@ -75,9 +61,6 @@ func (inc *Incremental) Optimize(block *plan.JoinBlock) (*Result, error) {
 		return nil, err
 	}
 	if !inc.Cfg.DisableIncremental {
-		if inc.Shared != nil {
-			m.exportShared(inc.Shared)
-		}
 		inc.remember(m, block)
 	}
 	return res, nil
@@ -253,8 +236,9 @@ func translateShape(s *shapeNode, tr func(uint64) (uint64, bool)) *shapeNode {
 }
 
 // costShape prices a fixed plan shape under this memo's statistics with
-// exactly the search's cost formulas, including chain anticipation and
-// broadcast memory eligibility (an ineligible shape yields no bound).
+// exactly the search's cost formulas (joinCost), including chain
+// anticipation and broadcast memory eligibility (an ineligible shape
+// yields no bound).
 func (m *memo) costShape(s *shapeNode) (float64, bool) {
 	if s.leaf {
 		return 0, true
@@ -267,39 +251,9 @@ func (m *memo) costShape(s *shapeNode) (float64, bool) {
 	if !ok {
 		return 0, false
 	}
-	childCost := lc + rc
 	outCost := m.cfg.COut * m.propsFor(s.mask).bytes()
-	lp, rp := m.propsFor(s.left.mask), m.propsFor(s.right.mask)
-	switch s.method {
-	case plan.Repartition:
-		return childCost + m.cfg.CRep*(lp.bytes()+rp.bytes()) + outCost + m.cfg.CJob, true
-	case plan.BroadcastJoin:
-		if m.cfg.DisableBroadcast {
-			return 0, false
-		}
-		if m.cfg.LeftDeepOnly && bits.OnesCount64(s.right.mask) > 1 {
-			return 0, false
-		}
-		bp := m.propsFor(s.right.mask)
-		budget := m.cfg.Mmax
-		if m.cfg.RiskFactor > 1 {
-			for joins := bits.OnesCount64(s.right.mask) - 1; joins > 0; joins-- {
-				budget /= m.cfg.RiskFactor
-			}
-		}
-		if bp.bytesUp() > budget && m.cfg.Mmax > 0 {
-			return 0, false
-		}
-		probeBytes := lp.bytes()
-		c := childCost + m.cfg.CProbe*probeBytes +
-			m.cfg.CBuild*bp.bytes()*m.replication(probeBytes) + outCost
-		chains := !m.cfg.DisableChaining && !s.left.leaf && s.left.method == plan.BroadcastJoin
-		if !chains {
-			c += m.cfg.CJob
-		}
-		return c, true
-	}
-	return 0, false
+	probeIsBroadcast := !s.left.leaf && s.left.method == plan.BroadcastJoin
+	return m.joinCost(s.method, s.left.mask, s.right.mask, lc+rc, outCost, probeIsBroadcast)
 }
 
 // statsFP fingerprints the statistics fields the search actually reads
@@ -324,251 +278,4 @@ func statsFP(s stats.TableStats) uint64 {
 		put(s.Cols[c].NDV)
 	}
 	return h.Sum64()
-}
-
-// SharedCache stores proven group winners keyed by content — leaf scan
-// signatures plus statistics fingerprints plus the join/residual
-// predicate signatures and cost configuration — so structurally
-// overlapping queries over the same catalog epoch start their searches
-// warm. Epoch invalidation is the owner's job: the server swaps the
-// whole cache when statistics change. Safe for concurrent use.
-//
-// Identity caveat: across queries only cost equality is guaranteed.
-// Two queries may enumerate the same logical group in different split
-// orders, so on exact cost ties a cached winner can differ structurally
-// from the one a cold search would pick (within one session adopt()
-// preserves tie-breaks exactly; DisableIncremental restores cold
-// behavior everywhere).
-type SharedCache struct {
-	mu      sync.Mutex
-	max     int
-	entries map[string]sharedGroup
-	order   []string
-}
-
-type sharedGroup struct {
-	cost     float64
-	method   plan.JoinMethod
-	keys     []string // sorted leaf keys of the whole group
-	leftKeys []string // leaf keys of the winner's left (probe) side
-}
-
-// DefaultSharedCacheGroups bounds a SharedCache when no capacity is
-// given.
-const DefaultSharedCacheGroups = 8192
-
-// NewSharedCache returns a cache bounded to max groups (FIFO eviction;
-// max <= 0 means DefaultSharedCacheGroups).
-func NewSharedCache(max int) *SharedCache {
-	if max <= 0 {
-		max = DefaultSharedCacheGroups
-	}
-	return &SharedCache{max: max, entries: make(map[string]sharedGroup)}
-}
-
-// Len reports the number of cached group winners.
-func (c *SharedCache) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
-func (c *SharedCache) putAll(keys []string, groups []sharedGroup) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i, k := range keys {
-		if _, ok := c.entries[k]; ok {
-			continue // first winner sticks: deterministic under concurrency
-		}
-		c.entries[k] = groups[i]
-		c.order = append(c.order, k)
-	}
-	for len(c.entries) > c.max && len(c.order) > 0 {
-		delete(c.entries, c.order[0])
-		c.order = c.order[1:]
-	}
-}
-
-func (c *SharedCache) snapshot() (keys []string, groups []sharedGroup) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	keys = make([]string, 0, len(c.entries))
-	groups = make([]sharedGroup, 0, len(c.entries))
-	for _, k := range c.order {
-		if g, ok := c.entries[k]; ok {
-			keys = append(keys, k)
-			groups = append(groups, g)
-		}
-	}
-	return keys, groups
-}
-
-// relKeys returns each relation's content key — scan signature plus
-// statistics fingerprint — or "" for relations that are not base scans
-// (materialized intermediates are query-local and never shared).
-func (m *memo) relKeys() []string {
-	keys := make([]string, len(m.block.Rels))
-	for i, r := range m.block.Rels {
-		if r.Leaf == nil {
-			continue
-		}
-		keys[i] = r.Leaf.Signature() + "#" + strconv.FormatUint(statsFP(r.Stats), 16)
-	}
-	return keys
-}
-
-func (m *memo) cfgSig() string {
-	return fmt.Sprintf("%+v", m.cfg)
-}
-
-// groupKey builds the content key of a subset: configuration, sorted
-// leaf keys, and the signatures of every join predicate and residual
-// the subset carries. Two groups with equal keys cost identically in
-// any memo.
-func (m *memo) groupKey(mask uint64, keys []string, cfgSig string) (string, bool) {
-	parts := make([]string, 0, bits.OnesCount64(mask))
-	for rem := mask; rem != 0; rem &= rem - 1 {
-		k := keys[bits.TrailingZeros64(rem)]
-		if k == "" {
-			return "", false
-		}
-		parts = append(parts, k)
-	}
-	sort.Strings(parts)
-	var preds []string
-	for _, e := range m.edges {
-		if mask&(1<<uint(e.li)) != 0 && mask&(1<<uint(e.ri)) != 0 {
-			preds = append(preds, expr.Signature(e.pred))
-		}
-	}
-	for _, r := range m.residuals {
-		if r.mask&mask == r.mask {
-			preds = append(preds, expr.Signature(r.pred))
-		}
-	}
-	sort.Strings(preds)
-	return cfgSig + "\x01" + strings.Join(parts, "\x02") + "\x01" + strings.Join(preds, "\x02"), true
-}
-
-// exportShared publishes this memo's proven multi-relation winners over
-// base scans into the cache (sorted for deterministic insertion order).
-func (m *memo) exportShared(c *SharedCache) {
-	keys := m.relKeys()
-	sig := m.cfgSig()
-	var ks []string
-	var gs []sharedGroup
-	for mask, e := range m.entries {
-		if e == nil || !e.proven || e.w == nil || e.w.leaf || bits.OnesCount64(mask) < 2 {
-			continue
-		}
-		gk, ok := m.groupKey(mask, keys, sig)
-		if !ok {
-			continue
-		}
-		g := sharedGroup{cost: e.w.cost, method: e.w.method}
-		for rem := mask; rem != 0; rem &= rem - 1 {
-			g.keys = append(g.keys, keys[bits.TrailingZeros64(rem)])
-		}
-		sort.Strings(g.keys)
-		for rem := e.w.leftMask; rem != 0; rem &= rem - 1 {
-			g.leftKeys = append(g.leftKeys, keys[bits.TrailingZeros64(rem)])
-		}
-		ks = append(ks, gk)
-		gs = append(gs, g)
-	}
-	idx := make([]int, len(ks))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return ks[idx[a]] < ks[idx[b]] })
-	sk := make([]string, len(ks))
-	sg := make([]sharedGroup, len(gs))
-	for i, j := range idx {
-		sk[i] = ks[j]
-		sg[i] = gs[j]
-	}
-	c.putAll(sk, sg)
-}
-
-// importShared installs cached winners whose leaves all appear in this
-// block, smallest groups first so every installed winner's children are
-// single relations or already-installed groups (the closure extract
-// relies on). Keys are recomputed locally and must match exactly, which
-// re-verifies predicates and configuration.
-func (m *memo) importShared(c *SharedCache) {
-	keys := m.relKeys()
-	bit := make(map[string]uint64, len(keys))
-	for i, k := range keys {
-		if k != "" {
-			bit[k] = 1 << uint(i)
-		}
-	}
-	if len(bit) == 0 {
-		return
-	}
-	cks, cgs := c.snapshot()
-	idx := make([]int, len(cks))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		if la, lb := len(cgs[idx[a]].keys), len(cgs[idx[b]].keys); la != lb {
-			return la < lb
-		}
-		return cks[idx[a]] < cks[idx[b]]
-	})
-	sig := m.cfgSig()
-	for _, i := range idx {
-		g := cgs[i]
-		var mask, lmask uint64
-		ok := true
-		for _, k := range g.keys {
-			b, found := bit[k]
-			if !found {
-				ok = false
-				break
-			}
-			mask |= b
-		}
-		if !ok || bits.OnesCount64(mask) != len(g.keys) {
-			continue
-		}
-		for _, k := range g.leftKeys {
-			b, found := bit[k]
-			if !found {
-				ok = false
-				break
-			}
-			lmask |= b
-		}
-		if !ok || lmask == 0 || lmask&^mask != 0 || lmask == mask {
-			continue
-		}
-		if gk, built := m.groupKey(mask, keys, sig); !built || gk != cks[i] {
-			continue
-		}
-		if e := m.entries[mask]; e != nil && e.proven {
-			continue
-		}
-		rmask := mask &^ lmask
-		if bits.OnesCount64(lmask) > 1 {
-			if e := m.entries[lmask]; e == nil || !e.proven || e.w == nil {
-				continue
-			}
-		}
-		if bits.OnesCount64(rmask) > 1 {
-			if e := m.entries[rmask]; e == nil || !e.proven || e.w == nil {
-				continue
-			}
-		}
-		m.entries[mask] = &entry{
-			w:      &winner{cost: g.cost, method: g.method, leftMask: lmask, rightMask: rmask},
-			proven: true,
-			lb:     math.Inf(-1),
-		}
-		m.reused++
-	}
 }

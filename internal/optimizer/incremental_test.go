@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -146,88 +145,6 @@ func TestPropertyIncrementalMatchesExhaustive(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestSharedCacheCrossQueryReuse checks that a second session running
-// the same query over a shared memo cache reuses proven groups and
-// still produces exactly the exhaustive plan.
-func TestSharedCacheCrossQueryReuse(t *testing.T) {
-	r := rand.New(rand.NewSource(42))
-	block := randomBlock(r)
-	for len(block.Rels) < 4 { // ensure the memo has interior groups
-		block = randomBlock(r)
-	}
-	cfg := DefaultConfig(2 << 30)
-	shared := NewSharedCache(0)
-
-	first := NewIncremental(cfg)
-	first.Shared = shared
-	a, err := first.Optimize(block)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if shared.Len() == 0 {
-		t.Fatal("first session exported nothing to the shared cache")
-	}
-
-	second := NewIncremental(cfg)
-	second.Shared = shared
-	b, err := second.Optimize(block)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.GroupsReused == 0 {
-		t.Error("second session reused no groups from the shared cache")
-	}
-	if a.Root.Cost() != b.Root.Cost() || plan.Format(a.Root) != plan.Format(b.Root) {
-		t.Errorf("cached plan differs from first session's:\n%s\nvs\n%s",
-			plan.Format(a.Root), plan.Format(b.Root))
-	}
-}
-
-// TestSharedCacheConcurrent hammers one SharedCache from concurrent
-// sessions over a mix of graphs (run under -race in CI); every session
-// must still produce a plan with exactly the exhaustive plan's cost.
-func TestSharedCacheConcurrent(t *testing.T) {
-	cfg := DefaultConfig(2 << 30)
-	exCfg := cfg
-	exCfg.DisableIncremental = true
-	exCfg.DisablePruning = true
-
-	shared := NewSharedCache(256)
-	const workers = 8
-	var wg sync.WaitGroup
-	errs := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r := rand.New(rand.NewSource(int64(w % 3))) // overlapping graphs
-			block := randomBlock(r)
-			inc := NewIncremental(cfg)
-			inc.Shared = shared
-			got, err := inc.Optimize(block)
-			if err != nil {
-				errs <- err
-				return
-			}
-			want, err := Optimize(block, exCfg)
-			if err != nil {
-				errs <- err
-				return
-			}
-			if got.Root.Cost() != want.Root.Cost() {
-				errs <- fmt.Errorf("worker %d: cost %v, exhaustive %v",
-					w, got.Root.Cost(), want.Root.Cost())
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
 		t.Error(err)
 	}
 }

@@ -2,9 +2,8 @@ package server
 
 import "sync"
 
-// fifoCache is the bounded FIFO map behind both the plan cache
-// (instantiated with plan.Node values) and the result cache
-// (*Response values). Keys embed the statistics epoch
+// fifoCache is the bounded FIFO map behind the result cache (*Response
+// values). Keys embed the statistics epoch
 // ("e<N>|variant|strategy|normalized SQL"), so bumping the epoch
 // orphans every entry even before clear reclaims them.
 //

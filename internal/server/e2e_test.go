@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -86,7 +87,7 @@ func TestConcurrentServiceMatchesSequentialCLI(t *testing.T) {
 		want[key] = rowsKey(t, referenceRows(t, cfg, w.query, w.variant))
 	}
 
-	const rounds = 3 // repeats also exercise plan-cache hits under load
+	const rounds = 3 // repeats also exercise cache hits and dedup under load
 	type outcome struct {
 		key  string
 		rows string
@@ -142,9 +143,9 @@ func TestConcurrentServiceMatchesSequentialCLI(t *testing.T) {
 
 	m := s.Metrics()
 	checkTierPartition(t, m, rounds*len(workload))
-	// Repeats are served from some reuse tier: the result cache, the
-	// in-flight dedup, or (with both racing) the plan cache.
-	if m.ResultCacheHits+m.Deduped+m.PlanCacheHits == 0 {
+	// Repeats are served from a reuse tier: the result cache or the
+	// in-flight dedup.
+	if m.ResultCacheHits+m.Deduped == 0 {
 		t.Errorf("no cache or dedup reuse across %d repeated rounds", rounds)
 	}
 	if m.VirtualSec <= 0 {
@@ -199,17 +200,52 @@ func TestShardedServiceMatchesReference(t *testing.T) {
 	checkTierPartition(t, s.Metrics(), rounds*len(queries))
 }
 
-// checkTierPartition asserts the serving tiers partition the answered
-// requests: each lands in exactly one of result-cache hit, dedup
-// follower, plan-cache hit, or full run (a plan-cache miss), whatever
-// the shard count, and none failed.
+// checkTierPartition asserts the one-path accounting invariant: each
+// answered request is exactly one of result-cache hit, dedup follower,
+// or execution (a result-cache miss), whatever the shard count, and
+// none failed.
 func checkTierPartition(t *testing.T, m MetricsSnapshot, want int) {
 	t.Helper()
 	if m.Queries != int64(want) || m.Errors != 0 {
 		t.Errorf("queries = %d, errors = %d, want %d and 0", m.Queries, m.Errors, want)
 	}
-	if got := m.ResultCacheHits + m.Deduped + m.PlanCacheHits + m.PlanCacheMisses; got != m.Queries {
-		t.Errorf("tiers sum to %d (result %d + dedup %d + plan hit %d + full %d), want %d queries",
-			got, m.ResultCacheHits, m.Deduped, m.PlanCacheHits, m.PlanCacheMisses, m.Queries)
+	if got := m.ResultCacheHits + m.Deduped + m.ResultCacheMisses; got != m.Queries {
+		t.Errorf("tiers sum to %d (result hit %d + dedup %d + executed %d), want %d queries",
+			got, m.ResultCacheHits, m.Deduped, m.ResultCacheMisses, m.Queries)
+	}
+}
+
+// TestQueryBodyIsBounded: POST /query reads at most maxRequestBytes.
+func TestQueryBodyIsBounded(t *testing.T) {
+	s := newTestServer(t, nil)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	body := `{"sql":"` + strings.Repeat("x", maxRequestBytes) + `"}`
+	resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d, want 413", resp.StatusCode)
+	}
+}
+
+// TestDrainingServerAnswers503: once Shutdown began, POST /query is
+// refused as unavailable, not as a bad request.
+func TestDrainingServerAnswers503(t *testing.T) {
+	s := newTestServer(t, nil)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(`{"query":"Q10"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("draining server: status %d, want 503", resp.StatusCode)
 	}
 }

@@ -24,16 +24,25 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// maxRequestBytes bounds a POST /query body; a request is one SQL text
+// plus a few short options.
+const maxRequestBytes = 1 << 20
+
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req Request
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&req); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge, err.Error())
+			return
+		}
 		writeError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
 		return
 	}
 	resp, err := s.Execute(r.Context(), req)
 	if err != nil {
 		switch {
-		case errors.Is(err, ErrOverloaded):
+		case errors.Is(err, ErrOverloaded), errors.Is(err, ErrShuttingDown):
 			writeError(w, http.StatusServiceUnavailable, err.Error())
 		case errors.Is(err, context.DeadlineExceeded):
 			writeError(w, http.StatusGatewayTimeout, err.Error())

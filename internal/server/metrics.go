@@ -23,11 +23,8 @@ type counters struct {
 	canceled atomic.Int64 // canceled by the client (queued or executing)
 
 	resultHits   atomic.Int64 // served from the result cache, nothing executed
-	resultMisses atomic.Int64 // led an actual execution (result cache enabled)
+	resultMisses atomic.Int64 // led an actual execution
 	deduped      atomic.Int64 // coalesced onto a concurrent identical execution
-
-	planHits   atomic.Int64
-	planMisses atomic.Int64
 
 	statsReused atomic.Int64 // leaves whose statistics came from the shared store
 	pilotJobs   atomic.Int64 // pilot jobs actually executed
@@ -116,16 +113,11 @@ type MetricsSnapshot struct {
 	ResultCacheSize   int   `json:"resultCacheSize"`
 	Deduped           int64 `json:"deduped"`
 
-	PlanCacheHits   int64 `json:"planCacheHits"`
-	PlanCacheMisses int64 `json:"planCacheMisses"`
-	PlanCacheSize   int   `json:"planCacheSize"`
-
 	StatsReusedLeaves int64 `json:"statsReusedLeaves"`
 	PilotJobs         int64 `json:"pilotJobs"`
 	StatsStoreLeaves  int   `json:"statsStoreLeaves"`
 
-	MemoCacheGroups  int   `json:"memoCacheGroups"`
-	MemoGroupsReused int64 `json:"memoGroupsReused"`
+	MemoGroupsReused int64 `json:"memoGroupsReused"` // within-session reuse across DYNOPT rounds
 
 	P50Millis float64 `json:"p50Millis"`
 	P95Millis float64 `json:"p95Millis"`

@@ -16,7 +16,6 @@ import (
 	"dyno/internal/data"
 	"dyno/internal/expr"
 	"dyno/internal/optimizer"
-	"dyno/internal/plan"
 	"dyno/internal/runtime"
 	"dyno/internal/sqlparse"
 	"dyno/internal/stats"
@@ -38,11 +37,11 @@ type Config struct {
 	Scale float64
 	Seed  int64
 
-	// Cluster overrides; zero keeps cluster.DefaultConfig (the paper's
-	// 14 workers). The scheduler is always Fair — the whole point of
-	// the service is sharing slots across concurrent queries.
-	Workers     int
-	Parallelism int
+	// Workers overrides the cluster size; zero keeps
+	// cluster.DefaultConfig (the paper's 14 workers). The scheduler is
+	// always Fair — the whole point of the service is sharing slots
+	// across concurrent queries.
+	Workers int
 
 	// Shards is the number of independent cluster/DFS/catalog shards.
 	// Requests route to shards by hash of their normalized SQL, so
@@ -60,21 +59,12 @@ type Config struct {
 	MaxQueue     int
 	QueryTimeout time.Duration
 
-	// Cache switches (all caches and deduplication are on by default)
-	// and the caches' entry bounds. The plan cache skips the optimizer
-	// and pilot runs for repeat queries; the result cache skips
-	// execution entirely, returning the cached rows; in-flight
-	// deduplication coalesces concurrent identical cache-miss queries
-	// onto one execution. The memo cache shares proven optimizer group
-	// winners across structurally overlapping queries within one
-	// statistics epoch; POST /invalidate discards it with the rest.
-	DisablePlanCache   bool
-	DisableMemoCache   bool
-	DisableResultCache bool
-	DisableDedup       bool
-	PlanCacheSize      int
-	MemoCacheSize      int
-	ResultCacheSize    int
+	// ResultCacheSize bounds each shard's result cache (entries; 0
+	// means 256). A repeat of a cached query returns the cached rows
+	// without executing; concurrent identical misses coalesce onto one
+	// execution; everything else runs full DYNOPT over the shard's
+	// shared statistics store.
+	ResultCacheSize int
 
 	// NewRuntime builds each shard's execution backend; nil uses the
 	// simulator backend (simruntime). The proc backend passes a factory
@@ -155,11 +145,10 @@ type Response struct {
 	ResultCacheHit bool `json:"resultCacheHit,omitempty"`
 	Deduped        bool `json:"deduped,omitempty"`
 
-	PlanCacheHit bool `json:"planCacheHit"`
-	StatsReused  int  `json:"statsReusedLeaves"`
-	PilotJobs    int  `json:"pilotJobs"`
+	StatsReused int `json:"statsReusedLeaves"`
+	PilotJobs   int `json:"pilotJobs"`
 	// MemoGroupsReused counts optimizer groups answered from a previous
-	// round's memo or the cross-query memo cache instead of enumerated.
+	// round's memo of the same session instead of enumerated.
 	MemoGroupsReused int `json:"memoGroupsReused,omitempty"`
 
 	Jobs        int     `json:"jobs"`
@@ -217,9 +206,6 @@ func New(cfg Config) (*Server, error) {
 	ccfg.RetireDoneJobs = true
 	if cfg.Workers > 0 {
 		ccfg.Workers = cfg.Workers
-	}
-	if cfg.Parallelism > 0 {
-		ccfg.Parallelism = cfg.Parallelism
 	}
 	reg := expr.NewRegistry()
 	tpch.RegisterUDFs(reg, tpch.DefaultUDFParams())
@@ -378,38 +364,25 @@ func (s *Server) run(ctx context.Context, req Request) (*Response, error) {
 	}
 
 	sh := s.shardFor(norm)
-	epoch, store, memos := sh.session()
+	epoch, store := sh.session()
 	key := fmt.Sprintf("e%d|%s|%s|%s", epoch, variant, strategyName, norm)
 
-	if !s.cfg.DisableResultCache {
-		if proto, ok := sh.results.get(key); ok {
-			s.met.resultHits.Add(1)
-			return requestView(proto, req, true, false), nil
-		}
+	if proto, ok := sh.results.get(key); ok {
+		s.met.resultHits.Add(1)
+		return requestView(proto, req, true, false), nil
 	}
 
 	var fromCache bool
-	exec := func() (*Response, error) {
-		if !s.cfg.DisableResultCache && !s.cfg.DisableDedup {
-			// Re-check under the in-flight slot: a leader that
-			// finished between our cache check and registration has
-			// already cached its result, and executing again would
-			// duplicate its work.
-			if proto, ok := sh.results.get(key); ok {
-				fromCache = true
-				return proto, nil
-			}
+	proto, err, leader := sh.flight.do(ctx, key, func() (*Response, error) {
+		// Re-check under the in-flight slot: a leader that finished
+		// between our cache check and registration has already cached
+		// its result, and executing again would duplicate its work.
+		if proto, ok := sh.results.get(key); ok {
+			fromCache = true
+			return proto, nil
 		}
-		return s.execute(ctx, sh, sql, variant, strat, key, epoch, store, memos)
-	}
-
-	var proto *Response
-	leader := true
-	if s.cfg.DisableDedup {
-		proto, err = exec()
-	} else {
-		proto, err, leader = sh.flight.do(ctx, key, exec)
-	}
+		return s.execute(ctx, sh, sql, variant, strat, key, epoch, store)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -421,22 +394,16 @@ func (s *Server) run(ctx context.Context, req Request) (*Response, error) {
 		s.met.resultHits.Add(1)
 		return requestView(proto, req, true, false), nil
 	default:
-		if !s.cfg.DisableResultCache {
-			s.met.resultMisses.Add(1)
-		}
+		s.met.resultMisses.Add(1)
 		return requestView(proto, req, false, false), nil
 	}
 }
 
-// execute runs one query in its own engine session on sh and returns
-// the full (untruncated) response prototype, caching it for repeats.
+// execute runs one query in its own engine session on sh — full DYNOPT
+// over the shard's shared statistics store — and returns the full
+// (untruncated) response prototype, caching it for repeats.
 func (s *Server) execute(ctx context.Context, sh *shard, sql string, variant baselines.Variant,
-	strat core.Strategy, key string, epoch int64, store *stats.Store, memos *optimizer.SharedCache) (*Response, error) {
-	var cached plan.Node
-	if !s.cfg.DisablePlanCache {
-		cached, _ = sh.plans.get(key)
-	}
-
+	strat core.Strategy, key string, epoch int64, store *stats.Store) (*Response, error) {
 	tag := fmt.Sprintf("s%d-", s.seq.Add(1))
 	scratch := &scratchTracker{}
 	onCreate := scratch.add
@@ -455,40 +422,15 @@ func (s *Server) execute(ctx context.Context, sh *shard, sql string, variant bas
 	opts.KMVSize = 512
 	opts.Tag = tag
 	opts.Strategy = strat
-
-	var eng *core.Engine
-	var err error
-	planHit := cached != nil
-	if planHit {
-		// Plan-cache hit: re-execute the cached physical plan
-		// statically. No pilot runs, no optimizer call — the entire
-		// planning phase is skipped.
-		opts.DisablePilotRuns = true
-		opts.Reoptimize = false
-		opts.CollectOnlineStats = false
-		opts.Strategy = core.All{}
-		opts.OptTimePerExpr = 0
-		root := cached
-		opts.Planner = func(*plan.JoinBlock, optimizer.Config) (plan.Node, int, error) {
-			return root, 0, nil
-		}
-		eng = core.NewEngine(env, sh.cat, s.optCfg, opts)
-	} else {
-		opts.ReuseStats = true
-		eng, err = baselines.NewEngine(variant, env, sh.cat, s.optCfg, opts)
-		if err != nil {
-			return nil, err
-		}
-		// Share the shard's cross-query statistics store: pilot results
-		// land in it and later queries over the same leaf expressions
-		// skip their pilots.
-		eng.Store = store
-		if !s.cfg.DisableMemoCache {
-			// Share proven group winners: queries with overlapping join
-			// sub-graphs over this epoch start their searches warm.
-			eng.MemoCache = memos
-		}
+	opts.ReuseStats = true
+	eng, err := baselines.NewEngine(variant, env, sh.cat, s.optCfg, opts)
+	if err != nil {
+		return nil, err
 	}
+	// Share the shard's cross-query statistics store: pilot results
+	// land in it and later queries over the same leaf expressions
+	// skip their pilots.
+	eng.Store = store
 
 	res, execErr := eng.ExecuteSQLContext(ctx, sql)
 	sh.removeScratch(scratch, tag)
@@ -496,27 +438,17 @@ func (s *Server) execute(ctx context.Context, sh *shard, sql string, variant bas
 		return nil, execErr
 	}
 
-	if planHit {
-		s.met.planHits.Add(1)
-	} else {
-		if !s.cfg.DisablePlanCache && res.PlanRoot != nil {
-			sh.plans.put(key, epoch, res.PlanRoot)
-		}
-		s.met.planMisses.Add(1)
-	}
-
 	resp := &Response{
-		Variant:      string(variant),
-		Shard:        sh.id,
-		RowCount:     len(res.Rows),
-		PlanCacheHit: planHit,
-		Jobs:         res.Jobs,
-		Iterations:   res.Iterations,
-		VirtualSec:   res.TotalSec,
-		PilotSec:     res.PilotSec,
-		OptimizeSec:  res.OptimizeSec,
-		FinalPlan:    res.FinalPlan,
-		Warnings:     res.Warnings,
+		Variant:     string(variant),
+		Shard:       sh.id,
+		RowCount:    len(res.Rows),
+		Jobs:        res.Jobs,
+		Iterations:  res.Iterations,
+		VirtualSec:  res.TotalSec,
+		PilotSec:    res.PilotSec,
+		OptimizeSec: res.OptimizeSec,
+		FinalPlan:   res.FinalPlan,
+		Warnings:    res.Warnings,
 	}
 	resp.MemoGroupsReused = res.OptGroupsReused
 	s.met.memoReused.Add(int64(res.OptGroupsReused))
@@ -527,25 +459,21 @@ func (s *Server) execute(ctx context.Context, sh *shard, sql string, variant bas
 		s.met.pilotJobs.Add(int64(res.Pilot.Jobs))
 	}
 	resp.Rows = res.Rows
-	if !s.cfg.DisableResultCache {
-		// Guarded by the epoch like the plan cache: a put computed
-		// against a pre-Invalidate epoch is dropped.
-		sh.results.put(key, epoch, resp)
-	}
+	// A put computed against a pre-Invalidate epoch is dropped.
+	sh.results.put(key, epoch, resp)
 	return resp, nil
 }
 
 // Invalidate bumps the statistics epoch on every shard: shared
-// statistics stores and memo caches are replaced and plan and result
-// caches cleared, so the next queries re-run pilots and full searches
-// against the current base tables. Call it after changing base data.
-// Returns the new epoch.
+// statistics stores are replaced and result caches cleared, so the
+// next queries re-run pilots against the current base tables. Call it
+// after changing base data. Returns the new epoch.
 func (s *Server) Invalidate() int64 {
 	s.invMu.Lock()
 	defer s.invMu.Unlock()
 	e := s.epoch.Add(1)
 	for _, sh := range s.shards {
-		sh.invalidate(e, s.cfg)
+		sh.invalidate(e)
 	}
 	return e
 }
@@ -588,14 +516,12 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // Metrics snapshots the service counters. Cache sizes aggregate over
 // shards; VirtualSec reports the most-advanced shard clock.
 func (s *Server) Metrics() MetricsSnapshot {
-	var planSize, resultSize, storeLeaves, memoGroups int
+	var resultSize, storeLeaves int
 	var virtual float64
 	for _, sh := range s.shards {
-		_, store, memos := sh.session()
-		planSize += sh.plans.size()
+		_, store := sh.session()
 		resultSize += sh.results.size()
 		storeLeaves += store.Len()
-		memoGroups += memos.Len()
 		if now := sh.gate.Now(); now > virtual {
 			virtual = now
 		}
@@ -620,13 +546,9 @@ func (s *Server) Metrics() MetricsSnapshot {
 		ResultCacheMisses: s.met.resultMisses.Load(),
 		ResultCacheSize:   resultSize,
 		Deduped:           s.met.deduped.Load(),
-		PlanCacheHits:     s.met.planHits.Load(),
-		PlanCacheMisses:   s.met.planMisses.Load(),
-		PlanCacheSize:     planSize,
 		StatsReusedLeaves: s.met.statsReused.Load(),
 		PilotJobs:         s.met.pilotJobs.Load(),
 		StatsStoreLeaves:  storeLeaves,
-		MemoCacheGroups:   memoGroups,
 		MemoGroupsReused:  s.met.memoReused.Load(),
 		P50Millis:         s.lat.percentile(0.50),
 		P95Millis:         s.lat.percentile(0.95),

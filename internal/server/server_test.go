@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -47,58 +48,17 @@ func rowsKey(t *testing.T, rows []data.Value) string {
 	return sb.String()
 }
 
-func TestPlanCacheHitSkipsOptimization(t *testing.T) {
-	// Disable the result cache so the repeat reaches the plan cache
-	// instead of being served without executing at all.
-	s := newTestServer(t, func(c *Config) { c.DisableResultCache = true })
-	ctx := context.Background()
-
-	r1, err := s.Execute(ctx, Request{Query: "Q8p"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.PlanCacheHit {
-		t.Fatal("first execution must miss the plan cache")
-	}
-	if r1.PilotJobs == 0 {
-		t.Fatal("first execution should run pilots")
-	}
-	if r1.OptimizeSec <= 0 {
-		t.Fatal("first execution should spend optimizer time")
-	}
-
-	// Same query, different whitespace and keyword case (literals and
-	// identifiers untouched): normalization must still hit.
-	sql, _ := tpch.QuerySQL("Q8p")
-	mangled := "  select" + strings.TrimPrefix(
-		strings.ReplaceAll(strings.TrimSpace(sql), "\n", " \n\t "), "SELECT") + " "
-	r2, err := s.Execute(ctx, Request{SQL: mangled})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r2.PlanCacheHit {
-		t.Fatal("second execution must hit the plan cache")
-	}
-	if r2.PilotJobs != 0 {
-		t.Fatalf("plan-cache hit ran %d pilot jobs", r2.PilotJobs)
-	}
-	if r2.OptimizeSec != 0 {
-		t.Fatalf("plan-cache hit spent %vs optimizing", r2.OptimizeSec)
-	}
-	if got, want := rowsKey(t, r2.Rows), rowsKey(t, r1.Rows); got != want {
-		t.Fatalf("cached-plan rows differ:\n%s\nvs\n%s", got, want)
-	}
-
-	m := s.Metrics()
-	if m.PlanCacheHits != 1 || m.PlanCacheMisses != 1 {
-		t.Errorf("metrics hits=%d misses=%d, want 1/1", m.PlanCacheHits, m.PlanCacheMisses)
-	}
-	if m.PlanCacheSize != 1 {
-		t.Errorf("plan cache size = %d, want 1", m.PlanCacheSize)
-	}
+// q10Variant is Q10 with the upper order-date bound moved by i days:
+// a distinct literal, hence a distinct normalized text and cache key,
+// over the same four relations. Tests use it to force executions with
+// traffic, the way bench/ draws its universe of texts.
+func q10Variant(i int) string {
+	return strings.Replace(tpch.MustQuerySQL("Q10"), "19940101", strconv.Itoa(19940101+i), 1)
 }
 
 func TestPlanCacheKeyedByVariantAndStrategy(t *testing.T) {
+	// The serving key is epoch|variant|strategy|normalized SQL: the same
+	// text under another variant is another entry.
 	s := newTestServer(t, nil)
 	ctx := context.Background()
 	if _, err := s.Execute(ctx, Request{Query: "Q8p", Variant: "DYNOPT"}); err != nil {
@@ -108,18 +68,18 @@ func TestPlanCacheKeyedByVariantAndStrategy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.PlanCacheHit {
+	if r.ResultCacheHit {
 		t.Fatal("different variant must not hit the DYNOPT entry")
+	}
+	if m := s.Metrics(); m.ResultCacheMisses != 2 || m.ResultCacheSize != 2 {
+		t.Errorf("misses=%d size=%d, want 2/2", m.ResultCacheMisses, m.ResultCacheSize)
 	}
 }
 
 func TestStatsCacheReusesPilotResults(t *testing.T) {
-	// Disable the result and plan caches so the second execution
-	// optimizes again and exercises only statistics reuse.
-	s := newTestServer(t, func(c *Config) {
-		c.DisablePlanCache = true
-		c.DisableResultCache = true
-	})
+	// A one-entry result cache: Q10 evicts Q8p, so the repeat executes
+	// again and exercises only statistics reuse.
+	s := newTestServer(t, func(c *Config) { c.ResultCacheSize = 1 })
 	ctx := context.Background()
 
 	r1, err := s.Execute(ctx, Request{Query: "Q8p"})
@@ -129,13 +89,16 @@ func TestStatsCacheReusesPilotResults(t *testing.T) {
 	if r1.PilotJobs == 0 || r1.StatsReused != 0 {
 		t.Fatalf("first run: pilots=%d reused=%d", r1.PilotJobs, r1.StatsReused)
 	}
+	if _, err := s.Execute(ctx, Request{Query: "Q10"}); err != nil {
+		t.Fatal(err)
+	}
 
 	r2, err := s.Execute(ctx, Request{Query: "Q8p"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r2.PlanCacheHit {
-		t.Fatal("plan cache is disabled")
+	if r2.ResultCacheHit {
+		t.Fatal("evicted entry served from the result cache")
 	}
 	if r2.PilotJobs != 0 {
 		t.Fatalf("second run executed %d pilot jobs despite cached statistics", r2.PilotJobs)
@@ -153,6 +116,42 @@ func TestStatsCacheReusesPilotResults(t *testing.T) {
 	}
 }
 
+// TestEvictedQueryRerunsFullDynopt: a text the result cache evicted
+// is optimized and re-optimized from scratch over the shared
+// statistics, and lands on the answer, final plan and round count of
+// its first run.
+func TestEvictedQueryRerunsFullDynopt(t *testing.T) {
+	s := newTestServer(t, func(c *Config) { c.ResultCacheSize = 1 })
+	ctx := context.Background()
+	r1, err := s.Execute(ctx, Request{Query: "Q7"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Execute(ctx, Request{Query: "Q9p"}); err != nil {
+		t.Fatal(err)
+	}
+	r2, err := s.Execute(ctx, Request{Query: "Q7"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r2.ResultCacheHit || r2.Deduped {
+		t.Fatalf("evicted text did not execute: hit=%v deduped=%v", r2.ResultCacheHit, r2.Deduped)
+	}
+	if r2.OptimizeSec <= 0 || r2.Iterations < 2 {
+		t.Fatalf("re-execution skipped DYNOPT: optimizeSec=%v iterations=%d", r2.OptimizeSec, r2.Iterations)
+	}
+	if r2.Iterations != r1.Iterations || r2.FinalPlan != r1.FinalPlan {
+		t.Errorf("re-execution diverged: %d rounds\n%s\nvs %d rounds\n%s",
+			r2.Iterations, r2.FinalPlan, r1.Iterations, r1.FinalPlan)
+	}
+	if got, want := rowsKey(t, r2.Rows), rowsKey(t, r1.Rows); got != want {
+		t.Fatalf("rows differ after eviction:\n%s\nvs\n%s", got, want)
+	}
+	if m := s.Metrics(); m.ResultCacheMisses != 3 || m.ResultCacheSize != 1 {
+		t.Errorf("misses=%d size=%d, want 3/1", m.ResultCacheMisses, m.ResultCacheSize)
+	}
+}
+
 func TestInvalidateForcesFreshStatistics(t *testing.T) {
 	s := newTestServer(t, nil)
 	ctx := context.Background()
@@ -166,8 +165,8 @@ func TestInvalidateForcesFreshStatistics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.PlanCacheHit {
-		t.Fatal("invalidate must clear the plan cache")
+	if r.ResultCacheHit {
+		t.Fatal("invalidate must clear the result cache")
 	}
 	if r.PilotJobs == 0 || r.StatsReused != 0 {
 		t.Fatalf("post-invalidate run: pilots=%d reused=%d, want fresh pilots", r.PilotJobs, r.StatsReused)
@@ -265,69 +264,36 @@ func TestMaxRowsTruncation(t *testing.T) {
 	}
 }
 
-func TestMemoCacheReusedAcrossQueries(t *testing.T) {
-	// Disable the result and plan caches so repeated queries
-	// re-optimize and exercise the shared memo; statistics reuse stays
-	// on so the second query's leaves carry identical fingerprints.
-	s := newTestServer(t, func(c *Config) {
-		c.DisablePlanCache = true
-		c.DisableResultCache = true
-	})
+// TestMemoReuseIsSessionLocal: optimizer memo groups carry over only
+// between the DYNOPT rounds of one session, so a repeat execution
+// reuses exactly as many as the first.
+func TestMemoReuseIsSessionLocal(t *testing.T) {
+	s := newTestServer(t, nil)
 	ctx := context.Background()
 
-	r1, err := s.Execute(ctx, Request{Query: "Q8p"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m := s.Metrics(); m.MemoCacheGroups == 0 {
-		t.Fatal("first query exported no memo groups")
-	}
+	// Q7 re-optimizes twice at this scale; the other queries finish in
+	// one round and have no second memo to carry groups into.
 
-	r2, err := s.Execute(ctx, Request{Query: "Q8p"})
+	r1, err := s.Execute(ctx, Request{Query: "Q7"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The first run can only reuse groups within its own session
-	// (across DYNOPT rounds); the second also imports the shared
-	// memo, so it must reuse strictly more.
-	if r2.MemoGroupsReused <= r1.MemoGroupsReused {
-		t.Errorf("memo reuse did not grow across queries: %d then %d",
-			r1.MemoGroupsReused, r2.MemoGroupsReused)
+	if r1.MemoGroupsReused == 0 {
+		t.Fatal("DYNOPT rounds reused no memo groups")
+	}
+	s.Invalidate()
+	r2, err := s.Execute(ctx, Request{Query: "Q7"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r2.MemoGroupsReused != r1.MemoGroupsReused {
+		t.Errorf("repeat reused %d groups, want the first run's %d",
+			r2.MemoGroupsReused, r1.MemoGroupsReused)
 	}
 	if got, want := rowsKey(t, r2.Rows), rowsKey(t, r1.Rows); got != want {
-		t.Fatalf("rows differ under memo reuse:\n%s\nvs\n%s", got, want)
+		t.Fatalf("rows differ across runs:\n%s\nvs\n%s", got, want)
 	}
-
-	// Invalidation drops the shared memo with the statistics epoch:
-	// the next run repeats the first run's behavior exactly.
-	s.Invalidate()
-	r3, err := s.Execute(ctx, Request{Query: "Q8p"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r3.MemoGroupsReused != r1.MemoGroupsReused {
-		t.Errorf("post-invalidate reuse = %d, want %d (fresh cache)",
-			r3.MemoGroupsReused, r1.MemoGroupsReused)
-	}
-
-	// The kill switch pins reuse at the session-local level.
-	off := newTestServer(t, func(c *Config) {
-		c.DisablePlanCache = true
-		c.DisableResultCache = true
-		c.DisableMemoCache = true
-	})
-	if _, err := off.Execute(ctx, Request{Query: "Q8p"}); err != nil {
-		t.Fatal(err)
-	}
-	r5, err := off.Execute(ctx, Request{Query: "Q8p"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r5.MemoGroupsReused != r1.MemoGroupsReused {
-		t.Errorf("DisableMemoCache run reused %d groups, want session-local %d",
-			r5.MemoGroupsReused, r1.MemoGroupsReused)
-	}
-	if got, want := rowsKey(t, r5.Rows), rowsKey(t, r2.Rows); got != want {
-		t.Fatal("rows differ with the memo cache disabled")
+	if m := s.Metrics(); m.MemoGroupsReused != int64(2*r1.MemoGroupsReused) {
+		t.Errorf("metrics memoGroupsReused = %d, want %d", m.MemoGroupsReused, 2*r1.MemoGroupsReused)
 	}
 }

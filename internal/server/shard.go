@@ -9,8 +9,6 @@ import (
 	"dyno/internal/coord"
 	"dyno/internal/dfs"
 	"dyno/internal/jaql"
-	"dyno/internal/optimizer"
-	"dyno/internal/plan"
 	"dyno/internal/runtime"
 	"dyno/internal/runtime/simruntime"
 	"dyno/internal/stats"
@@ -18,9 +16,10 @@ import (
 )
 
 // shard is one independent serving unit: its own simulated cluster,
-// DFS, TPC-H catalog, gate, statistics store, and caches. Requests
-// route to a shard by hash of their normalized SQL, so a given query
-// text always lands on the same shard and its caches see every repeat.
+// DFS, TPC-H catalog, gate, statistics store, and result cache.
+// Requests route to a shard by hash of their normalized SQL, so a given
+// query text always lands on the same shard and its cache sees every
+// repeat.
 // Shards share nothing but the server's UDF registry (read-only after
 // construction) and the admission semaphore, so N shards run N queries
 // with zero gate contention between them.
@@ -35,14 +34,12 @@ type shard struct {
 
 	// mu guards the epoch-scoped state swapped by Invalidate. epoch is
 	// the shard's view of the server epoch, snapshotted together with
-	// store and memos so a session never mixes one epoch's key with
-	// another's statistics.
+	// store so a session never mixes one epoch's key with another's
+	// statistics.
 	mu    sync.Mutex
 	epoch int64
 	store *stats.Store
-	memos *optimizer.SharedCache
 
-	plans   *fifoCache[plan.Node]
 	results *fifoCache[*Response]
 	flight  *flightGroup
 }
@@ -75,8 +72,6 @@ func newShard(id int, cfg Config, ccfg cluster.Config) (*shard, error) {
 		coord:   rt.Coord(),
 		cat:     cat,
 		store:   stats.NewStore(),
-		memos:   optimizer.NewSharedCache(cfg.MemoCacheSize),
-		plans:   newFIFOCache[plan.Node](cfg.PlanCacheSize),
 		results: newFIFOCache[*Response](cfg.ResultCacheSize),
 		flight:  newFlightGroup(),
 	}, nil
@@ -84,23 +79,21 @@ func newShard(id int, cfg Config, ccfg cluster.Config) (*shard, error) {
 
 // session snapshots the epoch-scoped state one query session runs
 // against.
-func (sh *shard) session() (epoch int64, store *stats.Store, memos *optimizer.SharedCache) {
+func (sh *shard) session() (epoch int64, store *stats.Store) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return sh.epoch, sh.store, sh.memos
+	return sh.epoch, sh.store
 }
 
 // invalidate advances the shard to a new statistics epoch: fresh
-// statistics store and memo cache, plan and result caches cleared.
-// The caches remember the new epoch, so in-flight queries that
-// captured the old one cannot park stale entries afterwards.
-func (sh *shard) invalidate(epoch int64, cfg Config) {
+// statistics store, result cache cleared. The cache remembers the new
+// epoch, so in-flight queries that captured the old one cannot park
+// stale entries afterwards.
+func (sh *shard) invalidate(epoch int64) {
 	sh.mu.Lock()
 	sh.epoch = epoch
 	sh.store = stats.NewStore()
-	sh.memos = optimizer.NewSharedCache(cfg.MemoCacheSize)
 	sh.mu.Unlock()
-	sh.plans.clear(epoch)
 	sh.results.clear(epoch)
 }
 

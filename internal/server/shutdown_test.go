@@ -19,12 +19,10 @@ import (
 func TestShutdownDrainsWithoutLeakingGoroutines(t *testing.T) {
 	baseline := goruntime.NumGoroutine()
 
-	// Disable the serving tiers so every request genuinely executes:
-	// cached or coalesced repeats would finish too fast to be caught
-	// in flight by the shutdown.
+	// Every request carries its own literal so each genuinely
+	// executes: cached or coalesced repeats would finish too fast to
+	// be caught in flight by the shutdown.
 	s := newTestServer(t, func(c *Config) {
-		c.DisableResultCache = true
-		c.DisableDedup = true
 		c.MaxInFlight = 4
 		c.MaxQueue = 16
 	})
@@ -35,13 +33,12 @@ func TestShutdownDrainsWithoutLeakingGoroutines(t *testing.T) {
 		completed  atomic.Int64
 		unexpected = make(chan error, clients)
 	)
-	queries := []string{"Q10", "Q2", "Q7"}
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
 			for i := 0; ; i++ {
-				_, err := s.Execute(context.Background(), Request{Query: queries[(c+i)%len(queries)]})
+				_, err := s.Execute(context.Background(), Request{SQL: q10Variant(i*clients + c)})
 				if err == nil {
 					completed.Add(1)
 					continue
@@ -113,8 +110,6 @@ func TestShutdownDrainsWithoutLeakingGoroutines(t *testing.T) {
 // fail fast instead of waiting for a slot that will never free.
 func TestShutdownCancelsQueuedRequests(t *testing.T) {
 	s := newTestServer(t, func(c *Config) {
-		c.DisableResultCache = true
-		c.DisableDedup = true
 		c.MaxInFlight = 1
 		c.MaxQueue = 8
 	})
