@@ -38,9 +38,6 @@ func main() {
 		addr       = flag.String("addr", "127.0.0.1:0", "listen address")
 		advertise  = flag.String("advertise", "", "URL the controller should dial back (default derived from the listen address)")
 		regTimeout = flag.Duration("register-timeout", 30*time.Second, "how long to keep retrying registration")
-		blockMB    = flag.Int("block-cache-mb", 256, "mirrored-block cache bound in MB")
-		tableN     = flag.Int("table-cache", 64, "built broadcast-table cache bound in entries")
-		shuffleMB  = flag.Int("shuffle-cache-mb", 256, "retained shuffle registry bound in MB")
 		pprofAddr  = flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = off)")
 	)
 	flag.Parse()
@@ -75,11 +72,7 @@ func main() {
 	}
 	reg := expr.NewRegistry()
 	tpch.RegisterUDFs(reg, udf)
-	w := procruntime.NewWorkerCfg(reg, procruntime.WorkerConfig{
-		BlockCacheMB:   *blockMB,
-		TableCacheSize: *tableN,
-		ShuffleCacheMB: *shuffleMB,
-	})
+	w := procruntime.NewWorker(reg)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -263,8 +263,8 @@ func faultyConfig() Config {
 
 // TestParallelFaultModelMatchesSerial extends the determinism contract
 // to the whole fault model: stragglers, speculation, retries, caps,
-// and blacklisting must produce a bit-identical virtual timeline on
-// the serial and pooled executors.
+// and blacklisting must produce a bit-identical virtual timeline at
+// Parallelism 0 (the inline wave) and on every pool size.
 func TestParallelFaultModelMatchesSerial(t *testing.T) {
 	for _, sched := range []SchedulerKind{FIFO, Fair} {
 		base := faultyConfig()
@@ -427,7 +427,7 @@ func TestFirstOnNodeChargeSpeculativeBackup(t *testing.T) {
 // applied before the panic surfaces.
 func TestSingleWorkerWavePanicOrdering(t *testing.T) {
 	cfg := smallConfig()
-	cfg.Parallelism = 1 // wave executor, single worker: inline branch
+	cfg.Parallelism = 1 // inline branch, as is 0
 	s := New(cfg)
 	applied := false
 	j := &shimJob{name: "boom", tasks: []*Task{

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,7 +12,7 @@ import (
 
 // runWorkload drives a mixed workload (several jobs, a reduce phase,
 // optional failure injection) and returns the finish times plus the
-// full trace, for differential serial-vs-parallel comparisons.
+// full trace, for differential inline-vs-pooled comparisons.
 func runWorkload(t *testing.T, cfg Config) ([]float64, []TraceEvent) {
 	t.Helper()
 	return runWorkloadOn(t, New(cfg))
@@ -40,8 +41,9 @@ func runWorkloadOn(t *testing.T, s *Sim) ([]float64, []TraceEvent) {
 }
 
 // TestParallelMatchesSerial is the executor's determinism contract:
-// any Parallelism must reproduce the serial virtual timeline exactly —
-// same finish times, same trace events in the same order.
+// any Parallelism must reproduce the virtual timeline of Parallelism 0
+// (every wave run inline on the scheduler goroutine) exactly — same
+// finish times, same trace events in the same order.
 func TestParallelMatchesSerial(t *testing.T) {
 	serialFinish, serialTrace := runWorkload(t, smallConfig())
 	for _, par := range []int{1, 2, 4, 13} {
@@ -69,7 +71,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 
 // TestParallelFailureInjectionMatchesSerial covers the retry-event
 // ordering subtlety: injected failures must re-queue with the same
-// event sequence numbers the serial path assigns.
+// event sequence numbers as at Parallelism 0, the inline wave.
 func TestParallelFailureInjectionMatchesSerial(t *testing.T) {
 	base := smallConfig()
 	base.FailEveryN = 3
@@ -94,7 +96,8 @@ func TestParallelFailureInjectionMatchesSerial(t *testing.T) {
 // TestWaveRunnerMatchesSerial: an installed wave runner replaces the
 // pool, not the schedule. It is handed every closure of a wave at once
 // — the attempts that actually run, never an injected failure's — and,
-// however it runs them, the virtual timeline stays the serial one.
+// however it runs them, the virtual timeline stays that of Parallelism
+// 0, the inline wave.
 func TestWaveRunnerMatchesSerial(t *testing.T) {
 	base := smallConfig()
 	base.FailEveryN = 3
@@ -142,6 +145,45 @@ func TestWaveRunnerMatchesSerial(t *testing.T) {
 	// Parallelism-sized pieces of it.
 	if waves == 0 || widest <= cfg.Parallelism {
 		t.Errorf("runner saw %d waves, widest %d: want whole waves wider than Parallelism=%d", waves, widest, cfg.Parallelism)
+	}
+}
+
+// TestTaskErrorTraceIgnoresParallelism: a wave is assigned in full
+// before any closure runs, whatever executes it, so a job whose second
+// of four same-wave tasks errors starts and finishes all four and emits
+// one trace at Parallelism 0, 1 and 4.
+func TestTaskErrorTraceIgnoresParallelism(t *testing.T) {
+	trace := func(par int) []TraceEvent {
+		cfg := smallConfig() // 4 map slots: the four tasks are one wave
+		cfg.Parallelism = par
+		s := New(cfg)
+		var evs []TraceEvent
+		s.SetTrace(func(ev TraceEvent) { evs = append(evs, ev) })
+		j := &shimJob{name: "j"}
+		for i := 0; i < 4; i++ {
+			var err error
+			if i == 1 {
+				err = errors.New("bad record")
+			}
+			j.tasks = append(j.tasks, &Task{
+				Kind: MapTask, Name: fmt.Sprintf("m%d", i),
+				Run: func(TaskContext) (Usage, error) { return Usage{BytesRead: 100}, err },
+			})
+		}
+		sub := s.Submit(j)
+		if err := s.Run(); err == nil || sub.Err() == nil {
+			t.Fatalf("Parallelism=%d: job did not fail", par)
+		}
+		return evs
+	}
+	want := trace(0)
+	if kinds := traceKinds(want); kinds["start"] != 4 || kinds["finish"] != 4 || kinds["job-failed"] != 1 {
+		t.Errorf("Parallelism=0: %v, want 4 starts, 4 finishes, 1 job-failed", kinds)
+	}
+	for _, par := range []int{1, 4} {
+		if got := trace(par); !slices.Equal(got, want) {
+			t.Errorf("Parallelism=%d: trace %+v, Parallelism=0 %+v", par, got, want)
+		}
 	}
 }
 

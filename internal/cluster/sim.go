@@ -22,10 +22,12 @@
 // application of reported usage all stay on the single scheduler
 // goroutine, in dispatch order, so the virtual
 // timeline — timestamps, event ordering, tie-breaking sequence numbers
-// — is bit-identical to the serial legacy path (Parallelism == 0),
-// which is retained for differential testing. Run closures of one wave
-// therefore must not share mutable state with each other; job-level
-// bookkeeping that needs serial execution belongs in Task.Finish.
+// — does not depend on the pool size; with Parallelism <= 1 the
+// scheduler goroutine runs the wave's closures itself, in dispatch
+// order, which is the reference the differential tests compare wider
+// pools against. Run closures of one wave therefore must not share
+// mutable state with each other; job-level bookkeeping that needs
+// serial execution belongs in Task.Finish.
 package cluster
 
 import (
@@ -46,6 +48,10 @@ import (
 // the job's materialized DFS inputs are intact, so it can simply be
 // resubmitted.
 var ErrTaskRetriesExhausted = errors.New("task retries exhausted")
+
+// ErrIdle is returned by RunUntil when the cluster runs out of events
+// with the awaited predicate still false: nothing left can make it true.
+var ErrIdle = errors.New("cluster: idle with the awaited condition unmet")
 
 // TaskKind distinguishes map from reduce tasks; they consume different
 // slot types.
@@ -138,12 +144,11 @@ type Config struct {
 	// same-kind tasks before the median is trusted (default 3).
 	SpeculativeMinCompleted int
 
-	// Parallelism is the number of worker goroutines executing task Run
-	// closures in real (wall-clock) time. 0 selects the serial legacy
-	// path that runs each closure inline at its dispatch point; any
-	// N >= 1 uses the batched wave executor, which produces an
-	// identical virtual timeline (and hands whole waves to a runner
-	// installed with SetWaveRunner instead of pooling them).
+	// Parallelism is the number of worker goroutines executing the Run
+	// closures of a dispatch wave in real (wall-clock) time; 0 and 1
+	// both run them inline on the scheduler goroutine. The virtual
+	// timeline is identical for every value, and a runner installed
+	// with SetWaveRunner takes whole waves instead of the pool.
 	// DefaultConfig sets GOMAXPROCS.
 	Parallelism int
 
@@ -344,7 +349,7 @@ func (s *Submission) CompletedTasks() []*Task { return s.completed }
 // the inspection paradox).
 func (s *Submission) CancelPending() { s.pending = nil }
 
-// / Cancel abandons the job: queued tasks are dropped, completed tasks no
+// Cancel abandons the job: queued tasks are dropped, completed tasks no
 // longer schedule follow-up work, and the submission finishes failed
 // with the given error once its running attempts drain (immediately
 // when none are in flight). The query service uses it to release the
@@ -518,7 +523,6 @@ func (s *Sim) SetTrace(f func(TraceEvent)) { s.trace = f }
 // fleet sees the whole wave) but must return only after each has
 // returned. The closures do not panic and carry their own results;
 // scheduling, result application and the virtual timeline are untouched.
-// It takes effect only when waves are collected at all (Parallelism > 0).
 func (s *Sim) SetWaveRunner(run func(closures []func())) { s.runner = run }
 
 func (s *Sim) emit(ev TraceEvent) {
@@ -563,6 +567,18 @@ func (s *Sim) Run() error {
 			firstErr = err
 		}
 	}
+}
+
+// RunUntil steps the simulation until pred() holds and returns ErrIdle
+// if the cluster empties first. Job failures are not its business: a
+// failed job is done, and its submission carries the error.
+func (s *Sim) RunUntil(pred func() bool) error {
+	for !pred() {
+		if stepped, _ := s.Step(); !stepped {
+			return ErrIdle
+		}
+	}
+	return nil
 }
 
 // Step advances the simulation by exactly one event: it dispatches
@@ -855,13 +871,9 @@ func (s *Sim) startTask(sub *Submission, t *Task, node int) {
 		t.node = node
 		sub.running++
 		s.noteAttemptFailure(sub, t, node)
-		if s.cfg.Parallelism > 0 {
-			// Defer the retry-event push to the wave's apply phase so
-			// event sequence numbers match the serial schedule.
-			s.wave = append(s.wave, &launch{sub: sub, task: t, injected: true})
-			return
-		}
-		s.pushRetry(sub, t)
+		// The retry event is pushed by the wave's apply phase, so event
+		// sequence numbers follow dispatch order.
+		s.wave = append(s.wave, &launch{sub: sub, task: t, injected: true})
 		return
 	}
 	first := !sub.nodesSeen[node]
@@ -878,20 +890,7 @@ func (s *Sim) startTask(sub *Submission, t *Task, node int) {
 		s.emit(TraceEvent{Time: s.now, Job: sub.job.Name(), Task: t.Name, Kind: "straggler", Node: node})
 	}
 
-	tc := TaskContext{Node: node, FirstOnNode: first, Now: s.now}
-	if s.cfg.Parallelism > 0 {
-		s.wave = append(s.wave, &launch{sub: sub, task: t, tc: tc})
-		return
-	}
-	// Serial legacy path: the closure runs inline at its dispatch
-	// point; an error cancels the job's queued tasks before the rest of
-	// the wave is even assigned.
-	usage, err := t.Run(tc)
-	t.rawUsage = usage
-	if err == nil && t.Finish != nil {
-		t.Finish(tc, &usage)
-	}
-	s.applyRun(sub, t, usage, err)
+	s.wave = append(s.wave, &launch{sub: sub, task: t, tc: TaskContext{Node: node, FirstOnNode: first, Now: s.now}})
 }
 
 // injectFailure decides, on the scheduler goroutine, whether this
@@ -988,12 +987,11 @@ func (s *Sim) slowdown() float64 {
 // stragglers: elapsed time exceeds SpeculativeBeta x the median
 // duration of the job's completed same-kind tasks, and a slot is
 // free. It runs on the scheduler goroutine at every scheduling point,
-// after the wave's results are applied, so the serial and pooled
-// executors see identical state and produce identical backup
-// schedules. A backup replays the primary attempt's reported usage —
-// the computation is deterministic, so the Run closure is not
-// re-executed — without the straggler stretch; whichever attempt
-// finishes first wins.
+// after the wave's results are applied, so the backup schedule does
+// not depend on how the wave's closures were executed. A backup
+// replays the primary attempt's reported usage — the computation is
+// deterministic, so the Run closure is not re-executed — without the
+// straggler stretch; whichever attempt finishes first wins.
 func (s *Sim) speculate() {
 	if s.cfg.SpeculativeBeta <= 0 {
 		return
@@ -1069,15 +1067,11 @@ func (s *Sim) launchSpeculative(sub *Submission, t *Task, node int) {
 
 // runWave executes the Run closures collected at the current virtual
 // instant on the worker pool (or the installed wave runner), then
-// applies their results in dispatch order on the scheduler goroutine.
-// Because application order equals the serial path's execution order,
-// virtual timestamps, event tie-breaking, and Finish-hook ordering are
-// bit-identical to
-// Parallelism == 0. The one observable difference is failure handling:
-// a wave is assigned in full before any closure runs, so when a task
-// errors, same-wave tasks of that job have already started (and finish
-// like any in-flight task), whereas the serial path stops assigning
-// the moment the error surfaces.
+// applies their results in dispatch order on the scheduler goroutine,
+// so virtual timestamps, event tie-breaking, and Finish-hook ordering
+// are the same for every pool size and runner. A wave is assigned in
+// full before any closure runs: when a task errors, same-wave tasks of
+// that job have already started and finish like any in-flight task.
 func (s *Sim) runWave() {
 	if len(s.wave) == 0 {
 		return

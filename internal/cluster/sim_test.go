@@ -170,6 +170,30 @@ func TestJobFailurePropagates(t *testing.T) {
 	}
 }
 
+// TestRunUntil pins the one driving contract: step until the predicate
+// holds, ErrIdle when the cluster empties first, and a job failure is
+// the submission's to report, never RunUntil's.
+func TestRunUntil(t *testing.T) {
+	s := New(smallConfig())
+	bad := s.Submit(&testJob{name: "bad", maps: 4, mapErr: errors.New("out of memory")})
+	good := s.Submit(&testJob{name: "good", maps: 8, mapUsage: Usage{BytesRead: 100}})
+	if err := s.RunUntil(bad.Done); err != nil {
+		t.Fatalf("RunUntil(bad.Done) = %v, want nil: the failure belongs to the submission", err)
+	}
+	if bad.Err() == nil {
+		t.Error("failed submission carries no error")
+	}
+	if good.Done() {
+		t.Error("RunUntil drained past its predicate")
+	}
+	if err := s.RunUntil(func() bool { return false }); !errors.Is(err, ErrIdle) {
+		t.Errorf("unsatisfiable predicate: %v, want ErrIdle", err)
+	}
+	if !good.Done() || !s.Quiesce() {
+		t.Error("ErrIdle returned with work left")
+	}
+}
+
 func TestCancelPendingStopsEarly(t *testing.T) {
 	s := New(smallConfig()) // 4 map slots
 	j := &testJob{name: "pilot", maps: 20, mapUsage: Usage{BytesRead: 100}}

@@ -1,9 +1,10 @@
 // Package coord is the in-process stand-in for the ZooKeeper service DYNO
-// uses on a real cluster. It provides the two primitives the paper relies
-// on: shared atomic counters (the global pilot-run output counter that map
-// tasks increment and consult, §4.2) and an ephemeral registry where
-// finished tasks publish the locations of their partial statistics files
-// for the client to merge (§5.4).
+// uses on a real cluster. It provides the one primitive this
+// reproduction needs from it: shared atomic counters (the global
+// pilot-run output counter that map tasks increment and consult, §4.2).
+// The paper's other use — tasks publishing the locations of their
+// partial statistics files for the client to merge (§5.4) — has no
+// counterpart here: the client merges the tasks' stats.Partials directly.
 package coord
 
 import (
@@ -12,23 +13,19 @@ import (
 	"sync"
 )
 
-// Service is a named collection of counters and registry entries. The
-// zero value is not usable; use NewService. All methods are safe for
-// concurrent use; reads (Get, Entries, CounterNames) take a shared
-// lock, since the pilot-run counter is polled from the early-
-// termination hot path while parallel tasks increment it.
+// Service is a named collection of counters. The zero value is not
+// usable; use NewService. All methods are safe for concurrent use;
+// reads (Get, CounterNames) take a shared lock, since the pilot-run
+// counter is polled from the early-termination hot path while parallel
+// tasks increment it.
 type Service struct {
 	mu       sync.RWMutex
 	counters map[string]int64
-	registry map[string][]string
 }
 
 // NewService returns an empty coordination service.
 func NewService() *Service {
-	return &Service{
-		counters: make(map[string]int64),
-		registry: make(map[string][]string),
-	}
+	return &Service{counters: make(map[string]int64)}
 }
 
 // Add atomically adds delta to the named counter and returns the new
@@ -54,30 +51,6 @@ func (s *Service) Reset(name string) {
 	delete(s.counters, name)
 }
 
-// Publish appends an entry (e.g. a statistics-file URL) under a key.
-func (s *Service) Publish(key, entry string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.registry[key] = append(s.registry[key], entry)
-}
-
-// Entries returns a sorted copy of the entries published under key.
-func (s *Service) Entries(key string) []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, len(s.registry[key]))
-	copy(out, s.registry[key])
-	sort.Strings(out)
-	return out
-}
-
-// Clear removes all entries published under key.
-func (s *Service) Clear(key string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.registry, key)
-}
-
 // CounterNames returns the sorted names of live counters (for tests and
 // debugging).
 func (s *Service) CounterNames() []string {
@@ -95,5 +68,5 @@ func (s *Service) CounterNames() []string {
 func (s *Service) String() string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return fmt.Sprintf("coord{counters=%d, keys=%d}", len(s.counters), len(s.registry))
+	return fmt.Sprintf("coord{counters=%d}", len(s.counters))
 }

@@ -1,7 +1,6 @@
 package coord
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 )
@@ -39,23 +38,6 @@ func TestCountersAreIndependent(t *testing.T) {
 	}
 }
 
-func TestRegistryPublishEntries(t *testing.T) {
-	s := NewService()
-	s.Publish("job1/stats", "node3/file-b")
-	s.Publish("job1/stats", "node1/file-a")
-	got := s.Entries("job1/stats")
-	if len(got) != 2 || got[0] != "node1/file-a" || got[1] != "node3/file-b" {
-		t.Errorf("Entries = %v (want sorted)", got)
-	}
-	if e := s.Entries("other"); len(e) != 0 {
-		t.Errorf("unknown key entries = %v", e)
-	}
-	s.Clear("job1/stats")
-	if e := s.Entries("job1/stats"); len(e) != 0 {
-		t.Errorf("after Clear = %v", e)
-	}
-}
-
 func TestConcurrentCounter(t *testing.T) {
 	s := NewService()
 	var wg sync.WaitGroup
@@ -74,36 +56,19 @@ func TestConcurrentCounter(t *testing.T) {
 	}
 }
 
-func TestConcurrentPublish(t *testing.T) {
-	s := NewService()
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			s.Publish("k", fmt.Sprintf("entry-%d", i))
-		}(i)
-	}
-	wg.Wait()
-	if got := len(s.Entries("k")); got != 8 {
-		t.Errorf("entries = %d, want 8", got)
-	}
-}
-
 func TestStringSummary(t *testing.T) {
 	s := NewService()
 	s.Add("a", 1)
-	s.Publish("k", "v")
-	if got := s.String(); got != "coord{counters=1, keys=1}" {
+	if got := s.String(); got != "coord{counters=1}" {
 		t.Errorf("String = %q", got)
 	}
 }
 
 // TestConcurrentPilotLifecycle mirrors how a parallel wave of pilot
 // tasks hits the service: many goroutines bump the early-termination
-// counter, poll it, and publish per-task statistics locations, all
-// interleaved with registry reads. Run under -race this validates the
-// shared-lock read paths against concurrent writers.
+// counter and poll it, interleaved with the debugging reads. Run under
+// -race this validates the shared-lock read paths against concurrent
+// writers.
 func TestConcurrentPilotLifecycle(t *testing.T) {
 	s := NewService()
 	const tasks = 32
@@ -111,23 +76,18 @@ func TestConcurrentPilotLifecycle(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < tasks; i++ {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
 			for j := 0; j < perTask; j++ {
 				s.Add("job/pilot/out", 1)
 				_ = s.Get("job/pilot/out") // early-termination poll
 			}
-			s.Publish("stats/pilot", fmt.Sprintf("task-m%d", i))
-			_ = s.Entries("stats/pilot")
 			_ = s.CounterNames()
 			_ = s.String()
-		}(i)
+		}()
 	}
 	wg.Wait()
 	if got := s.Get("job/pilot/out"); got != tasks*perTask {
 		t.Errorf("counter = %d, want %d", got, tasks*perTask)
-	}
-	if got := len(s.Entries("stats/pilot")); got != tasks {
-		t.Errorf("published entries = %d, want %d", got, tasks)
 	}
 }

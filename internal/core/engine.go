@@ -519,22 +519,17 @@ func (e *Engine) jobRetries() int {
 // query.
 func (e *Engine) runWithRecovery(runs []*jaql.Run, opts []jaql.ExecOpts, res *Result) error {
 	for attempt := 0; ; attempt++ {
-		driveErr := e.Env.RunUntil(func() bool {
+		if err := e.Env.RunUntil(func() bool {
 			for _, run := range runs {
 				if !run.Sub.Done() {
 					return false
 				}
 			}
 			return true
-		})
-		if driveErr != nil && !errors.Is(driveErr, cluster.ErrTaskRetriesExhausted) {
-			return driveErr
+		}); err != nil {
+			return err
 		}
-		// Inspect the submissions themselves: in shared-cluster mode
-		// RunUntil never reports job failures, and in exclusive mode the
-		// drive error may belong to a submission that is not ours.
 		var failed []int
-		var failedErr error
 		for i, run := range runs {
 			jerr := run.Sub.Err()
 			if jerr == nil {
@@ -543,19 +538,13 @@ func (e *Engine) runWithRecovery(runs []*jaql.Run, opts []jaql.ExecOpts, res *Re
 			if !errors.Is(jerr, cluster.ErrTaskRetriesExhausted) {
 				return jerr
 			}
-			if failedErr == nil {
-				failedErr = jerr
-			}
 			failed = append(failed, i)
 		}
-		if driveErr == nil && failedErr == nil {
+		if len(failed) == 0 {
 			return nil
 		}
-		if attempt >= e.jobRetries() || len(failed) == 0 {
-			if driveErr != nil {
-				return driveErr
-			}
-			return failedErr
+		if attempt >= e.jobRetries() {
+			return runs[failed[0]].Sub.Err()
 		}
 		for _, i := range failed {
 			fresh, serr := jaql.SubmitUnit(e.Env, runs[i].Unit, opts[i])
@@ -574,100 +563,24 @@ func (e *Engine) runWithRecovery(runs []*jaql.Run, opts []jaql.ExecOpts, res *Re
 }
 
 // executeStaticGraph runs a whole job graph without re-optimization
-// (DYNOPT-SIMPLE). With the One strategy jobs run strictly one at a
-// time (SO); otherwise every ready job is submitted immediately and
-// parents start the moment their inputs materialize (MO), letting jobs
-// overlap on the cluster.
+// (DYNOPT-SIMPLE): submit the ready units, block until an outstanding
+// job materializes its output, finalize it, repeat. With the One
+// strategy a unit is submitted only when nothing is outstanding, so
+// jobs run strictly one at a time (SO); otherwise every ready unit goes
+// in at once and parents start the moment their inputs exist (MO),
+// letting jobs overlap on the cluster. (On a cluster shared with other
+// sessions that moment is the engine's next observation, which can
+// trail the completion instant.)
 func (e *Engine) executeStaticGraph(graph *jaql.Graph, res *Result) error {
-	if _, sequential := e.Options.Strategy.(One); sequential {
-		n := 0
-		for !graph.Done() {
-			if err := e.ctxErr(); err != nil {
-				return err
-			}
-			ready := graph.Ready()
-			if len(ready) == 0 {
-				return fmt.Errorf("core: static graph stuck")
-			}
-			run, err := jaql.SubmitUnit(e.Env, ready[0], e.staticExecOpts())
-			if err != nil {
-				return err
-			}
-			if err := e.Env.RunUntil(run.Sub.Done); err != nil {
-				return err
-			}
-			n++
-			if _, err := run.Finalize(fmt.Sprintf("s%d", n)); err != nil {
-				return err
-			}
-			e.countJob(run.Unit, res)
-		}
-		return nil
-	}
-	if e.Env.Shared() {
-		return e.executeStaticGraphGated(graph, res)
-	}
-	// Event-driven MO execution.
-	var firstErr error
-	submitted := map[*jaql.Unit]bool{}
-	var submitReady func()
-	submitReady = func() {
-		for _, u := range graph.Ready() {
-			if submitted[u] || firstErr != nil {
-				continue
-			}
-			submitted[u] = true
-			run, err := jaql.SubmitUnit(e.Env, u, e.staticExecOpts())
-			if err != nil {
-				firstErr = err
-				return
-			}
-			run.Sub.OnDone(func(*cluster.Submission) {
-				if firstErr != nil {
-					return
-				}
-				if _, err := run.Finalize(fmt.Sprintf("m%d", len(submitted))); err != nil {
-					firstErr = err
-					return
-				}
-				e.countJob(run.Unit, res)
-				submitReady()
-			})
-		}
-	}
-	submitReady()
-	if err := e.Env.Sim.Run(); err != nil {
-		return err
-	}
-	if firstErr != nil {
-		return firstErr
-	}
-	if !graph.Done() {
-		return fmt.Errorf("core: static graph did not complete")
-	}
-	return nil
-}
-
-// executeStaticGraphGated is the shared-cluster version of the MO
-// path. The exclusive path submits follow-up jobs from OnDone
-// callbacks, which fire inside simulator event processing — in a
-// gated environment that would run under another session's stepping
-// (while the gate lock is held), where submitting is impossible.
-// Instead the engine's own goroutine loops: submit every ready unit,
-// wait until any outstanding run completes, finalize it, repeat.
-// Results are identical; only virtual job start times can differ
-// slightly (a parent starts at the engine's next observation rather
-// than the completion instant).
-func (e *Engine) executeStaticGraphGated(graph *jaql.Graph, res *Result) error {
+	_, oneAtATime := e.Options.Strategy.(One)
 	submitted := map[*jaql.Unit]bool{}
 	var open []*jaql.Run
-	n := 0
 	for !graph.Done() {
 		if err := e.ctxErr(); err != nil {
 			return err
 		}
 		for _, u := range graph.Ready() {
-			if submitted[u] {
+			if submitted[u] || (oneAtATime && len(open) > 0) {
 				continue
 			}
 			submitted[u] = true
@@ -696,8 +609,7 @@ func (e *Engine) executeStaticGraphGated(graph *jaql.Graph, res *Result) error {
 				next = append(next, r)
 				continue
 			}
-			n++
-			if _, err := r.Finalize(fmt.Sprintf("m%d", n)); err != nil {
+			if _, err := r.Finalize("pending"); err != nil {
 				return err
 			}
 			e.countJob(r.Unit, res)

@@ -3,6 +3,9 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 
 	"dyno/internal/cluster"
@@ -319,6 +322,116 @@ func TestSimpleSOSlowerThanMO(t *testing.T) {
 	}
 	if times["MO"] > times["SO"] {
 		t.Errorf("MO (%v) should not be slower than SO (%v)", times["MO"], times["SO"])
+	}
+}
+
+// lockedGate drives a simulator the way a query service's session gate
+// does: a lock around every call, released between events.
+type lockedGate struct {
+	mu  sync.Mutex
+	sim *cluster.Sim
+}
+
+func (g *lockedGate) Submit(j cluster.Job) *cluster.Submission {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.sim.Submit(j)
+}
+
+func (g *lockedGate) Now() float64 {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.sim.Now()
+}
+
+func (g *lockedGate) Advance(d float64) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.sim.Advance(d)
+}
+
+func (g *lockedGate) RunUntil(pred func() bool) error {
+	for {
+		g.mu.Lock()
+		if pred() {
+			g.mu.Unlock()
+			return nil
+		}
+		stepped, _ := g.sim.Step()
+		g.mu.Unlock()
+		if !stepped {
+			return cluster.ErrIdle
+		}
+	}
+}
+
+// TestStaticGraphStrategiesAndGates runs DYNOPT-SIMPLE over a block
+// whose best plan is bushy — (r ⋈ s) ⋈ (x ⋈ u), two independent leaf
+// jobs — through the one static-graph loop: under One no join job
+// becomes ready before the previous one is done, under All the two
+// leaf jobs overlap, and an environment driving its own simulator
+// (Gate nil) and one behind a locking gate agree on rows and TotalSec.
+func TestStaticGraphStrategiesAndGates(t *testing.T) {
+	sql := `SELECT r.id FROM r, s, x, u
+		WHERE r.sid = s.id AND x.uid = u.id AND r.id = x.rid`
+	run := func(s Strategy, gated bool) (*Result, int) {
+		f := newFixture()
+		w := f.env.FS.Create("tables/x")
+		for i := 0; i < 300; i++ {
+			w.Append(data.Object(
+				data.Field{Name: "id", Value: data.Int(int64(i))},
+				data.Field{Name: "rid", Value: data.Int(int64(i * 7 % 400))},
+				data.Field{Name: "uid", Value: data.Int(int64(i % 8))},
+			))
+		}
+		f.cat.Register("x", w.Close())
+		if gated {
+			f.env.Gate = &lockedGate{sim: f.env.Sim}
+		}
+		open, widest := 0, 0
+		f.env.Sim.SetTrace(func(ev cluster.TraceEvent) {
+			if ev.Task != "" || strings.HasPrefix(ev.Job, "pilot/") {
+				return
+			}
+			switch ev.Kind {
+			case "job-ready":
+				open++
+				widest = max(widest, open)
+			case "job-done":
+				open--
+			}
+		})
+		opts := smallOpts()
+		opts.Reoptimize = false
+		opts.Strategy = s
+		e := f.engine(opts)
+		// Repartition-only, so every join is a job of its own.
+		e.Opt.DisableBroadcast = true
+		res, err := e.ExecuteSQL(sql)
+		if err != nil {
+			t.Fatalf("%s gated=%v: %v", s.Name(), gated, err)
+		}
+		checkOracle(t, f, sql, res.Rows)
+		return res, widest
+	}
+	for _, s := range []Strategy{One{}, All{}} {
+		own, widest := run(s, false)
+		if own.Jobs != 3 {
+			t.Fatalf("%s: %d join jobs, want 3 (bushy plan)\n%s", s.Name(), own.Jobs, own.FinalPlan)
+		}
+		if _, one := s.(One); one && widest != 1 {
+			t.Errorf("SO: %d join jobs ready at once, want 1", widest)
+		} else if !one && widest < 2 {
+			t.Errorf("MO: at most %d join job ready at once, want the two leaf jobs to overlap", widest)
+		}
+		gated, gatedWidest := run(s, true)
+		if !slices.EqualFunc(own.Rows, gated.Rows, data.Equal) {
+			t.Errorf("%s: rows differ between Gate nil and a locking gate", s.Name())
+		}
+		if own.TotalSec != gated.TotalSec || widest != gatedWidest {
+			t.Errorf("%s: TotalSec %v (widest %d) with Gate nil, %v (widest %d) behind a locking gate",
+				s.Name(), own.TotalSec, widest, gated.TotalSec, gatedWidest)
+		}
 	}
 }
 

@@ -94,9 +94,7 @@ func (e *Engine) pilotRuns(block *plan.JoinBlock, queryName string) (*PilotRepor
 			if err != nil {
 				return nil, err
 			}
-			if err := e.Env.RunUntil(run.sub.Done); err != nil && !errors.Is(err, cluster.ErrTaskRetriesExhausted) {
-				// Exhausted retries surface per-job below; anything else
-				// aborts.
+			if err := e.Env.RunUntil(run.sub.Done); err != nil {
 				return nil, err
 			}
 			pj.run = run
@@ -125,7 +123,7 @@ func (e *Engine) pilotRuns(block *plan.JoinBlock, queryName string) (*PilotRepor
 				}
 			}
 			return true
-		}); err != nil && !errors.Is(err, cluster.ErrTaskRetriesExhausted) {
+		}); err != nil {
 			return nil, err
 		}
 	}

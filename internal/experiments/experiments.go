@@ -34,9 +34,9 @@ type Config struct {
 	// UDF parameters; zero value uses the defaults of §6.1.
 	UDF tpch.UDFParams
 	// Parallelism sets the cluster simulator's wall-clock worker pool:
-	// 0 keeps the simulator default (GOMAXPROCS), negative forces the
-	// serial legacy executor, positive values are passed through.
-	// Virtual-time results are identical either way.
+	// 0 keeps the simulator default (GOMAXPROCS), negative runs every
+	// wave inline on the scheduler goroutine, positive values are
+	// passed through. Virtual-time results are identical either way.
 	Parallelism int
 	// DisableBatch makes every map task run the per-record kernels
 	// (see mapreduce.Env.DisableBatch). Results are bit-identical
@@ -112,7 +112,7 @@ func (c Config) clusterConfig() cluster.Config {
 	ccfg := cluster.DefaultConfig()
 	switch {
 	case c.Parallelism < 0:
-		ccfg.Parallelism = 0 // serial legacy executor
+		ccfg.Parallelism = 0 // inline
 	case c.Parallelism > 0:
 		ccfg.Parallelism = c.Parallelism
 	}

@@ -41,10 +41,10 @@ func runWithParallelism(t *testing.T, cfg Config, query string, parallelism int,
 // TestParallelExecutorMatchesSerial is the executor differential: on
 // Q8', Q9', and Q10 at SF 100, and on Q8' under PILR_MT with UNC-2
 // (concurrent pilot leaf jobs plus two join jobs in flight — the
-// workload with the most simultaneous tasks), the serial legacy
-// executor (Parallelism -1 → cluster 0) and the pooled executor must
-// produce identical rows, identical virtual timings, and an identical
-// trace-event sequence.
+// workload with the most simultaneous tasks), waves run inline on the
+// scheduler goroutine (Parallelism -1 → cluster 0) and waves run on a
+// pool of 4 must produce identical rows, identical virtual timings, and
+// an identical trace-event sequence.
 func TestParallelExecutorMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")

@@ -6,8 +6,8 @@
 //     joins and broadcast-join chains, pilot runs with early termination
 //     and on-demand split sampling),
 //   - map-reduce jobs (repartition joins, group-by, order-by),
-//   - statistics collection in either phase, published per task through
-//     the coordination service and merged by the client (§5.4).
+//   - statistics collection in either phase, one partial per task,
+//     merged by the client (§5.4).
 //
 // Jobs always materialize their output to the DFS — the natural
 // re-optimization checkpoints the paper exploits.
@@ -38,25 +38,25 @@ var ErrBroadcastOOM = errors.New("mapreduce: broadcast build side exceeds slot m
 // adequate reduce parallelism on the simulated cluster.
 const DefaultBytesPerReducer = 256 << 20
 
-// Gate serializes access to a cluster simulator shared by concurrent
-// engine sessions. The simulator itself is single-threaded; a query
-// service installs one gate per session (bound to that session's
-// cancellation context) so many engines can interleave their jobs on
-// one cluster at event granularity. Exclusive environments — every
-// experiment and CLI run — leave Env.Gate nil and drive the simulator
-// directly, preserving the legacy virtual timeline bit for bit.
+// Gate is how an engine session drives the cluster simulator: submit
+// jobs, read and charge the virtual clock, and block on a
+// materialization point. *cluster.Sim is the gate of an environment that
+// owns its simulator; a query service installs one per session (bound
+// to that session's cancellation context) that takes a lock around
+// each call, so many engines interleave their jobs on one single-
+// threaded simulator at event granularity.
 type Gate interface {
-	// Submit enqueues a job on the shared simulator.
+	// Submit enqueues a job on the simulator.
 	Submit(j cluster.Job) *cluster.Submission
 	// Now returns the current virtual time.
 	Now() float64
 	// Advance charges client-side work to the virtual clock.
 	Advance(d float64)
-	// RunUntil drives the simulator until pred() returns true,
-	// interleaving event processing with other sessions. It returns a
-	// non-nil error when the session is canceled or the cluster goes
-	// idle with the predicate unsatisfiable; per-job failures are
-	// reported by the submissions themselves, never by RunUntil.
+	// RunUntil steps the simulator until pred() returns true. It
+	// returns a non-nil error when the session is canceled or the
+	// cluster goes idle with the predicate unsatisfiable; per-job
+	// failures are reported by the submissions themselves, never by
+	// RunUntil.
 	RunUntil(pred func() bool) error
 }
 
@@ -67,9 +67,9 @@ type Env struct {
 	Coord *coord.Service
 	Reg   *expr.Registry
 	// Gate, when non-nil, mediates all simulator access for this
-	// environment (shared-cluster mode). Use the Env methods SubmitJob,
-	// Now, Advance, and RunUntil instead of touching Sim directly in
-	// any code path a gated session can reach.
+	// environment (shared-cluster mode); nil means Sim itself. Use the
+	// Env methods SubmitJob, Now, Advance, and RunUntil instead of
+	// touching Sim directly in any code path a gated session can reach.
 	Gate Gate
 	// Exec, when non-nil, delegates the per-record work of every map
 	// and reduce task to an external executor (the multi-process
@@ -118,48 +118,25 @@ func (e *Env) VirtualSize(rec data.Value) int64 {
 // stays an implementation detail of the environment.
 func (e *Env) ClusterConfig() cluster.Config { return e.Sim.Config() }
 
-// Shared reports whether the environment runs behind a session gate
-// (its cluster is shared with other concurrent sessions).
-func (e *Env) Shared() bool { return e.Gate != nil }
-
-// SubmitJob enqueues a job, through the session gate when the cluster
-// is shared.
-func (e *Env) SubmitJob(j cluster.Job) *cluster.Submission {
+func (e *Env) gate() Gate {
 	if e.Gate != nil {
-		return e.Gate.Submit(j)
+		return e.Gate
 	}
-	return e.Sim.Submit(j)
+	return e.Sim
 }
+
+// SubmitJob enqueues a job.
+func (e *Env) SubmitJob(j cluster.Job) *cluster.Submission { return e.gate().Submit(j) }
 
 // Now returns the current virtual time.
-func (e *Env) Now() float64 {
-	if e.Gate != nil {
-		return e.Gate.Now()
-	}
-	return e.Sim.Now()
-}
+func (e *Env) Now() float64 { return e.gate().Now() }
 
 // Advance charges client-side work (optimizer calls, statistics
 // merges) to the virtual clock.
-func (e *Env) Advance(d float64) {
-	if e.Gate != nil {
-		e.Gate.Advance(d)
-		return
-	}
-	e.Sim.Advance(d)
-}
+func (e *Env) Advance(d float64) { e.gate().Advance(d) }
 
-// RunUntil drives the cluster until pred() holds. An exclusive
-// environment simply drains the simulator, preserving Sim.Run's error
-// semantics (the first job failure is returned); a gated environment
-// steps the shared simulator until the predicate is satisfied and
-// surfaces job failures only through the submissions themselves.
-func (e *Env) RunUntil(pred func() bool) error {
-	if e.Gate != nil {
-		return e.Gate.RunUntil(pred)
-	}
-	return e.Sim.Run()
-}
+// RunUntil drives the cluster until pred() holds (see Gate.RunUntil).
+func (e *Env) RunUntil(pred func() bool) error { return e.gate().RunUntil(pred) }
 
 // Input is one mapped input of a job.
 type Input struct {
@@ -544,7 +521,10 @@ func (j *Job) Name() string { return j.spec.Name }
 // Start implements cluster.Job: loads broadcast sides and creates one
 // map task per selected split.
 func (j *Job) Start(sub *cluster.Submission) []*cluster.Task {
-	j.env.Coord.Reset(j.counterName)
+	// Registered here, not by the submitter: Start runs on the goroutine
+	// stepping the simulator, the only one that may touch a submission
+	// of a shared cluster. A job canceled before Start holds nothing.
+	sub.OnDone(j.retire)
 	// Build broadcast hash tables once in-process; virtual load cost is
 	// charged per task (or per node with the distributed cache), and
 	// the one-time filtered-build preparation on the first task.
@@ -894,9 +874,6 @@ func (j *Job) finish(sub *cluster.Submission) {
 			res.OutRecords += int64(len(st.outRows))
 			if st.collector != nil {
 				parts = append(parts, st.collector.Partial())
-				// Stage the per-task partial location the way real tasks
-				// publish their statistics file URLs.
-				j.env.Coord.Publish("stats/"+j.spec.Name, fmt.Sprintf("task-m%d", st.seq))
 			}
 		}
 	} else {
@@ -905,7 +882,6 @@ func (j *Job) finish(sub *cluster.Submission) {
 			res.OutRecords += int64(len(st.outRows))
 			if st.collector != nil {
 				parts = append(parts, st.collector.Partial())
-				j.env.Coord.Publish("stats/"+j.spec.Name, fmt.Sprintf("task-r%d", st.partition))
 			}
 		}
 	}
@@ -918,12 +894,6 @@ func (j *Job) finish(sub *cluster.Submission) {
 	res.OutputVirtual = res.Output.Size()
 	if len(parts) > 0 {
 		res.Stats = stats.MergePartials(parts)
-	}
-	// Intermediate shuffle state held outside the controller is dead
-	// once the output file exists; tell a retaining executor so worker
-	// disks don't accumulate retired jobs.
-	if r, ok := j.env.Exec.(JobRetirer); ok {
-		r.RetireJob(j.spec.Name)
 	}
 	// The shuffle and output buffers are fully consumed once the job
 	// finishes (the writer copied every record into its blocks); recycle
@@ -943,6 +913,17 @@ func (j *Job) finish(sub *cluster.Submission) {
 		st.outRows = nil
 	}
 	j.result = res
+}
+
+// retire releases what the job held outside itself once its submission
+// completes — failed and canceled jobs included, which never reach
+// finish: the shared output counter, and the intermediate shuffle state
+// a retaining executor keeps on worker disks.
+func (j *Job) retire(*cluster.Submission) {
+	j.env.Coord.Reset(j.counterName)
+	if r, ok := j.env.Exec.(JobRetirer); ok {
+		r.RetireJob(j.spec.Name)
+	}
 }
 
 // Result returns the job's outcome after it completed.

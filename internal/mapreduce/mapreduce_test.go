@@ -14,8 +14,8 @@ import (
 
 // testEnv builds an environment with tiny blocks so jobs have several
 // splits. Parallelism 4 makes the whole package exercise the pooled
-// wave executor (run with -race); virtual results are identical to the
-// serial path.
+// wave executor (run with -race); virtual results are identical at
+// every pool size.
 func testEnv(t *testing.T) *Env {
 	t.Helper()
 	cfg := cluster.Config{

@@ -22,8 +22,8 @@ type TaskExecutor interface {
 
 // JobRetirer is an optional TaskExecutor extension: executors that
 // retain intermediate state outside the controller (peer-held shuffle
-// blocks) are told when a job's output is final so they can reclaim
-// it.
+// blocks) are told when a job completes — output final, failed or
+// canceled — so they can reclaim it.
 type JobRetirer interface {
 	RetireJob(jobName string)
 }

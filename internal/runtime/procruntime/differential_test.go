@@ -243,9 +243,9 @@ func TestDifferentialTPCH(t *testing.T) {
 // number of RPCs that carried them, ceilings on dispatch bytes (a task
 // costs what its references cost — no block or shuffle payload rides
 // the dispatch plane), and a shuffle that moves worker-to-worker only.
-// The serial arm executes tasks one at a time, outside any wave, so
-// every RPC carries exactly one task; the parallel arm dispatches by
-// wave, one frame per worker per wave.
+// Dispatch is by wave, one frame per worker per wave, and the
+// simulator hands every wave to the fleet whole whatever its own pool
+// size, so both arms count the same RPCs.
 func TestProcWireStats(t *testing.T) {
 	const wantTasks = 120
 	// Q10 on this dataset schedules its 120 tasks as 8 dispatch waves of
@@ -257,7 +257,7 @@ func TestProcWireStats(t *testing.T) {
 		parallelism int
 		wantRPCs    int64
 	}{
-		{"serial", 0, wantTasks},
+		{"inline", 0, wantWaveRPCs},
 		{"parallel", 2, wantWaveRPCs},
 	} {
 		t.Run(arm.name, func(t *testing.T) {

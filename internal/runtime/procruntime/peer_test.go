@@ -3,6 +3,7 @@ package procruntime
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -14,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"dyno/internal/cluster"
 	"dyno/internal/data"
 	"dyno/internal/dfs"
 	"dyno/internal/expr"
@@ -243,6 +245,61 @@ func TestShuffleGCOnJobRetirement(t *testing.T) {
 			t.Fatalf("%d shuffle blocks still retained after job retirement", total)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestCanceledJobIsRetired: a job canceled after its maps retained
+// output never reaches mapreduce's finish, yet the fleet forgets its
+// shuffle ids and the GC broadcast empties the workers — a timed-out
+// or abandoned query leaves nothing behind on either side.
+func TestCanceledJobIsRetired(t *testing.T) {
+	ex, _, servers := newPeerHarness(t, 2, 0)
+	f := ex.f
+	retained := func() (blocks int) {
+		for _, ts := range servers {
+			blocks += workerStatus(t, ts.URL).ShuffleBlocks
+		}
+		return blocks
+	}
+	rt := New(f, cluster.DefaultConfig())
+	env := rt.NewEnv(expr.NewRegistry())
+	w := rt.FS().Create("in")
+	for i := 0; i < 6; i++ {
+		w.Append(data.Object(
+			data.Field{Name: "k", Value: data.Int(int64(i % 3))},
+			data.Field{Name: "v", Value: data.Int(int64(i + 1))},
+		))
+	}
+	spec, err := sumOp().Bind(mapreduce.Spec{Name: "doomed", Output: "out", NumReducers: 2}, w.Close())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, sub, err := mapreduce.Submit(env, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := env.RunUntil(func() bool { return len(sub.CompletedTasks()) > 0 }); err != nil {
+		t.Fatal(err)
+	}
+	if retained() == 0 {
+		t.Fatal("no map output retained before the cancel: the test would prove nothing")
+	}
+	sub.Cancel(errors.New("session canceled"))
+	if err := env.RunUntil(sub.Done); err != nil {
+		t.Fatal(err)
+	}
+	if sub.Err() == nil {
+		t.Fatal("canceled job reports no error")
+	}
+	f.shufMu.Lock()
+	left := len(f.jobShuffles)
+	f.shufMu.Unlock()
+	if left != 0 {
+		t.Errorf("fleet still tracks shuffle ids of %d job(s) after the cancel", left)
+	}
+	waitFor(t, "the workers to drop the canceled job's map outputs", func() bool { return retained() == 0 })
+	if names := rt.Coord().CounterNames(); len(names) != 0 {
+		t.Errorf("coordination service still holds %v", names)
 	}
 }
 

@@ -23,36 +23,6 @@ import (
 	"dyno/internal/runtime/wire"
 )
 
-// WorkerConfig bounds the worker's caches. Blocks and built tables
-// are immutable (new file version = new mirror directory), so plain
-// FIFO eviction is safe; the controller names what job retirement made
-// garbage — retained map outputs, the blocks and tables of mirrors
-// whose files are gone — and the bounds here are the backstop for what
-// it never names. An evicted-but-needed shuffle block degrades to a
-// 404, which the controller recovers through the mirror path.
-type WorkerConfig struct {
-	// BlockCacheMB bounds the mirrored-block record cache; default 256.
-	BlockCacheMB int
-	// TableCacheSize bounds the built broadcast-table cache (entries);
-	// default 64.
-	TableCacheSize int
-	// ShuffleCacheMB bounds the retained shuffle registry; default 256.
-	ShuffleCacheMB int
-}
-
-func (c WorkerConfig) withDefaults() WorkerConfig {
-	if c.BlockCacheMB <= 0 {
-		c.BlockCacheMB = 256
-	}
-	if c.TableCacheSize <= 0 {
-		c.TableCacheSize = 64
-	}
-	if c.ShuffleCacheMB <= 0 {
-		c.ShuffleCacheMB = 256
-	}
-	return c
-}
-
 // WorkerStatus is the GET /status payload: cache occupancy plus
 // hit/miss/eviction counters, and the worker's peer-shuffle traffic
 // totals.
@@ -108,6 +78,19 @@ type onceEntry[V any] struct {
 	err   error
 	built bool // v is set and the entry is in order; guarded by the cache's mu
 }
+
+// The bounds of a worker's three caches. Blocks and built tables are
+// immutable (new file version = new mirror directory), so plain FIFO
+// eviction is safe; the controller names what job retirement made
+// garbage — retained map outputs, the blocks and tables of mirrors
+// whose files are gone — and these bounds are the backstop for what it
+// never names. An evicted-but-needed shuffle block degrades to a 404,
+// which the controller recovers through the mirror path.
+const (
+	blockCacheBytes   = 256 << 20 // mirrored-block records, by on-disk bytes
+	tableCacheEntries = 64        // built broadcast tables
+	shuffleCacheBytes = 256 << 20 // retained map outputs, by encoded bytes
+)
 
 func newOnceCache[V any](max int64) *onceCache[V] {
 	return &onceCache[V]{max: max, m: map[string]*onceEntry[V]{}}
@@ -189,7 +172,6 @@ func (c *onceCache[V]) stats() (n int, cost, hits, misses, evicts int64) {
 // the differential tests.
 type Worker struct {
 	reg *expr.Registry
-	cfg WorkerConfig
 	// peers fetches shuffle segments from other workers; keep-alive so
 	// a reduce wave's fetches reuse connections.
 	peers *http.Client
@@ -207,29 +189,21 @@ type Worker struct {
 	statPeerBytes   atomic.Int64
 }
 
-// NewWorker builds a worker with default cache bounds, evaluating
-// expressions against reg (which must carry the same UDF
-// registrations as the controller's registry for the differential
-// contract to hold).
+// NewWorker builds a worker evaluating expressions against reg (which
+// must carry the same UDF registrations as the controller's registry
+// for the differential contract to hold).
 func NewWorker(reg *expr.Registry) *Worker {
-	return NewWorkerCfg(reg, WorkerConfig{})
-}
-
-// NewWorkerCfg builds a worker with explicit cache bounds.
-func NewWorkerCfg(reg *expr.Registry, cfg WorkerConfig) *Worker {
-	cfg = cfg.withDefaults()
 	return &Worker{
 		reg: reg,
-		cfg: cfg,
 		// A frame's reduce tasks fetch from one producer concurrently; the
 		// default transport's 2 idle connections per host would churn.
 		peers: &http.Client{Timeout: 30 * time.Second, Transport: &http.Transport{
 			MaxIdleConnsPerHost: runtime.GOMAXPROCS(0), // the frame parallelism
 			IdleConnTimeout:     90 * time.Second,
 		}},
-		blocks:   newOnceCache[*blockEntry](int64(cfg.BlockCacheMB) << 20),
-		tables:   newOnceCache[*mapreduce.HashTable](int64(cfg.TableCacheSize)),
-		shuffles: newOnceCache[[][]wire.KV](int64(cfg.ShuffleCacheMB) << 20),
+		blocks:   newOnceCache[*blockEntry](blockCacheBytes),
+		tables:   newOnceCache[*mapreduce.HashTable](tableCacheEntries),
+		shuffles: newOnceCache[[][]wire.KV](shuffleCacheBytes),
 	}
 }
 

@@ -7,12 +7,11 @@
 // scheduler. An admission controller bounds in-flight work. Repeat
 // queries are served in tiers: a normalized-SQL result cache returns
 // rows without executing anything, in-flight deduplication coalesces
-// concurrent identical cache misses onto one execution, a plan cache
-// keyed by normalized query and statistics epoch skips the optimizer
-// (and pilot runs), and a cross-query statistics store reuses
-// pilot-run results across queries over the same leaf expressions —
-// all with epoch-based invalidation when base tables change.
-// cmd/dynod exposes the service over HTTP/JSON.
+// concurrent identical cache misses onto one execution, and a
+// cross-query statistics store reuses pilot-run results across
+// queries over the same leaf expressions — all with epoch-based
+// invalidation when base tables change. cmd/dynod exposes the service
+// over HTTP/JSON.
 package server
 
 import (

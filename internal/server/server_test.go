@@ -250,6 +250,31 @@ func TestSessionScratchIsCleanedUp(t *testing.T) {
 	}
 }
 
+// TestCoordHoldsNothingBetweenQueries: a shard lives as long as the
+// daemon, so whatever a job leaves in the coordination service is a
+// leak. Every job resets its output counter when it completes; after
+// any number of executions an idle shard holds none.
+func TestCoordHoldsNothingBetweenQueries(t *testing.T) {
+	s := newTestServer(t, nil)
+	for i := 0; i < 3; i++ {
+		s.Invalidate()
+		if _, err := s.Execute(context.Background(), Request{Query: "Q10"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m := s.Metrics(); m.ResultCacheMisses != 3 {
+		t.Fatalf("%d executions, want 3", m.ResultCacheMisses)
+	}
+	for _, sh := range s.shards {
+		if !sh.sim.Quiesce() {
+			t.Fatalf("shard %d still has live jobs", sh.id)
+		}
+		if names := sh.coord.CounterNames(); len(names) != 0 {
+			t.Errorf("shard %d: %d counters outlive their jobs, e.g. %s", sh.id, len(names), names[0])
+		}
+	}
+}
+
 func TestMaxRowsTruncation(t *testing.T) {
 	s := newTestServer(t, nil)
 	r, err := s.Execute(context.Background(), Request{Query: "Q8p", MaxRows: 1})
