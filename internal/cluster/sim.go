@@ -17,7 +17,10 @@
 // wave whose Run closures execute on a pool of Config.Parallelism
 // worker goroutines — or are handed, all at once, to the wave runner
 // the simulator's owner installed (SetWaveRunner) — mirroring how the
-// modeled cluster genuinely runs one task per slot in parallel.
+// modeled cluster genuinely runs one task per slot in parallel. A task
+// whose computation needs nothing decided at dispatch puts it in
+// Task.Work: every Work a job hands over at once (a whole phase, however
+// wide) runs as one batch on that executor, and Run only reports.
 // Scheduling decisions, trace events, failure injection, and the
 // application of reported usage all stay on the single scheduler
 // goroutine, in dispatch order, so the virtual
@@ -25,7 +28,7 @@
 // — does not depend on the pool size; with Parallelism <= 1 the
 // scheduler goroutine runs the wave's closures itself, in dispatch
 // order, which is the reference the differential tests compare wider
-// pools against. Run closures of one wave therefore must not share
+// pools against. Closures of one wave or batch therefore must not share
 // mutable state with each other; job-level bookkeeping that needs
 // serial execution belongs in Task.Finish.
 package cluster
@@ -229,15 +232,25 @@ type TaskContext struct {
 	Now         float64 // virtual dispatch time
 }
 
-// Task is one schedulable unit of work.
+// Task is one schedulable unit of work: Work (optional) computes ahead,
+// Run reports at dispatch, Finish (optional) adjusts the report serially.
 type Task struct {
 	Kind TaskKind
 	Name string
-	// Run performs the task's real computation and reports usage. A
-	// non-nil error fails the whole job (e.g. a broadcast build that
-	// exceeds slot memory). Under a parallel executor, Run closures of
-	// tasks dispatched at the same virtual instant execute
-	// concurrently and must not share mutable state.
+	// Work, when set, is the task's host computation split from its
+	// dispatch. The simulator runs it once, after the Start or TaskDone
+	// call that returned the task and before the task's first Run, in
+	// one batch with every Work handed over since — or never, when the
+	// job fails or is canceled first. It may read only state fixed at
+	// hand-over and write only the task's own; Run reports what it
+	// recorded, errors included. A job that cancels queued tasks to
+	// avoid computing them leaves Work nil.
+	Work func()
+	// Run reports the task's usage at dispatch, computing it first when
+	// there is no Work. A non-nil error fails the whole job (e.g. a
+	// broadcast build that exceeds slot memory). Under a parallel
+	// executor, Run closures of tasks dispatched at the same virtual
+	// instant execute concurrently and must not share mutable state.
 	Run func(tc TaskContext) (Usage, error)
 	// Finish, when set, is invoked on the scheduler goroutine after a
 	// successful Run, strictly in dispatch order across the whole
@@ -247,6 +260,8 @@ type Task struct {
 	// preparation cost to the first task of a job that runs.
 	Finish func(tc TaskContext, u *Usage)
 
+	sub        *Submission // set at hand-over
+	workPanic  any         // captured from Work, rethrown where Run's would surface
 	usage      Usage
 	rawUsage   Usage // usage as reported by Run, before Finish adjustments
 	start, end float64
@@ -366,15 +381,6 @@ func (s *Submission) Cancel(err error) {
 	s.sim.maybeComplete(s)
 }
 
-// AddTasks queues additional tasks on a live job (used by pilot runs to
-// add sample splits on demand).
-func (s *Submission) AddTasks(ts []*Task) {
-	if s.done {
-		return
-	}
-	s.pending = append(s.pending, ts...)
-}
-
 // OnDone registers a callback fired when the job completes. Callbacks may
 // submit new jobs.
 func (s *Submission) OnDone(f func(*Submission)) {
@@ -423,8 +429,8 @@ func (h *eventHeap) Pop() any {
 }
 
 // Sim is the cluster simulator. It is not safe for concurrent use; the
-// engine drives it from a single goroutine (task Run closures are the
-// only code the simulator itself fans out to worker goroutines).
+// engine drives it from a single goroutine (task Work and Run closures
+// are the only code the simulator itself fans out to worker goroutines).
 type Sim struct {
 	cfg        Config
 	now        float64
@@ -443,8 +449,9 @@ type Sim struct {
 	executedAttempts int64
 	wasted           float64   // slot-seconds burned on failures and losing backups
 	wave             []*launch // tasks of the current virtual instant, in dispatch order
-	// runner, when installed, executes a wave's closures in place of the
-	// worker pool (SetWaveRunner).
+	work             []*Task   // handed-over tasks whose Work has not run, in hand-over order
+	// runner, when installed, executes a wave's or a Work batch's
+	// closures in place of the worker pool (SetWaveRunner).
 	runner func(closures []func())
 }
 
@@ -517,9 +524,9 @@ func (s *Sim) Advance(d float64) {
 func (s *Sim) SetTrace(f func(TraceEvent)) { s.trace = f }
 
 // SetWaveRunner hands wave execution to the simulator's owner: instead
-// of feeding the closures of one dispatch wave through the Parallelism
-// goroutine pool, runWave passes them all to run, which may execute them
-// however it likes (the proc runtime starts every one at once, so its
+// of feeding the closures of one dispatch wave (or one Work batch)
+// through the Parallelism goroutine pool, runWave passes them all to
+// run, which may execute them however it likes (the proc runtime starts every one at once, so its
 // fleet sees the whole wave) but must return only after each has
 // returned. The closures do not panic and carry their own results;
 // scheduling, result application and the virtual timeline are untouched.
@@ -667,9 +674,19 @@ func (s *Sim) handleJobReady(sub *Submission) {
 		return
 	}
 	s.emit(TraceEvent{Time: s.now, Job: sub.job.Name(), Kind: "job-ready"})
-	tasks := sub.job.Start(sub)
-	sub.pending = append(sub.pending, tasks...)
+	s.handOver(sub, sub.job.Start(sub))
 	s.maybeComplete(sub)
+}
+
+// handOver queues the tasks a job returned from Start or TaskDone (the
+// only ways in) and enrolls those with Work in the next batch.
+func (s *Sim) handOver(sub *Submission, tasks []*Task) {
+	sub.pending = append(sub.pending, tasks...)
+	for _, t := range tasks {
+		if t.sub = sub; t.Work != nil {
+			s.work = append(s.work, t)
+		}
+	}
 }
 
 // handleTaskRetry releases the failed attempt's slot and re-queues the
@@ -724,8 +741,7 @@ func (s *Sim) handleTaskDone(sub *Submission, t *Task, e *event) {
 		s.maybeComplete(sub)
 		return
 	}
-	more := sub.job.TaskDone(sub, t)
-	sub.pending = append(sub.pending, more...)
+	s.handOver(sub, sub.job.TaskDone(sub, t))
 	s.maybeComplete(sub)
 }
 
@@ -1072,53 +1088,24 @@ func (s *Sim) launchSpeculative(sub *Submission, t *Task, node int) {
 // are the same for every pool size and runner. A wave is assigned in
 // full before any closure runs: when a task errors, same-wave tasks of
 // that job have already started and finish like any in-flight task.
+// The pending Work batch runs first; a wave made only of tasks with
+// Work has nothing left to compute and executes inline.
 func (s *Sim) runWave() {
+	s.runWork()
 	if len(s.wave) == 0 {
 		return
 	}
 	wave := s.wave
 	s.wave = s.wave[:0]
-	workers := s.cfg.Parallelism
-	if workers > len(wave) {
-		workers = len(wave)
+	run := make([]*launch, 0, len(wave))
+	worked := true
+	for _, l := range wave {
+		if !l.injected {
+			run = append(run, l)
+			worked = worked && l.task.Work != nil
+		}
 	}
-	if s.runner != nil {
-		closures := make([]func(), 0, len(wave))
-		for _, l := range wave {
-			if !l.injected {
-				closures = append(closures, l.exec)
-			}
-		}
-		if len(closures) > 0 {
-			s.runner(closures)
-		}
-	} else if workers <= 1 {
-		for _, l := range wave {
-			if !l.injected {
-				l.exec()
-			}
-		}
-	} else {
-		var next atomic.Int64
-		next.Store(-1)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := next.Add(1)
-					if i >= int64(len(wave)) {
-						return
-					}
-					if l := wave[i]; !l.injected {
-						l.exec()
-					}
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	s.execute(len(run), worked, func(i int) { run[i].exec() })
 	for _, l := range wave {
 		if l.panicked != nil {
 			panic(l.panicked)
@@ -1135,18 +1122,70 @@ func (s *Sim) runWave() {
 	}
 }
 
-// exec runs the attempt's closure, capturing a panic for rethrow at
-// the wave's apply point. Both the inline (single-worker) and pooled
-// branches use it, so a panicking task surfaces at the same point in
-// the schedule — after earlier same-wave results were applied —
-// regardless of worker count.
-func (l *launch) exec() {
-	defer func() {
-		if p := recover(); p != nil {
-			l.panicked = p
+// runWork executes, as one batch, the Work of every task handed over
+// since the last one — a job's whole phase, not a wave's slot-count slice
+// of it — except for submissions that failed or finished meanwhile.
+func (s *Sim) runWork() {
+	batch := s.work[:0]
+	for _, t := range s.work {
+		if !t.sub.failed && !t.sub.done {
+			batch = append(batch, t)
 		}
-	}()
-	l.usage, l.err = l.task.Run(l.tc)
+	}
+	s.execute(len(batch), false, func(i int) { batch[i].workPanic = capture(batch[i].Work) })
+	clear(s.work)
+	s.work = s.work[:0]
+}
+
+// execute calls fn(0) … fn(n-1) and returns once every call has: all at
+// once through the wave runner if one is installed, else on a pool of
+// min(Parallelism, n); on the scheduler goroutine if inline or that is 1.
+func (s *Sim) execute(n int, inline bool, fn func(i int)) {
+	if s.runner != nil && n > 0 && !inline {
+		closures := make([]func(), n)
+		for i := range closures {
+			closures[i] = func() { fn(i) }
+		}
+		s.runner(closures)
+		return
+	}
+	workers := min(s.cfg.Parallelism, n)
+	if inline || workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for i := next.Add(1); i <= int64(n); i = next.Add(1) {
+				fn(int(i - 1))
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// capture runs fn and returns what it panicked with, if anything.
+func capture(fn func()) (p any) {
+	defer func() { p = recover() }()
+	fn()
+	return nil
+}
+
+// exec runs the attempt's closure, keeping a panic — its own or the one
+// its Work left — for rethrow at the wave's apply point. Inline and
+// pooled execution both use it, so a panicking task surfaces at the
+// same point in the schedule — after earlier same-wave results were
+// applied — regardless of worker count.
+func (l *launch) exec() {
+	if l.panicked = l.task.workPanic; l.panicked == nil {
+		l.panicked = capture(func() { l.usage, l.err = l.task.Run(l.tc) })
+	}
 }
 
 // duration converts reported usage to virtual seconds.

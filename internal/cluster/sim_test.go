@@ -212,28 +212,6 @@ func TestCancelPendingStopsEarly(t *testing.T) {
 	}
 }
 
-func TestAddTasksOnLiveJob(t *testing.T) {
-	s := New(smallConfig())
-	extraAdded := false
-	j := &testJob{name: "grow", maps: 2, mapUsage: Usage{BytesRead: 100}}
-	j.onMap = func(sub *Submission, done int) {
-		if done == 2 && !extraAdded {
-			extraAdded = true
-			sub.AddTasks([]*Task{{
-				Kind: MapTask, Name: "extra",
-				Run: func(tc TaskContext) (Usage, error) { return Usage{BytesRead: 100}, nil },
-			}})
-		}
-	}
-	sub := s.Submit(j)
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(sub.CompletedTasks()); got != 3 {
-		t.Errorf("completed = %d, want 3", got)
-	}
-}
-
 func TestOnDoneChainsJobs(t *testing.T) {
 	s := New(smallConfig())
 	a := &testJob{name: "a", maps: 1, mapUsage: Usage{BytesRead: 100}}

@@ -221,3 +221,45 @@ func TestOptimizeSecSumsExactly(t *testing.T) {
 		}
 	}
 }
+
+// TestPilotsStayLazyOthersWorkAhead: through the whole engine, pilot
+// jobs (the only ones with StopAfter) hand the simulator tasks without
+// Work and stop short of their input, while every other job's tasks
+// carry their record loop as Work — the split is a property of the job.
+func TestPilotsStayLazyOthersWorkAhead(t *testing.T) {
+	f := newFixture()
+	opts := smallOpts()
+	opts.PilotMode = PilotST // pilots start on every split: wider than the 8 map slots
+	opts.K = 16
+	e := f.engine(opts)
+	res, err := e.ExecuteSQL(threeWay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkOracle(t, f, threeWay, res.Rows)
+	rFile, _ := f.cat.Lookup("r")
+	var pilots, others, pilotR int
+	for _, sub := range f.env.Sim.Jobs() {
+		pilot := strings.HasPrefix(sub.Job().Name(), "pilot/")
+		if pilot {
+			pilots++
+		} else {
+			others++
+		}
+		for _, task := range sub.CompletedTasks() {
+			if pilot == (task.Work != nil) {
+				t.Errorf("job %s (pilot=%v) task %s: Work set = %v", sub.Job().Name(), pilot, task.Name, task.Work != nil)
+			}
+		}
+		if strings.HasSuffix(sub.Job().Name(), "/r") && pilot {
+			pilotR = len(sub.CompletedTasks())
+		}
+	}
+	if pilots != 3 || others == 0 {
+		t.Fatalf("saw %d pilot and %d other jobs, want 3 pilots and the query's own jobs", pilots, others)
+	}
+	if slots := f.env.ClusterConfig().MapSlots(); rFile.NumBlocks() <= slots || pilotR == 0 || pilotR >= rFile.NumBlocks() {
+		t.Errorf("pilot over r ran %d of %d splits on %d map slots; want a wide pilot that stops early",
+			pilotR, rFile.NumBlocks(), slots)
+	}
+}

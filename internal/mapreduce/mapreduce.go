@@ -590,14 +590,8 @@ func (j *Job) newMapTask(inputIdx, splitIdx int) *cluster.Task {
 	}
 	j.mapStates = append(j.mapStates, st)
 	input := j.spec.Inputs[inputIdx]
-	name := fmt.Sprintf("%s-m%d", j.spec.Name, st.seq)
-	t := &cluster.Task{
-		Kind: cluster.MapTask,
-		Name: name,
-		Run: func(tc cluster.TaskContext) (cluster.Usage, error) {
-			return j.runMap(st, input, tc)
-		},
-	}
+	t := j.newTask(cluster.MapTask, fmt.Sprintf("%s-m%d", j.spec.Name, st.seq),
+		func() (cluster.Usage, int64, error) { return j.runMap(st, input) })
 	if len(j.spec.Broadcasts) > 0 {
 		// The one-time filtered-build preparation is charged to exactly
 		// one task, and the per-node build load to the first attempt on
@@ -623,10 +617,40 @@ func (j *Job) newMapTask(inputIdx, splitIdx int) *cluster.Task {
 	return t
 }
 
-func (j *Job) runMap(st *mapTaskState, input Input, tc cluster.TaskContext) (cluster.Usage, error) {
+// newTask wraps a record loop as a cluster task. The loop reads only
+// what is fixed once the task exists (DFS blocks, the tables Start
+// built, for a reduce the finished map outputs) and writes only its own
+// task's state, so it is the task's Work; Run reports what it recorded
+// and adds its emitted count to the job's shared counter at the virtual
+// instant of the dispatch. A pilot (StopAfter) cancels its queued
+// splits once it has sampled enough, and working ahead would scan what
+// it exists to avoid: its tasks run the same loop from Run instead.
+func (j *Job) newTask(kind cluster.TaskKind, name string, loop func() (cluster.Usage, int64, error)) *cluster.Task {
+	var u cluster.Usage
+	var emitted int64
+	var err error
+	work := func() { u, emitted, err = loop() }
+	t := &cluster.Task{Kind: kind, Name: name}
+	if j.spec.StopAfter <= 0 {
+		t.Work = work
+	}
+	t.Run = func(cluster.TaskContext) (cluster.Usage, error) {
+		if t.Work == nil {
+			work()
+		}
+		if emitted > 0 {
+			j.env.Coord.Add(j.counterName, emitted)
+		}
+		return u, err
+	}
+	return t
+}
+
+// runMap is a map task's record loop; the int64 counts what it emitted.
+func (j *Job) runMap(st *mapTaskState, input Input) (cluster.Usage, int64, error) {
 	var u cluster.Usage
 	if j.buildErr != nil {
-		return u, j.buildErr
+		return u, 0, j.buildErr
 	}
 	// Broadcast build: the memory check stays on the execution path,
 	// but all latency charges (one-time filtered build, per-node load)
@@ -635,7 +659,7 @@ func (j *Job) runMap(st *mapTaskState, input Input, tc cluster.TaskContext) (clu
 	// attempt could not re-apply them for its own node.
 	if len(j.spec.Broadcasts) > 0 {
 		if j.buildBytes > j.env.ClusterConfig().SlotMemory {
-			return u, fmt.Errorf("%w: build %d bytes > slot memory %d",
+			return u, 0, fmt.Errorf("%w: build %d bytes > slot memory %d",
 				ErrBroadcastOOM, j.buildBytes, j.env.ClusterConfig().SlotMemory)
 		}
 	}
@@ -647,7 +671,7 @@ func (j *Job) runMap(st *mapTaskState, input Input, tc cluster.TaskContext) (clu
 	if j.env.Exec != nil {
 		out, xerr := j.execMap(st, input)
 		if xerr != nil {
-			return u, xerr
+			return u, 0, xerr
 		}
 		// Copy the executor's rows: outRows is pooled at job end, and
 		// only a slice this package allocated is provably unshared.
@@ -675,12 +699,12 @@ func (j *Job) runMap(st *mapTaskState, input Input, tc cluster.TaskContext) (clu
 		cpuMap, cpuTotal = out.CPUMap, out.CPUTotal
 	}
 	// One accounting for both sources: input statistics, CPU accrual,
-	// output volume, and the shared output counter. A failed record
-	// loop is still charged the records and map-phase CPU it consumed.
+	// output volume, and the emitted count. A failed record loop is
+	// still charged the records and map-phase CPU it consumed.
 	u.Records += int64(n)
 	u.CPUSeconds += cpuMap
 	if err != nil {
-		return u, err
+		return u, 0, err
 	}
 	if st.collector != nil {
 		st.collector.ObserveInputs(n)
@@ -701,10 +725,7 @@ func (j *Job) runMap(st *mapTaskState, input Input, tc cluster.TaskContext) (clu
 			emitted += int64(part.Count)
 		}
 	}
-	if emitted > 0 {
-		j.env.Coord.Add(j.counterName, emitted)
-	}
-	return u, nil
+	return u, emitted, nil
 }
 
 // chargeOutput prices a task's output rows and feeds them to its
@@ -794,14 +815,11 @@ func (j *Job) makeReduceTasks() []*cluster.Task {
 			st.collector = stats.NewCollector(j.spec.CollectStats, j.spec.KMVSize)
 		}
 		j.reduceStates = append(j.reduceStates, st)
-		p := p
-		tasks[p] = &cluster.Task{
-			Kind: cluster.ReduceTask,
-			Name: fmt.Sprintf("%s-r%d", j.spec.Name, p),
-			Run: func(tc cluster.TaskContext) (cluster.Usage, error) {
-				return j.runReduce(st, p)
-			},
-		}
+		tasks[p] = j.newTask(cluster.ReduceTask, fmt.Sprintf("%s-r%d", j.spec.Name, p),
+			func() (cluster.Usage, int64, error) {
+				u, err := j.runReduce(st, p)
+				return u, 0, err
+			})
 	}
 	return tasks
 }
@@ -896,15 +914,12 @@ func (j *Job) finish(sub *cluster.Submission) {
 		res.Stats = stats.MergePartials(parts)
 	}
 	// The shuffle and output buffers are fully consumed once the job
-	// finishes (the writer copied every record into its blocks); recycle
-	// them for later tasks and jobs. Every Run closure executes at most
-	// once (injected failures skip execution, backups replay the
-	// primary's usage), so no retry can observe a recycled buffer.
+	// finishes (the writer copied every record into its blocks): drop the
+	// buckets and recycle the row slices for later tasks and jobs. Every
+	// record loop executes at most once (injected failures skip it, backups
+	// replay the primary's usage), so no retry can observe a recycled buffer.
 	for _, ms := range j.mapStates {
-		for p := range ms.buckets {
-			putPairSlice(ms.buckets[p])
-			ms.buckets[p] = nil
-		}
+		ms.buckets = nil
 		putRowSlice(ms.outRows)
 		ms.outRows = nil
 	}

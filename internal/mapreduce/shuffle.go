@@ -16,9 +16,9 @@ import (
 //     data.Compare calls per comparison. Reduce partition assignment is
 //     data.Hash64(key) % numReducers — partitioning decides output row
 //     placement, so it never depends on the encoding.
-//   - Shuffle buckets, gathered reduce inputs, and per-group Tagged
-//     slabs are recycled through sync.Pools across tasks and jobs
-//     instead of being reallocated per group.
+//   - A map task's shuffle buckets are windows of one array; gathered
+//     reduce inputs, row slices and per-group Tagged slabs are recycled
+//     through sync.Pools across tasks and jobs.
 //   - Broadcast hash tables index build rows by normalized key, turning
 //     probes into exact map lookups with no collision re-checks.
 //

@@ -132,10 +132,10 @@ type MapTask struct {
 	Builds      map[string]*HashTable
 }
 
-// MapOutput is what a map task's record loop produced. Rows and Parts
-// come from the shuffle pools: whoever can prove no one still holds
-// them may recycle them (the in-process job does at job end); a holder
-// that retains them simply never returns them.
+// MapOutput is what a map task's record loop produced. Rows comes from
+// the row pool: whoever can prove no one still holds it may recycle it
+// (the in-process job does at job end). Parts are windows of one
+// per-task array (or combiner output) and are left to the collector.
 type MapOutput struct {
 	Rows  []data.Value // map-only tasks
 	Parts [][]Pair     // shuffle tasks: one bucket per reduce partition
@@ -158,9 +158,12 @@ func RunMapTask(t *MapTask) (*MapOutput, error) {
 	if t.NumReducers > 0 {
 		mc.parts = make([][]Pair, t.NumReducers)
 		if n > 0 {
+			// One array per task, a capacity-limited window of it per
+			// partition: a bucket outgrowing its window reallocates alone.
 			per := n/t.NumReducers + 1
+			backing := make([]Pair, t.NumReducers*per)
 			for p := range mc.parts {
-				mc.parts[p] = getPairSlice(per)
+				mc.parts[p] = backing[p*per : p*per : (p+1)*per]
 			}
 		}
 	} else if n > 0 {
@@ -196,7 +199,6 @@ func combineParts(parts [][]Pair, combine ReduceFunc, ectx *expr.Ctx) {
 				combined = append(combined, Pair{Key: lead.Key, Rec: rec, nk: lead.nk})
 			}
 		})
-		putPairSlice(bucket)
 		parts[p] = combined
 	}
 }

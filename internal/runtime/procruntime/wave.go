@@ -13,8 +13,8 @@ import (
 )
 
 // waveRunner is what a Runtime installs with cluster.Sim.SetWaveRunner:
-// it starts every closure of a dispatch wave at once and publishes the
-// wave (the simulator runs one at a time) to the runtime's executor.
+// it starts every closure of a dispatch wave or Work batch at once and
+// publishes it (the simulator runs one at a time) to the executor.
 type waveRunner struct {
 	f   *Fleet
 	cur atomic.Pointer[wave]
