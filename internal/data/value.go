@@ -351,32 +351,38 @@ func (v Value) With(name string, val Value) Value {
 
 // MergeObjects returns an object containing the fields of a and b.
 // On a name clash b wins. Non-object inputs contribute nothing.
-// Both inputs keep their fields sorted, so the merge is a single linear
-// pass — no re-sort, the dominant cost of every join's output row.
+// The engine's joins merge through a FieldArena instead; this is the
+// same merge with a slice of its own per row.
 func MergeObjects(a, b Value) Value {
 	af, bf := a.Fields(), b.Fields()
 	if len(af) == 0 && len(bf) == 0 {
 		return objectFromSorted(nil)
 	}
-	fs := make([]Field, 0, len(af)+len(bf))
+	return objectFromSorted(mergeFields(make([]Field, 0, len(af)+len(bf)), af, bf))
+}
+
+// mergeFields appends the union of two sorted field lists to dst, which
+// must have room for len(af)+len(bf) fields. Both inputs keep their
+// fields sorted, so the merge is a single linear pass — no re-sort, the
+// dominant cost of every join's output row.
+func mergeFields(dst, af, bf []Field) []Field {
 	i, j := 0, 0
 	for i < len(af) && j < len(bf) {
 		switch {
 		case af[i].Name < bf[j].Name:
-			fs = append(fs, af[i])
+			dst = append(dst, af[i])
 			i++
 		case af[i].Name > bf[j].Name:
-			fs = append(fs, bf[j])
+			dst = append(dst, bf[j])
 			j++
 		default: // clash: b wins
-			fs = append(fs, bf[j])
+			dst = append(dst, bf[j])
 			i++
 			j++
 		}
 	}
-	fs = append(fs, af[i:]...)
-	fs = append(fs, bf[j:]...)
-	return objectFromSorted(fs)
+	dst = append(dst, af[i:]...)
+	return append(dst, bf[j:]...)
 }
 
 // Compare totally orders two values: first by kind class (numbers compare

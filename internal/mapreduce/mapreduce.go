@@ -846,15 +846,15 @@ func (j *Job) runReduce(st *reduceTaskState, partition int) (cluster.Usage, erro
 		}
 		st.outRows, cpu = append(st.outRows, out.Rows...), out.CPUSeconds
 	} else {
-		pairs := getPairSlice(count)
+		pairs := pairSlices.get(count)
 		for _, ms := range j.mapStates {
 			if partition < len(ms.buckets) {
 				pairs = append(pairs, ms.buckets[partition]...)
 			}
 		}
-		sortPairsByKey(pairs)
+		SortPairsByKey(pairs)
 		st.outRows, cpu, err = RunReduceTask(j.env.Reg, j.spec.Reduce, pairs)
-		putPairSlice(pairs)
+		pairSlices.put(pairs)
 	}
 	u.Records += int64(count)
 	u.CPUSeconds += cpu
@@ -920,11 +920,11 @@ func (j *Job) finish(sub *cluster.Submission) {
 	// replay the primary's usage), so no retry can observe a recycled buffer.
 	for _, ms := range j.mapStates {
 		ms.buckets = nil
-		putRowSlice(ms.outRows)
+		rowSlices.put(ms.outRows)
 		ms.outRows = nil
 	}
 	for _, st := range j.reduceStates {
-		putRowSlice(st.outRows)
+		rowSlices.put(st.outRows)
 		st.outRows = nil
 	}
 	j.result = res

@@ -1,7 +1,10 @@
 package mapreduce
 
 import (
+	"cmp"
+	"encoding/binary"
 	"slices"
+	"strings"
 	"sync"
 
 	"dyno/internal/data"
@@ -16,9 +19,10 @@ import (
 //     data.Compare calls per comparison. Reduce partition assignment is
 //     data.Hash64(key) % numReducers — partitioning decides output row
 //     placement, so it never depends on the encoding.
-//   - A map task's shuffle buckets are windows of one array; gathered
-//     reduce inputs, row slices and per-group Tagged slabs are recycled
-//     through sync.Pools across tasks and jobs.
+//   - A map task's shuffle buckets are windows of one array (exact ones
+//     when a columnar kernel counted its output first); gathered reduce
+//     inputs, row slices and per-group Tagged slabs are recycled through
+//     sync.Pools across tasks and jobs.
 //   - Broadcast hash tables index build rows by normalized key, turning
 //     probes into exact map lookups with no collision re-checks.
 //
@@ -27,32 +31,104 @@ import (
 // carry an empty nk, and any batch containing one falls back to
 // Compare-based sorting wholesale, so ordering is correct for every
 // input, not just the common domain.
+//
+// Why one unstable sort reproduces two stable ones. Reduce order is the
+// stable sort of a partition's pairs, in map submission order, by
+// data.Compare on the key — on the controller and on a worker alike. A
+// stable sort's output is the one permutation ordered by (key, input
+// index): a total order without ties, so any correct sort of it, stable
+// or not, yields that permutation. The normalized encoding orders
+// encodable keys as data.Compare does, and its first 8 bytes (big-endian,
+// zero-padded: 0x00 is the encoding's terminator and sorts below every
+// element) never order two keys against their full encodings. So
+// (prefix, nk, index) is (Compare, index), and SortPairsByKey sorts one
+// 16-byte (prefix, index) entry per pair under it, then moves each
+// 80-byte Pair once, where a stable merge rotates pairs log n times.
 
-// sortPairsByKey stably sorts shuffle pairs into reduce key order:
-// by normalized key when every pair has one, otherwise by data.Compare.
-// Both arms use a stable sort, a stable sort's output permutation is a
-// pure function of the comparator's verdicts, and the normalized
-// ordering equals data.Compare's on every encodable key — so the two
-// arms (and any other stable sort by data.Compare, such as a worker's
-// sort of fetched segments) produce the identical permutation.
-func sortPairsByKey(pairs []Pair) {
-	for i := range pairs {
-		if pairs[i].nk == "" {
-			slices.SortStableFunc(pairs, func(a, b Pair) int {
-				return data.Compare(a.Key, b.Key)
-			})
-			return
+// sortEnt is a pair's sort entry: nkPrefix of its key, input position.
+type sortEnt struct {
+	prefix uint64
+	i      int32
+}
+
+// SortPairsByKey sorts shuffle pairs into reduce key order — the stable
+// order by data.Compare on the key — in place. Pairs that arrive without
+// a normalized key (decoded from a frame) are given one first; the
+// data.Compare comparator runs only when some key is unencodable.
+func SortPairsByKey(pairs []Pair) {
+	if len(pairs) < 2 {
+		return
+	}
+	order := func(a, b sortEnt) int {
+		if a.prefix != b.prefix {
+			return cmp.Compare(a.prefix, b.prefix)
+		}
+		if c := strings.Compare(pairs[a.i].nk, pairs[b.i].nk); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.i, b.i)
+	}
+	if !fillNormKeys(pairs) {
+		order = func(a, b sortEnt) int {
+			if c := data.Compare(pairs[a.i].Key, pairs[b.i].Key); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.i, b.i)
 		}
 	}
-	slices.SortStableFunc(pairs, func(a, b Pair) int {
-		if a.nk < b.nk {
-			return -1
+	ents := make([]sortEnt, len(pairs))
+	for i := range pairs {
+		ents[i] = sortEnt{nkPrefix(pairs[i].nk), int32(i)}
+	}
+	if slices.IsSortedFunc(ents, order) {
+		return
+	}
+	slices.SortFunc(ents, order)
+	// ents[k].i is the pair that belongs at k: follow each cycle of the
+	// permutation, marking a placed slot by pointing it at itself.
+	for k := range ents {
+		if int(ents[k].i) == k {
+			continue
 		}
-		if a.nk > b.nk {
-			return 1
+		first := pairs[k]
+		for j := k; ; {
+			src := int(ents[j].i)
+			ents[j].i = int32(j)
+			if src == k {
+				pairs[j] = first
+				break
+			}
+			pairs[j] = pairs[src]
+			j = src
 		}
-		return 0
-	})
+	}
+}
+
+// nkPrefix is a normalized key's first 8 bytes, big-endian, zero-padded.
+func nkPrefix(nk string) uint64 {
+	var b [8]byte
+	copy(b[:], nk)
+	return binary.BigEndian.Uint64(b[:])
+}
+
+// fillNormKeys normalizes the key of every pair that has no nk, into one
+// buffer the pairs share, and reports whether every key is encodable.
+func fillNormKeys(pairs []Pair) bool {
+	var all strings.Builder // a returned String stays valid across later writes
+	var buf []byte
+	for i := range pairs {
+		if pairs[i].nk != "" {
+			continue
+		}
+		var ok bool
+		if buf, ok = data.AppendNormKey(buf[:0], pairs[i].Key); !ok {
+			return false
+		}
+		at := all.Len()
+		all.Write(buf)
+		pairs[i].nk = all.String()[at:]
+	}
+	return true
 }
 
 // samePairKey reports whether two adjacent sorted pairs share a key.
@@ -69,58 +145,26 @@ func samePairKey(a, b *Pair) bool {
 // (every Run closure executes at most once, so no retry can observe a
 // recycled buffer).
 var (
-	pairSlicePool sync.Pool // *[]Pair
-	taggedPool    sync.Pool // *[]Tagged
-	rowPool       sync.Pool // *[]data.Value
+	pairSlices  slicePool[Pair]
+	taggedSlabs slicePool[Tagged]
+	rowSlices   slicePool[data.Value]
 )
 
-func getPairSlice(capacity int) []Pair {
-	if p, _ := pairSlicePool.Get().(*[]Pair); p != nil && cap(*p) >= capacity {
+type slicePool[T any] struct{ p sync.Pool } // of *[]T
+
+func (sp *slicePool[T]) get(capacity int) []T {
+	if p, _ := sp.p.Get().(*[]T); p != nil && cap(*p) >= capacity {
 		return (*p)[:0]
 	}
-	return make([]Pair, 0, capacity)
+	return make([]T, 0, capacity)
 }
 
-func putPairSlice(s []Pair) {
+func (sp *slicePool[T]) put(s []T) {
 	if cap(s) == 0 {
 		return
 	}
 	s = s[:cap(s)]
 	clear(s)
 	s = s[:0]
-	pairSlicePool.Put(&s)
-}
-
-func getRowSlice(capacity int) []data.Value {
-	if p, _ := rowPool.Get().(*[]data.Value); p != nil && cap(*p) >= capacity {
-		return (*p)[:0]
-	}
-	return make([]data.Value, 0, capacity)
-}
-
-func putRowSlice(s []data.Value) {
-	if cap(s) == 0 {
-		return
-	}
-	s = s[:cap(s)]
-	clear(s)
-	s = s[:0]
-	rowPool.Put(&s)
-}
-
-func getTaggedSlab(capacity int) []Tagged {
-	if p, _ := taggedPool.Get().(*[]Tagged); p != nil && cap(*p) >= capacity {
-		return (*p)[:0]
-	}
-	return make([]Tagged, 0, capacity)
-}
-
-func putTaggedSlab(s []Tagged) {
-	if cap(s) == 0 {
-		return
-	}
-	s = s[:cap(s)]
-	clear(s)
-	s = s[:0]
-	taggedPool.Put(&s)
+	sp.p.Put(&s)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -65,8 +66,8 @@ func mixedKeyTable(env *Env, name string, n int) *dfs.File {
 }
 
 // hugeKeyTable mixes encodable keys with integers beyond ±2^53, which
-// the normalized encoding refuses — forcing the Compare-based fallback
-// arm of sortPairsByKey on every batch containing one.
+// the normalized encoding refuses — forcing SortPairsByKey's
+// data.Compare comparator on every batch containing one.
 func hugeKeyTable(env *Env, name string, n int) *dfs.File {
 	w := env.FS.Create(name)
 	for i := 0; i < n; i++ {
@@ -243,15 +244,17 @@ func TestBroadcastJoinMatchesEqualOracle(t *testing.T) {
 	}
 }
 
-// TestSortPairsByKeyMatchesCompareOrder asserts the two comparator
-// arms of sortPairsByKey produce the identical permutation: the same
-// random batch is sorted once with normalized keys attached and once
-// with them stripped (forcing the data.Compare arm), and the resulting
-// orders must agree element for element — including among equal keys,
-// by stability.
+// TestSortPairsByKeyMatchesCompareOrder holds SortPairsByKey to its
+// definition — the permutation slices.SortStableFunc produces under
+// data.Compare on the key — on the inputs that separate a correct
+// permutation sort from a lucky one: heavy duplicates (ties broken by
+// input position), keys that share their first 8 normalized bytes (the
+// prefix decides nothing), sorted and reversed input, one unencodable
+// key (the Compare comparator), and pairs with no nk at all (decoded
+// from a frame) alone or mixed with pairs that carry one.
 func TestSortPairsByKeyMatchesCompareOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	mkKey := func() data.Value {
+	mixed := func() data.Value {
 		switch rng.Intn(6) {
 		case 0:
 			return data.Int(int64(rng.Intn(21) - 10))
@@ -267,30 +270,73 @@ func TestSortPairsByKeyMatchesCompareOrder(t *testing.T) {
 			return data.Array(data.Int(int64(rng.Intn(4))), data.String("x"))
 		}
 	}
-	const n = 2000
-	withNK := make([]Pair, 0, n)
-	withoutNK := make([]Pair, 0, n)
-	for i := 0; i < n; i++ {
-		key := mkKey()
-		rec := data.Object(data.Field{Name: "seq", Value: data.Int(int64(i))})
-		nk, ok := data.NormKey(key)
-		if !ok {
-			t.Fatalf("key %v unexpectedly unencodable", key)
+	keys := func(n int, mk func(i int) data.Value) []data.Value {
+		out := make([]data.Value, n)
+		for i := range out {
+			out[i] = mk(i)
 		}
-		withNK = append(withNK, Pair{Key: key, nk: nk, Tag: "T", Rec: rec})
-		withoutNK = append(withoutNK, Pair{Key: key, Tag: "T", Rec: rec})
+		return out
 	}
-	sortPairsByKey(withNK)
-	sortPairsByKey(withoutNK)
-	for i := range withNK {
-		if !data.Equal(withNK[i].Rec, withoutNK[i].Rec) {
-			t.Fatalf("permutation diverged at %d: normalized key %v rec %v, Compare key %v rec %v",
-				i, withNK[i].Key, withNK[i].Rec, withoutNK[i].Key, withoutNK[i].Rec)
+	const n = 2000
+	cases := map[string][]data.Value{
+		"mixed kinds":      keys(n, func(int) data.Value { return mixed() }),
+		"heavy duplicates": keys(n, func(int) data.Value { return data.Int(int64(rng.Intn(5))) }),
+		// "shared-prefix-NN": 0x04 plus 7 shared bytes fill the prefix.
+		"shared prefix": keys(n, func(int) data.Value { return data.String(fmt.Sprintf("shared-prefix-%02d", rng.Intn(40))) }),
+		// Composite keys: class byte, class byte, 6 of 8 number bytes.
+		"composite": keys(n, func(int) data.Value { return data.Array(data.Int(int64(rng.Intn(3))), data.Int(int64(rng.Intn(300)))) }),
+		"short keys": keys(n, func(i int) data.Value {
+			return []data.Value{data.Null(), data.Bool(i%3 == 0), data.String(""), data.String("a")}[rng.Intn(4)]
+		}),
+		"sorted":   keys(n, func(i int) data.Value { return data.Int(int64(i / 3)) }),
+		"reversed": keys(n, func(i int) data.Value { return data.Int(int64((n - i) / 3)) }),
+		"unencodable": keys(n, func(i int) data.Value {
+			if i == n/2 {
+				return data.Int(1<<60 + 1)
+			}
+			return data.Int(int64(rng.Intn(50)))
+		}),
+		"two":   keys(2, func(i int) data.Value { return data.Int(int64(1 - i)) }),
+		"one":   keys(1, func(int) data.Value { return data.Int(7) }),
+		"empty": nil,
+	}
+	// How many of a batch's pairs arrive with their nk attached.
+	arms := map[string]func(i int) bool{
+		"nk":      func(int) bool { return true },
+		"no nk":   func(int) bool { return false },
+		"some nk": func(i int) bool { return i%3 != 0 },
+	}
+	for name, ks := range cases {
+		want := make([]Pair, len(ks))
+		for i, k := range ks {
+			want[i] = Pair{Key: k, Tag: "T", Rec: data.Int(int64(i))}
+		}
+		slices.SortStableFunc(want, func(a, b Pair) int { return data.Compare(a.Key, b.Key) })
+		for arm, hasNK := range arms {
+			t.Run(name+"/"+arm, func(t *testing.T) {
+				got := make([]Pair, len(ks))
+				for i, k := range ks {
+					got[i] = Pair{Key: k, Tag: "T", Rec: data.Int(int64(i))}
+					if hasNK(i) {
+						got[i].nk, _ = data.NormKey(k) // "" for the unencodable key, as EmitKV leaves it
+					}
+				}
+				SortPairsByKey(got)
+				for i := range got {
+					if got[i].Rec.Int() != want[i].Rec.Int() || !data.Equal(got[i].Key, want[i].Key) {
+						t.Fatalf("permutation diverged at %d: got input #%d (key %v), stable sort has #%d (key %v)",
+							i, got[i].Rec.Int(), got[i].Key, want[i].Rec.Int(), want[i].Key)
+					}
+					if nk, ok := data.NormKey(got[i].Key); got[i].nk != "" && (!ok || got[i].nk != nk) {
+						t.Fatalf("pair %d carries nk %q for key %v, want %q", i, got[i].nk, got[i].Key, nk)
+					}
+				}
+			})
 		}
 	}
 }
 
-// BenchmarkSortPairsByKey measures the normalized-key sort arm — the
+// BenchmarkSortPairsByKey measures the normalized-key sort — the
 // comparator on the shuffle's critical path (CI tracks its allocs/op).
 func BenchmarkSortPairsByKey(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
@@ -306,12 +352,13 @@ func BenchmarkSortPairsByKey(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(scratch, base)
-		sortPairsByKey(scratch)
+		SortPairsByKey(scratch)
 	}
 }
 
-// BenchmarkSortPairsByKeyCompare measures the data.Compare fallback
-// arm over the same batch, for the comparator ratio.
+// BenchmarkSortPairsByKeyCompare measures the data.Compare comparator
+// over the same batch plus the one unencodable key that forces it, for
+// the comparator ratio.
 func BenchmarkSortPairsByKeyCompare(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	const n = 4096
@@ -319,11 +366,12 @@ func BenchmarkSortPairsByKeyCompare(b *testing.B) {
 	for i := range base {
 		base[i] = Pair{Key: data.Int(int64(rng.Intn(1 << 20))), Tag: "T"}
 	}
+	base[n/2].Key = data.Int(1 << 60)
 	scratch := make([]Pair, n)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(scratch, base)
-		sortPairsByKey(scratch)
+		SortPairsByKey(scratch)
 	}
 }

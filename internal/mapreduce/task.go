@@ -33,6 +33,9 @@ type MapCtx struct {
 	rows   []data.Value
 	parts  [][]Pair // one bucket per reduce partition; nil for map-only tasks
 	nkBuf  []byte   // scratch for key normalization, reused across emits
+	// Arena is where a join kernel merges the rows it emits; Scratch
+	// those that nothing references once the kernel resets it.
+	Arena, Scratch data.FieldArena
 }
 
 // ExprCtx returns the expression evaluation context (UDF registry plus
@@ -75,6 +78,27 @@ func (mc *MapCtx) EmitPair(key data.Value, nk string, tag string, rec data.Value
 	mc.parts[p] = append(mc.parts[p], Pair{Key: key, Tag: tag, Rec: rec, nk: nk})
 }
 
+// SizeParts provisions the shuffle buckets for exactly the pairs a
+// columnar kernel is about to emit — hashes[i] for each i in sel — so a
+// map that filters most of its split allocates for what survives.
+func (mc *MapCtx) SizeParts(hashes []uint64, sel []int32) {
+	counts := make([]int, len(mc.parts))
+	for _, i := range sel {
+		counts[hashes[i]%uint64(len(counts))]++
+	}
+	mc.cutParts(len(sel), func(p int) int { return counts[p] })
+}
+
+// cutParts makes each bucket a capacity-limited window of one array of
+// total pairs: a bucket outgrowing its window reallocates alone.
+func (mc *MapCtx) cutParts(total int, size func(p int) int) {
+	backing := make([]Pair, total)
+	for p := range mc.parts {
+		n := size(p)
+		mc.parts[p], backing = backing[:0:n], backing[n:]
+	}
+}
+
 // MapFunc processes one input record.
 type MapFunc func(mc *MapCtx, rec data.Value)
 
@@ -88,12 +112,31 @@ type BatchFunc func(mc *MapCtx, d *batch.Data) bool
 
 // ReduceCtx is handed to reduce functions for emitting output.
 type ReduceCtx struct {
-	ectx *expr.Ctx
-	rows []data.Value
+	ectx   *expr.Ctx
+	rows   []data.Value
+	ls, rs []data.Value // Sides' scratch, reused across key groups
+	// Arena is where a join reducer merges the rows it emits.
+	Arena data.FieldArena
 }
 
 // ExprCtx returns the expression evaluation context.
 func (rc *ReduceCtx) ExprCtx() *expr.Ctx { return rc.ectx }
+
+// Sides splits a key group into the records tagged left and the rest,
+// in group order, into scratch valid until the next call: one ReduceFunc
+// value serves all of a job's reduce tasks concurrently, so per-group
+// state lives here, not in its closure.
+func (rc *ReduceCtx) Sides(group []Tagged, left string) (ls, rs []data.Value) {
+	rc.ls, rc.rs = rc.ls[:0], rc.rs[:0]
+	for _, g := range group {
+		if g.Tag == left {
+			rc.ls = append(rc.ls, g.Rec)
+		} else {
+			rc.rs = append(rc.rs, g.Rec)
+		}
+	}
+	return rc.ls, rc.rs
+}
 
 // Emit writes a record to the job's output.
 func (rc *ReduceCtx) Emit(rec data.Value) {
@@ -157,19 +200,16 @@ func RunMapTask(t *MapTask) (*MapOutput, error) {
 	n := len(t.Recs)
 	if t.NumReducers > 0 {
 		mc.parts = make([][]Pair, t.NumReducers)
-		if n > 0 {
-			// One array per task, a capacity-limited window of it per
-			// partition: a bucket outgrowing its window reallocates alone.
-			per := n/t.NumReducers + 1
-			backing := make([]Pair, t.NumReducers*per)
-			for p := range mc.parts {
-				mc.parts[p] = backing[p*per : p*per : (p+1)*per]
-			}
-		}
 	} else if n > 0 {
-		mc.rows = getRowSlice(n)
+		mc.rows = rowSlices.get(n)
 	}
 	if t.BatchMap == nil || !t.BatchMap(mc, batch.For(t.Aux, t.Recs)) {
+		if t.NumReducers > 0 && n > 0 {
+			// The per-record kernel cannot say what it will emit: even
+			// windows over the unfiltered split.
+			per := n/t.NumReducers + 1
+			mc.cutParts(t.NumReducers*per, func(int) int { return per })
+		}
 		for _, rec := range t.Recs {
 			t.Map(mc, rec)
 		}
@@ -190,7 +230,7 @@ func combineParts(parts [][]Pair, combine ReduceFunc, ectx *expr.Ctx) {
 		if len(bucket) == 0 {
 			continue
 		}
-		sortPairsByKey(bucket)
+		SortPairsByKey(bucket)
 		var combined []Pair
 		eachGroup(bucket, func(lead *Pair, group []Tagged) {
 			rc.rows = rc.rows[:0]
@@ -204,11 +244,11 @@ func combineParts(parts [][]Pair, combine ReduceFunc, ectx *expr.Ctx) {
 }
 
 // RunReduceTask executes one reduce task's record loop over pairs
-// already in reduce key order (sortPairsByKey, or any stable sort by
+// already in reduce key order (SortPairsByKey, or any stable sort by
 // data.Compare), returning the emitted rows and the UDF CPU cost.
 func RunReduceTask(reg *expr.Registry, reduce ReduceFunc, pairs []Pair) ([]data.Value, float64, error) {
 	ectx := &expr.Ctx{Reg: reg}
-	rc := &ReduceCtx{ectx: ectx, rows: getRowSlice(0)}
+	rc := &ReduceCtx{ectx: ectx, rows: rowSlices.get(0)}
 	eachGroup(pairs, func(lead *Pair, group []Tagged) {
 		reduce(rc, lead.Key, group)
 	})
@@ -218,7 +258,7 @@ func RunReduceTask(reg *expr.Registry, reduce ReduceFunc, pairs []Pair) ([]data.
 // eachGroup walks sorted pairs one key group at a time, handing fn the
 // group's first pair and its members carved out of one pooled slab.
 func eachGroup(pairs []Pair, fn func(lead *Pair, group []Tagged)) {
-	slab := getTaggedSlab(len(pairs))
+	slab := taggedSlabs.get(len(pairs))
 	for lo := 0; lo < len(pairs); {
 		hi := lo + 1
 		for hi < len(pairs) && samePairKey(&pairs[hi], &pairs[lo]) {
@@ -231,5 +271,5 @@ func eachGroup(pairs []Pair, fn func(lead *Pair, group []Tagged)) {
 		fn(&pairs[lo], slab[start:len(slab):len(slab)])
 		lo = hi
 	}
-	putTaggedSlab(slab)
+	taggedSlabs.put(slab)
 }

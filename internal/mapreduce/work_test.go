@@ -209,7 +209,7 @@ func TestFinishedJobPoolsNoBuckets(t *testing.T) {
 			t.Fatalf("combine=%v: %v, %d tasks seen of %d", combine != nil, err, len(arrays), res.MapTasks)
 		}
 		for i := 0; i < 4*res.MapTasks; i++ {
-			pooled, _ := pairSlicePool.Get().(*[]Pair)
+			pooled, _ := pairSlices.p.Get().(*[]Pair)
 			if pooled == nil {
 				continue
 			}
@@ -217,7 +217,7 @@ func TestFinishedJobPoolsNoBuckets(t *testing.T) {
 			for _, w := range arrays {
 				lo := reflect.ValueOf(w).Pointer()
 				if hi := lo + uintptr(4*cap(w))*reflect.TypeOf(Pair{}).Size(); at >= lo && at < hi {
-					t.Fatalf("combine=%v: pairSlicePool holds a slice inside a map task's bucket array", combine != nil)
+					t.Fatalf("combine=%v: pairSlices holds a slice inside a map task's bucket array", combine != nil)
 				}
 			}
 		}

@@ -272,27 +272,24 @@ func joinReduce(residual expr.Expr, prune func(data.Value) data.Value) mapreduce
 	var once sync.Once
 	var compiled expr.Expr
 	return func(rc *mapreduce.ReduceCtx, _ data.Value, group []mapreduce.Tagged) {
-		var ls, rs []data.Value
-		for _, g := range group {
-			if g.Tag == "L" {
-				ls = append(ls, g.Rec)
-			} else {
-				rs = append(rs, g.Rec)
-			}
-		}
+		ls, rs := rc.Sides(group, "L")
+		arena := &rc.Arena
 		for _, l := range ls {
 			for _, r := range rs {
-				merged := data.MergeObjects(l, r)
+				merged := arena.Merge(l, r)
 				if residual != nil {
 					once.Do(func() { compiled = expr.Compile(residual, merged) })
 					if !compiled.Eval(rc.ExprCtx(), merged).Truthy() {
+						arena.Release(merged)
 						continue
 					}
 				}
+				row := merged
 				if prune != nil {
-					merged = prune(merged)
+					row = prune(merged) // a copy of what it keeps
+					arena.Release(merged)
 				}
-				rc.Emit(merged)
+				rc.Emit(row)
 			}
 		}
 	}
@@ -408,16 +405,28 @@ type probeStep struct {
 }
 
 // probe appends to next the merge of r with each of its matches in the
-// step's build table that passes the residual.
-func (st *probeStep) probe(mc *mapreduce.MapCtx, r data.Value, matches []data.Value, next []data.Value) []data.Value {
+// step's build table that passes the residual. Merged rows are carved
+// out of arena; a rejected row hands its fields back.
+func (st *probeStep) probe(mc *mapreduce.MapCtx, arena *data.FieldArena, r data.Value, matches []data.Value, next []data.Value) []data.Value {
 	for _, m := range matches {
-		merged := data.MergeObjects(r, m)
+		merged := arena.Merge(r, m)
 		if st.residual != nil && !st.residual.Eval(mc.ExprCtx(), merged).Truthy() {
+			arena.Release(merged)
 			continue
 		}
 		next = append(next, merged)
 	}
 	return next
+}
+
+// stepArena is where a chain step's merged rows go: the last step's are
+// the task's output, earlier ones die with their probe row — as do all
+// of a pruned chain's, which emits the pruner's copies.
+func stepArena(mc *mapreduce.MapCtx, last, pruned bool) *data.FieldArena {
+	if last && !pruned {
+		return &mc.Arena
+	}
+	return &mc.Scratch
 }
 
 // probeMap is the map-only hash join: the probe input streams through
@@ -432,13 +441,15 @@ func probeMap(row rowFn, steps []probeStep, prune func(data.Value) data.Value) m
 		if prune != nil {
 			row = prune(row)
 		}
+		mc.Scratch.Reset()
 		rows := []data.Value{row}
 		for i := range steps {
 			st := &steps[i]
 			ht := mc.Build(st.name)
+			arena := stepArena(mc, i == len(steps)-1, prune != nil)
 			var next []data.Value
 			for _, r := range rows {
-				next = st.probe(mc, r, ht.Probe(mapreduce.CompositeKeyCompiled(r, st.keyAccs)), next)
+				next = st.probe(mc, arena, r, ht.Probe(mapreduce.CompositeKeyCompiled(r, st.keyAccs)), next)
 			}
 			rows = next
 			if len(rows) == 0 {
@@ -554,6 +565,7 @@ func shuffleBatch(alias string, pred expr.Expr, keys []data.Path, tag string) ma
 		rows := d.Wrapped(alias)
 		kc := d.Keys(keySig, alias, keys)
 		hs := d.Hashes(kc)
+		mc.SizeParts(hs, sel)
 		for _, i := range sel {
 			mc.EmitPair(kc.Vals[i], kc.NK[i], tag, rows[i], hs[i])
 		}
@@ -567,10 +579,11 @@ func shuffleBatch(alias string, pred expr.Expr, keys []data.Path, tag string) ma
 // — normalized, interned, and shared across jobs — so the hash-table
 // lookup is a direct map probe with no per-record key evaluation or
 // normalization; later steps see chain-merged rows that exist only
-// within this call and probe exactly like the per-record kernel,
-// reusing two scratch buffers across rows. Residuals run per merged
-// row in the same order as the per-record kernel, so UDF cost
-// accounting and emitted rows are identical.
+// until the next probe row (they live in the task's scratch arena) and
+// probe exactly like the per-record kernel, reusing two scratch buffers
+// across rows. Residuals run per merged row in the same order as the
+// per-record kernel, so UDF cost accounting and emitted rows are
+// identical.
 func probeBatch(alias string, pred expr.Expr, steps []probeStep) mapreduce.BatchFunc {
 	if pred != nil && !batch.Supported(pred) {
 		return nil
@@ -602,13 +615,15 @@ func probeBatch(alias string, pred expr.Expr, steps []probeStep) mapreduce.Batch
 			if len(matches) == 0 {
 				continue
 			}
-			cur = st0.probe(mc, rows[i], matches, cur[:0])
+			mc.Scratch.Reset()
+			cur = st0.probe(mc, stepArena(mc, len(steps) == 1, false), rows[i], matches, cur[:0])
 			for si := 1; si < len(steps) && len(cur) > 0; si++ {
 				st := &steps[si]
 				ht := mc.Build(st.name)
+				arena := stepArena(mc, si == len(steps)-1, false)
 				next = next[:0]
 				for _, r := range cur {
-					next = st.probe(mc, r, ht.Probe(mapreduce.CompositeKeyCompiled(r, st.keyAccs)), next)
+					next = st.probe(mc, arena, r, ht.Probe(mapreduce.CompositeKeyCompiled(r, st.keyAccs)), next)
 				}
 				cur, next = next, cur
 			}

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 	"strings"
 
 	"dyno/internal/data"
@@ -177,14 +176,10 @@ const MaxReducers = 1 << 16
 // and reduced without conversion.
 type KV = mapreduce.Pair
 
-// SortKVs stably sorts pairs into reduce key order. data.Compare order
-// equals the engine's normalized-key order, so a worker sorting its
-// fetched segments groups exactly like the controller's own shuffle.
-func SortKVs(pairs []KV) {
-	sort.SliceStable(pairs, func(i, k int) bool {
-		return data.Compare(pairs[i].Key, pairs[k].Key) < 0
-	})
-}
+// SortKVs sorts pairs into reduce key order with the engine's own
+// shuffle sort, so a worker sorting its fetched segments groups exactly
+// like the controller.
+func SortKVs(pairs []KV) { mapreduce.SortPairsByKey(pairs) }
 
 // ShuffleRef is one reduce-input segment, in map-output order. Either
 // ID is set — the segment lives in the registry of the worker at URL

@@ -112,7 +112,7 @@ type Partial struct {
 type Collector struct {
 	paths   []data.Path
 	accs    []*data.Accessor // compiled against the first observed record
-	keys    []string
+	cols    []*colAcc        // partial.cols[paths[i].String()], resolved once
 	partial *Partial
 }
 
@@ -122,12 +122,15 @@ func NewCollector(paths []data.Path, kmvSize int) *Collector {
 		kmvSize = DefaultKMVSize
 	}
 	p := &Partial{cols: make(map[string]*colAcc, len(paths)), kmvSize: kmvSize}
-	keys := make([]string, len(paths))
+	cols := make([]*colAcc, len(paths))
 	for i, path := range paths {
-		keys[i] = path.String()
-		p.cols[keys[i]] = &colAcc{}
+		key := path.String()
+		if cols[i] = p.cols[key]; cols[i] == nil {
+			cols[i] = &colAcc{}
+			p.cols[key] = cols[i]
+		}
 	}
-	return &Collector{paths: paths, keys: keys, partial: p}
+	return &Collector{paths: paths, cols: cols, partial: p}
 }
 
 // ObserveInput counts a record read before filtering.
@@ -153,7 +156,7 @@ func (c *Collector) ObserveOutput(rec data.Value, sizeBytes int64) {
 		if v.IsNull() {
 			continue
 		}
-		acc := c.partial.cols[c.keys[i]]
+		acc := c.cols[i]
 		if !acc.seenAny || data.Compare(v, acc.min) < 0 {
 			acc.min = v
 		}

@@ -20,6 +20,9 @@ go test -run='^$' -bench='^(BenchmarkHash64|BenchmarkAccessorEval|BenchmarkNormK
     -benchtime=100x -benchmem ./internal/data | tee -a "$out"
 go test -run='^$' -bench='^(BenchmarkShuffle|BenchmarkSortPairsByKey|BenchmarkSortPairsByKeyCompare)$' \
     -benchtime=1x -benchmem ./internal/mapreduce | tee -a "$out"
+# Join row arena: a chain task allocates per chunk, not per merged row.
+go test -run='^$' -bench='^BenchmarkProbeChain$' \
+    -benchtime=10x -benchmem ./internal/physop | tee -a "$out"
 # Optimizer enumeration benchmarks: memo-table churn per full Optimize.
 go test -run='^$' -bench='^(BenchmarkOptimizeChain12|BenchmarkOptimizeStar10)$' \
     -benchtime=10x -benchmem . | tee -a "$out"
