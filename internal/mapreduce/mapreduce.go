@@ -729,8 +729,11 @@ func (j *Job) runMap(st *mapTaskState, input Input) (cluster.Usage, int64, error
 }
 
 // chargeOutput prices a task's output rows and feeds them to its
-// statistics collector.
+// statistics collector, told first how many are coming.
 func (j *Job) chargeOutput(u *cluster.Usage, rows []data.Value, c *stats.Collector) {
+	if c != nil {
+		c.ExpectOutputs(len(rows))
+	}
 	for _, rec := range rows {
 		sz := j.env.VirtualSize(rec)
 		u.BytesWritten += sz

@@ -6,27 +6,37 @@ import (
 	"dyno/internal/data"
 )
 
-func BenchmarkKMVAdd(b *testing.B) {
-	s := NewKMV(1024)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s.Add(uint64(i) * 0x9e3779b97f4a7c15)
-	}
+var benchPaths = []data.Path{
+	data.MustParsePath("o.o_orderkey"),
+	data.MustParsePath("o.o_custkey"),
 }
 
 func BenchmarkCollectorObserve(b *testing.B) {
-	paths := []data.Path{
-		data.MustParsePath("o.o_orderkey"),
-		data.MustParsePath("o.o_custkey"),
-	}
-	c := NewCollector(paths, 1024)
-	rec := data.Object(data.Field{Name: "o", Value: data.Object(
-		data.Field{Name: "o_orderkey", Value: data.Int(42)},
-		data.Field{Name: "o_custkey", Value: data.Int(7)},
-	)})
+	c := NewCollector(benchPaths, 1024)
+	rec := orderRec(42)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		c.ObserveInput()
 		c.ObserveOutput(rec, 120)
+	}
+}
+
+// BenchmarkMergePartials is shaped like Q7's widest job: 1,350 tasks of
+// 56 rows over two columns at k=512, one column overflowing and one
+// not. It allocates per column, not per partial or per hash.
+func BenchmarkMergePartials(b *testing.B) {
+	parts := make([]*Partial, 1350)
+	for t := range parts {
+		c := NewCollector(benchPaths, 512)
+		c.ExpectOutputs(56)
+		for i := 0; i < 56; i++ {
+			c.ObserveOutput(orderRec(int64(t*56+i)), 120)
+		}
+		parts[t] = c.Partial()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MergePartials(parts)
 	}
 }

@@ -4,14 +4,15 @@
 // collection inside tasks, client-side merging, sample-to-table
 // extrapolation, and a metastore keyed by expression signature so that
 // recurring leaf expressions reuse statistics.
+//
+// A column is observed as one run of 64-bit value hashes with two
+// readings. Tasks append; the job's merge sorts once. Of the sorted
+// distinct run, the k smallest are the KMV synopsis and the
+// multiplicities are the frequency sketch the Chao1 extrapolation
+// reads.
 package stats
 
-import (
-	"math"
-	"sort"
-
-	"dyno/internal/data"
-)
+import "math"
 
 // DefaultKMVSize is the synopsis size used by the paper (k=1024, giving
 // an expected distinct-value estimation error bound of about 6%).
@@ -20,84 +21,30 @@ const DefaultKMVSize = 1024
 // hashSpace is the paper's M: the size of the hash function's domain.
 const hashSpace = float64(math.MaxUint64)
 
-// KMV is a k-minimum-values synopsis over a multiset of values: it
-// retains the k smallest distinct 64-bit hashes observed. Synopses built
-// over partitions merge losslessly (union, keep k smallest), which is
-// how per-split synopses combine into a relation-wide one.
-type KMV struct {
-	k    int
-	vals []uint64 // sorted ascending, distinct, len <= k
+// clampK returns the synopsis size to use for a requested k: the
+// default when unset, and never below 2, the smallest the estimator is
+// defined for.
+func clampK(k int) int {
+	if k <= 0 {
+		return DefaultKMVSize
+	}
+	return max(k, 2)
 }
 
-// NewKMV returns an empty synopsis retaining k minimum hash values.
-func NewKMV(k int) *KMV {
-	if k < 2 {
-		k = 2
+// estimate reads the k-minimum-values synopsis off a sorted run of
+// distinct hashes — only the k smallest count — and returns the
+// unbiased distinct-value estimate (k−1)·M / h_k from the paper [Beyer
+// et al. 2007]. A run shorter than k is exact and returns its length.
+// Synopses built over partitions merge losslessly (union, keep the k
+// smallest), which is how per-task runs combine into a relation-wide
+// one.
+func estimate(run []hashCount, k int) float64 {
+	if len(run) < k {
+		return float64(len(run))
 	}
-	return &KMV{k: k}
-}
-
-// K returns the synopsis size parameter.
-func (s *KMV) K() int { return s.k }
-
-// AddValue hashes and inserts a value.
-func (s *KMV) AddValue(v data.Value) { s.Add(data.Hash64(v)) }
-
-// Add inserts a raw hash.
-func (s *KMV) Add(h uint64) {
-	i := sort.Search(len(s.vals), func(i int) bool { return s.vals[i] >= h })
-	if i < len(s.vals) && s.vals[i] == h {
-		return // already present
-	}
-	if len(s.vals) == s.k {
-		if i == s.k {
-			return // larger than current kth minimum
-		}
-		// Insert and drop the largest.
-		copy(s.vals[i+1:], s.vals[i:len(s.vals)-1])
-		s.vals[i] = h
-		return
-	}
-	s.vals = append(s.vals, 0)
-	copy(s.vals[i+1:], s.vals[i:len(s.vals)-1])
-	s.vals[i] = h
-}
-
-// Merge folds another synopsis into this one (union of observed hashes,
-// keeping the k smallest).
-func (s *KMV) Merge(other *KMV) {
-	if other == nil {
-		return
-	}
-	for _, h := range other.vals {
-		s.Add(h)
-	}
-}
-
-// Clone returns an independent copy.
-func (s *KMV) Clone() *KMV {
-	c := &KMV{k: s.k, vals: make([]uint64, len(s.vals))}
-	copy(c.vals, s.vals)
-	return c
-}
-
-// Estimate returns the unbiased distinct-value estimate (k−1)·M / h_k
-// from the paper [Beyer et al. 2007]. When fewer than k distinct hashes
-// have been observed the synopsis is exact and returns that count.
-func (s *KMV) Estimate() float64 {
-	n := len(s.vals)
-	if n == 0 {
-		return 0
-	}
-	if n < s.k {
-		return float64(n)
-	}
-	hk := float64(s.vals[n-1])
+	hk := float64(run[k-1].h)
 	if hk == 0 {
-		return float64(n)
+		return float64(k)
 	}
-	return float64(s.k-1) * hashSpace / hk
+	return float64(k-1) * hashSpace / hk
 }
-
-// Observed returns the number of distinct hashes currently retained.
-func (s *KMV) Observed() int { return len(s.vals) }

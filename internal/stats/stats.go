@@ -3,6 +3,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -63,48 +64,142 @@ func (t TableStats) String() string {
 // KMV size); columns exceeding it are treated as high-cardinality.
 const freqCap = 4
 
-// colAcc accumulates per-column observations inside a task. The KMV
-// synopsis and frequency sketch are allocated on the first observation
-// (kmvSize is threaded through observe), so tasks that never see a
-// non-null value for a column — the common case across a job's many
-// map tasks — cost two nil pointers instead of a map and a synopsis.
+// foldBound is the tail length at which a task folds its raw hashes
+// into the sorted run, so a huge task holds at most foldBound raw
+// hashes plus freqCap·k distinct ones per column.
+const foldBound = 4096
+
+// colAcc accumulates one column's observations as a run of hashes read
+// two ways: the k smallest are the KMV synopsis, the counts the
+// frequency sketch. A task only appends to tail; a column it never sees
+// non-null — the common case across a job's many map tasks — costs two
+// nil slices. tail is folded into run when it reaches foldBound and,
+// for a whole job, once by MergePartials.
 type colAcc struct {
 	min, max data.Value
 	seenAny  bool
-	kmv      *KMV
-	// freq counts value occurrences in the sample, bounded by
-	// freqCap·kmvSize distinct entries; overflow marks the column
-	// high-cardinality.
-	freq     map[uint64]int64
+	tail     []uint64 // raw hashes, unsorted, duplicates kept
+	// run is sorted by hash and distinct: every hash folded so far with
+	// its count, or only the k smallest once more than freqCap·k were
+	// seen (overflow: high-cardinality, the counts no longer read).
+	run      []hashCount
 	overflow bool
 }
 
-func (a *colAcc) observe(h uint64, kmvSize int) {
-	if a.kmv == nil {
-		a.kmv = NewKMV(kmvSize)
-		a.freq = map[uint64]int64{}
-	}
-	a.kmv.Add(h)
-	if a.overflow {
+type hashCount struct {
+	h uint64
+	n int64
+}
+
+// observe appends one hash. After overflow only a hash below the k-th
+// smallest can change the run; the rest are rejected with one compare.
+func (a *colAcc) observe(h uint64, k, expect int) {
+	if a.overflow && h >= a.run[k-1].h {
 		return
 	}
-	if _, ok := a.freq[h]; !ok && len(a.freq) >= freqCap*a.kmv.K() {
-		a.overflow = true
-		a.freq = nil
+	if a.tail == nil && expect > 0 {
+		a.tail = make([]uint64, 0, min(expect, foldBound))
+	}
+	if a.tail = append(a.tail, h); len(a.tail) >= foldBound {
+		a.absorb(a.tail, k)
+		a.tail = a.tail[:0]
+	}
+}
+
+// absorb folds raw hashes into the run: sorted as plain uint64s (raw is
+// reordered, never kept), run-length-encoded, then unioned in. A long
+// raw mostly cannot matter — past freqCap·k distinct hashes only the k
+// smallest do — so it is sorted lowest hashes first, in slabs: the
+// hashes under a cut that uniform hashing puts about 2·freqCap·k values
+// below are moved to the front and sorted alone, then a slab four times
+// that, and so on until the run overflows or raw is used up (a column of
+// few, repeated values). The cuts decide how much is sorted, never the
+// result.
+func (a *colAcc) absorb(raw []uint64, k int) {
+	if len(raw) == 0 {
 		return
 	}
-	a.freq[h]++
+	limit, lo := freqCap*k, 0.0
+	run := make([]hashCount, 0, min(len(raw), limit+1))
+	for want := 2 * limit; len(raw) > 0 && len(run) <= limit; want *= 4 {
+		m := len(raw)
+		if m > 2*want {
+			lo += (hashSpace - lo) * float64(want) / float64(m)
+			cut := uint64(lo)
+			m = 0
+			for i, h := range raw {
+				if h < cut {
+					raw[i], raw[m] = raw[m], h
+					m++
+				}
+			}
+		}
+		slab := raw[:m]
+		raw = raw[m:]
+		slices.Sort(slab)
+		for i := 0; i < len(slab) && len(run) <= limit; {
+			j := i + 1
+			for j < len(slab) && slab[j] == slab[i] {
+				j++
+			}
+			run = append(run, hashCount{slab[i], int64(j - i)})
+			i = j
+		}
+	}
+	a.union(run, len(run) > limit, k)
+}
+
+// union merges another sorted distinct run into a's, summing counts.
+// The result has overflowed iff either side had or the union holds more
+// than freqCap·k distinct hashes — a property of the set of values, not
+// of the order they arrived in — and then keeps only the k smallest,
+// which are the k smallest of the two sides' k smallest.
+func (a *colAcc) union(b []hashCount, overflow bool, k int) {
+	overflow = overflow || a.overflow
+	n := len(a.run) + len(b)
+	if overflow {
+		n = min(n, k)
+	}
+	out := make([]hashCount, 0, n)
+	for i, j := 0, 0; len(out) < n && (i < len(a.run) || j < len(b)); {
+		switch {
+		case j == len(b) || (i < len(a.run) && a.run[i].h < b[j].h):
+			out = append(out, a.run[i])
+			i++
+		case i == len(a.run) || b[j].h < a.run[i].h:
+			out = append(out, b[j])
+			j++
+		default:
+			out = append(out, hashCount{b[j].h, a.run[i].n + b[j].n})
+			i, j = i+1, j+1
+		}
+	}
+	if len(out) > freqCap*k {
+		overflow, out = true, out[:k]
+	}
+	a.run, a.overflow = out, overflow
 }
 
 // Partial is the statistics a single task publishes: input/output record
 // counts, output bytes, and per-column accumulators. Partials from all
 // tasks of a job merge into a Partial for the whole output.
+//
+// A collector's Partial is unsealed: its columns may hold a raw tail,
+// which only the task that owns the collector folds, and only while it
+// is still observing. MergePartials is the one thing that seals, and it
+// seals a fresh Partial: its inputs are read, never sorted, truncated
+// or aliased, so the same partials can be merged again. Exact and
+// Extrapolate only read a sealed Partial (any number of goroutines may
+// share one); handed an unsealed one they merge it into a sealed copy
+// first and leave it as it was.
 type Partial struct {
 	InRecords  int64
 	OutRecords int64
 	OutBytes   int64
-	cols       map[string]*colAcc
+	keys       []string // column paths, distinct
+	cols       []colAcc // parallel to keys
 	kmvSize    int
+	sealed     bool // every tail folded: set by MergePartials only
 }
 
 // Collector builds a Partial for one task. Paths name the attributes to
@@ -112,25 +207,27 @@ type Partial struct {
 type Collector struct {
 	paths   []data.Path
 	accs    []*data.Accessor // compiled against the first observed record
-	cols    []*colAcc        // partial.cols[paths[i].String()], resolved once
-	partial *Partial
+	cols    []*colAcc        // the partial's column for paths[i]
+	expect  int              // output rows announced by ExpectOutputs
+	partial Partial
 }
 
 // NewCollector returns a collector tracking the given column paths.
 func NewCollector(paths []data.Path, kmvSize int) *Collector {
-	if kmvSize <= 0 {
-		kmvSize = DefaultKMVSize
-	}
-	p := &Partial{cols: make(map[string]*colAcc, len(paths)), kmvSize: kmvSize}
-	cols := make([]*colAcc, len(paths))
+	c := &Collector{paths: paths, cols: make([]*colAcc, len(paths))}
+	p := &c.partial
+	p.keys, p.cols, p.kmvSize = make([]string, 0, len(paths)), make([]colAcc, len(paths)), clampK(kmvSize)
 	for i, path := range paths {
 		key := path.String()
-		if cols[i] = p.cols[key]; cols[i] == nil {
-			cols[i] = &colAcc{}
-			p.cols[key] = cols[i]
+		j := slices.Index(p.keys, key)
+		if j < 0 {
+			j = len(p.keys)
+			p.keys = append(p.keys, key)
 		}
+		c.cols[i] = &p.cols[j]
 	}
-	return &Collector{paths: paths, cols: cols, partial: p}
+	p.cols = p.cols[:len(p.keys)]
+	return c
 }
 
 // ObserveInput counts a record read before filtering.
@@ -139,6 +236,11 @@ func (c *Collector) ObserveInput() { c.partial.InRecords++ }
 // ObserveInputs counts n records read before filtering — the batch
 // equivalent of n ObserveInput calls.
 func (c *Collector) ObserveInputs(n int) { c.partial.InRecords += int64(n) }
+
+// ExpectOutputs announces that n ObserveOutput calls follow, so each
+// column's run of hashes is one exact allocation instead of an append
+// ladder. A hint only: more or fewer rows are still observed correctly.
+func (c *Collector) ExpectOutputs(n int) { c.expect = n }
 
 // ObserveOutput records one output record and its virtual byte size.
 // Column paths are compiled into positional accessors against the first
@@ -164,18 +266,38 @@ func (c *Collector) ObserveOutput(rec data.Value, sizeBytes int64) {
 			acc.max = v
 		}
 		acc.seenAny = true
-		acc.observe(data.Hash64(v), c.partial.kmvSize)
+		acc.observe(data.Hash64(v), c.partial.kmvSize, c.expect)
 	}
 }
 
-// Partial returns the accumulated statistics.
-func (c *Collector) Partial() *Partial { return c.partial }
+// Partial returns the accumulated statistics. It does no work: the
+// tasks of a job only append, and the one sort is MergePartials'.
+func (c *Collector) Partial() *Partial { return &c.partial }
 
 // MergePartials combines task-level partials into one (the client-side
 // merge the paper performs after reading the per-task statistics files
-// published in ZooKeeper).
+// published in ZooKeeper). Per column it concatenates every task's tail
+// into one exactly-sized slice and sorts that once; runs a task already
+// folded (rare: more than foldBound values) are unioned in afterwards.
+// The result is sealed and shares no memory with parts.
 func MergePartials(parts []*Partial) *Partial {
-	out := &Partial{cols: make(map[string]*colAcc), kmvSize: DefaultKMVSize}
+	out := &Partial{kmvSize: DefaultKMVSize, sealed: true}
+	var tails []int // per output column, the summed tail lengths
+	// col maps a part's i-th column to out's, guessing the same position
+	// first: a job's tasks all track the same paths in the same order.
+	col := func(p *Partial, i int) int {
+		if i < len(out.keys) && out.keys[i] == p.keys[i] {
+			return i
+		}
+		j := slices.Index(out.keys, p.keys[i])
+		if j < 0 {
+			j = len(out.keys)
+			out.keys = append(out.keys, p.keys[i])
+			out.cols = append(out.cols, colAcc{})
+			tails = append(tails, 0)
+		}
+		return j
+	}
 	for _, p := range parts {
 		if p == nil {
 			continue
@@ -186,13 +308,10 @@ func MergePartials(parts []*Partial) *Partial {
 		out.InRecords += p.InRecords
 		out.OutRecords += p.OutRecords
 		out.OutBytes += p.OutBytes
-		for k, acc := range p.cols {
-			dst, ok := out.cols[k]
-			if !ok {
-				dst = &colAcc{}
-				out.cols[k] = dst
-			}
-			if acc.seenAny {
+		for i := range p.cols {
+			acc, j := &p.cols[i], col(p, i)
+			tails[j] += len(acc.tail)
+			if dst := &out.cols[j]; acc.seenAny {
 				if !dst.seenAny || data.Compare(acc.min, dst.min) < 0 {
 					dst.min = acc.min
 				}
@@ -201,29 +320,27 @@ func MergePartials(parts []*Partial) *Partial {
 				}
 				dst.seenAny = true
 			}
-			if acc.kmv != nil {
-				if dst.kmv == nil {
-					dst.kmv = NewKMV(acc.kmv.K())
-					if !dst.overflow {
-						dst.freq = map[uint64]int64{}
-					}
-				}
-				dst.kmv.Merge(acc.kmv)
-			}
-			if acc.overflow {
-				dst.overflow = true
-				dst.freq = nil
-			} else if !dst.overflow {
-				for h, c := range acc.freq {
-					if _, ok := dst.freq[h]; !ok && len(dst.freq) >= freqCap*dst.kmv.K() {
-						dst.overflow = true
-						dst.freq = nil
-						break
-					}
-					dst.freq[h] += c
-				}
+		}
+	}
+	for j, n := range tails {
+		out.cols[j].tail = make([]uint64, 0, n)
+	}
+	for _, p := range parts {
+		if p == nil {
+			continue
+		}
+		for i := range p.cols {
+			acc, dst := &p.cols[i], &out.cols[col(p, i)]
+			dst.tail = append(dst.tail, acc.tail...)
+			if len(acc.run) > 0 {
+				dst.union(acc.run, acc.overflow, out.kmvSize)
 			}
 		}
+	}
+	for j := range out.cols {
+		dst := &out.cols[j]
+		dst.absorb(dst.tail, out.kmvSize)
+		dst.tail = nil
 	}
 	return out
 }
@@ -263,14 +380,18 @@ func (p *Partial) Extrapolate(totalInput float64) TableStats {
 	if p.OutRecords > 0 && card > float64(p.OutRecords) {
 		scale = card / float64(p.OutRecords)
 	}
-	ts := TableStats{
-		Card:       card,
-		AvgRecSize: p.AvgRecSize(),
-		Cols:       make(map[string]ColStats, len(p.cols)),
+	return p.tableStats(card, func(acc *colAcc, k int) float64 { return extrapolateNDV(acc, k, scale, card) })
+}
+
+// tableStats reads every column off the sealed form of p.
+func (p *Partial) tableStats(card float64, ndv func(acc *colAcc, k int) float64) TableStats {
+	if !p.sealed {
+		p = MergePartials([]*Partial{p})
 	}
-	for k, acc := range p.cols {
-		ndv := extrapolateNDV(acc, scale, card)
-		ts.Cols[k] = ColStats{Min: acc.min, Max: acc.max, NDV: ndv}
+	ts := TableStats{Card: card, AvgRecSize: p.AvgRecSize(), Cols: make(map[string]ColStats, len(p.cols))}
+	for i := range p.cols {
+		acc := &p.cols[i]
+		ts.Cols[p.keys[i]] = ColStats{Min: acc.min, Max: acc.max, NDV: ndv(acc, p.kmvSize)}
 	}
 	return ts
 }
@@ -285,25 +406,21 @@ func (p *Partial) Extrapolate(totalInput float64) TableStats {
 // which converges to the sample's distinct count once values repeat.
 // High-cardinality columns (frequency sketch overflow, or nearly all
 // sample values distinct) keep the paper's linear rule.
-func extrapolateNDV(acc *colAcc, scale, card float64) float64 {
-	var linear float64
-	if acc.kmv != nil {
-		linear = math.Min(acc.kmv.Estimate()*scale, card)
-	}
-	if acc.overflow || len(acc.freq) == 0 {
+func extrapolateNDV(acc *colAcc, k int, scale, card float64) float64 {
+	linear := math.Min(estimate(acc.run, k)*scale, card)
+	if acc.overflow || len(acc.run) == 0 {
 		return linear
 	}
-	var n, f1, f2 int64
-	for _, c := range acc.freq {
-		n += c
-		switch c {
+	var f1, f2 int64
+	for _, e := range acc.run {
+		switch e.n {
 		case 1:
 			f1++
 		case 2:
 			f2++
 		}
 	}
-	d := float64(len(acc.freq))
+	d := float64(len(acc.run))
 	if float64(f1) > 0.95*d {
 		// Nearly every sampled value is unique: the sample says
 		// nothing about saturation; fall back to the linear rule.
@@ -316,19 +433,8 @@ func extrapolateNDV(acc *colAcc, scale, card float64) float64 {
 // Exact converts a complete (unsampled) partial into TableStats; no
 // extrapolation is applied because every record was observed.
 func (p *Partial) Exact() TableStats {
-	ts := TableStats{
-		Card:       float64(p.OutRecords),
-		AvgRecSize: p.AvgRecSize(),
-		Cols:       make(map[string]ColStats, len(p.cols)),
-	}
-	for k, acc := range p.cols {
-		var ndv float64
-		if acc.kmv != nil {
-			ndv = math.Min(acc.kmv.Estimate(), ts.Card)
-		}
-		ts.Cols[k] = ColStats{Min: acc.min, Max: acc.max, NDV: ndv}
-	}
-	return ts
+	card := float64(p.OutRecords)
+	return p.tableStats(card, func(acc *colAcc, k int) float64 { return math.Min(estimate(acc.run, k), card) })
 }
 
 // Store is the statistics metastore. Entries are keyed by expression

@@ -20,6 +20,12 @@ go test -run='^$' -bench='^(BenchmarkHash64|BenchmarkAccessorEval|BenchmarkNormK
     -benchtime=100x -benchmem ./internal/data | tee -a "$out"
 go test -run='^$' -bench='^(BenchmarkShuffle|BenchmarkSortPairsByKey|BenchmarkSortPairsByKeyCompare)$' \
     -benchtime=1x -benchmem ./internal/mapreduce | tee -a "$out"
+# Statistics as one run of hashes: observing appends (10,000 rows is two
+# folds per column), the merge allocates per column.
+go test -run='^$' -bench='^BenchmarkCollectorObserve$' \
+    -benchtime=10000x -benchmem ./internal/stats | tee -a "$out"
+go test -run='^$' -bench='^BenchmarkMergePartials$' \
+    -benchtime=10x -benchmem ./internal/stats | tee -a "$out"
 # Join row arena: a chain task allocates per chunk, not per merged row.
 go test -run='^$' -bench='^BenchmarkProbeChain$' \
     -benchtime=10x -benchmem ./internal/physop | tee -a "$out"
