@@ -1137,36 +1137,50 @@ func (s *Sim) runWork() {
 	s.work = s.work[:0]
 }
 
-// execute calls fn(0) … fn(n-1) and returns once every call has: all at
-// once through the wave runner if one is installed, else on a pool of
-// min(Parallelism, n); on the scheduler goroutine if inline or that is 1.
+// execute calls fn(0) … fn(n-1) and returns once every call has: on the
+// scheduler goroutine if inline, all at once through the wave runner if
+// one is installed, else on the pool.
 func (s *Sim) execute(n int, inline bool, fn func(i int)) {
-	if s.runner != nil && n > 0 && !inline {
+	switch {
+	case inline:
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+	case s.runner != nil && n > 0:
 		closures := make([]func(), n)
 		for i := range closures {
 			closures[i] = func() { fn(i) }
 		}
 		s.runner(closures)
-		return
+	default:
+		s.Parallel(n, fn)
 	}
-	workers := min(s.cfg.Parallelism, n)
-	if inline || workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
+}
+
+// Parallel is the simulator's one parallel-for: it calls fn(0) … fn(n-1)
+// on min(Parallelism, n) goroutines, the caller's the first of them, and
+// returns once every call has. A job calls it from Start or TaskDone for
+// the record-sized work of its own lifecycle (a build's scan, the
+// statistics merge, output assembly): no task attempts, which the wave
+// runner's barrier counts. The calls must not share mutable state; a
+// panic in one is not recovered (waves capture theirs).
+func (s *Sim) Parallel(n int, fn func(i int)) {
+	// wg counts calls, not goroutines: waking an idle core can outlast a
+	// small batch, and a helper that finds every call claimed is not
+	// waited for.
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := next.Add(1); i <= int64(n); i = next.Add(1) {
-				fn(int(i - 1))
-			}
-		}()
+	work := func() {
+		for i := next.Add(1); i <= int64(n); i = next.Add(1) {
+			fn(int(i - 1))
+			wg.Done()
+		}
 	}
+	wg.Add(n)
+	for w := min(s.cfg.Parallelism, n); w > 1; w-- {
+		go work()
+	}
+	work()
 	wg.Wait()
 }
 

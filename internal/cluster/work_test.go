@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -286,5 +288,50 @@ func TestCancelRunsNoQueuedWork(t *testing.T) {
 	}
 	if n := j.runs.Load(); n != 0 {
 		t.Errorf("%d Runs after Cancel", n)
+	}
+}
+
+// goid names the calling goroutine (the number in its stack header).
+func goid() string {
+	buf := make([]byte, 64)
+	return string(bytes.Fields(buf[:runtime.Stack(buf, false)])[1])
+}
+
+// TestParallelIsThePoolNotTheRunner: a job's own batches (a build's
+// scan, finish) are not task attempts, so Parallel never reaches the
+// installed wave runner, whose barrier counts those. Every call runs
+// exactly once; on the caller's goroutine, in index order, when the pool
+// is one goroutine or the batch one call, and on at most Parallelism
+// goroutines otherwise (the caller is the pool's first worker).
+func TestParallelIsThePoolNotTheRunner(t *testing.T) {
+	for _, par := range []int{0, 1, 4} {
+		cfg := smallConfig()
+		cfg.Parallelism = par
+		s := New(cfg)
+		s.SetWaveRunner(func([]func()) { t.Errorf("Parallelism=%d: Parallel went through the wave runner", par) })
+		for _, n := range []int{0, 1, 9} {
+			calls := make([]atomic.Int32, n)
+			var mu sync.Mutex
+			var order []int
+			where := map[string]bool{}
+			s.Parallel(n, func(i int) {
+				calls[i].Add(1)
+				mu.Lock()
+				order, where[goid()] = append(order, i), true
+				mu.Unlock()
+			})
+			for i := range calls {
+				if c := calls[i].Load(); c != 1 {
+					t.Errorf("Parallelism=%d n=%d: call %d ran %d times", par, n, i, c)
+				}
+			}
+			if inline := par <= 1 || n <= 1; inline && n > 0 {
+				if !where[goid()] || len(where) != 1 || !slices.IsSorted(order) {
+					t.Errorf("Parallelism=%d n=%d: ran on %v in order %v, want inline on %s", par, n, where, order, goid())
+				}
+			} else if len(where) > par {
+				t.Errorf("Parallelism=%d n=%d: ran on %v, want at most %d goroutines, the caller one of them", par, n, where, par)
+			}
+		}
 	}
 }

@@ -13,6 +13,7 @@ package dfs
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -27,11 +28,12 @@ const DefaultBlockSize = 128 << 20
 // FS is a simulated distributed filesystem. It is safe for concurrent
 // use: reads (block access, size queries, Open/Exists/List) take a
 // shared lock so parallel tasks never serialize on the hot path, while
-// writers (Create/Append/Remove/SetByteScale) are exclusive.
+// writers (Create/Append/Remove) are exclusive; the byte scale, read for
+// every record priced, is an atomic.
 type FS struct {
 	mu        sync.RWMutex
 	blockSize int64
-	byteScale float64
+	byteScale atomic.Uint64 // a float64's bits: every record priced reads it
 	files     map[string]*File
 	nodes     int
 	nextNode  int
@@ -54,10 +56,10 @@ func WithNodes(n int) Option {
 func New(opts ...Option) *FS {
 	fs := &FS{
 		blockSize: DefaultBlockSize,
-		byteScale: 1,
 		files:     make(map[string]*File),
 		nodes:     1,
 	}
+	fs.SetByteScale(1)
 	for _, o := range opts {
 		o(fs)
 	}
@@ -71,20 +73,14 @@ func New(opts ...Option) *FS {
 // It affects subsequently written and already stored blocks alike, since
 // scaling is applied at read time.
 func (fs *FS) SetByteScale(s float64) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	if s <= 0 {
 		s = 1
 	}
-	fs.byteScale = s
+	fs.byteScale.Store(math.Float64bits(s))
 }
 
 // ByteScale returns the current byte-scale multiplier.
-func (fs *FS) ByteScale() float64 {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	return fs.byteScale
-}
+func (fs *FS) ByteScale() float64 { return math.Float64frombits(fs.byteScale.Load()) }
 
 // BlockSize returns the virtual block size.
 func (fs *FS) BlockSize() int64 { return fs.blockSize }
@@ -198,7 +194,7 @@ func (w *Writer) Append(rec data.Value) {
 
 func (w *Writer) appendLocked(rec data.Value) {
 	raw := rec.EncodedSize() + 1 // +1 for the newline in JSON-lines
-	scale := w.fs.byteScale
+	scale := w.fs.ByteScale()
 	blockCap := w.fs.blockSize
 	if w.cur == nil || float64(w.cur.rawBytes+raw)*scale > float64(blockCap) && len(w.cur.records) > 0 {
 		w.cur = &Block{Node: w.fs.nextNode}

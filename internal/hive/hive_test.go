@@ -9,6 +9,7 @@ import (
 	"dyno/internal/dfs"
 	"dyno/internal/expr"
 	"dyno/internal/mapreduce"
+	"dyno/internal/physop"
 )
 
 func TestConfigureEnablesDistributedCache(t *testing.T) {
@@ -67,10 +68,10 @@ func TestNewEnvBroadcastCheaperThanJaqlProfile(t *testing.T) {
 					mc.Emit(data.MergeObjects(rec, m))
 				}
 			}}},
-			Broadcasts: []mapreduce.Broadcast{{
+			Broadcasts: []mapreduce.Broadcast{physop.BindBuild(mapreduce.Broadcast{
 				Name: "s", File: smallFile,
 				KeyPaths: []data.Path{data.MustParsePath("s.k")},
-			}},
+			}, data.Null())},
 			Output: "out-" + profile,
 		})
 		if err != nil {

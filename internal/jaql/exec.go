@@ -197,13 +197,14 @@ func chainSpec(spec mapreduce.Spec, probe Source, probeFile *dfs.File, steps []b
 		if err != nil {
 			return spec, err
 		}
-		spec.Broadcasts = append(spec.Broadcasts, mapreduce.Broadcast{
+		sample, _ := bf.FirstRecord()
+		spec.Broadcasts = append(spec.Broadcasts, physop.BindBuild(mapreduce.Broadcast{
 			Name:     name,
 			File:     bf,
 			KeyPaths: probeKeyPaths(st.join, st.src.aliases()),
 			Wrap:     st.src.Wrap,
 			Filter:   st.src.Filter,
-		})
+		}, sample))
 		op.Steps = append(op.Steps, physop.ChainStep{
 			Build:    name,
 			Keys:     probeKeyPaths(st.join, probeAliases),

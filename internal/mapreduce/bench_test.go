@@ -105,7 +105,7 @@ func BenchmarkBroadcastJoinJob(b *testing.B) {
 					mc.Emit(data.MergeObjects(rec, m))
 				}
 			}}},
-			Broadcasts: []Broadcast{{Name: "r", File: right, KeyPaths: []data.Path{buildKey}}},
+			Broadcasts: []Broadcast{bound(Broadcast{Name: "r", File: right, KeyPaths: []data.Path{buildKey}})},
 			Output:     "joined",
 		})
 		if err != nil {
@@ -167,6 +167,49 @@ func BenchmarkPilotJob(b *testing.B) {
 		})
 		if err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkJobFinish is the finish of Q7's widest job: 1,350 map tasks
+// of 56 output rows, each with a two-column partial at k=512 — the
+// statistics merge (a closure per column), the output file's assembly
+// and the row buffers' recycling, one batch on the pool. It allocates per
+// column, per output block and one pool header per recycled buffer,
+// never per row. Rebuilding the tasks' state is outside the timer.
+func BenchmarkJobFinish(b *testing.B) {
+	const tasks, rows = 1350, 56
+	env := benchEnv()
+	in := benchTable(env, "t", "o", 1)
+	paths := []data.Path{data.MustParsePath("o.id"), data.MustParsePath("o.grp")}
+	recs := make([]data.Value, tasks*rows)
+	for i := range recs {
+		recs[i] = data.Object(data.Field{Name: "o", Value: data.Object(
+			data.Field{Name: "grp", Value: data.Int(int64(i % 25))},
+			data.Field{Name: "id", Value: data.Int(int64(i))},
+		)})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		j, err := NewJob(env, Spec{Name: "finish", Inputs: []Input{{File: in, Map: identityMap}}, Output: "out",
+			CollectStats: paths, KMVSize: 512})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for t := 0; t < tasks; t++ {
+			st := &mapTaskState{seq: t, collector: j.newCollector()}
+			st.outRows = append(rowSlices.get(rows), recs[t*rows:(t+1)*rows]...)
+			var u cluster.Usage
+			j.chargeOutput(&u, st.outRows, st.collector)
+			j.mapStates = append(j.mapStates, st)
+		}
+		j.mapsDone = tasks
+		b.StartTimer()
+		j.finish(nil)
+		if j.result.OutRecords != tasks*rows || len(j.result.Stats.Exact().Cols) != 2 {
+			b.Fatalf("finish published %d rows, stats %v", j.result.OutRecords, j.result.Stats.Exact())
 		}
 	}
 }

@@ -16,7 +16,8 @@ package mapreduce
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"strconv"
+	"sync/atomic"
 
 	"dyno/internal/cluster"
 	"dyno/internal/coord"
@@ -171,6 +172,11 @@ type Broadcast struct {
 	KeyPaths []data.Path // build-side join key columns over the (wrapped) rows
 	Wrap     string      // alias to wrap raw records with; "" = rows are stored pre-wrapped
 	Filter   expr.Expr   // optional predicate applied during the build
+	// Map (required) and BatchMap are the three fields above compiled by
+	// physop.BindBuild: a repartition input's kernels, which wrap, filter
+	// and shuffle each row under its key.
+	Map      MapFunc
+	BatchMap BatchFunc
 }
 
 // HashTable is an in-memory build side indexed by join key. Buckets are
@@ -189,79 +195,89 @@ type HashTable struct {
 	prepCPU    float64 // one-time UDF cost to produce the (filtered) build
 }
 
-// BuildHashTable indexes a broadcast side from its blocks' records,
-// wrapping and filtering as declared (b.File is not read — a worker
-// passes decoded mirror blocks). vsize, when non-nil, prices each
-// retained row for the controller's memory check and load charge.
-func BuildHashTable(reg *expr.Registry, b Broadcast, blocks [][]data.Value, vsize func(data.Value) int64) (*HashTable, error) {
-	ht := &HashTable{keyPaths: b.KeyPaths, nkBuckets: make(map[string][]data.Value)}
-	ectx := &expr.Ctx{Reg: reg}
-	filter := b.Filter
-	// When every filter column is rooted at the wrap alias, evaluate the
-	// filter on the raw record before wrapping (identical semantics, see
-	// expr.StripAlias) so dropped records never allocate the wrap object.
-	var stripped expr.Expr
-	if filter != nil && b.Wrap != "" {
-		if s, ok := expr.StripAlias(filter, b.Wrap); ok {
-			for _, recs := range blocks {
-				if len(recs) > 0 {
-					s = expr.Compile(s, recs[0])
-					break
-				}
+// Split is one block of a build side: its records and the cache slot of
+// their columnar image (nil builds an uncached one, see batch.For).
+type Split struct {
+	Recs []data.Value
+	Aux  *atomic.Value
+}
+
+// scanBuild is a broadcast build as a one-partition shuffle of its
+// blocks: each runs through b's kernels as a map task, on par (nil:
+// inline). It returns the table's three numbers (vsize, when non-nil,
+// prices each retained row) and the pairs to index it from. UDF cost is
+// one context's running sum in record order and becomes virtual time: a
+// build the columnar kernel does not take (a UDF filter, typically) is
+// scanned in order on one context. Any other costs nothing.
+func scanBuild(reg *expr.Registry, b Broadcast, blocks []Split, vsize func(data.Value) int64, par func(n int, fn func(i int))) (*HashTable, []*MapOutput, error) {
+	outs := make([]*MapOutput, len(blocks))
+	errs := make([]error, len(blocks))
+	bytes := make([]int64, len(blocks))
+	var ordered *expr.Ctx
+	if b.BatchMap == nil {
+		ordered = &expr.Ctx{Reg: reg}
+	}
+	scan := func(i int) {
+		outs[i], errs[i] = RunMapTask(&MapTask{Reg: reg, Ctx: ordered, Recs: blocks[i].Recs, Aux: blocks[i].Aux,
+			Map: b.Map, BatchMap: b.BatchMap, NumReducers: 1})
+		if vsize != nil {
+			for _, p := range outs[i].Parts[0] {
+				bytes[i] += vsize(p.Rec)
 			}
-			stripped = s
-			filter = nil
 		}
 	}
-	var nkBuf []byte
-	var keyAccs []*data.Accessor
-	for _, recs := range blocks {
-		for _, rec := range recs {
-			if stripped != nil && !stripped.Eval(ectx, rec).Truthy() {
-				continue
-			}
-			row := rec
-			if b.Wrap != "" {
-				row = data.ObjectFromSorted([]data.Field{{Name: b.Wrap, Value: rec}})
-			}
-			if keyAccs == nil {
-				// Compile key paths (and the build filter) against the
-				// first row; accessors verify positions per record, so
-				// heterogeneous rows still resolve correctly.
-				keyAccs = data.CompileAccessors(b.KeyPaths, row)
-				if filter != nil {
-					filter = expr.Compile(filter, row)
-				}
-			}
-			if filter != nil && !filter.Eval(ectx, row).Truthy() {
-				continue
-			}
-			ht.rows++
-			if vsize != nil {
-				ht.builtBytes += vsize(row)
-			}
-			k := CompositeKeyCompiled(row, keyAccs)
-			if ht.nkBuckets != nil {
-				nk, ok := data.AppendNormKey(nkBuf[:0], k)
-				nkBuf = nk
-				if ok {
-					ht.nkBuckets[string(nk)] = append(ht.nkBuckets[string(nk)], row)
-					ht.scanRows = append(ht.scanRows, row)
+	if ordered != nil || par == nil {
+		for i := range blocks {
+			scan(i)
+		}
+	} else {
+		par(len(blocks), scan)
+	}
+	ht := &HashTable{keyPaths: b.KeyPaths}
+	for i, out := range outs {
+		if errs[i] != nil {
+			return nil, nil, errs[i]
+		}
+		ht.rows += len(out.Parts[0])
+		ht.builtBytes += bytes[i]
+		ht.prepCPU += out.CPUMap
+	}
+	if ordered != nil {
+		ht.prepCPU = ordered.CPUSeconds
+	}
+	return ht, outs, nil
+}
+
+// index buckets the scanned pairs by normalized key, in scan order.
+func (h *HashTable) index(outs []*MapOutput) {
+	h.nkBuckets, h.scanRows = make(map[string][]data.Value), make([]data.Value, 0, h.rows)
+	for _, out := range outs {
+		for i := range out.Parts[0] {
+			p := &out.Parts[0][i]
+			if h.nkBuckets != nil {
+				if p.nk != "" {
+					h.nkBuckets[p.nk] = append(h.nkBuckets[p.nk], p.Rec)
+					h.scanRows = append(h.scanRows, p.Rec)
 					continue
 				}
 				// Unencodable build key: demote the whole table to the
 				// hash index so probe semantics stay uniform.
-				ht.demote()
+				h.demote()
 			}
-			h := data.Hash64(k)
-			ht.buckets[h] = append(ht.buckets[h], row)
+			k := data.Hash64(p.Key)
+			h.buckets[k] = append(h.buckets[k], p.Rec)
 		}
 	}
-	if ectx.Err != nil {
-		return nil, ectx.Err
+}
+
+// BuildHashTable indexes a broadcast side from its blocks (b.File is not
+// read — a worker passes decoded mirror blocks); see scanBuild.
+func BuildHashTable(reg *expr.Registry, b Broadcast, blocks []Split, vsize func(data.Value) int64, par func(n int, fn func(i int))) (*HashTable, error) {
+	ht, outs, err := scanBuild(reg, b, blocks, vsize, par)
+	if err == nil {
+		ht.index(outs)
 	}
-	ht.prepCPU = ectx.CPUSeconds
-	return ht, nil
+	return ht, err
 }
 
 // demote converts a partially built normalized-key index into the hash
@@ -403,7 +419,7 @@ type Spec struct {
 type mapTaskState struct {
 	inputIdx int
 	splitIdx int
-	seq      int // submission order, for deterministic output assembly
+	seq      int // index in Job.mapStates: submission order, the output's
 	outRows  []data.Value
 	buckets  [][]Pair
 	// shuffleParts digests the task's shuffle output per partition —
@@ -438,6 +454,7 @@ type Result struct {
 type Job struct {
 	env  *Env
 	spec Spec
+	par  func(n int, fn func(i int)) // the pool's parallel-for, for Start and finish
 
 	numReducers int
 	builds      map[string]*HashTable
@@ -449,7 +466,6 @@ type Job struct {
 	mapsDone     int
 	reducePhase  bool
 	splitsTotal  int
-	seq          int
 	reserve      [][]int // remaining on-demand splits per input
 	counterName  string
 	buildErr     error
@@ -478,7 +494,12 @@ func NewJob(env *Env, spec Spec) (*Job, error) {
 	if len(spec.MoreSplits) > 0 && len(spec.MoreSplits) != len(spec.Inputs) {
 		return nil, errors.New("mapreduce: MoreSplits must align with Inputs")
 	}
-	j := &Job{env: env, spec: spec, counterName: "job/" + spec.Name + "/out"}
+	for _, b := range spec.Broadcasts {
+		if b.Map == nil {
+			return nil, errors.New("mapreduce: broadcast " + b.Name + " has no build kernel (physop.BindBuild)")
+		}
+	}
+	j := &Job{env: env, spec: spec, counterName: "job/" + spec.Name + "/out", par: env.Sim.Parallel}
 	j.numReducers = spec.NumReducers
 	if j.numReducers <= 0 {
 		var in int64
@@ -525,19 +546,26 @@ func (j *Job) Start(sub *cluster.Submission) []*cluster.Task {
 	// stepping the simulator, the only one that may touch a submission
 	// of a shared cluster. A job canceled before Start holds nothing.
 	sub.OnDone(j.retire)
-	// Build broadcast hash tables once in-process; virtual load cost is
-	// charged per task (or per node with the distributed cache), and
-	// the one-time filtered-build preparation on the first task.
+	// Scan the broadcast sides, each a batch on the pool, and index them
+	// — unless a task executor's workers build the tables their tasks
+	// probe. The virtual load cost is charged per task (or per node with
+	// the distributed cache), the one-time preparation on the first task.
 	j.builds = make(map[string]*HashTable, len(j.spec.Broadcasts))
 	for _, b := range j.spec.Broadcasts {
-		blocks := make([][]data.Value, 0, b.File.NumBlocks())
-		for _, blk := range b.File.Blocks() {
-			blocks = append(blocks, blk.Records())
+		if j.env.DisableBatch {
+			b.BatchMap = nil
 		}
-		ht, err := BuildHashTable(j.env.Reg, b, blocks, j.env.VirtualSize)
+		blocks := make([]Split, b.File.NumBlocks())
+		for i, blk := range b.File.Blocks() {
+			blocks[i] = Split{Recs: blk.Records(), Aux: blk.Aux()}
+		}
+		ht, outs, err := scanBuild(j.env.Reg, b, blocks, j.env.VirtualSize, j.par)
 		if err != nil {
 			j.buildErr = err
 			break
+		}
+		if j.env.Exec == nil {
+			ht.index(outs)
 		}
 		j.builds[b.Name] = ht
 		j.buildBytes += ht.builtBytes
@@ -583,14 +611,10 @@ func (j *Job) Start(sub *cluster.Submission) []*cluster.Task {
 }
 
 func (j *Job) newMapTask(inputIdx, splitIdx int) *cluster.Task {
-	st := &mapTaskState{inputIdx: inputIdx, splitIdx: splitIdx, seq: j.seq}
-	j.seq++
-	if j.spec.CollectStats != nil {
-		st.collector = stats.NewCollector(j.spec.CollectStats, j.spec.KMVSize)
-	}
+	st := &mapTaskState{inputIdx: inputIdx, splitIdx: splitIdx, seq: len(j.mapStates)}
 	j.mapStates = append(j.mapStates, st)
 	input := j.spec.Inputs[inputIdx]
-	t := j.newTask(cluster.MapTask, fmt.Sprintf("%s-m%d", j.spec.Name, st.seq),
+	t := j.newTask(cluster.MapTask, j.taskName("-m", st.seq),
 		func() (cluster.Usage, int64, error) { return j.runMap(st, input) })
 	if len(j.spec.Broadcasts) > 0 {
 		// The one-time filtered-build preparation is charged to exactly
@@ -615,6 +639,18 @@ func (j *Job) newMapTask(inputIdx, splitIdx int) *cluster.Task {
 		}
 	}
 	return t
+}
+
+// taskName names a task: the job, "-m" or "-r", its number.
+func (j *Job) taskName(kind string, n int) string { return j.spec.Name + kind + strconv.Itoa(n) }
+
+// newCollector is called by the record loop that feeds the collector: a
+// task that never runs publishes nothing, not an all-zero partial.
+func (j *Job) newCollector() *stats.Collector {
+	if j.spec.CollectStats == nil {
+		return nil
+	}
+	return stats.NewCollector(j.spec.CollectStats, j.spec.KMVSize)
 }
 
 // newTask wraps a record loop as a cluster task. The loop reads only
@@ -663,6 +699,7 @@ func (j *Job) runMap(st *mapTaskState, input Input) (cluster.Usage, int64, error
 				ErrBroadcastOOM, j.buildBytes, j.env.ClusterConfig().SlotMemory)
 		}
 	}
+	st.collector = j.newCollector()
 	block := input.File.Block(st.splitIdx)
 	u.BytesRead += input.File.BlockSizeBytes(st.splitIdx)
 	n := block.NumRecords()
@@ -728,18 +765,16 @@ func (j *Job) runMap(st *mapTaskState, input Input) (cluster.Usage, int64, error
 	return u, emitted, nil
 }
 
-// chargeOutput prices a task's output rows and feeds them to its
-// statistics collector, told first how many are coming.
+// chargeOutput prices a task's output rows and hands them whole to its
+// statistics collector.
 func (j *Job) chargeOutput(u *cluster.Usage, rows []data.Value, c *stats.Collector) {
-	if c != nil {
-		c.ExpectOutputs(len(rows))
-	}
+	var total int64
 	for _, rec := range rows {
-		sz := j.env.VirtualSize(rec)
-		u.BytesWritten += sz
-		if c != nil {
-			c.ObserveOutput(rec, sz)
-		}
+		total += j.env.VirtualSize(rec)
+	}
+	u.BytesWritten += total
+	if c != nil {
+		c.ObserveOutputs(rows, total)
 	}
 }
 
@@ -814,11 +849,8 @@ func (j *Job) makeReduceTasks() []*cluster.Task {
 	tasks := make([]*cluster.Task, j.numReducers)
 	for p := 0; p < j.numReducers; p++ {
 		st := &reduceTaskState{partition: p}
-		if j.spec.CollectStats != nil {
-			st.collector = stats.NewCollector(j.spec.CollectStats, j.spec.KMVSize)
-		}
 		j.reduceStates = append(j.reduceStates, st)
-		tasks[p] = j.newTask(cluster.ReduceTask, fmt.Sprintf("%s-r%d", j.spec.Name, p),
+		tasks[p] = j.newTask(cluster.ReduceTask, j.taskName("-r", p),
 			func() (cluster.Usage, int64, error) {
 				u, err := j.runReduce(st, p)
 				return u, 0, err
@@ -864,11 +896,15 @@ func (j *Job) runReduce(st *reduceTaskState, partition int) (cluster.Usage, erro
 	if err != nil {
 		return u, err
 	}
+	st.collector = j.newCollector()
 	j.chargeOutput(&u, st.outRows, st.collector)
 	return u, nil
 }
 
-// finish assembles the output file and merged statistics.
+// finish publishes the job's result. Which tasks count, in which order,
+// is decided on the goroutine stepping the simulator; the record-sized
+// rest is one batch on the pool: a closure per statistics column (the
+// merge's sort) and one that assembles the output file.
 func (j *Job) finish(sub *cluster.Submission) {
 	if j.done {
 		return
@@ -885,51 +921,52 @@ func (j *Job) finish(sub *cluster.Submission) {
 	if j.env.OnCreateFile != nil {
 		j.env.OnCreateFile(j.spec.Output)
 	}
+	// Deterministic output: map submission order (mapStates') or partition
+	// order. A pilot's canceled split has neither rows nor a collector.
+	var outs [][]data.Value
 	var parts []*stats.Partial
-	if j.spec.Reduce == nil {
-		// Deterministic map-only output: submission order.
-		states := append([]*mapTaskState(nil), j.mapStates...)
-		sort.Slice(states, func(a, b int) bool { return states[a].seq < states[b].seq })
-		for _, st := range states {
-			w.AppendAll(st.outRows)
-			res.OutRecords += int64(len(st.outRows))
-			if st.collector != nil {
-				parts = append(parts, st.collector.Partial())
-			}
-		}
-	} else {
-		for _, st := range j.reduceStates {
-			w.AppendAll(st.outRows)
-			res.OutRecords += int64(len(st.outRows))
-			if st.collector != nil {
-				parts = append(parts, st.collector.Partial())
-			}
+	publish := func(rows []data.Value, c *stats.Collector) {
+		outs = append(outs, rows)
+		res.OutRecords += int64(len(rows))
+		if c != nil {
+			parts = append(parts, c.Partial())
 		}
 	}
 	for _, st := range j.mapStates {
 		if st.collector != nil {
 			res.InRecords += st.collector.Partial().InRecords
 		}
-	}
-	res.Output = w.Close()
-	res.OutputVirtual = res.Output.Size()
-	if len(parts) > 0 {
-		res.Stats = stats.MergePartials(parts)
-	}
-	// The shuffle and output buffers are fully consumed once the job
-	// finishes (the writer copied every record into its blocks): drop the
-	// buckets and recycle the row slices for later tasks and jobs. Every
-	// record loop executes at most once (injected failures skip it, backups
-	// replay the primary's usage), so no retry can observe a recycled buffer.
-	for _, ms := range j.mapStates {
-		ms.buckets = nil
-		rowSlices.put(ms.outRows)
-		ms.outRows = nil
+		if j.spec.Reduce == nil {
+			publish(st.outRows, st.collector)
+		}
+		st.buckets, st.outRows = nil, nil
 	}
 	for _, st := range j.reduceStates {
-		rowSlices.put(st.outRows)
+		publish(st.outRows, st.collector)
 		st.outRows = nil
 	}
+	batch := func(cols int, mergeCol func(i int)) {
+		j.par(cols+1, func(i int) {
+			if i > 0 {
+				mergeCol(i - 1)
+				return
+			}
+			// The writer copies the records, and every record loop runs
+			// at most once (injected failures skip it, backups replay the
+			// primary's usage): no retry can observe a recycled buffer.
+			for _, rows := range outs {
+				w.AppendAll(rows)
+				rowSlices.put(rows)
+			}
+			res.Output = w.Close()
+		})
+	}
+	if len(parts) > 0 {
+		res.Stats = stats.MergePartialsOn(parts, batch)
+	} else {
+		batch(0, nil)
+	}
+	res.OutputVirtual = res.Output.Size()
 	j.result = res
 }
 

@@ -53,6 +53,22 @@ func writeTable(env *Env, name, alias string, n int) *dfs.File {
 
 func identityMap(mc *MapCtx, rec data.Value) { mc.Emit(rec) }
 
+// bound gives a declared build side a per-record kernel of the kind
+// physop.BindBuild compiles (that package sits above this one): wrap,
+// filter, key, emit the pair.
+func bound(b Broadcast) Broadcast {
+	b.Map = func(mc *MapCtx, rec data.Value) {
+		row := rec
+		if b.Wrap != "" {
+			row = data.Object(data.Field{Name: b.Wrap, Value: rec})
+		}
+		if b.Filter == nil || b.Filter.Eval(mc.ExprCtx(), row).Truthy() {
+			mc.EmitKV(CompositeKey(row, b.KeyPaths), "", row)
+		}
+	}
+	return b
+}
+
 func TestMapOnlyFilterJob(t *testing.T) {
 	env := testEnv(t)
 	f := writeTable(env, "t", "a", 200)
@@ -163,7 +179,7 @@ func TestBroadcastJoin(t *testing.T) {
 				mc.Emit(data.MergeObjects(rec, m))
 			}
 		}}},
-		Broadcasts: []Broadcast{{Name: "s", File: small, KeyPaths: []data.Path{data.MustParsePath("s.id")}}},
+		Broadcasts: []Broadcast{bound(Broadcast{Name: "s", File: small, KeyPaths: []data.Path{data.MustParsePath("s.id")}})},
 		Output:     "bjoined",
 	})
 	if err != nil {
@@ -191,7 +207,7 @@ func TestBroadcastOOM(t *testing.T) {
 		Name:   "oom",
 		Inputs: []Input{{File: big, Map: identityMap}},
 		Broadcasts: []Broadcast{
-			{Name: "s", File: small, KeyPaths: []data.Path{data.MustParsePath("s.id")}},
+			bound(Broadcast{Name: "s", File: small, KeyPaths: []data.Path{data.MustParsePath("s.id")}}),
 		},
 		Output: "x",
 	})
@@ -211,7 +227,7 @@ func TestDistributedCacheReducesLatency(t *testing.T) {
 			Name:   "dc",
 			Inputs: []Input{{File: big, Map: identityMap}},
 			Broadcasts: []Broadcast{
-				{Name: "s", File: small, KeyPaths: []data.Path{data.MustParsePath("s.id")}},
+				bound(Broadcast{Name: "s", File: small, KeyPaths: []data.Path{data.MustParsePath("s.id")}}),
 			},
 			Output: "x",
 		})
@@ -517,8 +533,8 @@ func TestHashTableProbeCollisionSafety(t *testing.T) {
 		)}))
 	}
 	f := w.Close()
-	ht, err := BuildHashTable(env.Reg, Broadcast{Name: "s", KeyPaths: []data.Path{data.MustParsePath("s.k")}},
-		[][]data.Value{f.AllRecords()}, env.VirtualSize)
+	ht, err := BuildHashTable(env.Reg, bound(Broadcast{Name: "s", KeyPaths: []data.Path{data.MustParsePath("s.k")}}),
+		[]Split{{Recs: f.AllRecords()}}, env.VirtualSize, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -583,10 +599,10 @@ func TestBroadcastWrapAndFilter(t *testing.T) {
 				mc.Emit(data.MergeObjects(rec, m))
 			}
 		}}},
-		Broadcasts: []Broadcast{{
+		Broadcasts: []Broadcast{bound(Broadcast{
 			Name: "s", File: dim, KeyPaths: []data.Path{data.MustParsePath("s.k")},
 			Wrap: "s", Filter: filter,
-		}},
+		})},
 		Output: "out",
 	})
 	if err != nil {
@@ -627,10 +643,10 @@ func TestBroadcastFilterPrepChargedOnce(t *testing.T) {
 		Inputs: []Input{{File: big, Map: func(mc *MapCtx, rec data.Value) {
 			mc.Emit(rec)
 		}}},
-		Broadcasts: []Broadcast{{
+		Broadcasts: []Broadcast{bound(Broadcast{
 			Name: "s", File: dim, KeyPaths: []data.Path{data.MustParsePath("s.k")},
 			Wrap: "s", Filter: filter,
-		}},
+		})},
 		Output: "out",
 	})
 	if err != nil {
@@ -680,10 +696,10 @@ func TestBroadcastOOMUsesFilteredSize(t *testing.T) {
 	_, err := Run(env, Spec{
 		Name:   "fits",
 		Inputs: []Input{{File: big, Map: identityMap}},
-		Broadcasts: []Broadcast{{
+		Broadcasts: []Broadcast{bound(Broadcast{
 			Name: "s", File: dim, KeyPaths: []data.Path{data.MustParsePath("s.k")},
 			Wrap: "s", Filter: selective,
-		}},
+		})},
 		Output: "out",
 	})
 	if err != nil {
@@ -693,9 +709,9 @@ func TestBroadcastOOMUsesFilteredSize(t *testing.T) {
 	_, err = Run(env, Spec{
 		Name:   "toolarge",
 		Inputs: []Input{{File: big, Map: identityMap}},
-		Broadcasts: []Broadcast{{
+		Broadcasts: []Broadcast{bound(Broadcast{
 			Name: "s", File: dim, KeyPaths: []data.Path{data.MustParsePath("s.k")}, Wrap: "s",
-		}},
+		})},
 		Output: "out2",
 	})
 	if !errors.Is(err, ErrBroadcastOOM) {

@@ -116,7 +116,7 @@ func (j *Job) execMap(st *mapTaskState, input Input) (*MapExecOut, error) {
 	}
 	out, err := j.env.Exec.ExecMap(MapExec{
 		JobName:     j.spec.Name,
-		TaskName:    fmt.Sprintf("%s-m%d", j.spec.Name, st.seq),
+		TaskName:    j.taskName("-m", st.seq),
 		File:        input.File,
 		Split:       st.splitIdx,
 		InputIdx:    st.inputIdx,
@@ -152,7 +152,7 @@ func (j *Job) execReduce(partition int) (*ReduceExecOut, error) {
 	}
 	return j.env.Exec.ExecReduce(ReduceExec{
 		JobName:   j.spec.Name,
-		TaskName:  fmt.Sprintf("%s-r%d", j.spec.Name, partition),
+		TaskName:  j.taskName("-r", partition),
 		Partition: partition,
 		Inputs:    inputs,
 		Op:        j.spec.RemoteOp,

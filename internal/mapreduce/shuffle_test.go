@@ -222,7 +222,7 @@ func TestBroadcastJoinMatchesEqualOracle(t *testing.T) {
 						mc.Emit(data.MergeObjects(rec, m))
 					}
 				}}},
-				Broadcasts: []Broadcast{{Name: "b", File: build, KeyPaths: []data.Path{key}}},
+				Broadcasts: []Broadcast{bound(Broadcast{Name: "b", File: build, KeyPaths: []data.Path{key}})},
 				Output:     "diff-bjoined",
 			})
 			if err != nil {

@@ -158,7 +158,10 @@ type ReduceFunc func(rc *ReduceCtx, key data.Value, group []Tagged)
 // MapTask is one map task's record loop: a split, the kernels to run
 // over it, and the broadcast tables they probe.
 type MapTask struct {
-	Reg  *expr.Registry
+	Reg *expr.Registry
+	// Ctx, when non-nil, is continued in place of a fresh context: UDF
+	// cost is a running sum in record order, kept across blocks.
+	Ctx  *expr.Ctx
 	Recs []data.Value
 	// Aux is the split's cache slot for its columnar image (see
 	// batch.For); nil builds an uncached image.
@@ -192,7 +195,10 @@ type MapOutput struct {
 // the columnar kernel, fall back to the per-record kernel when there is
 // none or it declines, then fold the combiner over the buckets.
 func RunMapTask(t *MapTask) (*MapOutput, error) {
-	ectx := &expr.Ctx{Reg: t.Reg}
+	ectx := t.Ctx
+	if ectx == nil {
+		ectx = &expr.Ctx{Reg: t.Reg}
+	}
 	mc := &MapCtx{ectx: ectx, builds: t.Builds}
 	// Size output buffers from the split: most maps emit at most one
 	// row per input record, so this avoids the append growth ladder in

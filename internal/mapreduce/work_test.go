@@ -9,7 +9,10 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"dyno/internal/batch"
+	"dyno/internal/cluster"
 	"dyno/internal/data"
+	"dyno/internal/stats"
 )
 
 // TestPilotStaysLazy: a pilot job (StopAfter) with more initial splits
@@ -221,5 +224,192 @@ func TestFinishedJobPoolsNoBuckets(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// recordingPool stands in for a job's parallel-for: it notes each
+// batch's size and how many records the job's output file held before
+// and after it, and tells code running inside a batch that it is.
+type recordingPool struct {
+	env           *Env
+	output        string
+	inner         func(n int, fn func(i int))
+	inBatch       atomic.Bool
+	batches       []int
+	before, after []int64
+}
+
+func (r *recordingPool) written() int64 {
+	if f, err := r.env.FS.Open(r.output); err == nil {
+		return f.NumRecords()
+	}
+	return 0
+}
+
+func (r *recordingPool) run(n int, fn func(i int)) {
+	r.batches, r.before = append(r.batches, n), append(r.before, r.written())
+	r.inBatch.Store(true)
+	r.inner(n, fn)
+	r.inBatch.Store(false)
+	r.after = append(r.after, r.written())
+}
+
+// published is what a finished job left behind, in a form DeepEqual can
+// compare: every output record, the block boundaries, the statistics.
+type published struct {
+	Records     []string
+	BlockSizes  []int
+	Stats       stats.TableStats
+	In, Out     int64
+	Virtual     int64
+	Maps, Total int
+	Duration    float64
+}
+
+func publish(res *Result, sub *cluster.Submission) published {
+	p := published{In: res.InRecords, Out: res.OutRecords, Virtual: res.OutputVirtual,
+		Maps: res.MapTasks, Total: res.SplitsTotal, Duration: sub.Duration()}
+	for _, blk := range res.Output.Blocks() {
+		p.BlockSizes = append(p.BlockSizes, blk.NumRecords())
+		for _, rec := range blk.Records() {
+			p.Records = append(p.Records, rec.String())
+		}
+	}
+	if res.Stats != nil {
+		p.Stats = res.Stats.Exact()
+	}
+	return p
+}
+
+// TestJobLifecycleRunsOnThePool: a map-only job with two build sides of
+// three blocks each and three tracked columns does its record-sized work
+// outside its tasks — the build scans, the statistics merge, the output
+// assembly — as batches on the pool, never
+// through the wave runner and never between batches on the goroutine
+// stepping the simulator; and what it publishes does not depend on the
+// pool's size.
+func TestJobLifecycleRunsOnThePool(t *testing.T) {
+	var want published
+	for _, par := range []int{0, 1, 4} {
+		env := testEnv(t)
+		cfg := env.Sim.Config()
+		cfg.Parallelism = par
+		env.Sim = cluster.New(cfg)
+		probe := writeTable(env, "t", "a", 300)
+		pool := &recordingPool{env: env, output: "out"}
+		var scanned, offPool atomic.Int64
+		build := func(name string) Broadcast {
+			f := writeTable(env, name, name, 30)
+			if f.NumBlocks() != 3 {
+				t.Fatalf("build side %s has %d blocks, want 3", name, f.NumBlocks())
+			}
+			b := bound(Broadcast{Name: name, File: f, KeyPaths: []data.Path{data.MustParsePath(name + ".grp")}})
+			emit := b.Map
+			b.Map = func(mc *MapCtx, rec data.Value) {
+				scanned.Add(1)
+				if !pool.inBatch.Load() {
+					offPool.Add(1)
+				}
+				emit(mc, rec)
+			}
+			// A columnar kernel that always declines: the build's blocks
+			// are independent (no UDF cost to keep in order), a closure each.
+			b.BatchMap = func(*MapCtx, *batch.Data) bool { return false }
+			return b
+		}
+		key := data.MustParsePath("a.grp")
+		j, err := NewJob(env, Spec{
+			Name: "lifecycle",
+			Inputs: []Input{{File: probe, Map: func(mc *MapCtx, rec data.Value) {
+				for _, m := range mc.Build("x").Probe(key.Eval(rec)) {
+					if len(mc.Build("y").Probe(key.Eval(rec))) > 0 {
+						mc.Emit(data.MergeObjects(rec, m))
+					}
+				}
+			}}},
+			Broadcasts:   []Broadcast{build("x"), build("y")},
+			Output:       "out",
+			CollectStats: []data.Path{data.MustParsePath("a.id"), data.MustParsePath("a.grp"), data.MustParsePath("x.id")},
+			KMVSize:      64,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool.inner, j.par = j.par, pool.run
+		var waves []int
+		env.Sim.SetWaveRunner(func(closures []func()) {
+			waves = append(waves, len(closures))
+			if pool.inBatch.Load() {
+				t.Errorf("Parallelism=%d: a lifecycle batch reached the wave runner", par)
+			}
+			for _, fn := range closures {
+				fn()
+			}
+		})
+		sub := env.SubmitJob(j)
+		if err := env.RunUntil(sub.Done); err != nil || sub.Err() != nil {
+			t.Fatal(err, sub.Err())
+		}
+		res, err := j.Result()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Start: 2 builds of 3 blocks scanned. finish: 3 statistics columns
+		// and the output assembly.
+		if wantBatches := []int{3, 3, 4}; !reflect.DeepEqual(pool.batches, wantBatches) {
+			t.Errorf("Parallelism=%d: pool batches %v, want %v", par, pool.batches, wantBatches)
+		}
+		if n := scanned.Load(); n != 60 || offPool.Load() != 0 {
+			t.Errorf("Parallelism=%d: %d build records scanned (want 60), %d of them outside a pool batch", par, n, offPool.Load())
+		}
+		if last := len(pool.after) - 1; res.OutRecords == 0 || pool.before[last] != 0 || pool.after[last] != res.OutRecords {
+			t.Errorf("Parallelism=%d: output held %d records before finish's batch and %d after, want 0 and %d",
+				par, pool.before[last], pool.after[last], res.OutRecords)
+		}
+		if len(waves) == 0 || waves[0] != probe.NumBlocks() {
+			t.Errorf("Parallelism=%d: wave runner saw %v, want the map phase's %d record loops first", par, waves, probe.NumBlocks())
+		}
+		if got := publish(res, sub); par == 0 {
+			want = got
+		} else if !reflect.DeepEqual(got, want) {
+			t.Errorf("Parallelism=%d published\n  %+v\nParallelism=0\n  %+v", par, got, want)
+		}
+	}
+	if want.Out != 900 || len(want.BlockSizes) < 2 || len(want.Stats.Cols) != 3 || want.Stats.Cols["a.id"].NDV == 0 {
+		t.Errorf("vacuous: out=%d blocks=%v stats=%v", want.Out, want.BlockSizes, want.Stats)
+	}
+}
+
+// TestPilotPublishesParentStats: a task that never runs (a pilot's
+// canceled split) now allocates no collector and publishes nothing,
+// where it used to publish an all-zero partial. The merged statistics
+// are the parent commit's — the string was recorded there.
+func TestPilotPublishesParentStats(t *testing.T) {
+	env := testEnv(t)
+	f := writeTable(env, "t", "a", 2000)
+	j, sub, err := Submit(env, Spec{
+		Name:         "pilot-stats",
+		Inputs:       []Input{{File: f, Map: identityMap}},
+		Output:       "sample",
+		StopAfter:    40,
+		CollectStats: []data.Path{data.MustParsePath("a.id"), data.MustParsePath("a.grp"), data.MustParsePath("a.never")},
+		KMVSize:      16,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := env.RunUntil(sub.Done); err != nil || sub.Err() != nil {
+		t.Fatal(err, sub.Err())
+	}
+	res, err := j.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.SplitsRun >= res.SplitsTotal {
+		t.Fatalf("ran %d of %d splits; want early termination", res.SplitsRun, res.SplitsTotal)
+	}
+	const want = "in=40 out=40 maps=4 reduces=0 splits=4/200 whole=false virtual=2270 blocks=4 hash=70f17b794230ba7b duration=11.114 stats[in=40 out=40 bytes=2270 card=40 avg=56.8B a.grp{ndv=10} a.id{ndv=40} a.never{ndv=0}] card=2000 avg=56.8B a.grp{ndv=10} a.id{ndv=2000} a.never{ndv=0}"
+	if got := digest(res, sub.Duration()) + " " + res.Stats.Extrapolate(2000).String(); got != want {
+		t.Errorf("pilot published\n  %s\nwant\n  %s", got, want)
 	}
 }

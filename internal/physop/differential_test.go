@@ -193,13 +193,20 @@ func runShuffle(t *testing.T, env *mapreduce.Env, f *dfs.File, filter expr.Expr)
 	return mustRun(t, env, spec, err)
 }
 
+// bindBuild binds a build side to its file's first record, as the
+// compiler does.
+func bindBuild(b mapreduce.Broadcast) mapreduce.Broadcast {
+	sample, _ := b.File.FirstRecord()
+	return BindBuild(b, sample)
+}
+
 // runProbe executes a one-step chain op: probe rows {t: rec} joined to
 // build rows {b: rec} on k.
 func runProbe(t *testing.T, env *mapreduce.Env, probe, build *dfs.File) *mapreduce.Result {
 	t.Helper()
 	op := &OpSpec{Kind: Chain, Source: &Source{Wrap: "t"}, Steps: []ChainStep{{Build: "b0", Keys: keyPath}}}
 	spec := mapreduce.Spec{Name: "diff-probe", Output: "diff-probed",
-		Broadcasts: []mapreduce.Broadcast{{Name: "b0", File: build, Wrap: "b", KeyPaths: []data.Path{data.MustParsePath("b.k")}}}}
+		Broadcasts: []mapreduce.Broadcast{bindBuild(mapreduce.Broadcast{Name: "b0", File: build, Wrap: "b", KeyPaths: []data.Path{data.MustParsePath("b.k")}})}}
 	spec, err := op.Bind(spec, probe)
 	if spec.Inputs[0].BatchMap == nil {
 		t.Fatal("chain op compiled without a columnar kernel; the comparison would be vacuous")

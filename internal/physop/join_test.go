@@ -79,8 +79,8 @@ func runChain3(t *testing.T, env *mapreduce.Env, prune map[string]map[string]boo
 	}}
 	spec := mapreduce.Spec{Name: "chain3", Output: "chain3-out"}
 	for i, name := range []string{"b0", "b1", "b2"} {
-		spec.Broadcasts = append(spec.Broadcasts, mapreduce.Broadcast{
-			Name: name, File: builds[i], Wrap: name, KeyPaths: []data.Path{data.MustParsePath(name + ".k")}})
+		spec.Broadcasts = append(spec.Broadcasts, bindBuild(mapreduce.Broadcast{
+			Name: name, File: builds[i], Wrap: name, KeyPaths: []data.Path{data.MustParsePath(name + ".k")}}))
 	}
 	spec, err := op.Bind(spec, probe)
 	if (spec.Inputs[0].BatchMap == nil) != (prune != nil) {

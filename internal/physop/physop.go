@@ -112,6 +112,16 @@ func (op *OpSpec) Bind(spec mapreduce.Spec, files ...*dfs.File) (mapreduce.Spec,
 	return spec, nil
 }
 
+// BindBuild compiles a build side's declaration (Wrap, Filter, KeyPaths)
+// against its first raw record (null when empty). A build is a one-
+// partition shuffle of its file, so the kernels are a repartition input's.
+func BindBuild(b mapreduce.Broadcast, sample data.Value) mapreduce.Broadcast {
+	op := &OpSpec{Kind: Repartition, Left: &Source{Wrap: b.Wrap, Filter: b.Filter}, LeftKeys: b.KeyPaths}
+	k, _ := Compile(op, 0, sample) // input 0 of a repartition always compiles
+	b.Map, b.BatchMap = k.Map, k.BatchMap
+	return b
+}
+
 // Compile derives the kernels for input number `input` of op. sample
 // is the first raw record the map kernels will see (null when the
 // input is empty): expressions and key paths are bound to its layout.

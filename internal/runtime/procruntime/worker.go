@@ -557,17 +557,21 @@ func (w *Worker) table(ref wire.BuildRef) (*mapreduce.HashTable, error) {
 		key += "|" + p.String()
 	}
 	return w.tables.get(key, func() (*mapreduce.HashTable, int64, error) {
-		blocks := make([][]data.Value, len(ref.Blocks))
+		blocks := make([]mapreduce.Split, len(ref.Blocks))
+		var sample data.Value
 		for i, path := range ref.Blocks {
 			blk, err := w.block(path)
 			if err != nil {
 				return nil, 0, fmt.Errorf("build %s: %w", ref.Name, err)
 			}
-			blocks[i] = blk.recs
+			blocks[i] = mapreduce.Split{Recs: blk.recs, Aux: &blk.aux}
+			if sample.IsNull() && len(blk.recs) > 0 {
+				sample = blk.recs[0]
+			}
 		}
-		t, err := mapreduce.BuildHashTable(w.reg, mapreduce.Broadcast{
+		t, err := mapreduce.BuildHashTable(w.reg, physop.BindBuild(mapreduce.Broadcast{
 			Name: ref.Name, KeyPaths: ref.Keys, Wrap: ref.Wrap, Filter: ref.Filter,
-		}, blocks, nil)
+		}, sample), blocks, nil, nil)
 		if err != nil {
 			return nil, 0, fmt.Errorf("build %s: %w", ref.Name, err)
 		}

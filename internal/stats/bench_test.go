@@ -28,10 +28,11 @@ func BenchmarkMergePartials(b *testing.B) {
 	parts := make([]*Partial, 1350)
 	for t := range parts {
 		c := NewCollector(benchPaths, 512)
-		c.ExpectOutputs(56)
-		for i := 0; i < 56; i++ {
-			c.ObserveOutput(orderRec(int64(t*56+i)), 120)
+		rows := make([]data.Value, 56)
+		for i := range rows {
+			rows[i] = orderRec(int64(t*56 + i))
 		}
+		c.ObserveOutputs(rows, 56*120)
 		parts[t] = c.Partial()
 	}
 	b.ReportAllocs()

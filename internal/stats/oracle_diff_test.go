@@ -19,6 +19,7 @@ var diffPaths = []data.Path{
 	data.MustParsePath("t.a"),
 	data.MustParsePath("t.b"),
 	data.MustParsePath("t.never"), // tracked, never present: key kept, NDV 0
+	data.MustParsePath("t.a"),     // tracked twice: one column, every value counted twice
 }
 
 // diffRec carries the stream's value in t.a and a low-cardinality
@@ -32,13 +33,14 @@ func diffRec(v int64) data.Value {
 }
 
 // observeBoth feeds one task's values to a fresh collector of each
-// kind. Half the tasks announce their size first; the hint must not
-// show in the result.
-func observeBoth(k int, vals []int64, hint bool) (*Partial, *oraclePartial) {
+// kind: the oracle row by row, the collector too or — every other task
+// — all rows at once (ObserveOutputs: column-major, in buffer-sized
+// gathers, each column's run sized for them). The walk must not show in
+// the result.
+func observeBoth(k int, vals []int64, whole bool) (*Partial, *oraclePartial) {
 	c, o := NewCollector(diffPaths, k), newOracleCollector(diffPaths, k)
-	if hint {
-		c.ExpectOutputs(len(vals))
-	}
+	var rows []data.Value
+	var total int64
 	for _, v := range vals {
 		rec := diffRec(v)
 		if v%4 == 0 { // a record the filter dropped: selectivity below 1
@@ -47,10 +49,31 @@ func observeBoth(k int, vals []int64, hint bool) (*Partial, *oraclePartial) {
 		}
 		c.ObserveInput()
 		o.ObserveInput()
-		c.ObserveOutput(rec, rec.EncodedSize())
 		o.ObserveOutput(rec, rec.EncodedSize())
+		if whole {
+			rows, total = append(rows, rec), total+rec.EncodedSize()
+		} else {
+			c.ObserveOutput(rec, rec.EncodedSize())
+		}
+	}
+	if whole {
+		c.ObserveOutputs(rows, total)
 	}
 	return c.Partial(), o.Partial()
+}
+
+// onGoroutines is a parallel-for that runs every call on a goroutine of
+// its own, last index first.
+func onGoroutines(n int, fn func(i int)) {
+	var wg sync.WaitGroup
+	for i := n - 1; i >= 0; i-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(i)
+		}()
+	}
+	wg.Wait()
 }
 
 func sameStats(t *testing.T, what string, got, want TableStats) {
@@ -154,12 +177,19 @@ func TestRunMatchesOracle(t *testing.T) {
 				if again := MergePartials(parts); !reflect.DeepEqual(again, merged) {
 					t.Errorf("%s: merging the same parts twice differs", name)
 				}
+				// The parallel form, a goroutine per column, twice over.
+				for range 2 {
+					if pooled := MergePartialsOn(parts, onGoroutines); !reflect.DeepEqual(pooled, merged) {
+						t.Errorf("%s: merging a column per goroutine differs", name)
+					}
+				}
 				// Every rotation (every 1+n/12-th of a long list) and a
 				// seeded shuffle: the order of the parts does not show.
 				want := merged.Extrapolate(1e7)
 				for rot := 1; rot < len(parts); rot += 1 + len(parts)/12 {
 					order := append(slices.Clone(parts[rot:]), parts[:rot]...)
 					sameStats(t, fmt.Sprintf("%s rotation %d", name, rot), MergePartials(order).Extrapolate(1e7), want)
+					sameStats(t, fmt.Sprintf("%s rotation %d, pooled", name, rot), MergePartialsOn(order, onGoroutines).Extrapolate(1e7), want)
 				}
 				order := slices.Clone(parts)
 				r.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
@@ -178,8 +208,9 @@ func TestRunMatchesOracle(t *testing.T) {
 	}
 }
 
-// One merged Partial is read by finish's caller, jaql and the pilot
-// later on; Exact and Extrapolate must only read it. Run under -race.
+// One merged Partial — merged on the pool, a goroutine per column — is
+// read by finish's caller, jaql and the pilot later on; Exact and
+// Extrapolate must only read it. Run under -race.
 func TestMergedPartialSharedReads(t *testing.T) {
 	var parts []*Partial
 	r := rand.New(rand.NewSource(11))
@@ -187,8 +218,11 @@ func TestMergedPartialSharedReads(t *testing.T) {
 		p, _ := observeBoth(8, stream(r, 20+task*10, 200), true)
 		parts = append(parts, p)
 	}
-	merged := MergePartials(parts)
+	merged := MergePartialsOn(parts, onGoroutines)
 	want := merged.Exact()
+	if !reflect.DeepEqual(want, MergePartials(parts).Exact()) {
+		t.Error("merged on the pool differs from merged serially")
+	}
 	var wg sync.WaitGroup
 	for g := 0; g < 2; g++ {
 		wg.Add(1)
@@ -206,4 +240,35 @@ func TestMergedPartialSharedReads(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestMergeSortsOnlyInsidePar: MergePartialsOn calls par exactly once,
+// with one call per column, and every hash it touches it touches in
+// there — a par that drops its calls leaves the counters and min/max
+// merged and every column without a single distinct value.
+func TestMergeSortsOnlyInsidePar(t *testing.T) {
+	var parts []*Partial
+	r := rand.New(rand.NewSource(5))
+	for task := 0; task < 6; task++ {
+		p, _ := observeBoth(8, stream(r, 40, 300), task%2 == 0)
+		parts = append(parts, p)
+	}
+	var batches []int
+	dropped := MergePartialsOn(parts, func(n int, _ func(i int)) { batches = append(batches, n) })
+	full := MergePartials(parts)
+	if want := []int{len(full.cols)}; !slices.Equal(batches, want) || len(full.cols) != 3 {
+		t.Fatalf("par was handed batches %v, want one of %v", batches, want)
+	}
+	if dropped.OutRecords != full.OutRecords || dropped.InRecords != full.InRecords || dropped.OutBytes != full.OutBytes {
+		t.Errorf("counters %d/%d/%d merged outside par, want %d/%d/%d", dropped.InRecords, dropped.OutRecords, dropped.OutBytes,
+			full.InRecords, full.OutRecords, full.OutBytes)
+	}
+	for i := range dropped.cols {
+		if acc := &dropped.cols[i]; len(acc.run) != 0 || len(acc.tail) != 0 {
+			t.Errorf("column %s holds %d+%d hashes though par ran nothing", dropped.keys[i], len(acc.run), len(acc.tail))
+		}
+		if len(full.cols[i].run) == 0 && full.keys[i] != "t.never" {
+			t.Errorf("vacuous: column %s is empty in the full merge too", full.keys[i])
+		}
+	}
 }

@@ -208,7 +208,6 @@ type Collector struct {
 	paths   []data.Path
 	accs    []*data.Accessor // compiled against the first observed record
 	cols    []*colAcc        // the partial's column for paths[i]
-	expect  int              // output rows announced by ExpectOutputs
 	partial Partial
 }
 
@@ -237,38 +236,49 @@ func (c *Collector) ObserveInput() { c.partial.InRecords++ }
 // equivalent of n ObserveInput calls.
 func (c *Collector) ObserveInputs(n int) { c.partial.InRecords += int64(n) }
 
-// ExpectOutputs announces that n ObserveOutput calls follow, so each
-// column's run of hashes is one exact allocation instead of an append
-// ladder. A hint only: more or fewer rows are still observed correctly.
-func (c *Collector) ExpectOutputs(n int) { c.expect = n }
-
-// ObserveOutput records one output record and its virtual byte size.
-// Column paths are compiled into positional accessors against the first
-// record seen (collectors are per-task, so this is race-free); the
-// accessors verify field positions per record and fall back to name
-// lookup, so values are identical to Path.Eval on any record mix.
-func (c *Collector) ObserveOutput(rec data.Value, sizeBytes int64) {
-	c.partial.OutRecords++
-	c.partial.OutBytes += sizeBytes
-	if c.accs == nil && len(c.paths) > 0 {
-		c.accs = data.CompileAccessors(c.paths, rec)
+// ObserveOutputs records a task's output rows and their total virtual
+// byte size. Column paths are compiled into positional accessors against
+// the first record seen (collectors are per-task, so this is race-free);
+// the accessors verify field positions per record and fall back to name
+// lookup, so values are identical to Path.Eval on any record mix. The
+// walk is column-major, a tight gather of a few rows' values before they
+// are compared and hashed: the cache misses of reaching into consecutive
+// rows overlap. Per column the values are still observed in row order,
+// into a run allocated once for all of them.
+func (c *Collector) ObserveOutputs(rows []data.Value, totalBytes int64) {
+	c.partial.OutRecords += int64(len(rows))
+	c.partial.OutBytes += totalBytes
+	if c.accs == nil && len(rows) > 0 {
+		c.accs = data.CompileAccessors(c.paths, rows[0])
 	}
-	for i := range c.paths {
-		v := c.accs[i].Eval(rec)
-		if v.IsNull() {
-			continue
-		}
+	var buf [32]data.Value
+	for i, a := range c.accs {
 		acc := c.cols[i]
-		if !acc.seenAny || data.Compare(v, acc.min) < 0 {
-			acc.min = v
+		for rest := rows; len(rest) > 0; {
+			n := min(len(rest), len(buf))
+			for r, rec := range rest[:n] {
+				buf[r] = a.Eval(rec)
+			}
+			rest = rest[n:]
+			for _, v := range buf[:n] {
+				if v.IsNull() {
+					continue
+				}
+				if !acc.seenAny || data.Compare(v, acc.min) < 0 {
+					acc.min = v
+				}
+				if !acc.seenAny || data.Compare(v, acc.max) > 0 {
+					acc.max = v
+				}
+				acc.seenAny = true
+				acc.observe(data.Hash64(v), c.partial.kmvSize, len(rows))
+			}
 		}
-		if !acc.seenAny || data.Compare(v, acc.max) > 0 {
-			acc.max = v
-		}
-		acc.seenAny = true
-		acc.observe(data.Hash64(v), c.partial.kmvSize, c.expect)
 	}
 }
+
+// ObserveOutput is ObserveOutputs for one record.
+func (c *Collector) ObserveOutput(rec data.Value, n int64) { c.ObserveOutputs([]data.Value{rec}, n) }
 
 // Partial returns the accumulated statistics. It does no work: the
 // tasks of a job only append, and the one sort is MergePartials'.
@@ -281,23 +291,21 @@ func (c *Collector) Partial() *Partial { return &c.partial }
 // folded (rare: more than foldBound values) are unioned in afterwards.
 // The result is sealed and shares no memory with parts.
 func MergePartials(parts []*Partial) *Partial {
+	return MergePartialsOn(parts, func(n int, fn func(i int)) {
+		for i := range n {
+			fn(i)
+		}
+	})
+}
+
+// MergePartialsOn is MergePartials with the record-sized share of the
+// merge — a call per column: concatenate, union, sort — handed to par, a
+// parallel-for, in one batch (so a caller can ride more work on it).
+// Columns share nothing: the result does not depend on how par runs them.
+func MergePartialsOn(parts []*Partial, par func(n int, fn func(i int))) *Partial {
 	out := &Partial{kmvSize: DefaultKMVSize, sealed: true}
-	var tails []int // per output column, the summed tail lengths
-	// col maps a part's i-th column to out's, guessing the same position
-	// first: a job's tasks all track the same paths in the same order.
-	col := func(p *Partial, i int) int {
-		if i < len(out.keys) && out.keys[i] == p.keys[i] {
-			return i
-		}
-		j := slices.Index(out.keys, p.keys[i])
-		if j < 0 {
-			j = len(out.keys)
-			out.keys = append(out.keys, p.keys[i])
-			out.cols = append(out.cols, colAcc{})
-			tails = append(tails, 0)
-		}
-		return j
-	}
+	var tails []int      // per output column, the summed tail lengths
+	var srcs [][]*colAcc // and every part's accumulator for it
 	for _, p := range parts {
 		if p == nil {
 			continue
@@ -309,8 +317,20 @@ func MergePartials(parts []*Partial) *Partial {
 		out.OutRecords += p.OutRecords
 		out.OutBytes += p.OutBytes
 		for i := range p.cols {
-			acc, j := &p.cols[i], col(p, i)
+			// A job's tasks all track the same paths in the same order:
+			// guess the same position first.
+			acc, j := &p.cols[i], i
+			if j >= len(out.keys) || out.keys[j] != p.keys[i] {
+				if j = slices.Index(out.keys, p.keys[i]); j < 0 {
+					j = len(out.keys)
+					out.keys = append(out.keys, p.keys[i])
+					out.cols = append(out.cols, colAcc{})
+					tails = append(tails, 0)
+					srcs = append(srcs, make([]*colAcc, 0, len(parts)))
+				}
+			}
 			tails[j] += len(acc.tail)
+			srcs[j] = append(srcs[j], acc)
 			if dst := &out.cols[j]; acc.seenAny {
 				if !dst.seenAny || data.Compare(acc.min, dst.min) < 0 {
 					dst.min = acc.min
@@ -322,26 +342,16 @@ func MergePartials(parts []*Partial) *Partial {
 			}
 		}
 	}
-	for j, n := range tails {
-		out.cols[j].tail = make([]uint64, 0, n)
-	}
-	for _, p := range parts {
-		if p == nil {
-			continue
-		}
-		for i := range p.cols {
-			acc, dst := &p.cols[i], &out.cols[col(p, i)]
-			dst.tail = append(dst.tail, acc.tail...)
+	par(len(out.cols), func(j int) {
+		dst, raw := &out.cols[j], make([]uint64, 0, tails[j])
+		for _, acc := range srcs[j] {
+			raw = append(raw, acc.tail...)
 			if len(acc.run) > 0 {
 				dst.union(acc.run, acc.overflow, out.kmvSize)
 			}
 		}
-	}
-	for j := range out.cols {
-		dst := &out.cols[j]
-		dst.absorb(dst.tail, out.kmvSize)
-		dst.tail = nil
-	}
+		dst.absorb(raw, out.kmvSize)
+	})
 	return out
 }
 

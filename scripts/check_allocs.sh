@@ -20,6 +20,10 @@ go test -run='^$' -bench='^(BenchmarkHash64|BenchmarkAccessorEval|BenchmarkNormK
     -benchtime=100x -benchmem ./internal/data | tee -a "$out"
 go test -run='^$' -bench='^(BenchmarkShuffle|BenchmarkSortPairsByKey|BenchmarkSortPairsByKeyCompare)$' \
     -benchtime=1x -benchmem ./internal/mapreduce | tee -a "$out"
+# A job's finish (Q7's widest: 1,350 partials x 56 rows x 2 columns plus
+# the output file) allocates per column and per output block.
+go test -run='^$' -bench='^BenchmarkJobFinish$' \
+    -benchtime=3x -benchmem ./internal/mapreduce | tee -a "$out"
 # Statistics as one run of hashes: observing appends (10,000 rows is two
 # folds per column), the merge allocates per column.
 go test -run='^$' -bench='^BenchmarkCollectorObserve$' \
@@ -28,6 +32,10 @@ go test -run='^$' -bench='^BenchmarkMergePartials$' \
     -benchtime=10x -benchmem ./internal/stats | tee -a "$out"
 # Join row arena: a chain task allocates per chunk, not per merged row.
 go test -run='^$' -bench='^BenchmarkProbeChain$' \
+    -benchtime=10x -benchmem ./internal/physop | tee -a "$out"
+# A broadcast build over a warm split allocates per table and per key
+# (its bucket), not per scanned row.
+go test -run='^$' -bench='^BenchmarkBuildHashTable$' \
     -benchtime=10x -benchmem ./internal/physop | tee -a "$out"
 # Optimizer enumeration benchmarks: memo-table churn per full Optimize.
 go test -run='^$' -bench='^(BenchmarkOptimizeChain12|BenchmarkOptimizeStar10)$' \
