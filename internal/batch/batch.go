@@ -149,9 +149,9 @@ func (d *Data) colLocked(path data.Path) *Vec {
 }
 
 // KeyCols is the vectorized image of a composite join/shuffle key over
-// a split: the key value per row, its normalized encoding ("" when the
-// key is unencodable — see data.AppendNormKey), and lazily, the key's
-// data.Hash64 per row (shuffle partitioning). The NK strings are
+// a split: the key value per row, its normalized encoding (see
+// data.AppendNormKey), and lazily, the key's data.Hash64 per row
+// (shuffle partitioning). The NK strings are
 // substrings of one slab, so materializing a split's keys costs one
 // allocation, not one per row.
 type KeyCols struct {
@@ -205,13 +205,10 @@ func (d *Data) Keys(sig, alias string, paths []data.Path) *KeyCols {
 			k = data.Array(vals...)
 		}
 		kc.Vals[i] = k
-		if b, ok := data.AppendNormKey(nkBytes, k); ok {
-			nkBytes = b
-		}
+		nkBytes, _ = data.AppendNormKey(nkBytes, k)
 		ends[i] = int32(len(nkBytes))
 	}
 	// One string for the whole slab; per-row keys are substrings of it.
-	// An unencodable key has an empty span and stays "".
 	slab := string(nkBytes)
 	start := int32(0)
 	for i := range kc.NK {

@@ -15,9 +15,12 @@ import (
 
 // randValue draws from the adversarial value domain of the shuffle
 // differential suites: every kind class, 0x00-escaped strings, -0.0,
-// integers beyond ±2^53 (unencodable normalized keys), and nulls.
+// NaN, integers beyond ±2^53 (normalized keys with a residual tail), and
+// nulls.
 func randValue(rng *rand.Rand) data.Value {
-	switch rng.Intn(12) {
+	switch rng.Intn(13) {
+	case 12:
+		return data.Double(math.NaN())
 	case 0:
 		return data.Null()
 	case 1:
@@ -45,9 +48,18 @@ func randValue(rng *rand.Rand) data.Value {
 	}
 }
 
+// Typed columns holding the numbers the order is exact about: ints
+// around ±2^53 and at the extremes, doubles with NaN (both signs), ±0,
+// ±Inf and 2^53.
+var (
+	edgeInts    = []int64{0, 2, 1 << 53, 1<<53 + 1, -(1 << 53), -(1<<53 + 1), math.MaxInt64, math.MinInt64}
+	edgeDoubles = []float64{0, math.Copysign(0, -1), 2, 1 << 53, -(1 << 53), math.NaN(), -math.NaN(), math.Inf(1), math.Inf(-1)}
+)
+
 // randRecords builds records with columns of assorted purity: a is
 // pure int, b pure double, c pure string, d mixed numeric (the
-// float-image trap domain), e fully mixed with nulls.
+// float-image trap domain), e fully mixed with nulls, f pure int and g
+// pure double over the edge numbers.
 func randRecords(rng *rand.Rand, n int) []data.Value {
 	recs := make([]data.Value, n)
 	for i := range recs {
@@ -61,6 +73,8 @@ func randRecords(rng *rand.Rand, n int) []data.Value {
 			data.Field{Name: "c", Value: data.String([]string{"x", "y", "a\x00b", ""}[rng.Intn(4)])},
 			data.Field{Name: "d", Value: d},
 			data.Field{Name: "e", Value: randValue(rng)},
+			data.Field{Name: "f", Value: data.Int(edgeInts[rng.Intn(len(edgeInts))])},
+			data.Field{Name: "g", Value: data.Double(edgeDoubles[rng.Intn(len(edgeDoubles))])},
 		)
 	}
 	return recs
@@ -94,6 +108,21 @@ func testPredicates() []expr.Expr {
 			cmp(op, col("a"), lit(data.String("s"))), // class mismatch
 			cmp(op, col("c"), lit(data.Int(3))),      // class mismatch
 			cmp(op, col("a"), lit(data.Null())),      // null literal
+			// Exact number order: int vs double at 2^53, ±0, NaN.
+			cmp(op, col("f"), lit(data.Double(1<<53))),
+			cmp(op, col("f"), lit(data.Int(1<<53+1))),
+			cmp(op, col("f"), lit(data.Double(math.NaN()))),
+			cmp(op, col("g"), lit(data.Int(1<<53+1))),
+			cmp(op, col("g"), lit(data.Int(0))),
+			cmp(op, col("g"), lit(data.Double(math.Copysign(0, -1)))),
+			cmp(op, col("g"), lit(data.Double(-math.NaN()))),
+			cmp(op, col("g"), lit(data.Double(math.Inf(1)))),
+			cmp(op, col("f"), col("g")),
+			cmp(op, col("g"), col("f")),
+			cmp(op, col("g"), col("b")),
+			cmp(op, col("g"), col("g")),
+			cmp(op, col("d"), col("g")),
+			cmp(op, col("e"), lit(data.Double(math.NaN()))),
 		)
 	}
 	preds = append(preds,
@@ -324,7 +353,7 @@ func TestKindClassMatchesCompare(t *testing.T) {
 			ca, cb := kindClassOf(a.Kind()), kindClassOf(b.Kind())
 			if ca != cb {
 				want := data.Compare(a, b)
-				got := cmpInt(int64(ca), int64(cb))
+				got := data.CompareInt(int64(ca), int64(cb))
 				if got != want {
 					t.Fatalf("class order (%v,%v): %d, Compare %d", a, b, got, want)
 				}

@@ -177,29 +177,10 @@ func flipOp(op expr.CmpOp) expr.CmpOp {
 	return op // EQ, NE are symmetric
 }
 
-func cmpInt(a, b int64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
-}
-
-func cmpFloat(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
-}
-
 // evalCmp evaluates one comparison over the selection. Null operands
 // yield false (rows dropped), matching Cmp.Eval; cross-kind-class
-// comparisons order by kind class, matching data.Compare.
+// comparisons order by kind class, and numbers by data's number
+// comparisons, matching data.Compare.
 func (d *Data) evalCmp(t *expr.Cmp, sel []int32) []int32 {
 	lc, lIsCol := t.L.(*expr.Col)
 	rc, rIsCol := t.R.(*expr.Col)
@@ -258,7 +239,7 @@ func (d *Data) cmpColLit(op expr.CmpOp, v *Vec, lit data.Value, sel []int32) []i
 	}
 	litClass := kindClassOf(lit.Kind())
 	if litClass != v.class() {
-		return constVerdict(v, sel, opHolds(op, cmpInt(int64(v.class()), int64(litClass))))
+		return constVerdict(v, sel, opHolds(op, data.CompareInt(int64(v.class()), int64(litClass))))
 	}
 	out := make([]int32, 0, len(sel))
 	switch v.kind {
@@ -266,23 +247,32 @@ func (d *Data) cmpColLit(op expr.CmpOp, v *Vec, lit data.Value, sel []int32) []i
 		if lit.Kind() == data.KindInt {
 			li := lit.Int()
 			for _, i := range sel {
-				if !v.isNull(int(i)) && opHolds(op, cmpInt(v.ints[i], li)) {
+				if !v.isNull(int(i)) && opHolds(op, data.CompareInt(v.ints[i], li)) {
 					out = append(out, i)
 				}
 			}
 		} else {
 			lf := lit.Float()
 			for _, i := range sel {
-				if !v.isNull(int(i)) && opHolds(op, cmpFloat(float64(v.ints[i]), lf)) {
+				if !v.isNull(int(i)) && opHolds(op, data.CompareIntFloat(v.ints[i], lf)) {
 					out = append(out, i)
 				}
 			}
 		}
 	case vecFloat:
-		lf := lit.Float()
-		for _, i := range sel {
-			if !v.isNull(int(i)) && opHolds(op, cmpFloat(v.floats[i], lf)) {
-				out = append(out, i)
+		if lit.Kind() == data.KindInt {
+			li := lit.Int()
+			for _, i := range sel {
+				if !v.isNull(int(i)) && opHolds(op, -data.CompareIntFloat(li, v.floats[i])) {
+					out = append(out, i)
+				}
+			}
+		} else {
+			lf := lit.Float()
+			for _, i := range sel {
+				if !v.isNull(int(i)) && opHolds(op, data.CompareFloat(v.floats[i], lf)) {
+					out = append(out, i)
+				}
 			}
 		}
 	case vecStr:
@@ -312,7 +302,7 @@ func (d *Data) cmpColCol(op expr.CmpOp, a, b *Vec, sel []int32) []int32 {
 	}
 	bothNonNull := func(i int32) bool { return !a.isNull(int(i)) && !b.isNull(int(i)) }
 	if a.class() != b.class() {
-		keep := opHolds(op, cmpInt(int64(a.class()), int64(b.class())))
+		keep := opHolds(op, data.CompareInt(int64(a.class()), int64(b.class())))
 		if !keep {
 			return nil
 		}
@@ -324,11 +314,14 @@ func (d *Data) cmpColCol(op expr.CmpOp, a, b *Vec, sel []int32) []int32 {
 		}
 		return out
 	}
+	if a.kind == vecFloat && b.kind == vecInt {
+		return d.cmpColCol(flipOp(op), b, a, sel) // the mixed loop below is int-first
+	}
 	out := make([]int32, 0, len(sel))
 	switch {
 	case a.kind == vecInt && b.kind == vecInt:
 		for _, i := range sel {
-			if bothNonNull(i) && opHolds(op, cmpInt(a.ints[i], b.ints[i])) {
+			if bothNonNull(i) && opHolds(op, data.CompareInt(a.ints[i], b.ints[i])) {
 				out = append(out, i)
 			}
 		}
@@ -338,23 +331,20 @@ func (d *Data) cmpColCol(op expr.CmpOp, a, b *Vec, sel []int32) []int32 {
 				out = append(out, i)
 			}
 		}
-	default: // numeric with at least one float side: Compare uses float images
+	case a.kind == vecFloat: // b is vecFloat too
 		for _, i := range sel {
-			if bothNonNull(i) && opHolds(op, cmpFloat(a.floatAt(int(i)), b.floatAt(int(i)))) {
+			if bothNonNull(i) && opHolds(op, data.CompareFloat(a.floats[i], b.floats[i])) {
+				out = append(out, i)
+			}
+		}
+	default: // int column against double column, by exact value
+		for _, i := range sel {
+			if bothNonNull(i) && opHolds(op, data.CompareIntFloat(a.ints[i], b.floats[i])) {
 				out = append(out, i)
 			}
 		}
 	}
 	return out
-}
-
-// floatAt returns the float64 image of a numeric typed vector's row,
-// exactly as Value.Float would.
-func (v *Vec) floatAt(i int) float64 {
-	if v.kind == vecInt {
-		return float64(v.ints[i])
-	}
-	return v.floats[i]
 }
 
 // kindClassOf mirrors data's kind-class ordering (null < bool <

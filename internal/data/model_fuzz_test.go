@@ -2,8 +2,10 @@ package data
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"math"
+	"math/big"
 	"runtime"
 	"sort"
 	"strconv"
@@ -36,8 +38,9 @@ func (g *modelGen) u64() uint64 {
 }
 
 // edgeInts and edgeDoubles are the numbers Compare, Hash64 and
-// AppendNormKey treat specially: the float64 exact-integer boundary,
-// int/double twins, signed zero, the non-finite doubles.
+// AppendNormKey treat specially: the float64 exact-integer boundary and
+// the ints beyond it, int/double twins, signed zero, the non-finite
+// doubles.
 var (
 	edgeInts    = []int64{0, 2, -2, 1 << 53, -(1 << 53), 1<<53 + 1, -(1<<53 + 1), math.MaxInt64, math.MinInt64}
 	edgeDoubles = []float64{0, math.Copysign(0, -1), 2, -2, 1 << 53, -(1 << 53), math.NaN(), math.Inf(1), math.Inf(-1), 0.5}
@@ -170,44 +173,50 @@ func modelClass(m any) int {
 	return 5
 }
 
-func modelFloat(m any) float64 {
-	if i, ok := m.(int64); ok {
-		return float64(i)
+// modelNumCompare is the number order, exactly, through math/big: NaN
+// equals NaN and sorts above everything, -0.0 equals 0.
+func modelNumCompare(a, b any) int {
+	an, bn := modelIsNaN(a), modelIsNaN(b)
+	switch {
+	case an || bn:
+		return cmpBool(an, bn)
 	}
-	return m.(float64)
+	return modelBig(a).Cmp(modelBig(b))
 }
 
-func cmpOrdered[T int64 | float64](a, b T) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
+func modelIsNaN(m any) bool {
+	f, ok := m.(float64)
+	return ok && math.IsNaN(f)
+}
+
+func modelBig(m any) *big.Float {
+	if i, ok := m.(int64); ok {
+		return new(big.Float).SetInt64(i)
 	}
-	return 0 // also every comparison against NaN
+	return new(big.Float).SetFloat64(m.(float64))
+}
+
+// cmpBool orders false before true.
+func cmpBool(x, y bool) int {
+	switch {
+	case x == y:
+		return 0
+	case y:
+		return -1
+	}
+	return 1
 }
 
 // modelCompare is Compare's documented order, over the model.
 func modelCompare(a, b any) int {
 	if ca, cb := modelClass(a), modelClass(b); ca != cb {
-		return cmpOrdered(int64(ca), int64(cb))
+		return cmp.Compare(ca, cb)
 	}
 	switch x := a.(type) {
 	case bool:
-		y := b.(bool)
-		if x == y {
-			return 0
-		} else if y {
-			return -1
-		}
-		return 1
-	case int64:
-		if y, ok := b.(int64); ok {
-			return cmpOrdered(x, y)
-		}
-		return cmpOrdered(modelFloat(a), modelFloat(b))
-	case float64:
-		return cmpOrdered(x, modelFloat(b))
+		return cmpBool(x, b.(bool))
+	case int64, float64:
+		return modelNumCompare(a, b)
 	case string:
 		return strings.Compare(x, b.(string))
 	case []any:
@@ -234,8 +243,9 @@ func modelCompare(a, b any) int {
 	return 0
 }
 
-// modelTwin swaps every exactly representable int for the equal double
-// and back (2 <-> 2.0): a different tree that must compare, hash and
+// modelTwin swaps every int for the equal double where one exists and
+// back (2 <-> 2.0, 2^60 <-> 2^60.0, -0.0 -> 0), and every NaN for the
+// NaN of the other sign: a different tree that must compare, hash and
 // normalize the same.
 func modelTwin(m any) (Value, any) {
 	switch x := m.(type) {
@@ -244,12 +254,15 @@ func modelTwin(m any) (Value, any) {
 	case bool:
 		return Bool(x), x
 	case int64:
-		if x >= -maxExactInt && x <= maxExactInt {
-			return Double(float64(x)), float64(x)
+		if f := float64(x); f < 0x1p63 && int64(f) == x {
+			return Double(f), f
 		}
 		return Int(x), x
 	case float64:
-		if x == math.Trunc(x) && math.Abs(x) <= float64(maxExactInt) {
+		if math.IsNaN(x) {
+			return Double(-x), -x
+		}
+		if x == math.Trunc(x) && x >= -0x1p63 && x < 0x1p63 {
 			return Int(int64(x)), int64(x)
 		}
 		return Double(x), x
@@ -268,54 +281,6 @@ func modelTwin(m any) (Value, any) {
 		fields[k], tm[k] = modelTwin(e)
 	}
 	return ObjectFromMap(fields), tm
-}
-
-// modelFind reports whether pred holds for any node of the tree.
-func modelFind(m any, pred func(any) bool) bool {
-	if pred(m) {
-		return true
-	}
-	switch x := m.(type) {
-	case []any:
-		for _, e := range x {
-			if modelFind(e, pred) {
-				return true
-			}
-		}
-	case map[string]any:
-		for _, e := range x {
-			if modelFind(e, pred) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// Two holes the encodings had before the fuzzer existed, and keep: the
-// goldens pin Hash64 and AppendNormKey byte for byte, and no data in
-// this repository reaches either (ROADMAP item 6).
-
-// modelHashQuirk: Compare calls NaN equal to every number and -0.0
-// equal to 0, while Hash64 hashes the float image's bits, so "equal
-// values hash equal" exempts trees holding either.
-func modelHashQuirk(m any) bool {
-	return modelFind(m, func(m any) bool {
-		f, ok := m.(float64)
-		return ok && (math.IsNaN(f) || (f == 0 && math.Signbit(f)))
-	})
-}
-
-// modelNormKeyQuirk: an empty field name normalizes to 0x00 0x00, whose
-// first byte is the object terminator, so inside an array {} followed
-// by anything can sort after {"": ...} though Compare puts the shorter
-// object first. "Normalized keys order as Compare" exempts such trees.
-func modelNormKeyQuirk(m any) bool {
-	return modelFind(m, func(m any) bool {
-		o, _ := m.(map[string]any)
-		_, has := o[""]
-		return has
-	})
 }
 
 // checkAgainstModel holds every accessor of v — the right-kind ones and
@@ -396,6 +361,8 @@ func FuzzValueModel(f *testing.F) {
 	f.Add([]byte{4, 3, 'a', 0, 'b', 4, 3, 'a', 0, 0, 4, 2, 'a', 0})                                          // NUL-bearing strings
 	f.Add([]byte{6, 3, 1, 'b', 2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 'a', 5, 2, 4, 1, 'x', 0, 1, 'b', 1, 1})      // unsorted object, duplicate name, nested array
 	f.Add([]byte{5, 3, 6, 1, 2, 'k', 0, 4, 6, 0xff, 0xfe, '"', '\\', '\n', 0, 3, 0, 0, 0, 0, 0, 0, 0xf0, 0x7f, 1, 1, 1})
+	f.Add([]byte{5, 2, 6, 0, 6, 0, 5, 1, 6, 1, 0, 0})                                  // [{},{}] vs [{"":null}]
+	f.Add([]byte{2, 1, 0, 0, 0, 0, 0, 0x20, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0x40, 0x43, 0}) // 2^53+1 vs 2^53 as a double
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		g := &modelGen{b: raw}
 		var vs [3]Value
@@ -413,7 +380,6 @@ func FuzzValueModel(f *testing.F) {
 		defer runtime.KeepAlive(churn)
 
 		var nks [3][]byte
-		var enc [3]bool
 		for i, v := range vs {
 			checkAgainstModel(t, v, ms[i])
 			var sb strings.Builder
@@ -424,17 +390,20 @@ func FuzzValueModel(f *testing.F) {
 			if v.EncodedSize() != size {
 				t.Fatalf("EncodedSize(%s) = %d, model %d", v, v.EncodedSize(), size)
 			}
-			nks[i], enc[i] = AppendNormKey(nil, v)
+			var ok bool
+			if nks[i], ok = AppendNormKey(nil, v); !ok {
+				t.Fatalf("AppendNormKey(%s) not ok", v)
+			}
 
 			tw, tm := modelTwin(ms[i])
 			checkAgainstModel(t, tw, tm)
 			if !Equal(v, tw) {
-				t.Fatalf("%s != its int/double twin %s", v, tw)
+				t.Fatalf("%s != its twin %s", v, tw)
 			}
-			if !modelHashQuirk(ms[i]) && Hash64(v) != Hash64(tw) {
+			if Hash64(v) != Hash64(tw) {
 				t.Fatalf("%s and its twin %s hash apart", v, tw)
 			}
-			if tnk, ok := AppendNormKey(nil, tw); ok != enc[i] || (ok && !bytes.Equal(tnk, nks[i])) {
+			if tnk, _ := AppendNormKey(nil, tw); !bytes.Equal(tnk, nks[i]) {
 				t.Fatalf("%s and its twin %s normalize apart", v, tw)
 			}
 		}
@@ -444,18 +413,18 @@ func FuzzValueModel(f *testing.F) {
 				if c != modelCompare(ms[i], ms[j]) || sign(c) != -sign(Compare(vs[j], vs[i])) {
 					t.Fatalf("Compare(%s, %s) = %d, reverse %d, model %d", vs[i], vs[j], c, Compare(vs[j], vs[i]), modelCompare(ms[i], ms[j]))
 				}
-				if c == 0 && !modelHashQuirk(ms[i]) && !modelHashQuirk(ms[j]) && Hash64(vs[i]) != Hash64(vs[j]) {
+				if c == 0 && Hash64(vs[i]) != Hash64(vs[j]) {
 					t.Fatalf("%s == %s but they hash apart", vs[i], vs[j])
 				}
-				// Where both keys are encodable the order is total and
-				// the normalized keys carry it (hence transitivity).
-				if enc[i] && enc[j] && !modelNormKeyQuirk(ms[i]) && !modelNormKeyQuirk(ms[j]) && sign(bytes.Compare(nks[i], nks[j])) != sign(c) {
+				if sign(bytes.Compare(nks[i], nks[j])) != sign(c) {
 					t.Fatalf("normalized keys order %s, %s as %d, Compare as %d", vs[i], vs[j], bytes.Compare(nks[i], nks[j]), c)
 				}
+				for k := range vs {
+					if c <= 0 && Compare(vs[j], vs[k]) <= 0 && Compare(vs[i], vs[k]) > 0 {
+						t.Fatalf("Compare is not transitive on %s, %s, %s", vs[i], vs[j], vs[k])
+					}
+				}
 			}
-		}
-		if enc[0] && enc[1] && enc[2] && Compare(vs[0], vs[1]) <= 0 && Compare(vs[1], vs[2]) <= 0 && Compare(vs[0], vs[2]) > 0 {
-			t.Fatalf("Compare is not transitive on %s, %s, %s", vs[0], vs[1], vs[2])
 		}
 	})
 }

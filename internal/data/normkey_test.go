@@ -50,14 +50,7 @@ func TestNormKeyPropertyOrderMatchesCompare(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		a, b := randomValue(r, 3), randomValue(r, 3)
-		ka, oka := AppendNormKey(nil, a)
-		kb, okb := AppendNormKey(nil, b)
-		if !oka || !okb {
-			// randomValue never emits NaN or |int| > 2^53.
-			t.Logf("unexpected unencodable value: %s / %s", a, b)
-			return false
-		}
-		return sign(bytes.Compare(ka, kb)) == sign(Compare(a, b))
+		return sign(bytes.Compare(mustNormKey(t, a), mustNormKey(t, b))) == sign(Compare(a, b))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
@@ -108,28 +101,35 @@ func TestNormKeyDistinctValuesDistinctKeys(t *testing.T) {
 	}
 }
 
+// TestNormKeyUnencodable: the values the encoding once refused — NaN,
+// integers beyond ±2^53, and containers holding them — encode, and order
+// exactly as Compare among themselves and against their neighbours.
 func TestNormKeyUnencodable(t *testing.T) {
-	bad := []Value{
-		Double(math.NaN()),
-		Int(maxExactInt + 1),
-		Int(-maxExactInt - 1),
-		Int(math.MaxInt64),
-		Int(math.MinInt64),
-		Array(Int(1), Double(math.NaN())),
+	const big = maxExactInt
+	vals := []Value{
+		Double(math.Inf(-1)), Int(math.MinInt64), Double(-0x1p63), Int(math.MinInt64 + 1),
+		Int(-big - 3), Int(-big - 2), Int(-big - 1), Double(float64(-big)), Int(-big), Int(-big + 1),
+		Int(-1), Double(math.Copysign(0, -1)), Int(0), Double(0.5),
+		Int(big - 1), Int(big), Double(float64(big)), Int(big + 1), Double(float64(big + 2)), Int(big + 2), Int(big + 3),
+		Int(1<<62 + 1023), Double(0x1p62 + 1024), Int(math.MaxInt64 - 1), Int(math.MaxInt64), Double(0x1p63),
+		Double(math.Inf(1)), Double(math.NaN()), Double(-math.NaN()), Double(math.Float64frombits(0x7ff0000000000001)),
+		Array(Int(1), Double(math.NaN())), Array(Int(1), Double(math.NaN()), Int(0)),
+		Array(Int(big+1), Null()), Array(Int(big+1), Int(0)),
 		Object(Field{Name: "x", Value: Int(math.MaxInt64)}),
+		Array(Object(), Object()), Array(Object(Field{Name: "", Value: Null()})),
 	}
-	for _, v := range bad {
-		if _, ok := AppendNormKey(nil, v); ok {
-			t.Errorf("AppendNormKey(%s) = ok, want unencodable", v)
+	for i, a := range vals {
+		ka, ok := AppendNormKey(nil, a)
+		if !ok {
+			t.Fatalf("AppendNormKey(%s) not ok", a)
 		}
-		if _, ok := NormKey(v); ok {
-			t.Errorf("NormKey(%s) = ok, want unencodable", v)
+		if string(ka) != NormKey(a) {
+			t.Fatalf("NormKey(%s) differs from AppendNormKey", a)
 		}
-	}
-	// Boundary values are still encodable.
-	for _, v := range []Value{Int(maxExactInt), Int(-maxExactInt)} {
-		if _, ok := NormKey(v); !ok {
-			t.Errorf("NormKey(%s) unencodable, want ok", v)
+		for j, b := range vals {
+			if got, want := sign(bytes.Compare(ka, mustNormKey(t, b))), sign(Compare(a, b)); got != want {
+				t.Errorf("vals[%d]=%s vs vals[%d]=%s: bytes.Compare=%d, Compare=%d", i, a, j, b, got, want)
+			}
 		}
 	}
 }
@@ -165,8 +165,7 @@ func BenchmarkNormKeyEncode(b *testing.B) {
 func BenchmarkNormKeyCompareVsDataCompare(b *testing.B) {
 	x := Array(Int(123456), String("BRAZIL"), Double(1995.5))
 	y := Array(Int(123456), String("BRAZIL"), Double(1996.5))
-	kx, _ := NormKey(x)
-	ky, _ := NormKey(y)
+	kx, ky := NormKey(x), NormKey(y)
 	b.Run("normkey", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

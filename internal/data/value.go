@@ -385,8 +385,11 @@ func mergeFields(dst, af, bf []Field) []Field {
 	return append(dst, bf[j:]...)
 }
 
-// Compare totally orders two values: first by kind class (numbers compare
-// across int/double), then by payload. It returns -1, 0, or +1.
+// Compare totally orders two values: first by kind class, then by
+// payload. Numbers compare by exact value across int and double
+// (CompareInt, CompareFloat, CompareIntFloat): -0.0 equals 0, and every
+// NaN equals every other NaN and sorts above +Inf. It returns -1, 0, or
+// +1. AppendNormKey encodes this order and Hash64 respects its equality.
 func Compare(a, b Value) int {
 	ca, cb := kindClass(a.Kind()), kindClass(b.Kind())
 	if ca != cb {
@@ -398,27 +401,16 @@ func Compare(a, b Value) int {
 	switch a.Kind() {
 	case KindBool:
 		return int(a.n) - int(b.n)
-	case KindInt, KindDouble:
-		if a.Kind() == KindInt && b.Kind() == KindInt {
-			ai, bi := int64(a.n), int64(b.n)
-			switch {
-			case ai < bi:
-				return -1
-			case ai > bi:
-				return 1
-			default:
-				return 0
-			}
+	case KindInt:
+		if b.Kind() == KindDouble {
+			return CompareIntFloat(int64(a.n), math.Float64frombits(b.n))
 		}
-		af, bf := a.Float(), b.Float()
-		switch {
-		case af < bf:
-			return -1
-		case af > bf:
-			return 1
-		default:
-			return 0
+		return CompareInt(int64(a.n), int64(b.n))
+	case KindDouble:
+		if b.Kind() == KindInt {
+			return -CompareIntFloat(int64(b.n), math.Float64frombits(a.n))
 		}
+		return CompareFloat(math.Float64frombits(a.n), math.Float64frombits(b.n))
 	case KindString:
 		return strings.Compare(a.Str(), b.Str())
 	case KindArray:
@@ -444,6 +436,69 @@ func Compare(a, b Value) int {
 		return len(af) - len(bf)
 	}
 	return 0
+}
+
+// CompareInt orders two ints.
+func CompareInt(a, b int64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
+}
+
+// CompareFloat orders two doubles as Compare does: -0.0 equals 0, NaN
+// equals NaN and sorts above +Inf.
+func CompareFloat(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	case a == b:
+		return 0
+	case a != a: // NaN: equal to NaN, above every number
+		if b != b {
+			return 0
+		}
+		return 1
+	}
+	return -1 // b is NaN, a is not
+}
+
+// CompareIntFloat orders an int against a double by exact value, with
+// no rounding at ±2^53: Int(2^53+1) is above Double(2^53). NaN is above
+// every int.
+func CompareIntFloat(i int64, f float64) int {
+	// Rounding is monotonic, so a strict order of the int's float image
+	// is the int's own order. Equal images leave f integral and within
+	// [-2^63, 2^63], exactly comparable as an int below 2^63.
+	fi := float64(i)
+	switch {
+	case fi < f:
+		return -1
+	case fi > f:
+		return 1
+	case fi != f: // NaN
+		return -1
+	case f >= 0x1p63:
+		return -1
+	}
+	return CompareInt(i, int64(f))
+}
+
+// canonFloat folds the doubles Compare cannot tell apart onto one
+// representative: -0.0 onto 0, every NaN onto one positive quiet NaN.
+func canonFloat(f float64) float64 {
+	if f == 0 {
+		return 0
+	}
+	if f != f {
+		return math.NaN()
+	}
+	return f
 }
 
 // kindClass groups int and double so they compare as numbers.
@@ -476,9 +531,9 @@ const (
 )
 
 // Hash64 returns a 64-bit FNV-1a hash of the value. Values that compare
-// equal hash equal (ints and integral doubles included). The result is
-// byte-for-byte identical to hashing the same traversal through
-// hash/fnv.New64a.
+// equal hash equal (ints and integral doubles, -0.0 and 0, every NaN).
+// The result is byte-for-byte identical to hashing the same traversal
+// through hash/fnv.New64a.
 func Hash64(v Value) uint64 {
 	return hashValue(fnvOffset64, v)
 }
@@ -494,21 +549,32 @@ func hashString(h uint64, s string) uint64 {
 	return h
 }
 
+// hashNumber hashes a number by its float64 image.
+func hashNumber(h uint64, f float64) uint64 {
+	h = hashByte(h, 2)
+	bits := math.Float64bits(f)
+	for i := 0; i < 8; i++ {
+		h = hashByte(h, byte(bits>>(8*i)))
+	}
+	return h
+}
+
 func hashValue(h uint64, v Value) uint64 {
 	switch v.Kind() {
 	case KindNull:
 		return hashByte(h, 0)
 	case KindBool:
 		return hashByte(hashByte(h, 1), byte(v.n))
-	case KindInt, KindDouble:
-		// Hash numbers by their float64 image so 2 and 2.0 collide,
-		// matching Compare's cross-kind equality.
-		h = hashByte(h, 2)
-		bits := math.Float64bits(v.Float())
-		for i := 0; i < 8; i++ {
-			h = hashByte(h, byte(bits>>(8*i)))
+	case KindInt:
+		// Hash numbers by their canonical float64 image so 2 and 2.0,
+		// -0.0 and 0, and all NaNs collide, as Compare equates them.
+		return hashNumber(h, float64(int64(v.n)))
+	case KindDouble:
+		f := math.Float64frombits(v.n)
+		if f == 0 || f != f { // -0.0 or NaN; unguarded, Hash64 read 5-15 % slower
+			f = canonFloat(f)
 		}
-		return h
+		return hashNumber(h, f)
 	case KindString:
 		return hashString(hashByte(h, 3), v.Str())
 	case KindArray:

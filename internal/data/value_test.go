@@ -216,11 +216,39 @@ func TestCompareCrossNumeric(t *testing.T) {
 	if Compare(Double(3.5), Int(3)) != 1 {
 		t.Error("3.5 > 3")
 	}
+	// Exact at ±2^53, where float images collide; ±0 equal; NaN one
+	// value above +Inf.
+	nan, big := math.NaN(), int64(1)<<53
+	for _, c := range []struct {
+		a, b Value
+		want int
+	}{
+		{Int(big + 1), Double(float64(big)), 1},
+		{Int(big), Double(float64(big)), 0},
+		{Int(-big - 1), Double(float64(-big)), -1},
+		{Int(math.MaxInt64), Double(0x1p63), -1},
+		{Int(math.MinInt64), Double(-0x1p63), 0},
+		{Double(math.Copysign(0, -1)), Int(0), 0},
+		{Double(math.Copysign(0, -1)), Double(0), 0},
+		{Double(nan), Double(-nan), 0},
+		{Double(nan), Double(math.Inf(1)), 1},
+		{Double(nan), Int(math.MaxInt64), 1},
+		{Double(math.Inf(-1)), Int(math.MinInt64), -1},
+	} {
+		if got := Compare(c.a, c.b); got != c.want {
+			t.Errorf("Compare(%v, %v) = %d, want %d", c.a, c.b, got, c.want)
+		}
+		if got := Compare(c.b, c.a); got != -c.want {
+			t.Errorf("Compare(%v, %v) = %d, want %d", c.b, c.a, got, -c.want)
+		}
+	}
 }
 
 func TestHashEqualValuesCollide(t *testing.T) {
 	pairs := [][2]Value{
 		{Int(2), Double(2.0)},
+		{Int(0), Double(math.Copysign(0, -1))},
+		{Double(math.NaN()), Double(-math.NaN())},
 		{Object(Field{"a", Int(1)}, Field{"b", Int(2)}), Object(Field{"b", Int(2)}, Field{"a", Int(1)})},
 		{Array(String("x")), Array(String("x"))},
 	}
@@ -406,7 +434,8 @@ func sign(x int) int {
 
 // fnvReference reproduces Hash64's traversal through the standard
 // library's hash/fnv, pinning the inlined implementation to the exact
-// byte stream the pre-optimization code hashed.
+// byte stream the pre-optimization code hashed — except that -0.0 and
+// NaN hash as 0 and one NaN, the values Compare cannot tell apart.
 func fnvReference(v Value) uint64 {
 	h := fnv.New64a()
 	var walk func(Value)
@@ -423,7 +452,14 @@ func fnvReference(v Value) uint64 {
 			}
 		case KindInt, KindDouble:
 			h.Write([]byte{2})
-			bits := math.Float64bits(v.Float())
+			f := v.Float()
+			switch {
+			case f == 0:
+				f = 0
+			case math.IsNaN(f):
+				f = math.NaN()
+			}
+			bits := math.Float64bits(f)
 			var buf [8]byte
 			for i := 0; i < 8; i++ {
 				buf[i] = byte(bits >> (8 * i))
@@ -455,7 +491,7 @@ func fnvReference(v Value) uint64 {
 func TestHash64MatchesFNVReference(t *testing.T) {
 	fixed := []Value{
 		Null(), Bool(true), Bool(false), Int(0), Int(-42), Double(3.25),
-		String(""), String("acme corp"), Array(), Array(Int(1), String("x")),
+		Double(math.Copysign(0, -1)), Double(-math.NaN()), String(""), String("acme corp"), Array(), Array(Int(1), String("x")),
 		Object(Field{Name: "k", Value: Int(7)}, Field{Name: "s", Value: String("v")}),
 	}
 	for _, v := range fixed {

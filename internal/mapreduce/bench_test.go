@@ -62,7 +62,7 @@ func BenchmarkRepartitionJoinJob(b *testing.B) {
 				{File: left, Map: func(mc *MapCtx, rec data.Value) { mc.EmitKV(keyL.Eval(rec), "L", rec) }},
 				{File: right, Map: func(mc *MapCtx, rec data.Value) { mc.EmitKV(keyR.Eval(rec), "R", rec) }},
 			},
-			Reduce: func(rc *ReduceCtx, key data.Value, group []Tagged) {
+			Reduce: func(rc *ReduceCtx, key data.Value, group []Pair) {
 				var rs []data.Value
 				for _, g := range group {
 					if g.Tag == "R" {
@@ -133,7 +133,7 @@ func BenchmarkShuffle(b *testing.B) {
 			Inputs: []Input{{File: f, Map: func(mc *MapCtx, rec data.Value) {
 				mc.EmitKV(key.Eval(rec), "L", rec)
 			}}},
-			Reduce: func(rc *ReduceCtx, key data.Value, group []Tagged) {
+			Reduce: func(rc *ReduceCtx, key data.Value, group []Pair) {
 				for _, g := range group {
 					rc.Emit(g.Rec)
 				}

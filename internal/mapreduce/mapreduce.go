@@ -179,17 +179,13 @@ type Broadcast struct {
 	BatchMap BatchFunc
 }
 
-// HashTable is an in-memory build side indexed by join key. Buckets are
-// keyed by the normalized key encoding (exact equality, no collision
-// re-checks on probe); a build side containing an unencodable key is
-// demoted to data.Hash64 buckets with per-candidate equality checks.
-// Both return identical probe results: the rows whose key equals the
-// probe key, in build scan order.
+// HashTable is an in-memory build side indexed by join key: its rows
+// bucketed by the key's normalized encoding, which is equality under
+// data.Compare, so a probe is one map lookup with no re-checks. A
+// bucket holds the rows whose key equals the probe key, in build scan
+// order.
 type HashTable struct {
-	nkBuckets  map[string][]data.Value // normalized key -> rows (scan order)
-	scanRows   []data.Value            // all rows in scan order, for unencodable probes
-	buckets    map[uint64][]data.Value // demoted: key hash -> candidate rows
-	keyPaths   []data.Path
+	buckets    map[string][]data.Value // normalized key -> rows (scan order)
 	rows       int
 	builtBytes int64   // virtual size of the retained (filtered) rows
 	prepCPU    float64 // one-time UDF cost to produce the (filtered) build
@@ -233,7 +229,7 @@ func scanBuild(reg *expr.Registry, b Broadcast, blocks []Split, vsize func(data.
 	} else {
 		par(len(blocks), scan)
 	}
-	ht := &HashTable{keyPaths: b.KeyPaths}
+	ht := &HashTable{}
 	for i, out := range outs {
 		if errs[i] != nil {
 			return nil, nil, errs[i]
@@ -250,22 +246,11 @@ func scanBuild(reg *expr.Registry, b Broadcast, blocks []Split, vsize func(data.
 
 // index buckets the scanned pairs by normalized key, in scan order.
 func (h *HashTable) index(outs []*MapOutput) {
-	h.nkBuckets, h.scanRows = make(map[string][]data.Value), make([]data.Value, 0, h.rows)
+	h.buckets = make(map[string][]data.Value)
 	for _, out := range outs {
 		for i := range out.Parts[0] {
 			p := &out.Parts[0][i]
-			if h.nkBuckets != nil {
-				if p.nk != "" {
-					h.nkBuckets[p.nk] = append(h.nkBuckets[p.nk], p.Rec)
-					h.scanRows = append(h.scanRows, p.Rec)
-					continue
-				}
-				// Unencodable build key: demote the whole table to the
-				// hash index so probe semantics stay uniform.
-				h.demote()
-			}
-			k := data.Hash64(p.Key)
-			h.buckets[k] = append(h.buckets[k], p.Rec)
+			h.buckets[p.nk] = append(h.buckets[p.nk], p.Rec)
 		}
 	}
 }
@@ -280,86 +265,25 @@ func BuildHashTable(reg *expr.Registry, b Broadcast, blocks []Split, vsize func(
 	return ht, err
 }
 
-// demote converts a partially built normalized-key index into the hash
-// index, preserving scan order within each hash bucket.
-func (h *HashTable) demote() {
-	h.buckets = make(map[uint64][]data.Value)
-	for _, row := range h.scanRows {
-		hh := data.Hash64(CompositeKey(row, h.keyPaths))
-		h.buckets[hh] = append(h.buckets[hh], row)
-	}
-	h.nkBuckets = nil
-	h.scanRows = nil
-}
-
 // Probe returns the build rows whose key equals k, in build scan order.
-// The returned slice aliases the table's bucket in the common case and
-// must not be mutated; probes are safe from concurrent tasks because
-// buckets are read-only after the build.
+// The returned slice aliases the table's bucket and must not be
+// mutated; probes are safe from concurrent tasks because buckets are
+// read-only after the build.
 func (h *HashTable) Probe(k data.Value) []data.Value {
-	if h.nkBuckets != nil {
-		var arr [48]byte
-		if nk, ok := data.AppendNormKey(arr[:0], k); ok {
-			return h.nkBuckets[string(nk)]
-		}
-		// Unencodable probe key (never produced by TPC-H): exhaustive
-		// scan in build order, matching the hash index's results exactly.
-		var out []data.Value
-		for _, r := range h.scanRows {
-			if data.Equal(CompositeKey(r, h.keyPaths), k) {
-				out = append(out, r)
-			}
-		}
-		return out
-	}
-	cands := h.buckets[data.Hash64(k)]
-	if len(cands) == 0 {
-		return nil
-	}
-	for i, r := range cands {
-		if !data.Equal(CompositeKey(r, h.keyPaths), k) {
-			// Collision: fall back to copying the true matches.
-			out := make([]data.Value, 0, len(cands)-1)
-			out = append(out, cands[:i]...)
-			for _, r2 := range cands[i+1:] {
-				if data.Equal(CompositeKey(r2, h.keyPaths), k) {
-					out = append(out, r2)
-				}
-			}
-			return out
-		}
-	}
-	return cands
+	var arr [48]byte
+	nk, _ := data.AppendNormKey(arr[:0], k)
+	return h.buckets[string(nk)]
 }
 
-// FastIndexed reports whether the table is indexed by normalized key,
-// i.e. ProbeNK answers probes for encodable keys. False for tables
-// demoted by an unencodable build key.
-func (h *HashTable) FastIndexed() bool { return h.nkBuckets != nil }
+// ProbeNK is Probe for a key already normalized: nk must be the probe
+// key's normalized encoding. The batch probe arm uses it with the
+// split's pre-computed (interned) key encodings.
+func (h *HashTable) ProbeNK(nk string) []data.Value { return h.buckets[nk] }
 
-// ProbeNK returns the build rows whose key normalizes to nk, in build
-// scan order. Valid only when FastIndexed() is true and nk is the
-// non-empty normalized encoding of the probe key; it is then exactly
-// Probe(key) without re-normalizing. The batch probe arm uses this with
-// pre-computed (interned) key encodings.
-func (h *HashTable) ProbeNK(nk string) []data.Value { return h.nkBuckets[nk] }
-
-// CompositeKey evaluates the key columns over a row. A single path
-// yields the bare value; multiple paths yield an array, so single- and
-// multi-column join keys hash consistently on both sides.
-func CompositeKey(row data.Value, paths []data.Path) data.Value {
-	if len(paths) == 1 {
-		return paths[0].Eval(row)
-	}
-	vals := make([]data.Value, len(paths))
-	for i, p := range paths {
-		vals[i] = p.Eval(row)
-	}
-	return data.Array(vals...)
-}
-
-// CompositeKeyCompiled is CompositeKey through compiled accessors; the
-// accessors must have been compiled from the same paths, in order.
+// CompositeKeyCompiled evaluates the key columns over a row through
+// compiled accessors. A single accessor yields the bare value; several
+// yield an array, so single- and multi-column join keys hash
+// consistently on both sides.
 func CompositeKeyCompiled(row data.Value, accs []*data.Accessor) data.Value {
 	if len(accs) == 1 {
 		return accs[0].Eval(row)

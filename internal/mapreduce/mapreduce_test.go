@@ -127,7 +127,7 @@ func TestRepartitionJoin(t *testing.T) {
 				mc.EmitKV(keyR.Eval(rec), "R", rec)
 			}},
 		},
-		Reduce: func(rc *ReduceCtx, key data.Value, group []Tagged) {
+		Reduce: func(rc *ReduceCtx, key data.Value, group []Pair) {
 			var ls, rs []data.Value
 			for _, g := range group {
 				if g.Tag == "L" {
@@ -330,7 +330,7 @@ func TestReduceStatsCollected(t *testing.T) {
 	res, err := Run(env, Spec{
 		Name:   "grp",
 		Inputs: []Input{{File: f, Map: func(mc *MapCtx, rec data.Value) { mc.EmitKV(key.Eval(rec), "", rec) }}},
-		Reduce: func(rc *ReduceCtx, k data.Value, group []Tagged) {
+		Reduce: func(rc *ReduceCtx, k data.Value, group []Pair) {
 			rc.Emit(data.Object(
 				data.Field{Name: "g", Value: data.Object(
 					data.Field{Name: "grp", Value: k},
@@ -446,7 +446,7 @@ func TestDefaultReducersScaleWithInput(t *testing.T) {
 	j, err := NewJob(env, Spec{
 		Name:   "auto",
 		Inputs: []Input{{File: f, Map: func(mc *MapCtx, rec data.Value) { mc.EmitKV(key.Eval(rec), "", rec) }}},
-		Reduce: func(rc *ReduceCtx, k data.Value, group []Tagged) {},
+		Reduce: func(rc *ReduceCtx, k data.Value, group []Pair) {},
 		Output: "o",
 	})
 	if err != nil {

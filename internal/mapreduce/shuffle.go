@@ -21,24 +21,21 @@ import (
 //     placement, so it never depends on the encoding.
 //   - A map task's shuffle buckets are windows of one array (exact ones
 //     when a columnar kernel counted its output first); gathered reduce
-//     inputs, row slices and per-group Tagged slabs are recycled through
-//     sync.Pools across tasks and jobs.
+//     inputs and row slices are recycled through sync.Pools across tasks
+//     and jobs, and a key group is its window of the sorted pairs.
 //   - Broadcast hash tables index build rows by normalized key, turning
 //     probes into exact map lookups with no collision re-checks.
 //
-// Keys the normalized encoding cannot represent consistently with
-// data.Compare (NaN, integers beyond ±2^53 — see data.AppendNormKey)
-// carry an empty nk, and any batch containing one falls back to
-// Compare-based sorting wholesale, so ordering is correct for every
-// input, not just the common domain.
+// Every value has a normalized key that orders as data.Compare does, so
+// these are the only sort and the only grouping, for every input.
 //
 // Why one unstable sort reproduces two stable ones. Reduce order is the
 // stable sort of a partition's pairs, in map submission order, by
 // data.Compare on the key — on the controller and on a worker alike. A
 // stable sort's output is the one permutation ordered by (key, input
 // index): a total order without ties, so any correct sort of it, stable
-// or not, yields that permutation. The normalized encoding orders
-// encodable keys as data.Compare does, and its first 8 bytes (big-endian,
+// or not, yields that permutation. The normalized encoding orders keys
+// as data.Compare does, and its first 8 bytes (big-endian,
 // zero-padded: 0x00 is the encoding's terminator and sorts below every
 // element) never order two keys against their full encodings. So
 // (prefix, nk, index) is (Compare, index), and SortPairsByKey sorts one
@@ -53,9 +50,9 @@ type sortEnt struct {
 
 // SortPairsByKey sorts shuffle pairs into reduce key order — the stable
 // order by data.Compare on the key — in place. Pairs that arrive without
-// a normalized key (decoded from a frame) are given one first; the
-// data.Compare comparator runs only when some key is unencodable.
+// a normalized key (decoded from a frame) are given one first.
 func SortPairsByKey(pairs []Pair) {
+	fillNormKeys(pairs)
 	if len(pairs) < 2 {
 		return
 	}
@@ -67,14 +64,6 @@ func SortPairsByKey(pairs []Pair) {
 			return c
 		}
 		return cmp.Compare(a.i, b.i)
-	}
-	if !fillNormKeys(pairs) {
-		order = func(a, b sortEnt) int {
-			if c := data.Compare(pairs[a.i].Key, pairs[b.i].Key); c != 0 {
-				return c
-			}
-			return cmp.Compare(a.i, b.i)
-		}
 	}
 	ents := make([]sortEnt, len(pairs))
 	for i := range pairs {
@@ -111,32 +100,20 @@ func nkPrefix(nk string) uint64 {
 	return binary.BigEndian.Uint64(b[:])
 }
 
-// fillNormKeys normalizes the key of every pair that has no nk, into one
-// buffer the pairs share, and reports whether every key is encodable.
-func fillNormKeys(pairs []Pair) bool {
+// fillNormKeys normalizes the key of every pair that has no nk (every
+// encoding is at least one byte), into one buffer the pairs share.
+func fillNormKeys(pairs []Pair) {
 	var all strings.Builder // a returned String stays valid across later writes
 	var buf []byte
 	for i := range pairs {
 		if pairs[i].nk != "" {
 			continue
 		}
-		var ok bool
-		if buf, ok = data.AppendNormKey(buf[:0], pairs[i].Key); !ok {
-			return false
-		}
+		buf, _ = data.AppendNormKey(buf[:0], pairs[i].Key)
 		at := all.Len()
 		all.Write(buf)
 		pairs[i].nk = all.String()[at:]
 	}
-	return true
-}
-
-// samePairKey reports whether two adjacent sorted pairs share a key.
-func samePairKey(a, b *Pair) bool {
-	if a.nk != "" && b.nk != "" {
-		return a.nk == b.nk
-	}
-	return data.Equal(a.Key, b.Key)
 }
 
 // Pools recycle the shuffle's large transient buffers across tasks and
@@ -145,9 +122,8 @@ func samePairKey(a, b *Pair) bool {
 // (every Run closure executes at most once, so no retry can observe a
 // recycled buffer).
 var (
-	pairSlices  slicePool[Pair]
-	taggedSlabs slicePool[Tagged]
-	rowSlices   slicePool[data.Value]
+	pairSlices slicePool[Pair]
+	rowSlices  slicePool[data.Value]
 )
 
 type slicePool[T any] struct{ p sync.Pool } // of *[]T

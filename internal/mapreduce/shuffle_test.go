@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -19,24 +20,21 @@ import (
 // encoded strings, the normalized-key table index, pooled buffers)
 // must be indistinguishable from.
 
-// TestPairLayout: shuffle buckets, gathered reduce inputs and group
-// slabs are arrays of these two structs, so their size is the unit of
-// the shuffle's allocation and copy cost. Both are two strings' worth
-// of headers plus data.Value's three words each.
+// TestPairLayout: shuffle buckets, gathered reduce inputs and the key
+// groups reducers see are arrays of Pair, so its size is the unit of the
+// shuffle's allocation and copy cost: two strings' worth of headers plus
+// data.Value's three words twice.
 func TestPairLayout(t *testing.T) {
 	if sz := reflect.TypeOf(Pair{}).Size(); sz > 80 {
 		t.Errorf("Sizeof(Pair) = %d, want <= 80", sz)
-	}
-	if sz := reflect.TypeOf(Tagged{}).Size(); sz > 40 {
-		t.Errorf("Sizeof(Tagged) = %d, want <= 40", sz)
 	}
 }
 
 // mixedKeyTable writes records whose shuffle keys cycle through every
 // scalar kind the normalized encoding supports — including negative
 // doubles, the empty string, strings containing 0x00 (the terminator
-// byte that must be escaped), and nulls — so sorting and grouping are
-// exercised across kind boundaries.
+// byte that must be escaped), -0.0, NaN and nulls — so sorting and
+// grouping are exercised across kind boundaries.
 func mixedKeyTable(env *Env, name string, n int) *dfs.File {
 	w := env.FS.Create(name)
 	for i := 0; i < n; i++ {
@@ -55,7 +53,10 @@ func mixedKeyTable(env *Env, name string, n int) *dfs.File {
 		case 5:
 			key = data.String("a\x00" + string(rune('a'+i%3))) // embedded terminator byte
 		case 6:
-			key = data.Double(-0.0)
+			key = data.Double(math.Copysign(0, -1)) // Compare-equal to 0
+			if i%2 == 1 {
+				key = data.Double(math.NaN())
+			}
 		}
 		w.Append(data.Object(
 			data.Field{Name: "k", Value: key},
@@ -65,9 +66,9 @@ func mixedKeyTable(env *Env, name string, n int) *dfs.File {
 	return w.Close()
 }
 
-// hugeKeyTable mixes encodable keys with integers beyond ±2^53, which
-// the normalized encoding refuses — forcing SortPairsByKey's
-// data.Compare comparator on every batch containing one.
+// hugeKeyTable mixes small integer keys with integers beyond ±2^53,
+// whose normalized keys carry the residual tail (and which once made the
+// encoding refuse the whole batch).
 func hugeKeyTable(env *Env, name string, n int) *dfs.File {
 	w := env.FS.Create(name)
 	for i := 0; i < n; i++ {
@@ -95,7 +96,7 @@ func runShuffle(t *testing.T, env *Env, f *dfs.File) *Result {
 		Inputs: []Input{{File: f, Map: func(mc *MapCtx, rec data.Value) {
 			mc.EmitKV(key.Eval(rec), "L", rec)
 		}}},
-		Reduce: func(rc *ReduceCtx, key data.Value, group []Tagged) {
+		Reduce: func(rc *ReduceCtx, key data.Value, group []Pair) {
 			for _, g := range group {
 				rc.Emit(g.Rec)
 			}
@@ -190,10 +191,9 @@ func TestShuffleMatchesCompareOracle(t *testing.T) {
 	assertKeyStats(t, res, f)
 }
 
-// TestShuffleFallbackKeysMatchOracle covers the wholesale fallback to
-// Compare-based sorting: batches containing a key the normalized
-// encoding cannot represent (|int| > 2^53) must still match the
-// definition exactly.
+// TestShuffleFallbackKeysMatchOracle: keys beyond ±2^53 (the inputs the
+// deleted Compare-sorting fallback existed for) sort and group by their
+// normalized keys exactly as the definition says.
 func TestShuffleFallbackKeysMatchOracle(t *testing.T) {
 	env := benchEnv()
 	f := hugeKeyTable(env, "t", 900)
@@ -203,9 +203,9 @@ func TestShuffleFallbackKeysMatchOracle(t *testing.T) {
 }
 
 // TestBroadcastJoinMatchesEqualOracle asserts the hash table probes to
-// exactly the matches data.Equal defines, in build scan order — through
-// the normalized-key index (mixed keys) and through the hash index a
-// build side with an unencodable key is demoted to (huge keys).
+// exactly the matches data.Equal defines, in build scan order, by value
+// and by normalized key alike — over mixed-kind keys and over keys beyond
+// ±2^53 (the arm named for the hash index they once demoted a table to).
 func TestBroadcastJoinMatchesEqualOracle(t *testing.T) {
 	key := data.MustParsePath("k")
 	for name, table := range map[string]func(*Env, string, int) *dfs.File{"indexed": mixedKeyTable, "demoted": hugeKeyTable} {
@@ -215,10 +215,11 @@ func TestBroadcastJoinMatchesEqualOracle(t *testing.T) {
 			res, err := Run(env, Spec{
 				Name: "diff-bjoin",
 				Inputs: []Input{{File: probe, Map: func(mc *MapCtx, rec data.Value) {
-					if mc.Build("b").FastIndexed() != (name == "indexed") {
-						t.Errorf("table FastIndexed = %v in the %s case", mc.Build("b").FastIndexed(), name)
+					matches := mc.Build("b").Probe(key.Eval(rec))
+					if byNK := mc.Build("b").ProbeNK(data.NormKey(key.Eval(rec))); len(byNK) != len(matches) {
+						t.Errorf("ProbeNK(%v) finds %d rows, Probe %d", key.Eval(rec), len(byNK), len(matches))
 					}
-					for _, m := range mc.Build("b").Probe(key.Eval(rec)) {
+					for _, m := range matches {
 						mc.Emit(data.MergeObjects(rec, m))
 					}
 				}}},
@@ -249,9 +250,10 @@ func TestBroadcastJoinMatchesEqualOracle(t *testing.T) {
 // data.Compare on the key — on the inputs that separate a correct
 // permutation sort from a lucky one: heavy duplicates (ties broken by
 // input position), keys that share their first 8 normalized bytes (the
-// prefix decides nothing), sorted and reversed input, one unencodable
-// key (the Compare comparator), and pairs with no nk at all (decoded
-// from a frame) alone or mixed with pairs that carry one.
+// prefix decides nothing), sorted and reversed input, the numbers whose
+// keys once did not encode (NaN, -0.0, ±(2^53+1) beside 2^53 as int and
+// double), and pairs with no nk at all (decoded from a frame) alone or
+// mixed with pairs that carry one.
 func TestSortPairsByKeyMatchesCompareOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	mixed := func() data.Value {
@@ -294,7 +296,9 @@ func TestSortPairsByKeyMatchesCompareOrder(t *testing.T) {
 			if i == n/2 {
 				return data.Int(1<<60 + 1)
 			}
-			return data.Int(int64(rng.Intn(50)))
+			return []data.Value{data.Int(int64(rng.Intn(50))), data.Double(math.NaN()), data.Double(-math.NaN()),
+				data.Double(math.Copysign(0, -1)), data.Int(0), data.Int(1<<53 + 1), data.Double(1 << 53), data.Int(1 << 53),
+				data.Int(-(1<<53 + 1)), data.Double(math.Inf(1)), data.Array(data.Int(1<<53+1), data.Double(math.NaN()))}[rng.Intn(11)]
 		}),
 		"two":   keys(2, func(i int) data.Value { return data.Int(int64(1 - i)) }),
 		"one":   keys(1, func(int) data.Value { return data.Int(7) }),
@@ -318,7 +322,7 @@ func TestSortPairsByKeyMatchesCompareOrder(t *testing.T) {
 				for i, k := range ks {
 					got[i] = Pair{Key: k, Tag: "T", Rec: data.Int(int64(i))}
 					if hasNK(i) {
-						got[i].nk, _ = data.NormKey(k) // "" for the unencodable key, as EmitKV leaves it
+						got[i].nk = data.NormKey(k)
 					}
 				}
 				SortPairsByKey(got)
@@ -327,7 +331,7 @@ func TestSortPairsByKeyMatchesCompareOrder(t *testing.T) {
 						t.Fatalf("permutation diverged at %d: got input #%d (key %v), stable sort has #%d (key %v)",
 							i, got[i].Rec.Int(), got[i].Key, want[i].Rec.Int(), want[i].Key)
 					}
-					if nk, ok := data.NormKey(got[i].Key); got[i].nk != "" && (!ok || got[i].nk != nk) {
+					if nk := data.NormKey(got[i].Key); got[i].nk != nk {
 						t.Fatalf("pair %d carries nk %q for key %v, want %q", i, got[i].nk, got[i].Key, nk)
 					}
 				}
@@ -344,29 +348,8 @@ func BenchmarkSortPairsByKey(b *testing.B) {
 	base := make([]Pair, n)
 	for i := range base {
 		key := data.Int(int64(rng.Intn(1 << 20)))
-		nk, _ := data.NormKey(key)
-		base[i] = Pair{Key: key, nk: nk, Tag: "T"}
+		base[i] = Pair{Key: key, nk: data.NormKey(key), Tag: "T"}
 	}
-	scratch := make([]Pair, n)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(scratch, base)
-		SortPairsByKey(scratch)
-	}
-}
-
-// BenchmarkSortPairsByKeyCompare measures the data.Compare comparator
-// over the same batch plus the one unencodable key that forces it, for
-// the comparator ratio.
-func BenchmarkSortPairsByKeyCompare(b *testing.B) {
-	rng := rand.New(rand.NewSource(7))
-	const n = 4096
-	base := make([]Pair, n)
-	for i := range base {
-		base[i] = Pair{Key: data.Int(int64(rng.Intn(1 << 20))), Tag: "T"}
-	}
-	base[n/2].Key = data.Int(1 << 60)
 	scratch := make([]Pair, n)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -19,10 +19,10 @@ type Pair struct {
 	Key data.Value
 	Tag string
 	Rec data.Value
-	// nk is Key's order-preserving normalized encoding, "" when the key
-	// is unencodable (see data.AppendNormKey) or the pair was decoded
-	// from a frame. Sorting and grouping compare it instead of walking
-	// the key tree; pairs without one fall back to data.Compare.
+	// nk is Key's order-preserving normalized encoding (see
+	// data.AppendNormKey), "" until SortPairsByKey fills it for a pair
+	// decoded from a frame. Sorting and grouping compare it instead of
+	// walking the key tree.
 	nk string
 }
 
@@ -58,21 +58,16 @@ func (mc *MapCtx) Emit(rec data.Value) {
 // sorting and grouping compare strings instead of walking the key tree
 // per comparison.
 func (mc *MapCtx) EmitKV(key data.Value, tag string, rec data.Value) {
-	b, ok := data.AppendNormKey(mc.nkBuf[:0], key)
-	mc.nkBuf = b[:0]
-	nk := ""
-	if ok {
-		nk = string(b)
-	}
-	mc.EmitPair(key, nk, tag, rec, data.Hash64(key))
+	mc.nkBuf, _ = data.AppendNormKey(mc.nkBuf[:0], key)
+	mc.EmitPair(key, string(mc.nkBuf), tag, rec, data.Hash64(key))
 }
 
 // EmitPair is EmitKV with the key's partition hash and normalized
 // encoding already computed — columnar kernels evaluate keys once per
 // split and route rows through here, skipping the per-record Hash64
-// and AppendNormKey work. nk must be the key's normalized encoding (""
-// when unencodable) and hash its data.Hash64, so the pair is
-// indistinguishable from one built by EmitKV.
+// and AppendNormKey work. nk must be the key's normalized encoding and
+// hash its data.Hash64, so the pair is indistinguishable from one built
+// by EmitKV.
 func (mc *MapCtx) EmitPair(key data.Value, nk string, tag string, rec data.Value, hash uint64) {
 	p := int(hash % uint64(len(mc.parts)))
 	mc.parts[p] = append(mc.parts[p], Pair{Key: key, Tag: tag, Rec: rec, nk: nk})
@@ -126,7 +121,7 @@ func (rc *ReduceCtx) ExprCtx() *expr.Ctx { return rc.ectx }
 // in group order, into scratch valid until the next call: one ReduceFunc
 // value serves all of a job's reduce tasks concurrently, so per-group
 // state lives here, not in its closure.
-func (rc *ReduceCtx) Sides(group []Tagged, left string) (ls, rs []data.Value) {
+func (rc *ReduceCtx) Sides(group []Pair, left string) (ls, rs []data.Value) {
 	rc.ls, rc.rs = rc.ls[:0], rc.rs[:0]
 	for _, g := range group {
 		if g.Tag == left {
@@ -143,17 +138,11 @@ func (rc *ReduceCtx) Emit(rec data.Value) {
 	rc.rows = append(rc.rows, rec)
 }
 
-// Tagged is one shuffled record with its input tag (repartition joins
-// tag records with the side they came from).
-type Tagged struct {
-	Tag string
-	Rec data.Value
-}
-
-// ReduceFunc processes all records sharing a key. The group slice is
-// valid only for the duration of the call (it is carved out of a
-// pooled slab); reducers must copy anything they keep.
-type ReduceFunc func(rc *ReduceCtx, key data.Value, group []Tagged)
+// ReduceFunc processes all records sharing a key: group is their window
+// of the sorted pairs (each with its input tag — repartition joins tag
+// records with the side they came from), valid only for the duration of
+// the call; reducers must copy anything they keep.
+type ReduceFunc func(rc *ReduceCtx, key data.Value, group []Pair)
 
 // MapTask is one map task's record loop: a split, the kernels to run
 // over it, and the broadcast tables they probe.
@@ -238,7 +227,8 @@ func combineParts(parts [][]Pair, combine ReduceFunc, ectx *expr.Ctx) {
 		}
 		SortPairsByKey(bucket)
 		var combined []Pair
-		eachGroup(bucket, func(lead *Pair, group []Tagged) {
+		eachGroup(bucket, func(group []Pair) {
+			lead := &group[0]
 			rc.rows = rc.rows[:0]
 			combine(rc, lead.Key, group)
 			for _, rec := range rc.rows {
@@ -250,32 +240,27 @@ func combineParts(parts [][]Pair, combine ReduceFunc, ectx *expr.Ctx) {
 }
 
 // RunReduceTask executes one reduce task's record loop over pairs
-// already in reduce key order (SortPairsByKey, or any stable sort by
-// data.Compare), returning the emitted rows and the UDF CPU cost.
+// SortPairsByKey put in reduce key order, returning the emitted rows and
+// the UDF CPU cost.
 func RunReduceTask(reg *expr.Registry, reduce ReduceFunc, pairs []Pair) ([]data.Value, float64, error) {
 	ectx := &expr.Ctx{Reg: reg}
 	rc := &ReduceCtx{ectx: ectx, rows: rowSlices.get(0)}
-	eachGroup(pairs, func(lead *Pair, group []Tagged) {
-		reduce(rc, lead.Key, group)
+	eachGroup(pairs, func(group []Pair) {
+		reduce(rc, group[0].Key, group)
 	})
 	return rc.rows, ectx.CPUSeconds, ectx.Err
 }
 
-// eachGroup walks sorted pairs one key group at a time, handing fn the
-// group's first pair and its members carved out of one pooled slab.
-func eachGroup(pairs []Pair, fn func(lead *Pair, group []Tagged)) {
-	slab := taggedSlabs.get(len(pairs))
+// eachGroup walks pairs sorted by SortPairsByKey one key group at a
+// time: a group is a run of equal normalized keys, handed to fn as its
+// window of pairs.
+func eachGroup(pairs []Pair, fn func(group []Pair)) {
 	for lo := 0; lo < len(pairs); {
 		hi := lo + 1
-		for hi < len(pairs) && samePairKey(&pairs[hi], &pairs[lo]) {
+		for hi < len(pairs) && pairs[hi].nk == pairs[lo].nk {
 			hi++
 		}
-		start := len(slab)
-		for i := lo; i < hi; i++ {
-			slab = append(slab, Tagged{Tag: pairs[i].Tag, Rec: pairs[i].Rec})
-		}
-		fn(&pairs[lo], slab[start:len(slab):len(slab)])
+		fn(pairs[lo:hi:hi])
 		lo = hi
 	}
-	taggedSlabs.put(slab)
 }

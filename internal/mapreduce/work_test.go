@@ -89,7 +89,7 @@ func digest(res *Result, duration float64) string {
 func TestWideJobResultPinned(t *testing.T) {
 	grp := data.MustParsePath("a.grp")
 	emitKV := func(mc *MapCtx, rec data.Value) { mc.EmitKV(grp.Eval(rec), "L", rec) }
-	count := func(rc *ReduceCtx, key data.Value, group []Tagged) {
+	count := func(rc *ReduceCtx, key data.Value, group []Pair) {
 		var n int64
 		for _, g := range group {
 			if c, ok := g.Rec.Field("n"); ok {
@@ -190,7 +190,7 @@ func TestBucketsShareOneArray(t *testing.T) {
 // gathered inputs are what it legitimately holds).
 func TestFinishedJobPoolsNoBuckets(t *testing.T) {
 	grp := data.MustParsePath("a.grp")
-	first := func(rc *ReduceCtx, key data.Value, group []Tagged) { rc.Emit(group[0].Rec) }
+	first := func(rc *ReduceCtx, key data.Value, group []Pair) { rc.Emit(group[0].Rec) }
 	for _, combine := range []ReduceFunc{nil, first} {
 		env := testEnv(t)
 		f := writeTable(env, "t", "a", 600)

@@ -130,11 +130,14 @@ func Evaluate(q *sqlparse.Query, cat Catalog, reg *expr.Registry) ([]data.Value,
 	return out, nil
 }
 
+// aggregate groups rows by the normalized key of their group key —
+// data.Compare equality, so 0 and -0.0, 2 and 2.0, and NaNs group
+// together — and returns the groups in data.Compare order.
 func aggregate(ectx *expr.Ctx, q *sqlparse.Query, rows []data.Value) []data.Value {
 	groups := map[string][]data.Value{}
 	var order []string
 	for _, row := range rows {
-		k := rowops.GroupKey(ectx, q.GroupBy, row).String()
+		k := data.NormKey(rowops.GroupKey(ectx, q.GroupBy, row))
 		if _, ok := groups[k]; !ok {
 			order = append(order, k)
 		}

@@ -2,6 +2,7 @@ package physop
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -21,8 +22,8 @@ import (
 // kernels come out of one Compile; the columnar one is a pure
 // host-side accelerator and any observable divergence is a bug. The
 // input tables are adversarial key mixes: every scalar kind, strings
-// with embedded 0x00 terminator bytes, nulls, -0.0, and integers
-// beyond ±2^53 that the normalized key encoding refuses.
+// with embedded 0x00 terminator bytes, nulls, -0.0, NaN, and integers
+// beyond ±2^53 beside the doubles their float images round to.
 
 func testEnv() *mapreduce.Env {
 	cfg := cluster.Config{
@@ -55,7 +56,7 @@ func diffEnvs() (batchEnv, rowEnv *mapreduce.Env) {
 // mixedKeyTable writes records whose key column cycles through every
 // scalar kind the normalized encoding supports — including negative
 // doubles, strings containing 0x00 (the terminator byte that must be
-// escaped), -0.0 and nulls.
+// escaped), -0.0, NaN and nulls.
 func mixedKeyTable(env *mapreduce.Env, name string, n int) *dfs.File {
 	w := env.FS.Create(name)
 	for i := 0; i < n; i++ {
@@ -74,7 +75,10 @@ func mixedKeyTable(env *mapreduce.Env, name string, n int) *dfs.File {
 		case 5:
 			key = data.String("a\x00" + string(rune('a'+i%3)))
 		case 6:
-			key = data.Double(-0.0)
+			key = data.Double(math.Copysign(0, -1)) // Compare-equal to 0
+			if i%2 == 1 {
+				key = data.Double(math.NaN())
+			}
 		}
 		w.Append(data.Object(
 			data.Field{Name: "k", Value: key},
@@ -84,9 +88,9 @@ func mixedKeyTable(env *mapreduce.Env, name string, n int) *dfs.File {
 	return w.Close()
 }
 
-// hugeKeyTable mixes encodable keys with integers beyond ±2^53, which
-// the normalized encoding refuses: shuffles fall back to Compare-based
-// sorting, build sides are demoted to the hash index.
+// hugeKeyTable mixes small integer keys with integers beyond ±2^53,
+// whose normalized keys carry a residual tail (they once made shuffles
+// sort by Compare and build sides demote to a hash index).
 func hugeKeyTable(env *mapreduce.Env, name string, n int) *dfs.File {
 	w := env.FS.Create(name)
 	for i := 0; i < n; i++ {
@@ -102,6 +106,51 @@ func hugeKeyTable(env *mapreduce.Env, name string, n int) *dfs.File {
 		))
 	}
 	return w.Close()
+}
+
+// edgeNumbers are the numbers the value order is exact about: ±0,
+// 2 as int and double, 2^53 as int and double beside ±(2^53+1), the
+// infinities and NaN of both signs.
+var edgeNumbers = []data.Value{
+	data.Int(0), data.Double(math.Copysign(0, -1)), data.Int(2), data.Double(2),
+	data.Double(1 << 53), data.Int(1 << 53), data.Int(1<<53 + 1), data.Int(-(1<<53 + 1)),
+	data.Double(math.Inf(1)), data.Double(math.Inf(-1)), data.Double(math.NaN()), data.Double(-math.NaN()),
+}
+
+// edgeKeyTable keys records by the edge numbers (a mixed int/double
+// column, compared per row) and adds two typed columns the columnar
+// kernels compare in loops: x ints around 2^53, y doubles with ±0,
+// ±Inf and NaN.
+func edgeKeyTable(env *mapreduce.Env, name string, n int) *dfs.File {
+	xs := []int64{0, 2, 1 << 53, 1<<53 + 1, -(1<<53 + 1)}
+	ys := []float64{0, math.Copysign(0, -1), 2, 1 << 53, math.Inf(1), math.NaN()}
+	w := env.FS.Create(name)
+	for i := 0; i < n; i++ {
+		w.Append(data.Object(
+			data.Field{Name: "k", Value: edgeNumbers[i%len(edgeNumbers)]},
+			data.Field{Name: "seq", Value: data.Int(int64(i))},
+			data.Field{Name: "x", Value: data.Int(xs[i%len(xs)])},
+			data.Field{Name: "y", Value: data.Double(ys[i%len(ys)])},
+		))
+	}
+	return w.Close()
+}
+
+// edgeFilter compares the edge columns column-vs-literal and
+// column-vs-column: int against double at 2^53, ±0, NaN.
+func edgeFilter() expr.Expr {
+	c, l := expr.NewCol, func(v data.Value) expr.Expr { return expr.NewLit(v) }
+	return &expr.Or{Terms: []expr.Expr{
+		&expr.Cmp{Op: expr.GT, L: c("t.x"), R: l(data.Double(1 << 53))},
+		&expr.Cmp{Op: expr.EQ, L: c("t.y"), R: l(data.Double(math.NaN()))},
+		&expr.And{Terms: []expr.Expr{
+			&expr.Cmp{Op: expr.LE, L: c("t.y"), R: l(data.Int(0))},
+			&expr.Cmp{Op: expr.GE, L: c("t.y"), R: l(data.Double(math.Copysign(0, -1)))},
+			&expr.Cmp{Op: expr.NE, L: c("t.x"), R: c("t.y")},
+		}},
+		&expr.Cmp{Op: expr.EQ, L: c("t.y"), R: c("t.x")},
+		&expr.Cmp{Op: expr.LT, L: c("t.k"), R: l(data.Int(-(1 << 53)))},
+	}}
 }
 
 func assertSameRecords(t *testing.T, batch, row []data.Value) {
@@ -185,7 +234,7 @@ func runShuffle(t *testing.T, env *mapreduce.Env, f *dfs.File, filter expr.Expr)
 	if spec.Inputs[0].BatchMap == nil {
 		t.Fatal("repartition op compiled without a columnar kernel; the comparison would be vacuous")
 	}
-	spec.Reduce = func(rc *mapreduce.ReduceCtx, _ data.Value, group []mapreduce.Tagged) {
+	spec.Reduce = func(rc *mapreduce.ReduceCtx, _ data.Value, group []mapreduce.Pair) {
 		for _, g := range group {
 			rc.Emit(g.Rec)
 		}
@@ -238,9 +287,8 @@ func TestShuffleKernelsIdentical(t *testing.T) {
 	assertSameStats(t, bRes.Stats, rRes.Stats)
 }
 
-// TestShuffleKernelsUnencodableKeys: the columnar kernel records an
-// empty normalized key for |int| > 2^53, which must route and sort
-// exactly like EmitKV's own fallback.
+// TestShuffleKernelsUnencodableKeys: keys beyond ±2^53 — once an empty
+// normalized key on both kernels — route and sort identically.
 func TestShuffleKernelsUnencodableKeys(t *testing.T) {
 	t.Parallel()
 	bEnv, rEnv := diffEnvs()
@@ -253,13 +301,30 @@ func TestShuffleKernelsUnencodableKeys(t *testing.T) {
 	assertSameStats(t, bRes.Stats, rRes.Stats)
 }
 
+// TestKernelsExactNumberOrder: over the edge numbers, the columnar scan
+// and shuffle keep, route and order exactly the rows the per-record
+// kernels do.
+func TestKernelsExactNumberOrder(t *testing.T) {
+	t.Parallel()
+	for name, run := range map[string]func(*testing.T, *mapreduce.Env, *dfs.File, expr.Expr) *mapreduce.Result{"scan": runScan, "shuffle": runShuffle} {
+		bEnv, rEnv := diffEnvs()
+		bRes := run(t, bEnv, edgeKeyTable(bEnv, "t", 600), edgeFilter())
+		rRes := run(t, rEnv, edgeKeyTable(rEnv, "t", 600), edgeFilter())
+		if bRes.OutRecords == 0 || bRes.OutRecords == 600 {
+			t.Fatalf("%s: filter not selective: %d of 600 rows survived", name, bRes.OutRecords)
+		}
+		assertSameRecords(t, bRes.Output.AllRecords(), rRes.Output.AllRecords())
+		assertSameStats(t, bRes.Stats, rRes.Stats)
+	}
+}
+
 // TestProbeKernelsIdentical: the vectorized probe (cached per-split
 // key encodings against the normalized-key index) and the per-record
-// probe produce the identical join over mixed-kind keys — and over a
-// build side an unencodable key demoted to the hash index, where the
-// columnar kernel must fall back to Probe per row.
+// probe produce the identical join over mixed-kind keys, keys beyond
+// ±2^53 (the arm named for the hash index they once demoted a build
+// side to) and the edge numbers.
 func TestProbeKernelsIdentical(t *testing.T) {
-	for name, table := range map[string]func(*mapreduce.Env, string, int) *dfs.File{"mixed": mixedKeyTable, "demoted": hugeKeyTable} {
+	for name, table := range map[string]func(*mapreduce.Env, string, int) *dfs.File{"mixed": mixedKeyTable, "demoted": hugeKeyTable, "edge": edgeKeyTable} {
 		table := table
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()

@@ -196,16 +196,16 @@ func Compile(op *OpSpec, input int, sample data.Value) (Kernels, error) {
 			// Map-side partial aggregation: the combiner folds each map
 			// task's rows per group into one mergeable partial, and the
 			// reducer merges partials.
-			k.Combine = func(rc *mapreduce.ReduceCtx, _ data.Value, group []mapreduce.Tagged) {
+			k.Combine = func(rc *mapreduce.ReduceCtx, _ data.Value, group []mapreduce.Pair) {
 				rows := groupRecs(group)
 				rc.Emit(rowops.PartialAggregate(rc.ExprCtx(), sel.bind(rows[0]), rows))
 			}
 			merge := freezeNames(op.Select)
-			k.Reduce = func(rc *mapreduce.ReduceCtx, _ data.Value, group []mapreduce.Tagged) {
+			k.Reduce = func(rc *mapreduce.ReduceCtx, _ data.Value, group []mapreduce.Pair) {
 				rc.Emit(rowops.MergeAggregates(merge, groupRecs(group)))
 			}
 		} else {
-			k.Reduce = func(rc *mapreduce.ReduceCtx, _ data.Value, group []mapreduce.Tagged) {
+			k.Reduce = func(rc *mapreduce.ReduceCtx, _ data.Value, group []mapreduce.Pair) {
 				rows := groupRecs(group)
 				rc.Emit(rowops.AggregateGroup(rc.ExprCtx(), sel.bind(rows[0]), rows))
 			}
@@ -222,7 +222,7 @@ func deref(s *Source) Source {
 	return *s
 }
 
-func groupRecs(group []mapreduce.Tagged) []data.Value {
+func groupRecs(group []mapreduce.Pair) []data.Value {
 	rows := make([]data.Value, len(group))
 	for i, g := range group {
 		rows[i] = g.Rec
@@ -281,7 +281,7 @@ func (l *lazySelect) bind(sample data.Value) []sqlparse.SelectItem {
 func joinReduce(residual expr.Expr, prune func(data.Value) data.Value) mapreduce.ReduceFunc {
 	var once sync.Once
 	var compiled expr.Expr
-	return func(rc *mapreduce.ReduceCtx, _ data.Value, group []mapreduce.Tagged) {
+	return func(rc *mapreduce.ReduceCtx, _ data.Value, group []mapreduce.Pair) {
 		ls, rs := rc.Sides(group, "L")
 		arena := &rc.Arena
 		for _, l := range ls {
@@ -614,14 +614,7 @@ func probeBatch(alias string, pred expr.Expr, steps []probeStep) mapreduce.Batch
 		kc := d.Keys(keySig, alias, st0.keys)
 		var cur, next []data.Value
 		for _, i := range sel {
-			var matches []data.Value
-			if ht0.FastIndexed() && kc.NK[i] != "" {
-				matches = ht0.ProbeNK(kc.NK[i])
-			} else {
-				// Demoted table or unencodable probe key: the generic
-				// probe handles both.
-				matches = ht0.Probe(kc.Vals[i])
-			}
+			matches := ht0.ProbeNK(kc.NK[i])
 			if len(matches) == 0 {
 				continue
 			}
