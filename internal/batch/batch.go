@@ -19,10 +19,10 @@ type Data struct {
 	recs []data.Value
 
 	mu      sync.Mutex
-	cols    map[string]*Vec          // path -> column vector
-	wrapped map[string][]data.Value  // alias -> {alias: rec} row per record
-	sels    map[string][]int32       // predicate signature -> selection
-	keys    map[string]*KeyCols      // key signature -> key columns
+	cols    map[string]*Vec         // path -> column vector
+	wrapped map[string][]data.Value // alias -> {alias: rec} row per record
+	sels    map[string][]int32      // predicate signature -> selection
+	keys    map[string]*KeyCols     // key signature -> key columns
 	allSel  []int32
 }
 
@@ -92,28 +92,24 @@ func (d *Data) wrappedLocked(alias string) []data.Value {
 // computed once per job by the caller; the selection is cached under
 // it — sound because supported predicates are pure functions of their
 // column paths and literals (no UDF calls, no evaluation state), and
-// expression String() renderings are faithful. ok is false when the
-// predicate contains an unsupported shape; callers must then fall back
-// to record-at-a-time evaluation. A nil predicate selects every row.
-// Callers must not mutate the returned slice.
-func (d *Data) Select(pred expr.Expr, sig string) (sel []int32, ok bool) {
+// expression String() renderings are faithful. Callers pass supported
+// predicates only. A nil predicate selects every row. Callers must not
+// mutate the returned slice.
+func (d *Data) Select(pred expr.Expr, sig string) []int32 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if pred == nil {
-		return d.allSelLocked(), true
+		return d.allSelLocked()
 	}
 	if s, ok := d.sels[sig]; ok {
-		return s, true
-	}
-	if !Supported(pred) {
-		return nil, false
+		return s
 	}
 	s := d.evalPred(pred, d.allSelLocked())
 	if d.sels == nil {
 		d.sels = make(map[string][]int32)
 	}
 	d.sels[sig] = s
-	return s, true
+	return s
 }
 
 func (d *Data) allSelLocked() []int32 {

@@ -1,12 +1,11 @@
 // Package batch implements the columnar batch layer of the execution
 // engine: per-split column vectors, cached selection vectors for
 // predicates, pre-wrapped row images, and vectorized join-key columns
-// (values, normalized keys, hashes). The layer is a pure host-side
-// accelerator — every columnar kernel built on it (internal/physop)
-// emits exactly the records its per-record kernel would emit, in the
-// same order, so results, traces, and statistics stay bit-identical
-// (see the differential suites in internal/physop and
-// internal/experiments).
+// (values, normalized keys, hashes). Every map kernel runs over it
+// (internal/physop) and emits exactly the records a record-at-a-time
+// loop would emit, in the same order, so results, traces, and
+// statistics stay bit-identical (see physop's differential suite,
+// which holds the kernels to that loop, kept as its test oracle).
 package batch
 
 import "sync"

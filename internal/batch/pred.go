@@ -16,10 +16,11 @@ import (
 // Everything else is refused — most importantly UDF calls: Call.Eval
 // charges its virtual CPU cost per invocation and can set the
 // evaluation error, so batching one would have to reproduce the exact
-// short-circuit invocation sequence to keep traces identical. Those
-// predicates simply stay on the per-record path. Arithmetic and
-// unknown node kinds (including externally defined expressions) are
-// refused for the same conservative reason.
+// short-circuit invocation sequence to keep traces identical. The map
+// kernels evaluate those predicates once per row, in row order, over
+// the split's wrapped rows instead. Arithmetic and unknown node kinds
+// (including externally defined expressions) are refused for the same
+// conservative reason.
 func Supported(e expr.Expr) bool {
 	switch t := e.(type) {
 	case *expr.Lit:

@@ -38,10 +38,6 @@ type Config struct {
 	// wave inline on the scheduler goroutine, positive values are
 	// passed through. Virtual-time results are identical either way.
 	Parallelism int
-	// DisableBatch makes every map task run the per-record kernels
-	// (see mapreduce.Env.DisableBatch). Results are bit-identical
-	// either way; the differential tests use it as their reference arm.
-	DisableBatch bool
 
 	// Fault-injection knobs for the faults experiment, passed through
 	// to the cluster simulator (zero values disable each mechanism).
@@ -144,7 +140,6 @@ func (l *lab) newEnv(hiveProfile bool, cfg Config) *mapreduce.Env {
 		Reg:   reg,
 	}
 	env.DistributedCache = hiveProfile
-	env.DisableBatch = cfg.DisableBatch
 	return env
 }
 

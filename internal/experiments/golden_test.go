@@ -26,15 +26,15 @@ import (
 // The golden files under testdata/golden freeze the differential
 // contract: for every case, the result rows, the job counters, the
 // plan evolution and the virtual timeline, floats written bit-exactly.
-// Every execution arm — the sim runtime's columnar arm, its per-record
-// arm (DisableBatch) and the proc runtime over two workers — must
-// reproduce the same file. The files were generated while the legacy
-// arm (uncompiled lookups, Compare-sorted shuffle, unpooled buffers)
-// and the workers' own row interpreter still existed and agreed with
-// them; they are what lets the contract outlive those arms.
+// Both execution arms — the sim runtime and the proc runtime over two
+// workers — must reproduce the same file. The files were generated
+// while the legacy arm (uncompiled lookups, Compare-sorted shuffle,
+// unpooled buffers), the workers' own row interpreter and the
+// per-record map kernels still ran and agreed with them; they are what
+// lets the contract outlive those arms.
 //
 // Regenerate with: go test ./internal/experiments -run TestGolden -update
-var updateGolden = flag.Bool("update", false, "rewrite testdata/golden from the sim runtime's batch arm")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/golden from the sim runtime's arm")
 
 type goldenCase struct {
 	name     string
@@ -116,22 +116,18 @@ type goldenArm struct {
 
 func goldenArms(t *testing.T) []goldenArm {
 	cfg := testConfig()
-	simArm := func(name string, mod func(*Config)) goldenArm {
-		return goldenArm{name: name, env: func(t *testing.T) (*mapreduce.Env, *jaql.Catalog) {
-			c := cfg
-			mod(&c)
-			l, err := getLab(100, c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return l.newEnv(false, c), l.cat
-		}}
-	}
+	sim := goldenArm{name: "sim", env: func(t *testing.T) (*mapreduce.Env, *jaql.Catalog) {
+		l, err := getLab(100, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l.newEnv(false, cfg), l.cat
+	}}
 
 	// The proc arm: one fleet of two in-process workers (the handler
 	// cmd/dynoworker serves) and one generated dataset shared by every
 	// case; each case gets a fresh simulator clock and coordination
-	// service, like the sim arms.
+	// service, like the sim arm.
 	fleet, err := procruntime.NewFleet(procruntime.Config{StaleAfter: time.Hour, UDF: cfg.UDF})
 	if err != nil {
 		t.Fatal(err)
@@ -165,11 +161,7 @@ func goldenArms(t *testing.T) []goldenArm {
 		return env, procCat
 	}}
 
-	return []goldenArm{
-		simArm("batch", func(*Config) {}),
-		simArm("nobatch", func(c *Config) { c.DisableBatch = true }),
-		proc,
-	}
+	return []goldenArm{sim, proc}
 }
 
 func runGoldenCase(t *testing.T, c goldenCase, arm goldenArm) *goldenRecord {

@@ -3,6 +3,7 @@ package hive
 import (
 	"testing"
 
+	"dyno/internal/batch"
 	"dyno/internal/cluster"
 	"dyno/internal/coord"
 	"dyno/internal/data"
@@ -63,9 +64,11 @@ func TestNewEnvBroadcastCheaperThanJaqlProfile(t *testing.T) {
 		smallFile, _ := fs.Open("small")
 		job, sub, err := mapreduce.Submit(env, mapreduce.Spec{
 			Name: "probe",
-			Inputs: []mapreduce.Input{{File: bigFile, Map: func(mc *mapreduce.MapCtx, rec data.Value) {
-				for _, m := range mc.Build("s").Probe(rec.FieldOr("b").FieldOr("k")) {
-					mc.Emit(data.MergeObjects(rec, m))
+			Inputs: []mapreduce.Input{{File: bigFile, Map: func(mc *mapreduce.MapCtx, d *batch.Data) {
+				for _, rec := range d.Records() {
+					for _, m := range mc.Build("s").Probe(rec.FieldOr("b").FieldOr("k")) {
+						mc.Emit(data.MergeObjects(rec, m))
+					}
 				}
 			}}},
 			Broadcasts: []mapreduce.Broadcast{physop.BindBuild(mapreduce.Broadcast{

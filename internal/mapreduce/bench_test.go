@@ -59,8 +59,8 @@ func BenchmarkRepartitionJoinJob(b *testing.B) {
 		_, err := Run(env, Spec{
 			Name: "join",
 			Inputs: []Input{
-				{File: left, Map: func(mc *MapCtx, rec data.Value) { mc.EmitKV(keyL.Eval(rec), "L", rec) }},
-				{File: right, Map: func(mc *MapCtx, rec data.Value) { mc.EmitKV(keyR.Eval(rec), "R", rec) }},
+				{File: left, Map: perRecord(func(mc *MapCtx, rec data.Value) { mc.EmitKV(keyL.Eval(rec), "L", rec) })},
+				{File: right, Map: perRecord(func(mc *MapCtx, rec data.Value) { mc.EmitKV(keyR.Eval(rec), "R", rec) })},
 			},
 			Reduce: func(rc *ReduceCtx, key data.Value, group []Pair) {
 				var rs []data.Value
@@ -100,52 +100,16 @@ func BenchmarkBroadcastJoinJob(b *testing.B) {
 		b.StartTimer()
 		_, err := Run(env, Spec{
 			Name: "bjoin",
-			Inputs: []Input{{File: left, Map: func(mc *MapCtx, rec data.Value) {
+			Inputs: []Input{{File: left, Map: perRecord(func(mc *MapCtx, rec data.Value) {
 				for _, m := range mc.Build("r").Probe(key.Eval(rec)) {
 					mc.Emit(data.MergeObjects(rec, m))
 				}
-			}}},
+			})}},
 			Broadcasts: []Broadcast{bound(Broadcast{Name: "r", File: right, KeyPaths: []data.Path{buildKey}})},
 			Output:     "joined",
 		})
 		if err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkShuffle isolates the shuffle hot path — EmitKV keying,
-// partitioning, and bucket appends over a multi-split input — as the
-// allocation guard for the preallocated outRows/bucket buffers. Run it
-// with:
-//
-//	go test -run='^$' -bench=BenchmarkShuffle -benchtime=1x ./internal/mapreduce
-func BenchmarkShuffle(b *testing.B) {
-	key := data.MustParsePath("l.grp")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		env := benchEnv()
-		f := benchTable(env, "l", "l", 8000)
-		b.StartTimer()
-		res, err := Run(env, Spec{
-			Name: "shuffle",
-			Inputs: []Input{{File: f, Map: func(mc *MapCtx, rec data.Value) {
-				mc.EmitKV(key.Eval(rec), "L", rec)
-			}}},
-			Reduce: func(rc *ReduceCtx, key data.Value, group []Pair) {
-				for _, g := range group {
-					rc.Emit(g.Rec)
-				}
-			},
-			NumReducers: 8,
-			Output:      "shuffled",
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.OutRecords != 8000 {
-			b.Fatalf("out = %d, want 8000", res.OutRecords)
 		}
 	}
 }
@@ -161,7 +125,7 @@ func BenchmarkPilotJob(b *testing.B) {
 		b.StartTimer()
 		_, err := Run(env, Spec{
 			Name:      "pilot",
-			Inputs:    []Input{{File: f, Map: func(mc *MapCtx, rec data.Value) { mc.Emit(rec) }}},
+			Inputs:    []Input{{File: f, Map: perRecord(func(mc *MapCtx, rec data.Value) { mc.Emit(rec) })}},
 			Output:    "sample",
 			StopAfter: 512,
 		})

@@ -14,8 +14,8 @@ import (
 )
 
 // The build differential: a broadcast side scanned through physop's
-// kernels (BuildHashTable, on pools of every size, with and without the
-// columnar kernel) against the scan loop it replaced
+// kernel (BuildHashTable, on pools of every size, column-wise and
+// per-row filters alike) against the scan loop it replaced
 // (OracleBuildHashTable, build_oracle_test.go). Same rows, same virtual
 // bytes, the same float of UDF cost, and for every key the same rows in
 // the same order — those data.Equal picks by exhaustive scan — whether
@@ -121,23 +121,17 @@ func TestBuildMatchesScanLoopOracle(t *testing.T) {
 								break
 							}
 						}
-						for _, disableBatch := range []bool{false, true} {
-							for _, pool := range []int{0, 1, 4} {
-								b := physop.BindBuild(decl, sample)
-								// Pre-wrapped rows have no alias for a column to be outside of.
-								if (b.BatchMap != nil) != (fname == "none" || fname == "columnar" || fname == "outside" && wrapped) {
-									t.Fatalf("%s: columnar kernel present = %v", name, b.BatchMap != nil)
-								}
-								if disableBatch {
-									b.BatchMap = nil
-								}
-								splits := make([]mapreduce.Split, len(recs))
-								for i, blk := range recs {
-									splits[i] = mapreduce.Split{Recs: blk}
-								}
-								got, err := mapreduce.BuildHashTable(reg, b, splits, buildSize, cluster.New(cluster.Config{Parallelism: pool}).Parallel)
-								checkBuild(t, fmt.Sprintf("%s/disableBatch=%v/pool=%d", name, disableBatch, pool), got, err, want, wantErr, recs, keyPaths, decl.Wrap)
+						for _, pool := range []int{0, 1, 4} {
+							b := physop.BindBuild(decl, sample)
+							if b.Map == nil {
+								t.Fatalf("%s: build compiled without a kernel", name)
 							}
+							splits := make([]mapreduce.Split, len(recs))
+							for i, blk := range recs {
+								splits[i] = mapreduce.Split{Recs: blk}
+							}
+							got, err := mapreduce.BuildHashTable(reg, b, splits, buildSize, cluster.New(cluster.Config{Parallelism: pool}).Parallel)
+							checkBuild(t, fmt.Sprintf("%s/pool=%d", name, pool), got, err, want, wantErr, recs, keyPaths, decl.Wrap)
 						}
 					}
 				}

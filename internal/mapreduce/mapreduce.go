@@ -99,14 +99,6 @@ type Env struct {
 	// a shared simulator, so the callback must be safe for concurrent
 	// use and must not block.
 	OnCreateFile func(name string)
-	// DisableBatch makes every map task take the per-record kernel
-	// instead of offering its split to the columnar one (per-split
-	// column vectors, cached selection vectors, vectorized shuffle and
-	// probe keys — see internal/batch). The per-record kernel exists
-	// regardless: it runs whenever a columnar kernel declines a split.
-	// Results, traces, and statistics are bit-identical either way; the
-	// differential tests use this arm as their reference.
-	DisableBatch bool
 }
 
 // VirtualSize returns the virtual on-disk size of a record.
@@ -139,18 +131,14 @@ func (e *Env) Advance(d float64) { e.gate().Advance(d) }
 // RunUntil drives the cluster until pred() holds (see Gate.RunUntil).
 func (e *Env) RunUntil(pred func() bool) error { return e.gate().RunUntil(pred) }
 
-// Input is one mapped input of a job.
+// Input is one mapped input of a job: a file, which of its blocks to
+// map, and the kernel every one of its map tasks runs over its split
+// (physop.OpSpec.Bind compiles it).
 type Input struct {
 	File *dfs.File
 	// Splits selects block indexes to process; nil means all.
 	Splits []int
 	Map    MapFunc
-	// BatchMap, when set and Env.DisableBatch is off, is offered each
-	// split before the per-record loop. If it returns true it has fully
-	// processed the split (emitting exactly what Map would have emitted,
-	// in the same order); if it returns false the per-record Map runs
-	// instead. See BatchFunc for the contract.
-	BatchMap BatchFunc
 }
 
 // Broadcast declares a build side loaded into every map task (or once
@@ -172,11 +160,10 @@ type Broadcast struct {
 	KeyPaths []data.Path // build-side join key columns over the (wrapped) rows
 	Wrap     string      // alias to wrap raw records with; "" = rows are stored pre-wrapped
 	Filter   expr.Expr   // optional predicate applied during the build
-	// Map (required) and BatchMap are the three fields above compiled by
-	// physop.BindBuild: a repartition input's kernels, which wrap, filter
-	// and shuffle each row under its key.
-	Map      MapFunc
-	BatchMap BatchFunc
+	// Map (required) is the three fields above compiled by
+	// physop.BindBuild: a repartition input's kernel, which wraps,
+	// filters and shuffles each row under its key.
+	Map MapFunc
 }
 
 // HashTable is an in-memory build side indexed by join key: its rows
@@ -199,23 +186,23 @@ type Split struct {
 }
 
 // scanBuild is a broadcast build as a one-partition shuffle of its
-// blocks: each runs through b's kernels as a map task, on par (nil:
+// blocks: each runs through b's kernel as a map task, on par (nil:
 // inline). It returns the table's three numbers (vsize, when non-nil,
 // prices each retained row) and the pairs to index it from. UDF cost is
 // one context's running sum in record order and becomes virtual time: a
-// build the columnar kernel does not take (a UDF filter, typically) is
-// scanned in order on one context. Any other costs nothing.
+// build whose filter calls a UDF is scanned in order on one context.
+// Any other costs nothing.
 func scanBuild(reg *expr.Registry, b Broadcast, blocks []Split, vsize func(data.Value) int64, par func(n int, fn func(i int))) (*HashTable, []*MapOutput, error) {
 	outs := make([]*MapOutput, len(blocks))
 	errs := make([]error, len(blocks))
 	bytes := make([]int64, len(blocks))
 	var ordered *expr.Ctx
-	if b.BatchMap == nil {
+	if expr.ContainsUDF(b.Filter) {
 		ordered = &expr.Ctx{Reg: reg}
 	}
 	scan := func(i int) {
 		outs[i], errs[i] = RunMapTask(&MapTask{Reg: reg, Ctx: ordered, Recs: blocks[i].Recs, Aux: blocks[i].Aux,
-			Map: b.Map, BatchMap: b.BatchMap, NumReducers: 1})
+			Map: b.Map, NumReducers: 1})
 		if vsize != nil {
 			for _, p := range outs[i].Parts[0] {
 				bytes[i] += vsize(p.Rec)
@@ -476,9 +463,6 @@ func (j *Job) Start(sub *cluster.Submission) []*cluster.Task {
 	// the distributed cache), the one-time preparation on the first task.
 	j.builds = make(map[string]*HashTable, len(j.spec.Broadcasts))
 	for _, b := range j.spec.Broadcasts {
-		if j.env.DisableBatch {
-			b.BatchMap = nil
-		}
 		blocks := make([]Split, b.File.NumBlocks())
 		for i, blk := range b.File.Blocks() {
 			blocks[i] = Split{Recs: blk.Records(), Aux: blk.Aux()}
@@ -641,9 +625,6 @@ func (j *Job) runMap(st *mapTaskState, input Input) (cluster.Usage, int64, error
 		cpuMap, cpuTotal = out.CPUMap, out.CPUTotal
 	} else {
 		t := &MapTask{Reg: j.env.Reg, Recs: block.Records(), Aux: block.Aux(), Map: input.Map, Builds: j.builds}
-		if !j.env.DisableBatch {
-			t.BatchMap = input.BatchMap
-		}
 		if j.spec.Reduce != nil {
 			t.NumReducers, t.Combine = j.numReducers, j.spec.Combine
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"dyno/internal/batch"
 	"dyno/internal/cluster"
 	"dyno/internal/coord"
 	"dyno/internal/data"
@@ -51,13 +52,23 @@ func writeTable(env *Env, name, alias string, n int) *dfs.File {
 	return w.Close()
 }
 
-func identityMap(mc *MapCtx, rec data.Value) { mc.Emit(rec) }
+// perRecord adapts a record-at-a-time test map to a map kernel: it
+// walks the split's records in order.
+func perRecord(fn func(mc *MapCtx, rec data.Value)) MapFunc {
+	return func(mc *MapCtx, d *batch.Data) {
+		for _, rec := range d.Records() {
+			fn(mc, rec)
+		}
+	}
+}
 
-// bound gives a declared build side a per-record kernel of the kind
+var identityMap = perRecord(func(mc *MapCtx, rec data.Value) { mc.Emit(rec) })
+
+// bound gives a declared build side a kernel of the kind
 // physop.BindBuild compiles (that package sits above this one): wrap,
 // filter, key, emit the pair.
 func bound(b Broadcast) Broadcast {
-	b.Map = func(mc *MapCtx, rec data.Value) {
+	b.Map = perRecord(func(mc *MapCtx, rec data.Value) {
 		row := rec
 		if b.Wrap != "" {
 			row = data.Object(data.Field{Name: b.Wrap, Value: rec})
@@ -65,7 +76,7 @@ func bound(b Broadcast) Broadcast {
 		if b.Filter == nil || b.Filter.Eval(mc.ExprCtx(), row).Truthy() {
 			mc.EmitKV(CompositeKey(row, b.KeyPaths), "", row)
 		}
-	}
+	})
 	return b
 }
 
@@ -75,11 +86,11 @@ func TestMapOnlyFilterJob(t *testing.T) {
 	pred := &expr.Cmp{Op: expr.LT, L: expr.NewCol("a.id"), R: expr.NewLit(data.Int(50))}
 	res, err := Run(env, Spec{
 		Name: "filter",
-		Inputs: []Input{{File: f, Map: func(mc *MapCtx, rec data.Value) {
+		Inputs: []Input{{File: f, Map: perRecord(func(mc *MapCtx, rec data.Value) {
 			if pred.Eval(mc.ExprCtx(), rec).Truthy() {
 				mc.Emit(rec)
 			}
-		}}},
+		})}},
 		Output:       "out",
 		CollectStats: []data.Path{data.MustParsePath("a.id")},
 	})
@@ -120,12 +131,12 @@ func TestRepartitionJoin(t *testing.T) {
 	res, err := Run(env, Spec{
 		Name: "join",
 		Inputs: []Input{
-			{File: left, Map: func(mc *MapCtx, rec data.Value) {
+			{File: left, Map: perRecord(func(mc *MapCtx, rec data.Value) {
 				mc.EmitKV(keyL.Eval(rec), "L", rec)
-			}},
-			{File: right, Map: func(mc *MapCtx, rec data.Value) {
+			})},
+			{File: right, Map: perRecord(func(mc *MapCtx, rec data.Value) {
 				mc.EmitKV(keyR.Eval(rec), "R", rec)
-			}},
+			})},
 		},
 		Reduce: func(rc *ReduceCtx, key data.Value, group []Pair) {
 			var ls, rs []data.Value
@@ -173,12 +184,12 @@ func TestBroadcastJoin(t *testing.T) {
 	small := writeTable(env, "small", "s", 10) // ids 0..9 = b.grp domain
 	res, err := Run(env, Spec{
 		Name: "bjoin",
-		Inputs: []Input{{File: big, Map: func(mc *MapCtx, rec data.Value) {
+		Inputs: []Input{{File: big, Map: perRecord(func(mc *MapCtx, rec data.Value) {
 			ht := mc.Build("s")
 			for _, m := range ht.Probe(rec.FieldOr("b").FieldOr("grp")) {
 				mc.Emit(data.MergeObjects(rec, m))
 			}
-		}}},
+		})}},
 		Broadcasts: []Broadcast{bound(Broadcast{Name: "s", File: small, KeyPaths: []data.Path{data.MustParsePath("s.id")}})},
 		Output:     "bjoined",
 	})
@@ -285,11 +296,11 @@ func TestPilotOnDemandSplits(t *testing.T) {
 	}
 	res, err := Run(env, Spec{
 		Name: "pilot-mt",
-		Inputs: []Input{{File: f, Splits: []int{0, 1}, Map: func(mc *MapCtx, rec data.Value) {
+		Inputs: []Input{{File: f, Splits: []int{0, 1}, Map: perRecord(func(mc *MapCtx, rec data.Value) {
 			if rec.FieldOr("a").FieldOr("id").Int()%10 == 0 {
 				mc.Emit(rec)
 			}
-		}}},
+		})}},
 		Output:     "sample",
 		StopAfter:  40,
 		MoreSplits: [][]int{reserve},
@@ -329,7 +340,7 @@ func TestReduceStatsCollected(t *testing.T) {
 	key := data.MustParsePath("a.grp")
 	res, err := Run(env, Spec{
 		Name:   "grp",
-		Inputs: []Input{{File: f, Map: func(mc *MapCtx, rec data.Value) { mc.EmitKV(key.Eval(rec), "", rec) }}},
+		Inputs: []Input{{File: f, Map: perRecord(func(mc *MapCtx, rec data.Value) { mc.EmitKV(key.Eval(rec), "", rec) })}},
 		Reduce: func(rc *ReduceCtx, k data.Value, group []Pair) {
 			rc.Emit(data.Object(
 				data.Field{Name: "g", Value: data.Object(
@@ -374,11 +385,11 @@ func TestUDFCostChargedToTask(t *testing.T) {
 	call := &expr.Call{Name: "expensive", Args: []expr.Expr{expr.NewCol("a")}}
 	j, sub, err := Submit(env, Spec{
 		Name: "udf",
-		Inputs: []Input{{File: f, Map: func(mc *MapCtx, rec data.Value) {
+		Inputs: []Input{{File: f, Map: perRecord(func(mc *MapCtx, rec data.Value) {
 			if call.Eval(mc.ExprCtx(), rec).Truthy() {
 				mc.Emit(rec)
 			}
-		}}},
+		})}},
 		Output: "out",
 	})
 	if err != nil {
@@ -407,10 +418,10 @@ func TestUnknownUDFFailsJob(t *testing.T) {
 	call := &expr.Call{Name: "missing"}
 	_, err := Run(env, Spec{
 		Name: "bad",
-		Inputs: []Input{{File: f, Map: func(mc *MapCtx, rec data.Value) {
+		Inputs: []Input{{File: f, Map: perRecord(func(mc *MapCtx, rec data.Value) {
 			call.Eval(mc.ExprCtx(), rec)
 			mc.Emit(rec)
-		}}},
+		})}},
 		Output: "out",
 	})
 	if err == nil {
@@ -445,7 +456,7 @@ func TestDefaultReducersScaleWithInput(t *testing.T) {
 	key := data.MustParsePath("a.grp")
 	j, err := NewJob(env, Spec{
 		Name:   "auto",
-		Inputs: []Input{{File: f, Map: func(mc *MapCtx, rec data.Value) { mc.EmitKV(key.Eval(rec), "", rec) }}},
+		Inputs: []Input{{File: f, Map: perRecord(func(mc *MapCtx, rec data.Value) { mc.EmitKV(key.Eval(rec), "", rec) })}},
 		Reduce: func(rc *ReduceCtx, k data.Value, group []Pair) {},
 		Output: "o",
 	})
@@ -594,11 +605,11 @@ func TestBroadcastWrapAndFilter(t *testing.T) {
 	filter := &expr.Cmp{Op: expr.EQ, L: expr.NewCol("s.flag"), R: expr.NewLit(data.Int(0))}
 	res, err := Run(env, Spec{
 		Name: "wrapped",
-		Inputs: []Input{{File: big, Map: func(mc *MapCtx, rec data.Value) {
+		Inputs: []Input{{File: big, Map: perRecord(func(mc *MapCtx, rec data.Value) {
 			for _, m := range mc.Build("s").Probe(rec.FieldOr("b").FieldOr("grp")) {
 				mc.Emit(data.MergeObjects(rec, m))
 			}
-		}}},
+		})}},
 		Broadcasts: []Broadcast{bound(Broadcast{
 			Name: "s", File: dim, KeyPaths: []data.Path{data.MustParsePath("s.k")},
 			Wrap: "s", Filter: filter,
@@ -640,9 +651,9 @@ func TestBroadcastFilterPrepChargedOnce(t *testing.T) {
 	filter := &expr.Call{Name: "dimfilter", Args: []expr.Expr{expr.NewCol("s")}}
 	j, sub, err := Submit(env, Spec{
 		Name: "prep",
-		Inputs: []Input{{File: big, Map: func(mc *MapCtx, rec data.Value) {
+		Inputs: []Input{{File: big, Map: perRecord(func(mc *MapCtx, rec data.Value) {
 			mc.Emit(rec)
-		}}},
+		})}},
 		Broadcasts: []Broadcast{bound(Broadcast{
 			Name: "s", File: dim, KeyPaths: []data.Path{data.MustParsePath("s.k")},
 			Wrap: "s", Filter: filter,

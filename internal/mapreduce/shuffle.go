@@ -19,10 +19,11 @@ import (
 //     data.Compare calls per comparison. Reduce partition assignment is
 //     data.Hash64(key) % numReducers — partitioning decides output row
 //     placement, so it never depends on the encoding.
-//   - A map task's shuffle buckets are windows of one array (exact ones
-//     when a columnar kernel counted its output first); gathered reduce
-//     inputs and row slices are recycled through sync.Pools across tasks
-//     and jobs, and a key group is its window of the sorted pairs.
+//   - A map task's shuffle buckets are windows of one array, exact ones
+//     when the kernel counted its output first (SizeParts; the
+//     aggregate map's grow by append); gathered reduce inputs and row
+//     slices are recycled through sync.Pools across tasks and jobs, and
+//     a key group is its window of the sorted pairs.
 //   - Broadcast hash tables index build rows by normalized key, turning
 //     probes into exact map lookups with no collision re-checks.
 //

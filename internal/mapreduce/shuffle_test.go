@@ -93,9 +93,9 @@ func runShuffle(t *testing.T, env *Env, f *dfs.File) *Result {
 	key := data.MustParsePath("k")
 	res, err := Run(env, Spec{
 		Name: "diff-shuffle",
-		Inputs: []Input{{File: f, Map: func(mc *MapCtx, rec data.Value) {
+		Inputs: []Input{{File: f, Map: perRecord(func(mc *MapCtx, rec data.Value) {
 			mc.EmitKV(key.Eval(rec), "L", rec)
-		}}},
+		})}},
 		Reduce: func(rc *ReduceCtx, key data.Value, group []Pair) {
 			for _, g := range group {
 				rc.Emit(g.Rec)
@@ -214,7 +214,7 @@ func TestBroadcastJoinMatchesEqualOracle(t *testing.T) {
 			probe, build := table(env, "probe", 800), table(env, "build", 120)
 			res, err := Run(env, Spec{
 				Name: "diff-bjoin",
-				Inputs: []Input{{File: probe, Map: func(mc *MapCtx, rec data.Value) {
+				Inputs: []Input{{File: probe, Map: perRecord(func(mc *MapCtx, rec data.Value) {
 					matches := mc.Build("b").Probe(key.Eval(rec))
 					if byNK := mc.Build("b").ProbeNK(data.NormKey(key.Eval(rec))); len(byNK) != len(matches) {
 						t.Errorf("ProbeNK(%v) finds %d rows, Probe %d", key.Eval(rec), len(byNK), len(matches))
@@ -222,7 +222,7 @@ func TestBroadcastJoinMatchesEqualOracle(t *testing.T) {
 					for _, m := range matches {
 						mc.Emit(data.MergeObjects(rec, m))
 					}
-				}}},
+				})}},
 				Broadcasts: []Broadcast{bound(Broadcast{Name: "b", File: build, KeyPaths: []data.Path{key}})},
 				Output:     "diff-bjoined",
 			})

@@ -63,47 +63,37 @@ func (mc *MapCtx) EmitKV(key data.Value, tag string, rec data.Value) {
 }
 
 // EmitPair is EmitKV with the key's partition hash and normalized
-// encoding already computed — columnar kernels evaluate keys once per
-// split and route rows through here, skipping the per-record Hash64
-// and AppendNormKey work. nk must be the key's normalized encoding and
-// hash its data.Hash64, so the pair is indistinguishable from one built
-// by EmitKV.
+// encoding already computed — the shuffle kernels read keys from the
+// split's cached key columns and route rows through here, skipping the
+// per-record Hash64 and AppendNormKey work. nk must be the key's
+// normalized encoding and hash its data.Hash64, so the pair is
+// indistinguishable from one built by EmitKV.
 func (mc *MapCtx) EmitPair(key data.Value, nk string, tag string, rec data.Value, hash uint64) {
 	p := int(hash % uint64(len(mc.parts)))
 	mc.parts[p] = append(mc.parts[p], Pair{Key: key, Tag: tag, Rec: rec, nk: nk})
 }
 
 // SizeParts provisions the shuffle buckets for exactly the pairs a
-// columnar kernel is about to emit — hashes[i] for each i in sel — so a
-// map that filters most of its split allocates for what survives.
+// kernel is about to emit — hashes[i] for each i in sel — as windows of
+// one array, so a map that filters most of its split allocates for what
+// survives. Each window is capacity-limited: a bucket outgrowing it
+// reallocates alone. Buckets a kernel does not size grow by append.
 func (mc *MapCtx) SizeParts(hashes []uint64, sel []int32) {
 	counts := make([]int, len(mc.parts))
 	for _, i := range sel {
 		counts[hashes[i]%uint64(len(counts))]++
 	}
-	mc.cutParts(len(sel), func(p int) int { return counts[p] })
-}
-
-// cutParts makes each bucket a capacity-limited window of one array of
-// total pairs: a bucket outgrowing its window reallocates alone.
-func (mc *MapCtx) cutParts(total int, size func(p int) int) {
-	backing := make([]Pair, total)
-	for p := range mc.parts {
-		n := size(p)
+	backing := make([]Pair, len(sel))
+	for p, n := range counts {
 		mc.parts[p], backing = backing[:0:n], backing[n:]
 	}
 }
 
-// MapFunc processes one input record.
-type MapFunc func(mc *MapCtx, rec data.Value)
-
-// BatchFunc processes one whole split through its columnar image, or
-// declines. Returning true means the split was fully handled: the
-// function emitted exactly what the per-record Map would have emitted
-// for every record, in order, with the same virtual sizes. Returning
-// false means the per-record Map must run instead — the function must
-// decline before emitting anything.
-type BatchFunc func(mc *MapCtx, d *batch.Data) bool
+// MapFunc is a map kernel: it processes one whole split through the
+// split's columnar image (see batch.Data), emitting rows or shuffle
+// pairs in split order. A kernel that walks rows reads d.Records(); the
+// image builds vectors, wrapped rows and key columns only on request.
+type MapFunc func(mc *MapCtx, d *batch.Data)
 
 // ReduceCtx is handed to reduce functions for emitting output.
 type ReduceCtx struct {
@@ -144,8 +134,8 @@ func (rc *ReduceCtx) Emit(rec data.Value) {
 // the call; reducers must copy anything they keep.
 type ReduceFunc func(rc *ReduceCtx, key data.Value, group []Pair)
 
-// MapTask is one map task's record loop: a split, the kernels to run
-// over it, and the broadcast tables they probe.
+// MapTask is one map task's record loop: a split, the kernel to run
+// over it, and the broadcast tables it probes.
 type MapTask struct {
 	Reg *expr.Registry
 	// Ctx, when non-nil, is continued in place of a fresh context: UDF
@@ -156,9 +146,6 @@ type MapTask struct {
 	// batch.For); nil builds an uncached image.
 	Aux *atomic.Value
 	Map MapFunc
-	// BatchMap, when non-nil, is offered the split before the
-	// per-record loop.
-	BatchMap BatchFunc
 	// Combine, when non-nil, folds each shuffle bucket per key before
 	// the task returns (the classic map-side combiner).
 	Combine ReduceFunc
@@ -180,35 +167,22 @@ type MapOutput struct {
 	CPUTotal float64
 }
 
-// RunMapTask executes one map task's record loop: offer the split to
-// the columnar kernel, fall back to the per-record kernel when there is
-// none or it declines, then fold the combiner over the buckets.
+// RunMapTask executes one map task's record loop: the kernel over the
+// split's image, then the combiner over the buckets.
 func RunMapTask(t *MapTask) (*MapOutput, error) {
 	ectx := t.Ctx
 	if ectx == nil {
 		ectx = &expr.Ctx{Reg: t.Reg}
 	}
 	mc := &MapCtx{ectx: ectx, builds: t.Builds}
-	// Size output buffers from the split: most maps emit at most one
-	// row per input record, so this avoids the append growth ladder in
-	// the shuffle hot path.
-	n := len(t.Recs)
+	// Size the row buffer from the split: most maps emit at most one row
+	// per input record, so this avoids the append growth ladder.
 	if t.NumReducers > 0 {
 		mc.parts = make([][]Pair, t.NumReducers)
-	} else if n > 0 {
+	} else if n := len(t.Recs); n > 0 {
 		mc.rows = rowSlices.get(n)
 	}
-	if t.BatchMap == nil || !t.BatchMap(mc, batch.For(t.Aux, t.Recs)) {
-		if t.NumReducers > 0 && n > 0 {
-			// The per-record kernel cannot say what it will emit: even
-			// windows over the unfiltered split.
-			per := n/t.NumReducers + 1
-			mc.cutParts(t.NumReducers*per, func(int) int { return per })
-		}
-		for _, rec := range t.Recs {
-			t.Map(mc, rec)
-		}
-	}
+	t.Map(mc, batch.For(t.Aux, t.Recs))
 	out := &MapOutput{Rows: mc.rows, Parts: mc.parts, CPUMap: ectx.CPUSeconds}
 	if ectx.Err == nil && t.Combine != nil {
 		combineParts(out.Parts, t.Combine, ectx)

@@ -29,10 +29,10 @@ func TestPilotStaysLazy(t *testing.T) {
 	var mapped atomic.Int64
 	j, sub, err := Submit(env, Spec{
 		Name: "pilot-lazy",
-		Inputs: []Input{{File: f, Map: func(mc *MapCtx, rec data.Value) {
+		Inputs: []Input{{File: f, Map: perRecord(func(mc *MapCtx, rec data.Value) {
 			mapped.Add(1)
 			mc.Emit(rec)
-		}}},
+		})}},
 		Output:    "sample",
 		StopAfter: 40,
 	})
@@ -88,7 +88,7 @@ func digest(res *Result, duration float64) string {
 // the strings below were recorded at the commit before Task.Work.
 func TestWideJobResultPinned(t *testing.T) {
 	grp := data.MustParsePath("a.grp")
-	emitKV := func(mc *MapCtx, rec data.Value) { mc.EmitKV(grp.Eval(rec), "L", rec) }
+	emitKV := perRecord(func(mc *MapCtx, rec data.Value) { mc.EmitKV(grp.Eval(rec), "L", rec) })
 	count := func(rc *ReduceCtx, key data.Value, group []Pair) {
 		var n int64
 		for _, g := range group {
@@ -105,11 +105,11 @@ func TestWideJobResultPinned(t *testing.T) {
 		spec Spec
 		want string
 	}{
-		{Spec{Name: "wide-map", Inputs: []Input{{Map: func(mc *MapCtx, rec data.Value) {
+		{Spec{Name: "wide-map", Inputs: []Input{{Map: perRecord(func(mc *MapCtx, rec data.Value) {
 			if rec.FieldOr("a").FieldOr("id").Int()%3 == 0 {
 				mc.Emit(rec)
 			}
-		}}}}, "in=1500 out=500 maps=150 reduces=0 splits=150/150 whole=true virtual=29128 blocks=50 hash=dd890d044474cea0 duration=50.94820000000003 stats[in=1500 out=500 bytes=29128 card=500 avg=58.3B a.id{ndv=475} grp{ndv=0}]"},
+		})}}}, "in=1500 out=500 maps=150 reduces=0 splits=150/150 whole=true virtual=29128 blocks=50 hash=dd890d044474cea0 duration=50.94820000000003 stats[in=1500 out=500 bytes=29128 card=500 avg=58.3B a.id{ndv=475} grp{ndv=0}]"},
 		{Spec{Name: "wide-mr", Inputs: []Input{{Map: emitKV}}, Reduce: count, NumReducers: 6},
 			"in=1500 out=10 maps=150 reduces=6 splits=150/150 whole=true virtual=180 blocks=1 hash=72a7a5818aaa70b2 duration=64.38999999999999 stats[in=0 out=10 bytes=180 card=10 avg=18.0B a.id{ndv=0} grp{ndv=10}]"},
 		{Spec{Name: "wide-combine", Inputs: []Input{{Map: emitKV}}, Reduce: count, Combine: count, NumReducers: 6},
@@ -140,71 +140,102 @@ func TestWideJobResultPinned(t *testing.T) {
 	}
 }
 
-// TestBucketsShareOneArray: a map task's shuffle buckets are windows of
-// one backing array — one allocation per task, not one per (task,
-// reducer) — each capacity-limited so an overflowing bucket moves out
-// alone; the combiner keeps a window it did not replace out of the pair
-// pool, and so does a finished job.
+// TestBucketsShareOneArray: the buckets SizeParts provisions are
+// windows of one backing array — one allocation per task, not one per
+// (task, reducer) — in partition order, each capacity-limited so a
+// bucket outgrowing its window moves out alone.
 func TestBucketsShareOneArray(t *testing.T) {
+	const reducers = 8
 	recs := make([]data.Value, 40)
+	hs := make([]uint64, len(recs))
+	var sized []int32
+	key := data.MustParsePath("k")
 	for i := range recs {
 		recs[i] = data.Object(data.Field{Name: "k", Value: data.Int(int64(i % 7))})
-	}
-	key := data.MustParsePath("k")
-	task := &MapTask{Recs: recs, NumReducers: 8, Map: func(mc *MapCtx, rec data.Value) {
-		if k := key.Eval(rec); k.Int() != 3 { // partition of key 3 stays empty unless shared
-			mc.EmitKV(k, "L", rec)
+		hs[i] = data.Hash64(key.Eval(recs[i]))
+		if i%7 != 3 {
+			sized = append(sized, int32(i))
 		}
-	}}
-	out, err := RunMapTask(task)
+	}
+	// Size for every key but 3, then emit every record: key 3's bucket
+	// outgrows its window.
+	out, err := RunMapTask(&MapTask{Recs: recs, NumReducers: reducers, Map: func(mc *MapCtx, d *batch.Data) {
+		mc.SizeParts(hs, sized)
+		for _, rec := range d.Records() {
+			mc.EmitKV(key.Eval(rec), "L", rec)
+		}
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	per := len(recs)/task.NumReducers + 1
-	base := reflect.ValueOf(out.Parts[0]).Pointer()
-	var inPlace, moved, total int
+	counts, offsets := make([]int, reducers), make([]int, reducers)
+	for _, i := range sized {
+		counts[hs[i]%reducers]++
+	}
+	for p := 1; p < reducers; p++ {
+		offsets[p] = offsets[p-1] + counts[p-1]
+	}
+	over := int(hs[3] % reducers)
+	size := reflect.TypeOf(Pair{}).Size()
+	var start uintptr // the shared array, found through any window in place
 	for p, bucket := range out.Parts {
-		total += len(bucket)
-		if cap(bucket) == 0 {
-			t.Fatalf("bucket %d has no window", p)
-		}
-		at := reflect.ValueOf(bucket).Pointer()
-		if want := base + uintptr(p*per)*reflect.TypeOf(Pair{}).Size(); at == want && cap(bucket) == per {
-			inPlace++
-		} else if len(bucket) > per {
-			moved++
-		} else {
-			t.Errorf("bucket %d (len %d cap %d) is neither its window of the shared array nor an overflow", p, len(bucket), cap(bucket))
+		if p != over && counts[p] > 0 {
+			start = reflect.ValueOf(bucket).Pointer() - uintptr(offsets[p])*size
+			break
 		}
 	}
-	if total != 40-len(recs)/7-1 || inPlace == 0 || moved == 0 {
-		t.Errorf("%d pairs, %d buckets in place, %d overflowed: want both kinds", total, inPlace, moved)
+	var total int
+	for p, bucket := range out.Parts {
+		total += len(bucket)
+		at := reflect.ValueOf(bucket).Pointer()
+		switch {
+		case p == over:
+			if len(bucket) != counts[p]+6 || at >= start && at < start+uintptr(len(sized))*size {
+				t.Errorf("overflowing bucket %d (len %d) still lies in the shared array", p, len(bucket))
+			}
+		case len(bucket) != counts[p] || cap(bucket) != counts[p]:
+			t.Errorf("bucket %d has len %d cap %d, want its window of %d", p, len(bucket), cap(bucket), counts[p])
+		case counts[p] > 0 && at != start+uintptr(offsets[p])*size:
+			t.Errorf("bucket %d is not its window of the shared array", p)
+		}
+	}
+	if total != len(recs) || start == 0 {
+		t.Errorf("%d pairs emitted, want %d; shared array found: %v", total, len(recs), start != 0)
 	}
 }
 
 // TestFinishedJobPoolsNoBuckets: neither the combiner nor Job.finish
 // hands a bucket to pairSlicePool — a window there would pin its whole
 // task's array and be handed out as if it were a slice of its own. The
-// map function remembers every task's array; whatever the pool yields
+// map kernel remembers every task's array; whatever the pool yields
 // after the job must lie outside all of them (the reduce tasks'
 // gathered inputs are what it legitimately holds).
 func TestFinishedJobPoolsNoBuckets(t *testing.T) {
 	grp := data.MustParsePath("a.grp")
 	first := func(rc *ReduceCtx, key data.Value, group []Pair) { rc.Emit(group[0].Rec) }
+	size := reflect.TypeOf(Pair{}).Size()
 	for _, combine := range []ReduceFunc{nil, first} {
 		env := testEnv(t)
 		f := writeTable(env, "t", "a", 600)
 		var mu sync.Mutex
-		arrays := map[*MapCtx][]Pair{} // each task's first window, which starts its array
+		type span struct{ lo, hi uintptr }
+		arrays := map[*MapCtx]span{} // each task's bucket array
 		res, err := Run(env, Spec{
 			Name: "pooled",
-			Inputs: []Input{{File: f, Map: func(mc *MapCtx, rec data.Value) {
-				mu.Lock()
-				if _, seen := arrays[mc]; !seen {
-					arrays[mc] = mc.parts[0]
+			Inputs: []Input{{File: f, Map: func(mc *MapCtx, d *batch.Data) {
+				recs := d.Records()
+				hs, sel := make([]uint64, len(recs)), make([]int32, len(recs))
+				for i, rec := range recs {
+					hs[i], sel[i] = data.Hash64(grp.Eval(rec)), int32(i)
 				}
+				mc.SizeParts(hs, sel)
+				lo := reflect.ValueOf(mc.parts[0]).Pointer() // the first window starts the array
+				mu.Lock()
+				arrays[mc] = span{lo, lo + uintptr(len(recs))*size}
 				mu.Unlock()
-				mc.EmitKV(grp.Eval(rec), "L", rec)
+				for _, rec := range recs {
+					mc.EmitKV(grp.Eval(rec), "L", rec)
+				}
 			}}},
 			Reduce: first, Combine: combine, NumReducers: 4, Output: "out",
 		})
@@ -218,8 +249,7 @@ func TestFinishedJobPoolsNoBuckets(t *testing.T) {
 			}
 			at := reflect.ValueOf(*pooled).Pointer()
 			for _, w := range arrays {
-				lo := reflect.ValueOf(w).Pointer()
-				if hi := lo + uintptr(4*cap(w))*reflect.TypeOf(Pair{}).Size(); at >= lo && at < hi {
+				if at >= w.lo && at < w.hi {
 					t.Fatalf("combine=%v: pairSlices holds a slice inside a map task's bucket array", combine != nil)
 				}
 			}
@@ -303,30 +333,29 @@ func TestJobLifecycleRunsOnThePool(t *testing.T) {
 			if f.NumBlocks() != 3 {
 				t.Fatalf("build side %s has %d blocks, want 3", name, f.NumBlocks())
 			}
+			// No UDF cost to keep in order: the build's blocks are
+			// independent, a closure each.
 			b := bound(Broadcast{Name: name, File: f, KeyPaths: []data.Path{data.MustParsePath(name + ".grp")}})
 			emit := b.Map
-			b.Map = func(mc *MapCtx, rec data.Value) {
-				scanned.Add(1)
+			b.Map = func(mc *MapCtx, d *batch.Data) {
+				scanned.Add(int64(d.Len()))
 				if !pool.inBatch.Load() {
-					offPool.Add(1)
+					offPool.Add(int64(d.Len()))
 				}
-				emit(mc, rec)
+				emit(mc, d)
 			}
-			// A columnar kernel that always declines: the build's blocks
-			// are independent (no UDF cost to keep in order), a closure each.
-			b.BatchMap = func(*MapCtx, *batch.Data) bool { return false }
 			return b
 		}
 		key := data.MustParsePath("a.grp")
 		j, err := NewJob(env, Spec{
 			Name: "lifecycle",
-			Inputs: []Input{{File: probe, Map: func(mc *MapCtx, rec data.Value) {
+			Inputs: []Input{{File: probe, Map: perRecord(func(mc *MapCtx, rec data.Value) {
 				for _, m := range mc.Build("x").Probe(key.Eval(rec)) {
 					if len(mc.Build("y").Probe(key.Eval(rec))) > 0 {
 						mc.Emit(data.MergeObjects(rec, m))
 					}
 				}
-			}}},
+			})}},
 			Broadcasts:   []Broadcast{build("x"), build("y")},
 			Output:       "out",
 			CollectStats: []data.Path{data.MustParsePath("a.id"), data.MustParsePath("a.grp"), data.MustParsePath("x.id")},

@@ -43,12 +43,12 @@ func BenchmarkProbeChain(b *testing.B) {
 	}
 	split := table(rows)
 	k, err := Compile(op, 0, split[0])
-	if err != nil || k.BatchMap == nil {
-		b.Fatalf("chain compiled without a columnar kernel (err %v)", err)
+	if err != nil {
+		b.Fatal(err)
 	}
 	var aux atomic.Value // the split's columnar image, built by the first task
 	run := func() int {
-		out, err := mapreduce.RunMapTask(&mapreduce.MapTask{Reg: reg, Recs: split, Aux: &aux, Map: k.Map, BatchMap: k.BatchMap, Builds: builds})
+		out, err := mapreduce.RunMapTask(&mapreduce.MapTask{Reg: reg, Recs: split, Aux: &aux, Map: k.Map, Builds: builds})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -78,9 +78,6 @@ func BenchmarkBuildHashTable(b *testing.B) {
 	}
 	build := BindBuild(mapreduce.Broadcast{Name: "b", Wrap: "b", KeyPaths: []data.Path{data.MustParsePath("b.k")},
 		Filter: &expr.Cmp{Op: expr.NE, L: expr.NewCol("b.flag"), R: expr.NewLit(data.Int(1))}}, recs[0])
-	if build.BatchMap == nil {
-		b.Fatal("build compiled without a columnar kernel")
-	}
 	var aux atomic.Value // the split's columnar image, built by the first build
 	split := []mapreduce.Split{{Recs: recs, Aux: &aux}}
 	run := func() int {
@@ -97,5 +94,47 @@ func BenchmarkBuildHashTable(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		run()
+	}
+}
+
+// BenchmarkShuffle is one repartition job's shuffle as production runs
+// it: the repartition kernel over a cold 8,000-row input (fresh blocks,
+// so every split builds its image: wrapped rows, key columns, hashes),
+// partitioning into sized buckets, the reduce-side sort and an identity
+// reducer. It allocates per split, per bucket array and per output
+// block, not per pair. Run it with:
+//
+//	go test -run='^$' -bench=BenchmarkShuffle -benchtime=1x ./internal/physop
+func BenchmarkShuffle(b *testing.B) {
+	op := &OpSpec{Kind: Repartition, Left: &Source{Wrap: "l"}, LeftKeys: []data.Path{data.MustParsePath("l.grp")}}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		env := testEnv()
+		w := env.FS.Create("l")
+		for r := 0; r < 8000; r++ {
+			w.Append(data.Object(
+				data.Field{Name: "grp", Value: data.Int(int64(r % 100))},
+				data.Field{Name: "id", Value: data.Int(int64(r))},
+				data.Field{Name: "pad", Value: data.String("xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx")},
+			))
+		}
+		spec, err := op.Bind(mapreduce.Spec{Name: "shuffle", Output: "shuffled", NumReducers: 8}, w.Close())
+		if err != nil {
+			b.Fatal(err)
+		}
+		spec.Reduce = func(rc *mapreduce.ReduceCtx, _ data.Value, group []mapreduce.Pair) {
+			for _, g := range group {
+				rc.Emit(g.Rec)
+			}
+		}
+		b.StartTimer()
+		res, err := mapreduce.Run(env, spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.OutRecords != 8000 {
+			b.Fatalf("out = %d, want 8000", res.OutRecords)
+		}
 	}
 }

@@ -3,7 +3,10 @@ package physop
 import (
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"dyno/internal/cluster"
@@ -12,18 +15,18 @@ import (
 	"dyno/internal/dfs"
 	"dyno/internal/expr"
 	"dyno/internal/mapreduce"
+	"dyno/internal/sqlparse"
 	"dyno/internal/stats"
 )
 
 // The differential tests in this file run the same operator both ways
-// — every split offered to the columnar kernel (the default), and the
-// per-record kernel alone (Env.DisableBatch) — and assert the outputs
-// are bit-identical: same records, same order, same statistics. Both
-// kernels come out of one Compile; the columnar one is a pure
-// host-side accelerator and any observable divergence is a bug. The
-// input tables are adversarial key mixes: every scalar kind, strings
-// with embedded 0x00 terminator bytes, nulls, -0.0, NaN, and integers
-// beyond ±2^53 beside the doubles their float images round to.
+// — compiled to the map kernels (Bind), and to the record-at-a-time
+// oracle (oracleBind, oracle_test.go) — and assert the jobs are
+// indistinguishable: same records, same order, same statistics, the
+// same float of UDF cost on every task and the same virtual duration.
+// The input tables are adversarial key mixes: every scalar kind,
+// strings with embedded 0x00 terminator bytes, nulls, -0.0, NaN, and
+// integers beyond ±2^53 beside the doubles their float images round to.
 
 func testEnv() *mapreduce.Env {
 	cfg := cluster.Config{
@@ -38,20 +41,51 @@ func testEnv() *mapreduce.Env {
 		WriteBps:             1 << 20,
 		Parallelism:          4,
 	}
+	reg := expr.NewRegistry()
+	registerUDFs(reg)
 	return &mapreduce.Env{
 		FS:    dfs.New(dfs.WithBlockSize(16<<10), dfs.WithNodes(4)),
 		Sim:   cluster.New(cfg),
 		Coord: coord.NewService(),
-		Reg:   expr.NewRegistry(),
+		Reg:   reg,
 	}
 }
 
-// diffEnvs returns the two arms' environments.
-func diffEnvs() (batchEnv, rowEnv *mapreduce.Env) {
-	batchEnv, rowEnv = testEnv(), testEnv()
-	rowEnv.DisableBatch = true
-	return
+// registerUDFs registers the filters the tests call. Each keeps the
+// rows whose sequence number is not a multiple of three; their costs are
+// odd floats, so that summing the same calls in another order gives
+// another float. keep_row takes the whole row (a bare alias argument,
+// which no alias-stripped form exists for), keep_seq and keep_match the
+// seq column.
+func registerUDFs(reg *expr.Registry) {
+	seq := func(v data.Value) int64 {
+		if s, ok := v.Field("seq"); ok {
+			return s.Int()
+		}
+		return v.Int()
+	}
+	for name, cost := range map[string]float64{"keep_row": 0.0137, "keep_seq": 0.0113, "keep_match": 0.0071, "quarter": 0.25} {
+		reg.Register(expr.UDF{Name: name, CPUCost: cost, Fn: func(args []data.Value) data.Value {
+			return data.Bool(seq(args[0])%3 != 0)
+		}})
+	}
 }
+
+func call(name, col string) expr.Expr {
+	return &expr.Call{Name: name, Args: []expr.Expr{expr.NewCol(col)}}
+}
+
+// arm is one way to compile an operator: the map kernels under test, or
+// the record-at-a-time oracle.
+type arm struct {
+	bind      func(op *OpSpec, spec mapreduce.Spec, files ...*dfs.File) (mapreduce.Spec, error)
+	bindBuild func(b mapreduce.Broadcast, sample data.Value) mapreduce.Broadcast
+}
+
+var (
+	kernelArm = arm{(*OpSpec).Bind, BindBuild}
+	oracleArm = arm{oracleBind, oracleBindBuild}
+)
 
 // mixedKeyTable writes records whose key column cycles through every
 // scalar kind the normalized encoding supports — including negative
@@ -118,8 +152,8 @@ var edgeNumbers = []data.Value{
 }
 
 // edgeKeyTable keys records by the edge numbers (a mixed int/double
-// column, compared per row) and adds two typed columns the columnar
-// kernels compare in loops: x ints around 2^53, y doubles with ±0,
+// column, compared per row) and adds two typed columns the column-wise
+// filters compare in loops: x ints around 2^53, y doubles with ±0,
 // ±Inf and NaN.
 func edgeKeyTable(env *mapreduce.Env, name string, n int) *dfs.File {
 	xs := []int64{0, 2, 1 << 53, 1<<53 + 1, -(1<<53 + 1)}
@@ -153,40 +187,98 @@ func edgeFilter() expr.Expr {
 	}}
 }
 
-func assertSameRecords(t *testing.T, batch, row []data.Value) {
+func assertSameRecords(t *testing.T, got, want []data.Value) {
 	t.Helper()
-	if len(batch) != len(row) {
-		t.Fatalf("record count diverged: batch %d, per-record %d", len(batch), len(row))
+	if len(got) != len(want) {
+		t.Fatalf("record count diverged: kernel %d, oracle %d", len(got), len(want))
 	}
-	for i := range batch {
-		if !data.Equal(batch[i], row[i]) {
-			t.Fatalf("record %d diverged:\n  batch:      %v\n  per-record: %v", i, batch[i], row[i])
+	for i := range got {
+		if !data.Equal(got[i], want[i]) {
+			t.Fatalf("record %d diverged:\n  kernel: %v\n  oracle: %v", i, got[i], want[i])
 		}
 	}
 }
 
-func assertSameStats(t *testing.T, batch, row *stats.Partial) {
+func assertSameStats(t *testing.T, got, want *stats.Partial) {
 	t.Helper()
-	if batch.InRecords != row.InRecords || batch.OutRecords != row.OutRecords || batch.OutBytes != row.OutBytes {
-		t.Fatalf("partial counters diverged: batch{in=%d out=%d bytes=%d} per-record{in=%d out=%d bytes=%d}",
-			batch.InRecords, batch.OutRecords, batch.OutBytes, row.InRecords, row.OutRecords, row.OutBytes)
+	if (got == nil) != (want == nil) {
+		t.Fatalf("statistics collected: kernel %v, oracle %v", got != nil, want != nil)
 	}
-	be, re := batch.Exact(), row.Exact()
-	if be.Card != re.Card || be.AvgRecSize != re.AvgRecSize || len(be.Cols) != len(re.Cols) {
-		t.Fatalf("exact stats diverged: batch{card=%v avg=%v cols=%d} per-record{card=%v avg=%v cols=%d}",
-			be.Card, be.AvgRecSize, len(be.Cols), re.Card, re.AvgRecSize, len(re.Cols))
+	if got == nil {
+		return
 	}
-	for path, bc := range be.Cols {
-		rc, ok := re.Cols[path]
-		if !ok || bc.NDV != rc.NDV || !data.Equal(bc.Min, rc.Min) || !data.Equal(bc.Max, rc.Max) {
-			t.Fatalf("column %q stats diverged: batch{ndv=%v min=%v max=%v} per-record{ndv=%v min=%v max=%v}",
-				path, bc.NDV, bc.Min, bc.Max, rc.NDV, rc.Min, rc.Max)
+	if got.InRecords != want.InRecords || got.OutRecords != want.OutRecords || got.OutBytes != want.OutBytes {
+		t.Fatalf("partial counters diverged: kernel{in=%d out=%d bytes=%d} oracle{in=%d out=%d bytes=%d}",
+			got.InRecords, got.OutRecords, got.OutBytes, want.InRecords, want.OutRecords, want.OutBytes)
+	}
+	ge, we := got.Exact(), want.Exact()
+	if ge.Card != we.Card || ge.AvgRecSize != we.AvgRecSize || len(ge.Cols) != len(we.Cols) {
+		t.Fatalf("exact stats diverged: kernel{card=%v avg=%v cols=%d} oracle{card=%v avg=%v cols=%d}",
+			ge.Card, ge.AvgRecSize, len(ge.Cols), we.Card, we.AvgRecSize, len(we.Cols))
+	}
+	for path, gc := range ge.Cols {
+		wc, ok := we.Cols[path]
+		if !ok || gc.NDV != wc.NDV || !data.Equal(gc.Min, wc.Min) || !data.Equal(gc.Max, wc.Max) {
+			t.Fatalf("column %q stats diverged: kernel{ndv=%v min=%v max=%v} oracle{ndv=%v min=%v max=%v}",
+				path, gc.NDV, gc.Min, gc.Max, wc.NDV, wc.Min, wc.Max)
 		}
 	}
+}
+
+// ran is a finished job: its result, the UDF cost each of its tasks was
+// charged (in completion order) and its virtual duration.
+type ran struct {
+	*mapreduce.Result
+	cpu      []float64
+	duration float64
+}
+
+func (r ran) totalCPU() float64 {
+	var sum float64
+	for _, c := range r.cpu {
+		sum += c
+	}
+	return sum
+}
+
+func mustRun(t *testing.T, env *mapreduce.Env, spec mapreduce.Spec, err error) ran {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, sub, err := mapreduce.Submit(env, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := env.RunUntil(sub.Done); err != nil || sub.Err() != nil {
+		t.Fatal(err, sub.Err())
+	}
+	res, err := j.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := ran{Result: res, duration: sub.Duration()}
+	for _, task := range sub.CompletedTasks() {
+		r.cpu = append(r.cpu, task.Usage().CPUSeconds)
+	}
+	return r
+}
+
+// differential runs a job on a fresh environment per arm and asserts the
+// kernel's is the oracle's; it returns the kernel's.
+func differential(t *testing.T, run func(a arm, env *mapreduce.Env) ran) ran {
+	t.Helper()
+	got, want := run(kernelArm, testEnv()), run(oracleArm, testEnv())
+	assertSameRecords(t, got.Output.AllRecords(), want.Output.AllRecords())
+	assertSameStats(t, got.Stats, want.Stats)
+	if !slices.Equal(got.cpu, want.cpu) || got.duration != want.duration {
+		t.Fatalf("charges diverged: kernel cpu %v duration %v, oracle cpu %v duration %v", got.cpu, got.duration, want.cpu, want.duration)
+	}
+	return got
 }
 
 // diffFilter is a filter over the wrapped rows' mixed-kind key column
-// and integer sequence column that exercises every batch-supported
+// and integer sequence column that exercises every column-wise
 // predicate shape: comparisons against a mixed-kind column (nulls,
 // booleans, 0x00 strings, -0.0), an int column, and And/Or/Not.
 func diffFilter() expr.Expr {
@@ -199,41 +291,29 @@ func diffFilter() expr.Expr {
 	}}
 }
 
-func mustRun(t *testing.T, env *mapreduce.Env, spec mapreduce.Spec, err error) *mapreduce.Result {
-	t.Helper()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := mapreduce.Run(env, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
-}
-
 var keyPath = []data.Path{data.MustParsePath("t.k")}
 
-// runScan executes a scan op (filter, wrap as {t: rec}).
-func runScan(t *testing.T, env *mapreduce.Env, f *dfs.File, filter expr.Expr) *mapreduce.Result {
+func scanOp(filter expr.Expr) *OpSpec {
+	return &OpSpec{Kind: Scan, Source: &Source{Wrap: "t", Filter: filter}}
+}
+
+func shuffleOp(filter expr.Expr) *OpSpec {
+	return &OpSpec{Kind: Repartition, Left: &Source{Wrap: "t", Filter: filter}, LeftKeys: keyPath}
+}
+
+// runScan executes a scan op over f, collecting statistics on t.k.
+func runScan(t *testing.T, a arm, env *mapreduce.Env, f *dfs.File, op *OpSpec) ran {
 	t.Helper()
-	op := &OpSpec{Kind: Scan, Source: &Source{Wrap: "t", Filter: filter}}
-	spec, err := op.Bind(mapreduce.Spec{Name: "diff-scan", Output: "diff-scanned", CollectStats: keyPath}, f)
-	if spec.Inputs[0].BatchMap == nil {
-		t.Fatal("scan op compiled without a columnar kernel; the comparison would be vacuous")
-	}
+	spec, err := a.bind(op, mapreduce.Spec{Name: "diff-scan", Output: "diff-scanned", CollectStats: keyPath}, f)
 	return mustRun(t, env, spec, err)
 }
 
-// runShuffle executes the map side of a repartition op (filter, wrap,
-// key by t.k) under an identity reducer, so the output exposes the
-// exact reduce-side order of every pair.
-func runShuffle(t *testing.T, env *mapreduce.Env, f *dfs.File, filter expr.Expr) *mapreduce.Result {
+// runShuffle executes the map side of a repartition op under an
+// identity reducer, so the output exposes the exact reduce-side order
+// of every pair.
+func runShuffle(t *testing.T, a arm, env *mapreduce.Env, f *dfs.File, op *OpSpec) ran {
 	t.Helper()
-	op := &OpSpec{Kind: Repartition, Left: &Source{Wrap: "t", Filter: filter}, LeftKeys: keyPath}
-	spec, err := op.Bind(mapreduce.Spec{Name: "diff-shuffle", Output: "diff-shuffled", NumReducers: 4, CollectStats: keyPath}, f)
-	if spec.Inputs[0].BatchMap == nil {
-		t.Fatal("repartition op compiled without a columnar kernel; the comparison would be vacuous")
-	}
+	spec, err := a.bind(op, mapreduce.Spec{Name: "diff-shuffle", Output: "diff-shuffled", NumReducers: 4, CollectStats: keyPath}, f)
 	spec.Reduce = func(rc *mapreduce.ReduceCtx, _ data.Value, group []mapreduce.Pair) {
 		for _, g := range group {
 			rc.Emit(g.Rec)
@@ -242,36 +322,35 @@ func runShuffle(t *testing.T, env *mapreduce.Env, f *dfs.File, filter expr.Expr)
 	return mustRun(t, env, spec, err)
 }
 
-// bindBuild binds a build side to its file's first record, as the
+// bindBuildFile binds a build side to its file's first record, as the
 // compiler does.
-func bindBuild(b mapreduce.Broadcast) mapreduce.Broadcast {
+func (a arm) bindBuildFile(b mapreduce.Broadcast) mapreduce.Broadcast {
 	sample, _ := b.File.FirstRecord()
-	return BindBuild(b, sample)
+	return a.bindBuild(b, sample)
 }
 
-// runProbe executes a one-step chain op: probe rows {t: rec} joined to
-// build rows {b: rec} on k.
-func runProbe(t *testing.T, env *mapreduce.Env, probe, build *dfs.File) *mapreduce.Result {
+// probeOp is a one-step chain: probe rows {t: rec} joined to build rows
+// {b: rec} on k.
+func probeOp(filter, residual expr.Expr) *OpSpec {
+	return &OpSpec{Kind: Chain, Source: &Source{Wrap: "t", Filter: filter}, Steps: []ChainStep{{Build: "b0", Keys: keyPath, Residual: residual}}}
+}
+
+// runProbe executes a one-step chain op.
+func runProbe(t *testing.T, a arm, env *mapreduce.Env, probe, build *dfs.File, op *OpSpec) ran {
 	t.Helper()
-	op := &OpSpec{Kind: Chain, Source: &Source{Wrap: "t"}, Steps: []ChainStep{{Build: "b0", Keys: keyPath}}}
-	spec := mapreduce.Spec{Name: "diff-probe", Output: "diff-probed",
-		Broadcasts: []mapreduce.Broadcast{bindBuild(mapreduce.Broadcast{Name: "b0", File: build, Wrap: "b", KeyPaths: []data.Path{data.MustParsePath("b.k")}})}}
-	spec, err := op.Bind(spec, probe)
-	if spec.Inputs[0].BatchMap == nil {
-		t.Fatal("chain op compiled without a columnar kernel; the comparison would be vacuous")
-	}
+	spec := mapreduce.Spec{Name: "diff-probe", Output: "diff-probed", CollectStats: keyPath,
+		Broadcasts: []mapreduce.Broadcast{a.bindBuildFile(mapreduce.Broadcast{Name: "b0", File: build, Wrap: "b", KeyPaths: []data.Path{data.MustParsePath("b.k")}})}}
+	spec, err := a.bind(op, spec, probe)
 	return mustRun(t, env, spec, err)
 }
 
 func TestScanKernelsIdentical(t *testing.T) {
 	t.Parallel()
-	bEnv, rEnv := diffEnvs()
-	bRes := runScan(t, bEnv, mixedKeyTable(bEnv, "t", 1500), diffFilter())
-	rRes := runScan(t, rEnv, mixedKeyTable(rEnv, "t", 1500), diffFilter())
-	assertSameRecords(t, bRes.Output.AllRecords(), rRes.Output.AllRecords())
-	assertSameStats(t, bRes.Stats, rRes.Stats)
-	if bRes.OutRecords == 0 || bRes.OutRecords == 1500 {
-		t.Fatalf("filter not selective: %d of 1500 rows survived", bRes.OutRecords)
+	res := differential(t, func(a arm, env *mapreduce.Env) ran {
+		return runScan(t, a, env, mixedKeyTable(env, "t", 1500), scanOp(diffFilter()))
+	})
+	if res.OutRecords == 0 || res.OutRecords == 1500 {
+		t.Fatalf("filter not selective: %d of 1500 rows survived", res.OutRecords)
 	}
 }
 
@@ -280,61 +359,131 @@ func TestScanKernelsIdentical(t *testing.T) {
 // reducer position as EmitKV, over keys of every encodable kind.
 func TestShuffleKernelsIdentical(t *testing.T) {
 	t.Parallel()
-	bEnv, rEnv := diffEnvs()
-	bRes := runShuffle(t, bEnv, mixedKeyTable(bEnv, "t", 1500), diffFilter())
-	rRes := runShuffle(t, rEnv, mixedKeyTable(rEnv, "t", 1500), diffFilter())
-	assertSameRecords(t, bRes.Output.AllRecords(), rRes.Output.AllRecords())
-	assertSameStats(t, bRes.Stats, rRes.Stats)
+	differential(t, func(a arm, env *mapreduce.Env) ran {
+		return runShuffle(t, a, env, mixedKeyTable(env, "t", 1500), shuffleOp(diffFilter()))
+	})
 }
 
 // TestShuffleKernelsUnencodableKeys: keys beyond ±2^53 — once an empty
 // normalized key on both kernels — route and sort identically.
 func TestShuffleKernelsUnencodableKeys(t *testing.T) {
 	t.Parallel()
-	bEnv, rEnv := diffEnvs()
-	bRes := runShuffle(t, bEnv, hugeKeyTable(bEnv, "t", 900), nil)
-	rRes := runShuffle(t, rEnv, hugeKeyTable(rEnv, "t", 900), nil)
-	if bRes.OutRecords != 900 {
-		t.Fatalf("out records: %d, want 900", bRes.OutRecords)
+	res := differential(t, func(a arm, env *mapreduce.Env) ran {
+		return runShuffle(t, a, env, hugeKeyTable(env, "t", 900), shuffleOp(nil))
+	})
+	if res.OutRecords != 900 {
+		t.Fatalf("out records: %d, want 900", res.OutRecords)
 	}
-	assertSameRecords(t, bRes.Output.AllRecords(), rRes.Output.AllRecords())
-	assertSameStats(t, bRes.Stats, rRes.Stats)
 }
 
-// TestKernelsExactNumberOrder: over the edge numbers, the columnar scan
-// and shuffle keep, route and order exactly the rows the per-record
-// kernels do.
+// TestKernelsExactNumberOrder: over the edge numbers, the scan and
+// shuffle kernels keep, route and order exactly the rows the oracle
+// does.
 func TestKernelsExactNumberOrder(t *testing.T) {
 	t.Parallel()
-	for name, run := range map[string]func(*testing.T, *mapreduce.Env, *dfs.File, expr.Expr) *mapreduce.Result{"scan": runScan, "shuffle": runShuffle} {
-		bEnv, rEnv := diffEnvs()
-		bRes := run(t, bEnv, edgeKeyTable(bEnv, "t", 600), edgeFilter())
-		rRes := run(t, rEnv, edgeKeyTable(rEnv, "t", 600), edgeFilter())
-		if bRes.OutRecords == 0 || bRes.OutRecords == 600 {
-			t.Fatalf("%s: filter not selective: %d of 600 rows survived", name, bRes.OutRecords)
+	for _, op := range []*OpSpec{scanOp(edgeFilter()), shuffleOp(edgeFilter())} {
+		run := runScan
+		if op.Kind == Repartition {
+			run = runShuffle
 		}
-		assertSameRecords(t, bRes.Output.AllRecords(), rRes.Output.AllRecords())
-		assertSameStats(t, bRes.Stats, rRes.Stats)
+		res := differential(t, func(a arm, env *mapreduce.Env) ran {
+			return run(t, a, env, edgeKeyTable(env, "t", 600), op)
+		})
+		if res.OutRecords == 0 || res.OutRecords == 600 {
+			t.Fatalf("%s: filter not selective: %d of 600 rows survived", op.Kind, res.OutRecords)
+		}
 	}
 }
 
-// TestProbeKernelsIdentical: the vectorized probe (cached per-split
-// key encodings against the normalized-key index) and the per-record
-// probe produce the identical join over mixed-kind keys, keys beyond
-// ±2^53 (the arm named for the hash index they once demoted a build
-// side to) and the edge numbers.
+// TestProbeKernelsIdentical: the probe kernel (cached per-split key
+// encodings against the normalized-key index) and the oracle's probe
+// produce the identical join over mixed-kind keys, keys beyond ±2^53
+// (the arm named for the hash index they once demoted a build side to)
+// and the edge numbers.
 func TestProbeKernelsIdentical(t *testing.T) {
 	for name, table := range map[string]func(*mapreduce.Env, string, int) *dfs.File{"mixed": mixedKeyTable, "demoted": hugeKeyTable, "edge": edgeKeyTable} {
-		table := table
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			bEnv, rEnv := diffEnvs()
-			bRes := runProbe(t, bEnv, table(bEnv, "probe", 800), table(bEnv, "build", 120))
-			rRes := runProbe(t, rEnv, table(rEnv, "probe", 800), table(rEnv, "build", 120))
-			if bRes.OutRecords == 0 {
+			res := differential(t, func(a arm, env *mapreduce.Env) ran {
+				return runProbe(t, a, env, table(env, "probe", 800), table(env, "build", 120), probeOp(nil, nil))
+			})
+			if res.OutRecords == 0 {
 				t.Fatal("join produced no rows; test is vacuous")
 			}
-			assertSameRecords(t, bRes.Output.AllRecords(), rRes.Output.AllRecords())
+		})
+	}
+}
+
+// TestFallbackShapesMatchOracle covers the shapes a columnar kernel once
+// declined and the per-record kernel ran: projection pushdown's pruned
+// scan, shuffle and chain (the kernels prune each emitted row, a chain
+// its probe row too), and a filter with no column-wise form — a UDF over
+// the whole row, or over one column — evaluated once per row in record
+// order on the task's context, beside a residual UDF in a chain.
+func TestFallbackShapesMatchOracle(t *testing.T) {
+	wholeRow, oneCol := call("keep_row", "t"), call("keep_seq", "t.seq")
+	prune := map[string]map[string]bool{"t": {"k": true}, "b": {"k": true, "seq": true}}
+	withPrune := func(op *OpSpec) *OpSpec { op.Prune = prune; return op }
+	cases := map[string]func(a arm, env *mapreduce.Env) ran{
+		"scan/pruned": func(a arm, env *mapreduce.Env) ran {
+			return runScan(t, a, env, mixedKeyTable(env, "t", 1500), withPrune(scanOp(diffFilter())))
+		},
+		"scan/udf-row": func(a arm, env *mapreduce.Env) ran {
+			return runScan(t, a, env, mixedKeyTable(env, "t", 1500), scanOp(wholeRow))
+		},
+		"scan/udf-row/pruned": func(a arm, env *mapreduce.Env) ran {
+			return runScan(t, a, env, mixedKeyTable(env, "t", 1500), withPrune(scanOp(wholeRow)))
+		},
+		"shuffle/pruned": func(a arm, env *mapreduce.Env) ran {
+			return runShuffle(t, a, env, mixedKeyTable(env, "t", 1500), withPrune(shuffleOp(diffFilter())))
+		},
+		"shuffle/udf-row": func(a arm, env *mapreduce.Env) ran {
+			return runShuffle(t, a, env, edgeKeyTable(env, "t", 900), shuffleOp(wholeRow))
+		},
+		"shuffle/udf-col/pruned": func(a arm, env *mapreduce.Env) ran {
+			return runShuffle(t, a, env, hugeKeyTable(env, "t", 900), withPrune(shuffleOp(oneCol)))
+		},
+		"chain/pruned": func(a arm, env *mapreduce.Env) ran {
+			return runProbe(t, a, env, mixedKeyTable(env, "probe", 800), mixedKeyTable(env, "build", 120), withPrune(probeOp(nil, nil)))
+		},
+		"chain/udf-row": func(a arm, env *mapreduce.Env) ran {
+			return runProbe(t, a, env, mixedKeyTable(env, "probe", 800), mixedKeyTable(env, "build", 120), probeOp(wholeRow, call("keep_match", "b.seq")))
+		},
+		"chain/udf-col/pruned": func(a arm, env *mapreduce.Env) ran {
+			return runProbe(t, a, env, hugeKeyTable(env, "probe", 800), hugeKeyTable(env, "build", 120), withPrune(probeOp(oneCol, call("keep_match", "b.seq"))))
+		},
+	}
+	for name, run := range cases {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			res := differential(t, run)
+			if res.OutRecords == 0 {
+				t.Fatal("job emitted no rows; test is vacuous")
+			}
+			if strings.Contains(name, "udf") != (res.totalCPU() > 0) {
+				t.Fatalf("UDF cost charged %v", res.totalCPU())
+			}
+		})
+	}
+}
+
+// TestAggregateMapMatchesOracle: the aggregate kernel walks the split's
+// records and shuffles each under its group key, as the oracle's map
+// did — with and without the map-side combiner.
+func TestAggregateMapMatchesOracle(t *testing.T) {
+	q := sqlparse.MustParse("SELECT t.k, COUNT(*) AS n, SUM(t.seq) AS s FROM t GROUP BY t.k")
+	for _, combine := range []bool{false, true} {
+		t.Run(fmt.Sprintf("combine=%v", combine), func(t *testing.T) {
+			t.Parallel()
+			res := differential(t, func(a arm, env *mapreduce.Env) ran {
+				scanned := runScan(t, a, env, mixedKeyTable(env, "t", 1500), scanOp(nil)).Output
+				op := &OpSpec{Kind: Aggregate, GroupBy: q.GroupBy, Select: q.Select, Combine: combine}
+				spec, err := a.bind(op, mapreduce.Spec{Name: "diff-agg", Output: "diff-aggregated", NumReducers: 3}, scanned)
+				return mustRun(t, env, spec, err)
+			})
+			if res.OutRecords < 10 {
+				t.Fatalf("%d groups; test is vacuous", res.OutRecords)
+			}
 		})
 	}
 }
@@ -377,5 +526,78 @@ func TestBatchCacheConcurrentJobs(t *testing.T) {
 	wg.Wait()
 	for j := 1; j < jobs; j++ {
 		assertSameRecords(t, results[0], results[j])
+	}
+}
+
+// TestChainFilterRunsBeforeEachRowsProbes: a chain whose probe source
+// has a per-row filter (a UDF) and whose step has a UDF residual charges
+// the task's one context in record order — a row's filter call, then its
+// residual calls, then the next row's — so the kernel's float of CPU is
+// the oracle's to the last bit. Rows whose key has no build match call
+// the filter too. The same calls summed filter-first give another
+// float, which the test checks it can tell apart.
+func TestChainFilterRunsBeforeEachRowsProbes(t *testing.T) {
+	reg := expr.NewRegistry()
+	registerUDFs(reg)
+	table := func(n, keys int) []data.Value {
+		recs := make([]data.Value, n)
+		for i := range recs {
+			recs[i] = data.Object(data.Field{Name: "k", Value: data.Int(int64(i % keys))}, data.Field{Name: "seq", Value: data.Int(int64(i))})
+		}
+		return recs
+	}
+	probe, build := table(600, 9), table(21, 7) // probe keys 7 and 8 match nothing
+	ht, err := mapreduce.BuildHashTable(reg, BindBuild(mapreduce.Broadcast{Name: "b", Wrap: "b", KeyPaths: []data.Path{data.MustParsePath("b.k")}}, build[0]),
+		[]mapreduce.Split{{Recs: build}}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	op := &OpSpec{Kind: Chain, Source: &Source{Wrap: "t", Filter: call("keep_seq", "t.seq")},
+		Steps: []ChainStep{{Build: "b", Keys: keyPath, Residual: call("keep_match", "b.seq")}}}
+	run := func(compile func(*OpSpec, int, data.Value) (Kernels, error)) *mapreduce.MapOutput {
+		k, err := compile(op, 0, probe[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := mapreduce.RunMapTask(&mapreduce.MapTask{Reg: reg, Recs: probe, Aux: new(atomic.Value), Map: k.Map,
+			Builds: map[string]*mapreduce.HashTable{"b": ht}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	got, want := run(Compile), run(oracleCompile)
+	assertSameRecords(t, got.Rows, want.Rows)
+	if got.CPUMap != want.CPUMap || got.CPUTotal != want.CPUTotal {
+		t.Errorf("kernel charged %v (total %v), oracle %v (total %v)", got.CPUMap, got.CPUTotal, want.CPUMap, want.CPUTotal)
+	}
+	// Every probe row calls the filter; each survivor with a key below 7
+	// merges with the 3 build rows of its key, and every merge calls the
+	// residual.
+	var filterFirst float64
+	for range probe {
+		filterFirst += 0.0113
+	}
+	for i := range probe {
+		if i%3 != 0 && i%9 < 7 {
+			filterFirst += 3 * 0.0071
+		}
+	}
+	if len(want.Rows) == 0 || filterFirst == want.CPUMap {
+		t.Fatalf("vacuous: %d rows, filter-first sum %v equals the record-order sum", len(want.Rows), filterFirst)
+	}
+}
+
+// TestPerRowFilterChargesEveryJob: a per-row filter's verdicts are never
+// cached on the split. A UDF charges per call, so a second job over the
+// same cached split pays n × cost again, like the first.
+func TestPerRowFilterChargesEveryJob(t *testing.T) {
+	env := testEnv()
+	f := mixedKeyTable(env, "t", 1500)
+	for job := 0; job < 2; job++ {
+		res := runScan(t, kernelArm, env, f, scanOp(call("quarter", "t.seq")))
+		if got := res.totalCPU(); got != 0.25*1500 || res.OutRecords != 1000 {
+			t.Errorf("job %d charged %v for %d rows, want %v for 1000", job, got, res.OutRecords, 0.25*1500)
+		}
 	}
 }

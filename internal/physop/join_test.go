@@ -68,7 +68,7 @@ func chainOracle(probe, b0, b1, b2 []data.Value, prune func(data.Value) data.Val
 	return out
 }
 
-func runChain3(t *testing.T, env *mapreduce.Env, prune map[string]map[string]bool) (*mapreduce.Result, []data.Value) {
+func runChain3(t *testing.T, a arm, env *mapreduce.Env, prune map[string]map[string]bool) (ran, []data.Value) {
 	t.Helper()
 	probe := seqTable(env, "probe", 600, 7)
 	builds := []*dfs.File{seqTable(env, "b0", 21, 7), seqTable(env, "b1", 28, 7), seqTable(env, "b2", 35, 7)}
@@ -79,13 +79,10 @@ func runChain3(t *testing.T, env *mapreduce.Env, prune map[string]map[string]boo
 	}}
 	spec := mapreduce.Spec{Name: "chain3", Output: "chain3-out"}
 	for i, name := range []string{"b0", "b1", "b2"} {
-		spec.Broadcasts = append(spec.Broadcasts, bindBuild(mapreduce.Broadcast{
+		spec.Broadcasts = append(spec.Broadcasts, a.bindBuildFile(mapreduce.Broadcast{
 			Name: name, File: builds[i], Wrap: name, KeyPaths: []data.Path{data.MustParsePath(name + ".k")}}))
 	}
-	spec, err := op.Bind(spec, probe)
-	if (spec.Inputs[0].BatchMap == nil) != (prune != nil) {
-		t.Fatalf("columnar kernel present = %v with prune = %v", spec.Inputs[0].BatchMap != nil, prune != nil)
-	}
+	spec, err := a.bind(op, spec, probe)
 	want := chainOracle(probe.AllRecords(), builds[0].AllRecords(), builds[1].AllRecords(), builds[2].AllRecords(), NewPruner(prune))
 	if len(want) == 0 {
 		t.Fatal("oracle join is empty; test is vacuous")
@@ -93,21 +90,21 @@ func runChain3(t *testing.T, env *mapreduce.Env, prune map[string]map[string]boo
 	return mustRun(t, env, spec, err), want
 }
 
-// TestChainRowsMatchMergeOracle: both kernels of a three-step chain
-// with residuals, and the per-record kernel of its pruned variant,
-// emit the oracle's rows in the oracle's order — after the whole job
-// ran, so a scratch row that leaked into the output would have been
-// overwritten many times over.
+// TestChainRowsMatchMergeOracle: a three-step chain with residuals,
+// compiled to the map kernel ("batch") and to the record-at-a-time
+// oracle ("row"), and the kernel of its pruned variant, emit the merge
+// oracle's rows in its order — after the whole job ran, so a scratch
+// row that leaked into the output would have been overwritten many
+// times over.
 func TestChainRowsMatchMergeOracle(t *testing.T) {
-	bEnv, rEnv := diffEnvs()
-	for name, env := range map[string]*mapreduce.Env{"batch": bEnv, "row": rEnv} {
+	for name, a := range map[string]arm{"batch": kernelArm, "row": oracleArm} {
 		t.Run(name, func(t *testing.T) {
-			res, want := runChain3(t, env, nil)
+			res, want := runChain3(t, a, testEnv(), nil)
 			assertSameRecords(t, res.Output.AllRecords(), want)
 		})
 	}
 	t.Run("pruned", func(t *testing.T) {
-		res, want := runChain3(t, testEnv(), map[string]map[string]bool{
+		res, want := runChain3(t, kernelArm, testEnv(), map[string]map[string]bool{
 			"t": {"k": true, "seq": true}, "b0": nil, "b1": {"k": true, "seq": true}, "b2": {"seq": true}})
 		assertSameRecords(t, res.Output.AllRecords(), want)
 	})

@@ -1,14 +1,17 @@
 // Package physop is the one definition of the engine's physical
 // operators. The compiler describes every job as an OpSpec — scan,
 // repartition join, broadcast-join chain, or aggregate — and Compile
-// derives the map, columnar-map, reduce and combine kernels from it.
-// The in-process runtime compiles once per job against each input's
-// first record; a worker decodes the same OpSpec from a task frame and
-// compiles per task against its block's first record. Compilation
-// never changes results (accessors verify positions per record and
-// fall back to name lookup), so both run the same operator the same
-// way — which is what lets a pilot run's output stand in for the
-// leaf's materialization (§4.1).
+// derives its kernels from it: one map kernel per input, which every
+// split of the input runs through the split's columnar image (see
+// internal/batch), and the reduce and combine kernels. The in-process
+// runtime compiles once per job against each input's first record; a
+// worker decodes the same OpSpec from a task frame and compiles per
+// task against its block's first record. Compilation never changes
+// results (accessors verify positions per record and fall back to name
+// lookup), so both run the same operator the same way — which is what
+// lets a pilot run's output stand in for the leaf's materialization
+// (§4.1). The record-at-a-time map kernels these replaced live on in
+// the package's tests, as the oracle the kernels are held to.
 package physop
 
 import (
@@ -84,12 +87,9 @@ type OpSpec struct {
 
 // Kernels are the executable form of one input of an OpSpec.
 type Kernels struct {
-	// Map is the per-record kernel; always set.
+	// Map is the input's map kernel, always set: every split of the
+	// input runs it, whatever its filter, pruning or operator.
 	Map mapreduce.MapFunc
-	// BatchMap is the columnar kernel, nil when the input's shape has
-	// none (pruning, a filter reaching outside the wrap alias, a
-	// predicate batch.Supported refuses).
-	BatchMap mapreduce.BatchFunc
 	// Reduce and Combine are nil for map-only operators; Combine is
 	// set only when the op asks for map-side partial aggregation.
 	Reduce  mapreduce.ReduceFunc
@@ -106,7 +106,7 @@ func (op *OpSpec) Bind(spec mapreduce.Spec, files ...*dfs.File) (mapreduce.Spec,
 		if err != nil {
 			return spec, err
 		}
-		spec.Inputs = append(spec.Inputs, mapreduce.Input{File: f, Map: k.Map, BatchMap: k.BatchMap})
+		spec.Inputs = append(spec.Inputs, mapreduce.Input{File: f, Map: k.Map})
 		spec.Reduce, spec.Combine = k.Reduce, k.Combine
 	}
 	return spec, nil
@@ -114,29 +114,22 @@ func (op *OpSpec) Bind(spec mapreduce.Spec, files ...*dfs.File) (mapreduce.Spec,
 
 // BindBuild compiles a build side's declaration (Wrap, Filter, KeyPaths)
 // against its first raw record (null when empty). A build is a one-
-// partition shuffle of its file, so the kernels are a repartition input's.
+// partition shuffle of its file, so the kernel is a repartition input's.
 func BindBuild(b mapreduce.Broadcast, sample data.Value) mapreduce.Broadcast {
 	op := &OpSpec{Kind: Repartition, Left: &Source{Wrap: b.Wrap, Filter: b.Filter}, LeftKeys: b.KeyPaths}
 	k, _ := Compile(op, 0, sample) // input 0 of a repartition always compiles
-	b.Map, b.BatchMap = k.Map, k.BatchMap
+	b.Map = k.Map
 	return b
 }
 
 // Compile derives the kernels for input number `input` of op. sample
-// is the first raw record the map kernels will see (null when the
+// is the first raw record the map kernel will see (null when the
 // input is empty): expressions and key paths are bound to its layout.
 func Compile(op *OpSpec, input int, sample data.Value) (Kernels, error) {
 	prune := NewPruner(op.Prune)
 	switch op.Kind {
 	case Scan:
-		src := deref(op.Source)
-		k := Kernels{Map: scanMap(sourceRowFn(src, sample), prune)}
-		if prune == nil {
-			if alias, pred, ok := batchSource(src); ok {
-				k.BatchMap = scanBatch(alias, pred)
-			}
-		}
-		return k, nil
+		return Kernels{Map: scanKernel(compileSource(deref(op.Source), sample), prune)}, nil
 
 	case Repartition:
 		var src Source
@@ -150,16 +143,10 @@ func Compile(op *OpSpec, input int, sample data.Value) (Kernels, error) {
 		default:
 			return Kernels{}, fmt.Errorf("physop: repartition op has no input %d", input)
 		}
-		k := Kernels{
-			Map:    shuffleMap(sourceRowFn(src, sample), data.CompileAccessors(keys, mapSample(src, sample, prune)), tag, prune),
+		return Kernels{
+			Map:    shuffleKernel(compileSource(src, sample), keys, tag, prune),
 			Reduce: joinReduce(op.Residual, prune),
-		}
-		if prune == nil {
-			if alias, pred, ok := batchSource(src); ok {
-				k.BatchMap = shuffleBatch(alias, pred, keys, tag)
-			}
-		}
-		return k, nil
+		}, nil
 
 	case Chain:
 		if len(op.Steps) == 0 {
@@ -175,21 +162,17 @@ func Compile(op *OpSpec, input int, sample data.Value) (Kernels, error) {
 		for i, st := range op.Steps {
 			steps[i] = probeStep{name: st.Build, keys: st.Keys, keyAccs: data.CompileAccessors(st.Keys, ms), residual: expr.Compile(st.Residual, ms)}
 		}
-		k := Kernels{Map: probeMap(sourceRowFn(src, sample), steps, prune)}
-		if prune == nil {
-			if alias, pred, ok := batchSource(src); ok {
-				k.BatchMap = probeBatch(alias, pred, steps)
-			}
-		}
-		return k, nil
+		return Kernels{Map: probeKernel(compileSource(src, sample), steps, prune)}, nil
 
 	case Aggregate:
 		groupBy := make([]expr.Expr, len(op.GroupBy))
 		for i, e := range op.GroupBy {
 			groupBy[i] = expr.Compile(e, sample)
 		}
-		k := Kernels{Map: func(mc *mapreduce.MapCtx, rec data.Value) {
-			mc.EmitKV(rowops.GroupKey(mc.ExprCtx(), groupBy, rec), "", rec)
+		k := Kernels{Map: func(mc *mapreduce.MapCtx, d *batch.Data) {
+			for _, rec := range d.Records() {
+				mc.EmitKV(rowops.GroupKey(mc.ExprCtx(), groupBy, rec), "", rec)
+			}
 		}}
 		sel := &lazySelect{items: op.Select}
 		if op.Combine {
@@ -319,94 +302,77 @@ func mapSample(s Source, sample data.Value, prune func(data.Value) data.Value) d
 	return sample
 }
 
-// rowFn maps a raw input record to the source's wrapped, filtered row;
-// null means the record was filtered out.
-type rowFn func(*expr.Ctx, data.Value) data.Value
+// source is a compiled Source: the alias its rows are wrapped under,
+// and its filter in one of two forms. A filter whose alias-stripped form
+// (as-is for a pre-wrapped source) batch.Supported accepts is pred: the
+// split's image evaluates it column-wise and caches the selection under
+// sig, sound because such a predicate is a pure function of its columns.
+// Any other filter — a UDF call, arithmetic, a bare alias, a column
+// outside the alias — is perRow: compiled against the wrapped sample and
+// evaluated once per wrapped row, in row order, on the task's context.
+// Its verdicts are never cached: a UDF charges virtual CPU per call, and
+// every job over the split pays again.
+type source struct {
+	alias  string
+	pred   expr.Expr // nil: every row
+	sig    string
+	perRow expr.Expr
+}
 
-// sourceRowFn builds a source's per-record row function. A filter
-// whose columns are all rooted at the wrap alias is alias-stripped and
-// evaluated on the raw record before wrapping, so records the
-// predicate drops never allocate the wrap object; the predicate sees
-// exactly the values it would see through the wrapped row (see
-// expr.StripAlias), and surviving rows are wrapped identically. Other
-// shapes keep the wrap-then-filter order, with the filter compiled
-// against the wrapped sample.
-func sourceRowFn(s Source, sample data.Value) rowFn {
-	wrap, filter := s.Wrap, s.Filter
-	if filter != nil && wrap != "" {
-		if stripped, ok := expr.StripAlias(filter, wrap); ok {
-			stripped = expr.Compile(stripped, sample)
-			return func(ectx *expr.Ctx, rec data.Value) data.Value {
-				if !stripped.Eval(ectx, rec).Truthy() {
-					return data.Null()
-				}
-				return data.ObjectFromSorted([]data.Field{{Name: wrap, Value: rec}})
-			}
+func compileSource(s Source, sample data.Value) source {
+	src := source{alias: s.Wrap}
+	if s.Filter == nil {
+		return src
+	}
+	pred, ok := s.Filter, true
+	if s.Wrap != "" {
+		pred, ok = expr.StripAlias(s.Filter, s.Wrap)
+	}
+	if ok && batch.Supported(pred) {
+		src.pred, src.sig = pred, pred.String()
+	} else {
+		src.perRow = expr.Compile(s.Filter, mapSample(s, sample, nil))
+	}
+	return src
+}
+
+// keeps is the per-row filter's verdict on one wrapped row (true when
+// the source has none).
+func (s *source) keeps(mc *mapreduce.MapCtx, row data.Value) bool {
+	return s.perRow == nil || s.perRow.Eval(mc.ExprCtx(), row).Truthy()
+}
+
+// selection returns the split's wrapped rows and the ascending
+// selection of those the filter keeps (no rows when it keeps none).
+func (s *source) selection(mc *mapreduce.MapCtx, d *batch.Data) ([]data.Value, []int32) {
+	sel := d.Select(s.pred, s.sig)
+	if len(sel) == 0 {
+		return nil, nil
+	}
+	rows := d.Wrapped(s.alias)
+	if s.perRow == nil {
+		return rows, sel
+	}
+	kept := make([]int32, 0, len(sel))
+	for _, i := range sel {
+		if s.keeps(mc, rows[i]) {
+			kept = append(kept, i)
 		}
 	}
-	filter = expr.Compile(filter, mapSample(s, sample, nil))
-	return func(ectx *expr.Ctx, rec data.Value) data.Value {
-		row := rec
-		if wrap != "" {
-			row = data.ObjectFromSorted([]data.Field{{Name: wrap, Value: rec}})
-		}
-		if filter != nil && !filter.Eval(ectx, row).Truthy() {
-			return data.Null()
-		}
+	return rows, kept
+}
+
+// pruned applies a projection-pushdown pruner (nil keeps the row whole).
+func pruned(prune func(data.Value) data.Value, row data.Value) data.Value {
+	if prune == nil {
 		return row
 	}
-}
-
-// batchSource reduces a source to the (alias, raw-record predicate)
-// form the columnar kernels evaluate: pred is the source filter
-// rewritten to apply directly to stored records (alias-stripped for
-// wrapped scans, as-is for pre-wrapped intermediates), uncompiled so
-// the batch layer can inspect its shape. ok is false when no such form
-// exists (a filter mentioning columns outside the wrap alias); whether
-// pred itself is batch-evaluable is decided by the columnar builders,
-// which return nil for unsupported shapes.
-func batchSource(s Source) (alias string, pred expr.Expr, ok bool) {
-	if s.Filter == nil {
-		return s.Wrap, nil, true
-	}
-	if s.Wrap == "" {
-		return "", s.Filter, true
-	}
-	if stripped, sok := expr.StripAlias(s.Filter, s.Wrap); sok {
-		return s.Wrap, stripped, true
-	}
-	return "", nil, false
-}
-
-// scanMap emits wrapped, filtered rows.
-func scanMap(row rowFn, prune func(data.Value) data.Value) mapreduce.MapFunc {
-	return func(mc *mapreduce.MapCtx, rec data.Value) {
-		if row := row(mc.ExprCtx(), rec); !row.IsNull() {
-			if prune != nil {
-				row = prune(row)
-			}
-			mc.Emit(row)
-		}
-	}
-}
-
-// shuffleMap emits wrapped, filtered rows keyed for a repartition join.
-func shuffleMap(row rowFn, keyAccs []*data.Accessor, tag string, prune func(data.Value) data.Value) mapreduce.MapFunc {
-	return func(mc *mapreduce.MapCtx, rec data.Value) {
-		row := row(mc.ExprCtx(), rec)
-		if row.IsNull() {
-			return
-		}
-		if prune != nil {
-			row = prune(row)
-		}
-		mc.EmitKV(mapreduce.CompositeKeyCompiled(row, keyAccs), tag, row)
-	}
+	return prune(row)
 }
 
 // probeStep is one compiled link of a broadcast probe chain. keys are
-// the uncompiled paths (the columnar kernel's key-column cache is keyed
-// by them), keyAccs their accessors.
+// the uncompiled paths (the first step's key columns are cached on the
+// split under them), keyAccs their accessors.
 type probeStep struct {
 	name     string
 	keys     []data.Path
@@ -437,42 +403,6 @@ func stepArena(mc *mapreduce.MapCtx, last, pruned bool) *data.FieldArena {
 		return &mc.Arena
 	}
 	return &mc.Scratch
-}
-
-// probeMap is the map-only hash join: the probe input streams through
-// the chain of builds, merging and applying each join's residual
-// inline.
-func probeMap(row rowFn, steps []probeStep, prune func(data.Value) data.Value) mapreduce.MapFunc {
-	return func(mc *mapreduce.MapCtx, rec data.Value) {
-		row := row(mc.ExprCtx(), rec)
-		if row.IsNull() {
-			return
-		}
-		if prune != nil {
-			row = prune(row)
-		}
-		mc.Scratch.Reset()
-		rows := []data.Value{row}
-		for i := range steps {
-			st := &steps[i]
-			ht := mc.Build(st.name)
-			arena := stepArena(mc, i == len(steps)-1, prune != nil)
-			var next []data.Value
-			for _, r := range rows {
-				next = st.probe(mc, arena, r, ht.Probe(mapreduce.CompositeKeyCompiled(r, st.keyAccs)), next)
-			}
-			rows = next
-			if len(rows) == 0 {
-				return
-			}
-		}
-		for _, r := range rows {
-			if prune != nil {
-				r = prune(r)
-			}
-			mc.Emit(r)
-		}
-	}
 }
 
 // NewPruner builds a row transform for projection pushdown: every
@@ -506,124 +436,87 @@ func NewPruner(live map[string]map[string]bool) func(data.Value) data.Value {
 	}
 }
 
-// The columnar kernels process a whole split at a time where the
-// per-record kernel would be a scan→filter→project pipeline, a shuffle
-// emit loop, or a chain probe: per-split column vectors and selection
-// vectors replace per-record predicate evaluation, pre-wrapped row
-// slabs replace per-record wrap objects, and shuffle/probe keys are
-// normalized, interned, and hashed once per split instead of once per
-// record per job (splits are immutable, so the columnar image is
-// cached with the split and shared across pilot runs, re-executions,
-// and repeated scans — see internal/batch). Each emits exactly the
-// records its per-record kernel would, in the same order, with the
-// same virtual sizes.
+// The map kernels process a whole split at a time: a cached selection
+// vector (or one in-order pass of a per-row filter) replaces per-record
+// predicate evaluation, pre-wrapped row slabs replace per-record wrap
+// objects, and shuffle/probe keys are normalized, interned, and hashed
+// once per split instead of once per record per job (splits are
+// immutable, so the columnar image is cached with the split and shared
+// across pilot runs, re-executions, and repeated scans — see
+// internal/batch). Each emits exactly the records the record-at-a-time
+// oracle in this package's tests emits, in the same order, with the
+// same virtual sizes and the same float of UDF cost.
 
-// predSig renders a predicate's selection-cache signature once per
-// kernel; "" for a nil predicate.
-func predSig(pred expr.Expr) string {
-	if pred == nil {
-		return ""
-	}
-	return pred.String()
-}
-
-// scanBatch is the columnar scan: filter the raw records with pred
-// (already alias-stripped, nil = keep all), wrap survivors as
-// {alias: rec}, and emit them in record order. Returns nil when pred
-// cannot be evaluated column-wise.
-func scanBatch(alias string, pred expr.Expr) mapreduce.BatchFunc {
-	if pred != nil && !batch.Supported(pred) {
-		return nil
-	}
-	sig := predSig(pred)
-	return func(mc *mapreduce.MapCtx, d *batch.Data) bool {
-		sel, ok := d.Select(pred, sig)
-		if !ok {
-			return false
-		}
-		if len(sel) == 0 {
-			return true
-		}
-		rows := d.Wrapped(alias)
+// scanKernel is the scan: the filter's survivors, wrapped as
+// {alias: rec} and pruned, in record order.
+func scanKernel(src source, prune func(data.Value) data.Value) mapreduce.MapFunc {
+	return func(mc *mapreduce.MapCtx, d *batch.Data) {
+		rows, sel := src.selection(mc, d)
 		for _, i := range sel {
-			mc.Emit(rows[i])
+			mc.Emit(pruned(prune, rows[i]))
 		}
-		return true
 	}
 }
 
-// shuffleBatch is the columnar repartition map: filter, wrap, and
-// shuffle each survivor under its composite key evaluated over the
-// wrapped row. Key values, normalized encodings, and partition hashes
-// come from the split's cached key columns, so the per-record
-// AppendNormKey/Hash64 of EmitKV is paid once per split ever, not once
-// per record per job.
-func shuffleBatch(alias string, pred expr.Expr, keys []data.Path, tag string) mapreduce.BatchFunc {
-	if pred != nil && !batch.Supported(pred) {
-		return nil
-	}
-	sig := predSig(pred)
-	keySig := batch.KeySig(alias, keys)
-	return func(mc *mapreduce.MapCtx, d *batch.Data) bool {
-		sel, ok := d.Select(pred, sig)
-		if !ok {
-			return false
-		}
+// shuffleKernel is the repartition map: filter, wrap, and shuffle each
+// survivor, pruned, under its composite key over the wrapped row. Key
+// values, normalized encodings, and partition hashes come from the
+// split's cached key columns, so the per-record AppendNormKey/Hash64 of
+// EmitKV is paid once per split ever, not once per record per job.
+func shuffleKernel(src source, keys []data.Path, tag string, prune func(data.Value) data.Value) mapreduce.MapFunc {
+	keySig := batch.KeySig(src.alias, keys)
+	return func(mc *mapreduce.MapCtx, d *batch.Data) {
+		rows, sel := src.selection(mc, d)
 		if len(sel) == 0 {
-			return true
+			return
 		}
-		rows := d.Wrapped(alias)
-		kc := d.Keys(keySig, alias, keys)
+		kc := d.Keys(keySig, src.alias, keys)
 		hs := d.Hashes(kc)
 		mc.SizeParts(hs, sel)
 		for _, i := range sel {
-			mc.EmitPair(kc.Vals[i], kc.NK[i], tag, rows[i], hs[i])
+			mc.EmitPair(kc.Vals[i], kc.NK[i], tag, pruned(prune, rows[i]), hs[i])
 		}
-		return true
 	}
 }
 
-// probeBatch is the columnar broadcast-chain probe: filter the split
-// column-wise, then drive each surviving row through the build chain.
-// The first step's probe keys come from the split's cached key columns
-// — normalized, interned, and shared across jobs — so the hash-table
-// lookup is a direct map probe with no per-record key evaluation or
-// normalization; later steps see chain-merged rows that exist only
-// until the next probe row (they live in the task's scratch arena) and
-// probe exactly like the per-record kernel, reusing two scratch buffers
-// across rows. Residuals run per merged row in the same order as the
-// per-record kernel, so UDF cost accounting and emitted rows are
-// identical.
-func probeBatch(alias string, pred expr.Expr, steps []probeStep) mapreduce.BatchFunc {
-	if pred != nil && !batch.Supported(pred) {
-		return nil
-	}
-	sig := predSig(pred)
-	keySig := batch.KeySig(alias, steps[0].keys)
-	return func(mc *mapreduce.MapCtx, d *batch.Data) bool {
-		sel, ok := d.Select(pred, sig)
-		if !ok {
-			return false
-		}
+// probeKernel is the map-only hash join: each row the filter keeps
+// streams through the chain of builds, merging and applying each join's
+// residual inline. The first step's probe keys come from the split's
+// cached key columns — normalized, interned, and shared across jobs —
+// so its lookup is a direct map probe with no per-record key
+// evaluation; later steps see chain-merged rows that exist only until
+// the next probe row (they live in the task's scratch arena), reusing
+// two buffers across rows. A pruned chain prunes the probe row before
+// its first merge, and every row it emits.
+func probeKernel(src source, steps []probeStep, prune func(data.Value) data.Value) mapreduce.MapFunc {
+	keySig := batch.KeySig(src.alias, steps[0].keys)
+	return func(mc *mapreduce.MapCtx, d *batch.Data) {
+		sel := d.Select(src.pred, src.sig)
 		if len(sel) == 0 {
-			return true
+			return
 		}
-		rows := d.Wrapped(alias)
+		rows := d.Wrapped(src.alias)
 		st0 := &steps[0]
 		ht0 := mc.Build(st0.name)
-		kc := d.Keys(keySig, alias, st0.keys)
+		kc := d.Keys(keySig, src.alias, st0.keys)
 		var cur, next []data.Value
 		for _, i := range sel {
+			// A per-row filter runs right before the row's probes, matched
+			// or not: residual UDFs charge the same context, so the float
+			// sum grows in record order.
+			if !src.keeps(mc, rows[i]) {
+				continue
+			}
 			matches := ht0.ProbeNK(kc.NK[i])
 			if len(matches) == 0 {
 				continue
 			}
 			mc.Scratch.Reset()
-			cur = st0.probe(mc, stepArena(mc, len(steps) == 1, false), rows[i], matches, cur[:0])
+			cur = st0.probe(mc, stepArena(mc, len(steps) == 1, prune != nil), pruned(prune, rows[i]), matches, cur[:0])
 			for si := 1; si < len(steps) && len(cur) > 0; si++ {
 				st := &steps[si]
 				ht := mc.Build(st.name)
-				arena := stepArena(mc, si == len(steps)-1, false)
+				arena := stepArena(mc, si == len(steps)-1, prune != nil)
 				next = next[:0]
 				for _, r := range cur {
 					next = st.probe(mc, arena, r, ht.Probe(mapreduce.CompositeKeyCompiled(r, st.keyAccs)), next)
@@ -631,9 +524,8 @@ func probeBatch(alias string, pred expr.Expr, steps []probeStep) mapreduce.Batch
 				cur, next = next, cur
 			}
 			for _, r := range cur {
-				mc.Emit(r)
+				mc.Emit(pruned(prune, r))
 			}
 		}
-		return true
 	}
 }

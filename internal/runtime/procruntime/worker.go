@@ -387,7 +387,7 @@ func (w *Worker) runMap(task *wire.Task) (*wire.TaskResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	mt := &mapreduce.MapTask{Reg: w.reg, Recs: blk.recs, Aux: &blk.aux, Map: k.Map, BatchMap: k.BatchMap, Builds: builds}
+	mt := &mapreduce.MapTask{Reg: w.reg, Recs: blk.recs, Aux: &blk.aux, Map: k.Map, Builds: builds}
 	if task.HasReduce {
 		mt.NumReducers = task.NumReducers
 	}

@@ -18,14 +18,14 @@ import (
 	"dyno/internal/runtime/wire"
 )
 
-// TestWorkerRunsBothKernels: a worker runs the engine's own kernels. A
-// scan whose predicate the batch layer can evaluate goes through the
-// columnar kernel and leaves the split's columnar image on the cached
-// block entry; the same selection phrased through a UDF call (which
-// batch.Supported refuses) falls back to the per-record kernel over
-// the same block — with identical rows, and the UDF's CPU charged once
-// per record.
-func TestWorkerRunsBothKernels(t *testing.T) {
+// TestWorkerChargesPerRowFilterEveryTask: a worker runs the engine's own
+// kernel, and every scan leaves the split's columnar image on the cached
+// block entry. A selection the batch layer evaluates column-wise is
+// cached on that image and free; the same selection phrased through a
+// UDF call is evaluated per row over the image's wrapped rows and never
+// cached — two consecutive tasks over the block both charge the UDF's
+// CPU once per record, and all three tasks keep the same rows.
+func TestWorkerChargesPerRowFilterEveryTask(t *testing.T) {
 	reg := expr.NewRegistry()
 	reg.Register(expr.UDF{Name: "small", CPUCost: 0.25, Fn: func(args []data.Value) data.Value {
 		return data.Bool(args[0].Int() < 40)
@@ -51,32 +51,37 @@ func TestWorkerRunsBothKernels(t *testing.T) {
 		}
 		return res
 	}
-	image := func() bool {
+	image := func() *batch.Data {
 		blk, err := w.block(block)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, ok := blk.aux.Load().(*batch.Data)
-		return ok
-	}
-
-	viaCall := scan(&expr.Call{Name: "small", Args: []expr.Expr{expr.NewCol("t.v")}})
-	if image() {
-		t.Fatal("a Call predicate built a columnar image; it must run the per-record kernel")
-	}
-	if want := 0.25 * float64(len(recs)); viaCall.CPUMap != want || viaCall.CPUTotal != want {
-		t.Errorf("per-record kernel charged CPUMap=%v CPUTotal=%v, want %v (one UDF call per record)", viaCall.CPUMap, viaCall.CPUTotal, want)
+		d, _ := blk.aux.Load().(*batch.Data)
+		return d
 	}
 
 	viaCmp := scan(&expr.Cmp{Op: expr.LT, L: expr.NewCol("t.v"), R: expr.NewLit(data.Int(40))})
-	if !image() {
-		t.Fatal("a batch-evaluable predicate left no columnar image on the cached block")
+	d := image()
+	if d == nil {
+		t.Fatal("the scan left no columnar image on the cached block")
 	}
-	if viaCmp.CPUMap != 0 {
-		t.Errorf("UDF-free scan charged CPUMap=%v", viaCmp.CPUMap)
+	if viaCmp.CPUMap != 0 || len(viaCmp.Rows) != 40 {
+		t.Errorf("column-wise scan charged CPUMap=%v for %d rows, want 0 for 40", viaCmp.CPUMap, len(viaCmp.Rows))
 	}
-	if len(viaCmp.Rows) != 40 || !reflect.DeepEqual(rowStrings(viaCmp.Rows), rowStrings(viaCall.Rows)) {
-		t.Errorf("columnar and per-record kernels disagree: %d vs %d rows", len(viaCmp.Rows), len(viaCall.Rows))
+	for task := 0; task < 2; task++ {
+		viaCall := scan(&expr.Call{Name: "small", Args: []expr.Expr{expr.NewCol("t.v")}})
+		if want := 0.25 * float64(len(recs)); viaCall.CPUMap != want || viaCall.CPUTotal != want {
+			t.Errorf("task %d charged CPUMap=%v CPUTotal=%v, want %v (one UDF call per record)", task, viaCall.CPUMap, viaCall.CPUTotal, want)
+		}
+		if !reflect.DeepEqual(rowStrings(viaCall.Rows), rowStrings(viaCmp.Rows)) {
+			t.Errorf("task %d: the UDF filter kept %d rows, the comparison %d", task, len(viaCall.Rows), len(viaCmp.Rows))
+		}
+		if image() != d {
+			t.Fatalf("task %d replaced the block's image", task)
+		}
+		if &viaCall.Rows[0].Fields()[0] != &d.Wrapped("t")[0].Fields()[0] {
+			t.Errorf("task %d wrapped its rows anew instead of reading the image's", task)
+		}
 	}
 }
 

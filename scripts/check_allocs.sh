@@ -18,8 +18,12 @@ out="${1:-bench_allocs.txt}"
 # signal and keeps the smoke fast.
 go test -run='^$' -bench='^(BenchmarkHash64|BenchmarkAccessorEval|BenchmarkNormKeyEncode)$' \
     -benchtime=100x -benchmem ./internal/data | tee -a "$out"
-go test -run='^$' -bench='^(BenchmarkShuffle|BenchmarkSortPairsByKey)$' \
+go test -run='^$' -bench='^BenchmarkSortPairsByKey$' \
     -benchtime=1x -benchmem ./internal/mapreduce | tee -a "$out"
+# One cold repartition job through the repartition kernel: allocates per
+# split, per bucket array and per output block, not per pair.
+go test -run='^$' -bench='^BenchmarkShuffle$' \
+    -benchtime=1x -benchmem ./internal/physop | tee -a "$out"
 # A job's finish (Q7's widest: 1,350 partials x 56 rows x 2 columns plus
 # the output file) allocates per column and per output block.
 go test -run='^$' -bench='^BenchmarkJobFinish$' \
