@@ -260,6 +260,7 @@ func (w *Worker) handleShuffle(rw http.ResponseWriter, r *http.Request) {
 	frame := wire.EncodeShuffle(pairs)
 	defer frame.Close()
 	rw.Header().Set("Content-Type", wire.ContentTypeBinary)
+	rw.Header().Set("Content-Length", strconv.Itoa(len(frame.Bytes())))
 	rw.Write(frame.Bytes())
 }
 
@@ -328,6 +329,7 @@ func (w *Worker) handleTaskBatch(rw http.ResponseWriter, r *http.Request) {
 	frame := wire.EncodeResultBatch(results)
 	defer frame.Close()
 	rw.Header().Set("Content-Type", wire.ContentTypeBinary)
+	rw.Header().Set("Content-Length", strconv.Itoa(len(frame.Bytes())))
 	rw.Write(frame.Bytes())
 }
 

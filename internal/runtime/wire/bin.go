@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"sync"
+
+	"dyno/internal/data"
 )
 
 // The binary frame codec. Every frame is a self-contained byte stream:
@@ -31,6 +33,10 @@ const (
 type benc struct {
 	buf  []byte
 	dict map[string]uint64
+	// stack gathers an object column's field sub-columns (and a KV
+	// batch's keys and records); writeColumn pops and clears what it
+	// pushes, so it is empty between frames.
+	stack []data.Value
 }
 
 var bencPool = sync.Pool{New: func() any { return &benc{dict: make(map[string]uint64)} }}
@@ -47,6 +53,9 @@ func newBenc() *benc {
 func (e *benc) release() {
 	if cap(e.buf) > 1<<22 { // don't pin giant task payloads
 		e.buf = nil
+	}
+	if cap(e.stack) > 1<<17 {
+		e.stack = nil
 	}
 	bencPool.Put(e)
 }
@@ -86,14 +95,33 @@ type bdec struct {
 	buf  []byte
 	pos  int
 	dict []string
+	// cells is what is left of the frame's allocation budget (charge).
+	cells uint64
 }
 
 var bdecPool = sync.Pool{New: func() any { return &bdec{} }}
 
 func newBdec(b []byte) *bdec {
 	d := bdecPool.Get().(*bdec)
-	d.buf, d.pos, d.dict = b, 0, d.dict[:0]
+	d.buf, d.pos, d.dict, d.cells = b, 0, d.dict[:0], 8*uint64(len(b))
 	return d
+}
+
+// charge takes n cells — the Values, Fields or Exprs of a container
+// that can nest (an object column's slab, a generic array or object,
+// an expression list) — from the frame's budget before they are
+// allocated. Every such cell of a valid frame is backed by at least one
+// bit that backs no other (a bitmap bit, a tag byte), so a frame of L
+// bytes decodes at most 8L of them, however deeply its containers nest.
+// A check against the bytes left alone would count the same bytes
+// again at every level. (Top-level lists do not nest: their own checks
+// keep them linear.)
+func (d *bdec) charge(n uint64) error {
+	if n > d.cells {
+		return errShortFrame
+	}
+	d.cells -= n
+	return nil
 }
 
 func (d *bdec) release() {

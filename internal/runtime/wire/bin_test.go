@@ -2,10 +2,12 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -153,6 +155,207 @@ func TestBinObjectColumnAbsentVsNull(t *testing.T) {
 				t.Fatalf("row %d: field count %d -> %d", i, len(vf), len(gf))
 			}
 		}
+	}
+}
+
+// nestedRows are object columns two and three levels deep: null rows
+// at every level, a field null in one row and absent in another (the
+// inner column falls back to generic), and a mixed-kind field that is
+// a generic column inside an object column.
+func nestedRows() []data.Value {
+	obj := func(fs ...data.Field) data.Value { return data.Object(fs...) }
+	fld := func(name string, v data.Value) data.Field { return data.Field{Name: name, Value: v} }
+	var rows []data.Value
+	for i := range 12 {
+		if i%5 == 3 {
+			rows = append(rows, data.Null())
+			continue
+		}
+		deep := obj(fld("k", data.Int(int64(i))), fld("s", data.String("x")))
+		switch i % 4 {
+		case 1:
+			deep = data.Null()
+		case 2:
+			deep = obj(fld("k", data.Null()), fld("s", data.String("y")))
+		}
+		mid := obj(fld("deep", deep), fld("p", data.Double(float64(i)/100)))
+		if i%6 == 5 {
+			mid = data.Null()
+		}
+		var mixed data.Value
+		switch i % 3 {
+		case 0:
+			mixed = data.Int(int64(i))
+		case 1:
+			mixed = data.String("m")
+		default:
+			mixed = data.Array(data.Bool(true))
+		}
+		var ragged data.Value
+		if i%2 == 0 {
+			ragged = obj(fld("a", data.Int(1)), fld("b", data.Null()))
+		} else {
+			ragged = obj(fld("a", data.Int(2)))
+		}
+		rows = append(rows, obj(fld("mid", mid), fld("mixed", mixed), fld("ragged", ragged), fld("flag", data.Bool(i%2 == 0))))
+	}
+	return rows
+}
+
+// TestBinNestedObjectColumns: nested object columns decode into one slab
+// per column and still rebuild every row exactly; each row's fields are
+// its own (len == cap), so no append through one row reaches the next.
+func TestBinNestedObjectColumns(t *testing.T) {
+	rows := nestedRows()
+	if columnKind(rows) != colObject || columnKind([]data.Value{rows[0].FieldOr("mid"), rows[1].FieldOr("mid")}) != colObject {
+		t.Fatal("the rows no longer exercise nested object columns")
+	}
+	got := binValueRoundTrip(t, rows)
+	for i := range rows {
+		assertSameValue(t, rows[i], got[i])
+	}
+	var walk func(v data.Value)
+	walk = func(v data.Value) {
+		fs := v.Fields()
+		if cap(fs) != len(fs) {
+			t.Fatalf("%s: cap(Fields()) = %d, len %d", v, cap(fs), len(fs))
+		}
+		for _, f := range fs {
+			walk(f.Value)
+		}
+	}
+	for _, v := range got {
+		walk(v)
+	}
+	before := got[1].String()
+	_ = append(got[0].Fields(), data.Field{Name: "zz", Value: data.Int(9)})
+	if got[1].String() != before {
+		t.Fatalf("append to row 0's fields changed row 1: %s -> %s", before, got[1].String())
+	}
+}
+
+// TestEncoderStackIsClearBetweenFrames: the stack the encoder gathers
+// sub-columns on is empty and zeroed once a frame is written, so a
+// pooled encoder pins none of the last frame's values.
+func TestEncoderStackIsClearBetweenFrames(t *testing.T) {
+	e := newBenc()
+	defer e.release()
+	e.writeValueList(nestedRows())
+	e.writeKVs([]KV{{Key: data.Int(1), Tag: "L", Rec: nestedRows()[0]}})
+	if len(e.stack) != 0 || cap(e.stack) == 0 {
+		t.Fatalf("stack len %d cap %d after a frame, want empty and used", len(e.stack), cap(e.stack))
+	}
+	for i, v := range e.stack[:cap(e.stack)] {
+		if !v.IsNull() || v.EncodedSize() != 4 {
+			t.Fatalf("stack slot %d still holds %s", i, v)
+		}
+	}
+}
+
+// objectChain spells a DYB1 frame whose list is levels object columns
+// nested through their first field. Every level has rows rows, all
+// non-null, and nf fields named "" (spelled once, then referenced);
+// tail ends the frame.
+func objectChain(levels, rows, nf int, tail ...byte) []byte {
+	bitmap := bytes.Repeat([]byte{0xff}, rows/8)
+	if rows%8 != 0 {
+		bitmap = append(bitmap, byte(1)<<(rows%8)-1)
+	}
+	b := binary.AppendUvarint(append([]byte(nil), magicBlock...), uint64(rows))
+	for l := range levels {
+		b = append(b, colObject)
+		b = append(b, bitmap...)
+		b = binary.AppendUvarint(b, uint64(nf))
+		if l == 0 {
+			b = append(b, 0, 0)
+		} else {
+			b = append(b, 1)
+		}
+		b = append(b, bytes.Repeat([]byte{1}, nf-1)...)
+	}
+	return append(b, tail...)
+}
+
+// TestBinObjectColumnSlabIsBounded: every slab, array, object and
+// expression list the decoder allocates is charged to one budget of 8
+// cells per frame byte first, so no frame, however its containers nest,
+// costs much more than 8 × sizeof(Field) per byte. Checking each level
+// only against the bytes left would count those bytes again at every
+// level: each nested frame below would then allocate 30–100 MB.
+func TestBinObjectColumnSlabIsBounded(t *testing.T) {
+	// 300 containers, each claiming pad elements, the first of which is
+	// the next container; 4 KB of zeros (nulls) follow.
+	const pad = 4 << 10
+	nest := func(prefix []byte, tag byte, name func(level int) []byte) []byte {
+		b := append([]byte(nil), prefix...)
+		for l := range 300 {
+			b = binary.AppendUvarint(append(b, tag), pad)
+			b = append(b, name(l)...)
+		}
+		return append(b, make([]byte, pad)...)
+	}
+	noName := func(int) []byte { return nil }
+	emptyName := func(l int) []byte { // "", spelled once, then referenced
+		if l == 0 {
+			return []byte{0, 0}
+		}
+		return []byte{1}
+	}
+	oneGeneric := append(binary.AppendUvarint(append([]byte(nil), magicBlock...), 1), colGeneric)
+	decodeBlock := func(b []byte) error { _, err := DecodeBlock(b); return err }
+	frames := []struct {
+		name   string
+		frame  []byte
+		decode func([]byte) error
+	}{
+		// 8,192 rows of 320 fields, a 100 MB slab, in under 2 KB.
+		{"one wide level", objectChain(1, 8192, 320), decodeBlock},
+		// 256 rows of 32 fields per level: each slab is ~330 KB and
+		// fits what is left of the frame.
+		{"300 object levels", objectChain(300, 256, 32), decodeBlock},
+		{"300 arrays", nest(oneGeneric, tagArray, noName), decodeBlock},
+		{"300 objects", nest(oneGeneric, tagObject, emptyName), decodeBlock},
+		{"300 ANDs", nest(nil, exprAnd, noName), func(b []byte) error {
+			d := newBdec(b)
+			defer d.release()
+			_, err := d.readExpr(0)
+			return err
+		}},
+	}
+	fieldSize := uint64(reflect.TypeOf(data.Field{}).Size())
+	for _, f := range frames {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := f.decode(f.frame)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: decode accepted a truncated frame", f.name)
+		}
+		// The charged cells reach the budget here; 1 MiB of slack covers
+		// the uncharged top-level list and the runtime's own allocations.
+		grew, limit := after.TotalAlloc-before.TotalAlloc, 8*uint64(len(f.frame))*fieldSize+1<<20
+		if grew > limit {
+			t.Fatalf("%s: refusing a %d-byte frame allocated %d bytes, over %d", f.name, len(f.frame), grew, limit)
+		}
+	}
+	// The budget fits a valid frame: 256 rows whose object columns nest
+	// 300 deep charge a cell per bitmap bit.
+	tail := append([]byte{colGeneric}, make([]byte, 256)...) // 256 × tagNull
+	if recs, err := DecodeBlock(objectChain(300, 256, 1, tail...)); err != nil || len(recs) != 256 {
+		t.Fatalf("a valid 300-level chain: %d records, err %v", len(recs), err)
+	}
+}
+
+// TestBinObjectColumnDepthIsBounded: object columns nest no deeper than
+// generic values do, so a chain of them cannot exhaust the stack.
+func TestBinObjectColumnDepthIsBounded(t *testing.T) {
+	nullInt := []byte{colInt, 0} // the innermost field: one null int
+	if _, err := DecodeBlock(objectChain(maxValueDepth, 1, 1, nullInt...)); err != nil {
+		t.Fatalf("%d levels: %v", maxValueDepth, err)
+	}
+	_, err := DecodeBlock(objectChain(maxValueDepth+1, 1, 1, nullInt...))
+	if err == nil || !strings.Contains(err.Error(), "nesting") {
+		t.Fatalf("%d levels: err %v, want a nesting error", maxValueDepth+1, err)
 	}
 }
 
@@ -352,14 +555,16 @@ func TestBinDecodeRejectsGarbage(t *testing.T) {
 			t.Fatalf("DecodeTaskBatch accepted %q", b)
 		}
 	}
-	frame := EncodeBlock([]data.Value{data.Int(1)})
-	defer frame.Close()
 	// Truncations of a valid frame must error, never panic.
-	whole := frame.Bytes()
-	for n := 0; n < len(whole); n++ {
-		if _, err := DecodeBlock(whole[:n]); err == nil {
-			t.Fatalf("DecodeBlock accepted a %d-byte truncation", n)
+	for _, recs := range [][]data.Value{{data.Int(1)}, nestedRows()} {
+		frame := EncodeBlock(recs)
+		whole := frame.Bytes()
+		for n := 0; n < len(whole); n++ {
+			if _, err := DecodeBlock(whole[:n]); err == nil {
+				t.Fatalf("DecodeBlock accepted a %d-byte truncation", n)
+			}
 		}
+		frame.Close()
 	}
 }
 

@@ -190,6 +190,9 @@ func (d *bdec) readExprs(depth int) ([]expr.Expr, error) {
 	if err != nil || n == 0 {
 		return nil, err
 	}
+	if err := d.charge(n); err != nil {
+		return nil, err
+	}
 	xs := make([]expr.Expr, n)
 	for i := range xs {
 		if xs[i], err = d.readExpr(depth); err != nil {

@@ -57,7 +57,16 @@ func (d *bdec) readValueList() ([]data.Value, error) {
 	if n > uint64(d.rem())*8 {
 		return nil, errShortFrame
 	}
-	return d.readColumn(int(n))
+	return d.readList(int(n))
+}
+
+// readList decodes a column of n values into a fresh list.
+func (d *bdec) readList(n int) ([]data.Value, error) {
+	out := make([]data.Value, n)
+	if err := d.readColumn(n, colDst{vals: out}, 0); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // columnKind picks the densest representation for the list: a scalar
@@ -145,6 +154,17 @@ func (d *bdec) readNullBitmap(n int) ([]byte, error) {
 
 func bitSet(bm []byte, i int) bool { return bm[i>>3]&(1<<(i&7)) != 0 }
 
+// countSet returns how many of bm's first n bits are set.
+func countSet(bm []byte, n int) int {
+	c := 0
+	for i := 0; i < n; i++ {
+		if bitSet(bm, i) {
+			c++
+		}
+	}
+	return c
+}
+
 func (e *benc) writeColumn(vals []data.Value) {
 	kind := columnKind(vals)
 	e.byte(kind)
@@ -197,158 +217,178 @@ func (e *benc) writeColumn(vals []data.Value) {
 	case colObject:
 		e.writeNullBitmap(vals)
 		var first []data.Field
-		nonNull := 0
 		for i := range vals {
 			if vals[i].Kind() != data.KindNull {
-				if nonNull == 0 {
-					first = vals[i].Fields()
-				}
-				nonNull++
+				first = vals[i].Fields()
+				break
 			}
 		}
 		e.uvarint(uint64(len(first)))
 		for _, f := range first {
 			e.str(f.Name)
 		}
-		// One sub-column per field, over the non-null rows.
-		col := make([]data.Value, 0, nonNull)
+		// One sub-column per field, over the non-null rows, gathered on
+		// the encoder's stack. A nested object column gathers its own
+		// above this one and pops them before returning.
+		base := len(e.stack)
 		for fi := range first {
-			col = col[:0]
 			for i := range vals {
 				if vals[i].Kind() != data.KindNull {
-					col = append(col, vals[i].Fields()[fi].Value)
+					e.stack = append(e.stack, vals[i].Fields()[fi].Value)
 				}
 			}
-			e.writeColumn(col)
+			e.writeColumn(e.stack[base:])
+			e.pop(base)
 		}
 	}
 }
 
-func (d *bdec) readColumn(n int) ([]data.Value, error) {
+// pop drops the encoder's stack back to base, clearing what it drops
+// so the pooled encoder pins no values.
+func (e *benc) pop(base int) {
+	clear(e.stack[base:])
+	e.stack = e.stack[:base]
+}
+
+// colDst is where a column's values land: vals[i], or — for one field's
+// sub-column of an object column — the Value of fields[i*stride], that
+// field's slot in each row of the column's slab.
+type colDst struct {
+	vals   []data.Value
+	fields []data.Field
+	stride int
+}
+
+func (c colDst) set(i int, v data.Value) {
+	if c.fields != nil {
+		c.fields[i*c.stride].Value = v
+		return
+	}
+	c.vals[i] = v
+}
+
+// readColumn decodes a column of n values, nested depth object columns
+// deep, into dst. An object column's non-null rows share one
+// []data.Field slab of nonNull × nf that its field sub-columns decode
+// straight into. Each row is cut with len == cap (as Fields() answers
+// anyway), so no append through one row reaches the next.
+func (d *bdec) readColumn(n int, dst colDst, depth int) error {
+	if depth > maxValueDepth {
+		return fmt.Errorf("wire: value nesting exceeds %d", maxValueDepth)
+	}
 	kind, err := d.byte()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out := make([]data.Value, n)
-	switch kind {
-	case colGeneric:
+	if kind == colGeneric {
 		for i := 0; i < n; i++ {
-			if out[i], err = d.readValue(0); err != nil {
-				return nil, err
+			v, err := d.readValue(depth)
+			if err != nil {
+				return err
 			}
+			dst.set(i, v)
 		}
+		return nil
+	}
+	if kind > colObject {
+		return fmt.Errorf("wire: unknown column kind %d", kind)
+	}
+	bm, err := d.readNullBitmap(n)
+	if err != nil {
+		return err
+	}
+	switch kind {
 	case colInt:
-		bm, err := d.readNullBitmap(n)
-		if err != nil {
-			return nil, err
-		}
 		for i := 0; i < n; i++ {
 			if bitSet(bm, i) {
 				x, err := d.varint()
 				if err != nil {
-					return nil, err
+					return err
 				}
-				out[i] = data.Int(x)
+				dst.set(i, data.Int(x))
 			}
 		}
 	case colDouble:
-		bm, err := d.readNullBitmap(n)
-		if err != nil {
-			return nil, err
-		}
 		for i := 0; i < n; i++ {
 			if bitSet(bm, i) {
 				x, err := d.f64()
 				if err != nil {
-					return nil, err
+					return err
 				}
-				out[i] = data.Double(x)
+				dst.set(i, data.Double(x))
 			}
 		}
 	case colString:
-		bm, err := d.readNullBitmap(n)
-		if err != nil {
-			return nil, err
-		}
 		for i := 0; i < n; i++ {
 			if bitSet(bm, i) {
 				s, err := d.str()
 				if err != nil {
-					return nil, err
+					return err
 				}
-				out[i] = data.String(s)
+				dst.set(i, data.String(s))
 			}
 		}
 	case colBool:
-		bm, err := d.readNullBitmap(n)
+		vb, err := d.take((countSet(bm, n) + 7) / 8)
 		if err != nil {
-			return nil, err
-		}
-		nonNull := 0
-		for i := 0; i < n; i++ {
-			if bitSet(bm, i) {
-				nonNull++
-			}
-		}
-		vb, err := d.take((nonNull + 7) / 8)
-		if err != nil {
-			return nil, err
+			return err
 		}
 		nb := 0
 		for i := 0; i < n; i++ {
 			if bitSet(bm, i) {
-				out[i] = data.Bool(bitSet(vb, nb))
+				dst.set(i, data.Bool(bitSet(vb, nb)))
 				nb++
 			}
 		}
 	case colObject:
-		bm, err := d.readNullBitmap(n)
+		nonNull := countSet(bm, n)
+		u, err := d.uvarint()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		nonNull := 0
+		// Every field costs a name of >= 1 byte. (Bounding u first keeps
+		// the slab's product from overflowing.)
+		if u > uint64(d.rem()) {
+			return errShortFrame
+		}
+		if err := d.charge(uint64(nonNull) * u); err != nil {
+			return err
+		}
+		nf := int(u)
+		slab := make([]data.Field, nonNull*nf)
+		for f := 0; f < nf; f++ {
+			name, err := d.str()
+			if err != nil {
+				return err
+			}
+			if nonNull > 0 {
+				slab[f].Name = name // row 0's; the others copy it below
+			}
+		}
+		for f := 0; f < nf; f++ {
+			sub := colDst{stride: nf}
+			if nonNull > 0 {
+				sub.fields = slab[f:]
+			}
+			if err := d.readColumn(nonNull, sub, depth+1); err != nil {
+				return err
+			}
+		}
+		// Field order is the encoder's stored (sorted) order, so
+		// ObjectFromSorted rebuilds the identical layout.
+		lo := 0
 		for i := 0; i < n; i++ {
 			if bitSet(bm, i) {
-				nonNull++
+				row := slab[lo : lo+nf : lo+nf]
+				for f := range row {
+					row[f].Name = slab[f].Name
+				}
+				dst.set(i, data.ObjectFromSorted(row))
+				lo += nf
 			}
 		}
-		nf, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if nf > uint64(d.rem())+1 {
-			return nil, errShortFrame
-		}
-		names := make([]string, nf)
-		for i := range names {
-			if names[i], err = d.str(); err != nil {
-				return nil, err
-			}
-		}
-		cols := make([][]data.Value, nf)
-		for fi := range cols {
-			if cols[fi], err = d.readColumn(nonNull); err != nil {
-				return nil, err
-			}
-		}
-		// Reassemble rows; field order is the encoder's stored (sorted)
-		// order, so ObjectFromSorted rebuilds the identical layout.
-		row := 0
-		for i := 0; i < n; i++ {
-			if !bitSet(bm, i) {
-				continue
-			}
-			fields := make([]data.Field, nf)
-			for fi := range fields {
-				fields[fi] = data.Field{Name: names[fi], Value: cols[fi][row]}
-			}
-			out[i] = data.ObjectFromSorted(fields)
-			row++
-		}
-	default:
-		return nil, fmt.Errorf("wire: unknown column kind %d", kind)
 	}
-	return out, nil
+	return nil
 }
 
 // writeValue writes one tagged value (the generic row-wise form).
@@ -433,6 +473,9 @@ func (d *bdec) readValue(depth int) (data.Value, error) {
 		if n > uint64(d.rem()) {
 			return data.Null(), errShortFrame
 		}
+		if err := d.charge(n); err != nil {
+			return data.Null(), err
+		}
 		elems := make([]data.Value, n)
 		for i := range elems {
 			if elems[i], err = d.readValue(depth + 1); err != nil {
@@ -447,6 +490,9 @@ func (d *bdec) readValue(depth int) (data.Value, error) {
 		}
 		if n > uint64(d.rem()) {
 			return data.Null(), errShortFrame
+		}
+		if err := d.charge(n); err != nil {
+			return data.Null(), err
 		}
 		fields := make([]data.Field, n)
 		for i := range fields {
@@ -464,22 +510,27 @@ func (d *bdec) readValue(depth int) (data.Value, error) {
 }
 
 // writeKVs writes one KV batch: keys, tags, and records each as a
-// column over the batch.
+// column over the batch, the two value columns gathered on the
+// encoder's stack.
 func (e *benc) writeKVs(pairs []KV) {
 	e.uvarint(uint64(len(pairs)))
 	if len(pairs) == 0 {
 		return
 	}
-	keys := make([]data.Value, len(pairs))
-	recs := make([]data.Value, len(pairs))
-	for i, kv := range pairs {
-		keys[i], recs[i] = kv.Key, kv.Rec
+	base := len(e.stack)
+	for i := range pairs {
+		e.stack = append(e.stack, pairs[i].Key)
 	}
-	e.writeColumn(keys)
+	e.writeColumn(e.stack[base:])
+	e.pop(base)
 	for i := range pairs {
 		e.str(pairs[i].Tag)
 	}
-	e.writeColumn(recs)
+	for i := range pairs {
+		e.stack = append(e.stack, pairs[i].Rec)
+	}
+	e.writeColumn(e.stack[base:])
+	e.pop(base)
 }
 
 func (d *bdec) readKVs() ([]KV, error) {
@@ -493,7 +544,7 @@ func (d *bdec) readKVs() ([]KV, error) {
 	if n > uint64(d.rem()) {
 		return nil, errShortFrame
 	}
-	keys, err := d.readColumn(int(n))
+	keys, err := d.readList(int(n))
 	if err != nil {
 		return nil, err
 	}
@@ -503,7 +554,7 @@ func (d *bdec) readKVs() ([]KV, error) {
 			return nil, err
 		}
 	}
-	recs, err := d.readColumn(int(n))
+	recs, err := d.readList(int(n))
 	if err != nil {
 		return nil, err
 	}

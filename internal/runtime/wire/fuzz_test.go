@@ -148,6 +148,28 @@ func (g *gen) expr(depth int) expr.Expr {
 	}
 }
 
+// Seed spellers for gen's input. Object fields are named "fa", "fb", …
+// by position (the name suffix is left empty), so objects with equal
+// field counts share a field-name sequence and form an object column.
+var seedNull = []byte{0}
+
+func seedInt(x byte) []byte { return []byte{2, x, 0, 0, 0, 0, 0, 0, 0} }
+
+func seedStr(s string) []byte { return append([]byte{4, byte(len(s))}, s...) }
+
+func seedObj(fields ...[]byte) []byte {
+	b := []byte{7, byte(len(fields))}
+	for _, f := range fields {
+		b = append(append(b, 0), f...)
+	}
+	return b
+}
+
+// seedRows spells a list of one to four values.
+func seedRows(rows ...[]byte) []byte {
+	return append([]byte{byte(len(rows) - 1)}, bytes.Join(rows, nil)...)
+}
+
 // FuzzValueRoundTrip drives generated values through the binary block
 // frame and requires a data.Compare-equal value with the identical
 // rendering back.
@@ -158,6 +180,23 @@ func FuzzValueRoundTrip(f *testing.F) {
 	f.Add([]byte{4, 5, 'a', 0x00, 'b', 0xc3, 0xa9})                           // NUL + UTF-8
 	f.Add([]byte{7, 3, 2, 1, 2, 3, 4, 5, 6, 7, 8, 9, 4, 2, 0, 0, 6, 2, 0, 1}) // nested object
 	f.Add([]byte{6, 4, 2, 1, 1, 1, 1, 1, 1, 1, 1, 3, 1, 1, 1, 1, 1, 1, 1, 1}) // mixed array
+	// Object columns two levels deep, nulls at both.
+	f.Add(seedRows(
+		seedObj(seedObj(seedInt(1)), seedInt(2)),
+		seedNull,
+		seedObj(seedObj(seedNull), seedInt(3)),
+		seedObj(seedNull, seedInt(4))))
+	// Three levels deep, with a mixed-kind (generic) field beside them.
+	f.Add(seedRows(
+		seedObj(seedObj(seedObj(seedInt(1), seedStr("x"))), seedInt(5)),
+		seedObj(seedObj(seedNull), seedStr("m")),
+		seedObj(seedObj(seedObj(seedNull, seedStr("y"))), seedInt(6)),
+		seedNull))
+	// A field absent in one row and null in another.
+	f.Add(seedRows(
+		seedObj(seedObj(seedInt(1), seedInt(2))),
+		seedObj(seedObj(seedInt(3))),
+		seedObj(seedObj(seedNull, seedInt(4)))))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		g := &gen{b: raw}
 		vals := make([]data.Value, 1+int(g.next())%4)

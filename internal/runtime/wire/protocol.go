@@ -14,6 +14,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -53,17 +54,29 @@ func (e *BodyTooLargeError) Error() string {
 	return fmt.Sprintf("wire: body exceeds the %d-byte limit", e.Limit)
 }
 
+// bodyPrealloc caps the buffer ReadBody sizes from a declared
+// Content-Length, so a header that lies costs at most this much.
+const bodyPrealloc = 8 << 20
+
 // ReadBody reads an HTTP body to EOF under MaxBodyBytes. declared is
 // the message's Content-Length (-1 when unknown): a body announcing
-// itself oversize is refused before a byte of it is buffered.
+// itself oversize is refused before a byte of it is buffered, and any
+// other is read into one buffer of its declared size (up to
+// bodyPrealloc) — plus the MinRead bytes ReadFrom wants free, so EOF
+// arrives without a regrowth.
 func ReadBody(r io.Reader, declared int64) ([]byte, error) {
 	if declared > MaxBodyBytes {
 		return nil, &BodyTooLargeError{Limit: MaxBodyBytes}
 	}
-	b, err := io.ReadAll(io.LimitReader(r, MaxBodyBytes+1))
-	if err != nil {
+	size := bytes.MinRead
+	if declared >= 0 {
+		size += int(min(declared, bodyPrealloc))
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, size))
+	if _, err := buf.ReadFrom(io.LimitReader(r, MaxBodyBytes+1)); err != nil {
 		return nil, err
 	}
+	b := buf.Bytes()
 	if len(b) > MaxBodyBytes {
 		return nil, &BodyTooLargeError{Limit: MaxBodyBytes}
 	}

@@ -41,6 +41,11 @@ go test -run='^$' -bench='^BenchmarkProbeChain$' \
 # (its bucket), not per scanned row.
 go test -run='^$' -bench='^BenchmarkBuildHashTable$' \
     -benchtime=10x -benchmem ./internal/physop | tee -a "$out"
+# Wire codec: one 4,096-row lineitem-shaped block per op. Decode
+# allocates per column (a slab per object column), not per row; encode
+# gathers sub-columns on the pooled encoder's stack.
+go test -run='^$' -bench='^(BenchmarkEncodeBlock|BenchmarkDecodeBlock)$' \
+    -benchtime=20x -benchmem ./internal/runtime/wire | tee -a "$out"
 # Optimizer enumeration benchmarks: memo-table churn per full Optimize.
 go test -run='^$' -bench='^(BenchmarkOptimizeChain12|BenchmarkOptimizeStar10)$' \
     -benchtime=10x -benchmem . | tee -a "$out"
