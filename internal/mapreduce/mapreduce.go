@@ -192,8 +192,8 @@ type Split struct {
 // one context's running sum in record order and becomes virtual time: a
 // build whose filter calls a UDF is scanned in order on one context.
 // Any other costs nothing.
-func scanBuild(reg *expr.Registry, b Broadcast, blocks []Split, vsize func(data.Value) int64, par func(n int, fn func(i int))) (*HashTable, []*MapOutput, error) {
-	outs := make([]*MapOutput, len(blocks))
+func scanBuild(reg *expr.Registry, b Broadcast, blocks []Split, vsize func(data.Value) int64, par func(n int, fn func(i int))) (*HashTable, []MapOutput, error) {
+	outs := make([]MapOutput, len(blocks))
 	errs := make([]error, len(blocks))
 	bytes := make([]int64, len(blocks))
 	var ordered *expr.Ctx
@@ -217,13 +217,13 @@ func scanBuild(reg *expr.Registry, b Broadcast, blocks []Split, vsize func(data.
 		par(len(blocks), scan)
 	}
 	ht := &HashTable{}
-	for i, out := range outs {
+	for i := range outs {
 		if errs[i] != nil {
 			return nil, nil, errs[i]
 		}
-		ht.rows += len(out.Parts[0])
+		ht.rows += len(outs[i].Parts[0])
 		ht.builtBytes += bytes[i]
-		ht.prepCPU += out.CPUMap
+		ht.prepCPU += outs[i].CPUMap
 	}
 	if ordered != nil {
 		ht.prepCPU = ordered.CPUSeconds
@@ -232,11 +232,11 @@ func scanBuild(reg *expr.Registry, b Broadcast, blocks []Split, vsize func(data.
 }
 
 // index buckets the scanned pairs by normalized key, in scan order.
-func (h *HashTable) index(outs []*MapOutput) {
+func (h *HashTable) index(outs []MapOutput) {
 	h.buckets = make(map[string][]data.Value)
-	for _, out := range outs {
-		for i := range out.Parts[0] {
-			p := &out.Parts[0][i]
+	for o := range outs {
+		for i := range outs[o].Parts[0] {
+			p := &outs[o].Parts[0][i]
 			h.buckets[p.nk] = append(h.buckets[p.nk], p.Rec)
 		}
 	}
@@ -618,9 +618,7 @@ func (j *Job) runMap(st *mapTaskState, input Input) (cluster.Usage, int64, error
 		if xerr != nil {
 			return u, 0, xerr
 		}
-		// Copy the executor's rows: outRows is pooled at job end, and
-		// only a slice this package allocated is provably unshared.
-		st.outRows = append(st.outRows, out.Rows...)
+		st.outRows = taskRows(out.Rows, out.From, out.Sel)
 		st.shuffle, st.shuffleParts = out.Shuffle, out.ShuffleParts
 		cpuMap, cpuTotal = out.CPUMap, out.CPUTotal
 	} else {
@@ -628,9 +626,9 @@ func (j *Job) runMap(st *mapTaskState, input Input) (cluster.Usage, int64, error
 		if j.spec.Reduce != nil {
 			t.NumReducers, t.Combine = j.numReducers, j.spec.Combine
 		}
-		var out *MapOutput
+		var out MapOutput
 		out, err = RunMapTask(t)
-		st.outRows, st.buckets = out.Rows, out.Parts
+		st.outRows, st.buckets = taskRows(out.Rows, out.From, out.Sel), out.Parts
 		st.shuffleParts = make([]ShufflePart, len(out.Parts))
 		for p, bucket := range out.Parts {
 			for i := range bucket {

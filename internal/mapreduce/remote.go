@@ -72,7 +72,14 @@ type MapExec struct {
 // the controller charges both against the virtual clock with exactly
 // the local path's accrual pattern.
 type MapExecOut struct {
-	Rows     []data.Value // map-only jobs
+	// A map-only task's rows are Rows, or the rows of From at the
+	// positions Sel when the task answered with positions (see
+	// MapOutput). The job takes Rows over and recycles it at its end, so
+	// the executor must hold no other reference to it; From and Sel are
+	// only read.
+	Rows     []data.Value
+	From     []data.Value
+	Sel      []int32
 	CPUMap   float64
 	CPUTotal float64
 	// Shuffle jobs: the map output stays with the executor (on the

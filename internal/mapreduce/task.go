@@ -31,6 +31,9 @@ type MapCtx struct {
 	ectx   *expr.Ctx
 	builds map[string]*HashTable
 	rows   []data.Value
+	n      int // the split's record count: what the first Emit sizes rows for
+	from   []data.Value
+	sel    []int32
 	parts  [][]Pair // one bucket per reduce partition; nil for map-only tasks
 	nkBuf  []byte   // scratch for key normalization, reused across emits
 	// Arena is where a join kernel merges the rows it emits; Scratch
@@ -48,7 +51,22 @@ func (mc *MapCtx) Build(name string) *HashTable { return mc.builds[name] }
 
 // Emit writes a record to the job's (map-only) output.
 func (mc *MapCtx) Emit(rec data.Value) {
+	if mc.rows == nil {
+		// Most maps emit at most one row per input record: sized from the
+		// split, the buffer skips the append growth ladder. It is taken on
+		// the first row, so a task that emits none takes none.
+		mc.rows = rowSlices.get(mc.n)
+	}
 	mc.rows = append(mc.rows, rec)
+}
+
+// EmitSel writes the rows from[i], for i in the ascending selection
+// sel, to the job's (map-only) output in one call: a kernel whose
+// output is rows it did not make names them instead of copying them. A
+// kernel emits through Emit or through one EmitSel, never both. Neither
+// slice is copied; both must stay unmodified.
+func (mc *MapCtx) EmitSel(from []data.Value, sel []int32) {
+	mc.from, mc.sel = from, sel
 }
 
 // EmitKV routes a record through the shuffle, keyed for the reduce
@@ -154,13 +172,18 @@ type MapTask struct {
 	Builds      map[string]*HashTable
 }
 
-// MapOutput is what a map task's record loop produced. Rows comes from
-// the row pool: whoever can prove no one still holds it may recycle it
-// (the in-process job does at job end). Parts are windows of one
-// per-task array (or combiner output) and are left to the collector.
+// MapOutput is what a map task's record loop produced. A map-only
+// task's rows are Rows, or the rows of From at the positions Sel when
+// its kernel emitted by position (MapCtx.EmitSel). Rows comes from the
+// row pool: whoever can prove no one still holds it may recycle it (the
+// in-process job does at job end). From and Sel belong to the split's
+// image and are never recycled. Parts are windows of one per-task array
+// (or combiner output) and are left to the collector.
 type MapOutput struct {
-	Rows  []data.Value // map-only tasks
-	Parts [][]Pair     // shuffle tasks: one bucket per reduce partition
+	Rows  []data.Value
+	From  []data.Value
+	Sel   []int32
+	Parts [][]Pair // shuffle tasks: one bucket per reduce partition
 	// CPUMap is the UDF cost of the map phase alone; CPUTotal
 	// additionally includes the combiner.
 	CPUMap   float64
@@ -169,26 +192,36 @@ type MapOutput struct {
 
 // RunMapTask executes one map task's record loop: the kernel over the
 // split's image, then the combiner over the buckets.
-func RunMapTask(t *MapTask) (*MapOutput, error) {
+func RunMapTask(t *MapTask) (MapOutput, error) {
 	ectx := t.Ctx
 	if ectx == nil {
 		ectx = &expr.Ctx{Reg: t.Reg}
 	}
-	mc := &MapCtx{ectx: ectx, builds: t.Builds}
-	// Size the row buffer from the split: most maps emit at most one row
-	// per input record, so this avoids the append growth ladder.
+	mc := &MapCtx{ectx: ectx, builds: t.Builds, n: len(t.Recs)}
 	if t.NumReducers > 0 {
 		mc.parts = make([][]Pair, t.NumReducers)
-	} else if n := len(t.Recs); n > 0 {
-		mc.rows = rowSlices.get(n)
 	}
 	t.Map(mc, batch.For(t.Aux, t.Recs))
-	out := &MapOutput{Rows: mc.rows, Parts: mc.parts, CPUMap: ectx.CPUSeconds}
+	out := MapOutput{Rows: mc.rows, From: mc.from, Sel: mc.sel, Parts: mc.parts, CPUMap: ectx.CPUSeconds}
 	if ectx.Err == nil && t.Combine != nil {
 		combineParts(out.Parts, t.Combine, ectx)
 	}
 	out.CPUTotal = ectx.CPUSeconds
 	return out, ectx.Err
+}
+
+// taskRows is a map-only task's output as a buffer the job owns and
+// recycles at its end: the rows it emitted, or the rows of from at the
+// positions sel gathered into one from the pool.
+func taskRows(rows, from []data.Value, sel []int32) []data.Value {
+	if len(sel) == 0 {
+		return rows
+	}
+	out := rowSlices.get(len(sel))
+	for _, i := range sel {
+		out = append(out, from[i])
+	}
+	return out
 }
 
 // combineParts folds each bucket's rows per key through the combiner,

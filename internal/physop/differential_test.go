@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"dyno/internal/batch"
 	"dyno/internal/cluster"
 	"dyno/internal/coord"
 	"dyno/internal/data"
@@ -554,7 +555,7 @@ func TestChainFilterRunsBeforeEachRowsProbes(t *testing.T) {
 	}
 	op := &OpSpec{Kind: Chain, Source: &Source{Wrap: "t", Filter: call("keep_seq", "t.seq")},
 		Steps: []ChainStep{{Build: "b", Keys: keyPath, Residual: call("keep_match", "b.seq")}}}
-	run := func(compile func(*OpSpec, int, data.Value) (Kernels, error)) *mapreduce.MapOutput {
+	run := func(compile func(*OpSpec, int, data.Value) (Kernels, error)) mapreduce.MapOutput {
 		k, err := compile(op, 0, probe[0])
 		if err != nil {
 			t.Fatal(err)
@@ -585,6 +586,68 @@ func TestChainFilterRunsBeforeEachRowsProbes(t *testing.T) {
 	}
 	if len(want.Rows) == 0 || filterFirst == want.CPUMap {
 		t.Fatalf("vacuous: %d rows, filter-first sum %v equals the record-order sum", len(want.Rows), filterFirst)
+	}
+}
+
+// TestScanTaskAnswersWithPositions: an unpruned scan's task hands over
+// its split's image — the slice ScanImage returns, not a copy — at its
+// selection, and those are the oracle's rows at the oracle's cost; a
+// pruned scan emits rows of its own, as every other op does, and
+// ScanImage refuses all of them.
+func TestScanTaskAnswersWithPositions(t *testing.T) {
+	reg := expr.NewRegistry()
+	registerUDFs(reg)
+	recs := make([]data.Value, 300)
+	for i := range recs {
+		recs[i] = data.Object(data.Field{Name: "k", Value: data.Int(int64(i % 7))}, data.Field{Name: "seq", Value: data.Int(int64(i))})
+	}
+	run := func(compile func(*OpSpec, int, data.Value) (Kernels, error), op *OpSpec, aux *atomic.Value) mapreduce.MapOutput {
+		t.Helper()
+		k, err := compile(op, 0, recs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := mapreduce.RunMapTask(&mapreduce.MapTask{Reg: reg, Recs: recs, Aux: aux, Map: k.Map})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	seqAtLeast := &expr.Cmp{Op: expr.GE, L: expr.NewCol("t.seq"), R: expr.NewLit(data.Int(100))}
+	// A live-column map whose every set is nil (SELECT * under pushdown)
+	// prunes nothing: the scan still answers with positions.
+	allLive := scanOp(seqAtLeast)
+	allLive.Prune = map[string]map[string]bool{"t": nil}
+	for name, op := range map[string]*OpSpec{"all": scanOp(nil), "column-wise": scanOp(seqAtLeast), "udf-row": scanOp(call("keep_row", "t")), "all-live": allLive} {
+		t.Run(name, func(t *testing.T) {
+			aux := new(atomic.Value)
+			got, want := run(Compile, op, aux), run(oracleCompile, op, new(atomic.Value))
+			image, ok := ScanImage(op, batch.For(aux, recs))
+			if !ok || got.Rows != nil || len(got.Sel) == 0 || &got.From[0] != &image[0] {
+				t.Fatalf("the task emitted %d rows and %d positions, not positions into its split's image", len(got.Rows), len(got.Sel))
+			}
+			rows := make([]data.Value, len(got.Sel))
+			for i, p := range got.Sel {
+				rows[i] = image[p]
+			}
+			assertSameRecords(t, rows, want.Rows)
+			if got.CPUMap != want.CPUMap {
+				t.Errorf("kernel charged %v, oracle %v", got.CPUMap, want.CPUMap)
+			}
+		})
+	}
+	pruned := scanOp(seqAtLeast)
+	pruned.Prune = map[string]map[string]bool{"t": {"k": true}}
+	got, want := run(Compile, pruned, new(atomic.Value)), run(oracleCompile, pruned, new(atomic.Value))
+	if got.Sel != nil {
+		t.Fatal("a pruned scan answered with positions")
+	}
+	assertSameRecords(t, got.Rows, want.Rows)
+	d := batch.For(nil, recs)
+	for _, op := range []*OpSpec{pruned, shuffleOp(nil), probeOp(nil, nil), {Kind: Aggregate}} {
+		if _, ok := ScanImage(op, d); ok {
+			t.Errorf("ScanImage accepted a %s op (pruned: %v)", op.Kind, op.Prune != nil)
+		}
 	}
 }
 

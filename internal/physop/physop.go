@@ -405,11 +405,23 @@ func stepArena(mc *mapreduce.MapCtx, last, pruned bool) *data.FieldArena {
 	return &mc.Scratch
 }
 
+// prunes reports whether a live-column map drops anything: some alias
+// has a non-nil set. A map whose every set is nil keeps every row
+// whole, and it is what the wire carries as no map at all.
+func prunes(live map[string]map[string]bool) bool {
+	for _, set := range live {
+		if set != nil {
+			return true
+		}
+	}
+	return false
+}
+
 // NewPruner builds a row transform for projection pushdown: every
 // alias sub-record keeps only its live fields (a nil set keeps the
-// whole record).
+// whole record). It is nil when live prunes nothing.
 func NewPruner(live map[string]map[string]bool) func(data.Value) data.Value {
-	if live == nil {
+	if !prunes(live) {
 		return nil
 	}
 	// Field slices filtered from a sorted object stay sorted and
@@ -447,13 +459,38 @@ func NewPruner(live map[string]map[string]bool) func(data.Value) data.Value {
 // oracle in this package's tests emits, in the same order, with the
 // same virtual sizes and the same float of UDF cost.
 
+// ScanImage returns the rows a map task of op selects its output from
+// when the task answers with positions: the split's records wrapped
+// under the scan's alias, the split's own image (batch.Data.Wrapped). An
+// unpruned scan emits exactly those rows at the positions its filter
+// keeps, so whoever holds the split rebuilds the task's output from the
+// positions alone. ok is false for every other op — a pruned scan, a
+// chain, a repartition or an aggregate emits rows of its own making.
+// "Unpruned" is NewPruner's verdict (no alias restricted to a field
+// set), the one the scan kernel compiles to, so a map of nil sets —
+// which the wire drops — answers with positions on both ends.
+func ScanImage(op *OpSpec, d *batch.Data) (rows []data.Value, ok bool) {
+	if op.Kind != Scan || prunes(op.Prune) {
+		return nil, false
+	}
+	return d.Wrapped(deref(op.Source).Wrap), true
+}
+
 // scanKernel is the scan: the filter's survivors, wrapped as
-// {alias: rec} and pruned, in record order.
+// {alias: rec}, in record order. Unpruned, it hands them over as its
+// split's image at the selection; pruned, it emits the pruner's copies.
 func scanKernel(src source, prune func(data.Value) data.Value) mapreduce.MapFunc {
 	return func(mc *mapreduce.MapCtx, d *batch.Data) {
 		rows, sel := src.selection(mc, d)
+		if len(sel) == 0 {
+			return
+		}
+		if prune == nil {
+			mc.EmitSel(rows, sel)
+			return
+		}
 		for _, i := range sel {
-			mc.Emit(pruned(prune, rows[i]))
+			mc.Emit(prune(rows[i]))
 		}
 	}
 }

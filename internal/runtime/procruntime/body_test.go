@@ -49,17 +49,24 @@ func readFramed(t *testing.T, resp *http.Response) []byte {
 }
 
 // TestWorkerFramesDeclareTheirLength: /tasks and /shuffle answer with a
-// Content-Length, not chunked, so the reader sizes one buffer.
+// Content-Length, not chunked, so the reader sizes one buffer. The task
+// is a chain, whose answer carries its joined rows (a scan's would be a
+// few hundred bytes of positions).
 func TestWorkerFramesDeclareTheirLength(t *testing.T) {
 	w := NewWorker(expr.NewRegistry())
 	ts := httptest.NewServer(w.Handler())
 	t.Cleanup(ts.Close)
-	block := filepath.Join(t.TempDir(), "b0.blk")
-	if err := wire.WriteBlockFile(block, paddedRecs(1000)); err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	probe, build := filepath.Join(dir, "b0.blk"), filepath.Join(dir, "b1.blk")
+	for _, path := range []string{probe, build} {
+		if err := wire.WriteBlockFile(path, paddedRecs(1000)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	frame, err := wire.EncodeTaskBatch([]*wire.Task{{Task: "t-m0", Kind: "map", Block: block,
-		Op: &physop.OpSpec{Kind: physop.Scan, Source: &physop.Source{Wrap: "t"}}}})
+	ref := wire.BuildRef{Name: "b0", Wrap: "b", Keys: []data.Path{data.MustParsePath("b.v")}, Blocks: []string{build}, Version: dir}
+	op := &physop.OpSpec{Kind: physop.Chain, Source: &physop.Source{Wrap: "t"},
+		Steps: []physop.ChainStep{{Build: "b0", Keys: []data.Path{data.MustParsePath("t.v")}}}}
+	frame, err := wire.EncodeTaskBatch([]*wire.Task{{Task: "t-m0", Kind: "map", Block: probe, Op: op, Builds: []wire.BuildRef{ref}}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -113,6 +113,16 @@ func runQuery(t *testing.T, rt runtime.Runtime, query string, tw engineTweaks) q
 
 func runQueryErr(t *testing.T, rt runtime.Runtime, query string, tw engineTweaks) (queryOutcome, error) {
 	t.Helper()
+	sql, err := tpch.QuerySQL(query)
+	if err != nil {
+		return queryOutcome{}, err
+	}
+	return runSQLErr(t, rt, sql, tw)
+}
+
+// runSQLErr is runQueryErr for a query given as SQL text.
+func runSQLErr(t *testing.T, rt runtime.Runtime, sql string, tw engineTweaks) (queryOutcome, error) {
+	t.Helper()
 	gen, udf := tw.dataset()
 	cat, err := tpch.Generate(rt.FS(), gen)
 	if err != nil {
@@ -131,10 +141,6 @@ func runQueryErr(t *testing.T, rt runtime.Runtime, query string, tw engineTweaks
 	ccfg := env.ClusterConfig()
 	eng, err := baselines.NewEngine(baselines.VariantDynOpt, env, cat,
 		optimizer.DefaultConfig(float64(ccfg.SlotMemory)), opts)
-	if err != nil {
-		return queryOutcome{}, err
-	}
-	sql, err := tpch.QuerySQL(query)
 	if err != nil {
 		return queryOutcome{}, err
 	}
@@ -285,6 +291,34 @@ func TestProcWireStats(t *testing.T) {
 			if st.PeerShuffleBytes <= 0 {
 				t.Errorf("PeerShuffleBytes = %d, want > 0: no shuffle pairs moved worker-to-worker", st.PeerShuffleBytes)
 			}
+		})
+	}
+}
+
+// TestWholeRowPushdownAnswersWithPositions: under projection pushdown a
+// query that uses every alias whole (SELECT *) has a live-column map of
+// nil sets only. It prunes nothing, the wire carries it as no map, and
+// its scans answer with positions on proc; the query still matches sim
+// and the oracle.
+func TestWholeRowPushdownAnswersWithPositions(t *testing.T) {
+	tw := engineTweaks{pushdown: true}
+	for name, sql := range map[string]string{
+		"scan": `SELECT * FROM orders o WHERE o.o_orderdate >= 19931001 AND o.o_orderdate <= 19931101 ORDER BY o.o_orderkey`,
+		"join": `SELECT * FROM customer c, orders o
+			WHERE c.c_custkey = o.o_custkey AND o.o_orderdate >= 19931001 AND o.o_orderdate <= 19931101
+			ORDER BY o.o_orderkey`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			ccfg := cluster.DefaultConfig()
+			sim, err := runSQLErr(t, simruntime.New(ccfg), sql, tw)
+			if err != nil {
+				t.Fatalf("sim: %v", err)
+			}
+			proc, err := runSQLErr(t, newProcRuntime(t, 2, ccfg, procruntime.Config{}, tw), sql, tw)
+			if err != nil {
+				t.Fatalf("proc: %v", err)
+			}
+			diffOutcomes(t, name, sim, proc)
 		})
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sync"
 
+	"dyno/internal/batch"
+	"dyno/internal/data"
 	"dyno/internal/dfs"
 	"dyno/internal/mapreduce"
 	"dyno/internal/physop"
@@ -119,6 +121,12 @@ func (e executor) ExecMap(m mapreduce.MapExec) (*mapreduce.MapExecOut, error) {
 		return nil, err
 	}
 	out := &mapreduce.MapExecOut{Rows: res.Rows, CPUMap: res.CPUMap, CPUTotal: res.CPUTotal}
+	if len(res.Sel) > 0 {
+		if out.From, err = scanRows(op, m, res); err != nil {
+			return nil, err
+		}
+		out.Sel = res.Sel
+	}
 	if m.HasReduce {
 		out.Shuffle = &peerOutput{f: e.f, url: res.Worker, id: task.ShuffleID, task: task, parts: res.Parts}
 		out.ShuffleParts = make([]mapreduce.ShufflePart, len(res.Parts))
@@ -127,6 +135,32 @@ func (e executor) ExecMap(m mapreduce.MapExec) (*mapreduce.MapExecOut, error) {
 		}
 	}
 	return out, nil
+}
+
+// scanRows resolves an answer by position to the rows it names, taken
+// from the controller's own copy of the split through the image the sim
+// runtime scans: the mirror wrote the block's records in order, so a
+// position means the same record on both sides. An answer no worker
+// gives — positions for an op that emits rows of its own making,
+// positions beside rows, a position past the block — fails the task:
+// it would come back the same from any worker, so it is not retried.
+// (The decoder has checked that the positions ascend.)
+func scanRows(op *physop.OpSpec, m mapreduce.MapExec, res *wire.TaskResult) ([]data.Value, error) {
+	fail := func(answer string) error {
+		return fmt.Errorf("procruntime: job %s task %s: worker %s answered %s", m.JobName, m.TaskName, res.Worker, answer)
+	}
+	if len(res.Rows) > 0 {
+		return nil, fail("with both rows and positions")
+	}
+	blk := m.File.Block(m.Split)
+	rows, ok := physop.ScanImage(op, batch.For(blk.Aux(), blk.Records()))
+	if !ok {
+		return nil, fail("a " + op.Kind + " op with positions")
+	}
+	if last := int(res.Sel[len(res.Sel)-1]); last >= len(rows) {
+		return nil, fail(fmt.Sprintf("position %d of a %d-record block", last, len(rows)))
+	}
+	return rows, nil
 }
 
 func (e executor) ExecReduce(r mapreduce.ReduceExec) (*mapreduce.ReduceExecOut, error) {

@@ -208,8 +208,10 @@ func TestSuccessiveWavesRotateWorkers(t *testing.T) {
 	}
 }
 
-// newBlockWorker starts a real worker over reg and writes n one-record
-// blocks {v: i}; it returns the worker's URL and the block paths.
+// newBlockWorker starts a real worker over reg and writes n blocks,
+// block i holding i+1 records {v: i}: a scan of block i that keeps every
+// record answers with positions 0..i, so answers tell their tasks apart.
+// It returns the worker's URL and the block paths.
 func newBlockWorker(t *testing.T, reg *expr.Registry, n int) (*Worker, string, []string) {
 	t.Helper()
 	w := NewWorker(reg)
@@ -219,8 +221,11 @@ func newBlockWorker(t *testing.T, reg *expr.Registry, n int) (*Worker, string, [
 	blocks := make([]string, n)
 	for i := range blocks {
 		blocks[i] = filepath.Join(dir, fmt.Sprintf("b%d.blk", i))
-		rec := data.Object(data.Field{Name: "v", Value: data.Int(int64(i))})
-		if err := wire.WriteBlockFile(blocks[i], []data.Value{rec}); err != nil {
+		recs := make([]data.Value, i+1)
+		for r := range recs {
+			recs[r] = data.Object(data.Field{Name: "v", Value: data.Int(int64(i))})
+		}
+		if err := wire.WriteBlockFile(blocks[i], recs); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -272,8 +277,8 @@ func TestWaveSlotFailuresStayInTheirSlot(t *testing.T) {
 		default:
 			if errs[i] != nil {
 				t.Errorf("task %d failed alongside a bad frame-mate: %v", i, errs[i])
-			} else if len(results[i].Rows) != 1 || results[i].Rows[0].FieldOr("t").FieldOr("v").Int() != int64(i) {
-				t.Errorf("task %d rows = %v, want its own block's record", i, results[i].Rows)
+			} else if len(results[i].Rows) != 0 || !slices.Equal(results[i].Sel, positions(i+1)) {
+				t.Errorf("task %d answered positions %v and rows %v, want its own block's %d positions", i, results[i].Sel, results[i].Rows, i+1)
 			}
 		}
 	}
@@ -505,8 +510,8 @@ func TestWorkerRunsFrameConcurrently(t *testing.T) {
 		if res.Err != "" {
 			t.Fatalf("task %d: %s", i, res.Err)
 		}
-		if len(res.Rows) != 1 || res.Rows[0].FieldOr("t").FieldOr("v").Int() != int64(i) {
-			t.Fatalf("slot %d holds rows %v: the rendezvous timed out (tasks ran one after another) or results are out of request order", i, res.Rows)
+		if len(res.Rows) != 0 || !slices.Equal(res.Sel, positions(i+1)) {
+			t.Fatalf("slot %d holds positions %v: the rendezvous timed out (tasks ran one after another) or results are out of request order", i, res.Sel)
 		}
 	}
 }

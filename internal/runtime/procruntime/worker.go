@@ -212,7 +212,7 @@ func NewWorker(reg *expr.Registry) *Worker {
 func (w *Worker) OnDrain(fn func()) { w.drainNotify = fn }
 
 // Handler returns the worker's HTTP surface: /tasks (batched DYT1
-// frames in, DYR1 frames out), /shuffle (peer segment serving, DYS1
+// frames in, DYR2 frames out), /shuffle (peer segment serving, DYS1
 // frames), and the JSON control plane: /shuffle/gc, /status, /healthz,
 // and /drain.
 func (w *Worker) Handler() http.Handler {
@@ -406,7 +406,7 @@ func (w *Worker) runMap(task *wire.Task) (*wire.TaskResult, error) {
 	res := &wire.TaskResult{CPUMap: out.CPUMap, CPUTotal: out.CPUTotal}
 	switch {
 	case !task.HasReduce:
-		res.Rows = out.Rows
+		res.Rows, res.Sel = out.Rows, out.Sel
 	case task.RetainShuffle && task.ShuffleID != "":
 		res.Parts = w.retainShuffle(task.ShuffleID, out.Parts, task.ByteScale)
 	default:

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -24,7 +25,8 @@ import (
 // cached on that image and free; the same selection phrased through a
 // UDF call is evaluated per row over the image's wrapped rows and never
 // cached — two consecutive tasks over the block both charge the UDF's
-// CPU once per record, and all three tasks keep the same rows.
+// CPU once per record, and all three tasks answer with the same
+// positions.
 func TestWorkerChargesPerRowFilterEveryTask(t *testing.T) {
 	reg := expr.NewRegistry()
 	reg.Register(expr.UDF{Name: "small", CPUCost: 0.25, Fn: func(args []data.Value) data.Value {
@@ -65,24 +67,31 @@ func TestWorkerChargesPerRowFilterEveryTask(t *testing.T) {
 	if d == nil {
 		t.Fatal("the scan left no columnar image on the cached block")
 	}
-	if viaCmp.CPUMap != 0 || len(viaCmp.Rows) != 40 {
-		t.Errorf("column-wise scan charged CPUMap=%v for %d rows, want 0 for 40", viaCmp.CPUMap, len(viaCmp.Rows))
+	if viaCmp.CPUMap != 0 || len(viaCmp.Rows) != 0 || !slices.Equal(viaCmp.Sel, positions(40)) {
+		t.Errorf("column-wise scan charged CPUMap=%v for rows %v and positions %v, want 0 for positions 0..39 and no rows",
+			viaCmp.CPUMap, viaCmp.Rows, viaCmp.Sel)
 	}
 	for task := 0; task < 2; task++ {
 		viaCall := scan(&expr.Call{Name: "small", Args: []expr.Expr{expr.NewCol("t.v")}})
 		if want := 0.25 * float64(len(recs)); viaCall.CPUMap != want || viaCall.CPUTotal != want {
 			t.Errorf("task %d charged CPUMap=%v CPUTotal=%v, want %v (one UDF call per record)", task, viaCall.CPUMap, viaCall.CPUTotal, want)
 		}
-		if !reflect.DeepEqual(rowStrings(viaCall.Rows), rowStrings(viaCmp.Rows)) {
-			t.Errorf("task %d: the UDF filter kept %d rows, the comparison %d", task, len(viaCall.Rows), len(viaCmp.Rows))
+		if len(viaCall.Rows) != 0 || !slices.Equal(viaCall.Sel, viaCmp.Sel) {
+			t.Errorf("task %d: the UDF filter kept %v (and rows %v), the comparison %v", task, viaCall.Sel, viaCall.Rows, viaCmp.Sel)
 		}
 		if image() != d {
 			t.Fatalf("task %d replaced the block's image", task)
 		}
-		if &viaCall.Rows[0].Fields()[0] != &d.Wrapped("t")[0].Fields()[0] {
-			t.Errorf("task %d wrapped its rows anew instead of reading the image's", task)
-		}
 	}
+}
+
+// positions returns the selection 0, 1, ..., n-1.
+func positions(n int) []int32 {
+	sel := make([]int32, n)
+	for i := range sel {
+		sel[i] = int32(i)
+	}
+	return sel
 }
 
 // TestBroadcastTableBuiltOncePerWorker: the map tasks of a

@@ -2,20 +2,22 @@ package wire
 
 import (
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
+	"dyno/internal/batch"
 	"dyno/internal/data"
+	"dyno/internal/physop"
 )
 
-// lineitemBlock is one 4,096-row block of alias-wrapped lineitem rows,
-// {"l": {...10 columns...}}, shaped like TPC-H's generator output: two
-// levels of object column over int, double and string columns.
-func lineitemBlock() []data.Value {
+// lineitems is one 4,096-record split of lineitem records shaped like
+// TPC-H's generator output: 10 int, double and string columns.
+func lineitems() []data.Value {
 	rng := rand.New(rand.NewSource(1))
 	flags := []string{"A", "N", "R"}
 	recs := make([]data.Value, 4096)
 	for i := range recs {
-		l := data.Object(
+		recs[i] = data.Object(
 			data.Field{Name: "l_orderkey", Value: data.Int(int64(i / 4))},
 			data.Field{Name: "l_partkey", Value: data.Int(int64(rng.Intn(2000)))},
 			data.Field{Name: "l_suppkey", Value: data.Int(int64(rng.Intn(100)))},
@@ -27,6 +29,15 @@ func lineitemBlock() []data.Value {
 			data.Field{Name: "l_returnflag", Value: data.String(flags[rng.Intn(3)])},
 			data.Field{Name: "l_shipdate", Value: data.Int(int64(19920101 + rng.Intn(70000)))},
 		)
+	}
+	return recs
+}
+
+// lineitemBlock is the split's rows wrapped {"l": {...10 columns...}}:
+// two levels of object column over int, double and string columns.
+func lineitemBlock() []data.Value {
+	recs := lineitems()
+	for i, l := range recs {
 		recs[i] = data.Object(data.Field{Name: "l", Value: l})
 	}
 	return recs
@@ -58,5 +69,40 @@ func BenchmarkDecodeBlock(b *testing.B) {
 		if _, err := DecodeBlock(frame); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+var scanAnswerSink []data.Value
+
+// One op = a scan task's answer over one split whose filter keeps about
+// two thirds of it (l_quantity <= 33): the worker's result frame encoded,
+// decoded on the controller, and the kept rows gathered from the
+// controller's warm image of the split. Nothing in it is per row but the
+// gathered slice's length.
+func BenchmarkScanAnswer(b *testing.B) {
+	recs := lineitems()
+	var sel []int32
+	for i, rec := range recs {
+		if rec.FieldOr("l_quantity").Int() <= 33 {
+			sel = append(sel, int32(i))
+		}
+	}
+	op := &physop.OpSpec{Kind: physop.Scan, Source: &physop.Source{Wrap: "l"}}
+	var aux atomic.Value
+	image, _ := physop.ScanImage(op, batch.For(&aux, recs))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		f := EncodeResultBatch([]*TaskResult{{Sel: sel}})
+		got, err := DecodeResultBatch(f.Bytes())
+		f.Close()
+		if err != nil {
+			b.Fatal(err)
+		}
+		rows := make([]data.Value, 0, len(got[0].Sel))
+		for _, i := range got[0].Sel {
+			rows = append(rows, image[i])
+		}
+		scanAnswerSink = rows
 	}
 }

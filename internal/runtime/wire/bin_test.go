@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -458,7 +459,19 @@ func TestBinTaskBatchRoundTrip(t *testing.T) {
 	}
 }
 
+// sampleSels are the selections a result frame must carry exactly: one
+// position, a dense split (a byte per position), and a sparse list up
+// to the largest position there is.
+func sampleSels() [][]int32 {
+	dense := make([]int32, 4096)
+	for i := range dense {
+		dense[i] = int32(i)
+	}
+	return [][]int32{{0}, dense, {3, 200, 1 << 20, 1<<31 - 2, 1<<31 - 1}}
+}
+
 func sampleResults() []*TaskResult {
+	sels := sampleSels()
 	return []*TaskResult{
 		{Rows: adversarialValues(), CPUSeconds: 0.25},
 		{
@@ -472,6 +485,9 @@ func sampleResults() []*TaskResult {
 		{Parts: []ShufflePart{{Count: 3, Bytes: 1 << 40}, {}}, PeerBytes: 77, PeerFetches: 2},
 		{Err: "boom: operator failed"},
 		{},
+		{Sel: sels[0]},
+		{Sel: sels[1], CPUMap: 0.5, CPUTotal: 0.5},
+		{Sel: sels[2]},
 	}
 }
 
@@ -490,7 +506,8 @@ func TestBinResultBatchRoundTrip(t *testing.T) {
 		have := got[i]
 		if have.Err != want.Err || have.CPUMap != want.CPUMap || have.CPUTotal != want.CPUTotal || have.CPUSeconds != want.CPUSeconds ||
 			have.PeerBytes != want.PeerBytes || have.PeerFetches != want.PeerFetches || !reflect.DeepEqual(have.Parts, want.Parts) ||
-			len(have.Rows) != len(want.Rows) || len(have.Pairs) != len(want.Pairs) {
+			len(have.Rows) != len(want.Rows) || len(have.Pairs) != len(want.Pairs) ||
+			!slices.Equal(have.Sel, want.Sel) || (have.Sel == nil) != (want.Sel == nil) {
 			t.Fatalf("result %d changed across round trip:\n  %+v\n  %+v", i, want, have)
 		}
 		for k := range want.Rows {
@@ -550,11 +567,26 @@ func TestBinTaskBatchRejectsOutOfRange(t *testing.T) {
 }
 
 func TestBinDecodeRejectsGarbage(t *testing.T) {
-	for _, b := range [][]byte{nil, {}, []byte("DYT"), []byte("DYT1\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"), []byte("not a frame"), []byte("DYR1")} {
+	for _, b := range [][]byte{nil, {}, []byte("DYT"), []byte("DYT1\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"), []byte("not a frame"), []byte("DYR2")} {
 		if _, err := DecodeTaskBatch(b); err == nil {
 			t.Fatalf("DecodeTaskBatch accepted %q", b)
 		}
 	}
+	// Every truncation of a result frame carrying selections errors, and
+	// so does the frame under the magic of the layout before selections: a
+	// stale worker's answer is refused, not misread.
+	results := EncodeResultBatch(sampleResults())
+	whole := results.Bytes()
+	for n := 0; n < len(whole); n++ {
+		if _, err := DecodeResultBatch(whole[:n]); err == nil {
+			t.Fatalf("DecodeResultBatch accepted a %d-byte truncation", n)
+		}
+	}
+	stale := append([]byte("DYR1"), whole[len(magicRespBatch):]...)
+	if _, err := DecodeResultBatch(stale); err == nil {
+		t.Fatal("DecodeResultBatch accepted a DYR1 frame")
+	}
+	results.Close()
 	// Truncations of a valid frame must error, never panic.
 	for _, recs := range [][]data.Value{{data.Int(1)}, nestedRows()} {
 		frame := EncodeBlock(recs)
@@ -565,6 +597,44 @@ func TestBinDecodeRejectsGarbage(t *testing.T) {
 			}
 		}
 		frame.Close()
+	}
+}
+
+// resultWithSel is a one-result frame whose selection is sel: raw
+// bytes, its count and gaps as uvarints.
+func resultWithSel(sel ...uint64) []byte {
+	f := EncodeResultBatch([]*TaskResult{{}})
+	defer f.Close()
+	b := f.Bytes()
+	// An empty result ends in five zero counts: the selection, pairs,
+	// parts, peer bytes and peer fetches.
+	out := bytes.Clone(b[:len(b)-5])
+	for _, x := range sel {
+		out = binary.AppendUvarint(out, x)
+	}
+	return append(out, 0, 0, 0, 0)
+}
+
+// TestBinSelIsBounded: the decoder refuses a selection no encoder
+// writes — a zero gap (a repeated position), a position past
+// math.MaxInt32, a count the rest of the frame cannot hold — before
+// sizing anything from it.
+func TestBinSelIsBounded(t *testing.T) {
+	if got, err := DecodeResultBatch(resultWithSel(3, 1, 2, 1<<31-3)); err != nil || !slices.Equal(got[0].Sel, []int32{0, 2, 1<<31 - 1}) {
+		t.Fatalf("a valid hand-written selection decoded to %v, %v", got, err)
+	}
+	for name, frame := range map[string][]byte{
+		"zeroGap":        resultWithSel(2, 1, 0),
+		"firstGapZero":   resultWithSel(1, 0),
+		"overflow":       resultWithSel(1, 1<<31+1),
+		"overflowBySum":  resultWithSel(2, 1<<31, 1),
+		"hugeGap":        resultWithSel(1, math.MaxUint64),
+		"countPastFrame": resultWithSel(100, 1, 1, 1),
+		"countHuge":      resultWithSel(1 << 40),
+	} {
+		if _, err := DecodeResultBatch(frame); err == nil {
+			t.Errorf("%s: DecodeResultBatch accepted the selection", name)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 
@@ -22,7 +23,7 @@ import (
 
 var (
 	magicTaskBatch = []byte("DYT1")
-	magicRespBatch = []byte("DYR1")
+	magicRespBatch = []byte("DYR2")
 	magicBlock     = []byte("DYB1")
 	magicShuffle   = []byte("DYS1")
 )
@@ -671,6 +672,7 @@ func (e *benc) writeResult(r *TaskResult) {
 	e.f64(r.CPUTotal)
 	e.f64(r.CPUSeconds)
 	e.writeValueList(r.Rows)
+	e.writeSel(r.Sel)
 	e.uvarint(uint64(len(r.Pairs)))
 	for _, pairs := range r.Pairs {
 		e.writeKVs(pairs)
@@ -700,6 +702,9 @@ func (d *bdec) readResult() (*TaskResult, error) {
 		return nil, err
 	}
 	if r.Rows, err = d.readValueList(); err != nil {
+		return nil, err
+	}
+	if r.Sel, err = d.readSel(); err != nil {
 		return nil, err
 	}
 	n, err := d.count()
@@ -739,6 +744,49 @@ func (d *bdec) readResult() (*TaskResult, error) {
 	}
 	r.PeerFetches = int(pf)
 	return r, nil
+}
+
+// writeSel writes an ascending selection as its count and the gaps
+// between consecutive positions, the first counted from -1: every gap
+// is at least 1, and a dense selection costs a byte per position.
+func (e *benc) writeSel(sel []int32) {
+	e.uvarint(uint64(len(sel)))
+	prev := int64(-1)
+	for _, i := range sel {
+		e.uvarint(uint64(int64(i) - prev))
+		prev = int64(i)
+	}
+}
+
+// readSel reads what writeSel wrote. A gap takes at least one byte, so
+// a count the rest of the frame could not hold is refused before the
+// selection is allocated, as are a zero gap (positions ascend strictly)
+// and a position past math.MaxInt32.
+func (d *bdec) readSel() ([]int32, error) {
+	n, err := d.uvarint()
+	if err != nil || n == 0 {
+		return nil, err
+	}
+	if n > uint64(d.rem()) {
+		return nil, errShortFrame
+	}
+	sel := make([]int32, n)
+	pos := int64(-1)
+	for i := range sel {
+		gap, err := d.uvarint()
+		if err != nil {
+			return nil, err
+		}
+		if gap == 0 {
+			return nil, fmt.Errorf("wire: selection position %d repeats its predecessor", i)
+		}
+		if gap > uint64(math.MaxInt32-pos) {
+			return nil, fmt.Errorf("wire: selection position %d is past %d", i, math.MaxInt32)
+		}
+		pos += int64(gap)
+		sel[i] = int32(pos)
+	}
+	return sel, nil
 }
 
 // EncodeTaskBatch encodes a task batch as one binary frame sharing a

@@ -280,10 +280,17 @@ func FuzzTaskBatchDecode(f *testing.F) {
 }
 
 func FuzzResultBatchDecode(f *testing.F) {
-	f.Add([]byte("DYR1"))
+	f.Add([]byte("DYR2"))
 	seed := EncodeResultBatch(sampleResults())
 	f.Add(bytes.Clone(seed.Bytes()))
 	seed.Close()
+	for _, sel := range sampleSels() {
+		one := EncodeResultBatch([]*TaskResult{{Sel: sel}})
+		f.Add(bytes.Clone(one.Bytes()))
+		one.Close()
+	}
+	f.Add(resultWithSel(2, 1, 0))
+	f.Add(resultWithSel(2, 1<<31, 1))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		results, err := DecodeResultBatch(raw)
 		if err != nil {

@@ -29,7 +29,7 @@ import (
 
 // The controller/worker HTTP protocol has one data plane: tasks travel
 // as per-worker batches to POST /tasks in DYT1 frames and are answered
-// in DYR1 frames, map output stays on the producing worker and reduce
+// in DYR2 frames, map output stays on the producing worker and reduce
 // inputs are pulled peer-to-peer from GET /shuffle as DYS1 frames.
 // JSON carries the control plane only: register, heartbeat, status,
 // drain and shuffle GC.
@@ -252,6 +252,11 @@ type Task struct {
 // TaskResult is a task's output.
 type TaskResult struct {
 	Rows []data.Value
+	// Sel answers a map task whose op answers with positions (an
+	// unpruned scan, see physop.ScanImage): the ascending positions of
+	// the split's records its filter kept. The controller takes those
+	// rows from its own copy of the split, so none travel.
+	Sel []int32
 	// Pairs answers a shuffle map task run without RetainShuffle: one
 	// slice per partition.
 	Pairs      [][]KV

@@ -43,8 +43,9 @@ go test -run='^$' -bench='^BenchmarkBuildHashTable$' \
     -benchtime=10x -benchmem ./internal/physop | tee -a "$out"
 # Wire codec: one 4,096-row lineitem-shaped block per op. Decode
 # allocates per column (a slab per object column), not per row; encode
-# gathers sub-columns on the pooled encoder's stack.
-go test -run='^$' -bench='^(BenchmarkEncodeBlock|BenchmarkDecodeBlock)$' \
+# gathers sub-columns on the pooled encoder's stack. A scan's answer over
+# such a split is its positions, not its rows.
+go test -run='^$' -bench='^(BenchmarkEncodeBlock|BenchmarkDecodeBlock|BenchmarkScanAnswer)$' \
     -benchtime=20x -benchmem ./internal/runtime/wire | tee -a "$out"
 # Optimizer enumeration benchmarks: memo-table churn per full Optimize.
 go test -run='^$' -bench='^(BenchmarkOptimizeChain12|BenchmarkOptimizeStar10)$' \
