@@ -173,7 +173,7 @@ type Result struct {
 	// Optimizer search-work counters summed over every DYNOPT round:
 	// groups whose splits were enumerated, searches skipped by
 	// branch-and-bound, and winners reused from the previous round's
-	// memo or a shared cross-query cache.
+	// memo.
 	OptGroupsExpanded int
 	OptGroupsPruned   int
 	OptGroupsReused   int

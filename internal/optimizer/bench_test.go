@@ -35,18 +35,6 @@ func BenchmarkOptimize8WayBushy(b *testing.B) {
 	}
 }
 
-func BenchmarkOptimize8WayLeftDeep(b *testing.B) {
-	block := chainBlock(8)
-	cfg := DefaultConfig(2 << 30)
-	cfg.LeftDeepOnly = true
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Optimize(block, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkOptimize12Way(b *testing.B) {
 	block := chainBlock(12)
 	cfg := DefaultConfig(2 << 30)

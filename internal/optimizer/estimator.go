@@ -73,29 +73,12 @@ func (e *Estimator) annotate(n plan.Node) error {
 	if err != nil {
 		return err
 	}
-	rmask := mask &^ lmask
 	p := e.m.propsFor(mask)
 	j.EstCard = p.card
 	j.EstBytes = p.bytes()
-	j.Conds = nil
-	j.Residual = nil
-	for _, edge := range e.m.edges {
-		lbit, rbit := uint64(1)<<uint(edge.li), uint64(1)<<uint(edge.ri)
-		if (lmask&lbit != 0 && rmask&rbit != 0) || (lmask&rbit != 0 && rmask&lbit != 0) {
-			j.Conds = append(j.Conds, edge.pred)
-		}
-	}
-	for _, res := range e.m.residuals {
-		if res.mask&mask == res.mask && res.mask&lmask != res.mask && res.mask&rmask != res.mask {
-			j.Residual = append(j.Residual, res.pred)
-		}
-	}
+	e.m.attachPreds(j, lmask, mask&^lmask)
 	return nil
 }
-
-// RelBytes returns the estimated virtual size of a single relation of
-// the block.
-func (e *Estimator) RelBytes(rel *plan.Rel) float64 { return rel.Stats.SizeBytes() }
 
 // HasEdge reports whether any equi-join predicate connects a relation
 // in the bound set to the candidate (for cartesian-avoiding order
@@ -107,9 +90,4 @@ func (e *Estimator) HasEdge(bound map[int]bool, candidate int) bool {
 		}
 	}
 	return false
-}
-
-// MarkChains applies the broadcast-chain rule to a hand-built tree.
-func (e *Estimator) MarkChains(root plan.Node) {
-	markChains(root, e.m.cfg)
 }

@@ -105,7 +105,7 @@ func TestEstimatorHasEdge(t *testing.T) {
 }
 
 func TestReplicationFactors(t *testing.T) {
-	cfg := Config{BlockBytes: 128 << 20}
+	var cfg Config // 128 MB splits
 	if got := Replication(cfg, 64<<20); got != 1 {
 		t.Errorf("small probe replication = %v", got)
 	}
@@ -115,10 +115,6 @@ func TestReplicationFactors(t *testing.T) {
 	cfg.DCacheWorkers = 4
 	if got := Replication(cfg, 10*128<<20); got != 4 {
 		t.Errorf("distributed cache should cap at workers: %v", got)
-	}
-	// Zero block size falls back to 128 MB.
-	if got := Replication(Config{}, 256<<20); got != 2 {
-		t.Errorf("default block size replication = %v", got)
 	}
 }
 
@@ -150,10 +146,11 @@ func TestReplicationChangesBroadcastChoice(t *testing.T) {
 	}
 }
 
-func TestRiskFactorDeratesDeepBuilds(t *testing.T) {
-	// d1⋈d2 estimated at ~0.5·Mmax: eligible as a build with risk off,
-	// derated out with risk 4 (one join quarters the budget).
-	mm := 1e9
+func TestDeepBuildBudgetIsDerated(t *testing.T) {
+	// d1⋈d2 is estimated at 5e8 bytes (2.5M rows of 200 B, its upper
+	// bound too). The one join inside it halves the build budget
+	// (riskFactor 2): Mmax 1.2e9 admits it, Mmax 8e8 does not, though a
+	// single relation of that size would fit.
 	block := &plan.JoinBlock{
 		Rels: []*plan.Rel{
 			mkRel("f", 10_000_000, 100, map[string]float64{"f.a": 90_000}),
@@ -162,7 +159,19 @@ func TestRiskFactorDeratesDeepBuilds(t *testing.T) {
 		},
 		JoinPreds: []expr.Expr{eq("f.a", "d1.a"), eq("d1.j", "d2.j")},
 	}
-	countBroadcastOfPair := func(cfg Config) bool {
+	eligible := func(mmax float64) bool {
+		m := newMemo(block, Config{Mmax: mmax})
+		_, ok := m.joinCost(plan.BroadcastJoin, 0b001, 0b110, 0, 0, false)
+		return ok
+	}
+	if !eligible(1.2e9) || eligible(8e8) {
+		t.Errorf("pair build eligible at Mmax 1.2e9: %v, at 8e8: %v; want true, false",
+			eligible(1.2e9), eligible(8e8))
+	}
+	if m := newMemo(block, Config{Mmax: 8e8}); m.propsFor(0b110).bytesUp() != 5e8 {
+		t.Errorf("pair upper bound = %v bytes, want 5e8", m.propsFor(0b110).bytesUp())
+	}
+	broadcastsPair := func(cfg Config) bool {
 		res, err := Optimize(block, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -176,14 +185,7 @@ func TestRiskFactorDeratesDeepBuilds(t *testing.T) {
 		}
 		return false
 	}
-	off := DefaultConfig(mm / BroadcastSafety)
-	off.RiskFactor = 0
-	on := DefaultConfig(mm / BroadcastSafety)
-	on.RiskFactor = 4
-	if !countBroadcastOfPair(off) {
-		t.Skip("plan shape does not exercise the composite build at this sizing")
-	}
-	if countBroadcastOfPair(on) {
+	if broadcastsPair(Config{Mmax: 8e8}) {
 		t.Error("risk factor should derate the composite build out of eligibility")
 	}
 }

@@ -30,7 +30,7 @@ import (
 // silently falls back to a from-scratch search. Not safe for
 // concurrent use.
 type Incremental struct {
-	Cfg Config
+	cfg Config
 
 	prev     *memo
 	prevRels []*plan.Rel
@@ -40,19 +40,19 @@ type Incremental struct {
 
 // NewIncremental starts a session with the given search configuration.
 func NewIncremental(cfg Config) *Incremental {
-	return &Incremental{Cfg: cfg}
+	return &Incremental{cfg: cfg}
 }
 
 // Optimize behaves exactly like the package-level Optimize — same plan,
 // same errors — but reuses unaffected memo groups from the previous
-// round. Cfg.DisableIncremental turns the reuse off.
+// round.
 func (inc *Incremental) Optimize(block *plan.JoinBlock) (*Result, error) {
-	m, err := newMemoChecked(block, inc.Cfg)
+	m, err := newMemoChecked(block, inc.cfg)
 	if err != nil {
 		return nil, err
 	}
 	seed := math.Inf(1)
-	if !inc.Cfg.DisableIncremental && inc.prev != nil {
+	if inc.prev != nil {
 		seed = inc.adopt(m, block)
 	}
 	res, err := m.run(seed)
@@ -60,9 +60,7 @@ func (inc *Incremental) Optimize(block *plan.JoinBlock) (*Result, error) {
 		inc.prev, inc.prevRels, inc.prevFPs, inc.prevPlan = nil, nil, nil, nil
 		return nil, err
 	}
-	if !inc.Cfg.DisableIncremental {
-		inc.remember(m, block)
-	}
+	inc.remember(m, block)
 	return res, nil
 }
 
@@ -75,7 +73,7 @@ func (inc *Incremental) remember(m *memo, block *plan.JoinBlock) {
 	for i, r := range block.Rels {
 		inc.prevFPs[i] = statsFP(r.Stats)
 	}
-	inc.prevPlan = m.shape(uint64(1)<<uint(len(block.Rels)) - 1)
+	inc.prevPlan = m.shape(m.full())
 }
 
 // adopt seeds the fresh memo from the previous round's: groups composed
@@ -251,7 +249,7 @@ func (m *memo) costShape(s *shapeNode) (float64, bool) {
 	if !ok {
 		return 0, false
 	}
-	outCost := m.cfg.COut * m.propsFor(s.mask).bytes()
+	outCost := cOut * m.propsFor(s.mask).bytes()
 	probeIsBroadcast := !s.left.leaf && s.left.method == plan.BroadcastJoin
 	return m.joinCost(s.method, s.left.mask, s.right.mask, lc+rc, outCost, probeIsBroadcast)
 }

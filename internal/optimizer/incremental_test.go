@@ -88,21 +88,17 @@ func testSubstitute(block *plan.JoinBlock, aliases []string, rel *plan.Rel) {
 	block.Rels = append(kept, rel)
 }
 
-// TestPropertyIncrementalMatchesExhaustive is the PR's determinism
+// TestPropertyIncrementalMatchesExhaustive is the search's determinism
 // contract: across randomized join graphs and randomized DYNOPT-style
-// re-optimization rounds, the incremental session with pruning on must
-// choose exactly the plan (cost AND rendered structure, i.e. the same
-// tie-breaks) a fresh exhaustive enumeration chooses every round.
+// re-optimization rounds, the incremental session (memo reuse plus
+// branch-and-bound) must choose exactly the plan (cost AND rendered
+// structure, i.e. the same tie-breaks) a fresh exhaustive enumeration
+// chooses every round.
 func TestPropertyIncrementalMatchesExhaustive(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		block := randomBlock(r)
 		cfg := DefaultConfig(float64(1+r.Intn(4)) * 1e9 / BroadcastSafety)
-
-		exCfg := cfg
-		exCfg.DisableIncremental = true
-		exCfg.DisablePruning = true
-
 		inc := NewIncremental(cfg)
 		rng := rand.New(rand.NewSource(seed ^ 0x5deece66d))
 		for round := 0; len(block.Rels) > 1; round++ {
@@ -111,7 +107,7 @@ func TestPropertyIncrementalMatchesExhaustive(t *testing.T) {
 				t.Logf("seed %d round %d: incremental: %v", seed, round, err)
 				return false
 			}
-			slow, err := Optimize(block, exCfg)
+			slow, err := exhaustive(block, cfg)
 			if err != nil {
 				t.Logf("seed %d round %d: exhaustive: %v", seed, round, err)
 				return false

@@ -121,36 +121,6 @@ func TestPropertyOptimizerPlansAreValid(t *testing.T) {
 	}
 }
 
-func TestPropertyLeftDeepNeverCheaperThanBushy(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		b := randomBlock(r)
-		// Chain marking is a post-pass whose outcome the memo only
-		// anticipates, so cost dominance is exact only with the chain
-		// rule disabled.
-		cfg := DefaultConfig(2 << 30)
-		cfg.DisableChaining = true
-		full, err := Optimize(b, cfg)
-		if err != nil {
-			return false
-		}
-		cfg.LeftDeepOnly = true
-		ld, err := Optimize(b, cfg)
-		if err != nil {
-			return false
-		}
-		if !plan.IsLeftDeep(ld.Root) {
-			t.Logf("seed %d: left-deep mode produced bushy plan", seed)
-			return false
-		}
-		// The unrestricted search explores a superset of plans.
-		return full.Root.Cost() <= ld.Root.Cost()*1.0001
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestPropertyEstimatorAgreesWithSearch(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))

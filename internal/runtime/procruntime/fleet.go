@@ -46,8 +46,6 @@ type Config struct {
 	// SpillDir holds the mirrored DFS block files; default a fresh
 	// temp directory removed on Close.
 	SpillDir string
-	// TaskTimeout bounds one dispatch attempt; default 60s.
-	TaskTimeout time.Duration
 	// MaxAttempts bounds dispatch attempts per task (including the
 	// hedged attempt); default 3.
 	MaxAttempts int
@@ -55,15 +53,12 @@ type Config struct {
 	// consecutive failures; default 3.
 	BlacklistAfter int
 	// HedgeMin is the minimum straggler hedge delay; default 2s. An
-	// attempt older than max(HedgeMin, HedgeFactor x median completed
+	// attempt older than max(HedgeMin, hedgeFactor x median completed
 	// duration of the task kind) triggers a speculative second attempt
 	// on a different worker.
-	HedgeMin    time.Duration
-	HedgeFactor float64
-	// Heartbeat is the interval workers are told to report at; a
-	// worker silent for StaleAfter is skipped by dispatch. Defaults:
-	// 1s / 10s.
-	Heartbeat  time.Duration
+	HedgeMin time.Duration
+	// StaleAfter is how long a worker may stay silent (it reports every
+	// heartbeat) before dispatch skips it; default 10s.
 	StaleAfter time.Duration
 	// UDF is shipped to workers at registration so their registries
 	// evaluate the TPC-H UDFs with the controller's parameters.
@@ -73,12 +68,20 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
+// Fixed fleet timings.
+const (
+	// taskTimeout bounds one dispatch attempt per task it carries.
+	taskTimeout = 60 * time.Second
+	// hedgeFactor scales a task kind's median completed duration into
+	// its straggler threshold (see Config.HedgeMin).
+	hedgeFactor = 2
+	// heartbeat is the interval workers are told to report at.
+	heartbeat = time.Second
+)
+
 func (c Config) withDefaults() Config {
 	if c.Addr == "" {
 		c.Addr = "127.0.0.1:0"
-	}
-	if c.TaskTimeout <= 0 {
-		c.TaskTimeout = 60 * time.Second
 	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 3
@@ -88,12 +91,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.HedgeMin <= 0 {
 		c.HedgeMin = 2 * time.Second
-	}
-	if c.HedgeFactor <= 0 {
-		c.HedgeFactor = 2
-	}
-	if c.Heartbeat <= 0 {
-		c.Heartbeat = time.Second
 	}
 	if c.StaleAfter <= 0 {
 		c.StaleAfter = 10 * time.Second
@@ -403,7 +400,7 @@ func (f *Fleet) handleRegister(w http.ResponseWriter, r *http.Request) {
 	}
 	json.NewEncoder(w).Encode(wire.RegisterResponse{
 		ID:              id,
-		HeartbeatMillis: int(f.cfg.Heartbeat / time.Millisecond),
+		HeartbeatMillis: int(heartbeat / time.Millisecond),
 		UDF:             udf,
 	})
 }
@@ -588,7 +585,7 @@ func (f *Fleet) hedgeDelay(kind string) time.Duration {
 	}
 	ds := recent[:n]
 	slices.Sort(ds)
-	d := time.Duration(f.cfg.HedgeFactor * ds[n/2] * float64(time.Second))
+	d := time.Duration(hedgeFactor * ds[n/2] * float64(time.Second))
 	if d < f.cfg.HedgeMin {
 		d = f.cfg.HedgeMin
 	}

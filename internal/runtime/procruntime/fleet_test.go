@@ -270,7 +270,7 @@ func TestDispatchHedgesStragglers(t *testing.T) {
 // the last hedgeWindow completions — a long-lived fleet neither keeps
 // nor re-sorts its whole history on every dispatch.
 func TestHedgeHistoryIsBounded(t *testing.T) {
-	f := newBareFleet(t, Config{HedgeMin: time.Millisecond, HedgeFactor: 2})
+	f := newBareFleet(t, Config{HedgeMin: time.Millisecond})
 	w := &workerState{}
 	for i := 0; i < 100_000; i++ {
 		f.noteSuccess(w, "map", time.Second)

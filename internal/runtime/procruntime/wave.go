@@ -162,7 +162,7 @@ func (f *Fleet) flush(w *workerState, tasks []*wire.Task, outs []chan<- attempt)
 
 // postBatch runs one batched RPC against one worker and returns
 // per-task results in request order. The attempt deadline scales with
-// frame size so each task keeps its TaskTimeout budget even on a
+// frame size so each task keeps its taskTimeout budget even on a
 // single-core worker, which runs the frame one task after another.
 func (f *Fleet) postBatch(w *workerState, tasks []*wire.Task) ([]*wire.TaskResult, error) {
 	frame, err := wire.EncodeTaskBatch(tasks)
@@ -171,7 +171,7 @@ func (f *Fleet) postBatch(w *workerState, tasks []*wire.Task) ([]*wire.TaskResul
 	}
 	defer frame.Close()
 	payload := frame.Bytes()
-	ctx, cancel := context.WithTimeout(context.Background(), f.cfg.TaskTimeout*time.Duration(len(tasks)))
+	ctx, cancel := context.WithTimeout(context.Background(), taskTimeout*time.Duration(len(tasks)))
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.url+"/tasks", bytes.NewReader(payload))
 	if err != nil {

@@ -34,12 +34,6 @@ func New(ccfg cluster.Config) *Runtime {
 	}
 }
 
-// Wrap adapts pre-built components (a populated DFS, a configured
-// simulator) to the seam without copying.
-func Wrap(fs *dfs.FS, sim *cluster.Sim, c *coord.Service) *Runtime {
-	return &Runtime{fs: fs, sim: sim, coord: c}
-}
-
 // Name implements runtime.Runtime.
 func (r *Runtime) Name() string { return "sim" }
 

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"dyno/internal/baselines"
 	"dyno/internal/cluster"
@@ -247,5 +248,51 @@ func TestDrainingServerAnswers503(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("draining server: status %d, want 503", resp.StatusCode)
+	}
+}
+
+// TestShutdownMidExecutionAnswers503: a query that Shutdown cancels
+// while it executes is answered like one refused after Shutdown — 503,
+// counted by no outcome counter — not as a client cancellation or a bad
+// request.
+func TestShutdownMidExecutionAnswers503(t *testing.T) {
+	s := newTestServer(t, nil)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	// Hold the query at its first job output until Shutdown has
+	// canceled its context.
+	inFlight := make(chan struct{})
+	var once sync.Once
+	s.hookJobOutput = func(ctx context.Context) {
+		once.Do(func() { close(inFlight) })
+		<-ctx.Done()
+	}
+	status := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(`{"query":"Q10"}`))
+		if err != nil {
+			t.Error(err)
+			status <- 0
+			return
+		}
+		resp.Body.Close()
+		status <- resp.StatusCode
+	}()
+	select {
+	case <-inFlight:
+	case <-time.After(10 * time.Second):
+		t.Fatal("query never reached execution")
+	}
+	shutdownDone := make(chan error, 1)
+	go func() { shutdownDone <- s.Shutdown(context.Background()) }()
+	if got := <-status; got != http.StatusServiceUnavailable {
+		t.Errorf("query canceled by Shutdown: status %d, want 503", got)
+	}
+	if err := <-shutdownDone; err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if m := s.Metrics(); m.Canceled != 0 || m.Errors != 0 || m.Timeouts != 0 || m.Queries != 0 {
+		t.Errorf("canceled=%d errors=%d timeouts=%d queries=%d, want all 0",
+			m.Canceled, m.Errors, m.Timeouts, m.Queries)
 	}
 }

@@ -8,13 +8,16 @@ import (
 
 // counters aggregates the service's monotonic counters.
 //
-// Outcome classification: every Execute call increments exactly one of
-// queries, rejected, timeouts, canceled, or errors. timeouts counts
-// queries that exceeded a deadline (the per-query timeout or the
-// caller's own); canceled counts queries the client canceled, whether
-// still queued or already executing; errors counts only the remaining
-// non-cancellation failures (bad requests, execution errors). The
-// three failure classes are disjoint.
+// Outcome classification: every Execute call the server does not turn
+// away for shutting down increments exactly one of queries, rejected,
+// timeouts, canceled, or errors. A call that fails with ErrShuttingDown
+// — refused after Shutdown, or canceled by it while queued or
+// executing — increments none. timeouts counts queries that exceeded a
+// deadline (the per-query timeout or the caller's own); canceled counts
+// queries the client canceled, whether still queued or already
+// executing; errors counts only the remaining non-cancellation failures
+// (bad requests, execution errors). The three failure classes are
+// disjoint.
 type counters struct {
 	queries  atomic.Int64 // completed successfully
 	errors   atomic.Int64 // failed (excluding timeouts and cancellations)

@@ -192,8 +192,9 @@ type Server struct {
 	start time.Time
 
 	// hookJobOutput, when non-nil, runs after each job output file is
-	// tracked. Tests use it to act at a provably mid-execution moment.
-	hookJobOutput func()
+	// tracked, with the query's context. Tests use it to act at a
+	// provably mid-execution moment.
+	hookJobOutput func(ctx context.Context)
 }
 
 // New builds a service: each shard generates the TPC-H dataset once
@@ -265,10 +266,11 @@ func (s *Server) Execute(ctx context.Context, req Request) (*Response, error) {
 	defer func() { <-s.sem }()
 
 	// Tie the query's context to both the caller and server shutdown:
-	// Shutdown cancels baseCtx, which cancels every in-flight query.
-	qctx, qcancel := context.WithCancel(ctx)
-	defer qcancel()
-	stop := context.AfterFunc(s.baseCtx, qcancel)
+	// Shutdown cancels baseCtx, which cancels every in-flight query with
+	// ErrShuttingDown as the cause.
+	qctx, qcancel := context.WithCancelCause(ctx)
+	defer qcancel(nil)
+	stop := context.AfterFunc(s.baseCtx, func() { qcancel(ErrShuttingDown) })
 	defer stop()
 	if s.cfg.QueryTimeout > 0 {
 		var cancel context.CancelFunc
@@ -280,13 +282,17 @@ func (s *Server) Execute(ctx context.Context, req Request) (*Response, error) {
 	resp, err := s.run(qctx, req)
 	wall := time.Since(start)
 	if err != nil {
-		// Every failed outcome increments exactly one counter:
-		// timeouts and canceled are disjoint from each other and from
-		// errors, which counts only non-cancellation failures (see
-		// counters).
+		// Every failed outcome but a shutdown increments exactly one
+		// counter: timeouts and canceled are disjoint from each other
+		// and from errors, which counts only non-cancellation failures
+		// (see counters).
 		switch {
 		case errors.Is(err, context.DeadlineExceeded):
 			s.met.timeouts.Add(1)
+		case errors.Is(err, context.Canceled) && errors.Is(context.Cause(qctx), ErrShuttingDown):
+			// Shutdown, not the client, canceled it: answer as a
+			// request refused after Shutdown is answered.
+			return nil, fmt.Errorf("%w: query canceled mid-execution", ErrShuttingDown)
 		case errors.Is(err, context.Canceled):
 			s.met.canceled.Add(1)
 		default:
@@ -410,7 +416,7 @@ func (s *Server) execute(ctx context.Context, sh *shard, sql string, variant bas
 	if hook := s.hookJobOutput; hook != nil {
 		onCreate = func(name string) {
 			scratch.add(name)
-			hook()
+			hook(ctx)
 		}
 	}
 	env := sh.rt.NewEnv(s.reg)

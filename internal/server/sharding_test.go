@@ -322,7 +322,7 @@ func TestCancellationMetricClassification(t *testing.T) {
 	// finishes — provably mid-execution, with more jobs still to run.
 	s := newTestServer(t, nil)
 	ctx, cancel := context.WithCancel(context.Background())
-	s.hookJobOutput = cancel
+	s.hookJobOutput = func(context.Context) { cancel() }
 	if _, err := s.Execute(ctx, Request{Query: "Q8p"}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

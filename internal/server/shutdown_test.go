@@ -119,7 +119,7 @@ func TestShutdownCancelsQueuedRequests(t *testing.T) {
 	inFlight := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	s.hookJobOutput = func() {
+	s.hookJobOutput = func(context.Context) {
 		once.Do(func() { close(inFlight) })
 		<-release
 	}
