@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -25,7 +26,7 @@ func TestHistogramFractions(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		vals = append(vals, data.Int(int64(i)))
 	}
-	h := BuildHistogram(vals, 50)
+	h := buildHistogram(vals, 50)
 	cases := []struct {
 		v    int64
 		want float64
@@ -33,22 +34,22 @@ func TestHistogramFractions(t *testing.T) {
 		{0, 0.0}, {250, 0.25}, {500, 0.5}, {750, 0.75}, {999, 1.0},
 	}
 	for _, c := range cases {
-		got := h.FractionLE(data.Int(c.v))
+		got := h.fractionLE(data.Int(c.v))
 		if math.Abs(got-c.want) > 0.05 {
-			t.Errorf("FractionLE(%d) = %v, want ~%v", c.v, got, c.want)
+			t.Errorf("fractionLE(%d) = %v, want ~%v", c.v, got, c.want)
 		}
 	}
-	if got := h.FractionGE(data.Int(900)); math.Abs(got-0.1) > 0.05 {
-		t.Errorf("FractionGE(900) = %v", got)
+	if got := h.fractionGE(data.Int(900)); math.Abs(got-0.1) > 0.05 {
+		t.Errorf("fractionGE(900) = %v", got)
 	}
-	if got := h.FractionGT(data.Int(2000)); got != 0 {
-		t.Errorf("FractionGT above max = %v", got)
+	if got := h.fractionGT(data.Int(2000)); got != 0 {
+		t.Errorf("fractionGT above max = %v", got)
 	}
 }
 
 func TestHistogramEmptyAndSkewed(t *testing.T) {
-	h := BuildHistogram(nil, 10)
-	if got := h.FractionLE(data.Int(5)); got != 0.5 {
+	h := buildHistogram(nil, 10)
+	if got := h.fractionLE(data.Int(5)); got != 0.5 {
 		t.Errorf("empty histogram fallback = %v", got)
 	}
 	// Heavy skew: 90% of values are 7.
@@ -59,9 +60,9 @@ func TestHistogramEmptyAndSkewed(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		vals = append(vals, data.Int(int64(100+i)))
 	}
-	hs := BuildHistogram(vals, 20)
-	if got := hs.FractionLE(data.Int(7)); got < 0.8 {
-		t.Errorf("skewed FractionLE(7) = %v, want ~0.9", got)
+	hs := buildHistogram(vals, 20)
+	if got := hs.fractionLE(data.Int(7)); got < 0.8 {
+		t.Errorf("skewed fractionLE(7) = %v, want ~0.9", got)
 	}
 }
 
@@ -175,7 +176,7 @@ func TestOracleStatsExact(t *testing.T) {
 	sc := NewStatsCatalog(env, cat)
 	block := compiledBlock(t, cat,
 		"SELECT o.o_orderkey FROM orders o WHERE o.o_orderpriority = '1-URGENT' AND o.o_shippriority = 1")
-	if err := sc.OracleStats(block, env.Reg); err != nil {
+	if err := sc.oracleStats(block, env.Reg); err != nil {
 		t.Fatal(err)
 	}
 	f, _ := cat.Lookup("orders")
@@ -195,11 +196,11 @@ func TestJaqlMethodsTreeRules(t *testing.T) {
 	_ = env
 	block := compiledBlock(t, cat, tpch.MustQuerySQL("Q10"))
 	sc := NewStatsCatalog(env, cat)
-	if err := sc.OracleStats(block, env.Reg); err != nil {
+	if err := sc.oracleStats(block, env.Reg); err != nil {
 		t.Fatal(err)
 	}
 	cfg := optimizer.DefaultConfig(float64(env.Sim.Config().SlotMemory))
-	tree, err := FromOrderTree(block, cfg)
+	tree, err := fromOrderTree(block, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,15 +227,15 @@ func TestBestLeftDeepBeatsFromOrder(t *testing.T) {
 		AND l.l_orderkey = o.o_orderkey AND l.l_returnflag = 'R'`
 	block := compiledBlock(t, cat, sql)
 	sc := NewStatsCatalog(env, cat)
-	if err := sc.OracleStats(block, env.Reg); err != nil {
+	if err := sc.oracleStats(block, env.Reg); err != nil {
 		t.Fatal(err)
 	}
 	cfg := optimizer.DefaultConfig(float64(env.Sim.Config().SlotMemory))
-	best, err := BestLeftDeep(block, cfg)
+	best, err := bestLeftDeep(block, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	from, err := FromOrderTree(block, cfg)
+	from, err := fromOrderTree(block, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,19 +344,19 @@ func TestFromOrderHandlesDisconnectedQuery(t *testing.T) {
 	sql := "SELECT n.n_name FROM nation n, region r" // no join predicate
 	block := compiledBlock(t, cat, sql)
 	sc := NewStatsCatalog(env, cat)
-	if err := sc.OracleStats(block, env.Reg); err != nil {
+	if err := sc.oracleStats(block, env.Reg); err != nil {
 		t.Fatal(err)
 	}
 	cfg := optimizer.DefaultConfig(float64(env.Sim.Config().SlotMemory))
-	tree, err := FromOrderTree(block, cfg)
+	tree, err := fromOrderTree(block, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(plan.Joins(tree)) != 1 {
 		t.Errorf("tree = %s", plan.Format(tree))
 	}
-	if _, err := BestLeftDeep(block, cfg); err != nil {
-		t.Errorf("BestLeftDeep on disconnected query: %v", err)
+	if _, err := bestLeftDeep(block, cfg); err != nil {
+		t.Errorf("bestLeftDeep on disconnected query: %v", err)
 	}
 }
 
@@ -363,17 +364,17 @@ func TestBestLeftDeepSingleRelation(t *testing.T) {
 	env, cat := tinyEnv(t, 5)
 	block := compiledBlock(t, cat, "SELECT n.n_name FROM nation n")
 	sc := NewStatsCatalog(env, cat)
-	if err := sc.OracleStats(block, env.Reg); err != nil {
+	if err := sc.oracleStats(block, env.Reg); err != nil {
 		t.Fatal(err)
 	}
-	tree, err := BestLeftDeep(block, optimizer.DefaultConfig(1e9))
+	tree, err := bestLeftDeep(block, optimizer.DefaultConfig(1e9))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := tree.(*plan.Scan); !ok {
 		t.Errorf("single relation should plan to a scan: %T", tree)
 	}
-	if _, err := BestLeftDeep(&plan.JoinBlock{}, optimizer.DefaultConfig(1e9)); err == nil {
+	if _, err := bestLeftDeep(&plan.JoinBlock{}, optimizer.DefaultConfig(1e9)); err == nil {
 		t.Error("empty block should error")
 	}
 }
@@ -407,4 +408,48 @@ func TestVariantEnginesWithDynamicJoinMatchOracle(t *testing.T) {
 			t.Fatalf("row %d: got %v want %v", i, res.Rows[i], want[i])
 		}
 	}
+}
+
+// fromOrderTree builds the plan Jaql's unoptimized compiler would
+// produce: relations in FROM order (modulo cartesian avoidance), Jaql
+// method rules. The reference bestLeftDeep must beat: a naive
+// hand-written script.
+func fromOrderTree(block *plan.JoinBlock, cfg optimizer.Config) (plan.Node, error) {
+	n := len(block.Rels)
+	if n == 0 {
+		return nil, errors.New("baselines: empty block")
+	}
+	est := optimizer.NewEstimator(block, cfg)
+	used := make([]bool, n)
+	bound := map[int]bool{}
+	order := make([]*plan.Rel, 0, n)
+	for len(order) < n {
+		picked := -1
+		for i := 0; i < n; i++ {
+			if used[i] {
+				continue
+			}
+			if len(order) == 0 || est.HasEdge(bound, i) {
+				picked = i
+				break
+			}
+		}
+		if picked < 0 {
+			// Only disconnected relations remain.
+			for i := 0; i < n; i++ {
+				if !used[i] {
+					picked = i
+					break
+				}
+			}
+		}
+		used[picked] = true
+		bound[picked] = true
+		order = append(order, block.Rels[picked])
+	}
+	tree := jaqlMethodsTree(order, cfg.Mmax)
+	if err := est.Annotate(tree); err != nil {
+		return nil, err
+	}
+	return tree, nil
 }

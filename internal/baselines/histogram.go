@@ -18,17 +18,17 @@ import (
 	"dyno/internal/data"
 )
 
-// Histogram is an equi-depth histogram over one column, the "more
+// histogram is an equi-depth histogram over one column, the "more
 // detailed statistics" RELOPT has access to.
-type Histogram struct {
+type histogram struct {
 	bounds []data.Value // bucket upper bounds, ascending
 	depth  float64      // rows per bucket
 	total  float64
 }
 
-// BuildHistogram constructs an equi-depth histogram with at most
+// buildHistogram constructs an equi-depth histogram with at most
 // `buckets` buckets from the observed values.
-func BuildHistogram(values []data.Value, buckets int) *Histogram {
+func buildHistogram(values []data.Value, buckets int) *histogram {
 	if buckets < 1 {
 		buckets = 1
 	}
@@ -39,7 +39,7 @@ func BuildHistogram(values []data.Value, buckets int) *Histogram {
 		}
 	}
 	sort.SliceStable(vals, func(a, b int) bool { return data.Compare(vals[a], vals[b]) < 0 })
-	h := &Histogram{total: float64(len(vals))}
+	h := &histogram{total: float64(len(vals))}
 	if len(vals) == 0 {
 		return h
 	}
@@ -60,10 +60,10 @@ func BuildHistogram(values []data.Value, buckets int) *Histogram {
 	return h
 }
 
-// FractionLE estimates the fraction of values ≤ v: the share of
+// fractionLE estimates the fraction of values ≤ v: the share of
 // buckets whose upper bound is ≤ v (each bucket holds an equal share
 // of rows).
-func (h *Histogram) FractionLE(v data.Value) float64 {
+func (h *histogram) fractionLE(v data.Value) float64 {
 	if h.total == 0 || len(h.bounds) == 0 {
 		return 0.5
 	}
@@ -73,9 +73,9 @@ func (h *Histogram) FractionLE(v data.Value) float64 {
 	return float64(i) / float64(len(h.bounds))
 }
 
-// FractionLT estimates the fraction of values < v: the share of
+// fractionLT estimates the fraction of values < v: the share of
 // buckets whose upper bound is strictly below v.
-func (h *Histogram) FractionLT(v data.Value) float64 {
+func (h *histogram) fractionLT(v data.Value) float64 {
 	if h.total == 0 || len(h.bounds) == 0 {
 		return 0.5
 	}
@@ -85,11 +85,11 @@ func (h *Histogram) FractionLT(v data.Value) float64 {
 	return float64(i) / float64(len(h.bounds))
 }
 
-// FractionGE estimates the fraction of values ≥ v.
-func (h *Histogram) FractionGE(v data.Value) float64 { return clamp01(1 - h.FractionLT(v)) }
+// fractionGE estimates the fraction of values ≥ v.
+func (h *histogram) fractionGE(v data.Value) float64 { return clamp01(1 - h.fractionLT(v)) }
 
-// FractionGT estimates the fraction of values > v.
-func (h *Histogram) FractionGT(v data.Value) float64 { return clamp01(1 - h.FractionLE(v)) }
+// fractionGT estimates the fraction of values > v.
+func (h *histogram) fractionGT(v data.Value) float64 { return clamp01(1 - h.fractionLE(v)) }
 
 func clamp01(x float64) float64 {
 	if x < 0 {

@@ -47,11 +47,11 @@ func jaqlMethodsTree(order []*plan.Rel, mmax float64) plan.Node {
 	return root
 }
 
-// BestLeftDeep searches all cartesian-avoiding left-deep relation
+// bestLeftDeep searches all cartesian-avoiding left-deep relation
 // orders, costs each under the block's (oracle) statistics with Jaql's
 // method rules, and returns the cheapest tree — the model of "we tried
 // all possible orders of relations and picked the best one" (§6.1).
-func BestLeftDeep(block *plan.JoinBlock, cfg optimizer.Config) (plan.Node, error) {
+func bestLeftDeep(block *plan.JoinBlock, cfg optimizer.Config) (plan.Node, error) {
 	n := len(block.Rels)
 	if n == 0 {
 		return nil, errors.New("baselines: empty block")
@@ -124,49 +124,6 @@ func BestLeftDeep(block *plan.JoinBlock, cfg optimizer.Config) (plan.Node, error
 	return best, nil
 }
 
-// FromOrderTree builds the plan Jaql's unoptimized compiler would
-// produce: relations in FROM order (modulo cartesian avoidance), Jaql
-// method rules. Used to model a naive hand-written script.
-func FromOrderTree(block *plan.JoinBlock, cfg optimizer.Config) (plan.Node, error) {
-	n := len(block.Rels)
-	if n == 0 {
-		return nil, errors.New("baselines: empty block")
-	}
-	est := optimizer.NewEstimator(block, cfg)
-	used := make([]bool, n)
-	bound := map[int]bool{}
-	order := make([]*plan.Rel, 0, n)
-	for len(order) < n {
-		picked := -1
-		for i := 0; i < n; i++ {
-			if used[i] {
-				continue
-			}
-			if len(order) == 0 || est.HasEdge(bound, i) {
-				picked = i
-				break
-			}
-		}
-		if picked < 0 {
-			// Only disconnected relations remain.
-			for i := 0; i < n; i++ {
-				if !used[i] {
-					picked = i
-					break
-				}
-			}
-		}
-		used[picked] = true
-		bound[picked] = true
-		order = append(order, block.Rels[picked])
-	}
-	tree := jaqlMethodsTree(order, cfg.Mmax)
-	if err := est.Annotate(tree); err != nil {
-		return nil, err
-	}
-	return tree, nil
-}
-
 // Variant names the comparison systems of §6.1.
 type Variant string
 
@@ -215,7 +172,7 @@ func NewEngine(v Variant, env *mapreduce.Env, cat *jaql.Catalog, optCfg optimize
 		opts.Reoptimize = false
 		opts.DisablePilotRuns = true
 		opts.CollectOnlineStats = false
-		opts.PrepareStats = sc.PrepareStats
+		opts.PrepareStats = sc.prepareStats
 		opts.Strategy = core.All{}
 		// The plan arrives pre-computed ("hand-coded to a Jaql
 		// script"); no optimizer time is charged at runtime.
@@ -228,10 +185,10 @@ func NewEngine(v Variant, env *mapreduce.Env, cat *jaql.Catalog, optCfg optimize
 		opts.Strategy = core.All{}
 		opts.OptTimePerExpr = 0
 		opts.PrepareStats = func(block *plan.JoinBlock) error {
-			return sc.OracleStats(block, env.Reg)
+			return sc.oracleStats(block, env.Reg)
 		}
 		opts.Planner = func(block *plan.JoinBlock, cfg optimizer.Config) (plan.Node, int, error) {
-			tree, err := BestLeftDeep(block, cfg)
+			tree, err := bestLeftDeep(block, cfg)
 			return tree, 0, err
 		}
 	default:

@@ -12,8 +12,8 @@ import (
 	"dyno/internal/stats"
 )
 
-// HistogramBuckets is the equi-depth resolution RELOPT's statistics use.
-const HistogramBuckets = 64
+// histogramBuckets is the equi-depth resolution RELOPT's statistics use.
+const histogramBuckets = 64
 
 // tableProfile holds the full pre-collected statistics for one table.
 type tableProfile struct {
@@ -22,7 +22,7 @@ type tableProfile struct {
 	ndv     map[string]float64
 	min     map[string]data.Value
 	max     map[string]data.Value
-	hist    map[string]*Histogram
+	hist    map[string]*histogram
 }
 
 // StatsCatalog computes and caches full-scan base-table statistics —
@@ -57,7 +57,7 @@ func (sc *StatsCatalog) profile(table string) (*tableProfile, error) {
 		ndv:  map[string]float64{},
 		min:  map[string]data.Value{},
 		max:  map[string]data.Value{},
-		hist: map[string]*Histogram{},
+		hist: map[string]*histogram{},
 	}
 	colValues := map[string][]data.Value{}
 	distinct := map[string]map[uint64]bool{}
@@ -92,7 +92,7 @@ func (sc *StatsCatalog) profile(table string) (*tableProfile, error) {
 		p.ndv[col] = float64(len(d))
 	}
 	for col, vals := range colValues {
-		p.hist[col] = BuildHistogram(vals, HistogramBuckets)
+		p.hist[col] = buildHistogram(vals, histogramBuckets)
 	}
 	sc.profiles[table] = p
 	return p, nil
@@ -158,19 +158,19 @@ func (sc *StatsCatalog) selectivity(p *tableProfile, alias string, e expr.Expr) 
 			return defaultSel
 		case expr.LT:
 			if h != nil {
-				return clampSel(h.FractionLT(lit))
+				return clampSel(h.fractionLT(lit))
 			}
 		case expr.LE:
 			if h != nil {
-				return clampSel(h.FractionLE(lit))
+				return clampSel(h.fractionLE(lit))
 			}
 		case expr.GT:
 			if h != nil {
-				return clampSel(h.FractionGT(lit))
+				return clampSel(h.fractionGT(lit))
 			}
 		case expr.GE:
 			if h != nil {
-				return clampSel(h.FractionGE(lit))
+				return clampSel(h.fractionGE(lit))
 			}
 		}
 		return defaultSel
@@ -250,9 +250,9 @@ func flip(op expr.CmpOp) expr.CmpOp {
 	}
 }
 
-// PrepareStats returns a hook for core.Options.PrepareStats that
+// prepareStats returns a hook for core.Options.PrepareStats that
 // attaches statically derived statistics to every base relation.
-func (sc *StatsCatalog) PrepareStats(block *plan.JoinBlock) error {
+func (sc *StatsCatalog) prepareStats(block *plan.JoinBlock) error {
 	for _, rel := range block.Rels {
 		if !rel.IsBase() {
 			continue
@@ -266,11 +266,11 @@ func (sc *StatsCatalog) PrepareStats(block *plan.JoinBlock) error {
 	return nil
 }
 
-// OracleStats attaches *true* filtered statistics to the block's base
+// oracleStats attaches *true* filtered statistics to the block's base
 // relations by actually evaluating each leaf expression (the harness's
 // stand-in for "the human measured every alternative" when selecting
 // the best static plan).
-func (sc *StatsCatalog) OracleStats(block *plan.JoinBlock, reg *expr.Registry) error {
+func (sc *StatsCatalog) oracleStats(block *plan.JoinBlock, reg *expr.Registry) error {
 	for _, rel := range block.Rels {
 		if !rel.IsBase() {
 			continue

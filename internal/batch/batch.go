@@ -19,7 +19,7 @@ type Data struct {
 	recs []data.Value
 
 	mu      sync.Mutex
-	cols    map[string]*Vec         // path -> column vector
+	cols    map[string]*vec         // path -> column vector
 	wrapped map[string][]data.Value // alias -> {alias: rec} row per record
 	sels    map[string][]int32      // predicate signature -> selection
 	keys    map[string]*KeyCols     // key signature -> key columns
@@ -126,7 +126,7 @@ func (d *Data) allSelLocked() []int32 {
 // on first use through an accessor compiled against the split's first
 // record (accessors verify positions per record, so heterogeneous
 // splits still resolve correctly — identical to the per-record path).
-func (d *Data) colLocked(path data.Path) *Vec {
+func (d *Data) colLocked(path data.Path) *vec {
 	sig := path.String()
 	if v, ok := d.cols[sig]; ok {
 		return v
@@ -138,7 +138,7 @@ func (d *Data) colLocked(path data.Path) *Vec {
 	acc := data.CompileAccessor(path, sample)
 	v := extractVec(acc, d.recs)
 	if d.cols == nil {
-		d.cols = make(map[string]*Vec)
+		d.cols = make(map[string]*vec)
 	}
 	d.cols[sig] = v
 	return v

@@ -294,7 +294,7 @@ func TestInternCanonicalizes(t *testing.T) {
 	b := []byte("intern-test-payload")
 	s1 := InternBytes(b)
 	s2 := InternBytes(append([]byte(nil), b...))
-	s3 := Intern(string(b))
+	s3 := intern(string(b))
 	if s1 != s2 || s1 != s3 {
 		t.Fatal("intern must return equal strings")
 	}
@@ -320,7 +320,7 @@ func TestInternConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
 				s := fmt.Sprintf("conc-%d", i%257)
-				if Intern(s) != s {
+				if intern(s) != s {
 					t.Errorf("intern changed value")
 					return
 				}

@@ -78,8 +78,8 @@ func InternBytes(b []byte) string {
 	return s
 }
 
-// Intern returns the canonical copy of s.
-func Intern(s string) string {
+// intern returns the canonical copy of s.
+func intern(s string) string {
 	sh := internTable[internHashString(s)&(internShards-1)]
 	sh.mu.RLock()
 	canon, ok := sh.m[s]

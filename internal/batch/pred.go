@@ -205,7 +205,7 @@ func (d *Data) evalCmp(t *expr.Cmp, sel []int32) []int32 {
 // constVerdict filters sel to the non-null rows of v when keep is
 // true, or drops every row: the comparison's verdict is the same for
 // every non-null row (kind-class ordering).
-func constVerdict(v *Vec, sel []int32, keep bool) []int32 {
+func constVerdict(v *vec, sel []int32, keep bool) []int32 {
 	if !keep {
 		return nil
 	}
@@ -221,7 +221,7 @@ func constVerdict(v *Vec, sel []int32, keep bool) []int32 {
 	return out
 }
 
-func (d *Data) cmpColLit(op expr.CmpOp, v *Vec, lit data.Value, sel []int32) []int32 {
+func (d *Data) cmpColLit(op expr.CmpOp, v *vec, lit data.Value, sel []int32) []int32 {
 	if lit.IsNull() {
 		return nil
 	}
@@ -287,7 +287,7 @@ func (d *Data) cmpColLit(op expr.CmpOp, v *Vec, lit data.Value, sel []int32) []i
 	return out
 }
 
-func (d *Data) cmpColCol(op expr.CmpOp, a, b *Vec, sel []int32) []int32 {
+func (d *Data) cmpColCol(op expr.CmpOp, a, b *vec, sel []int32) []int32 {
 	if a.kind == vecMixed || b.kind == vecMixed {
 		out := make([]int32, 0, len(sel))
 		for _, i := range sel {

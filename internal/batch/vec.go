@@ -19,10 +19,10 @@ const (
 	vecStr
 )
 
-// Vec is one extracted column of a split: a typed payload array plus a
+// vec is one extracted column of a split: a typed payload array plus a
 // null bitmap (bit i set = row i is null or missing). Vectors are
 // immutable once built and shared by every job that scans the split.
-type Vec struct {
+type vec struct {
 	kind   vecKind
 	ints   []int64
 	floats []float64
@@ -32,7 +32,7 @@ type Vec struct {
 	n      int
 }
 
-func (v *Vec) isNull(i int) bool {
+func (v *vec) isNull(i int) bool {
 	return v.nulls != nil && v.nulls[i>>6]&(1<<(uint(i)&63)) != 0
 }
 
@@ -44,7 +44,7 @@ func setNull(bits []uint64, i int) {
 // kind-pure, so the reconstruction is faithful (same kind, same
 // payload, same encoded size) and Compare over it matches Compare over
 // the original.
-func (v *Vec) value(i int) data.Value {
+func (v *vec) value(i int) data.Value {
 	if v.isNull(i) {
 		return data.Null()
 	}
@@ -62,7 +62,7 @@ func (v *Vec) value(i int) data.Value {
 
 // class returns the data.Compare kind class of a typed vector's
 // non-null values (numbers 2, strings 3); vecMixed has no single class.
-func (v *Vec) class() int {
+func (v *vec) class() int {
 	if v.kind == vecStr {
 		return 3
 	}
@@ -71,9 +71,9 @@ func (v *Vec) class() int {
 
 // extractVec materializes one column of recs through a compiled
 // accessor and classifies it.
-func extractVec(acc *data.Accessor, recs []data.Value) *Vec {
+func extractVec(acc *data.Accessor, recs []data.Value) *vec {
 	n := len(recs)
-	v := &Vec{n: n}
+	v := &vec{n: n}
 	vals := make([]data.Value, n)
 	var nulls []uint64
 	allInt, allFloat, allStr := true, true, true
@@ -117,7 +117,7 @@ func extractVec(acc *data.Accessor, recs []data.Value) *Vec {
 		v.kind = vecStr
 		v.strs = make([]string, n)
 		for i := range vals {
-			v.strs[i] = Intern(vals[i].Str())
+			v.strs[i] = intern(vals[i].Str())
 		}
 	default:
 		v.kind = vecMixed

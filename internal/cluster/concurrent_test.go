@@ -170,7 +170,7 @@ func TestConcurrentSubmissionFairVsFIFO(t *testing.T) {
 				t.Fatalf("%v job %d: done=%v err=%v", kind, i, sub.Done(), sub.Err())
 			}
 		}
-		g := subs[1].FinishTime() - subs[0].FinishTime()
+		g := subs[1].finished - subs[0].finished
 		if g < 0 {
 			g = -g
 		}
@@ -201,7 +201,7 @@ func TestConcurrentSubmissionMatchesSequentialTimeline(t *testing.T) {
 	var want []float64
 	for _, j := range mk() {
 		sub := ref.Submit(j)
-		sub.OnDone(func(x *Submission) { want = append(want, x.FinishTime()) })
+		sub.OnDone(func(x *Submission) { want = append(want, x.finished) })
 	}
 	if err := ref.Run(); err != nil {
 		t.Fatal(err)
@@ -211,7 +211,7 @@ func TestConcurrentSubmissionMatchesSequentialTimeline(t *testing.T) {
 		s := New(cfg)
 		subs := driveConcurrently(t, s, mk())
 		for i, sub := range subs {
-			if got := sub.FinishTime(); got != want[i] {
+			if got := sub.finished; got != want[i] {
 				t.Fatalf("round %d job %d: concurrent finish %v != sequential %v",
 					round, i, got, want[i])
 			}
@@ -261,8 +261,8 @@ func TestCancelMidFlightReleasesSlots(t *testing.T) {
 	}
 	// The canceled job's 36 dropped tasks must not delay the tail job
 	// past the time a clean 4+2-wave schedule would take.
-	if tail.FinishTime() > 100 {
-		t.Errorf("tail finished at %v; canceled job still holding slots?", tail.FinishTime())
+	if tail.finished > 100 {
+		t.Errorf("tail finished at %v; canceled job still holding slots?", tail.finished)
 	}
 }
 

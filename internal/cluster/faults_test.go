@@ -51,14 +51,14 @@ func TestFailEveryNExactCount(t *testing.T) {
 	}
 }
 
-// TestRetryExhaustionFailsJob: FailAttempts >= MaxAttempts burns the
+// TestRetryExhaustionFailsJob: failAttempts >= maxAttempts burns the
 // whole attempt budget at one injected site and escalates to a
 // job-level failure wrapping ErrTaskRetriesExhausted.
 func TestRetryExhaustionFailsJob(t *testing.T) {
 	cfg := smallConfig()
 	cfg.FailEveryN = 4
-	cfg.FailAttempts = 3
-	cfg.MaxAttempts = 3
+	cfg.failAttempts = 3
+	cfg.maxAttempts = 3
 	s := New(cfg)
 	var trace []TraceEvent
 	s.SetTrace(func(ev TraceEvent) { trace = append(trace, ev) })
@@ -103,8 +103,8 @@ func TestFailInjectHookTargetsAttempts(t *testing.T) {
 	if victim == nil {
 		t.Fatal("victim task did not complete")
 	}
-	if victim.Attempts() != 3 {
-		t.Errorf("victim attempts = %d, want 3 (two injected failures + success)", victim.Attempts())
+	if victim.attempts != 3 {
+		t.Errorf("victim attempts = %d, want 3 (two injected failures + success)", victim.attempts)
 	}
 }
 
@@ -122,7 +122,7 @@ func TestStragglerStretchesDuration(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := sub.FinishTime(); math.Abs(got-16) > 1e-9 {
+	if got := sub.finished; math.Abs(got-16) > 1e-9 {
 		t.Errorf("FinishTime = %v, want 16 (10 startup + 3x 2s stretch)", got)
 	}
 	if got := traceKinds(trace)["straggler"]; got != 1 {
@@ -148,7 +148,7 @@ func TestSpeculativeExecutionRescuesStraggler(t *testing.T) {
 		if err := s.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return sub.FinishTime(), traceKinds(trace)
+		return sub.finished, traceKinds(trace)
 	}
 	plain, plainKinds := run(0)
 	spec, specKinds := run(0.9)
@@ -204,8 +204,8 @@ func TestSpeculativeLoserCanceled(t *testing.T) {
 // job's attempts is blacklisted and the work completes elsewhere.
 func TestBlacklistSteersAwayFromBadNode(t *testing.T) {
 	cfg := smallConfig()
-	cfg.BlacklistAfter = 1
-	cfg.MaxAttempts = 10
+	cfg.blacklistAfter = 1
+	cfg.maxAttempts = 10
 	cfg.FailInject = func(job, task string, attempt, node int) bool {
 		return node == 0
 	}
@@ -223,7 +223,7 @@ func TestBlacklistSteersAwayFromBadNode(t *testing.T) {
 		t.Errorf("node-blacklisted events = %d, want 1", traceKinds(trace)["node-blacklisted"])
 	}
 	for _, task := range sub.CompletedTasks() {
-		if task.Node() == 0 {
+		if task.node == 0 {
 			t.Errorf("task %s completed on blacklisted node 0", task.Name)
 		}
 	}
@@ -251,13 +251,13 @@ func faultyConfig() Config {
 	cfg := smallConfig()
 	cfg.FailEveryN = 3
 	cfg.FailurePenalty = 5
-	cfg.FailAttempts = 2
-	cfg.MaxAttempts = 4
-	cfg.BlacklistAfter = 2
+	cfg.failAttempts = 2
+	cfg.maxAttempts = 4
+	cfg.blacklistAfter = 2
 	cfg.StragglerEveryN = 4
 	cfg.SlowdownFactor = 3
 	cfg.SpeculativeBeta = 0.9
-	cfg.SpeculativeMinCompleted = 3
+	cfg.speculativeMinCompleted = 3
 	return cfg
 }
 
@@ -349,7 +349,7 @@ func TestFirstOnNodeChargeAcrossRetries(t *testing.T) {
 		}
 		retried := false
 		for _, task := range sub.CompletedTasks() {
-			if task.Attempts() > 1 {
+			if task.attempts > 1 {
 				retried = true
 			}
 		}
@@ -385,7 +385,7 @@ func TestFirstOnNodeChargeSpeculativeBackup(t *testing.T) {
 		cfg.StragglerEveryN = 3 // 3rd executed attempt (dc-m1) straggles
 		cfg.SlowdownFactor = 10
 		cfg.SpeculativeBeta = 0.9
-		cfg.SpeculativeMinCompleted = 1
+		cfg.speculativeMinCompleted = 1
 		s := New(cfg)
 		var trace []TraceEvent
 		s.SetTrace(func(ev TraceEvent) { trace = append(trace, ev) })
@@ -411,7 +411,7 @@ func TestFirstOnNodeChargeSpeculativeBackup(t *testing.T) {
 		// The winning backup's placement is the task's final node.
 		adopted := false
 		for _, task := range sub.CompletedTasks() {
-			if task.Node() == 0 {
+			if task.node == 0 {
 				adopted = true
 			}
 		}

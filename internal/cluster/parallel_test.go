@@ -32,7 +32,7 @@ func runWorkloadOn(t *testing.T, s *Sim) ([]float64, []TraceEvent) {
 	}
 	for _, j := range jobs {
 		sub := s.Submit(j)
-		sub.OnDone(func(x *Submission) { finishes = append(finishes, x.FinishTime()) })
+		sub.OnDone(func(x *Submission) { finishes = append(finishes, x.finished) })
 	}
 	if err := s.Run(); err != nil {
 		t.Fatal(err)

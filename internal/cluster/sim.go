@@ -45,11 +45,11 @@ import (
 )
 
 // ErrTaskRetriesExhausted marks a job failure caused by a task burning
-// through its attempt budget (Config.MaxAttempts) rather than by the
-// task's own computation returning an error. Engines can detect it
-// with errors.Is and treat it as a recoverable infrastructure fault:
-// the job's materialized DFS inputs are intact, so it can simply be
-// resubmitted.
+// through its attempt budget (Hadoop's four attempts by default) rather
+// than by the task's own computation returning an error. Engines can
+// detect it with errors.Is and treat it as a recoverable infrastructure
+// fault: the job's materialized DFS inputs are intact, so it can simply
+// be resubmitted.
 var ErrTaskRetriesExhausted = errors.New("task retries exhausted")
 
 // ErrIdle is returned by RunUntil when the cluster runs out of events
@@ -93,7 +93,6 @@ type Config struct {
 	BroadcastLoadBps float64
 	ShuffleBps       float64 // shuffle (sort+network) throughput
 	WriteBps         float64 // DFS write throughput
-	PerRecordCPU     float64 // CPU seconds charged per processed record
 
 	// FailEveryN injects deterministic task failures: every Nth
 	// first-attempt dispatch is marked to fail (charging FailurePenalty
@@ -104,27 +103,27 @@ type Config struct {
 	// retries are in flight. 0 disables injection.
 	FailEveryN     int
 	FailurePenalty float64
-	// FailAttempts is the number of consecutive attempts that fail at
+	// failAttempts is the number of consecutive attempts that fail at
 	// each injected failure site (default 1: the retry succeeds).
-	// Values >= MaxAttempts exhaust the task's retry budget and fail
+	// Values >= maxAttempts exhaust the task's retry budget and fail
 	// the whole job, exercising engine-level recovery.
-	FailAttempts int
+	failAttempts int
 	// FailInject, when non-nil, is a targeted failure hook for tests
 	// and experiments: it is consulted on the scheduler goroutine for
 	// every dispatch and fails the attempt when it returns true. It
 	// must be deterministic for the executor determinism contract to
 	// hold.
 	FailInject func(job, task string, attempt, node int) bool
-	// MaxAttempts caps the attempts per task (failed attempts are
+	// maxAttempts caps the attempts per task (failed attempts are
 	// re-queued until the cap); reaching the cap with a failure
 	// converts the task failure into a job-level failure wrapping
 	// ErrTaskRetriesExhausted. 0 means the Hadoop default of 4.
-	MaxAttempts int
-	// BlacklistAfter, when positive, stops scheduling a job's tasks on
+	maxAttempts int
+	// blacklistAfter, when positive, stops scheduling a job's tasks on
 	// a node after that many of the job's attempts failed there
 	// (per-job node blacklisting, as in Hadoop). The blacklist is
 	// ignored if every node has been blacklisted.
-	BlacklistAfter int
+	blacklistAfter int
 
 	// StragglerEveryN injects deterministic stragglers: every Nth
 	// executed task attempt has its virtual duration stretched by
@@ -143,9 +142,9 @@ type Config struct {
 	// and a speculative-* trace event is emitted. 0 disables
 	// speculation.
 	SpeculativeBeta float64
-	// SpeculativeMinCompleted is the minimum number of completed
+	// speculativeMinCompleted is the minimum number of completed
 	// same-kind tasks before the median is trusted (default 3).
-	SpeculativeMinCompleted int
+	speculativeMinCompleted int
 
 	// Parallelism is the number of worker goroutines executing the Run
 	// closures of a dispatch wave in real (wall-clock) time; 0 and 1
@@ -193,7 +192,6 @@ func DefaultConfig() Config {
 		BroadcastLoadBps:     100 << 20,
 		ShuffleBps:           12 << 20,
 		WriteBps:             25 << 20,
-		PerRecordCPU:         0,
 		Parallelism:          runtime.GOMAXPROCS(0),
 	}
 }
@@ -210,19 +208,9 @@ type Usage struct {
 	BytesRead     int64   // input scanned from DFS
 	BytesShuffled int64   // data sorted and moved through the shuffle
 	BytesWritten  int64   // output written to DFS
-	Records       int64   // records processed (charged PerRecordCPU each)
+	Records       int64   // records processed
 	CPUSeconds    float64 // extra CPU time (UDF evaluation etc.)
 	ExtraLatency  float64 // additional fixed latency (e.g. broadcast build load)
-}
-
-// Add accumulates other into u.
-func (u *Usage) Add(other Usage) {
-	u.BytesRead += other.BytesRead
-	u.BytesShuffled += other.BytesShuffled
-	u.BytesWritten += other.BytesWritten
-	u.Records += other.Records
-	u.CPUSeconds += other.CPUSeconds
-	u.ExtraLatency += other.ExtraLatency
 }
 
 // TaskContext is passed to a task's Run closure when it is dispatched.
@@ -279,22 +267,6 @@ type Task struct {
 // Usage returns the resources the task reported (zero before it ran).
 func (t *Task) Usage() Usage { return t.usage }
 
-// Start returns the task's virtual start time.
-func (t *Task) Start() float64 { return t.start }
-
-// End returns the task's virtual completion time.
-func (t *Task) End() float64 { return t.end }
-
-// Node returns the worker the task ran on.
-func (t *Task) Node() int { return t.node }
-
-// Ran reports whether the task was dispatched (canceled tasks never run).
-func (t *Task) Ran() bool { return t.ran }
-
-// Attempts returns how many times the task was dispatched (more than
-// one under failure injection).
-func (t *Task) Attempts() int { return t.attempts }
-
 // Job is the unit of submission. The simulator drives it through Start
 // and TaskDone; a job completes when it has no pending or running tasks
 // left after a callback.
@@ -340,12 +312,6 @@ func (s *Submission) Done() bool { return s.done }
 
 // Err returns the job's failure, if any.
 func (s *Submission) Err() error { return s.err }
-
-// SubmitTime returns the virtual time the job was submitted.
-func (s *Submission) SubmitTime() float64 { return s.submitted }
-
-// FinishTime returns the virtual completion time (0 until done).
-func (s *Submission) FinishTime() float64 { return s.finished }
 
 // Duration returns the job's virtual makespan including startup.
 func (s *Submission) Duration() float64 { return s.finished - s.submitted }
@@ -910,7 +876,7 @@ func (s *Sim) startTask(sub *Submission, t *Task, node int) {
 }
 
 // injectFailure decides, on the scheduler goroutine, whether this
-// dispatch fails. An injected site (FailEveryN) fails FailAttempts
+// dispatch fails. An injected site (FailEveryN) fails failAttempts
 // consecutive attempts; the FailInject hook can fail any attempt.
 // Speculative backups are never failure-injected.
 func (s *Sim) injectFailure(sub *Submission, t *Task, node int) bool {
@@ -919,7 +885,7 @@ func (s *Sim) injectFailure(sub *Submission, t *Task, node int) bool {
 		return true
 	}
 	if s.cfg.FailEveryN > 0 && t.attempts == 1 && s.firstAttempts%int64(s.cfg.FailEveryN) == 0 {
-		t.failLeft = max(s.cfg.FailAttempts, 1) - 1
+		t.failLeft = max(s.cfg.failAttempts, 1) - 1
 		return true
 	}
 	if s.cfg.FailInject != nil && s.cfg.FailInject(sub.job.Name(), t.Name, t.attempts, node) {
@@ -934,12 +900,12 @@ func (s *Sim) injectFailure(sub *Submission, t *Task, node int) bool {
 func (s *Sim) noteAttemptFailure(sub *Submission, t *Task, node int) {
 	s.emit(TraceEvent{Time: s.now, Job: sub.job.Name(), Task: t.Name, Kind: "attempt-failed", Node: node})
 	s.wasted += s.retryPenalty()
-	if s.cfg.BlacklistAfter > 0 {
+	if s.cfg.blacklistAfter > 0 {
 		if sub.nodeFails == nil {
 			sub.nodeFails = make(map[int]int)
 		}
 		sub.nodeFails[node]++
-		if sub.nodeFails[node] >= s.cfg.BlacklistAfter && !sub.blacklist[node] {
+		if sub.nodeFails[node] >= s.cfg.blacklistAfter && !sub.blacklist[node] {
 			if sub.blacklist == nil {
 				sub.blacklist = make(map[int]bool)
 			}
@@ -947,7 +913,7 @@ func (s *Sim) noteAttemptFailure(sub *Submission, t *Task, node int) {
 			s.emit(TraceEvent{Time: s.now, Job: sub.job.Name(), Task: t.Name, Kind: "node-blacklisted", Node: node})
 		}
 	}
-	maxAttempts := s.cfg.MaxAttempts
+	maxAttempts := s.cfg.maxAttempts
 	if maxAttempts <= 0 {
 		maxAttempts = 4
 	}
@@ -1012,7 +978,7 @@ func (s *Sim) speculate() {
 	if s.cfg.SpeculativeBeta <= 0 {
 		return
 	}
-	minDone := s.cfg.SpeculativeMinCompleted
+	minDone := s.cfg.speculativeMinCompleted
 	if minDone <= 0 {
 		minDone = 3
 	}
@@ -1214,7 +1180,6 @@ func (s *Sim) duration(u Usage) float64 {
 	if s.cfg.WriteBps > 0 {
 		d += float64(u.BytesWritten) / s.cfg.WriteBps
 	}
-	d += float64(u.Records) * s.cfg.PerRecordCPU
 	if d < 0 || math.IsNaN(d) {
 		d = 0
 	}

@@ -105,17 +105,17 @@ func TestMapReducePhasing(t *testing.T) {
 	}
 	// Maps: 1 wave of 4 tasks (2s). Reduces start only after all maps:
 	// at t=12, each reduce = 1 + 50/50 + 100/100 = 3s → done 15.
-	if got := sub.FinishTime(); math.Abs(got-15) > 1e-9 {
+	if got := sub.finished; math.Abs(got-15) > 1e-9 {
 		t.Errorf("FinishTime = %v, want 15", got)
 	}
 	// Verify no reduce started before the last map finished.
 	var lastMapEnd, firstReduceStart float64 = 0, math.Inf(1)
 	for _, task := range sub.CompletedTasks() {
-		if task.Kind == MapTask && task.End() > lastMapEnd {
-			lastMapEnd = task.End()
+		if task.Kind == MapTask && task.end > lastMapEnd {
+			lastMapEnd = task.end
 		}
-		if task.Kind == ReduceTask && task.Start() < firstReduceStart {
-			firstReduceStart = task.Start()
+		if task.Kind == ReduceTask && task.start < firstReduceStart {
+			firstReduceStart = task.start
 		}
 	}
 	if firstReduceStart < lastMapEnd {
@@ -133,8 +133,8 @@ func TestFIFOPrefersEarlierJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	// a occupies all 4 slots for 2 waves (until 14); b runs after.
-	if subB.FinishTime() <= subA.FinishTime() {
-		t.Errorf("b finished at %v, a at %v; FIFO should favor a", subB.FinishTime(), subA.FinishTime())
+	if subB.finished <= subA.finished {
+		t.Errorf("b finished at %v, a at %v; FIFO should favor a", subB.finished, subA.finished)
 	}
 }
 
@@ -152,7 +152,7 @@ func TestParallelJobsShareSlots(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := subB.FinishTime(); math.Abs(got-12) > 1e-9 {
+	if got := subB.finished; math.Abs(got-12) > 1e-9 {
 		t.Errorf("parallel b finish = %v, want 12", got)
 	}
 }
@@ -226,8 +226,8 @@ func TestOnDoneChainsJobs(t *testing.T) {
 	if subB == nil || !subB.Done() {
 		t.Fatal("chained job did not run")
 	}
-	if subB.SubmitTime() != subA.FinishTime() {
-		t.Errorf("b submitted at %v, want %v", subB.SubmitTime(), subA.FinishTime())
+	if subB.submitted != subA.finished {
+		t.Errorf("b submitted at %v, want %v", subB.submitted, subA.finished)
 	}
 	// OnDone after completion fires immediately.
 	fired := false
@@ -251,7 +251,7 @@ func TestAdvanceChargesClientTime(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := sub.FinishTime(); math.Abs(got-17) > 1e-9 {
+	if got := sub.finished; math.Abs(got-17) > 1e-9 {
 		t.Errorf("FinishTime = %v, want 17 (5 advance + 10 startup + 2 task)", got)
 	}
 }
@@ -269,21 +269,11 @@ func TestEmptyJobCompletesImmediately(t *testing.T) {
 
 func TestDurationComputation(t *testing.T) {
 	cfg := smallConfig()
-	cfg.PerRecordCPU = 0.01
 	s := New(cfg)
 	u := Usage{BytesRead: 200, BytesShuffled: 100, BytesWritten: 300, Records: 10, CPUSeconds: 2, ExtraLatency: 1}
-	// 1 overhead + 1 extra + 2 cpu + 200/100 + 100/50 + 300/100 + 10*0.01 = 11.1
-	if got := s.duration(u); math.Abs(got-11.1) > 1e-9 {
-		t.Errorf("duration = %v, want 11.1", got)
-	}
-}
-
-func TestUsageAdd(t *testing.T) {
-	a := Usage{BytesRead: 1, BytesShuffled: 2, BytesWritten: 3, Records: 4, CPUSeconds: 5, ExtraLatency: 6}
-	b := a
-	a.Add(b)
-	if a.BytesRead != 2 || a.Records != 8 || a.ExtraLatency != 12 {
-		t.Errorf("Add wrong: %+v", a)
+	// 1 overhead + 1 extra + 2 cpu + 200/100 + 100/50 + 300/100 = 11
+	if got := s.duration(u); math.Abs(got-11) > 1e-9 {
+		t.Errorf("duration = %v, want 11", got)
 	}
 }
 
@@ -333,7 +323,7 @@ func TestDeterminism(t *testing.T) {
 		var times []float64
 		for i := 0; i < 5; i++ {
 			sub := s.Submit(&testJob{name: fmt.Sprintf("j%d", i), maps: 3 + i, mapUsage: Usage{BytesRead: int64(100 * (i + 1))}})
-			sub.OnDone(func(x *Submission) { times = append(times, x.FinishTime()) })
+			sub.OnDone(func(x *Submission) { times = append(times, x.finished) })
 		}
 		if err := s.Run(); err != nil {
 			t.Fatal(err)
@@ -416,8 +406,8 @@ func TestAdvancePastQueuedEvents(t *testing.T) {
 	if !sub.Done() {
 		t.Fatal("job should finish")
 	}
-	if sub.FinishTime() < 50 {
-		t.Errorf("finish time %v went backwards past the advanced clock", sub.FinishTime())
+	if sub.finished < 50 {
+		t.Errorf("finish time %v went backwards past the advanced clock", sub.finished)
 	}
 }
 
@@ -438,9 +428,9 @@ func TestMapAndReduceSlotsIndependent(t *testing.T) {
 		t.Fatal(err)
 	}
 	// a's reduce runs 100s; b's map should overlap it and finish first.
-	if subB.FinishTime() >= subA.FinishTime() {
+	if subB.finished >= subA.finished {
 		t.Errorf("b (%v) should finish during a's reduce phase (%v)",
-			subB.FinishTime(), subA.FinishTime())
+			subB.finished, subA.finished)
 	}
 }
 
@@ -469,7 +459,7 @@ func TestFailureInjectionRetriesAndCompletes(t *testing.T) {
 	}
 	retried := 0
 	for _, task := range sub.CompletedTasks() {
-		if task.Attempts() > 1 {
+		if task.attempts > 1 {
 			retried++
 		}
 	}
@@ -497,7 +487,7 @@ func TestFailureInjectionDeterministic(t *testing.T) {
 		if err := s.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return sub.FinishTime()
+		return sub.finished
 	}
 	if a, b := run(), run(); a != b {
 		t.Errorf("failure injection not deterministic: %v vs %v", a, b)
@@ -516,7 +506,7 @@ func TestFairSchedulerSharesSlots(t *testing.T) {
 		if err := s.Run(); err != nil {
 			t.Fatal(err)
 		}
-		g := b.FinishTime() - a.FinishTime()
+		g := b.finished - a.finished
 		if g < 0 {
 			g = -g
 		}

@@ -86,7 +86,7 @@ func (j *phaseJob) TaskDone(sub *Submission, t *Task) []*Task {
 func faultConfigs() map[string]Config {
 	retries := smallConfig()
 	retries.FailEveryN = 3
-	retries.FailAttempts = 2
+	retries.failAttempts = 2
 	retries.FailurePenalty = 5
 	spec := smallConfig()
 	spec.StragglerEveryN = 5
@@ -165,7 +165,7 @@ func TestWorkMatchesLoopInRun(t *testing.T) {
 			if err := s.Run(); err != nil || !sub.Done() {
 				t.Fatalf("%s Parallelism=%d split=%v: job did not complete: %v", name, par, split, err)
 			}
-			return trace, sub.FinishTime()
+			return trace, sub.finished
 		}
 		wantTrace, wantFinish := run(0, false)
 		for _, par := range []int{0, 1, 4} {

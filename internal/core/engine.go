@@ -12,7 +12,6 @@ import (
 	"dyno/internal/cluster"
 
 	"dyno/internal/data"
-	"dyno/internal/dfs"
 	"dyno/internal/expr"
 	"dyno/internal/jaql"
 	"dyno/internal/mapreduce"
@@ -47,9 +46,6 @@ type Options struct {
 	// ReuseStats consults the metastore by leaf-expression signature
 	// before running a pilot (§4.1).
 	ReuseStats bool
-	// FinishFraction lets a pilot job run to completion when it
-	// already processed this fraction of the input (§4.1; 0 disables).
-	FinishFraction float64
 	// CollectOnlineStats enables statistics collection on executed
 	// jobs (required for re-optimization).
 	CollectOnlineStats bool
@@ -66,16 +62,6 @@ type Options struct {
 	// OptTimePerExpr is the virtual client time charged per memo
 	// expression considered during an optimizer call.
 	OptTimePerExpr float64
-	// StatsMergeTime is the virtual client time charged per job whose
-	// task statistics are merged.
-	StatsMergeTime float64
-	// JobRetries caps how many times a leaf job killed by task-retry
-	// exhaustion (cluster.ErrTaskRetriesExhausted) is resubmitted from
-	// its materialized DFS inputs before the query aborts. Materialized
-	// intermediate results are the paper's natural checkpoints (§5.1),
-	// so resubmission never re-runs completed work. 0 means the
-	// default of 2.
-	JobRetries int
 	// Planner overrides the cost-based optimizer (used by the static
 	// baselines: RELOPT's plan, Jaql's FROM-order left-deep plan). It
 	// returns the physical plan and the number of alternatives
@@ -93,6 +79,22 @@ type Options struct {
 	Tag string
 }
 
+// Fixed engine charges and limits.
+const (
+	// finishFraction lets a pilot job run to completion when it already
+	// processed this fraction of the input (§4.1).
+	finishFraction = 0.8
+	// statsMergeTime is the virtual client time charged per job whose
+	// task statistics are merged.
+	statsMergeTime = 0.2
+	// jobRetries caps how many times a leaf job killed by task-retry
+	// exhaustion (cluster.ErrTaskRetriesExhausted) is resubmitted from
+	// its materialized DFS inputs before the query aborts. Materialized
+	// intermediate results are the paper's natural checkpoints (§5.1),
+	// so resubmission never re-runs completed work.
+	jobRetries = 2
+)
+
 // DefaultOptions mirror the paper's configuration.
 func DefaultOptions() Options {
 	return Options{
@@ -102,10 +104,8 @@ func DefaultOptions() Options {
 		Strategy:           Uncertain{N: 1},
 		Reoptimize:         true,
 		ReuseStats:         false,
-		FinishFraction:     0.8,
 		CollectOnlineStats: true,
 		OptTimePerExpr:     0.004,
-		StatsMergeTime:     0.2,
 	}
 }
 
@@ -121,7 +121,7 @@ type Engine struct {
 	rng       *rand.Rand
 	queries   int
 	pruneLive map[string]map[string]bool // projection-pushdown live columns; nil = off
-	ctx       context.Context            // per-call cancellation, set by ExecuteContext
+	ctx       context.Context            // per-call cancellation, set by executeContext
 }
 
 // NewEngine wires an engine over the given environment and catalog.
@@ -231,18 +231,18 @@ func (e *Engine) ExecuteSQLContext(ctx context.Context, sql string) (*Result, er
 	if err != nil {
 		return nil, err
 	}
-	return e.ExecuteContext(ctx, q)
+	return e.executeContext(ctx, q)
 }
 
 // Execute runs a parsed query through pilot runs, cost-based
 // optimization, dynamic execution, and the post-join operators.
 func (e *Engine) Execute(q *sqlparse.Query) (*Result, error) {
-	return e.ExecuteContext(context.Background(), q)
+	return e.executeContext(context.Background(), q)
 }
 
-// ExecuteContext is Execute with per-call cancellation (see
+// executeContext is Execute with per-call cancellation (see
 // ExecuteSQLContext).
-func (e *Engine) ExecuteContext(ctx context.Context, q *sqlparse.Query) (*Result, error) {
+func (e *Engine) executeContext(ctx context.Context, q *sqlparse.Query) (*Result, error) {
 	e.ctx = ctx
 	name := e.queryName()
 	compiled, err := rewrite.Compile(q)
@@ -292,14 +292,14 @@ func (e *Engine) ExecuteContext(ctx context.Context, q *sqlparse.Query) (*Result
 	return res, nil
 }
 
-// MemoHitOptSec is the constant virtual client time charged for a
+// memoHitOptSec is the constant virtual client time charged for a
 // DYNOPT round whose plan is answered without enumeration — the
 // remainder of the previous plan under the re-optimization threshold,
 // or a memo whose reused winners left nothing to consider. It prices a
 // lookup-and-extract, well under one expression's default
 // OptTimePerExpr charge, and keeps Result.OptimizeSec the exact sum of
 // the per-iteration charges. Charged only when OptTimePerExpr > 0.
-const MemoHitOptSec = 0.0005
+const memoHitOptSec = 0.0005
 
 // runBlock implements Algorithm 2 (DYNOPT) over one join block.
 func (e *Engine) runBlock(block *plan.JoinBlock, name string, res *Result) (*plan.Rel, error) {
@@ -329,7 +329,7 @@ func (e *Engine) runBlock(block *plan.JoinBlock, name string, res *Result) (*pla
 		if skipReopt && prevRoot != nil {
 			root = pruneExecuted(prevRoot, executed)
 			if e.Options.OptTimePerExpr > 0 {
-				optSec = MemoHitOptSec
+				optSec = memoHitOptSec
 				e.Env.Advance(optSec)
 				res.OptimizeSec += optSec
 			}
@@ -354,7 +354,7 @@ func (e *Engine) runBlock(block *plan.JoinBlock, name string, res *Result) (*pla
 			optSec = float64(considered) * e.Options.OptTimePerExpr
 			if optSec == 0 && e.Options.OptTimePerExpr > 0 {
 				// Answered entirely from reused winners.
-				optSec = MemoHitOptSec
+				optSec = memoHitOptSec
 			}
 			e.Env.Advance(optSec)
 			res.OptimizeSec += optSec
@@ -495,18 +495,10 @@ func (e *Engine) executeWave(block *plan.JoinBlock, graph *jaql.Graph, toRun []*
 		}
 		e.countJob(run.Unit, res)
 		if e.Options.CollectOnlineStats && !last {
-			e.Env.Advance(e.Options.StatsMergeTime)
+			e.Env.Advance(statsMergeTime)
 		}
 	}
 	return nil
-}
-
-// jobRetries returns the effective leaf-job resubmission cap.
-func (e *Engine) jobRetries() int {
-	if e.Options.JobRetries > 0 {
-		return e.Options.JobRetries
-	}
-	return 2
 }
 
 // runWithRecovery drives the cluster until the submitted runs complete
@@ -543,7 +535,7 @@ func (e *Engine) runWithRecovery(runs []*jaql.Run, opts []jaql.ExecOpts, res *Re
 		if len(failed) == 0 {
 			return nil
 		}
-		if attempt >= e.jobRetries() {
+		if attempt >= jobRetries {
 			return runs[failed[0]].Sub.Err()
 		}
 		for _, i := range failed {
@@ -703,6 +695,3 @@ func deviates(est, actual, threshold float64) bool {
 	}
 	return math.Abs(actual-est)/est > threshold
 }
-
-// RegisterTable adds a base table to the catalog.
-func (e *Engine) RegisterTable(name string, f *dfs.File) { e.Catalog.Register(name, f) }

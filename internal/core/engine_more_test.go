@@ -185,7 +185,7 @@ func TestProjectionPushdownWithWholeRecordUDF(t *testing.T) {
 // per-iteration OptimizeSec charges recorded in Evolution sum — in
 // order, with no float slack — to Result.OptimizeSec, and a round
 // answered without enumeration (remainder kept under the
-// re-optimization threshold) is charged exactly MemoHitOptSec.
+// re-optimization threshold) is charged exactly memoHitOptSec.
 func TestOptimizeSecSumsExactly(t *testing.T) {
 	sql := `SELECT r.id FROM r, s, u WHERE r.sid = s.id AND s.uid = u.id`
 	run := func(threshold float64) *Result {
@@ -206,7 +206,7 @@ func TestOptimizeSecSumsExactly(t *testing.T) {
 		hits := 0
 		for i, it := range res.Evolution {
 			sum += it.OptimizeSec
-			if it.OptimizeSec == MemoHitOptSec {
+			if it.OptimizeSec == memoHitOptSec {
 				hits++
 			} else if it.OptimizeSec <= 0 {
 				t.Errorf("threshold %v: iteration %d charged %v", threshold, i+1, it.OptimizeSec)
@@ -217,7 +217,7 @@ func TestOptimizeSecSumsExactly(t *testing.T) {
 				threshold, sum, res.OptimizeSec)
 		}
 		if threshold == 100.0 && len(res.Evolution) >= 2 && hits == 0 {
-			t.Error("lenient threshold skipped no round at MemoHitOptSec")
+			t.Error("lenient threshold skipped no round at memoHitOptSec")
 		}
 	}
 }

@@ -113,9 +113,7 @@ func TestJobRetriesCapAbortsQuery(t *testing.T) {
 			return strings.HasPrefix(job, "q1-i1-") && strings.HasSuffix(task, "-m0")
 		}
 	})
-	opts := smallOpts()
-	opts.JobRetries = 1
-	e := f.engine(opts)
+	e := f.engine(smallOpts())
 	_, err := e.ExecuteSQL(threeWay)
 	if err == nil {
 		t.Fatal("want error after exceeding the job-retry cap")
@@ -161,16 +159,13 @@ func TestPilotAndLeafFailureCombined(t *testing.T) {
 }
 
 // TestFaultyClusterStillMatchesOracle runs the full DYNOPT pipeline on
-// a cluster with every fault knob enabled — periodic failures,
-// stragglers, speculation, blacklisting — and requires oracle-correct
+// a cluster with every fault knob a caller can set enabled — periodic
+// failures, stragglers, speculation — and requires oracle-correct
 // results plus the same rows as a clean run.
 func TestFaultyClusterStillMatchesOracle(t *testing.T) {
 	f := newFixtureWith(func(cfg *cluster.Config) {
 		cfg.FailEveryN = 17
-		cfg.FailAttempts = 2
 		cfg.FailurePenalty = 3
-		cfg.MaxAttempts = 4
-		cfg.BlacklistAfter = 3
 		cfg.StragglerEveryN = 7
 		cfg.SlowdownFactor = 4
 		cfg.SpeculativeBeta = 1.5

@@ -157,7 +157,7 @@ func (e *Engine) pilotRuns(block *plan.JoinBlock, queryName string) (*PilotRepor
 			e.Prepared[pj.sig] = out
 		}
 		// Client-side merge of the per-task statistics files.
-		e.Env.Advance(e.Options.StatsMergeTime)
+		e.Env.Advance(statsMergeTime)
 	}
 	report.Duration = e.Env.Now() - start
 	return report, nil
@@ -205,7 +205,7 @@ func (e *Engine) submitPilot(rel *plan.Rel, queryName string, block *plan.JoinBl
 		CollectStats:         statsPaths,
 		KMVSize:              e.Options.KMVSize,
 		StopAfter:            e.Options.K,
-		FinishIfFractionDone: e.Options.FinishFraction,
+		FinishIfFractionDone: finishFraction,
 	}, rel.File)
 	if err != nil {
 		return nil, err

@@ -48,9 +48,6 @@ func CompileAccessor(p Path, sample Value) *Accessor {
 	return a
 }
 
-// Path returns the source path the accessor was compiled from.
-func (a *Accessor) Path() Path { return a.path }
-
 // Eval resolves the compiled path against a value with the same
 // missing-data semantics as Path.Eval: absent fields and out-of-range
 // indexes yield null. A field step on a non-object sees no fields.

@@ -2,6 +2,7 @@ package data
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -107,8 +108,8 @@ func TestCompileAccessors(t *testing.T) {
 		t.Fatalf("got %d accessors, want %d", len(accs), len(paths))
 	}
 	for i, a := range accs {
-		if !a.Path().Equal(paths[i]) {
-			t.Errorf("accessor %d path = %s, want %s", i, a.Path(), paths[i])
+		if !slices.Equal(a.path, paths[i]) {
+			t.Errorf("accessor %d path = %s, want %s", i, a.path, paths[i])
 		}
 		if !Equal(a.Eval(row), paths[i].Eval(row)) {
 			t.Errorf("accessor %d mismatch", i)

@@ -13,9 +13,6 @@ func (v Value) MarshalJSON() ([]byte, error) {
 	return []byte(v.String()), nil
 }
 
-// EncodeJSON returns the canonical JSON encoding of the value.
-func EncodeJSON(v Value) []byte { return []byte(v.String()) }
-
 // DecodeJSON parses a JSON document into a Value. Numbers without a
 // fractional part or exponent decode as ints; others as doubles.
 func DecodeJSON(b []byte) (Value, error) {
@@ -25,12 +22,12 @@ func DecodeJSON(b []byte) (Value, error) {
 	if err := dec.Decode(&raw); err != nil {
 		return Null(), fmt.Errorf("data: decode json: %w", err)
 	}
-	return FromGo(raw)
+	return fromGo(raw)
 }
 
-// FromGo converts a decoded encoding/json value (nil, bool, json.Number,
+// fromGo converts a decoded encoding/json value (nil, bool, json.Number,
 // float64, string, []any, map[string]any) into a Value.
-func FromGo(raw any) (Value, error) {
+func fromGo(raw any) (Value, error) {
 	switch x := raw.(type) {
 	case nil:
 		return Null(), nil
@@ -59,7 +56,7 @@ func FromGo(raw any) (Value, error) {
 	case []any:
 		elems := make([]Value, len(x))
 		for i, e := range x {
-			v, err := FromGo(e)
+			v, err := fromGo(e)
 			if err != nil {
 				return Null(), err
 			}
@@ -69,7 +66,7 @@ func FromGo(raw any) (Value, error) {
 	case map[string]any:
 		fields := make([]Field, 0, len(x))
 		for k, e := range x {
-			v, err := FromGo(e)
+			v, err := fromGo(e)
 			if err != nil {
 				return Null(), err
 			}

@@ -276,11 +276,13 @@ func modelTwin(m any) (Value, any) {
 		return Array(elems...), tm
 	}
 	x := m.(map[string]any)
-	fields, tm := make(map[string]Value, len(x)), make(map[string]any, len(x))
+	fields, tm := make([]Field, 0, len(x)), make(map[string]any, len(x))
 	for k, e := range x {
-		fields[k], tm[k] = modelTwin(e)
+		var v Value
+		v, tm[k] = modelTwin(e)
+		fields = append(fields, Field{Name: k, Value: v})
 	}
-	return ObjectFromMap(fields), tm
+	return Object(fields...), tm
 }
 
 // checkAgainstModel holds every accessor of v — the right-kind ones and

@@ -100,17 +100,6 @@ func (p Path) Head() string {
 	return p[0].Name
 }
 
-// Rebase returns a copy of the path with its head alias replaced.
-func (p Path) Rebase(alias string) Path {
-	if len(p) == 0 {
-		return p
-	}
-	out := make(Path, len(p))
-	copy(out, p)
-	out[0] = Step{Name: alias}
-	return out
-}
-
 // String renders the path in its source form.
 func (p Path) String() string {
 	var sb strings.Builder
@@ -127,17 +116,4 @@ func (p Path) String() string {
 		sb.WriteString(st.Name)
 	}
 	return sb.String()
-}
-
-// Equal reports whether two paths are identical.
-func (p Path) Equal(q Path) bool {
-	if len(p) != len(q) {
-		return false
-	}
-	for i := range p {
-		if p[i] != q[i] {
-			return false
-		}
-	}
-	return true
 }

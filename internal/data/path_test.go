@@ -1,6 +1,9 @@
 package data
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestParsePathSimple(t *testing.T) {
 	p, err := ParsePath("a.b.c")
@@ -26,7 +29,7 @@ func TestParsePathSubscripts(t *testing.T) {
 		{Index: 0, IsIndex: true},
 		{Name: "zip"},
 	}
-	if !p.Equal(want) {
+	if !slices.Equal(p, want) {
 		t.Errorf("parsed %#v", p)
 	}
 	if p.String() != "rs.addr[0].zip" {
@@ -76,17 +79,10 @@ func TestPathEval(t *testing.T) {
 	}
 }
 
-func TestPathHeadAndRebase(t *testing.T) {
+func TestPathHead(t *testing.T) {
 	p := MustParsePath("rs.addr[0].zip")
 	if p.Head() != "rs" {
 		t.Errorf("Head = %q", p.Head())
-	}
-	q := p.Rebase("t1")
-	if q.String() != "t1.addr[0].zip" {
-		t.Errorf("Rebase = %q", q.String())
-	}
-	if p.String() != "rs.addr[0].zip" {
-		t.Error("Rebase mutated original")
 	}
 }
 
@@ -97,13 +93,4 @@ func TestMustParsePathPanics(t *testing.T) {
 		}
 	}()
 	MustParsePath("a..b")
-}
-
-func TestPathEqual(t *testing.T) {
-	a := MustParsePath("x.y[1]")
-	b := MustParsePath("x.y[1]")
-	c := MustParsePath("x.y[2]")
-	if !a.Equal(b) || a.Equal(c) || a.Equal(a[:1]) {
-		t.Error("Path.Equal broken")
-	}
 }

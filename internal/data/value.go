@@ -199,15 +199,6 @@ func Object(fields ...Field) Value {
 // to skip Object's defensive copy on per-record paths.
 func ObjectFromSorted(fs []Field) Value { return objectFromSorted(fs) }
 
-// ObjectFromMap builds an object value from a map.
-func ObjectFromMap(m map[string]Value) Value {
-	fs := make([]Field, 0, len(m))
-	for k, v := range m {
-		fs = append(fs, Field{Name: k, Value: v})
-	}
-	return Object(fs...)
-}
-
 // Kind reports the value's dynamic kind.
 func (v Value) Kind() Kind { return Kind(v.meta) }
 
@@ -337,16 +328,6 @@ func (v Value) Fields() []Field {
 		return nil
 	}
 	return unsafe.Slice((*Field)(v.p), int(v.n))
-}
-
-// With returns a copy of an object value with the named field set.
-// Calling With on a non-object returns a fresh single-field object.
-func (v Value) With(name string, val Value) Value {
-	old := v.Fields() // nil for a non-object
-	fs := make([]Field, 0, len(old)+1)
-	fs = append(fs, old...)
-	fs = append(fs, Field{Name: name, Value: val})
-	return Object(fs...)
 }
 
 // MergeObjects returns an object containing the fields of a and b.

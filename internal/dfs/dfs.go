@@ -21,12 +21,12 @@ import (
 	"dyno/internal/data"
 )
 
-// DefaultBlockSize is the virtual HDFS block size (128 MB), matching the
+// defaultBlockSize is the virtual HDFS block size (128 MB), matching the
 // paper's cluster configuration.
-const DefaultBlockSize = 128 << 20
+const defaultBlockSize = 128 << 20
 
 // FS is a simulated distributed filesystem. It is safe for concurrent
-// use: reads (block access, size queries, Open/Exists/List) take a
+// use: reads (block access, size queries, Open/List) take a
 // shared lock so parallel tasks never serialize on the hot path, while
 // writers (Create/Append/Remove) are exclusive; the byte scale, read for
 // every record priced, is an atomic.
@@ -55,7 +55,7 @@ func WithNodes(n int) Option {
 // New returns an empty filesystem with ByteScale 1.
 func New(opts ...Option) *FS {
 	fs := &FS{
-		blockSize: DefaultBlockSize,
+		blockSize: defaultBlockSize,
 		files:     make(map[string]*File),
 		nodes:     1,
 	}
@@ -81,9 +81,6 @@ func (fs *FS) SetByteScale(s float64) {
 
 // ByteScale returns the current byte-scale multiplier.
 func (fs *FS) ByteScale() float64 { return math.Float64frombits(fs.byteScale.Load()) }
-
-// BlockSize returns the virtual block size.
-func (fs *FS) BlockSize() int64 { return fs.blockSize }
 
 // Block is one split of a file: a run of records placed on a node.
 type Block struct {
@@ -241,14 +238,6 @@ func (fs *FS) Open(name string) (*File, error) {
 		return nil, fmt.Errorf("dfs: file %q does not exist", name)
 	}
 	return f, nil
-}
-
-// Exists reports whether the named file exists.
-func (fs *FS) Exists(name string) bool {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	_, ok := fs.files[name]
-	return ok
 }
 
 // Remove deletes the named file; removing a missing file is an error.

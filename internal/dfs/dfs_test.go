@@ -154,13 +154,13 @@ func TestListAndTotalSize(t *testing.T) {
 	if fs.TotalSize() <= 0 {
 		t.Error("TotalSize should be positive")
 	}
-	if !fs.Exists("a") || fs.Exists("zz") {
-		t.Error("Exists broken")
+	if _, err := fs.Open("zz"); err == nil {
+		t.Error("Open of a missing file must fail")
 	}
 	if err := fs.Remove("a"); err != nil {
 		t.Fatal(err)
 	}
-	if fs.Exists("a") {
+	if _, err := fs.Open("a"); err == nil {
 		t.Error("Remove did not remove")
 	}
 }

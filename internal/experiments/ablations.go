@@ -41,9 +41,9 @@ func AblationChaining(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// AblationPilotK sweeps the pilot sample target k (§4, the paper uses
+// ablationPilotK sweeps the pilot sample target k (§4, the paper uses
 // 1024) and reports pilot time and end-to-end time on Q8'.
-func AblationPilotK(cfg Config) (*Table, error) {
+func ablationPilotK(cfg Config) (*Table, error) {
 	cfg = cfg.normalized()
 	t := &Table{
 		Title:  "Ablation: pilot-run sample size k on Q8' (SF=300, DYNOPT)",
@@ -69,9 +69,9 @@ func AblationPilotK(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// AblationStatsReuse measures §4.1's statistics reuse: the same query
+// ablationStatsReuse measures §4.1's statistics reuse: the same query
 // executed twice with the metastore shared.
-func AblationStatsReuse(cfg Config) (*Table, error) {
+func ablationStatsReuse(cfg Config) (*Table, error) {
 	cfg = cfg.normalized()
 	t := &Table{
 		Title:  "Ablation: statistics reuse across recurring queries (Q10, SF=300, DYNOPT)",
@@ -105,9 +105,9 @@ func AblationStatsReuse(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// AblationReoptThreshold measures §3's conditional re-optimization: a
+// ablationReoptThreshold measures §3's conditional re-optimization: a
 // high deviation threshold skips optimizer calls when estimates hold.
-func AblationReoptThreshold(cfg Config) (*Table, error) {
+func ablationReoptThreshold(cfg Config) (*Table, error) {
 	cfg = cfg.normalized()
 	t := &Table{
 		Title:  "Ablation: conditional re-optimization threshold (Q8', SF=300, DYNOPT)",
@@ -139,8 +139,8 @@ func AblationReoptThreshold(cfg Config) (*Table, error) {
 func Ablations(cfg Config) ([]*Table, error) {
 	var out []*Table
 	for _, f := range []func(Config) (*Table, error){
-		AblationChaining, AblationPilotK, AblationStatsReuse, AblationReoptThreshold, AblationDynamicJoin,
-		AblationProjectionPushdown, AblationScheduler,
+		AblationChaining, ablationPilotK, ablationStatsReuse, ablationReoptThreshold, ablationDynamicJoin,
+		ablationProjectionPushdown, ablationScheduler,
 	} {
 		t, err := f(cfg)
 		if err != nil {
@@ -151,12 +151,12 @@ func Ablations(cfg Config) ([]*Table, error) {
 	return out, nil
 }
 
-// AblationDynamicJoin measures the dynamic join operator (the paper's
+// ablationDynamicJoin measures the dynamic join operator (the paper's
 // §8 future work, implemented here): DYNOPT-SIMPLE executes a static
 // plan, but a repartition job whose materialized input turns out to fit
 // in memory switches to a broadcast join at submit time. Q8' at SF=1000
 // is the case where the static plan goes badly wrong.
-func AblationDynamicJoin(cfg Config) (*Table, error) {
+func ablationDynamicJoin(cfg Config) (*Table, error) {
 	cfg = cfg.normalized()
 	t := &Table{
 		Title:  "Ablation: dynamic join operator on Q8' (SF=1000, DYNOPT-SIMPLE)",
@@ -186,11 +186,11 @@ func AblationDynamicJoin(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// AblationProjectionPushdown measures the compiler's projection
+// ablationProjectionPushdown measures the compiler's projection
 // pushdown: rows pruned to the query's referenced fields shrink
 // shuffle and materialization volumes (off by default to keep the main
 // evaluation comparable to the paper's configuration).
-func AblationProjectionPushdown(cfg Config) (*Table, error) {
+func ablationProjectionPushdown(cfg Config) (*Table, error) {
 	cfg = cfg.normalized()
 	t := &Table{
 		Title:  "Ablation: projection pushdown (Q10, SF=300, DYNOPT)",
@@ -219,10 +219,10 @@ func AblationProjectionPushdown(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// AblationScheduler compares the FIFO scheduler (the paper's setup)
+// ablationScheduler compares the FIFO scheduler (the paper's setup)
 // against fair scheduling for the parallel leaf-job strategies the
 // paper leaves as future work.
-func AblationScheduler(cfg Config) (*Table, error) {
+func ablationScheduler(cfg Config) (*Table, error) {
 	cfg = cfg.normalized()
 	t := &Table{
 		Title:  "Ablation: job scheduler under parallel leaf jobs (Q8', SF=300, DYNOPT UNC-2)",

@@ -33,26 +33,16 @@ type Config struct {
 	Seed int64
 	// UDF parameters; zero value uses the defaults of §6.1.
 	UDF tpch.UDFParams
-	// Parallelism sets the cluster simulator's wall-clock worker pool:
-	// 0 keeps the simulator default (GOMAXPROCS), negative runs every
-	// wave inline on the scheduler goroutine, positive values are
-	// passed through. Virtual-time results are identical either way.
-	Parallelism int
 
-	// Fault-injection knobs for the faults experiment, passed through
-	// to the cluster simulator (zero values disable each mechanism).
-	FailEveryN      int     // every Nth first task attempt fails
-	FailurePenalty  float64 // slot seconds charged per failed attempt
-	StragglerEveryN int     // every Nth executed attempt runs slow
-	SlowdownFactor  float64 // straggler duration multiplier
-	SpeculativeBeta float64 // speculative-execution threshold (0 off)
-
-	// Workers and the per-worker slot counts, when positive, override
-	// the simulated cluster size (the faults experiment uses a small
-	// cluster so concurrent jobs contend for slots).
-	Workers              int
-	MapSlotsPerWorker    int
-	ReduceSlotsPerWorker int
+	// parallelism, when positive, sets the cluster simulator's
+	// wall-clock worker pool (1 runs every wave inline on the scheduler
+	// goroutine); 0 keeps the simulator default (GOMAXPROCS).
+	// Virtual-time results are identical either way; the executor
+	// differential tests pin it.
+	parallelism int
+	// faults, set by the faults experiment, injects one fault profile
+	// on its small cluster.
+	faults *faultProfile
 }
 
 // DefaultConfig returns the standard experiment configuration.
@@ -106,25 +96,18 @@ func getLab(sf float64, cfg Config) (*lab, error) {
 // clusterConfig resolves the simulator configuration for a Config.
 func (c Config) clusterConfig() cluster.Config {
 	ccfg := cluster.DefaultConfig()
-	switch {
-	case c.Parallelism < 0:
-		ccfg.Parallelism = 0 // inline
-	case c.Parallelism > 0:
-		ccfg.Parallelism = c.Parallelism
+	if c.parallelism > 0 {
+		ccfg.Parallelism = c.parallelism
 	}
-	ccfg.FailEveryN = c.FailEveryN
-	ccfg.FailurePenalty = c.FailurePenalty
-	ccfg.StragglerEveryN = c.StragglerEveryN
-	ccfg.SlowdownFactor = c.SlowdownFactor
-	ccfg.SpeculativeBeta = c.SpeculativeBeta
-	if c.Workers > 0 {
-		ccfg.Workers = c.Workers
-	}
-	if c.MapSlotsPerWorker > 0 {
-		ccfg.MapSlotsPerWorker = c.MapSlotsPerWorker
-	}
-	if c.ReduceSlotsPerWorker > 0 {
-		ccfg.ReduceSlotsPerWorker = c.ReduceSlotsPerWorker
+	if p := c.faults; p != nil {
+		ccfg.Workers = faultsWorkers
+		ccfg.MapSlotsPerWorker = faultsMapSlotsPerWorker
+		ccfg.ReduceSlotsPerWorker = faultsRedSlotsPerWorker
+		ccfg.FailEveryN = p.FailEveryN
+		ccfg.FailurePenalty = p.FailurePenalty
+		ccfg.StragglerEveryN = p.StragglerEveryN
+		ccfg.SlowdownFactor = p.SlowdownFactor
+		ccfg.SpeculativeBeta = p.SpeculativeBeta
 	}
 	return ccfg
 }
@@ -258,11 +241,4 @@ func ratio(num, den float64) float64 {
 		return 0
 	}
 	return num / den
-}
-
-// ResetLabs clears the dataset cache (tests use it to bound memory).
-func ResetLabs() {
-	labMu.Lock()
-	defer labMu.Unlock()
-	labPool = map[string]*lab{}
 }

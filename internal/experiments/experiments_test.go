@@ -38,7 +38,7 @@ func TestAllVariantsMatchOracleOnWorkload(t *testing.T) {
 		if len(want) == 0 {
 			t.Fatalf("%s yields no rows at test scale; assertion vacuous", query)
 		}
-		for _, v := range Figure7Variants {
+		for _, v := range figure7Variants {
 			m, err := runVariant(v, 100, cfg, query, false, nil)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", v, query, err)
@@ -146,7 +146,7 @@ func TestFigure6SpeedupDecreasesWithSelectivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) != len(Figure6Selectivities) {
+	if len(points) != len(figure6Selectivities) {
 		t.Fatalf("points = %d", len(points))
 	}
 	first := points[0].RelOptSec / points[0].SimpleSec
@@ -221,7 +221,7 @@ func TestPlanEvolutionFigures(t *testing.T) {
 		t.Skip("slow")
 	}
 	cfg := testConfig()
-	ev, err := MeasurePlanEvolution(cfg, "Q9p", 100)
+	ev, err := measurePlanEvolution(cfg, "Q9p", 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,9 @@ func TestPctAndRatio(t *testing.T) {
 }
 
 func TestLabCacheReuse(t *testing.T) {
-	ResetLabs()
+	labMu.Lock()
+	labPool = map[string]*lab{}
+	labMu.Unlock()
 	cfg := testConfig()
 	a, err := getLab(100, cfg)
 	if err != nil {
@@ -319,7 +321,7 @@ func TestAblationDynamicJoinImproves(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	tb, err := AblationDynamicJoin(testConfig())
+	tb, err := ablationDynamicJoin(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

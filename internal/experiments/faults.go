@@ -7,9 +7,9 @@ import (
 	"dyno/internal/core"
 )
 
-// FaultProfile bundles one deterministic fault-injection intensity for
+// faultProfile bundles one deterministic fault-injection intensity for
 // the faults experiment.
-type FaultProfile struct {
+type faultProfile struct {
 	Name            string
 	FailEveryN      int
 	FailurePenalty  float64
@@ -18,10 +18,10 @@ type FaultProfile struct {
 	SpeculativeBeta float64
 }
 
-// FaultProfiles are the sweep points: a clean baseline plus two fault
+// faultProfiles are the sweep points: a clean baseline plus two fault
 // rates. Speculation is enabled whenever stragglers are injected, as
 // on a production Hadoop cluster.
-var FaultProfiles = []FaultProfile{
+var faultProfiles = []faultProfile{
 	{Name: "none"},
 	{Name: "light", FailEveryN: 60, FailurePenalty: 8,
 		StragglerEveryN: 25, SlowdownFactor: 3, SpeculativeBeta: 1.5},
@@ -29,11 +29,11 @@ var FaultProfiles = []FaultProfile{
 		StragglerEveryN: 10, SlowdownFactor: 4, SpeculativeBeta: 1.5},
 }
 
-// FaultsQueries are the multi-join queries measured under faults.
-var FaultsQueries = []string{"Q8p", "Q9p", "Q10"}
+// faultsQueries are the multi-join queries measured under faults.
+var faultsQueries = []string{"Q8p", "Q9p", "Q10"}
 
-// FaultsSF is the scale factor of the faults experiment.
-var FaultsSF = 300.0
+// faultsSF is the scale factor of the faults experiment.
+var faultsSF = 300.0
 
 // The faults experiment runs on a deliberately small cluster: with
 // fewer slots than ready tasks, the MO strategy's concurrent jobs
@@ -77,30 +77,21 @@ func faultStrategies() []struct {
 // speculative backups — so SO loses less work than MO as the fault
 // rate grows.
 func MeasureFaults(cfg Config) ([]FaultPoint, error) {
-	return measureFaultsQueries(cfg, FaultsQueries)
+	return measureFaultsQueries(cfg, faultsQueries)
 }
 
 // measureFaultsQueries runs the sweep over an explicit query list
 // (tests restrict it to the differentiating query to stay fast).
 func measureFaultsQueries(cfg Config, queries []string) ([]FaultPoint, error) {
 	cfg = cfg.normalized()
-	if cfg.Workers == 0 && cfg.MapSlotsPerWorker == 0 && cfg.ReduceSlotsPerWorker == 0 {
-		cfg.Workers = faultsWorkers
-		cfg.MapSlotsPerWorker = faultsMapSlotsPerWorker
-		cfg.ReduceSlotsPerWorker = faultsRedSlotsPerWorker
-	}
 	var out []FaultPoint
 	for _, q := range queries {
-		for _, p := range FaultProfiles {
+		for _, p := range faultProfiles {
 			fcfg := cfg
-			fcfg.FailEveryN = p.FailEveryN
-			fcfg.FailurePenalty = p.FailurePenalty
-			fcfg.StragglerEveryN = p.StragglerEveryN
-			fcfg.SlowdownFactor = p.SlowdownFactor
-			fcfg.SpeculativeBeta = p.SpeculativeBeta
+			fcfg.faults = &p
 			for _, st := range faultStrategies() {
 				st := st
-				m, err := runVariant(baselines.VariantDynOpt, FaultsSF, fcfg, q, false,
+				m, err := runVariant(baselines.VariantDynOpt, faultsSF, fcfg, q, false,
 					func(o *core.Options) { o.Strategy = st.s })
 				if err != nil {
 					return nil, fmt.Errorf("faults %s/%s/%s: %w", q, p.Name, st.name, err)
@@ -118,19 +109,10 @@ func measureFaultsQueries(cfg Config, queries []string) ([]FaultPoint, error) {
 	return out, nil
 }
 
-// Faults renders the fault-tolerance sweep: runtime and wasted slot
-// time per query, fault profile, and strategy, plus each strategy's
-// slowdown relative to its own fault-free run.
-func Faults(cfg Config) (*Table, error) {
-	points, err := MeasureFaults(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return FaultsTable(points), nil
-}
-
-// FaultsTable renders already-measured sweep points (dynobench reuses
-// one sweep for both the table and its JSON artifact).
+// FaultsTable renders the fault-tolerance sweep: runtime and wasted
+// slot time per query, fault profile, and strategy, plus each
+// strategy's slowdown relative to its own fault-free run (dynobench
+// reuses one sweep for both the table and its JSON artifact).
 func FaultsTable(points []FaultPoint) *Table {
 	find := func(q, profile, strategy string) FaultPoint {
 		for _, p := range points {
@@ -156,7 +138,7 @@ func FaultsTable(points []FaultPoint) *Table {
 	for _, q := range queries {
 		moClean := find(q, "none", "MO")
 		soClean := find(q, "none", "SO")
-		for _, p := range FaultProfiles {
+		for _, p := range faultProfiles {
 			mo := find(q, p.Name, "MO")
 			so := find(q, p.Name, "SO")
 			t.Rows = append(t.Rows, []string{

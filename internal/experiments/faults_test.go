@@ -66,15 +66,16 @@ func TestFaultsTableRenders(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	save := FaultsQueries
-	FaultsQueries = []string{"Q9p"}
-	defer func() { FaultsQueries = save }()
-	tb, err := Faults(faultsTestConfig())
+	save := faultsQueries
+	faultsQueries = []string{"Q9p"}
+	defer func() { faultsQueries = save }()
+	points, err := MeasureFaults(faultsTestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tb.Rows) != len(FaultProfiles) {
-		t.Fatalf("rows = %d, want %d", len(tb.Rows), len(FaultProfiles))
+	tb := FaultsTable(points)
+	if len(tb.Rows) != len(faultProfiles) {
+		t.Fatalf("rows = %d, want %d", len(tb.Rows), len(faultProfiles))
 	}
 	if tb.String() == "" {
 		t.Error("unrenderable table")

@@ -8,8 +8,8 @@ import (
 	"dyno/internal/tpch"
 )
 
-// Figure4Queries are the four queries of Figure 4.
-var Figure4Queries = []string{"Q2", "Q7", "Q8p", "Q10"}
+// figure4Queries are the four queries of Figure 4.
+var figure4Queries = []string{"Q2", "Q7", "Q8p", "Q10"}
 
 // Overheads decomposes one dynamic execution (§6.2).
 type Overheads struct {
@@ -83,7 +83,7 @@ func Figure4(cfg Config) (*Table, error) {
 		Title:  "Figure 4: Overhead of pilot runs, re-optimization and statistics collection (SF=300)",
 		Header: []string{"Query", "plan-exec", "re-opt", "PILR", "online-stats", "total-overhead"},
 	}
-	for _, q := range Figure4Queries {
+	for _, q := range figure4Queries {
 		o, err := MeasureOverheads(cfg, q)
 		if err != nil {
 			return nil, err

@@ -5,8 +5,8 @@ import (
 	"dyno/internal/core"
 )
 
-// Figure5Queries are the three queries of Figure 5.
-var Figure5Queries = []string{"Q7", "Q8p", "Q10"}
+// figure5Queries are the three queries of Figure 5.
+var figure5Queries = []string{"Q7", "Q8p", "Q10"}
 
 // strategyVariant pairs an execution strategy with the engine variant
 // it belongs to (the SIMPLE strategies disable re-optimization).
@@ -53,7 +53,7 @@ func Figure5(cfg Config) (*Table, error) {
 	for _, sv := range figure5Variants {
 		t.Header = append(t.Header, sv.label)
 	}
-	for _, q := range Figure5Queries {
+	for _, q := range figure5Queries {
 		times, err := Figure5Times(cfg, q)
 		if err != nil {
 			return nil, err

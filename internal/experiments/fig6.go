@@ -6,8 +6,8 @@ import (
 	"dyno/internal/baselines"
 )
 
-// Figure6Selectivities is the UDF-selectivity sweep of Figure 6.
-var Figure6Selectivities = []float64{0.0001, 0.001, 0.01, 0.1, 1.0}
+// figure6Selectivities is the UDF-selectivity sweep of Figure 6.
+var figure6Selectivities = []float64{0.0001, 0.001, 0.01, 0.1, 1.0}
 
 // Figure6Point is one sweep measurement.
 type Figure6Point struct {
@@ -24,7 +24,7 @@ type Figure6Point struct {
 func Figure6Sweep(cfg Config) ([]Figure6Point, error) {
 	cfg = cfg.normalized()
 	var out []Figure6Point
-	for _, sel := range Figure6Selectivities {
+	for _, sel := range figure6Selectivities {
 		c := cfg
 		c.UDF.Q9DimSel = sel
 		rel, err := runVariant(baselines.VariantRelOpt, 300, c, "Q9p", false, nil)

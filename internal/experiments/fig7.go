@@ -9,12 +9,12 @@ import (
 // Figure7Queries are the four queries of Figures 7 and 8.
 var Figure7Queries = []string{"Q2", "Q8p", "Q9p", "Q10"}
 
-// Figure7SFs are the three scale factors of Figure 7.
-var Figure7SFs = []float64{100, 300, 1000}
+// figure7SFs are the three scale factors of Figure 7.
+var figure7SFs = []float64{100, 300, 1000}
 
-// Figure7Variants are the four execution-plan variants, in display
+// figure7Variants are the four execution-plan variants, in display
 // order; the first is the normalization baseline.
-var Figure7Variants = []baselines.Variant{
+var figure7Variants = []baselines.Variant{
 	baselines.VariantBestStatic,
 	baselines.VariantRelOpt,
 	baselines.VariantSimple,
@@ -26,7 +26,7 @@ var Figure7Variants = []baselines.Variant{
 func VariantTimes(cfg Config, sf float64, query string, hiveProfile bool) (map[baselines.Variant]float64, error) {
 	cfg = cfg.normalized()
 	out := map[baselines.Variant]float64{}
-	for _, v := range Figure7Variants {
+	for _, v := range figure7Variants {
 		m, err := runVariant(v, sf, cfg, query, hiveProfile, nil)
 		if err != nil {
 			return nil, err
@@ -44,7 +44,7 @@ func Figure7(cfg Config) (*Table, error) {
 		Title:  "Figure 7: Execution time relative to BESTSTATICJAQL, per query and scale factor",
 		Header: []string{"SF", "Query", "BESTSTATICJAQL", "RELOPT", "DYNOPT-SIMPLE", "DYNOPT"},
 	}
-	for _, sf := range Figure7SFs {
+	for _, sf := range figure7SFs {
 		for _, q := range Figure7Queries {
 			times, err := VariantTimes(cfg, sf, q, false)
 			if err != nil {

@@ -128,7 +128,7 @@ func goldenArms(t *testing.T) []goldenArm {
 	// cmd/dynoworker serves) and one generated dataset shared by every
 	// case; each case gets a fresh simulator clock and coordination
 	// service, like the sim arm.
-	fleet, err := procruntime.NewFleet(procruntime.Config{StaleAfter: time.Hour, UDF: cfg.UDF})
+	fleet, err := procruntime.NewFleet(procruntime.Config{StaleAfter: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}

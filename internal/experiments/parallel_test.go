@@ -15,7 +15,7 @@ import (
 // result plus the full trace.
 func runWithParallelism(t *testing.T, cfg Config, query string, parallelism int, tweak func(*core.Options)) (*core.Result, []cluster.TraceEvent) {
 	t.Helper()
-	cfg.Parallelism = parallelism
+	cfg.parallelism = parallelism
 	l, err := getLab(100, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -42,7 +42,7 @@ func runWithParallelism(t *testing.T, cfg Config, query string, parallelism int,
 // Q8', Q9', and Q10 at SF 100, and on Q8' under PILR_MT with UNC-2
 // (concurrent pilot leaf jobs plus two join jobs in flight — the
 // workload with the most simultaneous tasks), waves run inline on the
-// scheduler goroutine (Parallelism -1 → cluster 0) and waves run on a
+// scheduler goroutine (parallelism 1) and waves run on a
 // pool of 4 must produce identical rows, identical virtual timings, and
 // an identical trace-event sequence.
 func TestParallelExecutorMatchesSerial(t *testing.T) {
@@ -63,7 +63,7 @@ func TestParallelExecutorMatchesSerial(t *testing.T) {
 		}},
 	}
 	for _, c := range cases {
-		serial, serialTrace := runWithParallelism(t, cfg, c.query, -1, c.tweak)
+		serial, serialTrace := runWithParallelism(t, cfg, c.query, 1, c.tweak)
 		par, parTrace := runWithParallelism(t, cfg, c.query, 4, c.tweak)
 
 		if len(par.Rows) != len(serial.Rows) {

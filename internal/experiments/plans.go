@@ -31,9 +31,9 @@ func (p *PlanEvolution) String() string {
 	return sb.String()
 }
 
-// MeasurePlanEvolution runs a query under RELOPT and DYNOPT and
+// measurePlanEvolution runs a query under RELOPT and DYNOPT and
 // collects the plans, reproducing the figures' side-by-side view.
-func MeasurePlanEvolution(cfg Config, query string, sf float64) (*PlanEvolution, error) {
+func measurePlanEvolution(cfg Config, query string, sf float64) (*PlanEvolution, error) {
 	cfg = cfg.normalized()
 	rel, err := runVariant(baselines.VariantRelOpt, sf, cfg, query, false, nil)
 	if err != nil {
@@ -63,12 +63,12 @@ func MeasurePlanEvolution(cfg Config, query string, sf float64) (*PlanEvolution,
 // plan across DYNO's re-optimization points, next to the static
 // relational optimizer's plan.
 func Figure2Plans(cfg Config) (*PlanEvolution, error) {
-	return MeasurePlanEvolution(cfg, "Q8p", 100)
+	return measurePlanEvolution(cfg, "Q8p", 100)
 }
 
 // Figure3Plans reproduces Figure 3: the Q9' plans — the static
 // optimizer's all-repartition plan versus DYNO's broadcast plan after
 // pilot runs.
 func Figure3Plans(cfg Config) (*PlanEvolution, error) {
-	return MeasurePlanEvolution(cfg, "Q9p", 300)
+	return measurePlanEvolution(cfg, "Q9p", 300)
 }

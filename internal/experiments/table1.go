@@ -10,11 +10,11 @@ import (
 	"dyno/internal/tpch"
 )
 
-// Table1Queries are the four queries of the paper's Table 1.
-var Table1Queries = []string{"Q2", "Q8p", "Q9p", "Q10"}
+// table1Queries are the four queries of the paper's Table 1.
+var table1Queries = []string{"Q2", "Q8p", "Q9p", "Q10"}
 
-// Table1SFs are the PILR_MT scale factors of Table 1.
-var Table1SFs = []float64{100, 300, 1000}
+// table1SFs are the PILR_MT scale factors of Table 1.
+var table1SFs = []float64{100, 300, 1000}
 
 // pilotTime measures only the PILR phase for one query.
 func pilotTime(mode core.PilotMode, sf float64, cfg Config, query string) (float64, error) {
@@ -50,13 +50,13 @@ func Table1(cfg Config) (*Table, error) {
 		Title:  "Table 1: Relative execution time of PILR for varying queries and scale factors",
 		Header: []string{"Query", "SF100-ST", "SF100-MT", "SF300-MT", "SF1000-MT"},
 	}
-	for _, q := range Table1Queries {
+	for _, q := range table1Queries {
 		base, err := pilotTime(core.PilotST, 100, cfg, q)
 		if err != nil {
 			return nil, err
 		}
 		row := []string{q, "100%"}
-		for _, sf := range Table1SFs {
+		for _, sf := range table1SFs {
 			mt, err := pilotTime(core.PilotMT, sf, cfg, q)
 			if err != nil {
 				return nil, err
@@ -79,7 +79,7 @@ func Table1Raw(cfg Config, query string) (st100 float64, mt map[float64]float64,
 		return 0, nil, err
 	}
 	mt = map[float64]float64{}
-	for _, sf := range Table1SFs {
+	for _, sf := range table1SFs {
 		v, err := pilotTime(core.PilotMT, sf, cfg, query)
 		if err != nil {
 			return 0, nil, fmt.Errorf("MT SF%g: %w", sf, err)

@@ -55,18 +55,6 @@ func SortedAliases(e Expr) []string {
 	return out
 }
 
-// IsLocalTo reports whether the expression references columns of a
-// single alias only (the paper's definition of a *local* predicate). An
-// expression referencing no columns is local to anything.
-func IsLocalTo(e Expr, alias string) bool {
-	for a := range Aliases(e) {
-		if a != alias {
-			return false
-		}
-	}
-	return true
-}
-
 // SplitConjuncts flattens nested ANDs into a list of conjuncts.
 func SplitConjuncts(e Expr) []Expr {
 	if e == nil {
@@ -124,23 +112,6 @@ func ContainsUDF(e Expr) bool {
 		}
 	})
 	return found
-}
-
-// UDFNames returns the sorted names of the UDFs invoked by the
-// expression.
-func UDFNames(e Expr) []string {
-	set := map[string]bool{}
-	walk(e, func(x Expr) {
-		if c, ok := x.(*Call); ok {
-			set[c.Name] = true
-		}
-	})
-	out := make([]string, 0, len(set))
-	for n := range set {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // ColumnPaths returns the distinct column paths referenced by the

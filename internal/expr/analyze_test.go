@@ -25,21 +25,6 @@ func TestAliases(t *testing.T) {
 	}
 }
 
-func TestIsLocalTo(t *testing.T) {
-	if !IsLocalTo(localPred(), "rs") {
-		t.Error("local predicate should be local to rs")
-	}
-	if IsLocalTo(localPred(), "rv") {
-		t.Error("local predicate is not local to rv")
-	}
-	if IsLocalTo(joinPred(), "rs") {
-		t.Error("join predicate is not local")
-	}
-	if !IsLocalTo(NewLit(data.Bool(true)), "anything") {
-		t.Error("constant expression is local to anything")
-	}
-}
-
 func TestSplitConjoinRoundTrip(t *testing.T) {
 	a, b, c := localPred(), joinPred(), &Not{E: localPred()}
 	e := &And{Terms: []Expr{a, &And{Terms: []Expr{b, c}}}}
@@ -92,10 +77,6 @@ func TestContainsUDFAndNames(t *testing.T) {
 	}
 	if ContainsUDF(joinPred()) {
 		t.Error("plain join pred has no UDF")
-	}
-	got := UDFNames(e)
-	if !reflect.DeepEqual(got, []string{"checkid", "sentanalysis"}) {
-		t.Errorf("UDFNames = %v", got)
 	}
 }
 

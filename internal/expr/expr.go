@@ -24,8 +24,8 @@ type Ctx struct {
 	Err        error
 }
 
-// Errf records the first evaluation error.
-func (c *Ctx) Errf(format string, args ...any) {
+// errf records the first evaluation error.
+func (c *Ctx) errf(format string, args ...any) {
 	if c.Err == nil {
 		c.Err = fmt.Errorf(format, args...)
 	}
@@ -274,7 +274,7 @@ func (c *Call) Eval(ctx *Ctx, row data.Value) data.Value {
 	}
 	udf, ok := ctx.Reg.Lookup(c.Name)
 	if !ok {
-		ctx.Errf("expr: unknown UDF %q", c.Name)
+		ctx.errf("expr: unknown UDF %q", c.Name)
 		return data.Null()
 	}
 	args := make([]data.Value, len(c.Args))
@@ -320,13 +320,4 @@ func (r *Registry) Register(u UDF) { r.m[u.Name] = u }
 func (r *Registry) Lookup(name string) (UDF, bool) {
 	u, ok := r.m[name]
 	return u, ok
-}
-
-// Names returns the registered UDF names (unordered).
-func (r *Registry) Names() []string {
-	out := make([]string, 0, len(r.m))
-	for n := range r.m {
-		out = append(out, n)
-	}
-	return out
 }

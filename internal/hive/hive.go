@@ -7,30 +7,9 @@
 // amortize the build loads across all tasks of a node.
 package hive
 
-import (
-	"dyno/internal/cluster"
-	"dyno/internal/coord"
-	"dyno/internal/dfs"
-	"dyno/internal/expr"
-	"dyno/internal/mapreduce"
-)
+import "dyno/internal/mapreduce"
 
 // Configure switches an existing environment to the Hive profile.
 func Configure(env *mapreduce.Env) {
 	env.DistributedCache = true
-	if env.BytesPerReducer == 0 {
-		env.BytesPerReducer = mapreduce.DefaultBytesPerReducer
-	}
-}
-
-// NewEnv builds a fresh Hive-profile environment over shared storage.
-func NewEnv(fs *dfs.FS, cfg cluster.Config, reg *expr.Registry) *mapreduce.Env {
-	env := &mapreduce.Env{
-		FS:    fs,
-		Sim:   cluster.New(cfg),
-		Coord: coord.NewService(),
-		Reg:   reg,
-	}
-	Configure(env)
-	return env
 }

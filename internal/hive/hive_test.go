@@ -19,9 +19,6 @@ func TestConfigureEnablesDistributedCache(t *testing.T) {
 	if !env.DistributedCache {
 		t.Error("DistributedCache should be on")
 	}
-	if env.BytesPerReducer == 0 {
-		t.Error("BytesPerReducer should default")
-	}
 }
 
 func TestNewEnvBroadcastCheaperThanJaqlProfile(t *testing.T) {
@@ -54,11 +51,9 @@ func TestNewEnvBroadcastCheaperThanJaqlProfile(t *testing.T) {
 			)}))
 		}
 		reg := expr.NewRegistry()
-		var env *mapreduce.Env
+		env := &mapreduce.Env{FS: fs, Sim: cluster.New(cfg), Coord: coord.NewService(), Reg: reg}
 		if profile == "hive" {
-			env = NewEnv(fs, cfg, reg)
-		} else {
-			env = &mapreduce.Env{FS: fs, Sim: cluster.New(cfg), Coord: coord.NewService(), Reg: reg}
+			Configure(env)
 		}
 		bigFile, _ := fs.Open("big")
 		smallFile, _ := fs.Open("small")

@@ -20,10 +20,9 @@ type ExecOpts struct {
 	// §5.4). Nil disables collection.
 	StatsPaths []data.Path
 	KMVSize    int
-	OutputPath string
 	// PruneLive, when non-nil, is the projection-pushdown live-column
 	// map: every row a job emits or shuffles carries only the fields
-	// the query references (see physop.NewPruner).
+	// the query references (physop.Compile applies it).
 	PruneLive map[string]map[string]bool
 	// SwitchMmax, when positive, enables the dynamic join operator the
 	// paper plans as future work (§8): a repartition join whose
@@ -48,7 +47,7 @@ func SubmitUnit(env *mapreduce.Env, u *Unit, opts ExecOpts) (*Run, error) {
 	if u.Done() {
 		return nil, fmt.Errorf("jaql: unit %s already executed", u.Name)
 	}
-	if !u.Ready() {
+	if !u.ready() {
 		return nil, fmt.Errorf("jaql: unit %s has unexecuted dependencies", u.Name)
 	}
 	spec, err := buildSpec(env, u, opts)
@@ -103,25 +102,21 @@ func avgSize(res *mapreduce.Result) float64 {
 // unit as a physical operator and binds the operator's kernels to the
 // unit's input files.
 func buildSpec(env *mapreduce.Env, u *Unit, opts ExecOpts) (mapreduce.Spec, error) {
-	out := opts.OutputPath
-	if out == "" {
-		out = "tmp/" + u.Name
-	}
 	spec := mapreduce.Spec{
 		Name:         u.Name,
-		Output:       out,
+		Output:       "tmp/" + u.Name,
 		CollectStats: opts.StatsPaths,
 		KMVSize:      opts.KMVSize,
 	}
 	switch u.Kind {
-	case UnitScan:
+	case unitScan:
 		file, err := u.Probe.file()
 		if err != nil {
 			return spec, err
 		}
 		op := &physop.OpSpec{Kind: physop.Scan, Source: sourceSpec(u.Probe), Prune: opts.PruneLive}
 		return op.Bind(spec, file)
-	case UnitRepartition:
+	case unitRepartition:
 		j := u.Chain[0]
 		lf, err := u.Probe.file()
 		if err != nil {
@@ -159,7 +154,7 @@ func buildSpec(env *mapreduce.Env, u *Unit, opts ExecOpts) (mapreduce.Spec, erro
 			Prune:     opts.PruneLive,
 		}
 		return op.Bind(spec, lf, rf)
-	case UnitBroadcastChain:
+	case unitBroadcastChain:
 		pf, err := u.Probe.file()
 		if err != nil {
 			return spec, err
@@ -175,20 +170,20 @@ func buildSpec(env *mapreduce.Env, u *Unit, opts ExecOpts) (mapreduce.Spec, erro
 
 // sourceSpec is a unit input source minus its file, which travels as a
 // job input.
-func sourceSpec(s Source) *physop.Source {
+func sourceSpec(s source) *physop.Source {
 	return &physop.Source{Wrap: s.Wrap, Filter: s.Filter}
 }
 
 // buildStep pairs a broadcast build source with the join it serves.
 type buildStep struct {
-	src  Source
+	src  source
 	join *plan.Join
 }
 
 // chainSpec assembles a map-only hash-join job: the probe input
 // streams through the chain of builds. Step i's probe-side keys
 // resolve against the probe aliases plus all builds merged before it.
-func chainSpec(spec mapreduce.Spec, probe Source, probeFile *dfs.File, steps []buildStep, live map[string]map[string]bool) (mapreduce.Spec, error) {
+func chainSpec(spec mapreduce.Spec, probe source, probeFile *dfs.File, steps []buildStep, live map[string]map[string]bool) (mapreduce.Spec, error) {
 	op := &physop.OpSpec{Kind: physop.Chain, Source: sourceSpec(probe), Prune: live}
 	probeAliases := append([]string(nil), probe.aliases()...)
 	for i, st := range steps {

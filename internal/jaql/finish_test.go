@@ -80,9 +80,9 @@ func TestFinishQueryAggregateDefaultOutPath(t *testing.T) {
 }
 
 func TestUnitKindString(t *testing.T) {
-	if UnitScan.String() != "scan" || UnitRepartition.String() != "repartition" ||
-		UnitBroadcastChain.String() != "broadcast-chain" {
-		t.Error("UnitKind strings broken")
+	if unitScan.String() != "scan" || unitRepartition.String() != "repartition" ||
+		unitBroadcastChain.String() != "broadcast-chain" {
+		t.Error("unitKind strings broken")
 	}
 }
 

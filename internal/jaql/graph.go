@@ -10,37 +10,37 @@ import (
 	"dyno/internal/plan"
 )
 
-// UnitKind classifies a job unit.
-type UnitKind int
+// unitKind classifies a job unit.
+type unitKind int
 
 // The job shapes the compiler emits.
 const (
-	// UnitScan materializes a single leaf expression (used for
+	// unitScan materializes a single leaf expression (used for
 	// single-relation queries and pilot runs).
-	UnitScan UnitKind = iota
-	// UnitRepartition is one repartition join: a full MapReduce job.
-	UnitRepartition
-	// UnitBroadcastChain is one or more chained broadcast joins in a
+	unitScan unitKind = iota
+	// unitRepartition is one repartition join: a full MapReduce job.
+	unitRepartition
+	// unitBroadcastChain is one or more chained broadcast joins in a
 	// single map-only job.
-	UnitBroadcastChain
+	unitBroadcastChain
 )
 
 // String names the kind.
-func (k UnitKind) String() string {
+func (k unitKind) String() string {
 	switch k {
-	case UnitScan:
+	case unitScan:
 		return "scan"
-	case UnitRepartition:
+	case unitRepartition:
 		return "repartition"
 	default:
 		return "broadcast-chain"
 	}
 }
 
-// Source describes one input of a unit: either an available file
+// source describes one input of a unit: either an available file
 // (base table or materialized intermediate) or the output of another
 // unit.
-type Source struct {
+type source struct {
 	Rel    *plan.Rel // set for scans of base/intermediate relations
 	Wrap   string    // alias to wrap raw base records with
 	Filter expr.Expr // inline local predicate for base scans
@@ -48,7 +48,7 @@ type Source struct {
 }
 
 // file resolves the source's input file; dep units must have finished.
-func (s *Source) file() (*dfs.File, error) {
+func (s *source) file() (*dfs.File, error) {
 	if s.Dep != nil {
 		if s.Dep.OutRel == nil {
 			return nil, fmt.Errorf("jaql: dependency %s not executed", s.Dep.Name)
@@ -62,7 +62,7 @@ func (s *Source) file() (*dfs.File, error) {
 }
 
 // aliases returns the aliases the source's rows cover.
-func (s *Source) aliases() []string {
+func (s *source) aliases() []string {
 	if s.Dep != nil {
 		return s.Dep.Aliases
 	}
@@ -72,7 +72,7 @@ func (s *Source) aliases() []string {
 // Unit is one MapReduce job cut out of a physical plan.
 type Unit struct {
 	Name    string
-	Kind    UnitKind
+	Kind    unitKind
 	Deps    []*Unit
 	Aliases []string // aliases covered by the unit's output
 
@@ -81,10 +81,10 @@ type Unit struct {
 	Chain []*plan.Join
 	// Probe is the streamed input (repartition left / chain probe /
 	// scan input); Right is the repartition right input.
-	Probe Source
-	Right Source
+	Probe source
+	Right source
 	// Builds are the broadcast build sides, aligned with Chain.
-	Builds []Source
+	Builds []source
 
 	// EstCost is the optimizer's local cost for the unit's joins (used
 	// by the CHEAP strategies); Uncertainty counts its joins (UNC
@@ -105,8 +105,8 @@ type Unit struct {
 // Done reports whether the unit has executed.
 func (u *Unit) Done() bool { return u.OutRel != nil }
 
-// Ready reports whether all dependencies have executed.
-func (u *Unit) Ready() bool {
+// ready reports whether all dependencies have executed.
+func (u *Unit) ready() bool {
 	for _, d := range u.Deps {
 		if !d.Done() {
 			return false
@@ -116,7 +116,7 @@ func (u *Unit) Ready() bool {
 }
 
 // MapOnly reports whether the unit runs without a reduce phase.
-func (u *Unit) MapOnly() bool { return u.Kind != UnitRepartition || u.Switched }
+func (u *Unit) MapOnly() bool { return u.Kind != unitRepartition || u.Switched }
 
 // String renders the unit.
 func (u *Unit) String() string {
@@ -134,7 +134,7 @@ type Graph struct {
 func (g *Graph) Ready() []*Unit {
 	var out []*Unit
 	for _, u := range g.Units {
-		if !u.Done() && u.Ready() {
+		if !u.Done() && u.ready() {
 			out = append(out, u)
 		}
 	}
@@ -157,7 +157,7 @@ func BuildGraph(root plan.Node, prepared Prepared, namePrefix string) (*Graph, e
 	case *plan.Scan:
 		u := &Unit{
 			Name:    fmt.Sprintf("%s-scan", namePrefix),
-			Kind:    UnitScan,
+			Kind:    unitScan,
 			Probe:   b.scanSource(n),
 			Aliases: n.Aliases(),
 		}
@@ -180,7 +180,7 @@ type graphBuilder struct {
 	n        int
 }
 
-func (b *graphBuilder) scanSource(s *plan.Scan) Source {
+func (b *graphBuilder) scanSource(s *plan.Scan) source {
 	rel := s.Rel
 	if rel.IsBase() {
 		if b.prepared != nil {
@@ -189,26 +189,26 @@ func (b *graphBuilder) scanSource(s *plan.Scan) Source {
 				// already wrapped and filtered.
 				r := *rel
 				r.File = f
-				return Source{Rel: &r}
+				return source{Rel: &r}
 			}
 		}
-		return Source{Rel: rel, Wrap: rel.Leaf.Alias, Filter: rel.Leaf.Pred}
+		return source{Rel: rel, Wrap: rel.Leaf.Alias, Filter: rel.Leaf.Pred}
 	}
-	return Source{Rel: rel}
+	return source{Rel: rel}
 }
 
-func (b *graphBuilder) sourceFor(n plan.Node) (Source, error) {
+func (b *graphBuilder) sourceFor(n plan.Node) (source, error) {
 	switch t := n.(type) {
 	case *plan.Scan:
 		return b.scanSource(t), nil
 	case *plan.Join:
 		u, err := b.unitFor(t)
 		if err != nil {
-			return Source{}, err
+			return source{}, err
 		}
-		return Source{Dep: u}, nil
+		return source{Dep: u}, nil
 	default:
-		return Source{}, fmt.Errorf("jaql: unsupported plan node %T", n)
+		return source{}, fmt.Errorf("jaql: unsupported plan node %T", n)
 	}
 }
 
@@ -219,7 +219,7 @@ func (b *graphBuilder) unitFor(j *plan.Join) (*Unit, error) {
 		Aliases: j.Aliases(),
 	}
 	if j.Method == plan.Repartition {
-		u.Kind = UnitRepartition
+		u.Kind = unitRepartition
 		u.Chain = []*plan.Join{j}
 		var err error
 		if u.Probe, err = b.sourceFor(j.Left); err != nil {
@@ -229,7 +229,7 @@ func (b *graphBuilder) unitFor(j *plan.Join) (*Unit, error) {
 			return nil, err
 		}
 	} else {
-		u.Kind = UnitBroadcastChain
+		u.Kind = unitBroadcastChain
 		// Collect the chain top-down, then reverse to bottom-up.
 		var members []*plan.Join
 		cur := j
@@ -258,7 +258,7 @@ func (b *graphBuilder) unitFor(j *plan.Join) (*Unit, error) {
 		}
 	}
 	// Dependencies, local cost, and uncertainty.
-	for _, s := range append([]Source{u.Probe, u.Right}, u.Builds...) {
+	for _, s := range append([]source{u.Probe, u.Right}, u.Builds...) {
 		if s.Dep != nil {
 			u.Deps = append(u.Deps, s.Dep)
 		}

@@ -347,7 +347,7 @@ func TestPreparedReuseSkipsBaseScan(t *testing.T) {
 	// The unit consuming s must read the prepared file with no filter.
 	found := false
 	for _, u := range g.Units {
-		for _, src := range append([]Source{u.Probe, u.Right}, u.Builds...) {
+		for _, src := range append([]source{u.Probe, u.Right}, u.Builds...) {
 			if src.Rel != nil && src.Rel.Covers("s") {
 				found = true
 				if src.Filter != nil || src.Wrap != "" {
@@ -501,7 +501,7 @@ func TestDynamicJoinSwitch(t *testing.T) {
 		t.Fatal(err)
 	}
 	u := g.Units[0]
-	if u.Kind != UnitRepartition {
+	if u.Kind != unitRepartition {
 		t.Fatalf("want a repartition unit, got %v", u.Kind)
 	}
 	run, err := SubmitUnit(env, u, ExecOpts{SwitchMmax: float64(env.Sim.Config().SlotMemory)})

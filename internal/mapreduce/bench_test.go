@@ -157,7 +157,7 @@ func BenchmarkJobFinish(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		j, err := NewJob(env, Spec{Name: "finish", Inputs: []Input{{File: in, Map: identityMap}}, Output: "out",
+		j, err := newJob(env, Spec{Name: "finish", Inputs: []Input{{File: in, Map: identityMap}}, Output: "out",
 			CollectStats: paths, KMVSize: 512})
 		if err != nil {
 			b.Fatal(err)

@@ -27,17 +27,17 @@ import (
 	"dyno/internal/stats"
 )
 
-// ErrBroadcastOOM is returned when a broadcast build side does not fit
+// errBroadcastOOM is returned when a broadcast build side does not fit
 // in a task slot's memory. In Jaql this aborts the query (§2.2.1: "the
 // execution of the join, and hence the query fails due to an out of
 // memory error").
-var ErrBroadcastOOM = errors.New("mapreduce: broadcast build side exceeds slot memory")
+var errBroadcastOOM = errors.New("mapreduce: broadcast build side exceeds slot memory")
 
-// DefaultBytesPerReducer sizes reduce tasks from job input volume in
+// defaultBytesPerReducer sizes reduce tasks from job input volume in
 // the spirit of Hive's bytes-per-reducer default, set to 256 MB so that
 // jobs whose shuffle volume approaches their input volume still get
 // adequate reduce parallelism on the simulated cluster.
-const DefaultBytesPerReducer = 256 << 20
+const defaultBytesPerReducer = 256 << 20
 
 // Gate is how an engine session drives the cluster simulator: submit
 // jobs, read and charge the virtual clock, and block on a
@@ -69,7 +69,7 @@ type Env struct {
 	Reg   *expr.Registry
 	// Gate, when non-nil, mediates all simulator access for this
 	// environment (shared-cluster mode); nil means Sim itself. Use the
-	// Env methods SubmitJob, Now, Advance, and RunUntil instead of
+	// Env methods submitJob, Now, Advance, and RunUntil instead of
 	// touching Sim directly in any code path a gated session can reach.
 	Gate Gate
 	// Exec, when non-nil, delegates the per-record work of every map
@@ -118,8 +118,8 @@ func (e *Env) gate() Gate {
 	return e.Sim
 }
 
-// SubmitJob enqueues a job.
-func (e *Env) SubmitJob(j cluster.Job) *cluster.Submission { return e.gate().Submit(j) }
+// submitJob enqueues a job.
+func (e *Env) submitJob(j cluster.Job) *cluster.Submission { return e.gate().Submit(j) }
 
 // Now returns the current virtual time.
 func (e *Env) Now() float64 { return e.gate().Now() }
@@ -388,8 +388,8 @@ type Job struct {
 	done   bool
 }
 
-// NewJob validates a spec and returns a job ready to submit.
-func NewJob(env *Env, spec Spec) (*Job, error) {
+// newJob validates a spec and returns a job ready to submit.
+func newJob(env *Env, spec Spec) (*Job, error) {
 	if env == nil || env.FS == nil || env.Sim == nil || env.Coord == nil {
 		return nil, errors.New("mapreduce: incomplete environment")
 	}
@@ -435,7 +435,7 @@ func NewJob(env *Env, spec Spec) (*Job, error) {
 func ReducersFor(env *Env, shuffleBytes float64) int {
 	per := float64(env.BytesPerReducer)
 	if per <= 0 {
-		per = DefaultBytesPerReducer
+		per = defaultBytesPerReducer
 	}
 	n := int(shuffleBytes / per)
 	if n < 1 {
@@ -604,7 +604,7 @@ func (j *Job) runMap(st *mapTaskState, input Input) (cluster.Usage, int64, error
 	if len(j.spec.Broadcasts) > 0 {
 		if j.buildBytes > j.env.ClusterConfig().SlotMemory {
 			return u, 0, fmt.Errorf("%w: build %d bytes > slot memory %d",
-				ErrBroadcastOOM, j.buildBytes, j.env.ClusterConfig().SlotMemory)
+				errBroadcastOOM, j.buildBytes, j.env.ClusterConfig().SlotMemory)
 		}
 	}
 	st.collector = j.newCollector()
@@ -898,11 +898,11 @@ func (j *Job) Result() (*Result, error) {
 // Submit creates the job, submits it, and returns the submission handle
 // together with the job for result retrieval.
 func Submit(env *Env, spec Spec) (*Job, *cluster.Submission, error) {
-	j, err := NewJob(env, spec)
+	j, err := newJob(env, spec)
 	if err != nil {
 		return nil, nil, err
 	}
-	sub := env.SubmitJob(j)
+	sub := env.submitJob(j)
 	return j, sub, nil
 }
 

@@ -222,8 +222,8 @@ func TestBroadcastOOM(t *testing.T) {
 		},
 		Output: "x",
 	})
-	if err == nil || !errors.Is(err, ErrBroadcastOOM) {
-		t.Fatalf("err = %v, want ErrBroadcastOOM", err)
+	if err == nil || !errors.Is(err, errBroadcastOOM) {
+		t.Fatalf("err = %v, want errBroadcastOOM", err)
 	}
 }
 
@@ -440,11 +440,11 @@ func TestSpecValidation(t *testing.T) {
 			MoreSplits: [][]int{{1}, {2}}},
 	}
 	for i, spec := range cases {
-		if _, err := NewJob(env, spec); err == nil {
+		if _, err := newJob(env, spec); err == nil {
 			t.Errorf("case %d: want validation error", i)
 		}
 	}
-	if _, err := NewJob(nil, Spec{}); err == nil {
+	if _, err := newJob(nil, Spec{}); err == nil {
 		t.Error("nil env should fail")
 	}
 }
@@ -454,7 +454,7 @@ func TestDefaultReducersScaleWithInput(t *testing.T) {
 	env.BytesPerReducer = 2000
 	f := writeTable(env, "t", "a", 300)
 	key := data.MustParsePath("a.grp")
-	j, err := NewJob(env, Spec{
+	j, err := newJob(env, Spec{
 		Name:   "auto",
 		Inputs: []Input{{File: f, Map: perRecord(func(mc *MapCtx, rec data.Value) { mc.EmitKV(key.Eval(rec), "", rec) })}},
 		Reduce: func(rc *ReduceCtx, k data.Value, group []Pair) {},
@@ -725,7 +725,7 @@ func TestBroadcastOOMUsesFilteredSize(t *testing.T) {
 		})},
 		Output: "out2",
 	})
-	if !errors.Is(err, ErrBroadcastOOM) {
+	if !errors.Is(err, errBroadcastOOM) {
 		t.Errorf("unfiltered build should OOM, got %v", err)
 	}
 }

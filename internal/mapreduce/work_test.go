@@ -347,7 +347,7 @@ func TestJobLifecycleRunsOnThePool(t *testing.T) {
 			return b
 		}
 		key := data.MustParsePath("a.grp")
-		j, err := NewJob(env, Spec{
+		j, err := newJob(env, Spec{
 			Name: "lifecycle",
 			Inputs: []Input{{File: probe, Map: perRecord(func(mc *MapCtx, rec data.Value) {
 				for _, m := range mc.Build("x").Probe(key.Eval(rec)) {
@@ -375,7 +375,7 @@ func TestJobLifecycleRunsOnThePool(t *testing.T) {
 				fn()
 			}
 		})
-		sub := env.SubmitJob(j)
+		sub := env.submitJob(j)
 		if err := env.RunUntil(sub.Done); err != nil || sub.Err() != nil {
 			t.Fatal(err, sub.Err())
 		}

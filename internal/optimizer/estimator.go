@@ -50,7 +50,7 @@ func (e *Estimator) Annotate(root plan.Node) error {
 	if err := e.annotate(root); err != nil {
 		return err
 	}
-	CostTree(root, e.m.cfg)
+	costTree(root, e.m.cfg)
 	return nil
 }
 

@@ -106,14 +106,14 @@ func TestEstimatorHasEdge(t *testing.T) {
 
 func TestReplicationFactors(t *testing.T) {
 	var cfg Config // 128 MB splits
-	if got := Replication(cfg, 64<<20); got != 1 {
+	if got := replication(cfg, 64<<20); got != 1 {
 		t.Errorf("small probe replication = %v", got)
 	}
-	if got := Replication(cfg, 10*128<<20); got != 10 {
+	if got := replication(cfg, 10*128<<20); got != 10 {
 		t.Errorf("10-block probe replication = %v", got)
 	}
 	cfg.DCacheWorkers = 4
-	if got := Replication(cfg, 10*128<<20); got != 4 {
+	if got := replication(cfg, 10*128<<20); got != 4 {
 		t.Errorf("distributed cache should cap at workers: %v", got)
 	}
 }
@@ -246,7 +246,7 @@ func TestCJobPrefersFlatChains(t *testing.T) {
 	// With a per-job cost, a flat broadcast chain (one map job) should
 	// beat nesting the tiny dimensions into their own jobs.
 	block := starBlock(3, 500)
-	res, err := Optimize(block, DefaultConfig(1e9/BroadcastSafety))
+	res, err := Optimize(block, DefaultConfig(1e9/broadcastSafety))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,7 +98,7 @@ func TestPropertyIncrementalMatchesExhaustive(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		block := randomBlock(r)
-		cfg := DefaultConfig(float64(1+r.Intn(4)) * 1e9 / BroadcastSafety)
+		cfg := DefaultConfig(float64(1+r.Intn(4)) * 1e9 / broadcastSafety)
 		inc := NewIncremental(cfg)
 		rng := rand.New(rand.NewSource(seed ^ 0x5deece66d))
 		for round := 0; len(block.Rels) > 1; round++ {

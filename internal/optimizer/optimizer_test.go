@@ -328,11 +328,11 @@ func TestOptimizeErrors(t *testing.T) {
 	for i := 0; i < 21; i++ {
 		big.Rels = append(big.Rels, mkRel(string(rune('a'+i)), 10, 10, nil))
 	}
-	if _, err := Optimize(big, cfgWithMmax(1)); !errors.Is(err, ErrTooManyRelations) {
-		t.Errorf("oversized block: got %v, want ErrTooManyRelations", err)
+	if _, err := Optimize(big, cfgWithMmax(1)); !errors.Is(err, errTooManyRelations) {
+		t.Errorf("oversized block: got %v, want errTooManyRelations", err)
 	}
-	if _, err := Optimize(starBlock(3, 500), cfgWithMmax(1e9)); errors.Is(err, ErrTooManyRelations) {
-		t.Error("small block must not report ErrTooManyRelations")
+	if _, err := Optimize(starBlock(3, 500), cfgWithMmax(1e9)); errors.Is(err, errTooManyRelations) {
+		t.Error("small block must not report errTooManyRelations")
 	}
 }
 
@@ -360,8 +360,8 @@ func TestCostTreeMatchesWinnerCost(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := res.Root.Cost()
-	got := CostTree(res.Root, cfg)
+	got := costTree(res.Root, cfg)
 	if math.Abs(got-want) > 1e-6*math.Max(1, want) {
-		t.Errorf("CostTree = %v, memo winner = %v", got, want)
+		t.Errorf("costTree = %v, memo winner = %v", got, want)
 	}
 }

@@ -102,7 +102,7 @@ func TestPropertyOptimizerPlansAreValid(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		b := randomBlock(r)
-		cfg := DefaultConfig(float64(1+r.Intn(4)) * 1e9 / BroadcastSafety)
+		cfg := DefaultConfig(float64(1+r.Intn(4)) * 1e9 / broadcastSafety)
 		res, err := Optimize(b, cfg)
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)

@@ -22,7 +22,7 @@ const SyntheticSlotMemory = 1 << 30
 // Cardinalities are log-uniform over several orders of magnitude and
 // every column gets a seeded NDV, so plans are non-trivial and cost
 // bounds have spread to prune against. n is capped only by the
-// optimizer's own MaxRelations. The graph for a given (kind, n, seed)
+// optimizer's own maxRelations. The graph for a given (kind, n, seed)
 // is fixed: the allocation ceilings in BENCH_allocs_baseline.txt and
 // the groups-expanded table in EXPERIMENTS.md describe these graphs,
 // so the order of draws from the seeded source must not change.

@@ -83,7 +83,7 @@ func runChain3(t *testing.T, a arm, env *mapreduce.Env, prune map[string]map[str
 			Name: name, File: builds[i], Wrap: name, KeyPaths: []data.Path{data.MustParsePath(name + ".k")}}))
 	}
 	spec, err := a.bind(op, spec, probe)
-	want := chainOracle(probe.AllRecords(), builds[0].AllRecords(), builds[1].AllRecords(), builds[2].AllRecords(), NewPruner(prune))
+	want := chainOracle(probe.AllRecords(), builds[0].AllRecords(), builds[1].AllRecords(), builds[2].AllRecords(), newPruner(prune))
 	if len(want) == 0 {
 		t.Fatal("oracle join is empty; test is vacuous")
 	}
@@ -181,7 +181,7 @@ func TestJoinReduceSharedAcrossTasks(t *testing.T) {
 				if errs[p] != nil {
 					t.Fatal(errs[p])
 				}
-				want := joinOracle(parts[p], NewPruner(live))
+				want := joinOracle(parts[p], newPruner(live))
 				if len(want) == 0 || len(want) == 40*6*6 {
 					t.Fatalf("residual not selective: %d rows", len(want))
 				}

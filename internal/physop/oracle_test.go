@@ -37,7 +37,7 @@ func oracleCompile(op *OpSpec, input int, sample data.Value) (Kernels, error) {
 	if err != nil {
 		return k, err
 	}
-	prune := NewPruner(op.Prune)
+	prune := newPruner(op.Prune)
 	switch op.Kind {
 	case Scan:
 		k.Map = perRecord(scanMap(sourceRowFn(deref(op.Source), sample), prune))

@@ -126,7 +126,7 @@ func BindBuild(b mapreduce.Broadcast, sample data.Value) mapreduce.Broadcast {
 // is the first raw record the map kernel will see (null when the
 // input is empty): expressions and key paths are bound to its layout.
 func Compile(op *OpSpec, input int, sample data.Value) (Kernels, error) {
-	prune := NewPruner(op.Prune)
+	prune := newPruner(op.Prune)
 	switch op.Kind {
 	case Scan:
 		return Kernels{Map: scanKernel(compileSource(deref(op.Source), sample), prune)}, nil
@@ -417,10 +417,10 @@ func prunes(live map[string]map[string]bool) bool {
 	return false
 }
 
-// NewPruner builds a row transform for projection pushdown: every
+// newPruner builds a row transform for projection pushdown: every
 // alias sub-record keeps only its live fields (a nil set keeps the
 // whole record). It is nil when live prunes nothing.
-func NewPruner(live map[string]map[string]bool) func(data.Value) data.Value {
+func newPruner(live map[string]map[string]bool) func(data.Value) data.Value {
 	if !prunes(live) {
 		return nil
 	}
@@ -466,7 +466,7 @@ func NewPruner(live map[string]map[string]bool) func(data.Value) data.Value {
 // keeps, so whoever holds the split rebuilds the task's output from the
 // positions alone. ok is false for every other op — a pruned scan, a
 // chain, a repartition or an aggregate emits rows of its own making.
-// "Unpruned" is NewPruner's verdict (no alias restricted to a field
+// "Unpruned" is newPruner's verdict (no alias restricted to a field
 // set), the one the scan kernel compiles to, so a map of nil sets —
 // which the wire drops — answers with positions on both ends.
 func ScanImage(op *OpSpec, d *batch.Data) (rows []data.Value, ok bool) {

@@ -44,9 +44,6 @@ func (l *Leaf) String() string {
 	return fmt.Sprintf("σ[%s](%s)", l.Pred.String(), l.Alias)
 }
 
-// HasUDF reports whether the leaf's local predicates call UDFs.
-func (l *Leaf) HasUDF() bool { return l.Pred != nil && expr.ContainsUDF(l.Pred) }
-
 // Rel is one node of a join block: a base leaf or an intermediate
 // relation materialized by a previous execution step.
 type Rel struct {
@@ -100,16 +97,6 @@ func (jb *JoinBlock) RelFor(alias string) *Rel {
 		}
 	}
 	return nil
-}
-
-// Aliases returns all aliases covered by the block, sorted.
-func (jb *JoinBlock) Aliases() []string {
-	var out []string
-	for _, r := range jb.Rels {
-		out = append(out, r.Aliases...)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // String summarizes the block.

@@ -30,13 +30,6 @@ func TestLeafSignatureAndString(t *testing.T) {
 	if !strings.Contains(l.String(), "σ[") {
 		t.Errorf("filtered leaf String = %q", l.String())
 	}
-	if l.HasUDF() {
-		t.Error("no UDF expected")
-	}
-	l.Pred = &expr.Call{Name: "f", Args: []expr.Expr{expr.NewCol("o.x")}}
-	if !l.HasUDF() {
-		t.Error("UDF expected")
-	}
 }
 
 func TestRelCoversAndString(t *testing.T) {
@@ -65,10 +58,6 @@ func TestJoinBlockHelpers(t *testing.T) {
 	}
 	if jb.RelFor("a") == nil || jb.RelFor("zz") != nil {
 		t.Error("RelFor broken")
-	}
-	al := jb.Aliases()
-	if len(al) != 2 || al[0] != "a" || al[1] != "b" {
-		t.Errorf("Aliases = %v", al)
 	}
 	if !strings.Contains(jb.String(), "⋈[a.k = b.k]") {
 		t.Errorf("String = %q", jb.String())

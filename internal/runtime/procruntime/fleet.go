@@ -46,12 +46,12 @@ type Config struct {
 	// SpillDir holds the mirrored DFS block files; default a fresh
 	// temp directory removed on Close.
 	SpillDir string
-	// MaxAttempts bounds dispatch attempts per task (including the
+	// maxAttempts bounds dispatch attempts per task (including the
 	// hedged attempt); default 3.
-	MaxAttempts int
-	// BlacklistAfter removes a worker from rotation after this many
+	maxAttempts int
+	// blacklistAfter removes a worker from rotation after this many
 	// consecutive failures; default 3.
-	BlacklistAfter int
+	blacklistAfter int
 	// HedgeMin is the minimum straggler hedge delay; default 2s. An
 	// attempt older than max(HedgeMin, hedgeFactor x median completed
 	// duration of the task kind) triggers a speculative second attempt
@@ -60,9 +60,6 @@ type Config struct {
 	// StaleAfter is how long a worker may stay silent (it reports every
 	// heartbeat) before dispatch skips it; default 10s.
 	StaleAfter time.Duration
-	// UDF is shipped to workers at registration so their registries
-	// evaluate the TPC-H UDFs with the controller's parameters.
-	UDF tpch.UDFParams
 	// Logf, when set, receives fleet events (registrations, retries,
 	// hedges, blacklists).
 	Logf func(format string, args ...any)
@@ -83,20 +80,17 @@ func (c Config) withDefaults() Config {
 	if c.Addr == "" {
 		c.Addr = "127.0.0.1:0"
 	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 3
+	if c.maxAttempts <= 0 {
+		c.maxAttempts = 3
 	}
-	if c.BlacklistAfter <= 0 {
-		c.BlacklistAfter = 3
+	if c.blacklistAfter <= 0 {
+		c.blacklistAfter = 3
 	}
 	if c.HedgeMin <= 0 {
 		c.HedgeMin = 2 * time.Second
 	}
 	if c.StaleAfter <= 0 {
 		c.StaleAfter = 10 * time.Second
-	}
-	if c.UDF == (tpch.UDFParams{}) {
-		c.UDF = tpch.DefaultUDFParams()
 	}
 	return c
 }
@@ -289,8 +283,9 @@ func (f *Fleet) RegisterWorkerCaps(url string, caps wire.Caps) (int, error) {
 	return w.id, nil
 }
 
-// Workers returns the number of live (non-blacklisted, fresh) workers.
-func (f *Fleet) Workers() int { return len(f.live(0)) }
+// liveWorkers returns the number of live (non-blacklisted, fresh)
+// workers.
+func (f *Fleet) liveWorkers() int { return len(f.live(0)) }
 
 // alive reports dispatch eligibility; callers hold f.mu.
 func (f *Fleet) alive(w *workerState) bool {
@@ -302,11 +297,11 @@ func (f *Fleet) alive(w *workerState) bool {
 func (f *Fleet) WaitForWorkers(n int, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
-		if f.Workers() >= n {
+		if f.liveWorkers() >= n {
 			return nil
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("procruntime: %d of %d workers registered within %s", f.Workers(), n, timeout)
+			return fmt.Errorf("procruntime: %d of %d workers registered within %s", f.liveWorkers(), n, timeout)
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
@@ -393,7 +388,9 @@ func (f *Fleet) handleRegister(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	udf, err := json.Marshal(f.cfg.UDF)
+	// Workers evaluate the TPC-H UDFs with the parameters every
+	// controller registers.
+	udf, err := json.Marshal(tpch.DefaultUDFParams())
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -563,7 +560,7 @@ func (f *Fleet) noteFailure(w *workerState) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	w.fails++
-	if w.fails >= f.cfg.BlacklistAfter && !w.black {
+	if w.fails >= f.cfg.blacklistAfter && !w.black {
 		w.black = true
 		f.logf("procruntime: worker %d (%s) blacklisted after %d consecutive failures", w.id, w.url, w.fails)
 	}
@@ -694,7 +691,7 @@ var errFleetClosed = errors.New("procruntime: fleet closed with tasks in dispatc
 // dispatch outside a wave, is its own frame, sent at once. Tasks
 // sharing a frame still retry, hedge, and fail independently.
 func (f *Fleet) dispatch(task *wire.Task, wv *wave) (*wire.TaskResult, error) {
-	results := make(chan attempt, f.cfg.MaxAttempts+1)
+	results := make(chan attempt, f.cfg.maxAttempts+1)
 	var tried []*workerState
 	launch := func() bool {
 		w := f.pickWorker(tried)
@@ -737,14 +734,14 @@ func (f *Fleet) dispatch(task *wire.Task, wv *wave) (*wire.TaskResult, error) {
 			}
 			lastErr = a.err
 			f.logf("procruntime: task %s attempt on worker %d failed: %v", task.Task, a.w.id, a.err)
-			if attempts < f.cfg.MaxAttempts && launch() {
+			if attempts < f.cfg.maxAttempts && launch() {
 				attempts++
 				inflight++
 			} else if inflight == 0 {
 				return nil, fmt.Errorf("procruntime: task %s failed after %d attempts: %w", task.Task, attempts, lastErr)
 			}
 		case <-hedge.C:
-			if !hedged && attempts < f.cfg.MaxAttempts && launch() {
+			if !hedged && attempts < f.cfg.maxAttempts && launch() {
 				hedged = true
 				attempts++
 				inflight++

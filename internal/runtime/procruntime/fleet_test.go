@@ -55,7 +55,7 @@ func TestDispatchRetriesOnDistinctWorkers(t *testing.T) {
 	// first pick is id 2, so the good worker (registered first, id 1)
 	// is reached only after both bad workers fail once each.
 	t.Run("single", func(t *testing.T) {
-		f := newBareFleet(t, Config{MaxAttempts: 3})
+		f := newBareFleet(t, Config{maxAttempts: 3})
 		good := newBatchStub(t, func(*wire.Task) *wire.TaskResult { return &wire.TaskResult{CPUSeconds: 1} })
 		bad1, bad2 := failStub(t), failStub(t)
 		register(t, f, good.srv.URL)
@@ -79,7 +79,7 @@ func TestDispatchRetriesOnDistinctWorkers(t *testing.T) {
 		}
 	})
 
-	// BlacklistAfter 2 is the tripwire: a 4-task wave splits 2/2 across
+	// blacklistAfter 2 is the tripwire: a 4-task wave splits 2/2 across
 	// the workers, so per-item failure counting would blacklist the bad
 	// worker from its single lost RPC; per-RPC counting must not. Each
 	// task the lost frame carried retries on the other worker as its own
@@ -87,7 +87,7 @@ func TestDispatchRetriesOnDistinctWorkers(t *testing.T) {
 	t.Run("wave", func(t *testing.T) {
 		good := newBatchStub(t, func(*wire.Task) *wire.TaskResult { return &wire.TaskResult{CPUSeconds: 1} })
 		bad := failStub(t)
-		f := newBareFleet(t, Config{BlacklistAfter: 2, MaxAttempts: 2})
+		f := newBareFleet(t, Config{blacklistAfter: 2, maxAttempts: 2})
 		register(t, f, good.srv.URL)
 		register(t, f, bad.srv.URL)
 
@@ -115,9 +115,9 @@ func TestDispatchRetriesOnDistinctWorkers(t *testing.T) {
 }
 
 // TestDispatchExhaustsAttempts: when every attempt fails in
-// transport, dispatch reports the failure after MaxAttempts.
+// transport, dispatch reports the failure after maxAttempts.
 func TestDispatchExhaustsAttempts(t *testing.T) {
-	f := newBareFleet(t, Config{MaxAttempts: 2})
+	f := newBareFleet(t, Config{maxAttempts: 2})
 	stubs := []*batchStub{failStub(t), failStub(t), failStub(t)}
 	for _, s := range stubs {
 		register(t, f, s.srv.URL)
@@ -135,7 +135,7 @@ func TestDispatchExhaustsAttempts(t *testing.T) {
 		hits += s.rpcs.Load()
 	}
 	if hits != 2 {
-		t.Errorf("workers hit %d times, want MaxAttempts=2", hits)
+		t.Errorf("workers hit %d times, want maxAttempts=2", hits)
 	}
 }
 
@@ -154,7 +154,7 @@ func TestDispatchFailFastOnOperatorError(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 		return &wire.TaskResult{CPUSeconds: 1}
 	}
-	f := newBareFleet(t, Config{MaxAttempts: 3})
+	f := newBareFleet(t, Config{maxAttempts: 3})
 	register(t, f, newBatchStub(t, fn).srv.URL)
 	register(t, f, newBatchStub(t, fn).srv.URL)
 
@@ -185,11 +185,11 @@ func TestDispatchFailFastOnOperatorError(t *testing.T) {
 	}
 }
 
-// TestDispatchBlacklist: a worker failing BlacklistAfter consecutive
+// TestDispatchBlacklist: a worker failing blacklistAfter consecutive
 // dispatches leaves the rotation; with nobody left, dispatch reports
 // no live workers instead of spinning.
 func TestDispatchBlacklist(t *testing.T) {
-	f := newBareFleet(t, Config{MaxAttempts: 1, BlacklistAfter: 3})
+	f := newBareFleet(t, Config{maxAttempts: 1, blacklistAfter: 3})
 	bad := failStub(t)
 	register(t, f, bad.srv.URL)
 
@@ -216,7 +216,7 @@ func TestDispatchBlacklist(t *testing.T) {
 // TestDispatchSuccessResetsFailures: failures must be consecutive to
 // blacklist; a success in between clears the count.
 func TestDispatchSuccessResetsFailures(t *testing.T) {
-	f := newBareFleet(t, Config{MaxAttempts: 1, BlacklistAfter: 2})
+	f := newBareFleet(t, Config{maxAttempts: 1, blacklistAfter: 2})
 	var n atomic.Int32
 	flaky := newBatchStub(t, func(*wire.Task) *wire.TaskResult {
 		// Fail, succeed, fail, succeed, ...: never two in a row.
@@ -240,7 +240,7 @@ func TestDispatchSuccessResetsFailures(t *testing.T) {
 // first answer wins — the dispatcher does not wait out the straggler
 // stuck inside its batched RPC.
 func TestDispatchHedgesStragglers(t *testing.T) {
-	f := newBareFleet(t, Config{MaxAttempts: 3, HedgeMin: 50 * time.Millisecond})
+	f := newBareFleet(t, Config{maxAttempts: 3, HedgeMin: 50 * time.Millisecond})
 	var order atomic.Int32
 	fn := func(*wire.Task) *wire.TaskResult {
 		// The first task to arrive anywhere is the straggler.

@@ -52,9 +52,6 @@ func (r *Runtime) Sim() *cluster.Sim { return r.sim }
 // Coord implements runtime.Runtime.
 func (r *Runtime) Coord() *coord.Service { return r.coord }
 
-// Fleet exposes the backing fleet (status, worker counts).
-func (r *Runtime) Fleet() *Fleet { return r.fleet }
-
 // NewEnv implements runtime.Runtime: the environment delegates task
 // bodies to the fleet.
 func (r *Runtime) NewEnv(reg *expr.Registry) *mapreduce.Env {

@@ -112,8 +112,8 @@ func (wv *wave) join(task *wire.Task, out chan<- attempt) *workerState {
 }
 
 // leave counts a closure that returned. In an open wave it dispatched
-// nothing (ErrBroadcastOOM, a missing remote op, no live worker); after
-// the send its join already counted it.
+// nothing (a broadcast build over slot memory, a missing remote op, no
+// live worker); after the send its join already counted it.
 func (wv *wave) leave() {
 	wv.mu.Lock()
 	defer wv.mu.Unlock()
@@ -144,7 +144,7 @@ func (wv *wave) arrive() {
 // flush runs one /tasks RPC and delivers per-task outcomes. A transport
 // failure fails every task in the frame (each retries on a distinct
 // worker) but is ONE failure against the worker — a single lost RPC must
-// not burn through BlacklistAfter just because it carried a full wave.
+// not burn through blacklistAfter just because it carried a full wave.
 func (f *Fleet) flush(w *workerState, tasks []*wire.Task, outs []chan<- attempt) {
 	start := time.Now()
 	results, err := f.postBatch(w, tasks)

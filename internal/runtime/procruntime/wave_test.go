@@ -252,7 +252,7 @@ func TestWaveSlotFailuresStayInTheirSlot(t *testing.T) {
 		}
 		return data.Bool(true)
 	}})
-	f := newBareFleet(t, Config{MaxAttempts: 3})
+	f := newBareFleet(t, Config{maxAttempts: 3})
 	_, url, blocks := newBlockWorker(t, reg, 6)
 	register(t, f, url)
 	_, url2, _ := newBlockWorker(t, reg, 0)
@@ -326,7 +326,8 @@ func TestWaveWithEarlyReturnsAndInjectedFailures(t *testing.T) {
 				m := mapreduce.MapExec{JobName: "wavejob", TaskName: fmt.Sprintf("wavejob-m%d", i), File: in, Op: &physop.OpSpec{Kind: physop.Scan}}
 				if i == 1 || i == 4 {
 					// A missing remote op fails in the executor, before any
-					// dispatch — the same shape as ErrBroadcastOOM.
+					// dispatch — the same shape as a broadcast build over
+					// slot memory.
 					m.Op = nil
 					if _, err := ex.ExecMap(m); err == nil {
 						return cluster.Usage{}, fmt.Errorf("op-less map was dispatched")
@@ -440,7 +441,7 @@ func TestHedgeLeavesWhileWaveFrameInFlight(t *testing.T) {
 	// The straggler is held until the test ends (released before the
 	// stubs close), so a wave that completes completed around it.
 	t.Cleanup(func() { close(release) })
-	f := newBareFleet(t, Config{MaxAttempts: 2, HedgeMin: 30 * time.Millisecond})
+	f := newBareFleet(t, Config{maxAttempts: 2, HedgeMin: 30 * time.Millisecond})
 	register(t, f, slow.srv.URL)
 	register(t, f, fast.srv.URL)
 

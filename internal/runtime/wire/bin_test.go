@@ -549,7 +549,7 @@ func hostileTasks() map[string]*Task {
 		"negativeReducers":  {Task: "t", Kind: "map", Op: op, NumReducers: -1},
 		"negativeInput":     {Task: "t", Kind: "map", Op: op, InputIdx: -1},
 		"negativePartition": {Task: "t", Kind: "reduce", Op: op, Partition: -1},
-		"hugePartition":     {Task: "t", Kind: "reduce", Op: op, Partition: MaxReducers},
+		"hugePartition":     {Task: "t", Kind: "reduce", Op: op, Partition: maxReducers},
 	}
 }
 

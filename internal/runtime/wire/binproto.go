@@ -609,7 +609,7 @@ func (d *bdec) readTask() (*Task, error) {
 	t.RunCombine = flags&2 != 0
 	// Workers size buffers and take moduli from these; a value no
 	// controller emits is refused here, before it is used.
-	if idx < 0 || reducers < 0 || reducers > MaxReducers || (t.HasReduce && reducers == 0) {
+	if idx < 0 || reducers < 0 || reducers > maxReducers || (t.HasReduce && reducers == 0) {
 		return nil, fmt.Errorf("wire: task %s: input %d with %d reducers is out of range", t.Task, idx, reducers)
 	}
 	t.NumReducers = int(reducers)
@@ -628,7 +628,7 @@ func (d *bdec) readTask() (*Task, error) {
 	if idx, err = d.varint(); err != nil {
 		return nil, err
 	}
-	if idx < 0 || idx >= MaxReducers {
+	if idx < 0 || idx >= maxReducers {
 		return nil, fmt.Errorf("wire: task %s: partition %d is out of range", t.Task, idx)
 	}
 	t.Partition = int(idx)

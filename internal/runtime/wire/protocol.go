@@ -178,11 +178,11 @@ type ShufflePart struct {
 	Bytes int64
 }
 
-// MaxReducers bounds a task's reduce partition count at decode. The
+// maxReducers bounds a task's reduce partition count at decode. The
 // controller emits at most 2 × the cluster's reduce slots (see
 // mapreduce.ReducersFor), orders of magnitude below this; a frame
 // claiming more is hostile or corrupt.
-const MaxReducers = 1 << 16
+const maxReducers = 1 << 16
 
 // KV is one shuffled record — join/group key, input tag, record — the
 // engine's own pair type, so a worker's map output is retained, served

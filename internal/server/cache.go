@@ -2,13 +2,13 @@ package server
 
 import "sync"
 
-// fifoCache is the bounded FIFO map behind the result cache (*Response
+// fifoCache is the bounded FIFO map behind the result cache (*response
 // values). Keys embed the statistics epoch
 // ("e<N>|variant|strategy|normalized SQL"), so bumping the epoch
 // orphans every entry even before clear reclaims them.
 //
 // put re-checks the epoch the caller computed its key against: a query
-// that started before an Invalidate would otherwise park its stale
+// that started before an invalidate would otherwise park its stale
 // entry in the freshly cleared cache, where the old-epoch key can
 // never hit again but permanently occupies a FIFO slot and evicts live
 // entries. Such puts are dropped atomically under the cache lock.

@@ -9,7 +9,7 @@ import (
 // flightCall is one in-flight execution followers can wait on.
 type flightCall struct {
 	done chan struct{}
-	resp *Response
+	resp *response
 	err  error
 }
 
@@ -38,7 +38,7 @@ func newFlightGroup() *flightGroup {
 // the failure: it loops and re-elects (running the query itself or
 // joining a newer leader), so one canceled request can never fail the
 // requests coalesced behind it.
-func (g *flightGroup) do(ctx context.Context, key string, fn func() (*Response, error)) (resp *Response, err error, leader bool) {
+func (g *flightGroup) do(ctx context.Context, key string, fn func() (*response, error)) (resp *response, err error, leader bool) {
 	for {
 		g.mu.Lock()
 		if c, ok := g.calls[key]; ok {

@@ -22,7 +22,7 @@ func TestFlightGroupReelectsAfterLeaderCancel(t *testing.T) {
 	leaderDone := make(chan struct{})
 	go func() {
 		defer close(leaderDone)
-		_, err, leader := g.do(context.Background(), "k", func() (*Response, error) {
+		_, err, leader := g.do(context.Background(), "k", func() (*response, error) {
 			<-release
 			return nil, context.Canceled
 		})
@@ -36,15 +36,15 @@ func TestFlightGroupReelectsAfterLeaderCancel(t *testing.T) {
 
 	// Follower with a live context, parked on the leader's call.
 	type out struct {
-		resp   *Response
+		resp   *response
 		err    error
 		leader bool
 	}
 	followerDone := make(chan out, 1)
 	go func() {
-		r, err, leader := g.do(context.Background(), "k", func() (*Response, error) {
+		r, err, leader := g.do(context.Background(), "k", func() (*response, error) {
 			followerExecs.Add(1)
-			return &Response{RowCount: 3}, nil
+			return &response{RowCount: 3}, nil
 		})
 		followerDone <- out{r, err, leader}
 	}()
@@ -81,7 +81,7 @@ func TestFlightGroupCanceledFollowerDoesNotReelect(t *testing.T) {
 	g := newFlightGroup()
 	release := make(chan struct{})
 	go func() {
-		g.do(context.Background(), "k", func() (*Response, error) {
+		g.do(context.Background(), "k", func() (*response, error) {
 			<-release
 			return nil, context.Canceled
 		})
@@ -93,7 +93,7 @@ func TestFlightGroupCanceledFollowerDoesNotReelect(t *testing.T) {
 	fctx, fcancel := context.WithCancel(context.Background())
 	followerDone := make(chan error, 1)
 	go func() {
-		_, err, _ := g.do(fctx, "k", func() (*Response, error) {
+		_, err, _ := g.do(fctx, "k", func() (*response, error) {
 			t.Error("canceled follower executed the query")
 			return nil, nil
 		})
@@ -122,7 +122,7 @@ func TestFlightGroupFollowerInheritsRealErrors(t *testing.T) {
 	boom := errors.New("boom")
 	var execs atomic.Int32
 	go func() {
-		g.do(context.Background(), "k", func() (*Response, error) {
+		g.do(context.Background(), "k", func() (*response, error) {
 			execs.Add(1)
 			<-release
 			return nil, boom
@@ -134,7 +134,7 @@ func TestFlightGroupFollowerInheritsRealErrors(t *testing.T) {
 
 	followerDone := make(chan error, 1)
 	go func() {
-		_, err, leader := g.do(context.Background(), "k", func() (*Response, error) {
+		_, err, leader := g.do(context.Background(), "k", func() (*response, error) {
 			execs.Add(1)
 			return nil, boom
 		})

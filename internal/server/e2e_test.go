@@ -113,7 +113,7 @@ func TestConcurrentServiceMatchesSequentialCLI(t *testing.T) {
 					results <- outcome{key: key, err: fmt.Errorf("status %d", resp.StatusCode)}
 					return
 				}
-				var out Response
+				var out response
 				if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 					results <- outcome{key: key, err: err}
 					return
@@ -179,7 +179,7 @@ func TestShardedServiceMatchesReference(t *testing.T) {
 	for r := 0; r < rounds; r++ {
 		for _, q := range queries {
 			go func(q string) {
-				resp, err := s.Execute(context.Background(), Request{Query: q})
+				resp, err := s.query(context.Background(), Request{Query: q})
 				if err != nil {
 					results <- outcome{query: q, err: err}
 					return

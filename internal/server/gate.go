@@ -23,7 +23,7 @@ import (
 	"dyno/internal/cluster"
 )
 
-// Idle-spin tuning for Gate.runUntil: how long to wait between polls
+// Idle-spin tuning for simGate.runUntil: how long to wait between polls
 // when the cluster has no events but the predicate is unsatisfied, and
 // how many consecutive idle polls to tolerate before declaring the
 // predicate unsatisfiable.
@@ -32,35 +32,32 @@ const (
 	idleGiveUp = 5000 // ~1s of wall-clock idleness
 )
 
-// Gate serializes access to the one cluster.Sim shared by every
+// simGate serializes access to the one cluster.Sim shared by every
 // session. The simulator is single-threaded by design; the gate holds
 // a mutex across each submission, clock access, and event step, so
 // engine goroutines interleave at event granularity and the Fair
 // scheduler sees all sessions' jobs when it hands out slots.
-type Gate struct {
+type simGate struct {
 	mu  sync.Mutex
 	sim *cluster.Sim
 }
 
-// NewGate wraps a simulator for shared use.
-func NewGate(sim *cluster.Sim) *Gate { return &Gate{sim: sim} }
-
 // Submit enqueues a job under the gate lock.
-func (g *Gate) Submit(j cluster.Job) *cluster.Submission {
+func (g *simGate) Submit(j cluster.Job) *cluster.Submission {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.sim.Submit(j)
 }
 
 // Now returns the shared virtual clock.
-func (g *Gate) Now() float64 {
+func (g *simGate) Now() float64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.sim.Now()
 }
 
 // Advance charges client-side work to the shared virtual clock.
-func (g *Gate) Advance(d float64) {
+func (g *simGate) Advance(d float64) {
 	g.mu.Lock()
 	g.sim.Advance(d)
 	g.mu.Unlock()
@@ -70,7 +67,7 @@ func (g *Gate) Advance(d float64) {
 // between events so concurrent sessions can submit and observe their
 // own jobs. Steps driven by one session execute events of all
 // sessions — whoever drives makes everyone progress.
-func (g *Gate) runUntil(ctx context.Context, pred func() bool) error {
+func (g *simGate) runUntil(ctx context.Context, pred func() bool) error {
 	idle := 0
 	for {
 		g.mu.Lock()
@@ -106,14 +103,14 @@ func (g *Gate) runUntil(ctx context.Context, pred func() bool) error {
 // canceled or timed-out session releases the cluster resources it
 // still holds. It implements mapreduce.Gate.
 type sessionGate struct {
-	gate *Gate
+	gate *simGate
 	ctx  context.Context
 
 	mu   sync.Mutex
 	subs []*cluster.Submission
 }
 
-func newSessionGate(g *Gate, ctx context.Context) *sessionGate {
+func newSessionGate(g *simGate, ctx context.Context) *sessionGate {
 	return &sessionGate{gate: g, ctx: ctx}
 }
 

@@ -11,7 +11,7 @@ import (
 
 // Handler returns the service's HTTP/JSON API:
 //
-//	POST /query      {"sql": ...} or {"query": "Q8p", ...} -> Response
+//	POST /query      {"sql": ...} or {"query": "Q8p", ...} -> response
 //	GET  /status     liveness + config summary
 //	GET  /metrics    MetricsSnapshot
 //	POST /invalidate bump the statistics epoch (base data changed)
@@ -39,10 +39,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
 		return
 	}
-	resp, err := s.Execute(r.Context(), req)
+	resp, err := s.query(r.Context(), req)
 	if err != nil {
 		switch {
-		case errors.Is(err, ErrOverloaded), errors.Is(err, ErrShuttingDown):
+		case errors.Is(err, errOverloaded), errors.Is(err, errShuttingDown):
 			writeError(w, http.StatusServiceUnavailable, err.Error())
 		case errors.Is(err, context.DeadlineExceeded):
 			writeError(w, http.StatusGatewayTimeout, err.Error())
@@ -62,7 +62,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		"shards":      s.cfg.Shards,
 		"maxInFlight": s.cfg.MaxInFlight,
 		"maxQueue":    s.cfg.MaxQueue,
-		"epoch":       s.Epoch(),
+		"epoch":       s.epoch.Load(),
 		"queries":     tpch.QueryNames,
 	})
 }
@@ -72,7 +72,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleInvalidate(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"epoch": s.Invalidate()})
+	writeJSON(w, http.StatusOK, map[string]any{"epoch": s.invalidate()})
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -10,7 +10,7 @@ import (
 //
 // Outcome classification: every Execute call the server does not turn
 // away for shutting down increments exactly one of queries, rejected,
-// timeouts, canceled, or errors. A call that fails with ErrShuttingDown
+// timeouts, canceled, or errors. A call that fails with errShuttingDown
 // — refused after Shutdown, or canceled by it while queued or
 // executing — increments none. timeouts counts queries that exceeded a
 // deadline (the per-query timeout or the caller's own); canceled counts

@@ -22,12 +22,12 @@ import (
 	"dyno/internal/tpch"
 )
 
-// ErrOverloaded is returned when the admission queue is full.
-var ErrOverloaded = errors.New("server: overloaded, admission queue full")
+// errOverloaded is returned when the admission queue is full.
+var errOverloaded = errors.New("server: overloaded, admission queue full")
 
-// ErrShuttingDown is returned to requests arriving after Shutdown
+// errShuttingDown is returned to requests arriving after Shutdown
 // began.
-var ErrShuttingDown = errors.New("server: shutting down")
+var errShuttingDown = errors.New("server: shutting down")
 
 // Config sizes the service and its dataset.
 type Config struct {
@@ -53,7 +53,7 @@ type Config struct {
 
 	// Admission control: at most MaxInFlight queries execute at once;
 	// up to MaxQueue more wait; beyond that requests fail fast with
-	// ErrOverloaded. QueryTimeout is the per-query wall-clock budget
+	// errOverloaded. QueryTimeout is the per-query wall-clock budget
 	// (0 disables).
 	MaxInFlight  int
 	MaxQueue     int
@@ -123,8 +123,8 @@ type Request struct {
 	MaxRows int `json:"maxRows,omitempty"`
 }
 
-// Response is the outcome of one query.
-type Response struct {
+// response is the outcome of one query.
+type response struct {
 	Query   string `json:"query,omitempty"`
 	Variant string `json:"variant"`
 	// Shard identifies the shard that served the query (requests route
@@ -175,7 +175,7 @@ type Server struct {
 	waiting atomic.Int64  // queued + executing requests
 	seq     atomic.Int64  // session tags
 
-	invMu sync.Mutex   // serializes Invalidate's shard sweep
+	invMu sync.Mutex   // serializes invalidate's shard sweep
 	epoch atomic.Int64 // current statistics epoch
 
 	// Graceful shutdown: baseCtx is canceled by Shutdown, which every
@@ -232,18 +232,15 @@ func New(cfg Config) (*Server, error) {
 	}, nil
 }
 
-// Config returns the normalized configuration the server runs with.
-func (s *Server) Config() Config { return s.cfg }
-
-// Execute admits, runs, and accounts one query.
-func (s *Server) Execute(ctx context.Context, req Request) (*Response, error) {
+// query admits, runs, and accounts one query.
+func (s *Server) query(ctx context.Context, req Request) (*response, error) {
 	// Enroll in the shutdown drain set under the read lock; Shutdown
 	// flips closed under the write lock and then waits for the group,
 	// so it can never miss an admitted query.
 	s.shutMu.RLock()
 	if s.closed {
 		s.shutMu.RUnlock()
-		return nil, ErrShuttingDown
+		return nil, errShuttingDown
 	}
 	s.wg.Add(1)
 	s.shutMu.RUnlock()
@@ -252,7 +249,7 @@ func (s *Server) Execute(ctx context.Context, req Request) (*Response, error) {
 	if n := s.waiting.Add(1); n > int64(s.cfg.MaxInFlight+s.cfg.MaxQueue) {
 		s.waiting.Add(-1)
 		s.met.rejected.Add(1)
-		return nil, ErrOverloaded
+		return nil, errOverloaded
 	}
 	defer s.waiting.Add(-1)
 	select {
@@ -261,16 +258,16 @@ func (s *Server) Execute(ctx context.Context, req Request) (*Response, error) {
 		s.met.canceled.Add(1)
 		return nil, ctx.Err()
 	case <-s.baseCtx.Done():
-		return nil, ErrShuttingDown
+		return nil, errShuttingDown
 	}
 	defer func() { <-s.sem }()
 
 	// Tie the query's context to both the caller and server shutdown:
 	// Shutdown cancels baseCtx, which cancels every in-flight query with
-	// ErrShuttingDown as the cause.
+	// errShuttingDown as the cause.
 	qctx, qcancel := context.WithCancelCause(ctx)
 	defer qcancel(nil)
-	stop := context.AfterFunc(s.baseCtx, func() { qcancel(ErrShuttingDown) })
+	stop := context.AfterFunc(s.baseCtx, func() { qcancel(errShuttingDown) })
 	defer stop()
 	if s.cfg.QueryTimeout > 0 {
 		var cancel context.CancelFunc
@@ -289,10 +286,10 @@ func (s *Server) Execute(ctx context.Context, req Request) (*Response, error) {
 		switch {
 		case errors.Is(err, context.DeadlineExceeded):
 			s.met.timeouts.Add(1)
-		case errors.Is(err, context.Canceled) && errors.Is(context.Cause(qctx), ErrShuttingDown):
+		case errors.Is(err, context.Canceled) && errors.Is(context.Cause(qctx), errShuttingDown):
 			// Shutdown, not the client, canceled it: answer as a
 			// request refused after Shutdown is answered.
-			return nil, fmt.Errorf("%w: query canceled mid-execution", ErrShuttingDown)
+			return nil, fmt.Errorf("%w: query canceled mid-execution", errShuttingDown)
 		case errors.Is(err, context.Canceled):
 			s.met.canceled.Add(1)
 		default:
@@ -320,7 +317,7 @@ func (s *Server) shardFor(norm string) *shard {
 // full result, also stored in the result cache and handed to dedup
 // followers — to one request: a shallow copy with per-request flags
 // and MaxRows truncation. Rows and Warnings are shared read-only.
-func requestView(proto *Response, req Request, resultHit, deduped bool) *Response {
+func requestView(proto *response, req Request, resultHit, deduped bool) *response {
 	r := *proto
 	r.Query = req.Query
 	r.ResultCacheHit = resultHit
@@ -335,7 +332,7 @@ func requestView(proto *Response, req Request, resultHit, deduped bool) *Respons
 // run resolves, routes, and serves one admitted query: result cache
 // first, then in-flight deduplication, then an engine session on the
 // query's shard.
-func (s *Server) run(ctx context.Context, req Request) (*Response, error) {
+func (s *Server) run(ctx context.Context, req Request) (*response, error) {
 	sql := req.SQL
 	if sql == "" {
 		if req.Query == "" {
@@ -379,7 +376,7 @@ func (s *Server) run(ctx context.Context, req Request) (*Response, error) {
 	}
 
 	var fromCache bool
-	proto, err, leader := sh.flight.do(ctx, key, func() (*Response, error) {
+	proto, err, leader := sh.flight.do(ctx, key, func() (*response, error) {
 		// Re-check under the in-flight slot: a leader that finished
 		// between our cache check and registration has already cached
 		// its result, and executing again would duplicate its work.
@@ -409,7 +406,7 @@ func (s *Server) run(ctx context.Context, req Request) (*Response, error) {
 // over the shard's shared statistics store — and returns the full
 // (untruncated) response prototype, caching it for repeats.
 func (s *Server) execute(ctx context.Context, sh *shard, sql string, variant baselines.Variant,
-	strat core.Strategy, key string, epoch int64, store *stats.Store) (*Response, error) {
+	strat core.Strategy, key string, epoch int64, store *stats.Store) (*response, error) {
 	tag := fmt.Sprintf("s%d-", s.seq.Add(1))
 	scratch := &scratchTracker{}
 	onCreate := scratch.add
@@ -444,7 +441,7 @@ func (s *Server) execute(ctx context.Context, sh *shard, sql string, variant bas
 		return nil, execErr
 	}
 
-	resp := &Response{
+	resp := &response{
 		Variant:     string(variant),
 		Shard:       sh.id,
 		RowCount:    len(res.Rows),
@@ -465,16 +462,16 @@ func (s *Server) execute(ctx context.Context, sh *shard, sql string, variant bas
 		s.met.pilotJobs.Add(int64(res.Pilot.Jobs))
 	}
 	resp.Rows = res.Rows
-	// A put computed against a pre-Invalidate epoch is dropped.
+	// A put computed against a pre-invalidate epoch is dropped.
 	sh.results.put(key, epoch, resp)
 	return resp, nil
 }
 
-// Invalidate bumps the statistics epoch on every shard: shared
+// invalidate bumps the statistics epoch on every shard: shared
 // statistics stores are replaced and result caches cleared, so the
 // next queries re-run pilots against the current base tables. Call it
 // after changing base data. Returns the new epoch.
-func (s *Server) Invalidate() int64 {
+func (s *Server) invalidate() int64 {
 	s.invMu.Lock()
 	defer s.invMu.Unlock()
 	e := s.epoch.Add(1)
@@ -484,11 +481,8 @@ func (s *Server) Invalidate() int64 {
 	return e
 }
 
-// Epoch returns the current statistics epoch.
-func (s *Server) Epoch() int64 { return s.epoch.Load() }
-
 // Shutdown drains the server: new requests fail fast with
-// ErrShuttingDown, every in-flight query's context is canceled, and
+// errShuttingDown, every in-flight query's context is canceled, and
 // once all queries have returned the shard runtimes are closed. The
 // ctx bounds how long to wait for the drain.
 func (s *Server) Shutdown(ctx context.Context) error {

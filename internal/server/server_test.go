@@ -61,10 +61,10 @@ func TestPlanCacheKeyedByVariantAndStrategy(t *testing.T) {
 	// text under another variant is another entry.
 	s := newTestServer(t, nil)
 	ctx := context.Background()
-	if _, err := s.Execute(ctx, Request{Query: "Q8p", Variant: "DYNOPT"}); err != nil {
+	if _, err := s.query(ctx, Request{Query: "Q8p", Variant: "DYNOPT"}); err != nil {
 		t.Fatal(err)
 	}
-	r, err := s.Execute(ctx, Request{Query: "Q8p", Variant: "BESTSTATIC"})
+	r, err := s.query(ctx, Request{Query: "Q8p", Variant: "BESTSTATIC"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,18 +82,18 @@ func TestStatsCacheReusesPilotResults(t *testing.T) {
 	s := newTestServer(t, func(c *Config) { c.ResultCacheSize = 1 })
 	ctx := context.Background()
 
-	r1, err := s.Execute(ctx, Request{Query: "Q8p"})
+	r1, err := s.query(ctx, Request{Query: "Q8p"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r1.PilotJobs == 0 || r1.StatsReused != 0 {
 		t.Fatalf("first run: pilots=%d reused=%d", r1.PilotJobs, r1.StatsReused)
 	}
-	if _, err := s.Execute(ctx, Request{Query: "Q10"}); err != nil {
+	if _, err := s.query(ctx, Request{Query: "Q10"}); err != nil {
 		t.Fatal(err)
 	}
 
-	r2, err := s.Execute(ctx, Request{Query: "Q8p"})
+	r2, err := s.query(ctx, Request{Query: "Q8p"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,14 +123,14 @@ func TestStatsCacheReusesPilotResults(t *testing.T) {
 func TestEvictedQueryRerunsFullDynopt(t *testing.T) {
 	s := newTestServer(t, func(c *Config) { c.ResultCacheSize = 1 })
 	ctx := context.Background()
-	r1, err := s.Execute(ctx, Request{Query: "Q7"})
+	r1, err := s.query(ctx, Request{Query: "Q7"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Execute(ctx, Request{Query: "Q9p"}); err != nil {
+	if _, err := s.query(ctx, Request{Query: "Q9p"}); err != nil {
 		t.Fatal(err)
 	}
-	r2, err := s.Execute(ctx, Request{Query: "Q7"})
+	r2, err := s.query(ctx, Request{Query: "Q7"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,13 +155,13 @@ func TestEvictedQueryRerunsFullDynopt(t *testing.T) {
 func TestInvalidateForcesFreshStatistics(t *testing.T) {
 	s := newTestServer(t, nil)
 	ctx := context.Background()
-	if _, err := s.Execute(ctx, Request{Query: "Q8p"}); err != nil {
+	if _, err := s.query(ctx, Request{Query: "Q8p"}); err != nil {
 		t.Fatal(err)
 	}
-	if e := s.Invalidate(); e != 1 {
+	if e := s.invalidate(); e != 1 {
 		t.Fatalf("epoch after invalidate = %d, want 1", e)
 	}
-	r, err := s.Execute(ctx, Request{Query: "Q8p"})
+	r, err := s.query(ctx, Request{Query: "Q8p"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,9 +180,9 @@ func TestAdmissionRejectsWhenQueueFull(t *testing.T) {
 	s.sem <- struct{}{}
 	defer func() { s.waiting.Add(-2); <-s.sem }()
 
-	_, err := s.Execute(context.Background(), Request{Query: "Q8p"})
-	if !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("err = %v, want ErrOverloaded", err)
+	_, err := s.query(context.Background(), Request{Query: "Q8p"})
+	if !errors.Is(err, errOverloaded) {
+		t.Fatalf("err = %v, want errOverloaded", err)
 	}
 	if s.Metrics().Rejected != 1 {
 		t.Errorf("rejected counter = %d, want 1", s.Metrics().Rejected)
@@ -197,7 +197,7 @@ func TestQueuedRequestHonorsCancellation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() { time.Sleep(10 * time.Millisecond); cancel() }()
-	_, err := s.Execute(ctx, Request{Query: "Q8p"})
+	_, err := s.query(ctx, Request{Query: "Q8p"})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -208,7 +208,7 @@ func TestQueuedRequestHonorsCancellation(t *testing.T) {
 
 func TestQueryTimeout(t *testing.T) {
 	s := newTestServer(t, func(c *Config) { c.QueryTimeout = time.Nanosecond })
-	_, err := s.Execute(context.Background(), Request{Query: "Q8p"})
+	_, err := s.query(context.Background(), Request{Query: "Q8p"})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
@@ -230,7 +230,7 @@ func TestBadRequests(t *testing.T) {
 		{SQL: "SELECT FROM WHERE 'broken"}, // lexer error
 	}
 	for i, req := range cases {
-		if _, err := s.Execute(ctx, req); err == nil {
+		if _, err := s.query(ctx, req); err == nil {
 			t.Errorf("case %d: expected error", i)
 		}
 	}
@@ -238,7 +238,7 @@ func TestBadRequests(t *testing.T) {
 
 func TestSessionScratchIsCleanedUp(t *testing.T) {
 	s := newTestServer(t, nil)
-	if _, err := s.Execute(context.Background(), Request{Query: "Q8p"}); err != nil {
+	if _, err := s.query(context.Background(), Request{Query: "Q8p"}); err != nil {
 		t.Fatal(err)
 	}
 	for _, sh := range s.shards {
@@ -257,8 +257,8 @@ func TestSessionScratchIsCleanedUp(t *testing.T) {
 func TestCoordHoldsNothingBetweenQueries(t *testing.T) {
 	s := newTestServer(t, nil)
 	for i := 0; i < 3; i++ {
-		s.Invalidate()
-		if _, err := s.Execute(context.Background(), Request{Query: "Q10"}); err != nil {
+		s.invalidate()
+		if _, err := s.query(context.Background(), Request{Query: "Q10"}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -277,7 +277,7 @@ func TestCoordHoldsNothingBetweenQueries(t *testing.T) {
 
 func TestMaxRowsTruncation(t *testing.T) {
 	s := newTestServer(t, nil)
-	r, err := s.Execute(context.Background(), Request{Query: "Q8p", MaxRows: 1})
+	r, err := s.query(context.Background(), Request{Query: "Q8p", MaxRows: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,15 +299,15 @@ func TestMemoReuseIsSessionLocal(t *testing.T) {
 	// Q7 re-optimizes twice at this scale; the other queries finish in
 	// one round and have no second memo to carry groups into.
 
-	r1, err := s.Execute(ctx, Request{Query: "Q7"})
+	r1, err := s.query(ctx, Request{Query: "Q7"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r1.MemoGroupsReused == 0 {
 		t.Fatal("DYNOPT rounds reused no memo groups")
 	}
-	s.Invalidate()
-	r2, err := s.Execute(ctx, Request{Query: "Q7"})
+	s.invalidate()
+	r2, err := s.query(ctx, Request{Query: "Q7"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,11 +28,11 @@ type shard struct {
 	rt    runtime.Runtime
 	fs    *dfs.FS
 	sim   *cluster.Sim
-	gate  *Gate
+	gate  *simGate
 	coord *coord.Service
 	cat   *jaql.Catalog
 
-	// mu guards the epoch-scoped state swapped by Invalidate. epoch is
+	// mu guards the epoch-scoped state swapped by invalidate. epoch is
 	// the shard's view of the server epoch, snapshotted together with
 	// store so a session never mixes one epoch's key with another's
 	// statistics.
@@ -40,7 +40,7 @@ type shard struct {
 	epoch int64
 	store *stats.Store
 
-	results *fifoCache[*Response]
+	results *fifoCache[*response]
 	flight  *flightGroup
 }
 
@@ -68,11 +68,11 @@ func newShard(id int, cfg Config, ccfg cluster.Config) (*shard, error) {
 		rt:      rt,
 		fs:      fs,
 		sim:     sim,
-		gate:    NewGate(sim),
+		gate:    &simGate{sim: sim},
 		coord:   rt.Coord(),
 		cat:     cat,
 		store:   stats.NewStore(),
-		results: newFIFOCache[*Response](cfg.ResultCacheSize),
+		results: newFIFOCache[*response](cfg.ResultCacheSize),
 		flight:  newFlightGroup(),
 	}, nil
 }

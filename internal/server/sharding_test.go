@@ -17,7 +17,7 @@ func TestResultCacheSkipsExecution(t *testing.T) {
 	s := newTestServer(t, nil)
 	ctx := context.Background()
 
-	r1, err := s.Execute(ctx, Request{Query: "Q8p"})
+	r1, err := s.query(ctx, Request{Query: "Q8p"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestResultCacheSkipsExecution(t *testing.T) {
 	sql, _ := tpch.QuerySQL("Q8p")
 	mangled := "  select" + strings.TrimPrefix(
 		strings.ReplaceAll(strings.TrimSpace(sql), "\n", " \n\t "), "SELECT") + " "
-	r2, err := s.Execute(ctx, Request{SQL: mangled})
+	r2, err := s.query(ctx, Request{SQL: mangled})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,8 +61,8 @@ func TestResultCacheSkipsExecution(t *testing.T) {
 	}
 
 	// Invalidation orphans the entry: the next run executes afresh.
-	s.Invalidate()
-	r3, err := s.Execute(ctx, Request{Query: "Q8p"})
+	s.invalidate()
+	r3, err := s.query(ctx, Request{Query: "Q8p"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,14 +77,14 @@ func TestResultCacheSkipsExecution(t *testing.T) {
 func TestResultCacheHitHonorsMaxRows(t *testing.T) {
 	s := newTestServer(t, nil)
 	ctx := context.Background()
-	r1, err := s.Execute(ctx, Request{Query: "Q8p"})
+	r1, err := s.query(ctx, Request{Query: "Q8p"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r1.RowCount <= 1 {
 		t.Skipf("Q8p returned %d rows at this scale", r1.RowCount)
 	}
-	r2, err := s.Execute(ctx, Request{Query: "Q8p", MaxRows: 1})
+	r2, err := s.query(ctx, Request{Query: "Q8p", MaxRows: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestResultCacheHitHonorsMaxRows(t *testing.T) {
 		t.Fatalf("hit=%v rows=%d truncated=%v, want true/1/true", r2.ResultCacheHit, len(r2.Rows), r2.Truncated)
 	}
 	// The cached prototype must keep its full rows for later requests.
-	r3, err := s.Execute(ctx, Request{Query: "Q8p"})
+	r3, err := s.query(ctx, Request{Query: "Q8p"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,14 +120,14 @@ func TestFlightGroupCoalesces(t *testing.T) {
 	g := newFlightGroup()
 	release := make(chan struct{})
 	var execs atomic.Int32
-	fn := func() (*Response, error) {
+	fn := func() (*response, error) {
 		execs.Add(1)
 		<-release
-		return &Response{RowCount: 7}, nil
+		return &response{RowCount: 7}, nil
 	}
 
 	type out struct {
-		resp   *Response
+		resp   *response
 		err    error
 		leader bool
 	}
@@ -184,13 +184,13 @@ func TestDedupCoalescesConcurrentMisses(t *testing.T) {
 	s := newTestServer(t, nil)
 	const k = 4
 	type out struct {
-		resp *Response
+		resp *response
 		err  error
 	}
 	results := make(chan out, k)
 	for i := 0; i < k; i++ {
 		go func() {
-			r, err := s.Execute(context.Background(), Request{Query: "Q8p"})
+			r, err := s.query(context.Background(), Request{Query: "Q8p"})
 			results <- out{r, err}
 		}()
 	}
@@ -272,7 +272,7 @@ func TestShardRoutingIsStableAndIsolated(t *testing.T) {
 			wg.Add(1)
 			go func(q string) {
 				defer wg.Done()
-				r, err := s.Execute(context.Background(), Request{Query: q})
+				r, err := s.query(context.Background(), Request{Query: q})
 				if err != nil {
 					t.Error(err)
 					return
@@ -293,7 +293,7 @@ func TestInvalidateMidQueryDoesNotParkStaleEntries(t *testing.T) {
 	s := newTestServer(t, nil)
 	done := make(chan error, 1)
 	go func() {
-		_, err := s.Execute(context.Background(), Request{Query: "Q8p"})
+		_, err := s.query(context.Background(), Request{Query: "Q8p"})
 		done <- err
 	}()
 	// Land the epoch bump while the query executes (Q8p takes well
@@ -301,7 +301,7 @@ func TestInvalidateMidQueryDoesNotParkStaleEntries(t *testing.T) {
 	// lands on, no epoch-0 key may survive: put drops stale epochs and
 	// clear wipes anything stored earlier.
 	time.Sleep(50 * time.Millisecond)
-	if e := s.Invalidate(); e != 1 {
+	if e := s.invalidate(); e != 1 {
 		t.Fatalf("epoch = %d, want 1", e)
 	}
 	if err := <-done; err != nil {
@@ -323,7 +323,7 @@ func TestCancellationMetricClassification(t *testing.T) {
 	s := newTestServer(t, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	s.hookJobOutput = func(context.Context) { cancel() }
-	if _, err := s.Execute(ctx, Request{Query: "Q8p"}); !errors.Is(err, context.Canceled) {
+	if _, err := s.query(ctx, Request{Query: "Q8p"}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	s.hookJobOutput = nil
@@ -334,7 +334,7 @@ func TestCancellationMetricClassification(t *testing.T) {
 	}
 
 	// A genuine failure counts under errors alone.
-	if _, err := s.Execute(context.Background(), Request{SQL: "SELECT FROM WHERE 'broken"}); err == nil {
+	if _, err := s.query(context.Background(), Request{SQL: "SELECT FROM WHERE 'broken"}); err == nil {
 		t.Fatal("expected parse error")
 	}
 	m = s.Metrics()

@@ -12,7 +12,7 @@ import (
 
 // TestShutdownDrainsWithoutLeakingGoroutines drives concurrent
 // queries, shuts the server down mid-flight, and requires that every
-// Execute returns (with nil, cancellation, or ErrShuttingDown — never
+// Execute returns (with nil, cancellation, or errShuttingDown — never
 // a hang), new requests fail fast, and the goroutine count settles
 // back to the pre-server baseline. Run under -race this also shakes
 // out unsynchronized shutdown paths.
@@ -38,7 +38,7 @@ func TestShutdownDrainsWithoutLeakingGoroutines(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			for i := 0; ; i++ {
-				_, err := s.Execute(context.Background(), Request{SQL: q10Variant(i*clients + c)})
+				_, err := s.query(context.Background(), Request{SQL: q10Variant(i*clients + c)})
 				if err == nil {
 					completed.Add(1)
 					continue
@@ -46,7 +46,7 @@ func TestShutdownDrainsWithoutLeakingGoroutines(t *testing.T) {
 				// The only acceptable terminal outcomes once shutdown
 				// begins: the query's context was canceled under it, or
 				// admission refused it.
-				if !errors.Is(err, context.Canceled) && !errors.Is(err, ErrShuttingDown) {
+				if !errors.Is(err, context.Canceled) && !errors.Is(err, errShuttingDown) {
 					unexpected <- err
 				}
 				return
@@ -80,8 +80,8 @@ func TestShutdownDrainsWithoutLeakingGoroutines(t *testing.T) {
 		t.Errorf("unexpected Execute error during shutdown: %v", err)
 	}
 
-	if _, err := s.Execute(context.Background(), Request{Query: "Q10"}); !errors.Is(err, ErrShuttingDown) {
-		t.Fatalf("Execute after Shutdown: err = %v, want ErrShuttingDown", err)
+	if _, err := s.query(context.Background(), Request{Query: "Q10"}); !errors.Is(err, errShuttingDown) {
+		t.Fatalf("Execute after Shutdown: err = %v, want errShuttingDown", err)
 	}
 
 	// A second Shutdown is a cheap no-op.
@@ -127,7 +127,7 @@ func TestShutdownCancelsQueuedRequests(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		s.Execute(context.Background(), Request{Query: "Q10"})
+		s.query(context.Background(), Request{Query: "Q10"})
 	}()
 	select {
 	case <-inFlight:
@@ -140,7 +140,7 @@ func TestShutdownCancelsQueuedRequests(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, err := s.Execute(context.Background(), Request{Query: "Q2"})
+		_, err := s.query(context.Background(), Request{Query: "Q2"})
 		queued <- err
 	}()
 	time.Sleep(20 * time.Millisecond) // let it reach the admission select
@@ -154,8 +154,8 @@ func TestShutdownCancelsQueuedRequests(t *testing.T) {
 	// still draining.
 	select {
 	case err := <-queued:
-		if !errors.Is(err, ErrShuttingDown) && !errors.Is(err, context.Canceled) {
-			t.Fatalf("queued request: err = %v, want ErrShuttingDown or cancellation", err)
+		if !errors.Is(err, errShuttingDown) && !errors.Is(err, context.Canceled) {
+			t.Fatalf("queued request: err = %v, want errShuttingDown or cancellation", err)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("queued request hung after Shutdown began")

@@ -66,15 +66,6 @@ type Query struct {
 	Limit   int // -1 when absent
 }
 
-// Aliases returns the FROM aliases in order.
-func (q *Query) Aliases() []string {
-	out := make([]string, len(q.From))
-	for i, t := range q.From {
-		out[i] = t.Alias
-	}
-	return out
-}
-
 // HasAggregates reports whether any select item aggregates.
 func (q *Query) HasAggregates() bool {
 	for _, s := range q.Select {

@@ -201,9 +201,8 @@ func TestMustParsePanics(t *testing.T) {
 
 func TestAliasesOrder(t *testing.T) {
 	q := MustParse("SELECT a.x FROM t1 a, t2 b, t3 c")
-	got := q.Aliases()
-	if len(got) != 3 || got[0] != "a" || got[2] != "c" {
-		t.Errorf("aliases = %v", got)
+	if len(q.From) != 3 || q.From[0].Alias != "a" || q.From[2].Alias != "c" {
+		t.Errorf("from = %v", q.From)
 	}
 }
 

@@ -364,8 +364,8 @@ func (p *Partial) Selectivity() float64 {
 	return float64(p.OutRecords) / float64(p.InRecords)
 }
 
-// AvgRecSize returns the observed mean output record size.
-func (p *Partial) AvgRecSize() float64 {
+// avgRecSize returns the observed mean output record size.
+func (p *Partial) avgRecSize() float64 {
 	if p.OutRecords == 0 {
 		return 0
 	}
@@ -398,7 +398,7 @@ func (p *Partial) tableStats(card float64, ndv func(acc *colAcc, k int) float64)
 	if !p.sealed {
 		p = MergePartials([]*Partial{p})
 	}
-	ts := TableStats{Card: card, AvgRecSize: p.AvgRecSize(), Cols: make(map[string]ColStats, len(p.cols))}
+	ts := TableStats{Card: card, AvgRecSize: p.avgRecSize(), Cols: make(map[string]ColStats, len(p.cols))}
 	for i := range p.cols {
 		acc := &p.cols[i]
 		ts.Cols[p.keys[i]] = ColStats{Min: acc.min, Max: acc.max, NDV: ndv(acc, p.kmvSize)}
@@ -471,19 +471,6 @@ func (s *Store) Get(signature string) (TableStats, bool) {
 	defer s.mu.Unlock()
 	ts, ok := s.m[signature]
 	return ts, ok
-}
-
-// Has reports whether a signature is present.
-func (s *Store) Has(signature string) bool {
-	_, ok := s.Get(signature)
-	return ok
-}
-
-// Delete removes a signature.
-func (s *Store) Delete(signature string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.m, signature)
 }
 
 // Len returns the number of stored entries.

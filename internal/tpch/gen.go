@@ -31,13 +31,13 @@ var RowsPerSF = map[string]float64{
 
 // Fixed-size tables.
 const (
-	Nations = 25
-	Regions = 5
+	nations = 25
+	regions = 5
 )
 
-// BytesPerSF is the virtual dataset volume per scale-factor unit
+// bytesPerSF is the virtual dataset volume per scale-factor unit
 // (TPC-H SF is roughly 1 GB of raw data).
-const BytesPerSF = 1 << 30
+const bytesPerSF = 1 << 30
 
 // Config parameterizes the generator.
 type Config struct {
@@ -51,17 +51,17 @@ type Config struct {
 	Seed int64
 }
 
-// Rows returns the generated row count for a table.
-func (c Config) Rows(table string) int {
+// rows returns the generated row count for a table.
+func (c Config) rows(table string) int {
 	scale := c.Scale
 	if scale <= 0 {
 		scale = 1
 	}
 	switch table {
 	case "nation":
-		return Nations
+		return nations
 	case "region":
-		return Regions
+		return regions
 	}
 	n := int(RowsPerSF[table] * c.SF * scale)
 	if n < 1 {
@@ -114,7 +114,7 @@ func Generate(fs *dfs.FS, cfg Config) (*jaql.Catalog, error) {
 		}
 	}
 	// Present the paper's data volume: virtual = SF × 1 GB.
-	fs.SetByteScale(cfg.SF * BytesPerSF / float64(rawBytes))
+	fs.SetByteScale(cfg.SF * bytesPerSF / float64(rawBytes))
 	cat := jaql.NewCatalog()
 	for _, name := range []string{"region", "nation", "supplier", "customer", "part", "partsupp", "orders", "lineitem"} {
 		w := fs.Create("tpch/" + name)
@@ -125,7 +125,7 @@ func Generate(fs *dfs.FS, cfg Config) (*jaql.Catalog, error) {
 }
 
 func genRegion() []data.Value {
-	out := make([]data.Value, Regions)
+	out := make([]data.Value, regions)
 	for i := range out {
 		out[i] = data.Object(
 			data.Field{Name: "r_regionkey", Value: data.Int(int64(i))},
@@ -136,25 +136,25 @@ func genRegion() []data.Value {
 }
 
 func genNation(rng *rand.Rand) []data.Value {
-	out := make([]data.Value, Nations)
+	out := make([]data.Value, nations)
 	for i := range out {
 		out[i] = data.Object(
 			data.Field{Name: "n_nationkey", Value: data.Int(int64(i))},
 			data.Field{Name: "n_name", Value: data.String(nationNames[i])},
-			data.Field{Name: "n_regionkey", Value: data.Int(int64(i % Regions))},
+			data.Field{Name: "n_regionkey", Value: data.Int(int64(i % regions))},
 		)
 	}
 	return out
 }
 
 func genSupplier(cfg Config, rng *rand.Rand) []data.Value {
-	n := cfg.Rows("supplier")
+	n := cfg.rows("supplier")
 	out := make([]data.Value, n)
 	for i := range out {
 		out[i] = data.Object(
 			data.Field{Name: "s_suppkey", Value: data.Int(int64(i))},
 			data.Field{Name: "s_name", Value: data.String(fmt.Sprintf("Supplier#%09d", i))},
-			data.Field{Name: "s_nationkey", Value: data.Int(int64(rng.Intn(Nations)))},
+			data.Field{Name: "s_nationkey", Value: data.Int(int64(rng.Intn(nations)))},
 			data.Field{Name: "s_acctbal", Value: data.Double(float64(rng.Intn(1_100_000))/100 - 1000)},
 			data.Field{Name: "s_comment", Value: data.String(comment(rng, 5))},
 		)
@@ -163,13 +163,13 @@ func genSupplier(cfg Config, rng *rand.Rand) []data.Value {
 }
 
 func genCustomer(cfg Config, rng *rand.Rand) []data.Value {
-	n := cfg.Rows("customer")
+	n := cfg.rows("customer")
 	out := make([]data.Value, n)
 	for i := range out {
 		out[i] = data.Object(
 			data.Field{Name: "c_custkey", Value: data.Int(int64(i))},
 			data.Field{Name: "c_name", Value: data.String(fmt.Sprintf("Customer#%09d", i))},
-			data.Field{Name: "c_nationkey", Value: data.Int(int64(rng.Intn(Nations)))},
+			data.Field{Name: "c_nationkey", Value: data.Int(int64(rng.Intn(nations)))},
 			data.Field{Name: "c_acctbal", Value: data.Double(float64(rng.Intn(1_100_000))/100 - 1000)},
 			data.Field{Name: "c_phone", Value: data.String(fmt.Sprintf("%02d-%03d-%03d-%04d", 10+rng.Intn(25), rng.Intn(1000), rng.Intn(1000), rng.Intn(10000)))},
 			data.Field{Name: "c_comment", Value: data.String(comment(rng, 6))},
@@ -179,7 +179,7 @@ func genCustomer(cfg Config, rng *rand.Rand) []data.Value {
 }
 
 func genPart(cfg Config, rng *rand.Rand) []data.Value {
-	n := cfg.Rows("part")
+	n := cfg.rows("part")
 	out := make([]data.Value, n)
 	for i := range out {
 		out[i] = data.Object(
@@ -203,9 +203,9 @@ func psSupp(pk, j, supps int) int {
 }
 
 func genPartsupp(cfg Config, rng *rand.Rand) []data.Value {
-	n := cfg.Rows("partsupp")
-	parts := cfg.Rows("part")
-	supps := cfg.Rows("supplier")
+	n := cfg.rows("partsupp")
+	parts := cfg.rows("part")
+	supps := cfg.rows("supplier")
 	out := make([]data.Value, n)
 	for i := range out {
 		pk, j := i%parts, i/parts
@@ -220,8 +220,8 @@ func genPartsupp(cfg Config, rng *rand.Rand) []data.Value {
 }
 
 func genOrders(cfg Config, rng *rand.Rand) []data.Value {
-	n := cfg.Rows("orders")
-	custs := cfg.Rows("customer")
+	n := cfg.rows("orders")
+	custs := cfg.rows("customer")
 	out := make([]data.Value, n)
 	for i := range out {
 		prio := priorities[rng.Intn(len(priorities))]
@@ -247,11 +247,11 @@ func genOrders(cfg Config, rng *rand.Rand) []data.Value {
 }
 
 func genLineitem(cfg Config, rng *rand.Rand) []data.Value {
-	n := cfg.Rows("lineitem")
-	orders := cfg.Rows("orders")
-	parts := cfg.Rows("part")
-	supps := cfg.Rows("supplier")
-	psPerPart := cfg.Rows("partsupp") / parts
+	n := cfg.rows("lineitem")
+	orders := cfg.rows("orders")
+	parts := cfg.rows("part")
+	supps := cfg.rows("supplier")
+	psPerPart := cfg.rows("partsupp") / parts
 	if psPerPart < 1 {
 		psPerPart = 1
 	}

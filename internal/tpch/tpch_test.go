@@ -50,7 +50,7 @@ func TestGenerateTableSizes(t *testing.T) {
 
 func TestVirtualVolumeMatchesSF(t *testing.T) {
 	fs, _ := genSmall(t, 10)
-	want := 10.0 * BytesPerSF
+	want := 10.0 * bytesPerSF
 	got := float64(fs.TotalSize())
 	if math.Abs(got-want)/want > 0.02 {
 		t.Errorf("virtual volume = %g, want ~%g", got, want)
@@ -69,7 +69,7 @@ func TestForeignKeysResolve(t *testing.T) {
 	nations := map[int64]bool{}
 	for _, n := range get("nation") {
 		nations[n.FieldOr("n_nationkey").Int()] = true
-		if n.FieldOr("n_regionkey").Int() >= Regions {
+		if n.FieldOr("n_regionkey").Int() >= regions {
 			t.Error("n_regionkey out of range")
 		}
 	}
