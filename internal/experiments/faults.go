@@ -45,8 +45,8 @@ const (
 	faultsRedSlotsPerWorker = 2
 )
 
-// FaultPoint is one (query, profile, strategy) measurement.
-type FaultPoint struct {
+// faultPoint is one (query, profile, strategy) measurement.
+type faultPoint struct {
 	Query    string
 	Profile  string
 	Strategy string  // "MO" or "SO"
@@ -56,47 +56,42 @@ type FaultPoint struct {
 
 // faultStrategies maps the display names to job-issue strategies: MO
 // floods the cluster with every ready job, SO runs one at a time.
-func faultStrategies() []struct {
+var faultStrategies = []struct {
 	name string
 	s    core.Strategy
-} {
-	return []struct {
-		name string
-		s    core.Strategy
-	}{
-		{"MO", core.All{}},
-		{"SO", core.One{}},
-	}
-}
+}{{"MO", core.All{}}, {"SO", core.One{}}}
 
-// MeasureFaults sweeps DYNOPT over the fault profiles, comparing the
-// multiple-jobs (MO) and single-job (SO) issue strategies. The sweep
-// quantifies the paper's fault-tolerance argument (§5.3): because SO
-// materializes one job at a time, a failure or straggler can only hit
-// the job in flight, and the cluster's idle slots absorb retries and
-// speculative backups — so SO loses less work than MO as the fault
-// rate grows.
-func MeasureFaults(cfg Config) ([]FaultPoint, error) {
-	return measureFaultsQueries(cfg, faultsQueries)
+// Faults sweeps DYNOPT over the fault profiles, comparing the
+// multiple-jobs (MO) and single-job (SO) issue strategies, and renders
+// the sweep (faultsTable). The sweep quantifies the paper's
+// fault-tolerance argument (§5.3): because SO materializes one job at a
+// time, a failure or straggler can only hit the job in flight, and the
+// cluster's idle slots absorb retries and speculative backups — so SO
+// loses less work than MO as the fault rate grows.
+func Faults(cfg Config) (*Table, error) {
+	points, err := measureFaultsQueries(cfg, faultsQueries)
+	if err != nil {
+		return nil, err
+	}
+	return faultsTable(faultsQueries, points), nil
 }
 
 // measureFaultsQueries runs the sweep over an explicit query list
 // (tests restrict it to the differentiating query to stay fast).
-func measureFaultsQueries(cfg Config, queries []string) ([]FaultPoint, error) {
+func measureFaultsQueries(cfg Config, queries []string) ([]faultPoint, error) {
 	cfg = cfg.normalized()
-	var out []FaultPoint
+	var out []faultPoint
 	for _, q := range queries {
 		for _, p := range faultProfiles {
 			fcfg := cfg
 			fcfg.faults = &p
-			for _, st := range faultStrategies() {
-				st := st
+			for _, st := range faultStrategies {
 				m, err := runVariant(baselines.VariantDynOpt, faultsSF, fcfg, q, false,
 					func(o *core.Options) { o.Strategy = st.s })
 				if err != nil {
 					return nil, fmt.Errorf("faults %s/%s/%s: %w", q, p.Name, st.name, err)
 				}
-				out = append(out, FaultPoint{
+				out = append(out, faultPoint{
 					Query:    q,
 					Profile:  p.Name,
 					Strategy: st.name,
@@ -109,31 +104,22 @@ func measureFaultsQueries(cfg Config, queries []string) ([]FaultPoint, error) {
 	return out, nil
 }
 
-// FaultsTable renders the fault-tolerance sweep: runtime and wasted
+// faultsTable renders the fault-tolerance sweep: runtime and wasted
 // slot time per query, fault profile, and strategy, plus each
-// strategy's slowdown relative to its own fault-free run (dynobench
-// reuses one sweep for both the table and its JSON artifact).
-func FaultsTable(points []FaultPoint) *Table {
-	find := func(q, profile, strategy string) FaultPoint {
+// strategy's slowdown relative to its own fault-free run.
+func faultsTable(queries []string, points []faultPoint) *Table {
+	find := func(q, profile, strategy string) faultPoint {
 		for _, p := range points {
 			if p.Query == q && p.Profile == profile && p.Strategy == strategy {
 				return p
 			}
 		}
-		return FaultPoint{}
+		return faultPoint{}
 	}
 	t := &Table{
 		Title: "Faults: DYNOPT under task failures and stragglers, MO vs SO issue strategy (SF=300)",
 		Header: []string{"Query", "Profile", "MO sec", "SO sec",
 			"MO slowdown", "SO slowdown", "MO wasted", "SO wasted"},
-	}
-	var queries []string
-	seen := map[string]bool{}
-	for _, p := range points {
-		if !seen[p.Query] {
-			seen[p.Query] = true
-			queries = append(queries, p.Query)
-		}
 	}
 	for _, q := range queries {
 		moClean := find(q, "none", "MO")

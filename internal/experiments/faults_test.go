@@ -28,7 +28,7 @@ func TestFaultsSOLosesLessWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byKey := map[string]FaultPoint{}
+	byKey := map[string]faultPoint{}
 	for _, p := range points {
 		byKey[p.Profile+"/"+p.Strategy] = p
 	}
@@ -69,11 +69,10 @@ func TestFaultsTableRenders(t *testing.T) {
 	save := faultsQueries
 	faultsQueries = []string{"Q9p"}
 	defer func() { faultsQueries = save }()
-	points, err := MeasureFaults(faultsTestConfig())
+	tb, err := Faults(faultsTestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb := FaultsTable(points)
 	if len(tb.Rows) != len(faultProfiles) {
 		t.Fatalf("rows = %d, want %d", len(tb.Rows), len(faultProfiles))
 	}

@@ -2,6 +2,7 @@ package procruntime
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"net"
@@ -48,8 +49,9 @@ func readFramed(t *testing.T, resp *http.Response) []byte {
 	return body
 }
 
-// TestWorkerFramesDeclareTheirLength: /tasks and /shuffle answer with a
-// Content-Length, not chunked, so the reader sizes one buffer. The task
+// TestWorkerFramesDeclareTheirLength: /tasks and /shuffle (asked for two
+// segments in one request) answer with a Content-Length, not chunked,
+// so the reader sizes one buffer. The task
 // is a chain, whose answer carries its joined rows (a scan's would be a
 // few hundred bytes of positions).
 func TestWorkerFramesDeclareTheirLength(t *testing.T) {
@@ -85,11 +87,16 @@ func TestWorkerFramesDeclareTheirLength(t *testing.T) {
 		pairs[i] = wire.KV{Key: data.Int(int64(i)), Tag: "L", Rec: rec}
 	}
 	w.retainShuffle("s1", [][]wire.KV{pairs}, 1)
-	if resp, err = http.Get(ts.URL + "/shuffle?id=s1&part=0"); err != nil {
+	w.retainShuffle("s2", [][]wire.KV{pairs[:10]}, 1)
+	ask := wire.EncodeShuffleRequest(0, []string{"s1", "s2"})
+	resp, err = http.Post(ts.URL+"/shuffle", wire.ContentTypeBinary, bytes.NewReader(ask.Bytes()))
+	ask.Close()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if kvs, err := wire.DecodeShuffle(readFramed(t, resp)); err != nil || len(kvs) != len(pairs) {
-		t.Fatalf("decode: %v, %d pairs", err, len(kvs))
+	segs, err := wire.DecodeShuffleSegments(readFramed(t, resp))
+	if err != nil || len(segs) != 2 || len(segs[0]) != len(pairs) || len(segs[1]) != 10 {
+		t.Fatalf("decode: %v, %d segments", err, len(segs))
 	}
 }
 

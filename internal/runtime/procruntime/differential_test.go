@@ -1,9 +1,13 @@
 package procruntime_test
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -54,6 +58,8 @@ type engineTweaks struct {
 	// returns rows (so the oracle comparison is not vacuous) instead of
 	// the small default the wire-stats constants were measured on.
 	oracleScale bool
+	// wrapWorker, when set, wraps every worker's handler.
+	wrapWorker func(http.Handler) http.Handler
 }
 
 // dataset returns the generator and UDF parameters a run uses; workers
@@ -88,7 +94,11 @@ func newProcRuntime(t *testing.T, n int, ccfg cluster.Config, pcfg procruntime.C
 		reg := expr.NewRegistry()
 		_, udf := tw.dataset()
 		tpch.RegisterUDFs(reg, udf)
-		ts := httptest.NewServer(procruntime.NewWorker(reg).Handler())
+		h := procruntime.NewWorker(reg).Handler()
+		if tw.wrapWorker != nil {
+			h = tw.wrapWorker(h)
+		}
+		ts := httptest.NewServer(h)
 		t.Cleanup(ts.Close)
 		if _, err := fleet.RegisterWorkerCaps(ts.URL, fullCaps); err != nil {
 			t.Fatal(err)
@@ -248,7 +258,8 @@ func TestDifferentialTPCH(t *testing.T) {
 // exact number of task attempts (no retries, no hedges), the exact
 // number of RPCs that carried them, ceilings on dispatch bytes (a task
 // costs what its references cost — no block or shuffle payload rides
-// the dispatch plane), and a shuffle that moves worker-to-worker only.
+// the dispatch plane), and a shuffle that moves worker-to-worker only,
+// in one request per reduce task and producing peer.
 // Dispatch is by wave, one frame per worker per wave, and the
 // simulator hands every wave to the fleet whole whatever its own pool
 // size, so both arms count the same RPCs.
@@ -291,8 +302,52 @@ func TestProcWireStats(t *testing.T) {
 			if st.PeerShuffleBytes <= 0 {
 				t.Errorf("PeerShuffleBytes = %d, want > 0: no shuffle pairs moved worker-to-worker", st.PeerShuffleBytes)
 			}
+			if st.PeerFetches != 1 {
+				t.Errorf("PeerFetches = %d, want exactly 1", st.PeerFetches)
+			}
 		})
 	}
+	// The small dataset's Q10 has one reduce task that needs a segment
+	// from the other worker. At the oracle scale its reduce tasks need
+	// many, placed by wave arrival order; the frames the workers are sent
+	// say how many requests that placement takes: one per reduce task and
+	// peer holding any of its segments.
+	t.Run("peerRequests", func(t *testing.T) {
+		const workers = 2
+		var reduces, segments, requests atomic.Int64
+		tw := engineTweaks{oracleScale: true, wrapWorker: func(h http.Handler) http.Handler {
+			return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+				body, _ := io.ReadAll(r.Body)
+				r.Body = io.NopCloser(bytes.NewReader(body))
+				tasks, _ := wire.DecodeTaskBatch(body)
+				for _, task := range tasks {
+					if task.Kind != "reduce" {
+						continue
+					}
+					reduces.Add(1)
+					peers := map[string]bool{}
+					for _, ref := range task.Fetches {
+						if ref.ID != "" && ref.URL != "http://"+r.Host {
+							segments.Add(1)
+							peers[ref.URL] = true
+						}
+					}
+					requests.Add(int64(len(peers)))
+				}
+				h.ServeHTTP(rw, r)
+			})
+		}}
+		rt := newProcRuntime(t, workers, cluster.DefaultConfig(), procruntime.Config{HedgeMin: time.Hour}, tw)
+		runQuery(t, rt, "Q10", tw)
+		st := rt.Fleet().WireStats()
+		if st.PeerFetches != requests.Load() {
+			t.Errorf("PeerFetches = %d, want exactly %d for %d remote segments", st.PeerFetches, requests.Load(), segments.Load())
+		}
+		if most := reduces.Load() * (workers - 1); requests.Load() > most || segments.Load() <= most {
+			t.Errorf("%d requests and %d remote segments for %d reduce tasks: want requests <= %d < segments",
+				requests.Load(), segments.Load(), reduces.Load(), most)
+		}
+	})
 }
 
 // TestWholeRowPushdownAnswersWithPositions: under projection pushdown a

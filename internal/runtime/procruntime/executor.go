@@ -19,10 +19,10 @@ import (
 //
 // Shuffle map tasks retain their partitioned output on the producing
 // worker and return per-partition digests; reduce tasks carry a fetch
-// list instead of materialized pairs. A fetch that fails is recovered
-// by re-running the deterministic map through normal dispatch and
-// inlining that one segment, so correctness never depends on a peer
-// staying up.
+// list instead of materialized pairs. The segments a reduce task could
+// not fetch are recovered by re-running their deterministic maps
+// through normal dispatch and inlining those segments, so correctness
+// never depends on a peer staying up.
 type executor struct {
 	f  *Fleet
 	fs *dfs.FS
@@ -168,9 +168,9 @@ func (e executor) ExecReduce(r mapreduce.ReduceExec) (*mapreduce.ReduceExecOut, 
 	if !ok {
 		return nil, fmt.Errorf("procruntime: job %s: remote op is %T, want *physop.OpSpec", r.JobName, r.Op)
 	}
-	// Ship the segment list; the worker pulls each segment from its
-	// producer and sorts the assembly. Empty segments carry no pairs
-	// and are elided up front.
+	// Ship the segment list; the worker pulls the segments each producer
+	// holds in one request and sorts the assembly. Empty segments carry
+	// no pairs and are elided up front.
 	fetches := make([]wire.ShuffleRef, 0, len(r.Inputs))
 	handles := make([]*peerOutput, 0, len(r.Inputs))
 	for _, in := range r.Inputs {
@@ -192,8 +192,8 @@ func (e executor) ExecReduce(r mapreduce.ReduceExec) (*mapreduce.ReduceExecOut, 
 		Partition: r.Partition,
 		Fetches:   fetches,
 	}
-	// A failed peer fetch inlines that one segment from a re-run of its
-	// map and dispatches again; every other failure is final.
+	// A failed peer fetch names every segment the worker could not have;
+	// each is inlined from a re-run of its map before one re-dispatch.
 	for {
 		res, err := e.f.dispatch(task, e.waves.current())
 		if err == nil {
@@ -203,15 +203,20 @@ func (e executor) ExecReduce(r mapreduce.ReduceExec) (*mapreduce.ReduceExecOut, 
 		if !errors.As(err, &tfe) {
 			return nil, err
 		}
-		idx, isFetch := wire.ParsePeerFetchErr(tfe.msg)
-		if !isFetch || idx < 0 || idx >= len(fetches) || handles[idx] == nil {
+		idxs, isFetch := wire.ParsePeerFetchErr(tfe.msg)
+		if !isFetch {
 			return nil, err // deterministic operator error: fail fast
 		}
-		pairs, rerr := handles[idx].recover(r.Partition)
-		if rerr != nil {
-			return nil, rerr
+		for _, idx := range idxs {
+			if idx < 0 || idx >= len(fetches) || handles[idx] == nil {
+				return nil, err // names no segment still awaiting recovery
+			}
+			pairs, rerr := handles[idx].recover(r.Partition)
+			if rerr != nil {
+				return nil, rerr
+			}
+			fetches[idx] = wire.ShuffleRef{Pairs: pairs}
+			handles[idx] = nil
 		}
-		fetches[idx] = wire.ShuffleRef{Pairs: pairs}
-		handles[idx] = nil
 	}
 }

@@ -2,6 +2,7 @@ package procruntime
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -12,6 +13,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -20,7 +22,9 @@ import (
 	"dyno/internal/dfs"
 	"dyno/internal/expr"
 	"dyno/internal/mapreduce"
+	"dyno/internal/naive"
 	"dyno/internal/physop"
+	"dyno/internal/runtime/simruntime"
 	"dyno/internal/runtime/wire"
 	"dyno/internal/sqlparse"
 )
@@ -83,13 +87,20 @@ func newPeerHarness(t *testing.T, n, records int) (executor, *dfs.File, []*httpt
 	}
 	fs := dfs.New(dfs.WithBlockSize(1))
 	w := fs.Create("in")
-	for i := 0; i < records; i++ {
-		w.Append(data.Object(
+	w.AppendAll(kvRecords(records))
+	return executor{f: f, fs: fs}, w.Close(), servers
+}
+
+// kvRecords are the harness's records: {k: i mod 3, v: i+1}.
+func kvRecords(n int) []data.Value {
+	recs := make([]data.Value, n)
+	for i := range recs {
+		recs[i] = data.Object(
 			data.Field{Name: "k", Value: data.Int(int64(i % 3))},
 			data.Field{Name: "v", Value: data.Int(int64(i + 1))},
-		))
+		)
 	}
-	return executor{f: f, fs: fs}, w.Close(), servers
+	return recs
 }
 
 // runPeerJob maps every block with retained shuffle output and
@@ -223,6 +234,171 @@ func TestPeerDeathFallsBackToMirror(t *testing.T) {
 	}
 }
 
+// reduceAll runs partition part of the peer job over every map output.
+func reduceAll(t *testing.T, ex executor, outs []*mapreduce.MapExecOut, part int) []data.Value {
+	t.Helper()
+	inputs := make([]mapreduce.ShuffleInput, 0, len(outs))
+	for _, out := range outs {
+		inputs = append(inputs, mapreduce.ShuffleInput{Handle: out.Shuffle})
+	}
+	res, err := ex.ExecReduce(mapreduce.ReduceExec{JobName: "peerjob", TaskName: fmt.Sprintf("peerjob-r%d", part),
+		Partition: part, Inputs: inputs, Op: sumOp()})
+	if err != nil {
+		t.Fatalf("reduce %d: %v", part, err)
+	}
+	return res.Rows
+}
+
+// catalog is a naive.Catalog over named files.
+type catalog map[string]*dfs.File
+
+func (c catalog) Lookup(name string) (*dfs.File, bool) { f, ok := c[name]; return f, ok }
+
+// TestLostSegmentsCostOneRedispatch: a reduce task learns of every
+// segment it cannot have from its one request per producer — all of
+// them when the producer is dead, only the evicted ones when it is up —
+// and the executor recovers them all before it dispatches the task
+// again: one extra dispatch, not one per segment. The rows equal the
+// simulator's and the naive oracle's.
+func TestLostSegmentsCostOneRedispatch(t *testing.T) {
+	const records = 12
+	sim := simruntime.New(cluster.DefaultConfig())
+	in := sim.FS().Create("nums")
+	in.AppendAll(kvRecords(records))
+	nums := in.Close()
+	spec, err := sumOp().Bind(mapreduce.Spec{Name: "simjob", Output: "out", NumReducers: 1}, nums)
+	if err != nil {
+		t.Fatal(err)
+	}
+	simRes, err := mapreduce.Run(sim.NewEnv(expr.NewRegistry()), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	simRows := simRes.Output.AllRecords()
+	oracle, err := naive.Evaluate(sqlparse.MustParse(`SELECT t.k AS k, SUM(t.v) AS s FROM nums t GROUP BY t.k`),
+		catalog{"nums": nums}, expr.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, arm := range []string{"dead", "evicted"} {
+		t.Run(arm, func(t *testing.T) {
+			ex, file, servers := newPeerHarness(t, 2, records)
+			_, outs := runPeerJob(t, ex, file, 1)
+			producer := outs[0].Shuffle.(*peerOutput).url
+			var held []string
+			for _, out := range outs {
+				if po := out.Shuffle.(*peerOutput); po.url == producer && po.parts[0].Count > 0 {
+					held = append(held, po.id)
+				}
+			}
+			if len(held) < 3 {
+				t.Fatalf("the producer holds %d of the reduce task's segments, want >= 3", len(held))
+			}
+			if arm == "dead" {
+				for _, ts := range servers {
+					if ts.URL == producer {
+						ts.Close()
+					}
+				}
+				// The controller has noticed: no attempt goes to the dead
+				// worker, so every attempt counted below is one dispatch.
+				ex.f.mu.Lock()
+				for _, w := range ex.f.workers {
+					w.black = w.url == producer
+				}
+				ex.f.mu.Unlock()
+			} else {
+				held = held[:2]
+				gc, _ := json.Marshal(wire.ShuffleGCRequest{IDs: held})
+				resp, err := http.Post(producer+"/shuffle/gc", "application/json", bytes.NewReader(gc))
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp.Body.Close()
+			}
+			before := ex.f.WireStats().Tasks
+			rows := reduceAll(t, ex, outs, 0)
+			// One task per recovered map, and the reduce twice: the attempt
+			// that found the segments gone and the one dispatch after.
+			if got, want := ex.f.WireStats().Tasks-before, int64(len(held)+2); got != want {
+				t.Errorf("%d task attempts to recover %d segments, want %d", got, len(held), want)
+			}
+			if got, want := rowStrings(rows), rowStrings(simRows); !reflect.DeepEqual(got, want) {
+				t.Errorf("rows %v, sim %v", got, want)
+			}
+			if got, want := rowStrings(naive.SortForComparison(rows)), rowStrings(naive.SortForComparison(oracle)); !reflect.DeepEqual(got, want) {
+				t.Errorf("rows %v, oracle %v", got, want)
+			}
+		})
+	}
+}
+
+// TestReduceAsksEachPeerOnce: the segments a reduce task needs from one
+// peer arrive in one request, and the task's input is assembled in
+// Fetches order with inline and local segments interleaved. A request
+// that fails names the segments lost: all of them for a peer that
+// cannot be reached, only the missing ones for a peer that answers 404.
+func TestReduceAsksEachPeerOnce(t *testing.T) {
+	seg := func(tag string, n int) []wire.KV {
+		pairs := make([]wire.KV, n)
+		for i := range pairs {
+			pairs[i] = wire.KV{Key: data.Int(int64(i)), Tag: tag, Rec: data.String(tag)}
+		}
+		return pairs
+	}
+	a, b := NewWorker(expr.NewRegistry()), NewWorker(expr.NewRegistry())
+	var asks atomic.Int64
+	hb := b.Handler()
+	peer := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/shuffle" {
+			asks.Add(1)
+		}
+		hb.ServeHTTP(rw, r)
+	}))
+	t.Cleanup(peer.Close)
+	gone := httptest.NewServer(http.NotFoundHandler())
+	gone.Close()
+	for _, id := range []string{"b1", "b2", "b3"} {
+		b.retainShuffle(id, [][]wire.KV{seg("p0", 1), seg(id, 3)}, 1)
+	}
+	a.retainShuffle("a1", [][]wire.KV{nil, seg("a1", 2)}, 1)
+	at := func(url, id string) wire.ShuffleRef { return wire.ShuffleRef{URL: url, ID: id, Part: 1} }
+	tags := func(pairs []wire.KV) (out []string) {
+		for _, kv := range pairs {
+			out = append(out, kv.Tag)
+		}
+		return out
+	}
+
+	// a1's URL is unreachable: it must come from a's own registry.
+	task := &wire.Task{Partition: 1, Fetches: []wire.ShuffleRef{{Pairs: seg("x", 1)}, at(peer.URL, "b1"),
+		at(gone.URL, "a1"), at(peer.URL, "b2"), {Pairs: seg("y", 2)}, at(peer.URL, "b3")}}
+	res := &wire.TaskResult{}
+	pairs, lost := a.gather(task, res)
+	if lost != "" {
+		t.Fatal(lost)
+	}
+	want := []string{"x", "b1", "b1", "b1", "a1", "a1", "b2", "b2", "b2", "y", "y", "b3", "b3", "b3"}
+	if got := tags(pairs); !reflect.DeepEqual(got, want) {
+		t.Errorf("input %v, want %v", got, want)
+	}
+	if asks.Load() != 1 || res.PeerFetches != 1 || b.statShufServed.Load() != 3 {
+		t.Errorf("%d requests, %d counted, %d segments served; want 1, 1, 3", asks.Load(), res.PeerFetches, b.statShufServed.Load())
+	}
+
+	asks.Store(0)
+	task.Fetches = []wire.ShuffleRef{at(peer.URL, "b1"), at(peer.URL, "evicted"), at(gone.URL, "z1"),
+		at(peer.URL, "b3"), at(gone.URL, "z2"), at(peer.URL, "evicted2"), {Pairs: seg("x", 1)}}
+	_, lost = a.gather(task, &wire.TaskResult{})
+	if idxs, ok := wire.ParsePeerFetchErr(lost); !ok || !reflect.DeepEqual(idxs, []int{1, 2, 4, 5}) {
+		t.Errorf("lost segments %v (%q), want [1 2 4 5]", idxs, lost)
+	}
+	if asks.Load() != 1 {
+		t.Errorf("%d requests to the peer that answered 404, want 1 (a 404 is not retried)", asks.Load())
+	}
+}
+
 // TestShuffleGCOnJobRetirement: retiring a job broadcasts a GC that
 // empties every worker's shuffle registry for that job's blocks.
 func TestShuffleGCOnJobRetirement(t *testing.T) {
@@ -349,7 +525,9 @@ func TestRetirementDropsDeadBlocksFromWorkers(t *testing.T) {
 // TestWorkerRefusesHostileInput: the worker's socket- and disk-facing
 // readers fail closed — an oversize body is 413 before it is buffered,
 // a non-frame Content-Type is 415, a task frame whose counts no
-// controller emits is 400 before anything is sized from them, a block
+// controller emits is 400 before anything is sized from them, so is a
+// shuffle request that is truncated, not DYF1, or claims more ids than
+// its body could hold, a block
 // file that is not a DYB1 frame is a task error rather than a guess at
 // another format, and a panicking operator is a task error too — and
 // after each of them the worker still serves the next request.
@@ -376,6 +554,11 @@ func TestWorkerRefusesHostileInput(t *testing.T) {
 		defer frame.Close()
 		return bytes.NewReader(bytes.Clone(frame.Bytes()))
 	}
+	ask := wire.EncodeShuffleRequest(0, []string{"s1", "s2", "s3"})
+	askBytes := bytes.Clone(ask.Bytes())
+	ask.Close()
+	// Partition 0, then an id count of 2^40 and no ids.
+	hugeAsk := binary.AppendUvarint(binary.AppendUvarint([]byte("DYF1"), 0), 1<<40)
 	scan := &physop.OpSpec{Kind: physop.Scan}
 	shuffle := &physop.OpSpec{Kind: physop.Repartition}
 	panicky := &physop.OpSpec{Kind: physop.Scan, Source: &physop.Source{Wrap: "t",
@@ -383,6 +566,7 @@ func TestWorkerRefusesHostileInput(t *testing.T) {
 
 	cases := []struct {
 		name        string
+		path        string // default /tasks
 		contentType string
 		body        io.Reader
 		length      int64
@@ -392,30 +576,39 @@ func TestWorkerRefusesHostileInput(t *testing.T) {
 		// The body is declared, never sent: the worker must answer from
 		// the header alone (Expect: 100-continue keeps the client from
 		// streaming half a gigabyte at it).
-		{"oversize", wire.ContentTypeBinary, zeroReader{}, wire.MaxBodyBytes + 1, http.StatusRequestEntityTooLarge, ""},
-		{"jsonBatch", "application/json", strings.NewReader(`{"tasks":[]}`), -1, http.StatusUnsupportedMediaType, ""},
-		{"unknownBlockMagic", wire.ContentTypeBinary,
+		{"oversize", "", wire.ContentTypeBinary, zeroReader{}, wire.MaxBodyBytes + 1, http.StatusRequestEntityTooLarge, ""},
+		{"shuffleOversize", "/shuffle", wire.ContentTypeBinary, zeroReader{}, wire.MaxBodyBytes + 1, http.StatusRequestEntityTooLarge, ""},
+		{"jsonBatch", "", "application/json", strings.NewReader(`{"tasks":[]}`), -1, http.StatusUnsupportedMediaType, ""},
+		{"shuffleHugeIDCount", "/shuffle", wire.ContentTypeBinary, bytes.NewReader(hugeAsk), -1, http.StatusBadRequest, ""},
+		{"shuffleTruncatedIDs", "/shuffle", wire.ContentTypeBinary, bytes.NewReader(askBytes[:len(askBytes)-2]), -1, http.StatusBadRequest, ""},
+		{"shuffleWrongMagic", "/shuffle", wire.ContentTypeBinary, bytes.NewReader(append([]byte("DYS2"), askBytes[4:]...)), -1, http.StatusBadRequest, ""},
+		{"shuffleUnknownIDs", "/shuffle", wire.ContentTypeBinary, bytes.NewReader(askBytes), -1, http.StatusNotFound, ""},
+		{"unknownBlockMagic", "", wire.ContentTypeBinary,
 			frameOf(&wire.Task{Task: "t-m0", Kind: "map", Op: scan, Block: notABlock}), -1, http.StatusOK, "not a block frame"},
 		// A 40-byte frame must not size a bucket array or take a modulus.
-		{"hugeNumReducers", wire.ContentTypeBinary,
+		{"hugeNumReducers", "", wire.ContentTypeBinary,
 			frameOf(&wire.Task{Task: "t-m0", Kind: "map", Op: shuffle, Block: block, HasReduce: true, NumReducers: 1 << 40}), -1, http.StatusBadRequest, ""},
-		{"zeroNumReducers", wire.ContentTypeBinary,
+		{"zeroNumReducers", "", wire.ContentTypeBinary,
 			frameOf(&wire.Task{Task: "t-m0", Kind: "map", Op: shuffle, Block: block, HasReduce: true}), -1, http.StatusBadRequest, ""},
-		{"negativeInputIdx", wire.ContentTypeBinary,
+		{"negativeInputIdx", "", wire.ContentTypeBinary,
 			frameOf(&wire.Task{Task: "t-m0", Kind: "map", Op: shuffle, Block: block, InputIdx: -1}), -1, http.StatusBadRequest, ""},
 		// Deterministic: a task error the controller fails fast on, not a
 		// dropped connection it retries on three workers.
-		{"panickingUDF", wire.ContentTypeBinary,
+		{"panickingUDF", "", wire.ContentTypeBinary,
 			frameOf(&wire.Task{Task: "t-m0", Kind: "map", Op: panicky, Block: block}), -1, http.StatusOK, "panicked: udf exploded"},
 		// The worker is still serving.
-		{"stillServing", wire.ContentTypeBinary,
+		{"stillServing", "", wire.ContentTypeBinary,
 			frameOf(&wire.Task{Task: "t-m0", Kind: "map", Op: scan, Block: block}), -1, http.StatusOK, ""},
 	}
 	client := &http.Client{Transport: &http.Transport{ExpectContinueTimeout: time.Minute}}
 	defer client.CloseIdleConnections()
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			req, err := http.NewRequest(http.MethodPost, ts.URL+"/tasks", tc.body)
+			path := tc.path
+			if path == "" {
+				path = "/tasks"
+			}
+			req, err := http.NewRequest(http.MethodPost, ts.URL+path, tc.body)
 			if err != nil {
 				t.Fatal(err)
 			}

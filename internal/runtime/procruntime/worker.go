@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/url"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -24,8 +23,8 @@ import (
 )
 
 // WorkerStatus is the GET /status payload: cache occupancy plus
-// hit/miss/eviction counters, and the worker's peer-shuffle traffic
-// totals.
+// hit/miss/eviction counters. ShuffleServed counts the segments it
+// served to peers (a request names several).
 type WorkerStatus struct {
 	Draining bool `json:"draining,omitempty"`
 
@@ -44,9 +43,6 @@ type WorkerStatus struct {
 	ShuffleBytes     int64 `json:"shuffleBytes"`
 	ShuffleServed    int64 `json:"shuffleServed"`
 	ShuffleEvictions int64 `json:"shuffleEvictions"`
-
-	PeerFetches int64 `json:"peerFetches"`
-	PeerBytes   int64 `json:"peerBytes"`
 }
 
 type blockEntry struct {
@@ -184,9 +180,7 @@ type Worker struct {
 	draining    bool
 	drainNotify func()
 
-	statShufServed  atomic.Int64
-	statPeerFetches atomic.Int64
-	statPeerBytes   atomic.Int64
+	statShufServed atomic.Int64
 }
 
 // NewWorker builds a worker evaluating expressions against reg (which
@@ -212,13 +206,13 @@ func NewWorker(reg *expr.Registry) *Worker {
 func (w *Worker) OnDrain(fn func()) { w.drainNotify = fn }
 
 // Handler returns the worker's HTTP surface: /tasks (batched DYT1
-// frames in, DYR2 frames out), /shuffle (peer segment serving, DYS1
-// frames), and the JSON control plane: /shuffle/gc, /status, /healthz,
-// and /drain.
+// frames in, DYR2 frames out), /shuffle (a peer's DYF1 request in, one
+// DYS2 frame of the segments it names out), and the JSON control plane:
+// /shuffle/gc, /status, /healthz, and /drain.
 func (w *Worker) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /tasks", w.handleTaskBatch)
-	mux.HandleFunc("GET /shuffle", w.handleShuffle)
+	mux.HandleFunc("POST /shuffle", w.handleShuffle)
 	mux.HandleFunc("POST /shuffle/gc", w.handleShuffleGC)
 	mux.HandleFunc("GET /status", w.handleStatus)
 	mux.HandleFunc("GET /healthz", func(rw http.ResponseWriter, r *http.Request) {
@@ -240,24 +234,33 @@ func (w *Worker) handleDrain(rw http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleShuffle serves one retained shuffle partition to a peer as a
-// DYS1 frame. Draining workers keep serving — retained data stays
-// valid until the process exits, and a vanished process surfaces as a
-// fetch error the controller recovers from.
+// handleShuffle answers a peer's DYF1 request with one DYS2 frame of
+// the segments it names, in order, or with 404 and a PeerFetchErr of
+// the request positions it no longer holds. Draining workers keep
+// serving: retained data stays valid until the process exits.
 func (w *Worker) handleShuffle(rw http.ResponseWriter, r *http.Request) {
-	id := r.URL.Query().Get("id")
-	part, err := strconv.Atoi(r.URL.Query().Get("part"))
-	if id == "" || err != nil {
-		http.Error(rw, "bad shuffle request: need id and part", http.StatusBadRequest)
-		return
-	}
-	pairs, ok := w.shuffleLookup(id, part)
+	body, ok := readBody(rw, r)
 	if !ok {
-		http.Error(rw, "unknown shuffle block", http.StatusNotFound)
 		return
 	}
-	w.statShufServed.Add(1)
-	frame := wire.EncodeShuffle(pairs)
+	part, ids, err := wire.DecodeShuffleRequest(body)
+	if err != nil {
+		http.Error(rw, "bad shuffle request: "+err.Error(), http.StatusBadRequest)
+		return
+	}
+	segs := make([][]wire.KV, len(ids))
+	var missing []int
+	for i, id := range ids {
+		if segs[i], ok = w.shuffleLookup(id, part); !ok {
+			missing = append(missing, i)
+		}
+	}
+	if missing != nil {
+		http.Error(rw, wire.PeerFetchErr(missing, "unknown shuffle blocks"), http.StatusNotFound)
+		return
+	}
+	w.statShufServed.Add(int64(len(ids)))
+	frame := wire.EncodeShuffleSegments(segs)
 	defer frame.Close()
 	rw.Header().Set("Content-Type", wire.ContentTypeBinary)
 	rw.Header().Set("Content-Length", strconv.Itoa(len(frame.Bytes())))
@@ -289,8 +292,6 @@ func (w *Worker) handleStatus(rw http.ResponseWriter, r *http.Request) {
 	st.Blocks, st.BlockBytes, st.BlockHits, st.BlockMisses, st.BlockEvictions = w.blocks.stats()
 	st.Tables, _, st.TableHits, st.TableMisses, st.TableEvictions = w.tables.stats()
 	st.ShuffleServed = w.statShufServed.Load()
-	st.PeerFetches = w.statPeerFetches.Load()
-	st.PeerBytes = w.statPeerBytes.Load()
 	rw.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(rw).Encode(st)
 }
@@ -448,46 +449,59 @@ func (w *Worker) shuffleLookup(id string, part int) ([]wire.KV, bool) {
 	return parts[part], true
 }
 
-// fetchShuffle pulls one shuffle segment from the producing peer,
-// retrying one transient transport failure. A non-OK status (the peer
-// is up but no longer holds the block) is deterministic and not
-// retried — the controller falls back to the mirror path instead.
-func (w *Worker) fetchShuffle(base, id string, part int) ([]wire.KV, int64, error) {
-	target := base + "/shuffle?id=" + url.QueryEscape(id) + "&part=" + strconv.Itoa(part)
-	var lastErr error
+// fetchShuffle fills segs[i] for every Fetches index i in idx, all held
+// by one producer, in one request, retrying one transport failure. It
+// returns the indices it could not fill: those a 404 names (not
+// retried: the peer is up but evicted them), else all of idx.
+func (w *Worker) fetchShuffle(task *wire.Task, idx []int, segs [][]wire.KV, res *wire.TaskResult) (lost []int, err error) {
+	ids := make([]string, len(idx))
+	for j, i := range idx {
+		ids[j] = task.Fetches[i].ID
+	}
+	peer := &task.Fetches[idx[0]]
+	frame := wire.EncodeShuffleRequest(peer.Part, ids)
+	defer frame.Close()
 	for attempt := 0; attempt < 2; attempt++ {
-		req, err := http.NewRequest(http.MethodGet, target, nil)
-		if err != nil {
-			return nil, 0, err
-		}
-		resp, err := w.peers.Do(req)
-		if err != nil {
-			lastErr = err
+		resp, perr := w.peers.Post(peer.URL+"/shuffle", wire.ContentTypeBinary, bytes.NewReader(frame.Bytes()))
+		if err = perr; err != nil {
 			continue
 		}
-		body, err := wire.ReadBody(resp.Body, resp.ContentLength)
+		body, rerr := wire.ReadBody(resp.Body, resp.ContentLength)
 		resp.Body.Close()
-		if err != nil {
-			lastErr = err
+		if err = rerr; err != nil {
 			continue
 		}
 		if resp.StatusCode != http.StatusOK {
-			return nil, 0, fmt.Errorf("HTTP %d: %s", resp.StatusCode, bytes.TrimSpace(body[:min(len(body), 512)]))
+			msg := string(bytes.TrimSpace(body[:min(len(body), 512)]))
+			lost = idx
+			pos, ok := wire.ParsePeerFetchErr(msg)
+			if ok && resp.StatusCode == http.StatusNotFound && !slices.ContainsFunc(pos, func(j int) bool { return j < 0 || j >= len(idx) }) {
+				lost = make([]int, len(pos))
+				for k, j := range pos {
+					lost[k] = idx[j]
+				}
+			}
+			return lost, fmt.Errorf("%s: HTTP %d: %s", peer.URL, resp.StatusCode, msg)
 		}
-		kvs, err := wire.DecodeShuffle(body)
-		if err != nil {
-			return nil, 0, err
+		got, derr := wire.DecodeShuffleSegments(body)
+		if derr == nil && len(got) != len(idx) {
+			derr = fmt.Errorf("%d segments answered for %d asked", len(got), len(idx))
 		}
-		w.statPeerFetches.Add(1)
-		w.statPeerBytes.Add(int64(len(body)))
-		return kvs, int64(len(body)), nil
+		if derr != nil {
+			return idx, fmt.Errorf("%s: %w", peer.URL, derr)
+		}
+		for j, i := range idx {
+			segs[i] = got[j]
+		}
+		res.PeerFetches++
+		res.PeerBytes += int64(len(body))
+		return nil, nil
 	}
-	return nil, 0, lastErr
+	return idx, fmt.Errorf("%s: %w", peer.URL, err)
 }
 
-// runReduce assembles the reduce input from the segment list in order
-// — inline pairs, the local registry, then the producing peer — sorts
-// it, and runs the engine's own reduce task body.
+// runReduce gathers the reduce input, sorts it, and runs the engine's
+// own reduce task body.
 func (w *Worker) runReduce(task *wire.Task) (*wire.TaskResult, error) {
 	k, err := physop.Compile(task.Op, 0, data.Null())
 	if err != nil {
@@ -496,31 +510,54 @@ func (w *Worker) runReduce(task *wire.Task) (*wire.TaskResult, error) {
 	if k.Reduce == nil {
 		return nil, fmt.Errorf("op kind %q has no reduce phase", task.Op.Kind)
 	}
-	var pairs []wire.KV
 	res := &wire.TaskResult{}
-	for i := range task.Fetches {
-		ref := &task.Fetches[i]
-		if ref.ID == "" {
-			pairs = append(pairs, ref.Pairs...)
-			continue
-		}
-		if local, ok := w.shuffleLookup(ref.ID, ref.Part); ok {
-			pairs = append(pairs, local...)
-			continue
-		}
-		kvs, n, err := w.fetchShuffle(ref.URL, ref.ID, ref.Part)
-		if err != nil {
-			return &wire.TaskResult{Err: wire.PeerFetchErr(i, ref.URL, err)}, nil
-		}
-		res.PeerFetches++
-		res.PeerBytes += n
-		pairs = append(pairs, kvs...)
+	pairs, lost := w.gather(task, res)
+	if lost != "" {
+		return &wire.TaskResult{Err: lost}, nil
 	}
 	wire.SortKVs(pairs)
 	if res.Rows, res.CPUSeconds, err = mapreduce.RunReduceTask(w.reg, k.Reduce, pairs); err != nil {
 		return nil, err
 	}
 	return res, nil
+}
+
+// gather assembles a reduce task's input in Fetches order into one
+// exactly-sized slice: inline pairs, the local registry, and one request
+// per producing peer. If any segment could not be fetched it returns a
+// PeerFetchErr naming every such segment instead, so the controller
+// recovers them all before it dispatches again.
+func (w *Worker) gather(task *wire.Task, res *wire.TaskResult) (pairs []wire.KV, lost string) {
+	segs := make([][]wire.KV, len(task.Fetches))
+	var peers []string
+	asks := map[string][]int{} // Fetches indices by producer and partition, in order
+	for i := range task.Fetches {
+		ref := &task.Fetches[i]
+		if ref.ID == "" {
+			segs[i] = ref.Pairs
+		} else if local, ok := w.shuffleLookup(ref.ID, ref.Part); ok {
+			segs[i] = local
+		} else {
+			peer := fmt.Sprint(ref.Part, " ", ref.URL)
+			if asks[peer] == nil {
+				peers = append(peers, peer)
+			}
+			asks[peer] = append(asks[peer], i)
+		}
+	}
+	var failed []int
+	var why []string
+	for _, peer := range peers {
+		if idx, err := w.fetchShuffle(task, asks[peer], segs, res); err != nil {
+			failed = append(failed, idx...)
+			why = append(why, err.Error())
+		}
+	}
+	if failed != nil {
+		slices.Sort(failed)
+		return nil, wire.PeerFetchErr(failed, strings.Join(why, "; "))
+	}
+	return slices.Concat(segs...), ""
 }
 
 // block loads one mirrored block file (a DYB1 frame; anything else is

@@ -66,7 +66,6 @@ func (e *benc) uvarint(x uint64) { e.buf = binary.AppendUvarint(e.buf, x) }
 func (e *benc) varint(x int64)   { e.buf = binary.AppendVarint(e.buf, x) }
 func (e *benc) bool(b bool)      { e.byte(boolByte(b)) }
 func (e *benc) f64(x float64)    { e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(x)) }
-func (e *benc) blob(b []byte)    { e.uvarint(uint64(len(b))); e.raw(b) }
 
 func boolByte(b bool) byte {
 	if b {

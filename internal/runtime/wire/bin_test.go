@@ -600,6 +600,74 @@ func TestBinDecodeRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestShuffleFrames: a producer's answer holds any number of segments,
+// empty ones included, and EncodeShuffle/DecodeShuffle are its
+// one-segment case; a reduce task's request carries its partition and
+// ids. Every truncation of either is refused, as is the per-segment
+// frame the DYS2 layout replaced.
+func TestShuffleFrames(t *testing.T) {
+	segs := sampleResults()[1].Pairs // two segments around an empty one
+	for _, want := range [][][]KV{segs, {nil}, {}} {
+		frame := EncodeShuffleSegments(want)
+		got, err := DecodeShuffleSegments(frame.Bytes())
+		if err != nil || len(got) != len(want) {
+			t.Fatalf("%d segments -> %d: %v", len(want), len(got), err)
+		}
+		for i := range want {
+			if len(got[i]) != len(want[i]) {
+				t.Fatalf("segment %d: %d pairs -> %d", i, len(want[i]), len(got[i]))
+			}
+			for n, kv := range want[i] {
+				if got[i][n].Tag != kv.Tag {
+					t.Fatalf("segment %d pair %d: tag %q -> %q", i, n, kv.Tag, got[i][n].Tag)
+				}
+				assertSameValue(t, kv.Key, got[i][n].Key)
+				assertSameValue(t, kv.Rec, got[i][n].Rec)
+			}
+		}
+		if _, err := DecodeShuffle(frame.Bytes()); (err == nil) != (len(want) == 1) {
+			t.Fatalf("DecodeShuffle of %d segments: %v", len(want), err)
+		}
+		frame.Close()
+	}
+	one := EncodeShuffle(segs[0])
+	if got, err := DecodeShuffle(one.Bytes()); err != nil || len(got) != len(segs[0]) {
+		t.Fatalf("one segment: %v, %d pairs", err, len(got))
+	}
+	if _, err := DecodeShuffle(append([]byte("DYS1"), one.Bytes()[len(magicShuffle)+1:]...)); err == nil {
+		t.Fatal("DecodeShuffle accepted a DYS1 frame")
+	}
+	one.Close()
+
+	ask := EncodeShuffleRequest(7, []string{"j-m0#1", "j-m3#4", "j-m0#1"})
+	part, ids, err := DecodeShuffleRequest(ask.Bytes())
+	if err != nil || part != 7 || !slices.Equal(ids, []string{"j-m0#1", "j-m3#4", "j-m0#1"}) {
+		t.Fatalf("request: partition %d, ids %q, %v", part, ids, err)
+	}
+	for _, frame := range []*Frame{ask, EncodeShuffleSegments(segs)} {
+		whole := frame.Bytes()
+		for n := 0; n < len(whole); n++ {
+			_, _, rerr := DecodeShuffleRequest(whole[:n])
+			if _, serr := DecodeShuffleSegments(whole[:n]); rerr == nil || serr == nil {
+				t.Fatalf("a %d-byte truncation of a %q frame decoded", n, whole[:4])
+			}
+		}
+		frame.Close()
+	}
+}
+
+func TestPeerFetchErrRoundTrip(t *testing.T) {
+	msg := PeerFetchErr([]int{0, 3, 12}, "http://127.0.0.1:9/: HTTP 404: unknown")
+	if idxs, ok := ParsePeerFetchErr(msg); !ok || !slices.Equal(idxs, []int{0, 3, 12}) {
+		t.Fatalf("%q parsed to %v, %v", msg, idxs, ok)
+	}
+	for _, msg := range []string{"boom: operator failed", "peer-fetch []: x", "peer-fetch [1 a]: x", "peer-fetch [1]", "[1]: x"} {
+		if idxs, ok := ParsePeerFetchErr(msg); ok {
+			t.Fatalf("%q parsed to %v", msg, idxs)
+		}
+	}
+}
+
 // resultWithSel is a one-result frame whose selection is sel: raw
 // bytes, its count and gaps as uvarints.
 func resultWithSel(sel ...uint64) []byte {

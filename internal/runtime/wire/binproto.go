@@ -2,10 +2,13 @@ package wire
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"math"
 	"os"
 	"sort"
+	"strconv"
+	"strings"
 
 	"dyno/internal/data"
 	"dyno/internal/expr"
@@ -17,15 +20,17 @@ import (
 // one frame: magic, task count, then the tasks back to back sharing
 // the frame's string dictionary (job names, aliases, column names, and
 // repeated data strings are carried once per frame, not once per
-// task). The response frame mirrors it. Block mirror files and peer
-// shuffle segments use the same codec with their own magics; a body
-// with any other leading bytes is an error.
+// task). The response frame mirrors it. Block mirror files, a reduce
+// task's request to a producer and the producer's shuffle segments use
+// the same codec with their own magics; a body with any other leading
+// bytes is an error.
 
 var (
-	magicTaskBatch = []byte("DYT1")
-	magicRespBatch = []byte("DYR2")
-	magicBlock     = []byte("DYB1")
-	magicShuffle   = []byte("DYS1")
+	magicTaskBatch  = []byte("DYT1")
+	magicRespBatch  = []byte("DYR2")
+	magicBlock      = []byte("DYB1")
+	magicShuffle    = []byte("DYS2")
+	magicShuffleReq = []byte("DYF1")
 )
 
 // Frame is an encoded binary frame backed by a pooled buffer. Call
@@ -673,10 +678,7 @@ func (e *benc) writeResult(r *TaskResult) {
 	e.f64(r.CPUSeconds)
 	e.writeValueList(r.Rows)
 	e.writeSel(r.Sel)
-	e.uvarint(uint64(len(r.Pairs)))
-	for _, pairs := range r.Pairs {
-		e.writeKVs(pairs)
-	}
+	e.writeSegments(r.Pairs)
 	e.uvarint(uint64(len(r.Parts)))
 	for _, p := range r.Parts {
 		e.varint(int64(p.Count))
@@ -707,19 +709,11 @@ func (d *bdec) readResult() (*TaskResult, error) {
 	if r.Sel, err = d.readSel(); err != nil {
 		return nil, err
 	}
-	n, err := d.count()
-	if err != nil {
+	if r.Pairs, err = d.readSegments(); err != nil {
 		return nil, err
 	}
-	if n > 0 {
-		r.Pairs = make([][]KV, n)
-		for i := range r.Pairs {
-			if r.Pairs[i], err = d.readKVs(); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if n, err = d.count(); err != nil {
+	n, err := d.count()
+	if err != nil {
 		return nil, err
 	}
 	if n > 0 {
@@ -880,26 +874,87 @@ func WriteBlockFile(path string, recs []data.Value) error {
 	return os.WriteFile(path, f.Bytes(), 0o644)
 }
 
-// EncodeShuffle encodes one shuffle partition's pairs as a DYS1 frame
-// (the body a peer worker serves from GET /shuffle). Close after use.
-func EncodeShuffle(pairs []KV) *Frame {
+// EncodeShuffleRequest encodes a reduce task's one request to a
+// producer: partition part of the map outputs ids, answered with their
+// segments in that order. Close after use.
+func EncodeShuffleRequest(part int, ids []string) *Frame {
 	e := newBenc()
-	e.raw(magicShuffle)
-	e.writeKVs(pairs)
+	e.raw(magicShuffleReq)
+	e.uvarint(uint64(part))
+	e.writeStrs(ids)
 	return &Frame{enc: e}
 }
 
-// DecodeShuffle decodes a DYS1 shuffle frame.
-func DecodeShuffle(b []byte) ([]KV, error) {
+// DecodeShuffleRequest decodes a shuffle request frame; an id count the
+// body could not hold is refused before anything is sized from it.
+func DecodeShuffleRequest(b []byte) (part int, ids []string, err error) {
+	if !bytes.HasPrefix(b, magicShuffleReq) {
+		return 0, nil, fmt.Errorf("wire: not a shuffle request frame")
+	}
+	d := newBdec(b[len(magicShuffleReq):])
+	defer d.release()
+	p, err := d.uvarint()
+	if err != nil {
+		return 0, nil, err
+	}
+	ids, err = d.readStrs()
+	return int(p), ids, err
+}
+
+// writeSegments writes pair segments: their count, then each one.
+func (e *benc) writeSegments(segs [][]KV) {
+	e.uvarint(uint64(len(segs)))
+	for _, pairs := range segs {
+		e.writeKVs(pairs)
+	}
+}
+
+func (d *bdec) readSegments() ([][]KV, error) {
+	n, err := d.count()
+	if err != nil || n == 0 {
+		return nil, err
+	}
+	segs := make([][]KV, n)
+	for i := range segs {
+		if segs[i], err = d.readKVs(); err != nil {
+			return nil, err
+		}
+	}
+	return segs, nil
+}
+
+// EncodeShuffleSegments encodes segments, in order, as one shuffle
+// frame (a producer's answer to POST /shuffle). Close after use.
+func EncodeShuffleSegments(segs [][]KV) *Frame {
+	e := newBenc()
+	e.raw(magicShuffle)
+	e.writeSegments(segs)
+	return &Frame{enc: e}
+}
+
+// DecodeShuffleSegments decodes a shuffle frame into its segments.
+func DecodeShuffleSegments(b []byte) ([][]KV, error) {
 	if !bytes.HasPrefix(b, magicShuffle) {
 		return nil, fmt.Errorf("wire: not a shuffle frame")
 	}
 	d := newBdec(b[len(magicShuffle):])
 	defer d.release()
-	return d.readKVs()
+	return d.readSegments()
 }
 
-// ShuffleWireBytes is the size of a pair set as a standalone DYS1
+// EncodeShuffle encodes one segment as a shuffle frame.
+func EncodeShuffle(pairs []KV) *Frame { return EncodeShuffleSegments([][]KV{pairs}) }
+
+// DecodeShuffle decodes a shuffle frame holding exactly one segment.
+func DecodeShuffle(b []byte) ([]KV, error) {
+	segs, err := DecodeShuffleSegments(b)
+	if err != nil || len(segs) != 1 {
+		return nil, cmp.Or(err, fmt.Errorf("wire: shuffle frame holds %d segments, want 1", len(segs)))
+	}
+	return segs[0], nil
+}
+
+// ShuffleWireBytes is the size of a pair set as a one-segment shuffle
 // frame: the bytes those pairs cost when they cross the controller. It
 // feeds the controller-vs-peer shuffle byte split in the fleet's
 // WireStats.
@@ -912,20 +967,23 @@ func ShuffleWireBytes(pairs []KV) int64 {
 	return int64(len(f.Bytes()))
 }
 
-// PeerFetchErr formats the deterministic error a reduce worker
-// returns when fetch segment idx could not be resolved from its peer.
-// The controller's executor parses it (ParsePeerFetchErr) to recover
-// exactly that segment through the mirror path and re-dispatch.
-func PeerFetchErr(idx int, url string, err error) string {
-	return fmt.Sprintf("peer-fetch #%d %s: %v", idx, url, err)
+// PeerFetchErr formats the deterministic error a reduce worker returns
+// when fetch segments idxs (ascending) could not be had from their
+// producers; the executor recovers exactly those (ParsePeerFetchErr).
+func PeerFetchErr(idxs []int, detail string) string {
+	return fmt.Sprintf("peer-fetch %v: %s", idxs, detail)
 }
 
-// ParsePeerFetchErr extracts the failed segment index from a
+// ParsePeerFetchErr extracts the segment indices from a
 // PeerFetchErr-formatted message; ok is false for any other error.
-func ParsePeerFetchErr(msg string) (idx int, ok bool) {
-	var url string
-	if n, err := fmt.Sscanf(msg, "peer-fetch #%d %s", &idx, &url); err != nil || n != 2 {
-		return 0, false
+func ParsePeerFetchErr(msg string) (idxs []int, ok bool) {
+	list, _, found := strings.Cut(strings.TrimPrefix(msg, "peer-fetch ["), "]: ")
+	for _, f := range strings.Fields(list) {
+		idx, err := strconv.Atoi(f)
+		if err != nil {
+			return nil, false
+		}
+		idxs = append(idxs, idx)
 	}
-	return idx, true
+	return idxs, found && idxs != nil && strings.HasPrefix(msg, "peer-fetch [")
 }

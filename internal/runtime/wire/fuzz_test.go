@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -311,25 +312,57 @@ func FuzzResultBatchDecode(f *testing.F) {
 }
 
 func FuzzShuffleDecode(f *testing.F) {
-	f.Add([]byte("DYS1"))
-	seed := EncodeShuffle(sampleResults()[1].Pairs[0])
-	f.Add(bytes.Clone(seed.Bytes()))
-	seed.Close()
+	f.Add([]byte("DYS2"))
+	segs := sampleResults()[1].Pairs
+	for _, seed := range [][][]KV{segs, {segs[0]}, {nil}, {}, {nil, nil, segs[2]}} {
+		frame := EncodeShuffleSegments(seed)
+		f.Add(bytes.Clone(frame.Bytes()))
+		frame.Close()
+	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		pairs, err := DecodeShuffle(raw)
+		segs, err := DecodeShuffleSegments(raw)
+		if one, oneErr := DecodeShuffle(raw); (oneErr == nil) != (err == nil && len(segs) == 1) ||
+			oneErr == nil && len(one) != len(segs[0]) {
+			t.Fatalf("DecodeShuffle disagrees with its one-segment case: %v, %v", oneErr, err)
+		}
 		if err != nil {
 			return
 		}
-		first := EncodeShuffle(pairs)
+		first := EncodeShuffleSegments(segs)
 		defer first.Close()
-		again, err := DecodeShuffle(first.Bytes())
+		again, err := DecodeShuffleSegments(first.Bytes())
 		if err != nil {
-			t.Fatalf("decode of a re-encoded segment: %v", err)
+			t.Fatalf("decode of a re-encoded frame: %v", err)
 		}
-		second := EncodeShuffle(again)
+		second := EncodeShuffleSegments(again)
 		defer second.Close()
 		if !bytes.Equal(first.Bytes(), second.Bytes()) {
-			t.Fatalf("shuffle segment is not a fixed point:\n  %x\n  %x", first.Bytes(), second.Bytes())
+			t.Fatalf("shuffle frame is not a fixed point:\n  %x\n  %x", first.Bytes(), second.Bytes())
+		}
+	})
+}
+
+func FuzzShuffleRequestDecode(f *testing.F) {
+	f.Add([]byte("DYF1"))
+	for _, ids := range [][]string{nil, {"j-m0#1"}, {"j-m0#1", "j-m1#2", "j-m0#1", strings.Repeat("x", 200)}} {
+		frame := EncodeShuffleRequest(3, ids)
+		f.Add(bytes.Clone(frame.Bytes()))
+		frame.Close()
+	}
+	f.Add(binary.AppendUvarint([]byte("DYF1\x00"), 1<<40))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		part, ids, err := DecodeShuffleRequest(raw)
+		if err != nil {
+			return
+		}
+		if len(ids) > len(raw) {
+			t.Fatalf("%d ids from a %d-byte body", len(ids), len(raw))
+		}
+		frame := EncodeShuffleRequest(part, ids)
+		defer frame.Close()
+		part2, ids2, err := DecodeShuffleRequest(frame.Bytes())
+		if err != nil || part2 != part || !slices.Equal(ids, ids2) {
+			t.Fatalf("request changed across a round trip: %d %q -> %d %q (%v)", part, ids, part2, ids2, err)
 		}
 	})
 }

@@ -30,7 +30,9 @@ import (
 // The controller/worker HTTP protocol has one data plane: tasks travel
 // as per-worker batches to POST /tasks in DYT1 frames and are answered
 // in DYR2 frames, map output stays on the producing worker and reduce
-// inputs are pulled peer-to-peer from GET /shuffle as DYS1 frames.
+// inputs are pulled peer-to-peer: one POST /shuffle per producer, a
+// DYF1 frame naming every segment the reduce task needs from it,
+// answered by one DYS2 frame holding those segments in order.
 // JSON carries the control plane only: register, heartbeat, status,
 // drain and shuffle GC.
 
@@ -100,9 +102,8 @@ type Caps struct {
 	Batch bool `json:"batch,omitempty"`
 	// PeerShuffle reports support for worker-to-worker shuffle: the
 	// worker retains map outputs in its shuffle registry, serves them
-	// to peers from GET /shuffle, and assembles reduce inputs from
-	// Fetches refs (local registry first, then HTTP from the producing
-	// peer).
+	// to peers from POST /shuffle, and assembles reduce inputs from
+	// Fetches refs (local registry first, then one request per peer).
 	PeerShuffle bool `json:"peerShuffle,omitempty"`
 }
 
@@ -268,7 +269,7 @@ type TaskResult struct {
 	// the retained output.
 	Parts []ShufflePart
 	// PeerBytes/PeerFetches report a reduce task's worker-to-worker
-	// traffic (local registry hits are free and not counted).
+	// traffic: response bytes and requests, one per producing peer.
 	PeerBytes   int64
 	PeerFetches int
 	// Worker is stamped by the controller's dispatch loop with the URL

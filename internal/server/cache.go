@@ -72,14 +72,3 @@ func (c *fifoCache[V]) size() int {
 	defer c.mu.Unlock()
 	return len(c.entries)
 }
-
-// keys returns the cached keys in no particular order (tests only).
-func (c *fifoCache[V]) keys() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.entries))
-	for k := range c.entries {
-		out = append(out, k)
-	}
-	return out
-}

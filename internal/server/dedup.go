@@ -74,10 +74,3 @@ func (g *flightGroup) do(ctx context.Context, key string, fn func() (*response, 
 func isCancellation(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
-
-// pending returns the number of in-flight keys (tests only).
-func (g *flightGroup) pending() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.calls)
-}
