@@ -1,7 +1,9 @@
 // Command dynoworker is a DYNO execution worker: a standalone process
 // that registers with a controller (dynoql -runtime proc or dynod
 // -runtime proc), heartbeats, and executes dispatched map/reduce task
-// bodies against mirrored DFS block files on local disk. It keeps its
+// bodies against the controller's mirror files on local disk (one file
+// per DFS file; a task names a block by file, offset and length, and
+// the worker reads it with one positioned read). It keeps its
 // map output for the reduce tasks that need it: each asks it once, with
 // one POST /shuffle naming every segment it holds for that task.
 //

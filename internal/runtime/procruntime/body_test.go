@@ -8,7 +8,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -58,14 +57,9 @@ func TestWorkerFramesDeclareTheirLength(t *testing.T) {
 	w := NewWorker(expr.NewRegistry())
 	ts := httptest.NewServer(w.Handler())
 	t.Cleanup(ts.Close)
-	dir := t.TempDir()
-	probe, build := filepath.Join(dir, "b0.blk"), filepath.Join(dir, "b1.blk")
-	for _, path := range []string{probe, build} {
-		if err := wire.WriteBlockFile(path, paddedRecs(1000)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ref := wire.BuildRef{Name: "b0", Wrap: "b", Keys: []data.Path{data.MustParsePath("b.v")}, Blocks: []string{build}, Version: dir}
+	blocks := mirrorBlocks(t, paddedRecs(1000), paddedRecs(1000))
+	probe := blocks[0]
+	ref := wire.BuildRef{Name: "b0", Wrap: "b", Keys: []data.Path{data.MustParsePath("b.v")}, Blocks: blocks[1:]}
 	op := &physop.OpSpec{Kind: physop.Chain, Source: &physop.Source{Wrap: "t"},
 		Steps: []physop.ChainStep{{Build: "b0", Keys: []data.Path{data.MustParsePath("t.v")}}}}
 	frame, err := wire.EncodeTaskBatch([]*wire.Task{{Task: "t-m0", Kind: "map", Block: probe, Op: op, Builds: []wire.BuildRef{ref}}})

@@ -14,8 +14,8 @@ import (
 )
 
 // executor adapts the mapreduce task seam to the fleet's wire
-// protocol: it resolves DFS blocks to mirrored files and dispatches
-// tasks.
+// protocol: it resolves DFS blocks to spans of mirror files and
+// dispatches tasks.
 //
 // Shuffle map tasks retain their partitioned output on the producing
 // worker and return per-partition digests; reduce tasks carry a fetch
@@ -80,24 +80,17 @@ func (e executor) ExecMap(m mapreduce.MapExec) (*mapreduce.MapExecOut, error) {
 	if !ok {
 		return nil, fmt.Errorf("procruntime: job %s: remote op is %T, want *physop.OpSpec", m.JobName, m.Op)
 	}
-	block, err := e.f.blockPath(e.fs, m.File, m.Split)
+	blocks, err := e.f.mirrorFile(e.fs, m.File)
 	if err != nil {
 		return nil, err
 	}
 	builds := make([]wire.BuildRef, 0, len(m.Broadcasts))
 	for _, b := range m.Broadcasts {
-		blocks, version, err := e.f.filePaths(e.fs, b.File)
+		refs, err := e.f.mirrorFile(e.fs, b.File)
 		if err != nil {
 			return nil, err
 		}
-		builds = append(builds, wire.BuildRef{
-			Name:    b.Name,
-			Wrap:    b.Wrap,
-			Filter:  b.Filter,
-			Keys:    b.KeyPaths,
-			Blocks:  blocks,
-			Version: version,
-		})
+		builds = append(builds, wire.BuildRef{Name: b.Name, Wrap: b.Wrap, Filter: b.Filter, Keys: b.KeyPaths, Blocks: refs})
 	}
 	task := &wire.Task{
 		Job:         m.JobName,
@@ -105,7 +98,7 @@ func (e executor) ExecMap(m mapreduce.MapExec) (*mapreduce.MapExecOut, error) {
 		Kind:        "map",
 		Op:          op,
 		InputIdx:    m.InputIdx,
-		Block:       block,
+		Block:       blocks[m.Split],
 		NumReducers: m.NumReducers,
 		HasReduce:   m.HasReduce,
 		RunCombine:  m.RunCombine,

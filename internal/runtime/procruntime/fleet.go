@@ -34,6 +34,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dyno/internal/data"
 	"dyno/internal/dfs"
 	"dyno/internal/runtime/wire"
 	"dyno/internal/tpch"
@@ -43,7 +44,7 @@ import (
 type Config struct {
 	// Addr is the controller's listen address; default 127.0.0.1:0.
 	Addr string
-	// SpillDir holds the mirrored DFS block files; default a fresh
+	// SpillDir holds the mirror files, one per DFS file; default a fresh
 	// temp directory removed on Close.
 	SpillDir string
 	// maxAttempts bounds dispatch attempts per task (including the
@@ -123,7 +124,7 @@ type Fleet struct {
 	mirrors   map[*dfs.File]*mirror
 	mirrorSeq int
 	closed    bool
-	// sweeps tracks the goroutines deleting retired mirror directories;
+	// sweeps tracks the goroutines deleting retired mirror files;
 	// Close waits for them.
 	sweeps sync.WaitGroup
 
@@ -183,12 +184,12 @@ func (f *Fleet) WireStats() WireStats {
 // read. fs and name say which file it mirrors, so RetireJob can tell
 // when that file is gone.
 type mirror struct {
-	fs    *dfs.FS
-	name  string
-	once  sync.Once
-	err   error
-	dir   string
-	paths []string
+	fs     *dfs.FS
+	name   string
+	path   string
+	once   sync.Once
+	err    error
+	blocks []wire.BlockRef
 }
 
 // hedgeWindow is how many of a task kind's most recent completions
@@ -242,7 +243,6 @@ func NewFleet(cfg Config) (*Fleet, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /runtime/register", f.handleRegister)
 	mux.HandleFunc("POST /runtime/heartbeat", f.handleHeartbeat)
-	mux.HandleFunc("GET /runtime/status", f.handleStatus)
 	f.srv = &http.Server{Handler: mux}
 	go f.srv.Serve(ln)
 	return f, nil
@@ -422,96 +422,74 @@ func (f *Fleet) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-func (f *Fleet) handleStatus(w http.ResponseWriter, r *http.Request) {
-	type ws struct {
-		ID       int     `json:"id"`
-		URL      string  `json:"url"`
-		Black    bool    `json:"blacklisted,omitempty"`
-		Fails    int     `json:"consecutiveFails,omitempty"`
-		AgoMilli float64 `json:"lastSeenAgoMillis"`
-	}
-	f.mu.Lock()
-	out := struct {
-		Workers []ws `json:"workers"`
-	}{}
-	for _, s := range f.workers {
-		out.Workers = append(out.Workers, ws{ID: s.id, URL: s.url, Black: s.black, Fails: s.fails,
-			AgoMilli: float64(time.Since(s.lastSeen).Microseconds()) / 1000})
-	}
-	f.mu.Unlock()
-	json.NewEncoder(w).Encode(out)
-}
-
-// filePaths mirrors a DFS file's blocks to local disk once (files are
+// mirrorFile mirrors a DFS file's blocks to local disk once (files are
 // immutable: Create always makes a new *dfs.File, so pointer identity
-// is version identity) and returns the per-block file paths. fs is the
-// file system the file was opened from.
-func (f *Fleet) filePaths(fs *dfs.FS, file *dfs.File) ([]string, string, error) {
+// is version identity) and returns the blocks' spans in its one mirror
+// file. fs is the file system the file was opened from.
+func (f *Fleet) mirrorFile(fs *dfs.FS, file *dfs.File) ([]wire.BlockRef, error) {
 	f.mu.Lock()
 	m, ok := f.mirrors[file]
 	if !ok {
 		f.mirrorSeq++
-		m = &mirror{fs: fs, name: file.Name(), dir: filepath.Join(f.cfg.SpillDir, fmt.Sprintf("f%06d", f.mirrorSeq))}
+		m = &mirror{fs: fs, name: file.Name(), path: filepath.Join(f.cfg.SpillDir, fmt.Sprintf("f%06d.mir", f.mirrorSeq))}
 		f.mirrors[file] = m
 	}
 	f.mu.Unlock()
 	m.once.Do(func() {
-		if err := os.MkdirAll(m.dir, 0o755); err != nil {
-			m.err = err
-			return
-		}
-		paths := make([]string, file.NumBlocks())
-		for i := range paths {
-			paths[i] = filepath.Join(m.dir, "b"+strconv.Itoa(i)+".blk")
-			if err := wire.WriteBlockFile(paths[i], file.Block(i).Records()); err != nil {
-				m.err = err
-				return
-			}
-		}
-		m.paths = paths
+		m.blocks, m.err = writeMirror(m.path, file.NumBlocks(), func(i int) []data.Value { return file.Block(i).Records() })
 	})
-	if m.err != nil {
-		return nil, "", m.err
+	return m.blocks, m.err
+}
+
+// writeMirror creates the mirror file path — exclusively: a mirror is
+// written once — and writes the records of blocks 0..n-1 into it, each
+// block as its own DYB1 frame, back to back, as each is encoded. It
+// returns the frames' spans in block order.
+func writeMirror(path string, n int, block func(i int) []data.Value) ([]wire.BlockRef, error) {
+	out, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	if err != nil {
+		return nil, err
 	}
-	return m.paths, m.dir, nil
+	refs := make([]wire.BlockRef, n)
+	var off int64
+	for i := range refs {
+		frame := wire.EncodeBlock(block(i))
+		n, err := out.Write(frame.Bytes())
+		frame.Close()
+		if err != nil {
+			out.Close()
+			return nil, err
+		}
+		refs[i] = wire.BlockRef{File: path, Off: off, Len: int64(n)}
+		off += int64(n)
+	}
+	return refs, out.Close()
 }
 
 // sweepMirrors forgets every mirror whose file its file system no
 // longer serves under that name (removed, or replaced by a newer
-// version), deletes the directories in the background and returns
+// version), deletes the mirror files in the background and returns
 // them: a long-lived fleet holds mirrors for the live file set, not for
 // every file it ever read.
-func (f *Fleet) sweepMirrors() (dirs []string) {
+func (f *Fleet) sweepMirrors() (paths []string) {
 	f.mu.Lock()
 	for file, m := range f.mirrors {
 		if cur, err := m.fs.Open(m.name); err != nil || cur != file {
 			delete(f.mirrors, file)
-			dirs = append(dirs, m.dir)
+			paths = append(paths, m.path)
 		}
 	}
 	f.mu.Unlock()
-	if len(dirs) > 0 {
+	if len(paths) > 0 {
 		f.sweeps.Add(1)
 		go func() {
 			defer f.sweeps.Done()
-			for _, dir := range dirs {
-				os.RemoveAll(dir)
+			for _, path := range paths {
+				os.Remove(path)
 			}
 		}()
 	}
-	return dirs
-}
-
-// blockPath mirrors the file and returns one block's path.
-func (f *Fleet) blockPath(fs *dfs.FS, file *dfs.File, split int) (string, error) {
-	paths, _, err := f.filePaths(fs, file)
-	if err != nil {
-		return "", err
-	}
-	if split < 0 || split >= len(paths) {
-		return "", fmt.Errorf("procruntime: split %d out of range for %s (%d blocks)", split, file.Name(), len(paths))
-	}
-	return paths[split], nil
+	return paths
 }
 
 // live returns the live workers in round-robin order — starting after
@@ -624,15 +602,15 @@ func (f *Fleet) nextShuffleID(jobName, taskName string) string {
 // Fire-and-forget — a missed GC only costs cache space the worker's own
 // byte bounds reclaim.
 func (f *Fleet) RetireJob(jobName string) {
-	dirs := f.sweepMirrors()
+	files := f.sweepMirrors()
 	f.shufMu.Lock()
 	ids := f.jobShuffles[jobName]
 	delete(f.jobShuffles, jobName)
 	f.shufMu.Unlock()
-	if len(ids) == 0 && len(dirs) == 0 {
+	if len(ids) == 0 && len(files) == 0 {
 		return
 	}
-	payload, err := json.Marshal(wire.ShuffleGCRequest{IDs: ids, Dirs: dirs})
+	payload, err := json.Marshal(wire.ShuffleGCRequest{IDs: ids, Files: files})
 	if err != nil {
 		return
 	}

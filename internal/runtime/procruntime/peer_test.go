@@ -527,24 +527,24 @@ func TestRetirementDropsDeadBlocksFromWorkers(t *testing.T) {
 // a non-frame Content-Type is 415, a task frame whose counts no
 // controller emits is 400 before anything is sized from them, so is a
 // shuffle request that is truncated, not DYF1, or claims more ids than
-// its body could hold, a block
-// file that is not a DYB1 frame is a task error rather than a guess at
-// another format, and a panicking operator is a task error too — and
-// after each of them the worker still serves the next request.
+// its body could hold; a block that is not a DYB1 frame is a task error
+// rather than a guess at another format, and so is a block reference
+// whose span runs past its mirror file, is longer than any frame, or
+// names no file, each refused before a buffer is sized from it; a
+// panicking operator is a task error too — and after each of them the
+// worker still serves the next request.
 func TestWorkerRefusesHostileInput(t *testing.T) {
 	reg := expr.NewRegistry()
 	reg.Register(expr.UDF{Name: "boom", Fn: func([]data.Value) data.Value { panic("udf exploded") }})
 	ts := httptest.NewServer(NewWorker(reg).Handler())
 	t.Cleanup(ts.Close)
-	dir := t.TempDir()
-	notABlock := filepath.Join(dir, "b0.blk")
-	if err := os.WriteFile(notABlock, []byte(`["i","1"]`+"\n"), 0o644); err != nil {
+	jsonLines := []byte(`["i","1"]` + "\n")
+	notABlock := wire.BlockRef{File: filepath.Join(t.TempDir(), "f000001.mir"), Len: int64(len(jsonLines))}
+	if err := os.WriteFile(notABlock.File, jsonLines, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	block := filepath.Join(dir, "b1.blk")
-	if err := wire.WriteBlockFile(block, []data.Value{data.Object(data.Field{Name: "v", Value: data.Int(1)})}); err != nil {
-		t.Fatal(err)
-	}
+	block := mirrorBlocks(t, []data.Value{data.Object(data.Field{Name: "v", Value: data.Int(1)})})[0]
+	span := func(file string, off, n int64) wire.BlockRef { return wire.BlockRef{File: file, Off: off, Len: n} }
 	frameOf := func(task *wire.Task) io.Reader {
 		t.Helper()
 		frame, err := wire.EncodeTaskBatch([]*wire.Task{task})
@@ -585,6 +585,14 @@ func TestWorkerRefusesHostileInput(t *testing.T) {
 		{"shuffleUnknownIDs", "/shuffle", wire.ContentTypeBinary, bytes.NewReader(askBytes), -1, http.StatusNotFound, ""},
 		{"unknownBlockMagic", "", wire.ContentTypeBinary,
 			frameOf(&wire.Task{Task: "t-m0", Kind: "map", Op: scan, Block: notABlock}), -1, http.StatusOK, "not a block frame"},
+		{"spanPastFile", "", wire.ContentTypeBinary,
+			frameOf(&wire.Task{Task: "t-m0", Kind: "map", Op: scan, Block: span(block.File, block.Off, block.Len+1)}), -1, http.StatusOK, "run past the file"},
+		{"offsetPastFile", "", wire.ContentTypeBinary,
+			frameOf(&wire.Task{Task: "t-m0", Kind: "map", Op: scan, Block: span(block.File, 1<<62, 1)}), -1, http.StatusOK, "run past the file"},
+		{"spanOverFrameBound", "", wire.ContentTypeBinary,
+			frameOf(&wire.Task{Task: "t-m0", Kind: "map", Op: scan, Block: span(block.File, 0, wire.MaxBodyBytes+1)}), -1, http.StatusOK, "frame bound"},
+		{"missingMirror", "", wire.ContentTypeBinary,
+			frameOf(&wire.Task{Task: "t-m0", Kind: "map", Op: scan, Block: span(block.File+".gone", 0, block.Len)}), -1, http.StatusOK, "open block"},
 		// A 40-byte frame must not size a bucket array or take a modulus.
 		{"hugeNumReducers", "", wire.ContentTypeBinary,
 			frameOf(&wire.Task{Task: "t-m0", Kind: "map", Op: shuffle, Block: block, HasReduce: true, NumReducers: 1 << 40}), -1, http.StatusBadRequest, ""},

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"runtime"
 	"slices"
 	"strings"
@@ -211,29 +210,24 @@ func TestSuccessiveWavesRotateWorkers(t *testing.T) {
 // newBlockWorker starts a real worker over reg and writes n blocks,
 // block i holding i+1 records {v: i}: a scan of block i that keeps every
 // record answers with positions 0..i, so answers tell their tasks apart.
-// It returns the worker's URL and the block paths.
-func newBlockWorker(t *testing.T, reg *expr.Registry, n int) (*Worker, string, []string) {
+// It returns the worker's URL and the blocks' spans in one mirror file.
+func newBlockWorker(t *testing.T, reg *expr.Registry, n int) (*Worker, string, []wire.BlockRef) {
 	t.Helper()
 	w := NewWorker(reg)
 	ts := httptest.NewServer(w.Handler())
 	t.Cleanup(ts.Close)
-	dir := t.TempDir()
-	blocks := make([]string, n)
+	blocks := make([][]data.Value, n)
 	for i := range blocks {
-		blocks[i] = filepath.Join(dir, fmt.Sprintf("b%d.blk", i))
-		recs := make([]data.Value, i+1)
-		for r := range recs {
-			recs[r] = data.Object(data.Field{Name: "v", Value: data.Int(int64(i))})
-		}
-		if err := wire.WriteBlockFile(blocks[i], recs); err != nil {
-			t.Fatal(err)
+		blocks[i] = make([]data.Value, i+1)
+		for r := range blocks[i] {
+			blocks[i][r] = data.Object(data.Field{Name: "v", Value: data.Int(int64(i))})
 		}
 	}
-	return w, ts.URL, blocks
+	return w, ts.URL, mirrorBlocks(t, blocks...)
 }
 
 // scanTask scans one block through the UDF predicate name(t.v).
-func scanTask(i int, block, udf string) *wire.Task {
+func scanTask(i int, block wire.BlockRef, udf string) *wire.Task {
 	return &wire.Task{Task: fmt.Sprintf("t-m%d", i), Kind: "map", Block: block, Op: &physop.OpSpec{
 		Kind:   physop.Scan,
 		Source: &physop.Source{Wrap: "t", Filter: &expr.Call{Name: udf, Args: []expr.Expr{expr.NewCol("t.v")}}},
@@ -260,7 +254,9 @@ func TestWaveSlotFailuresStayInTheirSlot(t *testing.T) {
 
 	results, errs := dispatchWave(f, 6, func(i int) *wire.Task {
 		if i == 1 {
-			return scanTask(i, blocks[i]+".missing", "boom")
+			missing := blocks[i]
+			missing.File += ".missing"
+			return scanTask(i, missing, "boom")
 		}
 		return scanTask(i, blocks[i], "boom")
 	})

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"path/filepath"
 	"runtime"
 	"slices"
 	"strconv"
@@ -56,12 +55,12 @@ type blockEntry struct {
 // built once: a frame's tasks run in parallel and can all miss one key
 // at the same instant, so late arrivals wait for the first caller's
 // build instead of repeating it. A failed build is not cached.
-type onceCache[V any] struct {
+type onceCache[K comparable, V any] struct {
 	max int64 // total cost bound
 
 	mu    sync.Mutex
-	m     map[string]*onceEntry[V]
-	order []string // built keys, oldest first
+	m     map[K]*onceEntry[V]
+	order []K // built keys, oldest first
 	cost  int64
 
 	hits, misses, evicts int64
@@ -76,7 +75,7 @@ type onceEntry[V any] struct {
 }
 
 // The bounds of a worker's three caches. Blocks and built tables are
-// immutable (new file version = new mirror directory), so plain FIFO
+// immutable (new file version = new mirror file), so plain FIFO
 // eviction is safe; the controller names what job retirement made
 // garbage — retained map outputs, the blocks and tables of mirrors
 // whose files are gone — and these bounds are the backstop for what it
@@ -88,13 +87,13 @@ const (
 	shuffleCacheBytes = 256 << 20 // retained map outputs, by encoded bytes
 )
 
-func newOnceCache[V any](max int64) *onceCache[V] {
-	return &onceCache[V]{max: max, m: map[string]*onceEntry[V]{}}
+func newOnceCache[K comparable, V any](max int64) *onceCache[K, V] {
+	return &onceCache[K, V]{max: max, m: map[K]*onceEntry[V]{}}
 }
 
 // get returns key's value; the first caller to ask runs build, which
 // also reports the value's cost.
-func (c *onceCache[V]) get(key string, build func() (V, int64, error)) (V, error) {
+func (c *onceCache[K, V]) get(key K, build func() (V, int64, error)) (V, error) {
 	c.mu.Lock()
 	e, ok := c.m[key]
 	if ok {
@@ -130,7 +129,7 @@ func (c *onceCache[V]) get(key string, build func() (V, int64, error)) (V, error
 }
 
 // peek returns key's value if it has been built; it builds nothing.
-func (c *onceCache[V]) peek(key string) (v V, ok bool) {
+func (c *onceCache[K, V]) peek(key K) (v V, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e := c.m[key]; e != nil && e.built {
@@ -141,7 +140,7 @@ func (c *onceCache[V]) peek(key string) (v V, ok bool) {
 
 // drop forgets every entry whose key dead reports true. It is not an
 // eviction: the caller knows those keys will not be asked for again.
-func (c *onceCache[V]) drop(dead func(key string) bool) {
+func (c *onceCache[K, V]) drop(dead func(key K) bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for key, e := range c.m {
@@ -152,11 +151,11 @@ func (c *onceCache[V]) drop(dead func(key string) bool) {
 			delete(c.m, key)
 		}
 	}
-	c.order = slices.DeleteFunc(c.order, func(key string) bool { return c.m[key] == nil })
+	c.order = slices.DeleteFunc(c.order, func(key K) bool { return c.m[key] == nil })
 }
 
 // stats returns the entry count, total cost, and the counters.
-func (c *onceCache[V]) stats() (n int, cost, hits, misses, evicts int64) {
+func (c *onceCache[K, V]) stats() (n int, cost, hits, misses, evicts int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.order), c.cost, c.hits, c.misses, c.evicts
@@ -172,9 +171,9 @@ type Worker struct {
 	// a reduce wave's fetches reuse connections.
 	peers *http.Client
 
-	blocks   *onceCache[*blockEntry]          // bounded by on-disk bytes
-	tables   *onceCache[*mapreduce.HashTable] // bounded by entry count
-	shuffles *onceCache[[][]wire.KV]          // retained map outputs by shuffle id, bounded by encoded bytes
+	blocks   *onceCache[wire.BlockRef, *blockEntry]     // bounded by on-disk bytes
+	tables   *onceCache[tableKey, *mapreduce.HashTable] // bounded by entry count
+	shuffles *onceCache[string, [][]wire.KV]            // retained map outputs by shuffle id, bounded by encoded bytes
 
 	mu          sync.Mutex
 	draining    bool
@@ -195,9 +194,9 @@ func NewWorker(reg *expr.Registry) *Worker {
 			MaxIdleConnsPerHost: runtime.GOMAXPROCS(0), // the frame parallelism
 			IdleConnTimeout:     90 * time.Second,
 		}},
-		blocks:   newOnceCache[*blockEntry](blockCacheBytes),
-		tables:   newOnceCache[*mapreduce.HashTable](tableCacheEntries),
-		shuffles: newOnceCache[[][]wire.KV](shuffleCacheBytes),
+		blocks:   newOnceCache[wire.BlockRef, *blockEntry](blockCacheBytes),
+		tables:   newOnceCache[tableKey, *mapreduce.HashTable](tableCacheEntries),
+		shuffles: newOnceCache[string, [][]wire.KV](shuffleCacheBytes),
 	}
 }
 
@@ -274,13 +273,8 @@ func (w *Worker) handleShuffleGC(rw http.ResponseWriter, r *http.Request) {
 	}
 	slices.Sort(req.IDs) // a big job retires thousands of ids at once
 	w.shuffles.drop(func(id string) bool { _, dead := slices.BinarySearch(req.IDs, id); return dead })
-	// Block keys are paths inside a mirror directory; table keys start
-	// with the build file's directory (BuildRef.Version).
-	w.blocks.drop(func(path string) bool { return slices.Contains(req.Dirs, filepath.Dir(path)) })
-	w.tables.drop(func(key string) bool {
-		dir, _, _ := strings.Cut(key, "|")
-		return slices.Contains(req.Dirs, dir)
-	})
+	w.blocks.drop(func(ref wire.BlockRef) bool { return slices.Contains(req.Files, ref.File) })
+	w.tables.drop(func(key tableKey) bool { return slices.Contains(req.Files, key.file) })
 	rw.WriteHeader(http.StatusOK)
 }
 
@@ -560,25 +554,57 @@ func (w *Worker) gather(task *wire.Task, res *wire.TaskResult) (pairs []wire.KV,
 	return slices.Concat(segs...), ""
 }
 
-// block loads one mirrored block file (a DYB1 frame; anything else is
-// an error), memoizing by path under the FIFO block cache bounded by
-// on-disk bytes: one decode, so one columnar image, per block.
-func (w *Worker) block(path string) (*blockEntry, error) {
-	if path == "" {
+// block loads one mirrored block (a DYB1 frame; anything else is an
+// error), memoizing by its reference under the FIFO block cache bounded
+// by on-disk bytes: one decode, so one columnar image, per block.
+func (w *Worker) block(ref wire.BlockRef) (*blockEntry, error) {
+	if ref.File == "" {
 		return nil, fmt.Errorf("map task has no input block")
 	}
-	return w.blocks.get(path, func() (*blockEntry, int64, error) {
-		b, err := os.ReadFile(path)
+	return w.blocks.get(ref, func() (*blockEntry, int64, error) {
+		b, err := readSpan(ref)
 		if err != nil {
-			return nil, 0, fmt.Errorf("open block: %w", err)
+			return nil, 0, err
 		}
 		recs, err := wire.DecodeBlock(b)
 		if err != nil {
-			return nil, 0, fmt.Errorf("decode block %s: %w", path, err)
+			return nil, 0, fmt.Errorf("decode block %s@%d: %w", ref.File, ref.Off, err)
 		}
-		return &blockEntry{recs: recs}, int64(len(b)), nil
+		return &blockEntry{recs: recs}, ref.Len, nil
 	})
 }
+
+// readSpan reads a block's frame out of its mirror file with one
+// positioned read into an exactly-sized buffer. A span longer than any
+// body the worker accepts, or past the end of the file, is refused
+// before the buffer is allocated. (The decoder has refused negative
+// ones.)
+func readSpan(ref wire.BlockRef) ([]byte, error) {
+	if ref.Len > wire.MaxBodyBytes {
+		return nil, fmt.Errorf("block %s@%d: %d bytes is over the %d-byte frame bound", ref.File, ref.Off, ref.Len, int64(wire.MaxBodyBytes))
+	}
+	f, err := os.Open(ref.File)
+	if err != nil {
+		return nil, fmt.Errorf("open block: %w", err)
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("open block: %w", err)
+	}
+	if ref.Off > st.Size() || ref.Len > st.Size()-ref.Off {
+		return nil, fmt.Errorf("block %s@%d: %d bytes run past the file's %d", ref.File, ref.Off, ref.Len, st.Size())
+	}
+	b := make([]byte, ref.Len)
+	if _, err := f.ReadAt(b, ref.Off); err != nil {
+		return nil, fmt.Errorf("read block %s@%d: %w", ref.File, ref.Off, err)
+	}
+	return b, nil
+}
+
+// tableKey is a built table's identity: the mirror file its build side
+// was read from (the file's version) and the build parameters.
+type tableKey struct{ file, params string }
 
 // table returns the built hash table for a broadcast ref, memoized by
 // the ref's full semantic identity (file version + build parameters),
@@ -591,15 +617,21 @@ func (w *Worker) table(ref wire.BuildRef) (*mapreduce.HashTable, error) {
 	if err != nil {
 		return nil, fmt.Errorf("build %s: %w", ref.Name, err)
 	}
-	key := ref.Version + "|" + ref.Name + "|" + ref.Wrap + "|" + filterKey
+	key := tableKey{params: ref.Name + "|" + ref.Wrap + "|" + filterKey}
+	if len(ref.Blocks) > 0 {
+		key.file = ref.Blocks[0].File
+	}
 	for _, p := range ref.Keys {
-		key += "|" + p.String()
+		key.params += "|" + p.String()
 	}
 	return w.tables.get(key, func() (*mapreduce.HashTable, int64, error) {
 		blocks := make([]mapreduce.Split, len(ref.Blocks))
 		var sample data.Value
-		for i, path := range ref.Blocks {
-			blk, err := w.block(path)
+		for i, b := range ref.Blocks {
+			if b.File != key.file {
+				return nil, 0, fmt.Errorf("build %s: blocks from %s and %s", ref.Name, key.file, b.File)
+			}
+			blk, err := w.block(b)
 			if err != nil {
 				return nil, 0, fmt.Errorf("build %s: %w", ref.Name, err)
 			}

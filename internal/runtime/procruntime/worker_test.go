@@ -40,10 +40,7 @@ func TestWorkerChargesPerRowFilterEveryTask(t *testing.T) {
 			data.Field{Name: "v", Value: data.Int(int64(i))},
 		)
 	}
-	block := filepath.Join(t.TempDir(), "b0.blk")
-	if err := wire.WriteBlockFile(block, recs); err != nil {
-		t.Fatal(err)
-	}
+	block := mirrorBlocks(t, recs)[0]
 	scan := func(filter expr.Expr) *wire.TaskResult {
 		t.Helper()
 		res := w.runTask(&wire.Task{Task: "t-m0", Kind: "map", Block: block,
@@ -85,6 +82,17 @@ func TestWorkerChargesPerRowFilterEveryTask(t *testing.T) {
 	}
 }
 
+// mirrorBlocks writes blocks into one mirror file with the fleet's own
+// writer and returns their spans.
+func mirrorBlocks(t testing.TB, blocks ...[]data.Value) []wire.BlockRef {
+	t.Helper()
+	refs, err := writeMirror(filepath.Join(t.TempDir(), "f000001.mir"), len(blocks), func(i int) []data.Value { return blocks[i] })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return refs
+}
+
 // positions returns the selection 0, 1, ..., n-1.
 func positions(n int) []int32 {
 	sel := make([]int32, n)
@@ -102,35 +110,31 @@ func positions(n int) []int32 {
 // produces.
 func TestBroadcastTableBuiltOncePerWorker(t *testing.T) {
 	const probes, buildBlocks = 8, 3
-	dir := t.TempDir()
-	write := func(name string, recs []data.Value) string {
-		path := filepath.Join(dir, name)
-		if err := wire.WriteBlockFile(path, recs); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
 	kv := func(k, v int) data.Value {
 		return data.Object(data.Field{Name: "k", Value: data.Int(int64(k))}, data.Field{Name: "v", Value: data.Int(int64(v))})
 	}
-	ref := wire.BuildRef{Name: "b0", Wrap: "b", Keys: []data.Path{data.MustParsePath("b.k")}, Version: dir}
-	for i := 0; i < buildBlocks; i++ {
-		recs := make([]data.Value, 200)
-		for r := range recs {
-			recs[r] = kv(i*len(recs)+r, r)
+	build := make([][]data.Value, buildBlocks)
+	for i := range build {
+		build[i] = make([]data.Value, 200)
+		for r := range build[i] {
+			build[i][r] = kv(i*len(build[i])+r, r)
 		}
-		ref.Blocks = append(ref.Blocks, write(fmt.Sprintf("build%d.blk", i), recs))
 	}
+	ref := wire.BuildRef{Name: "b0", Wrap: "b", Keys: []data.Path{data.MustParsePath("b.k")}, Blocks: mirrorBlocks(t, build...)}
+	probe := make([][]data.Value, probes)
+	for i := range probe {
+		probe[i] = make([]data.Value, 50)
+		for r := range probe[i] {
+			probe[i][r] = kv((i*37+r*11)%(buildBlocks*200), i)
+		}
+	}
+	probeRefs := mirrorBlocks(t, probe...)
 	op := &physop.OpSpec{Kind: physop.Chain, Source: &physop.Source{Wrap: "t"},
 		Steps: []physop.ChainStep{{Build: "b0", Keys: []data.Path{data.MustParsePath("t.k")}}}}
 	tasks := make([]*wire.Task, probes)
 	for i := range tasks {
-		recs := make([]data.Value, 50)
-		for r := range recs {
-			recs[r] = kv((i*37+r*11)%(buildBlocks*200), i)
-		}
 		tasks[i] = &wire.Task{Task: fmt.Sprintf("t-m%d", i), Kind: "map", Op: op,
-			Block: write(fmt.Sprintf("probe%d.blk", i), recs), Builds: []wire.BuildRef{ref}}
+			Block: probeRefs[i], Builds: []wire.BuildRef{ref}}
 	}
 
 	serial := NewWorker(expr.NewRegistry())
@@ -174,25 +178,17 @@ func TestBroadcastTableBuiltOncePerWorker(t *testing.T) {
 	}
 }
 
-// TestGCDropsDeadMirrorDirs: a GC request naming a mirror directory
-// drops that directory's cached blocks and the tables built from it —
-// in flight or built — and nothing else; the cost accounting follows.
-func TestGCDropsDeadMirrorDirs(t *testing.T) {
-	liveDir, deadDir := t.TempDir(), t.TempDir()
+// TestGCDropsDeadMirrorFiles: a GC request naming a mirror file drops
+// that file's cached blocks and the tables built from it — in flight or
+// built — and nothing else; the cost accounting follows.
+func TestGCDropsDeadMirrorFiles(t *testing.T) {
 	rec := []data.Value{data.Object(data.Field{Name: "k", Value: data.Int(1)})}
-	write := func(dir, name string) string {
-		path := filepath.Join(dir, name)
-		if err := wire.WriteBlockFile(path, rec); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	probe := write(liveDir, "b0.blk")
+	live, dead := mirrorBlocks(t, rec, rec), mirrorBlocks(t, rec)
 	refs := []wire.BuildRef{
-		{Name: "live", Wrap: "b", Keys: []data.Path{data.MustParsePath("b.k")}, Version: liveDir, Blocks: []string{write(liveDir, "b1.blk")}},
-		{Name: "dead", Wrap: "c", Keys: []data.Path{data.MustParsePath("c.k")}, Version: deadDir, Blocks: []string{write(deadDir, "b0.blk")}},
+		{Name: "live", Wrap: "b", Keys: []data.Path{data.MustParsePath("b.k")}, Blocks: live[1:]},
+		{Name: "dead", Wrap: "c", Keys: []data.Path{data.MustParsePath("c.k")}, Blocks: dead},
 	}
-	task := &wire.Task{Task: "t-m0", Kind: "map", Block: probe, Builds: refs,
+	task := &wire.Task{Task: "t-m0", Kind: "map", Block: live[0], Builds: refs,
 		Op: &physop.OpSpec{Kind: physop.Chain, Source: &physop.Source{Wrap: "t"}, Steps: []physop.ChainStep{
 			{Build: "live", Keys: []data.Path{data.MustParsePath("t.k")}},
 			{Build: "dead", Keys: []data.Path{data.MustParsePath("t.k")}},
@@ -203,7 +199,7 @@ func TestGCDropsDeadMirrorDirs(t *testing.T) {
 	}
 	_, liveCost, _, _, _ := w.blocks.stats()
 
-	body, _ := json.Marshal(wire.ShuffleGCRequest{Dirs: []string{deadDir}})
+	body, _ := json.Marshal(wire.ShuffleGCRequest{Files: []string{dead[0].File}})
 	req := httptest.NewRequest(http.MethodPost, "/shuffle/gc", bytes.NewReader(body))
 	rr := httptest.NewRecorder()
 	w.Handler().ServeHTTP(rr, req)
@@ -211,7 +207,7 @@ func TestGCDropsDeadMirrorDirs(t *testing.T) {
 		t.Fatalf("gc: HTTP %d", rr.Code)
 	}
 	if n, cost, _, _, _ := w.blocks.stats(); n != 2 || cost >= liveCost || cost <= 0 {
-		t.Errorf("%d blocks (cost %d of %d) cached after the GC, want the live directory's 2", n, cost, liveCost)
+		t.Errorf("%d blocks (cost %d of %d) cached after the GC, want the live file's 2", n, cost, liveCost)
 	}
 	if n, cost, _, _, _ := w.tables.stats(); n != 1 || cost != 1 {
 		t.Errorf("%d tables (cost %d) cached after the GC, want 1", n, cost)
@@ -233,7 +229,7 @@ func TestGCDropsDeadMirrorDirs(t *testing.T) {
 // honest, and a build that finishes after its key was dropped staying
 // out of the cache.
 func TestOnceCache(t *testing.T) {
-	c := newOnceCache[string](10)
+	c := newOnceCache[string, string](10)
 	put := func(key string, cost int64) {
 		t.Helper()
 		if v, err := c.get(key, func() (string, int64, error) { return "v" + key, cost, nil }); err != nil || v != "v"+key {

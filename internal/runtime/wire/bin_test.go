@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
-	"os"
-	"path/filepath"
 	"reflect"
 	"runtime"
 	"slices"
@@ -402,12 +400,15 @@ func sampleTasks(t testing.TB) []*Task {
 	return []*Task{
 		{
 			Job: "j1", Task: "j1-m0", Kind: "map", Op: op,
-			InputIdx: 1, Block: "/tmp/spill/f000001/b0.blk", NumReducers: 6,
+			InputIdx: 1, Block: BlockRef{File: "/tmp/spill/f000001.mir", Off: 1 << 40, Len: 1<<31 + 7}, NumReducers: 6,
 			HasReduce: true, RunCombine: true,
 			Builds: []BuildRef{{
 				Name: "part", Wrap: "p", Filter: filter,
-				Keys: paths("p.p_partkey"), Blocks: []string{"/tmp/b0.blk", "/tmp/b1.blk"},
-				Version: "/tmp/spill/f000002",
+				Keys: paths("p.p_partkey"), Blocks: []BlockRef{
+					{File: "/tmp/spill/f000002.mir", Len: 0},
+					{File: "/tmp/spill/f000002.mir", Off: math.MaxInt64, Len: math.MaxInt64},
+					{File: "/tmp/spill/f000002.mir", Off: 127, Len: 128},
+				},
 			}},
 		},
 		{
@@ -441,6 +442,11 @@ func TestBinTaskBatchRoundTrip(t *testing.T) {
 	}
 	if len(got) != len(tasks) {
 		t.Fatalf("batch count %d -> %d", len(tasks), len(got))
+	}
+	// Block spans at 0, 2^40 and MaxInt64 come back exactly.
+	if got[0].Block != tasks[0].Block || !slices.Equal(got[0].Builds[0].Blocks, tasks[0].Builds[0].Blocks) {
+		t.Fatalf("block spans changed across round trip: %v %v -> %v %v",
+			tasks[0].Block, tasks[0].Builds[0].Blocks, got[0].Block, got[0].Builds[0].Blocks)
 	}
 	for i := range tasks {
 		want, err := EncodeTaskBatch(tasks[i : i+1])
@@ -550,6 +556,11 @@ func hostileTasks() map[string]*Task {
 		"negativeInput":     {Task: "t", Kind: "map", Op: op, InputIdx: -1},
 		"negativePartition": {Task: "t", Kind: "reduce", Op: op, Partition: -1},
 		"hugePartition":     {Task: "t", Kind: "reduce", Op: op, Partition: maxReducers},
+		// A negative span is written as a uvarint past what an int64 holds.
+		"negativeOffset": {Task: "t", Kind: "map", Op: op, Block: BlockRef{File: "f", Off: -1, Len: 1}},
+		"negativeLength": {Task: "t", Kind: "map", Op: op, Block: BlockRef{File: "f", Len: -1}},
+		"negativeBuildSpan": {Task: "t", Kind: "map", Op: op, Builds: []BuildRef{{Name: "b",
+			Blocks: []BlockRef{{File: "f", Off: 0, Len: 8}, {File: "f", Off: math.MinInt64, Len: 8}}}}},
 	}
 }
 
@@ -706,20 +717,14 @@ func TestBinSelIsBounded(t *testing.T) {
 	}
 }
 
-// TestBlockFileRoundTrip: a mirrored block file is a DYB1 frame, and
-// bytes with any other magic are refused rather than parsed as some
-// other format.
+// TestBlockFileRoundTrip: a mirrored block is a DYB1 frame, and bytes
+// with any other magic are refused rather than parsed as some other
+// format.
 func TestBlockFileRoundTrip(t *testing.T) {
 	recs := adversarialValues()
-	path := filepath.Join(t.TempDir(), "b0.blk")
-	if err := WriteBlockFile(path, recs); err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeBlock(b)
+	frame := EncodeBlock(recs)
+	defer frame.Close()
+	got, err := DecodeBlock(frame.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -739,7 +744,7 @@ func TestBinStringInterning(t *testing.T) {
 		return &Task{
 			Job: "job-with-a-reasonably-long-name", Task: "t", Kind: "map",
 			Op:    &physop.OpSpec{Kind: physop.Scan, Source: &physop.Source{Wrap: "lineitem"}},
-			Block: "/tmp/dyno-spill/f000001/b0.blk",
+			Block: BlockRef{File: "/tmp/dyno-spill/f000001.mir", Off: 4096, Len: 81920},
 		}
 	}
 	one, err := EncodeTaskBatch([]*Task{mk(0)})

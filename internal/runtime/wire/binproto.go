@@ -5,7 +5,6 @@ import (
 	"cmp"
 	"fmt"
 	"math"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -20,10 +19,10 @@ import (
 // one frame: magic, task count, then the tasks back to back sharing
 // the frame's string dictionary (job names, aliases, column names, and
 // repeated data strings are carried once per frame, not once per
-// task). The response frame mirrors it. Block mirror files, a reduce
-// task's request to a producer and the producer's shuffle segments use
-// the same codec with their own magics; a body with any other leading
-// bytes is an error.
+// task). The response frame mirrors it. The blocks of a mirror file, a
+// reduce task's request to a producer and the producer's shuffle
+// segments use the same codec with their own magics; a body with any
+// other leading bytes is an error.
 
 var (
 	magicTaskBatch  = []byte("DYT1")
@@ -221,26 +220,33 @@ func (d *bdec) count() (uint64, error) {
 	return n, nil
 }
 
-func (e *benc) writeStrs(ss []string) {
-	e.uvarint(uint64(len(ss)))
-	for _, s := range ss {
-		e.str(s)
+// writeList writes a counted list, each element with write.
+func writeList[T any](e *benc, xs []T, write func(T)) {
+	e.uvarint(uint64(len(xs)))
+	for _, x := range xs {
+		write(x)
 	}
 }
 
-func (d *bdec) readStrs() ([]string, error) {
+// readList reads a counted list, each element with read. An empty list
+// reads as nil: no list the frames carry tells nil from empty.
+func readList[T any](d *bdec, read func() (T, error)) ([]T, error) {
 	n, err := d.count()
 	if err != nil || n == 0 {
-		return nil, err // nil/empty distinction is not observable for string lists
+		return nil, err
 	}
-	out := make([]string, n)
+	out := make([]T, n)
 	for i := range out {
-		if out[i], err = d.str(); err != nil {
+		if out[i], err = read(); err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
 }
+
+func (e *benc) writeStrs(ss []string) { writeList(e, ss, e.str) }
+
+func (d *bdec) readStrs() ([]string, error) { return readList(d, d.str) }
 
 // Column paths travel in their canonical string form (Path.String
 // round-trips through ParsePath for every parser-produced path).
@@ -257,25 +263,10 @@ func (d *bdec) readPath() (data.Path, error) {
 }
 
 func (e *benc) writePaths(paths []data.Path) {
-	e.uvarint(uint64(len(paths)))
-	for _, p := range paths {
-		e.str(p.String())
-	}
+	writeList(e, paths, func(p data.Path) { e.str(p.String()) })
 }
 
-func (d *bdec) readPaths() ([]data.Path, error) {
-	n, err := d.count()
-	if err != nil || n == 0 {
-		return nil, err
-	}
-	out := make([]data.Path, n)
-	for i := range out {
-		if out[i], err = d.readPath(); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
+func (d *bdec) readPaths() ([]data.Path, error) { return readList(d, d.readPath) }
 
 func (e *benc) writeSource(s *physop.Source) error {
 	if s == nil {
@@ -399,25 +390,21 @@ func (d *bdec) readOp() (*physop.OpSpec, error) {
 	if op.Residual, err = d.readExpr(0); err != nil {
 		return nil, err
 	}
-	n, err := d.count()
+	op.Steps, err = readList(d, func() (st physop.ChainStep, err error) {
+		if st.Build, err = d.str(); err != nil {
+			return st, err
+		}
+		if st.Keys, err = d.readPaths(); err != nil {
+			return st, err
+		}
+		st.Residual, err = d.readExpr(0)
+		return st, err
+	})
 	if err != nil {
 		return nil, err
 	}
-	if n > 0 {
-		op.Steps = make([]physop.ChainStep, n)
-		for i := range op.Steps {
-			if op.Steps[i].Build, err = d.str(); err != nil {
-				return nil, err
-			}
-			if op.Steps[i].Keys, err = d.readPaths(); err != nil {
-				return nil, err
-			}
-			if op.Steps[i].Residual, err = d.readExpr(0); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if n, err = d.count(); err != nil {
+	n, err := d.count()
+	if err != nil {
 		return nil, err
 	}
 	if n > 0 {
@@ -441,26 +428,21 @@ func (d *bdec) readOp() (*physop.OpSpec, error) {
 	if op.GroupBy, err = d.readExprs(0); err != nil {
 		return nil, err
 	}
-	if n, err = d.count(); err != nil {
-		return nil, err
-	}
-	if n > 0 {
-		op.Select = make([]sqlparse.SelectItem, n)
-		for i := range op.Select {
-			it := &op.Select[i]
-			if it.E, err = d.readExpr(0); err != nil {
-				return nil, err
-			}
-			if it.Agg, err = d.str(); err != nil {
-				return nil, err
-			}
-			if it.Star, err = d.bool(); err != nil {
-				return nil, err
-			}
-			if it.As, err = d.str(); err != nil {
-				return nil, err
-			}
+	op.Select, err = readList(d, func() (it sqlparse.SelectItem, err error) {
+		if it.E, err = d.readExpr(0); err != nil {
+			return it, err
 		}
+		if it.Agg, err = d.str(); err != nil {
+			return it, err
+		}
+		if it.Star, err = d.bool(); err != nil {
+			return it, err
+		}
+		it.As, err = d.str()
+		return it, err
+	})
+	if err != nil {
+		return nil, err
 	}
 	op.Combine, err = d.bool()
 	return op, err
@@ -489,8 +471,7 @@ func (e *benc) writeBuild(b *BuildRef) error {
 		return err
 	}
 	e.writePaths(b.Keys)
-	e.writeStrs(b.Blocks)
-	e.str(b.Version)
+	writeList(e, b.Blocks, e.writeBlockRef)
 	return nil
 }
 
@@ -509,11 +490,35 @@ func (d *bdec) readBuild() (BuildRef, error) {
 	if b.Keys, err = d.readPaths(); err != nil {
 		return b, err
 	}
-	if b.Blocks, err = d.readStrs(); err != nil {
-		return b, err
-	}
-	b.Version, err = d.str()
+	b.Blocks, err = readList(d, d.readBlockRef)
 	return b, err
+}
+
+// writeBlockRef writes a block reference: the mirror file's path
+// (interned: a frame names few files), then the span as uvarints.
+func (e *benc) writeBlockRef(ref BlockRef) {
+	e.str(ref.File)
+	e.uvarint(uint64(ref.Off))
+	e.uvarint(uint64(ref.Len))
+}
+
+// readBlockRef reads a block reference, refusing an offset or length
+// no int64 holds (a negative one, as written). Whether the file holds
+// the span is for its reader to check.
+func (d *bdec) readBlockRef() (ref BlockRef, err error) {
+	var span [2]uint64
+	if ref.File, err = d.str(); err != nil {
+		return ref, err
+	}
+	for i := range span {
+		if span[i], err = d.uvarint(); err != nil {
+			return ref, err
+		} else if span[i] > math.MaxInt64 {
+			return ref, fmt.Errorf("wire: block span %d of %s is out of range", span[i], ref.File)
+		}
+	}
+	ref.Off, ref.Len = int64(span[0]), int64(span[1])
+	return ref, nil
 }
 
 // Task kind bytes.
@@ -539,7 +544,7 @@ func (e *benc) writeTask(t *Task) error {
 		return err
 	}
 	e.varint(int64(t.InputIdx))
-	e.str(t.Block)
+	e.writeBlockRef(t.Block)
 	e.varint(int64(t.NumReducers))
 	var flags byte
 	if t.HasReduce {
@@ -599,7 +604,7 @@ func (d *bdec) readTask() (*Task, error) {
 		return nil, err
 	}
 	t.InputIdx = int(idx)
-	if t.Block, err = d.str(); err != nil {
+	if t.Block, err = d.readBlockRef(); err != nil {
 		return nil, err
 	}
 	reducers, err := d.varint()
@@ -618,17 +623,8 @@ func (d *bdec) readTask() (*Task, error) {
 		return nil, fmt.Errorf("wire: task %s: input %d with %d reducers is out of range", t.Task, idx, reducers)
 	}
 	t.NumReducers = int(reducers)
-	n, err := d.count()
-	if err != nil {
+	if t.Builds, err = readList(d, d.readBuild); err != nil {
 		return nil, err
-	}
-	if n > 0 {
-		t.Builds = make([]BuildRef, n)
-		for i := range t.Builds {
-			if t.Builds[i], err = d.readBuild(); err != nil {
-				return nil, err
-			}
-		}
 	}
 	if idx, err = d.varint(); err != nil {
 		return nil, err
@@ -646,27 +642,22 @@ func (d *bdec) readTask() (*Task, error) {
 	if t.ByteScale, err = d.f64(); err != nil {
 		return nil, err
 	}
-	if n, err = d.count(); err != nil {
-		return nil, err
-	}
-	if n > 0 {
-		t.Fetches = make([]ShuffleRef, n)
-		for i := range t.Fetches {
-			ref := &t.Fetches[i]
-			if ref.URL, err = d.str(); err != nil {
-				return nil, err
-			}
-			if ref.ID, err = d.str(); err != nil {
-				return nil, err
-			}
-			if idx, err = d.varint(); err != nil {
-				return nil, err
-			}
-			ref.Part = int(idx)
-			if ref.Pairs, err = d.readKVs(); err != nil {
-				return nil, err
-			}
+	t.Fetches, err = readList(d, func() (ref ShuffleRef, err error) {
+		if ref.URL, err = d.str(); err != nil {
+			return ref, err
 		}
+		if ref.ID, err = d.str(); err != nil {
+			return ref, err
+		}
+		if idx, err = d.varint(); err != nil {
+			return ref, err
+		}
+		ref.Part = int(idx)
+		ref.Pairs, err = d.readKVs()
+		return ref, err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return t, nil
 }
@@ -865,13 +856,6 @@ func DecodeBlock(b []byte) ([]data.Value, error) {
 	d := newBdec(b[len(magicBlock):])
 	defer d.release()
 	return d.readValueList()
-}
-
-// WriteBlockFile writes one block's records to path as a DYB1 frame.
-func WriteBlockFile(path string, recs []data.Value) error {
-	f := EncodeBlock(recs)
-	defer f.Close()
-	return os.WriteFile(path, f.Bytes(), 0o644)
 }
 
 // EncodeShuffleRequest encodes a reduce task's one request to a

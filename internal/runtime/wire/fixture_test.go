@@ -16,10 +16,12 @@ import (
 // The DYT1 fixtures under testdata pin the task frame layout across
 // commits: one committed batch per operator kind, built from engine
 // values (expressions, paths, select items, a live-column map) the way
-// the compiler builds them. They were written by the build that still
-// converted those values through a mirror layer of wire-only types; a
-// frame it encoded must decode here and re-encode to the same bytes,
-// and the same tasks built today must encode to the committed bytes.
+// the compiler builds them. They were first written by the build that
+// still converted those values through a mirror layer of wire-only
+// types, and rewritten, in a commit of their own, when a block
+// reference became a span of a mirror file; a committed frame must
+// decode here and re-encode to the same bytes, and the same tasks built
+// today must encode to the committed bytes.
 //
 // Regenerate with: go test ./internal/runtime/wire -run TestTaskFrameFixtures -update-fixtures
 var updateFixtures = flag.Bool("update-fixtures", false, "rewrite testdata/*.dyt1 from the current encoder")
@@ -58,8 +60,8 @@ func fixtureTasks(t *testing.T, kind string) []*Task {
 	case "scan":
 		op := &physop.OpSpec{Kind: physop.Scan, Source: &physop.Source{Wrap: "l", Filter: filter}, Prune: live}
 		return []*Task{
-			{Job: "scan/q1", Task: "scan/q1-m0", Kind: "map", Op: op, Block: "/spill/f000001/b0.blk"},
-			{Job: "scan/q1", Task: "scan/q1-m1", Kind: "map", Op: &physop.OpSpec{Kind: physop.Scan, Source: &physop.Source{}}, Block: "/spill/f000001/b1.blk"},
+			{Job: "scan/q1", Task: "scan/q1-m0", Kind: "map", Op: op, Block: BlockRef{File: "/spill/f000001.mir", Len: 412}},
+			{Job: "scan/q1", Task: "scan/q1-m1", Kind: "map", Op: &physop.OpSpec{Kind: physop.Scan, Source: &physop.Source{}}, Block: BlockRef{File: "/spill/f000001.mir", Off: 412, Len: 97}},
 		}
 	case "repartition":
 		op := &physop.OpSpec{
@@ -72,7 +74,7 @@ func fixtureTasks(t *testing.T, kind string) []*Task {
 			Prune:     live,
 		}
 		return []*Task{
-			{Job: "j1", Task: "j1-m0", Kind: "map", Op: op, InputIdx: 1, Block: "/spill/f000002/b3.blk",
+			{Job: "j1", Task: "j1-m0", Kind: "map", Op: op, InputIdx: 1, Block: BlockRef{File: "/spill/f000002.mir", Off: 3 << 20, Len: 1 << 20},
 				NumReducers: 6, HasReduce: true, RetainShuffle: true, ShuffleID: "j1-m0#7", ByteScale: 1234.5},
 			{Job: "j1", Task: "j1-r3", Kind: "reduce", Op: op, Partition: 3, Fetches: []ShuffleRef{
 				{URL: "http://127.0.0.1:9001", ID: "j1-m0#7", Part: 3},
@@ -93,13 +95,13 @@ func fixtureTasks(t *testing.T, kind string) []*Task {
 			Prune: live,
 		}
 		return []*Task{{
-			Job: "j2", Task: "j2-m4", Kind: "map", Op: op, Block: "/spill/f000003/b4.blk",
+			Job: "j2", Task: "j2-m4", Kind: "map", Op: op, Block: BlockRef{File: "/spill/f000003.mir", Off: 70211, Len: 18004},
 			Builds: []BuildRef{
 				{Name: "b0", Wrap: "ps", Filter: &expr.Cmp{Op: expr.NE, L: fixtureCol("ps.ps_availqty"), R: &expr.Lit{V: data.Null()}},
 					Keys:   paths("ps.ps_partkey", "ps.ps_suppkey"),
-					Blocks: []string{"/spill/f000004/b0.blk", "/spill/f000004/b1.blk"}, Version: "/spill/f000004"},
+					Blocks: []BlockRef{{File: "/spill/f000004.mir", Len: 5120}, {File: "/spill/f000004.mir", Off: 5120, Len: 640}}},
 				{Name: "b1", Keys: paths("s.s_suppkey"),
-					Blocks: []string{"/spill/f000005/b0.blk"}, Version: "/spill/f000005"},
+					Blocks: []BlockRef{{File: "/spill/f000005.mir", Len: 233}}},
 			},
 		}}
 	case "aggregate":
@@ -114,7 +116,7 @@ func fixtureTasks(t *testing.T, kind string) []*Task {
 			Combine: true,
 		}
 		return []*Task{
-			{Job: "agg", Task: "agg-m0", Kind: "map", Op: op, Block: "/spill/f000006/b0.blk",
+			{Job: "agg", Task: "agg-m0", Kind: "map", Op: op, Block: BlockRef{File: "/spill/f000006.mir", Len: 1 << 16},
 				NumReducers: 2, HasReduce: true, RunCombine: true, RetainShuffle: true, ShuffleID: "agg-m0#9", ByteScale: 0.5},
 			{Job: "agg", Task: "agg-r1", Kind: "reduce", Op: op, Partition: 1,
 				Fetches: []ShuffleRef{{URL: "http://127.0.0.1:9002", ID: "agg-m0#9", Part: 1}}},

@@ -239,6 +239,9 @@ func FuzzExprRoundTrip(f *testing.F) {
 // varint or a dictionary reference the long way), after which the
 // frame is a fixed point.
 
+// The task seeds carry block spans at both ends of their range (0 and
+// MaxInt64) and, among the hostile ones, negative spans, which encode
+// past what the decoder accepts.
 func FuzzTaskBatchDecode(f *testing.F) {
 	f.Add([]byte("DYT1"))
 	seed, err := EncodeTaskBatch(sampleTasks(f))

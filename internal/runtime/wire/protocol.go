@@ -161,11 +161,11 @@ type HeartbeatRequest struct {
 // ShuffleGCRequest asks a worker to drop retained shuffle outputs by
 // ID (the controller broadcasts one per retired job, to every worker,
 // so hedged losers' orphaned registrations are collected too), and
-// whatever it cached of the mirror directories in Dirs: their files are
-// gone from the DFS, so no task will name those blocks again.
+// the blocks and tables it cached from the mirror files in Files: their
+// DFS files are gone, so no task will name those spans again.
 type ShuffleGCRequest struct {
-	IDs  []string `json:"ids"`
-	Dirs []string `json:"dirs,omitempty"`
+	IDs   []string `json:"ids"`
+	Files []string `json:"files,omitempty"`
 }
 
 // ShufflePart is a per-partition digest of retained map output: the
@@ -207,18 +207,23 @@ type ShuffleRef struct {
 	Pairs []KV
 }
 
+// BlockRef is one mirrored DFS block: the DYB1 frame at [Off, Off+Len)
+// of the mirror file File. A mirror file is written once, so its path is
+// the version workers cache blocks and tables under.
+type BlockRef struct {
+	File     string
+	Off, Len int64
+}
+
 // BuildRef describes one broadcast build side for a task: rebuild
-// parameters plus the on-disk block files holding the (unfiltered)
-// build input.
+// parameters plus the mirrored blocks holding the (unfiltered) build
+// input, all from one mirror file.
 type BuildRef struct {
 	Name   string
 	Wrap   string
 	Filter expr.Expr
 	Keys   []data.Path
-	Blocks []string
-	// Version distinguishes rebuilds of the same logical name across
-	// job generations (workers cache built tables keyed by it).
-	Version string
+	Blocks []BlockRef
 }
 
 // Task is one dispatched map or reduce task.
@@ -230,7 +235,7 @@ type Task struct {
 
 	// Map tasks.
 	InputIdx    int
-	Block       string // path to the input block file
+	Block       BlockRef // the input split
 	NumReducers int
 	HasReduce   bool
 	RunCombine  bool

@@ -47,6 +47,10 @@ go test -run='^$' -bench='^BenchmarkBuildHashTable$' \
 # such a split is its positions, not its rows.
 go test -run='^$' -bench='^(BenchmarkEncodeBlock|BenchmarkDecodeBlock|BenchmarkScanAnswer)$' \
     -benchtime=20x -benchmem ./internal/runtime/wire | tee -a "$out"
+# Block mirror: one 16-block file (5.7 MB of frames) written per op,
+# each frame on the pooled encoder and written as it is encoded.
+go test -run='^$' -bench='^BenchmarkMirrorFile$' \
+    -benchtime=10x -benchmem ./internal/runtime/procruntime | tee -a "$out"
 # Optimizer enumeration benchmarks: memo-table churn per full Optimize.
 go test -run='^$' -bench='^(BenchmarkOptimizeChain12|BenchmarkOptimizeStar10)$' \
     -benchtime=10x -benchmem . | tee -a "$out"
