@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"os"
 
-	"dyno/internal/cluster"
 	"dyno/internal/dfs"
 	"dyno/internal/tpch"
 )
@@ -22,8 +21,7 @@ func main() {
 	)
 	flag.Parse()
 
-	ccfg := cluster.DefaultConfig()
-	fs := dfs.New(dfs.WithNodes(ccfg.Workers))
+	fs := dfs.New()
 	cat, err := tpch.Generate(fs, tpch.Config{SF: *sf, Scale: *scale, Seed: *seed})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dynogen:", err)

@@ -23,7 +23,7 @@ func main() {
 	// 1. A simulated cluster (14 workers, 140 map / 84 reduce slots —
 	// the paper's testbed) over an in-memory DFS.
 	ccfg := cluster.DefaultConfig()
-	fs := dfs.New(dfs.WithNodes(ccfg.Workers))
+	fs := dfs.New()
 	env := &mapreduce.Env{
 		FS:    fs,
 		Sim:   cluster.New(ccfg),

@@ -36,7 +36,7 @@ const q1 = `
 
 func main() {
 	ccfg := cluster.DefaultConfig()
-	fs := dfs.New(dfs.WithNodes(ccfg.Workers))
+	fs := dfs.New()
 	env := &mapreduce.Env{
 		FS:    fs,
 		Sim:   cluster.New(ccfg),

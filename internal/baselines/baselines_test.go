@@ -3,6 +3,7 @@ package baselines
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"dyno/internal/cluster"
@@ -70,10 +71,20 @@ func TestHistogramEmptyAndSkewed(t *testing.T) {
 // tests.
 func tinyEnv(t *testing.T, sf float64) (*mapreduce.Env, *jaql.Catalog) {
 	t.Helper()
+	return tinyEnvWith(t, sf, nil)
+}
+
+// tinyEnvWith is tinyEnv on a cluster the caller adjusts first (fault
+// injection hooks).
+func tinyEnvWith(t *testing.T, sf float64, mut func(*cluster.Config)) (*mapreduce.Env, *jaql.Catalog) {
+	t.Helper()
 	cfg := cluster.DefaultConfig()
 	cfg.Parallelism = 4 // exercise the pooled executor even on 1-core CI
+	if mut != nil {
+		mut(&cfg)
+	}
 	env := &mapreduce.Env{
-		FS:    dfs.New(dfs.WithNodes(cfg.Workers)),
+		FS:    dfs.New(),
 		Sim:   cluster.New(cfg),
 		Coord: coord.NewService(),
 		Reg:   expr.NewRegistry(),
@@ -406,6 +417,64 @@ func TestVariantEnginesWithDynamicJoinMatchOracle(t *testing.T) {
 	for i := range want {
 		if !naive.ApproxEqual(res.Rows[i], want[i], 1e-9) {
 			t.Fatalf("row %d: got %v want %v", i, res.Rows[i], want[i])
+		}
+	}
+}
+
+// TestStaticVariantsResubmitLostLeafJob is core's
+// TestLeafJobFailureResubmitted for the variants that run a static job
+// graph: every attempt of one leaf job's first map task fails until the
+// task's retries are exhausted, and the engine must resubmit the job
+// from its materialized inputs, as DYNOPT does, and return the oracle's
+// rows with the resubmission recorded as a warning.
+func TestStaticVariantsResubmitLostLeafJob(t *testing.T) {
+	sql := tpch.MustQuerySQL("Q10")
+	q := sqlparse.MustParse(sql)
+	for _, v := range []Variant{VariantSimple, VariantBestStatic, VariantRelOpt} {
+		failures := 0
+		env, cat := tinyEnvWith(t, 10, func(cfg *cluster.Config) {
+			cfg.FailInject = func(job, task string, attempt, node int) bool {
+				if strings.HasPrefix(job, "q1-i1-") && strings.HasSuffix(task, "-m0") && failures < 4 {
+					failures++
+					return true
+				}
+				return false
+			}
+		})
+		opts := core.DefaultOptions()
+		opts.K = 128
+		opts.KMVSize = 256
+		eng, err := NewEngine(v, env, cat, optimizer.DefaultConfig(float64(env.Sim.Config().SlotMemory)), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := eng.Execute(q)
+		if err != nil {
+			t.Fatalf("%s: %v", v, err)
+		}
+		if failures != 4 {
+			t.Fatalf("%s: injected %d failures, want 4 (retry cap)", v, failures)
+		}
+		want, err := naive.Evaluate(q, cat, env.Reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != len(want) {
+			t.Fatalf("%s: %d rows, oracle %d", v, len(res.Rows), len(want))
+		}
+		for i := range want {
+			if !naive.ApproxEqual(res.Rows[i], want[i], 1e-9) {
+				t.Fatalf("%s: row %d: got %v want %v", v, i, res.Rows[i], want[i])
+			}
+		}
+		resubmitted := 0
+		for _, w := range res.Warnings {
+			if strings.Contains(w, "resubmitted") {
+				resubmitted++
+			}
+		}
+		if resubmitted != 1 {
+			t.Errorf("%s: %d resubmission warnings in %v, want 1", v, resubmitted, res.Warnings)
 		}
 	}
 }

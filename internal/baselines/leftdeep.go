@@ -171,7 +171,6 @@ func NewEngine(v Variant, env *mapreduce.Env, cat *jaql.Catalog, optCfg optimize
 		sc := NewStatsCatalog(env, cat)
 		opts.Reoptimize = false
 		opts.DisablePilotRuns = true
-		opts.CollectOnlineStats = false
 		opts.PrepareStats = sc.prepareStats
 		opts.Strategy = core.All{}
 		// The plan arrives pre-computed ("hand-coded to a Jaql
@@ -181,7 +180,6 @@ func NewEngine(v Variant, env *mapreduce.Env, cat *jaql.Catalog, optCfg optimize
 		sc := NewStatsCatalog(env, cat)
 		opts.Reoptimize = false
 		opts.DisablePilotRuns = true
-		opts.CollectOnlineStats = false
 		opts.Strategy = core.All{}
 		opts.OptTimePerExpr = 0
 		opts.PrepareStats = func(block *plan.JoinBlock) error {

@@ -20,8 +20,6 @@ type tableProfile struct {
 	card    float64
 	avgSize float64
 	ndv     map[string]float64
-	min     map[string]data.Value
-	max     map[string]data.Value
 	hist    map[string]*histogram
 }
 
@@ -55,8 +53,6 @@ func (sc *StatsCatalog) profile(table string) (*tableProfile, error) {
 	}
 	p := &tableProfile{
 		ndv:  map[string]float64{},
-		min:  map[string]data.Value{},
-		max:  map[string]data.Value{},
 		hist: map[string]*histogram{},
 	}
 	colValues := map[string][]data.Value{}
@@ -77,12 +73,6 @@ func (sc *StatsCatalog) profile(table string) (*tableProfile, error) {
 				distinct[col] = d
 			}
 			d[data.Hash64(fl.Value)] = true
-			if cur, ok := p.min[col]; !ok || data.Compare(fl.Value, cur) < 0 {
-				p.min[col] = fl.Value
-			}
-			if cur, ok := p.max[col]; !ok || data.Compare(fl.Value, cur) > 0 {
-				p.max[col] = fl.Value
-			}
 		}
 	}
 	if p.card > 0 {
@@ -128,9 +118,7 @@ func (sc *StatsCatalog) LeafStats(leaf *plan.Leaf) (stats.TableStats, error) {
 		if ndv > card {
 			ndv = card
 		}
-		ts.Cols[leaf.Alias+"."+col] = stats.ColStats{
-			Min: p.min[col], Max: p.max[col], NDV: ndv,
-		}
+		ts.Cols[leaf.Alias+"."+col] = stats.ColStats{NDV: ndv}
 	}
 	return ts, nil
 }

@@ -29,7 +29,6 @@ type vec struct {
 	strs   []string
 	vals   []data.Value // vecMixed only
 	nulls  []uint64     // nil when the column has no nulls
-	n      int
 }
 
 func (v *vec) isNull(i int) bool {
@@ -73,7 +72,7 @@ func (v *vec) class() int {
 // accessor and classifies it.
 func extractVec(acc *data.Accessor, recs []data.Value) *vec {
 	n := len(recs)
-	v := &vec{n: n}
+	v := &vec{}
 	vals := make([]data.Value, n)
 	var nulls []uint64
 	allInt, allFloat, allStr := true, true, true

@@ -42,7 +42,7 @@ func TestStepMatchesRunTrace(t *testing.T) {
 		s := New(smallConfig())
 		var evs []string
 		s.SetTrace(func(ev TraceEvent) {
-			evs = append(evs, fmt.Sprintf("%s/%s/%s/%.6f", ev.Kind, ev.Job, ev.Task, ev.Time))
+			evs = append(evs, fmt.Sprintf("%s/%s/%.6f", ev.Kind, ev.Job, ev.Time))
 		})
 		workload(s)
 		drive(s)
@@ -81,7 +81,7 @@ func TestSerialVsParallelTraceIdentity(t *testing.T) {
 		s := New(cfg)
 		var evs []string
 		s.SetTrace(func(ev TraceEvent) {
-			evs = append(evs, fmt.Sprintf("%s/%s/%s/%.6f", ev.Kind, ev.Job, ev.Task, ev.Time))
+			evs = append(evs, fmt.Sprintf("%s/%s/%.6f", ev.Kind, ev.Job, ev.Time))
 		})
 		a := &testJob{name: "a", maps: 8, reduces: 2,
 			mapUsage: Usage{BytesRead: 150}, redUsage: Usage{BytesShuffled: 50}}

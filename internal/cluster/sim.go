@@ -208,16 +208,13 @@ type Usage struct {
 	BytesRead     int64   // input scanned from DFS
 	BytesShuffled int64   // data sorted and moved through the shuffle
 	BytesWritten  int64   // output written to DFS
-	Records       int64   // records processed
 	CPUSeconds    float64 // extra CPU time (UDF evaluation etc.)
 	ExtraLatency  float64 // additional fixed latency (e.g. broadcast build load)
 }
 
 // TaskContext is passed to a task's Run closure when it is dispatched.
 type TaskContext struct {
-	Node        int     // worker node executing the task
-	FirstOnNode bool    // first task of this job on this node (distributed cache)
-	Now         float64 // virtual dispatch time
+	FirstOnNode bool // first task of this job on this node (distributed cache)
 }
 
 // Task is one schedulable unit of work: Work (optional) computes ahead,
@@ -254,7 +251,6 @@ type Task struct {
 	rawUsage   Usage // usage as reported by Run, before Finish adjustments
 	start, end float64
 	node       int
-	ran        bool
 	attempts   int
 	straggler  bool   // current attempt's duration is stretched
 	failLeft   int    // remaining consecutive failures at an injected site
@@ -286,7 +282,6 @@ type Job interface {
 type Submission struct {
 	sim       *Sim
 	job       Job
-	id        int
 	submitted float64
 	ready     float64
 	finished  float64
@@ -406,7 +401,6 @@ type Sim struct {
 	mapFree    []int         // free map slots per worker
 	reduceFree []int         // free reduce slots per worker
 	trace      func(TraceEvent)
-	dispatched int64 // total attempt dispatches (incl. retries and backups)
 	// firstAttempts counts first-attempt dispatches only, so the
 	// FailEveryN modulo spacing is immune to how many retries are in
 	// flight; executedAttempts counts attempts whose Run actually
@@ -446,9 +440,7 @@ type launch struct {
 type TraceEvent struct {
 	Time float64
 	Job  string
-	Task string
 	Kind string
-	Node int
 }
 
 // New returns a simulator for the given cluster.
@@ -510,7 +502,6 @@ func (s *Sim) Submit(j Job) *Submission {
 	sub := &Submission{
 		sim:       s,
 		job:       j,
-		id:        len(s.subs),
 		submitted: s.now,
 		ready:     s.now + s.cfg.JobStartup,
 		nodesSeen: make(map[int]bool),
@@ -685,7 +676,7 @@ func (s *Sim) handleTaskDone(sub *Submission, t *Task, e *event) {
 		t.node = t.specNode
 		t.end = e.time
 		t.specEv = nil
-		s.emit(TraceEvent{Time: s.now, Job: sub.job.Name(), Task: t.Name, Kind: "speculative-win", Node: winNode})
+		s.emit(TraceEvent{Time: s.now, Job: sub.job.Name(), Kind: "speculative-win"})
 	} else {
 		t.doneEv = nil
 		if t.specEv != nil {
@@ -695,14 +686,14 @@ func (s *Sim) handleTaskDone(sub *Submission, t *Task, e *event) {
 			s.freeSlot(t.Kind, t.specNode)
 			sub.running--
 			s.wasted += s.now - t.specStart
-			s.emit(TraceEvent{Time: s.now, Job: sub.job.Name(), Task: t.Name, Kind: "speculative-lost", Node: t.specNode})
+			s.emit(TraceEvent{Time: s.now, Job: sub.job.Name(), Kind: "speculative-lost"})
 		}
 	}
 	s.freeSlot(t.Kind, winNode)
 	sub.running--
 	sub.dropInflight(t)
 	sub.completed = append(sub.completed, t)
-	s.emit(TraceEvent{Time: s.now, Job: sub.job.Name(), Task: t.Name, Kind: "finish", Node: winNode})
+	s.emit(TraceEvent{Time: s.now, Job: sub.job.Name(), Kind: "finish"})
 	if sub.failed {
 		s.maybeComplete(sub)
 		return
@@ -840,7 +831,6 @@ func (s *Sim) startTask(sub *Submission, t *Task, node int) {
 	} else {
 		s.reduceFree[node]--
 	}
-	s.dispatched++
 	if t.attempts == 0 {
 		s.firstAttempts++
 	}
@@ -862,17 +852,16 @@ func (s *Sim) startTask(sub *Submission, t *Task, node int) {
 	sub.nodesSeen[node] = true
 	t.node = node
 	t.start = s.now
-	t.ran = true
 	sub.running++
 	sub.inflight = append(sub.inflight, t)
-	s.emit(TraceEvent{Time: s.now, Job: sub.job.Name(), Task: t.Name, Kind: "start", Node: node})
+	s.emit(TraceEvent{Time: s.now, Job: sub.job.Name(), Kind: "start"})
 	s.executedAttempts++
 	t.straggler = s.cfg.StragglerEveryN > 0 && s.executedAttempts%int64(s.cfg.StragglerEveryN) == 0
 	if t.straggler {
-		s.emit(TraceEvent{Time: s.now, Job: sub.job.Name(), Task: t.Name, Kind: "straggler", Node: node})
+		s.emit(TraceEvent{Time: s.now, Job: sub.job.Name(), Kind: "straggler"})
 	}
 
-	s.wave = append(s.wave, &launch{sub: sub, task: t, tc: TaskContext{Node: node, FirstOnNode: first, Now: s.now}})
+	s.wave = append(s.wave, &launch{sub: sub, task: t, tc: TaskContext{FirstOnNode: first}})
 }
 
 // injectFailure decides, on the scheduler goroutine, whether this
@@ -898,7 +887,7 @@ func (s *Sim) injectFailure(sub *Submission, t *Task, node int) bool {
 // node blacklisting, and escalation to a job-level failure when the
 // task's attempt budget is exhausted.
 func (s *Sim) noteAttemptFailure(sub *Submission, t *Task, node int) {
-	s.emit(TraceEvent{Time: s.now, Job: sub.job.Name(), Task: t.Name, Kind: "attempt-failed", Node: node})
+	s.emit(TraceEvent{Time: s.now, Job: sub.job.Name(), Kind: "attempt-failed"})
 	s.wasted += s.retryPenalty()
 	if s.cfg.blacklistAfter > 0 {
 		if sub.nodeFails == nil {
@@ -910,7 +899,7 @@ func (s *Sim) noteAttemptFailure(sub *Submission, t *Task, node int) {
 				sub.blacklist = make(map[int]bool)
 			}
 			sub.blacklist[node] = true
-			s.emit(TraceEvent{Time: s.now, Job: sub.job.Name(), Task: t.Name, Kind: "node-blacklisted", Node: node})
+			s.emit(TraceEvent{Time: s.now, Job: sub.job.Name(), Kind: "node-blacklisted"})
 		}
 	}
 	maxAttempts := s.cfg.maxAttempts
@@ -922,7 +911,7 @@ func (s *Sim) noteAttemptFailure(sub *Submission, t *Task, node int) {
 		sub.err = fmt.Errorf("cluster: job %s task %s on node %d: %w after %d attempts",
 			sub.job.Name(), t.Name, node, ErrTaskRetriesExhausted, t.attempts)
 		sub.pending = nil
-		s.emit(TraceEvent{Time: s.now, Job: sub.job.Name(), Task: t.Name, Kind: "task-failed", Node: node})
+		s.emit(TraceEvent{Time: s.now, Job: sub.job.Name(), Kind: "task-failed"})
 	}
 }
 
@@ -1031,7 +1020,6 @@ func (s *Sim) launchSpeculative(sub *Submission, t *Task, node int) {
 	} else {
 		s.reduceFree[node]--
 	}
-	s.dispatched++
 	sub.running++
 	first := !sub.nodesSeen[node]
 	sub.nodesSeen[node] = true
@@ -1039,12 +1027,12 @@ func (s *Sim) launchSpeculative(sub *Submission, t *Task, node int) {
 	t.specStart = s.now
 	u := t.rawUsage
 	if t.Finish != nil {
-		t.Finish(TaskContext{Node: node, FirstOnNode: first, Now: s.now}, &u)
+		t.Finish(TaskContext{FirstOnNode: first}, &u)
 	}
 	ev := &event{time: s.now + s.duration(u), kind: evTaskDone, sub: sub, task: t}
 	t.specEv = ev
 	s.push(ev)
-	s.emit(TraceEvent{Time: s.now, Job: sub.job.Name(), Task: t.Name, Kind: "speculative-start", Node: node})
+	s.emit(TraceEvent{Time: s.now, Job: sub.job.Name(), Kind: "speculative-start"})
 }
 
 // runWave executes the Run closures collected at the current virtual

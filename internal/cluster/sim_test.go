@@ -270,7 +270,7 @@ func TestEmptyJobCompletesImmediately(t *testing.T) {
 func TestDurationComputation(t *testing.T) {
 	cfg := smallConfig()
 	s := New(cfg)
-	u := Usage{BytesRead: 200, BytesShuffled: 100, BytesWritten: 300, Records: 10, CPUSeconds: 2, ExtraLatency: 1}
+	u := Usage{BytesRead: 200, BytesShuffled: 100, BytesWritten: 300, CPUSeconds: 2, ExtraLatency: 1}
 	// 1 overhead + 1 extra + 2 cpu + 200/100 + 100/50 + 300/100 = 11
 	if got := s.duration(u); math.Abs(got-11) > 1e-9 {
 		t.Errorf("duration = %v, want 11", got)

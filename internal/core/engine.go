@@ -148,7 +148,6 @@ func NewEngine(env *mapreduce.Env, cat *jaql.Catalog, opt optimizer.Config, opts
 type IterationInfo struct {
 	Plan        string // formatted physical plan chosen this iteration
 	JobsRun     []string
-	OptimizeSec float64
 	PlanChanged bool // differs from the remainder of the previous plan
 }
 
@@ -178,12 +177,10 @@ type Result struct {
 	OptGroupsPruned   int
 	OptGroupsReused   int
 
-	// ResubmittedJobs counts leaf jobs recovered by resubmission after
-	// task-retry exhaustion; Warnings records each degradation the
-	// engine absorbed (failed pilots falling back to catalog
-	// statistics, resubmitted leaf jobs) instead of aborting.
-	ResubmittedJobs int
-	Warnings        []string
+	// Warnings records each degradation the engine absorbed (failed
+	// pilots falling back to catalog statistics, leaf jobs resubmitted
+	// after task-retry exhaustion) instead of aborting.
+	Warnings []string
 }
 
 // queryName allocates the next query's name, under the session tag
@@ -283,11 +280,9 @@ func (e *Engine) executeContext(ctx context.Context, q *sqlparse.Query) (*Result
 	}
 
 	// Post-join operators (grouping, ordering, projection).
-	qr, err := jaql.FinishQuery(e.Env, q, final, "tmp/"+name+"/final")
-	if err != nil {
+	if res.Rows, err = jaql.FinishQuery(e.Env, q, final, "tmp/"+name+"/final"); err != nil {
 		return nil, err
 	}
-	res.Rows = qr.Rows
 	res.TotalSec = e.Env.Now() - start
 	return res, nil
 }
@@ -359,7 +354,7 @@ func (e *Engine) runBlock(block *plan.JoinBlock, name string, res *Result) (*pla
 			e.Env.Advance(optSec)
 			res.OptimizeSec += optSec
 		}
-		info := IterationInfo{Plan: plan.Format(root), OptimizeSec: optSec}
+		info := IterationInfo{Plan: plan.Format(root)}
 		if prevRoot != nil && planSig(root, executed) != planSig(prevRoot, executed) {
 			info.PlanChanged = true
 			res.PlanChanges++
@@ -501,16 +496,35 @@ func (e *Engine) executeWave(block *plan.JoinBlock, graph *jaql.Graph, toRun []*
 	return nil
 }
 
-// runWithRecovery drives the cluster until the submitted runs complete
-// and converts task-retry exhaustion into checkpoint recovery: a leaf
-// job's inputs are materialized DFS files (base tables or previously
-// executed sub-plans), so the job is simply resubmitted over the same
-// inputs — the paper's argument that job boundaries double as
-// checkpoints (§5.1). Failed runs are replaced in place so the caller
-// finalizes the recovered execution; any other error still aborts the
+// recoverable reports whether a finished job's error is answered by
+// resubmitting the job: it lost a task to retry exhaustion and has been
+// resubmitted fewer than jobRetries times. Any other error aborts the
 // query.
+func recoverable(err error, resubmitted int) bool {
+	return errors.Is(err, cluster.ErrTaskRetriesExhausted) && resubmitted < jobRetries
+}
+
+// resubmit converts task-retry exhaustion into checkpoint recovery: a
+// leaf job's inputs are materialized DFS files (base tables or
+// previously executed sub-plans), so the job is simply resubmitted over
+// the same inputs — the paper's argument that job boundaries double as
+// checkpoints (§5.1).
+func (e *Engine) resubmit(run *jaql.Run, opts jaql.ExecOpts, res *Result) (*jaql.Run, error) {
+	fresh, err := jaql.SubmitUnit(e.Env, run.Unit, opts)
+	if err != nil {
+		return nil, err
+	}
+	res.Warnings = append(res.Warnings, fmt.Sprintf(
+		"core: job %s lost to task failures; resubmitted from its materialized inputs", run.Unit.Name))
+	return fresh, nil
+}
+
+// runWithRecovery drives the cluster until the submitted runs complete,
+// resubmitting every recoverable failure. Failed runs are replaced in
+// place so the caller finalizes the recovered execution.
 func (e *Engine) runWithRecovery(runs []*jaql.Run, opts []jaql.ExecOpts, res *Result) error {
-	for attempt := 0; ; attempt++ {
+	resubmitted := make([]int, len(runs))
+	for {
 		if err := e.Env.RunUntil(func() bool {
 			for _, run := range runs {
 				if !run.Sub.Done() {
@@ -523,30 +537,23 @@ func (e *Engine) runWithRecovery(runs []*jaql.Run, opts []jaql.ExecOpts, res *Re
 		}
 		var failed []int
 		for i, run := range runs {
-			jerr := run.Sub.Err()
-			if jerr == nil {
-				continue
+			if err := run.Sub.Err(); err != nil {
+				if !recoverable(err, resubmitted[i]) {
+					return err
+				}
+				failed = append(failed, i)
 			}
-			if !errors.Is(jerr, cluster.ErrTaskRetriesExhausted) {
-				return jerr
-			}
-			failed = append(failed, i)
 		}
 		if len(failed) == 0 {
 			return nil
 		}
-		if attempt >= jobRetries {
-			return runs[failed[0]].Sub.Err()
-		}
 		for _, i := range failed {
-			fresh, serr := jaql.SubmitUnit(e.Env, runs[i].Unit, opts[i])
-			if serr != nil {
-				return serr
+			fresh, err := e.resubmit(runs[i], opts[i], res)
+			if err != nil {
+				return err
 			}
-			res.ResubmittedJobs++
-			res.Warnings = append(res.Warnings, fmt.Sprintf(
-				"core: job %s lost to task failures; resubmitted from its materialized inputs", runs[i].Unit.Name))
 			runs[i] = fresh
+			resubmitted[i]++
 		}
 		if err := e.ctxErr(); err != nil {
 			return err
@@ -562,10 +569,12 @@ func (e *Engine) runWithRecovery(runs []*jaql.Run, opts []jaql.ExecOpts, res *Re
 // in at once and parents start the moment their inputs exist (MO),
 // letting jobs overlap on the cluster. (On a cluster shared with other
 // sessions that moment is the engine's next observation, which can
-// trail the completion instant.)
+// trail the completion instant.) A job that fails recoverably is
+// resubmitted in place, under the same rule as DYNOPT's waves.
 func (e *Engine) executeStaticGraph(graph *jaql.Graph, res *Result) error {
 	_, oneAtATime := e.Options.Strategy.(One)
 	submitted := map[*jaql.Unit]bool{}
+	resubmitted := map[*jaql.Unit]int{}
 	var open []*jaql.Run
 	for !graph.Done() {
 		if err := e.ctxErr(); err != nil {
@@ -599,6 +608,15 @@ func (e *Engine) executeStaticGraph(graph *jaql.Graph, res *Result) error {
 		for _, r := range open {
 			if !r.Sub.Done() {
 				next = append(next, r)
+				continue
+			}
+			if err := r.Sub.Err(); err != nil && recoverable(err, resubmitted[r.Unit]) {
+				fresh, err := e.resubmit(r, e.staticExecOpts(), res)
+				if err != nil {
+					return err
+				}
+				resubmitted[r.Unit]++
+				next = append(next, fresh)
 				continue
 			}
 			if _, err := r.Finalize("pending"); err != nil {

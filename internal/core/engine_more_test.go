@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"dyno/internal/optimizer"
 	"dyno/internal/plan"
 	"dyno/internal/stats"
 )
@@ -181,17 +182,18 @@ func TestProjectionPushdownWithWholeRecordUDF(t *testing.T) {
 	checkOracle(t, f, sql, res.Rows)
 }
 
-// TestOptimizeSecSumsExactly pins the accounting contract: the
-// per-iteration OptimizeSec charges recorded in Evolution sum — in
-// order, with no float slack — to Result.OptimizeSec, and a round
-// answered without enumeration (remainder kept under the
-// re-optimization threshold) is charged exactly memoHitOptSec.
-func TestOptimizeSecSumsExactly(t *testing.T) {
+// TestOptimizeSecChargesEveryRound pins the accounting contract:
+// Result.OptimizeSec is the in-order sum of one charge per DYNOPT round,
+// and a round answered without enumeration — the remainder kept under
+// the re-optimization threshold, or a planner that considered nothing —
+// is charged exactly memoHitOptSec.
+func TestOptimizeSecChargesEveryRound(t *testing.T) {
 	sql := `SELECT r.id FROM r, s, u WHERE r.sid = s.id AND s.uid = u.id`
-	run := func(threshold float64) *Result {
+	run := func(threshold float64, planner func(*plan.JoinBlock, optimizer.Config) (plan.Node, int, error)) *Result {
 		f := newFixture()
 		opts := smallOpts()
 		opts.ReoptThreshold = threshold
+		opts.Planner = planner
 		e := f.engine(opts)
 		e.Opt.DisableBroadcast = true // multiple iterations
 		res, err := e.ExecuteSQL(sql)
@@ -200,24 +202,30 @@ func TestOptimizeSecSumsExactly(t *testing.T) {
 		}
 		return res
 	}
+	// Nothing considered: every round is priced as a memo hit.
+	free := func(b *plan.JoinBlock, cfg optimizer.Config) (plan.Node, int, error) {
+		r, err := optimizer.Optimize(b, cfg)
+		if err != nil {
+			return nil, 0, err
+		}
+		return r.Root, 0, nil
+	}
 	for _, threshold := range []float64{0, 100.0} {
-		res := run(threshold)
+		res := run(threshold, free)
+		if res.Iterations < 2 {
+			t.Fatalf("threshold %v: %d rounds, want several", threshold, res.Iterations)
+		}
 		var sum float64
-		hits := 0
-		for i, it := range res.Evolution {
-			sum += it.OptimizeSec
-			if it.OptimizeSec == memoHitOptSec {
-				hits++
-			} else if it.OptimizeSec <= 0 {
-				t.Errorf("threshold %v: iteration %d charged %v", threshold, i+1, it.OptimizeSec)
-			}
+		for range res.Iterations {
+			sum += memoHitOptSec
 		}
-		if sum != res.OptimizeSec {
-			t.Errorf("threshold %v: evolution sum %v != OptimizeSec %v",
-				threshold, sum, res.OptimizeSec)
+		if res.OptimizeSec != sum {
+			t.Errorf("threshold %v: OptimizeSec %v over %d memo-hit rounds, want %v",
+				threshold, res.OptimizeSec, res.Iterations, sum)
 		}
-		if threshold == 100.0 && len(res.Evolution) >= 2 && hits == 0 {
-			t.Error("lenient threshold skipped no round at memoHitOptSec")
+		if res := run(threshold, nil); res.OptimizeSec <= sum {
+			t.Errorf("threshold %v: enumerating rounds charged %v, no more than %d memo hits",
+				threshold, res.OptimizeSec, res.Iterations)
 		}
 	}
 }

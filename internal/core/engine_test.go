@@ -48,7 +48,7 @@ func newFixtureWith(mut func(*cluster.Config)) *fixture {
 		mut(&cfg)
 	}
 	env := &mapreduce.Env{
-		FS:    dfs.New(dfs.WithBlockSize(700), dfs.WithNodes(2)),
+		FS:    dfs.New(dfs.WithBlockSize(700)),
 		Sim:   cluster.New(cfg),
 		Coord: coord.NewService(),
 		Reg:   expr.NewRegistry(),
@@ -390,7 +390,7 @@ func TestStaticGraphStrategiesAndGates(t *testing.T) {
 		}
 		open, widest := 0, 0
 		f.env.Sim.SetTrace(func(ev cluster.TraceEvent) {
-			if ev.Task != "" || strings.HasPrefix(ev.Job, "pilot/") {
+			if strings.HasPrefix(ev.Job, "pilot/") {
 				return
 			}
 			switch ev.Kind {

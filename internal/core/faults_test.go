@@ -7,6 +7,17 @@ import (
 	"dyno/internal/cluster"
 )
 
+// countWarnings counts the warnings that mention what.
+func countWarnings(warnings []string, what string) int {
+	n := 0
+	for _, w := range warnings {
+		if strings.Contains(w, what) {
+			n++
+		}
+	}
+	return n
+}
+
 // TestPilotMTSplitClampWithManyLeaves pins the PILR_MT split-budget
 // clamp: with more leaves than map slots the per-leaf budget m/|R|
 // rounds to zero, and without the clamp those leaves would sample no
@@ -26,8 +37,8 @@ func TestPilotMTSplitClampWithManyLeaves(t *testing.T) {
 	if res.Pilot.Jobs != 3 {
 		t.Errorf("pilot jobs = %d, want 3 (every leaf sampled)", res.Pilot.Jobs)
 	}
-	if res.Pilot.Failed != 0 {
-		t.Errorf("pilot failures = %d, want 0", res.Pilot.Failed)
+	if len(res.Pilot.Warnings) != 0 {
+		t.Errorf("pilot warnings = %v, want none", res.Pilot.Warnings)
 	}
 }
 
@@ -47,9 +58,6 @@ func TestPilotFailureFallsBackToCatalogStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkOracle(t, f, threeWay, res.Rows)
-	if res.Pilot.Failed != 1 {
-		t.Errorf("pilot failures = %d, want 1", res.Pilot.Failed)
-	}
 	if len(res.Pilot.Warnings) != 1 || !strings.Contains(res.Pilot.Warnings[0], "catalog statistics") {
 		t.Errorf("pilot warnings = %v", res.Pilot.Warnings)
 	}
@@ -90,17 +98,8 @@ func TestLeafJobFailureResubmitted(t *testing.T) {
 	if failures != 4 {
 		t.Fatalf("injected %d failures, want 4 (retry cap)", failures)
 	}
-	if res.ResubmittedJobs != 1 {
-		t.Errorf("resubmitted jobs = %d, want 1", res.ResubmittedJobs)
-	}
-	found := false
-	for _, w := range res.Warnings {
-		if strings.Contains(w, "resubmitted") {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("no resubmission warning in %v", res.Warnings)
+	if n := countWarnings(res.Warnings, "resubmitted"); n != 1 {
+		t.Errorf("%d resubmission warnings in %v, want 1", n, res.Warnings)
 	}
 }
 
@@ -147,14 +146,8 @@ func TestPilotAndLeafFailureCombined(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkOracle(t, f, threeWay, res.Rows)
-	if res.Pilot.Failed != 1 {
-		t.Errorf("pilot failures = %d, want 1", res.Pilot.Failed)
-	}
-	if res.ResubmittedJobs != 1 {
-		t.Errorf("resubmitted jobs = %d, want 1", res.ResubmittedJobs)
-	}
-	if len(res.Warnings) < 2 {
-		t.Errorf("warnings = %v, want both the pilot fallback and the resubmission", res.Warnings)
+	if countWarnings(res.Warnings, "catalog statistics") != 1 || countWarnings(res.Warnings, "resubmitted") != 1 {
+		t.Errorf("warnings = %v, want one pilot fallback and one resubmission", res.Warnings)
 	}
 }
 

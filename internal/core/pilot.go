@@ -45,12 +45,10 @@ type PilotReport struct {
 	Jobs     int     // pilot jobs actually executed
 	Reused   int     // leaves whose statistics came from the metastore
 	Consumed int     // leaves whose whole input was consumed (output reusable)
-	// Failed counts pilot jobs lost to task-retry exhaustion; their
-	// leaves fell back to catalog-derived default statistics instead of
-	// aborting the query (graceful degradation — pilot runs are an
-	// optimization, never a correctness requirement). Warnings records
-	// one line per fallback.
-	Failed   int
+	// Warnings records one line per pilot job lost to task-retry
+	// exhaustion; its leaf fell back to catalog-derived default
+	// statistics instead of aborting the query (graceful degradation —
+	// pilot runs are an optimization, never a correctness requirement).
 	Warnings []string
 }
 
@@ -142,7 +140,6 @@ func (e *Engine) pilotRuns(block *plan.JoinBlock, queryName string) (*PilotRepor
 			// quality, not the query. The leaf keeps default statistics
 			// derived from the catalog's file metadata, and the
 			// optimizer treats the relation as unfiltered.
-			report.Failed++
 			report.Warnings = append(report.Warnings, fmt.Sprintf(
 				"core: pilot job for %s lost to task failures; using catalog statistics", pj.rel.Leaf.Alias))
 			pj.rel.Stats = fallbackStats(pj.rel.File)

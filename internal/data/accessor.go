@@ -11,7 +11,6 @@ package data
 // Accessors are immutable after CompileAccessor and safe for concurrent
 // use by parallel tasks of the same job.
 type Accessor struct {
-	path  Path
 	steps []accStep
 }
 
@@ -24,7 +23,7 @@ type accStep struct {
 // position of each field step. A null or mismatching sample simply
 // yields no hints; evaluation still works via the fallback lookup.
 func CompileAccessor(p Path, sample Value) *Accessor {
-	a := &Accessor{path: p, steps: make([]accStep, len(p))}
+	a := &Accessor{steps: make([]accStep, len(p))}
 	cur := sample
 	valid := true
 	for i, st := range p {

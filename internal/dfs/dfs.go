@@ -35,8 +35,6 @@ type FS struct {
 	blockSize int64
 	byteScale atomic.Uint64 // a float64's bits: every record priced reads it
 	files     map[string]*File
-	nodes     int
-	nextNode  int
 }
 
 // Option configures an FS.
@@ -47,24 +45,15 @@ func WithBlockSize(n int64) Option {
 	return func(f *FS) { f.blockSize = n }
 }
 
-// WithNodes sets the number of datanodes used for block placement.
-func WithNodes(n int) Option {
-	return func(f *FS) { f.nodes = n }
-}
-
 // New returns an empty filesystem with ByteScale 1.
 func New(opts ...Option) *FS {
 	fs := &FS{
 		blockSize: defaultBlockSize,
 		files:     make(map[string]*File),
-		nodes:     1,
 	}
 	fs.SetByteScale(1)
 	for _, o := range opts {
 		o(fs)
-	}
-	if fs.nodes < 1 {
-		fs.nodes = 1
 	}
 	return fs
 }
@@ -82,9 +71,8 @@ func (fs *FS) SetByteScale(s float64) {
 // ByteScale returns the current byte-scale multiplier.
 func (fs *FS) ByteScale() float64 { return math.Float64frombits(fs.byteScale.Load()) }
 
-// Block is one split of a file: a run of records placed on a node.
+// Block is one split of a file: a run of records.
 type Block struct {
-	Node     int
 	rawBytes int64
 	records  []data.Value
 	aux      atomic.Value
@@ -194,8 +182,7 @@ func (w *Writer) appendLocked(rec data.Value) {
 	scale := w.fs.ByteScale()
 	blockCap := w.fs.blockSize
 	if w.cur == nil || float64(w.cur.rawBytes+raw)*scale > float64(blockCap) && len(w.cur.records) > 0 {
-		w.cur = &Block{Node: w.fs.nextNode}
-		w.fs.nextNode = (w.fs.nextNode + 1) % w.fs.nodes
+		w.cur = &Block{}
 		w.file.blocks = append(w.file.blocks, w.cur)
 	}
 	w.cur.rawBytes += raw

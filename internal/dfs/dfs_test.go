@@ -107,25 +107,6 @@ func TestByteScaleAffectsBlockCutting(t *testing.T) {
 	}
 }
 
-func TestNodePlacementRoundRobin(t *testing.T) {
-	fs := New(WithBlockSize(50), WithNodes(3))
-	w := fs.Create("f")
-	for i := int64(0); i < 12; i++ {
-		w.Append(rec(i))
-	}
-	f := w.Close()
-	seen := map[int]bool{}
-	for _, b := range f.Blocks() {
-		if b.Node < 0 || b.Node >= 3 {
-			t.Errorf("block on node %d", b.Node)
-		}
-		seen[b.Node] = true
-	}
-	if len(seen) != 3 {
-		t.Errorf("placement used %d nodes, want 3", len(seen))
-	}
-}
-
 func TestAvgRecordSize(t *testing.T) {
 	fs := New()
 	w := fs.Create("f")
@@ -177,7 +158,7 @@ func TestCreateTruncates(t *testing.T) {
 func TestPropertyNoRecordLoss(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		fs := New(WithBlockSize(int64(50+r.Intn(500))), WithNodes(1+r.Intn(5)))
+		fs := New(WithBlockSize(int64(50 + r.Intn(500))))
 		n := r.Intn(200)
 		w := fs.Create("f")
 		for i := 0; i < n; i++ {

@@ -82,8 +82,7 @@ func getLab(sf float64, cfg Config) (*lab, error) {
 	if l, ok := labPool[key]; ok {
 		return l, nil
 	}
-	ccfg := cluster.DefaultConfig()
-	fs := dfs.New(dfs.WithNodes(ccfg.Workers))
+	fs := dfs.New()
 	cat, err := tpch.Generate(fs, tpch.Config{SF: sf, Scale: cfg.Scale, Seed: cfg.Seed})
 	if err != nil {
 		return nil, err
@@ -129,7 +128,6 @@ func (l *lab) newEnv(hiveProfile bool, cfg Config) *mapreduce.Env {
 // measurement captures one query execution.
 type measurement struct {
 	res *core.Result
-	eng *core.Engine
 	env *mapreduce.Env
 }
 
@@ -177,7 +175,7 @@ func runVariantFull(v baselines.Variant, sf float64, cfg Config, query string,
 	if err != nil {
 		return nil, fmt.Errorf("%s/%s SF%g: %w", v, query, sf, err)
 	}
-	return &measurement{res: res, eng: eng, env: env}, nil
+	return &measurement{res: res, env: env}, nil
 }
 
 // experimentOptions returns the engine options used by every

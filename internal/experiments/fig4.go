@@ -13,7 +13,6 @@ var figure4Queries = []string{"Q2", "Q7", "Q8p", "Q10"}
 
 // Overheads decomposes one dynamic execution (§6.2).
 type Overheads struct {
-	Query         string
 	WarmExecSec   float64 // plan execution with pre-collected statistics
 	ReoptSec      float64 // total (re-)optimization time
 	PilotSec      float64 // PILR time
@@ -66,7 +65,6 @@ func MeasureOverheads(cfg Config, query string) (*Overheads, error) {
 		online = 0
 	}
 	return &Overheads{
-		Query:         query,
 		WarmExecSec:   warmExec,
 		ReoptSec:      cold.OptimizeSec,
 		PilotSec:      cold.PilotSec,

@@ -14,7 +14,6 @@ type Figure6Point struct {
 	Selectivity   float64
 	RelOptSec     float64
 	SimpleSec     float64
-	RelOptJobs    int
 	SimpleJobs    int
 	SimpleMapOnly int
 }
@@ -39,7 +38,6 @@ func Figure6Sweep(cfg Config) ([]Figure6Point, error) {
 			Selectivity:   sel,
 			RelOptSec:     rel.res.TotalSec,
 			SimpleSec:     simple.res.TotalSec,
-			RelOptJobs:    rel.res.Jobs,
 			SimpleJobs:    simple.res.Jobs,
 			SimpleMapOnly: simple.res.MapOnlyJobs,
 		})

@@ -76,7 +76,6 @@ func goldenCases() []goldenCase {
 type goldenIteration struct {
 	Plan        string   `json:"plan"`
 	JobsRun     []string `json:"jobsRun"`
-	OptimizeSec string   `json:"optimizeSec"`
 	PlanChanged bool     `json:"planChanged"`
 }
 
@@ -199,7 +198,7 @@ func runGoldenCase(t *testing.T, c goldenCase, arm goldenArm) *goldenRecord {
 	rec.FinalPlan = res.FinalPlan
 	for _, it := range res.Evolution {
 		rec.Evolution = append(rec.Evolution, goldenIteration{
-			Plan: it.Plan, JobsRun: it.JobsRun, OptimizeSec: exactFloat(it.OptimizeSec), PlanChanged: it.PlanChanged,
+			Plan: it.Plan, JobsRun: it.JobsRun, PlanChanged: it.PlanChanged,
 		})
 	}
 	return rec

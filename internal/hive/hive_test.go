@@ -37,7 +37,7 @@ func TestNewEnvBroadcastCheaperThanJaqlProfile(t *testing.T) {
 	}
 	durations := map[string]float64{}
 	for _, profile := range []string{"jaql", "hive"} {
-		fs := dfs.New(dfs.WithBlockSize(500), dfs.WithNodes(2))
+		fs := dfs.New(dfs.WithBlockSize(500))
 		big := fs.Create("big")
 		for i := 0; i < 200; i++ {
 			big.Append(data.Object(data.Field{Name: "b", Value: data.Object(

@@ -73,10 +73,9 @@ func (r *Run) Finalize(relName string) (*plan.Rel, error) {
 		return nil, err
 	}
 	rel := &plan.Rel{
-		Name:        relName,
-		Aliases:     append([]string(nil), r.Unit.Aliases...),
-		File:        res.Output,
-		Uncertainty: r.Unit.Uncertainty,
+		Name:    relName,
+		Aliases: append([]string(nil), r.Unit.Aliases...),
+		File:    res.Output,
 	}
 	if res.Stats != nil {
 		rel.Stats = res.Stats.Exact()
@@ -87,7 +86,6 @@ func (r *Run) Finalize(relName string) (*plan.Rel, error) {
 		}
 	}
 	r.Unit.OutRel = rel
-	r.Unit.Result = res
 	return rel, nil
 }
 

@@ -12,20 +12,12 @@ import (
 	"dyno/internal/sqlparse"
 )
 
-// QueryResult is the final output of a query.
-type QueryResult struct {
-	Rows []data.Value
-	// AggregateJob reports whether a grouping MapReduce job ran.
-	AggregateJob bool
-}
-
 // FinishQuery executes the operators the cost-based optimizer does not
 // consider (§5.1 "Executing the whole query"): grouping/aggregation as
 // a MapReduce job over the join result, then client-side ordering,
 // limiting, and projection (Jaql evaluates non-parallelized parts on
-// the client).
-func FinishQuery(env *mapreduce.Env, q *sqlparse.Query, final *plan.Rel, outPath string) (*QueryResult, error) {
-	res := &QueryResult{}
+// the client). It returns the query's result rows.
+func FinishQuery(env *mapreduce.Env, q *sqlparse.Query, final *plan.Rel, outPath string) ([]data.Value, error) {
 	rows := final.File.AllRecords()
 	if q.HasAggregates() || len(q.GroupBy) > 0 {
 		agg, err := runAggregateJob(env, q, final, outPath)
@@ -33,7 +25,6 @@ func FinishQuery(env *mapreduce.Env, q *sqlparse.Query, final *plan.Rel, outPath
 			return nil, err
 		}
 		rows = agg
-		res.AggregateJob = true
 	} else {
 		sel := q.Select
 		if len(rows) > 0 {
@@ -55,8 +46,7 @@ func FinishQuery(env *mapreduce.Env, q *sqlparse.Query, final *plan.Rel, outPath
 	if q.Limit >= 0 && len(rows) > q.Limit {
 		rows = rows[:q.Limit]
 	}
-	res.Rows = rows
-	return res, nil
+	return rows, nil
 }
 
 // runAggregateJob groups the join output and computes the aggregates

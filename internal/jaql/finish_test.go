@@ -38,41 +38,41 @@ func joinedRows(n int) []data.Value {
 func TestFinishQueryLimitZero(t *testing.T) {
 	env := testEnv()
 	q := sqlparse.MustParse("SELECT a.id FROM t a LIMIT 0")
-	res, err := FinishQuery(env, q, finalRel(env, joinedRows(10)), "")
+	rows, err := FinishQuery(env, q, finalRel(env, joinedRows(10)), "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 0 {
-		t.Errorf("rows = %d, want 0", len(res.Rows))
+	if len(rows) != 0 {
+		t.Errorf("rows = %d, want 0", len(rows))
 	}
 }
 
 func TestFinishQueryAggregateOverEmpty(t *testing.T) {
 	env := testEnv()
 	q := sqlparse.MustParse("SELECT a.g, count(*) FROM t a GROUP BY a.g")
-	res, err := FinishQuery(env, q, finalRel(env, nil), "")
+	rows, err := FinishQuery(env, q, finalRel(env, nil), "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 0 {
-		t.Errorf("aggregate over empty = %v", res.Rows)
+	if len(rows) != 0 {
+		t.Errorf("aggregate over empty = %v", rows)
 	}
-	if !res.AggregateJob {
-		t.Error("aggregate job flag missing")
+	if _, err := env.FS.Open("tmp/aggregate"); err != nil {
+		t.Errorf("no grouping job output: %v", err)
 	}
 }
 
 func TestFinishQueryAggregateDefaultOutPath(t *testing.T) {
 	env := testEnv()
 	q := sqlparse.MustParse("SELECT a.g, count(*) AS n FROM t a GROUP BY a.g")
-	res, err := FinishQuery(env, q, finalRel(env, joinedRows(9)), "")
+	rows, err := FinishQuery(env, q, finalRel(env, joinedRows(9)), "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 3 {
-		t.Fatalf("groups = %d", len(res.Rows))
+	if len(rows) != 3 {
+		t.Fatalf("groups = %d", len(rows))
 	}
-	for _, r := range res.Rows {
+	for _, r := range rows {
 		if r.FieldOr("n").Int() != 3 {
 			t.Errorf("group size = %v", r.FieldOr("n"))
 		}
@@ -97,7 +97,7 @@ func TestFinishQueryCombinerMatchesPlain(t *testing.T) {
 		env.UseCombiner = useCombiner
 		var shuffled int64
 		env.Sim.SetTrace(func(ev cluster.TraceEvent) {})
-		res, err := FinishQuery(env, q, finalRel(env, rows), "")
+		got, err := FinishQuery(env, q, finalRel(env, rows), "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,9 +107,9 @@ func TestFinishQueryCombinerMatchesPlain(t *testing.T) {
 			}
 		}
 		if useCombiner {
-			combined, combinedShuffle = res.Rows, shuffled
+			combined, combinedShuffle = got, shuffled
 		} else {
-			plain, plainShuffle = res.Rows, shuffled
+			plain, plainShuffle = got, shuffled
 		}
 	}
 	if len(plain) != len(combined) {

@@ -6,7 +6,6 @@ import (
 	"dyno/internal/data"
 	"dyno/internal/dfs"
 	"dyno/internal/expr"
-	"dyno/internal/mapreduce"
 	"dyno/internal/plan"
 )
 
@@ -97,9 +96,8 @@ type Unit struct {
 	// work of the paper's §8, see ExecOpts.SwitchMmax).
 	Switched bool
 
-	// Execution results.
+	// Execution result.
 	OutRel *plan.Rel
-	Result *mapreduce.Result
 }
 
 // Done reports whether the unit has executed.

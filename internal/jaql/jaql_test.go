@@ -32,7 +32,7 @@ func testEnv() *mapreduce.Env {
 		Parallelism:          4,
 	}
 	return &mapreduce.Env{
-		FS:    dfs.New(dfs.WithBlockSize(800), dfs.WithNodes(2)),
+		FS:    dfs.New(dfs.WithBlockSize(800)),
 		Sim:   cluster.New(cfg),
 		Coord: coord.NewService(),
 		Reg:   expr.NewRegistry(),
@@ -156,7 +156,7 @@ func runQuery(t *testing.T, env *mapreduce.Env, cat *Catalog, sql string, colsBy
 		t.Fatal(err)
 	}
 	final := executeGraph(t, env, g)
-	qr, err := FinishQuery(env, q, final, "tmp/final")
+	rows, err := FinishQuery(env, q, final, "tmp/final")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func runQuery(t *testing.T, env *mapreduce.Env, cat *Catalog, sql string, colsBy
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := qr.Rows
+	got := rows
 	if len(q.OrderBy) == 0 {
 		got = naive.SortForComparison(got)
 		want = naive.SortForComparison(want)
@@ -177,7 +177,7 @@ func runQuery(t *testing.T, env *mapreduce.Env, cat *Catalog, sql string, colsBy
 			t.Fatalf("row %d differs:\n got %v\nwant %v", i, got[i], want[i])
 		}
 	}
-	return qr.Rows
+	return rows
 }
 
 func defaultOptCfg(env *mapreduce.Env) optimizer.Config {
@@ -525,12 +525,8 @@ func TestDynamicJoinSwitch(t *testing.T) {
 	if rel.Stats.Card != 120 {
 		t.Errorf("switched join card = %v, want 120", rel.Stats.Card)
 	}
-	res2, err := run.Job.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.ReduceTasks != 0 {
-		t.Error("switched job must not run reducers")
+	if n := reduceTasks(run.Sub); n != 0 {
+		t.Errorf("switched job ran %d reducers, want none", n)
 	}
 }
 
@@ -565,8 +561,18 @@ func TestDynamicJoinDoesNotSwitchWhenTooBig(t *testing.T) {
 	if u.Switched {
 		t.Error("unit must not switch when neither side fits")
 	}
-	res2, _ := run.Job.Result()
-	if res2.ReduceTasks == 0 {
+	if reduceTasks(run.Sub) == 0 {
 		t.Error("repartition job should have run reducers")
 	}
+}
+
+// reduceTasks counts the reduce tasks a finished submission ran.
+func reduceTasks(sub *cluster.Submission) int {
+	n := 0
+	for _, t := range sub.CompletedTasks() {
+		if t.Kind == cluster.ReduceTask {
+			n++
+		}
+	}
+	return n
 }

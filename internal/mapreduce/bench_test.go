@@ -25,7 +25,7 @@ func benchEnv() *Env {
 		Parallelism:          4,
 	}
 	return &Env{
-		FS:    dfs.New(dfs.WithBlockSize(16<<10), dfs.WithNodes(4)),
+		FS:    dfs.New(dfs.WithBlockSize(16 << 10)),
 		Sim:   cluster.New(cfg),
 		Coord: coord.NewService(),
 		Reg:   expr.NewRegistry(),

@@ -342,7 +342,6 @@ type mapTaskState struct {
 }
 
 type reduceTaskState struct {
-	partition int
 	outRows   []data.Value
 	collector *stats.Collector
 }
@@ -351,10 +350,7 @@ type reduceTaskState struct {
 type Result struct {
 	Output        *dfs.File
 	Stats         *stats.Partial
-	InRecords     int64
 	OutRecords    int64
-	MapTasks      int
-	ReduceTasks   int
 	SplitsTotal   int
 	SplitsRun     int
 	WholeInput    bool // every split of every input was processed
@@ -373,9 +369,7 @@ type Job struct {
 
 	mapStates    []*mapTaskState
 	reduceStates []*reduceTaskState
-	mapsPending  int
 	mapsDone     int
-	reducePhase  bool
 	splitsTotal  int
 	reserve      [][]int // remaining on-demand splits per input
 	counterName  string
@@ -508,7 +502,6 @@ func (j *Job) Start(sub *cluster.Submission) []*cluster.Task {
 		// splits actually requested.
 		j.splitsTotal = len(tasks)
 	}
-	j.mapsPending = len(tasks)
 	if len(tasks) == 0 {
 		// Empty inputs (e.g. a fully filtered intermediate): the job
 		// completes immediately but must still materialize its (empty)
@@ -607,7 +600,9 @@ func (j *Job) runMap(st *mapTaskState, input Input) (cluster.Usage, int64, error
 				errBroadcastOOM, j.buildBytes, j.env.ClusterConfig().SlotMemory)
 		}
 	}
-	st.collector = j.newCollector()
+	if j.spec.Reduce == nil { // a reduce job's statistics are its reducers'
+		st.collector = j.newCollector()
+	}
 	block := input.File.Block(st.splitIdx)
 	u.BytesRead += input.File.BlockSizeBytes(st.splitIdx)
 	n := block.NumRecords()
@@ -640,8 +635,7 @@ func (j *Job) runMap(st *mapTaskState, input Input) (cluster.Usage, int64, error
 	}
 	// One accounting for both sources: input statistics, CPU accrual,
 	// output volume, and the emitted count. A failed record loop is
-	// still charged the records and map-phase CPU it consumed.
-	u.Records += int64(n)
+	// still charged the map-phase CPU it consumed.
 	u.CPUSeconds += cpuMap
 	if err != nil {
 		return u, 0, err
@@ -748,10 +742,9 @@ func (j *Job) takeReserve() []*cluster.Task {
 }
 
 func (j *Job) makeReduceTasks() []*cluster.Task {
-	j.reducePhase = true
 	tasks := make([]*cluster.Task, j.numReducers)
 	for p := 0; p < j.numReducers; p++ {
-		st := &reduceTaskState{partition: p}
+		st := &reduceTaskState{}
 		j.reduceStates = append(j.reduceStates, st)
 		tasks[p] = j.newTask(cluster.ReduceTask, j.taskName("-r", p),
 			func() (cluster.Usage, int64, error) {
@@ -794,7 +787,6 @@ func (j *Job) runReduce(st *reduceTaskState, partition int) (cluster.Usage, erro
 		st.outRows, cpu, err = RunReduceTask(j.env.Reg, j.spec.Reduce, pairs)
 		pairSlices.put(pairs)
 	}
-	u.Records += int64(count)
 	u.CPUSeconds += cpu
 	if err != nil {
 		return u, err
@@ -814,8 +806,6 @@ func (j *Job) finish(sub *cluster.Submission) {
 	}
 	j.done = true
 	res := &Result{
-		MapTasks:    j.mapsDone,
-		ReduceTasks: len(j.reduceStates),
 		SplitsTotal: j.splitsTotal,
 		SplitsRun:   j.mapsDone,
 	}
@@ -836,9 +826,6 @@ func (j *Job) finish(sub *cluster.Submission) {
 		}
 	}
 	for _, st := range j.mapStates {
-		if st.collector != nil {
-			res.InRecords += st.collector.Partial().InRecords
-		}
 		if j.spec.Reduce == nil {
 			publish(st.outRows, st.collector)
 		}

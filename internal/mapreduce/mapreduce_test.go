@@ -32,7 +32,7 @@ func testEnv(t *testing.T) *Env {
 		Parallelism:          4,
 	}
 	return &Env{
-		FS:    dfs.New(dfs.WithBlockSize(600), dfs.WithNodes(2)),
+		FS:    dfs.New(dfs.WithBlockSize(600)),
 		Sim:   cluster.New(cfg),
 		Coord: coord.NewService(),
 		Reg:   expr.NewRegistry(),
@@ -97,8 +97,8 @@ func TestMapOnlyFilterJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.OutRecords != 50 || res.InRecords != 200 {
-		t.Errorf("in=%d out=%d", res.InRecords, res.OutRecords)
+	if res.OutRecords != 50 || res.Stats.InRecords != 200 {
+		t.Errorf("in=%d out=%d", res.Stats.InRecords, res.OutRecords)
 	}
 	if res.Output.NumRecords() != 50 {
 		t.Errorf("output file has %d records", res.Output.NumRecords())
@@ -110,7 +110,7 @@ func TestMapOnlyFilterJob(t *testing.T) {
 		t.Errorf("stats selectivity = %v", res.Stats.Selectivity())
 	}
 	col, ok := res.Stats.Exact().Col("a.id")
-	if !ok || col.Max.Int() != 49 {
+	if !ok || col.NDV != 50 {
 		t.Errorf("col stats = %+v ok=%v", col, ok)
 	}
 	// Deterministic output order: ids ascending (split order).
@@ -128,7 +128,7 @@ func TestRepartitionJoin(t *testing.T) {
 	right := writeTable(env, "r", "r", 30)
 	keyL := data.MustParsePath("l.grp")
 	keyR := data.MustParsePath("r.grp")
-	res, err := Run(env, Spec{
+	res, sub, err := runSub(env, Spec{
 		Name: "join",
 		Inputs: []Input{
 			{File: left, Map: perRecord(func(mc *MapCtx, rec data.Value) {
@@ -163,8 +163,8 @@ func TestRepartitionJoin(t *testing.T) {
 	if res.OutRecords != 180 {
 		t.Errorf("join output = %d, want 180", res.OutRecords)
 	}
-	if res.ReduceTasks != 3 {
-		t.Errorf("reducers = %d", res.ReduceTasks)
+	if n := reduceTasks(sub); n != 3 {
+		t.Errorf("reducers = %d", n)
 	}
 	// Verify a joined row carries both sides.
 	rec := res.Output.AllRecords()[0]
@@ -182,7 +182,7 @@ func TestBroadcastJoin(t *testing.T) {
 	env := testEnv(t)
 	big := writeTable(env, "big", "b", 100)
 	small := writeTable(env, "small", "s", 10) // ids 0..9 = b.grp domain
-	res, err := Run(env, Spec{
+	res, sub, err := runSub(env, Spec{
 		Name: "bjoin",
 		Inputs: []Input{{File: big, Map: perRecord(func(mc *MapCtx, rec data.Value) {
 			ht := mc.Build("s")
@@ -199,9 +199,36 @@ func TestBroadcastJoin(t *testing.T) {
 	if res.OutRecords != 100 {
 		t.Errorf("broadcast join output = %d, want 100", res.OutRecords)
 	}
-	if res.ReduceTasks != 0 {
+	if reduceTasks(sub) != 0 {
 		t.Error("broadcast join must be map-only")
 	}
+}
+
+// runSub is Run that also returns the finished submission.
+func runSub(env *Env, spec Spec) (*Result, *cluster.Submission, error) {
+	j, sub, err := Submit(env, spec)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := env.RunUntil(sub.Done); err != nil {
+		return nil, nil, err
+	}
+	if sub.Err() != nil {
+		return nil, nil, sub.Err()
+	}
+	res, err := j.Result()
+	return res, sub, err
+}
+
+// reduceTasks counts the reduce tasks a finished submission ran.
+func reduceTasks(sub *cluster.Submission) int {
+	n := 0
+	for _, t := range sub.CompletedTasks() {
+		if t.Kind == cluster.ReduceTask {
+			n++
+		}
+	}
+	return n
 }
 
 func TestBroadcastOOM(t *testing.T) {

@@ -53,12 +53,9 @@ type MapExec struct {
 	File     *dfs.File
 	Split    int
 	InputIdx int
-	// NumReducers partitions shuffle output; HasReduce selects between
-	// row output and pair output; RunCombine asks the worker to fold
-	// the map-side combiner over its shuffle buckets.
+	// NumReducers partitions a shuffle job's output; it is 0 for a
+	// map-only job, whose tasks answer rows.
 	NumReducers int
-	HasReduce   bool
-	RunCombine  bool
 	// Broadcasts are the job's build sides (workers rebuild the hash
 	// tables from the referenced files).
 	Broadcasts []Broadcast
@@ -121,18 +118,19 @@ func (j *Job) execMap(st *mapTaskState, input Input) (*MapExecOut, error) {
 	if j.spec.RemoteOp == nil {
 		return nil, j.errNoRemoteOp()
 	}
-	out, err := j.env.Exec.ExecMap(MapExec{
-		JobName:     j.spec.Name,
-		TaskName:    j.taskName("-m", st.seq),
-		File:        input.File,
-		Split:       st.splitIdx,
-		InputIdx:    st.inputIdx,
-		NumReducers: j.numReducers,
-		HasReduce:   j.spec.Reduce != nil,
-		RunCombine:  j.spec.Combine != nil && j.spec.Reduce != nil,
-		Broadcasts:  j.spec.Broadcasts,
-		Op:          j.spec.RemoteOp,
-	})
+	m := MapExec{
+		JobName:    j.spec.Name,
+		TaskName:   j.taskName("-m", st.seq),
+		File:       input.File,
+		Split:      st.splitIdx,
+		InputIdx:   st.inputIdx,
+		Broadcasts: j.spec.Broadcasts,
+		Op:         j.spec.RemoteOp,
+	}
+	if j.spec.Reduce != nil {
+		m.NumReducers = j.numReducers
+	}
+	out, err := j.env.Exec.ExecMap(m)
 	if err != nil {
 		return nil, err
 	}

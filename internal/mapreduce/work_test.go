@@ -33,8 +33,9 @@ func TestPilotStaysLazy(t *testing.T) {
 			mapped.Add(1)
 			mc.Emit(rec)
 		})}},
-		Output:    "sample",
-		StopAfter: 40,
+		Output:       "sample",
+		StopAfter:    40,
+		CollectStats: []data.Path{data.MustParsePath("a.id")},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -46,13 +47,12 @@ func TestPilotStaysLazy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var dispatched int64
 	for _, task := range sub.CompletedTasks() {
 		if task.Work != nil {
 			t.Errorf("pilot task %s has Work: it would be computed before its dispatch", task.Name)
 		}
-		dispatched += task.Usage().Records
 	}
+	dispatched := res.Stats.InRecords
 	if res.SplitsRun != len(sub.CompletedTasks()) || res.SplitsRun >= res.SplitsTotal {
 		t.Errorf("ran %d of %d splits (%d completed tasks); want early termination",
 			res.SplitsRun, res.SplitsTotal, len(sub.CompletedTasks()))
@@ -64,17 +64,17 @@ func TestPilotStaysLazy(t *testing.T) {
 }
 
 // digest renders what a finished job published: the Result's counters,
-// a hash of the output file's records in order, the merged statistics
-// and the submission's virtual makespan.
-func digest(res *Result, duration float64) string {
+// the reduce tasks it ran, a hash of the output file's records in order,
+// the merged statistics and the submission's virtual makespan.
+func digest(res *Result, sub *cluster.Submission) string {
 	h := fnv.New64a()
 	for _, rec := range res.Output.AllRecords() {
 		fmt.Fprintln(h, rec.String())
 	}
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "in=%d out=%d maps=%d reduces=%d splits=%d/%d whole=%v virtual=%d blocks=%d hash=%016x duration=%v",
-		res.InRecords, res.OutRecords, res.MapTasks, res.ReduceTasks, res.SplitsRun, res.SplitsTotal,
-		res.WholeInput, res.OutputVirtual, res.Output.NumBlocks(), h.Sum64(), duration)
+	fmt.Fprintf(&sb, "out=%d reduces=%d splits=%d/%d whole=%v virtual=%d blocks=%d hash=%016x duration=%v",
+		res.OutRecords, reduceTasks(sub), res.SplitsRun, res.SplitsTotal,
+		res.WholeInput, res.OutputVirtual, res.Output.NumBlocks(), h.Sum64(), sub.Duration())
 	if res.Stats != nil {
 		fmt.Fprintf(&sb, " stats[in=%d out=%d bytes=%d %s]",
 			res.Stats.InRecords, res.Stats.OutRecords, res.Stats.OutBytes, res.Stats.Exact())
@@ -109,11 +109,11 @@ func TestWideJobResultPinned(t *testing.T) {
 			if rec.FieldOr("a").FieldOr("id").Int()%3 == 0 {
 				mc.Emit(rec)
 			}
-		})}}}, "in=1500 out=500 maps=150 reduces=0 splits=150/150 whole=true virtual=29128 blocks=50 hash=dd890d044474cea0 duration=50.94820000000003 stats[in=1500 out=500 bytes=29128 card=500 avg=58.3B a.id{ndv=475} grp{ndv=0}]"},
+		})}}}, "out=500 reduces=0 splits=150/150 whole=true virtual=29128 blocks=50 hash=dd890d044474cea0 duration=50.94820000000003 stats[in=1500 out=500 bytes=29128 card=500 avg=58.3B a.id{ndv=475} grp{ndv=0}]"},
 		{Spec{Name: "wide-mr", Inputs: []Input{{Map: emitKV}}, Reduce: count, NumReducers: 6},
-			"in=1500 out=10 maps=150 reduces=6 splits=150/150 whole=true virtual=180 blocks=1 hash=72a7a5818aaa70b2 duration=64.38999999999999 stats[in=0 out=10 bytes=180 card=10 avg=18.0B a.id{ndv=0} grp{ndv=10}]"},
+			"out=10 reduces=6 splits=150/150 whole=true virtual=180 blocks=1 hash=72a7a5818aaa70b2 duration=64.38999999999999 stats[in=0 out=10 bytes=180 card=10 avg=18.0B a.id{ndv=0} grp{ndv=10}]"},
 		{Spec{Name: "wide-combine", Inputs: []Input{{Map: emitKV}}, Reduce: count, Combine: count, NumReducers: 6},
-			"in=1500 out=10 maps=150 reduces=6 splits=150/150 whole=true virtual=180 blocks=1 hash=72a7a5818aaa70b2 duration=54.83900000000003 stats[in=0 out=10 bytes=180 card=10 avg=18.0B a.id{ndv=0} grp{ndv=10}]"},
+			"out=10 reduces=6 splits=150/150 whole=true virtual=180 blocks=1 hash=72a7a5818aaa70b2 duration=54.83900000000003 stats[in=0 out=10 bytes=180 card=10 avg=18.0B a.id{ndv=0} grp{ndv=10}]"},
 	}
 	for _, tc := range cases {
 		env := testEnv(t)
@@ -134,7 +134,7 @@ func TestWideJobResultPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := digest(res, sub.Duration()); got != tc.want {
+		if got := digest(res, sub); got != tc.want {
 			t.Errorf("%s published\n  %s\nwant\n  %s", spec.Name, got, tc.want)
 		}
 	}
@@ -239,10 +239,10 @@ func TestFinishedJobPoolsNoBuckets(t *testing.T) {
 			}}},
 			Reduce: first, Combine: combine, NumReducers: 4, Output: "out",
 		})
-		if err != nil || res.MapTasks != len(arrays) {
-			t.Fatalf("combine=%v: %v, %d tasks seen of %d", combine != nil, err, len(arrays), res.MapTasks)
+		if err != nil || res.SplitsRun != len(arrays) {
+			t.Fatalf("combine=%v: %v, %d tasks seen of %d", combine != nil, err, len(arrays), res.SplitsRun)
 		}
-		for i := 0; i < 4*res.MapTasks; i++ {
+		for i := 0; i < 4*res.SplitsRun; i++ {
 			pooled, _ := pairSlices.p.Get().(*[]Pair)
 			if pooled == nil {
 				continue
@@ -290,15 +290,15 @@ type published struct {
 	Records     []string
 	BlockSizes  []int
 	Stats       stats.TableStats
-	In, Out     int64
+	Out         int64
 	Virtual     int64
 	Maps, Total int
 	Duration    float64
 }
 
 func publish(res *Result, sub *cluster.Submission) published {
-	p := published{In: res.InRecords, Out: res.OutRecords, Virtual: res.OutputVirtual,
-		Maps: res.MapTasks, Total: res.SplitsTotal, Duration: sub.Duration()}
+	p := published{Out: res.OutRecords, Virtual: res.OutputVirtual,
+		Maps: res.SplitsRun, Total: res.SplitsTotal, Duration: sub.Duration()}
 	for _, blk := range res.Output.Blocks() {
 		p.BlockSizes = append(p.BlockSizes, blk.NumRecords())
 		for _, rec := range blk.Records() {
@@ -437,8 +437,8 @@ func TestPilotPublishesParentStats(t *testing.T) {
 	if res.SplitsRun >= res.SplitsTotal {
 		t.Fatalf("ran %d of %d splits; want early termination", res.SplitsRun, res.SplitsTotal)
 	}
-	const want = "in=40 out=40 maps=4 reduces=0 splits=4/200 whole=false virtual=2270 blocks=4 hash=70f17b794230ba7b duration=11.114 stats[in=40 out=40 bytes=2270 card=40 avg=56.8B a.grp{ndv=10} a.id{ndv=40} a.never{ndv=0}] card=2000 avg=56.8B a.grp{ndv=10} a.id{ndv=2000} a.never{ndv=0}"
-	if got := digest(res, sub.Duration()) + " " + res.Stats.Extrapolate(2000).String(); got != want {
+	const want = "out=40 reduces=0 splits=4/200 whole=false virtual=2270 blocks=4 hash=70f17b794230ba7b duration=11.114 stats[in=40 out=40 bytes=2270 card=40 avg=56.8B a.grp{ndv=10} a.id{ndv=40} a.never{ndv=0}] card=2000 avg=56.8B a.grp{ndv=10} a.id{ndv=2000} a.never{ndv=0}"
+	if got := digest(res, sub) + " " + res.Stats.Extrapolate(2000).String(); got != want {
 		t.Errorf("pilot published\n  %s\nwant\n  %s", got, want)
 	}
 }

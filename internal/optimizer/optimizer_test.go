@@ -307,8 +307,8 @@ func TestSearchCountsAndSingleRelation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ExprsConsidered <= 0 || res.Groups < 4 {
-		t.Errorf("counters: considered=%d groups=%d", res.ExprsConsidered, res.Groups)
+	if res.ExprsConsidered <= 0 || res.GroupsExpanded < 4 {
+		t.Errorf("counters: considered=%d expanded=%d", res.ExprsConsidered, res.GroupsExpanded)
 	}
 	one := &plan.JoinBlock{Rels: []*plan.Rel{mkRel("a", 10, 10, nil)}}
 	r1, err := Optimize(one, cfgWithMmax(1e9))

@@ -28,7 +28,7 @@ func TestIncrementalTPCHByteIdentical(t *testing.T) {
 		t.Skip("TPC-H differential is slow")
 	}
 	ccfg := cluster.DefaultConfig()
-	fs := dfs.New(dfs.WithNodes(ccfg.Workers))
+	fs := dfs.New()
 	cat, err := tpch.Generate(fs, tpch.Config{SF: 100, Scale: 0.1, Seed: 7})
 	if err != nil {
 		t.Fatal(err)

@@ -52,10 +52,6 @@ type Rel struct {
 	Leaf    *Leaf    // non-nil for base relations
 	File    *dfs.File
 	Stats   stats.TableStats
-	// Uncertainty counts the joins folded into this relation so far; the
-	// paper's UNC strategies use the join count of a leaf job as its
-	// estimation-uncertainty proxy (§5.3).
-	Uncertainty int
 }
 
 // IsBase reports whether the relation is an unexecuted base leaf.

@@ -18,7 +18,6 @@ import (
 // subset yields exactly one) plus the post-join operators the compiler
 // schedules after it.
 type Compiled struct {
-	Query *sqlparse.Query
 	Block *plan.JoinBlock
 }
 
@@ -65,7 +64,7 @@ func Compile(q *sqlparse.Query) (*Compiled, error) {
 			Leaf:    leaf,
 		})
 	}
-	return &Compiled{Query: q, Block: block}, nil
+	return &Compiled{Block: block}, nil
 }
 
 // LiveColumns computes, for every FROM alias, the set of top-level

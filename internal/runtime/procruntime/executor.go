@@ -61,7 +61,7 @@ func (p *peerOutput) recover(part int) ([]wire.KV, error) {
 	defer p.mu.Unlock()
 	if !p.recovered {
 		plain := *p.task
-		plain.RetainShuffle, plain.ShuffleID, plain.ByteScale = false, "", 0
+		plain.ShuffleID, plain.ByteScale = "", 0
 		res, err := p.f.dispatch(&plain, nil)
 		if err != nil {
 			return nil, fmt.Errorf("procruntime: recovery of shuffle %s: %w", p.id, err)
@@ -93,19 +93,15 @@ func (e executor) ExecMap(m mapreduce.MapExec) (*mapreduce.MapExecOut, error) {
 		builds = append(builds, wire.BuildRef{Name: b.Name, Wrap: b.Wrap, Filter: b.Filter, Keys: b.KeyPaths, Blocks: refs})
 	}
 	task := &wire.Task{
-		Job:         m.JobName,
 		Task:        m.TaskName,
 		Kind:        "map",
 		Op:          op,
 		InputIdx:    m.InputIdx,
 		Block:       blocks[m.Split],
 		NumReducers: m.NumReducers,
-		HasReduce:   m.HasReduce,
-		RunCombine:  m.RunCombine,
 		Builds:      builds,
 	}
-	if m.HasReduce {
-		task.RetainShuffle = true
+	if m.NumReducers > 0 {
 		task.ShuffleID = e.f.nextShuffleID(m.JobName, m.TaskName)
 		task.ByteScale = e.fs.ByteScale()
 	}
@@ -120,12 +116,9 @@ func (e executor) ExecMap(m mapreduce.MapExec) (*mapreduce.MapExecOut, error) {
 		}
 		out.Sel = res.Sel
 	}
-	if m.HasReduce {
+	if m.NumReducers > 0 {
 		out.Shuffle = &peerOutput{f: e.f, url: res.Worker, id: task.ShuffleID, task: task, parts: res.Parts}
-		out.ShuffleParts = make([]mapreduce.ShufflePart, len(res.Parts))
-		for i, p := range res.Parts {
-			out.ShuffleParts[i] = mapreduce.ShufflePart{Count: p.Count, Bytes: p.Bytes}
-		}
+		out.ShuffleParts = res.Parts
 	}
 	return out, nil
 }
@@ -178,7 +171,6 @@ func (e executor) ExecReduce(r mapreduce.ReduceExec) (*mapreduce.ReduceExecOut, 
 		handles = append(handles, po)
 	}
 	task := &wire.Task{
-		Job:       r.JobName,
 		Task:      r.TaskName,
 		Kind:      "reduce",
 		Op:        op,

@@ -117,7 +117,6 @@ func runPeerJob(t *testing.T, ex executor, file *dfs.File, numReducers int) ([][
 			File:        file,
 			Split:       i,
 			NumReducers: numReducers,
-			HasReduce:   true,
 			Op:          op,
 		})
 		if err != nil {
@@ -595,9 +594,11 @@ func TestWorkerRefusesHostileInput(t *testing.T) {
 			frameOf(&wire.Task{Task: "t-m0", Kind: "map", Op: scan, Block: span(block.File+".gone", 0, block.Len)}), -1, http.StatusOK, "open block"},
 		// A 40-byte frame must not size a bucket array or take a modulus.
 		{"hugeNumReducers", "", wire.ContentTypeBinary,
-			frameOf(&wire.Task{Task: "t-m0", Kind: "map", Op: shuffle, Block: block, HasReduce: true, NumReducers: 1 << 40}), -1, http.StatusBadRequest, ""},
+			frameOf(&wire.Task{Task: "t-m0", Kind: "map", Op: shuffle, Block: block, NumReducers: 1 << 40}), -1, http.StatusBadRequest, ""},
+		// A shuffle op sent as a map-only task: a task error, before any
+		// modulus is taken.
 		{"zeroNumReducers", "", wire.ContentTypeBinary,
-			frameOf(&wire.Task{Task: "t-m0", Kind: "map", Op: shuffle, Block: block, HasReduce: true}), -1, http.StatusBadRequest, ""},
+			frameOf(&wire.Task{Task: "t-m0", Kind: "map", Op: shuffle, Block: block}), -1, http.StatusOK, "with 0 reducers"},
 		{"negativeInputIdx", "", wire.ContentTypeBinary,
 			frameOf(&wire.Task{Task: "t-m0", Kind: "map", Op: shuffle, Block: block, InputIdx: -1}), -1, http.StatusBadRequest, ""},
 		// Deterministic: a task error the controller fails fast on, not a

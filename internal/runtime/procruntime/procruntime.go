@@ -31,7 +31,7 @@ var _ runtime.Runtime = (*Runtime)(nil)
 func New(fleet *Fleet, ccfg cluster.Config) *Runtime {
 	r := &Runtime{
 		fleet: fleet,
-		fs:    dfs.New(dfs.WithNodes(ccfg.Workers)),
+		fs:    dfs.New(),
 		sim:   cluster.New(ccfg),
 		coord: coord.NewService(),
 		waves: &waveRunner{f: fleet},

@@ -139,10 +139,10 @@ func TestScanRowsComeFromTheControllersBlock(t *testing.T) {
 			if !reflect.DeepEqual(rowStrings(got), rowStrings(want)) {
 				t.Fatalf("proc rows differ from sim's: %d vs %d", len(got), len(want))
 			}
-			if proc.duration != sim.duration || proc.res.InRecords != sim.res.InRecords || proc.res.SplitsRun != sim.res.SplitsRun ||
+			if proc.duration != sim.duration || proc.res.Stats.InRecords != sim.res.Stats.InRecords || proc.res.SplitsRun != sim.res.SplitsRun ||
 				fmt.Sprint(proc.res.Stats.Exact()) != fmt.Sprint(sim.res.Stats.Exact()) {
 				t.Fatalf("proc job differs from sim's: %v s, %d in, %d splits vs %v s, %d in, %d splits",
-					proc.duration, proc.res.InRecords, proc.res.SplitsRun, sim.duration, sim.res.InRecords, sim.res.SplitsRun)
+					proc.duration, proc.res.Stats.InRecords, proc.res.SplitsRun, sim.duration, sim.res.Stats.InRecords, sim.res.SplitsRun)
 			}
 			in, err := rt.FS().Open("in")
 			if err != nil {

@@ -384,25 +384,22 @@ func (w *Worker) runMap(task *wire.Task) (*wire.TaskResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	mt := &mapreduce.MapTask{Reg: w.reg, Recs: blk.recs, Aux: &blk.aux, Map: k.Map, Builds: builds}
-	if task.HasReduce {
-		mt.NumReducers = task.NumReducers
+	// A shuffle op — one with a reducer — is sent with its reducer
+	// count, and runs its combiner when it has one.
+	if (k.Reduce != nil) != (task.NumReducers > 0) {
+		return nil, fmt.Errorf("%s op with %d reducers", task.Op.Kind, task.NumReducers)
 	}
-	if task.RunCombine {
-		if k.Combine == nil {
-			return nil, fmt.Errorf("combiner requested for %s op", task.Op.Kind)
-		}
-		mt.Combine = k.Combine
-	}
+	mt := &mapreduce.MapTask{Reg: w.reg, Recs: blk.recs, Aux: &blk.aux, Map: k.Map, Builds: builds,
+		NumReducers: task.NumReducers, Combine: k.Combine}
 	out, err := mapreduce.RunMapTask(mt)
 	if err != nil {
 		return nil, err
 	}
 	res := &wire.TaskResult{CPUMap: out.CPUMap, CPUTotal: out.CPUTotal}
 	switch {
-	case !task.HasReduce:
+	case task.NumReducers == 0:
 		res.Rows, res.Sel = out.Rows, out.Sel
-	case task.RetainShuffle && task.ShuffleID != "":
+	case task.ShuffleID != "":
 		res.Parts = w.retainShuffle(task.ShuffleID, out.Parts, task.ByteScale)
 	default:
 		// The recovery re-run of a lost output: the pairs go back to the

@@ -28,7 +28,7 @@ var _ runtime.Runtime = (*Runtime)(nil)
 // coordination service.
 func New(ccfg cluster.Config) *Runtime {
 	return &Runtime{
-		fs:    dfs.New(dfs.WithNodes(ccfg.Workers)),
+		fs:    dfs.New(),
 		sim:   cluster.New(ccfg),
 		coord: coord.NewService(),
 	}

@@ -537,7 +537,6 @@ func (e *benc) writeTask(t *Task) error {
 	default:
 		return fmt.Errorf("wire: unknown task kind %q", t.Kind)
 	}
-	e.str(t.Job)
 	e.str(t.Task)
 	e.byte(kb)
 	if err := e.writeOp(t.Op); err != nil {
@@ -546,14 +545,6 @@ func (e *benc) writeTask(t *Task) error {
 	e.varint(int64(t.InputIdx))
 	e.writeBlockRef(t.Block)
 	e.varint(int64(t.NumReducers))
-	var flags byte
-	if t.HasReduce {
-		flags |= 1
-	}
-	if t.RunCombine {
-		flags |= 2
-	}
-	e.byte(flags)
 	e.uvarint(uint64(len(t.Builds)))
 	for i := range t.Builds {
 		if err := e.writeBuild(&t.Builds[i]); err != nil {
@@ -561,7 +552,6 @@ func (e *benc) writeTask(t *Task) error {
 		}
 	}
 	e.varint(int64(t.Partition))
-	e.bool(t.RetainShuffle)
 	e.str(t.ShuffleID)
 	e.f64(t.ByteScale)
 	e.uvarint(uint64(len(t.Fetches)))
@@ -578,9 +568,6 @@ func (e *benc) writeTask(t *Task) error {
 func (d *bdec) readTask() (*Task, error) {
 	t := &Task{}
 	var err error
-	if t.Job, err = d.str(); err != nil {
-		return nil, err
-	}
 	if t.Task, err = d.str(); err != nil {
 		return nil, err
 	}
@@ -611,15 +598,9 @@ func (d *bdec) readTask() (*Task, error) {
 	if err != nil {
 		return nil, err
 	}
-	flags, err := d.byte()
-	if err != nil {
-		return nil, err
-	}
-	t.HasReduce = flags&1 != 0
-	t.RunCombine = flags&2 != 0
 	// Workers size buffers and take moduli from these; a value no
 	// controller emits is refused here, before it is used.
-	if idx < 0 || reducers < 0 || reducers > maxReducers || (t.HasReduce && reducers == 0) {
+	if idx < 0 || reducers < 0 || reducers > maxReducers {
 		return nil, fmt.Errorf("wire: task %s: input %d with %d reducers is out of range", t.Task, idx, reducers)
 	}
 	t.NumReducers = int(reducers)
@@ -633,9 +614,6 @@ func (d *bdec) readTask() (*Task, error) {
 		return nil, fmt.Errorf("wire: task %s: partition %d is out of range", t.Task, idx)
 	}
 	t.Partition = int(idx)
-	if t.RetainShuffle, err = d.bool(); err != nil {
-		return nil, err
-	}
 	if t.ShuffleID, err = d.str(); err != nil {
 		return nil, err
 	}

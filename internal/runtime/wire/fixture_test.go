@@ -19,7 +19,9 @@ import (
 // the compiler builds them. They were first written by the build that
 // still converted those values through a mirror layer of wire-only
 // types, and rewritten, in a commit of their own, when a block
-// reference became a span of a mirror file; a committed frame must
+// reference became a span of a mirror file, and again when the frame
+// dropped the fields a worker derives (HasReduce, RunCombine,
+// RetainShuffle) or never reads (Job); a committed frame must
 // decode here and re-encode to the same bytes, and the same tasks built
 // today must encode to the committed bytes.
 //
@@ -60,8 +62,8 @@ func fixtureTasks(t *testing.T, kind string) []*Task {
 	case "scan":
 		op := &physop.OpSpec{Kind: physop.Scan, Source: &physop.Source{Wrap: "l", Filter: filter}, Prune: live}
 		return []*Task{
-			{Job: "scan/q1", Task: "scan/q1-m0", Kind: "map", Op: op, Block: BlockRef{File: "/spill/f000001.mir", Len: 412}},
-			{Job: "scan/q1", Task: "scan/q1-m1", Kind: "map", Op: &physop.OpSpec{Kind: physop.Scan, Source: &physop.Source{}}, Block: BlockRef{File: "/spill/f000001.mir", Off: 412, Len: 97}},
+			{Task: "scan/q1-m0", Kind: "map", Op: op, Block: BlockRef{File: "/spill/f000001.mir", Len: 412}},
+			{Task: "scan/q1-m1", Kind: "map", Op: &physop.OpSpec{Kind: physop.Scan, Source: &physop.Source{}}, Block: BlockRef{File: "/spill/f000001.mir", Off: 412, Len: 97}},
 		}
 	case "repartition":
 		op := &physop.OpSpec{
@@ -74,9 +76,9 @@ func fixtureTasks(t *testing.T, kind string) []*Task {
 			Prune:     live,
 		}
 		return []*Task{
-			{Job: "j1", Task: "j1-m0", Kind: "map", Op: op, InputIdx: 1, Block: BlockRef{File: "/spill/f000002.mir", Off: 3 << 20, Len: 1 << 20},
-				NumReducers: 6, HasReduce: true, RetainShuffle: true, ShuffleID: "j1-m0#7", ByteScale: 1234.5},
-			{Job: "j1", Task: "j1-r3", Kind: "reduce", Op: op, Partition: 3, Fetches: []ShuffleRef{
+			{Task: "j1-m0", Kind: "map", Op: op, InputIdx: 1, Block: BlockRef{File: "/spill/f000002.mir", Off: 3 << 20, Len: 1 << 20},
+				NumReducers: 6, ShuffleID: "j1-m0#7", ByteScale: 1234.5},
+			{Task: "j1-r3", Kind: "reduce", Op: op, Partition: 3, Fetches: []ShuffleRef{
 				{URL: "http://127.0.0.1:9001", ID: "j1-m0#7", Part: 3},
 				{Pairs: []KV{
 					{Key: data.Int(1 << 53), Tag: "L", Rec: data.Object(data.Field{Name: "x", Value: data.Double(-0.0)})},
@@ -95,7 +97,7 @@ func fixtureTasks(t *testing.T, kind string) []*Task {
 			Prune: live,
 		}
 		return []*Task{{
-			Job: "j2", Task: "j2-m4", Kind: "map", Op: op, Block: BlockRef{File: "/spill/f000003.mir", Off: 70211, Len: 18004},
+			Task: "j2-m4", Kind: "map", Op: op, Block: BlockRef{File: "/spill/f000003.mir", Off: 70211, Len: 18004},
 			Builds: []BuildRef{
 				{Name: "b0", Wrap: "ps", Filter: &expr.Cmp{Op: expr.NE, L: fixtureCol("ps.ps_availqty"), R: &expr.Lit{V: data.Null()}},
 					Keys:   paths("ps.ps_partkey", "ps.ps_suppkey"),
@@ -116,9 +118,9 @@ func fixtureTasks(t *testing.T, kind string) []*Task {
 			Combine: true,
 		}
 		return []*Task{
-			{Job: "agg", Task: "agg-m0", Kind: "map", Op: op, Block: BlockRef{File: "/spill/f000006.mir", Len: 1 << 16},
-				NumReducers: 2, HasReduce: true, RunCombine: true, RetainShuffle: true, ShuffleID: "agg-m0#9", ByteScale: 0.5},
-			{Job: "agg", Task: "agg-r1", Kind: "reduce", Op: op, Partition: 1,
+			{Task: "agg-m0", Kind: "map", Op: op, Block: BlockRef{File: "/spill/f000006.mir", Len: 1 << 16},
+				NumReducers: 2, ShuffleID: "agg-m0#9", ByteScale: 0.5},
+			{Task: "agg-r1", Kind: "reduce", Op: op, Partition: 1,
 				Fetches: []ShuffleRef{{URL: "http://127.0.0.1:9002", ID: "agg-m0#9", Part: 1}}},
 		}
 	}

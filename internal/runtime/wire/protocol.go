@@ -168,16 +168,13 @@ type ShuffleGCRequest struct {
 	Files []string `json:"files,omitempty"`
 }
 
-// ShufflePart is a per-partition digest of retained map output: the
-// pair count and the summed virtual size of the partition's records.
-// The worker computes the virtual size with the controller's exact
-// per-record arithmetic (int64(float64(EncodedSize+1) * ByteScale),
-// summed as int64s), so the controller can account shuffle volume
-// without ever seeing the pairs.
-type ShufflePart struct {
-	Count int
-	Bytes int64
-}
+// ShufflePart is a per-partition digest of retained map output — the
+// engine's own digest type, so a worker's answer is accounted without
+// conversion. The worker computes the virtual size with the
+// controller's exact per-record arithmetic (int64(float64(EncodedSize+1)
+// * ByteScale), summed as int64s), so the controller can account
+// shuffle volume without ever seeing the pairs.
+type ShufflePart = mapreduce.ShufflePart
 
 // maxReducers bounds a task's reduce partition count at decode. The
 // controller emits at most 2 × the cluster's reduce slots (see
@@ -228,26 +225,23 @@ type BuildRef struct {
 
 // Task is one dispatched map or reduce task.
 type Task struct {
-	Job  string
 	Task string
 	Kind string // "map" | "reduce"
 	Op   *physop.OpSpec
 
-	// Map tasks.
+	// Map tasks. NumReducers is set only for a shuffle task (its op has
+	// a reducer), which runs the op's combiner when it has one.
 	InputIdx    int
 	Block       BlockRef // the input split
 	NumReducers int
-	HasReduce   bool
-	RunCombine  bool
 	Builds      []BuildRef
 
 	// Shuffle map tasks retain their partitioned output worker-side
 	// under ShuffleID and answer with per-partition digests computed at
-	// ByteScale. The recovery re-run of a lost output clears
-	// RetainShuffle and gets the pairs back instead.
-	RetainShuffle bool
-	ShuffleID     string
-	ByteScale     float64
+	// ByteScale. The recovery re-run of a lost output clears ShuffleID
+	// and gets the pairs back instead.
+	ShuffleID string
+	ByteScale float64
 
 	// Reduce tasks: the input is the concatenation of the Fetches
 	// segments in order, sorted worker-side.
@@ -263,15 +257,15 @@ type TaskResult struct {
 	// the split's records its filter kept. The controller takes those
 	// rows from its own copy of the split, so none travel.
 	Sel []int32
-	// Pairs answers a shuffle map task run without RetainShuffle: one
+	// Pairs answers a shuffle map task run without a ShuffleID: one
 	// slice per partition.
 	Pairs      [][]KV
 	CPUMap     float64
 	CPUTotal   float64
 	CPUSeconds float64
 	Err        string
-	// Parts answers a RetainShuffle map task: per-partition digests of
-	// the retained output.
+	// Parts answers a map task with a ShuffleID: per-partition digests
+	// of the retained output.
 	Parts []ShufflePart
 	// PeerBytes/PeerFetches report a reduce task's worker-to-worker
 	// traffic: response bytes and requests, one per producing peer.

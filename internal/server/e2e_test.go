@@ -31,7 +31,7 @@ func referenceRows(t *testing.T, cfg Config, query, variant string) []data.Value
 	t.Helper()
 	ccfg := cluster.DefaultConfig()
 	env := &mapreduce.Env{
-		FS:    dfs.New(dfs.WithNodes(ccfg.Workers)),
+		FS:    dfs.New(),
 		Sim:   cluster.New(ccfg),
 		Coord: coord.NewService(),
 		Reg:   expr.NewRegistry(),

@@ -266,10 +266,10 @@ func TestCoordHoldsNothingBetweenQueries(t *testing.T) {
 		t.Fatalf("%d executions, want 3", m.ResultCacheMisses)
 	}
 	for _, sh := range s.shards {
-		if !sh.sim.Quiesce() {
+		if !sh.rt.Sim().Quiesce() {
 			t.Fatalf("shard %d still has live jobs", sh.id)
 		}
-		if names := sh.coord.CounterNames(); len(names) != 0 {
+		if names := sh.rt.Coord().CounterNames(); len(names) != 0 {
 			t.Errorf("shard %d: %d counters outlive their jobs, e.g. %s", sh.id, len(names), names[0])
 		}
 	}

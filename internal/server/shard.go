@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"dyno/internal/cluster"
-	"dyno/internal/coord"
 	"dyno/internal/dfs"
 	"dyno/internal/jaql"
 	"dyno/internal/runtime"
@@ -24,13 +23,11 @@ import (
 // construction) and the admission semaphore, so N shards run N queries
 // with zero gate contention between them.
 type shard struct {
-	id    int
-	rt    runtime.Runtime
-	fs    *dfs.FS
-	sim   *cluster.Sim
-	gate  *simGate
-	coord *coord.Service
-	cat   *jaql.Catalog
+	id   int
+	rt   runtime.Runtime
+	fs   *dfs.FS
+	gate *simGate
+	cat  *jaql.Catalog
 
 	// mu guards the epoch-scoped state swapped by invalidate. epoch is
 	// the shard's view of the server epoch, snapshotted together with
@@ -62,14 +59,11 @@ func newShard(id int, cfg Config, ccfg cluster.Config) (*shard, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: shard %d: generate dataset: %w", id, err)
 	}
-	sim := rt.Sim()
 	return &shard{
 		id:      id,
 		rt:      rt,
 		fs:      fs,
-		sim:     sim,
-		gate:    &simGate{sim: sim},
-		coord:   rt.Coord(),
+		gate:    &simGate{sim: rt.Sim()},
 		cat:     cat,
 		store:   stats.NewStore(),
 		results: newFIFOCache[*response](cfg.ResultCacheSize),

@@ -1,9 +1,11 @@
 // Package stats implements DYNO's statistics layer (§4.3, §5.4): table
-// cardinality and average record size, per-attribute min/max and
-// distinct-value estimates via KMV synopses, partial-statistics
+// cardinality and average record size, per-attribute distinct-value
+// estimates via KMV synopses, partial-statistics
 // collection inside tasks, client-side merging, sample-to-table
 // extrapolation, and a metastore keyed by expression signature so that
-// recurring leaf expressions reuse statistics.
+// recurring leaf expressions reuse statistics. The paper also keeps
+// per-attribute min/max; they are not collected here, because no
+// estimator reads them.
 //
 // A column is observed as one run of 64-bit value hashes with two
 // readings. Tasks append; the job's merge sorts once. Of the sorted

@@ -90,9 +90,7 @@ func (s *oracleKMV) Estimate() float64 {
 // non-null value for a column — the common case across a job's many
 // map tasks — cost two nil pointers instead of a map and a synopsis.
 type oracleColAcc struct {
-	min, max data.Value
-	seenAny  bool
-	kmv      *oracleKMV
+	kmv *oracleKMV
 	// freq counts value occurrences in the sample, bounded by
 	// freqCap·kmvSize distinct entries; overflow marks the column
 	// high-cardinality.
@@ -178,13 +176,6 @@ func (c *oracleCollector) ObserveOutput(rec data.Value, sizeBytes int64) {
 			continue
 		}
 		acc := c.cols[i]
-		if !acc.seenAny || data.Compare(v, acc.min) < 0 {
-			acc.min = v
-		}
-		if !acc.seenAny || data.Compare(v, acc.max) > 0 {
-			acc.max = v
-		}
-		acc.seenAny = true
 		acc.observe(data.Hash64(v), c.partial.kmvSize)
 	}
 }
@@ -212,15 +203,6 @@ func oracleMergePartials(parts []*oraclePartial) *oraclePartial {
 			if !ok {
 				dst = &oracleColAcc{}
 				out.cols[k] = dst
-			}
-			if acc.seenAny {
-				if !dst.seenAny || data.Compare(acc.min, dst.min) < 0 {
-					dst.min = acc.min
-				}
-				if !dst.seenAny || data.Compare(acc.max, dst.max) > 0 {
-					dst.max = acc.max
-				}
-				dst.seenAny = true
 			}
 			if acc.kmv != nil {
 				if dst.kmv == nil {
@@ -291,7 +273,7 @@ func (p *oraclePartial) Extrapolate(totalInput float64) TableStats {
 	}
 	for k, acc := range p.cols {
 		ndv := oracleExtrapolateNDV(acc, scale, card)
-		ts.Cols[k] = ColStats{Min: acc.min, Max: acc.max, NDV: ndv}
+		ts.Cols[k] = ColStats{NDV: ndv}
 	}
 	return ts
 }
@@ -347,7 +329,7 @@ func (p *oraclePartial) Exact() TableStats {
 		if acc.kmv != nil {
 			ndv = math.Min(acc.kmv.Estimate(), ts.Card)
 		}
-		ts.Cols[k] = ColStats{Min: acc.min, Max: acc.max, NDV: ndv}
+		ts.Cols[k] = ColStats{NDV: ndv}
 	}
 	return ts
 }

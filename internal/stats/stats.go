@@ -13,8 +13,7 @@ import (
 
 // ColStats summarizes one attribute of a (real or virtual) relation.
 type ColStats struct {
-	Min, Max data.Value
-	NDV      float64 // estimated number of distinct values
+	NDV float64 // estimated number of distinct values
 }
 
 // TableStats summarizes a relation: cardinality, average record size in
@@ -76,9 +75,7 @@ const foldBound = 4096
 // nil slices. tail is folded into run when it reaches foldBound and,
 // for a whole job, once by MergePartials.
 type colAcc struct {
-	min, max data.Value
-	seenAny  bool
-	tail     []uint64 // raw hashes, unsorted, duplicates kept
+	tail []uint64 // raw hashes, unsorted, duplicates kept
 	// run is sorted by hash and distinct: every hash folded so far with
 	// its count, or only the k smallest once more than freqCap·k were
 	// seen (overflow: high-cardinality, the counts no longer read).
@@ -242,7 +239,7 @@ func (c *Collector) ObserveInputs(n int) { c.partial.InRecords += int64(n) }
 // the accessors verify field positions per record and fall back to name
 // lookup, so values are identical to Path.Eval on any record mix. The
 // walk is column-major, a tight gather of a few rows' values before they
-// are compared and hashed: the cache misses of reaching into consecutive
+// are hashed: the cache misses of reaching into consecutive
 // rows overlap. Per column the values are still observed in row order,
 // into a run allocated once for all of them.
 func (c *Collector) ObserveOutputs(rows []data.Value, totalBytes int64) {
@@ -261,17 +258,9 @@ func (c *Collector) ObserveOutputs(rows []data.Value, totalBytes int64) {
 			}
 			rest = rest[n:]
 			for _, v := range buf[:n] {
-				if v.IsNull() {
-					continue
+				if !v.IsNull() {
+					acc.observe(data.Hash64(v), c.partial.kmvSize, len(rows))
 				}
-				if !acc.seenAny || data.Compare(v, acc.min) < 0 {
-					acc.min = v
-				}
-				if !acc.seenAny || data.Compare(v, acc.max) > 0 {
-					acc.max = v
-				}
-				acc.seenAny = true
-				acc.observe(data.Hash64(v), c.partial.kmvSize, len(rows))
 			}
 		}
 	}
@@ -331,15 +320,6 @@ func MergePartialsOn(parts []*Partial, par func(n int, fn func(i int))) *Partial
 			}
 			tails[j] += len(acc.tail)
 			srcs[j] = append(srcs[j], acc)
-			if dst := &out.cols[j]; acc.seenAny {
-				if !dst.seenAny || data.Compare(acc.min, dst.min) < 0 {
-					dst.min = acc.min
-				}
-				if !dst.seenAny || data.Compare(acc.max, dst.max) > 0 {
-					dst.max = acc.max
-				}
-				dst.seenAny = true
-			}
 		}
 	}
 	par(len(out.cols), func(j int) {
@@ -401,7 +381,7 @@ func (p *Partial) tableStats(card float64, ndv func(acc *colAcc, k int) float64)
 	ts := TableStats{Card: card, AvgRecSize: p.avgRecSize(), Cols: make(map[string]ColStats, len(p.cols))}
 	for i := range p.cols {
 		acc := &p.cols[i]
-		ts.Cols[p.keys[i]] = ColStats{Min: acc.min, Max: acc.max, NDV: ndv(acc, p.kmvSize)}
+		ts.Cols[p.keys[i]] = ColStats{NDV: ndv(acc, p.kmvSize)}
 	}
 	return ts
 }

@@ -13,7 +13,7 @@ import (
 
 func genSmall(t *testing.T, sf float64) (*dfs.FS, catalog) {
 	t.Helper()
-	fs := dfs.New(dfs.WithNodes(4))
+	fs := dfs.New()
 	cat, err := Generate(fs, Config{SF: sf, Scale: 0.2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -11,7 +11,9 @@ import (
 	"go/types"
 	"io/fs"
 	"path/filepath"
+	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -30,6 +32,10 @@ import (
 //     that no non-test code outside their package sets to anything but
 //     the default: the value a Default* constructor's literal gives them,
 //     else the zero value. Such a field holds one value in every caller.
+//   - struct fields of non-main packages that non-test code writes —
+//     assigns, sets in a composite literal, increments — and that no
+//     non-test code reads, bench/ and cmd/ included. A field with a json
+//     tag counts as read: encoding/json reads it.
 //
 // Each finding is deleted, unexported, made a constant, or listed below
 // with the reason it stays. A listed name the audit no longer finds fails
@@ -38,6 +44,13 @@ import (
 // keptExports are exported names the audit finds that stay exported, as
 // "importpath.Name" or "importpath.Type.Method", with the reason.
 var keptExports = map[string]string{}
+
+// keptWriteOnly are fields that no expression reads but that stay, as
+// "importpath.Type.Field", with the non-test code that reads them.
+var keptWriteOnly = map[string]string{
+	"dyno/internal/runtime/procruntime.tableKey.params": "read as part of the key of Worker.tables: " +
+		"two builds of one mirror file under different parameters are different tables",
+}
 
 // keptKnobs are fields that hold one value in every non-test caller and
 // stay settable, as "importpath.Type.Field", with the reason.
@@ -87,6 +100,7 @@ type testFiles struct {
 func newInfo() *types.Info {
 	return &types.Info{
 		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:  map[*ast.Ident]types.Object{},
 		Uses:  map[*ast.Ident]types.Object{},
 	}
 }
@@ -500,6 +514,118 @@ func (m *module) auditKnobs() []string {
 	return out
 }
 
+// auditWriteOnly returns the fields declared in non-main packages that
+// non-test code writes and never reads. A write is an assignment to the
+// field (x.f = v, x.f += v), a ++ or --, or a composite literal setting
+// it; any other use reads it, the base of a selector or an index
+// included (x.f.g = v and x.f[k] = v read f). A field with a json tag
+// is read by encoding/json; an embedded field is read wherever one of
+// its fields or methods is promoted, so neither is reported.
+func (m *module) auditWriteOnly() []string {
+	names := map[*types.Var]string{}
+	var declare func(prefix string, t ast.Expr)
+	declare = func(prefix string, t ast.Expr) {
+		ast.Inspect(t, func(n ast.Node) bool {
+			st, ok := n.(*ast.StructType)
+			if !ok {
+				return true
+			}
+			for _, fl := range st.Fields.List {
+				tagged := false
+				if fl.Tag != nil {
+					tag, _ := strconv.Unquote(fl.Tag.Value)
+					json, ok := reflect.StructTag(tag).Lookup("json")
+					tagged = ok && json != "-"
+				}
+				for _, id := range fl.Names {
+					if v, ok := m.info.Defs[id].(*types.Var); ok && !tagged {
+						names[v] = prefix + "." + id.Name
+					}
+					declare(prefix+"."+id.Name, fl.Type)
+				}
+			}
+			return false
+		})
+	}
+	for _, ip := range m.order {
+		if m.pkgs[ip].Name() == "main" {
+			continue
+		}
+		for _, f := range m.files[ip] {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if ts, ok := n.(*ast.TypeSpec); ok {
+					declare(ip+"."+ts.Name.Name, ts.Type)
+				}
+				return true
+			})
+		}
+	}
+	field := func(id *ast.Ident) *types.Var {
+		if v, ok := m.info.Uses[id].(*types.Var); ok && v.IsField() {
+			return v.Origin()
+		}
+		return nil
+	}
+	written, read := map[*types.Var]bool{}, map[*types.Var]bool{}
+	for _, files := range m.files {
+		for _, f := range files {
+			writes := map[*ast.Ident]bool{}
+			target := func(lhs ast.Expr) {
+				if x, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {
+					writes[x.Sel] = true
+				}
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch x := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range x.Lhs {
+						target(lhs)
+					}
+				case *ast.IncDecStmt:
+					target(x.X)
+				case *ast.CompositeLit:
+					t := m.info.Types[x].Type // *T for an element literal eliding &T
+					if p, ok := t.Underlying().(*types.Pointer); ok {
+						t = p.Elem()
+					}
+					st, ok := t.Underlying().(*types.Struct)
+					if !ok {
+						return true
+					}
+					for i, el := range x.Elts {
+						if kv, ok := el.(*ast.KeyValueExpr); ok {
+							writes[kv.Key.(*ast.Ident)] = true
+						} else {
+							written[st.Field(i).Origin()] = true
+						}
+					}
+				}
+				return true
+			})
+			ast.Inspect(f, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok {
+					if v := field(id); v != nil {
+						if writes[id] {
+							written[v] = true
+						} else {
+							read[v] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	var out []string
+	for v, name := range names {
+		if written[v] && !read[v] {
+			out = append(out, name)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
 // sameConstant reports whether a value is a constant equal to a default,
 // where a missing default is the zero value.
 func sameConstant(v, def types.TypeAndValue) bool {
@@ -547,4 +673,5 @@ func TestSurfaceAudit(t *testing.T) {
 	}
 	check("export nothing outside its package uses", m.auditExports(), keptExports)
 	check("field no caller sets off its default", m.auditKnobs(), keptKnobs)
+	check("field non-test code writes and never reads", m.auditWriteOnly(), keptWriteOnly)
 }
