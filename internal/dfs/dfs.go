@@ -3,17 +3,16 @@
 // of fixed-capacity blocks ("splits"); each block stores decoded records
 // plus the byte size they would occupy as JSON lines on disk.
 //
-// Byte accounting is virtual: the filesystem applies a configurable
-// ByteScale multiplier so that a laptop-sized dataset presents the byte
-// volumes of the paper's 100 GB–1 TB TPC-H instances. Everything
-// downstream — split counts, shuffle volumes, the optimizer's memory
-// checks against Mmax — therefore operates at paper scale while the
-// actual records remain small enough to process in memory.
+// Byte accounting is virtual: a ByteScale multiplier makes a laptop-sized
+// dataset present the volumes of the paper's 100 GB–1 TB TPC-H
+// instances, so split counts, shuffle volumes and the optimizer's memory
+// checks against Mmax run at paper scale over records held in memory.
 package dfs
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -25,11 +24,9 @@ import (
 // paper's cluster configuration.
 const defaultBlockSize = 128 << 20
 
-// FS is a simulated distributed filesystem. It is safe for concurrent
-// use: reads (block access, size queries, Open/List) take a
-// shared lock so parallel tasks never serialize on the hot path, while
-// writers (Create/Append/Remove) are exclusive; the byte scale, read for
-// every record priced, is an atomic.
+// FS is a simulated distributed filesystem, safe for concurrent use:
+// reads (Open/List) share a lock, writers (Create/Append/Remove) hold it
+// alone, and the byte scale, read for every record priced, is atomic.
 type FS struct {
 	mu        sync.RWMutex
 	blockSize int64
@@ -58,9 +55,8 @@ func New(opts ...Option) *FS {
 	return fs
 }
 
-// SetByteScale sets the multiplier applied to raw encoded record sizes.
-// It affects subsequently written and already stored blocks alike, since
-// scaling is applied at read time.
+// SetByteScale sets the multiplier applied to raw encoded record sizes,
+// at read time: it affects blocks already stored too.
 func (fs *FS) SetByteScale(s float64) {
 	if s <= 0 {
 		s = 1
@@ -82,10 +78,9 @@ type Block struct {
 // slice.
 func (b *Block) Records() []data.Value { return b.records }
 
-// Aux returns the block's auxiliary cache slot. Blocks are immutable
-// once written, so derived read-side state (e.g. a columnar image of
-// the records) may be attached here and shared by every job that scans
-// the split; it is reclaimed with the block itself.
+// Aux returns the block's cache slot: blocks are immutable once
+// written, so derived state (a columnar image) attached here serves
+// every job that scans the split, and goes with the block.
 func (b *Block) Aux() *atomic.Value { return &b.aux }
 
 // NumRecords returns the number of records in the block.
@@ -153,8 +148,7 @@ func (f *File) AvgRecordSize() float64 {
 	return float64(f.Size()) / float64(n)
 }
 
-// Writer appends records to a file, cutting blocks at the virtual block
-// size.
+// Writer appends records to a file, cutting blocks at the block size.
 type Writer struct {
 	fs   *FS
 	file *File
@@ -171,31 +165,48 @@ func (fs *FS) Create(name string) *Writer {
 }
 
 // Append writes one record.
-func (w *Writer) Append(rec data.Value) {
-	w.fs.mu.Lock()
-	w.appendLocked(rec)
-	w.fs.mu.Unlock()
-}
+func (w *Writer) Append(rec data.Value) { w.AppendAll([]data.Value{rec}) }
 
-func (w *Writer) appendLocked(rec data.Value) {
-	raw := rec.EncodedSize() + 1 // +1 for the newline in JSON-lines
-	scale := w.fs.ByteScale()
-	blockCap := w.fs.blockSize
-	if w.cur == nil || float64(w.cur.rawBytes+raw)*scale > float64(blockCap) && len(w.cur.records) > 0 {
-		w.cur = &Block{}
-		w.file.blocks = append(w.file.blocks, w.cur)
-	}
-	w.cur.rawBytes += raw
-	w.cur.records = append(w.cur.records, rec)
-}
-
-// AppendAll writes all records under a single lock acquisition.
-func (w *Writer) AppendAll(recs []data.Value) {
+// AppendAll writes the records of every run, in order, under a single
+// lock acquisition. A record that would take a non-empty block past the
+// virtual block size starts the next one. The cuts are found first, so
+// each new block is allocated once, at its final length.
+func (w *Writer) AppendAll(runs ...[]data.Value) {
 	w.fs.mu.Lock()
-	for _, r := range recs {
-		w.appendLocked(r)
+	defer w.fs.mu.Unlock()
+	scale, limit := w.fs.ByteScale(), float64(w.fs.blockSize)
+	sizes := []int{0} // records for w.cur, then for each new block
+	var n int
+	var raw int64
+	if w.cur != nil {
+		n, raw = len(w.cur.records), w.cur.rawBytes
 	}
-	w.fs.mu.Unlock()
+	for _, run := range runs {
+		for _, rec := range run {
+			r := rec.EncodedSize() + 1 // +1 for the newline in JSON-lines
+			if w.cur == nil && len(sizes) == 1 || float64(raw+r)*scale > limit && n > 0 {
+				sizes, n, raw = append(sizes, 0), 0, 0
+			}
+			sizes[len(sizes)-1]++
+			n, raw = n+1, raw+r
+		}
+	}
+	if sizes[0] > 0 {
+		w.cur.records = slices.Grow(w.cur.records, sizes[0])
+	}
+	left, next := sizes[0], 1
+	for _, run := range runs {
+		for _, rec := range run {
+			if left == 0 {
+				left, next = sizes[next], next+1
+				w.cur = &Block{records: make([]data.Value, 0, left)}
+				w.file.blocks = append(w.file.blocks, w.cur)
+			}
+			w.cur.rawBytes += rec.EncodedSize() + 1
+			w.cur.records = append(w.cur.records, rec)
+			left--
+		}
+	}
 }
 
 // Close finalizes the file and returns it. An empty file has zero
@@ -204,9 +215,8 @@ func (w *Writer) Close() *File {
 	return w.file
 }
 
-// FirstRecord returns the file's first record, with ok=false for an
-// empty file. Jobs use it as a schema sample when compiling per-job
-// expressions into positional accessors.
+// FirstRecord returns the file's first record (ok=false when empty):
+// jobs compile expressions into positional accessors against it.
 func (f *File) FirstRecord() (data.Value, bool) {
 	for _, blk := range f.blocks {
 		if len(blk.records) > 0 {

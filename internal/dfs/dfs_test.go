@@ -185,3 +185,73 @@ func TestPropertyNoRecordLoss(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestAppendAllCutsAsOneAtATime: writing runs of records of random
+// sizes in one AppendAll — onto a fresh file or after some one-record
+// Appends — cuts the same blocks, with the same raw bytes and the same
+// records, as appending one record at a time, and both cut where the
+// rule does: a record that takes a non-empty block past the block size
+// starts the next one. Every block AppendAll starts is allocated at its
+// final length.
+func TestAppendAllCutsAsOneAtATime(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 40; trial++ {
+		fs := New(WithBlockSize(int64(50 + rng.Intn(400))))
+		fs.SetByteScale([]float64{1, 0.5, 3}[trial%3])
+		recs := make([]data.Value, rng.Intn(300))
+		for i := range recs {
+			recs[i] = data.Object(data.Field{Name: "p", Value: data.String(string(make([]byte, rng.Intn(120))))})
+		}
+		var runs [][]data.Value
+		head := 0
+		if trial%2 == 1 && len(recs) > 0 {
+			head = rng.Intn(len(recs))
+		}
+		for rest := recs[head:]; len(rest) > 0; {
+			n := rng.Intn(len(rest) + 1)
+			runs, rest = append(runs, rest[:n]), rest[n:]
+		}
+		one, batched := fs.Create("one"), fs.Create("batched")
+		for _, r := range recs {
+			one.Append(r)
+		}
+		for _, r := range recs[:head] {
+			batched.Append(r)
+		}
+		started := len(batched.file.blocks) // blocks before here grew one record at a time
+		batched.AppendAll(runs...)
+		a, b := one.Close(), batched.Close()
+
+		// The rule, applied here from scratch.
+		var want [][]data.Value
+		var raw int64
+		for _, r := range recs {
+			sz := r.EncodedSize() + 1
+			if len(want) == 0 || float64(raw+sz)*fs.ByteScale() > float64(fs.blockSize) && len(want[len(want)-1]) > 0 {
+				want, raw = append(want, nil), 0
+			}
+			want[len(want)-1] = append(want[len(want)-1], r)
+			raw += sz
+		}
+		for _, f := range []*File{a, b} {
+			if f.NumBlocks() != len(want) {
+				t.Fatalf("trial %d: %s has %d blocks, want %d", trial, f.Name(), f.NumBlocks(), len(want))
+			}
+			for i, blk := range f.Blocks() {
+				var raw int64
+				for j, r := range blk.Records() {
+					if j >= len(want[i]) || data.Compare(r, want[i][j]) != 0 {
+						t.Fatalf("trial %d: %s block %d record %d is not the rule's", trial, f.Name(), i, j)
+					}
+					raw += r.EncodedSize() + 1
+				}
+				if blk.NumRecords() != len(want[i]) || blk.rawBytes != raw || a.Block(i).rawBytes != blk.rawBytes {
+					t.Fatalf("trial %d: %s block %d has %d records, %d raw bytes; want %d, %d", trial, f.Name(), i, blk.NumRecords(), blk.rawBytes, len(want[i]), raw)
+				}
+				if f == b && i >= started && cap(blk.records) != len(blk.records) {
+					t.Errorf("trial %d: block %d has cap %d for %d records", trial, i, cap(blk.records), len(blk.records))
+				}
+			}
+		}
+	}
+}

@@ -138,9 +138,10 @@ func BenchmarkPilotJob(b *testing.B) {
 // BenchmarkJobFinish is the finish of Q7's widest job: 1,350 map tasks
 // of 56 output rows, each with a two-column partial at k=512 — the
 // statistics merge (a closure per column), the output file's assembly
-// and the row buffers' recycling, one batch on the pool. It allocates per
-// column, per output block and one pool header per recycled buffer,
-// never per row. Rebuilding the tasks' state is outside the timer.
+// (each block allocated at its final length) and the row buffers'
+// recycling, one batch on the pool. It allocates per column, per output
+// block and one pool header per recycled buffer, never per row.
+// Rebuilding the tasks' state is outside the timer.
 func BenchmarkJobFinish(b *testing.B) {
 	const tasks, rows = 1350, 56
 	env := benchEnv()

@@ -41,11 +41,9 @@ const defaultBytesPerReducer = 256 << 20
 
 // Gate is how an engine session drives the cluster simulator: submit
 // jobs, read and charge the virtual clock, and block on a
-// materialization point. *cluster.Sim is the gate of an environment that
-// owns its simulator; a query service installs one per session (bound
-// to that session's cancellation context) that takes a lock around
-// each call, so many engines interleave their jobs on one single-
-// threaded simulator at event granularity.
+// materialization point. *cluster.Sim is its own gate; a query service
+// installs one per session (bound to its cancellation) that locks each
+// call, so many engines interleave jobs on one simulator by event.
 type Gate interface {
 	// Submit enqueues a job on the simulator.
 	Submit(j cluster.Job) *cluster.Submission
@@ -72,13 +70,9 @@ type Env struct {
 	// Env methods submitJob, Now, Advance, and RunUntil instead of
 	// touching Sim directly in any code path a gated session can reach.
 	Gate Gate
-	// Exec, when non-nil, delegates the per-record work of every map
-	// and reduce task to an external executor (the multi-process
-	// runtime backend). Jobs submitted to such an environment must
-	// carry their operator in Spec.RemoteOp; there is no silent
-	// in-process fallback. The simulator keeps driving scheduling and
-	// accounting either way, so results and virtual traces match the
-	// in-process path exactly.
+	// Exec, when non-nil, runs every task's record loop (the
+	// multi-process backend; see TaskExecutor). Jobs must then carry
+	// Spec.RemoteOp: there is no in-process fallback.
 	Exec TaskExecutor
 	// DistributedCache enables Hive-0.12-style broadcast builds: the
 	// build side is loaded once per node instead of once per task
@@ -91,13 +85,10 @@ type Env struct {
 	// grouping job the compiler schedules after the join block. Off by
 	// default to keep the evaluation's published numbers stable.
 	UseCombiner bool
-	// OnCreateFile, when non-nil, is invoked with the name of every
-	// output file a job in this environment creates. A query service
-	// installs a per-session callback to track the session's scratch
-	// files, so cleanup removes exactly those names instead of scanning
-	// the whole DFS namespace. Jobs can finish on any goroutine driving
-	// a shared simulator, so the callback must be safe for concurrent
-	// use and must not block.
+	// OnCreateFile, when non-nil, is called with the name of every
+	// output file a job creates (a query service tracks a session's
+	// scratch files with it). Jobs finish on any goroutine driving a
+	// shared simulator: it must be concurrency-safe and not block.
 	OnCreateFile func(name string)
 }
 
@@ -144,16 +135,11 @@ type Input struct {
 // Broadcast declares a build side loaded into every map task (or once
 // per node with the distributed cache).
 //
-// When Wrap is set, raw base-table records are wrapped as {Wrap: rec}
-// before keying, so path expressions see the same row shape as scans.
-// When Filter is set, it is applied while building — the Jaql pattern of
-// filtering the small side during hash-table construction. The one-time
-// cost of scanning the unfiltered file and evaluating the filter is
-// charged once per job (the engine materializes the filtered build and
-// distributes that); tasks then pay only for loading the filtered
-// table. Pilot runs that consumed their whole input make this free by
-// supplying the already-filtered file (§4.1's output-reuse
-// optimization).
+// Wrap wraps raw base-table records as {Wrap: rec} before keying, so
+// paths see a scan's row shape. Filter applies while building (Jaql's
+// pattern); scanning the unfiltered file and filtering is charged once
+// per job, tasks then load the filtered table. A pilot that consumed its
+// whole input supplies the filtered file instead (§4.1's output reuse).
 type Broadcast struct {
 	Name     string
 	File     *dfs.File
@@ -166,11 +152,9 @@ type Broadcast struct {
 	Map MapFunc
 }
 
-// HashTable is an in-memory build side indexed by join key: its rows
-// bucketed by the key's normalized encoding, which is equality under
-// data.Compare, so a probe is one map lookup with no re-checks. A
-// bucket holds the rows whose key equals the probe key, in build scan
-// order.
+// HashTable is an in-memory build side: its rows bucketed, in build scan
+// order, by their key's normalized encoding — equality under
+// data.Compare, so a probe is one map lookup with no re-checks.
 type HashTable struct {
 	buckets    map[string][]data.Value // normalized key -> rows (scan order)
 	rows       int
@@ -186,12 +170,11 @@ type Split struct {
 }
 
 // scanBuild is a broadcast build as a one-partition shuffle of its
-// blocks: each runs through b's kernel as a map task, on par (nil:
-// inline). It returns the table's three numbers (vsize, when non-nil,
-// prices each retained row) and the pairs to index it from. UDF cost is
-// one context's running sum in record order and becomes virtual time: a
-// build whose filter calls a UDF is scanned in order on one context.
-// Any other costs nothing.
+// blocks, each a map task of b's kernel on par (nil: inline). It returns
+// the table's three numbers (vsize, when non-nil, prices each retained
+// row) and the pairs to index it from. A filter that calls a UDF is
+// scanned in order on one context, its cost a running sum that becomes
+// virtual time; any other build costs nothing.
 func scanBuild(reg *expr.Registry, b Broadcast, blocks []Split, vsize func(data.Value) int64, par func(n int, fn func(i int))) (*HashTable, []MapOutput, error) {
 	outs := make([]MapOutput, len(blocks))
 	errs := make([]error, len(blocks))
@@ -204,7 +187,7 @@ func scanBuild(reg *expr.Registry, b Broadcast, blocks []Split, vsize func(data.
 		outs[i], errs[i] = RunMapTask(&MapTask{Reg: reg, Ctx: ordered, Recs: blocks[i].Recs, Aux: blocks[i].Aux,
 			Map: b.Map, NumReducers: 1})
 		if vsize != nil {
-			for _, p := range outs[i].Parts[0] {
+			for _, p := range outs[i].Shuffled.Pairs {
 				bytes[i] += vsize(p.Rec)
 			}
 		}
@@ -221,7 +204,7 @@ func scanBuild(reg *expr.Registry, b Broadcast, blocks []Split, vsize func(data.
 		if errs[i] != nil {
 			return nil, nil, errs[i]
 		}
-		ht.rows += len(outs[i].Parts[0])
+		ht.rows += len(outs[i].Shuffled.Pairs)
 		ht.builtBytes += bytes[i]
 		ht.prepCPU += outs[i].CPUMap
 	}
@@ -235,8 +218,8 @@ func scanBuild(reg *expr.Registry, b Broadcast, blocks []Split, vsize func(data.
 func (h *HashTable) index(outs []MapOutput) {
 	h.buckets = make(map[string][]data.Value)
 	for o := range outs {
-		for i := range outs[o].Parts[0] {
-			p := &outs[o].Parts[0][i]
+		for i := range outs[o].Shuffled.Pairs {
+			p := &outs[o].Shuffled.Pairs[i]
 			h.buckets[p.nk] = append(h.buckets[p.nk], p.Rec)
 		}
 	}
@@ -252,10 +235,9 @@ func BuildHashTable(reg *expr.Registry, b Broadcast, blocks []Split, vsize func(
 	return ht, err
 }
 
-// Probe returns the build rows whose key equals k, in build scan order.
-// The returned slice aliases the table's bucket and must not be
-// mutated; probes are safe from concurrent tasks because buckets are
-// read-only after the build.
+// Probe returns the build rows whose key equals k, in build scan order:
+// the table's bucket, read-only after the build (so concurrent probes
+// are safe) and never to be mutated.
 func (h *HashTable) Probe(k data.Value) []data.Value {
 	var arr [48]byte
 	nk, _ := data.AppendNormKey(arr[:0], k)
@@ -290,10 +272,9 @@ type Spec struct {
 	Name   string
 	Inputs []Input
 	Reduce ReduceFunc // nil for map-only jobs
-	// Combine, when set, runs on each map task's shuffle buckets
-	// before they leave the task (the classic MapReduce combiner):
-	// rows sharing a key are folded into the rows Combine emits,
-	// shrinking the shuffle. The reducer must accept combiner output.
+	// Combine, when set, folds each map task's pairs per key into the
+	// rows it emits, at most one per pair, before they leave the task
+	// (the classic combiner). The reducer must accept its output.
 	Combine     ReduceFunc
 	Output      string // DFS path for the materialized result
 	NumReducers int    // 0: sized from input bytes like Hive
@@ -314,16 +295,14 @@ type Spec struct {
 	// the initial sample is exhausted before StopAfter is reached
 	// (PILR_MT's dynamic split addition).
 	MoreSplits [][]int
-	// FinishIfFractionDone keeps the job running to completion when at
-	// least this fraction of splits has already been processed once
-	// StopAfter triggers (§4.1's selective-predicate optimization). 0
-	// disables.
+	// FinishIfFractionDone > 0 keeps the job running to completion when
+	// at least this fraction of splits has been processed once StopAfter
+	// triggers (§4.1's selective-predicate optimization).
 	FinishIfFractionDone float64
 
-	// RemoteOp is the operator description (*physop.OpSpec) the kernels
-	// above were compiled from; a task executor ships it to workers,
-	// which compile the same kernels from it. Required when the
-	// environment has Env.Exec set; ignored otherwise.
+	// RemoteOp is the operator (*physop.OpSpec) the kernels above were
+	// compiled from, which a task executor (Env.Exec, which requires it)
+	// ships to workers to compile the same kernels.
 	RemoteOp any
 }
 
@@ -332,10 +311,9 @@ type mapTaskState struct {
 	splitIdx int
 	seq      int // index in Job.mapStates: submission order, the output's
 	outRows  []data.Value
-	buckets  [][]Pair
-	// shuffleParts digests the task's shuffle output per partition —
-	// computed from buckets in-process, reported by the executor when
-	// the output stays on a worker (shuffle is then its handle).
+	shuffled Partitioned // in-process: the task's shuffle output
+	// When the output stays on a worker, shuffle is the executor's
+	// handle to it and shuffleParts its digest per partition.
 	shuffle      any
 	shuffleParts []ShufflePart
 	collector    *stats.Collector
@@ -431,12 +409,9 @@ func ReducersFor(env *Env, shuffleBytes float64) int {
 	if per <= 0 {
 		per = defaultBytesPerReducer
 	}
-	n := int(shuffleBytes / per)
-	if n < 1 {
-		n = 1
-	}
-	if max := env.ClusterConfig().ReduceSlots() * 2; n > max && max > 0 {
-		n = max
+	n := max(int(shuffleBytes/per), 1)
+	if most := env.ClusterConfig().ReduceSlots() * 2; most > 0 {
+		n = min(n, most)
 	}
 	return n
 }
@@ -452,9 +427,8 @@ func (j *Job) Start(sub *cluster.Submission) []*cluster.Task {
 	// of a shared cluster. A job canceled before Start holds nothing.
 	sub.OnDone(j.retire)
 	// Scan the broadcast sides, each a batch on the pool, and index them
-	// — unless a task executor's workers build the tables their tasks
-	// probe. The virtual load cost is charged per task (or per node with
-	// the distributed cache), the one-time preparation on the first task.
+	// unless a task executor's workers build the tables. Loads are
+	// charged per task (or node), the one-time preparation once.
 	j.builds = make(map[string]*HashTable, len(j.spec.Broadcasts))
 	for _, b := range j.spec.Broadcasts {
 		blocks := make([]Split, b.File.NumBlocks())
@@ -471,14 +445,10 @@ func (j *Job) Start(sub *cluster.Submission) []*cluster.Task {
 		}
 		j.builds[b.Name] = ht
 		j.buildBytes += ht.builtBytes
-		// Producing a filtered build is a parallel map-only stage of
-		// its own: one extra job startup plus a cluster-wide scan of
-		// the unfiltered input.
+		// A filtered build is a map-only stage of its own: one more job
+		// startup and a cluster-wide scan of the unfiltered input.
 		if prepBytes := b.File.Size(); b.Filter != nil && prepBytes > 0 {
-			slots := float64(j.env.ClusterConfig().MapSlots())
-			if slots < 1 {
-				slots = 1
-			}
+			slots := max(float64(j.env.ClusterConfig().MapSlots()), 1)
 			j.prepLatency += j.env.ClusterConfig().JobStartup +
 				float64(prepBytes)/(scanBps(j.env)*slots) + ht.prepCPU/slots
 		}
@@ -503,9 +473,8 @@ func (j *Job) Start(sub *cluster.Submission) []*cluster.Task {
 		j.splitsTotal = len(tasks)
 	}
 	if len(tasks) == 0 {
-		// Empty inputs (e.g. a fully filtered intermediate): the job
-		// completes immediately but must still materialize its (empty)
-		// output and result.
+		// Empty inputs (a fully filtered intermediate): the job completes
+		// at once with its empty output and result.
 		j.finish(sub)
 	}
 	return tasks
@@ -518,24 +487,18 @@ func (j *Job) newMapTask(inputIdx, splitIdx int) *cluster.Task {
 	t := j.newTask(cluster.MapTask, j.taskName("-m", st.seq),
 		func() (cluster.Usage, int64, error) { return j.runMap(st, input) })
 	if len(j.spec.Broadcasts) > 0 {
-		// The one-time filtered-build preparation is charged to exactly
-		// one task, and the per-node build load to the first attempt on
-		// each node. Finish runs serially in dispatch order — and is
-		// replayed for speculative backup attempts with the backup's
-		// own TaskContext — so both charges land correctly whether Run
-		// closures execute inline, on the worker pool, or not at all
-		// (backups reuse the primary's usage).
+		// The filtered-build preparation is charged to one task, the
+		// per-node load to each node's first attempt. Finish runs
+		// serially in dispatch order, replayed for a backup with its own
+		// TaskContext, so both land correctly wherever Run executes.
 		t.Finish = func(tc cluster.TaskContext, u *cluster.Usage) {
 			if !j.prepCharged {
 				j.prepCharged = true
 				u.ExtraLatency += j.prepLatency
 			}
-			if rate := broadcastBps(j.env); rate > 0 {
-				if j.env.DistributedCache && !tc.FirstOnNode {
-					// Build already resident on this node.
-				} else {
-					u.ExtraLatency += float64(j.buildBytes) / rate
-				}
+			// With the distributed cache, a node loads the build once.
+			if rate := broadcastBps(j.env); rate > 0 && (!j.env.DistributedCache || tc.FirstOnNode) {
+				u.ExtraLatency += float64(j.buildBytes) / rate
 			}
 		}
 	}
@@ -555,13 +518,11 @@ func (j *Job) newCollector() *stats.Collector {
 }
 
 // newTask wraps a record loop as a cluster task. The loop reads only
-// what is fixed once the task exists (DFS blocks, the tables Start
-// built, for a reduce the finished map outputs) and writes only its own
-// task's state, so it is the task's Work; Run reports what it recorded
-// and adds its emitted count to the job's shared counter at the virtual
-// instant of the dispatch. A pilot (StopAfter) cancels its queued
-// splits once it has sampled enough, and working ahead would scan what
-// it exists to avoid: its tasks run the same loop from Run instead.
+// what is fixed once the task exists and writes only its task's state,
+// so it is the task's Work; Run reports it and adds the emitted count
+// to the job's counter at the dispatch's virtual instant. A pilot
+// (StopAfter) must not scan ahead of its cancellations: its tasks run
+// the loop from Run instead.
 func (j *Job) newTask(kind cluster.TaskKind, name string, loop func() (cluster.Usage, int64, error)) *cluster.Task {
 	var u cluster.Usage
 	var emitted int64
@@ -589,11 +550,9 @@ func (j *Job) runMap(st *mapTaskState, input Input) (cluster.Usage, int64, error
 	if j.buildErr != nil {
 		return u, 0, j.buildErr
 	}
-	// Broadcast build: the memory check stays on the execution path,
-	// but all latency charges (one-time filtered build, per-node load)
-	// live in the task's Finish hook — never here, where concurrent
-	// tasks would race on j.prepCharged, and where a speculative backup
-	// attempt could not re-apply them for its own node.
+	// The build's memory check runs here; its latency charges live in
+	// the task's Finish hook, where tasks do not race on j.prepCharged
+	// and a backup attempt re-applies them for its own node.
 	if len(j.spec.Broadcasts) > 0 {
 		if j.buildBytes > j.env.ClusterConfig().SlotMemory {
 			return u, 0, fmt.Errorf("%w: build %d bytes > slot memory %d",
@@ -623,19 +582,11 @@ func (j *Job) runMap(st *mapTaskState, input Input) (cluster.Usage, int64, error
 		}
 		var out MapOutput
 		out, err = RunMapTask(t)
-		st.outRows, st.buckets = taskRows(out.Rows, out.From, out.Sel), out.Parts
-		st.shuffleParts = make([]ShufflePart, len(out.Parts))
-		for p, bucket := range out.Parts {
-			for i := range bucket {
-				st.shuffleParts[p].Bytes += j.env.VirtualSize(bucket[i].Rec)
-			}
-			st.shuffleParts[p].Count = len(bucket)
-		}
+		st.outRows, st.shuffled = taskRows(out.Rows, out.From, out.Sel), out.Shuffled
 		cpuMap, cpuTotal = out.CPUMap, out.CPUTotal
 	}
-	// One accounting for both sources: input statistics, CPU accrual,
-	// output volume, and the emitted count. A failed record loop is
-	// still charged the map-phase CPU it consumed.
+	// One accounting for both sources. A failed record loop is still
+	// charged the map-phase CPU it consumed.
 	u.CPUSeconds += cpuMap
 	if err != nil {
 		return u, 0, err
@@ -645,8 +596,7 @@ func (j *Job) runMap(st *mapTaskState, input Input) (cluster.Usage, int64, error
 	}
 	if j.spec.Combine != nil && j.spec.Reduce != nil {
 		// A combining task is charged its map-phase CPU and then the
-		// accumulated map+combine total on top (the accrual the
-		// published timelines were measured with).
+		// map+combine total on top, as the published timelines were.
 		u.CPUSeconds += cpuTotal
 	}
 	var emitted int64
@@ -658,8 +608,20 @@ func (j *Job) runMap(st *mapTaskState, input Input) (cluster.Usage, int64, error
 			u.BytesShuffled += part.Bytes
 			emitted += int64(part.Count)
 		}
+		u.BytesShuffled += j.shuffleBytes(st.shuffled.Pairs)
+		emitted += int64(len(st.shuffled.Pairs))
 	}
 	return u, emitted, nil
+}
+
+// shuffleBytes is the virtual size of the records of pairs: the bytes
+// they cost in the shuffle.
+func (j *Job) shuffleBytes(pairs []Pair) int64 {
+	var total int64
+	for i := range pairs {
+		total += j.env.VirtualSize(pairs[i].Rec)
+	}
+	return total
 }
 
 // chargeOutput prices a task's output rows and hands them whole to its
@@ -684,13 +646,11 @@ func (j *Job) TaskDone(sub *cluster.Submission, t *cluster.Task) []*cluster.Task
 		return nil
 	}
 	j.mapsDone++
-	// Pilot-run early termination.
+	// Pilot-run early termination, unless the job is close enough to
+	// completion to finish: its output is then reusable for the query.
 	if j.spec.StopAfter > 0 && j.env.Coord.Get(j.counterName) >= j.spec.StopAfter {
 		frac := float64(j.mapsDone) / float64(max(j.splitsTotal, 1))
-		if j.spec.FinishIfFractionDone > 0 && frac >= j.spec.FinishIfFractionDone {
-			// Close to completion: let the job finish so its output is
-			// reusable for the real query.
-		} else {
+		if j.spec.FinishIfFractionDone <= 0 || frac < j.spec.FinishIfFractionDone {
 			sub.CancelPending()
 		}
 	}
@@ -710,16 +670,12 @@ func (j *Job) TaskDone(sub *cluster.Submission, t *cluster.Task) []*cluster.Task
 	return nil
 }
 
-// takeReserve pops the next wave of on-demand sample splits. The batch
-// is sized from the observed output rate (the situation-aware adaptive
-// sampling of Vernica et al. the paper adopts): enough splits to reach
-// the k-record target at the rate seen so far, with 25% headroom, so a
-// selective filter converges in one or two extra waves.
+// takeReserve pops the next wave of on-demand sample splits, sized from
+// the observed output rate (Vernica et al.'s adaptive sampling, which
+// the paper adopts): enough to reach the k-record target at that rate,
+// plus 25%, so a selective filter converges in one or two more waves.
 func (j *Job) takeReserve() []*cluster.Task {
-	batch := j.mapsDone
-	if batch < 1 {
-		batch = 1
-	}
+	batch := max(j.mapsDone, 1)
 	if emitted := j.env.Coord.Get(j.counterName); emitted > 0 && j.mapsDone > 0 {
 		rate := float64(emitted) / float64(j.mapsDone)
 		missing := float64(j.spec.StopAfter) - float64(emitted)
@@ -729,10 +685,7 @@ func (j *Job) takeReserve() []*cluster.Task {
 	}
 	var tasks []*cluster.Task
 	for i := range j.reserve {
-		take := batch
-		if take > len(j.reserve[i]) {
-			take = len(j.reserve[i])
-		}
+		take := min(batch, len(j.reserve[i]))
 		for _, s := range j.reserve[i][:take] {
 			tasks = append(tasks, j.newMapTask(i, s))
 		}
@@ -755,18 +708,17 @@ func (j *Job) makeReduceTasks() []*cluster.Task {
 	return tasks
 }
 
-// runReduce gathers the partition in map submission order, sorts it
-// and runs the reduce record loop — in-process over the buckets, or on
-// a worker over the retained outputs the handles name (its stable sort
-// of the concatenated segments reproduces the same order exactly).
+// runReduce gathers the partition's windows in map submission order,
+// sorts them and runs the reduce record loop: in-process, or on a worker
+// over the retained outputs the handles name, sorted the same way.
 func (j *Job) runReduce(st *reduceTaskState, partition int) (cluster.Usage, error) {
 	var u cluster.Usage
 	var count int
 	for _, ms := range j.mapStates {
 		if partition < len(ms.shuffleParts) {
 			u.BytesShuffled += ms.shuffleParts[partition].Bytes
-			count += ms.shuffleParts[partition].Count
 		}
+		count += len(ms.shuffled.Part(partition))
 	}
 	var cpu float64
 	var err error
@@ -779,10 +731,9 @@ func (j *Job) runReduce(st *reduceTaskState, partition int) (cluster.Usage, erro
 	} else {
 		pairs := pairSlices.get(count)
 		for _, ms := range j.mapStates {
-			if partition < len(ms.buckets) {
-				pairs = append(pairs, ms.buckets[partition]...)
-			}
+			pairs = append(pairs, ms.shuffled.Part(partition)...)
 		}
+		u.BytesShuffled += j.shuffleBytes(pairs)
 		SortPairsByKey(pairs)
 		st.outRows, cpu, err = RunReduceTask(j.env.Reg, j.spec.Reduce, pairs)
 		pairSlices.put(pairs)
@@ -797,9 +748,9 @@ func (j *Job) runReduce(st *reduceTaskState, partition int) (cluster.Usage, erro
 }
 
 // finish publishes the job's result. Which tasks count, in which order,
-// is decided on the goroutine stepping the simulator; the record-sized
-// rest is one batch on the pool: a closure per statistics column (the
-// merge's sort) and one that assembles the output file.
+// is decided on the goroutine stepping the simulator; the rest is one
+// batch on the pool: a closure per statistics column and one that
+// writes the output file.
 func (j *Job) finish(sub *cluster.Submission) {
 	if j.done {
 		return
@@ -829,7 +780,7 @@ func (j *Job) finish(sub *cluster.Submission) {
 		if j.spec.Reduce == nil {
 			publish(st.outRows, st.collector)
 		}
-		st.buckets, st.outRows = nil, nil
+		st.shuffled, st.outRows = Partitioned{}, nil
 	}
 	for _, st := range j.reduceStates {
 		publish(st.outRows, st.collector)
@@ -841,11 +792,11 @@ func (j *Job) finish(sub *cluster.Submission) {
 				mergeCol(i - 1)
 				return
 			}
-			// The writer copies the records, and every record loop runs
-			// at most once (injected failures skip it, backups replay the
-			// primary's usage): no retry can observe a recycled buffer.
+			// The writer copies the records into blocks of their final
+			// length. A record loop runs at most once (backups replay
+			// its usage), so no retry sees a recycled buffer.
+			w.AppendAll(outs...)
 			for _, rows := range outs {
-				w.AppendAll(rows)
 				rowSlices.put(rows)
 			}
 			res.Output = w.Close()
@@ -860,10 +811,9 @@ func (j *Job) finish(sub *cluster.Submission) {
 	j.result = res
 }
 
-// retire releases what the job held outside itself once its submission
-// completes — failed and canceled jobs included, which never reach
-// finish: the shared output counter, and the intermediate shuffle state
-// a retaining executor keeps on worker disks.
+// retire releases what the job holds outside itself once its submission
+// completes, failed or canceled too: the shared output counter, and
+// the shuffle output a retaining executor keeps on workers.
 func (j *Job) retire(*cluster.Submission) {
 	j.env.Coord.Reset(j.counterName)
 	if r, ok := j.env.Exec.(JobRetirer); ok {

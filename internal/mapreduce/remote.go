@@ -8,13 +8,11 @@ import (
 )
 
 // TaskExecutor is the execution seam of the runtime backends: when
-// Env.Exec is set, the per-record work of every map and reduce task is
-// delegated to it (a remote worker fleet), while the job lifecycle —
-// scheduling, shuffling, statistics, virtual-time accounting, retries
-// and speculation — keeps running in-process against the simulator.
-// Both backends therefore run the same plans, produce the same rows,
-// and count the same jobs by construction; only where the record loop
-// executes differs.
+// Env.Exec is set, the record loop of every map and reduce task runs on
+// it (a remote worker fleet), while the job lifecycle — scheduling,
+// shuffling, statistics, virtual time, retries, speculation — stays
+// in-process on the simulator, so both backends run the same plans and
+// jobs and produce the same rows by construction.
 type TaskExecutor interface {
 	ExecMap(m MapExec) (*MapExecOut, error)
 	ExecReduce(r ReduceExec) (*ReduceExecOut, error)
@@ -28,10 +26,10 @@ type JobRetirer interface {
 	RetireJob(jobName string)
 }
 
-// ShufflePart digests one shuffle partition retained away from the
-// controller: its pair count and its virtual shuffle bytes, computed
-// by the executor with the controller's exact per-record arithmetic
-// so replayed accounting is bit-identical to a materialized bucket.
+// ShufflePart digests one partition of a map output retained away from
+// the controller: its pair count and virtual shuffle bytes, summed by
+// the executor with the in-process per-record arithmetic, so both
+// runtimes account bit-identical bytes.
 type ShufflePart struct {
 	Count int
 	Bytes int64
@@ -79,10 +77,9 @@ type MapExecOut struct {
 	Sel      []int32
 	CPUMap   float64
 	CPUTotal float64
-	// Shuffle jobs: the map output stays with the executor (on the
-	// producing worker). Shuffle is the handle reduce tasks pass back;
-	// ShuffleParts carries the per-partition digests the accounting
-	// replays in place of materialized buckets.
+	// Shuffle jobs: the map output stays on the producing worker.
+	// Shuffle is the handle reduce tasks pass back, ShuffleParts its
+	// digest per partition for the accounting.
 	Shuffle      any
 	ShuffleParts []ShufflePart
 }
@@ -104,10 +101,9 @@ type ReduceExecOut struct {
 	CPUSeconds float64
 }
 
-// errNoRemoteOp rejects jobs submitted without an operator while a
-// task executor is installed. Failing loudly here is what makes the
-// differential contract trustworthy: the proc backend can never
-// silently fall back to in-process execution.
+// errNoRemoteOp rejects a job without an operator while a task
+// executor is installed: the proc backend never silently falls back to
+// in-process execution.
 func (j *Job) errNoRemoteOp() error {
 	return fmt.Errorf("mapreduce: job %s has no remote op for the task executor", j.spec.Name)
 }
@@ -134,8 +130,7 @@ func (j *Job) execMap(st *mapTaskState, input Input) (*MapExecOut, error) {
 	if err != nil {
 		return nil, err
 	}
-	// A shuffle task's output was retained on the producing worker; the
-	// digests stand in for the buckets in every later accounting step.
+	// A shuffle task's output was retained on the producing worker.
 	if j.spec.Reduce != nil && (out.Shuffle == nil || len(out.ShuffleParts) != j.numReducers) {
 		return nil, fmt.Errorf("mapreduce: executor returned %d shuffle parts for %s, want %d retained",
 			len(out.ShuffleParts), j.spec.Name, j.numReducers)

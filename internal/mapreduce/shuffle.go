@@ -13,35 +13,27 @@ import (
 // The shuffle keeps its per-record costs off the hot path without
 // changing a single output bit:
 //
-//   - EmitKV normalizes each shuffle key once into an order-preserving
-//     byte string (data.AppendNormKey), so combine/reduce sorting and
-//     grouping become memcmp string compares instead of recursive
-//     data.Compare calls per comparison. Reduce partition assignment is
-//     data.Hash64(key) % numReducers — partitioning decides output row
-//     placement, so it never depends on the encoding.
-//   - A map task's shuffle buckets are windows of one array, exact ones
-//     when the kernel counted its output first (SizeParts; the
-//     aggregate map's grow by append); gathered reduce inputs and row
-//     slices are recycled through sync.Pools across tasks and jobs, and
-//     a key group is its window of the sorted pairs.
-//   - Broadcast hash tables index build rows by normalized key, turning
-//     probes into exact map lookups with no collision re-checks.
-//
-// Every value has a normalized key that orders as data.Compare does, so
-// these are the only sort and the only grouping, for every input.
+//   - A key is normalized once, when its pair is emitted, into an
+//     order-preserving string (data.AppendNormKey): sorting and grouping
+//     compare strings. Its partition is data.Hash64(key) % R, which
+//     decides output row placement, so it never depends on the encoding.
+//   - A map task's output is one array of pairs, by partition, cut by
+//     R+1 offsets (Partitioned): a kernel that counts its pairs first
+//     (SizeParts) writes each into its slot, others are counting-sorted
+//     into place at task end. A reducer's input is the concatenation of
+//     its windows, and a key group is its window of the sorted pairs.
+//   - Broadcast hash tables index build rows by normalized key: a probe
+//     is an exact map lookup.
 //
 // Why one unstable sort reproduces two stable ones. Reduce order is the
 // stable sort of a partition's pairs, in map submission order, by
-// data.Compare on the key — on the controller and on a worker alike. A
-// stable sort's output is the one permutation ordered by (key, input
-// index): a total order without ties, so any correct sort of it, stable
-// or not, yields that permutation. The normalized encoding orders keys
-// as data.Compare does, and its first 8 bytes (big-endian,
-// zero-padded: 0x00 is the encoding's terminator and sorts below every
-// element) never order two keys against their full encodings. So
-// (prefix, nk, index) is (Compare, index), and SortPairsByKey sorts one
-// 16-byte (prefix, index) entry per pair under it, then moves each
-// 80-byte Pair once, where a stable merge rotates pairs log n times.
+// data.Compare on the key, on both runtimes: the one permutation
+// ordered by (key, input index), a total order any correct sort yields.
+// The normalized encoding orders keys as data.Compare does, and its
+// first 8 bytes (big-endian, zero-padded) never order two keys against
+// their full encodings. So (prefix, nk, index) is (Compare, index), and
+// SortPairsByKey sorts one 16-byte (prefix, index) entry per pair, then
+// moves each 80-byte Pair once.
 
 // sortEnt is a pair's sort entry: nkPrefix of its key, input position.
 type sortEnt struct {
@@ -118,10 +110,8 @@ func fillNormKeys(pairs []Pair) {
 }
 
 // Pools recycle the shuffle's large transient buffers across tasks and
-// jobs. Slices are cleared before being pooled so they do not pin
-// record trees, and are only released once a job has fully finished
-// (every Run closure executes at most once, so no retry can observe a
-// recycled buffer).
+// jobs, cleared so they pin no records, once nothing reads them: a
+// task's staged or gathered pairs at its end, output rows once written.
 var (
 	pairSlices slicePool[Pair]
 	rowSlices  slicePool[data.Value]

@@ -3,7 +3,9 @@ package mapreduce
 import (
 	"fmt"
 	"hash/fnv"
+	"math/rand/v2"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -140,27 +142,23 @@ func TestWideJobResultPinned(t *testing.T) {
 	}
 }
 
-// TestBucketsShareOneArray: the buckets SizeParts provisions are
-// windows of one backing array — one allocation per task, not one per
-// (task, reducer) — in partition order, each capacity-limited so a
-// bucket outgrowing its window moves out alone.
+// TestBucketsShareOneArray: a task whose kernel sizes its output
+// (SizeParts) writes every pair straight into one array of exactly that
+// many pairs, and each partition's window is its run of that array, in
+// partition order — one allocation per task, not one per (task,
+// reducer).
 func TestBucketsShareOneArray(t *testing.T) {
 	const reducers = 8
 	recs := make([]data.Value, 40)
 	hs := make([]uint64, len(recs))
-	var sized []int32
+	sel := make([]int32, len(recs))
 	key := data.MustParsePath("k")
 	for i := range recs {
 		recs[i] = data.Object(data.Field{Name: "k", Value: data.Int(int64(i % 7))})
-		hs[i] = data.Hash64(key.Eval(recs[i]))
-		if i%7 != 3 {
-			sized = append(sized, int32(i))
-		}
+		hs[i], sel[i] = data.Hash64(key.Eval(recs[i])), int32(i)
 	}
-	// Size for every key but 3, then emit every record: key 3's bucket
-	// outgrows its window.
 	out, err := RunMapTask(&MapTask{Recs: recs, NumReducers: reducers, Map: func(mc *MapCtx, d *batch.Data) {
-		mc.SizeParts(hs, sized)
+		mc.SizeParts(hs, sel)
 		for _, rec := range d.Records() {
 			mc.EmitKV(key.Eval(rec), "L", rec)
 		}
@@ -168,44 +166,132 @@ func TestBucketsShareOneArray(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts, offsets := make([]int, reducers), make([]int, reducers)
-	for _, i := range sized {
-		counts[hs[i]%reducers]++
+	s := out.Shuffled
+	if len(s.Pairs) != len(recs) || cap(s.Pairs) != len(recs) || len(s.Offs) != reducers+1 || s.NumParts() != reducers {
+		t.Fatalf("%d pairs (cap %d) under %d offsets, want %d exactly under %d", len(s.Pairs), cap(s.Pairs), len(s.Offs), len(recs), reducers+1)
 	}
-	for p := 1; p < reducers; p++ {
-		offsets[p] = offsets[p-1] + counts[p-1]
-	}
-	over := int(hs[3] % reducers)
 	size := reflect.TypeOf(Pair{}).Size()
-	var start uintptr // the shared array, found through any window in place
-	for p, bucket := range out.Parts {
-		if p != over && counts[p] > 0 {
-			start = reflect.ValueOf(bucket).Pointer() - uintptr(offsets[p])*size
-			break
+	start := reflect.ValueOf(s.Pairs).Pointer()
+	at := 0
+	for p := range reducers {
+		window := s.Part(p)
+		if s.Offs[p] != at || len(window) > 0 && reflect.ValueOf(window).Pointer() != start+uintptr(at)*size {
+			t.Errorf("partition %d is not its run of the array", p)
 		}
-	}
-	var total int
-	for p, bucket := range out.Parts {
-		total += len(bucket)
-		at := reflect.ValueOf(bucket).Pointer()
-		switch {
-		case p == over:
-			if len(bucket) != counts[p]+6 || at >= start && at < start+uintptr(len(sized))*size {
-				t.Errorf("overflowing bucket %d (len %d) still lies in the shared array", p, len(bucket))
+		for _, pair := range window {
+			if int(data.Hash64(pair.Key)%reducers) != p {
+				t.Errorf("partition %d holds key %v", p, pair.Key)
 			}
-		case len(bucket) != counts[p] || cap(bucket) != counts[p]:
-			t.Errorf("bucket %d has len %d cap %d, want its window of %d", p, len(bucket), cap(bucket), counts[p])
-		case counts[p] > 0 && at != start+uintptr(offsets[p])*size:
-			t.Errorf("bucket %d is not its window of the shared array", p)
 		}
+		at += len(window)
 	}
-	if total != len(recs) || start == 0 {
-		t.Errorf("%d pairs emitted, want %d; shared array found: %v", total, len(recs), start != 0)
+	if at != len(recs) || s.Part(reducers) != nil {
+		t.Errorf("windows hold %d pairs, want %d; Part past the last is %v", at, len(recs), s.Part(reducers))
 	}
 }
 
+// TestPartitionedMatchesOracle holds a map task's shuffle output to a
+// bucket-per-partition oracle: window p holds exactly the emitted pairs
+// whose key hashes to p, in emit order — or, for a combining task, the
+// combiner's output over them, group by group in key order — whether
+// the kernel sized its output or not, with reducers outnumbering the
+// keys so some windows are empty.
+func TestPartitionedMatchesOracle(t *testing.T) {
+	key := data.MustParsePath("k")
+	// The combiner keeps a group's first record and drops groups of odd
+	// keys, so windows shrink, some to nothing.
+	evenFirst := func(rc *ReduceCtx, k data.Value, group []Pair) {
+		if k.Int()%2 == 0 {
+			rc.Emit(group[0].Rec)
+		}
+	}
+	for seed := range int64(6) {
+		rng := rand.New(rand.NewPCG(uint64(seed), 1))
+		recs := make([]data.Value, 300)
+		hs := make([]uint64, len(recs))
+		var sel []int32 // the records the kernel emits, in order
+		for i := range recs {
+			recs[i] = data.Object(data.Field{Name: "k", Value: data.Int(rng.Int64N(40))}, data.Field{Name: "i", Value: data.Int(int64(i))})
+			hs[i] = data.Hash64(key.Eval(recs[i]))
+			if rng.IntN(3) > 0 {
+				sel = append(sel, int32(i))
+			}
+		}
+		for _, reducers := range []int{1, 3, 8, 97} {
+			want := make([][]Pair, reducers)
+			for _, i := range sel {
+				p := hs[i] % uint64(reducers)
+				want[p] = append(want[p], Pair{Key: key.Eval(recs[i]), Tag: "L", Rec: recs[i]})
+			}
+			for _, tc := range []struct {
+				name           string
+				sized, combine bool
+			}{{"sized", true, false}, {"unsized", false, false}, {"sized+combined", true, true}, {"unsized+combined", false, true}} {
+				task := &MapTask{Recs: recs, NumReducers: reducers, Map: func(mc *MapCtx, d *batch.Data) {
+					if tc.sized {
+						mc.SizeParts(hs, sel)
+					}
+					for _, i := range sel {
+						mc.EmitKV(key.Eval(recs[i]), "L", recs[i])
+					}
+				}}
+				if tc.combine {
+					task.Combine = evenFirst
+				}
+				out, err := RunMapTask(task)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s := out.Shuffled
+				if s.NumParts() != reducers || s.Offs[0] != 0 || s.Offs[reducers] != len(s.Pairs) {
+					t.Fatalf("seed %d, %d reducers, %s: offsets %v over %d pairs", seed, reducers, tc.name, s.Offs, len(s.Pairs))
+				}
+				for p := range reducers {
+					expect := want[p]
+					if tc.combine {
+						expect = combineOracle(expect, evenFirst)
+					}
+					if got := pairStrings(s.Part(p)); !reflect.DeepEqual(got, pairStrings(expect)) {
+						t.Fatalf("seed %d, %d reducers, %s: window %d is\n  %v\nwant\n  %v", seed, reducers, tc.name, p, got, pairStrings(expect))
+					}
+				}
+			}
+		}
+	}
+}
+
+// combineOracle folds pairs as a combiner sees them: stably sorted by
+// data.Compare on the key, one call per run of equal keys.
+func combineOracle(pairs []Pair, combine ReduceFunc) []Pair {
+	pairs = slices.Clone(pairs)
+	slices.SortStableFunc(pairs, func(a, b Pair) int { return data.Compare(a.Key, b.Key) })
+	var out []Pair
+	for lo := 0; lo < len(pairs); {
+		hi := lo + 1
+		for hi < len(pairs) && data.Compare(pairs[hi].Key, pairs[lo].Key) == 0 {
+			hi++
+		}
+		rc := &ReduceCtx{}
+		combine(rc, pairs[lo].Key, pairs[lo:hi])
+		for _, rec := range rc.rows {
+			out = append(out, Pair{Key: pairs[lo].Key, Rec: rec})
+		}
+		lo = hi
+	}
+	return out
+}
+
+// pairStrings renders pairs for comparison.
+func pairStrings(pairs []Pair) []string {
+	out := make([]string, len(pairs))
+	for i, p := range pairs {
+		out[i] = p.Key.String() + " " + p.Tag + " " + p.Rec.String()
+	}
+	return out
+}
+
 // TestFinishedJobPoolsNoBuckets: neither the combiner nor Job.finish
-// hands a bucket to pairSlicePool — a window there would pin its whole
+// hands a window to pairSlices — a window there would pin its whole
 // task's array and be handed out as if it were a slice of its own. The
 // map kernel remembers every task's array; whatever the pool yields
 // after the job must lie outside all of them (the reduce tasks'
@@ -219,7 +305,7 @@ func TestFinishedJobPoolsNoBuckets(t *testing.T) {
 		f := writeTable(env, "t", "a", 600)
 		var mu sync.Mutex
 		type span struct{ lo, hi uintptr }
-		arrays := map[*MapCtx]span{} // each task's bucket array
+		arrays := map[*MapCtx]span{} // each task's shuffle array
 		res, err := Run(env, Spec{
 			Name: "pooled",
 			Inputs: []Input{{File: f, Map: func(mc *MapCtx, d *batch.Data) {
@@ -229,7 +315,7 @@ func TestFinishedJobPoolsNoBuckets(t *testing.T) {
 					hs[i], sel[i] = data.Hash64(grp.Eval(rec)), int32(i)
 				}
 				mc.SizeParts(hs, sel)
-				lo := reflect.ValueOf(mc.parts[0]).Pointer() // the first window starts the array
+				lo := reflect.ValueOf(mc.pairs).Pointer()
 				mu.Lock()
 				arrays[mc] = span{lo, lo + uintptr(len(recs))*size}
 				mu.Unlock()
@@ -250,7 +336,7 @@ func TestFinishedJobPoolsNoBuckets(t *testing.T) {
 			at := reflect.ValueOf(*pooled).Pointer()
 			for _, w := range arrays {
 				if at >= w.lo && at < w.hi {
-					t.Fatalf("combine=%v: pairSlices holds a slice inside a map task's bucket array", combine != nil)
+					t.Fatalf("combine=%v: pairSlices holds a slice inside a map task's shuffle array", combine != nil)
 				}
 			}
 		}

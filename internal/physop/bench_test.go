@@ -1,6 +1,7 @@
 package physop
 
 import (
+	"runtime/debug"
 	"sync/atomic"
 	"testing"
 
@@ -100,13 +101,16 @@ func BenchmarkBuildHashTable(b *testing.B) {
 // BenchmarkShuffle is one repartition job's shuffle as production runs
 // it: the repartition kernel over a cold 8,000-row input (fresh blocks,
 // so every split builds its image: wrapped rows, key columns, hashes),
-// partitioning into sized buckets, the reduce-side sort and an identity
-// reducer. It allocates per split, per bucket array and per output
-// block, not per pair. Run it with:
+// each map task's pairs written into its one array by partition, the
+// reduce-side sort and an identity reducer. It allocates per split, per
+// task array and per output block, not per pair. The collector is off:
+// a collection empties the row and pair pools mid-job, and the count
+// would follow GC timing. Run it with:
 //
 //	go test -run='^$' -bench=BenchmarkShuffle -benchtime=1x ./internal/physop
 func BenchmarkShuffle(b *testing.B) {
 	op := &OpSpec{Kind: Repartition, Left: &Source{Wrap: "l"}, LeftKeys: []data.Path{data.MustParsePath("l.grp")}}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()

@@ -449,15 +449,12 @@ func newPruner(live map[string]map[string]bool) func(data.Value) data.Value {
 }
 
 // The map kernels process a whole split at a time: a cached selection
-// vector (or one in-order pass of a per-row filter) replaces per-record
-// predicate evaluation, pre-wrapped row slabs replace per-record wrap
-// objects, and shuffle/probe keys are normalized, interned, and hashed
-// once per split instead of once per record per job (splits are
-// immutable, so the columnar image is cached with the split and shared
-// across pilot runs, re-executions, and repeated scans — see
-// internal/batch). Each emits exactly the records the record-at-a-time
-// oracle in this package's tests emits, in the same order, with the
-// same virtual sizes and the same float of UDF cost.
+// vector (or one in-order pass of a per-row filter), pre-wrapped row
+// slabs, and shuffle/probe keys normalized, interned and hashed once
+// per split, not per record per job (the image is cached with the
+// immutable split, see internal/batch). Each emits exactly the records
+// of the record-at-a-time oracle in this package's tests, in order,
+// with the same virtual sizes and the same float of UDF cost.
 
 // ScanImage returns the rows a map task of op selects its output from
 // when the task answers with positions: the split's records wrapped
@@ -496,10 +493,10 @@ func scanKernel(src source, prune func(data.Value) data.Value) mapreduce.MapFunc
 }
 
 // shuffleKernel is the repartition map: filter, wrap, and shuffle each
-// survivor, pruned, under its composite key over the wrapped row. Key
-// values, normalized encodings, and partition hashes come from the
-// split's cached key columns, so the per-record AppendNormKey/Hash64 of
-// EmitKV is paid once per split ever, not once per record per job.
+// survivor, pruned, under its composite key over the wrapped row. Keys,
+// their encodings and hashes come from the split's cached key columns,
+// and SizeParts counts the survivors, so each pair goes straight into
+// its partition's slot.
 func shuffleKernel(src source, keys []data.Path, tag string, prune func(data.Value) data.Value) mapreduce.MapFunc {
 	keySig := batch.KeySig(src.alias, keys)
 	return func(mc *mapreduce.MapCtx, d *batch.Data) {

@@ -80,8 +80,8 @@ func TestWorkerFramesDeclareTheirLength(t *testing.T) {
 	for i, rec := range paddedRecs(len(pairs)) {
 		pairs[i] = wire.KV{Key: data.Int(int64(i)), Tag: "L", Rec: rec}
 	}
-	w.retainShuffle("s1", [][]wire.KV{pairs}, 1)
-	w.retainShuffle("s2", [][]wire.KV{pairs[:10]}, 1)
+	w.retainShuffle("s1", partitioned(pairs), 1)
+	w.retainShuffle("s2", partitioned(pairs[:10]), 1)
 	ask := wire.EncodeShuffleRequest(0, []string{"s1", "s2"})
 	resp, err = http.Post(ts.URL+"/shuffle", wire.ContentTypeBinary, bytes.NewReader(ask.Bytes()))
 	ask.Close()

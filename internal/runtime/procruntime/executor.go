@@ -15,14 +15,11 @@ import (
 
 // executor adapts the mapreduce task seam to the fleet's wire
 // protocol: it resolves DFS blocks to spans of mirror files and
-// dispatches tasks.
-//
-// Shuffle map tasks retain their partitioned output on the producing
-// worker and return per-partition digests; reduce tasks carry a fetch
-// list instead of materialized pairs. The segments a reduce task could
-// not fetch are recovered by re-running their deterministic maps
-// through normal dispatch and inlining those segments, so correctness
-// never depends on a peer staying up.
+// dispatches tasks. A shuffle map task's output stays on its worker,
+// which answers per-partition digests; a reduce task carries a fetch
+// list. A segment it could not fetch is recovered by re-running its
+// deterministic map and inlining the segment, so correctness never
+// depends on a peer staying up.
 type executor struct {
 	f  *Fleet
 	fs *dfs.FS
@@ -40,10 +37,8 @@ var (
 func (e executor) RetireJob(jobName string) { e.f.RetireJob(jobName) }
 
 // peerOutput is the controller's handle to one map task's shuffle
-// output retained on the producing worker. recover re-materializes
-// the full output — a re-run of the deterministic map task with the
-// retain fields cleared, so the pairs come back — when the peer is
-// gone or has evicted the block.
+// output retained on its worker. When the peer is gone or has evicted
+// it, recover re-runs the map without a ShuffleID, so the pairs return.
 type peerOutput struct {
 	f     *Fleet
 	url   string     // producing worker (the dispatch winner)

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"dyno/internal/data"
@@ -125,10 +127,17 @@ func randomComment(rng *rand.Rand) string {
 // One op = one 16-block file mirrored: the file created, each block
 // encoded on the pooled encoder and written as it is encoded, the file
 // closed and (outside the mirror path, to keep the disk flat) removed.
+// From the warm-up op on, the collector is off and one P runs: a
+// collection empties the encoder pool, and a goroutine that moved to
+// another P misses the encoder its old P holds. Either way an op would
+// count the pooled encoder's regrowth, and the count would follow the
+// scheduler instead of the code.
 func BenchmarkMirrorFile(b *testing.B) {
 	blocks := mirrorBenchBlocks()
 	path := filepath.Join(b.TempDir(), "f000001.mir")
 	block := func(i int) []data.Value { return blocks[i] }
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // before the op that warms the pool
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	refs, err := writeMirror(path, len(blocks), block)
 	if err != nil {
 		b.Fatal(err)

@@ -333,6 +333,17 @@ func TestLostSegmentsCostOneRedispatch(t *testing.T) {
 	}
 }
 
+// partitioned lays segments out as a map task's shuffle output, one
+// partition each.
+func partitioned(segs ...[]wire.KV) mapreduce.Partitioned {
+	out := mapreduce.Partitioned{Offs: make([]int, 1, len(segs)+1)}
+	for _, seg := range segs {
+		out.Pairs = append(out.Pairs, seg...)
+		out.Offs = append(out.Offs, len(out.Pairs))
+	}
+	return out
+}
+
 // TestReduceAsksEachPeerOnce: the segments a reduce task needs from one
 // peer arrive in one request, and the task's input is assembled in
 // Fetches order with inline and local segments interleaved. A request
@@ -359,9 +370,9 @@ func TestReduceAsksEachPeerOnce(t *testing.T) {
 	gone := httptest.NewServer(http.NotFoundHandler())
 	gone.Close()
 	for _, id := range []string{"b1", "b2", "b3"} {
-		b.retainShuffle(id, [][]wire.KV{seg("p0", 1), seg(id, 3)}, 1)
+		b.retainShuffle(id, partitioned(seg("p0", 1), seg(id, 3)), 1)
 	}
-	a.retainShuffle("a1", [][]wire.KV{nil, seg("a1", 2)}, 1)
+	a.retainShuffle("a1", partitioned(nil, seg("a1", 2)), 1)
 	at := func(url, id string) wire.ShuffleRef { return wire.ShuffleRef{URL: url, ID: id, Part: 1} }
 	tags := func(pairs []wire.KV) (out []string) {
 		for _, kv := range pairs {
@@ -395,6 +406,83 @@ func TestReduceAsksEachPeerOnce(t *testing.T) {
 	}
 	if asks.Load() != 1 {
 		t.Errorf("%d requests to the peer that answered 404, want 1 (a 404 is not retried)", asks.Load())
+	}
+}
+
+// TestServedAndRecoveredSegmentsAreTheWindow: what a producer serves a
+// peer for partition p, and what a recovery re-run of its map sends back
+// through the controller, are the pairs of partition p's window of its
+// retained output, in order — for a kernel that sizes its output (the
+// repartition map), one that does not (the aggregate map) and one that
+// combines.
+func TestServedAndRecoveredSegmentsAreTheWindow(t *testing.T) {
+	const reducers = 5
+	w := NewWorker(expr.NewRegistry())
+	ts := httptest.NewServer(w.Handler())
+	t.Cleanup(ts.Close)
+	recs := make([]data.Value, 200)
+	for i := range recs {
+		recs[i] = data.Object(data.Field{Name: "k", Value: data.Int(int64(i * i % 17))}, data.Field{Name: "v", Value: data.Int(int64(i))})
+	}
+	block := mirrorBlocks(t, recs)[0]
+	combined := sumOp()
+	combined.Combine = true
+	ops := []*physop.OpSpec{
+		{Kind: physop.Repartition, Left: &physop.Source{Wrap: "t"}, LeftKeys: []data.Path{data.MustParsePath("t.k")}},
+		sumOp(), combined,
+	}
+	same := func(a, b []wire.KV) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if a[i].Tag != b[i].Tag || a[i].Key.String() != b[i].Key.String() || a[i].Rec.String() != b[i].Rec.String() {
+				return false
+			}
+		}
+		return true
+	}
+	for n, op := range ops {
+		id := fmt.Sprintf("s%d", n)
+		task := &wire.Task{Task: id + "-m0", Kind: "map", Op: op, Block: block, NumReducers: reducers, ShuffleID: id, ByteScale: 1}
+		if res := w.runTask(task); res.Err != "" || len(res.Parts) != reducers {
+			t.Fatalf("%s: %q, %d digests", op.Kind, res.Err, len(res.Parts))
+		}
+		plain := *task
+		plain.ShuffleID, plain.ByteScale = "", 0
+		frame := wire.EncodeResultBatch([]*wire.TaskResult{w.runTask(&plain)})
+		rerun, err := wire.DecodeResultBatch(frame.Bytes())
+		frame.Close()
+		if err != nil || len(rerun[0].Pairs) != reducers {
+			t.Fatalf("%s: recovery re-run: %v", op.Kind, err)
+		}
+		out, _ := w.shuffles.peek(id)
+		var total int
+		for p := range reducers {
+			window := out.Part(p)
+			total += len(window)
+			ask := wire.EncodeShuffleRequest(p, []string{id})
+			resp, err := http.Post(ts.URL+"/shuffle", wire.ContentTypeBinary, bytes.NewReader(ask.Bytes()))
+			ask.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			segs, err := wire.DecodeShuffleSegments(body)
+			if err != nil || len(segs) != 1 || !same(segs[0], window) {
+				t.Errorf("%s partition %d: served %v, want the window %v (%v)", op.Kind, p, segs, window, err)
+			}
+			if !same(rerun[0].Pairs[p], window) {
+				t.Errorf("%s partition %d: re-run sent %v, want the window %v", op.Kind, p, rerun[0].Pairs[p], window)
+			}
+		}
+		if total == 0 || total != len(out.Pairs) {
+			t.Errorf("%s: windows hold %d of %d pairs", op.Kind, total, len(out.Pairs))
+		}
 	}
 }
 

@@ -173,7 +173,7 @@ type Worker struct {
 
 	blocks   *onceCache[wire.BlockRef, *blockEntry]     // bounded by on-disk bytes
 	tables   *onceCache[tableKey, *mapreduce.HashTable] // bounded by entry count
-	shuffles *onceCache[string, [][]wire.KV]            // retained map outputs by shuffle id, bounded by encoded bytes
+	shuffles *onceCache[string, mapreduce.Partitioned]  // retained map outputs by shuffle id, bounded by encoded bytes
 
 	mu          sync.Mutex
 	draining    bool
@@ -196,7 +196,7 @@ func NewWorker(reg *expr.Registry) *Worker {
 		}},
 		blocks:   newOnceCache[wire.BlockRef, *blockEntry](blockCacheBytes),
 		tables:   newOnceCache[tableKey, *mapreduce.HashTable](tableCacheEntries),
-		shuffles: newOnceCache[string, [][]wire.KV](shuffleCacheBytes),
+		shuffles: newOnceCache[string, mapreduce.Partitioned](shuffleCacheBytes),
 	}
 }
 
@@ -328,12 +328,10 @@ func (w *Worker) handleTaskBatch(rw http.ResponseWriter, r *http.Request) {
 	rw.Write(frame.Bytes())
 }
 
-// runTask executes one task; operator and decode errors come back in
-// the result body (deterministic failures the controller must not
-// retry), transport-level errors never originate here. A panicking
-// operator is such a failure too: it would panic identically on every
-// worker, so it must not surface as a dropped connection that is
-// retried elsewhere and strikes each worker toward the blacklist.
+// runTask executes one task. Operator and decode errors, panics
+// included, come back in the result body: deterministic failures the
+// controller must not retry elsewhere, striking each worker toward the
+// blacklist. Transport-level errors never originate here.
 func (w *Worker) runTask(task *wire.Task) (res *wire.TaskResult) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -359,7 +357,7 @@ func (w *Worker) runTask(task *wire.Task) (res *wire.TaskResult) {
 }
 
 // runMap compiles the task's operator against the block's first
-// record and runs the engine's own map task body over the block.
+// record and runs the engine's map task body over the block.
 func (w *Worker) runMap(task *wire.Task) (*wire.TaskResult, error) {
 	blk, err := w.block(task.Block)
 	if err != nil {
@@ -384,8 +382,7 @@ func (w *Worker) runMap(task *wire.Task) (*wire.TaskResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	// A shuffle op — one with a reducer — is sent with its reducer
-	// count, and runs its combiner when it has one.
+	// A shuffle op (one with a reducer) comes with its reducer count.
 	if (k.Reduce != nil) != (task.NumReducers > 0) {
 		return nil, fmt.Errorf("%s op with %d reducers", task.Op.Kind, task.NumReducers)
 	}
@@ -400,25 +397,27 @@ func (w *Worker) runMap(task *wire.Task) (*wire.TaskResult, error) {
 	case task.NumReducers == 0:
 		res.Rows, res.Sel = out.Rows, out.Sel
 	case task.ShuffleID != "":
-		res.Parts = w.retainShuffle(task.ShuffleID, out.Parts, task.ByteScale)
+		res.Parts = w.retainShuffle(task.ShuffleID, out.Shuffled, task.ByteScale)
 	default:
 		// The recovery re-run of a lost output: the pairs go back to the
 		// controller, which inlines the missing segment.
-		res.Pairs = out.Parts
+		res.Pairs = make([][]wire.KV, out.Shuffled.NumParts())
+		for p := range res.Pairs {
+			res.Pairs[p] = out.Shuffled.Part(p)
+		}
 	}
 	return res, nil
 }
 
-// retainShuffle registers a map task's partitioned output in the
-// shuffle registry and returns the per-partition digests the
-// controller accounts with. The virtual size replicates the
-// controller's per-record arithmetic exactly — int64 conversion per
-// record, then int64 summation — so proc and sim runs charge identical
-// virtual bytes.
-func (w *Worker) retainShuffle(id string, parts [][]wire.KV, scale float64) []wire.ShufflePart {
-	digests := make([]wire.ShufflePart, len(parts))
+// retainShuffle registers a map task's output in the shuffle registry
+// and returns its digest per partition, the virtual bytes summed with
+// the controller's per-record arithmetic (an int64 per record) so proc
+// and sim runs charge identical bytes.
+func (w *Worker) retainShuffle(id string, out mapreduce.Partitioned, scale float64) []wire.ShufflePart {
+	digests := make([]wire.ShufflePart, out.NumParts())
 	var raw int64
-	for p, pairs := range parts {
+	for p := range digests {
+		pairs := out.Part(p)
 		var vb int64
 		for _, kv := range pairs {
 			vb += int64(float64(kv.Rec.EncodedSize()+1) * scale)
@@ -428,22 +427,23 @@ func (w *Worker) retainShuffle(id string, parts [][]wire.KV, scale float64) []wi
 	}
 	// A hedged duplicate or re-run of a deterministic map finds the id
 	// taken: its output is byte-identical, so the first copy serves.
-	w.shuffles.get(id, func() ([][]wire.KV, int64, error) { return parts, raw, nil })
+	w.shuffles.get(id, func() (mapreduce.Partitioned, int64, error) { return out, raw, nil })
 	return digests
 }
 
+// shuffleLookup is partition part's window of a retained output.
 func (w *Worker) shuffleLookup(id string, part int) ([]wire.KV, bool) {
-	parts, ok := w.shuffles.peek(id)
-	if !ok || part < 0 || part >= len(parts) {
+	out, ok := w.shuffles.peek(id)
+	if !ok || part < 0 || part >= out.NumParts() {
 		return nil, false
 	}
-	return parts[part], true
+	return out.Part(part), true
 }
 
 // fetchShuffle fills segs[i] for every Fetches index i in idx, all held
 // by one producer, in one request, retrying one transport failure. It
-// returns the indices it could not fill: those a 404 names (not
-// retried: the peer is up but evicted them), else all of idx.
+// returns those it could not fill: the ones a 404 names (the peer is up
+// but evicted them, not retried), else all of idx.
 func (w *Worker) fetchShuffle(task *wire.Task, idx []int, segs [][]wire.KV, res *wire.TaskResult) (lost []int, err error) {
 	ids := make([]string, len(idx))
 	for j, i := range idx {
@@ -514,10 +514,9 @@ func (w *Worker) runReduce(task *wire.Task) (*wire.TaskResult, error) {
 }
 
 // gather assembles a reduce task's input in Fetches order into one
-// exactly-sized slice: inline pairs, the local registry, and one request
-// per producing peer. If any segment could not be fetched it returns a
-// PeerFetchErr naming every such segment instead, so the controller
-// recovers them all before it dispatches again.
+// exactly-sized slice: inline pairs, local windows and one request per
+// producing peer — or a PeerFetchErr naming every segment it could not
+// fetch, for the controller to recover before it dispatches again.
 func (w *Worker) gather(task *wire.Task, res *wire.TaskResult) (pairs []wire.KV, lost string) {
 	segs := make([][]wire.KV, len(task.Fetches))
 	var peers []string

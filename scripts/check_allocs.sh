@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Benchmark allocation guard: runs the hot-path benchmarks with
 # -benchmem and fails if any allocs/op exceeds its committed ceiling in
-# BENCH_allocs_baseline.txt. ns/op is too noisy for shared CI runners;
-# allocs/op is deterministic enough to gate on, and it is exactly what
-# the compiled fast path exists to keep low.
+# BENCH_allocs_baseline.txt, or B/op its optional second ceiling (a
+# third column). ns/op is too noisy for shared CI runners; allocs/op is
+# deterministic enough to gate on, and it is exactly what the compiled
+# fast path exists to keep low.
 #
 # Usage: scripts/check_allocs.sh [output-file]
 set -euo pipefail
@@ -18,10 +19,12 @@ out="${1:-bench_allocs.txt}"
 # signal and keeps the smoke fast.
 go test -run='^$' -bench='^(BenchmarkHash64|BenchmarkAccessorEval|BenchmarkNormKeyEncode)$' \
     -benchtime=100x -benchmem ./internal/data | tee -a "$out"
+# The shuffle sort's one allocation is its permutation; at one op a
+# stray runtime allocation read as a second.
 go test -run='^$' -bench='^BenchmarkSortPairsByKey$' \
-    -benchtime=1x -benchmem ./internal/mapreduce | tee -a "$out"
+    -benchtime=100x -benchmem ./internal/mapreduce | tee -a "$out"
 # One cold repartition job through the repartition kernel: allocates per
-# split, per bucket array and per output block, not per pair.
+# split, per task's pair array and per output block, not per pair.
 go test -run='^$' -bench='^BenchmarkShuffle$' \
     -benchtime=1x -benchmem ./internal/physop | tee -a "$out"
 # A job's finish (Q7's widest: 1,350 partials x 56 rows x 2 columns plus
@@ -58,24 +61,32 @@ go test -run='^$' -bench='^(BenchmarkOptimizeChain12|BenchmarkOptimizeStar10)$' 
 go test -run='^$' -bench='^(BenchmarkBatchFilterProject|BenchmarkBatchHashProbe|BenchmarkIntern)$' \
     -benchtime=100x -benchmem . | tee -a "$out"
 
-# Extract "name allocs" pairs (the GOMAXPROCS suffix varies by runner).
+# Extract "name allocs bytes" triples (the GOMAXPROCS suffix varies by
+# runner).
 measured=$(awk '/allocs\/op/ {
     name = $1; sub(/-[0-9]+$/, "", name)
-    for (i = 1; i <= NF; i++) if ($i == "allocs/op") print name, $(i-1)
+    for (i = 1; i <= NF; i++) {
+        if ($i == "allocs/op") allocs = $(i-1)
+        if ($i == "B/op") bytes = $(i-1)
+    }
+    print name, allocs, bytes
 }' "$out")
 
 fail=0
-while read -r name ceiling; do
+while read -r name ceiling bceiling; do
     [[ "$name" =~ ^#.*$ || -z "$name" ]] && continue
-    got=$(awk -v n="$name" '$1 == n { print $2 }' <<<"$measured")
+    read -r got gotb < <(awk -v n="$name" '$1 == n { print $2, $3 }' <<<"$measured")
     if [[ -z "$got" ]]; then
         echo "check_allocs: $name: no measurement (benchmark renamed or removed?)" >&2
         fail=1
     elif (( got > ceiling )); then
         echo "check_allocs: $name: $got allocs/op exceeds ceiling $ceiling" >&2
         fail=1
+    elif [[ -n "$bceiling" ]] && (( gotb > bceiling )); then
+        echo "check_allocs: $name: $gotb B/op exceeds ceiling $bceiling" >&2
+        fail=1
     else
-        echo "check_allocs: $name: $got allocs/op (ceiling $ceiling) ok"
+        echo "check_allocs: $name: $got allocs/op (ceiling $ceiling)${bceiling:+, $gotb B/op (ceiling $bceiling)} ok"
     fi
 done <"$baseline"
 
