@@ -20,7 +20,6 @@ import (
 	"dyno/internal/cluster"
 	"dyno/internal/core"
 	"dyno/internal/expr"
-	"dyno/internal/hive"
 	"dyno/internal/jaql"
 	"dyno/internal/optimizer"
 	"dyno/internal/runtime"
@@ -105,11 +104,8 @@ func main() {
 	tpch.RegisterUDFs(reg, tpch.DefaultUDFParams())
 	env := rt.NewEnv(reg)
 	env.UseCombiner = *combiner
+	env.DistributedCache = *hiveMode
 	optCfg := optimizer.DefaultConfig(float64(ccfg.SlotMemory))
-	if *hiveMode {
-		hive.Configure(env)
-		optCfg.DCacheWorkers = ccfg.Workers
-	}
 
 	if *showJobs {
 		ready := map[string]float64{}

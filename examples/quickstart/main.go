@@ -9,7 +9,6 @@ import (
 	"log"
 
 	"dyno/internal/cluster"
-	"dyno/internal/coord"
 	"dyno/internal/core"
 	"dyno/internal/data"
 	"dyno/internal/dfs"
@@ -25,10 +24,9 @@ func main() {
 	ccfg := cluster.DefaultConfig()
 	fs := dfs.New()
 	env := &mapreduce.Env{
-		FS:    fs,
-		Sim:   cluster.New(ccfg),
-		Coord: coord.NewService(),
-		Reg:   expr.NewRegistry(),
+		FS:  fs,
+		Sim: cluster.New(ccfg),
+		Reg: expr.NewRegistry(),
 	}
 
 	// 2. Two base tables: users and their clicks.

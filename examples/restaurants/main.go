@@ -15,7 +15,6 @@ import (
 
 	"dyno/internal/baselines"
 	"dyno/internal/cluster"
-	"dyno/internal/coord"
 	"dyno/internal/core"
 	"dyno/internal/data"
 	"dyno/internal/dfs"
@@ -38,10 +37,9 @@ func main() {
 	ccfg := cluster.DefaultConfig()
 	fs := dfs.New()
 	env := &mapreduce.Env{
-		FS:    fs,
-		Sim:   cluster.New(ccfg),
-		Coord: coord.NewService(),
-		Reg:   expr.NewRegistry(),
+		FS:  fs,
+		Sim: cluster.New(ccfg),
+		Reg: expr.NewRegistry(),
 	}
 	registerUDFs(env.Reg)
 	cat := buildTables(fs)

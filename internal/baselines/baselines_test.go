@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"dyno/internal/cluster"
-	"dyno/internal/coord"
 	"dyno/internal/core"
 	"dyno/internal/data"
 	"dyno/internal/dfs"
@@ -84,10 +83,9 @@ func tinyEnvWith(t *testing.T, sf float64, mut func(*cluster.Config)) (*mapreduc
 		mut(&cfg)
 	}
 	env := &mapreduce.Env{
-		FS:    dfs.New(),
-		Sim:   cluster.New(cfg),
-		Coord: coord.NewService(),
-		Reg:   expr.NewRegistry(),
+		FS:  dfs.New(),
+		Sim: cluster.New(cfg),
+		Reg: expr.NewRegistry(),
 	}
 	cat, err := tpch.Generate(env.FS, tpch.Config{SF: sf, Scale: 0.25, Seed: 5})
 	if err != nil {

@@ -72,10 +72,10 @@ type Options struct {
 	// catalog-level statistics instead).
 	PrepareStats func(block *plan.JoinBlock) error
 	// Tag prefixes the engine's query names — and therefore every job
-	// name, coordinator counter, and tmp/pilot DFS path derived from
-	// them. A query service gives each session a unique tag so
-	// concurrent engines sharing one cluster, DFS, and coordination
-	// service never collide. Empty keeps the legacy q1, q2, ... names.
+	// name and tmp/pilot DFS path derived from them. A query service
+	// gives each session a unique tag so concurrent engines sharing one
+	// cluster and DFS never collide. Empty keeps the legacy q1, q2, ...
+	// names.
 	Tag string
 }
 
@@ -125,7 +125,14 @@ type Engine struct {
 }
 
 // NewEngine wires an engine over the given environment and catalog.
+// The optimizer prices broadcasts the way the environment loads them:
+// once per worker under env.DistributedCache (the Hive profile), once
+// per task otherwise.
 func NewEngine(env *mapreduce.Env, cat *jaql.Catalog, opt optimizer.Config, opts Options) *Engine {
+	opt.DCacheWorkers = 0
+	if env.DistributedCache {
+		opt.DCacheWorkers = env.ClusterConfig().Workers
+	}
 	if opts.Strategy == nil {
 		opts.Strategy = Uncertain{N: 1}
 	}

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"dyno/internal/cluster"
-	"dyno/internal/coord"
 	"dyno/internal/data"
 	"dyno/internal/dfs"
 	"dyno/internal/expr"
@@ -48,10 +47,9 @@ func newFixtureWith(mut func(*cluster.Config)) *fixture {
 		mut(&cfg)
 	}
 	env := &mapreduce.Env{
-		FS:    dfs.New(dfs.WithBlockSize(700)),
-		Sim:   cluster.New(cfg),
-		Coord: coord.NewService(),
-		Reg:   expr.NewRegistry(),
+		FS:  dfs.New(dfs.WithBlockSize(700)),
+		Sim: cluster.New(cfg),
+		Reg: expr.NewRegistry(),
 	}
 	env.Reg.Register(expr.UDF{
 		Name:    "sentpositive",
@@ -111,6 +109,24 @@ func newFixtureWith(mut func(*cluster.Config)) *fixture {
 func (f *fixture) engine(opts Options) *Engine {
 	cfg := optimizer.DefaultConfig(float64(f.env.Sim.Config().SlotMemory))
 	return NewEngine(f.env, f.cat, cfg, opts)
+}
+
+// TestDistributedCacheSetsDCacheWorkers: the Hive profile is one
+// environment switch. The engine prices broadcast builds once per
+// worker when the environment loads them once per node, and once per
+// task otherwise.
+func TestDistributedCacheSetsDCacheWorkers(t *testing.T) {
+	for _, dc := range []bool{false, true} {
+		f := newFixture()
+		f.env.DistributedCache = dc
+		want := 0
+		if dc {
+			want = f.env.ClusterConfig().Workers
+		}
+		if got := f.engine(smallOpts()).Opt.DCacheWorkers; got != want {
+			t.Errorf("DistributedCache=%v: DCacheWorkers = %d, want %d", dc, got, want)
+		}
+	}
 }
 
 func smallOpts() Options {

@@ -84,7 +84,7 @@ func ablationStatsReuse(cfg Config) (*Table, error) {
 	env := l.newEnv(false, cfg)
 	opts := experimentOptions()
 	opts.ReuseStats = true
-	eng, err := baselines.NewEngine(baselines.VariantDynOpt, env, l.cat, optCfgFor(env, false), opts)
+	eng, err := baselines.NewEngine(baselines.VariantDynOpt, env, l.cat, optCfgFor(env), opts)
 	if err != nil {
 		return nil, err
 	}
@@ -239,7 +239,7 @@ func ablationScheduler(cfg Config) (*Table, error) {
 		env.Sim = cluster.New(ccfg)
 		opts := experimentOptions()
 		opts.Strategy = core.Uncertain{N: 2}
-		eng, err := baselines.NewEngine(baselines.VariantDynOpt, env, l.cat, optCfgFor(env, false), opts)
+		eng, err := baselines.NewEngine(baselines.VariantDynOpt, env, l.cat, optCfgFor(env), opts)
 		if err != nil {
 			return nil, err
 		}

@@ -12,7 +12,6 @@ import (
 
 	"dyno/internal/baselines"
 	"dyno/internal/cluster"
-	"dyno/internal/coord"
 	"dyno/internal/core"
 	"dyno/internal/dfs"
 	"dyno/internal/expr"
@@ -115,14 +114,12 @@ func (c Config) clusterConfig() cluster.Config {
 func (l *lab) newEnv(hiveProfile bool, cfg Config) *mapreduce.Env {
 	reg := expr.NewRegistry()
 	tpch.RegisterUDFs(reg, cfg.UDF)
-	env := &mapreduce.Env{
-		FS:    l.fs,
-		Sim:   cluster.New(cfg.clusterConfig()),
-		Coord: coord.NewService(),
-		Reg:   reg,
+	return &mapreduce.Env{
+		FS:               l.fs,
+		Sim:              cluster.New(cfg.clusterConfig()),
+		Reg:              reg,
+		DistributedCache: hiveProfile,
 	}
-	env.DistributedCache = hiveProfile
-	return env
 }
 
 // measurement captures one query execution.
@@ -138,12 +135,8 @@ func runVariant(v baselines.Variant, sf float64, cfg Config, query string,
 }
 
 // optCfgFor derives the optimizer configuration for an environment.
-func optCfgFor(env *mapreduce.Env, hiveProfile bool) optimizer.Config {
-	optCfg := optimizer.DefaultConfig(float64(env.Sim.Config().SlotMemory))
-	if hiveProfile {
-		optCfg.DCacheWorkers = env.Sim.Config().Workers
-	}
-	return optCfg
+func optCfgFor(env *mapreduce.Env) optimizer.Config {
+	return optimizer.DefaultConfig(float64(env.Sim.Config().SlotMemory))
 }
 
 // runVariantFull additionally lets callers tweak the optimizer
@@ -159,7 +152,7 @@ func runVariantFull(v baselines.Variant, sf float64, cfg Config, query string,
 	if tweak != nil {
 		tweak(&opts)
 	}
-	optCfg := optCfgFor(env, hiveProfile)
+	optCfg := optCfgFor(env)
 	if optTweak != nil {
 		optTweak(&optCfg)
 	}

@@ -13,7 +13,6 @@ import (
 
 	"dyno/internal/baselines"
 	"dyno/internal/cluster"
-	"dyno/internal/coord"
 	"dyno/internal/core"
 	"dyno/internal/expr"
 	"dyno/internal/jaql"
@@ -125,8 +124,7 @@ func goldenArms(t *testing.T) []goldenArm {
 
 	// The proc arm: one fleet of two in-process workers (the handler
 	// cmd/dynoworker serves) and one generated dataset shared by every
-	// case; each case gets a fresh simulator clock and coordination
-	// service, like the sim arm.
+	// case; each case gets a fresh simulator clock, like the sim arm.
 	fleet, err := procruntime.NewFleet(procruntime.Config{StaleAfter: time.Hour})
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +154,6 @@ func goldenArms(t *testing.T) []goldenArm {
 		ccfg := cfg.clusterConfig()
 		ccfg.Parallelism = 16
 		env.Sim = cluster.New(ccfg)
-		env.Coord = coord.NewService()
 		return env, procCat
 	}}
 
@@ -178,7 +175,7 @@ func runGoldenCase(t *testing.T, c goldenCase, arm goldenArm) *goldenRecord {
 	if c.tweak != nil {
 		c.tweak(&opts)
 	}
-	eng, err := baselines.NewEngine(c.variant, env, cat, optCfgFor(env, false), opts)
+	eng, err := baselines.NewEngine(c.variant, env, cat, optCfgFor(env), opts)
 	if err != nil {
 		t.Fatalf("%s/%s: %v", c.name, arm.name, err)
 	}

@@ -27,7 +27,7 @@ func runWithParallelism(t *testing.T, cfg Config, query string, parallelism int,
 	if tweak != nil {
 		tweak(&opts)
 	}
-	eng, err := baselines.NewEngine(baselines.VariantDynOpt, env, l.cat, optCfgFor(env, false), opts)
+	eng, err := baselines.NewEngine(baselines.VariantDynOpt, env, l.cat, optCfgFor(env), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"dyno/internal/cluster"
-	"dyno/internal/coord"
 	"dyno/internal/data"
 	"dyno/internal/dfs"
 	"dyno/internal/expr"
@@ -32,10 +31,9 @@ func testEnv() *mapreduce.Env {
 		Parallelism:          4,
 	}
 	return &mapreduce.Env{
-		FS:    dfs.New(dfs.WithBlockSize(800)),
-		Sim:   cluster.New(cfg),
-		Coord: coord.NewService(),
-		Reg:   expr.NewRegistry(),
+		FS:  dfs.New(dfs.WithBlockSize(800)),
+		Sim: cluster.New(cfg),
+		Reg: expr.NewRegistry(),
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"dyno/internal/cluster"
-	"dyno/internal/coord"
 	"dyno/internal/data"
 	"dyno/internal/dfs"
 	"dyno/internal/expr"
@@ -25,10 +24,9 @@ func benchEnv() *Env {
 		Parallelism:          4,
 	}
 	return &Env{
-		FS:    dfs.New(dfs.WithBlockSize(16 << 10)),
-		Sim:   cluster.New(cfg),
-		Coord: coord.NewService(),
-		Reg:   expr.NewRegistry(),
+		FS:  dfs.New(dfs.WithBlockSize(16 << 10)),
+		Sim: cluster.New(cfg),
+		Reg: expr.NewRegistry(),
 	}
 }
 

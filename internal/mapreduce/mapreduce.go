@@ -20,7 +20,6 @@ import (
 	"sync/atomic"
 
 	"dyno/internal/cluster"
-	"dyno/internal/coord"
 	"dyno/internal/data"
 	"dyno/internal/dfs"
 	"dyno/internal/expr"
@@ -61,10 +60,9 @@ type Gate interface {
 
 // Env bundles the shared services a job runs against.
 type Env struct {
-	FS    *dfs.FS
-	Sim   *cluster.Sim
-	Coord *coord.Service
-	Reg   *expr.Registry
+	FS  *dfs.FS
+	Sim *cluster.Sim
+	Reg *expr.Registry
 	// Gate, when non-nil, mediates all simulator access for this
 	// environment (shared-cluster mode); nil means Sim itself. Use the
 	// Env methods submitJob, Now, Advance, and RunUntil instead of
@@ -349,8 +347,8 @@ type Job struct {
 	reduceStates []*reduceTaskState
 	mapsDone     int
 	splitsTotal  int
-	reserve      [][]int // remaining on-demand splits per input
-	counterName  string
+	reserve      [][]int      // remaining on-demand splits per input
+	emitted      atomic.Int64 // records the map tasks emitted, for early termination
 	buildErr     error
 	prepLatency  float64
 	prepCharged  bool
@@ -362,7 +360,7 @@ type Job struct {
 
 // newJob validates a spec and returns a job ready to submit.
 func newJob(env *Env, spec Spec) (*Job, error) {
-	if env == nil || env.FS == nil || env.Sim == nil || env.Coord == nil {
+	if env == nil || env.FS == nil || env.Sim == nil {
 		return nil, errors.New("mapreduce: incomplete environment")
 	}
 	if spec.Name == "" {
@@ -382,7 +380,7 @@ func newJob(env *Env, spec Spec) (*Job, error) {
 			return nil, errors.New("mapreduce: broadcast " + b.Name + " has no build kernel (physop.BindBuild)")
 		}
 	}
-	j := &Job{env: env, spec: spec, counterName: "job/" + spec.Name + "/out", par: env.Sim.Parallel}
+	j := &Job{env: env, spec: spec, par: env.Sim.Parallel}
 	j.numReducers = spec.NumReducers
 	if j.numReducers <= 0 {
 		var in int64
@@ -536,9 +534,7 @@ func (j *Job) newTask(kind cluster.TaskKind, name string, loop func() (cluster.U
 		if t.Work == nil {
 			work()
 		}
-		if emitted > 0 {
-			j.env.Coord.Add(j.counterName, emitted)
-		}
+		j.emitted.Add(emitted)
 		return u, err
 	}
 	return t
@@ -648,7 +644,7 @@ func (j *Job) TaskDone(sub *cluster.Submission, t *cluster.Task) []*cluster.Task
 	j.mapsDone++
 	// Pilot-run early termination, unless the job is close enough to
 	// completion to finish: its output is then reusable for the query.
-	if j.spec.StopAfter > 0 && j.env.Coord.Get(j.counterName) >= j.spec.StopAfter {
+	if j.spec.StopAfter > 0 && j.emitted.Load() >= j.spec.StopAfter {
 		frac := float64(j.mapsDone) / float64(max(j.splitsTotal, 1))
 		if j.spec.FinishIfFractionDone <= 0 || frac < j.spec.FinishIfFractionDone {
 			sub.CancelPending()
@@ -657,7 +653,7 @@ func (j *Job) TaskDone(sub *cluster.Submission, t *cluster.Task) []*cluster.Task
 	if sub.Pending() == 0 && sub.Running() == 0 {
 		// Map phase drained: add reserve splits if the sample target is
 		// unmet, otherwise move to the reduce phase or finish.
-		if j.spec.StopAfter > 0 && j.env.Coord.Get(j.counterName) < j.spec.StopAfter {
+		if j.spec.StopAfter > 0 && j.emitted.Load() < j.spec.StopAfter {
 			if more := j.takeReserve(); len(more) > 0 {
 				return more
 			}
@@ -676,7 +672,7 @@ func (j *Job) TaskDone(sub *cluster.Submission, t *cluster.Task) []*cluster.Task
 // plus 25%, so a selective filter converges in one or two more waves.
 func (j *Job) takeReserve() []*cluster.Task {
 	batch := max(j.mapsDone, 1)
-	if emitted := j.env.Coord.Get(j.counterName); emitted > 0 && j.mapsDone > 0 {
+	if emitted := j.emitted.Load(); emitted > 0 && j.mapsDone > 0 {
 		rate := float64(emitted) / float64(j.mapsDone)
 		missing := float64(j.spec.StopAfter) - float64(emitted)
 		if missing > 0 && rate > 0 {
@@ -812,10 +808,9 @@ func (j *Job) finish(sub *cluster.Submission) {
 }
 
 // retire releases what the job holds outside itself once its submission
-// completes, failed or canceled too: the shared output counter, and
-// the shuffle output a retaining executor keeps on workers.
+// completes, failed or canceled too: the shuffle output a retaining
+// executor keeps on workers.
 func (j *Job) retire(*cluster.Submission) {
-	j.env.Coord.Reset(j.counterName)
 	if r, ok := j.env.Exec.(JobRetirer); ok {
 		r.RetireJob(j.spec.Name)
 	}

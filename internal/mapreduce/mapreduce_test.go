@@ -7,7 +7,6 @@ import (
 
 	"dyno/internal/batch"
 	"dyno/internal/cluster"
-	"dyno/internal/coord"
 	"dyno/internal/data"
 	"dyno/internal/dfs"
 	"dyno/internal/expr"
@@ -32,10 +31,9 @@ func testEnv(t *testing.T) *Env {
 		Parallelism:          4,
 	}
 	return &Env{
-		FS:    dfs.New(dfs.WithBlockSize(600)),
-		Sim:   cluster.New(cfg),
-		Coord: coord.NewService(),
-		Reg:   expr.NewRegistry(),
+		FS:  dfs.New(dfs.WithBlockSize(600)),
+		Sim: cluster.New(cfg),
+		Reg: expr.NewRegistry(),
 	}
 }
 
@@ -305,6 +303,43 @@ func TestPilotEarlyTermination(t *testing.T) {
 	}
 	if res.WholeInput {
 		t.Error("WholeInput should be false")
+	}
+}
+
+// TestSameNamePilotsCountApart: a pilot's output counter is its job's,
+// not its name's. Two pilots named alike on one environment each stop
+// where they stop alone; one's completion does not reset the other's
+// count, and neither counts the other's records.
+func TestSameNamePilotsCountApart(t *testing.T) {
+	pilot := func(f *dfs.File, output string) Spec {
+		return Spec{Name: "p", Inputs: []Input{{File: f, Map: identityMap}}, Output: output, StopAfter: 40}
+	}
+	alone := testEnv(t)
+	want, err := Run(alone, pilot(writeTable(alone, "t", "a", 2000), "sample"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := testEnv(t)
+	f := writeTable(env, "t", "a", 2000)
+	var jobs [2]*Job
+	for i := range jobs {
+		jobs[i], _, err = Submit(env, pilot(f, fmt.Sprintf("sample%d", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := env.Sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i, j := range jobs {
+		got, err := j.Result()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.SplitsRun != want.SplitsRun || got.OutRecords != want.OutRecords {
+			t.Errorf("pilot %d beside its namesake: %d splits / %d rows, alone: %d / %d",
+				i, got.SplitsRun, got.OutRecords, want.SplitsRun, want.OutRecords)
+		}
 	}
 }
 

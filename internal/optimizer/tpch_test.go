@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"dyno/internal/cluster"
-	"dyno/internal/coord"
 	"dyno/internal/core"
 	"dyno/internal/data"
 	"dyno/internal/dfs"
@@ -41,7 +40,7 @@ func TestIncrementalTPCHByteIdentical(t *testing.T) {
 		t.Helper()
 		reg := expr.NewRegistry()
 		tpch.RegisterUDFs(reg, udf)
-		env := &mapreduce.Env{FS: fs, Sim: cluster.New(ccfg), Coord: coord.NewService(), Reg: reg}
+		env := &mapreduce.Env{FS: fs, Sim: cluster.New(ccfg), Reg: reg}
 		opts := core.DefaultOptions()
 		opts.K = 256
 		opts.KMVSize = 512

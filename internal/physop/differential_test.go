@@ -11,7 +11,6 @@ import (
 
 	"dyno/internal/batch"
 	"dyno/internal/cluster"
-	"dyno/internal/coord"
 	"dyno/internal/data"
 	"dyno/internal/dfs"
 	"dyno/internal/expr"
@@ -45,10 +44,9 @@ func testEnv() *mapreduce.Env {
 	reg := expr.NewRegistry()
 	registerUDFs(reg)
 	return &mapreduce.Env{
-		FS:    dfs.New(dfs.WithBlockSize(16 << 10)),
-		Sim:   cluster.New(cfg),
-		Coord: coord.NewService(),
-		Reg:   reg,
+		FS:  dfs.New(dfs.WithBlockSize(16 << 10)),
+		Sim: cluster.New(cfg),
+		Reg: reg,
 	}
 }
 

@@ -561,9 +561,6 @@ func TestCanceledJobIsRetired(t *testing.T) {
 		t.Errorf("fleet still tracks shuffle ids of %d job(s) after the cancel", left)
 	}
 	waitFor(t, "the workers to drop the canceled job's map outputs", func() bool { return retained() == 0 })
-	if names := rt.Coord().CounterNames(); len(names) != 0 {
-		t.Errorf("coordination service still holds %v", names)
-	}
 }
 
 // TestRetirementDropsDeadBlocksFromWorkers: every pass maps a temp

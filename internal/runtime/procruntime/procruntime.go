@@ -2,7 +2,6 @@ package procruntime
 
 import (
 	"dyno/internal/cluster"
-	"dyno/internal/coord"
 	"dyno/internal/dfs"
 	"dyno/internal/expr"
 	"dyno/internal/mapreduce"
@@ -20,7 +19,6 @@ type Runtime struct {
 	fleet *Fleet
 	fs    *dfs.FS
 	sim   *cluster.Sim
-	coord *coord.Service
 	waves *waveRunner
 }
 
@@ -33,7 +31,6 @@ func New(fleet *Fleet, ccfg cluster.Config) *Runtime {
 		fleet: fleet,
 		fs:    dfs.New(),
 		sim:   cluster.New(ccfg),
-		coord: coord.NewService(),
 		waves: &waveRunner{f: fleet},
 	}
 	r.sim.SetWaveRunner(r.waves.run)
@@ -49,18 +46,14 @@ func (r *Runtime) FS() *dfs.FS { return r.fs }
 // Sim implements runtime.Runtime.
 func (r *Runtime) Sim() *cluster.Sim { return r.sim }
 
-// Coord implements runtime.Runtime.
-func (r *Runtime) Coord() *coord.Service { return r.coord }
-
 // NewEnv implements runtime.Runtime: the environment delegates task
 // bodies to the fleet.
 func (r *Runtime) NewEnv(reg *expr.Registry) *mapreduce.Env {
 	return &mapreduce.Env{
-		FS:    r.fs,
-		Sim:   r.sim,
-		Coord: r.coord,
-		Reg:   reg,
-		Exec:  executor{f: r.fleet, fs: r.fs, waves: r.waves},
+		FS:   r.fs,
+		Sim:  r.sim,
+		Reg:  reg,
+		Exec: executor{f: r.fleet, fs: r.fs, waves: r.waves},
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package runtime defines the engine's execution seam: everything the
 // query engine needs from an execution backend — job submission and
-// scheduling, DFS block storage, the coordination service, task
-// dispatch, usage/trace collection, and cancellation — reached through
-// one interface with two implementations:
+// scheduling, DFS block storage, task dispatch, usage/trace collection,
+// and cancellation — reached through one interface with two
+// implementations:
 //
 //   - simruntime: the discrete-event simulator stack unchanged (fast,
 //     deterministic, the CI reference arm; virtual timelines stay
@@ -21,16 +21,15 @@ package runtime
 
 import (
 	"dyno/internal/cluster"
-	"dyno/internal/coord"
 	"dyno/internal/dfs"
 	"dyno/internal/expr"
 	"dyno/internal/mapreduce"
 )
 
 // Runtime is one execution backend instance: a cluster (scheduling +
-// virtual accounting), a DFS namespace, and a coordination service,
-// plus the environment factory jobs run through. A Runtime owns one
-// dataset; a sharded service holds one Runtime per shard.
+// virtual accounting) and a DFS namespace, plus the environment
+// factory jobs run through. A Runtime owns one dataset; a sharded
+// service holds one Runtime per shard.
 type Runtime interface {
 	// Name identifies the backend ("sim" or "proc").
 	Name() string
@@ -41,8 +40,6 @@ type Runtime interface {
 	// controller-side dispatch/accounting engine while delegating task
 	// bodies to workers.
 	Sim() *cluster.Sim
-	// Coord is the coordination service (counters, stats publication).
-	Coord() *coord.Service
 	// NewEnv builds a job environment bound to this backend. Callers
 	// may set per-session fields (Gate, OnCreateFile, tuning knobs) on
 	// the returned value.

@@ -1,13 +1,12 @@
 // Package simruntime adapts the existing simulator stack (cluster.Sim
-// + dfs.FS + coord.Service) to the runtime seam, unchanged: an
-// environment built here is field-for-field what the engine
-// constructed before the seam existed, so results, traces, and
-// virtual timelines are bit-identical to the pre-seam engine.
+// + dfs.FS) to the runtime seam, unchanged: an environment built here
+// is field-for-field what the engine constructed before the seam
+// existed, so results, traces, and virtual timelines are bit-identical
+// to the pre-seam engine.
 package simruntime
 
 import (
 	"dyno/internal/cluster"
-	"dyno/internal/coord"
 	"dyno/internal/dfs"
 	"dyno/internal/expr"
 	"dyno/internal/mapreduce"
@@ -16,22 +15,16 @@ import (
 
 // Runtime is the simulator-backed execution backend.
 type Runtime struct {
-	fs    *dfs.FS
-	sim   *cluster.Sim
-	coord *coord.Service
+	fs  *dfs.FS
+	sim *cluster.Sim
 }
 
 var _ runtime.Runtime = (*Runtime)(nil)
 
 // New builds a simulator runtime: a fresh DFS namespace sized to the
-// cluster's workers, a simulator with the given config, and a
-// coordination service.
+// cluster's workers and a simulator with the given config.
 func New(ccfg cluster.Config) *Runtime {
-	return &Runtime{
-		fs:    dfs.New(),
-		sim:   cluster.New(ccfg),
-		coord: coord.NewService(),
-	}
+	return &Runtime{fs: dfs.New(), sim: cluster.New(ccfg)}
 }
 
 // Name implements runtime.Runtime.
@@ -43,12 +36,9 @@ func (r *Runtime) FS() *dfs.FS { return r.fs }
 // Sim implements runtime.Runtime.
 func (r *Runtime) Sim() *cluster.Sim { return r.sim }
 
-// Coord implements runtime.Runtime.
-func (r *Runtime) Coord() *coord.Service { return r.coord }
-
 // NewEnv implements runtime.Runtime.
 func (r *Runtime) NewEnv(reg *expr.Registry) *mapreduce.Env {
-	return &mapreduce.Env{FS: r.fs, Sim: r.sim, Coord: r.coord, Reg: reg}
+	return &mapreduce.Env{FS: r.fs, Sim: r.sim, Reg: reg}
 }
 
 // Close implements runtime.Runtime; the simulator holds no external

@@ -14,7 +14,6 @@ import (
 
 	"dyno/internal/baselines"
 	"dyno/internal/cluster"
-	"dyno/internal/coord"
 	"dyno/internal/core"
 	"dyno/internal/data"
 	"dyno/internal/dfs"
@@ -31,10 +30,9 @@ func referenceRows(t *testing.T, cfg Config, query, variant string) []data.Value
 	t.Helper()
 	ccfg := cluster.DefaultConfig()
 	env := &mapreduce.Env{
-		FS:    dfs.New(),
-		Sim:   cluster.New(ccfg),
-		Coord: coord.NewService(),
-		Reg:   expr.NewRegistry(),
+		FS:  dfs.New(),
+		Sim: cluster.New(ccfg),
+		Reg: expr.NewRegistry(),
 	}
 	cat, err := tpch.Generate(env.FS, tpch.Config{SF: cfg.SF, Scale: cfg.Scale, Seed: cfg.Seed})
 	if err != nil {

@@ -56,7 +56,7 @@ var keptWriteOnly = map[string]string{
 // stay settable, as "importpath.Type.Field", with the reason.
 var keptKnobs = map[string]string{
 	// The simulated hardware. DefaultConfig is the paper's cluster; the
-	// cluster, mapreduce, jaql, hive, physop and core tests build small
+	// cluster, mapreduce, jaql, physop and core tests build small
 	// clusters with round rates, so that virtual times can be checked by
 	// hand, and with a tiny SlotMemory, so that builds overflow it.
 	"dyno/internal/cluster.Config.BroadcastLoadBps": "simulated hardware, see above",
