@@ -11,8 +11,8 @@
 // regenerates every table and figure of the paper's §6. See DESIGN.md
 // for the system inventory and EXPERIMENTS.md for measured results.
 //
-// The benchmarks in this package regenerate the paper's experiments;
-// run them with:
-//
-//	go test -bench=. -benchmem
+// cmd/dynobench regenerates the paper's experiments in virtual time,
+// and bench/ measures host wall-clock. This package's one test is the
+// surface audit (surface_test.go): every exported name has a non-test
+// caller outside its package, or a written reason to stay.
 package dyno

@@ -213,10 +213,11 @@ func TestJaqlMethodsTreeRules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !plan.IsLeftDeep(tree) {
+	joins, leftDeep := leftSpine(tree)
+	if !leftDeep {
 		t.Fatalf("FROM-order tree must be left-deep:\n%s", plan.Format(tree))
 	}
-	for _, j := range plan.Joins(tree) {
+	for _, j := range joins {
 		rel := j.Right.(*plan.Scan).Rel
 		fits := float64(rel.File.Size()) <= cfg.Mmax
 		if fits && j.Method != plan.BroadcastJoin {
@@ -226,6 +227,20 @@ func TestJaqlMethodsTreeRules(t *testing.T) {
 			t.Errorf("large file %s must repartition", rel.Name)
 		}
 	}
+}
+
+// leftSpine returns the joins down a tree's left spine, root first, and
+// whether each has a scan as its right input: then they are all of the
+// tree's joins, and the tree is left-deep.
+func leftSpine(n plan.Node) (joins []*plan.Join, leftDeep bool) {
+	for j, ok := n.(*plan.Join); ok; j, ok = n.(*plan.Join) {
+		if _, scan := j.Right.(*plan.Scan); !scan {
+			return joins, false
+		}
+		joins = append(joins, j)
+		n = j.Left
+	}
+	return joins, true
 }
 
 func TestBestLeftDeepBeatsFromOrder(t *testing.T) {
@@ -248,7 +263,7 @@ func TestBestLeftDeepBeatsFromOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !plan.IsLeftDeep(best) {
+	if _, leftDeep := leftSpine(best); !leftDeep {
 		t.Error("best plan must be left-deep")
 	}
 	if best.Cost() > from.Cost() {
@@ -269,7 +284,7 @@ func TestVariantEnginesMatchOracleOnQ10(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := eng.Execute(q)
+			res, err := eng.ExecuteSQL(sql)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -361,7 +376,7 @@ func TestFromOrderHandlesDisconnectedQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plan.Joins(tree)) != 1 {
+	if joins, _ := leftSpine(tree); len(joins) != 1 {
 		t.Errorf("tree = %s", plan.Format(tree))
 	}
 	if _, err := bestLeftDeep(block, cfg); err != nil {
@@ -401,7 +416,7 @@ func TestVariantEnginesWithDynamicJoinMatchOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.Execute(q)
+	res, err := eng.ExecuteSQL(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +461,7 @@ func TestStaticVariantsResubmitLostLeafJob(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := eng.Execute(q)
+		res, err := eng.ExecuteSQL(sql)
 		if err != nil {
 			t.Fatalf("%s: %v", v, err)
 		}

@@ -43,9 +43,6 @@ func For(slot *atomic.Value, recs []data.Value) *Data {
 	return slot.Load().(*Data)
 }
 
-// Len returns the number of records in the split.
-func (d *Data) Len() int { return len(d.recs) }
-
 // Records returns the raw record slice (not a copy).
 func (d *Data) Records() []data.Value { return d.recs }
 

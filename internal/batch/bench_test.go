@@ -1,10 +1,9 @@
-package dyno_test
+package batch
 
 import (
 	"fmt"
 	"testing"
 
-	"dyno/internal/batch"
 	"dyno/internal/data"
 	"dyno/internal/expr"
 )
@@ -43,7 +42,7 @@ func BenchmarkBatchFilterProject(b *testing.B) {
 		&expr.Cmp{Op: expr.EQ, L: expr.NewCol("seg"), R: expr.NewLit(data.String("SEG3"))},
 		&expr.Cmp{Op: expr.LT, L: expr.NewCol("amt"), R: expr.NewLit(data.Double(75))},
 	}}
-	if !batch.Supported(pred) {
+	if !Supported(pred) {
 		b.Fatal("benchmark predicate not batch-supported")
 	}
 	sig := pred.String()
@@ -51,7 +50,7 @@ func BenchmarkBatchFilterProject(b *testing.B) {
 	b.ResetTimer()
 	var kept int
 	for i := 0; i < b.N; i++ {
-		d := batch.For(nil, recs)
+		d := For(nil, recs)
 		sel := d.Select(pred, sig)
 		rows := d.Wrapped("t")
 		for _, j := range sel {
@@ -80,12 +79,12 @@ func BenchmarkBatchHashProbe(b *testing.B) {
 			data.Field{Name: "bid", Value: k},
 		))
 	}
-	keySig := batch.KeySig("", []data.Path{keyPath})
+	keySig := KeySig("", []data.Path{keyPath})
 	b.ReportAllocs()
 	b.ResetTimer()
 	var matches int
 	for i := 0; i < b.N; i++ {
-		d := batch.For(nil, probe)
+		d := For(nil, probe)
 		sel := d.Select(nil, "")
 		kc := d.Keys(keySig, "", []data.Path{keyPath})
 		matches = 0
@@ -97,20 +96,18 @@ func BenchmarkBatchHashProbe(b *testing.B) {
 }
 
 // BenchmarkIntern measures the interner's steady state: every string
-// already canonical, so each op is one shard probe with no allocation
-// (the bytes→string lookup uses the compiler's no-alloc map-index
-// form). One op interns 512 distinct keys.
+// already canonical, so each op is one shard probe with no allocation.
+// One op interns 512 distinct keys.
 func BenchmarkIntern(b *testing.B) {
-	keys := make([][]byte, 512)
+	keys := make([]string, 512)
 	for i := range keys {
-		keys[i] = []byte(fmt.Sprintf("intern-bench-key-%03d", i))
-		batch.InternBytes(keys[i]) // warm: make every key canonical
+		keys[i] = intern(fmt.Sprintf("intern-bench-key-%03d", i)) // warm: make every key canonical
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, k := range keys {
-			if batch.InternBytes(k) == "" {
+			if intern(k) == "" {
 				b.Fatal("empty intern result")
 			}
 		}

@@ -40,42 +40,12 @@ func init() {
 }
 
 // fnv-1a over the bytes, for shard selection only.
-func internHash(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h = (h ^ uint64(c)) * 1099511628211
-	}
-	return h
-}
-
 func internHashString(s string) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(s); i++ {
 		h = (h ^ uint64(s[i])) * 1099511628211
 	}
 	return h
-}
-
-// InternBytes returns a canonical string with the bytes of b,
-// allocating only on first sight (or never again once the shard is
-// full and the string is already known).
-func InternBytes(b []byte) string {
-	sh := internTable[internHash(b)&(internShards-1)]
-	sh.mu.RLock()
-	s, ok := sh.m[string(b)] // no-alloc map probe
-	sh.mu.RUnlock()
-	if ok {
-		return s
-	}
-	s = string(b)
-	sh.mu.Lock()
-	if prev, ok := sh.m[s]; ok {
-		s = prev
-	} else if len(sh.m) < internShardCap {
-		sh.m[s] = s
-	}
-	sh.mu.Unlock()
-	return s
 }
 
 // intern returns the canonical copy of s.

@@ -282,8 +282,7 @@ func TestRetireDoneJobsBoundsMemory(t *testing.T) {
 			t.Fatalf("Jobs() holds %d entries with job %d done and the simulator idle", got, i)
 		}
 	}
-	// Without the flag everything is retained (the experiments rely on
-	// a complete Jobs() listing).
+	// Without the flag everything is retained.
 	s2 := New(smallConfig())
 	for i := 0; i < 70; i++ {
 		s2.Submit(&testJob{name: fmt.Sprintf("k%d", i), maps: 1, mapUsage: Usage{BytesRead: 100}})

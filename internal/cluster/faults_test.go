@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// countTrace runs a workload and tallies trace events by kind.
+// traceKinds tallies trace events by kind.
 func traceKinds(trace []TraceEvent) map[string]int {
 	m := map[string]int{}
 	for _, ev := range trace {
@@ -51,14 +51,19 @@ func TestFailEveryNExactCount(t *testing.T) {
 	}
 }
 
-// TestRetryExhaustionFailsJob: failAttempts >= maxAttempts burns the
-// whole attempt budget at one injected site and escalates to a
-// job-level failure wrapping ErrTaskRetriesExhausted.
+// TestRetryExhaustionFailsJob: a task that fails every attempt burns
+// the whole attempt budget and escalates to a job-level failure
+// wrapping ErrTaskRetriesExhausted.
 func TestRetryExhaustionFailsJob(t *testing.T) {
 	cfg := smallConfig()
-	cfg.FailEveryN = 4
-	cfg.failAttempts = 3
-	cfg.maxAttempts = 3
+	attempts := 0
+	cfg.FailInject = func(job, task string, attempt, node int) bool {
+		if task == "doomed-m3" {
+			attempts = attempt
+			return true
+		}
+		return false
+	}
 	s := New(cfg)
 	var trace []TraceEvent
 	s.SetTrace(func(ev TraceEvent) { trace = append(trace, ev) })
@@ -72,6 +77,9 @@ func TestRetryExhaustionFailsJob(t *testing.T) {
 	}
 	if !sub.Done() {
 		t.Error("failed job should still quiesce")
+	}
+	if attempts != maxAttempts {
+		t.Errorf("doomed task ran %d attempts, want %d", attempts, maxAttempts)
 	}
 	kinds := traceKinds(trace)
 	if kinds["task-failed"] != 1 {
@@ -200,35 +208,6 @@ func TestSpeculativeLoserCanceled(t *testing.T) {
 	}
 }
 
-// TestBlacklistSteersAwayFromBadNode: a node that keeps failing a
-// job's attempts is blacklisted and the work completes elsewhere.
-func TestBlacklistSteersAwayFromBadNode(t *testing.T) {
-	cfg := smallConfig()
-	cfg.blacklistAfter = 1
-	cfg.maxAttempts = 10
-	cfg.FailInject = func(job, task string, attempt, node int) bool {
-		return node == 0
-	}
-	s := New(cfg)
-	var trace []TraceEvent
-	s.SetTrace(func(ev TraceEvent) { trace = append(trace, ev) })
-	sub := s.Submit(&testJob{name: "bl", maps: 4, mapUsage: Usage{BytesRead: 100}})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !sub.Done() || sub.Err() != nil {
-		t.Fatalf("job should complete off the bad node: %v", sub.Err())
-	}
-	if traceKinds(trace)["node-blacklisted"] != 1 {
-		t.Errorf("node-blacklisted events = %d, want 1", traceKinds(trace)["node-blacklisted"])
-	}
-	for _, task := range sub.CompletedTasks() {
-		if task.node == 0 {
-			t.Errorf("task %s completed on blacklisted node 0", task.Name)
-		}
-	}
-}
-
 // TestWastedSecCountsFailurePenalties: each injected failure burns
 // exactly the configured penalty of slot time.
 func TestWastedSecCountsFailurePenalties(t *testing.T) {
@@ -251,27 +230,26 @@ func faultyConfig() Config {
 	cfg := smallConfig()
 	cfg.FailEveryN = 3
 	cfg.FailurePenalty = 5
-	cfg.failAttempts = 2
-	cfg.maxAttempts = 4
-	cfg.blacklistAfter = 2
-	cfg.StragglerEveryN = 4
+	cfg.StragglerEveryN = 5
 	cfg.SlowdownFactor = 3
 	cfg.SpeculativeBeta = 0.9
-	cfg.speculativeMinCompleted = 3
 	return cfg
 }
 
 // TestParallelFaultModelMatchesSerial extends the determinism contract
-// to the whole fault model: stragglers, speculation, retries, caps,
-// and blacklisting must produce a bit-identical virtual timeline at
-// Parallelism 0 (the inline wave) and on every pool size.
+// to the whole fault model: retries, stragglers and speculation must
+// produce a bit-identical virtual timeline at Parallelism 0 (the inline
+// wave) and on every pool size.
 func TestParallelFaultModelMatchesSerial(t *testing.T) {
 	for _, sched := range []SchedulerKind{FIFO, Fair} {
 		base := faultyConfig()
 		base.Scheduler = sched
 		serialFinish, serialTrace := runWorkload(t, base)
-		if traceKinds(serialTrace)["straggler"] == 0 {
-			t.Fatalf("scheduler %v: fault config too tame, no stragglers fired", sched)
+		kinds := traceKinds(serialTrace)
+		for _, kind := range []string{"attempt-failed", "speculative-start", "straggler"} {
+			if kinds[kind] == 0 {
+				t.Fatalf("scheduler %v: fault config too tame, no %s fired", sched, kind)
+			}
 		}
 		for _, par := range []int{1, 2, 4, 13} {
 			cfg := base
@@ -367,11 +345,13 @@ func TestFirstOnNodeChargeAcrossRetries(t *testing.T) {
 // a node the job never used replays the Finish hook with its own
 // TaskContext, so the per-node charge fires there exactly once.
 //
-// Layout (3 single-slot nodes): a filler job pins node 0 until t=14;
-// the dc job runs m0 on node 1 (2s), the straggler m1 on node 2
-// (stretched 10x), and m2 reuses node 1. When the filler finishes,
-// node 0 — never seen by dc — is the only free slot, so the backup
-// lands there with FirstOnNode set.
+// Layout (3 single-slot nodes): a filler job pins node 0 until t=18.5;
+// the dc job runs m0 on node 1 (3s with the charge), the straggler m1
+// on node 2 (stretched 10x), and m2 and m3 reuse node 1 (2s each). At
+// t=17 dc has the three completed maps speculation needs, but filler2
+// takes node 1. When the filler finishes, node 0 — never seen by dc —
+// is the only free slot, so the backup lands there with FirstOnNode
+// set.
 func TestFirstOnNodeChargeSpeculativeBackup(t *testing.T) {
 	for _, par := range []int{0, 2} {
 		cfg := smallConfig()
@@ -381,14 +361,13 @@ func TestFirstOnNodeChargeSpeculativeBackup(t *testing.T) {
 		cfg.StragglerEveryN = 3 // 3rd executed attempt (dc-m1) straggles
 		cfg.SlowdownFactor = 10
 		cfg.SpeculativeBeta = 0.9
-		cfg.speculativeMinCompleted = 1
 		s := New(cfg)
 		var trace []TraceEvent
 		s.SetTrace(func(ev TraceEvent) { trace = append(trace, ev) })
-		filler := &testJob{name: "filler", maps: 1, mapUsage: Usage{BytesRead: 300}}
-		s.Submit(filler)
-		j := &firstOnNodeJob{name: "dc", maps: 3}
+		s.Submit(&testJob{name: "filler", maps: 1, mapUsage: Usage{BytesRead: 750}})
+		j := &firstOnNodeJob{name: "dc", maps: 4}
 		sub := s.Submit(j)
+		s.Submit(&testJob{name: "filler2", maps: 1, mapUsage: Usage{BytesRead: 300}})
 		if err := s.Run(); err != nil {
 			t.Fatal(err)
 		}

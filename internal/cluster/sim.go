@@ -45,16 +45,26 @@ import (
 )
 
 // ErrTaskRetriesExhausted marks a job failure caused by a task burning
-// through its attempt budget (Hadoop's four attempts by default) rather
-// than by the task's own computation returning an error. Engines can
-// detect it with errors.Is and treat it as a recoverable infrastructure
-// fault: the job's materialized DFS inputs are intact, so it can simply
-// be resubmitted.
+// through its attempt budget (maxAttempts, Hadoop's default of four)
+// rather than by the task's own computation returning an error. Engines
+// can detect it with errors.Is and treat it as a recoverable
+// infrastructure fault: the job's materialized DFS inputs are intact, so
+// it can simply be resubmitted.
 var ErrTaskRetriesExhausted = errors.New("task retries exhausted")
 
 // ErrIdle is returned by RunUntil when the cluster runs out of events
 // with the awaited predicate still false: nothing left can make it true.
 var ErrIdle = errors.New("cluster: idle with the awaited condition unmet")
+
+const (
+	// maxAttempts caps the attempts per task (Hadoop's default): failed
+	// attempts are re-queued until the cap, and a failure at the cap
+	// fails the whole job with ErrTaskRetriesExhausted.
+	maxAttempts = 4
+	// minSpeculationSamples is the number of completed same-kind tasks
+	// a job needs before speculation trusts their median duration.
+	minSpeculationSamples = 3
+)
 
 // TaskKind distinguishes map from reduce tasks; they consume different
 // slot types.
@@ -103,27 +113,12 @@ type Config struct {
 	// retries are in flight. 0 disables injection.
 	FailEveryN     int
 	FailurePenalty float64
-	// failAttempts is the number of consecutive attempts that fail at
-	// each injected failure site (default 1: the retry succeeds).
-	// Values >= maxAttempts exhaust the task's retry budget and fail
-	// the whole job, exercising engine-level recovery.
-	failAttempts int
 	// FailInject, when non-nil, is a targeted failure hook for tests
 	// and experiments: it is consulted on the scheduler goroutine for
 	// every dispatch and fails the attempt when it returns true. It
 	// must be deterministic for the executor determinism contract to
 	// hold.
 	FailInject func(job, task string, attempt, node int) bool
-	// maxAttempts caps the attempts per task (failed attempts are
-	// re-queued until the cap); reaching the cap with a failure
-	// converts the task failure into a job-level failure wrapping
-	// ErrTaskRetriesExhausted. 0 means the Hadoop default of 4.
-	maxAttempts int
-	// blacklistAfter, when positive, stops scheduling a job's tasks on
-	// a node after that many of the job's attempts failed there
-	// (per-job node blacklisting, as in Hadoop). The blacklist is
-	// ignored if every node has been blacklisted.
-	blacklistAfter int
 
 	// StragglerEveryN injects deterministic stragglers: every Nth
 	// executed task attempt has its virtual duration stretched by
@@ -142,9 +137,6 @@ type Config struct {
 	// and a speculative-* trace event is emitted. 0 disables
 	// speculation.
 	SpeculativeBeta float64
-	// speculativeMinCompleted is the minimum number of completed
-	// same-kind tasks before the median is trusted (default 3).
-	speculativeMinCompleted int
 
 	// Parallelism is the number of worker goroutines executing the Run
 	// closures of a dispatch wave in real (wall-clock) time; 0 and 1
@@ -161,7 +153,7 @@ type Config struct {
 	// RetireDoneJobs drops completed submissions from the scheduler's
 	// scan list (they stop appearing in Jobs()). Long-running services
 	// enable it so dispatch cost tracks the live jobs, not every job
-	// ever submitted; experiments leave it off to keep Jobs() complete.
+	// ever submitted; left off, Jobs() lists every submission.
 	RetireDoneJobs bool
 }
 
@@ -253,7 +245,6 @@ type Task struct {
 	node       int
 	attempts   int
 	straggler  bool   // current attempt's duration is stretched
-	failLeft   int    // remaining consecutive failures at an injected site
 	doneEv     *event // outstanding completion event of the primary attempt
 	specEv     *event // outstanding completion event of the backup attempt
 	specNode   int
@@ -294,8 +285,6 @@ type Submission struct {
 	inflight  []*Task // executing attempts in dispatch order (speculation scan)
 	completed []*Task
 	nodesSeen map[int]bool
-	nodeFails map[int]int  // failed attempts per node (blacklisting)
-	blacklist map[int]bool // nodes this job avoids
 	onDone    []func(*Submission)
 }
 
@@ -432,7 +421,6 @@ type launch struct {
 // Kinds: "start", "finish", "job-ready", "job-done", "job-failed",
 // "attempt-failed" (injected failure, attempt will retry),
 // "task-failed" (retry budget exhausted, job fails),
-// "node-blacklisted" (job stops preferring the node),
 // "straggler" (attempt's duration is stretched),
 // "speculative-start" (backup attempt launched),
 // "speculative-win" (backup finished first, primary canceled),
@@ -756,7 +744,7 @@ func (s *Sim) dispatch() {
 			}
 			for len(sub.pending) > 0 {
 				t := sub.pending[0]
-				node := s.pickNode(t.Kind, sub)
+				node := s.pickNode(t.Kind)
 				if node < 0 {
 					break
 				}
@@ -778,7 +766,7 @@ func (s *Sim) dispatchFair() {
 			if !sub.started || sub.done || len(sub.pending) == 0 {
 				continue
 			}
-			if s.pickNode(sub.pending[0].Kind, sub) < 0 {
+			if s.pickNode(sub.pending[0].Kind) < 0 {
 				continue
 			}
 			if pick == nil || sub.running < pick.running {
@@ -790,37 +778,22 @@ func (s *Sim) dispatchFair() {
 		}
 		t := pick.pending[0]
 		pick.pending = pick.pending[1:]
-		s.startTask(pick, t, s.pickNode(t.Kind, pick))
+		s.startTask(pick, t, s.pickNode(t.Kind))
 	}
 }
 
 // pickNode returns the worker with the most free slots of the given
-// kind, or -1 when none are free. Nodes blacklisted for the job are
-// picked only when no non-blacklisted node has a free slot, so the
-// blacklist steers placement without ever deadlocking the schedule.
-func (s *Sim) pickNode(kind TaskKind, sub *Submission) int {
+// kind, or -1 when none are free.
+func (s *Sim) pickNode(kind TaskKind) int {
 	free := s.mapFree
 	if kind == ReduceTask {
 		free = s.reduceFree
 	}
 	best, bestFree := -1, 0
-	blBest, blBestFree := -1, 0
 	for i, f := range free {
-		if f <= 0 {
-			continue
-		}
-		if sub != nil && sub.blacklist[i] {
-			if f > blBestFree {
-				blBest, blBestFree = i, f
-			}
-			continue
-		}
 		if f > bestFree {
 			best, bestFree = i, f
 		}
-	}
-	if best < 0 {
-		return blBest
 	}
 	return best
 }
@@ -865,47 +838,22 @@ func (s *Sim) startTask(sub *Submission, t *Task, node int) {
 }
 
 // injectFailure decides, on the scheduler goroutine, whether this
-// dispatch fails. An injected site (FailEveryN) fails failAttempts
-// consecutive attempts; the FailInject hook can fail any attempt.
-// Speculative backups are never failure-injected.
+// dispatch fails: the first attempt of every FailEveryN-th task, or any
+// attempt the FailInject hook fails. Speculative backups are never
+// failure-injected.
 func (s *Sim) injectFailure(sub *Submission, t *Task, node int) bool {
-	if t.failLeft > 0 {
-		t.failLeft--
-		return true
-	}
 	if s.cfg.FailEveryN > 0 && t.attempts == 1 && s.firstAttempts%int64(s.cfg.FailEveryN) == 0 {
-		t.failLeft = max(s.cfg.failAttempts, 1) - 1
 		return true
 	}
-	if s.cfg.FailInject != nil && s.cfg.FailInject(sub.job.Name(), t.Name, t.attempts, node) {
-		return true
-	}
-	return false
+	return s.cfg.FailInject != nil && s.cfg.FailInject(sub.job.Name(), t.Name, t.attempts, node)
 }
 
 // noteAttemptFailure records a failed attempt: wasted-work accounting,
-// node blacklisting, and escalation to a job-level failure when the
-// task's attempt budget is exhausted.
+// and escalation to a job-level failure when the task's attempt budget
+// is exhausted.
 func (s *Sim) noteAttemptFailure(sub *Submission, t *Task, node int) {
 	s.emit(TraceEvent{Time: s.now, Job: sub.job.Name(), Kind: "attempt-failed"})
 	s.wasted += s.retryPenalty()
-	if s.cfg.blacklistAfter > 0 {
-		if sub.nodeFails == nil {
-			sub.nodeFails = make(map[int]int)
-		}
-		sub.nodeFails[node]++
-		if sub.nodeFails[node] >= s.cfg.blacklistAfter && !sub.blacklist[node] {
-			if sub.blacklist == nil {
-				sub.blacklist = make(map[int]bool)
-			}
-			sub.blacklist[node] = true
-			s.emit(TraceEvent{Time: s.now, Job: sub.job.Name(), Kind: "node-blacklisted"})
-		}
-	}
-	maxAttempts := s.cfg.maxAttempts
-	if maxAttempts <= 0 {
-		maxAttempts = 4
-	}
 	if t.attempts >= maxAttempts && !sub.failed {
 		sub.failed = true
 		sub.err = fmt.Errorf("cluster: job %s task %s on node %d: %w after %d attempts",
@@ -967,10 +915,6 @@ func (s *Sim) speculate() {
 	if s.cfg.SpeculativeBeta <= 0 {
 		return
 	}
-	minDone := s.cfg.speculativeMinCompleted
-	if minDone <= 0 {
-		minDone = 3
-	}
 	for _, sub := range s.subs {
 		if !sub.started || sub.done || sub.failed {
 			continue
@@ -979,11 +923,11 @@ func (s *Sim) speculate() {
 			if t.specEv != nil {
 				continue
 			}
-			med := sub.medianDuration(t.Kind, minDone)
+			med := sub.medianDuration(t.Kind)
 			if med <= 0 || s.now-t.start <= s.cfg.SpeculativeBeta*med {
 				continue
 			}
-			node := s.pickNode(t.Kind, sub)
+			node := s.pickNode(t.Kind)
 			if node < 0 {
 				continue
 			}
@@ -993,16 +937,16 @@ func (s *Sim) speculate() {
 }
 
 // medianDuration returns the median virtual duration of the job's
-// completed tasks of the given kind, or 0 with fewer than minDone
-// samples.
-func (sub *Submission) medianDuration(kind TaskKind, minDone int) float64 {
+// completed tasks of the given kind, or 0 with fewer than
+// minSpeculationSamples samples.
+func (sub *Submission) medianDuration(kind TaskKind) float64 {
 	var ds []float64
 	for _, c := range sub.completed {
 		if c.Kind == kind {
 			ds = append(ds, c.end-c.start)
 		}
 	}
-	if len(ds) < minDone {
+	if len(ds) < minSpeculationSamples {
 		return 0
 	}
 	sort.Float64s(ds)

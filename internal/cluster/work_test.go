@@ -81,12 +81,10 @@ func (j *phaseJob) TaskDone(sub *Submission, t *Task) []*Task {
 }
 
 // faultConfigs are the executor arms the Work tests run under: plain,
-// injected failures with two failing attempts per site, and a straggler
-// rescued by a speculative backup.
+// injected failures, and a straggler rescued by a speculative backup.
 func faultConfigs() map[string]Config {
 	retries := smallConfig()
 	retries.FailEveryN = 3
-	retries.failAttempts = 2
 	retries.FailurePenalty = 5
 	spec := smallConfig()
 	spec.StragglerEveryN = 5

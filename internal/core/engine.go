@@ -121,7 +121,7 @@ type Engine struct {
 	rng       *rand.Rand
 	queries   int
 	pruneLive map[string]map[string]bool // projection-pushdown live columns; nil = off
-	ctx       context.Context            // per-call cancellation, set by executeContext
+	ctx       context.Context            // per-call cancellation, set by execute
 }
 
 // NewEngine wires an engine over the given environment and catalog.
@@ -235,18 +235,13 @@ func (e *Engine) ExecuteSQLContext(ctx context.Context, sql string) (*Result, er
 	if err != nil {
 		return nil, err
 	}
-	return e.executeContext(ctx, q)
+	return e.execute(ctx, q)
 }
 
-// Execute runs a parsed query through pilot runs, cost-based
-// optimization, dynamic execution, and the post-join operators.
-func (e *Engine) Execute(q *sqlparse.Query) (*Result, error) {
-	return e.executeContext(context.Background(), q)
-}
-
-// executeContext is Execute with per-call cancellation (see
-// ExecuteSQLContext).
-func (e *Engine) executeContext(ctx context.Context, q *sqlparse.Query) (*Result, error) {
+// execute runs a parsed query through pilot runs, cost-based
+// optimization, dynamic execution, and the post-join operators, under
+// ExecuteSQLContext's cancellation.
+func (e *Engine) execute(ctx context.Context, q *sqlparse.Query) (*Result, error) {
 	e.ctx = ctx
 	name := e.queryName()
 	compiled, err := rewrite.Compile(q)

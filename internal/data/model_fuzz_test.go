@@ -338,13 +338,13 @@ func checkAgainstModel(t *testing.T, v Value, m any) {
 		}
 	}
 	for n, name := range modelKeys(fields) {
-		got, ok := v.Field(name)
+		got, ok := v.field(name)
 		if fl := v.Fields()[n]; !ok || fl.Name != name || fl.Value.Kind() != got.Kind() || !Equal(fl.Value, got) {
 			t.Fatalf("%s: Fields()[%d] = %q: %s, Field(%q) = %s (found %v)", v, n, fl.Name, fl.Value, name, got, ok)
 		}
 		checkAgainstModel(t, got, fields[name])
 	}
-	if got, ok := v.Field("\xffabsent"); ok || !got.IsNull() || !v.FieldOr("\xffabsent").IsNull() {
+	if got, ok := v.field("\xffabsent"); ok || !got.IsNull() || !v.FieldOr("\xffabsent").IsNull() {
 		t.Fatalf("%s: absent field found: %s", v, got)
 	}
 }

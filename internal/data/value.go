@@ -306,8 +306,8 @@ func fieldIndexIn(fs []Field, name string) int {
 	return -1
 }
 
-// Field returns the named object field and whether it exists.
-func (v Value) Field(name string) (Value, bool) {
+// field returns the named object field and whether it exists.
+func (v Value) field(name string) (Value, bool) {
 	fs := v.Fields()
 	if i := fieldIndexIn(fs, name); i >= 0 {
 		return fs[i].Value, true
@@ -317,7 +317,7 @@ func (v Value) Field(name string) (Value, bool) {
 
 // FieldOr returns the named field or null when absent.
 func (v Value) FieldOr(name string) Value {
-	f, _ := v.Field(name)
+	f, _ := v.field(name)
 	return f
 }
 

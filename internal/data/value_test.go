@@ -60,7 +60,7 @@ func TestValueLayout(t *testing.T) {
 		if k != KindArray && (v.Elems() != nil || !v.Index(0).IsNull()) {
 			t.Errorf("%v %s: Elems() = %v, Index(0) = %s", k, v, v.Elems(), v.Index(0))
 		}
-		if _, ok := v.Field("a"); k != KindObject && (v.Fields() != nil || ok || !v.FieldOr("a").IsNull()) {
+		if _, ok := v.field("a"); k != KindObject && (v.Fields() != nil || ok || !v.FieldOr("a").IsNull()) {
 			t.Errorf("%v %s: Fields() = %v, Field(a) found = %v", k, v, v.Fields(), ok)
 		}
 		if k != KindArray && k != KindObject && v.Len() != 0 {
@@ -109,7 +109,7 @@ func TestObjectFieldLookup(t *testing.T) {
 	if got := o.FieldOr("zeta").Int(); got != 1 {
 		t.Errorf("zeta = %d, want 1", got)
 	}
-	if _, ok := o.Field("missing"); ok {
+	if _, ok := o.field("missing"); ok {
 		t.Error("missing field reported present")
 	}
 	// Fields are sorted.

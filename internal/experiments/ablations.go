@@ -10,9 +10,9 @@ import (
 	"dyno/internal/tpch"
 )
 
-// AblationChaining measures the broadcast-chain rule (§5.2) by running
+// ablationChaining measures the broadcast-chain rule (§5.2) by running
 // DYNOPT-SIMPLE on the star join with chaining enabled and disabled.
-func AblationChaining(cfg Config) (*Table, error) {
+func ablationChaining(cfg Config) (*Table, error) {
 	cfg = cfg.normalized()
 	t := &Table{
 		Title:  "Ablation: broadcast-join chaining on Q9' (SF=300, DYNOPT-SIMPLE)",
@@ -139,7 +139,7 @@ func ablationReoptThreshold(cfg Config) (*Table, error) {
 func Ablations(cfg Config) ([]*Table, error) {
 	var out []*Table
 	for _, f := range []func(Config) (*Table, error){
-		AblationChaining, ablationPilotK, ablationStatsReuse, ablationReoptThreshold, ablationDynamicJoin,
+		ablationChaining, ablationPilotK, ablationStatsReuse, ablationReoptThreshold, ablationDynamicJoin,
 		ablationProjectionPushdown, ablationScheduler,
 	} {
 		t, err := f(cfg)

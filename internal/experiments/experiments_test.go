@@ -62,7 +62,7 @@ func TestTable1Shape(t *testing.T) {
 	}
 	cfg := testConfig()
 	for _, q := range []string{"Q2", "Q10"} {
-		st, mt, err := Table1Raw(cfg, q)
+		st, mt, err := table1Raw(cfg, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,14 +94,14 @@ func TestFigure4OverheadsBounded(t *testing.T) {
 	}
 	cfg := testConfig()
 	for _, q := range []string{"Q8p", "Q10"} {
-		o, err := MeasureOverheads(cfg, q)
+		o, err := measureOverheads(cfg, q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if o.WarmExecSec <= 0 || o.ColdTotalSec <= o.WarmExecSec/2 {
 			t.Errorf("%s: implausible times %+v", q, o)
 		}
-		if frac := o.TotalOverheadFraction(); frac <= 0 || frac > 0.5 {
+		if frac := o.totalOverheadFraction(); frac <= 0 || frac > 0.5 {
 			t.Errorf("%s: total overhead fraction %v outside (0, 0.5]", q, frac)
 		}
 		if o.PilotSec <= 0 {
@@ -115,7 +115,7 @@ func TestFigure5MOBeatsSO(t *testing.T) {
 		t.Skip("slow")
 	}
 	cfg := testConfig()
-	times, err := Figure5Times(cfg, "Q8p")
+	times, err := figure5Times(cfg, "Q8p")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestFigure6SpeedupDecreasesWithSelectivity(t *testing.T) {
 		t.Skip("slow")
 	}
 	cfg := testConfig()
-	points, err := Figure6Sweep(cfg)
+	points, err := figure6Sweep(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,8 +173,8 @@ func TestFigure7Headline(t *testing.T) {
 	}
 	cfg := testConfig()
 	sawBigWin := false
-	for _, q := range Figure7Queries {
-		times, err := VariantTimes(cfg, 100, q, false)
+	for _, q := range figure7Queries {
+		times, err := variantTimes(cfg, 100, q, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,11 +200,11 @@ func TestFigure8HiveAmplifiesBroadcastWins(t *testing.T) {
 		t.Skip("slow")
 	}
 	cfg := testConfig()
-	jaqlTimes, err := VariantTimes(cfg, 300, "Q9p", false)
+	jaqlTimes, err := variantTimes(cfg, 300, "Q9p", false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hiveTimes, err := VariantTimes(cfg, 300, "Q9p", true)
+	hiveTimes, err := variantTimes(cfg, 300, "Q9p", true)
 	if err != nil {
 		t.Fatal(err)
 	}

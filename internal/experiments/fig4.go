@@ -11,8 +11,8 @@ import (
 // figure4Queries are the four queries of Figure 4.
 var figure4Queries = []string{"Q2", "Q7", "Q8p", "Q10"}
 
-// Overheads decomposes one dynamic execution (§6.2).
-type Overheads struct {
+// overheads decomposes one dynamic execution (§6.2).
+type overheads struct {
 	WarmExecSec   float64 // plan execution with pre-collected statistics
 	ReoptSec      float64 // total (re-)optimization time
 	PilotSec      float64 // PILR time
@@ -20,18 +20,18 @@ type Overheads struct {
 	ColdTotalSec  float64
 }
 
-// TotalOverheadFraction is the dynamic machinery's share of the cold
+// totalOverheadFraction is the dynamic machinery's share of the cold
 // execution (the paper reports 7-10% overall).
-func (o Overheads) TotalOverheadFraction() float64 {
+func (o overheads) totalOverheadFraction() float64 {
 	return ratio(o.ReoptSec+o.PilotSec+o.OnlineStatSec, o.ColdTotalSec)
 }
 
-// MeasureOverheads runs the paper's two-execution methodology for one
+// measureOverheads runs the paper's two-execution methodology for one
 // query at SF=300: a cold run computing all statistics at runtime
 // (pilot runs + online collection), then a warm run of the same engine
 // with the metastore pre-populated and statistics reuse enabled, whose
 // only overhead is optimization time.
-func MeasureOverheads(cfg Config, query string) (*Overheads, error) {
+func measureOverheads(cfg Config, query string) (*overheads, error) {
 	cfg = cfg.normalized()
 	l, err := getLab(300, cfg)
 	if err != nil {
@@ -64,7 +64,7 @@ func MeasureOverheads(cfg Config, query string) (*Overheads, error) {
 	if online < 0 {
 		online = 0
 	}
-	return &Overheads{
+	return &overheads{
 		WarmExecSec:   warmExec,
 		ReoptSec:      cold.OptimizeSec,
 		PilotSec:      cold.PilotSec,
@@ -82,7 +82,7 @@ func Figure4(cfg Config) (*Table, error) {
 		Header: []string{"Query", "plan-exec", "re-opt", "PILR", "online-stats", "total-overhead"},
 	}
 	for _, q := range figure4Queries {
-		o, err := MeasureOverheads(cfg, q)
+		o, err := measureOverheads(cfg, q)
 		if err != nil {
 			return nil, err
 		}
@@ -93,7 +93,7 @@ func Figure4(cfg Config) (*Table, error) {
 			pct(ratio(o.ReoptSec, base)),
 			pct(ratio(o.PilotSec, base)),
 			pct(ratio(o.OnlineStatSec, base)),
-			pct(o.TotalOverheadFraction()),
+			pct(o.totalOverheadFraction()),
 		})
 	}
 	t.Notes = append(t.Notes,

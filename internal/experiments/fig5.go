@@ -25,9 +25,9 @@ var figure5Variants = []strategyVariant{
 	{"CHEAP-2", baselines.VariantDynOpt, core.Cheap{N: 2}},
 }
 
-// Figure5Times returns the absolute execution times per strategy for
+// figure5Times returns the absolute execution times per strategy for
 // one query at SF=300.
-func Figure5Times(cfg Config, query string) (map[string]float64, error) {
+func figure5Times(cfg Config, query string) (map[string]float64, error) {
 	cfg = cfg.normalized()
 	out := map[string]float64{}
 	for _, sv := range figure5Variants {
@@ -54,7 +54,7 @@ func Figure5(cfg Config) (*Table, error) {
 		t.Header = append(t.Header, sv.label)
 	}
 	for _, q := range figure5Queries {
-		times, err := Figure5Times(cfg, q)
+		times, err := figure5Times(cfg, q)
 		if err != nil {
 			return nil, err
 		}

@@ -9,8 +9,8 @@ import (
 // figure6Selectivities is the UDF-selectivity sweep of Figure 6.
 var figure6Selectivities = []float64{0.0001, 0.001, 0.01, 0.1, 1.0}
 
-// Figure6Point is one sweep measurement.
-type Figure6Point struct {
+// figure6Point is one sweep measurement.
+type figure6Point struct {
 	Selectivity   float64
 	RelOptSec     float64
 	SimpleSec     float64
@@ -18,11 +18,11 @@ type Figure6Point struct {
 	SimpleMapOnly int
 }
 
-// Figure6Sweep measures DYNOPT-SIMPLE against RELOPT on the Q9' star
+// figure6Sweep measures DYNOPT-SIMPLE against RELOPT on the Q9' star
 // join as the dimension-UDF selectivity varies (§6.4).
-func Figure6Sweep(cfg Config) ([]Figure6Point, error) {
+func figure6Sweep(cfg Config) ([]figure6Point, error) {
 	cfg = cfg.normalized()
-	var out []Figure6Point
+	var out []figure6Point
 	for _, sel := range figure6Selectivities {
 		c := cfg
 		c.UDF.Q9DimSel = sel
@@ -34,7 +34,7 @@ func Figure6Sweep(cfg Config) ([]Figure6Point, error) {
 		if err != nil {
 			return nil, fmt.Errorf("simple sel=%g: %w", sel, err)
 		}
-		out = append(out, Figure6Point{
+		out = append(out, figure6Point{
 			Selectivity:   sel,
 			RelOptSec:     rel.res.TotalSec,
 			SimpleSec:     simple.res.TotalSec,
@@ -50,7 +50,7 @@ func Figure6Sweep(cfg Config) ([]Figure6Point, error) {
 // shrinks from ~1.78x at 0.01% to ~1x at 100%, with the broadcast-chain
 // job count growing alongside.
 func Figure6(cfg Config) (*Table, error) {
-	points, err := Figure6Sweep(cfg)
+	points, err := figure6Sweep(cfg)
 	if err != nil {
 		return nil, err
 	}

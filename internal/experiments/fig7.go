@@ -6,8 +6,8 @@ import (
 	"dyno/internal/baselines"
 )
 
-// Figure7Queries are the four queries of Figures 7 and 8.
-var Figure7Queries = []string{"Q2", "Q8p", "Q9p", "Q10"}
+// figure7Queries are the four queries of Figures 7 and 8.
+var figure7Queries = []string{"Q2", "Q8p", "Q9p", "Q10"}
 
 // figure7SFs are the three scale factors of Figure 7.
 var figure7SFs = []float64{100, 300, 1000}
@@ -21,9 +21,9 @@ var figure7Variants = []baselines.Variant{
 	baselines.VariantDynOpt,
 }
 
-// VariantTimes measures all four variants for one query at one scale
+// variantTimes measures all four variants for one query at one scale
 // factor, on the Jaql or Hive runtime profile.
-func VariantTimes(cfg Config, sf float64, query string, hiveProfile bool) (map[baselines.Variant]float64, error) {
+func variantTimes(cfg Config, sf float64, query string, hiveProfile bool) (map[baselines.Variant]float64, error) {
 	cfg = cfg.normalized()
 	out := map[baselines.Variant]float64{}
 	for _, v := range figure7Variants {
@@ -45,8 +45,8 @@ func Figure7(cfg Config) (*Table, error) {
 		Header: []string{"SF", "Query", "BESTSTATICJAQL", "RELOPT", "DYNOPT-SIMPLE", "DYNOPT"},
 	}
 	for _, sf := range figure7SFs {
-		for _, q := range Figure7Queries {
-			times, err := VariantTimes(cfg, sf, q, false)
+		for _, q := range figure7Queries {
+			times, err := variantTimes(cfg, sf, q, false)
 			if err != nil {
 				return nil, err
 			}
@@ -73,8 +73,8 @@ func Figure8(cfg Config) (*Table, error) {
 		Title:  "Figure 8: Benefits of DYNOPT plans in Hive (SF=300, relative to BESTSTATICHIVE)",
 		Header: []string{"Query", "BESTSTATICHIVE", "RELOPT", "DYNOPT-SIMPLE", "DYNOPT"},
 	}
-	for _, q := range Figure7Queries {
-		times, err := VariantTimes(cfg, 300, q, true)
+	for _, q := range figure7Queries {
+		times, err := variantTimes(cfg, 300, q, true)
 		if err != nil {
 			return nil, err
 		}

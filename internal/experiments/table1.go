@@ -51,17 +51,13 @@ func Table1(cfg Config) (*Table, error) {
 		Header: []string{"Query", "SF100-ST", "SF100-MT", "SF300-MT", "SF1000-MT"},
 	}
 	for _, q := range table1Queries {
-		base, err := pilotTime(core.PilotST, 100, cfg, q)
+		base, mt, err := table1Raw(cfg, q)
 		if err != nil {
 			return nil, err
 		}
 		row := []string{q, "100%"}
 		for _, sf := range table1SFs {
-			mt, err := pilotTime(core.PilotMT, sf, cfg, q)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, pct(ratio(mt, base)))
+			row = append(row, pct(ratio(mt[sf], base)))
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -70,9 +66,9 @@ func Table1(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// Table1Raw returns the absolute pilot durations (for tests and
-// ablations).
-func Table1Raw(cfg Config, query string) (st100 float64, mt map[float64]float64, err error) {
+// table1Raw returns one query's absolute pilot durations: PILR_ST at
+// SF100 and PILR_MT at each of table1SFs.
+func table1Raw(cfg Config, query string) (st100 float64, mt map[float64]float64, err error) {
 	cfg = cfg.normalized()
 	st100, err = pilotTime(core.PilotST, 100, cfg, query)
 	if err != nil {

@@ -272,7 +272,7 @@ func (c *Call) Eval(ctx *Ctx, row data.Value) data.Value {
 	if ctx == nil || ctx.Reg == nil {
 		return data.Null()
 	}
-	udf, ok := ctx.Reg.Lookup(c.Name)
+	udf, ok := ctx.Reg.lookup(c.Name)
 	if !ok {
 		ctx.errf("expr: unknown UDF %q", c.Name)
 		return data.Null()
@@ -316,8 +316,8 @@ func NewRegistry() *Registry { return &Registry{m: make(map[string]UDF)} }
 // Register adds or replaces a UDF.
 func (r *Registry) Register(u UDF) { r.m[u.Name] = u }
 
-// Lookup finds a UDF by name.
-func (r *Registry) Lookup(name string) (UDF, bool) {
+// lookup finds a UDF by name.
+func (r *Registry) lookup(name string) (UDF, bool) {
 	u, ok := r.m[name]
 	return u, ok
 }

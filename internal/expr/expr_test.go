@@ -211,11 +211,11 @@ func TestRegistryNames(t *testing.T) {
 	if got := len(r.m); got != 2 {
 		t.Errorf("Names = %d, want 2", got)
 	}
-	if _, ok := r.Lookup("a"); !ok {
-		t.Error("Lookup(a) failed")
+	if _, ok := r.lookup("a"); !ok {
+		t.Error("lookup(a) failed")
 	}
-	if _, ok := r.Lookup("zz"); ok {
-		t.Error("Lookup(zz) should fail")
+	if _, ok := r.lookup("zz"); ok {
+		t.Error("lookup(zz) should fail")
 	}
 }
 

@@ -2,6 +2,7 @@ package jaql
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"dyno/internal/cluster"
@@ -300,20 +301,14 @@ func TestGraphShapesChainIsOneUnit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	joins := plan.Joins(res.Root)
-	chained := 0
-	for _, j := range joins {
-		if j.Chained {
-			chained++
-		}
-	}
+	joins, chained := len(block.Rels)-1, strings.Count(plan.Format(res.Root), "(chained)")
 	g, err := BuildGraph(res.Root, nil, "q")
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Every chained join merges into its parent's unit.
-	if got, want := len(g.Units), len(joins)-chained; got != want {
-		t.Errorf("units = %d, want %d (joins %d, chained %d)", got, want, len(joins), chained)
+	if got, want := len(g.Units), joins-chained; got != want {
+		t.Errorf("units = %d, want %d (joins %d, chained %d)", got, want, joins, chained)
 	}
 }
 
@@ -435,7 +430,7 @@ func TestStatsCollectionDuringUnit(t *testing.T) {
 	if rel.Stats.Card != 120 {
 		t.Errorf("card = %v, want 120 (every r row matches)", rel.Stats.Card)
 	}
-	if ndv := rel.Stats.NDVOr("r.sid", -1); ndv != 20 {
+	if ndv := rel.Stats.Cols["r.sid"].NDV; ndv != 20 {
 		t.Errorf("r.sid NDV = %v, want 20", ndv)
 	}
 }

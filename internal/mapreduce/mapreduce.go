@@ -155,9 +155,8 @@ type Broadcast struct {
 // data.Compare, so a probe is one map lookup with no re-checks.
 type HashTable struct {
 	buckets    map[string][]data.Value // normalized key -> rows (scan order)
-	rows       int
-	builtBytes int64   // virtual size of the retained (filtered) rows
-	prepCPU    float64 // one-time UDF cost to produce the (filtered) build
+	builtBytes int64                   // virtual size of the retained (filtered) rows
+	prepCPU    float64                 // one-time UDF cost to produce the (filtered) build
 }
 
 // Split is one block of a build side: its records and the cache slot of
@@ -169,7 +168,7 @@ type Split struct {
 
 // scanBuild is a broadcast build as a one-partition shuffle of its
 // blocks, each a map task of b's kernel on par (nil: inline). It returns
-// the table's three numbers (vsize, when non-nil, prices each retained
+// the table's two charges (vsize, when non-nil, prices each retained
 // row) and the pairs to index it from. A filter that calls a UDF is
 // scanned in order on one context, its cost a running sum that becomes
 // virtual time; any other build costs nothing.
@@ -202,7 +201,6 @@ func scanBuild(reg *expr.Registry, b Broadcast, blocks []Split, vsize func(data.
 		if errs[i] != nil {
 			return nil, nil, errs[i]
 		}
-		ht.rows += len(outs[i].Shuffled.Pairs)
 		ht.builtBytes += bytes[i]
 		ht.prepCPU += outs[i].CPUMap
 	}
@@ -261,9 +259,6 @@ func CompositeKeyCompiled(row data.Value, accs []*data.Accessor) data.Value {
 	}
 	return data.Array(vals...)
 }
-
-// Rows returns the build side's row count.
-func (h *HashTable) Rows() int { return h.rows }
 
 // Spec describes a job.
 type Spec struct {

@@ -104,8 +104,8 @@ func TestMapOnlyFilterJob(t *testing.T) {
 	if !res.WholeInput {
 		t.Error("whole input should have been consumed")
 	}
-	if res.Stats == nil || res.Stats.Selectivity() != 0.25 {
-		t.Errorf("stats selectivity = %v", res.Stats.Selectivity())
+	if res.Stats == nil || res.Stats.InRecords != 4*res.Stats.OutRecords {
+		t.Errorf("stats saw %d of %d records, want a quarter", res.Stats.OutRecords, res.Stats.InRecords)
 	}
 	col, ok := res.Stats.Exact().Col("a.id")
 	if !ok || col.NDV != 50 {
@@ -425,7 +425,7 @@ func TestReduceStatsCollected(t *testing.T) {
 	if ts.Card != 10 {
 		t.Errorf("stats card = %v", ts.Card)
 	}
-	if ndv := ts.NDVOr("g.grp", -1); ndv != 10 {
+	if ndv := ts.Cols["g.grp"].NDV; ndv != 10 {
 		t.Errorf("grp NDV = %v, want 10", ndv)
 	}
 	// Each group has exactly 10 members.

@@ -94,7 +94,7 @@ func TestWideJobResultPinned(t *testing.T) {
 	count := func(rc *ReduceCtx, key data.Value, group []Pair) {
 		var n int64
 		for _, g := range group {
-			if c, ok := g.Rec.Field("n"); ok {
+			if c := g.Rec.FieldOr("n"); !c.IsNull() {
 				n += c.Int()
 			} else {
 				n++
@@ -424,9 +424,9 @@ func TestJobLifecycleRunsOnThePool(t *testing.T) {
 			b := bound(Broadcast{Name: name, File: f, KeyPaths: []data.Path{data.MustParsePath(name + ".grp")}})
 			emit := b.Map
 			b.Map = func(mc *MapCtx, d *batch.Data) {
-				scanned.Add(int64(d.Len()))
+				scanned.Add(int64(len(d.Records())))
 				if !pool.inBatch.Load() {
-					offPool.Add(int64(d.Len()))
+					offPool.Add(int64(len(d.Records())))
 				}
 				emit(mc, d)
 			}

@@ -46,6 +46,31 @@ func BenchmarkOptimize12Way(b *testing.B) {
 	}
 }
 
+// benchOptimize runs one exhaustive enumeration of a synthetic join
+// graph per iteration; allocs/op gates memo-table allocation churn.
+func benchOptimize(b *testing.B, kind string, n int) {
+	block, err := SyntheticJoinBlock(kind, n, 2014)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := DefaultConfig(SyntheticSlotMemory)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Optimize(block, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkOptimizeChain12 enumerates a 12-relation chain, the smallest
+// graph the >=5x re-optimization acceptance bar applies to.
+func BenchmarkOptimizeChain12(b *testing.B) { benchOptimize(b, "chain", 12) }
+
+// BenchmarkOptimizeStar10 enumerates a 10-relation star — dense in
+// connected splits, so it stresses branch-and-bound pruning hardest.
+func BenchmarkOptimizeStar10(b *testing.B) { benchOptimize(b, "star", 10) }
+
 func BenchmarkExpr(b *testing.B) {
 	e := eq("a0.k", "a1.k")
 	_ = e

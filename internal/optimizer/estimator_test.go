@@ -66,14 +66,14 @@ func TestEstimatorAnnotateMatchesOptimizerProps(t *testing.T) {
 	// Re-annotating the optimizer's own tree must reproduce its
 	// cardinalities.
 	wantCards := map[string]float64{}
-	for _, j := range plan.Joins(res.Root) {
+	for _, j := range joinsOf(res.Root) {
 		wantCards[j.String()] = j.EstCard
 	}
 	est := NewEstimator(block, cfg)
 	if err := est.Annotate(res.Root); err != nil {
 		t.Fatal(err)
 	}
-	for _, j := range plan.Joins(res.Root) {
+	for _, j := range joinsOf(res.Root) {
 		if got := j.EstCard; math.Abs(got-wantCards[j.String()]) > 1e-6*math.Max(1, got) {
 			t.Errorf("card drift for %s: %v vs %v", j.String(), got, wantCards[j.String()])
 		}
@@ -176,7 +176,7 @@ func TestDeepBuildBudgetIsDerated(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, j := range plan.Joins(res.Root) {
+		for _, j := range joinsOf(res.Root) {
 			if j.Method == plan.BroadcastJoin {
 				if r, ok := j.Right.(*plan.Join); ok && len(r.Aliases()) == 2 {
 					return true
@@ -232,7 +232,7 @@ func TestUpperBoundBlocksOverextrapolatedBuilds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, j := range plan.Joins(res.Root) {
+	for _, j := range joinsOf(res.Root) {
 		if j.Method != plan.BroadcastJoin {
 			continue
 		}
@@ -250,11 +250,11 @@ func TestCJobPrefersFlatChains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !plan.IsLeftDeep(res.Root) {
+	if !isLeftDeep(res.Root) {
 		t.Errorf("flat chain expected:\n%s", plan.Format(res.Root))
 	}
 	chained := 0
-	for _, j := range plan.Joins(res.Root) {
+	for _, j := range joinsOf(res.Root) {
 		if j.Chained {
 			chained++
 		}

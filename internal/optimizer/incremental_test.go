@@ -15,7 +15,7 @@ import (
 // cheapest join with two scan inputs, ties by tree order.
 func testPickLeafJoin(root plan.Node) *plan.Join {
 	var best *plan.Join
-	for _, j := range plan.Joins(root) {
+	for _, j := range joinsOf(root) {
 		if _, ok := j.Left.(*plan.Scan); !ok {
 			continue
 		}

@@ -98,7 +98,7 @@ func TestStarJoinAllBroadcastAndChained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	joins := plan.Joins(res.Root)
+	joins := joinsOf(res.Root)
 	if len(joins) != 3 {
 		t.Fatalf("joins = %d", len(joins))
 	}
@@ -125,7 +125,7 @@ func TestChainRespectsMemoryBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, j := range plan.Joins(res.Root) {
+	for _, j := range joinsOf(res.Root) {
 		if j.Chained {
 			t.Errorf("no chain should fit in %v budget: %v", cfg.Mmax, plan.Format(res.Root))
 		}
@@ -164,7 +164,7 @@ func TestJoinOrderPrefersSelectiveFirst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	joins := plan.Joins(res.Root)
+	joins := joinsOf(res.Root)
 	first := joins[0]
 	names := strings.Join(first.Aliases(), ",")
 	if !strings.Contains(names, "sel") {
@@ -192,7 +192,7 @@ func TestBushyPlanWhenCheaper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.IsLeftDeep(res.Root) {
+	if isLeftDeep(res.Root) {
 		t.Errorf("expected bushy plan:\n%s", plan.Format(res.Root))
 	}
 	// A left-deep order, ((a⋈b)⋈c)⋈d by repartition (no side fits
@@ -223,7 +223,7 @@ func TestCartesianAvoidance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, j := range plan.Joins(res.Root) {
+	for _, j := range joinsOf(res.Root) {
 		if len(j.Conds) == 0 {
 			t.Errorf("cartesian product in connected query:\n%s", plan.Format(res.Root))
 		}
@@ -266,7 +266,7 @@ func TestResidualAttachesAtCoveringJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	found := 0
-	for _, j := range plan.Joins(res.Root) {
+	for _, j := range joinsOf(res.Root) {
 		for _, r := range j.Residual {
 			if strings.Contains(r.String(), "checkid") {
 				found++

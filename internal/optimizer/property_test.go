@@ -55,7 +55,7 @@ func validatePlan(t *testing.T, b *plan.JoinBlock, root plan.Node, cfg Config) {
 	t.Helper()
 	// Every relation appears exactly once.
 	seen := map[string]int{}
-	for _, sc := range plan.Scans(root) {
+	for _, sc := range scansOf(root) {
 		for _, a := range sc.Rel.Aliases {
 			seen[a]++
 		}
@@ -67,7 +67,7 @@ func validatePlan(t *testing.T, b *plan.JoinBlock, root plan.Node, cfg Config) {
 			}
 		}
 	}
-	joins := plan.Joins(root)
+	joins := joinsOf(root)
 	if len(joins) != len(b.Rels)-1 {
 		t.Fatalf("joins = %d for %d relations", len(joins), len(b.Rels))
 	}
@@ -131,14 +131,14 @@ func TestPropertyEstimatorAgreesWithSearch(t *testing.T) {
 			return false
 		}
 		cards := map[string]float64{}
-		for _, j := range plan.Joins(res.Root) {
+		for _, j := range joinsOf(res.Root) {
 			cards[j.String()] = j.EstCard
 		}
 		est := NewEstimator(b, cfg)
 		if err := est.Annotate(res.Root); err != nil {
 			return false
 		}
-		for _, j := range plan.Joins(res.Root) {
+		for _, j := range joinsOf(res.Root) {
 			want := cards[j.String()]
 			if diff := j.EstCard - want; diff > 1e-6*want+1e-6 || diff < -1e-6*want-1e-6 {
 				return false

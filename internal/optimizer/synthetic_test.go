@@ -90,7 +90,7 @@ func reoptArm(t *testing.T, kind string, n int, seed int64, scratch bool) (round
 			reoptExpanded += res.GroupsExpanded
 		}
 		root := res.Root.(*plan.Join)
-		rounds = append(rounds, reoptRound{cost: root.CostVal, shape: plan.Fingerprint(root)})
+		rounds = append(rounds, reoptRound{cost: root.CostVal, shape: fingerprint(root)})
 		leaf := testPickLeafJoin(root)
 		rel := testMaterialize(leaf, fmt.Sprintf("t%d", len(rounds)), rng, block)
 		testSubstitute(block, leaf.Aliases(), rel)

@@ -81,15 +81,19 @@ func BenchmarkBuildHashTable(b *testing.B) {
 		Filter: &expr.Cmp{Op: expr.NE, L: expr.NewCol("b.flag"), R: expr.NewLit(data.Int(1))}}, recs[0])
 	var aux atomic.Value // the split's columnar image, built by the first build
 	split := []mapreduce.Split{{Recs: recs, Aux: &aux}}
-	run := func() int {
+	run := func() *mapreduce.HashTable {
 		ht, err := mapreduce.BuildHashTable(nil, build, split, data.Value.EncodedSize, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		return ht.Rows()
+		return ht
 	}
-	if n := run(); n != rows-(rows+1)/3 {
-		b.Fatalf("build kept %d rows, want %d", n, rows-(rows+1)/3)
+	ht, kept := run(), 0
+	for i := range recs {
+		kept += len(ht.Probe(data.Int(int64(i))))
+	}
+	if want := rows - (rows+1)/3; kept != want {
+		b.Fatalf("build kept %d rows, want %d", kept, want)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

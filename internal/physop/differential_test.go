@@ -58,7 +58,7 @@ func testEnv() *mapreduce.Env {
 // seq column.
 func registerUDFs(reg *expr.Registry) {
 	seq := func(v data.Value) int64 {
-		if s, ok := v.Field("seq"); ok {
+		if s := v.FieldOr("seq"); !s.IsNull() {
 			return s.Int()
 		}
 		return v.Int()

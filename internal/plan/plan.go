@@ -208,63 +208,6 @@ func (j *Join) String() string {
 	return fmt.Sprintf("(%s %s %s)", j.Left.String(), j.Method.String(), j.Right.String())
 }
 
-// Joins returns all Join nodes of the tree in post-order.
-func Joins(n Node) []*Join {
-	var out []*Join
-	var rec func(Node)
-	rec = func(x Node) {
-		if j, ok := x.(*Join); ok {
-			rec(j.Left)
-			rec(j.Right)
-			out = append(out, j)
-		}
-	}
-	rec(n)
-	return out
-}
-
-// Scans returns all Scan nodes of the tree in left-to-right order.
-func Scans(n Node) []*Scan {
-	var out []*Scan
-	var rec func(Node)
-	rec = func(x Node) {
-		switch t := x.(type) {
-		case *Scan:
-			out = append(out, t)
-		case *Join:
-			rec(t.Left)
-			rec(t.Right)
-		}
-	}
-	rec(n)
-	return out
-}
-
-// IsLeftDeep reports whether every join's right input is a scan.
-func IsLeftDeep(n Node) bool {
-	for _, j := range Joins(n) {
-		if _, ok := j.Right.(*Scan); !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// Fingerprint renders the plan's structural identity — join methods,
-// chain marks, and leaf alias lists, no cardinality or cost floats —
-// so plans from different optimizer arms can be byte-compared even
-// when their estimate annotations were recomputed.
-func Fingerprint(n Node) string {
-	if j, ok := n.(*Join); ok {
-		label := j.Method.String()
-		if j.Chained {
-			label += "+"
-		}
-		return label + "(" + Fingerprint(j.Left) + "," + Fingerprint(j.Right) + ")"
-	}
-	return strings.Join(n.Aliases(), ",")
-}
-
 // Format renders the plan as an indented tree, in the spirit of the
 // paper's Figures 2 and 3.
 func Format(n Node) string {

@@ -84,21 +84,6 @@ func TestPhysicalTreeAccessors(t *testing.T) {
 	if root.Card() != 50 || root.Bytes() != 1500 || root.Cost() != 20 {
 		t.Error("accessors broken")
 	}
-	joins := Joins(root)
-	if len(joins) != 2 || joins[0] != inner || joins[1] != root {
-		t.Errorf("Joins post-order broken: %v", joins)
-	}
-	scans := Scans(root)
-	if len(scans) != 3 || scans[0].Rel != a || scans[2].Rel != c {
-		t.Errorf("Scans order broken")
-	}
-	if !IsLeftDeep(root) {
-		t.Error("tree is left-deep")
-	}
-	bushy := &Join{Method: Repartition, Left: &Scan{Rel: a}, Right: inner}
-	if IsLeftDeep(bushy) {
-		t.Error("bushy tree misclassified")
-	}
 	if s := (&Scan{Rel: a}); s.Cost() != 0 || s.Card() != 100 {
 		t.Error("scan accessors broken")
 	}
@@ -127,39 +112,5 @@ func TestFormatRendersTree(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("Format missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestFingerprintStructureOnly(t *testing.T) {
-	a, b, c := rel("a", 100), rel("b", 10), rel("c", 5)
-	tree := func(cost float64) *Join {
-		inner := &Join{
-			Method: BroadcastJoin, Chained: true,
-			Left: &Scan{Rel: a}, Right: &Scan{Rel: b},
-			EstCard: cost, CostVal: cost,
-		}
-		return &Join{
-			Method: Repartition,
-			Left:   inner, Right: &Scan{Rel: c},
-			EstCard: cost, CostVal: cost,
-		}
-	}
-	x, y := tree(1), tree(99)
-	if Fingerprint(x) != Fingerprint(y) {
-		t.Error("fingerprint must ignore estimate annotations")
-	}
-	if want := "⋈r(⋈b+(a,b),c)"; Fingerprint(x) != want {
-		t.Errorf("Fingerprint = %q, want %q", Fingerprint(x), want)
-	}
-	// Structure changes must change the fingerprint.
-	z := tree(1)
-	z.Method = BroadcastJoin
-	if Fingerprint(x) == Fingerprint(z) {
-		t.Error("fingerprint must reflect the join method")
-	}
-	w := tree(1)
-	w.Left.(*Join).Chained = false
-	if Fingerprint(x) == Fingerprint(w) {
-		t.Error("fingerprint must reflect chain marks")
 	}
 }

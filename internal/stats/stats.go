@@ -34,15 +34,6 @@ func (t TableStats) Col(path string) (ColStats, bool) {
 	return c, ok
 }
 
-// NDVOr returns the column's distinct-value estimate, falling back to
-// the given default when the column is unknown.
-func (t TableStats) NDVOr(path string, def float64) float64 {
-	if c, ok := t.Cols[path]; ok && c.NDV > 0 {
-		return c.NDV
-	}
-	return def
-}
-
 // String renders a compact summary.
 func (t TableStats) String() string {
 	var sb strings.Builder
@@ -335,9 +326,9 @@ func MergePartialsOn(parts []*Partial, par func(n int, fn func(i int))) *Partial
 	return out
 }
 
-// Selectivity returns the observed fraction of input records that
+// selectivity returns the observed fraction of input records that
 // survived (1 when nothing was read).
-func (p *Partial) Selectivity() float64 {
+func (p *Partial) selectivity() float64 {
 	if p.InRecords == 0 {
 		return 1
 	}
@@ -361,7 +352,7 @@ func (p *Partial) avgRecSize() float64 {
 // selectivity · totalInput, and distinct values scale by the paper's
 // linear rule DV(R) = |R|/|Rs| · DV(Rs), capped by the cardinality.
 func (p *Partial) Extrapolate(totalInput float64) TableStats {
-	sel := p.Selectivity()
+	sel := p.selectivity()
 	card := sel * totalInput
 	if card < float64(p.OutRecords) {
 		card = float64(p.OutRecords)

@@ -35,7 +35,7 @@ func TestCollectorBasics(t *testing.T) {
 	if p.InRecords != 1000 || p.OutRecords != 500 {
 		t.Fatalf("in=%d out=%d", p.InRecords, p.OutRecords)
 	}
-	if got := p.Selectivity(); got != 0.5 {
+	if got := p.selectivity(); got != 0.5 {
 		t.Errorf("Selectivity = %v", got)
 	}
 	if p.avgRecSize() <= 0 {
@@ -77,7 +77,7 @@ func TestExtrapolateScalesCardAndNDV(t *testing.T) {
 	}
 	// NDV on the sample is ~100; linear extrapolation scales by
 	// card/sampleOut = 100 → ~10_000, capped by card.
-	ndv := ts.NDVOr("o.o_orderkey", -1)
+	ndv := ts.Cols["o.o_orderkey"].NDV
 	if math.Abs(ndv-10_000) > 500 {
 		t.Errorf("NDV = %v, want ~10000", ndv)
 	}
@@ -201,9 +201,6 @@ func TestTableStatsHelpers(t *testing.T) {
 	if ts.SizeBytes() != 800 {
 		t.Errorf("SizeBytes = %v", ts.SizeBytes())
 	}
-	if ts.NDVOr("a.x", 5) != 10 || ts.NDVOr("a.y", 5) != 5 {
-		t.Error("NDVOr broken")
-	}
 	str := ts.String()
 	if !strings.Contains(str, "card=100") || !strings.Contains(str, "a.x{ndv=10}") {
 		t.Errorf("String = %q", str)
@@ -212,7 +209,7 @@ func TestTableStatsHelpers(t *testing.T) {
 
 func TestSelectivityNoInput(t *testing.T) {
 	p := &Partial{}
-	if p.Selectivity() != 1 {
+	if p.selectivity() != 1 {
 		t.Error("no-input selectivity should be 1")
 	}
 	if p.avgRecSize() != 0 {

@@ -215,20 +215,27 @@ func TestQueriesReturnRowsOnOracle(t *testing.T) {
 	}
 }
 
+// callUDF evaluates the registered UDF name on one argument.
+func callUDF(t *testing.T, reg *expr.Registry, name string, arg data.Value) data.Value {
+	t.Helper()
+	ctx := &expr.Ctx{Reg: reg}
+	v := (&expr.Call{Name: name, Args: []expr.Expr{expr.NewLit(arg)}}).Eval(ctx, data.Null())
+	if ctx.Err != nil {
+		t.Fatal(ctx.Err)
+	}
+	return v
+}
+
 func TestUDFSelectivityKnob(t *testing.T) {
 	reg := expr.NewRegistry()
 	p := DefaultUDFParams()
 	p.Q9DimSel = 0.2
 	RegisterUDFs(reg, p)
-	udf, ok := reg.Lookup("q9_keep_part")
-	if !ok {
-		t.Fatal("udf missing")
-	}
 	kept := 0
 	const n = 5000
 	for i := 0; i < n; i++ {
 		rec := data.Object(data.Field{Name: "p_partkey", Value: data.Int(int64(i))})
-		if udf.Fn([]data.Value{rec}).Truthy() {
+		if callUDF(t, reg, "q9_keep_part", rec).Truthy() {
 			kept++
 		}
 	}
@@ -254,13 +261,11 @@ func TestUDFsIndependentAcrossSalts(t *testing.T) {
 	p := DefaultUDFParams()
 	p.Q9DimSel = 0.5
 	RegisterUDFs(reg, p)
-	up, _ := reg.Lookup("q9_keep_part")
-	uo, _ := reg.Lookup("q9_keep_orders")
 	agree := 0
 	const n = 2000
 	for i := 0; i < n; i++ {
-		a := up.Fn([]data.Value{data.Object(data.Field{Name: "p_partkey", Value: data.Int(int64(i))})}).Truthy()
-		b := uo.Fn([]data.Value{data.Object(data.Field{Name: "o_orderkey", Value: data.Int(int64(i))})}).Truthy()
+		a := callUDF(t, reg, "q9_keep_part", data.Object(data.Field{Name: "p_partkey", Value: data.Int(int64(i))})).Truthy()
+		b := callUDF(t, reg, "q9_keep_orders", data.Object(data.Field{Name: "o_orderkey", Value: data.Int(int64(i))})).Truthy()
 		if a == b {
 			agree++
 		}

@@ -56,10 +56,10 @@ go test -run='^$' -bench='^BenchmarkMirrorFile$' \
     -benchtime=10x -benchmem ./internal/runtime/procruntime | tee -a "$out"
 # Optimizer enumeration benchmarks: memo-table churn per full Optimize.
 go test -run='^$' -bench='^(BenchmarkOptimizeChain12|BenchmarkOptimizeStar10)$' \
-    -benchtime=10x -benchmem . | tee -a "$out"
+    -benchtime=10x -benchmem ./internal/optimizer | tee -a "$out"
 # Columnar batch layer: per-split (not per-row) allocation invariant.
 go test -run='^$' -bench='^(BenchmarkBatchFilterProject|BenchmarkBatchHashProbe|BenchmarkIntern)$' \
-    -benchtime=100x -benchmem . | tee -a "$out"
+    -benchtime=100x -benchmem ./internal/batch | tee -a "$out"
 
 # Extract "name allocs bytes" triples (the GOMAXPROCS suffix varies by
 # runner).
