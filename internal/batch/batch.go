@@ -3,6 +3,7 @@ package batch
 import (
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"dyno/internal/data"
 	"dyno/internal/expr"
@@ -184,7 +185,7 @@ func (d *Data) Keys(sig, alias string, paths []data.Path) *KeyCols {
 		sample = rows[0]
 	}
 	accs := data.CompileAccessors(paths, sample)
-	nkBytes := make([]byte, 0, 8*len(rows))
+	nkBytes := make([]byte, 0, 9*len(rows)) // a number key's encoding is 9 bytes
 	ends := make([]int32, len(rows))
 	for i, row := range rows {
 		var k data.Value
@@ -201,8 +202,8 @@ func (d *Data) Keys(sig, alias string, paths []data.Path) *KeyCols {
 		nkBytes, _ = data.AppendNormKey(nkBytes, k)
 		ends[i] = int32(len(nkBytes))
 	}
-	// One string for the whole slab; per-row keys are substrings of it.
-	slab := string(nkBytes)
+	// One string over the slab, never written again: keys are its substrings.
+	slab := unsafe.String(unsafe.SliceData(nkBytes), len(nkBytes))
 	start := int32(0)
 	for i := range kc.NK {
 		kc.NK[i] = slab[start:ends[i]]

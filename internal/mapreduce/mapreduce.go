@@ -166,16 +166,15 @@ type Split struct {
 	Aux  *atomic.Value
 }
 
-// scanBuild is a broadcast build as a one-partition shuffle of its
-// blocks, each a map task of b's kernel on par (nil: inline). It returns
-// the table's two charges (vsize, when non-nil, prices each retained
-// row) and the pairs to index it from. A filter that calls a UDF is
+// buildTable is a broadcast build as a one-partition shuffle of its
+// blocks, each a map task of b's kernel on par (nil: inline), indexed
+// when index is set. It sums the table's two charges (vsize, when
+// non-nil, prices each retained row). A filter that calls a UDF is
 // scanned in order on one context, its cost a running sum that becomes
 // virtual time; any other build costs nothing.
-func scanBuild(reg *expr.Registry, b Broadcast, blocks []Split, vsize func(data.Value) int64, par func(n int, fn func(i int))) (*HashTable, []MapOutput, error) {
+func buildTable(reg *expr.Registry, b Broadcast, blocks []Split, vsize func(data.Value) int64, par func(n int, fn func(i int)), index bool) (*HashTable, error) {
 	outs := make([]MapOutput, len(blocks))
 	errs := make([]error, len(blocks))
-	bytes := make([]int64, len(blocks))
 	var ordered *expr.Ctx
 	if expr.ContainsUDF(b.Filter) {
 		ordered = &expr.Ctx{Reg: reg}
@@ -183,11 +182,6 @@ func scanBuild(reg *expr.Registry, b Broadcast, blocks []Split, vsize func(data.
 	scan := func(i int) {
 		outs[i], errs[i] = RunMapTask(&MapTask{Reg: reg, Ctx: ordered, Recs: blocks[i].Recs, Aux: blocks[i].Aux,
 			Map: b.Map, NumReducers: 1})
-		if vsize != nil {
-			for _, p := range outs[i].Shuffled.Pairs {
-				bytes[i] += vsize(p.Rec)
-			}
-		}
 	}
 	if ordered != nil || par == nil {
 		for i := range blocks {
@@ -197,38 +191,34 @@ func scanBuild(reg *expr.Registry, b Broadcast, blocks []Split, vsize func(data.
 		par(len(blocks), scan)
 	}
 	ht := &HashTable{}
+	if index {
+		ht.buckets = make(map[string][]data.Value)
+	}
 	for i := range outs {
 		if errs[i] != nil {
-			return nil, nil, errs[i]
+			return nil, errs[i]
 		}
-		ht.builtBytes += bytes[i]
 		ht.prepCPU += outs[i].CPUMap
+		s := &outs[i].Shuffled
+		for _, at := range s.Idx {
+			if vsize != nil {
+				ht.builtBytes += vsize(s.Recs[at])
+			}
+			if index { // by normalized key, in scan order
+				ht.buckets[s.NK[at]] = append(ht.buckets[s.NK[at]], s.Recs[at])
+			}
+		}
 	}
 	if ordered != nil {
 		ht.prepCPU = ordered.CPUSeconds
 	}
-	return ht, outs, nil
-}
-
-// index buckets the scanned pairs by normalized key, in scan order.
-func (h *HashTable) index(outs []MapOutput) {
-	h.buckets = make(map[string][]data.Value)
-	for o := range outs {
-		for i := range outs[o].Shuffled.Pairs {
-			p := &outs[o].Shuffled.Pairs[i]
-			h.buckets[p.nk] = append(h.buckets[p.nk], p.Rec)
-		}
-	}
+	return ht, nil
 }
 
 // BuildHashTable indexes a broadcast side from its blocks (b.File is not
-// read — a worker passes decoded mirror blocks); see scanBuild.
+// read — a worker passes decoded mirror blocks); see buildTable.
 func BuildHashTable(reg *expr.Registry, b Broadcast, blocks []Split, vsize func(data.Value) int64, par func(n int, fn func(i int))) (*HashTable, error) {
-	ht, outs, err := scanBuild(reg, b, blocks, vsize, par)
-	if err == nil {
-		ht.index(outs)
-	}
-	return ht, err
+	return buildTable(reg, b, blocks, vsize, par, true)
 }
 
 // Probe returns the build rows whose key equals k, in build scan order:
@@ -428,13 +418,10 @@ func (j *Job) Start(sub *cluster.Submission) []*cluster.Task {
 		for i, blk := range b.File.Blocks() {
 			blocks[i] = Split{Recs: blk.Records(), Aux: blk.Aux()}
 		}
-		ht, outs, err := scanBuild(j.env.Reg, b, blocks, j.env.VirtualSize, j.par)
+		ht, err := buildTable(j.env.Reg, b, blocks, j.env.VirtualSize, j.par, j.env.Exec == nil)
 		if err != nil {
 			j.buildErr = err
 			break
-		}
-		if j.env.Exec == nil {
-			ht.index(outs)
 		}
 		j.builds[b.Name] = ht
 		j.buildBytes += ht.builtBytes
@@ -599,20 +586,12 @@ func (j *Job) runMap(st *mapTaskState, input Input) (cluster.Usage, int64, error
 			u.BytesShuffled += part.Bytes
 			emitted += int64(part.Count)
 		}
-		u.BytesShuffled += j.shuffleBytes(st.shuffled.Pairs)
-		emitted += int64(len(st.shuffled.Pairs))
+		for _, i := range st.shuffled.Idx {
+			u.BytesShuffled += j.env.VirtualSize(st.shuffled.Recs[i])
+		}
+		emitted += int64(len(st.shuffled.Idx))
 	}
 	return u, emitted, nil
-}
-
-// shuffleBytes is the virtual size of the records of pairs: the bytes
-// they cost in the shuffle.
-func (j *Job) shuffleBytes(pairs []Pair) int64 {
-	var total int64
-	for i := range pairs {
-		total += j.env.VirtualSize(pairs[i].Rec)
-	}
-	return total
 }
 
 // chargeOutput prices a task's output rows and hands them whole to its
@@ -722,9 +701,11 @@ func (j *Job) runReduce(st *reduceTaskState, partition int) (cluster.Usage, erro
 	} else {
 		pairs := pairSlices.get(count)
 		for _, ms := range j.mapStates {
-			pairs = append(pairs, ms.shuffled.Part(partition)...)
+			pairs = ms.shuffled.AppendPart(pairs, partition)
 		}
-		u.BytesShuffled += j.shuffleBytes(pairs)
+		for i := range pairs {
+			u.BytesShuffled += j.env.VirtualSize(pairs[i].Rec)
+		}
 		SortPairsByKey(pairs)
 		st.outRows, cpu, err = RunReduceTask(j.env.Reg, j.spec.Reduce, pairs)
 		pairSlices.put(pairs)

@@ -35,13 +35,6 @@ type ShufflePart struct {
 	Bytes int64
 }
 
-// ShuffleInput is one segment of a reduce task's input, in map
-// completion order: the executor's handle to one map task's retained
-// output (opaque to this package).
-type ShuffleInput struct {
-	Handle any
-}
-
 // MapExec describes one map task for a TaskExecutor.
 type MapExec struct {
 	JobName  string
@@ -85,13 +78,14 @@ type MapExecOut struct {
 }
 
 // ReduceExec describes one reduce task: Inputs lists every map
-// output's handle in map order, and the executor assembles and sorts
-// the partition worker-side.
+// output's handle (MapExecOut.Shuffle, opaque to this package) in map
+// order, and the executor assembles and sorts the partition
+// worker-side.
 type ReduceExec struct {
 	JobName   string
 	TaskName  string
 	Partition int
-	Inputs    []ShuffleInput
+	Inputs    []any
 	Op        any
 }
 
@@ -144,10 +138,10 @@ func (j *Job) execReduce(partition int) (*ReduceExecOut, error) {
 	if j.spec.RemoteOp == nil {
 		return nil, j.errNoRemoteOp()
 	}
-	var inputs []ShuffleInput
+	var inputs []any
 	for _, ms := range j.mapStates {
 		if partition < len(ms.shuffleParts) {
-			inputs = append(inputs, ShuffleInput{Handle: ms.shuffle})
+			inputs = append(inputs, ms.shuffle)
 		}
 	}
 	return j.env.Exec.ExecReduce(ReduceExec{

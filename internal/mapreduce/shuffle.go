@@ -13,15 +13,15 @@ import (
 // The shuffle keeps its per-record costs off the hot path without
 // changing a single output bit:
 //
-//   - A key is normalized once, when its pair is emitted, into an
-//     order-preserving string (data.AppendNormKey): sorting and grouping
-//     compare strings. Its partition is data.Hash64(key) % R, which
-//     decides output row placement, so it never depends on the encoding.
-//   - A map task's output is one array of pairs, by partition, cut by
-//     R+1 offsets (Partitioned): a kernel that counts its pairs first
-//     (SizeParts) writes each into its slot, others are counting-sorted
-//     into place at task end. A reducer's input is the concatenation of
-//     its windows, and a key group is its window of the sorted pairs.
+//   - A key is normalized once, per split or when EmitKV emits it, into
+//     an order-preserving string (data.AppendNormKey): sorting and
+//     grouping compare strings. Its partition is data.Hash64(key) % R,
+//     which decides output row placement, never the encoding.
+//   - A map task's output is positions, not copies (Partitioned): one
+//     Idx by partition, cut by R+1 offsets, into key and record columns
+//     that for the repartition kernel are its split's cached ones. A
+//     reducer's input is its windows' pairs gathered in map order, and
+//     a key group is its window of the sorted pairs.
 //   - Broadcast hash tables index build rows by normalized key: a probe
 //     is an exact map lookup.
 //
@@ -111,7 +111,7 @@ func fillNormKeys(pairs []Pair) {
 
 // Pools recycle the shuffle's large transient buffers across tasks and
 // jobs, cleared so they pin no records, once nothing reads them: a
-// task's staged or gathered pairs at its end, output rows once written.
+// reduce task's gathered pairs at its end, output rows once written.
 var (
 	pairSlices slicePool[Pair]
 	rowSlices  slicePool[data.Value]

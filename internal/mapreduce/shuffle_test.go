@@ -21,11 +21,17 @@ import (
 // encoded strings, the normalized-key table index, pooled buffers)
 // must be indistinguishable from.
 
-// TestPairLayout: shuffle buckets, gathered reduce inputs and the key
-// groups reducers see are arrays of Pair, so its size is the unit of the
-// shuffle's allocation and copy cost: two strings' worth of headers plus
+// TestPairLayout: a map task's output is positions, so what it owns
+// costs 4 bytes per pair (an int32 in Idx) and 4 per reducer (an int32
+// offset); gathered reduce inputs and the key groups reducers see are
+// arrays of Pair, so its size is the unit of the reduce side's
+// allocation and copy cost: two strings' worth of headers plus
 // data.Value's three words twice.
 func TestPairLayout(t *testing.T) {
+	var s Partitioned
+	if pos, off := reflect.TypeOf(s.Idx).Elem().Size(), reflect.TypeOf(s.Offs).Elem().Size(); pos != 4 || off != 4 {
+		t.Errorf("a position is %d bytes and an offset %d, want 4 and 4", pos, off)
+	}
 	if sz := reflect.TypeOf(Pair{}).Size(); sz > 80 {
 		t.Errorf("Sizeof(Pair) = %d, want <= 80", sz)
 	}

@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"fmt"
 	"sync/atomic"
+	"unsafe"
 
 	"dyno/internal/batch"
 	"dyno/internal/data"
@@ -32,14 +33,12 @@ type MapCtx struct {
 	n      int // the split's record count: what the first Emit sizes rows for
 	from   []data.Value
 	sel    []int32
-	// A shuffle task's Partitioned output (offs is nil for a map-only
-	// task): placed by SizeParts, else in emit order with each pair's
-	// partition in dest until the task ends.
-	pairs  []Pair
-	offs   []int
-	dest   []int32
-	placed bool
-	nkBuf  []byte // scratch for key normalization, reused across emits
+	// A shuffle task's output (out.Offs is nil for a map-only task), and
+	// EmitKV's positions and key hashes until the task ends.
+	out     Partitioned
+	emitted []int32
+	hashes  []uint64
+	nks     []byte // EmitKV's normalized keys: NK views them, none is rewritten
 	// Arena is where a join kernel merges the rows it emits; Scratch
 	// those that nothing references once the kernel resets it.
 	Arena, Scratch data.FieldArena
@@ -74,92 +73,83 @@ func (mc *MapCtx) EmitSel(from []data.Value, sel []int32) {
 
 // EmitKV routes a record through the shuffle, keyed for the reduce
 // phase: to partition data.Hash64(key) % numReducers, which decides
-// the record's reduce task and so its output position. The key is
-// normalized once here, for sorting and grouping to compare.
+// the record's reduce task and so its output position. The pair goes
+// into columns the task owns, its key normalized once for sorting and
+// grouping to compare. Every pair of a task carries the same tag.
 func (mc *MapCtx) EmitKV(key data.Value, tag string, rec data.Value) {
-	mc.nkBuf, _ = data.AppendNormKey(mc.nkBuf[:0], key)
-	mc.EmitPair(key, string(mc.nkBuf), tag, rec, data.Hash64(key))
+	s := &mc.out
+	if len(s.Keys) > 0 && tag != s.Tag && mc.ectx.Err == nil {
+		mc.ectx.Err = fmt.Errorf("mapreduce: one map task emitted tags %q and %q", s.Tag, tag)
+	}
+	at := len(mc.nks)
+	mc.nks, _ = data.AppendNormKey(mc.nks, key) // at least one byte
+	s.Keys, s.NK = append(s.Keys, key), append(s.NK, unsafe.String(&mc.nks[at], len(mc.nks)-at))
+	s.Recs, s.Tag = append(s.Recs, rec), tag
+	mc.emitted, mc.hashes = append(mc.emitted, int32(len(mc.emitted))), append(mc.hashes, data.Hash64(key))
 }
 
-// EmitPair is EmitKV with the key's normalized encoding nk and its
-// data.Hash64 already computed, as a shuffle kernel reads them from the
-// split's cached key columns: the pair is the one EmitKV would build.
-func (mc *MapCtx) EmitPair(key data.Value, nk string, tag string, rec data.Value, hash uint64) {
-	p := hash % uint64(len(mc.offs)-1)
-	pair := Pair{Key: key, Tag: tag, Rec: rec, nk: nk}
-	if mc.placed {
-		mc.pairs[mc.offs[p+1]] = pair
-		mc.offs[p+1]++
-		return
-	}
-	if mc.pairs == nil {
-		mc.pairs, mc.dest = pairSlices.get(mc.n), make([]int32, 0, mc.n)
-	}
-	mc.pairs = append(mc.pairs, pair)
-	mc.dest = append(mc.dest, int32(p))
-}
-
-// SizeParts sizes the task's shuffle output for exactly the pairs a
-// kernel is about to emit — hashes[i] for each i in sel, each through
-// EmitPair or EmitKV with that hash — so each pair is written straight
-// into its partition's slot of one array. A kernel calls it at most
-// once, before its first emit, and emits nothing else; one that does
-// not call it has its pairs sorted into place when the task ends.
-func (mc *MapCtx) SizeParts(hashes []uint64, sel []int32) {
-	r := uint64(len(mc.offs) - 1)
+// ShuffleSel routes the pairs (keys[i], tag, recs[i]), for each i in
+// the ascending selection sel, through the shuffle by hashes[i] in one
+// call: the task's output is positions into these columns, which it
+// keeps, not copies. nk[i] must be keys[i]'s normalized encoding and
+// hashes[i] its data.Hash64, as a shuffle kernel reads them from the
+// split's cached key columns. A kernel calls it at most once and emits
+// nothing else; no slice may change after.
+func (mc *MapCtx) ShuffleSel(keys []data.Value, nk []string, hashes []uint64, recs []data.Value, sel []int32, tag string) {
+	s := &mc.out
+	s.Keys, s.NK, s.Recs, s.Tag = keys, nk, recs, tag
+	// A stable counting sort: Offs[p+1] counts partition p, then is its
+	// next slot, so at the end it ends p.
+	r := uint64(len(s.Offs) - 1)
 	for _, i := range sel {
-		mc.offs[hashes[i]%r+1]++
+		s.Offs[hashes[i]%r+1]++
 	}
-	firstSlots(mc.offs)
-	mc.pairs, mc.placed = make([]Pair, len(sel)), true
+	var first int32
+	for p := 1; p < len(s.Offs); p++ {
+		s.Offs[p], first = first, first+s.Offs[p]
+	}
+	s.Idx = make([]int32, len(sel))
+	for _, i := range sel {
+		p := hashes[i]%r + 1
+		s.Idx[s.Offs[p]] = i
+		s.Offs[p]++
+	}
 }
 
-// firstSlots turns the counts in offs[1:] into partition p's first slot
-// at offs[p+1]; placing a pair bumps it, so at the end it ends p.
-func firstSlots(offs []int) {
-	at := 0
-	for p := 1; p < len(offs); p++ {
-		offs[p], at = at, at+offs[p]
-	}
-}
-
-// shuffled is the task's shuffle output, the pairs of a kernel that
-// did not size them moved into place by a stable counting sort.
-func (mc *MapCtx) shuffled() Partitioned {
-	if !mc.placed && len(mc.pairs) > 0 {
-		for _, p := range mc.dest {
-			mc.offs[p+1]++
-		}
-		firstSlots(mc.offs)
-		placed := make([]Pair, len(mc.pairs))
-		for i, p := range mc.dest {
-			placed[mc.offs[p+1]] = mc.pairs[i]
-			mc.offs[p+1]++
-		}
-		pairSlices.put(mc.pairs)
-		mc.pairs = placed
-	}
-	return Partitioned{Pairs: mc.pairs, Offs: mc.offs}
-}
-
-// Partitioned is a shuffle task's output: its pairs in one array by
-// partition, each in emit order, cut into windows by R+1 offsets.
+// Partitioned is a shuffle task's output as positions into columns: the
+// pair at position i is (Keys[i], Tag, Recs[i]), NK[i] its key's
+// normalized encoding. Idx lists the positions by partition, each
+// partition in emit order, cut into windows by R+1 offsets. A
+// repartition kernel's columns are its split's cached key columns and
+// rows, so the task allocates only Idx and Offs.
 type Partitioned struct {
-	Pairs []Pair
-	Offs  []int
+	Keys []data.Value
+	NK   []string
+	Recs []data.Value
+	Tag  string
+	Idx  []int32
+	Offs []int32
 }
 
-// Part is partition p's window of the pairs, nil past the last one.
-func (s Partitioned) Part(p int) []Pair {
+// Part is partition p's window of Idx, nil past the last one.
+func (s *Partitioned) Part(p int) []int32 {
 	if p < 0 || p+1 >= len(s.Offs) {
 		return nil
 	}
 	lo, hi := s.Offs[p], s.Offs[p+1]
-	return s.Pairs[lo:hi:hi]
+	return s.Idx[lo:hi:hi]
 }
 
 // NumParts is the number of partitions, 0 for a map-only task.
-func (s Partitioned) NumParts() int { return max(len(s.Offs)-1, 0) }
+func (s *Partitioned) NumParts() int { return max(len(s.Offs)-1, 0) }
+
+// AppendPart appends partition p's pairs, in order, to dst.
+func (s *Partitioned) AppendPart(dst []Pair, p int) []Pair {
+	for _, i := range s.Part(p) {
+		dst = append(dst, Pair{Key: s.Keys[i], Tag: s.Tag, Rec: s.Recs[i], nk: s.NK[i]})
+	}
+	return dst
+}
 
 // MapFunc is a map kernel: it processes one whole split through its
 // columnar image (see batch.Data, which builds vectors, wrapped rows and
@@ -217,7 +207,7 @@ type MapTask struct {
 	Map MapFunc
 	// Combine, when non-nil, folds each shuffle partition per key before
 	// the task returns (the classic map-side combiner). It emits at most
-	// as many rows as each group holds: they replace the group in place.
+	// as many rows as each group holds: they replace the group.
 	Combine ReduceFunc
 	// NumReducers partitions shuffle output; 0 marks a map-only task.
 	NumReducers int
@@ -228,7 +218,8 @@ type MapTask struct {
 // task's rows are Rows, or From at the positions Sel (MapCtx.EmitSel).
 // Rows comes from the row pool, for whoever proves no one holds it to
 // recycle (the in-process job, at its end); From and Sel belong to the
-// split's image. A shuffle task's pairs are Shuffled, its own array.
+// split's image. A shuffle task's pairs are Shuffled, positions into
+// columns that are the split's image or its own (see Partitioned).
 type MapOutput struct {
 	Rows     []data.Value
 	From     []data.Value
@@ -249,14 +240,15 @@ func RunMapTask(t *MapTask) (MapOutput, error) {
 	}
 	mc := &MapCtx{ectx: ectx, builds: t.Builds, n: len(t.Recs)}
 	if t.NumReducers > 0 {
-		mc.offs = make([]int, t.NumReducers+1)
+		mc.out.Offs = make([]int32, t.NumReducers+1)
 	}
 	t.Map(mc, batch.For(t.Aux, t.Recs))
 	out := MapOutput{Rows: mc.rows, From: mc.from, Sel: mc.sel, CPUMap: ectx.CPUSeconds}
-	if mc.offs != nil {
-		out.Shuffled = mc.shuffled()
+	if mc.emitted != nil && mc.out.Offs != nil {
+		mc.ShuffleSel(mc.out.Keys, mc.out.NK, mc.hashes, mc.out.Recs, mc.emitted, mc.out.Tag)
 	}
-	if ectx.Err == nil && t.Combine != nil {
+	out.Shuffled = mc.out
+	if ectx.Err == nil && t.Combine != nil && t.NumReducers > 0 {
 		combineParts(&out.Shuffled, t.Combine, ectx)
 	}
 	out.CPUTotal = ectx.CPUSeconds
@@ -278,36 +270,34 @@ func taskRows(rows, from []data.Value, sel []int32) []data.Value {
 }
 
 // combineParts folds each partition's pairs per key through the
-// combiner, window by window, each group's output overwriting slots
-// already read: the array compacts in place.
+// combiner, window by window, into columns of its own: the output's Idx
+// compacts in place, each window's pairs gathered into one scratch
+// before its first output position is written.
 func combineParts(s *Partitioned, combine ReduceFunc, ectx *expr.Ctx) {
 	rc := &ReduceCtx{ectx: ectx}
-	at := 0
-	for p := range s.NumParts() {
-		lo, hi := s.Offs[p], s.Offs[p+1]
+	in := *s
+	s.Keys, s.NK, s.Recs, s.Tag = nil, nil, nil, ""
+	window, at := []Pair(nil), int32(0)
+	for p := range in.NumParts() {
+		window = in.AppendPart(window[:0], p)
 		s.Offs[p] = at
-		window := s.Pairs[lo:hi]
 		SortPairsByKey(window)
-		read := lo
 		eachGroup(window, func(group []Pair) {
 			lead := group[0]
 			rc.rows = rc.rows[:0]
 			combine(rc, lead.Key, group)
-			read += len(group)
-			if at+len(rc.rows) > read && ectx.Err == nil {
+			if len(rc.rows) > len(group) && ectx.Err == nil {
 				ectx.Err = fmt.Errorf("mapreduce: combiner emitted %d rows for a group of %d", len(rc.rows), len(group))
 			}
-			for _, rec := range rc.rows[:min(len(rc.rows), read-at)] {
-				s.Pairs[at] = Pair{Key: lead.Key, Rec: rec, nk: lead.nk}
+			for _, rec := range rc.rows[:min(len(rc.rows), len(group))] {
+				s.Keys, s.NK, s.Recs = append(s.Keys, lead.Key), append(s.NK, lead.nk), append(s.Recs, rec)
+				s.Idx[at] = at
 				at++
 			}
 		})
 	}
-	if n := s.NumParts(); n > 0 {
-		s.Offs[n] = at
-	}
-	clear(s.Pairs[at:]) // the array lives as long as the job: pin no records
-	s.Pairs = s.Pairs[:at]
+	s.Offs[len(s.Offs)-1] = at
+	s.Idx = s.Idx[:at]
 }
 
 // RunReduceTask executes one reduce task's record loop over pairs

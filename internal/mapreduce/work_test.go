@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"dyno/internal/batch"
 	"dyno/internal/cluster"
@@ -142,51 +143,57 @@ func TestWideJobResultPinned(t *testing.T) {
 	}
 }
 
-// TestBucketsShareOneArray: a task whose kernel sizes its output
-// (SizeParts) writes every pair straight into one array of exactly that
-// many pairs, and each partition's window is its run of that array, in
-// partition order — one allocation per task, not one per (task,
+// TestBucketsShareOneArray: a task whose kernel hands over its columns
+// (ShuffleSel) keeps them, not copies: its output's columns are the
+// kernel's own arrays, and its positions are one array of exactly the
+// selected count, each partition's window its run of that array, in
+// partition order — one Idx per task, not one bucket per (task,
 // reducer).
 func TestBucketsShareOneArray(t *testing.T) {
 	const reducers = 8
 	recs := make([]data.Value, 40)
+	keys := make([]data.Value, len(recs))
+	nks := make([]string, len(recs))
 	hs := make([]uint64, len(recs))
-	sel := make([]int32, len(recs))
+	var sel []int32
 	key := data.MustParsePath("k")
 	for i := range recs {
 		recs[i] = data.Object(data.Field{Name: "k", Value: data.Int(int64(i % 7))})
-		hs[i], sel[i] = data.Hash64(key.Eval(recs[i])), int32(i)
+		keys[i] = key.Eval(recs[i])
+		nk, _ := data.AppendNormKey(nil, keys[i])
+		nks[i], hs[i] = string(nk), data.Hash64(keys[i])
+		if i%4 != 3 {
+			sel = append(sel, int32(i))
+		}
 	}
 	out, err := RunMapTask(&MapTask{Recs: recs, NumReducers: reducers, Map: func(mc *MapCtx, d *batch.Data) {
-		mc.SizeParts(hs, sel)
-		for _, rec := range d.Records() {
-			mc.EmitKV(key.Eval(rec), "L", rec)
-		}
+		mc.ShuffleSel(keys, nks, hs, recs, sel, "L")
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := out.Shuffled
-	if len(s.Pairs) != len(recs) || cap(s.Pairs) != len(recs) || len(s.Offs) != reducers+1 || s.NumParts() != reducers {
-		t.Fatalf("%d pairs (cap %d) under %d offsets, want %d exactly under %d", len(s.Pairs), cap(s.Pairs), len(s.Offs), len(recs), reducers+1)
+	if unsafe.SliceData(s.Keys) != unsafe.SliceData(keys) || unsafe.SliceData(s.NK) != unsafe.SliceData(nks) || unsafe.SliceData(s.Recs) != unsafe.SliceData(recs) {
+		t.Error("the output copied the columns it was handed")
 	}
-	size := reflect.TypeOf(Pair{}).Size()
-	start := reflect.ValueOf(s.Pairs).Pointer()
-	at := 0
+	if len(s.Idx) != len(sel) || cap(s.Idx) != len(sel) || len(s.Offs) != reducers+1 || s.NumParts() != reducers {
+		t.Fatalf("%d positions (cap %d) under %d offsets, want %d exactly under %d", len(s.Idx), cap(s.Idx), len(s.Offs), len(sel), reducers+1)
+	}
+	var at int32
 	for p := range reducers {
 		window := s.Part(p)
-		if s.Offs[p] != at || len(window) > 0 && reflect.ValueOf(window).Pointer() != start+uintptr(at)*size {
+		if s.Offs[p] != at || len(window) > 0 && &window[0] != &s.Idx[at] {
 			t.Errorf("partition %d is not its run of the array", p)
 		}
-		for _, pair := range window {
-			if int(data.Hash64(pair.Key)%reducers) != p {
-				t.Errorf("partition %d holds key %v", p, pair.Key)
+		for _, i := range window {
+			if int(data.Hash64(s.Keys[i])%reducers) != p || i%4 == 3 {
+				t.Errorf("partition %d holds position %d, key %v", p, i, s.Keys[i])
 			}
 		}
-		at += len(window)
+		at += int32(len(window))
 	}
-	if at != len(recs) || s.Part(reducers) != nil {
-		t.Errorf("windows hold %d pairs, want %d; Part past the last is %v", at, len(recs), s.Part(reducers))
+	if int(at) != len(sel) || s.Part(reducers) != nil {
+		t.Errorf("windows hold %d pairs, want %d; Part past the last is %v", at, len(sel), s.Part(reducers))
 	}
 }
 
@@ -194,8 +201,8 @@ func TestBucketsShareOneArray(t *testing.T) {
 // bucket-per-partition oracle: window p holds exactly the emitted pairs
 // whose key hashes to p, in emit order — or, for a combining task, the
 // combiner's output over them, group by group in key order — whether
-// the kernel sized its output or not, with reducers outnumbering the
-// keys so some windows are empty.
+// the kernel handed over columns and a selection or emitted pair by
+// pair, with reducers outnumbering the keys so some windows are empty.
 func TestPartitionedMatchesOracle(t *testing.T) {
 	key := data.MustParsePath("k")
 	// The combiner keeps a group's first record and drops groups of odd
@@ -208,11 +215,15 @@ func TestPartitionedMatchesOracle(t *testing.T) {
 	for seed := range int64(6) {
 		rng := rand.New(rand.NewPCG(uint64(seed), 1))
 		recs := make([]data.Value, 300)
+		keys := make([]data.Value, len(recs))
+		nks := make([]string, len(recs))
 		hs := make([]uint64, len(recs))
 		var sel []int32 // the records the kernel emits, in order
 		for i := range recs {
 			recs[i] = data.Object(data.Field{Name: "k", Value: data.Int(rng.Int64N(40))}, data.Field{Name: "i", Value: data.Int(int64(i))})
-			hs[i] = data.Hash64(key.Eval(recs[i]))
+			keys[i] = key.Eval(recs[i])
+			nk, _ := data.AppendNormKey(nil, keys[i])
+			nks[i], hs[i] = string(nk), data.Hash64(keys[i])
 			if rng.IntN(3) > 0 {
 				sel = append(sel, int32(i))
 			}
@@ -224,12 +235,13 @@ func TestPartitionedMatchesOracle(t *testing.T) {
 				want[p] = append(want[p], Pair{Key: key.Eval(recs[i]), Tag: "L", Rec: recs[i]})
 			}
 			for _, tc := range []struct {
-				name           string
-				sized, combine bool
-			}{{"sized", true, false}, {"unsized", false, false}, {"sized+combined", true, true}, {"unsized+combined", false, true}} {
+				name          string
+				cols, combine bool
+			}{{"columns", true, false}, {"emitted", false, false}, {"columns+combined", true, true}, {"emitted+combined", false, true}} {
 				task := &MapTask{Recs: recs, NumReducers: reducers, Map: func(mc *MapCtx, d *batch.Data) {
-					if tc.sized {
-						mc.SizeParts(hs, sel)
+					if tc.cols {
+						mc.ShuffleSel(keys, nks, hs, recs, sel, "L")
+						return
 					}
 					for _, i := range sel {
 						mc.EmitKV(key.Eval(recs[i]), "L", recs[i])
@@ -243,15 +255,15 @@ func TestPartitionedMatchesOracle(t *testing.T) {
 					t.Fatal(err)
 				}
 				s := out.Shuffled
-				if s.NumParts() != reducers || s.Offs[0] != 0 || s.Offs[reducers] != len(s.Pairs) {
-					t.Fatalf("seed %d, %d reducers, %s: offsets %v over %d pairs", seed, reducers, tc.name, s.Offs, len(s.Pairs))
+				if s.NumParts() != reducers || s.Offs[0] != 0 || int(s.Offs[reducers]) != len(s.Idx) {
+					t.Fatalf("seed %d, %d reducers, %s: offsets %v over %d positions", seed, reducers, tc.name, s.Offs, len(s.Idx))
 				}
 				for p := range reducers {
 					expect := want[p]
 					if tc.combine {
 						expect = combineOracle(expect, evenFirst)
 					}
-					if got := pairStrings(s.Part(p)); !reflect.DeepEqual(got, pairStrings(expect)) {
+					if got := pairStrings(s.AppendPart(nil, p)); !reflect.DeepEqual(got, pairStrings(expect)) {
 						t.Fatalf("seed %d, %d reducers, %s: window %d is\n  %v\nwant\n  %v", seed, reducers, tc.name, p, got, pairStrings(expect))
 					}
 				}
@@ -290,53 +302,58 @@ func pairStrings(pairs []Pair) []string {
 	return out
 }
 
-// TestFinishedJobPoolsNoBuckets: neither the combiner nor Job.finish
-// hands a window to pairSlices — a window there would pin its whole
-// task's array and be handed out as if it were a slice of its own. The
-// map kernel remembers every task's array; whatever the pool yields
-// after the job must lie outside all of them (the reduce tasks'
-// gathered inputs are what it legitimately holds).
+// TestFinishedJobPoolsNoBuckets: no map task — combining or not — nor
+// Job.finish hands anything of a map task's output to pairSlices: a
+// slice there that lay inside a task's columns or positions would pin
+// them and be handed out as if it were a slice of its own. The map
+// kernel remembers every task's arrays; whatever the pool yields after
+// the job must lie outside all of them (the reduce tasks' gathered
+// inputs are what it legitimately holds).
 func TestFinishedJobPoolsNoBuckets(t *testing.T) {
 	grp := data.MustParsePath("a.grp")
 	first := func(rc *ReduceCtx, key data.Value, group []Pair) { rc.Emit(group[0].Rec) }
-	size := reflect.TypeOf(Pair{}).Size()
+	type span struct{ lo, hi uintptr }
+	spanOf := func(p unsafe.Pointer, n int, size uintptr) span {
+		return span{uintptr(p), uintptr(p) + uintptr(n)*size}
+	}
 	for _, combine := range []ReduceFunc{nil, first} {
 		env := testEnv(t)
 		f := writeTable(env, "t", "a", 600)
 		var mu sync.Mutex
-		type span struct{ lo, hi uintptr }
-		arrays := map[*MapCtx]span{} // each task's shuffle array
+		var arrays []span // every task's columns and positions
 		res, err := Run(env, Spec{
 			Name: "pooled",
 			Inputs: []Input{{File: f, Map: func(mc *MapCtx, d *batch.Data) {
 				recs := d.Records()
+				keys, nks := make([]data.Value, len(recs)), make([]string, len(recs))
 				hs, sel := make([]uint64, len(recs)), make([]int32, len(recs))
 				for i, rec := range recs {
-					hs[i], sel[i] = data.Hash64(grp.Eval(rec)), int32(i)
+					keys[i], sel[i] = grp.Eval(rec), int32(i)
+					nk, _ := data.AppendNormKey(nil, keys[i])
+					nks[i], hs[i] = string(nk), data.Hash64(keys[i])
 				}
-				mc.SizeParts(hs, sel)
-				lo := reflect.ValueOf(mc.pairs).Pointer()
+				mc.ShuffleSel(keys, nks, hs, recs, sel, "L")
+				vsize := unsafe.Sizeof(data.Value{})
 				mu.Lock()
-				arrays[mc] = span{lo, lo + uintptr(len(recs))*size}
+				arrays = append(arrays, spanOf(unsafe.Pointer(unsafe.SliceData(keys)), len(keys), vsize),
+					spanOf(unsafe.Pointer(unsafe.SliceData(recs)), len(recs), vsize),
+					spanOf(unsafe.Pointer(unsafe.SliceData(mc.out.Idx)), len(mc.out.Idx), 4))
 				mu.Unlock()
-				for _, rec := range recs {
-					mc.EmitKV(grp.Eval(rec), "L", rec)
-				}
 			}}},
 			Reduce: first, Combine: combine, NumReducers: 4, Output: "out",
 		})
-		if err != nil || res.SplitsRun != len(arrays) {
-			t.Fatalf("combine=%v: %v, %d tasks seen of %d", combine != nil, err, len(arrays), res.SplitsRun)
+		if err != nil || 3*res.SplitsRun != len(arrays) {
+			t.Fatalf("combine=%v: %v, %d arrays seen for %d tasks", combine != nil, err, len(arrays), res.SplitsRun)
 		}
 		for i := 0; i < 4*res.SplitsRun; i++ {
 			pooled, _ := pairSlices.p.Get().(*[]Pair)
 			if pooled == nil {
 				continue
 			}
-			at := reflect.ValueOf(*pooled).Pointer()
+			at := uintptr(unsafe.Pointer(unsafe.SliceData(*pooled)))
 			for _, w := range arrays {
 				if at >= w.lo && at < w.hi {
-					t.Fatalf("combine=%v: pairSlices holds a slice inside a map task's shuffle array", combine != nil)
+					t.Fatalf("combine=%v: pairSlices holds a slice inside a map task's output", combine != nil)
 				}
 			}
 		}

@@ -68,9 +68,9 @@ func BenchmarkProbeChain(b *testing.B) {
 // BenchmarkBuildHashTable is one broadcast build over a warm 4,096-row
 // split with a filter that keeps two rows in three: the selection, the
 // wrapped rows and the interned key strings come from the split's cached
-// image, the table is indexed from the kernel's pairs. It allocates per
-// table and per distinct key (its bucket), never per scanned row. CI
-// holds its allocs/op to a ceiling.
+// image, the table is indexed from the kernel's positions into it. It
+// allocates per table and per distinct key (its bucket), never per
+// scanned row. CI holds its allocs/op and B/op to ceilings.
 func BenchmarkBuildHashTable(b *testing.B) {
 	const rows = 4096
 	recs := make([]data.Value, rows)
@@ -105,9 +105,10 @@ func BenchmarkBuildHashTable(b *testing.B) {
 // BenchmarkShuffle is one repartition job's shuffle as production runs
 // it: the repartition kernel over a cold 8,000-row input (fresh blocks,
 // so every split builds its image: wrapped rows, key columns, hashes),
-// each map task's pairs written into its one array by partition, the
-// reduce-side sort and an identity reducer. It allocates per split, per
-// task array and per output block, not per pair. The collector is off:
+// each map task's output positions into its split's image by partition,
+// the reduce-side gather and sort and an identity reducer. It allocates
+// per split, per task's positions and per output block, not per pair on
+// the map side. The collector is off:
 // a collection empties the row and pair pools mid-job, and the count
 // would follow GC timing. Run it with:
 //

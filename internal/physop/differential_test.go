@@ -648,6 +648,70 @@ func TestScanTaskAnswersWithPositions(t *testing.T) {
 	}
 }
 
+// TestShuffleTaskKeepsPositions: an unpruned repartition task's output
+// is positions into its split's image — its keys, normalized keys and
+// rows are the image's own key columns and wrapped rows, not copies. A
+// pruned one keeps the key columns and owns a column of the pruner's
+// copies; an aggregate task owns all three. Every window holds the
+// oracle's pairs.
+func TestShuffleTaskKeepsPositions(t *testing.T) {
+	const reducers = 3
+	recs := make([]data.Value, 300)
+	for i := range recs {
+		recs[i] = data.Object(data.Field{Name: "k", Value: data.Int(int64(i % 7))}, data.Field{Name: "seq", Value: data.Int(int64(i))})
+	}
+	wrapped := batch.For(nil, recs).Wrapped("t") // the aggregate's input: a scan's rows
+	seqAtLeast := &expr.Cmp{Op: expr.GE, L: expr.NewCol("t.seq"), R: expr.NewLit(data.Int(100))}
+	pruned := shuffleOp(seqAtLeast)
+	pruned.Prune = map[string]map[string]bool{"t": {"k": true}}
+	q := sqlparse.MustParse("SELECT t.k, COUNT(*) AS n FROM t GROUP BY t.k")
+	for name, tc := range map[string]struct {
+		op                     *OpSpec
+		in                     []data.Value
+		sharesKeys, sharesRows bool
+	}{
+		"unpruned":  {shuffleOp(seqAtLeast), recs, true, true},
+		"pruned":    {pruned, recs, true, false},
+		"aggregate": {&OpSpec{Kind: Aggregate, GroupBy: q.GroupBy, Select: q.Select}, wrapped, false, false},
+	} {
+		run := func(compile func(*OpSpec, int, data.Value) (Kernels, error), aux *atomic.Value) mapreduce.Partitioned {
+			t.Helper()
+			k, err := compile(tc.op, 0, tc.in[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := mapreduce.RunMapTask(&mapreduce.MapTask{Recs: tc.in, Aux: aux, Map: k.Map, NumReducers: reducers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out.Shuffled
+		}
+		aux := new(atomic.Value)
+		got, want := run(Compile, aux), run(oracleCompile, new(atomic.Value))
+		d := batch.For(aux, tc.in)
+		kc := d.Keys(batch.KeySig("t", keyPath), "t", keyPath)
+		if len(got.Idx) == 0 {
+			t.Fatalf("%s: no pairs", name)
+		}
+		keys := &got.Keys[0] == &kc.Vals[0] && &got.NK[0] == &kc.NK[0]
+		rows := &got.Recs[0] == &d.Wrapped("t")[0] || &got.Recs[0] == &tc.in[0]
+		if keys != tc.sharesKeys || rows != tc.sharesRows {
+			t.Errorf("%s: shares the image's key columns %v and rows %v, want %v and %v", name, keys, rows, tc.sharesKeys, tc.sharesRows)
+		}
+		for p := range reducers {
+			have, oracle := got.AppendPart(nil, p), want.AppendPart(nil, p)
+			if len(have) != len(oracle) {
+				t.Fatalf("%s: window %d holds %d pairs, the oracle's %d", name, p, len(have), len(oracle))
+			}
+			for i := range have {
+				if have[i].Tag != oracle[i].Tag || data.Compare(have[i].Key, oracle[i].Key) != 0 || have[i].Rec.String() != oracle[i].Rec.String() {
+					t.Fatalf("%s: window %d pair %d is %v, the oracle's %v", name, p, i, have[i], oracle[i])
+				}
+			}
+		}
+	}
+}
+
 // TestPerRowFilterChargesEveryJob: a per-row filter's verdicts are never
 // cached on the split. A UDF charges per call, so a second job over the
 // same cached split pays n × cost again, like the first.

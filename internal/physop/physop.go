@@ -495,8 +495,8 @@ func scanKernel(src source, prune func(data.Value) data.Value) mapreduce.MapFunc
 // shuffleKernel is the repartition map: filter, wrap, and shuffle each
 // survivor, pruned, under its composite key over the wrapped row. Keys,
 // their encodings and hashes come from the split's cached key columns,
-// and SizeParts counts the survivors, so each pair goes straight into
-// its partition's slot.
+// and ShuffleSel keeps positions into them: unpruned, the rows are the
+// split's wrapped rows too; pruned, a column of the pruner's copies.
 func shuffleKernel(src source, keys []data.Path, tag string, prune func(data.Value) data.Value) mapreduce.MapFunc {
 	keySig := batch.KeySig(src.alias, keys)
 	return func(mc *mapreduce.MapCtx, d *batch.Data) {
@@ -504,12 +504,15 @@ func shuffleKernel(src source, keys []data.Path, tag string, prune func(data.Val
 		if len(sel) == 0 {
 			return
 		}
-		kc := d.Keys(keySig, src.alias, keys)
-		hs := d.Hashes(kc)
-		mc.SizeParts(hs, sel)
-		for _, i := range sel {
-			mc.EmitPair(kc.Vals[i], kc.NK[i], tag, pruned(prune, rows[i]), hs[i])
+		if prune != nil {
+			own := make([]data.Value, len(rows))
+			for _, i := range sel {
+				own[i] = prune(rows[i])
+			}
+			rows = own
 		}
+		kc := d.Keys(keySig, src.alias, keys)
+		mc.ShuffleSel(kc.Vals, kc.NK, d.Hashes(kc), rows, sel, tag)
 	}
 }
 

@@ -155,9 +155,9 @@ func (e executor) ExecReduce(r mapreduce.ReduceExec) (*mapreduce.ReduceExecOut, 
 	fetches := make([]wire.ShuffleRef, 0, len(r.Inputs))
 	handles := make([]*peerOutput, 0, len(r.Inputs))
 	for _, in := range r.Inputs {
-		po, ok := in.Handle.(*peerOutput)
+		po, ok := in.(*peerOutput)
 		if !ok {
-			return nil, fmt.Errorf("procruntime: job %s: shuffle handle is %T, want *peerOutput", r.JobName, in.Handle)
+			return nil, fmt.Errorf("procruntime: job %s: shuffle handle is %T, want *peerOutput", r.JobName, in)
 		}
 		if r.Partition < 0 || r.Partition >= len(po.parts) || po.parts[r.Partition].Count == 0 {
 			continue

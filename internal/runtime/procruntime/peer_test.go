@@ -126,9 +126,9 @@ func runPeerJob(t *testing.T, ex executor, file *dfs.File, numReducers int) ([][
 	}
 	rows := make([][]data.Value, numReducers)
 	for p := 0; p < numReducers; p++ {
-		inputs := make([]mapreduce.ShuffleInput, 0, len(outs))
+		inputs := make([]any, 0, len(outs))
 		for _, out := range outs {
-			inputs = append(inputs, mapreduce.ShuffleInput{Handle: out.Shuffle})
+			inputs = append(inputs, out.Shuffle)
 		}
 		res, err := ex.ExecReduce(mapreduce.ReduceExec{
 			JobName:   "peerjob",
@@ -209,9 +209,9 @@ func TestPeerDeathFallsBackToMirror(t *testing.T) {
 
 	op := sumOp()
 	for p := 0; p < 2; p++ {
-		inputs := make([]mapreduce.ShuffleInput, 0, len(outs))
+		inputs := make([]any, 0, len(outs))
 		for _, out := range outs {
-			inputs = append(inputs, mapreduce.ShuffleInput{Handle: out.Shuffle})
+			inputs = append(inputs, out.Shuffle)
 		}
 		res, err := ex.ExecReduce(mapreduce.ReduceExec{
 			JobName:   "peerjob",
@@ -236,9 +236,9 @@ func TestPeerDeathFallsBackToMirror(t *testing.T) {
 // reduceAll runs partition part of the peer job over every map output.
 func reduceAll(t *testing.T, ex executor, outs []*mapreduce.MapExecOut, part int) []data.Value {
 	t.Helper()
-	inputs := make([]mapreduce.ShuffleInput, 0, len(outs))
+	inputs := make([]any, 0, len(outs))
 	for _, out := range outs {
-		inputs = append(inputs, mapreduce.ShuffleInput{Handle: out.Shuffle})
+		inputs = append(inputs, out.Shuffle)
 	}
 	res, err := ex.ExecReduce(mapreduce.ReduceExec{JobName: "peerjob", TaskName: fmt.Sprintf("peerjob-r%d", part),
 		Partition: part, Inputs: inputs, Op: sumOp()})
@@ -334,12 +334,16 @@ func TestLostSegmentsCostOneRedispatch(t *testing.T) {
 }
 
 // partitioned lays segments out as a map task's shuffle output, one
-// partition each.
+// partition each: columns of their pairs, positions in order. A task
+// carries one tag, the segments' pairs' (they must share it).
 func partitioned(segs ...[]wire.KV) mapreduce.Partitioned {
-	out := mapreduce.Partitioned{Offs: make([]int, 1, len(segs)+1)}
+	out := mapreduce.Partitioned{Offs: make([]int32, 1, len(segs)+1)}
 	for _, seg := range segs {
-		out.Pairs = append(out.Pairs, seg...)
-		out.Offs = append(out.Offs, len(out.Pairs))
+		for _, kv := range seg {
+			out.Idx = append(out.Idx, int32(len(out.Keys)))
+			out.Keys, out.NK, out.Recs, out.Tag = append(out.Keys, kv.Key), append(out.NK, ""), append(out.Recs, kv.Rec), kv.Tag
+		}
+		out.Offs = append(out.Offs, int32(len(out.Idx)))
 	}
 	return out
 }
@@ -370,7 +374,7 @@ func TestReduceAsksEachPeerOnce(t *testing.T) {
 	gone := httptest.NewServer(http.NotFoundHandler())
 	gone.Close()
 	for _, id := range []string{"b1", "b2", "b3"} {
-		b.retainShuffle(id, partitioned(seg("p0", 1), seg(id, 3)), 1)
+		b.retainShuffle(id, partitioned(seg(id, 1), seg(id, 3)), 1)
 	}
 	a.retainShuffle("a1", partitioned(nil, seg("a1", 2)), 1)
 	at := func(url, id string) wire.ShuffleRef { return wire.ShuffleRef{URL: url, ID: id, Part: 1} }
@@ -412,9 +416,9 @@ func TestReduceAsksEachPeerOnce(t *testing.T) {
 // TestServedAndRecoveredSegmentsAreTheWindow: what a producer serves a
 // peer for partition p, and what a recovery re-run of its map sends back
 // through the controller, are the pairs of partition p's window of its
-// retained output, in order — for a kernel that sizes its output (the
-// repartition map), one that does not (the aggregate map) and one that
-// combines.
+// retained output, in order — for a kernel whose output is positions
+// into its split's image (the repartition map), one that emits pair by
+// pair (the aggregate map) and one that combines.
 func TestServedAndRecoveredSegmentsAreTheWindow(t *testing.T) {
 	const reducers = 5
 	w := NewWorker(expr.NewRegistry())
@@ -459,7 +463,7 @@ func TestServedAndRecoveredSegmentsAreTheWindow(t *testing.T) {
 		out, _ := w.shuffles.peek(id)
 		var total int
 		for p := range reducers {
-			window := out.Part(p)
+			window := out.AppendPart(nil, p)
 			total += len(window)
 			ask := wire.EncodeShuffleRequest(p, []string{id})
 			resp, err := http.Post(ts.URL+"/shuffle", wire.ContentTypeBinary, bytes.NewReader(ask.Bytes()))
@@ -480,8 +484,61 @@ func TestServedAndRecoveredSegmentsAreTheWindow(t *testing.T) {
 				t.Errorf("%s partition %d: re-run sent %v, want the window %v", op.Kind, p, rerun[0].Pairs[p], window)
 			}
 		}
-		if total == 0 || total != len(out.Pairs) {
-			t.Errorf("%s: windows hold %d of %d pairs", op.Kind, total, len(out.Pairs))
+		if total == 0 || total != len(out.Idx) {
+			t.Errorf("%s: windows hold %d of %d pairs", op.Kind, total, len(out.Idx))
+		}
+	}
+}
+
+// TestRetainedDigestsAreSimArithmetic: the digest a worker answers for
+// an output it retains — pair count and virtual bytes per partition —
+// is what the in-process run of the same map task counts and charges:
+// Env.VirtualSize of each pair's record at the same byte scale, summed
+// as int64s, for the repartition map, the aggregate map and a combiner.
+func TestRetainedDigestsAreSimArithmetic(t *testing.T) {
+	const reducers, scale = 5, 2.75
+	w := NewWorker(expr.NewRegistry())
+	recs := make([]data.Value, 200)
+	for i := range recs {
+		recs[i] = data.Object(data.Field{Name: "k", Value: data.Int(int64(i * i % 17))}, data.Field{Name: "v", Value: data.String(strings.Repeat("x", i%13))})
+	}
+	block := mirrorBlocks(t, recs)[0]
+	env := &mapreduce.Env{FS: dfs.New()}
+	env.FS.SetByteScale(scale)
+	combined := sumOp()
+	combined.Combine = true
+	ops := []*physop.OpSpec{
+		{Kind: physop.Repartition, Left: &physop.Source{Wrap: "t"}, LeftKeys: []data.Path{data.MustParsePath("t.k")}},
+		sumOp(), combined,
+	}
+	for n, op := range ops {
+		id := fmt.Sprintf("d%d", n)
+		res := w.runTask(&wire.Task{Task: id + "-m0", Kind: "map", Op: op, Block: block, NumReducers: reducers, ShuffleID: id, ByteScale: scale})
+		if res.Err != "" || len(res.Parts) != reducers {
+			t.Fatalf("%s: %q, %d digests", op.Kind, res.Err, len(res.Parts))
+		}
+		k, err := physop.Compile(op, 0, recs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := mapreduce.RunMapTask(&mapreduce.MapTask{Reg: expr.NewRegistry(), Recs: recs, Map: k.Map, Combine: k.Combine, NumReducers: reducers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var total int
+		for p := range reducers {
+			pairs := out.Shuffled.AppendPart(nil, p)
+			want := wire.ShufflePart{Count: len(pairs)}
+			for _, pair := range pairs {
+				want.Bytes += env.VirtualSize(pair.Rec)
+			}
+			if res.Parts[p] != want {
+				t.Errorf("%s partition %d: worker digest %+v, in-process %+v", op.Kind, p, res.Parts[p], want)
+			}
+			total += want.Count
+		}
+		if total == 0 {
+			t.Errorf("%s: no pairs", op.Kind)
 		}
 	}
 }

@@ -247,10 +247,10 @@ func (w *Worker) handleShuffle(rw http.ResponseWriter, r *http.Request) {
 		http.Error(rw, "bad shuffle request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	segs := make([][]wire.KV, len(ids))
+	outs := make([]mapreduce.Partitioned, len(ids))
 	var missing []int
 	for i, id := range ids {
-		if segs[i], ok = w.shuffleLookup(id, part); !ok {
+		if outs[i], ok = w.shuffleLookup(id, part); !ok {
 			missing = append(missing, i)
 		}
 	}
@@ -259,7 +259,7 @@ func (w *Worker) handleShuffle(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.statShufServed.Add(int64(len(ids)))
-	frame := wire.EncodeShuffleSegments(segs)
+	frame := wire.EncodeShuffleParts(outs, part)
 	defer frame.Close()
 	rw.Header().Set("Content-Type", wire.ContentTypeBinary)
 	rw.Header().Set("Content-Length", strconv.Itoa(len(frame.Bytes())))
@@ -403,7 +403,7 @@ func (w *Worker) runMap(task *wire.Task) (*wire.TaskResult, error) {
 		// controller, which inlines the missing segment.
 		res.Pairs = make([][]wire.KV, out.Shuffled.NumParts())
 		for p := range res.Pairs {
-			res.Pairs[p] = out.Shuffled.Part(p)
+			res.Pairs[p] = out.Shuffled.AppendPart(nil, p)
 		}
 	}
 	return res, nil
@@ -417,13 +417,12 @@ func (w *Worker) retainShuffle(id string, out mapreduce.Partitioned, scale float
 	digests := make([]wire.ShufflePart, out.NumParts())
 	var raw int64
 	for p := range digests {
-		pairs := out.Part(p)
-		var vb int64
-		for _, kv := range pairs {
-			vb += int64(float64(kv.Rec.EncodedSize()+1) * scale)
-			raw += kv.Key.EncodedSize() + kv.Rec.EncodedSize() + int64(len(kv.Tag)) + 16
+		for _, i := range out.Part(p) {
+			rec := out.Recs[i].EncodedSize()
+			digests[p].Count++
+			digests[p].Bytes += int64(float64(rec+1) * scale)
+			raw += out.Keys[i].EncodedSize() + rec + int64(len(out.Tag)) + 16
 		}
-		digests[p] = wire.ShufflePart{Count: len(pairs), Bytes: vb}
 	}
 	// A hedged duplicate or re-run of a deterministic map finds the id
 	// taken: its output is byte-identical, so the first copy serves.
@@ -431,13 +430,13 @@ func (w *Worker) retainShuffle(id string, out mapreduce.Partitioned, scale float
 	return digests
 }
 
-// shuffleLookup is partition part's window of a retained output.
-func (w *Worker) shuffleLookup(id string, part int) ([]wire.KV, bool) {
+// shuffleLookup is the retained output that holds partition part.
+func (w *Worker) shuffleLookup(id string, part int) (mapreduce.Partitioned, bool) {
 	out, ok := w.shuffles.peek(id)
 	if !ok || part < 0 || part >= out.NumParts() {
-		return nil, false
+		return mapreduce.Partitioned{}, false
 	}
-	return out.Part(part), true
+	return out, true
 }
 
 // fetchShuffle fills segs[i] for every Fetches index i in idx, all held
@@ -519,15 +518,15 @@ func (w *Worker) runReduce(task *wire.Task) (*wire.TaskResult, error) {
 // fetch, for the controller to recover before it dispatches again.
 func (w *Worker) gather(task *wire.Task, res *wire.TaskResult) (pairs []wire.KV, lost string) {
 	segs := make([][]wire.KV, len(task.Fetches))
+	held := make([]mapreduce.Partitioned, len(task.Fetches)) // local outputs, read through their positions
 	var peers []string
 	asks := map[string][]int{} // Fetches indices by producer and partition, in order
 	for i := range task.Fetches {
 		ref := &task.Fetches[i]
+		var ok bool
 		if ref.ID == "" {
 			segs[i] = ref.Pairs
-		} else if local, ok := w.shuffleLookup(ref.ID, ref.Part); ok {
-			segs[i] = local
-		} else {
+		} else if held[i], ok = w.shuffleLookup(ref.ID, ref.Part); !ok {
 			peer := fmt.Sprint(ref.Part, " ", ref.URL)
 			if asks[peer] == nil {
 				peers = append(peers, peer)
@@ -547,7 +546,15 @@ func (w *Worker) gather(task *wire.Task, res *wire.TaskResult) (pairs []wire.KV,
 		slices.Sort(failed)
 		return nil, wire.PeerFetchErr(failed, strings.Join(why, "; "))
 	}
-	return slices.Concat(segs...), ""
+	n := 0
+	for i := range segs {
+		n += len(segs[i]) + len(held[i].Part(task.Fetches[i].Part))
+	}
+	pairs = make([]wire.KV, 0, n)
+	for i := range segs {
+		pairs = held[i].AppendPart(append(pairs, segs[i]...), task.Fetches[i].Part)
+	}
+	return pairs, ""
 }
 
 // block loads one mirrored block (a DYB1 frame; anything else is an

@@ -12,6 +12,7 @@ import (
 
 	"dyno/internal/data"
 	"dyno/internal/expr"
+	"dyno/internal/mapreduce"
 	"dyno/internal/physop"
 	"dyno/internal/sqlparse"
 )
@@ -240,7 +241,7 @@ func TestEncoderStackIsClearBetweenFrames(t *testing.T) {
 	e := newBenc()
 	defer e.release()
 	e.writeValueList(nestedRows())
-	e.writeKVs([]KV{{Key: data.Int(1), Tag: "L", Rec: nestedRows()[0]}})
+	e.writePairs([]KV{{Key: data.Int(1), Tag: "L", Rec: nestedRows()[0]}})
 	if len(e.stack) != 0 || cap(e.stack) == 0 {
 		t.Fatalf("stack len %d cap %d after a frame, want empty and used", len(e.stack), cap(e.stack))
 	}
@@ -610,6 +611,50 @@ func TestBinDecodeRejectsGarbage(t *testing.T) {
 	}
 }
 
+// encodeShuffleSegments encodes segments, in order, as one shuffle
+// frame: the layout a producer's answer has, built from pairs.
+func encodeShuffleSegments(segs [][]KV) *Frame {
+	e := newBenc()
+	e.raw(magicShuffle)
+	e.writeSegments(segs)
+	return &Frame{enc: e}
+}
+
+// TestShufflePartsEncodeTheirWindows: a producer's answer written from
+// its retained outputs' positions is byte for byte the frame of the
+// pairs in those windows, for every partition, empty windows and
+// outputs with no pairs included.
+func TestShufflePartsEncodeTheirWindows(t *testing.T) {
+	vals := adversarialValues()
+	var outs []mapreduce.Partitioned
+	for n, tag := range []string{"L", "", "R\x00"} {
+		out := mapreduce.Partitioned{Tag: tag, Offs: make([]int32, 4)}
+		for i := range vals[:n*len(vals)/2] {
+			out.Keys = append(out.Keys, vals[(i*7)%len(vals)])
+			out.NK, out.Recs = append(out.NK, ""), append(out.Recs, vals[i])
+		}
+		for p := range 3 { // partition p holds every third position from p, backwards
+			for i := len(out.Keys) - 1 - p; i >= 0; i -= 3 {
+				out.Idx = append(out.Idx, int32(i))
+			}
+			out.Offs[p+1] = int32(len(out.Idx))
+		}
+		outs = append(outs, out)
+	}
+	for part := range 4 {
+		segs := make([][]KV, len(outs))
+		for i := range outs {
+			segs[i] = outs[i].AppendPart(nil, part)
+		}
+		got, want := EncodeShuffleParts(outs, part), encodeShuffleSegments(segs)
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("partition %d: positions encode\n  %x\nthe windows' pairs\n  %x", part, got.Bytes(), want.Bytes())
+		}
+		got.Close()
+		want.Close()
+	}
+}
+
 // TestShuffleFrames: a producer's answer holds any number of segments,
 // empty ones included, and EncodeShuffle/DecodeShuffle are its
 // one-segment case; a reduce task's request carries its partition and
@@ -618,7 +663,7 @@ func TestBinDecodeRejectsGarbage(t *testing.T) {
 func TestShuffleFrames(t *testing.T) {
 	segs := sampleResults()[1].Pairs // two segments around an empty one
 	for _, want := range [][][]KV{segs, {nil}, {}} {
-		frame := EncodeShuffleSegments(want)
+		frame := encodeShuffleSegments(want)
 		got, err := DecodeShuffleSegments(frame.Bytes())
 		if err != nil || len(got) != len(want) {
 			t.Fatalf("%d segments -> %d: %v", len(want), len(got), err)
@@ -654,7 +699,7 @@ func TestShuffleFrames(t *testing.T) {
 	if err != nil || part != 7 || !slices.Equal(ids, []string{"j-m0#1", "j-m3#4", "j-m0#1"}) {
 		t.Fatalf("request: partition %d, ids %q, %v", part, ids, err)
 	}
-	for _, frame := range []*Frame{ask, EncodeShuffleSegments(segs)} {
+	for _, frame := range []*Frame{ask, encodeShuffleSegments(segs)} {
 		whole := frame.Bytes()
 		for n := 0; n < len(whole); n++ {
 			_, _, rerr := DecodeShuffleRequest(whole[:n])

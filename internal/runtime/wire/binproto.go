@@ -11,6 +11,7 @@ import (
 
 	"dyno/internal/data"
 	"dyno/internal/expr"
+	"dyno/internal/mapreduce"
 	"dyno/internal/physop"
 	"dyno/internal/sqlparse"
 )
@@ -560,7 +561,7 @@ func (e *benc) writeTask(t *Task) error {
 		e.str(ref.URL)
 		e.str(ref.ID)
 		e.varint(int64(ref.Part))
-		e.writeKVs(ref.Pairs)
+		e.writePairs(ref.Pairs)
 	}
 	return nil
 }
@@ -867,7 +868,7 @@ func DecodeShuffleRequest(b []byte) (part int, ids []string, err error) {
 func (e *benc) writeSegments(segs [][]KV) {
 	e.uvarint(uint64(len(segs)))
 	for _, pairs := range segs {
-		e.writeKVs(pairs)
+		e.writePairs(pairs)
 	}
 }
 
@@ -885,12 +886,25 @@ func (d *bdec) readSegments() ([][]KV, error) {
 	return segs, nil
 }
 
-// EncodeShuffleSegments encodes segments, in order, as one shuffle
-// frame (a producer's answer to POST /shuffle). Close after use.
-func EncodeShuffleSegments(segs [][]KV) *Frame {
+// EncodeShuffleParts encodes partition part of each retained map
+// output, in order, as one shuffle frame — a producer's answer to POST
+// /shuffle, the same bytes as its windows' pairs would encode, written
+// from their positions. Close after use.
+func EncodeShuffleParts(outs []mapreduce.Partitioned, part int) *Frame {
 	e := newBenc()
 	e.raw(magicShuffle)
-	e.writeSegments(segs)
+	e.uvarint(uint64(len(outs)))
+	for i := range outs {
+		out, base := &outs[i], len(e.stack)
+		win := out.Part(part)
+		for _, j := range win {
+			e.stack = append(e.stack, out.Keys[j])
+		}
+		for _, j := range win {
+			e.stack = append(e.stack, out.Recs[j])
+		}
+		e.writeKVs(base, len(win), func(int) string { return out.Tag })
+	}
 	return &Frame{enc: e}
 }
 
@@ -905,7 +919,12 @@ func DecodeShuffleSegments(b []byte) ([][]KV, error) {
 }
 
 // EncodeShuffle encodes one segment as a shuffle frame.
-func EncodeShuffle(pairs []KV) *Frame { return EncodeShuffleSegments([][]KV{pairs}) }
+func EncodeShuffle(pairs []KV) *Frame {
+	e := newBenc()
+	e.raw(magicShuffle)
+	e.writeSegments([][]KV{pairs})
+	return &Frame{enc: e}
+}
 
 // DecodeShuffle decodes a shuffle frame holding exactly one segment.
 func DecodeShuffle(b []byte) ([]KV, error) {

@@ -509,28 +509,31 @@ func (d *bdec) readValue(depth int) (data.Value, error) {
 	}
 }
 
-// writeKVs writes one KV batch: keys, tags, and records each as a
-// column over the batch, the two value columns gathered on the
-// encoder's stack.
-func (e *benc) writeKVs(pairs []KV) {
-	e.uvarint(uint64(len(pairs)))
-	if len(pairs) == 0 {
-		return
+// writeKVs writes one KV batch of n pairs whose keys and then records
+// the caller gathered onto the encoder's stack from base on: keys, tags
+// (tag(k) the k-th pair's) and records, each as a column.
+func (e *benc) writeKVs(base, n int, tag func(k int) string) {
+	e.uvarint(uint64(n))
+	if n > 0 {
+		e.writeColumn(e.stack[base : base+n : base+n])
+		for k := range n {
+			e.str(tag(k))
+		}
+		e.writeColumn(e.stack[base+n : base+2*n])
 	}
+	e.pop(base)
+}
+
+// writePairs writes pairs as one KV batch.
+func (e *benc) writePairs(pairs []KV) {
 	base := len(e.stack)
 	for i := range pairs {
 		e.stack = append(e.stack, pairs[i].Key)
 	}
-	e.writeColumn(e.stack[base:])
-	e.pop(base)
-	for i := range pairs {
-		e.str(pairs[i].Tag)
-	}
 	for i := range pairs {
 		e.stack = append(e.stack, pairs[i].Rec)
 	}
-	e.writeColumn(e.stack[base:])
-	e.pop(base)
+	e.writeKVs(base, len(pairs), func(k int) string { return pairs[k].Tag })
 }
 
 func (d *bdec) readKVs() ([]KV, error) {

@@ -318,7 +318,7 @@ func FuzzShuffleDecode(f *testing.F) {
 	f.Add([]byte("DYS2"))
 	segs := sampleResults()[1].Pairs
 	for _, seed := range [][][]KV{segs, {segs[0]}, {nil}, {}, {nil, nil, segs[2]}} {
-		frame := EncodeShuffleSegments(seed)
+		frame := encodeShuffleSegments(seed)
 		f.Add(bytes.Clone(frame.Bytes()))
 		frame.Close()
 	}
@@ -331,13 +331,13 @@ func FuzzShuffleDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		first := EncodeShuffleSegments(segs)
+		first := encodeShuffleSegments(segs)
 		defer first.Close()
 		again, err := DecodeShuffleSegments(first.Bytes())
 		if err != nil {
 			t.Fatalf("decode of a re-encoded frame: %v", err)
 		}
-		second := EncodeShuffleSegments(again)
+		second := encodeShuffleSegments(again)
 		defer second.Close()
 		if !bytes.Equal(first.Bytes(), second.Bytes()) {
 			t.Fatalf("shuffle frame is not a fixed point:\n  %x\n  %x", first.Bytes(), second.Bytes())

@@ -24,7 +24,7 @@ go test -run='^$' -bench='^(BenchmarkHash64|BenchmarkAccessorEval|BenchmarkNormK
 go test -run='^$' -bench='^BenchmarkSortPairsByKey$' \
     -benchtime=100x -benchmem ./internal/mapreduce | tee -a "$out"
 # One cold repartition job through the repartition kernel: allocates per
-# split, per task's pair array and per output block, not per pair.
+# split, per task's positions and per output block, not per pair.
 go test -run='^$' -bench='^BenchmarkShuffle$' \
     -benchtime=1x -benchmem ./internal/physop | tee -a "$out"
 # A job's finish (Q7's widest: 1,350 partials x 56 rows x 2 columns plus
