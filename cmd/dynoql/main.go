@@ -153,8 +153,8 @@ func main() {
 	if procFleet != nil {
 		// Stderr, not stdout: CI byte-diffs stdout against the sim run.
 		st := procFleet.WireStats()
-		fmt.Fprintf(os.Stderr, "dynoql: wire stats rpcs=%d tasks=%d bytesOut=%d bytesIn=%d ctlShuffleBytes=%d peerShuffleBytes=%d peerFetches=%d\n",
-			st.RPCs, st.Tasks, st.BytesOut, st.BytesIn, st.CtlShuffleBytes, st.PeerShuffleBytes, st.PeerFetches)
+		fmt.Fprintf(os.Stderr, "dynoql: wire stats rpcs=%d tasks=%d bytesOut=%d bytesIn=%d peerShuffleBytes=%d peerFetches=%d\n",
+			st.RPCs, st.Tasks, st.BytesOut, st.BytesIn, st.PeerShuffleBytes, st.PeerFetches)
 	}
 }
 

@@ -1,9 +1,17 @@
+// Package batch implements the columnar batch layer of the execution
+// engine: per-split column vectors, cached selection vectors for
+// predicates, pre-wrapped row images, and vectorized join-key columns
+// (values, normalized keys, hashes). Every map kernel runs over it
+// (internal/physop) and emits exactly the records a record-at-a-time
+// loop would emit, in the same order, so results, traces, and
+// statistics stay bit-identical (see physop's differential suite,
+// which holds the kernels to that loop, kept as its test oracle).
 package batch
 
 import (
+	"strings"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 
 	"dyno/internal/data"
 	"dyno/internal/expr"
@@ -185,7 +193,9 @@ func (d *Data) Keys(sig, alias string, paths []data.Path) *KeyCols {
 		sample = rows[0]
 	}
 	accs := data.CompileAccessors(paths, sample)
-	nkBytes := make([]byte, 0, 9*len(rows)) // a number key's encoding is 9 bytes
+	var slab strings.Builder
+	slab.Grow(9 * len(rows))  // a number key's encoding is 9 bytes
+	nk := make([]byte, 0, 64) // the one being encoded
 	ends := make([]int32, len(rows))
 	for i, row := range rows {
 		var k data.Value
@@ -199,14 +209,14 @@ func (d *Data) Keys(sig, alias string, paths []data.Path) *KeyCols {
 			k = data.Array(vals...)
 		}
 		kc.Vals[i] = k
-		nkBytes, _ = data.AppendNormKey(nkBytes, k)
-		ends[i] = int32(len(nkBytes))
+		nk, _ = data.AppendNormKey(nk[:0], k)
+		slab.Write(nk)
+		ends[i] = int32(slab.Len())
 	}
 	// One string over the slab, never written again: keys are its substrings.
-	slab := unsafe.String(unsafe.SliceData(nkBytes), len(nkBytes))
-	start := int32(0)
+	all, start := slab.String(), int32(0)
 	for i := range kc.NK {
-		kc.NK[i] = slab[start:ends[i]]
+		kc.NK[i] = all[start:ends[i]]
 		start = ends[i]
 	}
 	if d.keys == nil {

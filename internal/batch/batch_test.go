@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -288,45 +287,6 @@ func TestForCachesPerSlot(t *testing.T) {
 	if For(nil, recs) == d1 {
 		t.Fatal("nil slot must build a fresh image")
 	}
-}
-
-func TestInternCanonicalizes(t *testing.T) {
-	b := []byte("intern-test-payload")
-	s1 := intern(string(b))
-	s2 := intern(string(b))
-	if s1 != s2 {
-		t.Fatal("intern must return equal strings")
-	}
-	// Same canonical backing: the second lookup returns the first copy,
-	// not its own.
-	if unsafeStr(s1) != unsafeStr(s2) {
-		t.Fatal("intern must return the canonical instance")
-	}
-	if got := intern(""); got != "" {
-		t.Fatalf("intern(\"\") = %q", got)
-	}
-}
-
-func unsafeStr(s string) uintptr {
-	return reflect.ValueOf(s).Pointer()
-}
-
-func TestInternConcurrent(t *testing.T) {
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 2000; i++ {
-				s := fmt.Sprintf("conc-%d", i%257)
-				if intern(s) != s {
-					t.Errorf("intern changed value")
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
 }
 
 // TestKindClassMatchesCompare pins kindClassOf to data.Compare's

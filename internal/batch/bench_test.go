@@ -94,22 +94,3 @@ func BenchmarkBatchHashProbe(b *testing.B) {
 	}
 	b.ReportMetric(float64(matches), "matches")
 }
-
-// BenchmarkIntern measures the interner's steady state: every string
-// already canonical, so each op is one shard probe with no allocation.
-// One op interns 512 distinct keys.
-func BenchmarkIntern(b *testing.B) {
-	keys := make([]string, 512)
-	for i := range keys {
-		keys[i] = intern(fmt.Sprintf("intern-bench-key-%03d", i)) // warm: make every key canonical
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, k := range keys {
-			if intern(k) == "" {
-				b.Fatal("empty intern result")
-			}
-		}
-	}
-}

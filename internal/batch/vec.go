@@ -110,13 +110,11 @@ func extractVec(acc *data.Accessor, recs []data.Value) *vec {
 			v.floats[i] = vals[i].Float()
 		}
 	case allStr:
-		// Filter columns are typically low-cardinality (flags, segments,
-		// brands); interning collapses the vector to one canonical string
-		// per distinct value, shared across every split and column.
+		// Str is a view of the value's own bytes: the vector copies none.
 		v.kind = vecStr
 		v.strs = make([]string, n)
 		for i := range vals {
-			v.strs[i] = intern(vals[i].Str())
+			v.strs[i] = vals[i].Str()
 		}
 	default:
 		v.kind = vecMixed

@@ -2,8 +2,8 @@ package mapreduce
 
 import (
 	"fmt"
+	"strings"
 	"sync/atomic"
-	"unsafe"
 
 	"dyno/internal/batch"
 	"dyno/internal/data"
@@ -38,7 +38,8 @@ type MapCtx struct {
 	out     Partitioned
 	emitted []int32
 	hashes  []uint64
-	nks     []byte // EmitKV's normalized keys: NK views them, none is rewritten
+	nks     strings.Builder // EmitKV's normalized keys: NK views them
+	nk      []byte          // the one being encoded
 	// Arena is where a join kernel merges the rows it emits; Scratch
 	// those that nothing references once the kernel resets it.
 	Arena, Scratch data.FieldArena
@@ -81,9 +82,10 @@ func (mc *MapCtx) EmitKV(key data.Value, tag string, rec data.Value) {
 	if len(s.Keys) > 0 && tag != s.Tag && mc.ectx.Err == nil {
 		mc.ectx.Err = fmt.Errorf("mapreduce: one map task emitted tags %q and %q", s.Tag, tag)
 	}
-	at := len(mc.nks)
-	mc.nks, _ = data.AppendNormKey(mc.nks, key) // at least one byte
-	s.Keys, s.NK = append(s.Keys, key), append(s.NK, unsafe.String(&mc.nks[at], len(mc.nks)-at))
+	mc.nk, _ = data.AppendNormKey(mc.nk[:0], key) // at least one byte
+	at := mc.nks.Len()
+	mc.nks.Write(mc.nk) // a returned String stays valid across later writes
+	s.Keys, s.NK = append(s.Keys, key), append(s.NK, mc.nks.String()[at:])
 	s.Recs, s.Tag = append(s.Recs, rec), tag
 	mc.emitted, mc.hashes = append(mc.emitted, int32(len(mc.emitted))), append(mc.hashes, data.Hash64(key))
 }

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"unsafe"
 
 	"dyno/internal/batch"
 	"dyno/internal/cluster"
@@ -173,7 +172,7 @@ func TestBucketsShareOneArray(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := out.Shuffled
-	if unsafe.SliceData(s.Keys) != unsafe.SliceData(keys) || unsafe.SliceData(s.NK) != unsafe.SliceData(nks) || unsafe.SliceData(s.Recs) != unsafe.SliceData(recs) {
+	if &s.Keys[0] != &keys[0] || &s.NK[0] != &nks[0] || &s.Recs[0] != &recs[0] {
 		t.Error("the output copied the columns it was handed")
 	}
 	if len(s.Idx) != len(sel) || cap(s.Idx) != len(sel) || len(s.Offs) != reducers+1 || s.NumParts() != reducers {
@@ -313,8 +312,9 @@ func TestFinishedJobPoolsNoBuckets(t *testing.T) {
 	grp := data.MustParsePath("a.grp")
 	first := func(rc *ReduceCtx, key data.Value, group []Pair) { rc.Emit(group[0].Rec) }
 	type span struct{ lo, hi uintptr }
-	spanOf := func(p unsafe.Pointer, n int, size uintptr) span {
-		return span{uintptr(p), uintptr(p) + uintptr(n)*size}
+	spanOf := func(slice any) span {
+		v := reflect.ValueOf(slice)
+		return span{v.Pointer(), v.Pointer() + uintptr(v.Len())*v.Type().Elem().Size()}
 	}
 	for _, combine := range []ReduceFunc{nil, first} {
 		env := testEnv(t)
@@ -333,11 +333,8 @@ func TestFinishedJobPoolsNoBuckets(t *testing.T) {
 					nks[i], hs[i] = string(nk), data.Hash64(keys[i])
 				}
 				mc.ShuffleSel(keys, nks, hs, recs, sel, "L")
-				vsize := unsafe.Sizeof(data.Value{})
 				mu.Lock()
-				arrays = append(arrays, spanOf(unsafe.Pointer(unsafe.SliceData(keys)), len(keys), vsize),
-					spanOf(unsafe.Pointer(unsafe.SliceData(recs)), len(recs), vsize),
-					spanOf(unsafe.Pointer(unsafe.SliceData(mc.out.Idx)), len(mc.out.Idx), 4))
+				arrays = append(arrays, spanOf(keys), spanOf(recs), spanOf(mc.out.Idx))
 				mu.Unlock()
 			}}},
 			Reduce: first, Combine: combine, NumReducers: 4, Output: "out",
@@ -350,7 +347,7 @@ func TestFinishedJobPoolsNoBuckets(t *testing.T) {
 			if pooled == nil {
 				continue
 			}
-			at := uintptr(unsafe.Pointer(unsafe.SliceData(*pooled)))
+			at := reflect.ValueOf(*pooled).Pointer()
 			for _, w := range arrays {
 				if at >= w.lo && at < w.hi {
 					t.Fatalf("combine=%v: pairSlices holds a slice inside a map task's output", combine != nil)

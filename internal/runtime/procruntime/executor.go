@@ -3,6 +3,7 @@ package procruntime
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"dyno/internal/batch"
@@ -17,9 +18,11 @@ import (
 // protocol: it resolves DFS blocks to spans of mirror files and
 // dispatches tasks. A shuffle map task's output stays on its worker,
 // which answers per-partition digests; a reduce task carries a fetch
-// list. A segment it could not fetch is recovered by re-running its
-// deterministic map and inlining the segment, so correctness never
-// depends on a peer staying up.
+// list. A segment it could not fetch is relocated: its deterministic
+// map is re-run under a fresh shuffle id on a live worker, which
+// retains the copy for the reduce task to fetch, so correctness never
+// depends on a peer staying up and no shuffle pair crosses the
+// controller.
 type executor struct {
 	f  *Fleet
 	fs *dfs.FS
@@ -37,37 +40,48 @@ var (
 func (e executor) RetireJob(jobName string) { e.f.RetireJob(jobName) }
 
 // peerOutput is the controller's handle to one map task's shuffle
-// output retained on its worker. When the peer is gone or has evicted
-// it, recover re-runs the map without a ShuffleID, so the pairs return.
+// output retained on a worker. When that copy is lost — its worker is
+// gone or has evicted it — relocate re-runs the map under a fresh
+// shuffle id and the handle names the new copy.
 type peerOutput struct {
 	f     *Fleet
-	url   string     // producing worker (the dispatch winner)
-	id    string     // shuffle id in the producer's registry
-	task  *wire.Task // the map task; recovery re-runs it retain-cleared
+	job   string
+	task  *wire.Task // the map task; a relocation re-runs it under a fresh id
 	parts []wire.ShufflePart
 
-	mu        sync.Mutex
-	recovered bool
-	pairs     [][]wire.KV
+	mu  sync.Mutex
+	url string // producing worker (the dispatch winner)
+	id  string // shuffle id in the producer's registry
 }
 
-func (p *peerOutput) recover(part int) ([]wire.KV, error) {
+// ref is where partition part of the output can be fetched now.
+func (p *peerOutput) ref(part int) wire.ShuffleRef {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if !p.recovered {
-		plain := *p.task
-		plain.ShuffleID, plain.ByteScale = "", 0
-		res, err := p.f.dispatch(&plain, nil)
+	return wire.ShuffleRef{URL: p.url, ID: p.id, Part: part}
+}
+
+// relocate reports the copy under shuffle id lost and returns where
+// partition part can be fetched instead. The first caller to report a
+// copy re-runs the map, retained under a fresh id on whichever live
+// worker dispatch picks; later callers, and concurrent reduce tasks,
+// get that copy. The re-run's digests must be the lost copy's.
+func (p *peerOutput) relocate(lost string, part int) (wire.ShuffleRef, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.id == lost {
+		rerun := *p.task
+		rerun.ShuffleID = p.f.nextShuffleID(p.job, rerun.Task)
+		res, err := p.f.dispatch(&rerun, nil)
 		if err != nil {
-			return nil, fmt.Errorf("procruntime: recovery of shuffle %s: %w", p.id, err)
+			return wire.ShuffleRef{}, fmt.Errorf("procruntime: relocation of shuffle %s: %w", lost, err)
 		}
-		p.pairs = res.Pairs
-		p.recovered = true
+		if !slices.Equal(res.Parts, p.parts) {
+			return wire.ShuffleRef{}, fmt.Errorf("procruntime: relocation of shuffle %s: re-run on %s answered digests %v, the lost copy's were %v", lost, res.Worker, res.Parts, p.parts)
+		}
+		p.url, p.id = res.Worker, rerun.ShuffleID
 	}
-	if part < 0 || part >= len(p.pairs) {
-		return nil, nil
-	}
-	return p.pairs[part], nil
+	return wire.ShuffleRef{URL: p.url, ID: p.id, Part: part}, nil
 }
 
 func (e executor) ExecMap(m mapreduce.MapExec) (*mapreduce.MapExecOut, error) {
@@ -112,7 +126,7 @@ func (e executor) ExecMap(m mapreduce.MapExec) (*mapreduce.MapExecOut, error) {
 		out.Sel = res.Sel
 	}
 	if m.NumReducers > 0 {
-		out.Shuffle = &peerOutput{f: e.f, url: res.Worker, id: task.ShuffleID, task: task, parts: res.Parts}
+		out.Shuffle = &peerOutput{f: e.f, job: m.JobName, task: task, parts: res.Parts, url: res.Worker, id: task.ShuffleID}
 		out.ShuffleParts = res.Parts
 	}
 	return out, nil
@@ -162,7 +176,7 @@ func (e executor) ExecReduce(r mapreduce.ReduceExec) (*mapreduce.ReduceExecOut, 
 		if r.Partition < 0 || r.Partition >= len(po.parts) || po.parts[r.Partition].Count == 0 {
 			continue
 		}
-		fetches = append(fetches, wire.ShuffleRef{URL: po.url, ID: po.id, Part: r.Partition})
+		fetches = append(fetches, po.ref(r.Partition))
 		handles = append(handles, po)
 	}
 	task := &wire.Task{
@@ -173,8 +187,9 @@ func (e executor) ExecReduce(r mapreduce.ReduceExec) (*mapreduce.ReduceExecOut, 
 		Fetches:   fetches,
 	}
 	// A failed peer fetch names every segment the worker could not have;
-	// each is inlined from a re-run of its map before one re-dispatch.
-	for {
+	// each is relocated before one re-dispatch. A relocated copy lost in
+	// turn is relocated again, for at most maxAttempts rounds.
+	for round := 0; ; round++ {
 		res, err := e.f.dispatch(task, e.waves.current())
 		if err == nil {
 			return &mapreduce.ReduceExecOut{Rows: res.Rows, CPUSeconds: res.CPUSeconds}, nil
@@ -184,19 +199,21 @@ func (e executor) ExecReduce(r mapreduce.ReduceExec) (*mapreduce.ReduceExecOut, 
 			return nil, err
 		}
 		idxs, isFetch := wire.ParsePeerFetchErr(tfe.msg)
-		if !isFetch {
-			return nil, err // deterministic operator error: fail fast
+		if !isFetch || round == e.f.cfg.maxAttempts {
+			return nil, err // an operator error, or losses past the bound
 		}
+		// A hedged attempt may still be encoding this task: the next
+		// round dispatches a copy.
+		next := *task
+		next.Fetches = slices.Clone(task.Fetches)
 		for _, idx := range idxs {
-			if idx < 0 || idx >= len(fetches) || handles[idx] == nil {
-				return nil, err // names no segment still awaiting recovery
+			if idx < 0 || idx >= len(next.Fetches) {
+				return nil, err // names no segment of the task
 			}
-			pairs, rerr := handles[idx].recover(r.Partition)
-			if rerr != nil {
-				return nil, rerr
+			if next.Fetches[idx], err = handles[idx].relocate(next.Fetches[idx].ID, r.Partition); err != nil {
+				return nil, err
 			}
-			fetches[idx] = wire.ShuffleRef{Pairs: pairs}
-			handles[idx] = nil
 		}
+		task = &next
 	}
 }

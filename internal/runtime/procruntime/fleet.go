@@ -5,17 +5,19 @@
 // dispatched to a worker in batched binary frames, and the worker
 // executes the job's serialized operator against file-backed DFS
 // blocks mirrored to local disk, keeping shuffle output for its peers
-// to fetch directly. The discrete-event
-// simulator keeps running controller-side as the scheduler and
-// virtual-time accountant, so plans, rows, and job counts match the
-// sim backend exactly (the differential contract) while task bodies
-// consume honest wall-clock on real processes.
+// to fetch directly: shuffle pairs travel worker to worker only. The
+// discrete-event simulator keeps running controller-side as the
+// scheduler and virtual-time accountant, so plans, rows, and job counts
+// match the sim backend exactly (the differential contract) while task
+// bodies consume honest wall-clock on real processes.
 //
-// Fault model (mirroring the simulator's PR 2 semantics at the
-// dispatch layer): per-task timeouts, bounded retries on distinct
-// workers, blacklisting after consecutive failures, and
-// straggler-tolerant hedged re-dispatch once an attempt exceeds a
-// multiple of the observed median task duration — first answer wins.
+// Fault model (the simulator's, at the dispatch layer): per-task
+// timeouts, bounded retries on distinct workers, blacklisting after
+// consecutive failures, and straggler-tolerant hedged re-dispatch once
+// an attempt exceeds a multiple of the observed median task duration —
+// first answer wins. A map output lost with its worker is re-run onto a
+// live one, as Hadoop re-executes a map whose output a reducer cannot
+// fetch.
 package procruntime
 
 import (
@@ -143,7 +145,6 @@ type Fleet struct {
 	statTasks     atomic.Int64
 	statBytesOut  atomic.Int64
 	statBytesIn   atomic.Int64
-	statCtlShufB  atomic.Int64
 	statPeerShufB atomic.Int64
 	statPeerFetch atomic.Int64
 }
@@ -157,11 +158,11 @@ type WireStats struct {
 	// BytesOut/BytesIn are request/response payload bytes.
 	BytesOut int64 `json:"bytesOut"`
 	BytesIn  int64 `json:"bytesIn"`
-	// CtlShuffleBytes is shuffle payload carried on the controller's
-	// dispatch plane — zero unless a lost peer segment was recovered
-	// (the re-run map's pairs coming back, then going out inline).
-	// PeerShuffleBytes is shuffle payload fetched worker-to-worker,
-	// bypassing the controller; PeerFetches counts those fetch RPCs.
+	// CtlShuffleBytes is always 0: no shuffle pair crosses the
+	// controller, a lost segment included (it is re-run onto a worker).
+	// It stays for the benchmark harness, which still reports it.
+	// PeerShuffleBytes is shuffle payload fetched worker-to-worker;
+	// PeerFetches counts those fetch RPCs.
 	CtlShuffleBytes  int64 `json:"ctlShuffleBytes"`
 	PeerShuffleBytes int64 `json:"peerShuffleBytes"`
 	PeerFetches      int64 `json:"peerFetches"`
@@ -174,7 +175,6 @@ func (f *Fleet) WireStats() WireStats {
 		Tasks:            f.statTasks.Load(),
 		BytesOut:         f.statBytesOut.Load(),
 		BytesIn:          f.statBytesIn.Load(),
-		CtlShuffleBytes:  f.statCtlShufB.Load(),
 		PeerShuffleBytes: f.statPeerShufB.Load(),
 		PeerFetches:      f.statPeerFetch.Load(),
 	}
@@ -637,20 +637,9 @@ func (f *Fleet) RetireJob(jobName string) {
 	}
 }
 
-// countShuffle attributes one successful attempt's shuffle traffic:
-// pairs that crossed the controller's dispatch plane versus bytes the
-// worker pulled from peers.
-func (f *Fleet) countShuffle(task *wire.Task, res *wire.TaskResult) {
-	var ctl int64
-	for i := range task.Fetches {
-		ctl += wire.ShuffleWireBytes(task.Fetches[i].Pairs)
-	}
-	for _, part := range res.Pairs {
-		ctl += wire.ShuffleWireBytes(part)
-	}
-	if ctl != 0 {
-		f.statCtlShufB.Add(ctl)
-	}
+// countShuffle adds one successful attempt's worker-to-worker shuffle
+// traffic to the counters.
+func (f *Fleet) countShuffle(res *wire.TaskResult) {
 	if res.PeerBytes != 0 {
 		f.statPeerShufB.Add(res.PeerBytes)
 	}
@@ -703,7 +692,7 @@ func (f *Fleet) dispatch(task *wire.Task, wv *wave) (*wire.TaskResult, error) {
 			inflight--
 			if a.err == nil && a.res.Err == "" {
 				a.res.Worker = a.w.url
-				f.countShuffle(task, a.res)
+				f.countShuffle(a.res)
 				f.noteSuccess(a.w, task.Kind, a.elapsed)
 				return a.res, nil
 			}

@@ -7,11 +7,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -55,8 +57,8 @@ func workerStatus(t *testing.T, base string) WorkerStatus {
 
 // These tests drive the executor's peer-shuffle data plane end to end
 // against real workers (the same handler cmd/dynoworker serves):
-// retained map outputs, direct reduce-side fetches, and the fallback
-// recovery re-run when a producer dies.
+// retained map outputs, direct reduce-side fetches, and the relocation
+// of an output whose producer died or evicted it.
 
 // sumOp groups records {k, v} by k and sums v — the smallest op that
 // exercises the full map/shuffle/reduce path.
@@ -187,10 +189,11 @@ func TestPeerShuffleKeepsBytesOffController(t *testing.T) {
 
 // TestPeerDeathFallsBackToMirror: killing a producing worker after
 // its maps complete must not fail the job — the reduce's failed peer
-// fetch is recovered by re-running the deterministic map and inlining
-// the segment.
+// fetch is recovered by re-running each lost map onto a live worker,
+// which retains the copy, and the reduce task fetches it peer to peer:
+// PeerFetches rises and the controller carries no shuffle byte.
 func TestPeerDeathFallsBackToMirror(t *testing.T) {
-	ex, file, servers := newPeerHarness(t, 2, 8)
+	ex, file, servers := newPeerHarness(t, 3, 12)
 	want, outs := runPeerJob(t, ex, file, 2)
 
 	// Kill the producer of the first map's output; every handle whose
@@ -207,29 +210,23 @@ func TestPeerDeathFallsBackToMirror(t *testing.T) {
 		t.Fatalf("producer %s not among the harness servers", dead)
 	}
 
-	op := sumOp()
+	before := ex.f.WireStats().PeerFetches
 	for p := 0; p < 2; p++ {
-		inputs := make([]any, 0, len(outs))
-		for _, out := range outs {
-			inputs = append(inputs, out.Shuffle)
-		}
-		res, err := ex.ExecReduce(mapreduce.ReduceExec{
-			JobName:   "peerjob",
-			TaskName:  fmt.Sprintf("peerjob-r%d", p),
-			Partition: p,
-			Inputs:    inputs,
-			Op:        op,
-		})
-		if err != nil {
-			t.Fatalf("reduce %d after peer death: %v", p, err)
-		}
-		if !reflect.DeepEqual(rowStrings(res.Rows), rowStrings(want[p])) {
-			t.Errorf("partition %d rows changed after recovery:\ngot  %v\nwant %v",
-				p, rowStrings(res.Rows), rowStrings(want[p]))
+		if got := reduceAll(t, ex, outs, p); !reflect.DeepEqual(rowStrings(got), rowStrings(want[p])) {
+			t.Errorf("partition %d rows changed after recovery:\ngot  %v\nwant %v", p, rowStrings(got), rowStrings(want[p]))
 		}
 	}
-	if st := ex.f.WireStats(); st.CtlShuffleBytes == 0 {
-		t.Error("recovery shipped no controller-side shuffle bytes")
+	for i, out := range outs {
+		if po := out.Shuffle.(*peerOutput); po.url == dead {
+			t.Errorf("map %d: output still named on the dead worker after the reduces", i)
+		}
+	}
+	st := ex.f.WireStats()
+	if st.PeerFetches <= before {
+		t.Errorf("peer fetches %d -> %d: the recovered segments did not travel worker to worker", before, st.PeerFetches)
+	}
+	if st.CtlShuffleBytes != 0 {
+		t.Errorf("controller carried %d shuffle bytes, want 0", st.CtlShuffleBytes)
 	}
 }
 
@@ -256,29 +253,36 @@ func (c catalog) Lookup(name string) (*dfs.File, bool) { f, ok := c[name]; retur
 // TestLostSegmentsCostOneRedispatch: a reduce task learns of every
 // segment it cannot have from its one request per producer — all of
 // them when the producer is dead, only the evicted ones when it is up —
-// and the executor recovers them all before it dispatches the task
+// and the executor relocates them all before it dispatches the task
 // again: one extra dispatch, not one per segment. The rows equal the
 // simulator's and the naive oracle's.
-func TestLostSegmentsCostOneRedispatch(t *testing.T) {
-	const records = 12
-	sim := simruntime.New(cluster.DefaultConfig())
-	in := sim.FS().Create("nums")
+// simSum runs the peer job's aggregate over records kv records on the
+// simulator, one reducer, and evaluates it on the naive oracle.
+func simSum(t *testing.T, records int) (sim, oracle []data.Value) {
+	t.Helper()
+	rt := simruntime.New(cluster.DefaultConfig())
+	in := rt.FS().Create("nums")
 	in.AppendAll(kvRecords(records))
 	nums := in.Close()
 	spec, err := sumOp().Bind(mapreduce.Spec{Name: "simjob", Output: "out", NumReducers: 1}, nums)
 	if err != nil {
 		t.Fatal(err)
 	}
-	simRes, err := mapreduce.Run(sim.NewEnv(expr.NewRegistry()), spec)
+	res, err := mapreduce.Run(rt.NewEnv(expr.NewRegistry()), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	simRows := simRes.Output.AllRecords()
-	oracle, err := naive.Evaluate(sqlparse.MustParse(`SELECT t.k AS k, SUM(t.v) AS s FROM nums t GROUP BY t.k`),
+	oracle, err = naive.Evaluate(sqlparse.MustParse(`SELECT t.k AS k, SUM(t.v) AS s FROM nums t GROUP BY t.k`),
 		catalog{"nums": nums}, expr.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
+	return res.Output.AllRecords(), oracle
+}
+
+func TestLostSegmentsCostOneRedispatch(t *testing.T) {
+	const records = 12
+	simRows, oracle := simSum(t, records)
 
 	for _, arm := range []string{"dead", "evicted"} {
 		t.Run(arm, func(t *testing.T) {
@@ -318,10 +322,13 @@ func TestLostSegmentsCostOneRedispatch(t *testing.T) {
 			}
 			before := ex.f.WireStats().Tasks
 			rows := reduceAll(t, ex, outs, 0)
-			// One task per recovered map, and the reduce twice: the attempt
+			// One task per relocated map, and the reduce twice: the attempt
 			// that found the segments gone and the one dispatch after.
 			if got, want := ex.f.WireStats().Tasks-before, int64(len(held)+2); got != want {
-				t.Errorf("%d task attempts to recover %d segments, want %d", got, len(held), want)
+				t.Errorf("%d task attempts to relocate %d segments, want %d", got, len(held), want)
+			}
+			if st := ex.f.WireStats(); st.CtlShuffleBytes != 0 {
+				t.Errorf("controller carried %d shuffle bytes, want 0", st.CtlShuffleBytes)
 			}
 			if got, want := rowStrings(rows), rowStrings(simRows); !reflect.DeepEqual(got, want) {
 				t.Errorf("rows %v, sim %v", got, want)
@@ -331,6 +338,148 @@ func TestLostSegmentsCostOneRedispatch(t *testing.T) {
 			}
 		})
 	}
+}
+
+// newLossyHarness is newPeerHarness over workers that lose the output
+// of a shuffle map task they run, after it is retained and before they
+// answer, while lose counts down from above zero: the controller is
+// told of a copy that can no longer be fetched.
+func newLossyHarness(t *testing.T, n, records int, lose *atomic.Int64) (executor, *dfs.File) {
+	t.Helper()
+	f := newBareFleet(t, Config{})
+	for range n {
+		w := NewWorker(expr.NewRegistry())
+		h := w.Handler()
+		ts := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/tasks" {
+				h.ServeHTTP(rw, r)
+				return
+			}
+			body, err := io.ReadAll(r.Body)
+			if err != nil {
+				http.Error(rw, err.Error(), http.StatusBadRequest)
+				return
+			}
+			r.Body = io.NopCloser(bytes.NewReader(body))
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, r)
+			tasks, _ := wire.DecodeTaskBatch(body)
+			for _, task := range tasks {
+				if task.ShuffleID != "" && lose.Add(-1) >= 0 {
+					w.shuffles.drop(func(id string) bool { return id == task.ShuffleID })
+				}
+			}
+			maps.Copy(rw.Header(), rec.Header())
+			rw.WriteHeader(rec.Code)
+			rw.Write(rec.Body.Bytes())
+		}))
+		t.Cleanup(ts.Close)
+		register(t, f, ts.URL)
+	}
+	fs := dfs.New(dfs.WithBlockSize(1))
+	w := fs.Create("in")
+	w.AppendAll(kvRecords(records))
+	return executor{f: f, fs: fs}, w.Close()
+}
+
+// evictFirst drops the first map's retained output from its producer,
+// the way a byte bound would, and returns its handle.
+func evictFirst(t *testing.T, outs []*mapreduce.MapExecOut) *peerOutput {
+	t.Helper()
+	po := outs[0].Shuffle.(*peerOutput)
+	gc, _ := json.Marshal(wire.ShuffleGCRequest{IDs: []string{po.id}})
+	resp, err := http.Post(po.url+"/shuffle/gc", "application/json", bytes.NewReader(gc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return po
+}
+
+// TestRelocatedCopyLostAgainIsRelocatedAgain: the copy a relocation
+// made is lost in turn before the reduce task fetches it, so the task's
+// second dispatch fails on it too and the segment is relocated once
+// more: three reduce dispatches and two re-runs, each under a fresh id,
+// and the rows equal the simulator's.
+func TestRelocatedCopyLostAgainIsRelocatedAgain(t *testing.T) {
+	const records = 12
+	simRows, _ := simSum(t, records)
+	var lose atomic.Int64
+	ex, file := newLossyHarness(t, 2, records, &lose)
+	_, outs := runPeerJob(t, ex, file, 1)
+	po := evictFirst(t, outs)
+	first := po.id
+	lose.Store(1) // the first relocated copy
+	before := ex.f.WireStats().Tasks
+	rows := reduceAll(t, ex, outs, 0)
+	if got := ex.f.WireStats().Tasks - before; got != 5 {
+		t.Errorf("%d task attempts, want 5: three reduce dispatches and two re-runs", got)
+	}
+	if po.id == first || !strings.HasPrefix(po.id, "peerjob-m0#") {
+		t.Errorf("the segment is named %q after its relocations, first %q", po.id, first)
+	}
+	if got, want := rowStrings(rows), rowStrings(simRows); !reflect.DeepEqual(got, want) {
+		t.Errorf("rows %v, sim %v", got, want)
+	}
+	if st := ex.f.WireStats(); st.CtlShuffleBytes != 0 {
+		t.Errorf("controller carried %d shuffle bytes, want 0", st.CtlShuffleBytes)
+	}
+}
+
+// TestLossesPastTheBoundFailTheReduce: when every relocated copy is
+// lost as well, the reduce task relocates for maxAttempts rounds and
+// then fails with the worker's peer-fetch error.
+func TestLossesPastTheBoundFailTheReduce(t *testing.T) {
+	var lose atomic.Int64
+	ex, file := newLossyHarness(t, 2, 12, &lose)
+	_, outs := runPeerJob(t, ex, file, 1)
+	evictFirst(t, outs)
+	lose.Store(1 << 30)
+	before := ex.f.WireStats().Tasks
+	inputs := make([]any, 0, len(outs))
+	for _, out := range outs {
+		inputs = append(inputs, out.Shuffle)
+	}
+	_, err := ex.ExecReduce(mapreduce.ReduceExec{JobName: "peerjob", TaskName: "peerjob-r0", Inputs: inputs, Op: sumOp()})
+	var tfe *taskFailedError
+	if !errors.As(err, &tfe) {
+		t.Fatalf("reduce error %v, want a task failure", err)
+	}
+	if idxs, ok := wire.ParsePeerFetchErr(tfe.msg); !ok || len(idxs) != 1 {
+		t.Errorf("reduce failed with %q, want the peer-fetch error naming the one segment", tfe.msg)
+	}
+	rounds := int64(ex.f.cfg.maxAttempts)
+	if got, want := ex.f.WireStats().Tasks-before, 2*rounds+1; got != want {
+		t.Errorf("%d task attempts, want %d: a reduce dispatch and a re-run per round, and the last dispatch", got, want)
+	}
+}
+
+// TestRelocatedCopiesAreCollected: a relocation's fresh id is recorded
+// against the job, so retiring the job collects the re-run's copy from
+// the worker that holds it.
+func TestRelocatedCopiesAreCollected(t *testing.T) {
+	ex, file, servers := newPeerHarness(t, 2, 12)
+	_, outs := runPeerJob(t, ex, file, 1)
+	po := evictFirst(t, outs)
+	lost := po.id
+	reduceAll(t, ex, outs, 0)
+	if po.id == lost {
+		t.Fatal("the evicted segment was not relocated")
+	}
+	ex.f.shufMu.Lock()
+	ids := slices.Clone(ex.f.jobShuffles["peerjob"])
+	ex.f.shufMu.Unlock()
+	if !slices.Contains(ids, po.id) {
+		t.Fatalf("relocated id %s is not among the job's ids %v", po.id, ids)
+	}
+	ex.RetireJob("peerjob")
+	waitFor(t, "the workers to drop the job's outputs, the relocated copy included", func() bool {
+		total := 0
+		for _, ts := range servers {
+			total += workerStatus(t, ts.URL).ShuffleBlocks
+		}
+		return total == 0
+	})
 }
 
 // partitioned lays segments out as a map task's shuffle output, one
@@ -350,7 +499,7 @@ func partitioned(segs ...[]wire.KV) mapreduce.Partitioned {
 
 // TestReduceAsksEachPeerOnce: the segments a reduce task needs from one
 // peer arrive in one request, and the task's input is assembled in
-// Fetches order with inline and local segments interleaved. A request
+// Fetches order with local and fetched segments interleaved. A request
 // that fails names the segments lost: all of them for a peer that
 // cannot be reached, only the missing ones for a peer that answers 404.
 func TestReduceAsksEachPeerOnce(t *testing.T) {
@@ -377,6 +526,7 @@ func TestReduceAsksEachPeerOnce(t *testing.T) {
 		b.retainShuffle(id, partitioned(seg(id, 1), seg(id, 3)), 1)
 	}
 	a.retainShuffle("a1", partitioned(nil, seg("a1", 2)), 1)
+	a.retainShuffle("a2", partitioned(seg("a2", 4), seg("a2", 1)), 1)
 	at := func(url, id string) wire.ShuffleRef { return wire.ShuffleRef{URL: url, ID: id, Part: 1} }
 	tags := func(pairs []wire.KV) (out []string) {
 		for _, kv := range pairs {
@@ -385,15 +535,16 @@ func TestReduceAsksEachPeerOnce(t *testing.T) {
 		return out
 	}
 
-	// a1's URL is unreachable: it must come from a's own registry.
-	task := &wire.Task{Partition: 1, Fetches: []wire.ShuffleRef{{Pairs: seg("x", 1)}, at(peer.URL, "b1"),
-		at(gone.URL, "a1"), at(peer.URL, "b2"), {Pairs: seg("y", 2)}, at(peer.URL, "b3")}}
+	// a1's and a2's URL is unreachable: they must come from a's own
+	// registry.
+	task := &wire.Task{Partition: 1, Fetches: []wire.ShuffleRef{at(gone.URL, "a2"), at(peer.URL, "b1"),
+		at(gone.URL, "a1"), at(peer.URL, "b2"), at(gone.URL, "a2"), at(peer.URL, "b3")}}
 	res := &wire.TaskResult{}
 	pairs, lost := a.gather(task, res)
 	if lost != "" {
 		t.Fatal(lost)
 	}
-	want := []string{"x", "b1", "b1", "b1", "a1", "a1", "b2", "b2", "b2", "y", "y", "b3", "b3", "b3"}
+	want := []string{"a2", "b1", "b1", "b1", "a1", "a1", "b2", "b2", "b2", "a2", "b3", "b3", "b3"}
 	if got := tags(pairs); !reflect.DeepEqual(got, want) {
 		t.Errorf("input %v, want %v", got, want)
 	}
@@ -403,7 +554,7 @@ func TestReduceAsksEachPeerOnce(t *testing.T) {
 
 	asks.Store(0)
 	task.Fetches = []wire.ShuffleRef{at(peer.URL, "b1"), at(peer.URL, "evicted"), at(gone.URL, "z1"),
-		at(peer.URL, "b3"), at(gone.URL, "z2"), at(peer.URL, "evicted2"), {Pairs: seg("x", 1)}}
+		at(peer.URL, "b3"), at(gone.URL, "z2"), at(peer.URL, "evicted2"), at(gone.URL, "a2")}
 	_, lost = a.gather(task, &wire.TaskResult{})
 	if idxs, ok := wire.ParsePeerFetchErr(lost); !ok || !reflect.DeepEqual(idxs, []int{1, 2, 4, 5}) {
 		t.Errorf("lost segments %v (%q), want [1 2 4 5]", idxs, lost)
@@ -414,11 +565,12 @@ func TestReduceAsksEachPeerOnce(t *testing.T) {
 }
 
 // TestServedAndRecoveredSegmentsAreTheWindow: what a producer serves a
-// peer for partition p, and what a recovery re-run of its map sends back
-// through the controller, are the pairs of partition p's window of its
-// retained output, in order — for a kernel whose output is positions
-// into its split's image (the repartition map), one that emits pair by
-// pair (the aggregate map) and one that combines.
+// peer for partition p is the pairs of partition p's window of its
+// retained output, in order, and a re-run of the map under a fresh id —
+// the relocation of a lost copy — answers the same digests and serves
+// the same windows, for a kernel whose output is positions into its
+// split's image (the repartition map), one that emits pair by pair (the
+// aggregate map) and one that combines.
 func TestServedAndRecoveredSegmentsAreTheWindow(t *testing.T) {
 	const reducers = 5
 	w := NewWorker(expr.NewRegistry())
@@ -449,23 +601,21 @@ func TestServedAndRecoveredSegmentsAreTheWindow(t *testing.T) {
 	for n, op := range ops {
 		id := fmt.Sprintf("s%d", n)
 		task := &wire.Task{Task: id + "-m0", Kind: "map", Op: op, Block: block, NumReducers: reducers, ShuffleID: id, ByteScale: 1}
-		if res := w.runTask(task); res.Err != "" || len(res.Parts) != reducers {
+		res := w.runTask(task)
+		if res.Err != "" || len(res.Parts) != reducers {
 			t.Fatalf("%s: %q, %d digests", op.Kind, res.Err, len(res.Parts))
 		}
-		plain := *task
-		plain.ShuffleID, plain.ByteScale = "", 0
-		frame := wire.EncodeResultBatch([]*wire.TaskResult{w.runTask(&plain)})
-		rerun, err := wire.DecodeResultBatch(frame.Bytes())
-		frame.Close()
-		if err != nil || len(rerun[0].Pairs) != reducers {
-			t.Fatalf("%s: recovery re-run: %v", op.Kind, err)
+		rerun := *task
+		rerun.ShuffleID = id + "-rerun"
+		if again := w.runTask(&rerun); again.Err != "" || !reflect.DeepEqual(again.Parts, res.Parts) {
+			t.Fatalf("%s: re-run under a fresh id: %q, digests %v, want %v", op.Kind, again.Err, again.Parts, res.Parts)
 		}
 		out, _ := w.shuffles.peek(id)
 		var total int
 		for p := range reducers {
 			window := out.AppendPart(nil, p)
 			total += len(window)
-			ask := wire.EncodeShuffleRequest(p, []string{id})
+			ask := wire.EncodeShuffleRequest(p, []string{id, rerun.ShuffleID})
 			resp, err := http.Post(ts.URL+"/shuffle", wire.ContentTypeBinary, bytes.NewReader(ask.Bytes()))
 			ask.Close()
 			if err != nil {
@@ -477,11 +627,10 @@ func TestServedAndRecoveredSegmentsAreTheWindow(t *testing.T) {
 				t.Fatal(err)
 			}
 			segs, err := wire.DecodeShuffleSegments(body)
-			if err != nil || len(segs) != 1 || !same(segs[0], window) {
+			if err != nil || len(segs) != 2 || !same(segs[0], window) {
 				t.Errorf("%s partition %d: served %v, want the window %v (%v)", op.Kind, p, segs, window, err)
-			}
-			if !same(rerun[0].Pairs[p], window) {
-				t.Errorf("%s partition %d: re-run sent %v, want the window %v", op.Kind, p, rerun[0].Pairs[p], window)
+			} else if !same(segs[1], window) {
+				t.Errorf("%s partition %d: the re-run served %v, want the window %v", op.Kind, p, segs[1], window)
 			}
 		}
 		if total == 0 || total != len(out.Idx) {
@@ -668,12 +817,13 @@ func TestRetirementDropsDeadBlocksFromWorkers(t *testing.T) {
 // a non-frame Content-Type is 415, a task frame whose counts no
 // controller emits is 400 before anything is sized from them, so is a
 // shuffle request that is truncated, not DYF1, or claims more ids than
-// its body could hold; a block that is not a DYB1 frame is a task error
-// rather than a guess at another format, and so is a block reference
-// whose span runs past its mirror file, is longer than any frame, or
-// names no file, each refused before a buffer is sized from it; a
-// panicking operator is a task error too — and after each of them the
-// worker still serves the next request.
+// its body could hold; a shuffle map task without a shuffle id is a
+// task error, as is a block that is not a DYB1 frame rather than a
+// guess at another format, and so is a block reference whose span runs
+// past its mirror file, is longer than any frame, or names no file,
+// each refused before a buffer is sized from it; a panicking operator
+// is a task error too — and after each of them the worker still serves
+// the next request.
 func TestWorkerRefusesHostileInput(t *testing.T) {
 	reg := expr.NewRegistry()
 	reg.Register(expr.UDF{Name: "boom", Fn: func([]data.Value) data.Value { panic("udf exploded") }})
@@ -741,6 +891,10 @@ func TestWorkerRefusesHostileInput(t *testing.T) {
 		// modulus is taken.
 		{"zeroNumReducers", "", wire.ContentTypeBinary,
 			frameOf(&wire.Task{Task: "t-m0", Kind: "map", Op: shuffle, Block: block}), -1, http.StatusOK, "with 0 reducers"},
+		// A shuffle map task with nowhere to retain its output: its pairs
+		// never travel back in the answer.
+		{"noShuffleID", "", wire.ContentTypeBinary,
+			frameOf(&wire.Task{Task: "t-m0", Kind: "map", Op: shuffle, Block: block, NumReducers: 2}), -1, http.StatusOK, "no shuffle id"},
 		{"negativeInputIdx", "", wire.ContentTypeBinary,
 			frameOf(&wire.Task{Task: "t-m0", Kind: "map", Op: shuffle, Block: block, InputIdx: -1}), -1, http.StatusBadRequest, ""},
 		// Deterministic: a task error the controller fails fast on, not a

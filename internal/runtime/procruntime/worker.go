@@ -80,7 +80,7 @@ type onceEntry[V any] struct {
 // garbage — retained map outputs, the blocks and tables of mirrors
 // whose files are gone — and these bounds are the backstop for what it
 // never names. An evicted-but-needed shuffle block degrades to a 404,
-// which the controller recovers through the mirror path.
+// and the controller re-runs its map onto a live worker.
 const (
 	blockCacheBytes   = 256 << 20 // mirrored-block records, by on-disk bytes
 	tableCacheEntries = 64        // built broadcast tables
@@ -382,9 +382,13 @@ func (w *Worker) runMap(task *wire.Task) (*wire.TaskResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	// A shuffle op (one with a reducer) comes with its reducer count.
+	// A shuffle op (one with a reducer) comes with its reducer count and
+	// the id its output is retained under: the pairs never travel back.
 	if (k.Reduce != nil) != (task.NumReducers > 0) {
 		return nil, fmt.Errorf("%s op with %d reducers", task.Op.Kind, task.NumReducers)
+	}
+	if task.NumReducers > 0 && task.ShuffleID == "" {
+		return nil, fmt.Errorf("%s op with no shuffle id to retain its output under", task.Op.Kind)
 	}
 	mt := &mapreduce.MapTask{Reg: w.reg, Recs: blk.recs, Aux: &blk.aux, Map: k.Map, Builds: builds,
 		NumReducers: task.NumReducers, Combine: k.Combine}
@@ -393,18 +397,10 @@ func (w *Worker) runMap(task *wire.Task) (*wire.TaskResult, error) {
 		return nil, err
 	}
 	res := &wire.TaskResult{CPUMap: out.CPUMap, CPUTotal: out.CPUTotal}
-	switch {
-	case task.NumReducers == 0:
+	if task.NumReducers == 0 {
 		res.Rows, res.Sel = out.Rows, out.Sel
-	case task.ShuffleID != "":
+	} else {
 		res.Parts = w.retainShuffle(task.ShuffleID, out.Shuffled, task.ByteScale)
-	default:
-		// The recovery re-run of a lost output: the pairs go back to the
-		// controller, which inlines the missing segment.
-		res.Pairs = make([][]wire.KV, out.Shuffled.NumParts())
-		for p := range res.Pairs {
-			res.Pairs[p] = out.Shuffled.AppendPart(nil, p)
-		}
 	}
 	return res, nil
 }
@@ -424,8 +420,8 @@ func (w *Worker) retainShuffle(id string, out mapreduce.Partitioned, scale float
 			raw += out.Keys[i].EncodedSize() + rec + int64(len(out.Tag)) + 16
 		}
 	}
-	// A hedged duplicate or re-run of a deterministic map finds the id
-	// taken: its output is byte-identical, so the first copy serves.
+	// A hedged duplicate of a deterministic map finds the id taken: its
+	// output is byte-identical, so the first copy serves.
 	w.shuffles.get(id, func() (mapreduce.Partitioned, int64, error) { return out, raw, nil })
 	return digests
 }
@@ -513,9 +509,9 @@ func (w *Worker) runReduce(task *wire.Task) (*wire.TaskResult, error) {
 }
 
 // gather assembles a reduce task's input in Fetches order into one
-// exactly-sized slice: inline pairs, local windows and one request per
-// producing peer — or a PeerFetchErr naming every segment it could not
-// fetch, for the controller to recover before it dispatches again.
+// exactly-sized slice: local windows and one request per producing
+// peer — or a PeerFetchErr naming every segment it could not fetch, for
+// the controller to relocate before it dispatches again.
 func (w *Worker) gather(task *wire.Task, res *wire.TaskResult) (pairs []wire.KV, lost string) {
 	segs := make([][]wire.KV, len(task.Fetches))
 	held := make([]mapreduce.Partitioned, len(task.Fetches)) // local outputs, read through their positions
@@ -524,9 +520,7 @@ func (w *Worker) gather(task *wire.Task, res *wire.TaskResult) (pairs []wire.KV,
 	for i := range task.Fetches {
 		ref := &task.Fetches[i]
 		var ok bool
-		if ref.ID == "" {
-			segs[i] = ref.Pairs
-		} else if held[i], ok = w.shuffleLookup(ref.ID, ref.Part); !ok {
+		if held[i], ok = w.shuffleLookup(ref.ID, ref.Part); !ok {
 			peer := fmt.Sprint(ref.Part, " ", ref.URL)
 			if asks[peer] == nil {
 				peers = append(peers, peer)

@@ -415,10 +415,7 @@ func sampleTasks(t testing.TB) []*Task {
 			Task: "j1-r3", Kind: "reduce", Op: op, Partition: 3,
 			Fetches: []ShuffleRef{
 				{URL: "http://127.0.0.1:9001", ID: "j1-m0#1", Part: 3},
-				{Pairs: []KV{
-					{Key: data.Int(1 << 53), Tag: "L", Rec: data.Object(data.Field{Name: "x", Value: data.Double(-0.0)})},
-					{Key: data.String("k\x00"), Rec: data.Null()},
-				}},
+				{URL: "http://127.0.0.1:9002", ID: "j1-m1#2", Part: 3},
 			},
 		},
 		{Task: "j2-m0", Kind: "map", Op: &physop.OpSpec{Kind: physop.Scan, Source: &physop.Source{Wrap: "r"}}},
@@ -476,18 +473,21 @@ func sampleSels() [][]int32 {
 	return [][]int32{{0}, dense, {3, 200, 1 << 20, 1<<31 - 2, 1<<31 - 1}}
 }
 
+// sampleSegments are shuffle segments a producer's answer must carry
+// exactly: two around an empty one.
+func sampleSegments() [][]KV {
+	return [][]KV{
+		{{Key: data.Int(1), Tag: "L", Rec: data.String("a\x00")}, {Key: data.Int(1), Tag: "R", Rec: data.Double(-0.0)}},
+		nil,
+		{{Key: data.Null(), Rec: data.Array(data.Int(1 << 53))}},
+	}
+}
+
 func sampleResults() []*TaskResult {
 	sels := sampleSels()
 	return []*TaskResult{
 		{Rows: adversarialValues(), CPUSeconds: 0.25},
-		{
-			Pairs: [][]KV{
-				{{Key: data.Int(1), Tag: "L", Rec: data.String("a\x00")}, {Key: data.Int(1), Tag: "R", Rec: data.Double(-0.0)}},
-				nil,
-				{{Key: data.Null(), Rec: data.Array(data.Int(1 << 53))}},
-			},
-			CPUMap: 1.5, CPUTotal: 2.25,
-		},
+		{Parts: []ShufflePart{{Count: 2}, {}, {Count: 1, Bytes: 9}}, CPUMap: 1.5, CPUTotal: 2.25},
 		{Parts: []ShufflePart{{Count: 3, Bytes: 1 << 40}, {}}, PeerBytes: 77, PeerFetches: 2},
 		{Err: "boom: operator failed"},
 		{},
@@ -512,24 +512,12 @@ func TestBinResultBatchRoundTrip(t *testing.T) {
 		have := got[i]
 		if have.Err != want.Err || have.CPUMap != want.CPUMap || have.CPUTotal != want.CPUTotal || have.CPUSeconds != want.CPUSeconds ||
 			have.PeerBytes != want.PeerBytes || have.PeerFetches != want.PeerFetches || !reflect.DeepEqual(have.Parts, want.Parts) ||
-			len(have.Rows) != len(want.Rows) || len(have.Pairs) != len(want.Pairs) ||
+			len(have.Rows) != len(want.Rows) ||
 			!slices.Equal(have.Sel, want.Sel) || (have.Sel == nil) != (want.Sel == nil) {
 			t.Fatalf("result %d changed across round trip:\n  %+v\n  %+v", i, want, have)
 		}
 		for k := range want.Rows {
 			assertSameValue(t, want.Rows[k], have.Rows[k])
-		}
-		for p, part := range want.Pairs {
-			if len(have.Pairs[p]) != len(part) {
-				t.Fatalf("result %d partition %d: %d pairs -> %d", i, p, len(part), len(have.Pairs[p]))
-			}
-			for n, kv := range part {
-				if have.Pairs[p][n].Tag != kv.Tag {
-					t.Fatalf("result %d partition %d pair %d: tag %q -> %q", i, p, n, kv.Tag, have.Pairs[p][n].Tag)
-				}
-				assertSameValue(t, kv.Key, have.Pairs[p][n].Key)
-				assertSameValue(t, kv.Rec, have.Pairs[p][n].Rec)
-			}
 		}
 	}
 	again := EncodeResultBatch(got)
@@ -661,7 +649,7 @@ func TestShufflePartsEncodeTheirWindows(t *testing.T) {
 // ids. Every truncation of either is refused, as is the per-segment
 // frame the DYS2 layout replaced.
 func TestShuffleFrames(t *testing.T) {
-	segs := sampleResults()[1].Pairs // two segments around an empty one
+	segs := sampleSegments()
 	for _, want := range [][][]KV{segs, {nil}, {}} {
 		frame := encodeShuffleSegments(want)
 		got, err := DecodeShuffleSegments(frame.Bytes())
@@ -729,13 +717,13 @@ func resultWithSel(sel ...uint64) []byte {
 	f := EncodeResultBatch([]*TaskResult{{}})
 	defer f.Close()
 	b := f.Bytes()
-	// An empty result ends in five zero counts: the selection, pairs,
-	// parts, peer bytes and peer fetches.
-	out := bytes.Clone(b[:len(b)-5])
+	// An empty result ends in four zero counts: the selection, parts,
+	// peer bytes and peer fetches.
+	out := bytes.Clone(b[:len(b)-4])
 	for _, x := range sel {
 		out = binary.AppendUvarint(out, x)
 	}
-	return append(out, 0, 0, 0, 0)
+	return append(out, 0, 0, 0)
 }
 
 // TestBinSelIsBounded: the decoder refuses a selection no encoder

@@ -561,7 +561,6 @@ func (e *benc) writeTask(t *Task) error {
 		e.str(ref.URL)
 		e.str(ref.ID)
 		e.varint(int64(ref.Part))
-		e.writePairs(ref.Pairs)
 	}
 	return nil
 }
@@ -632,8 +631,7 @@ func (d *bdec) readTask() (*Task, error) {
 			return ref, err
 		}
 		ref.Part = int(idx)
-		ref.Pairs, err = d.readKVs()
-		return ref, err
+		return ref, nil
 	})
 	if err != nil {
 		return nil, err
@@ -648,7 +646,6 @@ func (e *benc) writeResult(r *TaskResult) {
 	e.f64(r.CPUSeconds)
 	e.writeValueList(r.Rows)
 	e.writeSel(r.Sel)
-	e.writeSegments(r.Pairs)
 	e.uvarint(uint64(len(r.Parts)))
 	for _, p := range r.Parts {
 		e.varint(int64(p.Count))
@@ -677,9 +674,6 @@ func (d *bdec) readResult() (*TaskResult, error) {
 		return nil, err
 	}
 	if r.Sel, err = d.readSel(); err != nil {
-		return nil, err
-	}
-	if r.Pairs, err = d.readSegments(); err != nil {
 		return nil, err
 	}
 	n, err := d.count()
@@ -933,19 +927,6 @@ func DecodeShuffle(b []byte) ([]KV, error) {
 		return nil, cmp.Or(err, fmt.Errorf("wire: shuffle frame holds %d segments, want 1", len(segs)))
 	}
 	return segs[0], nil
-}
-
-// ShuffleWireBytes is the size of a pair set as a one-segment shuffle
-// frame: the bytes those pairs cost when they cross the controller. It
-// feeds the controller-vs-peer shuffle byte split in the fleet's
-// WireStats.
-func ShuffleWireBytes(pairs []KV) int64 {
-	if len(pairs) == 0 {
-		return 0
-	}
-	f := EncodeShuffle(pairs)
-	defer f.Close()
-	return int64(len(f.Bytes()))
 }
 
 // PeerFetchErr formats the deterministic error a reduce worker returns

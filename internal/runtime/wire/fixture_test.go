@@ -21,9 +21,11 @@ import (
 // types, and rewritten, in a commit of their own, when a block
 // reference became a span of a mirror file, and again when the frame
 // dropped the fields a worker derives (HasReduce, RunCombine,
-// RetainShuffle) or never reads (Job); a committed frame must
-// decode here and re-encode to the same bytes, and the same tasks built
-// today must encode to the committed bytes.
+// RetainShuffle) or never reads (Job), and again when a fetch lost its
+// inline pairs (a lost segment is re-run onto a worker and fetched
+// like any other); a committed frame must decode here and re-encode to
+// the same bytes, and the same tasks built today must encode to the
+// committed bytes.
 //
 // Regenerate with: go test ./internal/runtime/wire -run TestTaskFrameFixtures -update-fixtures
 var updateFixtures = flag.Bool("update-fixtures", false, "rewrite testdata/*.dyt1 from the current encoder")
@@ -80,10 +82,7 @@ func fixtureTasks(t *testing.T, kind string) []*Task {
 				NumReducers: 6, ShuffleID: "j1-m0#7", ByteScale: 1234.5},
 			{Task: "j1-r3", Kind: "reduce", Op: op, Partition: 3, Fetches: []ShuffleRef{
 				{URL: "http://127.0.0.1:9001", ID: "j1-m0#7", Part: 3},
-				{Pairs: []KV{
-					{Key: data.Int(1 << 53), Tag: "L", Rec: data.Object(data.Field{Name: "x", Value: data.Double(-0.0)})},
-					{Key: data.String("k\x00"), Tag: "R", Rec: data.Null()},
-				}},
+				{URL: "http://127.0.0.1:9002", ID: "j1-m1#8", Part: 3},
 			}},
 		}
 	case "chain":

@@ -316,7 +316,7 @@ func FuzzResultBatchDecode(f *testing.F) {
 
 func FuzzShuffleDecode(f *testing.F) {
 	f.Add([]byte("DYS2"))
-	segs := sampleResults()[1].Pairs
+	segs := sampleSegments()
 	for _, seed := range [][][]KV{segs, {segs[0]}, {nil}, {}, {nil, nil, segs[2]}} {
 		frame := encodeShuffleSegments(seed)
 		f.Add(bytes.Clone(frame.Bytes()))

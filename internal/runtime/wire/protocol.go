@@ -192,16 +192,13 @@ type KV = mapreduce.Pair
 // like the controller.
 func SortKVs(pairs []KV) { mapreduce.SortPairsByKey(pairs) }
 
-// ShuffleRef is one reduce-input segment, in map-output order. Either
-// ID is set — the segment lives in the registry of the worker at URL
-// under that shuffle ID (fetch partition Part) — or ID is empty and
-// the pairs travel inline (a segment recovered through the controller
-// after its peer died or evicted it).
+// ShuffleRef is one reduce-input segment, in map-output order: it lives
+// in the registry of the worker at URL under shuffle ID, and the reduce
+// task fetches its partition Part.
 type ShuffleRef struct {
-	URL   string
-	ID    string
-	Part  int
-	Pairs []KV
+	URL  string
+	ID   string
+	Part int
 }
 
 // BlockRef is one mirrored DFS block: the DYB1 frame at [Off, Off+Len)
@@ -238,8 +235,8 @@ type Task struct {
 
 	// Shuffle map tasks retain their partitioned output worker-side
 	// under ShuffleID and answer with per-partition digests computed at
-	// ByteScale. The recovery re-run of a lost output clears ShuffleID
-	// and gets the pairs back instead.
+	// ByteScale. The re-run of a lost output is one more such task,
+	// under a fresh ShuffleID.
 	ShuffleID string
 	ByteScale float64
 
@@ -256,10 +253,7 @@ type TaskResult struct {
 	// unpruned scan, see physop.ScanImage): the ascending positions of
 	// the split's records its filter kept. The controller takes those
 	// rows from its own copy of the split, so none travel.
-	Sel []int32
-	// Pairs answers a shuffle map task run without a ShuffleID: one
-	// slice per partition.
-	Pairs      [][]KV
+	Sel        []int32
 	CPUMap     float64
 	CPUTotal   float64
 	CPUSeconds float64

@@ -58,7 +58,7 @@ go test -run='^$' -bench='^BenchmarkMirrorFile$' \
 go test -run='^$' -bench='^(BenchmarkOptimizeChain12|BenchmarkOptimizeStar10)$' \
     -benchtime=10x -benchmem ./internal/optimizer | tee -a "$out"
 # Columnar batch layer: per-split (not per-row) allocation invariant.
-go test -run='^$' -bench='^(BenchmarkBatchFilterProject|BenchmarkBatchHashProbe|BenchmarkIntern)$' \
+go test -run='^$' -bench='^(BenchmarkBatchFilterProject|BenchmarkBatchHashProbe)$' \
     -benchtime=100x -benchmem ./internal/batch | tee -a "$out"
 
 # Extract "name allocs bytes" triples (the GOMAXPROCS suffix varies by
