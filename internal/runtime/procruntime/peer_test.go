@@ -15,6 +15,7 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -79,10 +80,16 @@ func sumOp() *physop.OpSpec {
 // executor, the file, and the workers' servers by registration order.
 func newPeerHarness(t *testing.T, n, records int) (executor, *dfs.File, []*httptest.Server) {
 	t.Helper()
+	return newHarness(t, n, records, (*Worker).Handler)
+}
+
+// newHarness is newPeerHarness with each worker served by handler.
+func newHarness(t *testing.T, n, records int, handler func(*Worker) http.Handler) (executor, *dfs.File, []*httptest.Server) {
+	t.Helper()
 	f := newBareFleet(t, Config{})
 	servers := make([]*httptest.Server, n)
 	for i := 0; i < n; i++ {
-		ts := httptest.NewServer(NewWorker(expr.NewRegistry()).Handler())
+		ts := httptest.NewServer(handler(NewWorker(expr.NewRegistry())))
 		t.Cleanup(ts.Close)
 		servers[i] = ts
 		register(t, f, ts.URL)
@@ -128,15 +135,11 @@ func runPeerJob(t *testing.T, ex executor, file *dfs.File, numReducers int) ([][
 	}
 	rows := make([][]data.Value, numReducers)
 	for p := 0; p < numReducers; p++ {
-		inputs := make([]any, 0, len(outs))
-		for _, out := range outs {
-			inputs = append(inputs, out.Shuffle)
-		}
 		res, err := ex.ExecReduce(mapreduce.ReduceExec{
 			JobName:   "peerjob",
 			TaskName:  fmt.Sprintf("peerjob-r%d", p),
 			Partition: p,
-			Inputs:    inputs,
+			Inputs:    shuffleInputs(outs),
 			Op:        op,
 		})
 		if err != nil {
@@ -230,13 +233,19 @@ func TestPeerDeathFallsBackToMirror(t *testing.T) {
 	}
 }
 
-// reduceAll runs partition part of the peer job over every map output.
-func reduceAll(t *testing.T, ex executor, outs []*mapreduce.MapExecOut, part int) []data.Value {
-	t.Helper()
+// shuffleInputs is a reduce task's input list over the map outputs.
+func shuffleInputs(outs []*mapreduce.MapExecOut) []any {
 	inputs := make([]any, 0, len(outs))
 	for _, out := range outs {
 		inputs = append(inputs, out.Shuffle)
 	}
+	return inputs
+}
+
+// reduceAll runs partition part of the peer job over every map output.
+func reduceAll(t *testing.T, ex executor, outs []*mapreduce.MapExecOut, part int) []data.Value {
+	t.Helper()
+	inputs := shuffleInputs(outs)
 	res, err := ex.ExecReduce(mapreduce.ReduceExec{JobName: "peerjob", TaskName: fmt.Sprintf("peerjob-r%d", part),
 		Partition: part, Inputs: inputs, Op: sumOp()})
 	if err != nil {
@@ -346,11 +355,9 @@ func TestLostSegmentsCostOneRedispatch(t *testing.T) {
 // told of a copy that can no longer be fetched.
 func newLossyHarness(t *testing.T, n, records int, lose *atomic.Int64) (executor, *dfs.File) {
 	t.Helper()
-	f := newBareFleet(t, Config{})
-	for range n {
-		w := NewWorker(expr.NewRegistry())
+	ex, file, _ := newHarness(t, n, records, func(w *Worker) http.Handler {
 		h := w.Handler()
-		ts := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
 			if r.URL.Path != "/tasks" {
 				h.ServeHTTP(rw, r)
 				return
@@ -372,14 +379,9 @@ func newLossyHarness(t *testing.T, n, records int, lose *atomic.Int64) (executor
 			maps.Copy(rw.Header(), rec.Header())
 			rw.WriteHeader(rec.Code)
 			rw.Write(rec.Body.Bytes())
-		}))
-		t.Cleanup(ts.Close)
-		register(t, f, ts.URL)
-	}
-	fs := dfs.New(dfs.WithBlockSize(1))
-	w := fs.Create("in")
-	w.AppendAll(kvRecords(records))
-	return executor{f: f, fs: fs}, w.Close()
+		})
+	})
+	return ex, file
 }
 
 // evictFirst drops the first map's retained output from its producer,
@@ -436,10 +438,7 @@ func TestLossesPastTheBoundFailTheReduce(t *testing.T) {
 	evictFirst(t, outs)
 	lose.Store(1 << 30)
 	before := ex.f.WireStats().Tasks
-	inputs := make([]any, 0, len(outs))
-	for _, out := range outs {
-		inputs = append(inputs, out.Shuffle)
-	}
+	inputs := shuffleInputs(outs)
 	_, err := ex.ExecReduce(mapreduce.ReduceExec{JobName: "peerjob", TaskName: "peerjob-r0", Inputs: inputs, Op: sumOp()})
 	var tfe *taskFailedError
 	if !errors.As(err, &tfe) {
@@ -451,6 +450,20 @@ func TestLossesPastTheBoundFailTheReduce(t *testing.T) {
 	rounds := int64(ex.f.cfg.maxAttempts)
 	if got, want := ex.f.WireStats().Tasks-before, 2*rounds+1; got != want {
 		t.Errorf("%d task attempts, want %d: a reduce dispatch and a re-run per round, and the last dispatch", got, want)
+	}
+}
+
+// TestRelocationChecksDigests: a re-run whose digests are not the lost
+// copy's fails the reduce task instead of feeding it other pairs.
+func TestRelocationChecksDigests(t *testing.T) {
+	ex, file, _ := newPeerHarness(t, 2, 12)
+	_, outs := runPeerJob(t, ex, file, 1)
+	po := evictFirst(t, outs)
+	po.parts = []wire.ShufflePart{{Count: po.parts[0].Count, Bytes: po.parts[0].Bytes + 1}}
+	inputs := shuffleInputs(outs)
+	_, err := ex.ExecReduce(mapreduce.ReduceExec{JobName: "peerjob", TaskName: "peerjob-r0", Inputs: inputs, Op: sumOp()})
+	if err == nil || !strings.Contains(err.Error(), "digests") {
+		t.Fatalf("reduce error %v, want the relocation's digest mismatch", err)
 	}
 }
 
@@ -480,6 +493,74 @@ func TestRelocatedCopiesAreCollected(t *testing.T) {
 		}
 		return total == 0
 	})
+}
+
+// TestConcurrentReducesRelocateOnce: the reduce tasks of one job share
+// each map output's handle. When a producer evicts outputs they all
+// need, the tasks running at once relocate each output exactly once —
+// the first to report it re-runs the map, the others fetch that copy —
+// and every partition's rows are those of the job before the loss.
+func TestConcurrentReducesRelocateOnce(t *testing.T) {
+	const reducers = 3
+	ex, _, _ := newPeerHarness(t, 2, 0)
+	ex.fs = dfs.New(dfs.WithBlockSize(64))
+	in := ex.fs.Create("in")
+	in.AppendAll(kvRecords(24))
+	want, outs := runPeerJob(t, ex, in.Close(), reducers)
+	producer := outs[0].Shuffle.(*peerOutput).url
+	var evicted []string
+	shared := 0 // evicted outputs more than one reduce task needs
+	for _, out := range outs {
+		if po := out.Shuffle.(*peerOutput); po.url == producer {
+			evicted = append(evicted, po.id)
+			needed := 0
+			for _, part := range po.parts {
+				if part.Count > 0 {
+					needed++
+				}
+			}
+			if needed > 1 {
+				shared++
+			}
+		}
+	}
+	if shared == 0 {
+		t.Fatalf("no evicted output of %d is needed by two reduce tasks: the test would prove nothing", len(evicted))
+	}
+	gc, _ := json.Marshal(wire.ShuffleGCRequest{IDs: evicted})
+	resp, err := http.Post(producer+"/shuffle/gc", "application/json", bytes.NewReader(gc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	inputs := shuffleInputs(outs)
+	got := make([][]data.Value, reducers)
+	var wg sync.WaitGroup
+	for p := range reducers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := ex.ExecReduce(mapreduce.ReduceExec{JobName: "peerjob", TaskName: fmt.Sprintf("peerjob-r%d", p),
+				Partition: p, Inputs: inputs, Op: sumOp()})
+			if err != nil {
+				t.Errorf("reduce %d: %v", p, err)
+				return
+			}
+			got[p] = res.Rows
+		}()
+	}
+	wg.Wait()
+	for p := range reducers {
+		if !reflect.DeepEqual(rowStrings(got[p]), rowStrings(want[p])) {
+			t.Errorf("partition %d: rows %v, before the loss %v", p, rowStrings(got[p]), rowStrings(want[p]))
+		}
+	}
+	ex.f.shufMu.Lock()
+	ids := len(ex.f.jobShuffles["peerjob"])
+	ex.f.shufMu.Unlock()
+	if ids != len(outs)+len(evicted) {
+		t.Errorf("%d shuffle ids for %d maps and %d evicted outputs: each output must be relocated once", ids, len(outs), len(evicted))
+	}
 }
 
 // partitioned lays segments out as a map task's shuffle output, one

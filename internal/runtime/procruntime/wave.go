@@ -52,7 +52,7 @@ func (r *waveRunner) run(closures []func()) {
 // the wave is open every dispatch reaching it is some closure's first
 // and every returning closure made none — each is counted exactly once,
 // no identity needed. Whatever arrives after the send (retries, hedges,
-// recovery re-runs, a re-dispatched reduce) is refused by join and goes
+// relocation re-runs, a re-dispatched reduce) is refused by join and goes
 // out at once as its own frame. (Only Fleet.Close releases a closure
 // from the barrier early, and a closed fleet sends nothing.)
 type wave struct {

@@ -931,7 +931,7 @@ func DecodeShuffle(b []byte) ([]KV, error) {
 
 // PeerFetchErr formats the deterministic error a reduce worker returns
 // when fetch segments idxs (ascending) could not be had from their
-// producers; the executor recovers exactly those (ParsePeerFetchErr).
+// producers; the executor relocates exactly those (ParsePeerFetchErr).
 func PeerFetchErr(idxs []int, detail string) string {
 	return fmt.Sprintf("peer-fetch %v: %s", idxs, detail)
 }
