@@ -184,31 +184,41 @@ func (d *Data) Keys(sig, alias string, paths []data.Path) *KeyCols {
 		return kc
 	}
 	rows := d.wrappedLocked(alias)
-	kc := &KeyCols{
-		Vals: make([]data.Value, len(rows)),
-		NK:   make([]string, len(rows)),
-	}
 	var sample data.Value
 	if len(rows) > 0 {
 		sample = rows[0]
 	}
 	accs := data.CompileAccessors(paths, sample)
-	var slab strings.Builder
-	slab.Grow(9 * len(rows))  // a number key's encoding is 9 bytes
-	nk := make([]byte, 0, 64) // the one being encoded
-	ends := make([]int32, len(rows))
+	keys := make([]data.Value, len(rows))
 	for i, row := range rows {
-		var k data.Value
 		if len(accs) == 1 {
-			k = accs[0].Eval(row)
-		} else {
-			vals := make([]data.Value, len(accs))
-			for j, a := range accs {
-				vals[j] = a.Eval(row)
-			}
-			k = data.Array(vals...)
+			keys[i] = accs[0].Eval(row)
+			continue
 		}
-		kc.Vals[i] = k
+		vals := make([]data.Value, len(accs))
+		for j, a := range accs {
+			vals[j] = a.Eval(row)
+		}
+		keys[i] = data.Array(vals...)
+	}
+	kc := KeyColsOf(keys)
+	if d.keys == nil {
+		d.keys = make(map[string]*KeyCols)
+	}
+	d.keys[sig] = kc
+	return kc
+}
+
+// KeyColsOf normalizes key values into key columns over them (vals is
+// kept, not copied): the encodings are substrings of one slab, and the
+// hashes are left for Hashes to compute.
+func KeyColsOf(vals []data.Value) *KeyCols {
+	kc := &KeyCols{Vals: vals, NK: make([]string, len(vals))}
+	var slab strings.Builder
+	slab.Grow(9 * len(vals))  // a number key's encoding is 9 bytes
+	nk := make([]byte, 0, 64) // the one being encoded
+	ends := make([]int32, len(vals))
+	for i, k := range vals {
 		nk, _ = data.AppendNormKey(nk[:0], k)
 		slab.Write(nk)
 		ends[i] = int32(slab.Len())
@@ -219,10 +229,6 @@ func (d *Data) Keys(sig, alias string, paths []data.Path) *KeyCols {
 		kc.NK[i] = all[start:ends[i]]
 		start = ends[i]
 	}
-	if d.keys == nil {
-		d.keys = make(map[string]*KeyCols)
-	}
-	d.keys[sig] = kc
 	return kc
 }
 

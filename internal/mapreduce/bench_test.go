@@ -57,8 +57,8 @@ func BenchmarkRepartitionJoinJob(b *testing.B) {
 		_, err := Run(env, Spec{
 			Name: "join",
 			Inputs: []Input{
-				{File: left, Map: perRecord(func(mc *MapCtx, rec data.Value) { mc.EmitKV(keyL.Eval(rec), "L", rec) })},
-				{File: right, Map: perRecord(func(mc *MapCtx, rec data.Value) { mc.EmitKV(keyR.Eval(rec), "R", rec) })},
+				{File: left, Map: keyedBy("L", keyL.Eval)},
+				{File: right, Map: keyedBy("R", keyR.Eval)},
 			},
 			Reduce: func(rc *ReduceCtx, key data.Value, group []Pair) {
 				var rs []data.Value

@@ -22,7 +22,11 @@ import (
 // probed by value or by normalized key. The hostile keys (NaN, ±(2^53+1))
 // once demoted both tables to a hash index; now they are keys like any.
 
-func buildSize(v data.Value) int64 { return int64(float64(v.EncodedSize()+1) * 37.5) }
+// buildScale is the byte scale both builds price rows at; the oracle
+// prices them by the formula written out.
+const buildScale = 37.5
+
+func buildSize(v data.Value) int64 { return int64(float64(v.EncodedSize()+1) * buildScale) }
 
 // buildRec is one build-side record: a duplicated int key, a string
 // second key column, a flag the filters select on.
@@ -130,7 +134,7 @@ func TestBuildMatchesScanLoopOracle(t *testing.T) {
 							for i, blk := range recs {
 								splits[i] = mapreduce.Split{Recs: blk}
 							}
-							got, err := mapreduce.BuildHashTable(reg, b, splits, buildSize, cluster.New(cluster.Config{Parallelism: pool}).Parallel)
+							got, err := mapreduce.BuildHashTable(reg, b, splits, buildScale, cluster.New(cluster.Config{Parallelism: pool}).Parallel)
 							checkBuild(t, fmt.Sprintf("%s/pool=%d", name, pool), got, err, want, wantErr, recs, keyPaths, decl.Wrap)
 						}
 					}
@@ -191,11 +195,11 @@ func TestBuildReusesSplitImage(t *testing.T) {
 		Filter: &expr.Cmp{Op: expr.NE, L: expr.NewCol("b.flag"), R: expr.NewLit(data.Int(1))}}
 	b := physop.BindBuild(decl, recs[0][0])
 	split := []mapreduce.Split{{Recs: recs[0], Aux: new(atomic.Value)}}
-	first, err := mapreduce.BuildHashTable(nil, b, split, nil, nil)
+	first, err := mapreduce.BuildHashTable(nil, b, split, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := mapreduce.BuildHashTable(nil, b, split, nil, nil)
+	again, err := mapreduce.BuildHashTable(nil, b, split, 0, nil)
 	if err != nil || first.Rows() == 0 || first.Rows() != again.Rows() {
 		t.Fatalf("rows %d, then %d (err %v)", first.Rows(), again.Rows(), err)
 	}

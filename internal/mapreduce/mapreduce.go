@@ -91,8 +91,24 @@ type Env struct {
 }
 
 // VirtualSize returns the virtual on-disk size of a record.
-func (e *Env) VirtualSize(rec data.Value) int64 {
-	return int64(float64(rec.EncodedSize()+1) * e.FS.ByteScale())
+func (e *Env) VirtualSize(rec data.Value) int64 { return virtualSize(rec, e.FS.ByteScale()) }
+
+// Bytes is partition p's virtual shuffle bytes at a byte scale (the
+// DFS's): its records' VirtualSize, summed. It is the one price of a
+// shuffled record — the in-process map and reduce accounting, a
+// broadcast build's loaded bytes and a worker's retained digests read
+// it — so both runtimes charge bit-identical bytes.
+func (s *Partitioned) Bytes(p int, scale float64) int64 {
+	var n int64
+	for _, i := range s.Part(p) {
+		n += virtualSize(s.Recs[i], scale)
+	}
+	return n
+}
+
+// virtualSize is a record's encoded size plus a separator, scaled.
+func virtualSize(rec data.Value, scale float64) int64 {
+	return int64(float64(rec.EncodedSize()+1) * scale)
 }
 
 // ClusterConfig returns the cluster's sizing parameters. Call sites
@@ -168,11 +184,12 @@ type Split struct {
 
 // buildTable is a broadcast build as a one-partition shuffle of its
 // blocks, each a map task of b's kernel on par (nil: inline), indexed
-// when index is set. It sums the table's two charges (vsize, when
-// non-nil, prices each retained row). A filter that calls a UDF is
-// scanned in order on one context, its cost a running sum that becomes
-// virtual time; any other build costs nothing.
-func buildTable(reg *expr.Registry, b Broadcast, blocks []Split, vsize func(data.Value) int64, par func(n int, fn func(i int)), index bool) (*HashTable, error) {
+// when index is set. It sums the table's two charges: the retained rows'
+// bytes at the byte scale (Partitioned.Bytes; 0 prices none) and the
+// preparation's CPU. A filter that calls a UDF is scanned in order on
+// one context, its cost a running sum that becomes virtual time; any
+// other build costs nothing.
+func buildTable(reg *expr.Registry, b Broadcast, blocks []Split, scale float64, par func(n int, fn func(i int)), index bool) (*HashTable, error) {
 	outs := make([]MapOutput, len(blocks))
 	errs := make([]error, len(blocks))
 	var ordered *expr.Ctx
@@ -200,11 +217,11 @@ func buildTable(reg *expr.Registry, b Broadcast, blocks []Split, vsize func(data
 		}
 		ht.prepCPU += outs[i].CPUMap
 		s := &outs[i].Shuffled
-		for _, at := range s.Idx {
-			if vsize != nil {
-				ht.builtBytes += vsize(s.Recs[at])
-			}
-			if index { // by normalized key, in scan order
+		if scale != 0 {
+			ht.builtBytes += s.Bytes(0, scale)
+		}
+		if index { // by normalized key, in scan order
+			for _, at := range s.Idx {
 				ht.buckets[s.NK[at]] = append(ht.buckets[s.NK[at]], s.Recs[at])
 			}
 		}
@@ -217,8 +234,8 @@ func buildTable(reg *expr.Registry, b Broadcast, blocks []Split, vsize func(data
 
 // BuildHashTable indexes a broadcast side from its blocks (b.File is not
 // read — a worker passes decoded mirror blocks); see buildTable.
-func BuildHashTable(reg *expr.Registry, b Broadcast, blocks []Split, vsize func(data.Value) int64, par func(n int, fn func(i int))) (*HashTable, error) {
-	return buildTable(reg, b, blocks, vsize, par, true)
+func BuildHashTable(reg *expr.Registry, b Broadcast, blocks []Split, scale float64, par func(n int, fn func(i int))) (*HashTable, error) {
+	return buildTable(reg, b, blocks, scale, par, true)
 }
 
 // Probe returns the build rows whose key equals k, in build scan order:
@@ -418,7 +435,7 @@ func (j *Job) Start(sub *cluster.Submission) []*cluster.Task {
 		for i, blk := range b.File.Blocks() {
 			blocks[i] = Split{Recs: blk.Records(), Aux: blk.Aux()}
 		}
-		ht, err := buildTable(j.env.Reg, b, blocks, j.env.VirtualSize, j.par, j.env.Exec == nil)
+		ht, err := buildTable(j.env.Reg, b, blocks, j.env.FS.ByteScale(), j.par, j.env.Exec == nil)
 		if err != nil {
 			j.buildErr = err
 			break
@@ -542,52 +559,50 @@ func (j *Job) runMap(st *mapTaskState, input Input) (cluster.Usage, int64, error
 	}
 	block := input.File.Block(st.splitIdx)
 	u.BytesRead += input.File.BlockSizeBytes(st.splitIdx)
-	n := block.NumRecords()
-	var cpuMap, cpuTotal float64
+	var out MapExecOut
 	var err error
 	if j.env.Exec != nil {
-		out, xerr := j.execMap(st, input)
+		x, xerr := j.execMap(st, input)
 		if xerr != nil {
 			return u, 0, xerr
 		}
-		st.outRows = taskRows(out.Rows, out.From, out.Sel)
-		st.shuffle, st.shuffleParts = out.Shuffle, out.ShuffleParts
-		cpuMap, cpuTotal = out.CPUMap, out.CPUTotal
+		out = *x
 	} else {
 		t := &MapTask{Reg: j.env.Reg, Recs: block.Records(), Aux: block.Aux(), Map: input.Map, Builds: j.builds}
 		if j.spec.Reduce != nil {
 			t.NumReducers, t.Combine = j.numReducers, j.spec.Combine
 		}
-		var out MapOutput
-		out, err = RunMapTask(t)
-		st.outRows, st.shuffled = taskRows(out.Rows, out.From, out.Sel), out.Shuffled
-		cpuMap, cpuTotal = out.CPUMap, out.CPUTotal
+		out.MapOutput, err = RunMapTask(t)
 	}
-	// One accounting for both sources. A failed record loop is still
+	// One accounting for both runtimes. A failed record loop is still
 	// charged the map-phase CPU it consumed.
-	u.CPUSeconds += cpuMap
+	st.outRows, st.shuffled = taskRows(out.Rows, out.From, out.Sel), out.Shuffled
+	st.shuffle, st.shuffleParts = out.Shuffle, out.ShuffleParts
+	u.CPUSeconds += out.CPUMap
 	if err != nil {
 		return u, 0, err
 	}
 	if st.collector != nil {
-		st.collector.ObserveInputs(n)
+		st.collector.ObserveInputs(block.NumRecords())
 	}
 	if j.spec.Combine != nil && j.spec.Reduce != nil {
 		// A combining task is charged its map-phase CPU and then the
 		// map+combine total on top, as the published timelines were.
-		u.CPUSeconds += cpuTotal
+		u.CPUSeconds += out.CPUTotal
 	}
 	var emitted int64
 	if j.spec.Reduce == nil {
 		j.chargeOutput(&u, st.outRows, st.collector)
 		emitted = int64(len(st.outRows))
 	} else {
+		// Retained on a worker, a partition is its digest; in-process,
+		// the window Bytes prices.
 		for _, part := range st.shuffleParts {
 			u.BytesShuffled += part.Bytes
 			emitted += int64(part.Count)
 		}
-		for _, i := range st.shuffled.Idx {
-			u.BytesShuffled += j.env.VirtualSize(st.shuffled.Recs[i])
+		for p := range st.shuffled.NumParts() {
+			u.BytesShuffled += st.shuffled.Bytes(p, j.env.FS.ByteScale())
 		}
 		emitted += int64(len(st.shuffled.Idx))
 	}
@@ -688,6 +703,7 @@ func (j *Job) runReduce(st *reduceTaskState, partition int) (cluster.Usage, erro
 		if partition < len(ms.shuffleParts) {
 			u.BytesShuffled += ms.shuffleParts[partition].Bytes
 		}
+		u.BytesShuffled += ms.shuffled.Bytes(partition, j.env.FS.ByteScale())
 		count += len(ms.shuffled.Part(partition))
 	}
 	var cpu float64
@@ -702,9 +718,6 @@ func (j *Job) runReduce(st *reduceTaskState, partition int) (cluster.Usage, erro
 		pairs := pairSlices.get(count)
 		for _, ms := range j.mapStates {
 			pairs = ms.shuffled.AppendPart(pairs, partition)
-		}
-		for i := range pairs {
-			u.BytesShuffled += j.env.VirtualSize(pairs[i].Rec)
 		}
 		SortPairsByKey(pairs)
 		st.outRows, cpu, err = RunReduceTask(j.env.Reg, j.spec.Reduce, pairs)

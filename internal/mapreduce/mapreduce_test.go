@@ -62,19 +62,49 @@ func perRecord(fn func(mc *MapCtx, rec data.Value)) MapFunc {
 
 var identityMap = perRecord(func(mc *MapCtx, rec data.Value) { mc.Emit(rec) })
 
+// shufflePairs is the test kernels' way into the shuffle: the pairs
+// (keys[i], tag, recs[i]), all of them, through one ShuffleSel call over
+// columns it builds by definition (data.NormKey, data.Hash64).
+func shufflePairs(mc *MapCtx, keys, recs []data.Value, tag string) {
+	nks := make([]string, len(keys))
+	hashes := make([]uint64, len(keys))
+	sel := make([]int32, len(keys))
+	for i, k := range keys {
+		nks[i], hashes[i], sel[i] = data.NormKey(k), data.Hash64(k), int32(i)
+	}
+	mc.ShuffleSel(keys, nks, hashes, recs, sel, tag)
+}
+
+// keyedBy is a test shuffle kernel: every record of the split, in
+// order, under the key keyOf gives it.
+func keyedBy(tag string, keyOf func(rec data.Value) data.Value) MapFunc {
+	return func(mc *MapCtx, d *batch.Data) {
+		recs := d.Records()
+		keys := make([]data.Value, len(recs))
+		for i, rec := range recs {
+			keys[i] = keyOf(rec)
+		}
+		shufflePairs(mc, keys, recs, tag)
+	}
+}
+
 // bound gives a declared build side a kernel of the kind
 // physop.BindBuild compiles (that package sits above this one): wrap,
 // filter, key, emit the pair.
 func bound(b Broadcast) Broadcast {
-	b.Map = perRecord(func(mc *MapCtx, rec data.Value) {
-		row := rec
-		if b.Wrap != "" {
-			row = data.Object(data.Field{Name: b.Wrap, Value: rec})
+	b.Map = func(mc *MapCtx, d *batch.Data) {
+		var keys, rows []data.Value
+		for _, rec := range d.Records() {
+			row := rec
+			if b.Wrap != "" {
+				row = data.Object(data.Field{Name: b.Wrap, Value: rec})
+			}
+			if b.Filter == nil || b.Filter.Eval(mc.ExprCtx(), row).Truthy() {
+				keys, rows = append(keys, CompositeKey(row, b.KeyPaths)), append(rows, row)
+			}
 		}
-		if b.Filter == nil || b.Filter.Eval(mc.ExprCtx(), row).Truthy() {
-			mc.EmitKV(CompositeKey(row, b.KeyPaths), "", row)
-		}
-	})
+		shufflePairs(mc, keys, rows, "")
+	}
 	return b
 }
 
@@ -129,12 +159,8 @@ func TestRepartitionJoin(t *testing.T) {
 	res, sub, err := runSub(env, Spec{
 		Name: "join",
 		Inputs: []Input{
-			{File: left, Map: perRecord(func(mc *MapCtx, rec data.Value) {
-				mc.EmitKV(keyL.Eval(rec), "L", rec)
-			})},
-			{File: right, Map: perRecord(func(mc *MapCtx, rec data.Value) {
-				mc.EmitKV(keyR.Eval(rec), "R", rec)
-			})},
+			{File: left, Map: keyedBy("L", keyL.Eval)},
+			{File: right, Map: keyedBy("R", keyR.Eval)},
 		},
 		Reduce: func(rc *ReduceCtx, key data.Value, group []Pair) {
 			var ls, rs []data.Value
@@ -402,7 +428,7 @@ func TestReduceStatsCollected(t *testing.T) {
 	key := data.MustParsePath("a.grp")
 	res, err := Run(env, Spec{
 		Name:   "grp",
-		Inputs: []Input{{File: f, Map: perRecord(func(mc *MapCtx, rec data.Value) { mc.EmitKV(key.Eval(rec), "", rec) })}},
+		Inputs: []Input{{File: f, Map: keyedBy("", key.Eval)}},
 		Reduce: func(rc *ReduceCtx, k data.Value, group []Pair) {
 			rc.Emit(data.Object(
 				data.Field{Name: "g", Value: data.Object(
@@ -518,7 +544,7 @@ func TestDefaultReducersScaleWithInput(t *testing.T) {
 	key := data.MustParsePath("a.grp")
 	j, err := newJob(env, Spec{
 		Name:   "auto",
-		Inputs: []Input{{File: f, Map: perRecord(func(mc *MapCtx, rec data.Value) { mc.EmitKV(key.Eval(rec), "", rec) })}},
+		Inputs: []Input{{File: f, Map: keyedBy("", key.Eval)}},
 		Reduce: func(rc *ReduceCtx, k data.Value, group []Pair) {},
 		Output: "o",
 	})
@@ -607,7 +633,7 @@ func TestHashTableProbeCollisionSafety(t *testing.T) {
 	}
 	f := w.Close()
 	ht, err := BuildHashTable(env.Reg, bound(Broadcast{Name: "s", KeyPaths: []data.Path{data.MustParsePath("s.k")}}),
-		[]Split{{Recs: f.AllRecords()}}, env.VirtualSize, nil)
+		[]Split{{Recs: f.AllRecords()}}, env.FS.ByteScale(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

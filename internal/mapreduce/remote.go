@@ -27,8 +27,8 @@ type JobRetirer interface {
 }
 
 // ShufflePart digests one partition of a map output retained away from
-// the controller: its pair count and virtual shuffle bytes, summed by
-// the executor with the in-process per-record arithmetic, so both
+// the controller: its pair count and virtual shuffle bytes, priced by
+// Partitioned.Bytes as the in-process runtime prices it, so both
 // runtimes account bit-identical bytes.
 type ShufflePart struct {
 	Count int
@@ -55,24 +55,15 @@ type MapExec struct {
 	Op any
 }
 
-// MapExecOut is a remote map task's output. CPUMap is the UDF cost of
-// the map phase alone; CPUTotal additionally includes the combiner —
-// the controller charges both against the virtual clock with exactly
-// the local path's accrual pattern.
+// MapExecOut is a remote map task's output: the record loop's answer
+// as RunMapTask gives it, which the job accounts for as a local run's.
+// The job takes a map-only task's Rows over and recycles them at its
+// end, so the executor must hold no other reference to them; From and
+// Sel are only read. A shuffle task's pairs stay on the producing
+// worker: Shuffled is empty, Shuffle is the handle reduce tasks pass
+// back and ShuffleParts its digest per partition.
 type MapExecOut struct {
-	// A map-only task's rows are Rows, or the rows of From at the
-	// positions Sel when the task answered with positions (see
-	// MapOutput). The job takes Rows over and recycles it at its end, so
-	// the executor must hold no other reference to it; From and Sel are
-	// only read.
-	Rows     []data.Value
-	From     []data.Value
-	Sel      []int32
-	CPUMap   float64
-	CPUTotal float64
-	// Shuffle jobs: the map output stays on the producing worker.
-	// Shuffle is the handle reduce tasks pass back, ShuffleParts its
-	// digest per partition for the accounting.
+	MapOutput
 	Shuffle      any
 	ShuffleParts []ShufflePart
 }

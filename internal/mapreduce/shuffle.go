@@ -13,15 +13,18 @@ import (
 // The shuffle keeps its per-record costs off the hot path without
 // changing a single output bit:
 //
-//   - A key is normalized once, per split or when EmitKV emits it, into
-//     an order-preserving string (data.AppendNormKey): sorting and
-//     grouping compare strings. Its partition is data.Hash64(key) % R,
-//     which decides output row placement, never the encoding.
-//   - A map task's output is positions, not copies (Partitioned): one
-//     Idx by partition, cut by R+1 offsets, into key and record columns
-//     that for the repartition kernel are its split's cached ones. A
-//     reducer's input is its windows' pairs gathered in map order, and
-//     a key group is its window of the sorted pairs.
+//   - A key is normalized once per split, into an order-preserving
+//     string (data.AppendNormKey; batch.KeyColsOf): sorting and grouping
+//     compare strings. Its partition is data.Hash64(key) % R, which
+//     decides output row placement, never the encoding.
+//   - Pairs enter a map task's output one way, MapCtx.ShuffleSel, as
+//     positions, not copies (Partitioned): one Idx by partition, cut by
+//     R+1 offsets, into key and record columns that for the repartition
+//     kernel are its split's cached ones and for the aggregate its
+//     split's records. A reducer's input is its windows' pairs gathered
+//     in map order, and a key group is its window of the sorted pairs.
+//   - A shuffled record has one price, Partitioned.Bytes, on both
+//     runtimes.
 //   - Broadcast hash tables index build rows by normalized key: a probe
 //     is an exact map lookup.
 //

@@ -99,10 +99,8 @@ func runShuffle(t *testing.T, env *Env, f *dfs.File) *Result {
 	t.Helper()
 	key := data.MustParsePath("k")
 	res, err := Run(env, Spec{
-		Name: "diff-shuffle",
-		Inputs: []Input{{File: f, Map: perRecord(func(mc *MapCtx, rec data.Value) {
-			mc.EmitKV(key.Eval(rec), "L", rec)
-		})}},
+		Name:   "diff-shuffle",
+		Inputs: []Input{{File: f, Map: keyedBy("L", key.Eval)}},
 		Reduce: func(rc *ReduceCtx, key data.Value, group []Pair) {
 			for _, g := range group {
 				rc.Emit(g.Rec)

@@ -2,7 +2,6 @@ package mapreduce
 
 import (
 	"fmt"
-	"strings"
 	"sync/atomic"
 
 	"dyno/internal/batch"
@@ -33,13 +32,8 @@ type MapCtx struct {
 	n      int // the split's record count: what the first Emit sizes rows for
 	from   []data.Value
 	sel    []int32
-	// A shuffle task's output (out.Offs is nil for a map-only task), and
-	// EmitKV's positions and key hashes until the task ends.
-	out     Partitioned
-	emitted []int32
-	hashes  []uint64
-	nks     strings.Builder // EmitKV's normalized keys: NK views them
-	nk      []byte          // the one being encoded
+	// A shuffle task's output (out.Offs is nil for a map-only task).
+	out Partitioned
 	// Arena is where a join kernel merges the rows it emits; Scratch
 	// those that nothing references once the kernel resets it.
 	Arena, Scratch data.FieldArena
@@ -72,31 +66,14 @@ func (mc *MapCtx) EmitSel(from []data.Value, sel []int32) {
 	mc.from, mc.sel = from, sel
 }
 
-// EmitKV routes a record through the shuffle, keyed for the reduce
-// phase: to partition data.Hash64(key) % numReducers, which decides
-// the record's reduce task and so its output position. The pair goes
-// into columns the task owns, its key normalized once for sorting and
-// grouping to compare. Every pair of a task carries the same tag.
-func (mc *MapCtx) EmitKV(key data.Value, tag string, rec data.Value) {
-	s := &mc.out
-	if len(s.Keys) > 0 && tag != s.Tag && mc.ectx.Err == nil {
-		mc.ectx.Err = fmt.Errorf("mapreduce: one map task emitted tags %q and %q", s.Tag, tag)
-	}
-	mc.nk, _ = data.AppendNormKey(mc.nk[:0], key) // at least one byte
-	at := mc.nks.Len()
-	mc.nks.Write(mc.nk) // a returned String stays valid across later writes
-	s.Keys, s.NK = append(s.Keys, key), append(s.NK, mc.nks.String()[at:])
-	s.Recs, s.Tag = append(s.Recs, rec), tag
-	mc.emitted, mc.hashes = append(mc.emitted, int32(len(mc.emitted))), append(mc.hashes, data.Hash64(key))
-}
-
 // ShuffleSel routes the pairs (keys[i], tag, recs[i]), for each i in
-// the ascending selection sel, through the shuffle by hashes[i] in one
-// call: the task's output is positions into these columns, which it
-// keeps, not copies. nk[i] must be keys[i]'s normalized encoding and
-// hashes[i] its data.Hash64, as a shuffle kernel reads them from the
-// split's cached key columns. A kernel calls it at most once and emits
-// nothing else; no slice may change after.
+// the ascending selection sel, through the shuffle in one call: to
+// partition hashes[i] % numReducers, which decides the record's reduce
+// task and so its output position. It is the one way pairs enter a map
+// task's output, which is positions into these columns, kept, not
+// copied. nk[i] must be keys[i]'s normalized encoding and hashes[i] its
+// data.Hash64 (see batch.KeyCols). A kernel calls it at most once and
+// emits nothing else; no slice may change after.
 func (mc *MapCtx) ShuffleSel(keys []data.Value, nk []string, hashes []uint64, recs []data.Value, sel []int32, tag string) {
 	s := &mc.out
 	s.Keys, s.NK, s.Recs, s.Tag = keys, nk, recs, tag
@@ -123,7 +100,8 @@ func (mc *MapCtx) ShuffleSel(keys []data.Value, nk []string, hashes []uint64, re
 // normalized encoding. Idx lists the positions by partition, each
 // partition in emit order, cut into windows by R+1 offsets. A
 // repartition kernel's columns are its split's cached key columns and
-// rows, so the task allocates only Idx and Offs.
+// rows, so the task allocates only Idx and Offs; an aggregate's rows are
+// its split's records, its keys its own. Bytes prices a partition.
 type Partitioned struct {
 	Keys []data.Value
 	NK   []string
@@ -245,11 +223,7 @@ func RunMapTask(t *MapTask) (MapOutput, error) {
 		mc.out.Offs = make([]int32, t.NumReducers+1)
 	}
 	t.Map(mc, batch.For(t.Aux, t.Recs))
-	out := MapOutput{Rows: mc.rows, From: mc.from, Sel: mc.sel, CPUMap: ectx.CPUSeconds}
-	if mc.emitted != nil && mc.out.Offs != nil {
-		mc.ShuffleSel(mc.out.Keys, mc.out.NK, mc.hashes, mc.out.Recs, mc.emitted, mc.out.Tag)
-	}
-	out.Shuffled = mc.out
+	out := MapOutput{Rows: mc.rows, From: mc.from, Sel: mc.sel, Shuffled: mc.out, CPUMap: ectx.CPUSeconds}
 	if ectx.Err == nil && t.Combine != nil && t.NumReducers > 0 {
 		combineParts(&out.Shuffled, t.Combine, ectx)
 	}

@@ -90,7 +90,7 @@ func digest(res *Result, sub *cluster.Submission) string {
 // the strings below were recorded at the commit before Task.Work.
 func TestWideJobResultPinned(t *testing.T) {
 	grp := data.MustParsePath("a.grp")
-	emitKV := perRecord(func(mc *MapCtx, rec data.Value) { mc.EmitKV(grp.Eval(rec), "L", rec) })
+	keyed := keyedBy("L", grp.Eval)
 	count := func(rc *ReduceCtx, key data.Value, group []Pair) {
 		var n int64
 		for _, g := range group {
@@ -112,9 +112,9 @@ func TestWideJobResultPinned(t *testing.T) {
 				mc.Emit(rec)
 			}
 		})}}}, "out=500 reduces=0 splits=150/150 whole=true virtual=29128 blocks=50 hash=dd890d044474cea0 duration=50.94820000000003 stats[in=1500 out=500 bytes=29128 card=500 avg=58.3B a.id{ndv=475} grp{ndv=0}]"},
-		{Spec{Name: "wide-mr", Inputs: []Input{{Map: emitKV}}, Reduce: count, NumReducers: 6},
+		{Spec{Name: "wide-mr", Inputs: []Input{{Map: keyed}}, Reduce: count, NumReducers: 6},
 			"out=10 reduces=6 splits=150/150 whole=true virtual=180 blocks=1 hash=72a7a5818aaa70b2 duration=64.38999999999999 stats[in=0 out=10 bytes=180 card=10 avg=18.0B a.id{ndv=0} grp{ndv=10}]"},
-		{Spec{Name: "wide-combine", Inputs: []Input{{Map: emitKV}}, Reduce: count, Combine: count, NumReducers: 6},
+		{Spec{Name: "wide-combine", Inputs: []Input{{Map: keyed}}, Reduce: count, Combine: count, NumReducers: 6},
 			"out=10 reduces=6 splits=150/150 whole=true virtual=180 blocks=1 hash=72a7a5818aaa70b2 duration=54.83900000000003 stats[in=0 out=10 bytes=180 card=10 avg=18.0B a.id{ndv=0} grp{ndv=10}]"},
 	}
 	for _, tc := range cases {
@@ -200,8 +200,9 @@ func TestBucketsShareOneArray(t *testing.T) {
 // bucket-per-partition oracle: window p holds exactly the emitted pairs
 // whose key hashes to p, in emit order — or, for a combining task, the
 // combiner's output over them, group by group in key order — whether
-// the kernel handed over columns and a selection or emitted pair by
-// pair, with reducers outnumbering the keys so some windows are empty.
+// the kernel handed over whole columns and a selection or columns of
+// the selected pairs alone, with reducers outnumbering the keys so some
+// windows are empty.
 func TestPartitionedMatchesOracle(t *testing.T) {
 	key := data.MustParsePath("k")
 	// The combiner keeps a group's first record and drops groups of odd
@@ -234,17 +235,19 @@ func TestPartitionedMatchesOracle(t *testing.T) {
 				want[p] = append(want[p], Pair{Key: key.Eval(recs[i]), Tag: "L", Rec: recs[i]})
 			}
 			for _, tc := range []struct {
-				name          string
-				cols, combine bool
-			}{{"columns", true, false}, {"emitted", false, false}, {"columns+combined", true, true}, {"emitted+combined", false, true}} {
+				name               string
+				selection, combine bool
+			}{{"selection", true, false}, {"gathered", false, false}, {"selection+combined", true, true}, {"gathered+combined", false, true}} {
 				task := &MapTask{Recs: recs, NumReducers: reducers, Map: func(mc *MapCtx, d *batch.Data) {
-					if tc.cols {
+					if tc.selection {
 						mc.ShuffleSel(keys, nks, hs, recs, sel, "L")
 						return
 					}
+					var ks, rs []data.Value
 					for _, i := range sel {
-						mc.EmitKV(key.Eval(recs[i]), "L", recs[i])
+						ks, rs = append(ks, keys[i]), append(rs, recs[i])
 					}
+					shufflePairs(mc, ks, rs, "L")
 				}}
 				if tc.combine {
 					task.Combine = evenFirst

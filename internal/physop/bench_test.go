@@ -31,7 +31,7 @@ func BenchmarkProbeChain(b *testing.B) {
 		key := []data.Path{data.MustParsePath(name + ".k")}
 		recs := table(rows)
 		ht, err := mapreduce.BuildHashTable(reg, BindBuild(mapreduce.Broadcast{Name: name, Wrap: name, KeyPaths: key}, recs[0]),
-			[]mapreduce.Split{{Recs: recs}}, nil, nil)
+			[]mapreduce.Split{{Recs: recs}}, 0, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -82,7 +82,7 @@ func BenchmarkBuildHashTable(b *testing.B) {
 	var aux atomic.Value // the split's columnar image, built by the first build
 	split := []mapreduce.Split{{Recs: recs, Aux: &aux}}
 	run := func() *mapreduce.HashTable {
-		ht, err := mapreduce.BuildHashTable(nil, build, split, data.Value.EncodedSize, nil)
+		ht, err := mapreduce.BuildHashTable(nil, build, split, 1, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

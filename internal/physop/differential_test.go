@@ -354,7 +354,8 @@ func TestScanKernelsIdentical(t *testing.T) {
 
 // TestShuffleKernelsIdentical: split-wide key evaluation,
 // normalization, and partition hashing route every record to the same
-// reducer position as EmitKV, over keys of every encodable kind.
+// reducer position as the oracle's per-record keys, over keys of every
+// encodable kind.
 func TestShuffleKernelsIdentical(t *testing.T) {
 	t.Parallel()
 	differential(t, func(a arm, env *mapreduce.Env) ran {
@@ -546,7 +547,7 @@ func TestChainFilterRunsBeforeEachRowsProbes(t *testing.T) {
 	}
 	probe, build := table(600, 9), table(21, 7) // probe keys 7 and 8 match nothing
 	ht, err := mapreduce.BuildHashTable(reg, BindBuild(mapreduce.Broadcast{Name: "b", Wrap: "b", KeyPaths: []data.Path{data.MustParsePath("b.k")}}, build[0]),
-		[]mapreduce.Split{{Recs: build}}, nil, nil)
+		[]mapreduce.Split{{Recs: build}}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -652,8 +653,8 @@ func TestScanTaskAnswersWithPositions(t *testing.T) {
 // is positions into its split's image — its keys, normalized keys and
 // rows are the image's own key columns and wrapped rows, not copies. A
 // pruned one keeps the key columns and owns a column of the pruner's
-// copies; an aggregate task owns all three. Every window holds the
-// oracle's pairs.
+// copies; an aggregate task's rows are its split's record array and its
+// keys are its own. Every window holds the oracle's pairs.
 func TestShuffleTaskKeepsPositions(t *testing.T) {
 	const reducers = 3
 	recs := make([]data.Value, 300)
@@ -672,7 +673,7 @@ func TestShuffleTaskKeepsPositions(t *testing.T) {
 	}{
 		"unpruned":  {shuffleOp(seqAtLeast), recs, true, true},
 		"pruned":    {pruned, recs, true, false},
-		"aggregate": {&OpSpec{Kind: Aggregate, GroupBy: q.GroupBy, Select: q.Select}, wrapped, false, false},
+		"aggregate": {&OpSpec{Kind: Aggregate, GroupBy: q.GroupBy, Select: q.Select}, wrapped, false, true},
 	} {
 		run := func(compile func(*OpSpec, int, data.Value) (Kernels, error), aux *atomic.Value) mapreduce.Partitioned {
 			t.Helper()
@@ -694,7 +695,7 @@ func TestShuffleTaskKeepsPositions(t *testing.T) {
 			t.Fatalf("%s: no pairs", name)
 		}
 		keys := &got.Keys[0] == &kc.Vals[0] && &got.NK[0] == &kc.NK[0]
-		rows := &got.Recs[0] == &d.Wrapped("t")[0] || &got.Recs[0] == &tc.in[0]
+		rows := &got.Recs[0] == &d.Wrapped("t")[0] || &got.Recs[0] == &d.Records()[0]
 		if keys != tc.sharesKeys || rows != tc.sharesRows {
 			t.Errorf("%s: shares the image's key columns %v and rows %v, want %v and %v", name, keys, rows, tc.sharesKeys, tc.sharesRows)
 		}

@@ -30,6 +30,31 @@ func perRecord(m recordMap) mapreduce.MapFunc {
 	}
 }
 
+// pairMap is a record-at-a-time shuffle map: the pair one record
+// yields, if any.
+type pairMap func(mc *mapreduce.MapCtx, rec data.Value) (key, row data.Value, ok bool)
+
+// perRecordPairs runs a record-at-a-time shuffle map as a map kernel:
+// it collects the split's pairs in record order and shuffles them in
+// one ShuffleSel call, their key columns built by definition
+// (data.NormKey, data.Hash64).
+func perRecordPairs(m pairMap, tag string) mapreduce.MapFunc {
+	return func(mc *mapreduce.MapCtx, d *batch.Data) {
+		var keys, rows []data.Value
+		var nks []string
+		var hashes []uint64
+		var sel []int32
+		for _, rec := range d.Records() {
+			if k, row, ok := m(mc, rec); ok {
+				sel = append(sel, int32(len(keys)))
+				keys, rows = append(keys, k), append(rows, row)
+				nks, hashes = append(nks, data.NormKey(k)), append(hashes, data.Hash64(k))
+			}
+		}
+		mc.ShuffleSel(keys, nks, hashes, rows, sel, tag)
+	}
+}
+
 // oracleCompile is Compile with the oracle's map kernel; the reduce and
 // combine kernels are Compile's own.
 func oracleCompile(op *OpSpec, input int, sample data.Value) (Kernels, error) {
@@ -46,7 +71,7 @@ func oracleCompile(op *OpSpec, input int, sample data.Value) (Kernels, error) {
 		if input == 1 {
 			src, keys, tag = deref(op.Right), op.RightKeys, "R"
 		}
-		k.Map = perRecord(shuffleMap(sourceRowFn(src, sample), data.CompileAccessors(keys, mapSample(src, sample, prune)), tag, prune))
+		k.Map = perRecordPairs(shuffleMap(sourceRowFn(src, sample), data.CompileAccessors(keys, mapSample(src, sample, prune)), prune), tag)
 	case Chain:
 		src := deref(op.Source)
 		ms := mapSample(src, sample, prune)
@@ -60,9 +85,9 @@ func oracleCompile(op *OpSpec, input int, sample data.Value) (Kernels, error) {
 		for i, e := range op.GroupBy {
 			groupBy[i] = expr.Compile(e, sample)
 		}
-		k.Map = perRecord(func(mc *mapreduce.MapCtx, rec data.Value) {
-			mc.EmitKV(rowops.GroupKey(mc.ExprCtx(), groupBy, rec), "", rec)
-		})
+		k.Map = perRecordPairs(func(mc *mapreduce.MapCtx, rec data.Value) (data.Value, data.Value, bool) {
+			return rowops.GroupKey(mc.ExprCtx(), groupBy, rec), rec, true
+		}, "")
 	default:
 		return k, fmt.Errorf("oracle: no map kernel for %q", op.Kind)
 	}
@@ -142,17 +167,17 @@ func scanMap(row rowFn, prune func(data.Value) data.Value) recordMap {
 	}
 }
 
-// shuffleMap emits wrapped, filtered rows keyed for a repartition join.
-func shuffleMap(row rowFn, keyAccs []*data.Accessor, tag string, prune func(data.Value) data.Value) recordMap {
-	return func(mc *mapreduce.MapCtx, rec data.Value) {
+// shuffleMap yields wrapped, filtered rows keyed for a repartition join.
+func shuffleMap(row rowFn, keyAccs []*data.Accessor, prune func(data.Value) data.Value) pairMap {
+	return func(mc *mapreduce.MapCtx, rec data.Value) (data.Value, data.Value, bool) {
 		row := row(mc.ExprCtx(), rec)
 		if row.IsNull() {
-			return
+			return data.Value{}, data.Value{}, false
 		}
 		if prune != nil {
 			row = prune(row)
 		}
-		mc.EmitKV(mapreduce.CompositeKeyCompiled(row, keyAccs), tag, row)
+		return mapreduce.CompositeKeyCompiled(row, keyAccs), row, true
 	}
 }
 

@@ -169,10 +169,19 @@ func Compile(op *OpSpec, input int, sample data.Value) (Kernels, error) {
 		for i, e := range op.GroupBy {
 			groupBy[i] = expr.Compile(e, sample)
 		}
+		// Every record is shuffled whole under its group key: the keys are
+		// the task's own columns, the records and selection the split's.
 		k := Kernels{Map: func(mc *mapreduce.MapCtx, d *batch.Data) {
-			for _, rec := range d.Records() {
-				mc.EmitKV(rowops.GroupKey(mc.ExprCtx(), groupBy, rec), "", rec)
+			recs := d.Records()
+			if len(recs) == 0 {
+				return
 			}
+			keys := make([]data.Value, len(recs))
+			for i, rec := range recs {
+				keys[i] = rowops.GroupKey(mc.ExprCtx(), groupBy, rec)
+			}
+			kc := batch.KeyColsOf(keys)
+			mc.ShuffleSel(kc.Vals, kc.NK, d.Hashes(kc), recs, d.Select(nil, ""), "")
 		}}
 		sel := &lazySelect{items: op.Select}
 		if op.Combine {

@@ -118,7 +118,7 @@ func (e executor) ExecMap(m mapreduce.MapExec) (*mapreduce.MapExecOut, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &mapreduce.MapExecOut{Rows: res.Rows, CPUMap: res.CPUMap, CPUTotal: res.CPUTotal}
+	out := &mapreduce.MapExecOut{MapOutput: mapreduce.MapOutput{Rows: res.Rows, CPUMap: res.CPUMap, CPUTotal: res.CPUTotal}}
 	if len(res.Sel) > 0 {
 		if out.From, err = scanRows(op, m, res); err != nil {
 			return nil, err
@@ -199,7 +199,7 @@ func (e executor) ExecReduce(r mapreduce.ReduceExec) (*mapreduce.ReduceExecOut, 
 			return nil, err
 		}
 		idxs, isFetch := wire.ParsePeerFetchErr(tfe.msg)
-		if !isFetch || round == e.f.cfg.maxAttempts {
+		if !isFetch || round == maxAttempts {
 			return nil, err // an operator error, or losses past the bound
 		}
 		// A hedged attempt may still be encoding this task: the next

@@ -49,12 +49,6 @@ type Config struct {
 	// SpillDir holds the mirror files, one per DFS file; default a fresh
 	// temp directory removed on Close.
 	SpillDir string
-	// maxAttempts bounds dispatch attempts per task (including the
-	// hedged attempt); default 3.
-	maxAttempts int
-	// blacklistAfter removes a worker from rotation after this many
-	// consecutive failures; default 3.
-	blacklistAfter int
 	// HedgeMin is the minimum straggler hedge delay; default 2s. An
 	// attempt older than max(HedgeMin, hedgeFactor x median completed
 	// duration of the task kind) triggers a speculative second attempt
@@ -68,8 +62,14 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// Fixed fleet timings.
+// Fixed fleet bounds and timings.
 const (
+	// maxAttempts bounds dispatch attempts per task, the hedged attempt
+	// included.
+	maxAttempts = 3
+	// blacklistAfter removes a worker from rotation after this many
+	// consecutive failures.
+	blacklistAfter = 3
 	// taskTimeout bounds one dispatch attempt per task it carries.
 	taskTimeout = 60 * time.Second
 	// hedgeFactor scales a task kind's median completed duration into
@@ -82,12 +82,6 @@ const (
 func (c Config) withDefaults() Config {
 	if c.Addr == "" {
 		c.Addr = "127.0.0.1:0"
-	}
-	if c.maxAttempts <= 0 {
-		c.maxAttempts = 3
-	}
-	if c.blacklistAfter <= 0 {
-		c.blacklistAfter = 3
 	}
 	if c.HedgeMin <= 0 {
 		c.HedgeMin = 2 * time.Second
@@ -538,7 +532,7 @@ func (f *Fleet) noteFailure(w *workerState) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	w.fails++
-	if w.fails >= f.cfg.blacklistAfter && !w.black {
+	if w.fails >= blacklistAfter && !w.black {
 		w.black = true
 		f.logf("procruntime: worker %d (%s) blacklisted after %d consecutive failures", w.id, w.url, w.fails)
 	}
@@ -658,7 +652,7 @@ var errFleetClosed = errors.New("procruntime: fleet closed with tasks in dispatc
 // dispatch outside a wave, is its own frame, sent at once. Tasks
 // sharing a frame still retry, hedge, and fail independently.
 func (f *Fleet) dispatch(task *wire.Task, wv *wave) (*wire.TaskResult, error) {
-	results := make(chan attempt, f.cfg.maxAttempts+1)
+	results := make(chan attempt, maxAttempts+1)
 	var tried []*workerState
 	launch := func() bool {
 		w := f.pickWorker(tried)
@@ -701,14 +695,14 @@ func (f *Fleet) dispatch(task *wire.Task, wv *wave) (*wire.TaskResult, error) {
 			}
 			lastErr = a.err
 			f.logf("procruntime: task %s attempt on worker %d failed: %v", task.Task, a.w.id, a.err)
-			if attempts < f.cfg.maxAttempts && launch() {
+			if attempts < maxAttempts && launch() {
 				attempts++
 				inflight++
 			} else if inflight == 0 {
 				return nil, fmt.Errorf("procruntime: task %s failed after %d attempts: %w", task.Task, attempts, lastErr)
 			}
 		case <-hedge.C:
-			if !hedged && attempts < f.cfg.maxAttempts && launch() {
+			if !hedged && attempts < maxAttempts && launch() {
 				hedged = true
 				attempts++
 				inflight++

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"io/fs"
 	"net/http"
@@ -55,7 +56,7 @@ func TestDispatchRetriesOnDistinctWorkers(t *testing.T) {
 	// first pick is id 2, so the good worker (registered first, id 1)
 	// is reached only after both bad workers fail once each.
 	t.Run("single", func(t *testing.T) {
-		f := newBareFleet(t, Config{maxAttempts: 3})
+		f := newBareFleet(t, Config{})
 		good := newBatchStub(t, func(*wire.Task) *wire.TaskResult { return &wire.TaskResult{CPUSeconds: 1} })
 		bad1, bad2 := failStub(t), failStub(t)
 		register(t, f, good.srv.URL)
@@ -79,7 +80,7 @@ func TestDispatchRetriesOnDistinctWorkers(t *testing.T) {
 		}
 	})
 
-	// blacklistAfter 2 is the tripwire: a 4-task wave splits 2/2 across
+	// blacklistAfter is the tripwire: a 6-task wave splits 3/3 across
 	// the workers, so per-item failure counting would blacklist the bad
 	// worker from its single lost RPC; per-RPC counting must not. Each
 	// task the lost frame carried retries on the other worker as its own
@@ -87,11 +88,11 @@ func TestDispatchRetriesOnDistinctWorkers(t *testing.T) {
 	t.Run("wave", func(t *testing.T) {
 		good := newBatchStub(t, func(*wire.Task) *wire.TaskResult { return &wire.TaskResult{CPUSeconds: 1} })
 		bad := failStub(t)
-		f := newBareFleet(t, Config{blacklistAfter: 2, maxAttempts: 2})
+		f := newBareFleet(t, Config{})
 		register(t, f, good.srv.URL)
 		register(t, f, bad.srv.URL)
 
-		results, errs := dispatchWave(f, 4, func(i int) *wire.Task {
+		results, errs := dispatchWave(f, 2*blacklistAfter, func(i int) *wire.Task {
 			return &wire.Task{Task: "t-m" + string(rune('0'+i)), Kind: "map"}
 		})
 		for i, err := range errs {
@@ -102,11 +103,11 @@ func TestDispatchRetriesOnDistinctWorkers(t *testing.T) {
 				t.Fatalf("task %d result %+v", i, results[i])
 			}
 		}
-		if got := bad.frameSizes(); !slices.Equal(got, []int{2}) {
-			t.Fatalf("bad worker frames %v, want its one wave frame of 2", got)
+		if got := bad.frameSizes(); !slices.Equal(got, []int{3}) {
+			t.Fatalf("bad worker frames %v, want its one wave frame of 3", got)
 		}
-		if got := good.frameSizes(); !slices.Equal(got, []int{1, 1, 2}) {
-			t.Fatalf("good worker frames %v, want its wave frame of 2 and two single-task retries", got)
+		if got := good.frameSizes(); !slices.Equal(got, []int{1, 1, 1, 3}) {
+			t.Fatalf("good worker frames %v, want its wave frame of 3 and three single-task retries", got)
 		}
 		if got := f.Workers(); got != 2 {
 			t.Fatalf("live workers = %d, want 2: one failed batch RPC must count as one failure, not one per task", got)
@@ -117,8 +118,8 @@ func TestDispatchRetriesOnDistinctWorkers(t *testing.T) {
 // TestDispatchExhaustsAttempts: when every attempt fails in
 // transport, dispatch reports the failure after maxAttempts.
 func TestDispatchExhaustsAttempts(t *testing.T) {
-	f := newBareFleet(t, Config{maxAttempts: 2})
-	stubs := []*batchStub{failStub(t), failStub(t), failStub(t)}
+	f := newBareFleet(t, Config{})
+	stubs := []*batchStub{failStub(t), failStub(t), failStub(t), failStub(t)}
 	for _, s := range stubs {
 		register(t, f, s.srv.URL)
 	}
@@ -127,15 +128,15 @@ func TestDispatchExhaustsAttempts(t *testing.T) {
 	if err == nil {
 		t.Fatal("dispatch succeeded with only failing workers")
 	}
-	if !strings.Contains(err.Error(), "after 2 attempts") {
+	if !strings.Contains(err.Error(), fmt.Sprintf("after %d attempts", maxAttempts)) {
 		t.Fatalf("error = %v, want attempt-exhaustion", err)
 	}
 	var hits int32
 	for _, s := range stubs {
 		hits += s.rpcs.Load()
 	}
-	if hits != 2 {
-		t.Errorf("workers hit %d times, want maxAttempts=2", hits)
+	if hits != maxAttempts {
+		t.Errorf("workers hit %d times, want maxAttempts=%d", hits, maxAttempts)
 	}
 }
 
@@ -154,7 +155,7 @@ func TestDispatchFailFastOnOperatorError(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 		return &wire.TaskResult{CPUSeconds: 1}
 	}
-	f := newBareFleet(t, Config{maxAttempts: 3})
+	f := newBareFleet(t, Config{})
 	register(t, f, newBatchStub(t, fn).srv.URL)
 	register(t, f, newBatchStub(t, fn).srv.URL)
 
@@ -187,13 +188,14 @@ func TestDispatchFailFastOnOperatorError(t *testing.T) {
 
 // TestDispatchBlacklist: a worker failing blacklistAfter consecutive
 // dispatches leaves the rotation; with nobody left, dispatch reports
-// no live workers instead of spinning.
+// no live workers instead of spinning. A lone worker takes one attempt
+// per dispatch: a retry goes to a worker not yet tried.
 func TestDispatchBlacklist(t *testing.T) {
-	f := newBareFleet(t, Config{maxAttempts: 1, blacklistAfter: 3})
+	f := newBareFleet(t, Config{})
 	bad := failStub(t)
 	register(t, f, bad.srv.URL)
 
-	for i := 0; i < 3; i++ {
+	for i := 0; i < blacklistAfter; i++ {
 		if _, err := f.dispatch(&wire.Task{Task: "t-m0", Kind: "map"}, nil); err == nil {
 			t.Fatalf("dispatch %d succeeded against a failing worker", i)
 		}
@@ -216,22 +218,23 @@ func TestDispatchBlacklist(t *testing.T) {
 // TestDispatchSuccessResetsFailures: failures must be consecutive to
 // blacklist; a success in between clears the count.
 func TestDispatchSuccessResetsFailures(t *testing.T) {
-	f := newBareFleet(t, Config{maxAttempts: 1, blacklistAfter: 2})
+	f := newBareFleet(t, Config{})
 	var n atomic.Int32
 	flaky := newBatchStub(t, func(*wire.Task) *wire.TaskResult {
-		// Fail, succeed, fail, succeed, ...: never two in a row.
-		if n.Add(1)%2 == 1 {
+		// Fail blacklistAfter-1 times, succeed, ...: never blacklistAfter
+		// in a row, though most dispatches fail.
+		if n.Add(1)%blacklistAfter != 0 {
 			return nil
 		}
 		return &wire.TaskResult{}
 	})
 	register(t, f, flaky.srv.URL)
 
-	for i := 0; i < 6; i++ {
+	for i := 0; i < 3*blacklistAfter; i++ {
 		f.dispatch(&wire.Task{Task: "t-m0", Kind: "map"}, nil)
 	}
 	if got := f.Workers(); got != 1 {
-		t.Fatalf("live workers = %d, want 1 (alternating failures never blacklist)", got)
+		t.Fatalf("live workers = %d, want 1 (failures broken by a success never blacklist)", got)
 	}
 }
 
@@ -240,7 +243,7 @@ func TestDispatchSuccessResetsFailures(t *testing.T) {
 // first answer wins — the dispatcher does not wait out the straggler
 // stuck inside its batched RPC.
 func TestDispatchHedgesStragglers(t *testing.T) {
-	f := newBareFleet(t, Config{maxAttempts: 3, HedgeMin: 50 * time.Millisecond})
+	f := newBareFleet(t, Config{HedgeMin: 50 * time.Millisecond})
 	var order atomic.Int32
 	fn := func(*wire.Task) *wire.TaskResult {
 		// The first task to arrive anywhere is the straggler.

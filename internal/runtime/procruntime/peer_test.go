@@ -447,7 +447,7 @@ func TestLossesPastTheBoundFailTheReduce(t *testing.T) {
 	if idxs, ok := wire.ParsePeerFetchErr(tfe.msg); !ok || len(idxs) != 1 {
 		t.Errorf("reduce failed with %q, want the peer-fetch error naming the one segment", tfe.msg)
 	}
-	rounds := int64(ex.f.cfg.maxAttempts)
+	rounds := int64(maxAttempts)
 	if got, want := ex.f.WireStats().Tasks-before, 2*rounds+1; got != want {
 		t.Errorf("%d task attempts, want %d: a reduce dispatch and a re-run per round, and the last dispatch", got, want)
 	}

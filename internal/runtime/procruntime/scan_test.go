@@ -206,7 +206,7 @@ func TestHostileScanAnswersFailTheTask(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			// The round robin's first pick is the second worker registered;
 			// a retry would go to the first.
-			f := newBareFleet(t, Config{maxAttempts: 3})
+			f := newBareFleet(t, Config{})
 			other := okStub(t)
 			stub := newBatchStub(t, func(*wire.Task) *wire.TaskResult { return tc.answer })
 			register(t, f, other.srv.URL)

@@ -246,7 +246,7 @@ func TestWaveSlotFailuresStayInTheirSlot(t *testing.T) {
 		}
 		return data.Bool(true)
 	}})
-	f := newBareFleet(t, Config{maxAttempts: 3})
+	f := newBareFleet(t, Config{})
 	_, url, blocks := newBlockWorker(t, reg, 6)
 	register(t, f, url)
 	_, url2, _ := newBlockWorker(t, reg, 0)
@@ -437,7 +437,7 @@ func TestHedgeLeavesWhileWaveFrameInFlight(t *testing.T) {
 	// The straggler is held until the test ends (released before the
 	// stubs close), so a wave that completes completed around it.
 	t.Cleanup(func() { close(release) })
-	f := newBareFleet(t, Config{maxAttempts: 2, HedgeMin: 30 * time.Millisecond})
+	f := newBareFleet(t, Config{HedgeMin: 30 * time.Millisecond})
 	register(t, f, slow.srv.URL)
 	register(t, f, fast.srv.URL)
 

@@ -406,19 +406,18 @@ func (w *Worker) runMap(task *wire.Task) (*wire.TaskResult, error) {
 }
 
 // retainShuffle registers a map task's output in the shuffle registry
-// and returns its digest per partition, the virtual bytes summed with
-// the controller's per-record arithmetic (an int64 per record) so proc
-// and sim runs charge identical bytes.
+// and returns its digest per partition, priced by Partitioned.Bytes as
+// the in-process runtime prices it, so proc and sim runs charge
+// identical bytes.
 func (w *Worker) retainShuffle(id string, out mapreduce.Partitioned, scale float64) []wire.ShufflePart {
 	digests := make([]wire.ShufflePart, out.NumParts())
-	var raw int64
 	for p := range digests {
-		for _, i := range out.Part(p) {
-			rec := out.Recs[i].EncodedSize()
-			digests[p].Count++
-			digests[p].Bytes += int64(float64(rec+1) * scale)
-			raw += out.Keys[i].EncodedSize() + rec + int64(len(out.Tag)) + 16
-		}
+		digests[p] = wire.ShufflePart{Count: len(out.Part(p)), Bytes: out.Bytes(p, scale)}
+	}
+	// The cache charge is the pairs' encoded bytes.
+	raw := int64(len(out.Idx)) * (int64(len(out.Tag)) + 16)
+	for _, i := range out.Idx {
+		raw += out.Keys[i].EncodedSize() + out.Recs[i].EncodedSize()
 	}
 	// A hedged duplicate of a deterministic map finds the id taken: its
 	// output is byte-identical, so the first copy serves.
@@ -639,7 +638,7 @@ func (w *Worker) table(ref wire.BuildRef) (*mapreduce.HashTable, error) {
 		}
 		t, err := mapreduce.BuildHashTable(w.reg, physop.BindBuild(mapreduce.Broadcast{
 			Name: ref.Name, KeyPaths: ref.Keys, Wrap: ref.Wrap, Filter: ref.Filter,
-		}, sample), blocks, nil, nil)
+		}, sample), blocks, 0, nil)
 		if err != nil {
 			return nil, 0, fmt.Errorf("build %s: %w", ref.Name, err)
 		}

@@ -18,18 +18,8 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"dyno/internal/cluster"
-)
-
-// Idle-spin tuning for simGate.runUntil: how long to wait between polls
-// when the cluster has no events but the predicate is unsatisfied, and
-// how many consecutive idle polls to tolerate before declaring the
-// predicate unsatisfiable.
-const (
-	idleWait   = 200 * time.Microsecond
-	idleGiveUp = 5000 // ~1s of wall-clock idleness
 )
 
 // simGate serializes access to the one cluster.Sim shared by every
@@ -66,9 +56,11 @@ func (g *simGate) Advance(d float64) {
 // runUntil steps the simulator until pred() holds, releasing the lock
 // between events so concurrent sessions can submit and observe their
 // own jobs. Steps driven by one session execute events of all
-// sessions — whoever drives makes everyone progress.
+// sessions — whoever drives makes everyone progress. A step that finds
+// no event ends it with cluster.ErrIdle, as Sim.RunUntil does: every
+// predicate waits on the session's own submissions, and one not done
+// has an event queued or a task a step dispatches.
 func (g *simGate) runUntil(ctx context.Context, pred func() bool) error {
-	idle := 0
 	for {
 		g.mu.Lock()
 		if pred() {
@@ -81,20 +73,9 @@ func (g *simGate) runUntil(ctx context.Context, pred func() bool) error {
 		}
 		stepped, _ := g.sim.Step()
 		g.mu.Unlock()
-		if stepped {
-			idle = 0
-			continue
+		if !stepped {
+			return cluster.ErrIdle
 		}
-		// The cluster is idle but the predicate is unsatisfied. The
-		// awaited submission can only come from a session currently in
-		// client-side code (optimizing, merging statistics), so yield
-		// and retry — but give up if the cluster stays idle long enough
-		// that no session can still be working.
-		idle++
-		if idle > idleGiveUp {
-			return fmt.Errorf("server: cluster idle while session still waiting")
-		}
-		time.Sleep(idleWait)
 	}
 }
 

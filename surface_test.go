@@ -46,7 +46,6 @@ import (
 var keptExports = map[string]string{
 	// Errors a call returns, which callers match with errors.Is or
 	// errors.As.
-	"dyno/internal/cluster.ErrIdle":        "returned by Sim.RunUntil when the cluster empties first",
 	"dyno/internal/runtime/wire.CapsError": "returned by Caps.Check for a worker that lacks a capability",
 
 	"dyno/internal/dfs.WithBlockSize": "simulated hardware that only tests set, like keptKnobs' cluster rates",
