@@ -12,7 +12,6 @@ import (
 	"dyno/internal/cluster"
 
 	"dyno/internal/data"
-	"dyno/internal/expr"
 	"dyno/internal/jaql"
 	"dyno/internal/mapreduce"
 	"dyno/internal/optimizer"
@@ -661,25 +660,9 @@ func (e *Engine) statsPathsFor(block *plan.JoinBlock, u *jaql.Unit) []data.Path 
 	for _, a := range u.Aliases {
 		covered[a] = true
 	}
-	var out []data.Path
-	seen := map[string]bool{}
-	for _, p := range block.JoinPreds {
-		l, r, ok := expr.EquiJoinCols(p)
-		if !ok {
-			continue
-		}
-		// A predicate crossing the unit's boundary: its inner column
-		// is needed to estimate the remaining join.
-		if covered[l.Head()] != covered[r.Head()] {
-			for _, c := range []data.Path{l, r} {
-				if covered[c.Head()] && !seen[c.String()] {
-					seen[c.String()] = true
-					out = append(out, c)
-				}
-			}
-		}
-	}
-	return out
+	// A predicate crossing the unit's boundary: its inner column is
+	// needed to estimate the remaining join.
+	return joinColumns(block, func(c, other data.Path) bool { return covered[c.Head()] && !covered[other.Head()] })
 }
 
 // substituteRel replaces the relations covered by a finished unit with

@@ -249,21 +249,23 @@ func (p *pilotRun) finish() (stats.TableStats, bool, *dfs.File, error) {
 
 // joinColumnsFor returns the block's join columns belonging to the
 // alias (the only attributes pilot runs keep statistics for, §4.3).
+// Always non-nil: pilot runs need at least the table-level statistics
+// (cardinality, record size) even when the relation has no join columns.
 func joinColumnsFor(block *plan.JoinBlock, alias string) []data.Path {
-	// Always non-nil: pilot runs need at least the table-level
-	// statistics (cardinality, record size) even when the relation has
-	// no join columns.
-	out := []data.Path{}
+	return append([]data.Path{}, joinColumns(block, func(c, _ data.Path) bool { return c.Head() == alias })...)
+}
+
+// joinColumns returns the columns of the block's equi-join predicates
+// that keep accepts, each given with the predicate's other column:
+// each once, in predicate order, nil when keep accepts none.
+func joinColumns(block *plan.JoinBlock, keep func(c, other data.Path) bool) (out []data.Path) {
 	seen := map[string]bool{}
 	for _, p := range block.JoinPreds {
 		l, r, ok := expr.EquiJoinCols(p)
-		if !ok {
-			continue
-		}
-		for _, c := range []data.Path{l, r} {
-			if c.Head() == alias && !seen[c.String()] {
-				seen[c.String()] = true
-				out = append(out, c)
+		for _, c := range [][2]data.Path{{l, r}, {r, l}} {
+			if ok && keep(c[0], c[1]) && !seen[c[0].String()] {
+				seen[c[0].String()] = true
+				out = append(out, c[0])
 			}
 		}
 	}

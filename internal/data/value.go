@@ -12,7 +12,7 @@ package data
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"unsafe"
@@ -177,7 +177,7 @@ func Object(fields ...Field) Value {
 	if sorted {
 		return objectFromSorted(fs)
 	}
-	sort.SliceStable(fs, func(i, j int) bool { return fs[i].Name < fs[j].Name })
+	slices.SortStableFunc(fs, func(a, b Field) int { return strings.Compare(a.Name, b.Name) })
 	// Deduplicate, keeping the last write for each name.
 	out := fs[:0]
 	for i := 0; i < len(fs); i++ {

@@ -160,15 +160,8 @@ func (h *OracleTable) Charges() (builtBytes int64, prepCPU float64) { return h.b
 // Charges is OracleTable.Charges for the table under test.
 func (h *HashTable) Charges() (builtBytes int64, prepCPU float64) { return h.builtBytes, h.prepCPU }
 
-// Rows is OracleTable.Rows for the table under test: the rows its
-// buckets hold.
-func (h *HashTable) Rows() int {
-	n := 0
-	for _, b := range h.buckets {
-		n += len(b)
-	}
-	return n
-}
+// Rows is OracleTable.Rows for the table under test.
+func (h *HashTable) Rows() int { return len(h.rows) }
 
 // CompositeKey evaluates the key columns over a row, uncompiled: the
 // reference CompositeKeyCompiled is held to.

@@ -16,6 +16,8 @@ package mapreduce
 import (
 	"errors"
 	"fmt"
+	"hash/maphash"
+	"math/bits"
 	"strconv"
 	"sync/atomic"
 
@@ -166,13 +168,23 @@ type Broadcast struct {
 	Map MapFunc
 }
 
-// HashTable is an in-memory build side: its rows bucketed, in build scan
-// order, by their key's normalized encoding — equality under
-// data.Compare, so a probe is one map lookup with no re-checks.
+// HashTable is an in-memory build side: its kept rows grouped by their
+// key's normalized encoding — equality under data.Compare, so a probe
+// re-checks nothing — each group in build scan order. Group g is
+// rows[offs[g]:offs[g+1]] and keys[g] its key. slots is an open-
+// addressing index (linear probing) sized once, a power of two at least
+// twice the rows: a slot holds its key hash's high 32 bits above the
+// group's id plus one (0 is empty), so a probe compares keys only on a
+// tag match and a miss reads no key bytes. The hash is maphash under
+// the table's own seed, which no answer depends on.
 type HashTable struct {
-	buckets    map[string][]data.Value // normalized key -> rows (scan order)
-	builtBytes int64                   // virtual size of the retained (filtered) rows
-	prepCPU    float64                 // one-time UDF cost to produce the (filtered) build
+	rows       []data.Value
+	keys       []string
+	offs       []int32
+	slots      []uint64
+	seed       maphash.Seed
+	builtBytes int64   // virtual size of the retained (filtered) rows
+	prepCPU    float64 // one-time UDF cost to produce the (filtered) build
 }
 
 // Split is one block of a build side: its records and the cache slot of
@@ -207,29 +219,87 @@ func buildTable(reg *expr.Registry, b Broadcast, blocks []Split, scale float64, 
 	} else {
 		par(len(blocks), scan)
 	}
-	ht := &HashTable{}
-	if index {
-		ht.buckets = make(map[string][]data.Value)
-	}
+	ht, n := &HashTable{}, 0
 	for i := range outs {
 		if errs[i] != nil {
 			return nil, errs[i]
 		}
 		ht.prepCPU += outs[i].CPUMap
-		s := &outs[i].Shuffled
 		if scale != 0 {
-			ht.builtBytes += s.Bytes(0, scale)
+			ht.builtBytes += outs[i].Shuffled.Bytes(0, scale)
 		}
-		if index { // by normalized key, in scan order
-			for _, at := range s.Idx {
-				ht.buckets[s.NK[at]] = append(ht.buckets[s.NK[at]], s.Recs[at])
-			}
-		}
+		n += len(outs[i].Shuffled.Idx)
 	}
 	if ordered != nil {
 		ht.prepCPU = ordered.CPUSeconds
 	}
+	if index {
+		ht.index(outs, n)
+	}
 	return ht, nil
+}
+
+// index groups the n kept rows, outs' positions in scan order, by key in
+// two passes: the first finds or creates each row's group and counts it,
+// the second is a counting sort that places each row at its group's
+// next offset. Nothing is allocated per key and nothing grows.
+func (h *HashTable) index(outs []MapOutput, n int) {
+	h.seed = maphash.MakeSeed()
+	h.slots = make([]uint64, 1<<bits.Len(uint(max(2*n-1, 1))))
+	h.keys = make([]string, 0, n)
+	h.offs = make([]int32, n+2) // group id+1's count at id+1, then its next offset at id
+	ids := make([]uint32, 0, n) // each row's group id plus one, in scan order
+	for i := range outs {
+		s := &outs[i].Shuffled
+		for _, at := range s.Idx {
+			ids = append(ids, h.add(maphash.String(h.seed, s.NK[at]), s.NK[at]))
+			h.offs[ids[len(ids)-1]+1]++
+		}
+	}
+	for id := 3; id <= len(h.keys)+1; id++ {
+		h.offs[id] += h.offs[id-1]
+	}
+	h.rows = make([]data.Value, n)
+	for i := range outs {
+		s := &outs[i].Shuffled
+		for _, at := range s.Idx {
+			h.rows[h.offs[ids[0]]] = s.Recs[at]
+			h.offs[ids[0]]++
+			ids = ids[1:]
+		}
+	}
+	h.offs = h.offs[:len(h.keys)+1]
+}
+
+// add returns the id plus one of the group of nk, which hashes to hv,
+// creating the group on first sight.
+func (h *HashTable) add(hv uint64, nk string) uint32 {
+	sl := h.find(hv, func(k string) bool { return k == nk })
+	if h.slots[sl] == 0 {
+		h.keys = append(h.keys, nk)
+		h.slots[sl] = hv>>32<<32 | uint64(len(h.keys))
+	}
+	return uint32(h.slots[sl])
+}
+
+// find returns the slot of the key that hashes to hv and that eq
+// accepts: its group's, or the empty slot it would take. Half the slots
+// or more stay empty, so the scan ends.
+func (h *HashTable) find(hv uint64, eq func(string) bool) int {
+	mask := len(h.slots) - 1
+	for i := int(hv) & mask; ; i = (i + 1) & mask {
+		if s := h.slots[i]; s == 0 || s>>32 == hv>>32 && eq(h.keys[uint32(s)-1]) {
+			return i
+		}
+	}
+}
+
+// group is the rows of slot sl's group, capped, none for an empty slot.
+func (h *HashTable) group(sl int) []data.Value {
+	if id := uint32(h.slots[sl]); id != 0 {
+		return h.rows[h.offs[id-1]:h.offs[id]:h.offs[id]]
+	}
+	return nil
 }
 
 // BuildHashTable indexes a broadcast side from its blocks (b.File is not
@@ -239,18 +309,20 @@ func BuildHashTable(reg *expr.Registry, b Broadcast, blocks []Split, scale float
 }
 
 // Probe returns the build rows whose key equals k, in build scan order:
-// the table's bucket, read-only after the build (so concurrent probes
-// are safe) and never to be mutated.
+// the group's window of the table's rows, read-only after the build (so
+// concurrent probes are safe) and never to be mutated.
 func (h *HashTable) Probe(k data.Value) []data.Value {
 	var arr [48]byte
 	nk, _ := data.AppendNormKey(arr[:0], k)
-	return h.buckets[string(nk)]
+	return h.group(h.find(maphash.Bytes(h.seed, nk), func(key string) bool { return key == string(nk) }))
 }
 
 // ProbeNK is Probe for a key already normalized: nk must be the probe
 // key's normalized encoding. The batch probe arm uses it with the
 // split's pre-computed (interned) key encodings.
-func (h *HashTable) ProbeNK(nk string) []data.Value { return h.buckets[nk] }
+func (h *HashTable) ProbeNK(nk string) []data.Value {
+	return h.group(h.find(maphash.String(h.seed, nk), func(key string) bool { return key == nk }))
+}
 
 // CompositeKeyCompiled evaluates the key columns over a row through
 // compiled accessors. A single accessor yields the bare value; several

@@ -649,6 +649,37 @@ func TestHashTableProbeCollisionSafety(t *testing.T) {
 	}
 }
 
+// TestIndexComparesKeysOnSharedTags drives the index with hashes chosen
+// to collide, which a seeded hash makes too rare to meet by chance: keys
+// sharing a whole hash (one probe run, one tag), keys sharing only the
+// tag, and absent keys with either, so every probe past a tag match must
+// compare keys to answer.
+func TestIndexComparesKeysOnSharedTags(t *testing.T) {
+	const tag = 0xfeedface << 32
+	hashes := map[string]uint64{"a": tag | 3, "b": tag | 3, "c": tag | 3, "d": tag | 4, "e": 7<<32 | 3}
+	h := &HashTable{slots: make([]uint64, 16)}
+	ids := map[string]uint32{}
+	for _, k := range []string{"a", "b", "c", "d", "e"} {
+		ids[k] = h.add(hashes[k], k)
+	}
+	if len(h.keys) != len(hashes) {
+		t.Fatalf("%d groups for %d keys: %q", len(h.keys), len(hashes), h.keys)
+	}
+	for k, hv := range hashes {
+		if id := h.add(hv, k); id != ids[k] || h.keys[id-1] != k {
+			t.Errorf("add(%q) again: group %d (key %q), first %d", k, id, h.keys[id-1], ids[k])
+		}
+		if sl := h.find(hv, func(s string) bool { return s == k }); uint32(h.slots[sl]) != ids[k] {
+			t.Errorf("find(%q): slot of group %d, want %d", k, uint32(h.slots[sl]), ids[k])
+		}
+	}
+	for _, hv := range []uint64{tag | 3, tag | 4, 7<<32 | 3} {
+		if sl := h.find(hv, func(s string) bool { return s == "z" }); h.slots[sl] != 0 {
+			t.Errorf("find(absent key, %#x) = a full slot, group %d", hv, uint32(h.slots[sl]))
+		}
+	}
+}
+
 func TestMapOnlyOutputCountsBytes(t *testing.T) {
 	env := testEnv(t)
 	env.FS.SetByteScale(100)

@@ -25,8 +25,9 @@ import (
 //     in map order, and a key group is its window of the sorted pairs.
 //   - A shuffled record has one price, Partitioned.Bytes, on both
 //     runtimes.
-//   - Broadcast hash tables index build rows by normalized key: a probe
-//     is an exact map lookup.
+//   - Broadcast hash tables group build rows by normalized key in one
+//     row array behind one index sized once: a probe compares keys,
+//     never values.
 //
 // Why one unstable sort reproduces two stable ones. Reduce order is the
 // stable sort of a partition's pairs, in map submission order, by

@@ -66,19 +66,34 @@ func BenchmarkProbeChain(b *testing.B) {
 }
 
 // BenchmarkBuildHashTable is one broadcast build over a warm 4,096-row
-// split with a filter that keeps two rows in three: the selection, the
-// wrapped rows and the interned key strings come from the split's cached
-// image, the table is indexed from the kernel's positions into it. It
-// allocates per table and per distinct key (its bucket), never per
-// scanned row. CI holds its allocs/op and B/op to ceilings.
+// split with a filter that keeps two rows in three, every key distinct:
+// the selection, the wrapped rows and the interned key strings come from
+// the split's cached image, the table is indexed from the kernel's
+// positions into it. It allocates per table (its row array, keys,
+// offsets and slots), never per key or scanned row. CI holds its
+// allocs/op and B/op to ceilings.
 func BenchmarkBuildHashTable(b *testing.B) {
+	benchBuild(b, func(i int) int64 { return int64(i) },
+		&expr.Cmp{Op: expr.NE, L: expr.NewCol("b.flag"), R: expr.NewLit(data.Int(1))}, 4096-(4096+1)/3)
+}
+
+// BenchmarkBuildHashTableGrouped is BenchmarkBuildHashTable unfiltered,
+// 64 rows per key, each key's rows spread over the split: the index's
+// grouping pass, gated by its own ceilings.
+func BenchmarkBuildHashTableGrouped(b *testing.B) {
+	benchBuild(b, func(i int) int64 { return int64(i % 64) }, nil, 4096)
+}
+
+// benchBuild times one build over a warm 4,096-row split keyed by key,
+// after checking that probing every key finds the kept rows.
+func benchBuild(b *testing.B, key func(i int) int64, filter expr.Expr, kept int) {
 	const rows = 4096
 	recs := make([]data.Value, rows)
 	for i := range recs {
-		recs[i] = data.Object(data.Field{Name: "flag", Value: data.Int(int64(i % 3))}, data.Field{Name: "k", Value: data.Int(int64(i))})
+		recs[i] = data.Object(data.Field{Name: "flag", Value: data.Int(int64(i % 3))}, data.Field{Name: "k", Value: data.Int(key(i))})
 	}
 	build := BindBuild(mapreduce.Broadcast{Name: "b", Wrap: "b", KeyPaths: []data.Path{data.MustParsePath("b.k")},
-		Filter: &expr.Cmp{Op: expr.NE, L: expr.NewCol("b.flag"), R: expr.NewLit(data.Int(1))}}, recs[0])
+		Filter: filter}, recs[0])
 	var aux atomic.Value // the split's columnar image, built by the first build
 	split := []mapreduce.Split{{Recs: recs, Aux: &aux}}
 	run := func() *mapreduce.HashTable {
@@ -88,12 +103,12 @@ func BenchmarkBuildHashTable(b *testing.B) {
 		}
 		return ht
 	}
-	ht, kept := run(), 0
-	for i := range recs {
-		kept += len(ht.Probe(data.Int(int64(i))))
+	ht, found := run(), 0
+	for i := range rows {
+		found += len(ht.Probe(data.Int(int64(i))))
 	}
-	if want := rows - (rows+1)/3; kept != want {
-		b.Fatalf("build kept %d rows, want %d", kept, want)
+	if found != kept {
+		b.Fatalf("build kept %d rows, want %d", found, kept)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -529,7 +529,7 @@ func shuffleKernel(src source, keys []data.Path, tag string, prune func(data.Val
 // streams through the chain of builds, merging and applying each join's
 // residual inline. The first step's probe keys come from the split's
 // cached key columns — normalized, interned, and shared across jobs —
-// so its lookup is a direct map probe with no per-record key
+// so its lookup is one index probe with no per-record key
 // evaluation; later steps see chain-merged rows that exist only until
 // the next probe row (they live in the task's scratch arena), reusing
 // two buffers across rows. A pruned chain prunes the probe row before
@@ -542,8 +542,10 @@ func probeKernel(src source, steps []probeStep, prune func(data.Value) data.Valu
 			return
 		}
 		rows := d.Wrapped(src.alias)
-		st0 := &steps[0]
-		ht0 := mc.Build(st0.name)
+		st0, hts := &steps[0], make([]*mapreduce.HashTable, len(steps))
+		for si := range steps {
+			hts[si] = mc.Build(steps[si].name)
+		}
 		kc := d.Keys(keySig, src.alias, st0.keys)
 		var cur, next []data.Value
 		for _, i := range sel {
@@ -553,19 +555,17 @@ func probeKernel(src source, steps []probeStep, prune func(data.Value) data.Valu
 			if !src.keeps(mc, rows[i]) {
 				continue
 			}
-			matches := ht0.ProbeNK(kc.NK[i])
+			matches := hts[0].ProbeNK(kc.NK[i])
 			if len(matches) == 0 {
 				continue
 			}
 			mc.Scratch.Reset()
 			cur = st0.probe(mc, stepArena(mc, len(steps) == 1, prune != nil), pruned(prune, rows[i]), matches, cur[:0])
 			for si := 1; si < len(steps) && len(cur) > 0; si++ {
-				st := &steps[si]
-				ht := mc.Build(st.name)
-				arena := stepArena(mc, si == len(steps)-1, prune != nil)
+				st, arena := &steps[si], stepArena(mc, si == len(steps)-1, prune != nil)
 				next = next[:0]
 				for _, r := range cur {
-					next = st.probe(mc, arena, r, ht.Probe(mapreduce.CompositeKeyCompiled(r, st.keyAccs)), next)
+					next = st.probe(mc, arena, r, hts[si].Probe(mapreduce.CompositeKeyCompiled(r, st.keyAccs)), next)
 				}
 				cur, next = next, cur
 			}

@@ -56,55 +56,62 @@ func AggregateGroup(ectx *expr.Ctx, items []sqlparse.SelectItem, group []data.Va
 }
 
 func aggValue(ectx *expr.Ctx, it sqlparse.SelectItem, group []data.Value) data.Value {
-	switch it.Agg {
-	case "":
+	if it.Agg == "" {
 		// Scalar item: functionally dependent on the group key.
 		return it.E.Eval(ectx, group[0])
-	case "count":
-		if it.Star {
-			return data.Int(int64(len(group)))
-		}
-		var n int64
-		for _, rec := range group {
-			if !it.E.Eval(ectx, rec).IsNull() {
-				n++
-			}
-		}
-		return data.Int(n)
-	case "sum", "avg":
-		var sum float64
-		var n int64
-		for _, rec := range group {
-			x := it.E.Eval(ectx, rec)
-			if x.IsNull() {
-				continue
-			}
-			sum += x.Float()
-			n++
-		}
-		if it.Agg == "avg" {
-			if n == 0 {
-				return data.Null()
-			}
-			return data.Double(sum / float64(n))
-		}
-		return data.Double(sum)
-	case "min", "max":
-		v := data.Null()
-		for _, rec := range group {
-			x := it.E.Eval(ectx, rec)
-			if x.IsNull() {
-				continue
-			}
-			if v.IsNull() ||
-				(it.Agg == "min" && data.Compare(x, v) < 0) ||
-				(it.Agg == "max" && data.Compare(x, v) > 0) {
-				v = x
-			}
-		}
-		return v
 	}
-	return data.Null()
+	return foldGroup(ectx, it, group).result(it.Agg)
+}
+
+// fold is one aggregate's state: the count of non-null values, their
+// sum, and for min and max the extreme so far (null before any value).
+type fold struct {
+	n   int64
+	sum float64
+	v   data.Value
+}
+
+// foldGroup folds an aggregate item's values over a group of rows.
+func foldGroup(ectx *expr.Ctx, it sqlparse.SelectItem, group []data.Value) fold {
+	var f fold
+	if it.Agg == "count" && it.Star {
+		f.n = int64(len(group))
+		return f
+	}
+	for _, rec := range group {
+		f.add(it.Agg, it.E.Eval(ectx, rec))
+	}
+	return f
+}
+
+// add folds one value into the state; a null changes nothing.
+func (f *fold) add(agg string, x data.Value) {
+	if x.IsNull() {
+		return
+	}
+	f.n++
+	f.sum += x.Float()
+	if (agg == "min" || agg == "max") && (f.v.IsNull() ||
+		(agg == "min" && data.Compare(x, f.v) < 0) ||
+		(agg == "max" && data.Compare(x, f.v) > 0)) {
+		f.v = x
+	}
+}
+
+// result is the aggregate's value: avg over no values is null, sum 0.
+func (f fold) result(agg string) data.Value {
+	switch agg {
+	case "count":
+		return data.Int(f.n)
+	case "sum":
+		return data.Double(f.sum)
+	case "avg":
+		if f.n == 0 {
+			return data.Null()
+		}
+		return data.Double(f.sum / float64(f.n))
+	}
+	return f.v
 }
 
 // Sort orders projected output records by the query's ORDER BY. Keys
@@ -196,46 +203,13 @@ func PartialAggregate(ectx *expr.Ctx, items []sqlparse.SelectItem, group []data.
 		switch it.Agg {
 		case "":
 			fields = append(fields, data.Field{Name: partialField(i, ""), Value: it.E.Eval(ectx, group[0])})
-		case "count":
-			var n int64
-			if it.Star {
-				n = int64(len(group))
-			} else {
-				for _, rec := range group {
-					if !it.E.Eval(ectx, rec).IsNull() {
-						n++
-					}
-				}
-			}
-			fields = append(fields, data.Field{Name: partialField(i, ""), Value: data.Int(n)})
 		case "sum", "avg":
-			var sum float64
-			var n int64
-			for _, rec := range group {
-				x := it.E.Eval(ectx, rec)
-				if x.IsNull() {
-					continue
-				}
-				sum += x.Float()
-				n++
-			}
+			f := foldGroup(ectx, it, group)
 			fields = append(fields,
-				data.Field{Name: partialField(i, "_sum"), Value: data.Double(sum)},
-				data.Field{Name: partialField(i, "_cnt"), Value: data.Int(n)})
-		case "min", "max":
-			v := data.Null()
-			for _, rec := range group {
-				x := it.E.Eval(ectx, rec)
-				if x.IsNull() {
-					continue
-				}
-				if v.IsNull() ||
-					(it.Agg == "min" && data.Compare(x, v) < 0) ||
-					(it.Agg == "max" && data.Compare(x, v) > 0) {
-					v = x
-				}
-			}
-			fields = append(fields, data.Field{Name: partialField(i, ""), Value: v})
+				data.Field{Name: partialField(i, "_sum"), Value: data.Double(f.sum)},
+				data.Field{Name: partialField(i, "_cnt"), Value: data.Int(f.n)})
+		default:
+			fields = append(fields, data.Field{Name: partialField(i, ""), Value: foldGroup(ectx, it, group).result(it.Agg)})
 		}
 	}
 	return data.Object(fields...)
@@ -246,45 +220,21 @@ func PartialAggregate(ectx *expr.Ctx, items []sqlparse.SelectItem, group []data.
 func MergeAggregates(items []sqlparse.SelectItem, partials []data.Value) data.Value {
 	fields := make([]data.Field, 0, len(items))
 	for i, it := range items {
-		var v data.Value
-		switch it.Agg {
-		case "":
+		var f fold
+		for _, p := range partials {
+			switch it.Agg {
+			case "count":
+				f.n += p.FieldOr(partialField(i, "")).Int()
+			case "sum", "avg":
+				f.sum += p.FieldOr(partialField(i, "_sum")).Float()
+				f.n += p.FieldOr(partialField(i, "_cnt")).Int()
+			default:
+				f.add(it.Agg, p.FieldOr(partialField(i, "")))
+			}
+		}
+		v := f.result(it.Agg)
+		if it.Agg == "" {
 			v = partials[0].FieldOr(partialField(i, ""))
-		case "count":
-			var n int64
-			for _, p := range partials {
-				n += p.FieldOr(partialField(i, "")).Int()
-			}
-			v = data.Int(n)
-		case "sum", "avg":
-			var sum float64
-			var n int64
-			for _, p := range partials {
-				sum += p.FieldOr(partialField(i, "_sum")).Float()
-				n += p.FieldOr(partialField(i, "_cnt")).Int()
-			}
-			if it.Agg == "avg" {
-				if n == 0 {
-					v = data.Null()
-				} else {
-					v = data.Double(sum / float64(n))
-				}
-			} else {
-				v = data.Double(sum)
-			}
-		case "min", "max":
-			v = data.Null()
-			for _, p := range partials {
-				x := p.FieldOr(partialField(i, ""))
-				if x.IsNull() {
-					continue
-				}
-				if v.IsNull() ||
-					(it.Agg == "min" && data.Compare(x, v) < 0) ||
-					(it.Agg == "max" && data.Compare(x, v) > 0) {
-					v = x
-				}
-			}
 		}
 		fields = append(fields, data.Field{Name: it.Name(), Value: v})
 	}

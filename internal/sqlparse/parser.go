@@ -411,50 +411,29 @@ func (p *parser) parseCmp() (expr.Expr, error) {
 	return left, nil
 }
 
-func (p *parser) parseAdd() (expr.Expr, error) {
-	left, err := p.parseMul()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		var op expr.ArithOp
-		switch {
-		case p.acceptSymbol("+"):
-			op = expr.Add
-		case p.acceptSymbol("-"):
-			op = expr.Sub
-		default:
-			return left, nil
-		}
-		right, err := p.parseMul()
-		if err != nil {
-			return nil, err
-		}
-		left = &expr.Arith{Op: op, L: left, R: right}
-	}
-}
+// The arithmetic operators of each precedence level, loosest first.
+var addOps, mulOps = map[string]expr.ArithOp{"+": expr.Add, "-": expr.Sub}, map[string]expr.ArithOp{"*": expr.Mul, "/": expr.Div}
 
-func (p *parser) parseMul() (expr.Expr, error) {
-	left, err := p.parsePrimary()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		var op expr.ArithOp
-		switch {
-		case p.acceptSymbol("*"):
-			op = expr.Mul
-		case p.acceptSymbol("/"):
-			op = expr.Div
-		default:
+func (p *parser) parseAdd() (expr.Expr, error) { return p.parseArith(addOps, p.parseMul) }
+
+func (p *parser) parseMul() (expr.Expr, error) { return p.parseArith(mulOps, p.parsePrimary) }
+
+// parseArith parses a left-associative chain of operands joined by the
+// operators in ops.
+func (p *parser) parseArith(ops map[string]expr.ArithOp, operand func() (expr.Expr, error)) (expr.Expr, error) {
+	left, err := operand()
+	for err == nil {
+		t := p.peek()
+		op, ok := ops[t.text]
+		if t.kind != tokSymbol || !ok {
 			return left, nil
 		}
-		right, err := p.parsePrimary()
-		if err != nil {
-			return nil, err
-		}
+		p.next()
+		var right expr.Expr
+		right, err = operand()
 		left = &expr.Arith{Op: op, L: left, R: right}
 	}
+	return nil, err
 }
 
 func (p *parser) parsePrimary() (expr.Expr, error) {

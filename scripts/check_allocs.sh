@@ -40,9 +40,9 @@ go test -run='^$' -bench='^BenchmarkMergePartials$' \
 # Join row arena: a chain task allocates per chunk, not per merged row.
 go test -run='^$' -bench='^BenchmarkProbeChain$' \
     -benchtime=10x -benchmem ./internal/physop | tee -a "$out"
-# A broadcast build over a warm split allocates per table and per key
-# (its bucket), not per scanned row.
-go test -run='^$' -bench='^BenchmarkBuildHashTable$' \
+# A broadcast build over a warm split allocates per table, not per key
+# or scanned row, with unique keys or 64 rows per key.
+go test -run='^$' -bench='^(BenchmarkBuildHashTable|BenchmarkBuildHashTableGrouped)$' \
     -benchtime=10x -benchmem ./internal/physop | tee -a "$out"
 # Wire codec: one 4,096-row lineitem-shaped block per op. Decode
 # allocates per column (a slab per object column), not per row; encode
