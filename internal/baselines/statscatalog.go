@@ -209,7 +209,7 @@ func normalizeCmp(c *expr.Cmp, alias string) (col string, lit data.Value, op exp
 	}
 	if cr, isCol := c.R.(*expr.Col); isCol {
 		if l, isLit := c.L.(*expr.Lit); isLit && cr.Path.Head() == alias {
-			return lastComponent(cr.Path), l.V, flip(c.Op), true
+			return lastComponent(cr.Path), l.V, c.Op.Flip(), true
 		}
 	}
 	return "", data.Null(), 0, false
@@ -221,21 +221,6 @@ func lastComponent(p data.Path) string {
 		return ""
 	}
 	return last.Name
-}
-
-func flip(op expr.CmpOp) expr.CmpOp {
-	switch op {
-	case expr.LT:
-		return expr.GT
-	case expr.LE:
-		return expr.GE
-	case expr.GT:
-		return expr.LT
-	case expr.GE:
-		return expr.LE
-	default:
-		return op
-	}
 }
 
 // prepareStats returns a hook for core.Options.PrepareStats that

@@ -142,42 +142,6 @@ func diffSel(a, b []int32) []int32 {
 	return out
 }
 
-// opHolds translates a data.Compare result into the comparison's
-// verdict.
-func opHolds(op expr.CmpOp, c int) bool {
-	switch op {
-	case expr.EQ:
-		return c == 0
-	case expr.NE:
-		return c != 0
-	case expr.LT:
-		return c < 0
-	case expr.LE:
-		return c <= 0
-	case expr.GT:
-		return c > 0
-	case expr.GE:
-		return c >= 0
-	}
-	return false
-}
-
-// flipOp mirrors an operator across swapped operands: a op b == b
-// flip(op) a.
-func flipOp(op expr.CmpOp) expr.CmpOp {
-	switch op {
-	case expr.LT:
-		return expr.GT
-	case expr.GT:
-		return expr.LT
-	case expr.LE:
-		return expr.GE
-	case expr.GE:
-		return expr.LE
-	}
-	return op // EQ, NE are symmetric
-}
-
 // evalCmp evaluates one comparison over the selection. Null operands
 // yield false (rows dropped), matching Cmp.Eval; cross-kind-class
 // comparisons order by kind class, and numbers by data's number
@@ -192,10 +156,10 @@ func (d *Data) evalCmp(t *expr.Cmp, sel []int32) []int32 {
 	case lIsCol:
 		return d.cmpColLit(op, d.colLocked(lc.Path), t.R.(*expr.Lit).V, sel)
 	case rIsCol:
-		return d.cmpColLit(flipOp(op), d.colLocked(rc.Path), t.L.(*expr.Lit).V, sel)
+		return d.cmpColLit(op.Flip(), d.colLocked(rc.Path), t.L.(*expr.Lit).V, sel)
 	default:
 		l, r := t.L.(*expr.Lit).V, t.R.(*expr.Lit).V
-		if l.IsNull() || r.IsNull() || !opHolds(op, data.Compare(l, r)) {
+		if l.IsNull() || r.IsNull() || !op.Holds(data.Compare(l, r)) {
 			return nil
 		}
 		return sel
@@ -232,7 +196,7 @@ func (d *Data) cmpColLit(op expr.CmpOp, v *vec, lit data.Value, sel []int32) []i
 			if x.IsNull() {
 				continue
 			}
-			if opHolds(op, data.Compare(x, lit)) {
+			if op.Holds(data.Compare(x, lit)) {
 				out = append(out, i)
 			}
 		}
@@ -240,7 +204,7 @@ func (d *Data) cmpColLit(op expr.CmpOp, v *vec, lit data.Value, sel []int32) []i
 	}
 	litClass := kindClassOf(lit.Kind())
 	if litClass != v.class() {
-		return constVerdict(v, sel, opHolds(op, data.CompareInt(int64(v.class()), int64(litClass))))
+		return constVerdict(v, sel, op.Holds(data.CompareInt(int64(v.class()), int64(litClass))))
 	}
 	out := make([]int32, 0, len(sel))
 	switch v.kind {
@@ -248,14 +212,14 @@ func (d *Data) cmpColLit(op expr.CmpOp, v *vec, lit data.Value, sel []int32) []i
 		if lit.Kind() == data.KindInt {
 			li := lit.Int()
 			for _, i := range sel {
-				if !v.isNull(int(i)) && opHolds(op, data.CompareInt(v.ints[i], li)) {
+				if !v.isNull(int(i)) && op.Holds(data.CompareInt(v.ints[i], li)) {
 					out = append(out, i)
 				}
 			}
 		} else {
 			lf := lit.Float()
 			for _, i := range sel {
-				if !v.isNull(int(i)) && opHolds(op, data.CompareIntFloat(v.ints[i], lf)) {
+				if !v.isNull(int(i)) && op.Holds(data.CompareIntFloat(v.ints[i], lf)) {
 					out = append(out, i)
 				}
 			}
@@ -264,14 +228,14 @@ func (d *Data) cmpColLit(op expr.CmpOp, v *vec, lit data.Value, sel []int32) []i
 		if lit.Kind() == data.KindInt {
 			li := lit.Int()
 			for _, i := range sel {
-				if !v.isNull(int(i)) && opHolds(op, -data.CompareIntFloat(li, v.floats[i])) {
+				if !v.isNull(int(i)) && op.Holds(-data.CompareIntFloat(li, v.floats[i])) {
 					out = append(out, i)
 				}
 			}
 		} else {
 			lf := lit.Float()
 			for _, i := range sel {
-				if !v.isNull(int(i)) && opHolds(op, data.CompareFloat(v.floats[i], lf)) {
+				if !v.isNull(int(i)) && op.Holds(data.CompareFloat(v.floats[i], lf)) {
 					out = append(out, i)
 				}
 			}
@@ -279,7 +243,7 @@ func (d *Data) cmpColLit(op expr.CmpOp, v *vec, lit data.Value, sel []int32) []i
 	case vecStr:
 		ls := lit.Str()
 		for _, i := range sel {
-			if !v.isNull(int(i)) && opHolds(op, strings.Compare(v.strs[i], ls)) {
+			if !v.isNull(int(i)) && op.Holds(strings.Compare(v.strs[i], ls)) {
 				out = append(out, i)
 			}
 		}
@@ -295,7 +259,7 @@ func (d *Data) cmpColCol(op expr.CmpOp, a, b *vec, sel []int32) []int32 {
 			if x.IsNull() || y.IsNull() {
 				continue
 			}
-			if opHolds(op, data.Compare(x, y)) {
+			if op.Holds(data.Compare(x, y)) {
 				out = append(out, i)
 			}
 		}
@@ -303,7 +267,7 @@ func (d *Data) cmpColCol(op expr.CmpOp, a, b *vec, sel []int32) []int32 {
 	}
 	bothNonNull := func(i int32) bool { return !a.isNull(int(i)) && !b.isNull(int(i)) }
 	if a.class() != b.class() {
-		keep := opHolds(op, data.CompareInt(int64(a.class()), int64(b.class())))
+		keep := op.Holds(data.CompareInt(int64(a.class()), int64(b.class())))
 		if !keep {
 			return nil
 		}
@@ -316,31 +280,31 @@ func (d *Data) cmpColCol(op expr.CmpOp, a, b *vec, sel []int32) []int32 {
 		return out
 	}
 	if a.kind == vecFloat && b.kind == vecInt {
-		return d.cmpColCol(flipOp(op), b, a, sel) // the mixed loop below is int-first
+		return d.cmpColCol(op.Flip(), b, a, sel) // the mixed loop below is int-first
 	}
 	out := make([]int32, 0, len(sel))
 	switch {
 	case a.kind == vecInt && b.kind == vecInt:
 		for _, i := range sel {
-			if bothNonNull(i) && opHolds(op, data.CompareInt(a.ints[i], b.ints[i])) {
+			if bothNonNull(i) && op.Holds(data.CompareInt(a.ints[i], b.ints[i])) {
 				out = append(out, i)
 			}
 		}
 	case a.kind == vecStr: // b is vecStr too (same class)
 		for _, i := range sel {
-			if bothNonNull(i) && opHolds(op, strings.Compare(a.strs[i], b.strs[i])) {
+			if bothNonNull(i) && op.Holds(strings.Compare(a.strs[i], b.strs[i])) {
 				out = append(out, i)
 			}
 		}
 	case a.kind == vecFloat: // b is vecFloat too
 		for _, i := range sel {
-			if bothNonNull(i) && opHolds(op, data.CompareFloat(a.floats[i], b.floats[i])) {
+			if bothNonNull(i) && op.Holds(data.CompareFloat(a.floats[i], b.floats[i])) {
 				out = append(out, i)
 			}
 		}
 	default: // int column against double column, by exact value
 		for _, i := range sel {
-			if bothNonNull(i) && opHolds(op, data.CompareIntFloat(a.ints[i], b.floats[i])) {
+			if bothNonNull(i) && op.Holds(data.CompareIntFloat(a.ints[i], b.floats[i])) {
 				out = append(out, i)
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 
@@ -297,7 +298,16 @@ func (e *Engine) execute(ctx context.Context, q *sqlparse.Query) (*Result, error
 // the per-iteration charges. Charged only when OptTimePerExpr > 0.
 const memoHitOptSec = 0.0005
 
-// runBlock implements Algorithm 2 (DYNOPT) over one join block.
+// runBlock implements Algorithm 2 (DYNOPT) over one join block. Every
+// round optimizes the block, cuts the plan into a job graph and hands
+// it to drive; the variants differ only in what drive admits. DYNOPT
+// admits the strategy's wave once, collects statistics for the block's
+// remaining join columns unless the wave is the whole graph, and then
+// substitutes the executed sub-plans and re-optimizes. Without
+// re-optimization (DYNOPT-SIMPLE and the static baselines) one round
+// runs the whole graph: under One a unit is admitted only when nothing
+// is open (SO), otherwise every ready unit goes in at once and parents
+// start as soon as their inputs exist (MO).
 func (e *Engine) runBlock(block *plan.JoinBlock, name string, res *Result) (*plan.Rel, error) {
 	relCounter := 0
 	var prevRoot plan.Node
@@ -368,26 +378,50 @@ func (e *Engine) runBlock(block *plan.JoinBlock, name string, res *Result) (*pla
 			return nil, err
 		}
 
-		// Lines 4-6: pick and execute leaf jobs; without
-		// re-optimization the whole graph runs at once.
-		var toRun []*jaql.Unit
-		lastIteration := false
-		if !e.Options.Reoptimize {
-			if err := e.executeStaticGraph(graph, res); err != nil {
-				return nil, err
+		// Lines 4-6: pick leaf jobs and run them through drive.
+		toRun := graph.Units
+		_, one := e.Options.Strategy.(One)
+		admit := func(ready []*jaql.Unit, open int) []*jaql.Unit {
+			if !one {
+				return ready
 			}
-			toRun = graph.Units
-			lastIteration = true
-		} else {
-			ready := graph.Ready()
-			toRun = e.Options.Strategy.Pick(ready)
-			lastIteration = len(graph.Units) == len(toRun)
-			if err := e.executeWave(block, graph, toRun, res, lastIteration); err != nil {
-				return nil, err
+			if open > 0 {
+				return nil
 			}
+			return take(ready, 1)
+		}
+		if e.Options.Reoptimize {
+			toRun = e.Options.Strategy.Pick(graph.Ready())
+			wave := toRun
+			admit = func([]*jaql.Unit, int) []*jaql.Unit {
+				w := wave
+				wave = nil
+				return w
+			}
+		}
+		if len(toRun) == 0 {
+			return nil, fmt.Errorf("core: no ready jobs to run")
+		}
+		lastIteration := len(toRun) == len(graph.Units)
+		collect := e.Options.CollectOnlineStats && !lastIteration
+		opts := func(u *jaql.Unit) jaql.ExecOpts {
+			o := jaql.ExecOpts{KMVSize: e.Options.KMVSize, PruneLive: e.pruneLive}
+			if collect {
+				o.StatsPaths = e.statsPathsFor(block, u)
+			}
+			if e.Options.DynamicJoin {
+				o.SwitchMmax = e.Opt.Mmax
+			}
+			return o
+		}
+		if err := e.drive(graph, admit, opts, res); err != nil {
+			return nil, err
 		}
 		for _, u := range toRun {
 			info.JobsRun = append(info.JobsRun, u.Name)
+			if collect {
+				e.Env.Advance(statsMergeTime)
+			}
 		}
 		res.Evolution = append(res.Evolution, info)
 
@@ -458,176 +492,68 @@ func pruneExecuted(n plan.Node, executed map[string]*plan.Rel) plan.Node {
 	return n
 }
 
-// executeWave submits the chosen leaf jobs together and runs the
-// cluster until they complete.
-func (e *Engine) executeWave(block *plan.JoinBlock, graph *jaql.Graph, toRun []*jaql.Unit, res *Result, last bool) error {
-	if len(toRun) == 0 {
-		return fmt.Errorf("core: no ready jobs to run")
-	}
-	var runs []*jaql.Run
-	var runOpts []jaql.ExecOpts
-	for _, u := range toRun {
-		opts := jaql.ExecOpts{KMVSize: e.Options.KMVSize}
-		if e.Options.CollectOnlineStats && !last {
-			opts.StatsPaths = e.statsPathsFor(block, u)
-		}
-		if e.Options.DynamicJoin {
-			opts.SwitchMmax = e.Opt.Mmax
-		}
-		opts.PruneLive = e.pruneLive
-		run, err := jaql.SubmitUnit(e.Env, u, opts)
-		if err != nil {
-			return err
-		}
-		runs = append(runs, run)
-		runOpts = append(runOpts, opts)
-	}
-	if err := e.runWithRecovery(runs, runOpts, res); err != nil {
-		return err
-	}
-	for _, run := range runs {
-		if _, err := run.Finalize("pending"); err != nil {
-			return err
-		}
-		e.countJob(run.Unit, res)
-		if e.Options.CollectOnlineStats && !last {
-			e.Env.Advance(statsMergeTime)
-		}
-	}
-	return nil
-}
-
-// recoverable reports whether a finished job's error is answered by
-// resubmitting the job: it lost a task to retry exhaustion and has been
-// resubmitted fewer than jobRetries times. Any other error aborts the
-// query.
-func recoverable(err error, resubmitted int) bool {
-	return errors.Is(err, cluster.ErrTaskRetriesExhausted) && resubmitted < jobRetries
-}
-
-// resubmit converts task-retry exhaustion into checkpoint recovery: a
-// leaf job's inputs are materialized DFS files (base tables or
-// previously executed sub-plans), so the job is simply resubmitted over
-// the same inputs — the paper's argument that job boundaries double as
-// checkpoints (§5.1).
-func (e *Engine) resubmit(run *jaql.Run, opts jaql.ExecOpts, res *Result) (*jaql.Run, error) {
-	fresh, err := jaql.SubmitUnit(e.Env, run.Unit, opts)
-	if err != nil {
-		return nil, err
-	}
-	res.Warnings = append(res.Warnings, fmt.Sprintf(
-		"core: job %s lost to task failures; resubmitted from its materialized inputs", run.Unit.Name))
-	return fresh, nil
-}
-
-// runWithRecovery drives the cluster until the submitted runs complete,
-// resubmitting every recoverable failure. Failed runs are replaced in
-// place so the caller finalizes the recovered execution.
-func (e *Engine) runWithRecovery(runs []*jaql.Run, opts []jaql.ExecOpts, res *Result) error {
-	resubmitted := make([]int, len(runs))
-	for {
-		if err := e.Env.RunUntil(func() bool {
-			for _, run := range runs {
-				if !run.Sub.Done() {
-					return false
-				}
-			}
-			return true
-		}); err != nil {
-			return err
-		}
-		var failed []int
-		for i, run := range runs {
-			if err := run.Sub.Err(); err != nil {
-				if !recoverable(err, resubmitted[i]) {
-					return err
-				}
-				failed = append(failed, i)
-			}
-		}
-		if len(failed) == 0 {
-			return nil
-		}
-		for _, i := range failed {
-			fresh, err := e.resubmit(runs[i], opts[i], res)
-			if err != nil {
-				return err
-			}
-			runs[i] = fresh
-			resubmitted[i]++
-		}
-		if err := e.ctxErr(); err != nil {
-			return err
-		}
-	}
-}
-
-// executeStaticGraph runs a whole job graph without re-optimization
-// (DYNOPT-SIMPLE): submit the ready units, block until an outstanding
-// job materializes its output, finalize it, repeat. With the One
-// strategy a unit is submitted only when nothing is outstanding, so
-// jobs run strictly one at a time (SO); otherwise every ready unit goes
-// in at once and parents start the moment their inputs exist (MO),
-// letting jobs overlap on the cluster. (On a cluster shared with other
-// sessions that moment is the engine's next observation, which can
-// trail the completion instant.) A job that fails recoverably is
-// resubmitted in place, under the same rule as DYNOPT's waves.
-func (e *Engine) executeStaticGraph(graph *jaql.Graph, res *Result) error {
-	_, oneAtATime := e.Options.Strategy.(One)
-	submitted := map[*jaql.Unit]bool{}
-	resubmitted := map[*jaql.Unit]int{}
+// drive runs a job graph's units on the cluster. It repeats: submit
+// the units admit picks from the ready, not yet submitted ones (admit
+// also sees how many runs are open); run the cluster until an open run
+// is done; finalize and count each finished run. A run lost to
+// task-retry exhaustion is resubmitted in place, over the same
+// materialized inputs, at most jobRetries times per job: job boundaries
+// double as checkpoints (§5.1), so resubmission never re-runs completed
+// work. Any other failure ends the drive when it is seen, and so does a
+// loss past the cap. The drive is over when nothing is open after admit.
+func (e *Engine) drive(graph *jaql.Graph, admit func(ready []*jaql.Unit, open int) []*jaql.Unit,
+	opts func(*jaql.Unit) jaql.ExecOpts, res *Result) error {
+	resubmits := map[*jaql.Unit]int{} // one key per submitted unit
 	var open []*jaql.Run
-	for !graph.Done() {
+	for {
 		if err := e.ctxErr(); err != nil {
 			return err
 		}
+		var ready []*jaql.Unit
 		for _, u := range graph.Ready() {
-			if submitted[u] || (oneAtATime && len(open) > 0) {
-				continue
+			if _, ok := resubmits[u]; !ok {
+				ready = append(ready, u)
 			}
-			submitted[u] = true
-			run, err := jaql.SubmitUnit(e.Env, u, e.staticExecOpts())
+		}
+		for _, u := range admit(ready, len(open)) {
+			run, err := jaql.SubmitUnit(e.Env, u, opts(u))
 			if err != nil {
 				return err
 			}
+			resubmits[u] = 0
 			open = append(open, run)
 		}
 		if len(open) == 0 {
-			return fmt.Errorf("core: static graph stuck")
+			return nil
 		}
 		if err := e.Env.RunUntil(func() bool {
-			for _, r := range open {
-				if r.Sub.Done() {
-					return true
-				}
-			}
-			return false
+			return slices.ContainsFunc(open, func(r *jaql.Run) bool { return r.Sub.Done() })
 		}); err != nil {
 			return err
 		}
 		next := open[:0]
 		for _, r := range open {
-			if !r.Sub.Done() {
+			switch {
+			case !r.Sub.Done():
 				next = append(next, r)
-				continue
-			}
-			if err := r.Sub.Err(); err != nil && recoverable(err, resubmitted[r.Unit]) {
-				fresh, err := e.resubmit(r, e.staticExecOpts(), res)
+			case errors.Is(r.Sub.Err(), cluster.ErrTaskRetriesExhausted) && resubmits[r.Unit] < jobRetries:
+				fresh, err := jaql.SubmitUnit(e.Env, r.Unit, opts(r.Unit))
 				if err != nil {
 					return err
 				}
-				resubmitted[r.Unit]++
+				resubmits[r.Unit]++
+				res.Warnings = append(res.Warnings, fmt.Sprintf(
+					"core: job %s lost to task failures; resubmitted from its materialized inputs", r.Unit.Name))
 				next = append(next, fresh)
-				continue
+			default:
+				if _, err := r.Finalize("pending"); err != nil {
+					return err
+				}
+				e.countJob(r.Unit, res)
 			}
-			if _, err := r.Finalize("pending"); err != nil {
-				return err
-			}
-			e.countJob(r.Unit, res)
 		}
 		open = next
 	}
-	return nil
 }
 
 func (e *Engine) countJob(u *jaql.Unit, res *Result) {
@@ -640,16 +566,6 @@ func (e *Engine) countJob(u *jaql.Unit, res *Result) {
 	if u.Switched {
 		res.SwitchedJobs++
 	}
-}
-
-// staticExecOpts builds the per-unit options for non-reoptimizing
-// execution.
-func (e *Engine) staticExecOpts() jaql.ExecOpts {
-	opts := jaql.ExecOpts{KMVSize: e.Options.KMVSize, PruneLive: e.pruneLive}
-	if e.Options.DynamicJoin {
-		opts.SwitchMmax = e.Opt.Mmax
-	}
-	return opts
 }
 
 // statsPathsFor returns the join columns the unexecuted remainder of

@@ -383,7 +383,7 @@ func (g *lockedGate) RunUntil(pred func() bool) error {
 
 // TestStaticGraphStrategiesAndGates runs DYNOPT-SIMPLE over a block
 // whose best plan is bushy — (r ⋈ s) ⋈ (x ⋈ u), two independent leaf
-// jobs — through the one static-graph loop: under One no join job
+// jobs — through the engine's one job driver: under One no join job
 // becomes ready before the previous one is done, under All the two
 // leaf jobs overlap, and an environment driving its own simulator
 // (Gate nil) and one behind a locking gate agree on rows and TotalSec.

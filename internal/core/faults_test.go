@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dyno/internal/cluster"
+	"dyno/internal/data"
 )
 
 // countWarnings counts the warnings that mention what.
@@ -100,6 +101,72 @@ func TestLeafJobFailureResubmitted(t *testing.T) {
 	}
 	if n := countWarnings(res.Warnings, "resubmitted"); n != 1 {
 		t.Errorf("%d resubmission warnings in %v, want 1", n, res.Warnings)
+	}
+}
+
+// TestWaveLostJobResubmittedWhenSeen runs DYNOPT under All over the
+// bushy block of TestStaticGraphStrategiesAndGates, so the first wave
+// holds two independent leaf jobs, and exhausts the retries of one of
+// them. The lost job is resubmitted the moment its failure is seen, not
+// once the rest of its wave drains: its second job-ready event comes
+// exactly one job startup after its job-failed event.
+func TestWaveLostJobResubmittedWhenSeen(t *testing.T) {
+	sql := `SELECT r.id FROM r, s, x, u
+		WHERE r.sid = s.id AND x.uid = u.id AND r.id = x.rid`
+	lost, failures := "", 0
+	f := newFixtureWith(func(cfg *cluster.Config) {
+		cfg.FailInject = func(job, task string, attempt, node int) bool {
+			if !strings.HasPrefix(job, "q1-i1-") || !strings.HasSuffix(task, "-m0") || failures == 4 {
+				return false
+			}
+			if lost == "" {
+				lost = job
+			}
+			if job != lost {
+				return false
+			}
+			failures++
+			return true
+		}
+	})
+	w := f.env.FS.Create("tables/x")
+	for i := 0; i < 300; i++ {
+		w.Append(data.Object(
+			data.Field{Name: "id", Value: data.Int(int64(i))},
+			data.Field{Name: "rid", Value: data.Int(int64(i * 7 % 400))},
+			data.Field{Name: "uid", Value: data.Int(int64(i % 8))},
+		))
+	}
+	f.cat.Register("x", w.Close())
+	failedAt := map[string]float64{}
+	readies := map[string][]float64{}
+	f.env.Sim.SetTrace(func(ev cluster.TraceEvent) {
+		switch ev.Kind {
+		case "job-failed":
+			failedAt[ev.Job] = ev.Time
+		case "job-ready":
+			readies[ev.Job] = append(readies[ev.Job], ev.Time)
+		}
+	})
+	opts := smallOpts()
+	opts.Strategy = All{}
+	e := f.engine(opts)
+	e.Opt.DisableBroadcast = true
+	res, err := e.ExecuteSQL(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkOracle(t, f, sql, res.Rows)
+	if n := countWarnings(res.Warnings, "resubmitted"); n != 1 {
+		t.Fatalf("%d resubmission warnings in %v, want 1", n, res.Warnings)
+	}
+	if len(res.Evolution[0].JobsRun) != 2 {
+		t.Fatalf("first wave ran %v, want the two leaf jobs", res.Evolution[0].JobsRun)
+	}
+	want := failedAt[lost] + f.env.Sim.Config().JobStartup
+	if got := readies[lost]; len(got) != 2 || got[1] != want {
+		t.Errorf("%s: job-ready at %v after job-failed at %v, want the second at %v",
+			lost, got, failedAt[lost], want)
 	}
 }
 

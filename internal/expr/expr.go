@@ -100,6 +100,41 @@ func (op CmpOp) String() string {
 	return "?"
 }
 
+// Holds translates a data.Compare result into the operator's verdict.
+func (op CmpOp) Holds(c int) bool {
+	switch op {
+	case EQ:
+		return c == 0
+	case NE:
+		return c != 0
+	case LT:
+		return c < 0
+	case LE:
+		return c <= 0
+	case GT:
+		return c > 0
+	case GE:
+		return c >= 0
+	}
+	return false
+}
+
+// Flip mirrors the operator across swapped operands: a op b holds
+// exactly when b op.Flip() a does.
+func (op CmpOp) Flip() CmpOp {
+	switch op {
+	case LT:
+		return GT
+	case GT:
+		return LT
+	case LE:
+		return GE
+	case GE:
+		return LE
+	}
+	return op // EQ, NE are symmetric
+}
+
 // Cmp compares two sub-expressions. Comparisons involving null yield
 // false (SQL-ish semantics without three-valued logic).
 type Cmp struct {
@@ -114,23 +149,7 @@ func (c *Cmp) Eval(ctx *Ctx, row data.Value) data.Value {
 	if l.IsNull() || r.IsNull() {
 		return data.Bool(false)
 	}
-	cmp := data.Compare(l, r)
-	var out bool
-	switch c.Op {
-	case EQ:
-		out = cmp == 0
-	case NE:
-		out = cmp != 0
-	case LT:
-		out = cmp < 0
-	case LE:
-		out = cmp <= 0
-	case GT:
-		out = cmp > 0
-	case GE:
-		out = cmp >= 0
-	}
-	return data.Bool(out)
+	return data.Bool(c.Op.Holds(data.Compare(l, r)))
 }
 
 // String renders the comparison.

@@ -121,10 +121,10 @@ func (u *Unit) String() string {
 	return fmt.Sprintf("%s(%s, joins=%d, cost=%.3g)", u.Name, u.Kind, u.Uncertainty, u.EstCost)
 }
 
-// Graph is the job DAG for one physical plan.
+// Graph is the job DAG for one physical plan. Units are in dependency
+// order: a unit comes after every unit it reads, so the root is last.
 type Graph struct {
 	Units []*Unit
-	Root  *Unit
 }
 
 // Ready returns the unexecuted units whose dependencies are done — the
@@ -138,9 +138,6 @@ func (g *Graph) Ready() []*Unit {
 	}
 	return out
 }
-
-// Done reports whether the whole graph has executed.
-func (g *Graph) Done() bool { return g.Root.Done() }
 
 // Prepared maps leaf-expression signatures to materialized filtered
 // outputs (pilot runs that consumed their whole input, §4.1). BuildGraph
@@ -159,13 +156,12 @@ func BuildGraph(root plan.Node, prepared Prepared, namePrefix string) (*Graph, e
 			Probe:   b.scanSource(n),
 			Aliases: n.Aliases(),
 		}
-		return &Graph{Units: []*Unit{u}, Root: u}, nil
+		return &Graph{Units: []*Unit{u}}, nil
 	case *plan.Join:
-		rootUnit, err := b.unitFor(n)
-		if err != nil {
+		if _, err := b.unitFor(n); err != nil {
 			return nil, err
 		}
-		return &Graph{Units: b.units, Root: rootUnit}, nil
+		return &Graph{Units: b.units}, nil
 	default:
 		return nil, fmt.Errorf("jaql: unsupported plan node %T", root)
 	}

@@ -115,7 +115,8 @@ func compileAndBind(t *testing.T, env *mapreduce.Env, cat *Catalog, sql string, 
 func executeGraph(t *testing.T, env *mapreduce.Env, g *Graph) *plan.Rel {
 	t.Helper()
 	n := 0
-	for !g.Done() {
+	root := g.Units[len(g.Units)-1]
+	for !root.Done() {
 		ready := g.Ready()
 		if len(ready) == 0 {
 			t.Fatal("graph stuck: no ready units")
@@ -138,7 +139,7 @@ func executeGraph(t *testing.T, env *mapreduce.Env, g *Graph) *plan.Rel {
 			}
 		}
 	}
-	return g.Root.OutRel
+	return root.OutRel
 }
 
 // runQuery executes a query end-to-end through optimize/translate/
