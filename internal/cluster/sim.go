@@ -382,14 +382,13 @@ func (h *eventHeap) Pop() any {
 // engine drives it from a single goroutine (task Work and Run closures
 // are the only code the simulator itself fans out to worker goroutines).
 type Sim struct {
-	cfg        Config
-	now        float64
-	seq        int64
-	events     eventHeap
-	subs       []*Submission // FIFO order
-	mapFree    []int         // free map slots per worker
-	reduceFree []int         // free reduce slots per worker
-	trace      func(TraceEvent)
+	cfg    Config
+	now    float64
+	seq    int64
+	events eventHeap
+	subs   []*Submission // FIFO order
+	free   [2][]int      // free slots per worker, by TaskKind
+	trace  func(TraceEvent)
 	// firstAttempts counts first-attempt dispatches only, so the
 	// FailEveryN modulo spacing is immune to how many retries are in
 	// flight; executedAttempts counts attempts whose Run actually
@@ -443,11 +442,10 @@ func New(cfg Config) *Sim {
 		cfg.ReduceSlotsPerWorker = 1
 	}
 	s := &Sim{cfg: cfg}
-	s.mapFree = make([]int, cfg.Workers)
-	s.reduceFree = make([]int, cfg.Workers)
+	s.free = [2][]int{make([]int, cfg.Workers), make([]int, cfg.Workers)}
 	for i := 0; i < cfg.Workers; i++ {
-		s.mapFree[i] = cfg.MapSlotsPerWorker
-		s.reduceFree[i] = cfg.ReduceSlotsPerWorker
+		s.free[MapTask][i] = cfg.MapSlotsPerWorker
+		s.free[ReduceTask][i] = cfg.ReduceSlotsPerWorker
 	}
 	return s
 }
@@ -637,7 +635,7 @@ func (s *Sim) handOver(sub *Submission, tasks []*Task) {
 // handleTaskRetry releases the failed attempt's slot and re-queues the
 // task (unless the job already failed, e.g. on retry exhaustion).
 func (s *Sim) handleTaskRetry(sub *Submission, t *Task) {
-	s.freeSlot(t.Kind, t.node)
+	s.free[t.Kind][t.node]++
 	sub.running--
 	if !sub.failed {
 		sub.pending = append(sub.pending, t)
@@ -657,7 +655,7 @@ func (s *Sim) handleTaskDone(sub *Submission, t *Task, e *event) {
 		if t.doneEv != nil {
 			t.doneEv.canceled = true
 			t.doneEv = nil
-			s.freeSlot(t.Kind, t.node)
+			s.free[t.Kind][t.node]++
 			sub.running--
 			s.wasted += s.now - t.start
 		}
@@ -671,13 +669,13 @@ func (s *Sim) handleTaskDone(sub *Submission, t *Task, e *event) {
 			// The primary finished first; cancel the backup.
 			t.specEv.canceled = true
 			t.specEv = nil
-			s.freeSlot(t.Kind, t.specNode)
+			s.free[t.Kind][t.specNode]++
 			sub.running--
 			s.wasted += s.now - t.specStart
 			s.emit(TraceEvent{Time: s.now, Job: sub.job.Name(), Kind: "speculative-lost"})
 		}
 	}
-	s.freeSlot(t.Kind, winNode)
+	s.free[t.Kind][winNode]++
 	sub.running--
 	sub.dropInflight(t)
 	sub.completed = append(sub.completed, t)
@@ -688,14 +686,6 @@ func (s *Sim) handleTaskDone(sub *Submission, t *Task, e *event) {
 	}
 	s.handOver(sub, sub.job.TaskDone(sub, t))
 	s.maybeComplete(sub)
-}
-
-func (s *Sim) freeSlot(kind TaskKind, node int) {
-	if kind == MapTask {
-		s.mapFree[node]++
-	} else {
-		s.reduceFree[node]++
-	}
 }
 
 func (sub *Submission) dropInflight(t *Task) {
@@ -785,12 +775,8 @@ func (s *Sim) dispatchFair() {
 // pickNode returns the worker with the most free slots of the given
 // kind, or -1 when none are free.
 func (s *Sim) pickNode(kind TaskKind) int {
-	free := s.mapFree
-	if kind == ReduceTask {
-		free = s.reduceFree
-	}
 	best, bestFree := -1, 0
-	for i, f := range free {
+	for i, f := range s.free[kind] {
 		if f > bestFree {
 			best, bestFree = i, f
 		}
@@ -799,11 +785,7 @@ func (s *Sim) pickNode(kind TaskKind) int {
 }
 
 func (s *Sim) startTask(sub *Submission, t *Task, node int) {
-	if t.Kind == MapTask {
-		s.mapFree[node]--
-	} else {
-		s.reduceFree[node]--
-	}
+	s.free[t.Kind][node]--
 	if t.attempts == 0 {
 		s.firstAttempts++
 	}
@@ -959,11 +941,7 @@ func (sub *Submission) medianDuration(kind TaskKind) float64 {
 // charges (distributed-cache build loads) apply to the backup's node
 // exactly as they would to a fresh attempt.
 func (s *Sim) launchSpeculative(sub *Submission, t *Task, node int) {
-	if t.Kind == MapTask {
-		s.mapFree[node]--
-	} else {
-		s.reduceFree[node]--
-	}
+	s.free[t.Kind][node]--
 	sub.running++
 	first := !sub.nodesSeen[node]
 	sub.nodesSeen[node] = true

@@ -91,7 +91,13 @@ type File struct {
 	fs     *FS
 	name   string
 	blocks []*Block
+	aux    sync.Map
 }
+
+// Aux returns the file's cache: files are immutable once written, so
+// state derived from all their blocks (a built broadcast table) serves
+// every job that reads the file, and goes with the file.
+func (f *File) Aux() *sync.Map { return &f.aux }
 
 // Name returns the file's path.
 func (f *File) Name() string { return f.name }
@@ -262,12 +268,11 @@ func (fs *FS) List() []string {
 
 // TotalSize returns the virtual size of all files.
 func (fs *FS) TotalSize() int64 {
+	fs.mu.RLock()
+	defer fs.mu.RUnlock()
 	var total int64
-	for _, name := range fs.List() {
-		f, err := fs.Open(name)
-		if err == nil {
-			total += f.Size()
-		}
+	for _, f := range fs.files {
+		total += f.Size()
 	}
 	return total
 }

@@ -19,7 +19,6 @@ func ablationChaining(cfg Config) (*Table, error) {
 		Header: []string{"chaining", "time", "jobs", "map-only"},
 	}
 	for _, enabled := range []bool{true, false} {
-		enabled := enabled
 		m, err := runVariantFull(baselines.VariantSimple, 300, cfg, "Q9p", false, nil, func(o *optimizer.Config) {
 			o.DisableChaining = !enabled
 		})
@@ -163,7 +162,6 @@ func ablationDynamicJoin(cfg Config) (*Table, error) {
 		Header: []string{"dynamic-join", "time", "switched-jobs", "map-only"},
 	}
 	for _, enabled := range []bool{false, true} {
-		enabled := enabled
 		m, err := runVariant(baselines.VariantSimple, 1000, cfg, "Q8p", false, func(o *core.Options) {
 			o.DynamicJoin = enabled
 		})
@@ -197,7 +195,6 @@ func ablationProjectionPushdown(cfg Config) (*Table, error) {
 		Header: []string{"pushdown", "time", "pilot"},
 	}
 	for _, push := range []bool{false, true} {
-		push := push
 		m, err := runVariant(baselines.VariantDynOpt, 300, cfg, "Q10", false, func(o *core.Options) {
 			o.ProjectionPushdown = push
 		})

@@ -31,7 +31,6 @@ func figure5Times(cfg Config, query string) (map[string]float64, error) {
 	cfg = cfg.normalized()
 	out := map[string]float64{}
 	for _, sv := range figure5Variants {
-		sv := sv
 		m, err := runVariant(sv.variant, 300, cfg, query, false, func(o *core.Options) {
 			o.Strategy = sv.strategy
 		})

@@ -36,6 +36,16 @@ func variantTimes(cfg Config, sf float64, query string, hiveProfile bool) (map[b
 	return out, nil
 }
 
+// relative is a row's cells: each variant's time relative to the
+// first's, in display order.
+func relative(times map[baselines.Variant]float64) []string {
+	row := []string{"100%"}
+	for _, v := range figure7Variants[1:] {
+		row = append(row, pct(ratio(times[v], times[figure7Variants[0]])))
+	}
+	return row
+}
+
 // Figure7 reproduces Figure 7: end-to-end execution times of the four
 // variants across queries and scale factors, normalized to
 // BESTSTATICJAQL.
@@ -50,14 +60,7 @@ func Figure7(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			base := times[baselines.VariantBestStatic]
-			t.Rows = append(t.Rows, []string{
-				fmt.Sprintf("%g", sf), q,
-				"100%",
-				pct(ratio(times[baselines.VariantRelOpt], base)),
-				pct(ratio(times[baselines.VariantSimple], base)),
-				pct(ratio(times[baselines.VariantDynOpt], base)),
-			})
+			t.Rows = append(t.Rows, append([]string{fmt.Sprintf("%g", sf), q}, relative(times)...))
 		}
 	}
 	t.Notes = append(t.Notes,
@@ -78,14 +81,7 @@ func Figure8(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		base := times[baselines.VariantBestStatic]
-		t.Rows = append(t.Rows, []string{
-			q,
-			"100%",
-			pct(ratio(times[baselines.VariantRelOpt], base)),
-			pct(ratio(times[baselines.VariantSimple], base)),
-			pct(ratio(times[baselines.VariantDynOpt], base)),
-		})
+		t.Rows = append(t.Rows, append([]string{q}, relative(times)...))
 	}
 	t.Notes = append(t.Notes,
 		"paper: same trends as Jaql, with Q9' speedup growing (3.98x vs 1.88x) thanks to distributed-cache broadcasts")

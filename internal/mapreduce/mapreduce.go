@@ -498,16 +498,11 @@ func (j *Job) Start(sub *cluster.Submission) []*cluster.Task {
 	// stepping the simulator, the only one that may touch a submission
 	// of a shared cluster. A job canceled before Start holds nothing.
 	sub.OnDone(j.retire)
-	// Scan the broadcast sides, each a batch on the pool, and index them
-	// unless a task executor's workers build the tables. Loads are
-	// charged per task (or node), the one-time preparation once.
+	// Find or build the broadcast sides (see table). Loads are charged
+	// per task (or node), a filtered build's preparation once.
 	j.builds = make(map[string]*HashTable, len(j.spec.Broadcasts))
 	for _, b := range j.spec.Broadcasts {
-		blocks := make([]Split, b.File.NumBlocks())
-		for i, blk := range b.File.Blocks() {
-			blocks[i] = Split{Recs: blk.Records(), Aux: blk.Aux()}
-		}
-		ht, err := buildTable(j.env.Reg, b, blocks, j.env.FS.ByteScale(), j.par, j.env.Exec == nil)
+		ht, err := j.table(b)
 		if err != nil {
 			j.buildErr = err
 			break
@@ -516,10 +511,9 @@ func (j *Job) Start(sub *cluster.Submission) []*cluster.Task {
 		j.buildBytes += ht.builtBytes
 		// A filtered build is a map-only stage of its own: one more job
 		// startup and a cluster-wide scan of the unfiltered input.
-		if prepBytes := b.File.Size(); b.Filter != nil && prepBytes > 0 {
-			slots := max(float64(j.env.ClusterConfig().MapSlots()), 1)
-			j.prepLatency += j.env.ClusterConfig().JobStartup +
-				float64(prepBytes)/(scanBps(j.env)*slots) + ht.prepCPU/slots
+		if prepBytes, cfg := b.File.Size(), j.env.ClusterConfig(); b.Filter != nil && prepBytes > 0 {
+			slots := max(float64(cfg.MapSlots()), 1)
+			j.prepLatency += cfg.JobStartup + float64(prepBytes)/(cfg.ScanBps*slots) + ht.prepCPU/slots
 		}
 	}
 	var tasks []*cluster.Task
@@ -547,6 +541,33 @@ func (j *Job) Start(sub *cluster.Submission) []*cluster.Task {
 		j.finish(sub)
 	}
 	return tasks
+}
+
+// table builds b by scanning its blocks, a batch on the pool, indexed
+// unless a task executor's workers build the tables — or finds it
+// built: an unfiltered build is a function of its file, kept on the
+// file for every later job (read-only, as probes are) under its identity
+// there: the rows' wrap and keys, whether they are indexed and the byte
+// scale that priced them. A filtered build is built per job.
+func (j *Job) table(b Broadcast) (*HashTable, error) {
+	scale, index := j.env.FS.ByteScale(), j.env.Exec == nil
+	var key string
+	if b.Filter == nil {
+		key = fmt.Sprintf("%q %#v %t %v", b.Wrap, b.KeyPaths, index, scale)
+		if ht, ok := b.File.Aux().Load(key); ok {
+			return ht.(*HashTable), nil
+		}
+	}
+	blocks := make([]Split, b.File.NumBlocks())
+	for i, blk := range b.File.Blocks() {
+		blocks[i] = Split{Recs: blk.Records(), Aux: blk.Aux()}
+	}
+	ht, err := buildTable(j.env.Reg, b, blocks, scale, j.par, index)
+	if err != nil || b.Filter != nil {
+		return ht, err
+	}
+	cached, _ := b.File.Aux().LoadOrStore(key, ht)
+	return cached.(*HashTable), nil
 }
 
 func (j *Job) newMapTask(inputIdx, splitIdx int) *cluster.Task {
@@ -620,11 +641,9 @@ func (j *Job) runMap(st *mapTaskState, input Input) (cluster.Usage, int64, error
 	// The build's memory check runs here; its latency charges live in
 	// the task's Finish hook, where tasks do not race on j.prepCharged
 	// and a backup attempt re-applies them for its own node.
-	if len(j.spec.Broadcasts) > 0 {
-		if j.buildBytes > j.env.ClusterConfig().SlotMemory {
-			return u, 0, fmt.Errorf("%w: build %d bytes > slot memory %d",
-				errBroadcastOOM, j.buildBytes, j.env.ClusterConfig().SlotMemory)
-		}
+	if len(j.spec.Broadcasts) > 0 && j.buildBytes > j.env.ClusterConfig().SlotMemory {
+		return u, 0, fmt.Errorf("%w: build %d bytes > slot memory %d",
+			errBroadcastOOM, j.buildBytes, j.env.ClusterConfig().SlotMemory)
 	}
 	if j.spec.Reduce == nil { // a reduce job's statistics are its reducers'
 		st.collector = j.newCollector()
@@ -914,8 +933,6 @@ func Run(env *Env, spec Spec) (*Result, error) {
 	}
 	return j.Result()
 }
-
-func scanBps(env *Env) float64 { return env.ClusterConfig().ScanBps }
 
 // broadcastBps is the build-side load rate, defaulting to ScanBps.
 func broadcastBps(env *Env) float64 {

@@ -48,6 +48,9 @@ func TestAggregateGroupAllFunctions(t *testing.T) {
 	}
 }
 
+// TestAggregateNullHandling pins aggregates over a group with no
+// non-null values: count 0, avg and min null, and sum 0.0 where SQL
+// says NULL — a deviation DESIGN.md §6 "Known deviations" states.
 func TestAggregateNullHandling(t *testing.T) {
 	q := sqlparse.MustParse("SELECT count(t.m) AS c, sum(t.m) AS s, avg(t.m) AS a, min(t.m) AS mn FROM t GROUP BY t.a")
 	// Rows lacking t.m entirely.

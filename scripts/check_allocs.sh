@@ -28,8 +28,10 @@ go test -run='^$' -bench='^BenchmarkSortPairsByKey$' \
 go test -run='^$' -bench='^BenchmarkShuffle$' \
     -benchtime=1x -benchmem ./internal/physop | tee -a "$out"
 # A job's finish (Q7's widest: 1,350 partials x 56 rows x 2 columns plus
-# the output file) allocates per column and per output block.
-go test -run='^$' -bench='^BenchmarkJobFinish$' \
+# the output file) allocates per column and per output block. A job whose
+# unfiltered build side an earlier job built finds the table on its file
+# and allocates no scan and no index.
+go test -run='^$' -bench='^(BenchmarkJobFinish|BenchmarkWarmBroadcastJob)$' \
     -benchtime=3x -benchmem ./internal/mapreduce | tee -a "$out"
 # Statistics as one run of hashes: observing appends (10,000 rows is two
 # folds per column), the merge allocates per column.
