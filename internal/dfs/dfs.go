@@ -74,6 +74,10 @@ type Block struct {
 	aux      atomic.Value
 }
 
+// NewBlock returns a block of recs that belongs to no file: a worker's
+// decoded copy of a mirrored block, with a cache slot of its own.
+func NewBlock(recs []data.Value) *Block { return &Block{records: recs} }
+
 // Records returns the block's records. Callers must not mutate the
 // slice.
 func (b *Block) Records() []data.Value { return b.records }

@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"dyno/internal/cluster"
 	"dyno/internal/data"
+	"dyno/internal/dfs"
 	"dyno/internal/expr"
 	"dyno/internal/mapreduce"
 	"dyno/internal/physop"
@@ -131,9 +131,9 @@ func TestBuildMatchesScanLoopOracle(t *testing.T) {
 							if b.Map == nil {
 								t.Fatalf("%s: build compiled without a kernel", name)
 							}
-							splits := make([]mapreduce.Split, len(recs))
+							splits := make([]*dfs.Block, len(recs))
 							for i, blk := range recs {
-								splits[i] = mapreduce.Split{Recs: blk}
+								splits[i] = dfs.NewBlock(blk)
 							}
 							got, err := mapreduce.BuildHashTable(reg, b, splits, buildScale, cluster.New(cluster.Config{Parallelism: pool}).Parallel)
 							checkBuild(t, fmt.Sprintf("%s/pool=%d", name, pool), got, err, want, wantErr, recs, keyPaths, decl.Wrap)
@@ -199,7 +199,7 @@ func TestBuildReusesSplitImage(t *testing.T) {
 	decl := mapreduce.Broadcast{Name: "b", Wrap: "b", KeyPaths: []data.Path{data.MustParsePath("b.k")},
 		Filter: &expr.Cmp{Op: expr.NE, L: expr.NewCol("b.flag"), R: expr.NewLit(data.Int(1))}}
 	b := physop.BindBuild(decl, recs[0][0])
-	split := []mapreduce.Split{{Recs: recs[0], Aux: new(atomic.Value)}}
+	split := []*dfs.Block{dfs.NewBlock(recs[0])}
 	first, err := mapreduce.BuildHashTable(nil, b, split, 0, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -263,7 +263,7 @@ func TestIndexMatchesOracle(t *testing.T) {
 			sample = recs[1][0]
 		}
 		for _, pool := range []int{0, 4} {
-			splits := []mapreduce.Split{{Recs: recs[0]}, {Recs: recs[1]}}
+			splits := []*dfs.Block{dfs.NewBlock(recs[0]), dfs.NewBlock(recs[1])}
 			got, err := mapreduce.BuildHashTable(nil, physop.BindBuild(decl, sample), splits, buildScale, cluster.New(cluster.Config{Parallelism: pool}).Parallel)
 			checkBuild(t, fmt.Sprintf("%s/pool=%d", name, pool), got, err, want, wantErr, recs, decl.KeyPaths, decl.Wrap)
 		}
@@ -271,7 +271,7 @@ func TestIndexMatchesOracle(t *testing.T) {
 	// Number-equal keys share a group exactly as their normalized keys
 	// do (1 and 1.0; -0.0, 0 and 0.0; -1 and -1.0), in scan order.
 	recs := indexBuilds()["number-equal"]
-	got, err := mapreduce.BuildHashTable(nil, physop.BindBuild(decl, recs[1][0]), []mapreduce.Split{{Recs: recs[0]}, {Recs: recs[1]}}, 0, nil)
+	got, err := mapreduce.BuildHashTable(nil, physop.BindBuild(decl, recs[1][0]), []*dfs.Block{dfs.NewBlock(recs[0]), dfs.NewBlock(recs[1])}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestIndexMatchesOracle(t *testing.T) {
 func TestIndexConcurrentProbes(t *testing.T) {
 	recs := indexBuilds()["duplicates"]
 	decl := mapreduce.Broadcast{Name: "b", Wrap: "b", KeyPaths: []data.Path{data.MustParsePath("b.k")}}
-	ht, err := mapreduce.BuildHashTable(nil, physop.BindBuild(decl, recs[0][0]), []mapreduce.Split{{Recs: recs[0]}, {Recs: recs[1]}}, 0, nil)
+	ht, err := mapreduce.BuildHashTable(nil, physop.BindBuild(decl, recs[0][0]), []*dfs.Block{dfs.NewBlock(recs[0]), dfs.NewBlock(recs[1])}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

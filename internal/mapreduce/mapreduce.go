@@ -187,13 +187,6 @@ type HashTable struct {
 	prepCPU    float64 // one-time UDF cost to produce the (filtered) build
 }
 
-// Split is one block of a build side: its records and the cache slot of
-// their columnar image (nil builds an uncached one, see batch.For).
-type Split struct {
-	Recs []data.Value
-	Aux  *atomic.Value
-}
-
 // buildTable is a broadcast build as a one-partition shuffle of its
 // blocks, each a map task of b's kernel on par (nil: inline), indexed
 // when index is set. It sums the table's two charges: the retained rows'
@@ -201,7 +194,7 @@ type Split struct {
 // preparation's CPU. A filter that calls a UDF is scanned in order on
 // one context, its cost a running sum that becomes virtual time; any
 // other build costs nothing.
-func buildTable(reg *expr.Registry, b Broadcast, blocks []Split, scale float64, par func(n int, fn func(i int)), index bool) (*HashTable, error) {
+func buildTable(reg *expr.Registry, b Broadcast, blocks []*dfs.Block, scale float64, par func(n int, fn func(i int)), index bool) (*HashTable, error) {
 	outs := make([]MapOutput, len(blocks))
 	errs := make([]error, len(blocks))
 	var ordered *expr.Ctx
@@ -209,8 +202,7 @@ func buildTable(reg *expr.Registry, b Broadcast, blocks []Split, scale float64, 
 		ordered = &expr.Ctx{Reg: reg}
 	}
 	scan := func(i int) {
-		outs[i], errs[i] = RunMapTask(&MapTask{Reg: reg, Ctx: ordered, Recs: blocks[i].Recs, Aux: blocks[i].Aux,
-			Map: b.Map, NumReducers: 1})
+		outs[i], errs[i] = RunMapTask(&MapTask{Reg: reg, Ctx: ordered, Block: blocks[i], Map: b.Map, NumReducers: 1})
 	}
 	if ordered != nil || par == nil {
 		for i := range blocks {
@@ -304,7 +296,7 @@ func (h *HashTable) group(sl int) []data.Value {
 
 // BuildHashTable indexes a broadcast side from its blocks (b.File is not
 // read — a worker passes decoded mirror blocks); see buildTable.
-func BuildHashTable(reg *expr.Registry, b Broadcast, blocks []Split, scale float64, par func(n int, fn func(i int))) (*HashTable, error) {
+func BuildHashTable(reg *expr.Registry, b Broadcast, blocks []*dfs.Block, scale float64, par func(n int, fn func(i int))) (*HashTable, error) {
 	return buildTable(reg, b, blocks, scale, par, true)
 }
 
@@ -449,6 +441,11 @@ func newJob(env *Env, spec Spec) (*Job, error) {
 	if len(spec.MoreSplits) > 0 && len(spec.MoreSplits) != len(spec.Inputs) {
 		return nil, errors.New("mapreduce: MoreSplits must align with Inputs")
 	}
+	if env.Exec != nil && spec.RemoteOp == nil {
+		// The proc backend never silently falls back to in-process
+		// execution.
+		return nil, errors.New("mapreduce: job " + spec.Name + " has no remote op for the task executor")
+	}
 	for _, b := range spec.Broadcasts {
 		if b.Map == nil {
 			return nil, errors.New("mapreduce: broadcast " + b.Name + " has no build kernel (physop.BindBuild)")
@@ -558,11 +555,7 @@ func (j *Job) table(b Broadcast) (*HashTable, error) {
 			return ht.(*HashTable), nil
 		}
 	}
-	blocks := make([]Split, b.File.NumBlocks())
-	for i, blk := range b.File.Blocks() {
-		blocks[i] = Split{Recs: blk.Records(), Aux: blk.Aux()}
-	}
-	ht, err := buildTable(j.env.Reg, b, blocks, scale, j.par, index)
+	ht, err := buildTable(j.env.Reg, b, b.File.Blocks(), scale, j.par, index)
 	if err != nil || b.Filter != nil {
 		return ht, err
 	}
@@ -659,7 +652,7 @@ func (j *Job) runMap(st *mapTaskState, input Input) (cluster.Usage, int64, error
 		}
 		out = *x
 	} else {
-		t := &MapTask{Reg: j.env.Reg, Recs: block.Records(), Aux: block.Aux(), Map: input.Map, Builds: j.builds}
+		t := &MapTask{Reg: j.env.Reg, Block: block, Map: input.Map, Builds: j.builds}
 		if j.spec.Reduce != nil {
 			t.NumReducers, t.Combine = j.numReducers, j.spec.Combine
 		}
@@ -784,9 +777,9 @@ func (j *Job) makeReduceTasks() []*cluster.Task {
 	return tasks
 }
 
-// runReduce gathers the partition's windows in map submission order,
-// sorts them and runs the reduce record loop: in-process, or on a worker
-// over the retained outputs the handles name, sorted the same way.
+// runReduce gathers the partition's windows in map submission order and
+// runs the reduce task over them (RunReduceTask sorts its input):
+// in-process, or on a worker over the retained outputs the handles name.
 func (j *Job) runReduce(st *reduceTaskState, partition int) (cluster.Usage, error) {
 	var u cluster.Usage
 	var count int
@@ -810,7 +803,6 @@ func (j *Job) runReduce(st *reduceTaskState, partition int) (cluster.Usage, erro
 		for _, ms := range j.mapStates {
 			pairs = ms.shuffled.AppendPart(pairs, partition)
 		}
-		SortPairsByKey(pairs)
 		st.outRows, cpu, err = RunReduceTask(j.env.Reg, j.spec.Reduce, pairs)
 		pairSlices.put(pairs)
 	}

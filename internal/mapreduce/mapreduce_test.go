@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"dyno/internal/batch"
@@ -537,6 +538,43 @@ func TestSpecValidation(t *testing.T) {
 	}
 }
 
+// countingExec is a task executor that counts the tasks it is handed
+// and answers nothing.
+type countingExec struct{ tasks atomic.Int64 }
+
+func (x *countingExec) ExecMap(MapExec) (*MapExecOut, error) {
+	x.tasks.Add(1)
+	return &MapExecOut{}, nil
+}
+
+func (x *countingExec) ExecReduce(ReduceExec) (*ReduceExecOut, error) {
+	x.tasks.Add(1)
+	return &ReduceExecOut{}, nil
+}
+
+// TestExecutorRefusesJobWithoutRemoteOp: with a task executor installed,
+// a job that carries no operator to ship is refused when it is created,
+// and none of its tasks runs.
+func TestExecutorRefusesJobWithoutRemoteOp(t *testing.T) {
+	env := testEnv(t)
+	exec := &countingExec{}
+	env.Exec = exec
+	f := writeTable(env, "t", "a", 20)
+	for _, reduce := range []ReduceFunc{nil, func(rc *ReduceCtx, key data.Value, group []Pair) {}} {
+		job, sub, err := Submit(env, Spec{Name: "j", Inputs: []Input{{File: f, Map: identityMap}}, Output: "o",
+			Reduce: reduce, NumReducers: 2})
+		if err == nil || job != nil || sub != nil {
+			t.Fatalf("reduce %v: Submit returned a job %v and error %v; want a refusal", reduce != nil, job != nil || sub != nil, err)
+		}
+	}
+	if n := exec.tasks.Load(); n != 0 {
+		t.Errorf("the executor ran %d tasks of refused jobs", n)
+	}
+	if _, err := env.FS.Open("o"); err == nil {
+		t.Error("a refused job wrote its output")
+	}
+}
+
 func TestDefaultReducersScaleWithInput(t *testing.T) {
 	env := testEnv(t)
 	env.BytesPerReducer = 2000
@@ -633,7 +671,7 @@ func TestHashTableProbeCollisionSafety(t *testing.T) {
 	}
 	f := w.Close()
 	ht, err := BuildHashTable(env.Reg, bound(Broadcast{Name: "s", KeyPaths: []data.Path{data.MustParsePath("s.k")}}),
-		[]Split{{Recs: f.AllRecords()}}, env.FS.ByteScale(), nil)
+		[]*dfs.Block{dfs.NewBlock(f.AllRecords())}, env.FS.ByteScale(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,8 +70,8 @@ type MapExecOut struct {
 
 // ReduceExec describes one reduce task: Inputs lists every map
 // output's handle (MapExecOut.Shuffle, opaque to this package) in map
-// order, and the executor assembles and sorts the partition
-// worker-side.
+// order, and the executor assembles the partition worker-side for
+// RunReduceTask, which sorts it.
 type ReduceExec struct {
 	JobName   string
 	TaskName  string
@@ -86,19 +86,9 @@ type ReduceExecOut struct {
 	CPUSeconds float64
 }
 
-// errNoRemoteOp rejects a job without an operator while a task
-// executor is installed: the proc backend never silently falls back to
-// in-process execution.
-func (j *Job) errNoRemoteOp() error {
-	return fmt.Errorf("mapreduce: job %s has no remote op for the task executor", j.spec.Name)
-}
-
 // execMap delegates the record loop of one map task to the executor;
 // runMap replays its reply through the same accounting as a local run.
 func (j *Job) execMap(st *mapTaskState, input Input) (*MapExecOut, error) {
-	if j.spec.RemoteOp == nil {
-		return nil, j.errNoRemoteOp()
-	}
 	m := MapExec{
 		JobName:    j.spec.Name,
 		TaskName:   j.taskName("-m", st.seq),
@@ -124,11 +114,8 @@ func (j *Job) execMap(st *mapTaskState, input Input) (*MapExecOut, error) {
 }
 
 // execReduce ships the ordered list of retained map-output handles to
-// the executor, which assembles and sorts the partition worker-side.
+// the executor, which assembles the partition worker-side.
 func (j *Job) execReduce(partition int) (*ReduceExecOut, error) {
-	if j.spec.RemoteOp == nil {
-		return nil, j.errNoRemoteOp()
-	}
 	var inputs []any
 	for _, ms := range j.mapStates {
 		if partition < len(ms.shuffleParts) {

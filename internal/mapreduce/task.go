@@ -2,10 +2,10 @@ package mapreduce
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"dyno/internal/batch"
 	"dyno/internal/data"
+	"dyno/internal/dfs"
 	"dyno/internal/expr"
 )
 
@@ -179,12 +179,11 @@ type MapTask struct {
 	Reg *expr.Registry
 	// Ctx, when non-nil, is continued in place of a fresh context: UDF
 	// cost is a running sum in record order, kept across blocks.
-	Ctx  *expr.Ctx
-	Recs []data.Value
-	// Aux is the split's cache slot for its columnar image (see
-	// batch.For); nil builds an uncached image.
-	Aux *atomic.Value
-	Map MapFunc
+	Ctx *expr.Ctx
+	// Block is the split: its records, and the cache slot their columnar
+	// image (batch.For) lives in.
+	Block *dfs.Block
+	Map   MapFunc
 	// Combine, when non-nil, folds each shuffle partition per key before
 	// the task returns (the classic map-side combiner). It emits at most
 	// as many rows as each group holds: they replace the group.
@@ -218,11 +217,11 @@ func RunMapTask(t *MapTask) (MapOutput, error) {
 	if ectx == nil {
 		ectx = &expr.Ctx{Reg: t.Reg}
 	}
-	mc := &MapCtx{ectx: ectx, builds: t.Builds, n: len(t.Recs)}
+	mc := &MapCtx{ectx: ectx, builds: t.Builds, n: t.Block.NumRecords()}
 	if t.NumReducers > 0 {
 		mc.out.Offs = make([]int32, t.NumReducers+1)
 	}
-	t.Map(mc, batch.For(t.Aux, t.Recs))
+	t.Map(mc, batch.For(t.Block.Aux(), t.Block.Records()))
 	out := MapOutput{Rows: mc.rows, From: mc.from, Sel: mc.sel, Shuffled: mc.out, CPUMap: ectx.CPUSeconds}
 	if ectx.Err == nil && t.Combine != nil && t.NumReducers > 0 {
 		combineParts(&out.Shuffled, t.Combine, ectx)
@@ -276,10 +275,12 @@ func combineParts(s *Partitioned, combine ReduceFunc, ectx *expr.Ctx) {
 	s.Idx = s.Idx[:at]
 }
 
-// RunReduceTask executes one reduce task's record loop over pairs
-// SortPairsByKey put in reduce key order, returning the emitted rows and
+// RunReduceTask executes one reduce task's record loop over its
+// partition's pairs, gathered in map order: it sorts them into reduce
+// key order in place (SortPairsByKey) and returns the emitted rows and
 // the UDF CPU cost.
 func RunReduceTask(reg *expr.Registry, reduce ReduceFunc, pairs []Pair) ([]data.Value, float64, error) {
+	SortPairsByKey(pairs)
 	ectx := &expr.Ctx{Reg: reg}
 	rc := &ReduceCtx{ectx: ectx, rows: rowSlices.get(0)}
 	eachGroup(pairs, func(group []Pair) {

@@ -14,6 +14,7 @@ import (
 	"dyno/internal/batch"
 	"dyno/internal/cluster"
 	"dyno/internal/data"
+	"dyno/internal/dfs"
 	"dyno/internal/stats"
 )
 
@@ -165,7 +166,7 @@ func TestBucketsShareOneArray(t *testing.T) {
 			sel = append(sel, int32(i))
 		}
 	}
-	out, err := RunMapTask(&MapTask{Recs: recs, NumReducers: reducers, Map: func(mc *MapCtx, d *batch.Data) {
+	out, err := RunMapTask(&MapTask{Block: dfs.NewBlock(recs), NumReducers: reducers, Map: func(mc *MapCtx, d *batch.Data) {
 		mc.ShuffleSel(keys, nks, hs, recs, sel, "L")
 	}})
 	if err != nil {
@@ -238,7 +239,7 @@ func TestPartitionedMatchesOracle(t *testing.T) {
 				name               string
 				selection, combine bool
 			}{{"selection", true, false}, {"gathered", false, false}, {"selection+combined", true, true}, {"gathered+combined", false, true}} {
-				task := &MapTask{Recs: recs, NumReducers: reducers, Map: func(mc *MapCtx, d *batch.Data) {
+				task := &MapTask{Block: dfs.NewBlock(recs), NumReducers: reducers, Map: func(mc *MapCtx, d *batch.Data) {
 					if tc.selection {
 						mc.ShuffleSel(keys, nks, hs, recs, sel, "L")
 						return

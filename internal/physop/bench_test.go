@@ -2,10 +2,10 @@ package physop
 
 import (
 	"runtime/debug"
-	"sync/atomic"
 	"testing"
 
 	"dyno/internal/data"
+	"dyno/internal/dfs"
 	"dyno/internal/expr"
 	"dyno/internal/mapreduce"
 )
@@ -31,7 +31,7 @@ func BenchmarkProbeChain(b *testing.B) {
 		key := []data.Path{data.MustParsePath(name + ".k")}
 		recs := table(rows)
 		ht, err := mapreduce.BuildHashTable(reg, BindBuild(mapreduce.Broadcast{Name: name, Wrap: name, KeyPaths: key}, recs[0]),
-			[]mapreduce.Split{{Recs: recs}}, 0, nil)
+			[]*dfs.Block{dfs.NewBlock(recs)}, 0, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -47,9 +47,9 @@ func BenchmarkProbeChain(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var aux atomic.Value // the split's columnar image, built by the first task
+	blk := dfs.NewBlock(split) // its columnar image is built by the first task
 	run := func() int {
-		out, err := mapreduce.RunMapTask(&mapreduce.MapTask{Reg: reg, Recs: split, Aux: &aux, Map: k.Map, Builds: builds})
+		out, err := mapreduce.RunMapTask(&mapreduce.MapTask{Reg: reg, Block: blk, Map: k.Map, Builds: builds})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -94,8 +94,7 @@ func benchBuild(b *testing.B, key func(i int) int64, filter expr.Expr, kept int)
 	}
 	build := BindBuild(mapreduce.Broadcast{Name: "b", Wrap: "b", KeyPaths: []data.Path{data.MustParsePath("b.k")},
 		Filter: filter}, recs[0])
-	var aux atomic.Value // the split's columnar image, built by the first build
-	split := []mapreduce.Split{{Recs: recs, Aux: &aux}}
+	split := []*dfs.Block{dfs.NewBlock(recs)} // its columnar image is built by the first build
 	run := func() *mapreduce.HashTable {
 		ht, err := mapreduce.BuildHashTable(nil, build, split, 1, nil)
 		if err != nil {

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"dyno/internal/batch"
@@ -547,7 +546,7 @@ func TestChainFilterRunsBeforeEachRowsProbes(t *testing.T) {
 	}
 	probe, build := table(600, 9), table(21, 7) // probe keys 7 and 8 match nothing
 	ht, err := mapreduce.BuildHashTable(reg, BindBuild(mapreduce.Broadcast{Name: "b", Wrap: "b", KeyPaths: []data.Path{data.MustParsePath("b.k")}}, build[0]),
-		[]mapreduce.Split{{Recs: build}}, 0, nil)
+		[]*dfs.Block{dfs.NewBlock(build)}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -558,7 +557,7 @@ func TestChainFilterRunsBeforeEachRowsProbes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := mapreduce.RunMapTask(&mapreduce.MapTask{Reg: reg, Recs: probe, Aux: new(atomic.Value), Map: k.Map,
+		out, err := mapreduce.RunMapTask(&mapreduce.MapTask{Reg: reg, Block: dfs.NewBlock(probe), Map: k.Map,
 			Builds: map[string]*mapreduce.HashTable{"b": ht}})
 		if err != nil {
 			t.Fatal(err)
@@ -599,13 +598,13 @@ func TestScanTaskAnswersWithPositions(t *testing.T) {
 	for i := range recs {
 		recs[i] = data.Object(data.Field{Name: "k", Value: data.Int(int64(i % 7))}, data.Field{Name: "seq", Value: data.Int(int64(i))})
 	}
-	run := func(compile func(*OpSpec, int, data.Value) (Kernels, error), op *OpSpec, aux *atomic.Value) mapreduce.MapOutput {
+	run := func(compile func(*OpSpec, int, data.Value) (Kernels, error), op *OpSpec, blk *dfs.Block) mapreduce.MapOutput {
 		t.Helper()
 		k, err := compile(op, 0, recs[0])
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := mapreduce.RunMapTask(&mapreduce.MapTask{Reg: reg, Recs: recs, Aux: aux, Map: k.Map})
+		out, err := mapreduce.RunMapTask(&mapreduce.MapTask{Reg: reg, Block: blk, Map: k.Map})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -618,9 +617,9 @@ func TestScanTaskAnswersWithPositions(t *testing.T) {
 	allLive.Prune = map[string]map[string]bool{"t": nil}
 	for name, op := range map[string]*OpSpec{"all": scanOp(nil), "column-wise": scanOp(seqAtLeast), "udf-row": scanOp(call("keep_row", "t")), "all-live": allLive} {
 		t.Run(name, func(t *testing.T) {
-			aux := new(atomic.Value)
-			got, want := run(Compile, op, aux), run(oracleCompile, op, new(atomic.Value))
-			image, ok := ScanImage(op, batch.For(aux, recs))
+			blk := dfs.NewBlock(recs)
+			got, want := run(Compile, op, blk), run(oracleCompile, op, dfs.NewBlock(recs))
+			image, ok := ScanImage(op, batch.For(blk.Aux(), recs))
 			if !ok || got.Rows != nil || len(got.Sel) == 0 || &got.From[0] != &image[0] {
 				t.Fatalf("the task emitted %d rows and %d positions, not positions into its split's image", len(got.Rows), len(got.Sel))
 			}
@@ -636,7 +635,7 @@ func TestScanTaskAnswersWithPositions(t *testing.T) {
 	}
 	pruned := scanOp(seqAtLeast)
 	pruned.Prune = map[string]map[string]bool{"t": {"k": true}}
-	got, want := run(Compile, pruned, new(atomic.Value)), run(oracleCompile, pruned, new(atomic.Value))
+	got, want := run(Compile, pruned, dfs.NewBlock(recs)), run(oracleCompile, pruned, dfs.NewBlock(recs))
 	if got.Sel != nil {
 		t.Fatal("a pruned scan answered with positions")
 	}
@@ -675,21 +674,21 @@ func TestShuffleTaskKeepsPositions(t *testing.T) {
 		"pruned":    {pruned, recs, true, false},
 		"aggregate": {&OpSpec{Kind: Aggregate, GroupBy: q.GroupBy, Select: q.Select}, wrapped, false, true},
 	} {
-		run := func(compile func(*OpSpec, int, data.Value) (Kernels, error), aux *atomic.Value) mapreduce.Partitioned {
+		run := func(compile func(*OpSpec, int, data.Value) (Kernels, error), blk *dfs.Block) mapreduce.Partitioned {
 			t.Helper()
 			k, err := compile(tc.op, 0, tc.in[0])
 			if err != nil {
 				t.Fatal(err)
 			}
-			out, err := mapreduce.RunMapTask(&mapreduce.MapTask{Recs: tc.in, Aux: aux, Map: k.Map, NumReducers: reducers})
+			out, err := mapreduce.RunMapTask(&mapreduce.MapTask{Block: blk, Map: k.Map, NumReducers: reducers})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return out.Shuffled
 		}
-		aux := new(atomic.Value)
-		got, want := run(Compile, aux), run(oracleCompile, new(atomic.Value))
-		d := batch.For(aux, tc.in)
+		blk := dfs.NewBlock(tc.in)
+		got, want := run(Compile, blk), run(oracleCompile, dfs.NewBlock(tc.in))
+		d := batch.For(blk.Aux(), tc.in)
 		kc := d.Keys(batch.KeySig("t", keyPath), "t", keyPath)
 		if len(got.Idx) == 0 {
 			t.Fatalf("%s: no pairs", name)

@@ -751,7 +751,7 @@ func TestRetainedDigestsAreSimArithmetic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := mapreduce.RunMapTask(&mapreduce.MapTask{Reg: expr.NewRegistry(), Recs: recs, Map: k.Map, Combine: k.Combine, NumReducers: reducers})
+		out, err := mapreduce.RunMapTask(&mapreduce.MapTask{Reg: expr.NewRegistry(), Block: dfs.NewBlock(recs), Map: k.Map, Combine: k.Combine, NumReducers: reducers})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"dyno/internal/data"
+	"dyno/internal/dfs"
 	"dyno/internal/expr"
 	"dyno/internal/mapreduce"
 	"dyno/internal/physop"
@@ -42,13 +43,6 @@ type WorkerStatus struct {
 	ShuffleBytes     int64 `json:"shuffleBytes"`
 	ShuffleServed    int64 `json:"shuffleServed"`
 	ShuffleEvictions int64 `json:"shuffleEvictions"`
-}
-
-type blockEntry struct {
-	recs []data.Value
-	// aux caches the block's columnar image (batch.For) for the columnar
-	// kernels; it lives and is evicted with the entry.
-	aux atomic.Value
 }
 
 // onceCache is a FIFO cache bounded by total cost whose entries are
@@ -171,7 +165,7 @@ type Worker struct {
 	// a reduce wave's fetches reuse connections.
 	peers *http.Client
 
-	blocks   *onceCache[wire.BlockRef, *blockEntry]     // bounded by on-disk bytes
+	blocks   *onceCache[wire.BlockRef, *dfs.Block]      // bounded by on-disk bytes
 	tables   *onceCache[tableKey, *mapreduce.HashTable] // bounded by entry count
 	shuffles *onceCache[string, mapreduce.Partitioned]  // retained map outputs by shuffle id, bounded by encoded bytes
 
@@ -194,7 +188,7 @@ func NewWorker(reg *expr.Registry) *Worker {
 			MaxIdleConnsPerHost: runtime.GOMAXPROCS(0), // the frame parallelism
 			IdleConnTimeout:     90 * time.Second,
 		}},
-		blocks:   newOnceCache[wire.BlockRef, *blockEntry](blockCacheBytes),
+		blocks:   newOnceCache[wire.BlockRef, *dfs.Block](blockCacheBytes),
 		tables:   newOnceCache[tableKey, *mapreduce.HashTable](tableCacheEntries),
 		shuffles: newOnceCache[string, mapreduce.Partitioned](shuffleCacheBytes),
 	}
@@ -375,8 +369,8 @@ func (w *Worker) runMap(task *wire.Task) (*wire.TaskResult, error) {
 		}
 	}
 	var sample data.Value
-	if len(blk.recs) > 0 {
-		sample = blk.recs[0]
+	if blk.NumRecords() > 0 {
+		sample = blk.Records()[0]
 	}
 	k, err := physop.Compile(task.Op, task.InputIdx, sample)
 	if err != nil {
@@ -390,7 +384,7 @@ func (w *Worker) runMap(task *wire.Task) (*wire.TaskResult, error) {
 	if task.NumReducers > 0 && task.ShuffleID == "" {
 		return nil, fmt.Errorf("%s op with no shuffle id to retain its output under", task.Op.Kind)
 	}
-	mt := &mapreduce.MapTask{Reg: w.reg, Recs: blk.recs, Aux: &blk.aux, Map: k.Map, Builds: builds,
+	mt := &mapreduce.MapTask{Reg: w.reg, Block: blk, Map: k.Map, Builds: builds,
 		NumReducers: task.NumReducers, Combine: k.Combine}
 	out, err := mapreduce.RunMapTask(mt)
 	if err != nil {
@@ -485,8 +479,8 @@ func (w *Worker) fetchShuffle(task *wire.Task, idx []int, segs [][]wire.KV, res 
 	return idx, fmt.Errorf("%s: %w", peer.URL, err)
 }
 
-// runReduce gathers the reduce input, sorts it, and runs the engine's
-// own reduce task body.
+// runReduce gathers the reduce input and runs the engine's own reduce
+// task body over it, which sorts it.
 func (w *Worker) runReduce(task *wire.Task) (*wire.TaskResult, error) {
 	k, err := physop.Compile(task.Op, 0, data.Null())
 	if err != nil {
@@ -500,7 +494,6 @@ func (w *Worker) runReduce(task *wire.Task) (*wire.TaskResult, error) {
 	if lost != "" {
 		return &wire.TaskResult{Err: lost}, nil
 	}
-	wire.SortKVs(pairs)
 	if res.Rows, res.CPUSeconds, err = mapreduce.RunReduceTask(w.reg, k.Reduce, pairs); err != nil {
 		return nil, err
 	}
@@ -552,12 +545,13 @@ func (w *Worker) gather(task *wire.Task, res *wire.TaskResult) (pairs []wire.KV,
 
 // block loads one mirrored block (a DYB1 frame; anything else is an
 // error), memoizing by its reference under the FIFO block cache bounded
-// by on-disk bytes: one decode, so one columnar image, per block.
-func (w *Worker) block(ref wire.BlockRef) (*blockEntry, error) {
+// by on-disk bytes: one decode, so one columnar image (on the block's
+// cache slot, evicted with it), per block.
+func (w *Worker) block(ref wire.BlockRef) (*dfs.Block, error) {
 	if ref.File == "" {
 		return nil, fmt.Errorf("map task has no input block")
 	}
-	return w.blocks.get(ref, func() (*blockEntry, int64, error) {
+	return w.blocks.get(ref, func() (*dfs.Block, int64, error) {
 		b, err := readSpan(ref)
 		if err != nil {
 			return nil, 0, err
@@ -566,7 +560,7 @@ func (w *Worker) block(ref wire.BlockRef) (*blockEntry, error) {
 		if err != nil {
 			return nil, 0, fmt.Errorf("decode block %s@%d: %w", ref.File, ref.Off, err)
 		}
-		return &blockEntry{recs: recs}, ref.Len, nil
+		return dfs.NewBlock(recs), ref.Len, nil
 	})
 }
 
@@ -603,17 +597,19 @@ func readSpan(ref wire.BlockRef) ([]byte, error) {
 type tableKey struct{ file, params string }
 
 // table returns the built hash table for a broadcast ref, memoized by
-// the ref's full semantic identity (file version + build parameters),
-// so rebuilds of the same file with different filters never collide.
-// The build's UDF cost is discarded: the controller charges the
-// one-time filtered-build preparation to the virtual clock itself, so a
-// worker rebuilding the table must not double-charge it.
+// what the table is a function of: the mirror file (its version) and
+// the build's wrap, filter and keys. Builds of one file with different
+// filters never collide, and one build reached under different step
+// names (b0 in one chain, b1 in another) is built once. The build's UDF
+// cost is discarded: the controller charges the one-time filtered-build
+// preparation to the virtual clock itself, so a worker rebuilding the
+// table must not double-charge it.
 func (w *Worker) table(ref wire.BuildRef) (*mapreduce.HashTable, error) {
 	filterKey, err := wire.ExprKey(ref.Filter)
 	if err != nil {
 		return nil, fmt.Errorf("build %s: %w", ref.Name, err)
 	}
-	key := tableKey{params: ref.Name + "|" + ref.Wrap + "|" + filterKey}
+	key := tableKey{params: ref.Wrap + "|" + filterKey}
 	if len(ref.Blocks) > 0 {
 		key.file = ref.Blocks[0].File
 	}
@@ -621,7 +617,7 @@ func (w *Worker) table(ref wire.BuildRef) (*mapreduce.HashTable, error) {
 		key.params += "|" + p.String()
 	}
 	return w.tables.get(key, func() (*mapreduce.HashTable, int64, error) {
-		blocks := make([]mapreduce.Split, len(ref.Blocks))
+		blocks := make([]*dfs.Block, len(ref.Blocks))
 		var sample data.Value
 		for i, b := range ref.Blocks {
 			if b.File != key.file {
@@ -631,9 +627,9 @@ func (w *Worker) table(ref wire.BuildRef) (*mapreduce.HashTable, error) {
 			if err != nil {
 				return nil, 0, fmt.Errorf("build %s: %w", ref.Name, err)
 			}
-			blocks[i] = mapreduce.Split{Recs: blk.recs, Aux: &blk.aux}
-			if sample.IsNull() && len(blk.recs) > 0 {
-				sample = blk.recs[0]
+			blocks[i] = blk
+			if sample.IsNull() && blk.NumRecords() > 0 {
+				sample = blk.Records()[0]
 			}
 		}
 		t, err := mapreduce.BuildHashTable(w.reg, physop.BindBuild(mapreduce.Broadcast{

@@ -55,7 +55,7 @@ func TestWorkerChargesPerRowFilterEveryTask(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, _ := blk.aux.Load().(*batch.Data)
+		d, _ := blk.Aux().Load().(*batch.Data)
 		return d
 	}
 
@@ -175,6 +175,40 @@ func TestBroadcastTableBuiltOncePerWorker(t *testing.T) {
 	// build-side block by the one table build.
 	if _, _, _, misses, _ := w.blocks.stats(); misses != probes+buildBlocks {
 		t.Errorf("block misses = %d, want %d (one decode per block)", misses, probes+buildBlocks)
+	}
+}
+
+// TestTableKeyHasNoStepName: a built table is a function of its mirror
+// file and its wrap, filter and keys, not of the chain step that names
+// it, so one build reached as b0 in one job and as b1 in another is
+// built once on a worker, and both probes join the same rows.
+func TestTableKeyHasNoStepName(t *testing.T) {
+	kv := func(k int) data.Value { return data.Object(data.Field{Name: "k", Value: data.Int(int64(k))}) }
+	build, probe := make([]data.Value, 30), make([]data.Value, 20)
+	for i := range build {
+		build[i] = kv(i)
+	}
+	for i := range probe {
+		probe[i] = kv(i * 2)
+	}
+	builds, probes := mirrorBlocks(t, build), mirrorBlocks(t, probe)
+	w := NewWorker(expr.NewRegistry())
+	var rows [][]string
+	for _, name := range []string{"b0", "b1"} {
+		ref := wire.BuildRef{Name: name, Wrap: "b", Keys: []data.Path{data.MustParsePath("b.k")}, Blocks: builds}
+		op := &physop.OpSpec{Kind: physop.Chain, Source: &physop.Source{Wrap: "t"},
+			Steps: []physop.ChainStep{{Build: name, Keys: []data.Path{data.MustParsePath("t.k")}}}}
+		res := w.runTask(&wire.Task{Task: "t-m0", Kind: "map", Op: op, Block: probes[0], Builds: []wire.BuildRef{ref}})
+		if res.Err != "" {
+			t.Fatalf("step %s: %s", name, res.Err)
+		}
+		rows = append(rows, rowStrings(res.Rows))
+	}
+	if len(rows[0]) != 15 || !reflect.DeepEqual(rows[0], rows[1]) {
+		t.Errorf("the probes joined %d and %d rows, want the same 15", len(rows[0]), len(rows[1]))
+	}
+	if n, _, hits, misses, _ := w.tables.stats(); n != 1 || misses != 1 || hits != 1 {
+		t.Errorf("tables=%d hits=%d misses=%d; want one table, built once and found once", n, hits, misses)
 	}
 }
 

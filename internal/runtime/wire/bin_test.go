@@ -565,6 +565,33 @@ func TestBinTaskBatchRejectsOutOfRange(t *testing.T) {
 	}
 }
 
+// hostileResults are answers no worker sends: their accounting reaches
+// the job's Usage and moves the virtual timeline, so the decoder must
+// refuse them (the controller then treats the frame as a transport
+// failure).
+func hostileResults() map[string]*TaskResult {
+	return map[string]*TaskResult{
+		"negativePartCount": {Parts: []ShufflePart{{Count: 2, Bytes: 9}, {Count: -5, Bytes: 7}}},
+		"negativePartBytes": {Parts: []ShufflePart{{Count: 5, Bytes: -7}}},
+		"negativePeerBytes": {PeerBytes: -3, PeerFetches: 1},
+		"negativeFetches":   {PeerBytes: 3, PeerFetches: -2},
+		"negativeCPUMap":    {CPUMap: -0.5},
+		"nanCPUTotal":       {CPUTotal: math.NaN()},
+		"infCPUSeconds":     {CPUSeconds: math.Inf(1)},
+		"minusInfCPU":       {CPUMap: math.Inf(-1)},
+	}
+}
+
+func TestBinResultBatchRejectsOutOfRange(t *testing.T) {
+	for name, res := range hostileResults() {
+		frame := EncodeResultBatch([]*TaskResult{{CPUMap: 1}, res})
+		if _, err := DecodeResultBatch(frame.Bytes()); err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("%s: decode error = %v, want an out-of-range refusal", name, err)
+		}
+		frame.Close()
+	}
+}
+
 func TestBinDecodeRejectsGarbage(t *testing.T) {
 	for _, b := range [][]byte{nil, {}, []byte("DYT"), []byte("DYT1\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"), []byte("not a frame"), []byte("DYR2")} {
 		if _, err := DecodeTaskBatch(b); err == nil {

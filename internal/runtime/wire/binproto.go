@@ -655,20 +655,22 @@ func (e *benc) writeResult(r *TaskResult) {
 	e.varint(int64(r.PeerFetches))
 }
 
+// readResult reads what writeResult wrote. The accounting fields move
+// the virtual timeline, so values no worker computes are refused: a
+// negative count or byte total, a CPU cost negative, NaN or infinite.
 func (d *bdec) readResult() (*TaskResult, error) {
 	r := &TaskResult{}
 	var err error
 	if r.Err, err = d.str(); err != nil {
 		return nil, err
 	}
-	if r.CPUMap, err = d.f64(); err != nil {
-		return nil, err
-	}
-	if r.CPUTotal, err = d.f64(); err != nil {
-		return nil, err
-	}
-	if r.CPUSeconds, err = d.f64(); err != nil {
-		return nil, err
+	for _, cpu := range []*float64{&r.CPUMap, &r.CPUTotal, &r.CPUSeconds} {
+		if *cpu, err = d.f64(); err == nil && !(*cpu >= 0 && *cpu <= math.MaxFloat64) {
+			err = fmt.Errorf("wire: CPU cost %v is out of range", *cpu)
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
 	if r.Rows, err = d.readValueList(); err != nil {
 		return nil, err
@@ -676,27 +678,27 @@ func (d *bdec) readResult() (*TaskResult, error) {
 	if r.Sel, err = d.readSel(); err != nil {
 		return nil, err
 	}
-	n, err := d.count()
+	r.Parts, err = readList(d, func() (ShufflePart, error) {
+		n, err := d.varint()
+		if err != nil {
+			return ShufflePart{}, err
+		}
+		b, err := d.varint()
+		if err == nil && (n < 0 || b < 0) {
+			err = fmt.Errorf("wire: shuffle part of %d pairs in %d bytes is out of range", n, b)
+		}
+		return ShufflePart{Count: int(n), Bytes: b}, err
+	})
 	if err != nil {
 		return nil, err
-	}
-	if n > 0 {
-		r.Parts = make([]ShufflePart, n)
-		for i := range r.Parts {
-			c, err := d.varint()
-			if err != nil {
-				return nil, err
-			}
-			r.Parts[i].Count = int(c)
-			if r.Parts[i].Bytes, err = d.varint(); err != nil {
-				return nil, err
-			}
-		}
 	}
 	if r.PeerBytes, err = d.varint(); err != nil {
 		return nil, err
 	}
 	pf, err := d.varint()
+	if err == nil && (r.PeerBytes < 0 || pf < 0) {
+		err = fmt.Errorf("wire: %d peer bytes in %d fetches is out of range", r.PeerBytes, pf)
+	}
 	if err != nil {
 		return nil, err
 	}

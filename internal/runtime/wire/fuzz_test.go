@@ -295,6 +295,11 @@ func FuzzResultBatchDecode(f *testing.F) {
 	}
 	f.Add(resultWithSel(2, 1, 0))
 	f.Add(resultWithSel(2, 1<<31, 1))
+	for _, res := range hostileResults() {
+		bad := EncodeResultBatch([]*TaskResult{res})
+		f.Add(bytes.Clone(bad.Bytes()))
+		bad.Close()
+	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		results, err := DecodeResultBatch(raw)
 		if err != nil {

@@ -188,8 +188,8 @@ const maxReducers = 1 << 16
 type KV = mapreduce.Pair
 
 // SortKVs sorts pairs into reduce key order with the engine's own
-// shuffle sort, so a worker sorting its fetched segments groups exactly
-// like the controller.
+// shuffle sort. Nothing in the runtime calls it (RunReduceTask sorts its
+// own input); bench's sort probe measures it.
 func SortKVs(pairs []KV) { mapreduce.SortPairsByKey(pairs) }
 
 // ShuffleRef is one reduce-input segment, in map-output order: it lives
