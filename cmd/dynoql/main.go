@@ -41,7 +41,6 @@ func main() {
 		showJobs  = flag.Bool("jobs", true, "print per-job virtual timings")
 		pushdown  = flag.Bool("pushdown", false, "enable projection pushdown")
 		dynJoin   = flag.Bool("dynamic-join", false, "enable the runtime repartition-to-broadcast switch")
-		combiner  = flag.Bool("combiner", false, "enable map-side partial aggregation for the grouping job")
 		maxRows   = flag.Int("rows", 10, "result rows to print")
 
 		runtimeName = flag.String("runtime", "sim", "execution backend: sim (in-process simulator) | proc (dynoworker processes)")
@@ -103,7 +102,6 @@ func main() {
 	reg := expr.NewRegistry()
 	tpch.RegisterUDFs(reg, tpch.DefaultUDFParams())
 	env := rt.NewEnv(reg)
-	env.UseCombiner = *combiner
 	env.DistributedCache = *hiveMode
 	optCfg := optimizer.DefaultConfig(float64(ccfg.SlotMemory))
 

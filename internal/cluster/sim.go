@@ -717,50 +717,25 @@ func (s *Sim) maybeComplete(sub *Submission) {
 	}
 }
 
-// dispatch assigns queued tasks to free slots until no further
-// assignment is possible. Under FIFO the earliest job drains first;
-// under Fair each slot goes to the runnable job with the fewest
-// running tasks, so concurrent jobs share the cluster evenly.
+// dispatch assigns queued tasks to free slots, one at a time, until no
+// runnable submission's head task fits a free slot. Each task goes to
+// the top-ranked submission whose head fits: under FIFO the earliest,
+// so the earliest job drains first; under Fair the one with the fewest
+// running tasks, so concurrent jobs share the cluster evenly. Free
+// slots only shrink during a dispatch, so a head that does not fit
+// stays blocked until the next one.
 func (s *Sim) dispatch() {
-	if s.cfg.Scheduler == Fair {
-		s.dispatchFair()
-		return
-	}
-	for {
-		assigned := false
-		for _, sub := range s.subs {
-			if !sub.started || sub.done {
-				continue
-			}
-			for len(sub.pending) > 0 {
-				t := sub.pending[0]
-				node := s.pickNode(t.Kind)
-				if node < 0 {
-					break
-				}
-				sub.pending = sub.pending[1:]
-				s.startTask(sub, t, node)
-				assigned = true
-			}
-		}
-		if !assigned {
-			return
-		}
-	}
-}
-
-func (s *Sim) dispatchFair() {
 	for {
 		var pick *Submission
 		for _, sub := range s.subs {
-			if !sub.started || sub.done || len(sub.pending) == 0 {
-				continue
-			}
-			if s.pickNode(sub.pending[0].Kind) < 0 {
+			if !sub.started || sub.done || len(sub.pending) == 0 || s.pickNode(sub.pending[0].Kind) < 0 {
 				continue
 			}
 			if pick == nil || sub.running < pick.running {
 				pick = sub
+			}
+			if s.cfg.Scheduler != Fair {
+				break
 			}
 		}
 		if pick == nil {

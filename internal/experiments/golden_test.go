@@ -36,17 +36,15 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden from the sim runtime's arm")
 
 type goldenCase struct {
-	name     string
-	query    string
-	variant  baselines.Variant
-	tweak    func(*core.Options)
-	combiner bool
+	name    string
+	query   string
+	variant baselines.Variant
+	tweak   func(*core.Options)
 }
 
 // goldenCases is full TPC-H × every comparison variant, plus the
 // PILR_MT/UNC-2 arm (most concurrent jobs in flight) and the pushdown
-// + dynamic-join + combiner matrix (prune maps, submit-time chain
-// ops, partial aggregation with the CPU double-add).
+// + dynamic-join matrix (prune maps, submit-time chain ops).
 func goldenCases() []goldenCase {
 	var cases []goldenCase
 	for _, q := range tpch.QueryNames {
@@ -62,8 +60,7 @@ func goldenCases() []goldenCase {
 			}})
 	}
 	for _, q := range []string{"Q9p", "Q10"} {
-		cases = append(cases, goldenCase{name: q + "-pushdown-dynjoin-combiner", query: q, variant: baselines.VariantDynOpt,
-			combiner: true,
+		cases = append(cases, goldenCase{name: q + "-pushdown-dynjoin", query: q, variant: baselines.VariantDynOpt,
 			tweak: func(o *core.Options) {
 				o.ProjectionPushdown = true
 				o.DynamicJoin = true
@@ -163,7 +160,6 @@ func goldenArms(t *testing.T) []goldenArm {
 func runGoldenCase(t *testing.T, c goldenCase, arm goldenArm) *goldenRecord {
 	t.Helper()
 	env, cat := arm.env(t)
-	env.UseCombiner = c.combiner
 	rec := &goldenRecord{}
 	env.Sim.SetTrace(func(ev cluster.TraceEvent) {
 		switch ev.Kind {

@@ -55,7 +55,7 @@ func runAggregateJob(env *mapreduce.Env, q *sqlparse.Query, final *plan.Rel, out
 	if outPath == "" {
 		outPath = "tmp/aggregate"
 	}
-	op := &physop.OpSpec{Kind: physop.Aggregate, GroupBy: q.GroupBy, Select: q.Select, Combine: env.UseCombiner}
+	op := &physop.OpSpec{Kind: physop.Aggregate, GroupBy: q.GroupBy, Select: q.Select}
 	spec, err := op.Bind(mapreduce.Spec{Name: outPath, Output: outPath}, final.File)
 	if err != nil {
 		return nil, err

@@ -3,7 +3,6 @@ package jaql
 import (
 	"testing"
 
-	"dyno/internal/cluster"
 	"dyno/internal/data"
 	"dyno/internal/mapreduce"
 	"dyno/internal/plan"
@@ -83,45 +82,5 @@ func TestUnitKindString(t *testing.T) {
 	if unitScan.String() != "scan" || unitRepartition.String() != "repartition" ||
 		unitBroadcastChain.String() != "broadcast-chain" {
 		t.Error("unitKind strings broken")
-	}
-}
-
-func TestFinishQueryCombinerMatchesPlain(t *testing.T) {
-	q := sqlparse.MustParse(`SELECT a.g, count(*) AS n, sum(a.id) AS s, avg(a.id) AS av,
-		min(a.id) AS mn, max(a.id) AS mx FROM t a GROUP BY a.g ORDER BY a.g`)
-	rows := joinedRows(300)
-	var plain, combined []data.Value
-	var plainShuffle, combinedShuffle int64
-	for _, useCombiner := range []bool{false, true} {
-		env := testEnv()
-		env.UseCombiner = useCombiner
-		var shuffled int64
-		env.Sim.SetTrace(func(ev cluster.TraceEvent) {})
-		got, err := FinishQuery(env, q, finalRel(env, rows), "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, sub := range env.Sim.Jobs() {
-			for _, task := range sub.CompletedTasks() {
-				shuffled += task.Usage().BytesShuffled
-			}
-		}
-		if useCombiner {
-			combined, combinedShuffle = got, shuffled
-		} else {
-			plain, plainShuffle = got, shuffled
-		}
-	}
-	if len(plain) != len(combined) {
-		t.Fatalf("row counts differ: %d vs %d", len(plain), len(combined))
-	}
-	for i := range plain {
-		if !data.Equal(plain[i], combined[i]) {
-			t.Fatalf("row %d differs:\n plain    %v\n combined %v", i, plain[i], combined[i])
-		}
-	}
-	if combinedShuffle >= plainShuffle {
-		t.Errorf("combiner shuffle (%d) should undercut plain shuffle (%d)",
-			combinedShuffle, plainShuffle)
 	}
 }

@@ -81,10 +81,6 @@ type Env struct {
 	// BytesPerReducer controls reduce-task sizing; 0 means the Hive
 	// default.
 	BytesPerReducer int64
-	// UseCombiner enables map-side partial aggregation for the
-	// grouping job the compiler schedules after the join block. Off by
-	// default to keep the evaluation's published numbers stable.
-	UseCombiner bool
 	// OnCreateFile, when non-nil, is called with the name of every
 	// output file a job creates (a query service tracks a session's
 	// scratch files with it). Jobs finish on any goroutine driving a
@@ -333,15 +329,11 @@ func CompositeKeyCompiled(row data.Value, accs []*data.Accessor) data.Value {
 
 // Spec describes a job.
 type Spec struct {
-	Name   string
-	Inputs []Input
-	Reduce ReduceFunc // nil for map-only jobs
-	// Combine, when set, folds each map task's pairs per key into the
-	// rows it emits, at most one per pair, before they leave the task
-	// (the classic combiner). The reducer must accept its output.
-	Combine     ReduceFunc
-	Output      string // DFS path for the materialized result
-	NumReducers int    // 0: sized from input bytes like Hive
+	Name        string
+	Inputs      []Input
+	Reduce      ReduceFunc // nil for map-only jobs
+	Output      string     // DFS path for the materialized result
+	NumReducers int        // 0: sized from input bytes like Hive
 
 	// Broadcasts are build sides for map-side hash joins.
 	Broadcasts []Broadcast
@@ -420,7 +412,6 @@ type Job struct {
 	prepCharged  bool
 
 	result *Result
-	err    error
 	done   bool
 }
 
@@ -654,7 +645,7 @@ func (j *Job) runMap(st *mapTaskState, input Input) (cluster.Usage, int64, error
 	} else {
 		t := &MapTask{Reg: j.env.Reg, Block: block, Map: input.Map, Builds: j.builds}
 		if j.spec.Reduce != nil {
-			t.NumReducers, t.Combine = j.numReducers, j.spec.Combine
+			t.NumReducers = j.numReducers
 		}
 		out.MapOutput, err = RunMapTask(t)
 	}
@@ -668,11 +659,6 @@ func (j *Job) runMap(st *mapTaskState, input Input) (cluster.Usage, int64, error
 	}
 	if st.collector != nil {
 		st.collector.ObserveInputs(block.NumRecords())
-	}
-	if j.spec.Combine != nil && j.spec.Reduce != nil {
-		// A combining task is charged its map-phase CPU and then the
-		// map+combine total on top, as the published timelines were.
-		u.CPUSeconds += out.CPUTotal
 	}
 	var emitted int64
 	if j.spec.Reduce == nil {
@@ -890,9 +876,6 @@ func (j *Job) retire(*cluster.Submission) {
 
 // Result returns the job's outcome after it completed.
 func (j *Job) Result() (*Result, error) {
-	if j.err != nil {
-		return nil, j.err
-	}
 	if j.result == nil {
 		return nil, errors.New("mapreduce: job has not completed")
 	}

@@ -1,8 +1,6 @@
 package mapreduce
 
 import (
-	"fmt"
-
 	"dyno/internal/batch"
 	"dyno/internal/data"
 	"dyno/internal/dfs"
@@ -184,10 +182,6 @@ type MapTask struct {
 	// image (batch.For) lives in.
 	Block *dfs.Block
 	Map   MapFunc
-	// Combine, when non-nil, folds each shuffle partition per key before
-	// the task returns (the classic map-side combiner). It emits at most
-	// as many rows as each group holds: they replace the group.
-	Combine ReduceFunc
 	// NumReducers partitions shuffle output; 0 marks a map-only task.
 	NumReducers int
 	Builds      map[string]*HashTable
@@ -204,14 +198,12 @@ type MapOutput struct {
 	From     []data.Value
 	Sel      []int32
 	Shuffled Partitioned
-	// CPUMap is the UDF cost of the map phase alone; CPUTotal
-	// additionally includes the combiner.
-	CPUMap   float64
-	CPUTotal float64
+	// CPUMap is the UDF cost of the record loop.
+	CPUMap float64
 }
 
 // RunMapTask executes one map task's record loop: the kernel over the
-// split's image, then the combiner over the partitions.
+// split's image.
 func RunMapTask(t *MapTask) (MapOutput, error) {
 	ectx := t.Ctx
 	if ectx == nil {
@@ -222,12 +214,7 @@ func RunMapTask(t *MapTask) (MapOutput, error) {
 		mc.out.Offs = make([]int32, t.NumReducers+1)
 	}
 	t.Map(mc, batch.For(t.Block.Aux(), t.Block.Records()))
-	out := MapOutput{Rows: mc.rows, From: mc.from, Sel: mc.sel, Shuffled: mc.out, CPUMap: ectx.CPUSeconds}
-	if ectx.Err == nil && t.Combine != nil && t.NumReducers > 0 {
-		combineParts(&out.Shuffled, t.Combine, ectx)
-	}
-	out.CPUTotal = ectx.CPUSeconds
-	return out, ectx.Err
+	return MapOutput{Rows: mc.rows, From: mc.from, Sel: mc.sel, Shuffled: mc.out, CPUMap: ectx.CPUSeconds}, ectx.Err
 }
 
 // taskRows is a map-only task's output as a buffer the job owns and
@@ -244,61 +231,22 @@ func taskRows(rows, from []data.Value, sel []int32) []data.Value {
 	return out
 }
 
-// combineParts folds each partition's pairs per key through the
-// combiner, window by window, into columns of its own: the output's Idx
-// compacts in place, each window's pairs gathered into one scratch
-// before its first output position is written.
-func combineParts(s *Partitioned, combine ReduceFunc, ectx *expr.Ctx) {
-	rc := &ReduceCtx{ectx: ectx}
-	in := *s
-	s.Keys, s.NK, s.Recs, s.Tag = nil, nil, nil, ""
-	window, at := []Pair(nil), int32(0)
-	for p := range in.NumParts() {
-		window = in.AppendPart(window[:0], p)
-		s.Offs[p] = at
-		SortPairsByKey(window)
-		eachGroup(window, func(group []Pair) {
-			lead := group[0]
-			rc.rows = rc.rows[:0]
-			combine(rc, lead.Key, group)
-			if len(rc.rows) > len(group) && ectx.Err == nil {
-				ectx.Err = fmt.Errorf("mapreduce: combiner emitted %d rows for a group of %d", len(rc.rows), len(group))
-			}
-			for _, rec := range rc.rows[:min(len(rc.rows), len(group))] {
-				s.Keys, s.NK, s.Recs = append(s.Keys, lead.Key), append(s.NK, lead.nk), append(s.Recs, rec)
-				s.Idx[at] = at
-				at++
-			}
-		})
-	}
-	s.Offs[len(s.Offs)-1] = at
-	s.Idx = s.Idx[:at]
-}
-
 // RunReduceTask executes one reduce task's record loop over its
 // partition's pairs, gathered in map order: it sorts them into reduce
-// key order in place (SortPairsByKey) and returns the emitted rows and
-// the UDF CPU cost.
+// key order in place (SortPairsByKey), hands the reducer one key group
+// (a run of equal normalized keys) at a time, and returns the emitted
+// rows and the UDF CPU cost.
 func RunReduceTask(reg *expr.Registry, reduce ReduceFunc, pairs []Pair) ([]data.Value, float64, error) {
 	SortPairsByKey(pairs)
 	ectx := &expr.Ctx{Reg: reg}
 	rc := &ReduceCtx{ectx: ectx, rows: rowSlices.get(0)}
-	eachGroup(pairs, func(group []Pair) {
-		reduce(rc, group[0].Key, group)
-	})
-	return rc.rows, ectx.CPUSeconds, ectx.Err
-}
-
-// eachGroup walks pairs sorted by SortPairsByKey one key group at a
-// time: a group is a run of equal normalized keys, handed to fn as its
-// window of pairs.
-func eachGroup(pairs []Pair, fn func(group []Pair)) {
 	for lo := 0; lo < len(pairs); {
 		hi := lo + 1
 		for hi < len(pairs) && pairs[hi].nk == pairs[lo].nk {
 			hi++
 		}
-		fn(pairs[lo:hi:hi])
+		reduce(rc, pairs[lo].Key, pairs[lo:hi:hi])
 		lo = hi
 	}
+	return rc.rows, ectx.CPUSeconds, ectx.Err
 }

@@ -55,8 +55,8 @@ func perRecordPairs(m pairMap, tag string) mapreduce.MapFunc {
 	}
 }
 
-// oracleCompile is Compile with the oracle's map kernel; the reduce and
-// combine kernels are Compile's own.
+// oracleCompile is Compile with the oracle's map kernel; the reduce
+// kernel is Compile's own.
 func oracleCompile(op *OpSpec, input int, sample data.Value) (Kernels, error) {
 	k, err := Compile(op, input, sample)
 	if err != nil {
@@ -104,7 +104,7 @@ func oracleBind(op *OpSpec, spec mapreduce.Spec, files ...*dfs.File) (mapreduce.
 			return spec, err
 		}
 		spec.Inputs = append(spec.Inputs, mapreduce.Input{File: f, Map: k.Map})
-		spec.Reduce, spec.Combine = k.Reduce, k.Combine
+		spec.Reduce = k.Reduce
 	}
 	return spec, nil
 }

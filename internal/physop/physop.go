@@ -78,11 +78,9 @@ type OpSpec struct {
 	// fields; a nil set keeps the alias whole); nil disables pruning.
 	Prune map[string]map[string]bool
 
-	// Aggregate: grouping keys, select list, and whether tasks run the
-	// map-side combiner (partial aggregation).
+	// Aggregate: grouping keys and select list.
 	GroupBy []expr.Expr
 	Select  []sqlparse.SelectItem
-	Combine bool
 }
 
 // Kernels are the executable form of one input of an OpSpec.
@@ -90,10 +88,8 @@ type Kernels struct {
 	// Map is the input's map kernel, always set: every split of the
 	// input runs it, whatever its filter, pruning or operator.
 	Map mapreduce.MapFunc
-	// Reduce and Combine are nil for map-only operators; Combine is
-	// set only when the op asks for map-side partial aggregation.
-	Reduce  mapreduce.ReduceFunc
-	Combine mapreduce.ReduceFunc
+	// Reduce is nil for map-only operators.
+	Reduce mapreduce.ReduceFunc
 }
 
 // Bind compiles op against each input file's first record and installs
@@ -107,7 +103,7 @@ func (op *OpSpec) Bind(spec mapreduce.Spec, files ...*dfs.File) (mapreduce.Spec,
 			return spec, err
 		}
 		spec.Inputs = append(spec.Inputs, mapreduce.Input{File: f, Map: k.Map})
-		spec.Reduce, spec.Combine = k.Reduce, k.Combine
+		spec.Reduce = k.Reduce
 	}
 	return spec, nil
 }
@@ -184,23 +180,9 @@ func Compile(op *OpSpec, input int, sample data.Value) (Kernels, error) {
 			mc.ShuffleSel(kc.Vals, kc.NK, d.Hashes(kc), recs, d.Select(nil, ""), "")
 		}}
 		sel := &lazySelect{items: op.Select}
-		if op.Combine {
-			// Map-side partial aggregation: the combiner folds each map
-			// task's rows per group into one mergeable partial, and the
-			// reducer merges partials.
-			k.Combine = func(rc *mapreduce.ReduceCtx, _ data.Value, group []mapreduce.Pair) {
-				rows := groupRecs(group)
-				rc.Emit(rowops.PartialAggregate(rc.ExprCtx(), sel.bind(rows[0]), rows))
-			}
-			merge := freezeNames(op.Select)
-			k.Reduce = func(rc *mapreduce.ReduceCtx, _ data.Value, group []mapreduce.Pair) {
-				rc.Emit(rowops.MergeAggregates(merge, groupRecs(group)))
-			}
-		} else {
-			k.Reduce = func(rc *mapreduce.ReduceCtx, _ data.Value, group []mapreduce.Pair) {
-				rows := groupRecs(group)
-				rc.Emit(rowops.AggregateGroup(rc.ExprCtx(), sel.bind(rows[0]), rows))
-			}
+		k.Reduce = func(rc *mapreduce.ReduceCtx, _ data.Value, group []mapreduce.Pair) {
+			rows := groupRecs(group)
+			rc.Emit(rowops.AggregateGroup(rc.ExprCtx(), sel.bind(rows[0]), rows))
 		}
 		return k, nil
 	}
@@ -233,22 +215,15 @@ func OutputName(it sqlparse.SelectItem) string {
 	return it.As
 }
 
-func freezeNames(items []sqlparse.SelectItem) []sqlparse.SelectItem {
-	out := make([]sqlparse.SelectItem, len(items))
-	for i, it := range items {
-		it.As = OutputName(it)
-		out[i] = it
-	}
-	return out
-}
-
 // CompileSelect returns a copy of the select list with output names
 // frozen and each item's expression compiled against a sample row
 // (schema-resolved column access; see expr.Compile).
 func CompileSelect(items []sqlparse.SelectItem, sample data.Value) []sqlparse.SelectItem {
-	out := freezeNames(items)
-	for i := range out {
-		out[i].E = expr.Compile(out[i].E, sample)
+	out := make([]sqlparse.SelectItem, len(items))
+	for i, it := range items {
+		it.As = OutputName(it)
+		it.E = expr.Compile(it.E, sample)
+		out[i] = it
 	}
 	return out
 }

@@ -6,7 +6,6 @@ package rowops
 
 import (
 	"sort"
-	"strconv"
 	"sync"
 
 	"dyno/internal/data"
@@ -182,61 +181,4 @@ func GroupKey(ectx *expr.Ctx, groupBy []expr.Expr, row data.Value) data.Value {
 		vals[i] = g.Eval(ectx, row)
 	}
 	return data.Array(vals...)
-}
-
-// Partial aggregation (MapReduce combiner support): PartialAggregate
-// folds a group of raw rows into one mergeable partial record, and
-// MergeAggregates folds partials into the final output record,
-// producing exactly what AggregateGroup would over the union of the
-// raw rows. count becomes a summable count, avg carries (sum, count),
-// min/max merge by comparison, and scalar items pass through.
-
-// partialField names the i-th item's slot in a partial record.
-func partialField(i int, suffix string) string {
-	return "p" + strconv.Itoa(i) + suffix
-}
-
-// PartialAggregate reduces raw rows to a single mergeable record.
-func PartialAggregate(ectx *expr.Ctx, items []sqlparse.SelectItem, group []data.Value) data.Value {
-	fields := make([]data.Field, 0, len(items)*2)
-	for i, it := range items {
-		switch it.Agg {
-		case "":
-			fields = append(fields, data.Field{Name: partialField(i, ""), Value: it.E.Eval(ectx, group[0])})
-		case "sum", "avg":
-			f := foldGroup(ectx, it, group)
-			fields = append(fields,
-				data.Field{Name: partialField(i, "_sum"), Value: data.Double(f.sum)},
-				data.Field{Name: partialField(i, "_cnt"), Value: data.Int(f.n)})
-		default:
-			fields = append(fields, data.Field{Name: partialField(i, ""), Value: foldGroup(ectx, it, group).result(it.Agg)})
-		}
-	}
-	return data.Object(fields...)
-}
-
-// MergeAggregates combines partial records into the final output
-// record with the select items' output names.
-func MergeAggregates(items []sqlparse.SelectItem, partials []data.Value) data.Value {
-	fields := make([]data.Field, 0, len(items))
-	for i, it := range items {
-		var f fold
-		for _, p := range partials {
-			switch it.Agg {
-			case "count":
-				f.n += p.FieldOr(partialField(i, "")).Int()
-			case "sum", "avg":
-				f.sum += p.FieldOr(partialField(i, "_sum")).Float()
-				f.n += p.FieldOr(partialField(i, "_cnt")).Int()
-			default:
-				f.add(it.Agg, p.FieldOr(partialField(i, "")))
-			}
-		}
-		v := f.result(it.Agg)
-		if it.Agg == "" {
-			v = partials[0].FieldOr(partialField(i, ""))
-		}
-		fields = append(fields, data.Field{Name: it.Name(), Value: v})
-	}
-	return data.Object(fields...)
 }

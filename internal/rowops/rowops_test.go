@@ -104,37 +104,3 @@ func TestGroupKey(t *testing.T) {
 		t.Errorf("key shape = %v", k1)
 	}
 }
-
-func TestPartialAggregateMergeMatchesDirect(t *testing.T) {
-	q := sqlparse.MustParse(`SELECT t.a, count(*), count(t.b) AS cb, sum(t.b) AS s,
-		avg(t.b) AS av, min(t.b) AS mn, max(t.b) AS mx FROM t GROUP BY t.a`)
-	all := []data.Value{
-		mkRow(1, 10), mkRow(1, 20), mkRow(1, 30), mkRow(1, 40), mkRow(1, 55),
-	}
-	ectx := &expr.Ctx{}
-	direct := AggregateGroup(ectx, q.Select, all)
-	// Split the group across three "map tasks", partially aggregate
-	// each, then merge.
-	partials := []data.Value{
-		PartialAggregate(ectx, q.Select, all[:2]),
-		PartialAggregate(ectx, q.Select, all[2:4]),
-		PartialAggregate(ectx, q.Select, all[4:]),
-	}
-	merged := MergeAggregates(q.Select, partials)
-	if !data.Equal(direct, merged) {
-		t.Errorf("merge mismatch:\n direct %v\n merged %v", direct, merged)
-	}
-}
-
-func TestPartialAggregateNullHandling(t *testing.T) {
-	q := sqlparse.MustParse("SELECT count(t.m) AS c, avg(t.m) AS a, min(t.m) AS mn FROM t GROUP BY t.a")
-	ectx := &expr.Ctx{}
-	partials := []data.Value{
-		PartialAggregate(ectx, q.Select, []data.Value{mkRow(1, 1)}),
-		PartialAggregate(ectx, q.Select, []data.Value{mkRow(1, 2)}),
-	}
-	merged := MergeAggregates(q.Select, partials)
-	if merged.FieldOr("c").Int() != 0 || !merged.FieldOr("a").IsNull() || !merged.FieldOr("mn").IsNull() {
-		t.Errorf("null merge = %v", merged)
-	}
-}

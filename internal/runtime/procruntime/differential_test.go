@@ -52,7 +52,6 @@ type queryOutcome struct {
 type engineTweaks struct {
 	pushdown    bool
 	dynamicJoin bool
-	combiner    bool
 	parallelism int
 	// oracleScale generates the dataset at which every TPC-H query
 	// returns rows (so the oracle comparison is not vacuous) instead of
@@ -141,7 +140,6 @@ func runSQLErr(t *testing.T, rt runtime.Runtime, sql string, tw engineTweaks) (q
 	reg := expr.NewRegistry()
 	tpch.RegisterUDFs(reg, udf)
 	env := rt.NewEnv(reg)
-	env.UseCombiner = tw.combiner
 
 	opts := core.DefaultOptions()
 	opts.K = 256
@@ -381,14 +379,13 @@ func TestWholeRowPushdownAnswersWithPositions(t *testing.T) {
 // TestDifferentialFeatureMatrix exercises the remote encodings the
 // plain sweep may not reach: projection pushdown (serialized prune
 // maps), the dynamic join switch (chain ops created at submit time),
-// the map-side combiner (partial-aggregate tasks with the CPU
-// double-add), and concurrent dispatch (parallel wave execution,
-// which is what actually fills batches).
+// and concurrent dispatch (parallel wave execution, which is what
+// actually fills batches).
 func TestDifferentialFeatureMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential suite executes queries twice")
 	}
-	tw := engineTweaks{pushdown: true, dynamicJoin: true, combiner: true, parallelism: 4, oracleScale: true}
+	tw := engineTweaks{pushdown: true, dynamicJoin: true, parallelism: 4, oracleScale: true}
 	for _, query := range []string{"Q9p", "Q10"} {
 		query := query
 		t.Run(query, func(t *testing.T) {

@@ -118,7 +118,7 @@ func (e executor) ExecMap(m mapreduce.MapExec) (*mapreduce.MapExecOut, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &mapreduce.MapExecOut{MapOutput: mapreduce.MapOutput{Rows: res.Rows, CPUMap: res.CPUMap, CPUTotal: res.CPUTotal}}
+	out := &mapreduce.MapExecOut{MapOutput: mapreduce.MapOutput{Rows: res.Rows, CPUMap: res.CPU}}
 	if len(res.Sel) > 0 {
 		if out.From, err = scanRows(op, m, res); err != nil {
 			return nil, err
@@ -192,7 +192,7 @@ func (e executor) ExecReduce(r mapreduce.ReduceExec) (*mapreduce.ReduceExecOut, 
 	for round := 0; ; round++ {
 		res, err := e.f.dispatch(task, e.waves.current())
 		if err == nil {
-			return &mapreduce.ReduceExecOut{Rows: res.Rows, CPUSeconds: res.CPUSeconds}, nil
+			return &mapreduce.ReduceExecOut{Rows: res.Rows, CPUSeconds: res.CPU}, nil
 		}
 		var tfe *taskFailedError
 		if !errors.As(err, &tfe) {

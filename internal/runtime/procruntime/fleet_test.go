@@ -57,7 +57,7 @@ func TestDispatchRetriesOnDistinctWorkers(t *testing.T) {
 	// is reached only after both bad workers fail once each.
 	t.Run("single", func(t *testing.T) {
 		f := newBareFleet(t, Config{})
-		good := newBatchStub(t, func(*wire.Task) *wire.TaskResult { return &wire.TaskResult{CPUSeconds: 1} })
+		good := newBatchStub(t, func(*wire.Task) *wire.TaskResult { return &wire.TaskResult{CPU: 1} })
 		bad1, bad2 := failStub(t), failStub(t)
 		register(t, f, good.srv.URL)
 		register(t, f, bad1.srv.URL)
@@ -67,7 +67,7 @@ func TestDispatchRetriesOnDistinctWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("dispatch: %v", err)
 		}
-		if res.CPUSeconds != 1 {
+		if res.CPU != 1 {
 			t.Fatalf("got result %+v, want the good worker's", res)
 		}
 		if got := good.rpcs.Load(); got != 1 {
@@ -86,7 +86,7 @@ func TestDispatchRetriesOnDistinctWorkers(t *testing.T) {
 	// task the lost frame carried retries on the other worker as its own
 	// frame, at once — there is no later wave for it to ride.
 	t.Run("wave", func(t *testing.T) {
-		good := newBatchStub(t, func(*wire.Task) *wire.TaskResult { return &wire.TaskResult{CPUSeconds: 1} })
+		good := newBatchStub(t, func(*wire.Task) *wire.TaskResult { return &wire.TaskResult{CPU: 1} })
 		bad := failStub(t)
 		f := newBareFleet(t, Config{})
 		register(t, f, good.srv.URL)
@@ -99,7 +99,7 @@ func TestDispatchRetriesOnDistinctWorkers(t *testing.T) {
 			if err != nil {
 				t.Fatalf("task %d: %v (should have retried on the good worker)", i, err)
 			}
-			if results[i].CPUSeconds != 1 {
+			if results[i].CPU != 1 {
 				t.Fatalf("task %d result %+v", i, results[i])
 			}
 		}
@@ -153,7 +153,7 @@ func TestDispatchFailFastOnOperatorError(t *testing.T) {
 			return &wire.TaskResult{Err: "unknown function frob"}
 		}
 		time.Sleep(5 * time.Millisecond)
-		return &wire.TaskResult{CPUSeconds: 1}
+		return &wire.TaskResult{CPU: 1}
 	}
 	f := newBareFleet(t, Config{})
 	register(t, f, newBatchStub(t, fn).srv.URL)
@@ -173,7 +173,7 @@ func TestDispatchFailFastOnOperatorError(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("task %s failed alongside its bad batchmate: %v", name, errs[i])
 		}
-		if results[i].CPUSeconds != 1 {
+		if results[i].CPU != 1 {
 			t.Fatalf("task %s result %+v", name, results[i])
 		}
 	}
@@ -251,7 +251,7 @@ func TestDispatchHedgesStragglers(t *testing.T) {
 		if seq == 1 {
 			time.Sleep(1 * time.Second)
 		}
-		return &wire.TaskResult{CPUSeconds: float64(seq)}
+		return &wire.TaskResult{CPU: float64(seq)}
 	}
 	register(t, f, newBatchStub(t, fn).srv.URL)
 	register(t, f, newBatchStub(t, fn).srv.URL)
@@ -261,7 +261,7 @@ func TestDispatchHedgesStragglers(t *testing.T) {
 	if err != nil {
 		t.Fatalf("dispatch: %v", err)
 	}
-	if res.CPUSeconds != 2 {
+	if res.CPU != 2 {
 		t.Fatalf("winning result %+v, want the hedged attempt's (seq 2)", res)
 	}
 	if d := time.Since(start); d > 800*time.Millisecond {

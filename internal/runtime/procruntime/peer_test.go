@@ -650,8 +650,8 @@ func TestReduceAsksEachPeerOnce(t *testing.T) {
 // retained output, in order, and a re-run of the map under a fresh id —
 // the relocation of a lost copy — answers the same digests and serves
 // the same windows, for a kernel whose output is positions into its
-// split's image (the repartition map), one that emits pair by pair (the
-// aggregate map) and one that combines.
+// split's image (the repartition map) and one that emits pair by pair
+// (the aggregate map).
 func TestServedAndRecoveredSegmentsAreTheWindow(t *testing.T) {
 	const reducers = 5
 	w := NewWorker(expr.NewRegistry())
@@ -662,11 +662,9 @@ func TestServedAndRecoveredSegmentsAreTheWindow(t *testing.T) {
 		recs[i] = data.Object(data.Field{Name: "k", Value: data.Int(int64(i * i % 17))}, data.Field{Name: "v", Value: data.Int(int64(i))})
 	}
 	block := mirrorBlocks(t, recs)[0]
-	combined := sumOp()
-	combined.Combine = true
 	ops := []*physop.OpSpec{
 		{Kind: physop.Repartition, Left: &physop.Source{Wrap: "t"}, LeftKeys: []data.Path{data.MustParsePath("t.k")}},
-		sumOp(), combined,
+		sumOp(),
 	}
 	same := func(a, b []wire.KV) bool {
 		if len(a) != len(b) {
@@ -724,7 +722,7 @@ func TestServedAndRecoveredSegmentsAreTheWindow(t *testing.T) {
 // an output it retains — pair count and virtual bytes per partition —
 // is what the in-process run of the same map task counts and charges:
 // Env.VirtualSize of each pair's record at the same byte scale, summed
-// as int64s, for the repartition map, the aggregate map and a combiner.
+// as int64s, for the repartition map and the aggregate map.
 func TestRetainedDigestsAreSimArithmetic(t *testing.T) {
 	const reducers, scale = 5, 2.75
 	w := NewWorker(expr.NewRegistry())
@@ -735,11 +733,9 @@ func TestRetainedDigestsAreSimArithmetic(t *testing.T) {
 	block := mirrorBlocks(t, recs)[0]
 	env := &mapreduce.Env{FS: dfs.New()}
 	env.FS.SetByteScale(scale)
-	combined := sumOp()
-	combined.Combine = true
 	ops := []*physop.OpSpec{
 		{Kind: physop.Repartition, Left: &physop.Source{Wrap: "t"}, LeftKeys: []data.Path{data.MustParsePath("t.k")}},
-		sumOp(), combined,
+		sumOp(),
 	}
 	for n, op := range ops {
 		id := fmt.Sprintf("d%d", n)
@@ -751,7 +747,7 @@ func TestRetainedDigestsAreSimArithmetic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := mapreduce.RunMapTask(&mapreduce.MapTask{Reg: expr.NewRegistry(), Block: dfs.NewBlock(recs), Map: k.Map, Combine: k.Combine, NumReducers: reducers})
+		out, err := mapreduce.RunMapTask(&mapreduce.MapTask{Reg: expr.NewRegistry(), Block: dfs.NewBlock(recs), Map: k.Map, NumReducers: reducers})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -95,11 +95,11 @@ func failStub(t *testing.T) *batchStub {
 	return newBatchStub(t, func(*wire.Task) *wire.TaskResult { return nil })
 }
 
-// echoStub answers each task with its Partition as CPUSeconds, so a
+// echoStub answers each task with its Partition as CPU, so a
 // result landing on the wrong task shows.
 func echoStub(t *testing.T) *batchStub {
 	return newBatchStub(t, func(task *wire.Task) *wire.TaskResult {
-		return &wire.TaskResult{CPUSeconds: float64(task.Partition)}
+		return &wire.TaskResult{CPU: float64(task.Partition)}
 	})
 }
 
@@ -163,8 +163,8 @@ func TestWaveOneFramePerWorker(t *testing.T) {
 				if err != nil {
 					t.Fatalf("task %d: %v", i, err)
 				}
-				if results[i].CPUSeconds != float64(i) {
-					t.Fatalf("task %d got task %v's result", i, results[i].CPUSeconds)
+				if results[i].CPU != float64(i) {
+					t.Fatalf("task %d got task %v's result", i, results[i].CPU)
 				}
 			}
 			st := f.WireStats()
@@ -431,7 +431,7 @@ func TestHedgeLeavesWhileWaveFrameInFlight(t *testing.T) {
 	release := make(chan struct{})
 	slow := newBatchStub(t, func(*wire.Task) *wire.TaskResult {
 		<-release
-		return &wire.TaskResult{CPUSeconds: -1}
+		return &wire.TaskResult{CPU: -1}
 	})
 	fast := echoStub(t)
 	// The straggler is held until the test ends (released before the
@@ -446,8 +446,8 @@ func TestHedgeLeavesWhileWaveFrameInFlight(t *testing.T) {
 		if err != nil {
 			t.Fatalf("task %d: %v", i, err)
 		}
-		if results[i].CPUSeconds != float64(i) {
-			t.Fatalf("task %d result %v: want the fast worker's answer", i, results[i].CPUSeconds)
+		if results[i].CPU != float64(i) {
+			t.Fatalf("task %d result %v: want the fast worker's answer", i, results[i].CPU)
 		}
 	}
 	if got := slow.frameSizes(); !slices.Equal(got, []int{2}) {

@@ -384,13 +384,12 @@ func (w *Worker) runMap(task *wire.Task) (*wire.TaskResult, error) {
 	if task.NumReducers > 0 && task.ShuffleID == "" {
 		return nil, fmt.Errorf("%s op with no shuffle id to retain its output under", task.Op.Kind)
 	}
-	mt := &mapreduce.MapTask{Reg: w.reg, Block: blk, Map: k.Map, Builds: builds,
-		NumReducers: task.NumReducers, Combine: k.Combine}
+	mt := &mapreduce.MapTask{Reg: w.reg, Block: blk, Map: k.Map, Builds: builds, NumReducers: task.NumReducers}
 	out, err := mapreduce.RunMapTask(mt)
 	if err != nil {
 		return nil, err
 	}
-	res := &wire.TaskResult{CPUMap: out.CPUMap, CPUTotal: out.CPUTotal}
+	res := &wire.TaskResult{CPU: out.CPUMap}
 	if task.NumReducers == 0 {
 		res.Rows, res.Sel = out.Rows, out.Sel
 	} else {
@@ -494,7 +493,7 @@ func (w *Worker) runReduce(task *wire.Task) (*wire.TaskResult, error) {
 	if lost != "" {
 		return &wire.TaskResult{Err: lost}, nil
 	}
-	if res.Rows, res.CPUSeconds, err = mapreduce.RunReduceTask(w.reg, k.Reduce, pairs); err != nil {
+	if res.Rows, res.CPU, err = mapreduce.RunReduceTask(w.reg, k.Reduce, pairs); err != nil {
 		return nil, err
 	}
 	return res, nil

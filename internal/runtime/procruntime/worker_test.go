@@ -64,14 +64,14 @@ func TestWorkerChargesPerRowFilterEveryTask(t *testing.T) {
 	if d == nil {
 		t.Fatal("the scan left no columnar image on the cached block")
 	}
-	if viaCmp.CPUMap != 0 || len(viaCmp.Rows) != 0 || !slices.Equal(viaCmp.Sel, positions(40)) {
-		t.Errorf("column-wise scan charged CPUMap=%v for rows %v and positions %v, want 0 for positions 0..39 and no rows",
-			viaCmp.CPUMap, viaCmp.Rows, viaCmp.Sel)
+	if viaCmp.CPU != 0 || len(viaCmp.Rows) != 0 || !slices.Equal(viaCmp.Sel, positions(40)) {
+		t.Errorf("column-wise scan charged CPU=%v for rows %v and positions %v, want 0 for positions 0..39 and no rows",
+			viaCmp.CPU, viaCmp.Rows, viaCmp.Sel)
 	}
 	for task := 0; task < 2; task++ {
 		viaCall := scan(&expr.Call{Name: "small", Args: []expr.Expr{expr.NewCol("t.v")}})
-		if want := 0.25 * float64(len(recs)); viaCall.CPUMap != want || viaCall.CPUTotal != want {
-			t.Errorf("task %d charged CPUMap=%v CPUTotal=%v, want %v (one UDF call per record)", task, viaCall.CPUMap, viaCall.CPUTotal, want)
+		if want := 0.25 * float64(len(recs)); viaCall.CPU != want {
+			t.Errorf("task %d charged CPU=%v, want %v (one UDF call per record)", task, viaCall.CPU, want)
 		}
 		if len(viaCall.Rows) != 0 || !slices.Equal(viaCall.Sel, viaCmp.Sel) {
 			t.Errorf("task %d: the UDF filter kept %v (and rows %v), the comparison %v", task, viaCall.Sel, viaCall.Rows, viaCmp.Sel)

@@ -396,7 +396,6 @@ func sampleTasks(t testing.TB) []*Task {
 			{Agg: "sum", E: &expr.Arith{Op: expr.Mul, L: col("l.l_extendedprice"), R: &expr.Lit{V: data.Int(1)}}, As: "amount"},
 			{Star: true},
 		},
-		Combine: true,
 	}
 	return []*Task{
 		{
@@ -486,13 +485,13 @@ func sampleSegments() [][]KV {
 func sampleResults() []*TaskResult {
 	sels := sampleSels()
 	return []*TaskResult{
-		{Rows: adversarialValues(), CPUSeconds: 0.25},
-		{Parts: []ShufflePart{{Count: 2}, {}, {Count: 1, Bytes: 9}}, CPUMap: 1.5, CPUTotal: 2.25},
+		{Rows: adversarialValues(), CPU: 0.25},
+		{Parts: []ShufflePart{{Count: 2}, {}, {Count: 1, Bytes: 9}}, CPU: 1.5},
 		{Parts: []ShufflePart{{Count: 3, Bytes: 1 << 40}, {}}, PeerBytes: 77, PeerFetches: 2},
 		{Err: "boom: operator failed"},
 		{},
 		{Sel: sels[0]},
-		{Sel: sels[1], CPUMap: 0.5, CPUTotal: 0.5},
+		{Sel: sels[1], CPU: 0.5},
 		{Sel: sels[2]},
 	}
 }
@@ -510,7 +509,7 @@ func TestBinResultBatchRoundTrip(t *testing.T) {
 	}
 	for i, want := range results {
 		have := got[i]
-		if have.Err != want.Err || have.CPUMap != want.CPUMap || have.CPUTotal != want.CPUTotal || have.CPUSeconds != want.CPUSeconds ||
+		if have.Err != want.Err || have.CPU != want.CPU ||
 			have.PeerBytes != want.PeerBytes || have.PeerFetches != want.PeerFetches || !reflect.DeepEqual(have.Parts, want.Parts) ||
 			len(have.Rows) != len(want.Rows) ||
 			!slices.Equal(have.Sel, want.Sel) || (have.Sel == nil) != (want.Sel == nil) {
@@ -575,16 +574,16 @@ func hostileResults() map[string]*TaskResult {
 		"negativePartBytes": {Parts: []ShufflePart{{Count: 5, Bytes: -7}}},
 		"negativePeerBytes": {PeerBytes: -3, PeerFetches: 1},
 		"negativeFetches":   {PeerBytes: 3, PeerFetches: -2},
-		"negativeCPUMap":    {CPUMap: -0.5},
-		"nanCPUTotal":       {CPUTotal: math.NaN()},
-		"infCPUSeconds":     {CPUSeconds: math.Inf(1)},
-		"minusInfCPU":       {CPUMap: math.Inf(-1)},
+		"negativeCPU":       {CPU: -0.5},
+		"nanCPU":            {CPU: math.NaN()},
+		"infCPU":            {CPU: math.Inf(1)},
+		"minusInfCPU":       {CPU: math.Inf(-1)},
 	}
 }
 
 func TestBinResultBatchRejectsOutOfRange(t *testing.T) {
 	for name, res := range hostileResults() {
-		frame := EncodeResultBatch([]*TaskResult{{CPUMap: 1}, res})
+		frame := EncodeResultBatch([]*TaskResult{{CPU: 1}, res})
 		if _, err := DecodeResultBatch(frame.Bytes()); err == nil || !strings.Contains(err.Error(), "out of range") {
 			t.Errorf("%s: decode error = %v, want an out-of-range refusal", name, err)
 		}

@@ -357,7 +357,6 @@ func (e *benc) writeOp(op *physop.OpSpec) error {
 		e.bool(it.Star)
 		e.str(physop.OutputName(it))
 	}
-	e.bool(op.Combine)
 	return nil
 }
 
@@ -442,10 +441,6 @@ func (d *bdec) readOp() (*physop.OpSpec, error) {
 		it.As, err = d.str()
 		return it, err
 	})
-	if err != nil {
-		return nil, err
-	}
-	op.Combine, err = d.bool()
 	return op, err
 }
 
@@ -641,9 +636,7 @@ func (d *bdec) readTask() (*Task, error) {
 
 func (e *benc) writeResult(r *TaskResult) {
 	e.str(r.Err)
-	e.f64(r.CPUMap)
-	e.f64(r.CPUTotal)
-	e.f64(r.CPUSeconds)
+	e.f64(r.CPU)
 	e.writeValueList(r.Rows)
 	e.writeSel(r.Sel)
 	e.uvarint(uint64(len(r.Parts)))
@@ -664,13 +657,11 @@ func (d *bdec) readResult() (*TaskResult, error) {
 	if r.Err, err = d.str(); err != nil {
 		return nil, err
 	}
-	for _, cpu := range []*float64{&r.CPUMap, &r.CPUTotal, &r.CPUSeconds} {
-		if *cpu, err = d.f64(); err == nil && !(*cpu >= 0 && *cpu <= math.MaxFloat64) {
-			err = fmt.Errorf("wire: CPU cost %v is out of range", *cpu)
-		}
-		if err != nil {
-			return nil, err
-		}
+	if r.CPU, err = d.f64(); err == nil && !(r.CPU >= 0 && r.CPU <= math.MaxFloat64) {
+		err = fmt.Errorf("wire: CPU cost %v is out of range", r.CPU)
+	}
+	if err != nil {
+		return nil, err
 	}
 	if r.Rows, err = d.readValueList(); err != nil {
 		return nil, err

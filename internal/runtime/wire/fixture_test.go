@@ -23,9 +23,10 @@ import (
 // dropped the fields a worker derives (HasReduce, RunCombine,
 // RetainShuffle) or never reads (Job), and again when a fetch lost its
 // inline pairs (a lost segment is re-run onto a worker and fetched
-// like any other); a committed frame must decode here and re-encode to
-// the same bytes, and the same tasks built today must encode to the
-// committed bytes.
+// like any other), and again when an aggregate op lost its combiner
+// flag (there is one aggregation path, the plain reducer); a committed
+// frame must decode here and re-encode to the same bytes, and the same
+// tasks built today must encode to the committed bytes.
 //
 // Regenerate with: go test ./internal/runtime/wire -run TestTaskFrameFixtures -update-fixtures
 var updateFixtures = flag.Bool("update-fixtures", false, "rewrite testdata/*.dyt1 from the current encoder")
@@ -114,7 +115,6 @@ func fixtureTasks(t *testing.T, kind string) []*Task {
 				{E: &expr.Arith{Op: expr.Mul, L: fixtureCol("l.l_extendedprice"), R: &expr.Lit{V: data.Int(1)}}, Agg: "sum", As: "amount"},
 				{Agg: "count", Star: true},
 			},
-			Combine: true,
 		}
 		return []*Task{
 			{Task: "agg-m0", Kind: "map", Op: op, Block: BlockRef{File: "/spill/f000006.mir", Len: 1 << 16},

@@ -227,7 +227,7 @@ type Task struct {
 	Op   *physop.OpSpec
 
 	// Map tasks. NumReducers is set only for a shuffle task (its op has
-	// a reducer), which runs the op's combiner when it has one.
+	// a reducer).
 	InputIdx    int
 	Block       BlockRef // the input split
 	NumReducers int
@@ -253,11 +253,10 @@ type TaskResult struct {
 	// unpruned scan, see physop.ScanImage): the ascending positions of
 	// the split's records its filter kept. The controller takes those
 	// rows from its own copy of the split, so none travel.
-	Sel        []int32
-	CPUMap     float64
-	CPUTotal   float64
-	CPUSeconds float64
-	Err        string
+	Sel []int32
+	// CPU is the task's UDF cost: its map or its reduce record loop.
+	CPU float64
+	Err string
 	// Parts answers a map task with a ShuffleID: per-partition digests
 	// of the retained output.
 	Parts []ShufflePart
