@@ -174,9 +174,8 @@ func KeySig(alias string, paths []data.Path) string {
 }
 
 // Keys returns the cached key columns for the given key paths
-// evaluated over the alias-wrapped rows ("" = raw records), exactly as
-// CompositeKeyCompiled would per record. sig must be
-// KeySig(alias, paths).
+// evaluated over the alias-wrapped rows ("" = raw records) by
+// data.CompositeKey. sig must be KeySig(alias, paths).
 func (d *Data) Keys(sig, alias string, paths []data.Path) *KeyCols {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -191,15 +190,7 @@ func (d *Data) Keys(sig, alias string, paths []data.Path) *KeyCols {
 	accs := data.CompileAccessors(paths, sample)
 	keys := make([]data.Value, len(rows))
 	for i, row := range rows {
-		if len(accs) == 1 {
-			keys[i] = accs[0].Eval(row)
-			continue
-		}
-		vals := make([]data.Value, len(accs))
-		for j, a := range accs {
-			vals[j] = a.Eval(row)
-		}
-		keys[i] = data.Array(vals...)
+		keys[i] = data.CompositeKey(row, accs)
 	}
 	kc := KeyColsOf(keys)
 	if d.keys == nil {

@@ -80,3 +80,17 @@ func CompileAccessors(paths []Path, sample Value) []*Accessor {
 	}
 	return out
 }
+
+// CompositeKey evaluates join or grouping key columns over a row. A
+// single accessor yields the bare value; several yield an array, so
+// single- and multi-column keys hash consistently on both sides.
+func CompositeKey(row Value, accs []*Accessor) Value {
+	if len(accs) == 1 {
+		return accs[0].Eval(row)
+	}
+	vals := make([]Value, len(accs))
+	for i, a := range accs {
+		vals[i] = a.Eval(row)
+	}
+	return Array(vals...)
+}

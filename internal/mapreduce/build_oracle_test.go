@@ -71,7 +71,7 @@ func OracleBuildHashTable(reg *expr.Registry, b Broadcast, blocks [][]data.Value
 			if vsize != nil {
 				ht.builtBytes += vsize(row)
 			}
-			k := CompositeKeyCompiled(row, keyAccs)
+			k := data.CompositeKey(row, keyAccs)
 			if ht.nkBuckets != nil {
 				nk, ok := data.AppendNormKey(nkBuf[:0], k)
 				nkBuf = nk
@@ -164,7 +164,7 @@ func (h *HashTable) Charges() (builtBytes int64, prepCPU float64) { return h.bui
 func (h *HashTable) Rows() int { return len(h.rows) }
 
 // CompositeKey evaluates the key columns over a row, uncompiled: the
-// reference CompositeKeyCompiled is held to.
+// reference data.CompositeKey is held to.
 func CompositeKey(row data.Value, paths []data.Path) data.Value {
 	if len(paths) == 1 {
 		return paths[0].Eval(row)

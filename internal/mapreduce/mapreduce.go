@@ -312,21 +312,6 @@ func (h *HashTable) ProbeNK(nk string) []data.Value {
 	return h.group(h.find(maphash.String(h.seed, nk), func(key string) bool { return key == nk }))
 }
 
-// CompositeKeyCompiled evaluates the key columns over a row through
-// compiled accessors. A single accessor yields the bare value; several
-// yield an array, so single- and multi-column join keys hash
-// consistently on both sides.
-func CompositeKeyCompiled(row data.Value, accs []*data.Accessor) data.Value {
-	if len(accs) == 1 {
-		return accs[0].Eval(row)
-	}
-	vals := make([]data.Value, len(accs))
-	for i, a := range accs {
-		vals[i] = a.Eval(row)
-	}
-	return data.Array(vals...)
-}
-
 // Spec describes a job.
 type Spec struct {
 	Name        string

@@ -11,10 +11,13 @@ import (
 )
 
 // BenchmarkProbeChain runs one map task of a three-step broadcast chain
-// over a warm 4,096-row split: every probe row matches once per step,
-// so a task merges 12,288 rows — 8,192 of them intermediate, in the
-// scratch arena — and emits 4,096. CI holds its allocs/op to a ceiling
-// (BENCH_allocs_baseline.txt) that only per-chunk allocation can meet.
+// over a warm 4,096-row split: the second step keys on the first's
+// build alias under a residual over both builds (bound accessors), the
+// third on the probe alias (the split's key columns). Every probe row
+// matches once per step, so a task merges 12,288 rows — 8,192 of them
+// intermediate, in the scratch arena — and emits 4,096. CI holds its
+// allocs/op to a ceiling (BENCH_allocs_baseline.txt) that only
+// per-chunk allocation and per-kernel binding can meet.
 func BenchmarkProbeChain(b *testing.B) {
 	const rows = 4096
 	table := func(n int) []data.Value {
@@ -27,7 +30,7 @@ func BenchmarkProbeChain(b *testing.B) {
 	reg := expr.NewRegistry()
 	op := &OpSpec{Kind: Chain, Source: &Source{Wrap: "t"}}
 	builds := map[string]*mapreduce.HashTable{}
-	for i, name := range []string{"b0", "b1", "b2"} {
+	for _, name := range []string{"b0", "b1", "b2"} {
 		key := []data.Path{data.MustParsePath(name + ".k")}
 		recs := table(rows)
 		ht, err := mapreduce.BuildHashTable(reg, BindBuild(mapreduce.Broadcast{Name: name, Wrap: name, KeyPaths: key}, recs[0]),
@@ -36,12 +39,10 @@ func BenchmarkProbeChain(b *testing.B) {
 			b.Fatal(err)
 		}
 		builds[name] = ht
-		probeKey := []data.Path{data.MustParsePath("t.k")}
-		if i > 0 {
-			probeKey = []data.Path{data.MustParsePath("b0.k")}
-		}
-		op.Steps = append(op.Steps, ChainStep{Build: name, Keys: probeKey})
+		op.Steps = append(op.Steps, ChainStep{Build: name, Keys: []data.Path{data.MustParsePath("t.k")}})
 	}
+	op.Steps[1].Keys = []data.Path{data.MustParsePath("b0.k")}
+	op.Steps[1].Residual = &expr.Cmp{Op: expr.EQ, L: expr.NewCol("b0.k"), R: expr.NewCol("b1.k")}
 	split := table(rows)
 	k, err := Compile(op, 0, split[0])
 	if err != nil {

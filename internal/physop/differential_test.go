@@ -527,12 +527,15 @@ func TestBatchCacheConcurrentJobs(t *testing.T) {
 }
 
 // TestChainFilterRunsBeforeEachRowsProbes: a chain whose probe source
-// has a per-row filter (a UDF) and whose step has a UDF residual charges
-// the task's one context in record order — a row's filter call, then its
-// residual calls, then the next row's — so the kernel's float of CPU is
-// the oracle's to the last bit. Rows whose key has no build match call
-// the filter too. The same calls summed filter-first give another
-// float, which the test checks it can tell apart.
+// has a per-row filter (a UDF) and whose two steps have UDF residuals
+// charges the task's one context in record order — a row's filter call,
+// then its first step's residual calls, then its second's, then the
+// next row's — so the kernel's float of CPU is the oracle's to the last
+// bit. The second step keys on the probe alias, so it probes with the
+// split's key columns and binds its residual to its first merged row.
+// Rows whose key has no build match call the filter too. The same calls
+// summed filter-first give another float, which the test checks it can
+// tell apart.
 func TestChainFilterRunsBeforeEachRowsProbes(t *testing.T) {
 	reg := expr.NewRegistry()
 	registerUDFs(reg)
@@ -543,21 +546,26 @@ func TestChainFilterRunsBeforeEachRowsProbes(t *testing.T) {
 		}
 		return recs
 	}
-	probe, build := table(600, 9), table(21, 7) // probe keys 7 and 8 match nothing
-	ht, err := mapreduce.BuildHashTable(reg, BindBuild(mapreduce.Broadcast{Name: "b", Wrap: "b", KeyPaths: []data.Path{data.MustParsePath("b.k")}}, build[0]),
-		[]*dfs.Block{dfs.NewBlock(build)}, 0, nil)
-	if err != nil {
-		t.Fatal(err)
+	probe, build, build2 := table(600, 9), table(21, 7), table(14, 7) // probe keys 7 and 8 match nothing
+	builds := map[string]*mapreduce.HashTable{}
+	for name, recs := range map[string][]data.Value{"b": build, "c": build2} {
+		ht, err := mapreduce.BuildHashTable(reg, BindBuild(mapreduce.Broadcast{Name: name, Wrap: name, KeyPaths: []data.Path{data.MustParsePath(name + ".k")}}, recs[0]),
+			[]*dfs.Block{dfs.NewBlock(recs)}, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		builds[name] = ht
 	}
-	op := &OpSpec{Kind: Chain, Source: &Source{Wrap: "t", Filter: call("keep_seq", "t.seq")},
-		Steps: []ChainStep{{Build: "b", Keys: keyPath, Residual: call("keep_match", "b.seq")}}}
+	op := &OpSpec{Kind: Chain, Source: &Source{Wrap: "t", Filter: call("keep_seq", "t.seq")}, Steps: []ChainStep{
+		{Build: "b", Keys: keyPath, Residual: call("keep_match", "b.seq")},
+		{Build: "c", Keys: keyPath, Residual: call("keep_seq", "c.seq")},
+	}}
 	run := func(compile func(*OpSpec, int, data.Value) (Kernels, error)) mapreduce.MapOutput {
 		k, err := compile(op, 0, probe[0])
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := mapreduce.RunMapTask(&mapreduce.MapTask{Reg: reg, Block: dfs.NewBlock(probe), Map: k.Map,
-			Builds: map[string]*mapreduce.HashTable{"b": ht}})
+		out, err := mapreduce.RunMapTask(&mapreduce.MapTask{Reg: reg, Block: dfs.NewBlock(probe), Map: k.Map, Builds: builds})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -569,15 +577,24 @@ func TestChainFilterRunsBeforeEachRowsProbes(t *testing.T) {
 		t.Errorf("kernel charged %v, oracle %v", got.CPUMap, want.CPUMap)
 	}
 	// Every probe row calls the filter; each survivor with a key below 7
-	// merges with the 3 build rows of its key, and every merge calls the
-	// residual.
+	// merges with the 3 b rows of its key, every merge calls the first
+	// residual, and each one it keeps merges with the 2 c rows of the key,
+	// each calling the second.
 	var filterFirst float64
 	for range probe {
 		filterFirst += 0.0113
 	}
 	for i := range probe {
-		if i%3 != 0 && i%9 < 7 {
-			filterFirst += 3 * 0.0071
+		if i%3 == 0 || i%9 >= 7 {
+			continue
+		}
+		for j := range build {
+			if j%7 == i%9 {
+				filterFirst += 0.0071
+				if j%3 != 0 {
+					filterFirst += 2 * 0.0113
+				}
+			}
 		}
 	}
 	if len(want.Rows) == 0 || filterFirst == want.CPUMap {

@@ -71,13 +71,18 @@ func oracleCompile(op *OpSpec, input int, sample data.Value) (Kernels, error) {
 		if input == 1 {
 			src, keys, tag = deref(op.Right), op.RightKeys, "R"
 		}
-		k.Map = perRecordPairs(shuffleMap(sourceRowFn(src, sample), data.CompileAccessors(keys, mapSample(src, sample, prune)), prune), tag)
+		k.Map = perRecordPairs(shuffleMap(sourceRowFn(src, sample), data.CompileAccessors(keys, pruned(prune, mapSample(src, sample))), prune), tag)
 	case Chain:
 		src := deref(op.Source)
-		ms := mapSample(src, sample, prune)
-		steps := make([]probeStep, len(op.Steps))
+		// Every step binds eagerly to the probe input's (wrapped, pruned)
+		// sample: build-side columns have no hints there and resolve
+		// through the accessors' name fallback, so the differential
+		// tests hold the kernel's split key columns and lazily bound
+		// accessors to a binding of their own.
+		ms := pruned(prune, mapSample(src, sample))
+		steps := make([]oracleStep, len(op.Steps))
 		for i, st := range op.Steps {
-			steps[i] = probeStep{name: st.Build, keys: st.Keys, keyAccs: data.CompileAccessors(st.Keys, ms), residual: expr.Compile(st.Residual, ms)}
+			steps[i] = oracleStep{name: st.Build, keyAccs: data.CompileAccessors(st.Keys, ms), residual: expr.Compile(st.Residual, ms)}
 		}
 		k.Map = perRecord(probeMap(sourceRowFn(src, sample), steps, prune))
 	case Aggregate:
@@ -117,6 +122,16 @@ func oracleBindBuild(b mapreduce.Broadcast, sample data.Value) mapreduce.Broadca
 	return b
 }
 
+// mapSample returns a sample row with the layout of the source's
+// wrapped rows. The filter is deliberately not applied — it selects
+// rows, it does not change their shape.
+func mapSample(s Source, sample data.Value) data.Value {
+	if s.Wrap != "" {
+		sample = data.Object(data.Field{Name: s.Wrap, Value: sample})
+	}
+	return sample
+}
+
 // rowFn maps a raw input record to the source's wrapped, filtered row;
 // null means the record was filtered out.
 type rowFn func(*expr.Ctx, data.Value) data.Value
@@ -142,7 +157,7 @@ func sourceRowFn(s Source, sample data.Value) rowFn {
 			}
 		}
 	}
-	filter = expr.Compile(filter, mapSample(s, sample, nil))
+	filter = expr.Compile(filter, mapSample(s, sample))
 	return func(ectx *expr.Ctx, rec data.Value) data.Value {
 		row := rec
 		if wrap != "" {
@@ -177,14 +192,37 @@ func shuffleMap(row rowFn, keyAccs []*data.Accessor, prune func(data.Value) data
 		if prune != nil {
 			row = prune(row)
 		}
-		return mapreduce.CompositeKeyCompiled(row, keyAccs), row, true
+		return data.CompositeKey(row, keyAccs), row, true
 	}
+}
+
+// oracleStep is one link of the oracle's chain: the probe keys'
+// accessors and the residual, both bound to the probe input's sample.
+type oracleStep struct {
+	name     string
+	keyAccs  []*data.Accessor
+	residual expr.Expr
+}
+
+// probe appends to next the merge of r with each of its matches that
+// passes the residual. Merged rows are carved out of arena; a rejected
+// row hands its fields back.
+func (st *oracleStep) probe(mc *mapreduce.MapCtx, arena *data.FieldArena, r data.Value, matches []data.Value, next []data.Value) []data.Value {
+	for _, m := range matches {
+		merged := arena.Merge(r, m)
+		if st.residual != nil && !st.residual.Eval(mc.ExprCtx(), merged).Truthy() {
+			arena.Release(merged)
+			continue
+		}
+		next = append(next, merged)
+	}
+	return next
 }
 
 // probeMap is the map-only hash join: the probe input streams through
 // the chain of builds, merging and applying each join's residual
 // inline.
-func probeMap(row rowFn, steps []probeStep, prune func(data.Value) data.Value) recordMap {
+func probeMap(row rowFn, steps []oracleStep, prune func(data.Value) data.Value) recordMap {
 	return func(mc *mapreduce.MapCtx, rec data.Value) {
 		row := row(mc.ExprCtx(), rec)
 		if row.IsNull() {
@@ -201,7 +239,7 @@ func probeMap(row rowFn, steps []probeStep, prune func(data.Value) data.Value) r
 			arena := stepArena(mc, i == len(steps)-1, prune != nil)
 			var next []data.Value
 			for _, r := range rows {
-				next = st.probe(mc, arena, r, ht.Probe(mapreduce.CompositeKeyCompiled(r, st.keyAccs)), next)
+				next = st.probe(mc, arena, r, ht.Probe(data.CompositeKey(r, st.keyAccs)), next)
 			}
 			rows = next
 			if len(rows) == 0 {

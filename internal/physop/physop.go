@@ -16,6 +16,7 @@ package physop
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"dyno/internal/batch"
@@ -148,15 +149,19 @@ func Compile(op *OpSpec, input int, sample data.Value) (Kernels, error) {
 		if len(op.Steps) == 0 {
 			return Kernels{}, fmt.Errorf("physop: chain op has no steps")
 		}
+		// The first step, and any later one keyed only on the wrapped
+		// probe alias (whose image outlives the job), probes with the
+		// split's key columns. Other steps' keys, and every residual, bind
+		// to the first merged row the step sees, which has the builds.
 		src := deref(op.Source)
-		// Probe keys and residuals are bound to the probe input's first
-		// (wrapped, pruned) row; columns of build-side aliases compile
-		// without positional hints and resolve through the accessor's
-		// name fallback.
-		ms := mapSample(src, sample, prune)
 		steps := make([]probeStep, len(op.Steps))
 		for i, st := range op.Steps {
-			steps[i] = probeStep{name: st.Build, keys: st.Keys, keyAccs: data.CompileAccessors(st.Keys, ms), residual: expr.Compile(st.Residual, ms)}
+			steps[i] = probeStep{name: st.Build, keys: st.Keys, residual: bindLater(expr.Compile, st.Residual)}
+			if i == 0 || src.Wrap != "" && !slices.ContainsFunc(st.Keys, func(p data.Path) bool { return p.Head() != src.Wrap }) {
+				steps[i].sig = batch.KeySig(src.Wrap, st.Keys)
+			} else {
+				steps[i].keyAccs = bindLater(data.CompileAccessors, st.Keys)
+			}
 		}
 		return Kernels{Map: probeKernel(compileSource(src, sample), steps, prune)}, nil
 
@@ -179,7 +184,7 @@ func Compile(op *OpSpec, input int, sample data.Value) (Kernels, error) {
 			kc := batch.KeyColsOf(keys)
 			mc.ShuffleSel(kc.Vals, kc.NK, d.Hashes(kc), recs, d.Select(nil, ""), "")
 		}}
-		sel := &lazySelect{items: op.Select}
+		sel := bindLater(CompileSelect, op.Select)
 		k.Reduce = func(rc *mapreduce.ReduceCtx, _ data.Value, group []mapreduce.Pair) {
 			rows := groupRecs(group)
 			rc.Emit(rowops.AggregateGroup(rc.ExprCtx(), sel.bind(rows[0]), rows))
@@ -228,38 +233,47 @@ func CompileSelect(items []sqlparse.SelectItem, sample data.Value) []sqlparse.Se
 	return out
 }
 
-// lazySelect binds a select list to the layout of the first row a
-// reduce-side kernel sees. Reduce kernels have no input block to
-// sample at compile time, and one kernel serves every reduce task of
-// an in-process job concurrently, hence the Once.
-type lazySelect struct {
-	once  sync.Once
-	items []sqlparse.SelectItem
+// binder compiles something (a select list, key accessors, a residual)
+// against the first row a kernel hands it: merged and reduce-side rows
+// do not exist at compile time. One kernel serves every task of an
+// in-process job concurrently, hence the Once; a worker compiles per
+// task. Binding never changes results, only saves name lookups.
+type binder[T any] struct {
+	once    sync.Once
+	compile func(sample data.Value) T
+	bound   T
 }
 
-func (l *lazySelect) bind(sample data.Value) []sqlparse.SelectItem {
-	l.once.Do(func() { l.items = CompileSelect(l.items, sample) })
-	return l.items
+func bindLater[S, T any](compile func(S, data.Value) T, src S) *binder[T] {
+	return &binder[T]{compile: func(sample data.Value) T { return compile(src, sample) }}
+}
+
+func (b *binder[T]) bind(sample data.Value) T {
+	b.once.Do(func() { b.bound = b.compile(sample) })
+	return b.bound
+}
+
+// passes is a join residual's verdict on a merged row (a nil residual
+// keeps every row).
+func passes(res *binder[expr.Expr], ctx *expr.Ctx, merged data.Value) bool {
+	e := res.bind(merged)
+	return e == nil || e.Eval(ctx, merged).Truthy()
 }
 
 // joinReduce builds the repartition join's reducer: the cross product
-// of a key group's left and right rows, filtered by the residual
-// (bound lazily to the first merged row, see lazySelect) and pruned.
+// of a key group's left and right rows, filtered by the residual and
+// pruned.
 func joinReduce(residual expr.Expr, prune func(data.Value) data.Value) mapreduce.ReduceFunc {
-	var once sync.Once
-	var compiled expr.Expr
+	res := bindLater(expr.Compile, residual)
 	return func(rc *mapreduce.ReduceCtx, _ data.Value, group []mapreduce.Pair) {
 		ls, rs := rc.Sides(group, "L")
 		arena := &rc.Arena
 		for _, l := range ls {
 			for _, r := range rs {
 				merged := arena.Merge(l, r)
-				if residual != nil {
-					once.Do(func() { compiled = expr.Compile(residual, merged) })
-					if !compiled.Eval(rc.ExprCtx(), merged).Truthy() {
-						arena.Release(merged)
-						continue
-					}
+				if !passes(res, rc.ExprCtx(), merged) {
+					arena.Release(merged)
+					continue
 				}
 				row := merged
 				if prune != nil {
@@ -270,20 +284,6 @@ func joinReduce(residual expr.Expr, prune func(data.Value) data.Value) mapreduce
 			}
 		}
 	}
-}
-
-// mapSample returns a sample row with the layout the source's map
-// kernel emits: the sample record, wrapped and pruned. The filter is
-// deliberately not applied — it selects rows, it does not change their
-// shape.
-func mapSample(s Source, sample data.Value, prune func(data.Value) data.Value) data.Value {
-	if s.Wrap != "" {
-		sample = data.Object(data.Field{Name: s.Wrap, Value: sample})
-	}
-	if prune != nil {
-		sample = prune(sample)
-	}
-	return sample
 }
 
 // source is a compiled Source: the alias its rows are wrapped under,
@@ -311,11 +311,12 @@ func compileSource(s Source, sample data.Value) source {
 	pred, ok := s.Filter, true
 	if s.Wrap != "" {
 		pred, ok = expr.StripAlias(s.Filter, s.Wrap)
+		sample = data.Object(data.Field{Name: s.Wrap, Value: sample})
 	}
 	if ok && batch.Supported(pred) {
 		src.pred, src.sig = pred, pred.String()
 	} else {
-		src.perRow = expr.Compile(s.Filter, mapSample(s, sample, nil))
+		src.perRow = expr.Compile(s.Filter, sample)
 	}
 	return src
 }
@@ -354,14 +355,16 @@ func pruned(prune func(data.Value) data.Value, row data.Value) data.Value {
 	return prune(row)
 }
 
-// probeStep is one compiled link of a broadcast probe chain. keys are
-// the uncompiled paths (the first step's key columns are cached on the
-// split under them), keyAccs their accessors.
+// probeStep is one compiled link of a broadcast probe chain. A step
+// with a sig reads its keys from the split's key columns cached under
+// it, one probe per probe row; any other evaluates keyAccs, bound to
+// the first merged row it sees, on each of its merged rows.
 type probeStep struct {
 	name     string
 	keys     []data.Path
-	keyAccs  []*data.Accessor
-	residual expr.Expr
+	sig      string
+	keyAccs  *binder[[]*data.Accessor]
+	residual *binder[expr.Expr]
 }
 
 // probe appends to next the merge of r with each of its matches in the
@@ -370,7 +373,7 @@ type probeStep struct {
 func (st *probeStep) probe(mc *mapreduce.MapCtx, arena *data.FieldArena, r data.Value, matches []data.Value, next []data.Value) []data.Value {
 	for _, m := range matches {
 		merged := arena.Merge(r, m)
-		if st.residual != nil && !st.residual.Eval(mc.ExprCtx(), merged).Truthy() {
+		if !passes(st.residual, mc.ExprCtx(), merged) {
 			arena.Release(merged)
 			continue
 		}
@@ -502,26 +505,26 @@ func shuffleKernel(src source, keys []data.Path, tag string, prune func(data.Val
 
 // probeKernel is the map-only hash join: each row the filter keeps
 // streams through the chain of builds, merging and applying each join's
-// residual inline. The first step's probe keys come from the split's
-// cached key columns — normalized, interned, and shared across jobs —
-// so its lookup is one index probe with no per-record key
-// evaluation; later steps see chain-merged rows that exist only until
-// the next probe row (they live in the task's scratch arena), reusing
-// two buffers across rows. A pruned chain prunes the probe row before
-// its first merge, and every row it emits.
+// residual inline. Steps with split-cached keys (see probeStep) probe
+// by the row's interned encoding, normalized once per split and shared
+// across jobs, with no per-row key evaluation; the others key each
+// merged row through bound accessors. Merged rows exist only until the
+// next probe row (they live in the task's scratch arena), and two
+// buffers are reused across rows. A pruned chain prunes the probe row
+// before its first merge, and every row it emits.
 func probeKernel(src source, steps []probeStep, prune func(data.Value) data.Value) mapreduce.MapFunc {
-	keySig := batch.KeySig(src.alias, steps[0].keys)
 	return func(mc *mapreduce.MapCtx, d *batch.Data) {
 		sel := d.Select(src.pred, src.sig)
 		if len(sel) == 0 {
 			return
 		}
 		rows := d.Wrapped(src.alias)
-		st0, hts := &steps[0], make([]*mapreduce.HashTable, len(steps))
-		for si := range steps {
-			hts[si] = mc.Build(steps[si].name)
+		hts, kcs := make([]*mapreduce.HashTable, len(steps)), make([]*batch.KeyCols, len(steps))
+		for si, st := range steps {
+			if hts[si] = mc.Build(st.name); st.sig != "" {
+				kcs[si] = d.Keys(st.sig, src.alias, st.keys)
+			}
 		}
-		kc := d.Keys(keySig, src.alias, st0.keys)
 		var cur, next []data.Value
 		for _, i := range sel {
 			// A per-row filter runs right before the row's probes, matched
@@ -530,17 +533,23 @@ func probeKernel(src source, steps []probeStep, prune func(data.Value) data.Valu
 			if !src.keeps(mc, rows[i]) {
 				continue
 			}
-			matches := hts[0].ProbeNK(kc.NK[i])
+			matches := hts[0].ProbeNK(kcs[0].NK[i])
 			if len(matches) == 0 {
 				continue
 			}
 			mc.Scratch.Reset()
-			cur = st0.probe(mc, stepArena(mc, len(steps) == 1, prune != nil), pruned(prune, rows[i]), matches, cur[:0])
-			for si := 1; si < len(steps) && len(cur) > 0; si++ {
-				st, arena := &steps[si], stepArena(mc, si == len(steps)-1, prune != nil)
+			cur = append(cur[:0], pruned(prune, rows[i]))
+			for si := 0; si < len(steps) && len(cur) > 0; si++ {
+				st, arena, kc := &steps[si], stepArena(mc, si == len(steps)-1, prune != nil), kcs[si]
+				if si > 0 && kc != nil {
+					matches = hts[si].ProbeNK(kc.NK[i])
+				}
 				next = next[:0]
 				for _, r := range cur {
-					next = st.probe(mc, arena, r, hts[si].Probe(mapreduce.CompositeKeyCompiled(r, st.keyAccs)), next)
+					if kc == nil {
+						matches = hts[si].Probe(data.CompositeKey(r, st.keyAccs.bind(r)))
+					}
+					next = st.probe(mc, arena, r, matches, next)
 				}
 				cur, next = next, cur
 			}
