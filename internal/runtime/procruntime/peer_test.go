@@ -373,7 +373,7 @@ func newLossyHarness(t *testing.T, n, records int, lose *atomic.Int64) (executor
 			tasks, _ := wire.DecodeTaskBatch(body)
 			for _, task := range tasks {
 				if task.ShuffleID != "" && lose.Add(-1) >= 0 {
-					w.shuffles.drop(func(id string) bool { return id == task.ShuffleID })
+					w.shuffles.Drop(func(id string) bool { return id == task.ShuffleID })
 				}
 			}
 			maps.Copy(rw.Header(), rec.Header())
@@ -689,7 +689,7 @@ func TestServedAndRecoveredSegmentsAreTheWindow(t *testing.T) {
 		if again := w.runTask(&rerun); again.Err != "" || !reflect.DeepEqual(again.Parts, res.Parts) {
 			t.Fatalf("%s: re-run under a fresh id: %q, digests %v, want %v", op.Kind, again.Err, again.Parts, res.Parts)
 		}
-		out, _ := w.shuffles.peek(id)
+		out, _ := w.shuffles.Peek(id)
 		var total int
 		for p := range reducers {
 			window := out.AppendPart(nil, p)

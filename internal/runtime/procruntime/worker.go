@@ -2,6 +2,7 @@ package procruntime
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -18,6 +19,7 @@ import (
 	"dyno/internal/dfs"
 	"dyno/internal/expr"
 	"dyno/internal/mapreduce"
+	"dyno/internal/oncecache"
 	"dyno/internal/physop"
 	"dyno/internal/runtime/wire"
 )
@@ -45,29 +47,6 @@ type WorkerStatus struct {
 	ShuffleEvictions int64 `json:"shuffleEvictions"`
 }
 
-// onceCache is a FIFO cache bounded by total cost whose entries are
-// built once: a frame's tasks run in parallel and can all miss one key
-// at the same instant, so late arrivals wait for the first caller's
-// build instead of repeating it. A failed build is not cached.
-type onceCache[K comparable, V any] struct {
-	max int64 // total cost bound
-
-	mu    sync.Mutex
-	m     map[K]*onceEntry[V]
-	order []K // built keys, oldest first
-	cost  int64
-
-	hits, misses, evicts int64
-}
-
-type onceEntry[V any] struct {
-	once  sync.Once
-	v     V
-	cost  int64
-	err   error
-	built bool // v is set and the entry is in order; guarded by the cache's mu
-}
-
 // The bounds of a worker's three caches. Blocks and built tables are
 // immutable (new file version = new mirror file), so plain FIFO
 // eviction is safe; the controller names what job retirement made
@@ -81,80 +60,6 @@ const (
 	shuffleCacheBytes = 256 << 20 // retained map outputs, by encoded bytes
 )
 
-func newOnceCache[K comparable, V any](max int64) *onceCache[K, V] {
-	return &onceCache[K, V]{max: max, m: map[K]*onceEntry[V]{}}
-}
-
-// get returns key's value; the first caller to ask runs build, which
-// also reports the value's cost.
-func (c *onceCache[K, V]) get(key K, build func() (V, int64, error)) (V, error) {
-	c.mu.Lock()
-	e, ok := c.m[key]
-	if ok {
-		c.hits++
-	} else {
-		c.misses++
-		e = &onceEntry[V]{}
-		c.m[key] = e
-	}
-	c.mu.Unlock()
-	e.once.Do(func() {
-		e.v, e.cost, e.err = build()
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		if c.m[key] != e {
-			return // dropped while it was being built
-		}
-		if e.err != nil {
-			delete(c.m, key)
-			return
-		}
-		for c.cost+e.cost > c.max && len(c.order) > 0 {
-			c.cost -= c.m[c.order[0]].cost
-			delete(c.m, c.order[0])
-			c.order = c.order[1:]
-			c.evicts++
-		}
-		c.order = append(c.order, key)
-		c.cost += e.cost
-		e.built = true
-	})
-	return e.v, e.err
-}
-
-// peek returns key's value if it has been built; it builds nothing.
-func (c *onceCache[K, V]) peek(key K) (v V, ok bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e := c.m[key]; e != nil && e.built {
-		return e.v, true
-	}
-	return v, false
-}
-
-// drop forgets every entry whose key dead reports true. It is not an
-// eviction: the caller knows those keys will not be asked for again.
-func (c *onceCache[K, V]) drop(dead func(key K) bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for key, e := range c.m {
-		if dead(key) {
-			if e.built {
-				c.cost -= e.cost
-			}
-			delete(c.m, key)
-		}
-	}
-	c.order = slices.DeleteFunc(c.order, func(key K) bool { return c.m[key] == nil })
-}
-
-// stats returns the entry count, total cost, and the counters.
-func (c *onceCache[K, V]) stats() (n int, cost, hits, misses, evicts int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.order), c.cost, c.hits, c.misses, c.evicts
-}
-
 // Worker executes dispatched map/reduce task bodies. It serves the
 // controller's wire protocol from Handler(), so the same code runs as
 // a real process (cmd/dynoworker) and in-process under httptest for
@@ -165,9 +70,9 @@ type Worker struct {
 	// a reduce wave's fetches reuse connections.
 	peers *http.Client
 
-	blocks   *onceCache[wire.BlockRef, *dfs.Block]      // bounded by on-disk bytes
-	tables   *onceCache[tableKey, *mapreduce.HashTable] // bounded by entry count
-	shuffles *onceCache[string, mapreduce.Partitioned]  // retained map outputs by shuffle id, bounded by encoded bytes
+	blocks   *oncecache.Cache[wire.BlockRef, *dfs.Block]      // bounded by on-disk bytes
+	tables   *oncecache.Cache[tableKey, *mapreduce.HashTable] // bounded by entry count
+	shuffles *oncecache.Cache[string, mapreduce.Partitioned]  // retained map outputs by shuffle id, bounded by encoded bytes
 
 	mu          sync.Mutex
 	draining    bool
@@ -188,9 +93,9 @@ func NewWorker(reg *expr.Registry) *Worker {
 			MaxIdleConnsPerHost: runtime.GOMAXPROCS(0), // the frame parallelism
 			IdleConnTimeout:     90 * time.Second,
 		}},
-		blocks:   newOnceCache[wire.BlockRef, *dfs.Block](blockCacheBytes),
-		tables:   newOnceCache[tableKey, *mapreduce.HashTable](tableCacheEntries),
-		shuffles: newOnceCache[string, mapreduce.Partitioned](shuffleCacheBytes),
+		blocks:   oncecache.New[wire.BlockRef, *dfs.Block](blockCacheBytes),
+		tables:   oncecache.New[tableKey, *mapreduce.HashTable](tableCacheEntries),
+		shuffles: oncecache.New[string, mapreduce.Partitioned](shuffleCacheBytes),
 	}
 }
 
@@ -266,9 +171,9 @@ func (w *Worker) handleShuffleGC(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	slices.Sort(req.IDs) // a big job retires thousands of ids at once
-	w.shuffles.drop(func(id string) bool { _, dead := slices.BinarySearch(req.IDs, id); return dead })
-	w.blocks.drop(func(ref wire.BlockRef) bool { return slices.Contains(req.Files, ref.File) })
-	w.tables.drop(func(key tableKey) bool { return slices.Contains(req.Files, key.file) })
+	w.shuffles.Drop(func(id string) bool { _, dead := slices.BinarySearch(req.IDs, id); return dead })
+	w.blocks.Drop(func(ref wire.BlockRef) bool { return slices.Contains(req.Files, ref.File) })
+	w.tables.Drop(func(key tableKey) bool { return slices.Contains(req.Files, key.file) })
 	rw.WriteHeader(http.StatusOK)
 }
 
@@ -276,9 +181,9 @@ func (w *Worker) handleStatus(rw http.ResponseWriter, r *http.Request) {
 	w.mu.Lock()
 	st := WorkerStatus{Draining: w.draining}
 	w.mu.Unlock()
-	st.ShuffleBlocks, st.ShuffleBytes, _, _, st.ShuffleEvictions = w.shuffles.stats()
-	st.Blocks, st.BlockBytes, st.BlockHits, st.BlockMisses, st.BlockEvictions = w.blocks.stats()
-	st.Tables, _, st.TableHits, st.TableMisses, st.TableEvictions = w.tables.stats()
+	st.ShuffleBlocks, st.ShuffleBytes, _, _, st.ShuffleEvictions = w.shuffles.Stats()
+	st.Blocks, st.BlockBytes, st.BlockHits, st.BlockMisses, st.BlockEvictions = w.blocks.Stats()
+	st.Tables, _, st.TableHits, st.TableMisses, st.TableEvictions = w.tables.Stats()
 	st.ShuffleServed = w.statShufServed.Load()
 	rw.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(rw).Encode(st)
@@ -414,13 +319,13 @@ func (w *Worker) retainShuffle(id string, out mapreduce.Partitioned, scale float
 	}
 	// A hedged duplicate of a deterministic map finds the id taken: its
 	// output is byte-identical, so the first copy serves.
-	w.shuffles.get(id, func() (mapreduce.Partitioned, int64, error) { return out, raw, nil })
+	w.shuffles.Get(context.Background(), id, func() (mapreduce.Partitioned, int64, error) { return out, raw, nil })
 	return digests
 }
 
 // shuffleLookup is the retained output that holds partition part.
 func (w *Worker) shuffleLookup(id string, part int) (mapreduce.Partitioned, bool) {
-	out, ok := w.shuffles.peek(id)
+	out, ok := w.shuffles.Peek(id)
 	if !ok || part < 0 || part >= out.NumParts() {
 		return mapreduce.Partitioned{}, false
 	}
@@ -550,7 +455,7 @@ func (w *Worker) block(ref wire.BlockRef) (*dfs.Block, error) {
 	if ref.File == "" {
 		return nil, fmt.Errorf("map task has no input block")
 	}
-	return w.blocks.get(ref, func() (*dfs.Block, int64, error) {
+	b, _, err := w.blocks.Get(context.Background(), ref, func() (*dfs.Block, int64, error) {
 		b, err := readSpan(ref)
 		if err != nil {
 			return nil, 0, err
@@ -561,6 +466,7 @@ func (w *Worker) block(ref wire.BlockRef) (*dfs.Block, error) {
 		}
 		return dfs.NewBlock(recs), ref.Len, nil
 	})
+	return b, err
 }
 
 // readSpan reads a block's frame out of its mirror file with one
@@ -615,7 +521,7 @@ func (w *Worker) table(ref wire.BuildRef) (*mapreduce.HashTable, error) {
 	for _, p := range ref.Keys {
 		key.params += "|" + p.String()
 	}
-	return w.tables.get(key, func() (*mapreduce.HashTable, int64, error) {
+	t, _, err := w.tables.Get(context.Background(), key, func() (*mapreduce.HashTable, int64, error) {
 		blocks := make([]*dfs.Block, len(ref.Blocks))
 		var sample data.Value
 		for i, b := range ref.Blocks {
@@ -639,4 +545,5 @@ func (w *Worker) table(ref wire.BuildRef) (*mapreduce.HashTable, error) {
 		}
 		return t, 1, nil
 	})
+	return t, err
 }

@@ -168,12 +168,12 @@ func TestBroadcastTableBuiltOncePerWorker(t *testing.T) {
 			t.Errorf("probe %d: concurrent rows differ from the serial worker's", i)
 		}
 	}
-	if _, _, hits, misses, _ := w.tables.stats(); misses != 1 || hits != probes-1 {
+	if _, _, hits, misses, _ := w.tables.Stats(); misses != 1 || hits != probes-1 {
 		t.Errorf("table misses = %d, hits = %d; want 1 and %d (one build, the rest wait for it)", misses, hits, probes-1)
 	}
 	// One decode per block: each probe block by its own task, each
 	// build-side block by the one table build.
-	if _, _, _, misses, _ := w.blocks.stats(); misses != probes+buildBlocks {
+	if _, _, _, misses, _ := w.blocks.Stats(); misses != probes+buildBlocks {
 		t.Errorf("block misses = %d, want %d (one decode per block)", misses, probes+buildBlocks)
 	}
 }
@@ -207,7 +207,7 @@ func TestTableKeyHasNoStepName(t *testing.T) {
 	if len(rows[0]) != 15 || !reflect.DeepEqual(rows[0], rows[1]) {
 		t.Errorf("the probes joined %d and %d rows, want the same 15", len(rows[0]), len(rows[1]))
 	}
-	if n, _, hits, misses, _ := w.tables.stats(); n != 1 || misses != 1 || hits != 1 {
+	if n, _, hits, misses, _ := w.tables.Stats(); n != 1 || misses != 1 || hits != 1 {
 		t.Errorf("tables=%d hits=%d misses=%d; want one table, built once and found once", n, hits, misses)
 	}
 }
@@ -231,7 +231,7 @@ func TestGCDropsDeadMirrorFiles(t *testing.T) {
 	if res := w.runTask(task); res.Err != "" || len(res.Rows) != 1 {
 		t.Fatalf("probe: err=%q rows=%d", res.Err, len(res.Rows))
 	}
-	_, liveCost, _, _, _ := w.blocks.stats()
+	_, liveCost, _, _, _ := w.blocks.Stats()
 
 	body, _ := json.Marshal(wire.ShuffleGCRequest{Files: []string{dead[0].File}})
 	req := httptest.NewRequest(http.MethodPost, "/shuffle/gc", bytes.NewReader(body))
@@ -240,71 +240,20 @@ func TestGCDropsDeadMirrorFiles(t *testing.T) {
 	if rr.Code != http.StatusOK {
 		t.Fatalf("gc: HTTP %d", rr.Code)
 	}
-	if n, cost, _, _, _ := w.blocks.stats(); n != 2 || cost >= liveCost || cost <= 0 {
+	if n, cost, _, _, _ := w.blocks.Stats(); n != 2 || cost >= liveCost || cost <= 0 {
 		t.Errorf("%d blocks (cost %d of %d) cached after the GC, want the live file's 2", n, cost, liveCost)
 	}
-	if n, cost, _, _, _ := w.tables.stats(); n != 1 || cost != 1 {
+	if n, cost, _, _, _ := w.tables.Stats(); n != 1 || cost != 1 {
 		t.Errorf("%d tables (cost %d) cached after the GC, want 1", n, cost)
 	}
 	// The live entries still hit; a dropped one is rebuilt if asked for.
 	if res := w.runTask(task); res.Err != "" || len(res.Rows) != 1 {
 		t.Fatalf("probe after gc: err=%q rows=%d", res.Err, len(res.Rows))
 	}
-	if _, _, _, misses, _ := w.tables.stats(); misses != 3 {
+	if _, _, _, misses, _ := w.tables.Stats(); misses != 3 {
 		t.Errorf("table misses = %d, want 3 (two builds, then the dropped one again)", misses)
 	}
-	if _, _, _, misses, _ := w.blocks.stats(); misses != 4 {
+	if _, _, _, misses, _ := w.blocks.Stats(); misses != 4 {
 		t.Errorf("block misses = %d, want 4 (three decodes, then the dropped block again)", misses)
-	}
-}
-
-// TestOnceCache pins what the worker's three caches rely on: FIFO
-// eviction by cost, peek that never builds, drop that keeps the cost
-// honest, and a build that finishes after its key was dropped staying
-// out of the cache.
-func TestOnceCache(t *testing.T) {
-	c := newOnceCache[string, string](10)
-	put := func(key string, cost int64) {
-		t.Helper()
-		if v, err := c.get(key, func() (string, int64, error) { return "v" + key, cost, nil }); err != nil || v != "v"+key {
-			t.Fatalf("get(%s) = %q, %v", key, v, err)
-		}
-	}
-	put("a", 4)
-	put("b", 4)
-	if _, ok := c.peek("zz"); ok {
-		t.Error("peek found a key nobody built")
-	}
-	if n, _, _, misses, _ := c.stats(); n != 2 || misses != 2 {
-		t.Errorf("peek of an unknown key changed the cache: %d entries, %d misses", n, misses)
-	}
-	put("c", 4) // 12 > 10: the oldest goes
-	if _, ok := c.peek("a"); ok {
-		t.Error("the oldest entry survived an over-budget insert")
-	}
-	if v, ok := c.peek("b"); !ok || v != "vb" {
-		t.Errorf("peek(b) = %q, %v", v, ok)
-	}
-	if n, cost, _, _, evicts := c.stats(); n != 2 || cost != 8 || evicts != 1 {
-		t.Errorf("after eviction: %d entries, cost %d, %d evictions; want 2, 8, 1", n, cost, evicts)
-	}
-	c.drop(func(key string) bool { return key == "b" })
-	if n, cost, _, _, evicts := c.stats(); n != 1 || cost != 4 || evicts != 1 {
-		t.Errorf("after drop: %d entries, cost %d, %d evictions; want 1, 4, 1", n, cost, evicts)
-	}
-	// Dropped mid-build: the caller still gets its value, the cache does
-	// not keep it.
-	v, err := c.get("d", func() (string, int64, error) {
-		c.drop(func(key string) bool { return key == "d" })
-		return "vd", 4, nil
-	})
-	if err != nil || v != "vd" {
-		t.Fatalf("get(d) = %q, %v", v, err)
-	}
-	if _, ok := c.peek("d"); ok {
-		t.Error("an entry dropped while it was being built was cached")
-	}
-	if n, cost, _, _, _ := c.stats(); n != 1 || cost != 4 {
-		t.Errorf("after the dropped build: %d entries, cost %d; want 1, 4", n, cost)
 	}
 }

@@ -5,13 +5,13 @@
 // its own core.Engine session whose MapReduce jobs interleave with
 // every other session's on the shard's cluster under the Fair
 // scheduler. An admission controller bounds in-flight work. Repeat
-// queries are served in tiers: a normalized-SQL result cache returns
-// rows without executing anything, in-flight deduplication coalesces
-// concurrent identical cache misses onto one execution, and a
-// cross-query statistics store reuses pilot-run results across
-// queries over the same leaf expressions — all with epoch-based
-// invalidation when base tables change. cmd/dynod exposes the service
-// over HTTP/JSON.
+// queries are served in tiers: a shard's table of normalized-SQL
+// results returns a finished result's rows without executing anything
+// and makes concurrent identical requests wait on the one execution
+// under way, and a cross-query statistics store reuses pilot-run
+// results across queries over the same leaf expressions; invalidation
+// replaces the table and the store together when base tables change.
+// cmd/dynod exposes the service over HTTP/JSON.
 package server
 
 import (

@@ -72,11 +72,11 @@ func (l *latencySample) percentile(p float64) float64 {
 }
 
 // Percentile sorts values in place and returns their p-th percentile
-// (0..1) with linear interpolation between adjacent ranks. Truncating
-// the fractional rank — the previous behavior — reported ~p90 when
-// asked for p95 over small windows (10 samples → index 8, the exact
-// 90th percentile). Exported because the experiment harnesses compute
-// the same percentiles over their own latency samples.
+// (0..1) with linear interpolation between adjacent ranks: over a
+// small window a truncated rank reads low (p95 of 10 samples would be
+// index 8, the 90th percentile). Exported because the experiment
+// harnesses compute the same percentiles over their own latency
+// samples.
 func Percentile(values []float64, p float64) float64 {
 	if len(values) == 0 {
 		return 0

@@ -15,6 +15,7 @@ import (
 	"dyno/internal/core"
 	"dyno/internal/data"
 	"dyno/internal/expr"
+	"dyno/internal/oncecache"
 	"dyno/internal/optimizer"
 	"dyno/internal/runtime"
 	"dyno/internal/sqlparse"
@@ -106,6 +107,9 @@ func (c Config) normalized() Config {
 	if c.MaxQueue < 0 {
 		c.MaxQueue = 0
 	}
+	if c.ResultCacheSize <= 0 {
+		c.ResultCacheSize = 256
+	}
 	return c
 }
 
@@ -174,9 +178,7 @@ type Server struct {
 	sem     chan struct{} // in-flight slots
 	waiting atomic.Int64  // queued + executing requests
 	seq     atomic.Int64  // session tags
-
-	invMu sync.Mutex   // serializes invalidate's shard sweep
-	epoch atomic.Int64 // current statistics epoch
+	epoch   atomic.Int64  // invalidations so far
 
 	// Graceful shutdown: baseCtx is canceled by Shutdown, which every
 	// query context is tied to; wg tracks queries between admission and
@@ -329,9 +331,9 @@ func requestView(proto *response, req Request, resultHit, deduped bool) *respons
 	return &r
 }
 
-// run resolves, routes, and serves one admitted query: result cache
-// first, then in-flight deduplication, then an engine session on the
-// query's shard.
+// run resolves, routes, and serves one admitted query from its shard's
+// result table: a finished result, the execution another request has
+// under way, or an engine session of its own.
 func (s *Server) run(ctx context.Context, req Request) (*response, error) {
 	sql := req.SQL
 	if sql == "" {
@@ -367,46 +369,54 @@ func (s *Server) run(ctx context.Context, req Request) (*response, error) {
 	}
 
 	sh := s.shardFor(norm)
-	epoch, store := sh.session()
-	key := fmt.Sprintf("e%d|%s|%s|%s", epoch, variant, strategyName, norm)
-
-	if proto, ok := sh.results.get(key); ok {
-		s.met.resultHits.Add(1)
-		return requestView(proto, req, true, false), nil
-	}
-
-	var fromCache bool
-	proto, err, leader := sh.flight.do(ctx, key, func() (*response, error) {
-		// Re-check under the in-flight slot: a leader that finished
-		// between our cache check and registration has already cached
-		// its result, and executing again would duplicate its work.
-		if proto, ok := sh.results.get(key); ok {
-			fromCache = true
-			return proto, nil
-		}
-		return s.execute(ctx, sh, sql, variant, strat, key, epoch, store)
+	store, results := sh.session()
+	key := string(variant) + "|" + strategyName + "|" + norm
+	proto, res, err := serve(ctx, results, key, func() (*response, int64, error) {
+		resp, err := s.execute(ctx, sh, sql, variant, strat, store)
+		return resp, 1, err
 	})
 	if err != nil {
 		return nil, err
 	}
-	switch {
-	case !leader:
-		s.met.deduped.Add(1)
-		return requestView(proto, req, false, true), nil
-	case fromCache:
+	switch res {
+	case oncecache.Hit:
 		s.met.resultHits.Add(1)
-		return requestView(proto, req, true, false), nil
-	default:
+	case oncecache.Waited:
+		s.met.deduped.Add(1)
+	case oncecache.Built:
 		s.met.resultMisses.Add(1)
-		return requestView(proto, req, false, false), nil
 	}
+	return requestView(proto, req, res == oncecache.Hit, res == oncecache.Waited), nil
+}
+
+// serve gets key from a result table, running build when no request
+// has it yet. A request that waited on an execution which was canceled
+// while its own context is live does not inherit the cancellation: it
+// asks again, running the query itself or waiting on a newer
+// execution, so one canceled request never fails those behind it. An
+// execution that fails on the query's own merits fails its waiters
+// too, since running it again would fail the same way.
+func serve(ctx context.Context, results *oncecache.Cache[string, *response], key string,
+	build func() (*response, int64, error)) (*response, oncecache.Result, error) {
+	for {
+		proto, res, err := results.Get(ctx, key, build)
+		if res != oncecache.Waited || !isCancellation(err) || ctx.Err() != nil {
+			return proto, res, err
+		}
+	}
+}
+
+// isCancellation reports whether an execution failed because its
+// context ended rather than on the query's own merits.
+func isCancellation(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // execute runs one query in its own engine session on sh — full DYNOPT
 // over the shard's shared statistics store — and returns the full
-// (untruncated) response prototype, caching it for repeats.
+// (untruncated) response prototype.
 func (s *Server) execute(ctx context.Context, sh *shard, sql string, variant baselines.Variant,
-	strat core.Strategy, key string, epoch int64, store *stats.Store) (*response, error) {
+	strat core.Strategy, store *stats.Store) (*response, error) {
 	tag := fmt.Sprintf("s%d-", s.seq.Add(1))
 	scratch := &scratchTracker{}
 	onCreate := scratch.add
@@ -462,21 +472,17 @@ func (s *Server) execute(ctx context.Context, sh *shard, sql string, variant bas
 		s.met.pilotJobs.Add(int64(res.Pilot.Jobs))
 	}
 	resp.Rows = res.Rows
-	// A put computed against a pre-invalidate epoch is dropped.
-	sh.results.put(key, epoch, resp)
 	return resp, nil
 }
 
-// invalidate bumps the statistics epoch on every shard: shared
-// statistics stores are replaced and result caches cleared, so the
-// next queries re-run pilots against the current base tables. Call it
-// after changing base data. Returns the new epoch.
+// invalidate gives every shard a fresh statistics store and result
+// table, so the next queries execute and re-run pilots against the
+// current base tables. Call it after changing base data. Returns the
+// new epoch, the count of invalidations so far.
 func (s *Server) invalidate() int64 {
-	s.invMu.Lock()
-	defer s.invMu.Unlock()
 	e := s.epoch.Add(1)
 	for _, sh := range s.shards {
-		sh.invalidate(e)
+		sh.invalidate(s.cfg.ResultCacheSize)
 	}
 	return e
 }
@@ -519,8 +525,9 @@ func (s *Server) Metrics() MetricsSnapshot {
 	var resultSize, storeLeaves int
 	var virtual float64
 	for _, sh := range s.shards {
-		_, store := sh.session()
-		resultSize += sh.results.size()
+		store, results := sh.session()
+		n, _, _, _, _ := results.Stats()
+		resultSize += n
 		storeLeaves += store.Len()
 		if now := sh.gate.Now(); now > virtual {
 			virtual = now

@@ -57,7 +57,7 @@ func q10Variant(i int) string {
 }
 
 func TestPlanCacheKeyedByVariantAndStrategy(t *testing.T) {
-	// The serving key is epoch|variant|strategy|normalized SQL: the same
+	// The serving key is variant|strategy|normalized SQL: the same
 	// text under another variant is another entry.
 	s := newTestServer(t, nil)
 	ctx := context.Background()

@@ -8,6 +8,7 @@ import (
 	"dyno/internal/cluster"
 	"dyno/internal/dfs"
 	"dyno/internal/jaql"
+	"dyno/internal/oncecache"
 	"dyno/internal/runtime"
 	"dyno/internal/runtime/simruntime"
 	"dyno/internal/stats"
@@ -29,16 +30,14 @@ type shard struct {
 	gate *simGate
 	cat  *jaql.Catalog
 
-	// mu guards the epoch-scoped state swapped by invalidate. epoch is
-	// the shard's view of the server epoch, snapshotted together with
-	// store so a session never mixes one epoch's key with another's
-	// statistics.
-	mu    sync.Mutex
-	epoch int64
-	store *stats.Store
-
-	results *fifoCache[*response]
-	flight  *flightGroup
+	// mu guards the statistics store and the result table, which
+	// invalidate swaps together. The table holds pending and finished
+	// results alike (cost 1 each, bounded by Config.ResultCacheSize), so
+	// a request that finds its key either reads the result or waits for
+	// the execution under way.
+	mu      sync.Mutex
+	store   *stats.Store
+	results *oncecache.Cache[string, *response]
 }
 
 // newShard generates the shard's private copy of the dataset and wires
@@ -59,43 +58,32 @@ func newShard(id int, cfg Config, ccfg cluster.Config) (*shard, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: shard %d: generate dataset: %w", id, err)
 	}
-	return &shard{
-		id:      id,
-		rt:      rt,
-		fs:      fs,
-		gate:    &simGate{sim: rt.Sim()},
-		cat:     cat,
-		store:   stats.NewStore(),
-		results: newFIFOCache[*response](cfg.ResultCacheSize),
-		flight:  newFlightGroup(),
-	}, nil
+	sh := &shard{id: id, rt: rt, fs: fs, gate: &simGate{sim: rt.Sim()}, cat: cat}
+	sh.invalidate(cfg.ResultCacheSize)
+	return sh, nil
 }
 
-// session snapshots the epoch-scoped state one query session runs
-// against.
-func (sh *shard) session() (epoch int64, store *stats.Store) {
+// session returns the statistics store and the result table one
+// request runs against, taken together.
+func (sh *shard) session() (*stats.Store, *oncecache.Cache[string, *response]) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return sh.epoch, sh.store
+	return sh.store, sh.results
 }
 
-// invalidate advances the shard to a new statistics epoch: fresh
-// statistics store, result cache cleared. The cache remembers the new
-// epoch, so in-flight queries that captured the old one cannot park
-// stale entries afterwards.
-func (sh *shard) invalidate(epoch int64) {
+// invalidate gives the shard a fresh statistics store and result
+// table. An execution that straddles it finishes into the old table,
+// where no later request looks, and no later request waits on it.
+func (sh *shard) invalidate(resultCacheSize int) {
 	sh.mu.Lock()
-	sh.epoch = epoch
+	defer sh.mu.Unlock()
 	sh.store = stats.NewStore()
-	sh.mu.Unlock()
-	sh.results.clear(epoch)
+	sh.results = oncecache.New[string, *response](int64(resultCacheSize))
 }
 
 // scratchTracker records the DFS output files a session's jobs create,
-// via mapreduce.Env.OnCreateFile. Cleanup then removes exactly those
-// names: the previous implementation listed the entire namespace per
-// query, an O(total files) scan (with a sort) that went quadratic at
-// load-generator client counts and worse with shards. Jobs can finish
+// via mapreduce.Env.OnCreateFile, so cleanup removes exactly those
+// names and costs nothing per file the namespace holds. Jobs can finish
 // on any goroutine driving the shared simulator, hence the mutex.
 type scratchTracker struct {
 	mu    sync.Mutex
@@ -119,8 +107,7 @@ func (t *scratchTracker) take() []string {
 
 // removeScratch deletes the session's scratch DFS files (tmp/ and
 // pilot/ trees under its tag; result rows were already copied out).
-// Only names under the session's own prefixes are touched, mirroring
-// the prefix filter the old full-namespace scan applied.
+// Only names under the session's own prefixes are touched.
 func (sh *shard) removeScratch(t *scratchTracker, tag string) {
 	for _, name := range t.take() {
 		if strings.HasPrefix(name, "tmp/"+tag) || strings.HasPrefix(name, "pilot/"+tag) {

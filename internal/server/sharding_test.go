@@ -5,9 +5,7 @@ import (
 	"errors"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"dyno/internal/sqlparse"
 	"dyno/internal/tpch"
@@ -116,70 +114,6 @@ func mustNorm(t *testing.T, s *Server, query string) string {
 	return norm
 }
 
-func TestFlightGroupCoalesces(t *testing.T) {
-	g := newFlightGroup()
-	release := make(chan struct{})
-	var execs atomic.Int32
-	fn := func() (*response, error) {
-		execs.Add(1)
-		<-release
-		return &response{RowCount: 7}, nil
-	}
-
-	type out struct {
-		resp   *response
-		err    error
-		leader bool
-	}
-	results := make(chan out, 4)
-	go func() {
-		r, err, leader := g.do(context.Background(), "k", fn)
-		results <- out{r, err, leader}
-	}()
-	// Wait for the leader to register before launching followers.
-	for g.pending() == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	for i := 0; i < 2; i++ {
-		go func() {
-			r, err, leader := g.do(context.Background(), "k", fn)
-			results <- out{r, err, leader}
-		}()
-	}
-	// A follower with a canceled context leaves without a result.
-	canceled, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err, leader := g.do(canceled, "k", fn); !errors.Is(err, context.Canceled) || leader {
-		t.Fatalf("canceled follower: err=%v leader=%v", err, leader)
-	}
-
-	time.Sleep(10 * time.Millisecond) // let followers park on the call
-	close(release)
-
-	leaders := 0
-	for i := 0; i < 3; i++ {
-		o := <-results
-		if o.err != nil {
-			t.Fatal(o.err)
-		}
-		if o.resp.RowCount != 7 {
-			t.Fatalf("shared response rowCount = %d", o.resp.RowCount)
-		}
-		if o.leader {
-			leaders++
-		}
-	}
-	if leaders != 1 {
-		t.Fatalf("leaders = %d, want exactly 1", leaders)
-	}
-	if n := execs.Load(); n != 1 {
-		t.Fatalf("fn executed %d times, want 1", n)
-	}
-	if g.pending() != 0 {
-		t.Fatal("flight entry leaked after completion")
-	}
-}
-
 func TestDedupCoalescesConcurrentMisses(t *testing.T) {
 	s := newTestServer(t, nil)
 	const k = 4
@@ -246,7 +180,7 @@ func TestShardRoutingIsStableAndIsolated(t *testing.T) {
 		for j := i + 1; j < len(s.shards); j++ {
 			a, b := s.shards[i], s.shards[j]
 			if a.gate == b.gate || a.rt.Sim() == b.rt.Sim() || a.fs == b.fs || a.cat == b.cat ||
-				a.results == b.results || a.flight == b.flight {
+				a.results == b.results || a.store == b.store {
 				t.Fatalf("shards %d and %d share state", i, j)
 			}
 		}
@@ -289,30 +223,57 @@ func TestShardRoutingIsStableAndIsolated(t *testing.T) {
 	wg.Wait()
 }
 
+// TestInvalidateMidQueryDoesNotParkStaleEntries: an invalidate that
+// lands while a query executes leaves that execution's result where no
+// later request reads it, and a request issued after the invalidate
+// runs its own execution instead of waiting on the stale one.
 func TestInvalidateMidQueryDoesNotParkStaleEntries(t *testing.T) {
 	s := newTestServer(t, nil)
-	done := make(chan error, 1)
+	// The hook runs on whichever goroutine steps the shard's simulator,
+	// under its gate: it only invalidates and signals, it never waits.
+	invalidated := make(chan struct{})
+	var once sync.Once
+	s.hookJobOutput = func(context.Context) {
+		once.Do(func() {
+			if e := s.invalidate(); e != 1 {
+				t.Errorf("epoch = %d, want 1", e)
+			}
+			close(invalidated)
+		})
+	}
+	first := make(chan error, 1)
 	go func() {
 		_, err := s.query(context.Background(), Request{Query: "Q8p"})
-		done <- err
+		first <- err
 	}()
-	// Land the epoch bump while the query executes (Q8p takes well
-	// over 50ms at this scale). Whichever side of the put the bump
-	// lands on, no epoch-0 key may survive: put drops stale epochs and
-	// clear wipes anything stored earlier.
-	time.Sleep(50 * time.Millisecond)
-	if e := s.invalidate(); e != 1 {
-		t.Fatalf("epoch = %d, want 1", e)
-	}
-	if err := <-done; err != nil {
+	<-invalidated
+	r2, err := s.query(context.Background(), Request{Query: "Q8p"})
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sh := range s.shards {
-		for _, key := range sh.results.keys() {
-			if strings.HasPrefix(key, "e0|") {
-				t.Errorf("stale epoch-0 key %q parked in the result cache", key)
-			}
-		}
+	if r2.Deduped || r2.ResultCacheHit {
+		t.Fatalf("request after the invalidate: deduped=%v hit=%v, want its own execution", r2.Deduped, r2.ResultCacheHit)
+	}
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	r3, err := s.query(context.Background(), Request{Query: "Q8p"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r3.ResultCacheHit {
+		t.Fatal("a repeat did not hit the post-invalidate result")
+	}
+	s.invalidate()
+	r4, err := s.query(context.Background(), Request{Query: "Q8p"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r4.ResultCacheHit {
+		t.Fatal("a repeat after a second invalidate hit the result cache")
+	}
+	if m := s.Metrics(); m.ResultCacheMisses != 3 || m.ResultCacheHits != 1 || m.Deduped != 0 {
+		t.Errorf("misses=%d hits=%d deduped=%d, want 3/1/0", m.ResultCacheMisses, m.ResultCacheHits, m.Deduped)
 	}
 }
 
