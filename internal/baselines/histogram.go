@@ -29,9 +29,7 @@ type histogram struct {
 // buildHistogram constructs an equi-depth histogram with at most
 // `buckets` buckets from the observed values.
 func buildHistogram(values []data.Value, buckets int) *histogram {
-	if buckets < 1 {
-		buckets = 1
-	}
+	buckets = max(buckets, 1)
 	vals := make([]data.Value, 0, len(values))
 	for _, v := range values {
 		if !v.IsNull() {
@@ -43,18 +41,10 @@ func buildHistogram(values []data.Value, buckets int) *histogram {
 	if len(vals) == 0 {
 		return h
 	}
-	if buckets > len(vals) {
-		buckets = len(vals)
-	}
+	buckets = min(buckets, len(vals))
 	h.depth = float64(len(vals)) / float64(buckets)
 	for b := 1; b <= buckets; b++ {
-		idx := int(float64(b)*h.depth) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(vals) {
-			idx = len(vals) - 1
-		}
+		idx := min(max(int(float64(b)*h.depth)-1, 0), len(vals)-1)
 		h.bounds = append(h.bounds, vals[idx])
 	}
 	return h

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"dyno/internal/core"
@@ -142,10 +143,8 @@ var Variants = []Variant{VariantBestStatic, VariantRelOpt, VariantSimple, Varian
 // ParseVariant resolves a variant name; the error for an unknown name
 // lists the valid ones.
 func ParseVariant(name string) (Variant, error) {
-	for _, v := range Variants {
-		if Variant(name) == v {
-			return v, nil
-		}
+	if slices.Contains(Variants, Variant(name)) {
+		return Variant(name), nil
 	}
 	valid := make([]string, len(Variants))
 	for i, v := range Variants {

@@ -1,6 +1,7 @@
 package batch
 
 import (
+	"slices"
 	"strings"
 
 	"dyno/internal/data"
@@ -28,24 +29,16 @@ func Supported(e expr.Expr) bool {
 	case *expr.Cmp:
 		return operandOK(t.L) && operandOK(t.R)
 	case *expr.And:
-		for _, term := range t.Terms {
-			if !Supported(term) {
-				return false
-			}
-		}
-		return true
+		return !slices.ContainsFunc(t.Terms, unsupported)
 	case *expr.Or:
-		for _, term := range t.Terms {
-			if !Supported(term) {
-				return false
-			}
-		}
-		return true
+		return !slices.ContainsFunc(t.Terms, unsupported)
 	case *expr.Not:
 		return Supported(t.E)
 	}
 	return false
 }
+
+func unsupported(e expr.Expr) bool { return !Supported(e) }
 
 func operandOK(e expr.Expr) bool {
 	switch e.(type) {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
 )
 
 // MarshalJSON encodes the value as standard JSON. Object fields appear in
@@ -25,8 +24,8 @@ func DecodeJSON(b []byte) (Value, error) {
 	return fromGo(raw)
 }
 
-// fromGo converts a decoded encoding/json value (nil, bool, json.Number,
-// float64, string, []any, map[string]any) into a Value.
+// fromGo converts what encoding/json decodes with UseNumber (nil, bool,
+// json.Number, string, []any, map[string]any) into a Value.
 func fromGo(raw any) (Value, error) {
 	switch x := raw.(type) {
 	case nil:
@@ -35,15 +34,6 @@ func fromGo(raw any) (Value, error) {
 		return Bool(x), nil
 	case string:
 		return String(x), nil
-	case float64:
-		if x == math.Trunc(x) && math.Abs(x) < 1e15 {
-			return Int(int64(x)), nil
-		}
-		return Double(x), nil
-	case int:
-		return Int(int64(x)), nil
-	case int64:
-		return Int(x), nil
 	case json.Number:
 		if i, err := x.Int64(); err == nil {
 			return Int(i), nil

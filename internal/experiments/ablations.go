@@ -76,14 +76,7 @@ func ablationStatsReuse(cfg Config) (*Table, error) {
 		Title:  "Ablation: statistics reuse across recurring queries (Q10, SF=300, DYNOPT)",
 		Header: []string{"run", "pilot-jobs", "pilot-time", "total-time"},
 	}
-	l, err := getLab(300, cfg)
-	if err != nil {
-		return nil, err
-	}
-	env := l.newEnv(false, cfg)
-	opts := experimentOptions()
-	opts.ReuseStats = true
-	eng, err := baselines.NewEngine(baselines.VariantDynOpt, env, l.cat, optCfgFor(env), opts)
+	eng, _, err := newEngine(baselines.VariantDynOpt, 300, cfg, false, func(o *core.Options) { o.ReuseStats = true }, nil)
 	if err != nil {
 		return nil, err
 	}

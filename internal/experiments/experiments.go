@@ -139,13 +139,14 @@ func optCfgFor(env *mapreduce.Env) optimizer.Config {
 	return optimizer.DefaultConfig(float64(env.Sim.Config().SlotMemory))
 }
 
-// runVariantFull additionally lets callers tweak the optimizer
-// configuration (ablations toggle individual rules).
-func runVariantFull(v baselines.Variant, sf float64, cfg Config, query string,
-	hiveProfile bool, tweak func(*core.Options), optTweak func(*optimizer.Config)) (*measurement, error) {
+// newEngine builds a variant's engine over a fresh environment on the
+// (sf, cfg) lab, with experimentOptions and optCfgFor, each adjusted by
+// its tweak when non-nil.
+func newEngine(v baselines.Variant, sf float64, cfg Config, hiveProfile bool,
+	tweak func(*core.Options), optTweak func(*optimizer.Config)) (*core.Engine, *mapreduce.Env, error) {
 	l, err := getLab(sf, cfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	env := l.newEnv(hiveProfile, cfg)
 	opts := experimentOptions()
@@ -157,6 +158,14 @@ func runVariantFull(v baselines.Variant, sf float64, cfg Config, query string,
 		optTweak(&optCfg)
 	}
 	eng, err := baselines.NewEngine(v, env, l.cat, optCfg, opts)
+	return eng, env, err
+}
+
+// runVariantFull additionally lets callers tweak the optimizer
+// configuration (ablations toggle individual rules).
+func runVariantFull(v baselines.Variant, sf float64, cfg Config, query string,
+	hiveProfile bool, tweak func(*core.Options), optTweak func(*optimizer.Config)) (*measurement, error) {
+	eng, env, err := newEngine(v, sf, cfg, hiveProfile, tweak, optTweak)
 	if err != nil {
 		return nil, err
 	}

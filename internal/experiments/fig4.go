@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"dyno/internal/baselines"
-	"dyno/internal/optimizer"
+	"dyno/internal/core"
 	"dyno/internal/tpch"
 )
 
@@ -33,15 +33,8 @@ func (o overheads) totalOverheadFraction() float64 {
 // only overhead is optimization time.
 func measureOverheads(cfg Config, query string) (*overheads, error) {
 	cfg = cfg.normalized()
-	l, err := getLab(300, cfg)
-	if err != nil {
-		return nil, err
-	}
-	env := l.newEnv(false, cfg)
-	opts := experimentOptions()
-	opts.ReuseStats = true // populate + reuse across the two runs
-	optCfg := optimizer.DefaultConfig(float64(env.Sim.Config().SlotMemory))
-	eng, err := baselines.NewEngine(baselines.VariantDynOpt, env, l.cat, optCfg, opts)
+	// ReuseStats: populate, then reuse across the two runs.
+	eng, _, err := newEngine(baselines.VariantDynOpt, 300, cfg, false, func(o *core.Options) { o.ReuseStats = true }, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -554,11 +554,7 @@ func (f *Fleet) hedgeDelay(kind string) time.Duration {
 	}
 	ds := recent[:n]
 	slices.Sort(ds)
-	d := time.Duration(hedgeFactor * ds[n/2] * float64(time.Second))
-	if d < f.cfg.HedgeMin {
-		d = f.cfg.HedgeMin
-	}
-	return d
+	return max(time.Duration(hedgeFactor*ds[n/2]*float64(time.Second)), f.cfg.HedgeMin)
 }
 
 // taskFailedError is a deterministic task failure: the worker ran the

@@ -91,10 +91,6 @@ type sessionGate struct {
 	subs []*cluster.Submission
 }
 
-func newSessionGate(g *simGate, ctx context.Context) *sessionGate {
-	return &sessionGate{gate: g, ctx: ctx}
-}
-
 // Submit implements mapreduce.Gate.
 func (s *sessionGate) Submit(j cluster.Job) *cluster.Submission {
 	sub := s.gate.Submit(j)

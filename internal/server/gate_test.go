@@ -14,7 +14,7 @@ import (
 // Sim.RunUntil does: no submission of the session is pending, so no
 // step can ever satisfy it.
 func TestIdleGateReturnsErrIdle(t *testing.T) {
-	g := newSessionGate(&simGate{sim: cluster.New(cluster.Config{Workers: 1, MapSlotsPerWorker: 1, ReduceSlotsPerWorker: 1})}, context.Background())
+	g := &sessionGate{gate: &simGate{sim: cluster.New(cluster.Config{Workers: 1, MapSlotsPerWorker: 1, ReduceSlotsPerWorker: 1})}, ctx: context.Background()}
 	start := time.Now()
 	err := g.RunUntil(func() bool { return false })
 	if !errors.Is(err, cluster.ErrIdle) {

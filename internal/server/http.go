@@ -4,8 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
+	"sync"
 
+	"dyno/internal/data"
 	"dyno/internal/tpch"
 )
 
@@ -51,7 +54,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeQuery(w, resp)
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
@@ -78,9 +81,64 @@ func (s *Server) handleInvalidate(w http.ResponseWriter, r *http.Request) {
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
+}
+
+// writeQuery writes a query's response: its rows' stored JSON spliced
+// in as "rows", then the other fields as encoding/json writes them.
+func writeQuery(w http.ResponseWriter, r *response) {
+	rows, err := r.enc.prefix(r.Rows)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	rest, err := json.Marshal(struct {
+		*response
+		Rows *struct{} `json:"rows,omitempty"` // nil: shadows response.Rows
+	}{response: r})
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	body := append(make([]byte, 0, len(rows)+len(rest)+16), `{"rows":`...)
+	if r.Rows == nil {
+		body = append(body, "null"...)
+	} else {
+		body = append(append(append(body, '['), rows...), ']')
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(append(append(append(body, ','), rest[1:]...), '\n'))
+}
+
+// encodedRows is an execution's rows as JSON, each row encoded the
+// first time a response needs it: buf holds rows 0..len(ends)-1, each
+// followed by a comma, row i ending at ends[i]. Written bytes never
+// change, so a prefix handed out stays valid while later rows append.
+type encodedRows struct {
+	mu   sync.Mutex
+	buf  []byte
+	ends []int
+}
+
+// prefix returns rows, a prefix of the execution's rows, as the
+// comma-separated elements of a JSON array.
+func (e *encodedRows) prefix(rows []data.Value) ([]byte, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for i := len(e.ends); i < len(rows); i++ {
+		row := rows[i].String()
+		if !json.Valid([]byte(row)) {
+			return nil, fmt.Errorf("server: row %d is not JSON: %.80s", i, row)
+		}
+		e.ends = append(e.ends, len(e.buf)+len(row))
+		e.buf = append(append(e.buf, row...), ',')
+	}
+	if len(rows) == 0 {
+		return nil, nil
+	}
+	end := e.ends[len(rows)-1]
+	return e.buf[:end:end], nil
 }
 
 func writeError(w http.ResponseWriter, code int, msg string) {

@@ -44,12 +44,7 @@ type latencySample struct {
 	idx int
 }
 
-func newLatencySample(cap int) *latencySample {
-	if cap <= 0 {
-		cap = 4096
-	}
-	return &latencySample{cap: cap}
-}
+func newLatencySample(cap int) *latencySample { return &latencySample{cap: cap} }
 
 func (l *latencySample) add(ms float64) {
 	l.mu.Lock()

@@ -1,10 +1,10 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -78,14 +78,7 @@ type Config struct {
 // simulated cluster: a small dataset so queries answer in wall-clock
 // seconds, four concurrent queries, a short queue, one shard.
 func DefaultConfig() Config {
-	return Config{
-		SF:           10,
-		Scale:        0.05,
-		Seed:         2014,
-		MaxInFlight:  4,
-		MaxQueue:     16,
-		QueryTimeout: 2 * time.Minute,
-	}
+	return Config{MaxQueue: 16, QueryTimeout: 2 * time.Minute}.normalized()
 }
 
 func (c Config) normalized() Config {
@@ -104,9 +97,7 @@ func (c Config) normalized() Config {
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = 4
 	}
-	if c.MaxQueue < 0 {
-		c.MaxQueue = 0
-	}
+	c.MaxQueue = max(c.MaxQueue, 0)
 	if c.ResultCacheSize <= 0 {
 		c.ResultCacheSize = 256
 	}
@@ -162,8 +153,9 @@ type response struct {
 	OptimizeSec float64 `json:"optimizeSec"`
 	WallMillis  float64 `json:"wallMillis"`
 
-	FinalPlan string   `json:"finalPlan,omitempty"`
-	Warnings  []string `json:"warnings,omitempty"`
+	FinalPlan string       `json:"finalPlan,omitempty"`
+	Warnings  []string     `json:"warnings,omitempty"`
+	enc       *encodedRows // Rows as JSON, shared by every view of them
 }
 
 // Server is the query service. Create with New; it is safe for
@@ -174,6 +166,9 @@ type Server struct {
 	reg    *expr.Registry
 	optCfg optimizer.Config
 	shards []*shard
+	// norms memoizes sqlparse.Normalize by raw text, one entry per
+	// result the shards can hold.
+	norms *oncecache.Cache[string, string]
 
 	sem     chan struct{} // in-flight slots
 	waiting atomic.Int64  // queued + executing requests
@@ -226,8 +221,9 @@ func New(cfg Config) (*Server, error) {
 		reg:        reg,
 		optCfg:     optimizer.DefaultConfig(float64(ccfg.SlotMemory)),
 		shards:     shards,
+		norms:      oncecache.New[string, string](int64(cfg.ResultCacheSize * cfg.Shards)),
 		sem:        make(chan struct{}, cfg.MaxInFlight),
-		lat:        newLatencySample(0),
+		lat:        newLatencySample(4096),
 		start:      time.Now(),
 		baseCtx:    baseCtx,
 		baseCancel: baseCancel,
@@ -310,15 +306,18 @@ func (s *Server) shardFor(norm string) *shard {
 	if len(s.shards) == 1 {
 		return s.shards[0]
 	}
-	h := fnv.New64a()
-	h.Write([]byte(norm))
-	return s.shards[h.Sum64()%uint64(len(s.shards))]
+	h := uint64(14695981039346656037) // FNV-1a
+	for i := 0; i < len(norm); i++ {
+		h = (h ^ uint64(norm[i])) * 1099511628211
+	}
+	return s.shards[h%uint64(len(s.shards))]
 }
 
 // requestView adapts a shared response prototype — the execution's
 // full result, also stored in the result cache and handed to dedup
 // followers — to one request: a shallow copy with per-request flags
-// and MaxRows truncation. Rows and Warnings are shared read-only.
+// and MaxRows truncation. Rows, their JSON and Warnings are shared
+// read-only.
 func requestView(proto *response, req Request, resultHit, deduped bool) *response {
 	r := *proto
 	r.Query = req.Query
@@ -347,23 +346,19 @@ func (s *Server) run(ctx context.Context, req Request) (*response, error) {
 				req.Query, strings.Join(tpch.QueryNames, ", "))
 		}
 	}
-	variant := baselines.VariantDynOpt
-	if req.Variant != "" {
-		var err error
-		variant, err = baselines.ParseVariant(req.Variant)
-		if err != nil {
-			return nil, err
-		}
+	variant, err := baselines.ParseVariant(cmp.Or(req.Variant, string(baselines.VariantDynOpt)))
+	if err != nil {
+		return nil, err
 	}
-	strategyName := req.Strategy
-	if strategyName == "" {
-		strategyName = "UNC-1"
-	}
+	strategyName := cmp.Or(req.Strategy, "UNC-1")
 	strat, err := core.ParseStrategy(strategyName)
 	if err != nil {
 		return nil, err
 	}
-	norm, err := sqlparse.Normalize(sql)
+	norm, _, err := s.norms.Get(ctx, sql, func() (string, int64, error) {
+		norm, err := sqlparse.Normalize(sql)
+		return norm, 1, err
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -400,16 +395,11 @@ func serve(ctx context.Context, results *oncecache.Cache[string, *response], key
 	build func() (*response, int64, error)) (*response, oncecache.Result, error) {
 	for {
 		proto, res, err := results.Get(ctx, key, build)
-		if res != oncecache.Waited || !isCancellation(err) || ctx.Err() != nil {
+		canceled := errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+		if res != oncecache.Waited || !canceled || ctx.Err() != nil {
 			return proto, res, err
 		}
 	}
-}
-
-// isCancellation reports whether an execution failed because its
-// context ended rather than on the query's own merits.
-func isCancellation(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // execute runs one query in its own engine session on sh — full DYNOPT
@@ -427,7 +417,7 @@ func (s *Server) execute(ctx context.Context, sh *shard, sql string, variant bas
 		}
 	}
 	env := sh.rt.NewEnv(s.reg)
-	env.Gate = newSessionGate(sh.gate, ctx)
+	env.Gate = &sessionGate{gate: sh.gate, ctx: ctx}
 	env.OnCreateFile = onCreate
 
 	opts := core.DefaultOptions()
@@ -462,8 +452,11 @@ func (s *Server) execute(ctx context.Context, sh *shard, sql string, variant bas
 		OptimizeSec: res.OptimizeSec,
 		FinalPlan:   res.FinalPlan,
 		Warnings:    res.Warnings,
+		Rows:        res.Rows,
+		enc:         &encodedRows{},
+
+		MemoGroupsReused: res.OptGroupsReused,
 	}
-	resp.MemoGroupsReused = res.OptGroupsReused
 	s.met.memoReused.Add(int64(res.OptGroupsReused))
 	if res.Pilot != nil {
 		resp.StatsReused = res.Pilot.Reused
@@ -471,7 +464,6 @@ func (s *Server) execute(ctx context.Context, sh *shard, sql string, variant bas
 		s.met.statsReused.Add(int64(res.Pilot.Reused))
 		s.met.pilotJobs.Add(int64(res.Pilot.Jobs))
 	}
-	resp.Rows = res.Rows
 	return resp, nil
 }
 
@@ -534,10 +526,7 @@ func (s *Server) Metrics() MetricsSnapshot {
 		}
 	}
 	inFlight := len(s.sem)
-	queued := int(s.waiting.Load()) - inFlight
-	if queued < 0 {
-		queued = 0
-	}
+	queued := max(int(s.waiting.Load())-inFlight, 0)
 	return MetricsSnapshot{
 		UptimeSec:         time.Since(s.start).Seconds(),
 		Epoch:             s.epoch.Load(),

@@ -96,22 +96,16 @@ func (t *scratchTracker) add(name string) {
 	t.mu.Unlock()
 }
 
-// take returns the tracked names and resets the tracker.
-func (t *scratchTracker) take() []string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	names := t.names
-	t.names = nil
-	return names
-}
-
 // removeScratch deletes the session's scratch DFS files (tmp/ and
 // pilot/ trees under its tag; result rows were already copied out).
 // Only names under the session's own prefixes are touched.
 func (sh *shard) removeScratch(t *scratchTracker, tag string) {
-	for _, name := range t.take() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, name := range t.names {
 		if strings.HasPrefix(name, "tmp/"+tag) || strings.HasPrefix(name, "pilot/"+tag) {
 			_ = sh.fs.Remove(name)
 		}
 	}
+	t.names = nil
 }

@@ -6,7 +6,7 @@ import "strings"
 // tokens joined by single spaces, keywords upper-cased, string
 // literals re-quoted with ” escapes. Two queries differing only in
 // whitespace, comments-free formatting, or keyword case normalize
-// identically — the property the query service's plan cache keys on.
+// identically — the property the query service's result tables key on.
 // Identifier case is preserved: the dialect's path expressions are
 // case-sensitive.
 func Normalize(input string) (string, error) {

@@ -56,6 +56,10 @@ go test -run='^$' -bench='^(BenchmarkEncodeBlock|BenchmarkDecodeBlock|BenchmarkS
 # each frame on the pooled encoder and written as it is encoded.
 go test -run='^$' -bench='^BenchmarkMirrorFile$' \
     -benchtime=10x -benchmem ./internal/runtime/procruntime | tee -a "$out"
+# A result-cache hit through the service's HTTP handler: one memo
+# lookup, one table lookup, the stored row bytes copied into the body.
+go test -run='^$' -bench='^BenchmarkResultCacheHit$' \
+    -benchtime=200x -benchmem ./internal/server | tee -a "$out"
 # Optimizer enumeration benchmarks: memo-table churn per full Optimize.
 go test -run='^$' -bench='^(BenchmarkOptimizeChain12|BenchmarkOptimizeStar10)$' \
     -benchtime=10x -benchmem ./internal/optimizer | tee -a "$out"
