@@ -31,13 +31,9 @@ type vec struct {
 	nulls  []uint64     // nil when the column has no nulls
 }
 
-func (v *vec) isNull(i int) bool {
-	return v.nulls != nil && v.nulls[i>>6]&(1<<(uint(i)&63)) != 0
-}
+func (v *vec) isNull(i int) bool { return v.nulls != nil && v.nulls[i>>6]&(1<<(uint(i)&63)) != 0 }
 
-func setNull(bits []uint64, i int) {
-	bits[i>>6] |= 1 << (uint(i) & 63)
-}
+func setNull(bits []uint64, i int) { bits[i>>6] |= 1 << (uint(i) & 63) }
 
 // value materializes row i back to a data.Value. Typed vectors are
 // kind-pure, so the reconstruction is faithful (same kind, same

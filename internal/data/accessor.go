@@ -10,9 +10,7 @@ package data
 //
 // Accessors are immutable after CompileAccessor and safe for concurrent
 // use by parallel tasks of the same job.
-type Accessor struct {
-	steps []accStep
-}
+type Accessor struct{ steps []accStep }
 
 type accStep struct {
 	step Step

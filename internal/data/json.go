@@ -8,9 +8,7 @@ import (
 
 // MarshalJSON encodes the value as standard JSON. Object fields appear in
 // sorted name order, so the encoding is deterministic.
-func (v Value) MarshalJSON() ([]byte, error) {
-	return []byte(v.String()), nil
-}
+func (v Value) MarshalJSON() ([]byte, error) { return []byte(v.String()), nil }
 
 // DecodeJSON parses a JSON document into a Value. Numbers without a
 // fractional part or exponent decode as ints; others as doubles.

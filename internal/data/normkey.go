@@ -58,9 +58,7 @@ const maxExactInt = int64(1) << 53
 
 // AppendNormKey appends the normalized encoding of v to dst (see the
 // layout above). ok is always true: every value is encodable.
-func AppendNormKey(dst []byte, v Value) (_ []byte, ok bool) {
-	return appendNormKey(dst, v), true
-}
+func AppendNormKey(dst []byte, v Value) (_ []byte, ok bool) { return appendNormKey(dst, v), true }
 
 func appendNormKey(dst []byte, v Value) []byte {
 	switch v.Kind() {
@@ -138,6 +136,4 @@ func appendNormString(dst []byte, s string) []byte {
 
 // NormKey returns the normalized key of v as a string (memcmp-ordered,
 // usable as a map key).
-func NormKey(v Value) string {
-	return string(appendNormKey(make([]byte, 0, 24), v))
-}
+func NormKey(v Value) string { return string(appendNormKey(make([]byte, 0, 24), v)) }

@@ -515,13 +515,9 @@ const (
 // equal hash equal (ints and integral doubles, -0.0 and 0, every NaN).
 // The result is byte-for-byte identical to hashing the same traversal
 // through hash/fnv.New64a.
-func Hash64(v Value) uint64 {
-	return hashValue(fnvOffset64, v)
-}
+func Hash64(v Value) uint64 { return hashValue(fnvOffset64, v) }
 
-func hashByte(h uint64, b byte) uint64 {
-	return (h ^ uint64(b)) * fnvPrime64
-}
+func hashByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime64 }
 
 func hashString(h uint64, s string) uint64 {
 	for i := 0; i < len(s); i++ {

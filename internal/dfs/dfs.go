@@ -38,9 +38,7 @@ type FS struct {
 type Option func(*FS)
 
 // WithBlockSize sets the virtual block size in bytes.
-func WithBlockSize(n int64) Option {
-	return func(f *FS) { f.blockSize = n }
-}
+func WithBlockSize(n int64) Option { return func(f *FS) { f.blockSize = n } }
 
 // New returns an empty filesystem with ByteScale 1.
 func New(opts ...Option) *FS {
@@ -221,9 +219,7 @@ func (w *Writer) AppendAll(runs ...[]data.Value) {
 
 // Close finalizes the file and returns it. An empty file has zero
 // blocks.
-func (w *Writer) Close() *File {
-	return w.file
-}
+func (w *Writer) Close() *File { return w.file }
 
 // FirstRecord returns the file's first record (ok=false when empty):
 // jobs compile expressions into positional accessors against it.

@@ -45,9 +45,7 @@ type Config struct {
 }
 
 // DefaultConfig returns the standard experiment configuration.
-func DefaultConfig() Config {
-	return Config{Scale: 0.25, Seed: 2014, UDF: tpch.DefaultUDFParams()}
-}
+func DefaultConfig() Config { return Config{Scale: 0.25, Seed: 2014, UDF: tpch.DefaultUDFParams()} }
 
 func (c Config) normalized() Config {
 	if c.Scale <= 0 {

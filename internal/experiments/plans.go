@@ -62,13 +62,9 @@ func measurePlanEvolution(cfg Config, query string, sf float64) (*PlanEvolution,
 // Figure2Plans reproduces Figure 2: the evolution of Q8”s execution
 // plan across DYNO's re-optimization points, next to the static
 // relational optimizer's plan.
-func Figure2Plans(cfg Config) (*PlanEvolution, error) {
-	return measurePlanEvolution(cfg, "Q8p", 100)
-}
+func Figure2Plans(cfg Config) (*PlanEvolution, error) { return measurePlanEvolution(cfg, "Q8p", 100) }
 
 // Figure3Plans reproduces Figure 3: the Q9' plans — the static
 // optimizer's all-repartition plan versus DYNO's broadcast plan after
 // pilot runs.
-func Figure3Plans(cfg Config) (*PlanEvolution, error) {
-	return measurePlanEvolution(cfg, "Q9p", 300)
-}
+func Figure3Plans(cfg Config) (*PlanEvolution, error) { return measurePlanEvolution(cfg, "Q9p", 300) }

@@ -325,9 +325,7 @@ type UDF struct {
 // Registry holds the UDFs visible to a query. Registries are typically
 // per-dataset so experiments can re-register UDFs with different
 // parameters (e.g. the Q9' selectivity sweep).
-type Registry struct {
-	m map[string]UDF
-}
+type Registry struct{ m map[string]UDF }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry { return &Registry{m: make(map[string]UDF)} }

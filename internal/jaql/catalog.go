@@ -17,9 +17,7 @@ import (
 
 // Catalog maps table names to their DFS files. Base tables store raw
 // records; scans wrap them with the query alias.
-type Catalog struct {
-	tables map[string]*dfs.File
-}
+type Catalog struct{ tables map[string]*dfs.File }
 
 // NewCatalog returns an empty catalog.
 func NewCatalog() *Catalog { return &Catalog{tables: make(map[string]*dfs.File)} }

@@ -168,9 +168,7 @@ func buildSpec(env *mapreduce.Env, u *Unit, opts ExecOpts) (mapreduce.Spec, erro
 
 // sourceSpec is a unit input source minus its file, which travels as a
 // job input.
-func sourceSpec(s source) *physop.Source {
-	return &physop.Source{Wrap: s.Wrap, Filter: s.Filter}
-}
+func sourceSpec(s source) *physop.Source { return &physop.Source{Wrap: s.Wrap, Filter: s.Filter} }
 
 // buildStep pairs a broadcast build source with the join it serves.
 type buildStep struct {

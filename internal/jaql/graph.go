@@ -197,10 +197,7 @@ func (b *graphBuilder) sourceFor(n plan.Node) (source, error) {
 		return b.scanSource(t), nil
 	case *plan.Join:
 		u, err := b.unitFor(t)
-		if err != nil {
-			return source{}, err
-		}
-		return source{Dep: u}, nil
+		return source{Dep: u}, err
 	default:
 		return source{}, fmt.Errorf("jaql: unsupported plan node %T", n)
 	}

@@ -60,9 +60,7 @@ func (mc *MapCtx) Emit(rec data.Value) {
 // output is rows it did not make names them instead of copying them. A
 // kernel emits through Emit or through one EmitSel, never both. Neither
 // slice is copied; both must stay unmodified.
-func (mc *MapCtx) EmitSel(from []data.Value, sel []int32) {
-	mc.from, mc.sel = from, sel
-}
+func (mc *MapCtx) EmitSel(from []data.Value, sel []int32) { mc.from, mc.sel = from, sel }
 
 // ShuffleSel routes the pairs (keys[i], tag, recs[i]), for each i in
 // the ascending selection sel, through the shuffle in one call: to
@@ -162,9 +160,7 @@ func (rc *ReduceCtx) Sides(group []Pair, left string) (ls, rs []data.Value) {
 }
 
 // Emit writes a record to the job's output.
-func (rc *ReduceCtx) Emit(rec data.Value) {
-	rc.rows = append(rc.rows, rec)
-}
+func (rc *ReduceCtx) Emit(rec data.Value) { rc.rows = append(rc.rows, rec) }
 
 // ReduceFunc processes all records sharing a key: group is their window
 // of the sorted pairs (tagged with their input's side), valid only for

@@ -11,9 +11,7 @@ import (
 // the best-left-deep search) construct physical trees by hand and use
 // the estimator to fill in cardinalities, attach predicates, and cost
 // them with the same formulas the optimizer uses.
-type Estimator struct {
-	m *memo
-}
+type Estimator struct{ m *memo }
 
 // NewEstimator prepares estimation state for a join block.
 func NewEstimator(block *plan.JoinBlock, cfg Config) *Estimator {

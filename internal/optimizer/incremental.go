@@ -39,9 +39,7 @@ type Incremental struct {
 }
 
 // NewIncremental starts a session with the given search configuration.
-func NewIncremental(cfg Config) *Incremental {
-	return &Incremental{cfg: cfg}
-}
+func NewIncremental(cfg Config) *Incremental { return &Incremental{cfg: cfg} }
 
 // Optimize behaves exactly like the package-level Optimize — same plan,
 // same errors — but reuses unaffected memo groups from the previous

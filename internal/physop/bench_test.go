@@ -18,12 +18,28 @@ import (
 // intermediate, in the scratch arena — and emits 4,096. CI holds its
 // allocs/op to a ceiling (BENCH_allocs_baseline.txt) that only
 // per-chunk allocation and per-kernel binding can meet.
-func BenchmarkProbeChain(b *testing.B) {
+func BenchmarkProbeChain(b *testing.B) { benchChain(b, nil, 4096) }
+
+// BenchmarkProbeChainPreMerge is BenchmarkProbeChain with a disjunctive
+// residual over the first and last builds on its last step: the first
+// step checks each match against what it implies (b0.v is 1 or 2)
+// before merging, drops half of them, and the task emits 2,048 rows.
+// CI holds it to a ceiling that per-kernel binding of the check meets.
+func BenchmarkProbeChainPreMerge(b *testing.B) {
+	both := func(v int64) expr.Expr {
+		return &expr.And{Terms: []expr.Expr{cmpLit("b0.v", expr.EQ, data.Int(v)), cmpLit("b2.v", expr.EQ, data.Int(v))}}
+	}
+	benchChain(b, &expr.Or{Terms: []expr.Expr{both(1), both(2)}}, 2048)
+}
+
+// benchChain times BenchmarkProbeChain's task with last on its last
+// step, after checking that it emits want rows.
+func benchChain(b *testing.B, last expr.Expr, want int) {
 	const rows = 4096
 	table := func(n int) []data.Value {
 		recs := make([]data.Value, n)
 		for i := range recs {
-			recs[i] = data.Object(data.Field{Name: "k", Value: data.Int(int64(i))})
+			recs[i] = data.Object(data.Field{Name: "k", Value: data.Int(int64(i))}, data.Field{Name: "v", Value: data.Int(int64(i % 4))})
 		}
 		return recs
 	}
@@ -43,6 +59,7 @@ func BenchmarkProbeChain(b *testing.B) {
 	}
 	op.Steps[1].Keys = []data.Path{data.MustParsePath("b0.k")}
 	op.Steps[1].Residual = &expr.Cmp{Op: expr.EQ, L: expr.NewCol("b0.k"), R: expr.NewCol("b1.k")}
+	op.Steps[2].Residual = last
 	split := table(rows)
 	k, err := Compile(op, 0, split[0])
 	if err != nil {
@@ -56,8 +73,8 @@ func BenchmarkProbeChain(b *testing.B) {
 		}
 		return len(out.Rows)
 	}
-	if n := run(); n != rows {
-		b.Fatalf("chain emitted %d rows, want %d", n, rows)
+	if n := run(); n != want {
+		b.Fatalf("chain emitted %d rows, want %d", n, want)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -3,7 +3,7 @@
 // repartition join, broadcast-join chain, or aggregate — and Compile
 // derives its kernels from it: one map kernel per input, which every
 // split of the input runs through the split's columnar image (see
-// internal/batch), and the reduce and combine kernels. The in-process
+// internal/batch), and the reduce kernel. The in-process
 // runtime compiles once per job against each input's first record; a
 // worker decodes the same OpSpec from a task frame and compiles per
 // task against its block's first record. Compilation never changes
@@ -15,6 +15,7 @@
 package physop
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sync"
@@ -163,6 +164,7 @@ func Compile(op *OpSpec, input int, sample data.Value) (Kernels, error) {
 				steps[i].keyAccs = bindLater(data.CompileAccessors, st.Keys)
 			}
 		}
+		preMerge(steps, op.Steps)
 		return Kernels{Map: probeKernel(compileSource(src, sample), steps, prune)}, nil
 
 	case Aggregate:
@@ -358,20 +360,98 @@ func pruned(prune func(data.Value) data.Value, row data.Value) data.Value {
 // probeStep is one compiled link of a broadcast probe chain. A step
 // with a sig reads its keys from the split's key columns cached under
 // it, one probe per probe row; any other evaluates keyAccs, bound to
-// the first merged row it sees, on each of its merged rows.
+// the first merged row it sees, on each of its merged rows. pre, when
+// set, is checked on each build match before it is merged (preMerge).
 type probeStep struct {
 	name     string
 	keys     []data.Path
 	sig      string
 	keyAccs  *binder[[]*data.Accessor]
 	residual *binder[expr.Expr]
+	pre      *binder[expr.Expr]
+}
+
+// preMerge gives each step of a chain its pre-merge check: what the
+// later steps' residuals imply (implied) over the aliases of the step's
+// build rows, compiled against its first match. A match that fails it
+// would fail a later residual, so it is dropped before its merge and
+// every later step. Only residuals before the first that calls a UDF
+// count, none if the step's own does: every UDF runs on the same rows
+// in the same order, so rows, UDF CPU and virtual time stay
+// bit-identical. A step whose later residuals imply nothing over any
+// alias gets no check and no binder.
+func preMerge(steps []probeStep, chain []ChainStep) {
+	var later []expr.Expr // the residuals after step i, up to the first that calls a UDF
+	implies := false      // later implies something over some alias
+	for i := len(chain) - 1; i >= 0; i-- {
+		own := chain[i].Residual
+		if expr.ContainsUDF(own) {
+			later, implies = nil, false
+			continue
+		}
+		if implies {
+			steps[i].pre = bindLater(func(res expr.Expr, m data.Value) expr.Expr {
+				return expr.Compile(implied(res, func(alias string) bool { return !m.FieldOr(alias).IsNull() }), m)
+			}, expr.Conjoin(later))
+		}
+		if own != nil {
+			later = append([]expr.Expr{own}, later...)
+			implies = implies || implied(own, func(string) bool { return true }) != nil
+		}
+	}
+}
+
+// implied returns a predicate that is truthy on every row on which e is
+// truthy, or nil when it implies none: an And implies the conjunction of
+// what its terms imply, an Or the disjunction when each of its terms
+// implies something, and a comparison of one alias's columns and
+// literals implies itself when in accepts the alias. Such a comparison
+// is a pure function of its columns, so it reads the same on a build
+// row as on every merged row made from it.
+func implied(e expr.Expr, in func(alias string) bool) expr.Expr {
+	var terms []expr.Expr
+	switch t := e.(type) {
+	case *expr.And:
+		for _, x := range t.Terms {
+			if p := implied(x, in); p != nil {
+				terms = append(terms, p)
+			}
+		}
+		return expr.Conjoin(terms)
+	case *expr.Or:
+		for _, x := range t.Terms {
+			if terms = append(terms, implied(x, in)); terms[len(terms)-1] == nil {
+				return nil
+			}
+		}
+		return &expr.Or{Terms: terms}
+	case *expr.Cmp:
+		l, r := colAlias(t.L), colAlias(t.R)
+		if a := cmp.Or(l, r); a != "" && (l == "" || r == "" || l == r) && batch.Supported(t) && in(a) {
+			return e
+		}
+	}
+	return nil
+}
+
+// colAlias is the alias an operand column reads ("" for any other
+// operand).
+func colAlias(x expr.Expr) string {
+	if c, ok := x.(*expr.Col); ok {
+		return c.Path.Head()
+	}
+	return ""
 }
 
 // probe appends to next the merge of r with each of its matches in the
-// step's build table that passes the residual. Merged rows are carved
-// out of arena; a rejected row hands its fields back.
+// step's build table that passes the pre-merge check and the residual.
+// Merged rows are carved out of arena; a rejected row hands its fields
+// back.
 func (st *probeStep) probe(mc *mapreduce.MapCtx, arena *data.FieldArena, r data.Value, matches []data.Value, next []data.Value) []data.Value {
 	for _, m := range matches {
+		if st.pre != nil && !passes(st.pre, mc.ExprCtx(), m) {
+			continue
+		}
 		merged := arena.Merge(r, m)
 		if !passes(st.residual, mc.ExprCtx(), merged) {
 			arena.Release(merged)

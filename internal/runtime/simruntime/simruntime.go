@@ -23,9 +23,7 @@ var _ runtime.Runtime = (*Runtime)(nil)
 
 // New builds a simulator runtime: a fresh DFS namespace sized to the
 // cluster's workers and a simulator with the given config.
-func New(ccfg cluster.Config) *Runtime {
-	return &Runtime{fs: dfs.New(), sim: cluster.New(ccfg)}
-}
+func New(ccfg cluster.Config) *Runtime { return &Runtime{fs: dfs.New(), sim: cluster.New(ccfg)} }
 
 // Name implements runtime.Runtime.
 func (r *Runtime) Name() string { return "sim" }

@@ -35,9 +35,7 @@ var (
 
 // Frame is an encoded binary frame backed by a pooled buffer. Call
 // Close once the bytes have been written out.
-type Frame struct {
-	enc *benc
-}
+type Frame struct{ enc *benc }
 
 // Bytes returns the frame's encoded payload; valid until Close.
 func (f *Frame) Bytes() []byte { return f.enc.buf }
@@ -133,16 +131,10 @@ func (d *bdec) readExpr(depth int) (expr.Expr, error) {
 		return nil, nil
 	case exprCol:
 		p, err := d.readPath()
-		if err != nil {
-			return nil, err
-		}
-		return &expr.Col{Path: p}, nil
+		return &expr.Col{Path: p}, err
 	case exprLit:
 		v, err := d.readValue(depth)
-		if err != nil {
-			return nil, err
-		}
-		return &expr.Lit{V: v}, nil
+		return &expr.Lit{V: v}, err
 	case exprCmp, exprArith:
 		sym, err := d.str()
 		if err != nil {

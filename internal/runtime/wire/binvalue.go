@@ -148,9 +148,7 @@ func (e *benc) writeNullBitmap(vals []data.Value) {
 }
 
 // readNullBitmap returns the non-null flags for n values.
-func (d *bdec) readNullBitmap(n int) ([]byte, error) {
-	return d.take((n + 7) / 8)
-}
+func (d *bdec) readNullBitmap(n int) ([]byte, error) { return d.take((n + 7) / 8) }
 
 func bitSet(bm []byte, i int) bool { return bm[i>>3]&(1<<(i&7)) != 0 }
 
@@ -449,22 +447,13 @@ func (d *bdec) readValue(depth int) (data.Value, error) {
 		return data.Bool(true), nil
 	case tagInt:
 		x, err := d.varint()
-		if err != nil {
-			return data.Null(), err
-		}
-		return data.Int(x), nil
+		return data.Int(x), err
 	case tagDouble:
 		x, err := d.f64()
-		if err != nil {
-			return data.Null(), err
-		}
-		return data.Double(x), nil
+		return data.Double(x), err
 	case tagString:
 		s, err := d.str()
-		if err != nil {
-			return data.Null(), err
-		}
-		return data.String(s), nil
+		return data.String(s), err
 	case tagArray:
 		n, err := d.uvarint()
 		if err != nil {

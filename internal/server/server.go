@@ -77,9 +77,7 @@ type Config struct {
 // DefaultConfig returns a service sized for interactive use on the
 // simulated cluster: a small dataset so queries answer in wall-clock
 // seconds, four concurrent queries, a short queue, one shard.
-func DefaultConfig() Config {
-	return Config{MaxQueue: 16, QueryTimeout: 2 * time.Minute}.normalized()
-}
+func DefaultConfig() Config { return Config{MaxQueue: 16, QueryTimeout: 2 * time.Minute}.normalized() }
 
 func (c Config) normalized() Config {
 	if c.SF <= 0 {
@@ -260,21 +258,8 @@ func (s *Server) query(ctx context.Context, req Request) (*response, error) {
 	}
 	defer func() { <-s.sem }()
 
-	// Tie the query's context to both the caller and server shutdown:
-	// Shutdown cancels baseCtx, which cancels every in-flight query with
-	// errShuttingDown as the cause.
-	qctx, qcancel := context.WithCancelCause(ctx)
-	defer qcancel(nil)
-	stop := context.AfterFunc(s.baseCtx, func() { qcancel(errShuttingDown) })
-	defer stop()
-	if s.cfg.QueryTimeout > 0 {
-		var cancel context.CancelFunc
-		qctx, cancel = context.WithTimeout(qctx, s.cfg.QueryTimeout)
-		defer cancel()
-	}
-
 	start := time.Now()
-	resp, err := s.run(qctx, req)
+	resp, err := s.run(ctx, req)
 	wall := time.Since(start)
 	if err != nil {
 		// Every failed outcome but a shutdown increments exactly one
@@ -284,10 +269,8 @@ func (s *Server) query(ctx context.Context, req Request) (*response, error) {
 		switch {
 		case errors.Is(err, context.DeadlineExceeded):
 			s.met.timeouts.Add(1)
-		case errors.Is(err, context.Canceled) && errors.Is(context.Cause(qctx), errShuttingDown):
-			// Shutdown, not the client, canceled it: answer as a
-			// request refused after Shutdown is answered.
-			return nil, fmt.Errorf("%w: query canceled mid-execution", errShuttingDown)
+		case errors.Is(err, errShuttingDown):
+			return nil, err
 		case errors.Is(err, context.Canceled):
 			s.met.canceled.Add(1)
 		default:
@@ -366,10 +349,33 @@ func (s *Server) run(ctx context.Context, req Request) (*response, error) {
 	sh := s.shardFor(norm)
 	store, results := sh.session()
 	key := string(variant) + "|" + strategyName + "|" + norm
-	proto, res, err := serve(ctx, results, key, func() (*response, int64, error) {
-		resp, err := s.execute(ctx, sh, sql, variant, strat, store)
+	if proto, ok := results.Peek(key); ok {
+		s.met.resultHits.Add(1)
+		return requestView(proto, req, true, false), nil
+	}
+
+	// Only an execution or a wait on one needs its own context, tied to
+	// both the caller and server shutdown: Shutdown cancels baseCtx,
+	// which cancels every in-flight query with errShuttingDown as the
+	// cause.
+	qctx, qcancel := context.WithCancelCause(ctx)
+	defer qcancel(nil)
+	stop := context.AfterFunc(s.baseCtx, func() { qcancel(errShuttingDown) })
+	defer stop()
+	if s.cfg.QueryTimeout > 0 {
+		var cancel context.CancelFunc
+		qctx, cancel = context.WithTimeout(qctx, s.cfg.QueryTimeout)
+		defer cancel()
+	}
+	proto, res, err := serve(qctx, results, key, func() (*response, int64, error) {
+		resp, err := s.execute(qctx, sh, sql, variant, strat, store)
 		return resp, 1, err
 	})
+	if errors.Is(err, context.Canceled) && errors.Is(context.Cause(qctx), errShuttingDown) {
+		// Shutdown, not the client, canceled it: answer as a request
+		// refused after Shutdown is answered.
+		return nil, fmt.Errorf("%w: query canceled mid-execution", errShuttingDown)
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -340,50 +340,36 @@ func (p *parser) parseTableRef() (TableRef, error) {
 // Expression grammar, loosest binding first.
 
 func (p *parser) parseOr() (expr.Expr, error) {
-	left, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
-	terms := []expr.Expr{left}
-	for p.acceptKeyword("OR") {
-		right, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		terms = append(terms, right)
-	}
-	if len(terms) == 1 {
-		return left, nil
-	}
-	return &expr.Or{Terms: terms}, nil
+	return p.parseJunction("OR", p.parseAnd, func(terms []expr.Expr) expr.Expr { return &expr.Or{Terms: terms} })
 }
 
 func (p *parser) parseAnd() (expr.Expr, error) {
-	left, err := p.parseNot()
-	if err != nil {
-		return nil, err
-	}
-	terms := []expr.Expr{left}
-	for p.acceptKeyword("AND") {
-		right, err := p.parseNot()
+	return p.parseJunction("AND", p.parseNot, func(terms []expr.Expr) expr.Expr { return &expr.And{Terms: terms} })
+}
+
+// parseJunction parses operands joined by the keyword into one n-ary
+// node; a lone operand is returned as it is.
+func (p *parser) parseJunction(keyword string, operand func() (expr.Expr, error), node func([]expr.Expr) expr.Expr) (expr.Expr, error) {
+	var terms []expr.Expr
+	for {
+		t, err := operand()
 		if err != nil {
 			return nil, err
 		}
-		terms = append(terms, right)
+		if terms = append(terms, t); !p.acceptKeyword(keyword) {
+			break
+		}
 	}
 	if len(terms) == 1 {
-		return left, nil
+		return terms[0], nil
 	}
-	return &expr.And{Terms: terms}, nil
+	return node(terms), nil
 }
 
 func (p *parser) parseNot() (expr.Expr, error) {
 	if p.acceptKeyword("NOT") {
 		e, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		return &expr.Not{E: e}, nil
+		return &expr.Not{E: e}, err
 	}
 	return p.parseCmp()
 }
@@ -402,10 +388,7 @@ func (p *parser) parseCmp() (expr.Expr, error) {
 		if op, ok := cmpOps[t.text]; ok {
 			p.next()
 			right, err := p.parseAdd()
-			if err != nil {
-				return nil, err
-			}
-			return &expr.Cmp{Op: op, L: left, R: right}, nil
+			return &expr.Cmp{Op: op, L: left, R: right}, err
 		}
 	}
 	return left, nil
@@ -471,10 +454,7 @@ func (p *parser) parsePrimary() (expr.Expr, error) {
 		if t.text == "-" {
 			p.next()
 			e, err := p.parsePrimary()
-			if err != nil {
-				return nil, err
-			}
-			return &expr.Arith{Op: expr.Sub, L: expr.NewLit(data.Int(0)), R: e}, nil
+			return &expr.Arith{Op: expr.Sub, L: expr.NewLit(data.Int(0)), R: e}, err
 		}
 		return nil, fmt.Errorf("sqlparse: unexpected symbol %q at %d", t.text, t.pos)
 	case tokIdent:

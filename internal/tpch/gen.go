@@ -198,9 +198,7 @@ func genPart(cfg Config, rng *rand.Rand) []data.Value {
 // shared by the partsupp and lineitem generators so that every
 // lineitem's (l_partkey, l_suppkey) pair exists in partsupp — the
 // referential structure Q9's two-column join relies on.
-func psSupp(pk, j, supps int) int {
-	return (pk*31 + j*7303) % supps
-}
+func psSupp(pk, j, supps int) int { return (pk*31 + j*7303) % supps }
 
 func genPartsupp(cfg Config, rng *rand.Rand) []data.Value {
 	n := cfg.rows("partsupp")

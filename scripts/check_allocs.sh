@@ -39,8 +39,9 @@ go test -run='^$' -bench='^BenchmarkCollectorObserve$' \
     -benchtime=10000x -benchmem ./internal/stats | tee -a "$out"
 go test -run='^$' -bench='^BenchmarkMergePartials$' \
     -benchtime=10x -benchmem ./internal/stats | tee -a "$out"
-# Join row arena: a chain task allocates per chunk, not per merged row.
-go test -run='^$' -bench='^BenchmarkProbeChain$' \
+# Join row arena: a chain task allocates per chunk, not per merged row,
+# and binds a step's pre-merge check once, not per match.
+go test -run='^$' -bench='^(BenchmarkProbeChain|BenchmarkProbeChainPreMerge)$' \
     -benchtime=10x -benchmem ./internal/physop | tee -a "$out"
 # A broadcast build over a warm split allocates per table, not per key
 # or scanned row, with unique keys or 64 rows per key.
