@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"cmp"
 	"encoding/binary"
+	"encoding/json"
 	"math"
 	"math/big"
 	"runtime"
@@ -110,6 +111,18 @@ func modelKeys(m map[string]any) []string {
 	return keys
 }
 
+// jsonQuote is encoding/json's rendering of s with HTML escaping off,
+// the independent reference for strings and field names.
+func jsonQuote(s string) string {
+	var b bytes.Buffer
+	enc := json.NewEncoder(&b)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(s); err != nil {
+		panic(err)
+	}
+	return strings.TrimSuffix(b.String(), "\n")
+}
+
 // modelRender writes the JSON-lines rendering and returns the size the
 // DFS charges for it (a string counts its bytes plus two quotes,
 // escapes not included).
@@ -125,7 +138,7 @@ func modelRender(sb *strings.Builder, m any) (size int64) {
 	case float64:
 		sb.WriteString(strconv.FormatFloat(x, 'g', -1, 64))
 	case string:
-		sb.WriteString(strconv.Quote(x))
+		sb.WriteString(jsonQuote(x))
 		return int64(len(x)) + 2
 	case []any:
 		size = 2
@@ -147,7 +160,7 @@ func modelRender(sb *strings.Builder, m any) (size int64) {
 				sb.WriteByte(',')
 				size++
 			}
-			sb.WriteString(strconv.Quote(k))
+			sb.WriteString(jsonQuote(k))
 			sb.WriteByte(':')
 			size += int64(len(k)) + 3 + modelRender(sb, x[k])
 		}

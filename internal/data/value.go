@@ -15,6 +15,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 	"unsafe"
 )
 
@@ -583,7 +584,9 @@ func (v Value) EncodedSize() int64 {
 	return 4
 }
 
-// String renders the value as compact JSON-ish text.
+// String renders the value as compact JSON text, strings and field names
+// written as encoding/json writes them with HTML escaping off. A NaN or
+// infinite double is the one thing it renders that is not JSON.
 func (v Value) String() string {
 	var sb strings.Builder
 	v.writeTo(&sb)
@@ -601,7 +604,7 @@ func (v Value) writeTo(sb *strings.Builder) {
 	case KindDouble:
 		sb.WriteString(strconv.FormatFloat(v.Float(), 'g', -1, 64))
 	case KindString:
-		sb.WriteString(strconv.Quote(v.Str()))
+		writeQuoted(sb, v.Str())
 	case KindArray:
 		sb.WriteByte('[')
 		for i, e := range v.Elems() {
@@ -617,12 +620,45 @@ func (v Value) writeTo(sb *strings.Builder) {
 			if i > 0 {
 				sb.WriteByte(',')
 			}
-			sb.WriteString(strconv.Quote(f.Name))
+			writeQuoted(sb, f.Name)
 			sb.WriteByte(':')
 			f.Value.writeTo(sb)
 		}
 		sb.WriteByte('}')
 	}
+}
+
+// writeQuoted writes s as a JSON string: '"', '\\' and control bytes
+// escaped (\b, \f, \n, \r and \t by name), each invalid UTF-8 byte as
+// \ufffd, U+2028 and U+2029 escaped, everything else as it is.
+func writeQuoted(sb *strings.Builder, s string) {
+	const hex = "0123456789abcdef"
+	sb.WriteByte('"')
+	start := 0
+	for i := 0; i < len(s); {
+		c, size := rune(s[i]), 1
+		if c >= utf8.RuneSelf {
+			c, size = utf8.DecodeRuneInString(s[i:])
+		}
+		if c >= ' ' && c != '"' && c != '\\' && c != '\u2028' && c != '\u2029' && (c != utf8.RuneError || size > 1) {
+			i += size
+			continue
+		}
+		sb.WriteString(s[start:i])
+		sb.WriteByte('\\')
+		if k := strings.IndexRune("\"\\\b\f\n\r\t", c); k >= 0 {
+			sb.WriteByte(`"\bfnrt`[k])
+		} else { // another control byte, an invalid byte (RuneError), U+2028 or U+2029
+			sb.WriteByte('u')
+			for shift := 12; shift >= 0; shift -= 4 {
+				sb.WriteByte(hex[c>>shift&0xf])
+			}
+		}
+		i += size
+		start = i
+	}
+	sb.WriteString(s[start:])
+	sb.WriteByte('"')
 }
 
 // Truthy reports whether the value should be treated as true in a filter

@@ -1,10 +1,12 @@
 package data
 
 import (
+	"encoding/json"
 	"hash/fnv"
 	"math"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -271,6 +273,46 @@ func TestStringRendering(t *testing.T) {
 	want := `{"ids":[1,2],"name":"joe's","none":null,"rate":4.5}`
 	if got != want {
 		t.Errorf("String() = %s, want %s", got, want)
+	}
+}
+
+// TestStringIsJSON: every string renders as JSON that reads back as
+// the string, an invalid byte as U+FFFD, exactly as encoding/json
+// writes it; printable ASCII is unchanged.
+func TestStringIsJSON(t *testing.T) {
+	for _, c := range []struct{ in, want string }{
+		{"\x7f", "\x7f"}, {"\a", "\a"}, {"\v", "\v"}, {"\x01", "\x01"},
+		{"a\xffb", "a\ufffdb"}, {"\xe2\x82", "\ufffd\ufffd"}, {"\U000e0001", "\U000e0001"},
+		{"\u2028 \u2029 \ufffd", "\u2028 \u2029 \ufffd"}, {"<&> \"\\ \b\f\n\r\t\x00", "<&> \"\\ \b\f\n\r\t\x00"},
+	} {
+		if got, want := String(c.in).String(), jsonQuote(c.in); got != want {
+			t.Errorf("%q renders %s, encoding/json %s", c.in, got, want)
+		}
+		for _, v := range []Value{String(c.in), Object(Field{Name: c.in, Value: String(c.in)})} {
+			out := v.String()
+			var back any
+			if !json.Valid([]byte(out)) || json.Unmarshal([]byte(out), &back) != nil {
+				t.Fatalf("%q renders %s, not JSON", c.in, out)
+			}
+			want := any(c.want)
+			if v.Kind() == KindObject {
+				want = map[string]any{c.want: c.want}
+			}
+			if !reflect.DeepEqual(back, want) {
+				t.Errorf("%q renders %s, which reads back as %q", c.in, out, back)
+			}
+		}
+	}
+	if got := String(`joe's "x" \ 1<2 & 3>2`).String(); got != strconv.Quote(`joe's "x" \ 1<2 & 3>2`) {
+		t.Errorf("printable ASCII renders %s", got)
+	}
+	r := rand.New(rand.NewSource(50))
+	for i := 0; i < 20000; i++ {
+		b := make([]byte, r.Intn(12))
+		r.Read(b)
+		if got, want := String(string(b)).String(), jsonQuote(string(b)); got != want {
+			t.Fatalf("%q renders %s, encoding/json %s", b, got, want)
+		}
 	}
 }
 

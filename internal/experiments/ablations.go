@@ -6,7 +6,6 @@ import (
 	"dyno/internal/baselines"
 	"dyno/internal/cluster"
 	"dyno/internal/core"
-	"dyno/internal/optimizer"
 	"dyno/internal/tpch"
 )
 
@@ -19,21 +18,15 @@ func ablationChaining(cfg Config) (*Table, error) {
 		Header: []string{"chaining", "time", "jobs", "map-only"},
 	}
 	for _, enabled := range []bool{true, false} {
-		m, err := runVariantFull(baselines.VariantSimple, 300, cfg, "Q9p", false, nil, func(o *optimizer.Config) {
-			o.DisableChaining = !enabled
-		})
+		res, _, err := run(baselines.VariantSimple, 300, cfg, "Q9p", func(s *setup) { s.opt.DisableChaining = !enabled })
 		if err != nil {
 			return nil, err
 		}
-		label := "on"
-		if !enabled {
-			label = "off"
-		}
 		t.Rows = append(t.Rows, []string{
-			label,
-			fmt.Sprintf("%.1fs", m.res.TotalSec),
-			fmt.Sprintf("%d", m.res.Jobs),
-			fmt.Sprintf("%d", m.res.MapOnlyJobs),
+			onOff(enabled),
+			fmt.Sprintf("%.1fs", res.TotalSec),
+			fmt.Sprintf("%d", res.Jobs),
+			fmt.Sprintf("%d", res.MapOnlyJobs),
 		})
 	}
 	t.Notes = append(t.Notes, "chaining merges consecutive broadcast joins into one map-only job (§5.2)")
@@ -49,16 +42,14 @@ func ablationPilotK(cfg Config) (*Table, error) {
 		Header: []string{"k", "pilot-time", "total-time"},
 	}
 	for _, k := range []int64{32, 128, 512, 2048} {
-		m, err := runVariant(baselines.VariantDynOpt, 300, cfg, "Q8p", false, func(o *core.Options) {
-			o.K = k
-		})
+		res, _, err := run(baselines.VariantDynOpt, 300, cfg, "Q8p", func(s *setup) { s.opts.K = k })
 		if err != nil {
 			return nil, err
 		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", k),
-			fmt.Sprintf("%.1fs", m.res.PilotSec),
-			fmt.Sprintf("%.1fs", m.res.TotalSec),
+			fmt.Sprintf("%.1fs", res.PilotSec),
+			fmt.Sprintf("%.1fs", res.TotalSec),
 		})
 	}
 	t.Notes = append(t.Notes,
@@ -76,7 +67,7 @@ func ablationStatsReuse(cfg Config) (*Table, error) {
 		Title:  "Ablation: statistics reuse across recurring queries (Q10, SF=300, DYNOPT)",
 		Header: []string{"run", "pilot-jobs", "pilot-time", "total-time"},
 	}
-	eng, _, err := newEngine(baselines.VariantDynOpt, 300, cfg, false, func(o *core.Options) { o.ReuseStats = true }, nil)
+	eng, _, err := newEngine(baselines.VariantDynOpt, 300, cfg, func(s *setup) { s.opts.ReuseStats = true })
 	if err != nil {
 		return nil, err
 	}
@@ -106,9 +97,7 @@ func ablationReoptThreshold(cfg Config) (*Table, error) {
 		Header: []string{"threshold", "optimize-time", "plan-changes", "total-time"},
 	}
 	for _, th := range []float64{0, 0.5, 5.0} {
-		m, err := runVariant(baselines.VariantDynOpt, 300, cfg, "Q8p", false, func(o *core.Options) {
-			o.ReoptThreshold = th
-		})
+		res, _, err := run(baselines.VariantDynOpt, 300, cfg, "Q8p", func(s *setup) { s.opts.ReoptThreshold = th })
 		if err != nil {
 			return nil, err
 		}
@@ -118,13 +107,21 @@ func ablationReoptThreshold(cfg Config) (*Table, error) {
 		}
 		t.Rows = append(t.Rows, []string{
 			label,
-			fmt.Sprintf("%.2fs", m.res.OptimizeSec),
-			fmt.Sprintf("%d", m.res.PlanChanges),
-			fmt.Sprintf("%.1fs", m.res.TotalSec),
+			fmt.Sprintf("%.2fs", res.OptimizeSec),
+			fmt.Sprintf("%d", res.PlanChanges),
+			fmt.Sprintf("%.1fs", res.TotalSec),
 		})
 	}
 	t.Notes = append(t.Notes, "0 re-optimizes after every job (the paper's default); thresholds skip calls when observed cardinalities match estimates")
 	return t, nil
+}
+
+// onOff labels the arms of an ablation that switches one rule.
+func onOff(enabled bool) string {
+	if enabled {
+		return "on"
+	}
+	return "off"
 }
 
 // Ablations runs every ablation and concatenates the tables.
@@ -155,21 +152,15 @@ func ablationDynamicJoin(cfg Config) (*Table, error) {
 		Header: []string{"dynamic-join", "time", "switched-jobs", "map-only"},
 	}
 	for _, enabled := range []bool{false, true} {
-		m, err := runVariant(baselines.VariantSimple, 1000, cfg, "Q8p", false, func(o *core.Options) {
-			o.DynamicJoin = enabled
-		})
+		res, _, err := run(baselines.VariantSimple, 1000, cfg, "Q8p", func(s *setup) { s.opts.DynamicJoin = enabled })
 		if err != nil {
 			return nil, err
 		}
-		label := "off"
-		if enabled {
-			label = "on"
-		}
 		t.Rows = append(t.Rows, []string{
-			label,
-			fmt.Sprintf("%.1fs", m.res.TotalSec),
-			fmt.Sprintf("%d", m.res.SwitchedJobs),
-			fmt.Sprintf("%d", m.res.MapOnlyJobs),
+			onOff(enabled),
+			fmt.Sprintf("%.1fs", res.TotalSec),
+			fmt.Sprintf("%d", res.SwitchedJobs),
+			fmt.Sprintf("%d", res.MapOnlyJobs),
 		})
 	}
 	t.Notes = append(t.Notes,
@@ -188,20 +179,14 @@ func ablationProjectionPushdown(cfg Config) (*Table, error) {
 		Header: []string{"pushdown", "time", "pilot"},
 	}
 	for _, push := range []bool{false, true} {
-		m, err := runVariant(baselines.VariantDynOpt, 300, cfg, "Q10", false, func(o *core.Options) {
-			o.ProjectionPushdown = push
-		})
+		res, _, err := run(baselines.VariantDynOpt, 300, cfg, "Q10", func(s *setup) { s.opts.ProjectionPushdown = push })
 		if err != nil {
 			return nil, err
 		}
-		label := "off"
-		if push {
-			label = "on"
-		}
 		t.Rows = append(t.Rows, []string{
-			label,
-			fmt.Sprintf("%.1fs", m.res.TotalSec),
-			fmt.Sprintf("%.1fs", m.res.PilotSec),
+			onOff(push),
+			fmt.Sprintf("%.1fs", res.TotalSec),
+			fmt.Sprintf("%.1fs", res.PilotSec),
 		})
 	}
 	t.Notes = append(t.Notes,
@@ -219,21 +204,10 @@ func ablationScheduler(cfg Config) (*Table, error) {
 		Header: []string{"scheduler", "time"},
 	}
 	for _, kind := range []cluster.SchedulerKind{cluster.FIFO, cluster.Fair} {
-		l, err := getLab(300, cfg)
-		if err != nil {
-			return nil, err
-		}
-		env := l.newEnv(false, cfg)
-		ccfg := cfg.clusterConfig()
-		ccfg.Scheduler = kind
-		env.Sim = cluster.New(ccfg)
-		opts := experimentOptions()
-		opts.Strategy = core.Uncertain{N: 2}
-		eng, err := baselines.NewEngine(baselines.VariantDynOpt, env, l.cat, optCfgFor(env), opts)
-		if err != nil {
-			return nil, err
-		}
-		res, err := eng.ExecuteSQL(tpch.MustQuerySQL("Q8p"))
+		res, _, err := run(baselines.VariantDynOpt, 300, cfg, "Q8p", func(s *setup) {
+			s.cluster.Scheduler = kind
+			s.opts.Strategy = core.Uncertain{N: 2}
+		})
 		if err != nil {
 			return nil, err
 		}

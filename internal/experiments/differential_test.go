@@ -24,7 +24,7 @@ func TestBatchDifferentialWorkload(t *testing.T) {
 	for _, query := range tpch.QueryNames {
 		t.Run(query, func(t *testing.T) {
 			cfg := testConfig()
-			got, err := runVariant(baselines.VariantDynOpt, 100, cfg, query, false, nil)
+			got, env, err := run(baselines.VariantDynOpt, 100, cfg, query, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -32,21 +32,19 @@ func TestBatchDifferentialWorkload(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			env := l.newEnv(false, cfg)
-			q := sqlparse.MustParse(tpch.MustQuerySQL(query))
-			want, err := naive.Evaluate(q, l.cat, env.Reg)
+			want, err := naive.Evaluate(sqlparse.MustParse(tpch.MustQuerySQL(query)), l.cat, env.Reg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(want) == 0 {
 				t.Fatalf("%s yields no rows at test scale; assertion vacuous", query)
 			}
-			if len(got.res.Rows) != len(want) {
-				t.Fatalf("%d rows, oracle %d", len(got.res.Rows), len(want))
+			if len(got.Rows) != len(want) {
+				t.Fatalf("%d rows, oracle %d", len(got.Rows), len(want))
 			}
 			for i := range want {
-				if !naive.ApproxEqual(got.res.Rows[i], want[i], 1e-9) {
-					t.Fatalf("row %d:\n got %v\nwant %v", i, got.res.Rows[i], want[i])
+				if !naive.ApproxEqual(got.Rows[i], want[i], 1e-9) {
+					t.Fatalf("row %d:\n got %v\nwant %v", i, got.Rows[i], want[i])
 				}
 			}
 		})

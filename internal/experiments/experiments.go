@@ -32,16 +32,6 @@ type Config struct {
 	Seed int64
 	// UDF parameters; zero value uses the defaults of §6.1.
 	UDF tpch.UDFParams
-
-	// parallelism, when positive, sets the cluster simulator's
-	// wall-clock worker pool (1 runs every wave inline on the scheduler
-	// goroutine); 0 keeps the simulator default (GOMAXPROCS).
-	// Virtual-time results are identical either way; the executor
-	// differential tests pin it.
-	parallelism int
-	// faults, set by the faults experiment, injects one fault profile
-	// on its small cluster.
-	faults *faultProfile
 }
 
 // DefaultConfig returns the standard experiment configuration.
@@ -89,105 +79,63 @@ func getLab(sf float64, cfg Config) (*lab, error) {
 	return l, nil
 }
 
-// clusterConfig resolves the simulator configuration for a Config.
-func (c Config) clusterConfig() cluster.Config {
-	ccfg := cluster.DefaultConfig()
-	if c.parallelism > 0 {
-		ccfg.Parallelism = c.parallelism
-	}
-	if p := c.faults; p != nil {
-		ccfg.Workers = faultsWorkers
-		ccfg.MapSlotsPerWorker = faultsMapSlotsPerWorker
-		ccfg.ReduceSlotsPerWorker = faultsRedSlotsPerWorker
-		ccfg.FailEveryN = p.FailEveryN
-		ccfg.FailurePenalty = p.FailurePenalty
-		ccfg.StragglerEveryN = p.StragglerEveryN
-		ccfg.SlowdownFactor = p.SlowdownFactor
-		ccfg.SpeculativeBeta = p.SpeculativeBeta
-	}
-	return ccfg
+// setup is everything a measurement sets besides its data: the
+// engine's options, the optimizer's configuration, the simulated
+// cluster, and whether the runtime is the Hive profile (broadcast
+// builds shipped once per node through the distributed cache).
+type setup struct {
+	opts    core.Options
+	opt     optimizer.Config
+	cluster cluster.Config
+	hive    bool
 }
 
-// newEnv builds a fresh measurement environment over a lab's storage.
-func (l *lab) newEnv(hiveProfile bool, cfg Config) *mapreduce.Env {
-	reg := expr.NewRegistry()
-	tpch.RegisterUDFs(reg, cfg.UDF)
-	return &mapreduce.Env{
-		FS:               l.fs,
-		Sim:              cluster.New(cfg.clusterConfig()),
-		Reg:              reg,
-		DistributedCache: hiveProfile,
-	}
+// defaults is the setup every experiment starts from: the paper's
+// cluster, the optimizer's broadcast bound derived from that cluster's
+// slot memory, and a pilot sample target k (256) and KMV synopsis size
+// (512) scaled to the reduced row counts of the generated data (the
+// paper's k=1024 was chosen against billions of rows; what matters is
+// that the sample stays a small fraction of each table while large
+// enough for stable estimates).
+func defaults() setup {
+	s := setup{opts: core.DefaultOptions(), cluster: cluster.DefaultConfig()}
+	s.opts.K, s.opts.KMVSize = 256, 512
+	s.opt = optimizer.DefaultConfig(float64(s.cluster.SlotMemory))
+	return s
 }
 
-// measurement captures one query execution.
-type measurement struct {
-	res *core.Result
-	env *mapreduce.Env
-}
-
-// runVariant executes one named query under a comparison variant.
-func runVariant(v baselines.Variant, sf float64, cfg Config, query string,
-	hiveProfile bool, tweak func(*core.Options)) (*measurement, error) {
-	return runVariantFull(v, sf, cfg, query, hiveProfile, tweak, nil)
-}
-
-// optCfgFor derives the optimizer configuration for an environment.
-func optCfgFor(env *mapreduce.Env) optimizer.Config {
-	return optimizer.DefaultConfig(float64(env.Sim.Config().SlotMemory))
-}
-
-// newEngine builds a variant's engine over a fresh environment on the
-// (sf, cfg) lab, with experimentOptions and optCfgFor, each adjusted by
-// its tweak when non-nil.
-func newEngine(v baselines.Variant, sf float64, cfg Config, hiveProfile bool,
-	tweak func(*core.Options), optTweak func(*optimizer.Config)) (*core.Engine, *mapreduce.Env, error) {
+// newEngine builds a variant's engine over a fresh environment (its own
+// cluster clock and UDF registry) on the (sf, cfg) lab's storage, with
+// defaults adjusted by tweak when non-nil. Every measurement is one
+// such engine: an experiment differs from another only by its tweak.
+func newEngine(v baselines.Variant, sf float64, cfg Config, tweak func(*setup)) (*core.Engine, *mapreduce.Env, error) {
 	l, err := getLab(sf, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	env := l.newEnv(hiveProfile, cfg)
-	opts := experimentOptions()
+	s := defaults()
 	if tweak != nil {
-		tweak(&opts)
+		tweak(&s)
 	}
-	optCfg := optCfgFor(env)
-	if optTweak != nil {
-		optTweak(&optCfg)
-	}
-	eng, err := baselines.NewEngine(v, env, l.cat, optCfg, opts)
+	reg := expr.NewRegistry()
+	tpch.RegisterUDFs(reg, cfg.UDF)
+	env := &mapreduce.Env{FS: l.fs, Sim: cluster.New(s.cluster), Reg: reg, DistributedCache: s.hive}
+	eng, err := baselines.NewEngine(v, env, l.cat, s.opt, s.opts)
 	return eng, env, err
 }
 
-// runVariantFull additionally lets callers tweak the optimizer
-// configuration (ablations toggle individual rules).
-func runVariantFull(v baselines.Variant, sf float64, cfg Config, query string,
-	hiveProfile bool, tweak func(*core.Options), optTweak func(*optimizer.Config)) (*measurement, error) {
-	eng, env, err := newEngine(v, sf, cfg, hiveProfile, tweak, optTweak)
+// run executes one named query on a newEngine and returns its result
+// and environment.
+func run(v baselines.Variant, sf float64, cfg Config, query string, tweak func(*setup)) (*core.Result, *mapreduce.Env, error) {
+	eng, env, err := newEngine(v, sf, cfg, tweak)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	sql, err := tpch.QuerySQL(query)
+	res, err := eng.ExecuteSQL(tpch.MustQuerySQL(query))
 	if err != nil {
-		return nil, err
+		return nil, nil, fmt.Errorf("%s/%s SF%g: %w", v, query, sf, err)
 	}
-	res, err := eng.ExecuteSQL(sql)
-	if err != nil {
-		return nil, fmt.Errorf("%s/%s SF%g: %w", v, query, sf, err)
-	}
-	return &measurement{res: res, env: env}, nil
-}
-
-// experimentOptions returns the engine options used by every
-// experiment. The pilot sample target k is scaled to the reduced row
-// counts of the generated data (the paper's k=1024 was chosen against
-// billions of rows; what matters is that the sample stays a small
-// fraction of each table while large enough for stable estimates).
-func experimentOptions() core.Options {
-	opts := core.DefaultOptions()
-	opts.K = 256
-	opts.KMVSize = 512
-	return opts
+	return res, env, nil
 }
 
 // Table is a rendered experiment result.

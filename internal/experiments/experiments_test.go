@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dyno/internal/baselines"
+	"dyno/internal/data"
 	"dyno/internal/naive"
 	"dyno/internal/sqlparse"
 	"dyno/internal/tpch"
@@ -24,26 +25,26 @@ func TestAllVariantsMatchOracleOnWorkload(t *testing.T) {
 		t.Skip("full workload oracle check is slow")
 	}
 	cfg := testConfig()
+	l, err := getLab(100, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, query := range tpch.QueryNames {
-		l, err := getLab(100, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		env := l.newEnv(false, cfg)
-		q := sqlparse.MustParse(tpch.MustQuerySQL(query))
-		want, err := naive.Evaluate(q, l.cat, env.Reg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(want) == 0 {
-			t.Fatalf("%s yields no rows at test scale; assertion vacuous", query)
-		}
+		var want []data.Value
 		for _, v := range figure7Variants {
-			m, err := runVariant(v, 100, cfg, query, false, nil)
+			res, env, err := run(v, 100, cfg, query, nil)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", v, query, err)
 			}
-			got := m.res.Rows
+			if want == nil {
+				if want, err = naive.Evaluate(sqlparse.MustParse(tpch.MustQuerySQL(query)), l.cat, env.Reg); err != nil {
+					t.Fatal(err)
+				}
+				if len(want) == 0 {
+					t.Fatalf("%s yields no rows at test scale; assertion vacuous", query)
+				}
+			}
+			got := res.Rows
 			if len(got) != len(want) {
 				t.Fatalf("%s/%s: %d rows, oracle %d", v, query, len(got), len(want))
 			}

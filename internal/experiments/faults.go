@@ -83,11 +83,14 @@ func measureFaultsQueries(cfg Config, queries []string) ([]faultPoint, error) {
 	var out []faultPoint
 	for _, q := range queries {
 		for _, p := range faultProfiles {
-			fcfg := cfg
-			fcfg.faults = &p
 			for _, st := range faultStrategies {
-				m, err := runVariant(baselines.VariantDynOpt, faultsSF, fcfg, q, false,
-					func(o *core.Options) { o.Strategy = st.s })
+				res, env, err := run(baselines.VariantDynOpt, faultsSF, cfg, q, func(s *setup) {
+					c := &s.cluster
+					c.Workers, c.MapSlotsPerWorker, c.ReduceSlotsPerWorker = faultsWorkers, faultsMapSlotsPerWorker, faultsRedSlotsPerWorker
+					c.FailEveryN, c.FailurePenalty, c.StragglerEveryN = p.FailEveryN, p.FailurePenalty, p.StragglerEveryN
+					c.SlowdownFactor, c.SpeculativeBeta = p.SlowdownFactor, p.SpeculativeBeta
+					s.opts.Strategy = st.s
+				})
 				if err != nil {
 					return nil, fmt.Errorf("faults %s/%s/%s: %w", q, p.Name, st.name, err)
 				}
@@ -95,8 +98,8 @@ func measureFaultsQueries(cfg Config, queries []string) ([]faultPoint, error) {
 					Query:    q,
 					Profile:  p.Name,
 					Strategy: st.name,
-					TotalSec: m.res.TotalSec,
-					Wasted:   m.env.Sim.WastedSec(),
+					TotalSec: res.TotalSec,
+					Wasted:   env.Sim.WastedSec(),
 				})
 			}
 		}

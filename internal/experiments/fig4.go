@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"dyno/internal/baselines"
-	"dyno/internal/core"
 	"dyno/internal/tpch"
 )
 
@@ -34,7 +33,7 @@ func (o overheads) totalOverheadFraction() float64 {
 func measureOverheads(cfg Config, query string) (*overheads, error) {
 	cfg = cfg.normalized()
 	// ReuseStats: populate, then reuse across the two runs.
-	eng, _, err := newEngine(baselines.VariantDynOpt, 300, cfg, false, func(o *core.Options) { o.ReuseStats = true }, nil)
+	eng, _, err := newEngine(baselines.VariantDynOpt, 300, cfg, func(s *setup) { s.opts.ReuseStats = true })
 	if err != nil {
 		return nil, err
 	}

@@ -31,13 +31,11 @@ func figure5Times(cfg Config, query string) (map[string]float64, error) {
 	cfg = cfg.normalized()
 	out := map[string]float64{}
 	for _, sv := range figure5Variants {
-		m, err := runVariant(sv.variant, 300, cfg, query, false, func(o *core.Options) {
-			o.Strategy = sv.strategy
-		})
+		res, _, err := run(sv.variant, 300, cfg, query, func(s *setup) { s.opts.Strategy = sv.strategy })
 		if err != nil {
 			return nil, err
 		}
-		out[sv.label] = m.res.TotalSec
+		out[sv.label] = res.TotalSec
 	}
 	return out, nil
 }

@@ -26,20 +26,20 @@ func figure6Sweep(cfg Config) ([]figure6Point, error) {
 	for _, sel := range figure6Selectivities {
 		c := cfg
 		c.UDF.Q9DimSel = sel
-		rel, err := runVariant(baselines.VariantRelOpt, 300, c, "Q9p", false, nil)
+		rel, _, err := run(baselines.VariantRelOpt, 300, c, "Q9p", nil)
 		if err != nil {
 			return nil, fmt.Errorf("relopt sel=%g: %w", sel, err)
 		}
-		simple, err := runVariant(baselines.VariantSimple, 300, c, "Q9p", false, nil)
+		simple, _, err := run(baselines.VariantSimple, 300, c, "Q9p", nil)
 		if err != nil {
 			return nil, fmt.Errorf("simple sel=%g: %w", sel, err)
 		}
 		out = append(out, figure6Point{
 			Selectivity:   sel,
-			RelOptSec:     rel.res.TotalSec,
-			SimpleSec:     simple.res.TotalSec,
-			SimpleJobs:    simple.res.Jobs,
-			SimpleMapOnly: simple.res.MapOnlyJobs,
+			RelOptSec:     rel.TotalSec,
+			SimpleSec:     simple.TotalSec,
+			SimpleJobs:    simple.Jobs,
+			SimpleMapOnly: simple.MapOnlyJobs,
 		})
 	}
 	return out, nil

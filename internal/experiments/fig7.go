@@ -27,11 +27,11 @@ func variantTimes(cfg Config, sf float64, query string, hiveProfile bool) (map[b
 	cfg = cfg.normalized()
 	out := map[baselines.Variant]float64{}
 	for _, v := range figure7Variants {
-		m, err := runVariant(v, sf, cfg, query, hiveProfile, nil)
+		res, _, err := run(v, sf, cfg, query, func(s *setup) { s.hive = hiveProfile })
 		if err != nil {
 			return nil, err
 		}
-		out[v] = m.res.TotalSec
+		out[v] = res.TotalSec
 	}
 	return out, nil
 }

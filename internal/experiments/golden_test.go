@@ -15,7 +15,6 @@ import (
 	"dyno/internal/cluster"
 	"dyno/internal/core"
 	"dyno/internal/expr"
-	"dyno/internal/jaql"
 	"dyno/internal/mapreduce"
 	"dyno/internal/runtime/procruntime"
 	"dyno/internal/runtime/wire"
@@ -39,7 +38,7 @@ type goldenCase struct {
 	name    string
 	query   string
 	variant baselines.Variant
-	tweak   func(*core.Options)
+	tweak   func(*setup)
 }
 
 // goldenCases is full TPC-H × every comparison variant, plus the
@@ -54,16 +53,16 @@ func goldenCases() []goldenCase {
 	}
 	for _, q := range []string{"Q8p", "Q10"} {
 		cases = append(cases, goldenCase{name: q + "-PILR_MT-UNC2", query: q, variant: baselines.VariantDynOpt,
-			tweak: func(o *core.Options) {
-				o.PilotMode = core.PilotMT
-				o.Strategy = core.Uncertain{N: 2}
+			tweak: func(s *setup) {
+				s.opts.PilotMode = core.PilotMT
+				s.opts.Strategy = core.Uncertain{N: 2}
 			}})
 	}
 	for _, q := range []string{"Q9p", "Q10"} {
 		cases = append(cases, goldenCase{name: q + "-pushdown-dynjoin", query: q, variant: baselines.VariantDynOpt,
-			tweak: func(o *core.Options) {
-				o.ProjectionPushdown = true
-				o.DynamicJoin = true
+			tweak: func(s *setup) {
+				s.opts.ProjectionPushdown = true
+				s.opts.DynamicJoin = true
 			}})
 	}
 	return cases
@@ -103,20 +102,17 @@ type goldenRecord struct {
 
 func exactFloat(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }
 
-// goldenArm builds one arm's execution environment and catalog.
+// goldenArm builds one arm's engine for a variant and a tweak of
+// defaults, over a fresh simulator clock.
 type goldenArm struct {
-	name string
-	env  func(t *testing.T) (*mapreduce.Env, *jaql.Catalog)
+	name   string
+	engine func(v baselines.Variant, tweak func(*setup)) (*core.Engine, *mapreduce.Env, error)
 }
 
 func goldenArms(t *testing.T) []goldenArm {
 	cfg := testConfig()
-	sim := goldenArm{name: "sim", env: func(t *testing.T) (*mapreduce.Env, *jaql.Catalog) {
-		l, err := getLab(100, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return l.newEnv(false, cfg), l.cat
+	sim := goldenArm{name: "sim", engine: func(v baselines.Variant, tweak func(*setup)) (*core.Engine, *mapreduce.Env, error) {
+		return newEngine(v, 100, cfg, tweak)
 	}}
 
 	// The proc arm: one fleet of two in-process workers (the handler
@@ -137,21 +133,25 @@ func goldenArms(t *testing.T) []goldenArm {
 			t.Fatal(err)
 		}
 	}
-	rt := procruntime.New(fleet, cfg.clusterConfig())
+	rt := procruntime.New(fleet, defaults().cluster)
 	procCat, err := tpch.Generate(rt.FS(), tpch.Config{SF: 100, Scale: cfg.Scale, Seed: cfg.Seed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	proc := goldenArm{name: "proc", env: func(t *testing.T) (*mapreduce.Env, *jaql.Catalog) {
+	proc := goldenArm{name: "proc", engine: func(v baselines.Variant, tweak func(*setup)) (*core.Engine, *mapreduce.Env, error) {
+		s := defaults()
+		if tweak != nil {
+			tweak(&s)
+		}
+		// A wide executor pool overlaps the task round trips; the
+		// virtual timeline does not depend on it.
+		s.cluster.Parallelism = 16
 		reg := expr.NewRegistry()
 		tpch.RegisterUDFs(reg, cfg.UDF)
 		env := rt.NewEnv(reg)
-		// A wide executor pool overlaps the task round trips; the
-		// virtual timeline does not depend on it.
-		ccfg := cfg.clusterConfig()
-		ccfg.Parallelism = 16
-		env.Sim = cluster.New(ccfg)
-		return env, procCat
+		env.Sim = cluster.New(s.cluster)
+		eng, err := baselines.NewEngine(v, env, procCat, s.opt, s.opts)
+		return eng, env, err
 	}}
 
 	return []goldenArm{sim, proc}
@@ -159,7 +159,10 @@ func goldenArms(t *testing.T) []goldenArm {
 
 func runGoldenCase(t *testing.T, c goldenCase, arm goldenArm) *goldenRecord {
 	t.Helper()
-	env, cat := arm.env(t)
+	eng, env, err := arm.engine(c.variant, c.tweak)
+	if err != nil {
+		t.Fatalf("%s/%s: %v", c.name, arm.name, err)
+	}
 	rec := &goldenRecord{}
 	env.Sim.SetTrace(func(ev cluster.TraceEvent) {
 		switch ev.Kind {
@@ -167,14 +170,6 @@ func runGoldenCase(t *testing.T, c goldenCase, arm goldenArm) *goldenRecord {
 			rec.Timeline = append(rec.Timeline, goldenEvent{Time: exactFloat(ev.Time), Job: ev.Job, Kind: ev.Kind})
 		}
 	})
-	opts := experimentOptions()
-	if c.tweak != nil {
-		c.tweak(&opts)
-	}
-	eng, err := baselines.NewEngine(c.variant, env, cat, optCfgFor(env), opts)
-	if err != nil {
-		t.Fatalf("%s/%s: %v", c.name, arm.name, err)
-	}
 	res, err := eng.ExecuteSQL(tpch.MustQuerySQL(c.query))
 	if err != nil {
 		t.Fatalf("%s/%s: %v", c.name, arm.name, err)

@@ -11,26 +11,21 @@ import (
 )
 
 // runWithParallelism executes one query under DYNOPT with an explicit
-// executor setting (and optional engine-option tweak) and returns the
-// result plus the full trace.
-func runWithParallelism(t *testing.T, cfg Config, query string, parallelism int, tweak func(*core.Options)) (*core.Result, []cluster.TraceEvent) {
+// executor setting (and optional tweak) and returns the result plus the
+// full trace.
+func runWithParallelism(t *testing.T, cfg Config, query string, parallelism int, tweak func(*setup)) (*core.Result, []cluster.TraceEvent) {
 	t.Helper()
-	cfg.parallelism = parallelism
-	l, err := getLab(100, cfg)
+	eng, env, err := newEngine(baselines.VariantDynOpt, 100, cfg, func(s *setup) {
+		s.cluster.Parallelism = parallelism
+		if tweak != nil {
+			tweak(s)
+		}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := l.newEnv(false, cfg)
 	var trace []cluster.TraceEvent
 	env.Sim.SetTrace(func(ev cluster.TraceEvent) { trace = append(trace, ev) })
-	opts := experimentOptions()
-	if tweak != nil {
-		tweak(&opts)
-	}
-	eng, err := baselines.NewEngine(baselines.VariantDynOpt, env, l.cat, optCfgFor(env), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
 	res, err := eng.ExecuteSQL(tpch.MustQuerySQL(query))
 	if err != nil {
 		t.Fatalf("%s with Parallelism=%d: %v", query, parallelism, err)
@@ -52,14 +47,14 @@ func TestParallelExecutorMatchesSerial(t *testing.T) {
 	cfg := testConfig()
 	cases := []struct {
 		name, query string
-		tweak       func(*core.Options)
+		tweak       func(*setup)
 	}{
 		{"Q8p", "Q8p", nil},
 		{"Q9p", "Q9p", nil},
 		{"Q10", "Q10", nil},
-		{"Q8p/PILR_MT/UNC-2", "Q8p", func(o *core.Options) {
-			o.PilotMode = core.PilotMT
-			o.Strategy = core.Uncertain{N: 2}
+		{"Q8p/PILR_MT/UNC-2", "Q8p", func(s *setup) {
+			s.opts.PilotMode = core.PilotMT
+			s.opts.Strategy = core.Uncertain{N: 2}
 		}},
 	}
 	for _, c := range cases {

@@ -35,24 +35,22 @@ func (p *PlanEvolution) String() string {
 // collects the plans, reproducing the figures' side-by-side view.
 func measurePlanEvolution(cfg Config, query string, sf float64) (*PlanEvolution, error) {
 	cfg = cfg.normalized()
-	rel, err := runVariant(baselines.VariantRelOpt, sf, cfg, query, false, nil)
+	rel, _, err := run(baselines.VariantRelOpt, sf, cfg, query, nil)
 	if err != nil {
 		return nil, err
 	}
-	dyn, err := runVariant(baselines.VariantDynOpt, sf, cfg, query, false, func(o *core.Options) {
-		o.Strategy = core.Uncertain{N: 1}
-	})
+	dyn, _, err := run(baselines.VariantDynOpt, sf, cfg, query, func(s *setup) { s.opts.Strategy = core.Uncertain{N: 1} })
 	if err != nil {
 		return nil, err
 	}
 	out := &PlanEvolution{
 		Query:       query,
-		PlanChanges: dyn.res.PlanChanges,
+		PlanChanges: dyn.PlanChanges,
 	}
-	if len(rel.res.Evolution) > 0 {
-		out.RelOptPlan = rel.res.Evolution[0].Plan
+	if len(rel.Evolution) > 0 {
+		out.RelOptPlan = rel.Evolution[0].Plan
 	}
-	for _, it := range dyn.res.Evolution {
+	for _, it := range dyn.Evolution {
 		out.DynoPlans = append(out.DynoPlans, it.Plan)
 		out.JobsPerIter = append(out.JobsPerIter, it.JobsRun)
 	}

@@ -5,7 +5,6 @@ import (
 
 	"dyno/internal/baselines"
 	"dyno/internal/core"
-	"dyno/internal/optimizer"
 	"dyno/internal/sqlparse"
 	"dyno/internal/tpch"
 )
@@ -18,15 +17,7 @@ var table1SFs = []float64{100, 300, 1000}
 
 // pilotTime measures only the PILR phase for one query.
 func pilotTime(mode core.PilotMode, sf float64, cfg Config, query string) (float64, error) {
-	l, err := getLab(sf, cfg)
-	if err != nil {
-		return 0, err
-	}
-	env := l.newEnv(false, cfg)
-	opts := experimentOptions()
-	opts.PilotMode = mode
-	optCfg := optimizer.DefaultConfig(float64(env.Sim.Config().SlotMemory))
-	eng, err := baselines.NewEngine(baselines.VariantDynOpt, env, l.cat, optCfg, opts)
+	eng, _, err := newEngine(baselines.VariantDynOpt, sf, cfg, func(s *setup) { s.opts.PilotMode = mode })
 	if err != nil {
 		return 0, err
 	}
@@ -45,7 +36,6 @@ func pilotTime(mode core.PilotMode, sf float64, cfg Config, query string) (float
 // SF=100, for PILR_MT at SF ∈ {100, 300, 1000}. The paper reports
 // ~16-28% for MT with no dependence on the scale factor.
 func Table1(cfg Config) (*Table, error) {
-	cfg = cfg.normalized()
 	t := &Table{
 		Title:  "Table 1: Relative execution time of PILR for varying queries and scale factors",
 		Header: []string{"Query", "SF100-ST", "SF100-MT", "SF300-MT", "SF1000-MT"},

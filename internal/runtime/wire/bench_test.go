@@ -2,6 +2,8 @@ package wire
 
 import (
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"sync/atomic"
 	"testing"
 
@@ -43,9 +45,15 @@ func lineitemBlock() []data.Value {
 	return recs
 }
 
-// One op = encode the block into a pooled frame and release it.
+// One op = encode the block into a pooled frame and release it. From
+// the warm-up op on, the collector is off and one P runs, as in
+// procruntime's BenchmarkMirrorFile: a collection empties the encoder
+// pool and a move to another P misses the encoder the old P holds, and
+// either way an op would count the encoder's regrowth.
 func BenchmarkEncodeBlock(b *testing.B) {
 	recs := lineitemBlock()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	f := EncodeBlock(recs)
 	b.SetBytes(int64(len(f.Bytes())))
 	f.Close()

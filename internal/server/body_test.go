@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -208,25 +209,26 @@ func TestStoredRowsUnderConcurrentRequests(t *testing.T) {
 	}
 }
 
-// TestUnencodableRowFailsTheRequest: a row whose text is not JSON
-// (strconv quoting of a DEL byte) fails the request with an error
-// instead of a body that does not parse, and leaves the rows before it
-// encoded.
+// TestUnencodableRowFailsTheRequest: a row whose text is not JSON (a
+// NaN double) fails the request with an error instead of a body that
+// does not parse, and leaves the rows before it encoded. A DEL byte is
+// JSON and is served.
 func TestUnencodableRowFailsTheRequest(t *testing.T) {
-	proto := &response{Variant: "DYNOPT", Rows: []data.Value{data.Int(1), data.String("\x7f")}, enc: &encodedRows{}}
+	proto := &response{Variant: "DYNOPT", Rows: []data.Value{data.Int(1), data.String("\x7f"), data.Double(math.NaN())}, enc: &encodedRows{}}
 	rec := httptest.NewRecorder()
-	writeQuery(rec, requestView(proto, Request{MaxRows: 1}, false, false))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("the first row alone: status %d: %s", rec.Code, rec.Body)
+	writeQuery(rec, requestView(proto, Request{MaxRows: 2}, false, false))
+	var body struct{ Rows []any }
+	if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &body) != nil || len(body.Rows) != 2 || body.Rows[1] != "\x7f" {
+		t.Fatalf("the first two rows: status %d: %s", rec.Code, rec.Body)
 	}
 	for i := 0; i < 2; i++ {
 		rec := httptest.NewRecorder()
 		writeQuery(rec, requestView(proto, Request{}, false, false))
-		if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "row 1 is not JSON") {
+		if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "row 2 is not JSON") {
 			t.Fatalf("an unencodable row: status %d: %s", rec.Code, rec.Body)
 		}
 	}
-	if len(proto.enc.ends) != 1 || string(proto.enc.buf) != "1," {
+	if len(proto.enc.ends) != 2 || string(proto.enc.buf) != "1,\"\x7f\"," {
 		t.Fatalf("a failed encoding left %q with %d rows", proto.enc.buf, len(proto.enc.ends))
 	}
 }

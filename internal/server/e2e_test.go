@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -227,6 +228,25 @@ func TestQueryBodyIsBounded(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized body: status %d, want 413", resp.StatusCode)
+	}
+}
+
+// TestQueryBodyIsOneObject: POST /query reads one JSON object and
+// nothing after it; anything else is a bad request.
+func TestQueryBodyIsOneObject(t *testing.T) {
+	s := newTestServer(t, nil)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, body := range []string{`{"query":"Q10"} {"query":"Q2"}`, `{"query":"Q10"}x`, `{"query":`, ``} {
+		resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "invalid JSON") {
+			t.Errorf("body %q: status %d %s, want 400 invalid JSON", body, resp.StatusCode, msg)
+		}
 	}
 }
 
