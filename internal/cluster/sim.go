@@ -39,7 +39,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -284,6 +284,7 @@ type Submission struct {
 	running   int
 	inflight  []*Task // executing attempts in dispatch order (speculation scan)
 	completed []*Task
+	durations [2][]float64 // completed durations per task kind, ascending, when speculating
 	nodesSeen map[int]bool
 	onDone    []func(*Submission)
 }
@@ -597,16 +598,7 @@ func (s *Sim) retireDone() {
 	if done == 0 || done*2 < len(s.subs) {
 		return
 	}
-	kept := s.subs[:0]
-	for _, sub := range s.subs {
-		if !sub.done {
-			kept = append(kept, sub)
-		}
-	}
-	for i := len(kept); i < len(s.subs); i++ {
-		s.subs[i] = nil
-	}
-	s.subs = kept
+	s.subs = slices.DeleteFunc(s.subs, func(sub *Submission) bool { return sub.done })
 }
 
 func (s *Sim) handleJobReady(sub *Submission) {
@@ -677,8 +669,14 @@ func (s *Sim) handleTaskDone(sub *Submission, t *Task, e *event) {
 	}
 	s.free[t.Kind][winNode]++
 	sub.running--
-	sub.dropInflight(t)
+	if i := slices.Index(sub.inflight, t); i >= 0 {
+		sub.inflight = slices.Delete(sub.inflight, i, i+1)
+	}
 	sub.completed = append(sub.completed, t)
+	if d := t.end - t.start; s.cfg.SpeculativeBeta > 0 { // only speculation reads the median
+		at, _ := slices.BinarySearch(sub.durations[t.Kind], d)
+		sub.durations[t.Kind] = slices.Insert(sub.durations[t.Kind], at, d)
+	}
 	s.emit(TraceEvent{Time: s.now, Job: sub.job.Name(), Kind: "finish"})
 	if sub.failed {
 		s.maybeComplete(sub)
@@ -686,15 +684,6 @@ func (s *Sim) handleTaskDone(sub *Submission, t *Task, e *event) {
 	}
 	s.handOver(sub, sub.job.TaskDone(sub, t))
 	s.maybeComplete(sub)
-}
-
-func (sub *Submission) dropInflight(t *Task) {
-	for i, x := range sub.inflight {
-		if x == t {
-			sub.inflight = append(sub.inflight[:i], sub.inflight[i+1:]...)
-			return
-		}
-	}
 }
 
 func (s *Sim) maybeComplete(sub *Submission) {
@@ -897,17 +886,10 @@ func (s *Sim) speculate() {
 // completed tasks of the given kind, or 0 with fewer than
 // minSpeculationSamples samples.
 func (sub *Submission) medianDuration(kind TaskKind) float64 {
-	var ds []float64
-	for _, c := range sub.completed {
-		if c.Kind == kind {
-			ds = append(ds, c.end-c.start)
-		}
+	if ds := sub.durations[kind]; len(ds) >= minSpeculationSamples {
+		return ds[len(ds)/2]
 	}
-	if len(ds) < minSpeculationSamples {
-		return 0
-	}
-	sort.Float64s(ds)
-	return ds[len(ds)/2]
+	return 0
 }
 
 // launchSpeculative starts a backup attempt of t on node. The backup's
@@ -977,12 +959,7 @@ func (s *Sim) runWave() {
 // since the last one — a job's whole phase, not a wave's slot-count slice
 // of it — except for submissions that failed or finished meanwhile.
 func (s *Sim) runWork() {
-	batch := s.work[:0]
-	for _, t := range s.work {
-		if !t.sub.failed && !t.sub.done {
-			batch = append(batch, t)
-		}
-	}
+	batch := slices.DeleteFunc(s.work, func(t *Task) bool { return t.sub.failed || t.sub.done })
 	s.execute(len(batch), false, func(i int) { batch[i].workPanic = capture(batch[i].Work) })
 	clear(s.work)
 	s.work = s.work[:0]
@@ -1079,12 +1056,7 @@ func (s *Sim) WastedSec() float64 { return s.wasted }
 
 // Quiesce reports whether all submitted jobs have completed.
 func (s *Sim) Quiesce() bool {
-	for _, sub := range s.subs {
-		if !sub.done {
-			return false
-		}
-	}
-	return true
+	return !slices.ContainsFunc(s.subs, func(sub *Submission) bool { return !sub.done })
 }
 
 // Jobs returns all submissions in submit order.

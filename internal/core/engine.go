@@ -584,20 +584,9 @@ func (e *Engine) statsPathsFor(block *plan.JoinBlock, u *jaql.Unit) []data.Path 
 // substituteRel replaces the relations covered by a finished unit with
 // its output relation (the paper's t1, t2, ... in Figure 2).
 func substituteRel(block *plan.JoinBlock, u *jaql.Unit) {
-	covered := map[string]bool{}
-	for _, a := range u.Aliases {
-		covered[a] = true
-	}
 	var kept []*plan.Rel
 	for _, r := range block.Rels {
-		drop := false
-		for _, a := range r.Aliases {
-			if covered[a] {
-				drop = true
-				break
-			}
-		}
-		if !drop {
+		if !slices.ContainsFunc(r.Aliases, func(a string) bool { return slices.Contains(u.Aliases, a) }) {
 			kept = append(kept, r)
 		}
 	}

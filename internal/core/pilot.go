@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"dyno/internal/cluster"
 	"dyno/internal/data"
@@ -115,12 +116,7 @@ func (e *Engine) pilotRuns(block *plan.JoinBlock, queryName string) (*PilotRepor
 			pj.run = run
 		}
 		if err := e.Env.RunUntil(func() bool {
-			for _, pj := range jobs {
-				if pj.run != nil && !pj.run.sub.Done() {
-					return false
-				}
-			}
-			return true
+			return !slices.ContainsFunc(jobs, func(pj *pilotJob) bool { return pj.run != nil && !pj.run.sub.Done() })
 		}); err != nil {
 			return nil, err
 		}

@@ -94,7 +94,20 @@ type File struct {
 	name   string
 	blocks []*Block
 	aux    sync.Map
+	view   *View
 }
+
+// View says that a file's records are Base's blocks Splits, in that
+// order, each run through Op: the operator (opaque here) of the
+// map-only job that wrote the file.
+type View struct {
+	Base   *File
+	Splits []int
+	Op     any
+}
+
+// View returns what the file is a view of, or nil.
+func (f *File) View() *View { return f.view }
 
 // Aux returns the file's cache: files are immutable once written, so
 // state derived from all their blocks (a built broadcast table) serves
@@ -216,6 +229,9 @@ func (w *Writer) AppendAll(runs ...[]data.Value) {
 		}
 	}
 }
+
+// SetView records that the file being written is v.
+func (w *Writer) SetView(v *View) { w.file.view = v }
 
 // Close finalizes the file and returns it. An empty file has zero
 // blocks.

@@ -2,6 +2,7 @@ package jaql
 
 import (
 	"fmt"
+	"slices"
 
 	"dyno/internal/data"
 	"dyno/internal/dfs"
@@ -105,12 +106,7 @@ func (u *Unit) Done() bool { return u.OutRel != nil }
 
 // ready reports whether all dependencies have executed.
 func (u *Unit) ready() bool {
-	for _, d := range u.Deps {
-		if !d.Done() {
-			return false
-		}
-	}
-	return true
+	return !slices.ContainsFunc(u.Deps, func(d *Unit) bool { return !d.Done() })
 }
 
 // MapOnly reports whether the unit runs without a reduce phase.

@@ -801,6 +801,15 @@ func (j *Job) finish(sub *cluster.Submission) {
 	}
 	res.WholeInput = res.SplitsRun >= res.SplitsTotal
 	w := j.env.FS.Create(j.spec.Output)
+	// A map-only job of one input and no build side whose every listed
+	// split ran writes a view of it, splits in submission (write) order.
+	if j.spec.Reduce == nil && len(j.spec.Inputs) == 1 && len(j.spec.Broadcasts) == 0 && res.WholeInput && j.mapsDone == len(j.mapStates) {
+		splits := make([]int, len(j.mapStates))
+		for i, st := range j.mapStates {
+			splits[i] = st.splitIdx
+		}
+		w.SetView(&dfs.View{Base: j.spec.Inputs[0].File, Splits: splits, Op: j.spec.RemoteOp})
+	}
 	if j.env.OnCreateFile != nil {
 		j.env.OnCreateFile(j.spec.Output)
 	}

@@ -2,6 +2,7 @@ package optimizer
 
 import (
 	"fmt"
+	"slices"
 
 	"dyno/internal/plan"
 )
@@ -82,10 +83,7 @@ func (e *Estimator) annotate(n plan.Node) error {
 // in the bound set to the candidate (for cartesian-avoiding order
 // enumeration).
 func (e *Estimator) HasEdge(bound map[int]bool, candidate int) bool {
-	for _, edge := range e.m.edges {
-		if (bound[edge.li] && edge.ri == candidate) || (bound[edge.ri] && edge.li == candidate) {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(e.m.edges, func(edge joinEdge) bool {
+		return bound[edge.li] && edge.ri == candidate || bound[edge.ri] && edge.li == candidate
+	})
 }

@@ -14,6 +14,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -58,14 +59,7 @@ type Rel struct {
 func (r *Rel) IsBase() bool { return r.Leaf != nil }
 
 // Covers reports whether the relation covers the alias.
-func (r *Rel) Covers(alias string) bool {
-	for _, a := range r.Aliases {
-		if a == alias {
-			return true
-		}
-	}
-	return false
-}
+func (r *Rel) Covers(alias string) bool { return slices.Contains(r.Aliases, alias) }
 
 // String renders the relation.
 func (r *Rel) String() string {

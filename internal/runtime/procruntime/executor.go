@@ -93,13 +93,11 @@ func (e executor) ExecMap(m mapreduce.MapExec) (*mapreduce.MapExecOut, error) {
 	if err != nil {
 		return nil, err
 	}
-	builds := make([]wire.BuildRef, 0, len(m.Broadcasts))
-	for _, b := range m.Broadcasts {
-		refs, err := e.f.mirrorFile(e.fs, b.File)
-		if err != nil {
+	builds := make([]wire.BuildRef, len(m.Broadcasts))
+	for i, b := range m.Broadcasts {
+		if builds[i], err = e.buildRef(b); err != nil {
 			return nil, err
 		}
-		builds = append(builds, wire.BuildRef{Name: b.Name, Wrap: b.Wrap, Filter: b.Filter, Keys: b.KeyPaths, Blocks: refs})
 	}
 	task := &wire.Task{
 		Task:        m.TaskName,
@@ -130,6 +128,51 @@ func (e executor) ExecMap(m mapreduce.MapExec) (*mapreduce.MapExecOut, error) {
 		out.ShuffleParts = res.Parts
 	}
 	return out, nil
+}
+
+// buildRef names the blocks a worker builds broadcast b from. A
+// broadcast with no wrap or filter of its own over a view an unpruned
+// scan wrote is that scan's build over the base: its wrap and filter
+// over the base's blocks in the view's split order, read from the
+// base's mirror, which every query over the base shares. The worker
+// keeps the table under that mirror and order, and the view file is
+// never mirrored for it.
+func (e executor) buildRef(b mapreduce.Broadcast) (wire.BuildRef, error) {
+	ref := wire.BuildRef{Name: b.Name, Wrap: b.Wrap, Filter: b.Filter, Keys: b.KeyPaths}
+	file, v := b.File, b.File.View()
+	if op := viewScan(e.fs, v); op != nil && b.Wrap == "" && b.Filter == nil {
+		if file = v.Base; op.Source != nil {
+			ref.Wrap, ref.Filter = op.Source.Wrap, op.Source.Filter
+		}
+	}
+	refs, err := e.f.mirrorFile(e.fs, file)
+	if ref.Blocks = refs; err != nil || file == b.File {
+		return ref, err
+	}
+	ref.Blocks = make([]wire.BlockRef, len(v.Splits))
+	for i, s := range v.Splits {
+		ref.Blocks[i] = refs[s]
+	}
+	return ref, nil
+}
+
+// viewScan is the op that wrote view v of a file fs still serves when
+// it is a scan that prunes no column (physop.ScanImage's test): its
+// rows are its splits' records wrapped and filtered by its source.
+func viewScan(fs *dfs.FS, v *dfs.View) *physop.OpSpec {
+	if v == nil {
+		return nil
+	}
+	op, _ := v.Op.(*physop.OpSpec)
+	if cur, err := fs.Open(v.Base.Name()); op == nil || op.Kind != physop.Scan || err != nil || cur != v.Base {
+		return nil
+	}
+	for _, set := range op.Prune {
+		if set != nil {
+			return nil
+		}
+	}
+	return op
 }
 
 // scanRows resolves an answer by position to the rows it names, taken

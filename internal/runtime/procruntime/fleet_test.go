@@ -31,7 +31,7 @@ import (
 
 // newBareFleet builds a fleet with test-friendly defaults: no
 // heartbeat staleness, hedge effectively off unless a test opts in.
-func newBareFleet(t *testing.T, cfg Config) *Fleet {
+func newBareFleet(t testing.TB, cfg Config) *Fleet {
 	t.Helper()
 	if cfg.StaleAfter == 0 {
 		cfg.StaleAfter = time.Hour

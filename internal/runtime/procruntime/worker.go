@@ -498,11 +498,13 @@ func readSpan(ref wire.BlockRef) ([]byte, error) {
 }
 
 // tableKey is a built table's identity: the mirror file its build side
-// was read from (the file's version) and the build parameters.
+// was read from (the file's version) and the build parameters, the
+// order its blocks are read in among them.
 type tableKey struct{ file, params string }
 
 // table returns the built hash table for a broadcast ref, memoized by
-// what the table is a function of: the mirror file (its version) and
+// what the table is a function of: the mirror file (its version), which
+// of its blocks in which order (a group's rows are in scan order), and
 // the build's wrap, filter and keys. Builds of one file with different
 // filters never collide, and one build reached under different step
 // names (b0 in one chain, b1 in another) is built once. The build's UDF
@@ -514,7 +516,11 @@ func (w *Worker) table(ref wire.BuildRef) (*mapreduce.HashTable, error) {
 	if err != nil {
 		return nil, fmt.Errorf("build %s: %w", ref.Name, err)
 	}
-	key := tableKey{params: ref.Wrap + "|" + filterKey}
+	order := make([]byte, 0, 8*len(ref.Blocks))
+	for _, b := range ref.Blocks {
+		order = strconv.AppendInt(append(order, '@'), b.Off, 10)
+	}
+	key := tableKey{params: string(order) + "|" + ref.Wrap + "|" + filterKey}
 	if len(ref.Blocks) > 0 {
 		key.file = ref.Blocks[0].File
 	}

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"fmt"
+	"slices"
 
 	"dyno/internal/data"
 )
@@ -119,15 +120,7 @@ func columnKind(vals []data.Value) byte {
 }
 
 func sameFieldNames(a, b []data.Field) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Name != b[i].Name {
-			return false
-		}
-	}
-	return true
+	return slices.EqualFunc(a, b, func(x, y data.Field) bool { return x.Name == y.Name })
 }
 
 // writeNullBitmap writes one bit per value (1 = non-null).

@@ -2,6 +2,7 @@ package sqlparse
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -68,12 +69,7 @@ type Query struct {
 
 // HasAggregates reports whether any select item aggregates.
 func (q *Query) HasAggregates() bool {
-	for _, s := range q.Select {
-		if s.Agg != "" {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(q.Select, func(s SelectItem) bool { return s.Agg != "" })
 }
 
 var aggregates = map[string]bool{

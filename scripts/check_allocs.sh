@@ -54,8 +54,10 @@ go test -run='^$' -bench='^(BenchmarkBuildHashTable|BenchmarkBuildHashTableGroup
 go test -run='^$' -bench='^(BenchmarkEncodeBlock|BenchmarkDecodeBlock|BenchmarkScanAnswer)$' \
     -benchtime=20x -benchmem ./internal/runtime/wire | tee -a "$out"
 # Block mirror: one 16-block file (5.7 MB of frames) written per op,
-# each frame on the pooled encoder and written as it is encoded.
-go test -run='^$' -bench='^BenchmarkMirrorFile$' \
+# each frame on the pooled encoder and written as it is encoded. A
+# broadcast of a view is built from its base's warm mirror: no mirror
+# written, no block decoded, no table built.
+go test -run='^$' -bench='^(BenchmarkMirrorFile|BenchmarkViewBuildHit)$' \
     -benchtime=10x -benchmem ./internal/runtime/procruntime | tee -a "$out"
 # A result-cache hit through the service's HTTP handler: one memo
 # lookup, one table lookup, the stored row bytes copied into the body.
