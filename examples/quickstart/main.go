@@ -11,23 +11,18 @@ import (
 	"dyno/internal/cluster"
 	"dyno/internal/core"
 	"dyno/internal/data"
-	"dyno/internal/dfs"
 	"dyno/internal/expr"
 	"dyno/internal/jaql"
-	"dyno/internal/mapreduce"
 	"dyno/internal/optimizer"
+	"dyno/internal/runtime/simruntime"
 )
 
 func main() {
 	// 1. A simulated cluster (14 workers, 140 map / 84 reduce slots —
 	// the paper's testbed) over an in-memory DFS.
 	ccfg := cluster.DefaultConfig()
-	fs := dfs.New()
-	env := &mapreduce.Env{
-		FS:  fs,
-		Sim: cluster.New(ccfg),
-		Reg: expr.NewRegistry(),
-	}
+	rt := simruntime.New(ccfg)
+	fs, env := rt.FS(), rt.NewEnv(expr.NewRegistry())
 
 	// 2. Two base tables: users and their clicks.
 	users := fs.Create("users")

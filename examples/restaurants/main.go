@@ -20,9 +20,9 @@ import (
 	"dyno/internal/dfs"
 	"dyno/internal/expr"
 	"dyno/internal/jaql"
-	"dyno/internal/mapreduce"
 	"dyno/internal/optimizer"
 	"dyno/internal/rewrite"
+	"dyno/internal/runtime/simruntime"
 	"dyno/internal/sqlparse"
 )
 
@@ -35,12 +35,8 @@ const q1 = `
 
 func main() {
 	ccfg := cluster.DefaultConfig()
-	fs := dfs.New()
-	env := &mapreduce.Env{
-		FS:  fs,
-		Sim: cluster.New(ccfg),
-		Reg: expr.NewRegistry(),
-	}
+	rt := simruntime.New(ccfg)
+	fs, env := rt.FS(), rt.NewEnv(expr.NewRegistry())
 	registerUDFs(env.Reg)
 	cat := buildTables(fs)
 	fs.SetByteScale(8 << 10)
@@ -73,7 +69,7 @@ func main() {
 	var pilot float64
 	for _, sig := range eng.Store.Signatures() {
 		ts, _ := eng.Store.Get(sig)
-		if _, ok := ts.Col("rs.id"); ok {
+		if _, ok := ts.Cols["rs.id"]; ok {
 			pilot = ts.Card
 		}
 	}

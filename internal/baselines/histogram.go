@@ -81,12 +81,4 @@ func (h *histogram) fractionGE(v data.Value) float64 { return clamp01(1 - h.frac
 // fractionGT estimates the fraction of values > v.
 func (h *histogram) fractionGT(v data.Value) float64 { return clamp01(1 - h.fractionLE(v)) }
 
-func clamp01(x float64) float64 {
-	if x < 0 {
-		return 0
-	}
-	if x > 1 {
-		return 1
-	}
-	return x
-}
+func clamp01(x float64) float64 { return min(max(x, 0), 1) }

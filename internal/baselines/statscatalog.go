@@ -102,10 +102,7 @@ func (sc *StatsCatalog) LeafStats(leaf *plan.Leaf) (stats.TableStats, error) {
 	for _, conj := range expr.SplitConjuncts(leaf.Pred) {
 		sel *= sc.selectivity(p, leaf.Alias, conj)
 	}
-	card := p.card * sel
-	if card < 1 {
-		card = 1
-	}
+	card := max(p.card*sel, 1)
 	// Scans wrap records as {alias: rec}, so runtime rows are slightly
 	// larger than the raw table records.
 	wrapOverhead := float64(len(leaf.Alias)+5) * sc.env.FS.ByteScale()
@@ -115,10 +112,7 @@ func (sc *StatsCatalog) LeafStats(leaf *plan.Leaf) (stats.TableStats, error) {
 		Cols:       make(map[string]stats.ColStats, len(p.ndv)),
 	}
 	for col, ndv := range p.ndv {
-		if ndv > card {
-			ndv = card
-		}
-		ts.Cols[leaf.Alias+"."+col] = stats.ColStats{NDV: ndv}
+		ts.Cols[leaf.Alias+"."+col] = stats.ColStats{NDV: min(ndv, card)}
 	}
 	return ts, nil
 }
@@ -189,15 +183,7 @@ func (sc *StatsCatalog) selectivity(p *tableProfile, alias string, e expr.Expr) 
 // optimizer cannot analyze.
 const defaultSel = 1.0 / 3
 
-func clampSel(s float64) float64 {
-	if s < 1e-6 {
-		return 1e-6
-	}
-	if s > 1 {
-		return 1
-	}
-	return s
-}
+func clampSel(s float64) float64 { return min(max(s, 1e-6), 1) }
 
 // normalizeCmp extracts (column, literal, op) from a comparison in
 // either orientation, requiring the column to belong to the alias.
@@ -262,7 +248,7 @@ func (sc *StatsCatalog) oracleStats(block *plan.JoinBlock, reg *expr.Registry) e
 		col := stats.NewCollector(paths, stats.DefaultKMVSize)
 		ectx := &expr.Ctx{Reg: reg}
 		for _, rec := range f.AllRecords() {
-			col.ObserveInput()
+			col.ObserveInputs(1)
 			row := data.ObjectFromSorted([]data.Field{{Name: rel.Leaf.Alias, Value: rec}})
 			if rel.Leaf.Pred != nil && !rel.Leaf.Pred.Eval(ectx, row).Truthy() {
 				continue

@@ -9,6 +9,8 @@
 package batch
 
 import (
+	"cmp"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -32,6 +34,7 @@ type Data struct {
 	wrapped map[string][]data.Value // alias -> {alias: rec} row per record
 	sels    map[string][]int32      // predicate signature -> selection
 	keys    map[string]*KeyCols     // key signature -> key columns
+	orders  map[[2]string]*HashOrder
 	allSel  []int32
 }
 
@@ -128,6 +131,15 @@ func (d *Data) allSelLocked() []int32 {
 	return d.allSel
 }
 
+// first is the row accessors over rows are compiled against: the first,
+// null when there is none.
+func first(rows []data.Value) data.Value {
+	if len(rows) == 0 {
+		return data.Null()
+	}
+	return rows[0]
+}
+
 // colLocked returns the cached vector for a column path, extracting it
 // on first use through an accessor compiled against the split's first
 // record (accessors verify positions per record, so heterogeneous
@@ -137,12 +149,7 @@ func (d *Data) colLocked(path data.Path) *vec {
 	if v, ok := d.cols[sig]; ok {
 		return v
 	}
-	var sample data.Value
-	if len(d.recs) > 0 {
-		sample = d.recs[0]
-	}
-	acc := data.CompileAccessor(path, sample)
-	v := extractVec(acc, d.recs)
+	v := extractVec(data.CompileAccessor(path, first(d.recs)), d.recs)
 	if d.cols == nil {
 		d.cols = make(map[string]*vec)
 	}
@@ -183,11 +190,7 @@ func (d *Data) Keys(sig, alias string, paths []data.Path) *KeyCols {
 		return kc
 	}
 	rows := d.wrappedLocked(alias)
-	var sample data.Value
-	if len(rows) > 0 {
-		sample = rows[0]
-	}
-	accs := data.CompileAccessors(paths, sample)
+	accs := data.CompileAccessors(paths, first(rows))
 	keys := make([]data.Value, len(rows))
 	for i, row := range rows {
 		keys[i] = data.CompositeKey(row, accs)
@@ -236,4 +239,43 @@ func (d *Data) Hashes(kc *KeyCols) []uint64 {
 		kc.hash = h
 	}
 	return kc.hash
+}
+
+// HashOrder is a column of a split's wrapped rows as the statistics
+// collector reads it, pointer-free: Hashes is each row's data.Hash64 of
+// its value, Rows the rows whose value is not null in ascending hash
+// order (ties in any order), Distinct the number of distinct hashes.
+type HashOrder struct {
+	Hashes   []uint64
+	Rows     []int32
+	Distinct int
+}
+
+// HashOrder returns the cached hash order of path evaluated over the
+// rows wrapped under wrap ("" = raw records); sig must be path.String().
+func (d *Data) HashOrder(wrap string, path data.Path, sig string) *HashOrder {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if o, ok := d.orders[[2]string{wrap, sig}]; ok {
+		return o
+	}
+	rows := d.wrappedLocked(wrap)
+	acc := data.CompileAccessor(path, first(rows))
+	o := &HashOrder{Hashes: make([]uint64, len(rows)), Rows: make([]int32, 0, len(rows))}
+	for i, row := range rows {
+		if v := acc.Eval(row); !v.IsNull() {
+			o.Hashes[i], o.Rows = data.Hash64(v), append(o.Rows, int32(i))
+		}
+	}
+	slices.SortFunc(o.Rows, func(a, b int32) int { return cmp.Compare(o.Hashes[a], o.Hashes[b]) })
+	for i, r := range o.Rows {
+		if i == 0 || o.Hashes[r] != o.Hashes[o.Rows[i-1]] {
+			o.Distinct++
+		}
+	}
+	if d.orders == nil {
+		d.orders = make(map[[2]string]*HashOrder)
+	}
+	d.orders[[2]string{wrap, sig}] = o
+	return o
 }

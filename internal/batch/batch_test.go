@@ -1,6 +1,7 @@
 package batch
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -81,7 +82,7 @@ func randRecords(rng *rand.Rand, n int) []data.Value {
 
 func col(p string) *expr.Col     { return expr.NewCol(p) }
 func lit(v data.Value) *expr.Lit { return expr.NewLit(v) }
-func cmp(op expr.CmpOp, l, r expr.Expr) *expr.Cmp {
+func cmpOf(op expr.CmpOp, l, r expr.Expr) *expr.Cmp {
 	return &expr.Cmp{Op: op, L: l, R: r}
 }
 
@@ -93,35 +94,35 @@ func testPredicates() []expr.Expr {
 	var preds []expr.Expr
 	for _, op := range ops {
 		preds = append(preds,
-			cmp(op, col("a"), lit(data.Int(0))),
-			cmp(op, col("a"), lit(data.Double(0.5))),
-			cmp(op, col("b"), lit(data.Double(-1))),
-			cmp(op, col("b"), lit(data.Int(1))),
-			cmp(op, col("c"), lit(data.String("a\x00b"))),
-			cmp(op, col("d"), lit(data.Int(int64(1)<<53+1))),
-			cmp(op, col("e"), lit(data.String("x"))),
-			cmp(op, lit(data.Int(2)), col("a")), // literal on the left
-			cmp(op, col("a"), col("b")),
-			cmp(op, col("a"), col("d")),
-			cmp(op, col("c"), col("e")),
-			cmp(op, col("a"), lit(data.String("s"))), // class mismatch
-			cmp(op, col("c"), lit(data.Int(3))),      // class mismatch
-			cmp(op, col("a"), lit(data.Null())),      // null literal
+			cmpOf(op, col("a"), lit(data.Int(0))),
+			cmpOf(op, col("a"), lit(data.Double(0.5))),
+			cmpOf(op, col("b"), lit(data.Double(-1))),
+			cmpOf(op, col("b"), lit(data.Int(1))),
+			cmpOf(op, col("c"), lit(data.String("a\x00b"))),
+			cmpOf(op, col("d"), lit(data.Int(int64(1)<<53+1))),
+			cmpOf(op, col("e"), lit(data.String("x"))),
+			cmpOf(op, lit(data.Int(2)), col("a")), // literal on the left
+			cmpOf(op, col("a"), col("b")),
+			cmpOf(op, col("a"), col("d")),
+			cmpOf(op, col("c"), col("e")),
+			cmpOf(op, col("a"), lit(data.String("s"))), // class mismatch
+			cmpOf(op, col("c"), lit(data.Int(3))),      // class mismatch
+			cmpOf(op, col("a"), lit(data.Null())),      // null literal
 			// Exact number order: int vs double at 2^53, ±0, NaN.
-			cmp(op, col("f"), lit(data.Double(1<<53))),
-			cmp(op, col("f"), lit(data.Int(1<<53+1))),
-			cmp(op, col("f"), lit(data.Double(math.NaN()))),
-			cmp(op, col("g"), lit(data.Int(1<<53+1))),
-			cmp(op, col("g"), lit(data.Int(0))),
-			cmp(op, col("g"), lit(data.Double(math.Copysign(0, -1)))),
-			cmp(op, col("g"), lit(data.Double(-math.NaN()))),
-			cmp(op, col("g"), lit(data.Double(math.Inf(1)))),
-			cmp(op, col("f"), col("g")),
-			cmp(op, col("g"), col("f")),
-			cmp(op, col("g"), col("b")),
-			cmp(op, col("g"), col("g")),
-			cmp(op, col("d"), col("g")),
-			cmp(op, col("e"), lit(data.Double(math.NaN()))),
+			cmpOf(op, col("f"), lit(data.Double(1<<53))),
+			cmpOf(op, col("f"), lit(data.Int(1<<53+1))),
+			cmpOf(op, col("f"), lit(data.Double(math.NaN()))),
+			cmpOf(op, col("g"), lit(data.Int(1<<53+1))),
+			cmpOf(op, col("g"), lit(data.Int(0))),
+			cmpOf(op, col("g"), lit(data.Double(math.Copysign(0, -1)))),
+			cmpOf(op, col("g"), lit(data.Double(-math.NaN()))),
+			cmpOf(op, col("g"), lit(data.Double(math.Inf(1)))),
+			cmpOf(op, col("f"), col("g")),
+			cmpOf(op, col("g"), col("f")),
+			cmpOf(op, col("g"), col("b")),
+			cmpOf(op, col("g"), col("g")),
+			cmpOf(op, col("d"), col("g")),
+			cmpOf(op, col("e"), lit(data.Double(math.NaN()))),
 		)
 	}
 	preds = append(preds,
@@ -129,18 +130,18 @@ func testPredicates() []expr.Expr {
 		lit(data.Bool(false)),
 		lit(data.Int(1)), // non-bool literal: never truthy
 		&expr.And{Terms: []expr.Expr{
-			cmp(expr.GE, col("a"), lit(data.Int(-2))),
-			cmp(expr.LT, col("b"), lit(data.Double(1))),
+			cmpOf(expr.GE, col("a"), lit(data.Int(-2))),
+			cmpOf(expr.LT, col("b"), lit(data.Double(1))),
 		}},
 		&expr.Or{Terms: []expr.Expr{
-			cmp(expr.EQ, col("c"), lit(data.String("x"))),
-			cmp(expr.GT, col("a"), lit(data.Int(2))),
-			cmp(expr.EQ, col("e"), lit(data.Bool(true))),
+			cmpOf(expr.EQ, col("c"), lit(data.String("x"))),
+			cmpOf(expr.GT, col("a"), lit(data.Int(2))),
+			cmpOf(expr.EQ, col("e"), lit(data.Bool(true))),
 		}},
-		&expr.Not{E: cmp(expr.LT, col("a"), lit(data.Int(0)))},
+		&expr.Not{E: cmpOf(expr.LT, col("a"), lit(data.Int(0)))},
 		&expr.Not{E: &expr.Or{Terms: []expr.Expr{
-			cmp(expr.EQ, col("e"), lit(data.Int(1))),
-			&expr.Not{E: cmp(expr.NE, col("d"), lit(data.Double(float64(int64(1)<<53))))},
+			cmpOf(expr.EQ, col("e"), lit(data.Int(1))),
+			&expr.Not{E: cmpOf(expr.NE, col("d"), lit(data.Double(float64(int64(1)<<53))))},
 		}}},
 	)
 	return preds
@@ -178,10 +179,10 @@ func TestSupportedRefusals(t *testing.T) {
 		&expr.Call{Name: "f"},
 		&expr.Arith{Op: expr.Add, L: col("a"), R: lit(data.Int(1))},
 		col("a"), // bare column in boolean position
-		cmp(expr.EQ, col("a"), &expr.Arith{Op: expr.Add, L: col("b"), R: lit(data.Int(1))}),
+		cmpOf(expr.EQ, col("a"), &expr.Arith{Op: expr.Add, L: col("b"), R: lit(data.Int(1))}),
 		&expr.And{Terms: []expr.Expr{lit(data.Bool(true)), &expr.Call{Name: "f"}}},
 		&expr.Not{E: &expr.Call{Name: "f"}},
-		expr.Compile(cmp(expr.EQ, col("a"), lit(data.Int(1))),
+		expr.Compile(cmpOf(expr.EQ, col("a"), lit(data.Int(1))),
 			data.Object(data.Field{Name: "a", Value: data.Int(1)})), // compiled nodes
 	}
 	for _, e := range unsupported {
@@ -267,7 +268,7 @@ func TestMixedNumericStaysExact(t *testing.T) {
 		data.Object(data.Field{Name: "v", Value: data.Int(k)}),
 	}
 	d := For(nil, recs)
-	pred := cmp(expr.GT, col("v"), lit(data.Int(k)))
+	pred := cmpOf(expr.GT, col("v"), lit(data.Int(k)))
 	sel := d.Select(pred, pred.String())
 	// Only row 0 is strictly greater: data.Compare(int 2^53+1, int 2^53)
 	// compares exactly; the double 2^53 and int 2^53 are equal.
@@ -302,7 +303,7 @@ func TestKindClassMatchesCompare(t *testing.T) {
 			ca, cb := kindClassOf(a.Kind()), kindClassOf(b.Kind())
 			if ca != cb {
 				want := data.Compare(a, b)
-				got := data.CompareInt(int64(ca), int64(cb))
+				got := cmp.Compare(ca, cb)
 				if got != want {
 					t.Fatalf("class order (%v,%v): %d, Compare %d", a, b, got, want)
 				}

@@ -1,6 +1,7 @@
 package batch
 
 import (
+	"cmp"
 	"slices"
 	"strings"
 
@@ -197,7 +198,7 @@ func (d *Data) cmpColLit(op expr.CmpOp, v *vec, lit data.Value, sel []int32) []i
 	}
 	litClass := kindClassOf(lit.Kind())
 	if litClass != v.class() {
-		return constVerdict(v, sel, op.Holds(data.CompareInt(int64(v.class()), int64(litClass))))
+		return constVerdict(v, sel, op.Holds(cmp.Compare(v.class(), litClass)))
 	}
 	out := make([]int32, 0, len(sel))
 	switch v.kind {
@@ -205,7 +206,7 @@ func (d *Data) cmpColLit(op expr.CmpOp, v *vec, lit data.Value, sel []int32) []i
 		if lit.Kind() == data.KindInt {
 			li := lit.Int()
 			for _, i := range sel {
-				if !v.isNull(int(i)) && op.Holds(data.CompareInt(v.ints[i], li)) {
+				if !v.isNull(int(i)) && op.Holds(cmp.Compare(v.ints[i], li)) {
 					out = append(out, i)
 				}
 			}
@@ -260,7 +261,7 @@ func (d *Data) cmpColCol(op expr.CmpOp, a, b *vec, sel []int32) []int32 {
 	}
 	bothNonNull := func(i int32) bool { return !a.isNull(int(i)) && !b.isNull(int(i)) }
 	if a.class() != b.class() {
-		keep := op.Holds(data.CompareInt(int64(a.class()), int64(b.class())))
+		keep := op.Holds(cmp.Compare(a.class(), b.class()))
 		if !keep {
 			return nil
 		}
@@ -279,7 +280,7 @@ func (d *Data) cmpColCol(op expr.CmpOp, a, b *vec, sel []int32) []int32 {
 	switch {
 	case a.kind == vecInt && b.kind == vecInt:
 		for _, i := range sel {
-			if bothNonNull(i) && op.Holds(data.CompareInt(a.ints[i], b.ints[i])) {
+			if bothNonNull(i) && op.Holds(cmp.Compare(a.ints[i], b.ints[i])) {
 				out = append(out, i)
 			}
 		}

@@ -33,8 +33,6 @@ type vec struct {
 
 func (v *vec) isNull(i int) bool { return v.nulls != nil && v.nulls[i>>6]&(1<<(uint(i)&63)) != 0 }
 
-func setNull(bits []uint64, i int) { bits[i>>6] |= 1 << (uint(i) & 63) }
-
 // value materializes row i back to a data.Value. Typed vectors are
 // kind-pure, so the reconstruction is faithful (same kind, same
 // payload, same encoded size) and Compare over it matches Compare over
@@ -80,7 +78,7 @@ func extractVec(acc *data.Accessor, recs []data.Value) *vec {
 			if nulls == nil {
 				nulls = make([]uint64, (n+63)/64)
 			}
-			setNull(nulls, i)
+			nulls[i>>6] |= 1 << (uint(i) & 63)
 		case data.KindInt:
 			allFloat, allStr = false, false
 		case data.KindDouble:

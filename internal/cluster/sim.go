@@ -433,15 +433,9 @@ type TraceEvent struct {
 
 // New returns a simulator for the given cluster.
 func New(cfg Config) *Sim {
-	if cfg.Workers <= 0 {
-		cfg.Workers = 1
-	}
-	if cfg.MapSlotsPerWorker <= 0 {
-		cfg.MapSlotsPerWorker = 1
-	}
-	if cfg.ReduceSlotsPerWorker <= 0 {
-		cfg.ReduceSlotsPerWorker = 1
-	}
+	cfg.Workers = max(cfg.Workers, 1)
+	cfg.MapSlotsPerWorker = max(cfg.MapSlotsPerWorker, 1)
+	cfg.ReduceSlotsPerWorker = max(cfg.ReduceSlotsPerWorker, 1)
 	s := &Sim{cfg: cfg}
 	s.free = [2][]int{make([]int, cfg.Workers), make([]int, cfg.Workers)}
 	for i := 0; i < cfg.Workers; i++ {

@@ -228,7 +228,7 @@ func TestCorrelatedPredicatesEstimatedByPilot(t *testing.T) {
 	for _, sig := range e.Store.Signatures() {
 		ts, _ := e.Store.Get(sig)
 		if ts.Card > 0 && ts.Card < 400 {
-			if c, ok := ts.Col("r.sid"); ok && c.NDV > 0 {
+			if c, ok := ts.Cols["r.sid"]; ok && c.NDV > 0 {
 				rCard = ts.Card
 			}
 		}
@@ -593,7 +593,7 @@ func TestPilotEstimateAccuracy(t *testing.T) {
 	found := false
 	for _, sig := range e.Store.Signatures() {
 		ts, _ := e.Store.Get(sig)
-		if c, ok := ts.Col("r.sid"); ok && c.NDV > 0 {
+		if c, ok := ts.Cols["r.sid"]; ok && c.NDV > 0 {
 			found = true
 			if math.Abs(ts.Card-400)/400 > 0.3 {
 				t.Errorf("pilot card estimate %v, want ~400", ts.Card)

@@ -104,10 +104,7 @@ func (e *Engine) pilotRuns(block *plan.JoinBlock, queryName string) (*PilotRepor
 		// block with more leaves than map slots still samples every
 		// relation.
 		m := e.Env.ClusterConfig().MapSlots()
-		per := m / max(len(jobs), 1)
-		if per < 1 {
-			per = 1
-		}
+		per := max(m/max(len(jobs), 1), 1)
 		for _, pj := range jobs {
 			run, err := e.submitPilot(pj.rel, queryName, block, samplePlanFor(pj.rel, per, e.rng))
 			if err != nil {
@@ -170,9 +167,7 @@ func samplePlanFor(rel *plan.Rel, per int, rng *rand.Rand) *sampleSpec {
 	if n == 0 {
 		return &sampleSpec{}
 	}
-	if per > n {
-		per = n
-	}
+	per = min(per, n)
 	return &sampleSpec{initial: perm[:per], reserve: perm[per:]}
 }
 

@@ -114,10 +114,7 @@ func (All) Name() string { return "MO" }
 func (All) Pick(ready []*jaql.Unit) []*jaql.Unit { return ready }
 
 func take(units []*jaql.Unit, n int) []*jaql.Unit {
-	if n < 1 {
-		n = 1
-	}
-	if len(units) > n {
+	if n = max(n, 1); len(units) > n {
 		units = units[:n]
 	}
 	return units

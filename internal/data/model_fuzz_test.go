@@ -78,6 +78,8 @@ func (g *modelGen) build(depth int) (Value, any) {
 		f := math.Float64frombits(g.u64())
 		if c := g.next(); c&1 == 1 {
 			f = edgeDoubles[int(c>>1)%len(edgeDoubles)]
+		} else if c&2 == 2 { // decimal-shaped: r/10^j, Double's sizing fast path
+			f = float64(int64(g.u64())%1e16) / math.Pow10(int(c>>2)%9)
 		}
 		return Double(f), f
 	case KindString:

@@ -10,6 +10,7 @@
 package data
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -106,9 +107,34 @@ func Bool(b bool) Value {
 func Int(i int64) Value { return mkValue(KindInt, nil, uint64(i), intEncLen(i)) }
 
 // Double returns a floating-point value.
-func Double(f float64) Value {
+func Double(f float64) Value { return mkValue(KindDouble, nil, math.Float64bits(f), doubleEncLen(f)) }
+
+// doubleEncLen is len(strconv.AppendFloat(nil, f, 'g', -1, 64)), counted
+// when f is the double nearest r/10^j for an integer |r| < 10^15 and j ≤ 6:
+// fifteen digits name one double, so the shortest form is r's digits
+// without trailing zeros, in %e at a decimal exponent below -4 or from 6 on.
+func doubleEncLen(f float64) int64 {
+	for j, p := int64(0), 1.0; j <= 6 && f != 0; j, p = j+1, p*10 {
+		if r := math.Round(f * p); math.Abs(r) < 1e15 && r/p == f {
+			u, zeros, sign := int64(r), int64(0), int64(math.Float64bits(f)>>63)
+			for ; u%10 == 0; u /= 10 {
+				zeros++
+			}
+			digits := intEncLen(u) - sign
+			switch point := digits + zeros - j; {
+			case point < -3 || point > 6: // d.ddde±dd
+				return sign + digits + min(digits-1, 1) + 4
+			case point <= 0: // 0.000ddd
+				return sign + 2 - point + digits
+			case point < digits: // ddd.ddd
+				return sign + digits + 1
+			default: // ddd000
+				return sign + point
+			}
+		}
+	}
 	var buf [32]byte
-	return mkValue(KindDouble, nil, math.Float64bits(f), int64(len(strconv.AppendFloat(buf[:0], f, 'g', -1, 64))))
+	return int64(len(strconv.AppendFloat(buf[:0], f, 'g', -1, 64)))
 }
 
 // String returns a string value.
@@ -119,11 +145,8 @@ func String(s string) Value {
 // Array returns an array value holding the given elements. The slice is
 // retained; callers must not mutate it afterwards.
 func Array(elems ...Value) Value {
-	var n int64 = 2
+	n := int64(max(len(elems)+1, 2)) // brackets and commas
 	for i := range elems {
-		if i > 0 {
-			n++
-		}
 		n += elems[i].EncodedSize()
 	}
 	return mkValue(KindArray, unsafe.Pointer(unsafe.SliceData(elems)), uint64(len(elems)), n)
@@ -150,11 +173,8 @@ func intEncLen(i int64) int64 {
 // objectFromSorted wraps fields that are already sorted by name and
 // duplicate-free. The slice is retained.
 func objectFromSorted(fs []Field) Value {
-	var n int64 = 2
+	n := int64(max(len(fs)+1, 2)) // braces and commas
 	for i := range fs {
-		if i > 0 {
-			n++
-		}
 		n += int64(len(fs[i].Name)) + 3 + fs[i].Value.EncodedSize()
 	}
 	return mkValue(KindObject, unsafe.Pointer(unsafe.SliceData(fs)), uint64(len(fs)), n)
@@ -166,19 +186,11 @@ func Object(fields ...Field) Value {
 	fs := make([]Field, len(fields))
 	copy(fs, fields)
 	// Most construction sites already supply fields in sorted order
-	// (single-field alias wraps, rebuilds of existing objects); detect
-	// that in one pass and skip the sort + dedup entirely.
-	sorted := true
-	for i := 1; i < len(fs); i++ {
-		if fs[i-1].Name >= fs[i].Name {
-			sorted = false
-			break
-		}
+	// (single-field alias wraps, rebuilds of existing objects): one pass
+	// finds that and skips the sort.
+	if byName := func(a, b Field) int { return strings.Compare(a.Name, b.Name) }; !slices.IsSortedFunc(fs, byName) {
+		slices.SortStableFunc(fs, byName)
 	}
-	if sorted {
-		return objectFromSorted(fs)
-	}
-	slices.SortStableFunc(fs, func(a, b Field) int { return strings.Compare(a.Name, b.Name) })
 	// Deduplicate, keeping the last write for each name.
 	out := fs[:0]
 	for i := 0; i < len(fs); i++ {
@@ -369,16 +381,13 @@ func mergeFields(dst, af, bf []Field) []Field {
 
 // Compare totally orders two values: first by kind class, then by
 // payload. Numbers compare by exact value across int and double
-// (CompareInt, CompareFloat, CompareIntFloat): -0.0 equals 0, and every
+// (cmp.Compare, CompareFloat, CompareIntFloat): -0.0 equals 0, and every
 // NaN equals every other NaN and sorts above +Inf. It returns -1, 0, or
 // +1. AppendNormKey encodes this order and Hash64 respects its equality.
 func Compare(a, b Value) int {
 	ca, cb := kindClass(a.Kind()), kindClass(b.Kind())
 	if ca != cb {
-		if ca < cb {
-			return -1
-		}
-		return 1
+		return cmp.Compare(ca, cb)
 	}
 	switch a.Kind() {
 	case KindBool:
@@ -387,7 +396,7 @@ func Compare(a, b Value) int {
 		if b.Kind() == KindDouble {
 			return CompareIntFloat(int64(a.n), math.Float64frombits(b.n))
 		}
-		return CompareInt(int64(a.n), int64(b.n))
+		return cmp.Compare(int64(a.n), int64(b.n))
 	case KindDouble:
 		if b.Kind() == KindInt {
 			return -CompareIntFloat(int64(b.n), math.Float64frombits(a.n))
@@ -416,17 +425,6 @@ func Compare(a, b Value) int {
 			}
 		}
 		return len(af) - len(bf)
-	}
-	return 0
-}
-
-// CompareInt orders two ints.
-func CompareInt(a, b int64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
 	}
 	return 0
 }
@@ -468,7 +466,7 @@ func CompareIntFloat(i int64, f float64) int {
 	case f >= 0x1p63:
 		return -1
 	}
-	return CompareInt(i, int64(f))
+	return cmp.Compare(i, int64(f))
 }
 
 // canonFloat folds the doubles Compare cannot tell apart onto one

@@ -335,6 +335,38 @@ func TestEncodedSizeTracksString(t *testing.T) {
 	}
 }
 
+// TestDoubleSizeIsItsShortestForm: Double's size word is the length of
+// strconv's shortest %g form — counted without formatting for a double
+// nearest r/10^j, formatted otherwise — on the edges of both paths, on
+// random bit patterns and on decimal-shaped values around the bounds of
+// the fast path (|r| < 10^15, j ≤ 6) and the %e switch.
+func TestDoubleSizeIsItsShortestForm(t *testing.T) {
+	check := func(f float64) {
+		t.Helper()
+		if got, want := Double(f).EncodedSize(), int64(len(strconv.FormatFloat(f, 'g', -1, 64))); got != want {
+			t.Fatalf("EncodedSize(Double(%v)) = %d, want %d (bits %#x)", f, got, want, math.Float64bits(f))
+		}
+	}
+	for _, f := range []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, 0x1p-1022, 0x1p-1023, math.MaxFloat64, -math.MaxFloat64,
+		999999.5, 999999, 1e6, 1e21, 1e20, 1e15, 1e15 - 1, 1e14 + 0.5, 0.1 + 0.2, 0.1, 0.3, 1e-4, 1e-5, 1.5e-5,
+		123, 123.45, -0.001, 0.0001234, 100000, 1234567, 12345678.9, 1 << 53, 1<<53 + 2, 0.5, 2.5e-7, 1e-6} {
+		check(f)
+		check(-f)
+	}
+	r := rand.New(rand.NewSource(52))
+	for range 200_000 {
+		check(math.Float64frombits(r.Uint64()))
+		rr := r.Int63n(1e16) - 5e15
+		if r.Intn(2) == 0 {
+			rr %= int64(math.Pow10(1 + r.Intn(15)))
+		}
+		f := float64(rr) / math.Pow10(r.Intn(9))
+		check(f)
+		check(math.Nextafter(f, math.Inf(1)))
+	}
+}
+
 // randomValue builds an arbitrary value for property tests.
 func randomValue(r *rand.Rand, depth int) Value {
 	k := r.Intn(7)

@@ -56,7 +56,7 @@ func exactStats(env *mapreduce.Env, f *dfs.File, alias string, cols []string) st
 	}
 	col := stats.NewCollector(paths, 1024)
 	for _, rec := range f.AllRecords() {
-		col.ObserveInput()
+		col.ObserveInputs(1)
 		row := data.Object(data.Field{Name: alias, Value: rec})
 		col.ObserveOutput(row, env.VirtualSize(row))
 	}

@@ -196,7 +196,7 @@ func BenchmarkJobFinish(b *testing.B) {
 			st := &mapTaskState{seq: t, collector: j.newCollector()}
 			st.outRows = append(rowSlices.get(rows), recs[t*rows:(t+1)*rows]...)
 			var u cluster.Usage
-			j.chargeOutput(&u, st.outRows, st.collector)
+			j.chargeOutput(&u, st.outRows, st.collector, nil)
 			j.mapStates = append(j.mapStates, st)
 		}
 		j.mapsDone = tasks

@@ -67,7 +67,7 @@ type Env struct {
 	Reg *expr.Registry
 	// Gate, when non-nil, mediates all simulator access for this
 	// environment (shared-cluster mode); nil means Sim itself. Use the
-	// Env methods submitJob, Now, Advance, and RunUntil instead of
+	// Env methods Now, Advance and RunUntil, and Submit, instead of
 	// touching Sim directly in any code path a gated session can reach.
 	Gate Gate
 	// Exec, when non-nil, runs every task's record loop (the
@@ -120,9 +120,6 @@ func (e *Env) gate() Gate {
 	}
 	return e.Sim
 }
-
-// submitJob enqueues a job.
-func (e *Env) submitJob(j cluster.Job) *cluster.Submission { return e.gate().Submit(j) }
 
 // Now returns the current virtual time.
 func (e *Env) Now() float64 { return e.gate().Now() }
@@ -636,7 +633,7 @@ func (j *Job) runMap(st *mapTaskState, input Input) (cluster.Usage, int64, error
 	}
 	// One accounting for both runtimes. A failed record loop is still
 	// charged the map-phase CPU it consumed.
-	st.outRows, st.shuffled = taskRows(out.Rows, out.From, out.Sel), out.Shuffled
+	st.outRows, st.shuffled = out.taskRows(), out.Shuffled
 	st.shuffle, st.shuffleParts = out.Shuffle, out.ShuffleParts
 	u.CPUSeconds += out.CPUMap
 	if err != nil {
@@ -647,7 +644,7 @@ func (j *Job) runMap(st *mapTaskState, input Input) (cluster.Usage, int64, error
 	}
 	var emitted int64
 	if j.spec.Reduce == nil {
-		j.chargeOutput(&u, st.outRows, st.collector)
+		j.chargeOutput(&u, st.outRows, st.collector, &out.MapOutput)
 		emitted = int64(len(st.outRows))
 	} else {
 		// Retained on a worker, a partition is its digest; in-process,
@@ -665,14 +662,19 @@ func (j *Job) runMap(st *mapTaskState, input Input) (cluster.Usage, int64, error
 }
 
 // chargeOutput prices a task's output rows and hands them whole to its
-// statistics collector.
-func (j *Job) chargeOutput(u *cluster.Usage, rows []data.Value, c *stats.Collector) {
+// statistics collector: a scan task's (from, a map task's output) as
+// its positions into its split's image, any other task's as rows.
+func (j *Job) chargeOutput(u *cluster.Usage, rows []data.Value, c *stats.Collector, from *MapOutput) {
 	var total int64
 	for _, rec := range rows {
 		total += j.env.VirtualSize(rec)
 	}
 	u.BytesWritten += total
-	if c != nil {
+	switch {
+	case c == nil:
+	case from != nil && from.Image != nil:
+		c.ObserveScan(from.Image, from.Wrap, from.Sel, total)
+	default:
 		c.ObserveOutputs(rows, total)
 	}
 }
@@ -782,7 +784,7 @@ func (j *Job) runReduce(st *reduceTaskState, partition int) (cluster.Usage, erro
 		return u, err
 	}
 	st.collector = j.newCollector()
-	j.chargeOutput(&u, st.outRows, st.collector)
+	j.chargeOutput(&u, st.outRows, st.collector, nil)
 	return u, nil
 }
 
@@ -883,7 +885,7 @@ func Submit(env *Env, spec Spec) (*Job, *cluster.Submission, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	sub := env.submitJob(j)
+	sub := env.gate().Submit(j)
 	return j, sub, nil
 }
 

@@ -138,7 +138,7 @@ func TestMapOnlyFilterJob(t *testing.T) {
 	if res.Stats == nil || res.Stats.InRecords != 4*res.Stats.OutRecords {
 		t.Errorf("stats saw %d of %d records, want a quarter", res.Stats.OutRecords, res.Stats.InRecords)
 	}
-	col, ok := res.Stats.Exact().Col("a.id")
+	col, ok := res.Stats.Exact().Cols["a.id"]
 	if !ok || col.NDV != 50 {
 		t.Errorf("col stats = %+v ok=%v", col, ok)
 	}

@@ -28,7 +28,8 @@ type MapCtx struct {
 	builds map[string]*HashTable
 	rows   []data.Value
 	n      int // the split's record count: what the first Emit sizes rows for
-	from   []data.Value
+	image  *batch.Data
+	wrap   string
 	sel    []int32
 	// A shuffle task's output (out.Offs is nil for a map-only task).
 	out Partitioned
@@ -55,12 +56,14 @@ func (mc *MapCtx) Emit(rec data.Value) {
 	mc.rows = append(mc.rows, rec)
 }
 
-// EmitSel writes the rows from[i], for i in the ascending selection
-// sel, to the job's (map-only) output in one call: a kernel whose
-// output is rows it did not make names them instead of copying them. A
-// kernel emits through Emit or through one EmitSel, never both. Neither
-// slice is copied; both must stay unmodified.
-func (mc *MapCtx) EmitSel(from []data.Value, sel []int32) { mc.from, mc.sel = from, sel }
+// EmitSel writes the rows image.Wrapped(wrap)[i], for i in the ascending
+// selection sel, to the job's (map-only) output in one call: a kernel
+// whose output is rows of its split's image names them instead of
+// copying them. A kernel emits through Emit or through one EmitSel,
+// never both. sel is not copied and must stay unmodified.
+func (mc *MapCtx) EmitSel(image *batch.Data, wrap string, sel []int32) {
+	mc.image, mc.wrap, mc.sel = image, wrap, sel
+}
 
 // ShuffleSel routes the pairs (keys[i], tag, recs[i]), for each i in
 // the ascending selection sel, through the shuffle in one call: to
@@ -184,14 +187,16 @@ type MapTask struct {
 }
 
 // MapOutput is what a map task's record loop produced. A map-only
-// task's rows are Rows, or From at the positions Sel (MapCtx.EmitSel).
+// task's rows are Rows, or Image.Wrapped(Wrap) at the positions Sel
+// (MapCtx.EmitSel), which is how the job's statistics read them too.
 // Rows comes from the row pool, for whoever proves no one holds it to
-// recycle (the in-process job, at its end); From and Sel belong to the
-// split's image. A shuffle task's pairs are Shuffled, positions into
-// columns that are the split's image or its own (see Partitioned).
+// recycle (the in-process job, at its end); Image is the split's. A
+// shuffle task's pairs are Shuffled, positions into columns that are
+// the split's image or its own (see Partitioned).
 type MapOutput struct {
 	Rows     []data.Value
-	From     []data.Value
+	Image    *batch.Data
+	Wrap     string
 	Sel      []int32
 	Shuffled Partitioned
 	// CPUMap is the UDF cost of the record loop.
@@ -210,21 +215,21 @@ func RunMapTask(t *MapTask) (MapOutput, error) {
 		mc.out.Offs = make([]int32, t.NumReducers+1)
 	}
 	t.Map(mc, batch.For(t.Block.Aux(), t.Block.Records()))
-	return MapOutput{Rows: mc.rows, From: mc.from, Sel: mc.sel, Shuffled: mc.out, CPUMap: ectx.CPUSeconds}, ectx.Err
+	return MapOutput{Rows: mc.rows, Image: mc.image, Wrap: mc.wrap, Sel: mc.sel, Shuffled: mc.out, CPUMap: ectx.CPUSeconds}, ectx.Err
 }
 
 // taskRows is a map-only task's output as a buffer the job owns and
-// recycles at its end: the rows it emitted, or the rows of from at the
-// positions sel gathered into one from the pool.
-func taskRows(rows, from []data.Value, sel []int32) []data.Value {
-	if len(sel) == 0 {
-		return rows
+// recycles at its end: the rows it emitted, or the image's rows at its
+// positions gathered into one from the pool.
+func (out *MapOutput) taskRows() []data.Value {
+	if out.Image == nil {
+		return out.Rows
 	}
-	out := rowSlices.get(len(sel))
-	for _, i := range sel {
-		out = append(out, from[i])
+	rows, from := rowSlices.get(len(out.Sel)), out.Image.Wrapped(out.Wrap)
+	for _, i := range out.Sel {
+		rows = append(rows, from[i])
 	}
-	return out
+	return rows
 }
 
 // RunReduceTask executes one reduce task's record loop over its

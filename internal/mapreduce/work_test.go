@@ -425,7 +425,7 @@ func TestJobLifecycleRunsOnThePool(t *testing.T) {
 				fn()
 			}
 		})
-		sub := env.submitJob(j)
+		sub := env.gate().Submit(j)
 		if err := env.RunUntil(sub.Done); err != nil || sub.Err() != nil {
 			t.Fatal(err, sub.Err())
 		}

@@ -8,6 +8,7 @@ package naive
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"dyno/internal/data"
@@ -171,18 +172,7 @@ func ApproxEqual(a, b data.Value, tol float64) bool {
 			return false
 		}
 		af, bf := a.Float(), b.Float()
-		diff := af - bf
-		if diff < 0 {
-			diff = -diff
-		}
-		mag := 1.0
-		if m := abs(af); m > mag {
-			mag = m
-		}
-		if m := abs(bf); m > mag {
-			mag = m
-		}
-		return diff <= tol*mag
+		return math.Abs(af-bf) <= tol*max(1, math.Abs(af), math.Abs(bf))
 	}
 	switch a.Kind() {
 	case data.KindArray:
@@ -209,11 +199,4 @@ func ApproxEqual(a, b data.Value, tol float64) bool {
 	default:
 		return data.Equal(a, b)
 	}
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

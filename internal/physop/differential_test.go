@@ -603,8 +603,8 @@ func TestChainFilterRunsBeforeEachRowsProbes(t *testing.T) {
 }
 
 // TestScanTaskAnswersWithPositions: an unpruned scan's task hands over
-// its split's image — the slice ScanImage returns, not a copy — at its
-// selection, and those are the oracle's rows at the oracle's cost; a
+// its split's image — the image itself, wrapped under the alias
+// ScanImage returns, not a copy — at its selection, and those are the oracle's rows at the oracle's cost; a
 // pruned scan emits rows of its own, as every other op does, and
 // ScanImage refuses all of them.
 func TestScanTaskAnswersWithPositions(t *testing.T) {
@@ -635,8 +635,10 @@ func TestScanTaskAnswersWithPositions(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			blk := dfs.NewBlock(recs)
 			got, want := run(Compile, op, blk), run(oracleCompile, op, dfs.NewBlock(recs))
-			image, ok := ScanImage(op, batch.For(blk.Aux(), recs))
-			if !ok || got.Rows != nil || len(got.Sel) == 0 || &got.From[0] != &image[0] {
+			d := batch.For(blk.Aux(), recs)
+			wrap, ok := ScanImage(op)
+			image := d.Wrapped(wrap)
+			if !ok || got.Rows != nil || len(got.Sel) == 0 || got.Image != d || got.Wrap != wrap {
 				t.Fatalf("the task emitted %d rows and %d positions, not positions into its split's image", len(got.Rows), len(got.Sel))
 			}
 			rows := make([]data.Value, len(got.Sel))
@@ -656,9 +658,8 @@ func TestScanTaskAnswersWithPositions(t *testing.T) {
 		t.Fatal("a pruned scan answered with positions")
 	}
 	assertSameRecords(t, got.Rows, want.Rows)
-	d := batch.For(nil, recs)
 	for _, op := range []*OpSpec{pruned, shuffleOp(nil), probeOp(nil, nil), {Kind: Aggregate}} {
-		if _, ok := ScanImage(op, d); ok {
+		if _, ok := ScanImage(op); ok {
 			t.Errorf("ScanImage accepted a %s op (pruned: %v)", op.Kind, op.Prune != nil)
 		}
 	}

@@ -523,21 +523,16 @@ func newPruner(live map[string]map[string]bool) func(data.Value) data.Value {
 // of the record-at-a-time oracle in this package's tests, in order,
 // with the same virtual sizes and the same float of UDF cost.
 
-// ScanImage returns the rows a map task of op selects its output from
-// when the task answers with positions: the split's records wrapped
-// under the scan's alias, the split's own image (batch.Data.Wrapped). An
-// unpruned scan emits exactly those rows at the positions its filter
-// keeps, so whoever holds the split rebuilds the task's output from the
-// positions alone. ok is false for every other op — a pruned scan, a
-// chain, a repartition or an aggregate emits rows of its own making.
-// "Unpruned" is newPruner's verdict (no alias restricted to a field
-// set), the one the scan kernel compiles to, so a map of nil sets —
-// which the wire drops — answers with positions on both ends.
-func ScanImage(op *OpSpec, d *batch.Data) (rows []data.Value, ok bool) {
-	if op.Kind != Scan || prunes(op.Prune) {
-		return nil, false
-	}
-	return d.Wrapped(deref(op.Source).Wrap), true
+// ScanImage returns the alias a map task of op wraps its split's records
+// under when it answers with positions: an unpruned scan emits exactly
+// the split's own image (batch.Data.Wrapped(wrap)) at the positions its
+// filter keeps, so whoever holds the split rebuilds the task's output,
+// and its statistics, from the positions alone. ok is false for a pruned
+// scan, a chain, a repartition or an aggregate: their rows are their
+// own. "Unpruned" is newPruner's verdict, so a map of nil sets — which
+// the wire drops — answers with positions on both ends.
+func ScanImage(op *OpSpec) (wrap string, ok bool) {
+	return deref(op.Source).Wrap, op.Kind == Scan && !prunes(op.Prune)
 }
 
 // scanKernel is the scan: the filter's survivors, wrapped as
@@ -550,7 +545,7 @@ func scanKernel(src source, prune func(data.Value) data.Value) mapreduce.MapFunc
 			return
 		}
 		if prune == nil {
-			mc.EmitSel(rows, sel)
+			mc.EmitSel(d, src.alias, sel)
 			return
 		}
 		for _, i := range sel {

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"dyno/internal/batch"
-	"dyno/internal/data"
 	"dyno/internal/dfs"
 	"dyno/internal/mapreduce"
 	"dyno/internal/physop"
@@ -118,7 +117,7 @@ func (e executor) ExecMap(m mapreduce.MapExec) (*mapreduce.MapExecOut, error) {
 	}
 	out := &mapreduce.MapExecOut{MapOutput: mapreduce.MapOutput{Rows: res.Rows, CPUMap: res.CPU}}
 	if len(res.Sel) > 0 {
-		if out.From, err = scanRows(op, m, res); err != nil {
+		if out.Image, out.Wrap, err = scanRows(op, m, res); err != nil {
 			return nil, err
 		}
 		out.Sel = res.Sel
@@ -164,41 +163,39 @@ func viewScan(fs *dfs.FS, v *dfs.View) *physop.OpSpec {
 		return nil
 	}
 	op, _ := v.Op.(*physop.OpSpec)
-	if cur, err := fs.Open(v.Base.Name()); op == nil || op.Kind != physop.Scan || err != nil || cur != v.Base {
+	if cur, err := fs.Open(v.Base.Name()); op == nil || err != nil || cur != v.Base {
 		return nil
 	}
-	for _, set := range op.Prune {
-		if set != nil {
-			return nil
-		}
+	if _, ok := physop.ScanImage(op); !ok {
+		return nil
 	}
 	return op
 }
 
-// scanRows resolves an answer by position to the rows it names, taken
-// from the controller's own copy of the split through the image the sim
-// runtime scans: the mirror wrote the block's records in order, so a
+// scanRows resolves an answer by position to the image whose rows it
+// names: the controller's own copy of the split, wrapped as the sim
+// runtime scans it — the mirror wrote the block's records in order, so a
 // position means the same record on both sides. An answer no worker
 // gives — positions for an op that emits rows of its own making,
 // positions beside rows, a position past the block — fails the task:
 // it would come back the same from any worker, so it is not retried.
 // (The decoder has checked that the positions ascend.)
-func scanRows(op *physop.OpSpec, m mapreduce.MapExec, res *wire.TaskResult) ([]data.Value, error) {
+func scanRows(op *physop.OpSpec, m mapreduce.MapExec, res *wire.TaskResult) (*batch.Data, string, error) {
 	fail := func(answer string) error {
 		return fmt.Errorf("procruntime: job %s task %s: worker %s answered %s", m.JobName, m.TaskName, res.Worker, answer)
 	}
 	if len(res.Rows) > 0 {
-		return nil, fail("with both rows and positions")
+		return nil, "", fail("with both rows and positions")
 	}
 	blk := m.File.Block(m.Split)
-	rows, ok := physop.ScanImage(op, batch.For(blk.Aux(), blk.Records()))
+	wrap, ok := physop.ScanImage(op)
 	if !ok {
-		return nil, fail("a " + op.Kind + " op with positions")
+		return nil, "", fail("a " + op.Kind + " op with positions")
 	}
-	if last := int(res.Sel[len(res.Sel)-1]); last >= len(rows) {
-		return nil, fail(fmt.Sprintf("position %d of a %d-record block", last, len(rows)))
+	if last := int(res.Sel[len(res.Sel)-1]); last >= blk.NumRecords() {
+		return nil, "", fail(fmt.Sprintf("position %d of a %d-record block", last, blk.NumRecords()))
 	}
-	return rows, nil
+	return batch.For(blk.Aux(), blk.Records()), wrap, nil
 }
 
 func (e executor) ExecReduce(r mapreduce.ReduceExec) (*mapreduce.ReduceExecOut, error) {

@@ -17,6 +17,7 @@ import (
 	"dyno/internal/runtime"
 	"dyno/internal/runtime/simruntime"
 	"dyno/internal/runtime/wire"
+	"dyno/internal/stats"
 )
 
 // A scan task answers with the positions of its split's records that
@@ -48,11 +49,18 @@ func newScanRuntime(t *testing.T) *Runtime {
 
 // writeScanTable writes n records {s, v} to name, about 80 to a block,
 // each wrapped as {t: rec} when wrapped is set (an intermediate file).
+// All but every fifth also carry m, one of seven numbers, as an int or
+// as the double equal to it.
 func writeScanTable(fs *dfs.FS, name string, n int, wrapped bool) *dfs.File {
 	fs.SetByteScale(1 << 16)
 	w := fs.Create(name)
 	for i := 0; i < n; i++ {
 		rec := data.Object(data.Field{Name: "s", Value: data.String(fmt.Sprintf("row-%04d", i))}, data.Field{Name: "v", Value: data.Int(int64(i))})
+		if m := int64(i % 7); i%5 != 0 && i%2 == 0 {
+			rec = data.Object(append(rec.Fields(), data.Field{Name: "m", Value: data.Int(m)})...)
+		} else if i%5 != 0 {
+			rec = data.Object(append(rec.Fields(), data.Field{Name: "m", Value: data.Double(float64(m))})...)
+		}
 		if wrapped {
 			rec = data.Object(data.Field{Name: "t", Value: rec})
 		}
@@ -67,10 +75,19 @@ type scanRun struct {
 	duration float64
 }
 
+// scanStatPaths are the columns a scan job tracks at k = scanKMV: v
+// overflows the frequency sketch in every task, m never does, v is
+// tracked twice and none is never present.
+var scanStatPaths = []data.Path{
+	data.MustParsePath("t.v"), data.MustParsePath("t.m"), data.MustParsePath("t.v"), data.MustParsePath("t.none"),
+}
+
+const scanKMV = 8
+
 func runScanJob(t *testing.T, rt runtime.Runtime, op *physop.OpSpec, wrapped bool, pilot bool) scanRun {
 	t.Helper()
 	file := writeScanTable(rt.FS(), "in", 600, wrapped)
-	spec, err := op.Bind(mapreduce.Spec{Name: "scan", Output: "out", CollectStats: []data.Path{data.MustParsePath("t.v")}}, file)
+	spec, err := op.Bind(mapreduce.Spec{Name: "scan", Output: "out", CollectStats: scanStatPaths, KMVSize: scanKMV}, file)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,6 +177,59 @@ func TestScanRowsComeFromTheControllersBlock(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestScanStatsAreTheRowPaths: a scan job's statistics, which its
+// unpruned tasks read off their splits' hash orders — a UDF-filtered
+// leaf's (a per-row selection), an early-stopped pilot's over it, an
+// unfiltered scan's — are on sim and on two proc workers the row path's
+// over the rows the job wrote. A pruned scan's tasks emit rows of their
+// own, and its statistics are those rows': the column it prunes away has
+// no values.
+func TestScanStatsAreTheRowPaths(t *testing.T) {
+	keep := &expr.Call{Name: "keep", Args: []expr.Expr{expr.NewCol("t.v")}}
+	filtered := &physop.OpSpec{Kind: physop.Scan, Source: &physop.Source{Wrap: "t", Filter: keep}}
+	cases := []struct {
+		name  string
+		op    *physop.OpSpec
+		pilot bool
+	}{
+		{"udf-filter", filtered, false},
+		{"udf-pilot", filtered, true},
+		{"unfiltered", &physop.OpSpec{Kind: physop.Scan, Source: &physop.Source{Wrap: "t"}}, false},
+		{"pruned", &physop.OpSpec{Kind: physop.Scan, Source: &physop.Source{Wrap: "t", Filter: keep},
+			Prune: map[string]map[string]bool{"t": {"m": true}}}, false},
+	}
+	for _, tc := range cases {
+		for _, rt := range []runtime.Runtime{simruntime.New(cluster.DefaultConfig()), newScanRuntime(t)} {
+			t.Run(tc.name+"/"+rt.Name(), func(t *testing.T) {
+				run := runScanJob(t, rt, tc.op, false, tc.pilot)
+				rows, env := run.res.Output.AllRecords(), rt.NewEnv(scanRegistry())
+				if tc.pilot != (run.res.SplitsRun < run.res.SplitsTotal) || len(rows) == 0 {
+					t.Fatalf("%d rows from %d of %d splits: the case does not test what it says", len(rows), run.res.SplitsRun, run.res.SplitsTotal)
+				}
+				c := stats.NewCollector(scanStatPaths, scanKMV)
+				c.ObserveInputs(int(run.res.Stats.InRecords))
+				var total int64
+				for _, row := range rows {
+					total += env.VirtualSize(row)
+				}
+				c.ObserveOutputs(rows, total)
+				got, want := run.res.Stats.Exact(), c.Partial().Exact()
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("Exact = %v, the row path's %v", got, want)
+				}
+				for _, n := range []float64{600, 1e6} {
+					if got, want := run.res.Stats.Extrapolate(n), c.Partial().Extrapolate(n); !reflect.DeepEqual(got, want) {
+						t.Errorf("Extrapolate(%v) = %v, the row path's %v", n, got, want)
+					}
+				}
+				if v := got.Cols["t.v"].NDV; (tc.op.Prune != nil) != (v == 0) || got.Cols["t.m"].NDV != 7 {
+					t.Errorf("t.v NDV %v and t.m NDV %v: want 7 of m and v only unpruned", v, got.Cols["t.m"].NDV)
+				}
+			})
+		}
 	}
 }
 

@@ -97,7 +97,8 @@ func BenchmarkScanAnswer(b *testing.B) {
 	}
 	op := &physop.OpSpec{Kind: physop.Scan, Source: &physop.Source{Wrap: "l"}}
 	var aux atomic.Value
-	image, _ := physop.ScanImage(op, batch.For(&aux, recs))
+	wrap, _ := physop.ScanImage(op)
+	image := batch.For(&aux, recs).Wrapped(wrap)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for range b.N {

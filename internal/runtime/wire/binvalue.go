@@ -140,9 +140,6 @@ func (e *benc) writeNullBitmap(vals []data.Value) {
 	}
 }
 
-// readNullBitmap returns the non-null flags for n values.
-func (d *bdec) readNullBitmap(n int) ([]byte, error) { return d.take((n + 7) / 8) }
-
 func bitSet(bm []byte, i int) bool { return bm[i>>3]&(1<<(i&7)) != 0 }
 
 // countSet returns how many of bm's first n bits are set.
@@ -284,7 +281,7 @@ func (d *bdec) readColumn(n int, dst colDst, depth int) error {
 	if kind > colObject {
 		return fmt.Errorf("wire: unknown column kind %d", kind)
 	}
-	bm, err := d.readNullBitmap(n)
+	bm, err := d.take((n + 7) / 8) // the non-null flags
 	if err != nil {
 		return err
 	}

@@ -44,8 +44,6 @@ type latencySample struct {
 	idx int
 }
 
-func newLatencySample(cap int) *latencySample { return &latencySample{cap: cap} }
-
 func (l *latencySample) add(ms float64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -6,7 +6,7 @@ import (
 )
 
 func sampleOf(values ...float64) *latencySample {
-	l := newLatencySample(len(values))
+	l := &latencySample{cap: len(values)}
 	for _, v := range values {
 		l.add(v)
 	}
@@ -36,7 +36,7 @@ func TestPercentileInterpolatesRank(t *testing.T) {
 
 	// 100 samples 1..100: interpolated p95 sits between ranks 95 and
 	// 96, strictly above the old truncated answer (95).
-	hundred := newLatencySample(100)
+	hundred := &latencySample{cap: 100}
 	for i := 1; i <= 100; i++ {
 		hundred.add(float64(i))
 	}
@@ -49,7 +49,7 @@ func TestPercentileInterpolatesRank(t *testing.T) {
 }
 
 func TestPercentileEdgeWindows(t *testing.T) {
-	if got := newLatencySample(4).percentile(0.95); got != 0 {
+	if got := (&latencySample{cap: 4}).percentile(0.95); got != 0 {
 		t.Errorf("empty window p95 = %v, want 0", got)
 	}
 	one := sampleOf(42)

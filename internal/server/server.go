@@ -221,7 +221,7 @@ func New(cfg Config) (*Server, error) {
 		shards:     shards,
 		norms:      oncecache.New[string, string](int64(cfg.ResultCacheSize * cfg.Shards)),
 		sem:        make(chan struct{}, cfg.MaxInFlight),
-		lat:        newLatencySample(4096),
+		lat:        &latencySample{cap: 4096},
 		start:      time.Now(),
 		baseCtx:    baseCtx,
 		baseCancel: baseCancel,
@@ -527,9 +527,7 @@ func (s *Server) Metrics() MetricsSnapshot {
 		n, _, _, _, _ := results.Stats()
 		resultSize += n
 		storeLeaves += store.Len()
-		if now := sh.gate.Now(); now > virtual {
-			virtual = now
-		}
+		virtual = max(virtual, sh.gate.Now())
 	}
 	inFlight := len(s.sem)
 	queued := max(int(s.waiting.Load())-inFlight, 0)

@@ -92,7 +92,7 @@ func Parse(input string) (*Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !p.atEOF() {
+	if p.peek().kind != tokEOF {
 		return nil, fmt.Errorf("sqlparse: trailing input at %q", p.peek().text)
 	}
 	return q, nil
@@ -109,7 +109,6 @@ func MustParse(input string) *Query {
 
 func (p *parser) peek() token { return p.toks[p.pos] }
 func (p *parser) next() token { t := p.toks[p.pos]; p.pos++; return t }
-func (p *parser) atEOF() bool { return p.peek().kind == tokEOF }
 
 func (p *parser) acceptKeyword(kw string) bool {
 	if t := p.peek(); t.kind == tokKeyword && strings.EqualFold(t.text, kw) {

@@ -8,10 +8,11 @@
 // estimator reads them.
 //
 // A column is observed as one run of 64-bit value hashes with two
-// readings. Tasks append; the job's merge sorts once. Of the sorted
-// distinct run, the k smallest are the KMV synopsis and the
-// multiplicities are the frequency sketch the Chao1 extrapolation
-// reads.
+// readings. Tasks append row hashes, or a scan task walks its split's
+// hash order into a run; the job's merge sorts the appended hashes once
+// and merges every run in one k-way merge. Of the sorted distinct run,
+// the k smallest are the KMV synopsis and the multiplicities are the
+// frequency sketch the Chao1 extrapolation reads.
 package stats
 
 import "math"

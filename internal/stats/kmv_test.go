@@ -18,7 +18,7 @@ func sealedRun(k int, hs []uint64) *colAcc {
 	for _, h := range hs {
 		a.observe(h, k, 0)
 	}
-	a.absorb(slices.Clone(a.tail), k)
+	a.run, a.overflow = mergeRuns([][]hashCount{a.run, sortRun(slices.Clone(a.tail), k)}, a.overflow, k)
 	a.tail = nil
 	return a
 }
@@ -89,7 +89,7 @@ func TestKMVMergeEqualsUnion(t *testing.T) {
 		}
 	}
 	whole, a, b := sealedRun(128, all), sealedRun(128, even), sealedRun(128, odd)
-	a.union(b.run, b.overflow, 128)
+	a.run, a.overflow = mergeRuns([][]hashCount{a.run, b.run}, a.overflow || b.overflow, 128)
 	if a.overflow != whole.overflow || !slices.EqualFunc(a.run, whole.run, func(x, y hashCount) bool { return x.h == y.h }) {
 		t.Errorf("merged run (estimate %v) != whole run (estimate %v)", estimate(a.run, 128), estimate(whole.run, 128))
 	}
@@ -97,19 +97,19 @@ func TestKMVMergeEqualsUnion(t *testing.T) {
 
 func TestKMVMergeNil(t *testing.T) {
 	a := sealedRun(16, []uint64{7})
-	a.absorb(nil, 16)
+	a.run, a.overflow = mergeRuns([][]hashCount{a.run, sortRun(nil, 16)}, a.overflow, 16)
 	if estimate(a.run, 16) != 1 || a.run[0].n != 1 {
 		t.Error("folding an empty tail should be a no-op")
 	}
 }
 
-// The union is a fresh run: growing it leaves the side it was built
+// The merge is a fresh run: growing it leaves the side it was built
 // from as it was (what KMV.Clone used to be asked for).
 func TestRunUnionDoesNotAlias(t *testing.T) {
 	src := sealedRun(16, []uint64{10, 20, 30})
 	dst := &colAcc{}
-	dst.union(src.run, src.overflow, 16)
-	dst.union(runOf([]uint64{5, 20}, []int64{1, 4}), false, 16)
+	dst.run, dst.overflow = mergeRuns([][]hashCount{dst.run, src.run}, dst.overflow || src.overflow, 16)
+	dst.run, dst.overflow = mergeRuns([][]hashCount{dst.run, runOf([]uint64{5, 20}, []int64{1, 4})}, dst.overflow, 16)
 	if !slices.Equal(src.run, runOf([]uint64{10, 20, 30}, []int64{1, 1, 1})) {
 		t.Errorf("source run changed: %v", src.run)
 	}

@@ -44,10 +44,10 @@ func observeBoth(k int, vals []int64, whole bool) (*Partial, *oraclePartial) {
 	for _, v := range vals {
 		rec := diffRec(v)
 		if v%4 == 0 { // a record the filter dropped: selectivity below 1
-			c.ObserveInput()
+			c.ObserveInputs(1)
 			o.ObserveInput()
 		}
-		c.ObserveInput()
+		c.ObserveInputs(1)
 		o.ObserveInput()
 		o.ObserveOutput(rec, rec.EncodedSize())
 		if whole {

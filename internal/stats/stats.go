@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 
+	"dyno/internal/batch"
 	"dyno/internal/data"
 )
 
@@ -27,12 +28,6 @@ type TableStats struct {
 
 // SizeBytes returns the relation's estimated virtual byte size.
 func (t TableStats) SizeBytes() float64 { return t.Card * t.AvgRecSize }
-
-// Col returns statistics for a column path, with ok=false when unknown.
-func (t TableStats) Col(path string) (ColStats, bool) {
-	c, ok := t.Cols[path]
-	return c, ok
-}
 
 // String renders a compact summary.
 func (t TableStats) String() string {
@@ -61,7 +56,8 @@ const foldBound = 4096
 
 // colAcc accumulates one column's observations as a run of hashes read
 // two ways: the k smallest are the KMV synopsis, the counts the
-// frequency sketch. A task only appends to tail; a column it never sees
+// frequency sketch. A task appends rows' hashes to tail, or a scan task
+// walks its split's hash order into run; a column it never sees
 // non-null — the common case across a job's many map tasks — costs two
 // nil slices. tail is folded into run when it reaches foldBound and,
 // for a whole job, once by MergePartials.
@@ -89,24 +85,20 @@ func (a *colAcc) observe(h uint64, k, expect int) {
 		a.tail = make([]uint64, 0, min(expect, foldBound))
 	}
 	if a.tail = append(a.tail, h); len(a.tail) >= foldBound {
-		a.absorb(a.tail, k)
+		a.run, a.overflow = mergeRuns([][]hashCount{a.run, sortRun(a.tail, k)}, a.overflow, k)
 		a.tail = a.tail[:0]
 	}
 }
 
-// absorb folds raw hashes into the run: sorted as plain uint64s (raw is
-// reordered, never kept), run-length-encoded, then unioned in. A long
-// raw mostly cannot matter — past freqCap·k distinct hashes only the k
-// smallest do — so it is sorted lowest hashes first, in slabs: the
-// hashes under a cut that uniform hashing puts about 2·freqCap·k values
-// below are moved to the front and sorted alone, then a slab four times
-// that, and so on until the run overflows or raw is used up (a column of
-// few, repeated values). The cuts decide how much is sorted, never the
-// result.
-func (a *colAcc) absorb(raw []uint64, k int) {
-	if len(raw) == 0 {
-		return
-	}
+// sortRun is raw as a run: sorted as plain uint64s, run-length-encoded,
+// cut once it holds freqCap·k + 1 distinct hashes. A long raw mostly
+// cannot matter — past freqCap·k distinct hashes only the k smallest
+// do — so it is sorted lowest hashes first, in slabs: the hashes under a
+// cut that uniform hashing puts about 2·freqCap·k values below are moved
+// to the front and sorted alone, then a slab four times that, and so on
+// until the run is cut or raw is used up (a column of few, repeated
+// values). The cuts decide how much is sorted, never the result.
+func sortRun(raw []uint64, k int) []hashCount {
 	limit, lo := freqCap*k, 0.0
 	run := make([]hashCount, 0, min(len(raw), limit+1))
 	for want := 2 * limit; len(raw) > 0 && len(run) <= limit; want *= 4 {
@@ -134,38 +126,57 @@ func (a *colAcc) absorb(raw []uint64, k int) {
 			i = j
 		}
 	}
-	a.union(run, len(run) > limit, k)
+	return run
 }
 
-// union merges another sorted distinct run into a's, summing counts.
-// The result has overflowed iff either side had or the union holds more
-// than freqCap·k distinct hashes — a property of the set of values, not
-// of the order they arrived in — and then keeps only the k smallest,
-// which are the k smallest of the two sides' k smallest.
-func (a *colAcc) union(b []hashCount, overflow bool, k int) {
-	overflow = overflow || a.overflow
-	n := len(a.run) + len(b)
-	if overflow {
-		n = min(n, k)
-	}
-	out := make([]hashCount, 0, n)
-	for i, j := 0, 0; len(out) < n && (i < len(a.run) || j < len(b)); {
-		switch {
-		case j == len(b) || (i < len(a.run) && a.run[i].h < b[j].h):
-			out = append(out, a.run[i])
-			i++
-		case i == len(a.run) || b[j].h < a.run[i].h:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, hashCount{b[j].h, a.run[i].n + b[j].n})
-			i, j = i+1, j+1
+// mergeRuns merges sorted distinct runs, summing equal hashes' counts,
+// into a fresh run allocated once: one k-way merge over a heap of their
+// heads (runs' headers are consumed, the runs only read). It has
+// overflowed iff some run had (overflow) or the union holds more than
+// freqCap·k distinct hashes — a property of the set of values, not of
+// their order — and then keeps the k smallest, so it stops once k, or
+// else freqCap·k + 1, hashes are out.
+func mergeRuns(runs [][]hashCount, overflow bool, k int) ([]hashCount, bool) {
+	limit, n, heap := freqCap*k, 0, runs[:0]
+	for _, r := range runs {
+		if len(r) > 0 {
+			n, heap, overflow = n+len(r), append(heap, r), overflow || len(r) > limit
 		}
 	}
-	if len(out) > freqCap*k {
+	if n = min(n, limit+1); overflow {
+		n = min(n, k)
+	}
+	for i := len(heap)/2 - 1; i >= 0; i-- {
+		siftDown(heap, i)
+	}
+	out := make([]hashCount, 0, n)
+	for len(heap) > 0 && len(out) < n {
+		e := hashCount{heap[0][0].h, 0}
+		for len(heap) > 0 && heap[0][0].h == e.h {
+			if e.n, heap[0] = e.n+heap[0][0].n, heap[0][1:]; len(heap[0]) == 0 {
+				heap[0], heap = heap[len(heap)-1], heap[:len(heap)-1]
+			}
+			siftDown(heap, 0)
+		}
+		out = append(out, e)
+	}
+	if len(out) > limit {
 		overflow, out = true, out[:k]
 	}
-	a.run, a.overflow = out, overflow
+	return out, overflow
+}
+
+// siftDown restores the min-heap of runs ordered by head hash below i.
+func siftDown(heap [][]hashCount, i int) {
+	for c := 2*i + 1; c < len(heap); i, c = c, 2*c+1 {
+		if c+1 < len(heap) && heap[c+1][0].h < heap[c][0].h {
+			c++
+		}
+		if heap[i][0].h <= heap[c][0].h {
+			return
+		}
+		heap[i], heap[c] = heap[c], heap[i]
+	}
 }
 
 // Partial is the statistics a single task publishes: input/output record
@@ -195,33 +206,26 @@ type Partial struct {
 type Collector struct {
 	paths   []data.Path
 	accs    []*data.Accessor // compiled against the first observed record
-	cols    []*colAcc        // the partial's column for paths[i]
+	cols    []int            // the partial's column for paths[i]
 	partial Partial
 }
 
 // NewCollector returns a collector tracking the given column paths.
 func NewCollector(paths []data.Path, kmvSize int) *Collector {
-	c := &Collector{paths: paths, cols: make([]*colAcc, len(paths))}
+	c := &Collector{paths: paths, cols: make([]int, len(paths))}
 	p := &c.partial
-	p.keys, p.cols, p.kmvSize = make([]string, 0, len(paths)), make([]colAcc, len(paths)), clampK(kmvSize)
+	p.keys, p.kmvSize = make([]string, 0, len(paths)), clampK(kmvSize)
 	for i, path := range paths {
 		key := path.String()
-		j := slices.Index(p.keys, key)
-		if j < 0 {
-			j = len(p.keys)
-			p.keys = append(p.keys, key)
+		if c.cols[i] = slices.Index(p.keys, key); c.cols[i] < 0 {
+			c.cols[i], p.keys = len(p.keys), append(p.keys, key)
 		}
-		c.cols[i] = &p.cols[j]
 	}
-	p.cols = p.cols[:len(p.keys)]
+	p.cols = make([]colAcc, len(p.keys))
 	return c
 }
 
-// ObserveInput counts a record read before filtering.
-func (c *Collector) ObserveInput() { c.partial.InRecords++ }
-
-// ObserveInputs counts n records read before filtering — the batch
-// equivalent of n ObserveInput calls.
+// ObserveInputs counts n records read before filtering.
 func (c *Collector) ObserveInputs(n int) { c.partial.InRecords += int64(n) }
 
 // ObserveOutputs records a task's output rows and their total virtual
@@ -241,7 +245,7 @@ func (c *Collector) ObserveOutputs(rows []data.Value, totalBytes int64) {
 	}
 	var buf [32]data.Value
 	for i, a := range c.accs {
-		acc := c.cols[i]
+		acc := &c.partial.cols[c.cols[i]]
 		for rest := rows; len(rest) > 0; {
 			n := min(len(rest), len(buf))
 			for r, rec := range rest[:n] {
@@ -257,19 +261,68 @@ func (c *Collector) ObserveOutputs(rows []data.Value, totalBytes int64) {
 	}
 }
 
+// ObserveScan is ObserveOutputs over the rows of d.Wrapped(wrap) at the
+// ascending positions sel — an unpruned scan task's output — read off
+// the split's hash orders: per path, one walk of the column's sorted
+// hashes counts each distinct hash of the rows sel names into a run, cut
+// as sortRun cuts it. No value is evaluated or hashed, nothing sorted.
+func (c *Collector) ObserveScan(d *batch.Data, wrap string, sel []int32, totalBytes int64) {
+	c.partial.OutRecords += int64(len(sel))
+	c.partial.OutBytes += totalBytes
+	var keep []uint64 // a bit per row sel names; nil when it names all
+	if n := len(d.Records()); len(sel) < n {
+		keep = make([]uint64, (n+63)/64)
+		for _, r := range sel {
+			keep[r>>6] |= 1 << (r & 63)
+		}
+	}
+	k := c.partial.kmvSize
+	for i, path := range c.paths {
+		o := d.HashOrder(wrap, path, c.partial.keys[c.cols[i]])
+		run := walk(o, keep, make([]hashCount, 0, min(len(sel), o.Distinct, freqCap*k+1)))
+		overflow := len(run) > freqCap*k
+		if overflow {
+			run = run[:k]
+		}
+		if acc := &c.partial.cols[c.cols[i]]; len(acc.run) == 0 {
+			acc.run, acc.overflow = run, overflow
+		} else {
+			acc.run, acc.overflow = mergeRuns([][]hashCount{acc.run, run}, acc.overflow || overflow, k)
+		}
+	}
+}
+
+// walk appends to run, in ascending hash order, each distinct hash of
+// o's rows that keep selects (all when nil) with its count, until run is
+// full: its capacity is at least their number, or freqCap·k + 1.
+func walk(o *batch.HashOrder, keep []uint64, run []hashCount) []hashCount {
+	for i := 0; i < len(o.Rows) && len(run) < cap(run); {
+		h, n := o.Hashes[o.Rows[i]], int64(0)
+		for ; i < len(o.Rows) && o.Hashes[o.Rows[i]] == h; i++ {
+			if r := o.Rows[i]; keep == nil || keep[r>>6]&(1<<(r&63)) != 0 {
+				n++
+			}
+		}
+		if n > 0 {
+			run = append(run, hashCount{h, n})
+		}
+	}
+	return run
+}
+
 // ObserveOutput is ObserveOutputs for one record.
 func (c *Collector) ObserveOutput(rec data.Value, n int64) { c.ObserveOutputs([]data.Value{rec}, n) }
 
 // Partial returns the accumulated statistics. It does no work: the
-// tasks of a job only append, and the one sort is MergePartials'.
+// job's one sort and one merge are MergePartials'.
 func (c *Collector) Partial() *Partial { return &c.partial }
 
 // MergePartials combines task-level partials into one (the client-side
 // merge the paper performs after reading the per-task statistics files
 // published in ZooKeeper). Per column it concatenates every task's tail
-// into one exactly-sized slice and sorts that once; runs a task already
-// folded (rare: more than foldBound values) are unioned in afterwards.
-// The result is sealed and shares no memory with parts.
+// into one exactly-sized slice, sorts that once into a run, and merges
+// it with every task's own run (a scan task's, or one a task folded) in
+// one k-way merge. The result is sealed and shares no memory with parts.
 func MergePartials(parts []*Partial) *Partial {
 	return MergePartialsOn(parts, func(n int, fn func(i int)) {
 		for i := range n {
@@ -279,7 +332,7 @@ func MergePartials(parts []*Partial) *Partial {
 }
 
 // MergePartialsOn is MergePartials with the record-sized share of the
-// merge — a call per column: concatenate, union, sort — handed to par, a
+// merge — a call per column: concatenate, sort, merge — handed to par, a
 // parallel-for, in one batch (so a caller can ride more work on it).
 // Columns share nothing: the result does not depend on how par runs them.
 func MergePartialsOn(parts []*Partial, par func(n int, fn func(i int))) *Partial {
@@ -314,14 +367,12 @@ func MergePartialsOn(parts []*Partial, par func(n int, fn func(i int))) *Partial
 		}
 	}
 	par(len(out.cols), func(j int) {
-		dst, raw := &out.cols[j], make([]uint64, 0, tails[j])
+		raw, runs, overflow := make([]uint64, 0, tails[j]), make([][]hashCount, 1, len(srcs[j])+1), false
 		for _, acc := range srcs[j] {
-			raw = append(raw, acc.tail...)
-			if len(acc.run) > 0 {
-				dst.union(acc.run, acc.overflow, out.kmvSize)
-			}
+			raw, runs, overflow = append(raw, acc.tail...), append(runs, acc.run), overflow || acc.overflow
 		}
-		dst.absorb(raw, out.kmvSize)
+		runs[0] = sortRun(raw, out.kmvSize)
+		out.cols[j].run, out.cols[j].overflow = mergeRuns(runs, overflow, out.kmvSize)
 	})
 	return out
 }
@@ -353,10 +404,7 @@ func (p *Partial) avgRecSize() float64 {
 // linear rule DV(R) = |R|/|Rs| · DV(Rs), capped by the cardinality.
 func (p *Partial) Extrapolate(totalInput float64) TableStats {
 	sel := p.selectivity()
-	card := sel * totalInput
-	if card < float64(p.OutRecords) {
-		card = float64(p.OutRecords)
-	}
+	card := max(sel*totalInput, float64(p.OutRecords))
 	scale := 1.0
 	if p.OutRecords > 0 && card > float64(p.OutRecords) {
 		scale = card / float64(p.OutRecords)

@@ -25,7 +25,7 @@ func TestCollectorBasics(t *testing.T) {
 	}
 	c := NewCollector(paths, 1024)
 	for i := int64(0); i < 1000; i++ {
-		c.ObserveInput()
+		c.ObserveInputs(1)
 		if i%2 == 0 { // 50% selectivity
 			rec := orderRec(i)
 			c.ObserveOutput(rec, rec.EncodedSize())
@@ -46,14 +46,14 @@ func TestCollectorBasics(t *testing.T) {
 	if ts.Card != 500 {
 		t.Errorf("Card = %v", ts.Card)
 	}
-	ck, ok := ts.Col("o.o_orderkey")
+	ck, ok := ts.Cols["o.o_orderkey"]
 	if !ok {
 		t.Fatal("missing o_orderkey stats")
 	}
 	if math.Abs(ck.NDV-500) > 25 {
 		t.Errorf("orderkey NDV = %v, want ~500", ck.NDV)
 	}
-	cc, _ := ts.Col("o.o_custkey")
+	cc, _ := ts.Cols["o.o_custkey"]
 	if math.Abs(cc.NDV-50) > 5 {
 		t.Errorf("custkey NDV = %v, want ~50 (even keys mod 100)", cc.NDV)
 	}
@@ -64,7 +64,7 @@ func TestExtrapolateScalesCardAndNDV(t *testing.T) {
 	c := NewCollector(paths, 1024)
 	// Sample of 1000 inputs, 100 outputs (10% selectivity), keys unique.
 	for i := int64(0); i < 1000; i++ {
-		c.ObserveInput()
+		c.ObserveInputs(1)
 		if i%10 == 0 {
 			rec := orderRec(i)
 			c.ObserveOutput(rec, rec.EncodedSize())
@@ -89,7 +89,7 @@ func TestExtrapolateScalesCardAndNDV(t *testing.T) {
 func TestExtrapolateEmptyOutput(t *testing.T) {
 	c := NewCollector(nil, 16)
 	for i := 0; i < 50; i++ {
-		c.ObserveInput()
+		c.ObserveInputs(1)
 	}
 	ts := c.Partial().Extrapolate(1000)
 	if ts.Card != 0 {
@@ -100,7 +100,7 @@ func TestExtrapolateEmptyOutput(t *testing.T) {
 func TestExtrapolateNeverBelowObserved(t *testing.T) {
 	c := NewCollector(nil, 16)
 	for i := int64(0); i < 10; i++ {
-		c.ObserveInput()
+		c.ObserveInputs(1)
 		rec := orderRec(i)
 		c.ObserveOutput(rec, rec.EncodedSize())
 	}
@@ -118,7 +118,7 @@ func TestMergePartials(t *testing.T) {
 	for task := 0; task < 4; task++ {
 		c := NewCollector(paths, 256)
 		for i := int64(0); i < 250; i++ {
-			c.ObserveInput()
+			c.ObserveInputs(1)
 			rec := orderRec(int64(task)*250 + i)
 			c.ObserveOutput(rec, rec.EncodedSize())
 		}
@@ -129,7 +129,7 @@ func TestMergePartials(t *testing.T) {
 		t.Fatalf("merged in=%d out=%d", merged.InRecords, merged.OutRecords)
 	}
 	ts := merged.Exact()
-	ck, _ := ts.Col("o.o_orderkey")
+	ck, _ := ts.Cols["o.o_orderkey"]
 	if math.Abs(ck.NDV-1000) > 100 {
 		t.Errorf("merged NDV = %v, want ~1000", ck.NDV)
 	}
@@ -150,10 +150,10 @@ func TestMergePartialsDisjointColumns(t *testing.T) {
 	b.ObserveOutput(rec, 10)
 	m := MergePartials([]*Partial{a.Partial(), b.Partial()})
 	ts := m.Exact()
-	if _, ok := ts.Col("o.x"); !ok {
+	if _, ok := ts.Cols["o.x"]; !ok {
 		t.Error("missing o.x")
 	}
-	if _, ok := ts.Col("o.y"); !ok {
+	if _, ok := ts.Cols["o.y"]; !ok {
 		t.Error("missing o.y")
 	}
 }
@@ -165,7 +165,7 @@ func TestNullValuesSkippedInColStats(t *testing.T) {
 	)})
 	c.ObserveOutput(rec, 5)
 	ts := c.Partial().Exact()
-	col, _ := ts.Col("o.maybe")
+	col, _ := ts.Cols["o.maybe"]
 	if col.NDV != 0 {
 		t.Errorf("null-only column stats = %+v", col)
 	}
@@ -233,7 +233,7 @@ func TestCollectorManyColumnsStress(t *testing.T) {
 	}
 	ts := c.Partial().Exact()
 	for j := 0; j < 8; j++ {
-		col, ok := ts.Col(fmt.Sprintf("t.c%d", j))
+		col, ok := ts.Cols[fmt.Sprintf("t.c%d", j)]
 		if !ok {
 			t.Fatalf("missing c%d", j)
 		}

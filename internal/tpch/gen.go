@@ -63,11 +63,7 @@ func (c Config) rows(table string) int {
 	case "region":
 		return regions
 	}
-	n := int(RowsPerSF[table] * c.SF * scale)
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return max(int(RowsPerSF[table]*c.SF*scale), 1)
 }
 
 var regionNames = []string{"AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDDLE EAST"}
@@ -249,10 +245,7 @@ func genLineitem(cfg Config, rng *rand.Rand) []data.Value {
 	orders := cfg.rows("orders")
 	parts := cfg.rows("part")
 	supps := cfg.rows("supplier")
-	psPerPart := cfg.rows("partsupp") / parts
-	if psPerPart < 1 {
-		psPerPart = 1
-	}
+	psPerPart := max(cfg.rows("partsupp")/parts, 1)
 	out := make([]data.Value, n)
 	for i := range out {
 		pk := rng.Intn(parts)

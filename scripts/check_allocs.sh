@@ -39,6 +39,10 @@ go test -run='^$' -bench='^BenchmarkCollectorObserve$' \
     -benchtime=10000x -benchmem ./internal/stats | tee -a "$out"
 go test -run='^$' -bench='^BenchmarkMergePartials$' \
     -benchtime=10x -benchmem ./internal/stats | tee -a "$out"
+# A scan task's statistics walk its split's warm hash orders into one run
+# per column, and a job merges such runs in one k-way merge per column.
+go test -run='^$' -bench='^(BenchmarkObserveScan|BenchmarkMergeRuns)$' \
+    -benchtime=10x -benchmem ./internal/stats | tee -a "$out"
 # Join row arena: a chain task allocates per chunk, not per merged row,
 # and binds a step's pre-merge check once, not per match.
 go test -run='^$' -bench='^(BenchmarkProbeChain|BenchmarkProbeChainPreMerge)$' \
