@@ -177,9 +177,10 @@ type Result struct {
 	FinalPlan     string
 
 	// Optimizer search-work counters summed over every DYNOPT round:
-	// groups whose splits were enumerated, searches skipped by
-	// branch-and-bound, and winners reused from the previous round's
-	// memo.
+	// groups whose splits were enumerated and searches skipped by
+	// branch-and-bound. OptGroupsReused stays 0: each round searches a
+	// fresh memo, and the field is kept only for the benchmark report
+	// that reads it.
 	OptGroupsExpanded int
 	OptGroupsPruned   int
 	OptGroupsReused   int
@@ -292,7 +293,7 @@ func (e *Engine) execute(ctx context.Context, q *sqlparse.Query) (*Result, error
 // memoHitOptSec is the constant virtual client time charged for a
 // DYNOPT round whose plan is answered without enumeration — the
 // remainder of the previous plan under the re-optimization threshold,
-// or a memo whose reused winners left nothing to consider. It prices a
+// or a search that had no alternative to consider. It prices a
 // lookup-and-extract, well under one expression's default
 // OptTimePerExpr charge, and keeps Result.OptimizeSec the exact sum of
 // the per-iteration charges. Charged only when OptTimePerExpr > 0.
@@ -313,9 +314,6 @@ func (e *Engine) runBlock(block *plan.JoinBlock, name string, res *Result) (*pla
 	var prevRoot plan.Node
 	executed := map[string]*plan.Rel{} // alias-set key → materialized rel
 	skipReopt := false
-	// One memo session per query: rounds reuse every group the
-	// substitutions left intact.
-	inc := optimizer.NewIncremental(e.Opt)
 	for iter := 1; ; iter++ {
 		if err := e.ctxErr(); err != nil {
 			return nil, err
@@ -346,12 +344,11 @@ func (e *Engine) runBlock(block *plan.JoinBlock, name string, res *Result) (*pla
 				root, considered, err = e.Options.Planner(block, e.Opt)
 			} else {
 				var optRes *optimizer.Result
-				optRes, err = inc.Optimize(block)
+				optRes, err = optimizer.Optimize(block, e.Opt)
 				if err == nil {
 					root, considered = optRes.Root, optRes.ExprsConsidered
 					res.OptGroupsExpanded += optRes.GroupsExpanded
 					res.OptGroupsPruned += optRes.GroupsPruned
-					res.OptGroupsReused += optRes.GroupsReused
 				}
 			}
 			if err != nil {
@@ -359,7 +356,8 @@ func (e *Engine) runBlock(block *plan.JoinBlock, name string, res *Result) (*pla
 			}
 			optSec = float64(considered) * e.Options.OptTimePerExpr
 			if optSec == 0 && e.Options.OptTimePerExpr > 0 {
-				// Answered entirely from reused winners.
+				// Nothing enumerated: a one-relation block, or a
+				// planner that considered no alternative.
 				optSec = memoHitOptSec
 			}
 			e.Env.Advance(optSec)

@@ -3,9 +3,11 @@ package experiments
 import (
 	"encoding/json"
 	"flag"
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -201,15 +203,85 @@ func (r *goldenRecord) marshal(t *testing.T) []byte {
 	return append(b, '\n')
 }
 
-// firstDiff names the first line two golden images disagree on.
-func firstDiff(want, got []byte) string {
+// maxDiffLines caps the differing lines goldenDiff prints.
+const maxDiffLines = 40
+
+// goldenKey matches a line of MarshalIndent output that opens with an
+// object key.
+var goldenKey = regexp.MustCompile(`^"((?:[^"\\]|\\.)*)":`)
+
+// keyPaths gives each line of a MarshalIndent image the dotted path of
+// the JSON key it sits under ("totalSec", "timeline.time", "rows").
+func keyPaths(lines []string) []string {
+	type open struct {
+		indent int
+		path   string
+	}
+	var stack []open
+	paths := make([]string, len(lines))
+	for i, l := range lines {
+		t := strings.TrimLeft(l, " ")
+		indent := len(l) - len(t)
+		for len(stack) > 0 && stack[len(stack)-1].indent >= indent {
+			stack = stack[:len(stack)-1]
+		}
+		path := ""
+		if len(stack) > 0 {
+			path = stack[len(stack)-1].path
+		}
+		if m := goldenKey.FindStringSubmatch(t); m != nil {
+			path = strings.TrimPrefix(path+"."+m[1], ".")
+		}
+		if strings.HasSuffix(t, "{") || strings.HasSuffix(t, "[") {
+			stack = append(stack, open{indent, path})
+		}
+		paths[i] = path
+	}
+	return paths
+}
+
+// goldenDiff reports how many lines two golden images disagree on, how
+// many of those sit under each JSON key, and the first maxDiffLines of
+// them, each with its key, so one failing run shows whether only
+// virtual-time fields moved.
+func goldenDiff(want, got []byte) string {
 	w, g := strings.Split(string(want), "\n"), strings.Split(string(got), "\n")
-	for i := 0; i < len(w) && i < len(g); i++ {
-		if w[i] != g[i] {
-			return "line " + strconv.Itoa(i+1) + ":\n  golden: " + w[i] + "\n  got:    " + g[i]
+	wk, gk := keyPaths(w), keyPaths(g)
+	line := func(lines []string, i int) string {
+		if i < len(lines) {
+			return lines[i]
+		}
+		return "(no line)"
+	}
+	var lines strings.Builder
+	perKey := map[string]int{}
+	var keys []string
+	n := 0
+	for i := range max(len(w), len(g)) {
+		if i < len(w) && i < len(g) && w[i] == g[i] {
+			continue
+		}
+		key := line(wk, i)
+		if i >= len(w) {
+			key = gk[i]
+		}
+		if perKey[key] == 0 {
+			keys = append(keys, key)
+		}
+		perKey[key]++
+		if n++; n <= maxDiffLines {
+			fmt.Fprintf(&lines, "  line %d (%s):\n    golden: %s\n    got:    %s\n", i+1, key, line(w, i), line(g, i))
 		}
 	}
-	return "lengths differ: golden " + strconv.Itoa(len(w)) + " lines, got " + strconv.Itoa(len(g))
+	if n > maxDiffLines {
+		fmt.Fprintf(&lines, "  ... %d more\n", n-maxDiffLines)
+	}
+	counts := make([]string, len(keys))
+	for i, k := range keys {
+		counts[i] = fmt.Sprintf("%s %d", k, perKey[k])
+	}
+	return fmt.Sprintf("%d lines (golden %d, got %d); by key: %s\n%s",
+		n, len(w), len(g), strings.Join(counts, ", "), lines.String())
 }
 
 func TestGolden(t *testing.T) {
@@ -239,7 +311,7 @@ func TestGolden(t *testing.T) {
 			}
 			for _, arm := range arms {
 				if got := runGoldenCase(t, c, arm).marshal(t); string(got) != string(want) {
-					t.Errorf("%s: %s arm diverges from %s at %s", c.name, arm.name, path, firstDiff(want, got))
+					t.Errorf("%s: %s arm diverges from %s in %s", c.name, arm.name, path, goldenDiff(want, got))
 				}
 			}
 		})

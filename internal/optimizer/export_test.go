@@ -4,7 +4,7 @@ import "dyno/internal/plan"
 
 // ExhaustivePlanner plans a block with the exhaustive reference search,
 // in the shape of core.Options.Planner, so external tests can run a
-// whole query with it in place of the engine's incremental session.
+// whole query with it in place of the engine's own search.
 func ExhaustivePlanner(block *plan.JoinBlock, cfg Config) (plan.Node, int, error) {
 	res, err := exhaustive(block, cfg)
 	if err != nil {

@@ -117,17 +117,14 @@ type Result struct {
 	Root plan.Node
 	// ExprsConsidered counts the (logical, physical) alternatives
 	// examined; DYNO charges virtual optimization time proportional to
-	// it (§6.2 measures this overhead). Pruned and reused groups
-	// contribute nothing, so the charge tracks actual search work.
+	// it (§6.2 measures this overhead). Pruned groups contribute
+	// nothing, so the charge tracks actual search work.
 	ExprsConsidered int
 	// GroupsExpanded counts split-loop executions (a group re-searched
 	// under a raised cost limit counts again); GroupsPruned counts
-	// searches avoided because a lower bound exceeded the incumbent;
-	// GroupsReused counts winners installed from a previous round's
-	// memo rather than enumerated.
+	// searches avoided because a lower bound exceeded the incumbent.
 	GroupsExpanded int
 	GroupsPruned   int
-	GroupsReused   int
 }
 
 // Optimize enumerates join orders and methods for the block and returns
@@ -137,7 +134,7 @@ func Optimize(block *plan.JoinBlock, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return m.run(math.Inf(1))
+	return m.run()
 }
 
 func newMemoChecked(block *plan.JoinBlock, cfg Config) (*memo, error) {
@@ -153,17 +150,8 @@ func newMemoChecked(block *plan.JoinBlock, cfg Config) (*memo, error) {
 }
 
 // run drives the top-down search and materializes the winning tree.
-// seedLimit, when finite, is an upper bound on the optimal cost (the
-// re-costed previous plan of an Incremental session), letting
-// branch-and-bound prune from the first expansion. A seeded search can
-// return nil only if the seed was not actually achievable; the
-// unbounded retry keeps the result deterministic regardless.
-func (m *memo) run(seedLimit float64) (*Result, error) {
-	best := m.optimize(m.full(), seedLimit)
-	if best == nil && !math.IsInf(seedLimit, 1) {
-		best = m.optimize(m.full(), math.Inf(1))
-	}
-	return m.result(best)
+func (m *memo) run() (*Result, error) {
+	return m.result(m.optimize(m.full(), math.Inf(1)))
 }
 
 // full is the mask of the whole block.
@@ -185,7 +173,6 @@ func (m *memo) result(best *winner) (*Result, error) {
 		ExprsConsidered: m.considered,
 		GroupsExpanded:  m.expanded,
 		GroupsPruned:    m.pruned,
-		GroupsReused:    m.reused,
 	}, nil
 }
 
@@ -259,7 +246,6 @@ type memo struct {
 	considered int
 	expanded   int
 	pruned     int
-	reused     int
 }
 
 func newMemo(block *plan.JoinBlock, cfg Config) *memo {

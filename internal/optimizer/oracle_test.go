@@ -8,9 +8,9 @@ import (
 )
 
 // exhaustive is the reference the memo's search is held to: a fresh
-// memo, every split of every group enumerated, no bounds, no pruning
-// and no reuse. It reports the same counters as Optimize (pruned and
-// reused stay zero), so tests compare plans, costs and search work.
+// memo, every split of every group enumerated, no bounds and no
+// pruning. It reports the same counters as Optimize (pruned stays
+// zero), so tests compare plans, costs and search work.
 func exhaustive(block *plan.JoinBlock, cfg Config) (*Result, error) {
 	m, err := newMemoChecked(block, cfg)
 	if err != nil {

@@ -16,12 +16,13 @@ import (
 )
 
 // TestIncrementalTPCHByteIdentical runs the evaluation's join queries
-// through DYNOPT twice over one generated dataset: once with the
-// engine's incremental session (memo reuse and branch-and-bound), once
-// with the exhaustive reference search as the planner. The plans must
-// be byte-identical — the same plan every round, the same final plan —
-// and so must the rows, job counts and plan changes. Only the virtual
-// optimizer-time charge may differ: that is what the search saves.
+// through DYNOPT, which re-optimizes round by round, twice over one
+// generated dataset: once with the engine's own search (Optimize, with
+// branch-and-bound), once with the exhaustive reference search as the
+// planner. The plans must be byte-identical — the same plan every
+// round, the same final plan — and so must the rows, job counts and
+// plan changes. Only the virtual optimizer-time charge may differ:
+// that is what pruning saves.
 func TestIncrementalTPCHByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TPC-H differential is slow")
@@ -35,7 +36,7 @@ func TestIncrementalTPCHByteIdentical(t *testing.T) {
 	udf := tpch.DefaultUDFParams()
 	udf.Q9DimSel = 0.1 // keeps Q9p's result non-empty at this scale
 	// run executes sql under DYNOPT; a nil planner leaves the engine's
-	// own incremental session in charge.
+	// own search in charge.
 	run := func(sql string, planner func(*plan.JoinBlock, optimizer.Config) (plan.Node, int, error)) *core.Result {
 		t.Helper()
 		reg := expr.NewRegistry()
@@ -57,29 +58,29 @@ func TestIncrementalTPCHByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			inc := run(sql, nil)
+			own := run(sql, nil)
 			ref := run(sql, optimizer.ExhaustivePlanner)
-			if inc.FinalPlan != ref.FinalPlan {
-				t.Errorf("final plans differ:\nincremental:\n%s\nexhaustive:\n%s", inc.FinalPlan, ref.FinalPlan)
+			if own.FinalPlan != ref.FinalPlan {
+				t.Errorf("final plans differ:\nown search:\n%s\nexhaustive:\n%s", own.FinalPlan, ref.FinalPlan)
 			}
-			if len(inc.Evolution) != len(ref.Evolution) {
-				t.Fatalf("iteration counts differ: %d vs %d", len(inc.Evolution), len(ref.Evolution))
+			if len(own.Evolution) != len(ref.Evolution) {
+				t.Fatalf("iteration counts differ: %d vs %d", len(own.Evolution), len(ref.Evolution))
 			}
-			for i := range inc.Evolution {
-				if inc.Evolution[i].Plan != ref.Evolution[i].Plan {
-					t.Errorf("iteration %d plans differ:\nincremental:\n%s\nexhaustive:\n%s",
-						i+1, inc.Evolution[i].Plan, ref.Evolution[i].Plan)
+			for i := range own.Evolution {
+				if own.Evolution[i].Plan != ref.Evolution[i].Plan {
+					t.Errorf("iteration %d plans differ:\nown search:\n%s\nexhaustive:\n%s",
+						i+1, own.Evolution[i].Plan, ref.Evolution[i].Plan)
 				}
 			}
-			if !slices.EqualFunc(inc.Rows, ref.Rows, data.Equal) {
+			if !slices.EqualFunc(own.Rows, ref.Rows, data.Equal) {
 				t.Error("result rows differ")
 			}
-			if inc.Jobs != ref.Jobs || inc.PlanChanges != ref.PlanChanges {
+			if own.Jobs != ref.Jobs || own.PlanChanges != ref.PlanChanges {
 				t.Errorf("execution traces differ: jobs %d vs %d, plan changes %d vs %d",
-					inc.Jobs, ref.Jobs, inc.PlanChanges, ref.PlanChanges)
+					own.Jobs, ref.Jobs, own.PlanChanges, ref.PlanChanges)
 			}
-			t.Logf("%d rounds, %d rows; optimizer time %.3fs incremental, %.3fs exhaustive",
-				len(inc.Evolution), len(inc.Rows), inc.OptimizeSec, ref.OptimizeSec)
+			t.Logf("%d rounds, %d rows; optimizer time %.3fs own search, %.3fs exhaustive",
+				len(own.Evolution), len(own.Rows), own.OptimizeSec, ref.OptimizeSec)
 		})
 	}
 }

@@ -31,7 +31,6 @@ type counters struct {
 
 	statsReused atomic.Int64 // leaves whose statistics came from the shared store
 	pilotJobs   atomic.Int64 // pilot jobs actually executed
-	memoReused  atomic.Int64 // optimizer groups answered from reused memo state
 }
 
 // latencySample keeps the last up-to-cap query latencies for
@@ -113,7 +112,9 @@ type MetricsSnapshot struct {
 	PilotJobs         int64 `json:"pilotJobs"`
 	StatsStoreLeaves  int   `json:"statsStoreLeaves"`
 
-	MemoGroupsReused int64 `json:"memoGroupsReused"` // within-session reuse across DYNOPT rounds
+	// MemoGroupsReused is always 0: each DYNOPT round searches a fresh
+	// memo. Kept for the benchmark report that reads it.
+	MemoGroupsReused int64 `json:"memoGroupsReused"`
 
 	P50Millis float64 `json:"p50Millis"`
 	P95Millis float64 `json:"p95Millis"`

@@ -140,9 +140,6 @@ type response struct {
 
 	StatsReused int `json:"statsReusedLeaves"`
 	PilotJobs   int `json:"pilotJobs"`
-	// MemoGroupsReused counts optimizer groups answered from a previous
-	// round's memo of the same session instead of enumerated.
-	MemoGroupsReused int `json:"memoGroupsReused,omitempty"`
 
 	Jobs        int     `json:"jobs"`
 	Iterations  int     `json:"iterations"`
@@ -460,10 +457,7 @@ func (s *Server) execute(ctx context.Context, sh *shard, sql string, variant bas
 		Warnings:    res.Warnings,
 		Rows:        res.Rows,
 		enc:         &encodedRows{},
-
-		MemoGroupsReused: res.OptGroupsReused,
 	}
-	s.met.memoReused.Add(int64(res.OptGroupsReused))
 	if res.Pilot != nil {
 		resp.StatsReused = res.Pilot.Reused
 		resp.PilotJobs = res.Pilot.Jobs
@@ -549,7 +543,6 @@ func (s *Server) Metrics() MetricsSnapshot {
 		StatsReusedLeaves: s.met.statsReused.Load(),
 		PilotJobs:         s.met.pilotJobs.Load(),
 		StatsStoreLeaves:  storeLeaves,
-		MemoGroupsReused:  s.met.memoReused.Load(),
 		P50Millis:         s.lat.percentile(0.50),
 		P95Millis:         s.lat.percentile(0.95),
 		P99Millis:         s.lat.percentile(0.99),

@@ -284,37 +284,3 @@ func TestMaxRowsTruncation(t *testing.T) {
 		t.Errorf("rows=%d truncated=%v, want 1/true", len(r.Rows), r.Truncated)
 	}
 }
-
-// TestMemoReuseIsSessionLocal: optimizer memo groups carry over only
-// between the DYNOPT rounds of one session, so a repeat execution
-// reuses exactly as many as the first.
-func TestMemoReuseIsSessionLocal(t *testing.T) {
-	s := newTestServer(t, nil)
-	ctx := context.Background()
-
-	// Q7 re-optimizes twice at this scale; the other queries finish in
-	// one round and have no second memo to carry groups into.
-
-	r1, err := s.query(ctx, Request{Query: "Q7"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.MemoGroupsReused == 0 {
-		t.Fatal("DYNOPT rounds reused no memo groups")
-	}
-	s.invalidate()
-	r2, err := s.query(ctx, Request{Query: "Q7"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2.MemoGroupsReused != r1.MemoGroupsReused {
-		t.Errorf("repeat reused %d groups, want the first run's %d",
-			r2.MemoGroupsReused, r1.MemoGroupsReused)
-	}
-	if got, want := rowsKey(t, r2.Rows), rowsKey(t, r1.Rows); got != want {
-		t.Fatalf("rows differ across runs:\n%s\nvs\n%s", got, want)
-	}
-	if m := s.Metrics(); m.MemoGroupsReused != int64(2*r1.MemoGroupsReused) {
-		t.Errorf("metrics memoGroupsReused = %d, want %d", m.MemoGroupsReused, 2*r1.MemoGroupsReused)
-	}
-}

@@ -337,8 +337,13 @@ func MergePartials(parts []*Partial) *Partial {
 // Columns share nothing: the result does not depend on how par runs them.
 func MergePartialsOn(parts []*Partial, par func(n int, fn func(i int))) *Partial {
 	out := &Partial{kmvSize: DefaultKMVSize, sealed: true}
-	var tails []int      // per output column, the summed tail lengths
-	var srcs [][]*colAcc // and every part's accumulator for it
+	// Per output column: the summed tail lengths, the non-empty runs
+	// and every part's accumulator for it.
+	type source struct {
+		tail, runs int
+		accs       []*colAcc
+	}
+	var srcs []source
 	for _, p := range parts {
 		if p == nil {
 			continue
@@ -358,18 +363,25 @@ func MergePartialsOn(parts []*Partial, par func(n int, fn func(i int))) *Partial
 					j = len(out.keys)
 					out.keys = append(out.keys, p.keys[i])
 					out.cols = append(out.cols, colAcc{})
-					tails = append(tails, 0)
-					srcs = append(srcs, make([]*colAcc, 0, len(parts)))
+					srcs = append(srcs, source{accs: make([]*colAcc, 0, len(parts))})
 				}
 			}
-			tails[j] += len(acc.tail)
-			srcs[j] = append(srcs[j], acc)
+			src := &srcs[j]
+			src.tail += len(acc.tail)
+			if len(acc.run) > 0 {
+				src.runs++
+			}
+			src.accs = append(src.accs, acc)
 		}
 	}
 	par(len(out.cols), func(j int) {
-		raw, runs, overflow := make([]uint64, 0, tails[j]), make([][]hashCount, 1, len(srcs[j])+1), false
-		for _, acc := range srcs[j] {
-			raw, runs, overflow = append(raw, acc.tail...), append(runs, acc.run), overflow || acc.overflow
+		src := &srcs[j]
+		raw, runs, overflow := make([]uint64, 0, src.tail), make([][]hashCount, 1, src.runs+1), false
+		for _, acc := range src.accs {
+			raw, overflow = append(raw, acc.tail...), overflow || acc.overflow
+			if len(acc.run) > 0 {
+				runs = append(runs, acc.run)
+			}
 		}
 		runs[0] = sortRun(raw, out.kmvSize)
 		out.cols[j].run, out.cols[j].overflow = mergeRuns(runs, overflow, out.kmvSize)
