@@ -261,9 +261,14 @@ func goldenDiff(want, got []byte) string {
 		if i < len(w) && i < len(g) && w[i] == g[i] {
 			continue
 		}
-		key := line(wk, i)
-		if i >= len(w) {
+		key := ""
+		if i < len(w) {
+			key = wk[i]
+		} else {
 			key = gk[i]
+		}
+		if key == "" {
+			key = "(top)"
 		}
 		if perKey[key] == 0 {
 			keys = append(keys, key)

@@ -63,8 +63,8 @@ func benchOptimize(b *testing.B, kind string, n int) {
 	}
 }
 
-// BenchmarkOptimizeChain12 enumerates a 12-relation chain, the smallest
-// graph the >=5x re-optimization acceptance bar applies to.
+// BenchmarkOptimizeChain12 enumerates a 12-relation chain — sparse, so
+// its splits are few and bounds prune little.
 func BenchmarkOptimizeChain12(b *testing.B) { benchOptimize(b, "chain", 12) }
 
 // BenchmarkOptimizeStar10 enumerates a 10-relation star — dense in

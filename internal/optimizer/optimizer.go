@@ -134,7 +134,7 @@ func Optimize(block *plan.JoinBlock, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return m.run()
+	return m.result(m.optimize(m.full(), math.Inf(1)))
 }
 
 func newMemoChecked(block *plan.JoinBlock, cfg Config) (*memo, error) {
@@ -147,11 +147,6 @@ func newMemoChecked(block *plan.JoinBlock, cfg Config) (*memo, error) {
 			n, maxRelations, errTooManyRelations)
 	}
 	return newMemo(block, cfg), nil
-}
-
-// run drives the top-down search and materializes the winning tree.
-func (m *memo) run() (*Result, error) {
-	return m.result(m.optimize(m.full(), math.Inf(1)))
 }
 
 // full is the mask of the whole block.

@@ -24,7 +24,7 @@ const SyntheticSlotMemory = 1 << 30
 // bounds have spread to prune against. n is capped only by the
 // optimizer's own maxRelations. The graph for a given (kind, n, seed)
 // is fixed: the allocation ceilings in BENCH_allocs_baseline.txt and
-// the groups-expanded table in EXPERIMENTS.md describe these graphs,
+// the expansion counts the optimizer's tests pin describe these graphs,
 // so the order of draws from the seeded source must not change.
 func SyntheticJoinBlock(kind string, n int, seed int64) (*plan.JoinBlock, error) {
 	if n < 2 {
