@@ -119,8 +119,6 @@ func main() {
 	}
 
 	opts := core.DefaultOptions()
-	opts.K = 256
-	opts.KMVSize = 512
 	opts.ProjectionPushdown = *pushdown
 	opts.DynamicJoin = *dynJoin
 	opts.Strategy = strat

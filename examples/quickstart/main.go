@@ -46,9 +46,7 @@ func main() {
 
 	// 3. The engine: pilot runs + cost-based join optimization +
 	// runtime re-optimization, as in the paper.
-	opts := core.DefaultOptions()
-	opts.K = 128
-	eng := core.NewEngine(env, cat, optimizer.DefaultConfig(float64(ccfg.SlotMemory)), opts)
+	eng := core.NewEngine(env, cat, optimizer.DefaultConfig(float64(ccfg.SlotMemory)), core.DefaultOptions())
 
 	res, err := eng.ExecuteSQL(`
 		SELECT u.country, count(*) AS clicks, avg(c.ms) AS avg_latency

@@ -58,9 +58,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	opts := core.DefaultOptions()
-	opts.K = 128
-	eng := core.NewEngine(env, cat, optimizer.DefaultConfig(float64(ccfg.SlotMemory)), opts)
+	eng := core.NewEngine(env, cat, optimizer.DefaultConfig(float64(ccfg.SlotMemory)), core.DefaultOptions())
 	res, err := eng.ExecuteSQL(q1)
 	if err != nil {
 		log.Fatal(err)

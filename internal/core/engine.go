@@ -24,10 +24,9 @@ import (
 
 // Options configure the dynamic optimizer.
 type Options struct {
-	// K is the pilot-run sample target (records per leaf expression);
-	// the paper uses 1024.
+	// K is the pilot-run sample target (records per leaf expression).
 	K int64
-	// KMVSize is the distinct-value synopsis size (paper: 1024).
+	// KMVSize is the distinct-value synopsis size.
 	KMVSize int
 	// PilotMode selects PILR_ST or PILR_MT.
 	PilotMode PilotMode
@@ -95,11 +94,12 @@ const (
 	jobRetries = 2
 )
 
-// DefaultOptions mirror the paper's configuration.
+// DefaultOptions mirror the paper's configuration, with its k and KMV
+// size of 1024 scaled to the generated data's row counts.
 func DefaultOptions() Options {
 	return Options{
-		K:                  1024,
-		KMVSize:            stats.DefaultKMVSize,
+		K:                  256,
+		KMVSize:            512,
 		PilotMode:          PilotMT,
 		Strategy:           Uncertain{N: 1},
 		Reoptimize:         true,
@@ -111,17 +111,23 @@ func DefaultOptions() Options {
 
 // Engine executes queries with dynamic optimization.
 type Engine struct {
-	Env      *mapreduce.Env
-	Catalog  *jaql.Catalog
-	Store    *stats.Store
-	Prepared jaql.Prepared
-	Opt      optimizer.Config
-	Options  Options
+	Env     *mapreduce.Env
+	Catalog *jaql.Catalog
+	Store   *stats.Store
+	Opt     optimizer.Config
+	Options Options
 
 	rng       *rand.Rand
 	queries   int
 	pruneLive map[string]map[string]bool // projection-pushdown live columns; nil = off
-	ctx       context.Context            // per-call cancellation, set by execute
+	ctx       context.Context            // per-call cancellation, checked between cluster phases
+
+	// The current query's scratch, dropped by dropScratch: its whole-input
+	// pilot outputs by leaf signature (§4.1), and the output name and
+	// submission of every job it submitted.
+	prepared jaql.Prepared
+	outputs  []string
+	subs     []*cluster.Submission
 }
 
 // NewEngine wires an engine over the given environment and catalog.
@@ -137,16 +143,15 @@ func NewEngine(env *mapreduce.Env, cat *jaql.Catalog, opt optimizer.Config, opts
 		opts.Strategy = Uncertain{N: 1}
 	}
 	if opts.K <= 0 {
-		opts.K = 1024
+		opts.K = DefaultOptions().K
 	}
 	return &Engine{
-		Env:      env,
-		Catalog:  cat,
-		Store:    stats.NewStore(),
-		Prepared: make(jaql.Prepared),
-		Opt:      opt,
-		Options:  opts,
-		rng:      rand.New(rand.NewSource(42)),
+		Env:     env,
+		Catalog: cat,
+		Store:   stats.NewStore(),
+		Opt:     opt,
+		Options: opts,
+		rng:     rand.New(rand.NewSource(42)),
 	}
 }
 
@@ -198,19 +203,11 @@ func (e *Engine) queryName() string {
 	return fmt.Sprintf("%sq%d", e.Options.Tag, e.queries)
 }
 
-// ctxErr reports the engine's per-call cancellation state. The engine
-// checks it between cluster phases; during event stepping a session
-// gate enforces the same context.
-func (e *Engine) ctxErr() error {
-	if e.ctx == nil {
-		return nil
-	}
-	return e.ctx.Err()
-}
-
 // RunPilots executes only the PILR phase for a query (used by the
 // Table 1 experiment, which measures pilot runs in isolation).
-func (e *Engine) RunPilots(q *sqlparse.Query) (*PilotReport, error) {
+func (e *Engine) RunPilots(q *sqlparse.Query) (_ *PilotReport, err error) {
+	defer func() { e.dropScratch(err) }()
+	e.ctx = context.Background()
 	name := e.queryName()
 	compiled, err := rewrite.Compile(q)
 	if err != nil {
@@ -242,7 +239,8 @@ func (e *Engine) ExecuteSQLContext(ctx context.Context, sql string) (*Result, er
 // execute runs a parsed query through pilot runs, cost-based
 // optimization, dynamic execution, and the post-join operators, under
 // ExecuteSQLContext's cancellation.
-func (e *Engine) execute(ctx context.Context, q *sqlparse.Query) (*Result, error) {
+func (e *Engine) execute(ctx context.Context, q *sqlparse.Query) (_ *Result, err error) {
+	defer func() { e.dropScratch(err) }()
 	e.ctx = ctx
 	name := e.queryName()
 	compiled, err := rewrite.Compile(q)
@@ -283,11 +281,34 @@ func (e *Engine) execute(ctx context.Context, q *sqlparse.Query) (*Result, error
 	}
 
 	// Post-join operators (grouping, ordering, projection).
-	if res.Rows, err = jaql.FinishQuery(e.Env, q, final, "tmp/"+name+"/final"); err != nil {
+	out := "tmp/" + name + "/final"
+	e.outputs = append(e.outputs, out)
+	if res.Rows, err = jaql.FinishQuery(e.Env, q, final, out); err != nil {
 		return nil, err
 	}
 	res.TotalSec = e.Env.Now() - start
 	return res, nil
+}
+
+// dropScratch ends the current query however it returned. A job still
+// open on failure or cancellation is canceled and drained, so it creates
+// no output later and is retired (freeing its retained shuffle on
+// proc); a predicate runs where submissions may be touched. Then every
+// output the query's jobs were given is removed, one Remove per name:
+// the rows are copied out and the statistics live in the store.
+func (e *Engine) dropScratch(err error) {
+	if err != nil {
+		_ = e.Env.RunUntil(func() bool {
+			for _, s := range e.subs {
+				s.Cancel(err)
+			}
+			return !slices.ContainsFunc(e.subs, func(s *cluster.Submission) bool { return !s.Done() })
+		})
+	}
+	for _, name := range e.outputs {
+		_ = e.Env.FS.Remove(name)
+	}
+	e.prepared, e.outputs, e.subs = nil, nil, nil
 }
 
 // memoHitOptSec is the constant virtual client time charged for a
@@ -315,7 +336,7 @@ func (e *Engine) runBlock(block *plan.JoinBlock, name string, res *Result) (*pla
 	executed := map[string]*plan.Rel{} // alias-set key → materialized rel
 	skipReopt := false
 	for iter := 1; ; iter++ {
-		if err := e.ctxErr(); err != nil {
+		if err := e.ctx.Err(); err != nil {
 			return nil, err
 		}
 		if len(block.Rels) == 1 && !block.Rels[0].IsBase() {
@@ -371,7 +392,7 @@ func (e *Engine) runBlock(block *plan.JoinBlock, name string, res *Result) (*pla
 		prevRoot = root
 
 		// Line 3: translate to MapReduce jobs.
-		graph, err := jaql.BuildGraph(root, e.Prepared, fmt.Sprintf("%s-i%d", name, iter))
+		graph, err := jaql.BuildGraph(root, e.prepared, fmt.Sprintf("%s-i%d", name, iter))
 		if err != nil {
 			return nil, err
 		}
@@ -504,7 +525,7 @@ func (e *Engine) drive(graph *jaql.Graph, admit func(ready []*jaql.Unit, open in
 	resubmits := map[*jaql.Unit]int{} // one key per submitted unit
 	var open []*jaql.Run
 	for {
-		if err := e.ctxErr(); err != nil {
+		if err := e.ctx.Err(); err != nil {
 			return err
 		}
 		var ready []*jaql.Unit
@@ -519,6 +540,7 @@ func (e *Engine) drive(graph *jaql.Graph, admit func(ready []*jaql.Unit, open in
 				return err
 			}
 			resubmits[u] = 0
+			e.outputs, e.subs = append(e.outputs, "tmp/"+u.Name), append(e.subs, run.Sub)
 			open = append(open, run)
 		}
 		if len(open) == 0 {
@@ -540,6 +562,7 @@ func (e *Engine) drive(graph *jaql.Graph, admit func(ready []*jaql.Unit, open in
 					return err
 				}
 				resubmits[r.Unit]++
+				e.subs = append(e.subs, fresh.Sub) // same output name
 				res.Warnings = append(res.Warnings, fmt.Sprintf(
 					"core: job %s lost to task failures; resubmitted from its materialized inputs", r.Unit.Name))
 				next = append(next, fresh)

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"dyno/internal/dfs"
 	"dyno/internal/optimizer"
 	"dyno/internal/plan"
 	"dyno/internal/stats"
@@ -146,20 +147,22 @@ func TestProjectionPushdownMatchesOracleAndShrinksOutput(t *testing.T) {
 		opts := smallOpts()
 		opts.ProjectionPushdown = push
 		e := f.engine(opts)
+		// Keep each materialized intermediate as it is created: the
+		// engine removes them when the query returns.
+		var files []*dfs.File
+		f.env.OnCreateFile = func(name string) {
+			if file, err := f.env.FS.Open(name); err == nil && strings.HasPrefix(name, "tmp/") {
+				files = append(files, file)
+			}
+		}
 		res, err := e.ExecuteSQL(sql)
 		if err != nil {
 			t.Fatal(err)
 		}
 		checkOracle(t, f, sql, res.Rows)
-		// Sum the materialized intermediate volumes.
-		var total int64
-		for _, name := range f.env.FS.List() {
-			if len(name) > 3 && name[:4] == "tmp/" {
-				file, _ := f.env.FS.Open(name)
-				total += file.Size()
-			}
+		for _, file := range files {
+			sizes[push] += file.Size()
 		}
-		sizes[push] = total
 	}
 	if sizes[true] >= sizes[false] {
 		t.Errorf("pushdown intermediates (%d) should be smaller than without (%d)",

@@ -282,10 +282,18 @@ func TestPilotMTFasterThanST(t *testing.T) {
 func TestWholeInputConsumedEnablesReuse(t *testing.T) {
 	// sentpositive keeps 1/5 of r; with K larger than the output the
 	// pilot consumes the whole input and the output is reused.
+	// The query's jobs run while the three outputs are prepared, and
+	// the query keeps them no longer than it runs.
 	f := newFixture()
 	opts := smallOpts()
 	opts.K = 100_000
 	e := f.engine(opts)
+	var prepared []int
+	f.env.OnCreateFile = func(name string) {
+		if strings.HasPrefix(name, "tmp/") {
+			prepared = append(prepared, len(e.prepared))
+		}
+	}
 	res, err := e.ExecuteSQL(threeWay)
 	if err != nil {
 		t.Fatal(err)
@@ -293,8 +301,11 @@ func TestWholeInputConsumedEnablesReuse(t *testing.T) {
 	if res.Pilot.Consumed != 3 {
 		t.Errorf("consumed = %d, want 3 (k exceeds all outputs)", res.Pilot.Consumed)
 	}
-	if len(e.Prepared) != 3 {
-		t.Errorf("prepared outputs = %d", len(e.Prepared))
+	if len(prepared) != res.Jobs || slices.ContainsFunc(prepared, func(n int) bool { return n != 3 }) {
+		t.Errorf("prepared outputs while the %d jobs ran: %v, want 3 each", res.Jobs, prepared)
+	}
+	if e.prepared != nil {
+		t.Errorf("prepared outputs after the query: %d, want none", len(e.prepared))
 	}
 	checkOracle(t, f, threeWay, res.Rows)
 }

@@ -10,6 +10,7 @@ import (
 	"dyno/internal/data"
 	"dyno/internal/dfs"
 	"dyno/internal/expr"
+	"dyno/internal/jaql"
 	"dyno/internal/mapreduce"
 	"dyno/internal/physop"
 	"dyno/internal/plan"
@@ -59,6 +60,7 @@ type PilotReport struct {
 func (e *Engine) pilotRuns(block *plan.JoinBlock, queryName string) (*PilotReport, error) {
 	report := &PilotReport{Mode: e.Options.PilotMode}
 	start := e.Env.Now()
+	e.prepared = jaql.Prepared{}
 
 	type pilotJob struct {
 		rel *plan.Rel
@@ -86,7 +88,7 @@ func (e *Engine) pilotRuns(block *plan.JoinBlock, queryName string) (*PilotRepor
 		// One leaf expression at a time (lines 4-8 of Algorithm 1,
 		// first implementation).
 		for _, pj := range jobs {
-			if err := e.ctxErr(); err != nil {
+			if err := e.ctx.Err(); err != nil {
 				return nil, err
 			}
 			run, err := e.submitPilot(pj.rel, queryName, block, nil)
@@ -144,7 +146,7 @@ func (e *Engine) pilotRuns(block *plan.JoinBlock, queryName string) (*PilotRepor
 			report.Consumed++
 			// §4.1: the filtered output is complete — reuse it as the
 			// materialized leaf during the real execution.
-			e.Prepared[pj.sig] = out
+			e.prepared[pj.sig] = out
 		}
 		// Client-side merge of the per-task statistics files.
 		e.Env.Advance(statsMergeTime)
@@ -206,6 +208,7 @@ func (e *Engine) submitPilot(rel *plan.Rel, queryName string, block *plan.JoinBl
 	if err != nil {
 		return nil, err
 	}
+	e.outputs, e.subs = append(e.outputs, spec.Output), append(e.subs, sub)
 	return &pilotRun{rel: rel, job: job, sub: sub}, nil
 }
 

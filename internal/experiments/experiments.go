@@ -92,14 +92,9 @@ type setup struct {
 
 // defaults is the setup every experiment starts from: the paper's
 // cluster, the optimizer's broadcast bound derived from that cluster's
-// slot memory, and a pilot sample target k (256) and KMV synopsis size
-// (512) scaled to the reduced row counts of the generated data (the
-// paper's k=1024 was chosen against billions of rows; what matters is
-// that the sample stays a small fraction of each table while large
-// enough for stable estimates).
+// slot memory, and the engine's default options.
 func defaults() setup {
 	s := setup{opts: core.DefaultOptions(), cluster: cluster.DefaultConfig()}
-	s.opts.K, s.opts.KMVSize = 256, 512
 	s.opt = optimizer.DefaultConfig(float64(s.cluster.SlotMemory))
 	return s
 }

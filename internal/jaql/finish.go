@@ -52,9 +52,6 @@ func FinishQuery(env *mapreduce.Env, q *sqlparse.Query, final *plan.Rel, outPath
 // runAggregateJob groups the join output and computes the aggregates
 // in a MapReduce job.
 func runAggregateJob(env *mapreduce.Env, q *sqlparse.Query, final *plan.Rel, outPath string) ([]data.Value, error) {
-	if outPath == "" {
-		outPath = "tmp/aggregate"
-	}
 	op := &physop.OpSpec{Kind: physop.Aggregate, GroupBy: q.GroupBy, Select: q.Select}
 	spec, err := op.Bind(mapreduce.Spec{Name: outPath, Output: outPath}, final.File)
 	if err != nil {

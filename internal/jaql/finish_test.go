@@ -37,7 +37,7 @@ func joinedRows(n int) []data.Value {
 func TestFinishQueryLimitZero(t *testing.T) {
 	env := testEnv()
 	q := sqlparse.MustParse("SELECT a.id FROM t a LIMIT 0")
-	rows, err := FinishQuery(env, q, finalRel(env, joinedRows(10)), "")
+	rows, err := FinishQuery(env, q, finalRel(env, joinedRows(10)), "tmp/final")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,14 +49,14 @@ func TestFinishQueryLimitZero(t *testing.T) {
 func TestFinishQueryAggregateOverEmpty(t *testing.T) {
 	env := testEnv()
 	q := sqlparse.MustParse("SELECT a.g, count(*) FROM t a GROUP BY a.g")
-	rows, err := FinishQuery(env, q, finalRel(env, nil), "")
+	rows, err := FinishQuery(env, q, finalRel(env, nil), "tmp/final")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 0 {
 		t.Errorf("aggregate over empty = %v", rows)
 	}
-	if _, err := env.FS.Open("tmp/aggregate"); err != nil {
+	if _, err := env.FS.Open("tmp/final"); err != nil {
 		t.Errorf("no grouping job output: %v", err)
 	}
 }
@@ -64,7 +64,7 @@ func TestFinishQueryAggregateOverEmpty(t *testing.T) {
 func TestFinishQueryAggregateDefaultOutPath(t *testing.T) {
 	env := testEnv()
 	q := sqlparse.MustParse("SELECT a.g, count(*) AS n FROM t a GROUP BY a.g")
-	rows, err := FinishQuery(env, q, finalRel(env, joinedRows(9)), "")
+	rows, err := FinishQuery(env, q, finalRel(env, joinedRows(9)), "tmp/final")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,9 +82,8 @@ type Env struct {
 	// default.
 	BytesPerReducer int64
 	// OnCreateFile, when non-nil, is called with the name of every
-	// output file a job creates (a query service tracks a session's
-	// scratch files with it). Jobs finish on any goroutine driving a
-	// shared simulator: it must be concurrency-safe and not block.
+	// output file a job creates, on whichever goroutine steps the
+	// simulator: it must be concurrency-safe and not block.
 	OnCreateFile func(name string)
 }
 

@@ -43,8 +43,6 @@ func TestIncrementalTPCHByteIdentical(t *testing.T) {
 		tpch.RegisterUDFs(reg, udf)
 		env := &mapreduce.Env{FS: fs, Sim: cluster.New(ccfg), Reg: reg}
 		opts := core.DefaultOptions()
-		opts.K = 256
-		opts.KMVSize = 512
 		opts.Planner = planner
 		res, err := core.NewEngine(env, cat, optimizer.DefaultConfig(float64(ccfg.SlotMemory)), opts).ExecuteSQL(sql)
 		if err != nil {

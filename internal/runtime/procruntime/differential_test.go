@@ -142,8 +142,6 @@ func runSQLErr(t *testing.T, rt runtime.Runtime, sql string, tw engineTweaks) (q
 	env := rt.NewEnv(reg)
 
 	opts := core.DefaultOptions()
-	opts.K = 256
-	opts.KMVSize = 512
 	opts.ProjectionPushdown = tw.pushdown
 	opts.DynamicJoin = tw.dynamicJoin
 	ccfg := env.ClusterConfig()

@@ -53,10 +53,8 @@ func TestReusedPilotBroadcastsBuildOnce(t *testing.T) {
 		t.Helper()
 		reg := expr.NewRegistry()
 		tpch.RegisterUDFs(reg, udf)
-		opts := core.DefaultOptions()
-		opts.K, opts.KMVSize = 256, 512
 		env := rt.NewEnv(reg)
-		eng, err := baselines.NewEngine(baselines.VariantDynOpt, env, cat, optimizer.DefaultConfig(float64(ccfg.SlotMemory)), opts)
+		eng, err := baselines.NewEngine(baselines.VariantDynOpt, env, cat, optimizer.DefaultConfig(float64(ccfg.SlotMemory)), core.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}

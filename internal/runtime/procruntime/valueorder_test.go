@@ -66,9 +66,7 @@ func runOrderQuery(t *testing.T, rt runtime.Runtime, sql string, repartition boo
 	env.BytesPerReducer = bytesPerReducer
 	optCfg := optimizer.DefaultConfig(float64(env.ClusterConfig().SlotMemory))
 	optCfg.DisableBroadcast = repartition
-	opts := core.DefaultOptions()
-	opts.K = 256
-	eng, err := baselines.NewEngine(baselines.VariantDynOpt, env, cat, optCfg, opts)
+	eng, err := baselines.NewEngine(baselines.VariantDynOpt, env, cat, optCfg, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

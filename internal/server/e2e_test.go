@@ -41,8 +41,6 @@ func referenceRows(t *testing.T, cfg Config, query, variant string) []data.Value
 	}
 	tpch.RegisterUDFs(env.Reg, tpch.DefaultUDFParams())
 	opts := core.DefaultOptions()
-	opts.K = 256
-	opts.KMVSize = 512
 	v, err := baselines.ParseVariant(variant)
 	if err != nil {
 		t.Fatal(err)

@@ -184,7 +184,7 @@ type Server struct {
 	start time.Time
 
 	// hookJobOutput, when non-nil, runs after each job output file is
-	// tracked, with the query's context. Tests use it to act at a
+	// created, with the query's context. Tests use it to act at a
 	// provably mid-execution moment.
 	hookJobOutput func(ctx context.Context)
 }
@@ -410,23 +410,14 @@ func serve(ctx context.Context, results *oncecache.Cache[string, *response], key
 // (untruncated) response prototype.
 func (s *Server) execute(ctx context.Context, sh *shard, sql string, variant baselines.Variant,
 	strat core.Strategy, store *stats.Store) (*response, error) {
-	tag := fmt.Sprintf("s%d-", s.seq.Add(1))
-	scratch := &scratchTracker{}
-	onCreate := scratch.add
-	if hook := s.hookJobOutput; hook != nil {
-		onCreate = func(name string) {
-			scratch.add(name)
-			hook(ctx)
-		}
-	}
 	env := sh.rt.NewEnv(s.reg)
 	env.Gate = &sessionGate{gate: sh.gate, ctx: ctx}
-	env.OnCreateFile = onCreate
+	if hook := s.hookJobOutput; hook != nil {
+		env.OnCreateFile = func(string) { hook(ctx) }
+	}
 
 	opts := core.DefaultOptions()
-	opts.K = 256
-	opts.KMVSize = 512
-	opts.Tag = tag
+	opts.Tag = fmt.Sprintf("s%d-", s.seq.Add(1))
 	opts.Strategy = strat
 	opts.ReuseStats = true
 	eng, err := baselines.NewEngine(variant, env, sh.cat, s.optCfg, opts)
@@ -438,10 +429,9 @@ func (s *Server) execute(ctx context.Context, sh *shard, sql string, variant bas
 	// skip their pilots.
 	eng.Store = store
 
-	res, execErr := eng.ExecuteSQLContext(ctx, sql)
-	sh.removeScratch(scratch, tag)
-	if execErr != nil {
-		return nil, execErr
+	res, err := eng.ExecuteSQLContext(ctx, sql)
+	if err != nil {
+		return nil, err
 	}
 
 	resp := &response{

@@ -242,7 +242,7 @@ func TestSessionScratchIsCleanedUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, sh := range s.shards {
-		for _, name := range sh.fs.List() {
+		for _, name := range sh.rt.FS().List() {
 			if strings.HasPrefix(name, "tmp/") || strings.HasPrefix(name, "pilot/") {
 				t.Errorf("scratch file %q survived the session", name)
 			}

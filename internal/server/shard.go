@@ -2,11 +2,9 @@ package server
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 
 	"dyno/internal/cluster"
-	"dyno/internal/dfs"
 	"dyno/internal/jaql"
 	"dyno/internal/oncecache"
 	"dyno/internal/runtime"
@@ -26,7 +24,6 @@ import (
 type shard struct {
 	id   int
 	rt   runtime.Runtime
-	fs   *dfs.FS
 	gate *simGate
 	cat  *jaql.Catalog
 
@@ -53,12 +50,11 @@ func newShard(id int, cfg Config, ccfg cluster.Config) (*shard, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: shard %d: runtime: %w", id, err)
 	}
-	fs := rt.FS()
-	cat, err := tpch.Generate(fs, tpch.Config{SF: cfg.SF, Scale: cfg.Scale, Seed: cfg.Seed})
+	cat, err := tpch.Generate(rt.FS(), tpch.Config{SF: cfg.SF, Scale: cfg.Scale, Seed: cfg.Seed})
 	if err != nil {
 		return nil, fmt.Errorf("server: shard %d: generate dataset: %w", id, err)
 	}
-	sh := &shard{id: id, rt: rt, fs: fs, gate: &simGate{sim: rt.Sim()}, cat: cat}
+	sh := &shard{id: id, rt: rt, gate: &simGate{sim: rt.Sim()}, cat: cat}
 	sh.invalidate(cfg.ResultCacheSize)
 	return sh, nil
 }
@@ -79,33 +75,4 @@ func (sh *shard) invalidate(resultCacheSize int) {
 	defer sh.mu.Unlock()
 	sh.store = stats.NewStore()
 	sh.results = oncecache.New[string, *response](int64(resultCacheSize))
-}
-
-// scratchTracker records the DFS output files a session's jobs create,
-// via mapreduce.Env.OnCreateFile, so cleanup removes exactly those
-// names and costs nothing per file the namespace holds. Jobs can finish
-// on any goroutine driving the shared simulator, hence the mutex.
-type scratchTracker struct {
-	mu    sync.Mutex
-	names []string
-}
-
-func (t *scratchTracker) add(name string) {
-	t.mu.Lock()
-	t.names = append(t.names, name)
-	t.mu.Unlock()
-}
-
-// removeScratch deletes the session's scratch DFS files (tmp/ and
-// pilot/ trees under its tag; result rows were already copied out).
-// Only names under the session's own prefixes are touched.
-func (sh *shard) removeScratch(t *scratchTracker, tag string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, name := range t.names {
-		if strings.HasPrefix(name, "tmp/"+tag) || strings.HasPrefix(name, "pilot/"+tag) {
-			_ = sh.fs.Remove(name)
-		}
-	}
-	t.names = nil
 }

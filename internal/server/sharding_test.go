@@ -179,7 +179,7 @@ func TestShardRoutingIsStableAndIsolated(t *testing.T) {
 	for i := 0; i < len(s.shards); i++ {
 		for j := i + 1; j < len(s.shards); j++ {
 			a, b := s.shards[i], s.shards[j]
-			if a.gate == b.gate || a.rt.Sim() == b.rt.Sim() || a.fs == b.fs || a.cat == b.cat ||
+			if a.gate == b.gate || a.rt.Sim() == b.rt.Sim() || a.rt.FS() == b.rt.FS() || a.cat == b.cat ||
 				a.results == b.results || a.store == b.store {
 				t.Fatalf("shards %d and %d share state", i, j)
 			}

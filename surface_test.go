@@ -56,11 +56,11 @@ var keptExports = map[string]string{
 	// Read by other packages' tests, which hold no handle that would
 	// make the read shorter.
 	"dyno/internal/cluster.Sim.Jobs":       "the jaql and core tests walk every job a query ran",
-	"dyno/internal/cluster.Sim.Quiesce":    "the server tests check that an idle shard holds no live job",
+	"dyno/internal/cluster.Sim.Quiesce":    "the server and procruntime tests check that an idle simulator holds no live job",
 	"dyno/internal/cluster.Submission.Job": "the core tests tell pilots from the query's own jobs by name",
 	"dyno/internal/cluster.Submission.Duration": "the mapreduce, physop and procruntime tests compare " +
 		"a job's virtual makespan",
-	"dyno/internal/dfs.FS.List": "the core and server tests list the namespace for leftover scratch files",
+	"dyno/internal/dfs.FS.List": "the server and procruntime tests list the namespace for leftover scratch files",
 }
 
 // keptWriteOnly are fields that no expression reads but that stay, as
@@ -85,6 +85,8 @@ var keptKnobs = map[string]string{
 	"dyno/internal/cluster.Config.TaskOverhead":     "simulated hardware, see above",
 	"dyno/internal/cluster.Config.WriteBps":         "simulated hardware, see above",
 
+	"dyno/internal/core.Options.KMVSize": "the core tests shrink the synopsis with the sample target; " +
+		"bench/ writes it (ROADMAP item 8(a))",
 	"dyno/internal/cluster.Config.FailInject": "the targeted failure hook core's recovery tests drive " +
 		"(pilot fallback, leaf resubmission, the resubmission cap)",
 	"dyno/internal/mapreduce.Env.BytesPerReducer": "tests spread small shuffles over several reduce tasks " +
