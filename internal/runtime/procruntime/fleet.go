@@ -191,10 +191,12 @@ type mirror struct {
 const hedgeWindow = 128
 
 // durRing holds the last hedgeWindow completed durations of one task
-// kind, in seconds.
+// kind, in seconds: in completion order, and sorted, so the median is
+// read, not computed.
 type durRing struct {
-	buf [hedgeWindow]float64
-	n   int // completions recorded so far
+	buf    [hedgeWindow]float64
+	sorted []float64
+	n      int // completions recorded so far
 }
 
 // NewFleet starts the controller listener and returns the fleet.
@@ -523,7 +525,13 @@ func (f *Fleet) noteSuccess(w *workerState, kind string, d time.Duration) {
 		r = &durRing{}
 		f.durations[kind] = r
 	}
+	if r.n >= hedgeWindow { // the oldest leaves the window
+		at, _ := slices.BinarySearch(r.sorted, r.buf[r.n%hedgeWindow])
+		r.sorted = slices.Delete(r.sorted, at, at+1)
+	}
 	r.buf[r.n%hedgeWindow] = d.Seconds()
+	at, _ := slices.BinarySearch(r.sorted, d.Seconds())
+	r.sorted = slices.Insert(r.sorted, at, d.Seconds())
 	r.n++
 	f.durMu.Unlock()
 }
@@ -541,20 +549,13 @@ func (f *Fleet) noteFailure(w *workerState) {
 // hedgeDelay is the straggler threshold for a task kind: a multiple of
 // the median of its recent completed durations, floored at HedgeMin.
 func (f *Fleet) hedgeDelay(kind string) time.Duration {
-	var recent [hedgeWindow]float64
-	n := 0
 	f.durMu.Lock()
-	if r := f.durations[kind]; r != nil {
-		n = min(r.n, hedgeWindow)
-		recent = r.buf
-	}
-	f.durMu.Unlock()
-	if n == 0 {
+	defer f.durMu.Unlock()
+	r := f.durations[kind]
+	if r == nil {
 		return f.cfg.HedgeMin
 	}
-	ds := recent[:n]
-	slices.Sort(ds)
-	return max(time.Duration(hedgeFactor*ds[n/2]*float64(time.Second)), f.cfg.HedgeMin)
+	return max(time.Duration(hedgeFactor*r.sorted[len(r.sorted)/2]*float64(time.Second)), f.cfg.HedgeMin)
 }
 
 // taskFailedError is a deterministic task failure: the worker ran the

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"math/rand"
 	"net/http"
 	"path/filepath"
 	"reflect"
@@ -291,10 +292,39 @@ func TestHedgeHistoryIsBounded(t *testing.T) {
 	if got := f.hedgeDelay("reduce"); got != time.Millisecond {
 		t.Fatalf("hedgeDelay of an unseen kind = %v, want HedgeMin", got)
 	}
-	// The per-dispatch cost is a fixed-size copy and sort: nothing
+	// The per-dispatch cost is a read of the sorted window: nothing
 	// proportional to history, nothing on the heap.
 	if allocs := testing.AllocsPerRun(100, func() { f.hedgeDelay("map") }); allocs != 0 {
 		t.Fatalf("hedgeDelay allocates %.0f times per call after 100k completions, want 0", allocs)
+	}
+}
+
+// TestHedgeDelayIsTheSortedMedian: the window kept sorted as durations
+// complete gives, after every completion of either kind, the median a
+// sort of the kind's last hedgeWindow durations gives, before and well
+// after the window first wraps, with durations that repeat.
+func TestHedgeDelayIsTheSortedMedian(t *testing.T) {
+	f := newBareFleet(t, Config{HedgeMin: time.Nanosecond})
+	rng := rand.New(rand.NewSource(1))
+	w := &workerState{}
+	history := map[string][]time.Duration{}
+	for i := 0; i < 5*hedgeWindow; i++ {
+		kind := []string{"map", "reduce"}[rng.Intn(4)/3] // three maps to a reduce
+		d := time.Duration(1+rng.Intn(40)) * time.Millisecond
+		if rng.Intn(2) == 0 {
+			d = time.Duration(rng.Int63n(int64(time.Second)))
+		}
+		f.noteSuccess(w, kind, d)
+		history[kind] = append(history[kind], d)
+		recent := slices.Clone(history[kind][max(0, len(history[kind])-hedgeWindow):])
+		slices.Sort(recent)
+		want := time.Duration(hedgeFactor * recent[len(recent)/2].Seconds() * float64(time.Second))
+		if got := f.hedgeDelay(kind); got != max(want, time.Nanosecond) {
+			t.Fatalf("%s hedge delay %v after %d completions, want %v", kind, got, len(history[kind]), want)
+		}
+	}
+	if n := len(history["reduce"]); n <= hedgeWindow {
+		t.Fatalf("reduce window never wrapped (%d completions)", n)
 	}
 }
 
