@@ -680,13 +680,13 @@ func TestServedAndRecoveredSegmentsAreTheWindow(t *testing.T) {
 	for n, op := range ops {
 		id := fmt.Sprintf("s%d", n)
 		task := &wire.Task{Task: id + "-m0", Kind: "map", Op: op, Block: block, NumReducers: reducers, ShuffleID: id, ByteScale: 1}
-		res := w.runTask(task)
+		res := w.runOne(task)
 		if res.Err != "" || len(res.Parts) != reducers {
 			t.Fatalf("%s: %q, %d digests", op.Kind, res.Err, len(res.Parts))
 		}
 		rerun := *task
 		rerun.ShuffleID = id + "-rerun"
-		if again := w.runTask(&rerun); again.Err != "" || !reflect.DeepEqual(again.Parts, res.Parts) {
+		if again := w.runOne(&rerun); again.Err != "" || !reflect.DeepEqual(again.Parts, res.Parts) {
 			t.Fatalf("%s: re-run under a fresh id: %q, digests %v, want %v", op.Kind, again.Err, again.Parts, res.Parts)
 		}
 		out, _ := w.shuffles.Peek(id)
@@ -739,7 +739,7 @@ func TestRetainedDigestsAreSimArithmetic(t *testing.T) {
 	}
 	for n, op := range ops {
 		id := fmt.Sprintf("d%d", n)
-		res := w.runTask(&wire.Task{Task: id + "-m0", Kind: "map", Op: op, Block: block, NumReducers: reducers, ShuffleID: id, ByteScale: scale})
+		res := w.runOne(&wire.Task{Task: id + "-m0", Kind: "map", Op: op, Block: block, NumReducers: reducers, ShuffleID: id, ByteScale: scale})
 		if res.Err != "" || len(res.Parts) != reducers {
 			t.Fatalf("%s: %q, %d digests", op.Kind, res.Err, len(res.Parts))
 		}

@@ -353,7 +353,7 @@ func BenchmarkViewBuildHit(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res := w.runTask(&wire.Task{Task: "join-m0", Kind: "map", Op: chain, Block: probes[0], Builds: []wire.BuildRef{ref}}); res.Err != "" || len(res.Rows) != 128 {
+		if res := w.runOne(&wire.Task{Task: "join-m0", Kind: "map", Op: chain, Block: probes[0], Builds: []wire.BuildRef{ref}}); res.Err != "" || len(res.Rows) != 128 {
 			b.Fatalf("join: err=%q rows=%d, want 128", res.Err, len(res.Rows))
 		}
 	}

@@ -14,6 +14,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"dyno/internal/data"
 	"dyno/internal/dfs"
@@ -103,7 +104,7 @@ func NewWorker(reg *expr.Registry) *Worker {
 // acknowledged (cmd/dynoworker exits from it).
 func (w *Worker) OnDrain(fn func()) { w.drainNotify = fn }
 
-// Handler returns the worker's HTTP surface: /tasks (batched DYT1
+// Handler returns the worker's HTTP surface: /tasks (batched DYT2
 // frames in, DYR2 frames out), /shuffle (a peer's DYF1 request in, one
 // DYS2 frame of the segments it names out), and the JSON control plane:
 // /shuffle/gc, /status, /healthz, and /drain.
@@ -190,9 +191,7 @@ func (w *Worker) handleStatus(rw http.ResponseWriter, r *http.Request) {
 }
 
 // handleTaskBatch serves one frame of tasks — a worker's share of a
-// dispatch wave — on up to GOMAXPROCS goroutines, answering in request
-// order. Tasks fail independently: a deterministic operator error lands
-// in that task's slot while its frame-mates complete normally.
+// dispatch wave — answering in request order.
 func (w *Worker) handleTaskBatch(rw http.ResponseWriter, r *http.Request) {
 	if r.Header.Get("Content-Type") != wire.ContentTypeBinary {
 		http.Error(rw, "task batches must be "+wire.ContentTypeBinary, http.StatusUnsupportedMediaType)
@@ -207,6 +206,27 @@ func (w *Worker) handleTaskBatch(rw http.ResponseWriter, r *http.Request) {
 		http.Error(rw, "bad batch: "+err.Error(), http.StatusBadRequest)
 		return
 	}
+	frame := wire.EncodeResultBatch(w.runTasks(tasks))
+	defer frame.Close()
+	rw.Header().Set("Content-Type", wire.ContentTypeBinary)
+	rw.Header().Set("Content-Length", strconv.Itoa(len(frame.Bytes())))
+	rw.Write(frame.Bytes())
+}
+
+// runTasks runs one frame's tasks on up to GOMAXPROCS goroutines and
+// returns their results in request order. Tasks fail independently: a
+// deterministic operator error lands in that task's slot while its
+// frame-mates complete normally.
+func (w *Worker) runTasks(tasks []*wire.Task) []*wire.TaskResult {
+	jobs := map[jobKey]*frameJob{}
+	shared := make([]*frameJob, len(tasks))
+	for i, t := range tasks {
+		key := jobKey{t.Op, t.InputIdx, unsafe.SliceData(t.Builds), len(t.Builds)}
+		if jobs[key] == nil {
+			jobs[key] = &frameJob{first: t}
+		}
+		shared[i] = jobs[key]
+	}
 	results := make([]*wire.TaskResult, len(tasks))
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -215,23 +235,61 @@ func (w *Worker) handleTaskBatch(rw http.ResponseWriter, r *http.Request) {
 		go func() {
 			defer wg.Done()
 			for i := int(next.Add(1)) - 1; i < len(tasks); i = int(next.Add(1)) - 1 {
-				results[i] = w.runTask(tasks[i])
+				results[i] = w.runTask(tasks[i], shared[i])
 			}
 		}()
 	}
 	wg.Wait()
-	frame := wire.EncodeResultBatch(results)
-	defer frame.Close()
-	rw.Header().Set("Content-Type", wire.ContentTypeBinary)
-	rw.Header().Set("Content-Length", strconv.Itoa(len(frame.Bytes())))
-	rw.Write(frame.Bytes())
+	return results
+}
+
+// jobKey is what the tasks of one job in a frame share: their op, their
+// input and their build list (the decoder hands every task naming one
+// entry the same pointer).
+type jobKey struct {
+	op     *physop.OpSpec
+	input  int
+	builds *wire.BuildRef
+	n      int
+}
+
+// frameJob is what a frame's tasks of one job make once: the kernels,
+// compiled against the first task's block as the in-process runtime
+// compiles one kernel per job (binding never changes results), and the
+// build list's tables. The first task that needs them makes them.
+type frameJob struct {
+	first  *wire.Task
+	once   sync.Once
+	k      physop.Kernels
+	builds map[string]*mapreduce.HashTable
+	err    error
+}
+
+func (j *frameJob) prepare(w *Worker) (physop.Kernels, map[string]*mapreduce.HashTable, error) {
+	j.once.Do(func() {
+		j.err = fmt.Errorf("task %s panicked compiling its op", j.first.Task) // what frame-mates see if it does
+		j.builds = make(map[string]*mapreduce.HashTable, len(j.first.Builds))
+		for _, ref := range j.first.Builds {
+			var err error
+			if j.builds[ref.Name], err = w.table(ref); err != nil {
+				j.err = err
+				return
+			}
+		}
+		var sample data.Value
+		if blk, err := w.block(j.first.Block); err == nil && blk.NumRecords() > 0 {
+			sample = blk.Records()[0]
+		}
+		j.k, j.err = physop.Compile(j.first.Op, j.first.InputIdx, sample)
+	})
+	return j.k, j.builds, j.err
 }
 
 // runTask executes one task. Operator and decode errors, panics
 // included, come back in the result body: deterministic failures the
 // controller must not retry elsewhere, striking each worker toward the
 // blacklist. Transport-level errors never originate here.
-func (w *Worker) runTask(task *wire.Task) (res *wire.TaskResult) {
+func (w *Worker) runTask(task *wire.Task, job *frameJob) (res *wire.TaskResult) {
 	defer func() {
 		if r := recover(); r != nil {
 			res = &wire.TaskResult{Err: fmt.Sprintf("task %s panicked: %v", task.Task, r)}
@@ -243,9 +301,9 @@ func (w *Worker) runTask(task *wire.Task) (res *wire.TaskResult) {
 	var err error
 	switch task.Kind {
 	case "map":
-		res, err = w.runMap(task)
+		res, err = w.runMap(task, job)
 	case "reduce":
-		res, err = w.runReduce(task)
+		res, err = w.runReduce(task, job)
 	default:
 		err = fmt.Errorf("unknown task kind %q", task.Kind)
 	}
@@ -255,31 +313,21 @@ func (w *Worker) runTask(task *wire.Task) (res *wire.TaskResult) {
 	return res
 }
 
-// runMap compiles the task's operator against the block's first
-// record and runs the engine's map task body over the block.
-func (w *Worker) runMap(task *wire.Task) (*wire.TaskResult, error) {
+// runMap runs the engine's map task body over the task's block with
+// its job's kernels and tables.
+func (w *Worker) runMap(task *wire.Task, job *frameJob) (*wire.TaskResult, error) {
 	blk, err := w.block(task.Block)
 	if err != nil {
 		return nil, err
 	}
-	builds := make(map[string]*mapreduce.HashTable, len(task.Builds))
-	for _, ref := range task.Builds {
-		if builds[ref.Name], err = w.table(ref); err != nil {
-			return nil, err
-		}
+	k, builds, err := job.prepare(w)
+	if err != nil {
+		return nil, err
 	}
 	for _, st := range task.Op.Steps {
 		if builds[st.Build] == nil {
 			return nil, fmt.Errorf("chain step references unknown build %q", st.Build)
 		}
-	}
-	var sample data.Value
-	if blk.NumRecords() > 0 {
-		sample = blk.Records()[0]
-	}
-	k, err := physop.Compile(task.Op, task.InputIdx, sample)
-	if err != nil {
-		return nil, err
 	}
 	// A shuffle op (one with a reducer) comes with its reducer count and
 	// the id its output is retained under: the pairs never travel back.
@@ -385,8 +433,8 @@ func (w *Worker) fetchShuffle(task *wire.Task, idx []int, segs [][]wire.KV, res 
 
 // runReduce gathers the reduce input and runs the engine's own reduce
 // task body over it, which sorts it.
-func (w *Worker) runReduce(task *wire.Task) (*wire.TaskResult, error) {
-	k, err := physop.Compile(task.Op, 0, data.Null())
+func (w *Worker) runReduce(task *wire.Task, job *frameJob) (*wire.TaskResult, error) {
+	k, _, err := job.prepare(w)
 	if err != nil {
 		return nil, err
 	}

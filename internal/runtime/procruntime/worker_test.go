@@ -43,7 +43,7 @@ func TestWorkerChargesPerRowFilterEveryTask(t *testing.T) {
 	block := mirrorBlocks(t, recs)[0]
 	scan := func(filter expr.Expr) *wire.TaskResult {
 		t.Helper()
-		res := w.runTask(&wire.Task{Task: "t-m0", Kind: "map", Block: block,
+		res := w.runOne(&wire.Task{Task: "t-m0", Kind: "map", Block: block,
 			Op: &physop.OpSpec{Kind: physop.Scan, Source: &physop.Source{Wrap: "t", Filter: filter}}})
 		if res.Err != "" {
 			t.Fatal(res.Err)
@@ -93,6 +93,11 @@ func mirrorBlocks(t testing.TB, blocks ...[]data.Value) []wire.BlockRef {
 	return refs
 }
 
+// runOne runs task as a frame of its own.
+func (w *Worker) runOne(task *wire.Task) *wire.TaskResult {
+	return w.runTasks([]*wire.Task{task})[0]
+}
+
 // positions returns the selection 0, 1, ..., n-1.
 func positions(n int) []int32 {
 	sel := make([]int32, n)
@@ -140,7 +145,7 @@ func TestBroadcastTableBuiltOncePerWorker(t *testing.T) {
 	serial := NewWorker(expr.NewRegistry())
 	want := make([][]string, probes)
 	for i, task := range tasks {
-		res := serial.runTask(task)
+		res := serial.runOne(task)
 		if res.Err != "" {
 			t.Fatal(res.Err)
 		}
@@ -156,7 +161,7 @@ func TestBroadcastTableBuiltOncePerWorker(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got[i] = w.runTask(task)
+			got[i] = w.runOne(task)
 		}()
 	}
 	wg.Wait()
@@ -175,6 +180,105 @@ func TestBroadcastTableBuiltOncePerWorker(t *testing.T) {
 	// build-side block by the one table build.
 	if _, _, _, misses, _ := w.blocks.Stats(); misses != probes+buildBlocks {
 		t.Errorf("block misses = %d, want %d (one decode per block)", misses, probes+buildBlocks)
+	}
+}
+
+// TestFrameCompilesAndResolvesOncePerJob: a frame of n map tasks of one
+// 3-step chain job, beside n scan tasks of another, resolves the
+// chain's three tables once — the worker's table lookups grow by 3, not
+// 3n — and answers each task with the rows and positions, byte for
+// byte, that n one-task frames get from a fresh worker.
+func TestFrameCompilesAndResolvesOncePerJob(t *testing.T) {
+	const n = 6
+	obj := func(fields ...data.Field) data.Value { return data.Object(fields...) }
+	num := func(name string, v int) data.Field { return data.Field{Name: name, Value: data.Int(int64(v))} }
+	sides := make([][]data.Value, 3)
+	for i := range 40 {
+		sides[0] = append(sides[0], obj(num("k", i), num("a", 2*i)))
+		if i%2 == 0 {
+			sides[1] = append(sides[1], obj(num("k", i), num("b", 3*i)))
+		}
+		if i < 5 {
+			sides[2] = append(sides[2], obj(num("v", i), num("c", -i)))
+		}
+	}
+	probes := make([][]data.Value, n)
+	for i := range probes {
+		for r := range 20 {
+			probes[i] = append(probes[i], obj(num("k", (i*7+r)%40), num("v", r%7)))
+		}
+	}
+	probeRefs, sideRefs := mirrorBlocks(t, probes...), mirrorBlocks(t, sides...)
+	path := data.MustParsePath
+	chain := &physop.OpSpec{Kind: physop.Chain, Source: &physop.Source{Wrap: "t"}, Steps: []physop.ChainStep{
+		{Build: "b0", Keys: []data.Path{path("t.k")}},
+		{Build: "b1", Keys: []data.Path{path("t.k")}},
+		{Build: "b2", Keys: []data.Path{path("t.v")}},
+	}}
+	scan := &physop.OpSpec{Kind: physop.Scan, Source: &physop.Source{Wrap: "t",
+		Filter: &expr.Cmp{Op: expr.LT, L: expr.NewCol("t.v"), R: expr.NewLit(data.Int(4))}}}
+	var tasks []*wire.Task
+	for i := range n {
+		builds := make([]wire.BuildRef, 3) // each task's own list, as the executor builds it
+		for b, key := range []string{"b.k", "c.k", "d.v"} {
+			builds[b] = wire.BuildRef{Name: fmt.Sprint("b", b), Wrap: key[:1], Keys: []data.Path{path(key)}, Blocks: sideRefs[b : b+1]}
+		}
+		tasks = append(tasks,
+			&wire.Task{Task: fmt.Sprintf("j-m%d", i), Kind: "map", Op: chain, Block: probeRefs[i], Builds: builds},
+			&wire.Task{Task: fmt.Sprintf("s-m%d", i), Kind: "map", Op: scan, Block: probeRefs[i]})
+	}
+	post := func(url string, tasks []*wire.Task) []*wire.TaskResult {
+		t.Helper()
+		frame, err := wire.EncodeTaskBatch(tasks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer frame.Close()
+		resp, err := http.Post(url+"/tasks", wire.ContentTypeBinary, bytes.NewReader(frame.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := wire.ReadBody(resp.Body, resp.ContentLength)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results, err := wire.DecodeResultBatch(body)
+		if err != nil || len(results) != len(tasks) {
+			t.Fatalf("%d results for %d tasks, err %v: %s", len(results), len(tasks), err, body)
+		}
+		return results
+	}
+	lookups := func(url string) int64 { st := workerStatus(t, url); return st.TableHits + st.TableMisses }
+
+	alone := httptest.NewServer(NewWorker(expr.NewRegistry()).Handler())
+	defer alone.Close()
+	var want []*wire.TaskResult
+	for _, task := range tasks {
+		want = append(want, post(alone.URL, []*wire.Task{task})...)
+	}
+	if got := lookups(alone.URL); got != 3*n {
+		t.Fatalf("one-task frames looked tables up %d times, want %d", got, 3*n)
+	}
+	framed := httptest.NewServer(NewWorker(expr.NewRegistry()).Handler())
+	defer framed.Close()
+	got := post(framed.URL, tasks)
+	if l := lookups(framed.URL); l != 3 {
+		t.Errorf("one frame looked tables up %d times, want 3 (once per build of its one chain job)", l)
+	}
+	for i := range tasks {
+		if got[i].Err != "" || want[i].Err != "" {
+			t.Fatalf("task %s: %q / %q", tasks[i].Task, got[i].Err, want[i].Err)
+		}
+		a, b := wire.EncodeResultBatch(got[i:i+1]), wire.EncodeResultBatch(want[i:i+1])
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Errorf("task %s answers differently in one frame than alone", tasks[i].Task)
+		}
+		a.Close()
+		b.Close()
+	}
+	if len(got[0].Rows) == 0 || len(got[1].Sel) == 0 || len(got[1].Sel) == len(probes[0]) {
+		t.Errorf("the chain joined %d rows and the scan kept %d positions: the probes test nothing", len(got[0].Rows), len(got[1].Sel))
 	}
 }
 
@@ -198,7 +302,7 @@ func TestTableKeyHasNoStepName(t *testing.T) {
 		ref := wire.BuildRef{Name: name, Wrap: "b", Keys: []data.Path{data.MustParsePath("b.k")}, Blocks: builds}
 		op := &physop.OpSpec{Kind: physop.Chain, Source: &physop.Source{Wrap: "t"},
 			Steps: []physop.ChainStep{{Build: name, Keys: []data.Path{data.MustParsePath("t.k")}}}}
-		res := w.runTask(&wire.Task{Task: "t-m0", Kind: "map", Op: op, Block: probes[0], Builds: []wire.BuildRef{ref}})
+		res := w.runOne(&wire.Task{Task: "t-m0", Kind: "map", Op: op, Block: probes[0], Builds: []wire.BuildRef{ref}})
 		if res.Err != "" {
 			t.Fatalf("step %s: %s", name, res.Err)
 		}
@@ -228,7 +332,7 @@ func TestGCDropsDeadMirrorFiles(t *testing.T) {
 			{Build: "dead", Keys: []data.Path{data.MustParsePath("t.k")}},
 		}}}
 	w := NewWorker(expr.NewRegistry())
-	if res := w.runTask(task); res.Err != "" || len(res.Rows) != 1 {
+	if res := w.runOne(task); res.Err != "" || len(res.Rows) != 1 {
 		t.Fatalf("probe: err=%q rows=%d", res.Err, len(res.Rows))
 	}
 	_, liveCost, _, _, _ := w.blocks.Stats()
@@ -247,7 +351,7 @@ func TestGCDropsDeadMirrorFiles(t *testing.T) {
 		t.Errorf("%d tables (cost %d) cached after the GC, want 1", n, cost)
 	}
 	// The live entries still hit; a dropped one is rebuilt if asked for.
-	if res := w.runTask(task); res.Err != "" || len(res.Rows) != 1 {
+	if res := w.runOne(task); res.Err != "" || len(res.Rows) != 1 {
 		t.Fatalf("probe after gc: err=%q rows=%d", res.Err, len(res.Rows))
 	}
 	if _, _, _, misses, _ := w.tables.Stats(); misses != 3 {

@@ -115,3 +115,29 @@ func BenchmarkScanAnswer(b *testing.B) {
 		scanAnswerSink = rows
 	}
 }
+
+// One op = a 10-task frame of one 3-step broadcast chain job encoded
+// and decoded, the way a wave's frame reaches a worker. It runs on one P
+// with the collector off, like EncodeBlock, so the pooled encoder and
+// decoder are never lost between ops.
+func BenchmarkTaskFrame(b *testing.B) {
+	tasks := chainTasks(10)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	roundTrip := func() {
+		f, err := EncodeTaskBatch(tasks)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := DecodeTaskBatch(f.Bytes()); err != nil {
+			b.Fatal(err)
+		}
+		f.Close()
+	}
+	roundTrip()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		roundTrip()
+	}
+}

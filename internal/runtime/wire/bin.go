@@ -37,15 +37,25 @@ type benc struct {
 	// batch's keys and records); writeColumn pops and clears what it
 	// pushes, so it is empty between frames.
 	stack []data.Value
+	// err is the first value the encoder could not write (see fail).
+	err error
 }
 
 var bencPool = sync.Pool{New: func() any { return &benc{dict: make(map[string]uint64)} }}
 
 func newBenc() *benc {
 	e := bencPool.Get().(*benc)
-	e.buf = e.buf[:0]
+	e.buf, e.err = e.buf[:0], nil
 	clear(e.dict)
 	return e
+}
+
+// fail records the first error of a frame; what follows it is written
+// but never sent.
+func (e *benc) fail(err error) {
+	if e.err == nil {
+		e.err = err
+	}
 }
 
 // release returns the encoder to the pool. The caller must be done
@@ -96,13 +106,15 @@ type bdec struct {
 	dict []string
 	// cells is what is left of the frame's allocation budget (charge).
 	cells uint64
+	// err is the first error of a reader that uses get.
+	err error
 }
 
 var bdecPool = sync.Pool{New: func() any { return &bdec{} }}
 
 func newBdec(b []byte) *bdec {
 	d := bdecPool.Get().(*bdec)
-	d.buf, d.pos, d.dict, d.cells = b, 0, d.dict[:0], 8*uint64(len(b))
+	d.buf, d.pos, d.dict, d.cells, d.err = b, 0, d.dict[:0], 8*uint64(len(b)), nil
 	return d
 }
 

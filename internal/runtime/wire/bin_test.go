@@ -461,6 +461,78 @@ func TestBinTaskBatchRoundTrip(t *testing.T) {
 	}
 }
 
+// chainTasks is n map tasks of one 3-step broadcast chain job as the
+// executor builds them: one op, and a build list of each task's own,
+// equal by value to every other task's (its filter and keys shared,
+// its block list built anew, as for a view's base).
+func chainTasks(n int) []*Task {
+	keys := func(p string) []data.Path { return []data.Path{data.MustParsePath(p)} }
+	op := &physop.OpSpec{Kind: physop.Chain,
+		Source: &physop.Source{Wrap: "l", Filter: &expr.Cmp{Op: expr.LE, L: expr.NewCol("l.l_quantity"), R: expr.NewLit(data.Int(24))}},
+		Steps: []physop.ChainStep{
+			{Build: "part", Keys: keys("l.l_partkey")},
+			{Build: "supplier", Keys: keys("l.l_suppkey")},
+			{Build: "orders", Keys: keys("l.l_orderkey")},
+		}}
+	filter := &expr.Call{Name: "q9_keep_part", Args: []expr.Expr{expr.NewCol("p.p_name")}}
+	buildKeys := [][]data.Path{keys("p.p_partkey"), keys("s.s_suppkey"), keys("o.o_orderkey")}
+	tasks := make([]*Task, n)
+	for i := range tasks {
+		builds := make([]BuildRef, len(op.Steps))
+		for b := range builds {
+			blocks := make([]BlockRef, 4)
+			for k := range blocks {
+				blocks[k] = BlockRef{File: "/spill/f00000" + string(rune('2'+b)) + ".mir", Off: int64(k) << 16, Len: 1 << 16}
+			}
+			builds[b] = BuildRef{Name: op.Steps[b].Build, Wrap: buildKeys[b][0].Head(), Keys: buildKeys[b], Blocks: blocks}
+		}
+		builds[0].Filter = filter
+		tasks[i] = &Task{Task: "j-m" + string(rune('0'+i%10)), Kind: "map", Op: op,
+			Block: BlockRef{File: "/spill/f000001.mir", Off: int64(i) << 20, Len: 1 << 20}, Builds: builds}
+	}
+	return tasks
+}
+
+// TestBinTaskBatchSharesTables: a frame of one job's tasks carries its
+// op and its build list once, and every decoded task gets the same
+// *OpSpec and []BuildRef; a task of another op, or with a build list
+// equal to none before it, gets entries of its own.
+func TestBinTaskBatchSharesTables(t *testing.T) {
+	tasks := chainTasks(10)
+	other := *tasks[0]
+	other.Op = &physop.OpSpec{Kind: physop.Scan}
+	other.Builds = slices.Clone(other.Builds)
+	other.Builds[2].Filter = expr.NewLit(data.Bool(true))
+	tasks = append(tasks, &other)
+	frame, err := EncodeTaskBatch(tasks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer frame.Close()
+	one, err := EncodeTaskBatch(tasks[:1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer one.Close()
+	// A second task costs its name, span and indexes, not its op again.
+	if per := (len(frame.Bytes()) - len(one.Bytes())) / (len(tasks) - 1); per*3 > len(one.Bytes()) {
+		t.Errorf("%d-task frame is %d bytes, one task alone %d: %d per further task", len(tasks), len(frame.Bytes()), len(one.Bytes()), per)
+	}
+	got, err := DecodeTaskBatch(frame.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := len(got) - 1
+	for i, task := range got[:last] {
+		if task.Op != got[0].Op || &task.Builds[0] != &got[0].Builds[0] {
+			t.Fatalf("task %d decoded an op or build list of its own", i)
+		}
+	}
+	if got[last].Op == got[0].Op || &got[last].Builds[0] == &got[0].Builds[0] {
+		t.Error("a task of another op and build list shares the job's entries")
+	}
+}
+
 // sampleSels are the selections a result frame must carry exactly: one
 // position, a dense split (a byte per position), and a sparse list up
 // to the largest position there is.
@@ -562,6 +634,31 @@ func TestBinTaskBatchRejectsOutOfRange(t *testing.T) {
 		}
 		frame.Close()
 	}
+	for name, frame := range tableIndexFrames() {
+		if _, err := DecodeTaskBatch(frame); err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("%s: decode error = %v, want an out-of-range refusal", name, err)
+		}
+	}
+}
+
+// tableIndexFrames are frames of one op, one build list and one task
+// whose op or build-list index is past its table.
+func tableIndexFrames() map[string][]byte {
+	frames := map[string][]byte{}
+	for name, idx := range map[string][2]int{"opPastTable": {1, 0}, "buildListPastTable": {0, 1}, "hugeOp": {1 << 40, 0}, "hugeBuildList": {0, 1 << 40}} {
+		e := newBenc()
+		e.raw(magicTaskBatch)
+		e.uvarint(1)
+		e.writeOp(&physop.OpSpec{Kind: physop.Scan})
+		e.uvarint(1)
+		e.uvarint(1)
+		e.writeBuild(BuildRef{Name: "b", Blocks: []BlockRef{{File: "f", Len: 8}}})
+		e.uvarint(1)
+		e.writeTask(&Task{Task: "t", Kind: "map"}, idx[0], idx[1])
+		frames[name] = bytes.Clone(e.buf)
+		e.release()
+	}
+	return frames
 }
 
 // hostileResults are answers no worker sends: their accounting reaches
@@ -592,7 +689,7 @@ func TestBinResultBatchRejectsOutOfRange(t *testing.T) {
 }
 
 func TestBinDecodeRejectsGarbage(t *testing.T) {
-	for _, b := range [][]byte{nil, {}, []byte("DYT"), []byte("DYT1\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"), []byte("not a frame"), []byte("DYR2")} {
+	for _, b := range [][]byte{nil, {}, []byte("DYT"), []byte("DYT2\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"), []byte("not a frame"), []byte("DYR2")} {
 		if _, err := DecodeTaskBatch(b); err == nil {
 			t.Fatalf("DecodeTaskBatch accepted %q", b)
 		}

@@ -5,6 +5,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -17,16 +18,17 @@ import (
 )
 
 // Binary frames for the controller/worker protocol. A task batch is
-// one frame: magic, task count, then the tasks back to back sharing
-// the frame's string dictionary (job names, aliases, column names, and
-// repeated data strings are carried once per frame, not once per
-// task). The response frame mirrors it. The blocks of a mirror file, a
+// one frame: magic, the frame's distinct ops, its distinct build lists,
+// then the tasks back to back, each naming its op and build list by
+// index, all sharing the frame's string dictionary (job names, aliases,
+// column names, and repeated data strings are carried once per frame,
+// not once per task). The response frame mirrors it. The blocks of a mirror file, a
 // reduce task's request to a producer and the producer's shuffle
 // segments use the same codec with their own magics; a body with any
 // other leading bytes is an error.
 
 var (
-	magicTaskBatch  = []byte("DYT1")
+	magicTaskBatch  = []byte("DYT2")
 	magicRespBatch  = []byte("DYR2")
 	magicBlock      = []byte("DYB1")
 	magicShuffle    = []byte("DYS2")
@@ -66,8 +68,9 @@ const (
 	exprCall
 )
 
-// writeExpr writes a nilable expression.
-func (e *benc) writeExpr(x expr.Expr) error {
+// writeExpr writes a nilable expression; an unsupported node is the
+// encoder's error.
+func (e *benc) writeExpr(x expr.Expr) {
 	switch n := x.(type) {
 	case nil:
 		e.byte(exprNil)
@@ -80,42 +83,38 @@ func (e *benc) writeExpr(x expr.Expr) error {
 	case *expr.Cmp:
 		e.byte(exprCmp)
 		e.str(n.Op.String())
-		return e.writeExprs(false, n.L, n.R)
+		e.writeExprs(false, n.L, n.R)
 	case *expr.And:
 		e.byte(exprAnd)
-		return e.writeExprs(true, n.Terms...)
+		e.writeExprs(true, n.Terms...)
 	case *expr.Or:
 		e.byte(exprOr)
-		return e.writeExprs(true, n.Terms...)
+		e.writeExprs(true, n.Terms...)
 	case *expr.Not:
 		e.byte(exprNot)
-		return e.writeExpr(n.E)
+		e.writeExpr(n.E)
 	case *expr.Arith:
 		e.byte(exprArith)
 		e.str(n.Op.String())
-		return e.writeExprs(false, n.L, n.R)
+		e.writeExprs(false, n.L, n.R)
 	case *expr.Call:
 		e.byte(exprCall)
 		e.str(n.Name)
-		return e.writeExprs(true, n.Args...)
+		e.writeExprs(true, n.Args...)
 	default:
-		return fmt.Errorf("wire: unsupported expression node %T (serialize uncompiled expressions)", x)
+		e.fail(fmt.Errorf("wire: unsupported expression node %T (serialize uncompiled expressions)", x))
 	}
-	return nil
 }
 
 // writeExprs writes expressions back to back, after their count when
 // counted is set.
-func (e *benc) writeExprs(counted bool, xs ...expr.Expr) error {
+func (e *benc) writeExprs(counted bool, xs ...expr.Expr) {
 	if counted {
 		e.uvarint(uint64(len(xs)))
 	}
 	for _, x := range xs {
-		if err := e.writeExpr(x); err != nil {
-			return err
-		}
+		e.writeExpr(x)
 	}
-	return nil
 }
 
 func (d *bdec) readExpr(depth int) (expr.Expr, error) {
@@ -182,6 +181,8 @@ func (d *bdec) readExpr(depth int) (expr.Expr, error) {
 	return nil, fmt.Errorf("wire: unknown expression tag byte %d", tag)
 }
 
+func (d *bdec) readTopExpr() (expr.Expr, error) { return d.readExpr(0) }
+
 // readExprs reads a counted expression list.
 func (d *bdec) readExprs(depth int) ([]expr.Expr, error) {
 	n, err := d.count()
@@ -237,6 +238,21 @@ func readList[T any](d *bdec, read func() (T, error)) ([]T, error) {
 	return out, nil
 }
 
+// get reads one field unless an earlier one failed, keeping the first
+// error on the decoder: a reader of many fields in a row checks d.err
+// once, after the last.
+func get[T any](d *bdec, read func() (T, error)) (v T) {
+	if d.err == nil {
+		v, d.err = read()
+	}
+	return v
+}
+
+// getList is get of a counted list.
+func getList[T any](d *bdec, read func() (T, error)) []T {
+	return get(d, func() ([]T, error) { return readList(d, read) })
+}
+
 func (e *benc) writeStrs(ss []string) { writeList(e, ss, e.str) }
 
 func (d *bdec) readStrs() ([]string, error) { return readList(d, d.str) }
@@ -261,62 +277,40 @@ func (e *benc) writePaths(paths []data.Path) {
 
 func (d *bdec) readPaths() ([]data.Path, error) { return readList(d, d.readPath) }
 
-func (e *benc) writeSource(s *physop.Source) error {
-	if s == nil {
-		e.byte(0)
-		return nil
+func (e *benc) writeSource(s *physop.Source) {
+	e.bool(s != nil)
+	if s != nil {
+		e.str(s.Wrap)
+		e.writeExpr(s.Filter)
 	}
-	e.byte(1)
-	e.str(s.Wrap)
-	return e.writeExpr(s.Filter)
 }
 
 func (d *bdec) readSource() (*physop.Source, error) {
-	present, err := d.byte()
-	if err != nil {
+	if present, err := d.bool(); !present || err != nil {
 		return nil, err
 	}
-	if present == 0 {
-		return nil, nil
-	}
-	s := &physop.Source{}
-	if s.Wrap, err = d.str(); err != nil {
-		return nil, err
-	}
-	s.Filter, err = d.readExpr(0)
-	return s, err
+	s := &physop.Source{Wrap: get(d, d.str), Filter: get(d, d.readTopExpr)}
+	return s, d.err
 }
 
 // writeOp writes a nilable operator spec.
-func (e *benc) writeOp(op *physop.OpSpec) error {
+func (e *benc) writeOp(op *physop.OpSpec) {
+	e.bool(op != nil)
 	if op == nil {
-		e.byte(0)
-		return nil
+		return
 	}
-	e.byte(1)
 	e.str(op.Kind)
-	if err := e.writeSource(op.Source); err != nil {
-		return err
-	}
-	if err := e.writeSource(op.Left); err != nil {
-		return err
-	}
-	if err := e.writeSource(op.Right); err != nil {
-		return err
-	}
+	e.writeSource(op.Source)
+	e.writeSource(op.Left)
+	e.writeSource(op.Right)
 	e.writePaths(op.LeftKeys)
 	e.writePaths(op.RightKeys)
-	if err := e.writeExpr(op.Residual); err != nil {
-		return err
-	}
-	e.uvarint(uint64(len(op.Steps)))
-	for _, st := range op.Steps {
+	e.writeExpr(op.Residual)
+	writeList(e, op.Steps, func(st physop.ChainStep) {
 		e.str(st.Build)
 		e.writePaths(st.Keys)
-		if err := e.writeExpr(st.Residual); err != nil {
-			return err
-		}
-	}
+		e.writeExpr(st.Residual)
+	})
 	// The live-column map travels as (alias, kept fields) entries in
 	// sorted order. A fully live alias (nil set) is omitted: the pruner
 	// keeps unknown aliases whole.
@@ -337,79 +331,31 @@ func (e *benc) writeOp(op *physop.OpSpec) error {
 		e.str(alias)
 		e.writeStrs(fields)
 	}
-	if err := e.writeExprs(true, op.GroupBy...); err != nil {
-		return err
-	}
-	e.uvarint(uint64(len(op.Select)))
-	for _, it := range op.Select {
-		if err := e.writeExpr(it.E); err != nil {
-			return err
-		}
+	e.writeExprs(true, op.GroupBy...)
+	writeList(e, op.Select, func(it sqlparse.SelectItem) {
+		e.writeExpr(it.E)
 		e.str(it.Agg)
 		e.bool(it.Star)
 		e.str(physop.OutputName(it))
-	}
-	return nil
+	})
 }
 
 func (d *bdec) readOp() (*physop.OpSpec, error) {
-	present, err := d.byte()
-	if err != nil {
+	if present, err := d.bool(); !present || err != nil {
 		return nil, err
 	}
-	if present == 0 {
-		return nil, nil
-	}
-	op := &physop.OpSpec{}
-	if op.Kind, err = d.str(); err != nil {
-		return nil, err
-	}
-	if op.Source, err = d.readSource(); err != nil {
-		return nil, err
-	}
-	if op.Left, err = d.readSource(); err != nil {
-		return nil, err
-	}
-	if op.Right, err = d.readSource(); err != nil {
-		return nil, err
-	}
-	if op.LeftKeys, err = d.readPaths(); err != nil {
-		return nil, err
-	}
-	if op.RightKeys, err = d.readPaths(); err != nil {
-		return nil, err
-	}
-	if op.Residual, err = d.readExpr(0); err != nil {
-		return nil, err
-	}
-	op.Steps, err = readList(d, func() (st physop.ChainStep, err error) {
-		if st.Build, err = d.str(); err != nil {
-			return st, err
-		}
-		if st.Keys, err = d.readPaths(); err != nil {
-			return st, err
-		}
-		st.Residual, err = d.readExpr(0)
-		return st, err
+	op := &physop.OpSpec{Kind: get(d, d.str)}
+	op.Source, op.Left, op.Right = get(d, d.readSource), get(d, d.readSource), get(d, d.readSource)
+	op.LeftKeys, op.RightKeys = get(d, d.readPaths), get(d, d.readPaths)
+	op.Residual = get(d, d.readTopExpr)
+	op.Steps = getList(d, func() (physop.ChainStep, error) {
+		st := physop.ChainStep{Build: get(d, d.str), Keys: get(d, d.readPaths), Residual: get(d, d.readTopExpr)}
+		return st, d.err
 	})
-	if err != nil {
-		return nil, err
-	}
-	n, err := d.count()
-	if err != nil {
-		return nil, err
-	}
-	if n > 0 {
+	if n := get(d, d.count); n > 0 {
 		op.Prune = make(map[string]map[string]bool, n)
-		for ; n > 0; n-- {
-			alias, err := d.str()
-			if err != nil {
-				return nil, err
-			}
-			fields, err := d.readStrs()
-			if err != nil {
-				return nil, err
-			}
+		for ; n > 0 && d.err == nil; n-- {
+			alias, fields := get(d, d.str), get(d, d.readStrs)
 			set := make(map[string]bool, len(fields))
 			for _, f := range fields {
 				set[f] = true
@@ -417,23 +363,12 @@ func (d *bdec) readOp() (*physop.OpSpec, error) {
 			op.Prune[alias] = set
 		}
 	}
-	if op.GroupBy, err = d.readExprs(0); err != nil {
-		return nil, err
-	}
-	op.Select, err = readList(d, func() (it sqlparse.SelectItem, err error) {
-		if it.E, err = d.readExpr(0); err != nil {
-			return it, err
-		}
-		if it.Agg, err = d.str(); err != nil {
-			return it, err
-		}
-		if it.Star, err = d.bool(); err != nil {
-			return it, err
-		}
-		it.As, err = d.str()
-		return it, err
+	op.GroupBy = get(d, func() ([]expr.Expr, error) { return d.readExprs(0) })
+	op.Select = getList(d, func() (sqlparse.SelectItem, error) {
+		it := sqlparse.SelectItem{E: get(d, d.readTopExpr), Agg: get(d, d.str), Star: get(d, d.bool), As: get(d, d.str)}
+		return it, d.err
 	})
-	return op, err
+	return op, d.err
 }
 
 // ExprKey returns a string that is equal for two expressions exactly
@@ -446,40 +381,22 @@ func ExprKey(x expr.Expr) (string, error) {
 	}
 	e := newBenc()
 	defer e.release()
-	if err := e.writeExpr(x); err != nil {
-		return "", err
-	}
-	return string(e.buf), nil
+	e.writeExpr(x)
+	return string(e.buf), e.err
 }
 
-func (e *benc) writeBuild(b *BuildRef) error {
+func (e *benc) writeBuild(b BuildRef) {
 	e.str(b.Name)
 	e.str(b.Wrap)
-	if err := e.writeExpr(b.Filter); err != nil {
-		return err
-	}
+	e.writeExpr(b.Filter)
 	e.writePaths(b.Keys)
 	writeList(e, b.Blocks, e.writeBlockRef)
-	return nil
 }
 
 func (d *bdec) readBuild() (BuildRef, error) {
-	var b BuildRef
-	var err error
-	if b.Name, err = d.str(); err != nil {
-		return b, err
-	}
-	if b.Wrap, err = d.str(); err != nil {
-		return b, err
-	}
-	if b.Filter, err = d.readExpr(0); err != nil {
-		return b, err
-	}
-	if b.Keys, err = d.readPaths(); err != nil {
-		return b, err
-	}
-	b.Blocks, err = readList(d, d.readBlockRef)
-	return b, err
+	b := BuildRef{Name: get(d, d.str), Wrap: get(d, d.str), Filter: get(d, d.readTopExpr), Keys: get(d, d.readPaths)}
+	b.Blocks = getList(d, d.readBlockRef)
+	return b, d.err
 }
 
 // writeBlockRef writes a block reference: the mirror file's path
@@ -493,20 +410,14 @@ func (e *benc) writeBlockRef(ref BlockRef) {
 // readBlockRef reads a block reference, refusing an offset or length
 // no int64 holds (a negative one, as written). Whether the file holds
 // the span is for its reader to check.
-func (d *bdec) readBlockRef() (ref BlockRef, err error) {
-	var span [2]uint64
-	if ref.File, err = d.str(); err != nil {
-		return ref, err
+func (d *bdec) readBlockRef() (BlockRef, error) {
+	ref := BlockRef{File: get(d, d.str)}
+	off, n := get(d, d.uvarint), get(d, d.uvarint)
+	if d.err == nil && (off > math.MaxInt64 || n > math.MaxInt64) {
+		return ref, fmt.Errorf("wire: block span %d+%d of %s is out of range", off, n, ref.File)
 	}
-	for i := range span {
-		if span[i], err = d.uvarint(); err != nil {
-			return ref, err
-		} else if span[i] > math.MaxInt64 {
-			return ref, fmt.Errorf("wire: block span %d of %s is out of range", span[i], ref.File)
-		}
-	}
-	ref.Off, ref.Len = int64(span[0]), int64(span[1])
-	return ref, nil
+	ref.Off, ref.Len = int64(off), int64(n)
+	return ref, d.err
 }
 
 // Task kind bytes.
@@ -515,7 +426,9 @@ const (
 	kindReduceByte byte = 1
 )
 
-func (e *benc) writeTask(t *Task) error {
+// writeTask writes a task naming entry op of the frame's op table and
+// entry builds of its build-list table.
+func (e *benc) writeTask(t *Task, op, builds int) {
 	var kb byte
 	switch t.Kind {
 	case "map":
@@ -523,106 +436,51 @@ func (e *benc) writeTask(t *Task) error {
 	case "reduce":
 		kb = kindReduceByte
 	default:
-		return fmt.Errorf("wire: unknown task kind %q", t.Kind)
+		e.fail(fmt.Errorf("wire: unknown task kind %q", t.Kind))
 	}
 	e.str(t.Task)
 	e.byte(kb)
-	if err := e.writeOp(t.Op); err != nil {
-		return err
-	}
+	e.uvarint(uint64(op))
+	e.uvarint(uint64(builds))
 	e.varint(int64(t.InputIdx))
-	e.writeBlockRef(t.Block)
 	e.varint(int64(t.NumReducers))
-	e.uvarint(uint64(len(t.Builds)))
-	for i := range t.Builds {
-		if err := e.writeBuild(&t.Builds[i]); err != nil {
-			return err
-		}
-	}
 	e.varint(int64(t.Partition))
+	e.writeBlockRef(t.Block)
 	e.str(t.ShuffleID)
 	e.f64(t.ByteScale)
-	e.uvarint(uint64(len(t.Fetches)))
-	for i := range t.Fetches {
-		ref := &t.Fetches[i]
+	writeList(e, t.Fetches, func(ref ShuffleRef) {
 		e.str(ref.URL)
 		e.str(ref.ID)
 		e.varint(int64(ref.Part))
-	}
-	return nil
+	})
 }
 
-func (d *bdec) readTask() (*Task, error) {
-	t := &Task{}
-	var err error
-	if t.Task, err = d.str(); err != nil {
-		return nil, err
-	}
-	kb, err := d.byte()
-	if err != nil {
-		return nil, err
-	}
-	switch kb {
-	case kindMapByte:
-		t.Kind = "map"
-	case kindReduceByte:
-		t.Kind = "reduce"
-	default:
-		return nil, fmt.Errorf("wire: unknown task kind byte %d", kb)
-	}
-	if t.Op, err = d.readOp(); err != nil {
-		return nil, err
-	}
-	idx, err := d.varint()
-	if err != nil {
-		return nil, err
-	}
-	t.InputIdx = int(idx)
-	if t.Block, err = d.readBlockRef(); err != nil {
-		return nil, err
-	}
-	reducers, err := d.varint()
-	if err != nil {
-		return nil, err
-	}
+// readTask reads a task, giving it the entries of ops and lists it
+// names; an index past either table is refused.
+func (d *bdec) readTask(ops []*physop.OpSpec, lists [][]BuildRef) (*Task, error) {
+	t := &Task{Task: get(d, d.str)}
+	kind, op, builds := get(d, d.byte), get(d, d.uvarint), get(d, d.uvarint)
+	input, reducers, part := get(d, d.varint), get(d, d.varint), get(d, d.varint)
+	t.Block, t.ShuffleID, t.ByteScale = get(d, d.readBlockRef), get(d, d.str), get(d, d.f64)
+	t.Fetches = getList(d, func() (ShuffleRef, error) {
+		ref := ShuffleRef{URL: get(d, d.str), ID: get(d, d.str), Part: int(get(d, d.varint))}
+		return ref, d.err
+	})
+	switch {
+	case d.err != nil:
+		return nil, d.err
+	case kind > kindReduceByte:
+		return nil, fmt.Errorf("wire: unknown task kind byte %d", kind)
 	// Workers size buffers and take moduli from these; a value no
 	// controller emits is refused here, before it is used.
-	if idx < 0 || reducers < 0 || reducers > maxReducers {
-		return nil, fmt.Errorf("wire: task %s: input %d with %d reducers is out of range", t.Task, idx, reducers)
+	case input < 0 || reducers < 0 || reducers > maxReducers || part < 0 || part >= maxReducers:
+		return nil, fmt.Errorf("wire: task %s: input %d, %d reducers or partition %d is out of range", t.Task, input, reducers, part)
+	case op >= uint64(len(ops)) || builds >= uint64(len(lists)):
+		return nil, fmt.Errorf("wire: task %s: op %d of %d or build list %d of %d is out of range", t.Task, op, len(ops), builds, len(lists))
 	}
-	t.NumReducers = int(reducers)
-	if t.Builds, err = readList(d, d.readBuild); err != nil {
-		return nil, err
-	}
-	if idx, err = d.varint(); err != nil {
-		return nil, err
-	}
-	if idx < 0 || idx >= maxReducers {
-		return nil, fmt.Errorf("wire: task %s: partition %d is out of range", t.Task, idx)
-	}
-	t.Partition = int(idx)
-	if t.ShuffleID, err = d.str(); err != nil {
-		return nil, err
-	}
-	if t.ByteScale, err = d.f64(); err != nil {
-		return nil, err
-	}
-	t.Fetches, err = readList(d, func() (ref ShuffleRef, err error) {
-		if ref.URL, err = d.str(); err != nil {
-			return ref, err
-		}
-		if ref.ID, err = d.str(); err != nil {
-			return ref, err
-		}
-		if idx, err = d.varint(); err != nil {
-			return ref, err
-		}
-		ref.Part = int(idx)
-		return ref, nil
-	})
-	if err != nil {
-		return nil, err
-	}
+	t.Kind = [...]string{kindMapByte: "map", kindReduceByte: "reduce"}[kind]
+	t.Op, t.Builds = ops[op], lists[builds]
+	t.InputIdx, t.NumReducers, t.Partition = int(input), int(reducers), int(part)
 	return t, nil
 }
 
@@ -644,48 +502,23 @@ func (e *benc) writeResult(r *TaskResult) {
 // the virtual timeline, so values no worker computes are refused: a
 // negative count or byte total, a CPU cost negative, NaN or infinite.
 func (d *bdec) readResult() (*TaskResult, error) {
-	r := &TaskResult{}
-	var err error
-	if r.Err, err = d.str(); err != nil {
-		return nil, err
-	}
-	if r.CPU, err = d.f64(); err == nil && !(r.CPU >= 0 && r.CPU <= math.MaxFloat64) {
-		err = fmt.Errorf("wire: CPU cost %v is out of range", r.CPU)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if r.Rows, err = d.readValueList(); err != nil {
-		return nil, err
-	}
-	if r.Sel, err = d.readSel(); err != nil {
-		return nil, err
-	}
-	r.Parts, err = readList(d, func() (ShufflePart, error) {
-		n, err := d.varint()
-		if err != nil {
-			return ShufflePart{}, err
+	r := &TaskResult{Err: get(d, d.str), CPU: get(d, d.f64), Rows: get(d, d.readValueList), Sel: get(d, d.readSel)}
+	r.Parts = getList(d, func() (ShufflePart, error) {
+		p := ShufflePart{Count: int(get(d, d.varint)), Bytes: get(d, d.varint)}
+		if d.err == nil && (p.Count < 0 || p.Bytes < 0) {
+			return p, fmt.Errorf("wire: shuffle part of %d pairs in %d bytes is out of range", p.Count, p.Bytes)
 		}
-		b, err := d.varint()
-		if err == nil && (n < 0 || b < 0) {
-			err = fmt.Errorf("wire: shuffle part of %d pairs in %d bytes is out of range", n, b)
-		}
-		return ShufflePart{Count: int(n), Bytes: b}, err
+		return p, d.err
 	})
-	if err != nil {
-		return nil, err
+	r.PeerBytes, r.PeerFetches = get(d, d.varint), int(get(d, d.varint))
+	switch {
+	case d.err != nil:
+		return nil, d.err
+	case !(r.CPU >= 0 && r.CPU <= math.MaxFloat64):
+		return nil, fmt.Errorf("wire: CPU cost %v is out of range", r.CPU)
+	case r.PeerBytes < 0 || r.PeerFetches < 0:
+		return nil, fmt.Errorf("wire: %d peer bytes in %d fetches is out of range", r.PeerBytes, r.PeerFetches)
 	}
-	if r.PeerBytes, err = d.varint(); err != nil {
-		return nil, err
-	}
-	pf, err := d.varint()
-	if err == nil && (r.PeerBytes < 0 || pf < 0) {
-		err = fmt.Errorf("wire: %d peer bytes in %d fetches is out of range", r.PeerBytes, pf)
-	}
-	if err != nil {
-		return nil, err
-	}
-	r.PeerFetches = int(pf)
 	return r, nil
 }
 
@@ -733,34 +566,73 @@ func (d *bdec) readSel() ([]int32, error) {
 }
 
 // EncodeTaskBatch encodes a task batch as one binary frame sharing a
-// string dictionary across tasks. Close the frame after use.
+// string dictionary across tasks. A job's tasks share their op
+// (MapExec.Op) and build list, so the frame writes each distinct op (by
+// pointer) and build list (by value) once, and each task names its
+// entries. Close the frame after use.
 func EncodeTaskBatch(tasks []*Task) (*Frame, error) {
+	var ops []*physop.OpSpec
+	var lists [][]BuildRef
+	for _, t := range tasks {
+		if !slices.Contains(ops, t.Op) {
+			ops = append(ops, t.Op)
+		}
+		if buildsIndex(lists, t.Builds) < 0 {
+			lists = append(lists, t.Builds)
+		}
+	}
 	e := newBenc()
 	e.raw(magicTaskBatch)
-	e.uvarint(uint64(len(tasks)))
-	for _, t := range tasks {
-		if err := e.writeTask(t); err != nil {
-			e.release()
-			return nil, err
-		}
+	writeList(e, ops, e.writeOp)
+	writeList(e, lists, func(l []BuildRef) { writeList(e, l, e.writeBuild) })
+	writeList(e, tasks, func(t *Task) { e.writeTask(t, slices.Index(ops, t.Op), buildsIndex(lists, t.Builds)) })
+	if e.err != nil {
+		e.release()
+		return nil, e.err
 	}
 	return &Frame{enc: e}, nil
 }
 
-// DecodeTaskBatch decodes a binary task batch frame.
+// buildsIndex is the position in lists of the list equal to l, or -1.
+// Filters compare by identity first: a job's tasks share them.
+func buildsIndex(lists [][]BuildRef, l []BuildRef) int {
+	return slices.IndexFunc(lists, func(m []BuildRef) bool {
+		return slices.EqualFunc(m, l, func(a, b BuildRef) bool {
+			return a.Name == b.Name && a.Wrap == b.Wrap && sameExpr(a.Filter, b.Filter) &&
+				slices.EqualFunc(a.Keys, b.Keys, slices.Equal) && slices.Equal(a.Blocks, b.Blocks)
+		})
+	})
+}
+
+// sameExpr reports whether two encodable expressions are the same tree.
+func sameExpr(a, b expr.Expr) bool {
+	if a == b {
+		return true
+	}
+	ka, errA := ExprKey(a)
+	kb, errB := ExprKey(b)
+	return errA == nil && errB == nil && ka == kb
+}
+
+// DecodeTaskBatch decodes a binary task batch frame. Every task naming
+// one op or build-list entry gets the same *physop.OpSpec or
+// []BuildRef.
 func DecodeTaskBatch(b []byte) ([]*Task, error) {
 	if !bytes.HasPrefix(b, magicTaskBatch) {
 		return nil, fmt.Errorf("wire: not a task batch frame")
 	}
 	d := newBdec(b[len(magicTaskBatch):])
 	defer d.release()
-	n, err := d.count()
-	if err != nil {
-		return nil, err
+	ops := getList(d, d.readOp)
+	lists := getList(d, func() ([]BuildRef, error) { return readList(d, d.readBuild) })
+	n := get(d, d.count)
+	if d.err != nil {
+		return nil, d.err
 	}
 	out := make([]*Task, n)
 	for i := range out {
-		if out[i], err = d.readTask(); err != nil {
+		var err error
+		if out[i], err = d.readTask(ops, lists); err != nil {
 			return nil, fmt.Errorf("wire: task %d of %d: %w", i, n, err)
 		}
 	}

@@ -13,23 +13,26 @@ import (
 	"dyno/internal/sqlparse"
 )
 
-// The DYT1 fixtures under testdata pin the task frame layout across
-// commits: one committed batch per operator kind, built from engine
-// values (expressions, paths, select items, a live-column map) the way
-// the compiler builds them. They were first written by the build that
-// still converted those values through a mirror layer of wire-only
-// types, and rewritten, in a commit of their own, when a block
-// reference became a span of a mirror file, and again when the frame
-// dropped the fields a worker derives (HasReduce, RunCombine,
+// The task frame fixtures under testdata pin the task frame layout
+// across commits: one committed batch per operator kind, built from
+// engine values (expressions, paths, select items, a live-column map)
+// the way the compiler builds them. They were first written by the
+// build that still converted those values through a mirror layer of
+// wire-only types, and rewritten, in a commit of their own, when a
+// block reference became a span of a mirror file, and again when the
+// frame dropped the fields a worker derives (HasReduce, RunCombine,
 // RetainShuffle) or never reads (Job), and again when a fetch lost its
 // inline pairs (a lost segment is re-run onto a worker and fetched
 // like any other), and again when an aggregate op lost its combiner
-// flag (there is one aggregation path, the plain reducer); a committed
-// frame must decode here and re-encode to the same bytes, and the same
-// tasks built today must encode to the committed bytes.
+// flag (there is one aggregation path, the plain reducer), and again,
+// as .dyt2 files, when a frame came to carry each distinct op and
+// build list once, in tables its tasks name by index (DYT2; the chain
+// fixture's two tasks share both); a committed frame must decode here
+// and re-encode to the same bytes, and the same tasks built today must
+// encode to the committed bytes.
 //
 // Regenerate with: go test ./internal/runtime/wire -run TestTaskFrameFixtures -update-fixtures
-var updateFixtures = flag.Bool("update-fixtures", false, "rewrite testdata/*.dyt1 from the current encoder")
+var updateFixtures = flag.Bool("update-fixtures", false, "rewrite testdata/*.dyt2 from the current encoder")
 
 func fixturePath(s string) data.Path { return data.MustParsePath(s) }
 
@@ -96,16 +99,20 @@ func fixtureTasks(t *testing.T, kind string) []*Task {
 			},
 			Prune: live,
 		}
-		return []*Task{{
-			Task: "j2-m4", Kind: "map", Op: op, Block: BlockRef{File: "/spill/f000003.mir", Off: 70211, Len: 18004},
-			Builds: []BuildRef{
+		// Two tasks of one job: one op, and build lists equal by value.
+		builds := func() []BuildRef {
+			return []BuildRef{
 				{Name: "b0", Wrap: "ps", Filter: &expr.Cmp{Op: expr.NE, L: fixtureCol("ps.ps_availqty"), R: &expr.Lit{V: data.Null()}},
 					Keys:   paths("ps.ps_partkey", "ps.ps_suppkey"),
 					Blocks: []BlockRef{{File: "/spill/f000004.mir", Len: 5120}, {File: "/spill/f000004.mir", Off: 5120, Len: 640}}},
 				{Name: "b1", Keys: paths("s.s_suppkey"),
 					Blocks: []BlockRef{{File: "/spill/f000005.mir", Len: 233}}},
-			},
-		}}
+			}
+		}
+		return []*Task{
+			{Task: "j2-m4", Kind: "map", Op: op, Block: BlockRef{File: "/spill/f000003.mir", Off: 70211, Len: 18004}, Builds: builds()},
+			{Task: "j2-m5", Kind: "map", Op: op, Block: BlockRef{File: "/spill/f000003.mir", Off: 88215, Len: 17990}, Builds: builds()},
+		}
 	case "aggregate":
 		op := &physop.OpSpec{
 			Kind:    physop.Aggregate,
@@ -131,7 +138,7 @@ func TestTaskFrameFixtures(t *testing.T) {
 	for _, kind := range []string{"scan", "repartition", "chain", "aggregate"} {
 		kind := kind
 		t.Run(kind, func(t *testing.T) {
-			path := filepath.Join("testdata", "task_"+kind+".dyt1")
+			path := filepath.Join("testdata", "task_"+kind+".dyt2")
 			frame, err := EncodeTaskBatch(fixtureTasks(t, kind))
 			if err != nil {
 				t.Fatal(err)

@@ -243,13 +243,23 @@ func FuzzExprRoundTrip(f *testing.F) {
 // MaxInt64) and, among the hostile ones, negative spans, which encode
 // past what the decoder accepts.
 func FuzzTaskBatchDecode(f *testing.F) {
-	f.Add([]byte("DYT1"))
+	f.Add([]byte("DYT2"))
 	seed, err := EncodeTaskBatch(sampleTasks(f))
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(bytes.Clone(seed.Bytes()))
 	seed.Close()
+	// One job's tasks, sharing one op and one build list.
+	shared, err := EncodeTaskBatch(chainTasks(4))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(bytes.Clone(shared.Bytes()))
+	shared.Close()
+	for _, frame := range tableIndexFrames() {
+		f.Add(frame)
+	}
 	for _, task := range hostileTasks() {
 		bad, err := EncodeTaskBatch([]*Task{task})
 		if err != nil {

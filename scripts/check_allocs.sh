@@ -54,8 +54,9 @@ go test -run='^$' -bench='^(BenchmarkBuildHashTable|BenchmarkBuildHashTableGroup
 # Wire codec: one 4,096-row lineitem-shaped block per op. Decode
 # allocates per column (a slab per object column), not per row; encode
 # gathers sub-columns on the pooled encoder's stack. A scan's answer over
-# such a split is its positions, not its rows.
-go test -run='^$' -bench='^(BenchmarkEncodeBlock|BenchmarkDecodeBlock|BenchmarkScanAnswer)$' \
+# such a split is its positions, not its rows. A task frame of one job's
+# tasks carries and decodes its op and build list once.
+go test -run='^$' -bench='^(BenchmarkEncodeBlock|BenchmarkDecodeBlock|BenchmarkScanAnswer|BenchmarkTaskFrame)$' \
     -benchtime=20x -benchmem ./internal/runtime/wire | tee -a "$out"
 # Block mirror: one 16-block file (5.7 MB of frames) written per op,
 # each frame on the pooled encoder and written as it is encoded. A

@@ -68,7 +68,14 @@ var keptExports = map[string]string{
 var keptWriteOnly = map[string]string{
 	"dyno/internal/runtime/procruntime.tableKey.params": "read as part of the key of Worker.tables: " +
 		"two builds of one mirror file under different parameters are different tables",
+	"dyno/internal/runtime/procruntime.jobKey.op":     jobKeyRead,
+	"dyno/internal/runtime/procruntime.jobKey.input":  jobKeyRead,
+	"dyno/internal/runtime/procruntime.jobKey.builds": jobKeyRead,
+	"dyno/internal/runtime/procruntime.jobKey.n":      jobKeyRead,
 }
+
+const jobKeyRead = "read as part of the key of Worker.runTasks' job map: " +
+	"a frame's tasks of one op, input and build list share one kernel and one table set"
 
 // keptKnobs are fields that hold one value in every non-test caller and
 // stay settable, as "importpath.Type.Field", with the reason.
