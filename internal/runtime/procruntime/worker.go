@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -265,9 +266,13 @@ type frameJob struct {
 	err    error
 }
 
+// errPreparePanicked is what a frame-mate of a task whose prepare
+// panicked gets (that task reports the panic itself).
+var errPreparePanicked = errors.New("a frame-mate panicked compiling the op or building its tables")
+
 func (j *frameJob) prepare(w *Worker) (physop.Kernels, map[string]*mapreduce.HashTable, error) {
 	j.once.Do(func() {
-		j.err = fmt.Errorf("task %s panicked compiling its op", j.first.Task) // what frame-mates see if it does
+		j.err = errPreparePanicked
 		j.builds = make(map[string]*mapreduce.HashTable, len(j.first.Builds))
 		for _, ref := range j.first.Builds {
 			var err error

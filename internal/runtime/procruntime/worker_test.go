@@ -93,9 +93,10 @@ func mirrorBlocks(t testing.TB, blocks ...[]data.Value) []wire.BlockRef {
 	return refs
 }
 
-// runOne runs task as a frame of its own.
+// runOne runs task as the one task of its job in a frame, on the
+// calling goroutine.
 func (w *Worker) runOne(task *wire.Task) *wire.TaskResult {
-	return w.runTasks([]*wire.Task{task})[0]
+	return w.runTask(task, &frameJob{first: task})
 }
 
 // positions returns the selection 0, 1, ..., n-1.
