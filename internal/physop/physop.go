@@ -238,8 +238,9 @@ func CompileSelect(items []sqlparse.SelectItem, sample data.Value) []sqlparse.Se
 // binder compiles something (a select list, key accessors, a residual)
 // against the first row a kernel hands it: merged and reduce-side rows
 // do not exist at compile time. One kernel serves every task of an
-// in-process job concurrently, hence the Once; a worker compiles per
-// task. Binding never changes results, only saves name lookups.
+// in-process job, and every task of a job in one worker frame,
+// concurrently, hence the Once. Binding never changes results, only
+// saves name lookups.
 type binder[T any] struct {
 	once    sync.Once
 	compile func(sample data.Value) T

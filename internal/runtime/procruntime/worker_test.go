@@ -263,24 +263,39 @@ func TestFrameCompilesAndResolvesOncePerJob(t *testing.T) {
 	}
 	framed := httptest.NewServer(NewWorker(expr.NewRegistry()).Handler())
 	defer framed.Close()
+	same := func(tasks []*wire.Task, got, want []*wire.TaskResult) {
+		t.Helper()
+		for i := range tasks {
+			if got[i].Err != "" || want[i].Err != "" {
+				t.Fatalf("task %s: %q / %q", tasks[i].Task, got[i].Err, want[i].Err)
+			}
+			a, b := wire.EncodeResultBatch(got[i:i+1]), wire.EncodeResultBatch(want[i:i+1])
+			if !bytes.Equal(a.Bytes(), b.Bytes()) {
+				t.Errorf("task %s answers differently in one frame than alone", tasks[i].Task)
+			}
+			a.Close()
+			b.Close()
+		}
+	}
 	got := post(framed.URL, tasks)
 	if l := lookups(framed.URL); l != 3 {
 		t.Errorf("one frame looked tables up %d times, want 3 (once per build of its one chain job)", l)
 	}
-	for i := range tasks {
-		if got[i].Err != "" || want[i].Err != "" {
-			t.Fatalf("task %s: %q / %q", tasks[i].Task, got[i].Err, want[i].Err)
-		}
-		a, b := wire.EncodeResultBatch(got[i:i+1]), wire.EncodeResultBatch(want[i:i+1])
-		if !bytes.Equal(a.Bytes(), b.Bytes()) {
-			t.Errorf("task %s answers differently in one frame than alone", tasks[i].Task)
-		}
-		a.Close()
-		b.Close()
-	}
+	same(tasks, got, want)
 	if len(got[0].Rows) == 0 || len(got[1].Sel) == 0 || len(got[1].Sel) == len(probes[0]) {
 		t.Errorf("the chain joined %d rows and the scan kept %d positions: the probes test nothing", len(got[0].Rows), len(got[1].Sel))
 	}
+	// One op under two build lists is two jobs: a task whose b0 is built
+	// from another side joins in a frame what it joins alone.
+	other := *tasks[0]
+	other.Builds = slices.Clone(other.Builds)
+	other.Builds[0].Blocks = sideRefs[2:3] // no b.k: nothing joins
+	pair := []*wire.Task{tasks[0], &other}
+	want = append(post(alone.URL, pair[:1]), post(alone.URL, pair[1:])...)
+	if len(want[1].Rows) >= len(want[0].Rows) {
+		t.Fatalf("the other b0 joined %d rows of %d: it tests nothing", len(want[1].Rows), len(want[0].Rows))
+	}
+	same(pair, post(framed.URL, pair), want)
 }
 
 // TestTableKeyHasNoStepName: a built table is a function of its mirror

@@ -22,10 +22,10 @@ import (
 // then the tasks back to back, each naming its op and build list by
 // index, all sharing the frame's string dictionary (job names, aliases,
 // column names, and repeated data strings are carried once per frame,
-// not once per task). The response frame mirrors it. The blocks of a mirror file, a
-// reduce task's request to a producer and the producer's shuffle
-// segments use the same codec with their own magics; a body with any
-// other leading bytes is an error.
+// not once per task). The response frame mirrors it. The blocks of a
+// mirror file, a reduce task's request to a producer and the
+// producer's shuffle segments use the same codec with their own
+// magics; a body with any other leading bytes is an error.
 
 var (
 	magicTaskBatch  = []byte("DYT2")

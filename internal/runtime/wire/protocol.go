@@ -28,7 +28,7 @@ import (
 )
 
 // The controller/worker HTTP protocol has one data plane: tasks travel
-// as per-worker batches to POST /tasks in DYT1 frames and are answered
+// as per-worker batches to POST /tasks in DYT2 frames and are answered
 // in DYR2 frames, map output stays on the producing worker and reduce
 // inputs are pulled peer-to-peer: one POST /shuffle per producer, a
 // DYF1 frame naming every segment the reduce task needs from it,
